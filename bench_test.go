@@ -17,7 +17,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/geom"
 	"repro/internal/pack"
-	"repro/internal/pager"
 	"repro/internal/rtree"
 	"repro/internal/workload"
 )
@@ -359,30 +358,6 @@ func BenchmarkPSQLQueries(b *testing.B) {
 	}
 }
 
-// BenchmarkDiskSearch measures page-level search cost (pager I/O) for
-// a packed disk tree with a cold-ish pool.
-func BenchmarkDiskSearch(b *testing.B) {
-	b.ReportAllocs()
-	p := pager.OpenMem(64) // small pool: queries pay eviction traffic
-	defer p.Close()
-	items := workload.PointItems(workload.UniformPoints(20000, 50))
-	dt, err := rtree.BulkLoadDisk(p, 0, 0, items, pack.Grouper(pack.MethodSTR))
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := workload.QueryWindows(512, 25, 51)
-	visited := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, v, err := dt.Query(queries[i%len(queries)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		visited += v
-	}
-	b.ReportMetric(float64(visited)/float64(b.N), "pages/query")
-}
-
 // --- Parallel execution (DESIGN.md "Parallel execution") -------------
 
 // BenchmarkParallelPackBuild measures PACK build time at worker counts
@@ -446,67 +421,6 @@ func BenchmarkJuxtaposeParallel(b *testing.B) {
 				pairs = len(out)
 			}
 			b.ReportMetric(float64(pairs), "pairs")
-		})
-	}
-}
-
-// BenchmarkDiskJuxtapose is the disk variant of the parallel join:
-// both trees live on pager pages and the traversal is zero-copy over
-// pinned views.
-func BenchmarkDiskJuxtapose(b *testing.B) {
-	p := pager.OpenMem(2048)
-	defer p.Close()
-	points, err := rtree.BulkLoadDisk(p, 0, 0, workload.PointItems(workload.UniformPoints(50000, 57)), pack.Grouper(pack.MethodSTR))
-	if err != nil {
-		b.Fatal(err)
-	}
-	wins := workload.QueryWindows(5000, 25, 58)
-	regionItems := make([]rtree.Item, len(wins))
-	for i, w := range wins {
-		regionItems[i] = rtree.Item{Rect: w, Data: int64(i)}
-	}
-	regions, err := rtree.BulkLoadDisk(p, 0, 0, regionItems, pack.Grouper(pack.MethodSTR))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pred := func(a, b geom.Rect) bool { return a.Intersects(b) }
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			pairs := 0
-			for i := 0; i < b.N; i++ {
-				out, _, err := points.Juxtapose(regions, pred, par)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pairs = len(out)
-			}
-			b.ReportMetric(float64(pairs), "pairs")
-		})
-	}
-}
-
-// BenchmarkDiskQueryBatch is the disk variant: workers contend on the
-// sharded buffer pool, so this is the pager-scaling benchmark.
-func BenchmarkDiskQueryBatch(b *testing.B) {
-	p := pager.OpenMem(512)
-	defer p.Close()
-	items := workload.PointItems(workload.UniformPoints(50000, 55))
-	dt, err := rtree.BulkLoadDisk(p, 0, 0, items, pack.Grouper(pack.MethodSTR))
-	if err != nil {
-		b.Fatal(err)
-	}
-	windows := workload.QueryWindows(128, 25, 56)
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := dt.QueryBatch(windows, par); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(len(windows))*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
 		})
 	}
 }

@@ -40,12 +40,13 @@ const (
 	catPicture  = 'P'
 	catObject   = 'O'
 	catRelation = 'R'
-	catSharded  = 'S'
-	// catShardedV2 extends catSharded with each shard's Hilbert key
-	// range, so rebalanced (non-even) shard layouts survive reopen.
-	// Checkpoint always writes V2; the loader accepts both (a V1 record
-	// implies the even split every relation starts with).
-	catShardedV2 = 'T'
+	// catSharded is a sharded relation: one heap handle and one Hilbert
+	// key range per shard, so rebalanced (non-even) layouts survive
+	// reopen.
+	catSharded = 'T'
+	// catShardedV1 is the retired record without key ranges; the loader
+	// recognises the tag only to refuse it by name.
+	catShardedV1 = 'S'
 )
 
 // ensureSuperblock creates or validates the superblock page.
@@ -103,10 +104,16 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
+// errCatalog wraps ErrCorrupt for a catalog record that does not
+// decode.
+func errCatalog(format string, args ...any) error {
+	return fmt.Errorf("%w: catalog record: %w", ErrCorrupt, fmt.Errorf(format, args...))
+}
+
 func readString(rec []byte, pos int) (string, int, error) {
 	l, w := binary.Uvarint(rec[pos:])
-	if w <= 0 || pos+w+int(l) > len(rec) {
-		return "", 0, fmt.Errorf("pictdb: truncated catalog string")
+	if w <= 0 || l > uint64(len(rec)-pos-w) {
+		return "", 0, errCatalog("truncated string")
 	}
 	pos += w
 	return string(rec[pos : pos+int(l)]), pos + int(l), nil
@@ -121,7 +128,7 @@ func appendRect(buf []byte, r geom.Rect) []byte {
 
 func readRect(rec []byte, pos int) (geom.Rect, int, error) {
 	if pos+32 > len(rec) {
-		return geom.Rect{}, 0, fmt.Errorf("pictdb: truncated catalog rect")
+		return geom.Rect{}, 0, errCatalog("truncated rect")
 	}
 	var v [4]float64
 	for i := range v {
@@ -212,7 +219,7 @@ func (db *Database) Checkpoint() error {
 			// durable at Commit — shards commit before the main file, so
 			// this record never names a shard page that is not yet
 			// durable.
-			rec = []byte{catShardedV2}
+			rec = []byte{catSharded}
 			rec = appendString(rec, name)
 			firsts := rel.ShardHeapFirstPages()
 			rec = binary.AppendUvarint(rec, uint64(len(firsts)))
@@ -295,68 +302,29 @@ func (db *Database) loadCatalog() error {
 	}
 
 	var rels []decodedRel
-
 	var scanErr error
-	err = snap.Scan(func(_ storage.TupleID, rec []byte) bool {
-		if len(rec) == 0 {
-			scanErr = fmt.Errorf("pictdb: empty catalog record")
+	err = snap.Scan(func(_ storage.TupleID, raw []byte) bool {
+		var rec catalogRecord
+		if rec, scanErr = decodeCatalogRecord(raw); scanErr != nil {
 			return false
 		}
-		switch rec[0] {
+		switch rec.tag {
 		case catLocation:
-			name, pos, err := readString(rec, 1)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			r, _, err := readRect(rec, pos)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			db.locations[name] = r
+			db.locations[rec.name] = rec.rect
 		case catPicture:
-			name, pos, err := readString(rec, 1)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			extent, _, err := readRect(rec, pos)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			db.pictures[name] = picture.New(name, extent)
+			db.pictures[rec.name] = picture.New(rec.name, rec.rect)
 		case catObject:
-			name, pos, err := readString(rec, 1)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			pic := db.pictures[name]
+			pic := db.pictures[rec.name]
 			if pic == nil {
-				scanErr = fmt.Errorf("pictdb: object for unknown picture %q", name)
+				scanErr = errCatalog("object for unknown picture %q", rec.name)
 				return false
 			}
-			obj, err := picture.DecodeObject(rec[pos:])
-			if err != nil {
-				scanErr = err
+			if err := pic.Restore(rec.obj); err != nil {
+				scanErr = errCatalog("%w", err)
 				return false
 			}
-			if err := pic.Restore(obj); err != nil {
-				scanErr = err
-				return false
-			}
-		case catRelation, catSharded, catShardedV2:
-			def, err := decodeRelDef(rec)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			rels = append(rels, def)
 		default:
-			scanErr = fmt.Errorf("pictdb: unknown catalog record tag %q", rec[0])
-			return false
+			rels = append(rels, rec.rel)
 		}
 		return true
 	})
@@ -397,15 +365,53 @@ func (db *Database) loadCatalog() error {
 	return nil
 }
 
+// catalogRecord is one decoded snapshot record; tag says which of the
+// other fields it carries.
+type catalogRecord struct {
+	tag  byte
+	name string         // location, picture, or an object's picture
+	rect geom.Rect      // location rectangle or picture extent
+	obj  picture.Object // catObject
+	rel  decodedRel     // catRelation, catSharded
+}
+
+// decodeCatalogRecord decodes one snapshot record. Every failure wraps
+// ErrCorrupt, except a record in a retired layout, which wraps
+// ErrUnsupportedFormat.
+func decodeCatalogRecord(raw []byte) (catalogRecord, error) {
+	if len(raw) == 0 {
+		return catalogRecord{}, errCatalog("empty")
+	}
+	rec := catalogRecord{tag: raw[0]}
+	name, pos, err := readString(raw, 1)
+	if err != nil {
+		return rec, err
+	}
+	rec.name = name
+	switch rec.tag {
+	case catLocation, catPicture:
+		rec.rect, _, err = readRect(raw, pos)
+	case catObject:
+		if rec.obj, err = picture.DecodeObject(raw[pos:]); err != nil {
+			err = errCatalog("%w", err)
+		}
+	case catRelation, catSharded:
+		rec.rel, err = decodeRelDef(raw, name, pos)
+	case catShardedV1:
+		err = fmt.Errorf("pictdb: relation %q: %w: V1 sharded-relation catalog record", name, ErrUnsupportedFormat)
+	default:
+		err = errCatalog("unknown tag %q", rec.tag)
+	}
+	return rec, err
+}
+
 // decodedRel mirrors the persisted relation definition. Exactly one of
-// heapFirst (unsharded) and shardFirsts (sharded, one heap handle per
-// shard) is meaningful.
+// heapFirst (unsharded) and shardFirsts (sharded, one heap handle and
+// one Hilbert key range per shard) is meaningful.
 type decodedRel struct {
 	name        string
 	heapFirst   pager.PageID
 	shardFirsts []pager.PageID
-	// shardRanges is each shard's Hilbert key range (catShardedV2); nil
-	// for a V1 record, meaning the even split.
 	shardRanges []relation.KeyRange
 	schema      Schema
 	indexed     []string
@@ -415,41 +421,33 @@ type decodedRel struct {
 	}
 }
 
-func decodeRelDef(rec []byte) (decodedRel, error) {
-	var def decodedRel
-	name, pos, err := readString(rec, 1)
-	if err != nil {
-		return def, err
-	}
-	def.name = name
-	if rec[0] == catSharded || rec[0] == catShardedV2 {
+// decodeRelDef decodes the body of a relation record whose name ended
+// at pos.
+func decodeRelDef(rec []byte, name string, pos int) (decodedRel, error) {
+	def := decodedRel{name: name}
+	if rec[0] == catSharded {
 		n, w := binary.Uvarint(rec[pos:])
 		if w <= 0 || n == 0 || n > 1<<16 {
-			return def, fmt.Errorf("pictdb: truncated shard count")
+			return def, errCatalog("bad shard count")
 		}
 		pos += w
-		if pos+4*int(n) > len(rec) {
-			return def, fmt.Errorf("pictdb: truncated shard heap pages")
+		if pos+(4+16)*int(n) > len(rec) {
+			return def, errCatalog("truncated shard heap pages or key ranges")
 		}
 		def.shardFirsts = make([]pager.PageID, n)
 		for i := range def.shardFirsts {
 			def.shardFirsts[i] = pager.PageID(binary.LittleEndian.Uint32(rec[pos:]))
 			pos += 4
 		}
-		if rec[0] == catShardedV2 {
-			if pos+16*int(n) > len(rec) {
-				return def, fmt.Errorf("pictdb: truncated shard key ranges")
-			}
-			def.shardRanges = make([]relation.KeyRange, n)
-			for i := range def.shardRanges {
-				def.shardRanges[i].Lo = binary.LittleEndian.Uint64(rec[pos:])
-				def.shardRanges[i].Hi = binary.LittleEndian.Uint64(rec[pos+8:])
-				pos += 16
-			}
+		def.shardRanges = make([]relation.KeyRange, n)
+		for i := range def.shardRanges {
+			def.shardRanges[i].Lo = binary.LittleEndian.Uint64(rec[pos:])
+			def.shardRanges[i].Hi = binary.LittleEndian.Uint64(rec[pos+8:])
+			pos += 16
 		}
 	} else {
 		if pos+4 > len(rec) {
-			return def, fmt.Errorf("pictdb: truncated relation heap page")
+			return def, errCatalog("truncated relation heap page")
 		}
 		def.heapFirst = pager.PageID(binary.LittleEndian.Uint32(rec[pos:]))
 		pos += 4
@@ -457,7 +455,7 @@ func decodeRelDef(rec []byte) (decodedRel, error) {
 
 	arity, w := binary.Uvarint(rec[pos:])
 	if w <= 0 {
-		return def, fmt.Errorf("pictdb: truncated relation arity")
+		return def, errCatalog("truncated relation arity")
 	}
 	pos += w
 	for i := uint64(0); i < arity; i++ {
@@ -467,7 +465,7 @@ func decodeRelDef(rec []byte) (decodedRel, error) {
 		}
 		pos = np
 		if pos >= len(rec) {
-			return def, fmt.Errorf("pictdb: truncated column type")
+			return def, errCatalog("truncated column type")
 		}
 		def.schema.Columns = append(def.schema.Columns, Column{Name: colName, Type: ColumnType(rec[pos])})
 		pos++
@@ -475,7 +473,7 @@ func decodeRelDef(rec []byte) (decodedRel, error) {
 
 	nIdx, w := binary.Uvarint(rec[pos:])
 	if w <= 0 {
-		return def, fmt.Errorf("pictdb: truncated index list")
+		return def, errCatalog("truncated index list")
 	}
 	pos += w
 	for i := uint64(0); i < nIdx; i++ {
@@ -489,7 +487,7 @@ func decodeRelDef(rec []byte) (decodedRel, error) {
 
 	nAssoc, w := binary.Uvarint(rec[pos:])
 	if w <= 0 {
-		return def, fmt.Errorf("pictdb: truncated association list")
+		return def, errCatalog("truncated association list")
 	}
 	pos += w
 	for i := uint64(0); i < nAssoc; i++ {
@@ -499,7 +497,7 @@ func decodeRelDef(rec []byte) (decodedRel, error) {
 		}
 		pos = np
 		if pos+2 > len(rec) {
-			return def, fmt.Errorf("pictdb: truncated association options")
+			return def, errCatalog("truncated association options")
 		}
 		opts := pack.Options{Method: pack.Method(rec[pos]), TrimToMultiple: rec[pos+1] == 1}
 		pos += 2

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/pager"
 	"repro/internal/relation"
-	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
@@ -25,6 +24,12 @@ import (
 
 // ErrCorrupt is the typed root of database-level corruption findings.
 var ErrCorrupt = errors.New("pictdb: corrupt database")
+
+// ErrUnsupportedFormat is returned by Open for a page file or catalog
+// record in a format this engine no longer reads (v1 pages, partially
+// checksummed files, V1 sharded-relation records). The file is left
+// untouched.
+var ErrUnsupportedFormat = pager.ErrUnsupportedFormat
 
 // CheckProblem is one verification finding, anchored to the page it
 // was detected on (0 when no single page is implicated).
@@ -68,7 +73,7 @@ func (r *CheckReport) Err() error {
 
 // IsCorruption reports whether err is a typed corruption finding from
 // any storage layer: a page checksum or magic failure, a truncated
-// file, a corrupt slotted page or tree node, or a Check verdict. The
+// file, a corrupt slotted page, or a Check verdict. The
 // fault-injection suite uses it to assert that no failure mode
 // surfaces as anything other than a typed error.
 func IsCorruption(err error) bool {
@@ -77,7 +82,6 @@ func IsCorruption(err error) bool {
 		errors.Is(err, pager.ErrBadMagic) ||
 		errors.Is(err, pager.ErrPageRange) ||
 		errors.Is(err, storage.ErrCorrupt) ||
-		errors.Is(err, rtree.ErrCorrupt) ||
 		errors.Is(err, ErrCorrupt)
 }
 

@@ -17,12 +17,14 @@
 // an interrupted split — are flagged as orphans.
 //
 // Exit status is 0 for a healthy file, 1 when verification finds
-// problems or the file cannot be opened, 2 for usage errors. Each
+// problems or the file cannot be opened (a file in a retired format is
+// refused as such, and left untouched), 2 for usage errors. Each
 // problem prints as one line with the implicated page, the component
 // that failed, and the underlying typed error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -98,6 +100,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	db, report, err := pictdb.OpenCheckedParallel(path, *pool, *parallel)
 	if err != nil {
 		fmt.Fprintf(stderr, "pictdbcheck: %v\n", err)
+		if errors.Is(err, pictdb.ErrUnsupportedFormat) {
+			fmt.Fprintln(stderr, "pictdbcheck: unsupported format: the file predates the checksummed page format or the current catalog records; it is not corrupt and was not modified")
+		}
 		return 1
 	}
 	defer db.Close()

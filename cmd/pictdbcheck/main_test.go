@@ -389,3 +389,60 @@ func TestCheckShardedCorruptShard(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckRefusesUnsupportedFormat: a v1 page file, and a database
+// whose sharded-relation record carries the retired V1 tag, are
+// refused by name — exit 1, the typed message, the file untouched.
+func TestCheckRefusesUnsupportedFormat(t *testing.T) {
+	v1 := filepath.Join(t.TempDir(), "v1.db")
+	hdr := make([]byte, pager.PageSize)
+	copy(hdr, "PICTDB01\x01")
+	if err := os.WriteFile(v1, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Retag the current record ('T') as the V1 one ('S') through the
+	// pager, so the page's checksum stays valid.
+	v1cat := buildShardedDB(t)
+	p, err := pager.Open(v1cat, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retagged := false
+	for id := pager.PageID(1); int(id) < p.NumPages() && !retagged; id++ {
+		pg, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := bytes.Index(pg.Data[:], []byte("T\x06cities")); i >= 0 {
+			pg.Data[i] = 'S'
+			pg.MarkDirty()
+			retagged = true
+		}
+		p.Unpin(pg)
+	}
+	if err := p.Close(); err != nil || !retagged {
+		t.Fatalf("retag: found=%v, close: %v", retagged, err)
+	}
+
+	for _, path := range []string{v1, v1cat} {
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		if code := run([]string{path}, &out, &errb); code != 1 {
+			t.Fatalf("%s: exit %d, want 1; stderr=%q", path, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), "unsupported format") || !strings.Contains(errb.String(), "not modified") {
+			t.Fatalf("%s: stderr lacks the typed refusal: %q", path, errb.String())
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("%s: pictdbcheck modified a file it refused", path)
+		}
+	}
+}

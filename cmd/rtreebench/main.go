@@ -7,15 +7,12 @@
 //
 //	rtreebench [-queries n] [-seed s] [-split linear|quadratic|exhaustive]
 //	           [-method nn|lowx|str|hilbert|rotate] [-trim] [-js 10,25,...]
-//	           [-json] [-parbench] [-n items] [-windows n] [-workers 1,2,4,8]
-//	           [-latency] [-clients n]
+//	           [-json] [-cpuprofile f] [-memprofile f]
 //
 // With -trim (the paper's "multiple of four" assumption) the PACK N
-// and D columns reproduce Table 1 exactly. -json switches either mode
-// to machine-readable output. -parbench replaces the Table 1 run with
-// the parallel-scaling benchmark: PACK build time and batched window
-// queries at each worker count (identical outputs, only wall-clock
-// moves).
+// and D columns reproduce Table 1 exactly. -json switches to
+// machine-readable output. Timings of the served path are
+// cmd/pictbench's job, not this command's.
 package main
 
 import (
@@ -27,14 +24,10 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/geom"
 	"repro/internal/pack"
 	"repro/internal/rtree"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -46,13 +39,6 @@ func main() {
 	js := flag.String("js", "", "comma-separated J values (default: the paper's row set)")
 	wl := flag.String("workload", "uniform", "point distribution: uniform, clustered, skewed")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of the formatted table")
-	parbench := flag.Bool("parbench", false, "run the parallel build / batched query scaling benchmark")
-	parN := flag.Int("n", 200000, "parbench/joinbench: number of items")
-	parWindows := flag.Int("windows", 256, "parbench: windows per query batch")
-	workers := flag.String("workers", "1,2,4,8", "parbench/joinbench: comma-separated worker counts")
-	joinbench := flag.Bool("joinbench", false, "run the parallel juxtaposition scaling benchmark")
-	latency := flag.Bool("latency", false, "run the concurrent-load window-query latency benchmark (p50/p95/p99)")
-	clients := flag.Int("clients", 4, "concurrent clients in -latency mode")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
@@ -116,25 +102,6 @@ func main() {
 	defer stopCPU()
 	defer writeHeapProfile(*memprofile)
 
-	if *latency {
-		runLatencyBench(cfg.PackMethod, *parN, *queries, *seed, *clients, *jsonOut)
-		return
-	}
-
-	if *parbench || *joinbench {
-		counts, err := parseInts(*workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rtreebench: bad -workers: %v\n", err)
-			os.Exit(2)
-		}
-		if *joinbench {
-			runJoinBench(cfg.PackMethod, *parN, *seed, counts, *jsonOut)
-		} else {
-			runParBench(cfg.PackMethod, *parN, *parWindows, *seed, counts, *jsonOut)
-		}
-		return
-	}
-
 	rows := experiments.RunTable1(cfg)
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -169,8 +136,7 @@ func main() {
 }
 
 // startCPUProfile begins CPU profiling to path (no-op when empty) and
-// returns the stop function. Profiles give future perf PRs pprof
-// evidence: rtreebench -parbench -cpuprofile cpu.out && go tool pprof.
+// returns the stop function.
 func startCPUProfile(path string) func() {
 	if path == "" {
 		return func() {}
@@ -211,231 +177,5 @@ func writeHeapProfile(path string) {
 	if err := f.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "rtreebench: -memprofile: %v\n", err)
 		os.Exit(1)
-	}
-}
-
-// latencyRow is the -latency report: per-operation window-query
-// percentiles on a packed tree under concurrent client load.
-type latencyRow struct {
-	Clients int                     `json:"clients"`
-	Items   int                     `json:"items"`
-	QPS     float64                 `json:"queries_per_sec"`
-	Latency workload.LatencySummary `json:"latency"`
-}
-
-// runLatencyBench packs n uniform points and has nclients goroutines
-// issue single-window queries concurrently (queries per client),
-// reporting merged p50/p95/p99 per-operation latency — the read-side
-// tail the two-tree write path must not disturb.
-func runLatencyBench(m pack.Method, n, queries int, seed int64, nclients int, jsonOut bool) {
-	params := rtree.Params{Max: 16, Min: 8}
-	tree := pack.Tree(params, workload.PointItems(workload.UniformPoints(n, seed)), pack.Options{Method: m})
-	windows := workload.QueryWindows(1024, 25, seed+1)
-
-	samples := make([][]time.Duration, nclients)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < nclients; c++ {
-		c := c
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make([]time.Duration, 0, queries)
-			for i := 0; i < queries; i++ {
-				w := windows[(c*queries+i)%len(windows)]
-				t0 := time.Now()
-				tree.Query(w)
-				local = append(local, time.Since(t0))
-			}
-			samples[c] = local
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	var all []time.Duration
-	for _, s := range samples {
-		all = append(all, s...)
-	}
-	row := latencyRow{
-		Clients: nclients,
-		Items:   n,
-		QPS:     float64(len(all)) / elapsed.Seconds(),
-		Latency: workload.Summarize(all),
-	}
-
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(row); err != nil {
-			fmt.Fprintf(os.Stderr, "rtreebench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	fmt.Printf("Concurrent window-query latency: PACK(%s), %d items, %d clients x %d queries\n\n", m, n, nclients, queries)
-	fmt.Printf("  queries/sec %10.0f\n  p50  %v\n  p95  %v\n  p99  %v\n  max  %v\n",
-		row.QPS, row.Latency.P50, row.Latency.P95, row.Latency.P99, row.Latency.Max)
-}
-
-// parseInts parses a comma-separated list of positive ints.
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad value %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// joinRow is one worker count's measurements in the juxtaposition
-// scaling benchmark.
-type joinRow struct {
-	Workers     int     `json:"workers"`
-	JoinSeconds float64 `json:"join_seconds"`
-	JoinSpeedup float64 `json:"join_speedup"`
-	Pairs       int     `json:"pairs"`
-	Visited     int     `json:"visited_node_pairs"`
-	Identical   bool    `json:"identical_to_serial"`
-}
-
-// runJoinBench measures the parallel juxtaposition at each worker
-// count: points joined against region rectangles under INTERSECTS. The
-// serial (workers=1) output is the reference; every other worker count
-// must reproduce it exactly — same pairs, same order, same visit
-// count — which the Identical column asserts.
-func runJoinBench(m pack.Method, n int, seed int64, counts []int, jsonOut bool) {
-	params := rtree.Params{Max: 16, Min: 8}
-	ta := pack.Tree(params, workload.PointItems(workload.UniformPoints(n, seed)), pack.Options{Method: m})
-	wins := workload.QueryWindows(n/10, 25, seed+7)
-	regions := make([]rtree.Item, len(wins))
-	for i, w := range wins {
-		regions[i] = rtree.Item{Rect: w, Data: int64(i)}
-	}
-	tb := pack.Tree(params, regions, pack.Options{Method: m})
-	pred := func(a, b geom.Rect) bool { return a.Intersects(b) }
-
-	best := func(f func()) float64 {
-		lowest := 0.0
-		for r := 0; r < 3; r++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start).Seconds(); r == 0 || d < lowest {
-				lowest = d
-			}
-		}
-		return lowest
-	}
-
-	refPairs, refVisited := rtree.Juxtapose(ta, tb, pred, 1)
-	rows := make([]joinRow, 0, len(counts))
-	for _, w := range counts {
-		sec := best(func() { rtree.Juxtapose(ta, tb, pred, w) })
-		pairs, visited := rtree.Juxtapose(ta, tb, pred, w)
-		identical := visited == refVisited && len(pairs) == len(refPairs)
-		if identical {
-			for i := range pairs {
-				if pairs[i] != refPairs[i] {
-					identical = false
-					break
-				}
-			}
-		}
-		rows = append(rows, joinRow{
-			Workers:     w,
-			JoinSeconds: sec,
-			Pairs:       len(pairs),
-			Visited:     visited,
-			Identical:   identical,
-		})
-	}
-	for i := range rows {
-		rows[i].JoinSpeedup = rows[0].JoinSeconds / rows[i].JoinSeconds
-	}
-
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			fmt.Fprintf(os.Stderr, "rtreebench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	fmt.Printf("Juxtaposition scaling: PACK(%s), %d points x %d regions, INTERSECTS\n\n", m, n, len(regions))
-	fmt.Println("  workers | join (s) | speedup |   pairs | node pairs | identical")
-	fmt.Println("  --------+----------+---------+---------+------------+----------")
-	for _, r := range rows {
-		fmt.Printf("  %7d | %8.4f | %7.2f | %7d | %10d | %v\n",
-			r.Workers, r.JoinSeconds, r.JoinSpeedup, r.Pairs, r.Visited, r.Identical)
-	}
-}
-
-// parRow is one worker count's measurements in the scaling benchmark.
-type parRow struct {
-	Workers       int     `json:"workers"`
-	BuildSeconds  float64 `json:"build_seconds"`
-	BuildSpeedup  float64 `json:"build_speedup"`
-	QueriesPerSec float64 `json:"queries_per_sec"`
-	QuerySpeedup  float64 `json:"query_speedup"`
-}
-
-// runParBench measures PACK build time and batched query throughput at
-// each worker count. Each measurement is the best of three runs, the
-// usual guard against scheduler noise.
-func runParBench(m pack.Method, n, nWindows int, seed int64, counts []int, jsonOut bool) {
-	items := workload.PointItems(workload.UniformPoints(n, seed))
-	params := rtree.Params{Max: 16, Min: 8}
-	windows := workload.QueryWindows(nWindows, 25, seed+1)
-
-	best := func(f func()) float64 {
-		lowest := 0.0
-		for r := 0; r < 3; r++ {
-			start := time.Now()
-			f()
-			if d := time.Since(start).Seconds(); r == 0 || d < lowest {
-				lowest = d
-			}
-		}
-		return lowest
-	}
-
-	tree := pack.Tree(params, items, pack.Options{Method: m})
-	rows := make([]parRow, 0, len(counts))
-	for _, w := range counts {
-		buildSec := best(func() {
-			pack.Tree(params, items, pack.Options{Method: m, Parallelism: w})
-		})
-		querySec := best(func() {
-			tree.QueryBatch(windows, w)
-		})
-		rows = append(rows, parRow{
-			Workers:       w,
-			BuildSeconds:  buildSec,
-			QueriesPerSec: float64(nWindows) / querySec,
-		})
-	}
-	for i := range rows {
-		rows[i].BuildSpeedup = rows[0].BuildSeconds / rows[i].BuildSeconds
-		rows[i].QuerySpeedup = rows[i].QueriesPerSec / rows[0].QueriesPerSec
-	}
-
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows); err != nil {
-			fmt.Fprintf(os.Stderr, "rtreebench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	fmt.Printf("Parallel scaling: PACK(%s) build of %d items; %d-window query batches\n\n", m, n, nWindows)
-	fmt.Println("  workers | build (s) | speedup | queries/sec | speedup")
-	fmt.Println("  --------+-----------+---------+-------------+--------")
-	for _, r := range rows {
-		fmt.Printf("  %7d | %9.4f | %7.2f | %11.0f | %7.2f\n",
-			r.Workers, r.BuildSeconds, r.BuildSpeedup, r.QueriesPerSec, r.QuerySpeedup)
 	}
 }

@@ -1,16 +1,15 @@
 // Package benchguard keeps the benchmark tooling honest. The bench
-// CLIs (cmd/rtreebench, cmd/psqlbench, cmd/ingestbench,
-// cmd/commitbench) and internal/workload produce the numbers the
-// ROADMAP's acceptance criteria are judged by, so they get their own
-// discipline, enforced here:
+// CLIs (cmd/pictbench, cmd/rtreebench) and internal/workload produce
+// the numbers the ROADMAP's acceptance criteria are judged by, so they
+// get their own discipline, enforced here:
 //
 //   - No math/rand global state (rand.Intn, rand.Seed, …): workloads
 //     must be reproducible run-to-run, so randomness flows from a
 //     seeded *rand.Rand (the internal/workload generators all take an
 //     explicit seed).
 //   - No raw time.Now inside a measured loop outside the established
-//     recorder idiom (t0 := time.Now() … time.Since(t0), as used by
-//     the -latency percentile mode): stray clock reads inside the hot
+//     recorder idiom (t0 := time.Now() … time.Since(t0)): stray clock
+//     reads inside the hot
 //     loop skew exactly the numbers the loop exists to measure.
 //   - No dropped errors when persisting results or profiles
 //     (os.WriteFile for -out JSON, profile file Close/Sync,
@@ -194,7 +193,7 @@ func checkTimeNowInLoops(pass *analysis.Pass, info *types.Info, body *ast.BlockS
 				if depth > 0 && lintutil.PkgFunc(info, st, "time", "Now") {
 					obj := binding[st]
 					if obj == nil || !measured[obj] {
-						pass.Reportf(st.Pos(), "time.Now inside a measured loop outside the t0 := time.Now(); time.Since(t0) recorder idiom: hoist it out of the loop or record latencies via internal/workload helpers")
+						pass.Reportf(st.Pos(), "time.Now inside a measured loop outside the t0 := time.Now(); time.Since(t0) recorder idiom: hoist it out of the loop")
 					}
 				}
 			}

@@ -1,8 +1,8 @@
-// Package corruptwrap enforces the typed-corruption-error discipline
-// from PR 2: detection sites wrap the sentinels ErrChecksum,
-// ErrCorrupt, ErrTruncated, ErrBadMagic with %w so errors.Is (and the
-// public IsCorruption predicate) keep seeing them through every layer
-// of rewrapping. It reports:
+// Package corruptwrap enforces the typed-error discipline from PR 2:
+// detection sites wrap the sentinels ErrChecksum, ErrCorrupt,
+// ErrTruncated, ErrBadMagic, ErrUnsupportedFormat and ErrPoolExhausted
+// with %w so errors.Is (and the public IsCorruption predicate) keep
+// seeing them through every layer of rewrapping. It reports:
 //
 //   - a corruption sentinel passed to fmt.Errorf under a %v/%s/%q
 //     (or any non-%w) verb — the sentinel's identity is flattened to
@@ -32,7 +32,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "corruptwrap",
-	Doc:      "corruption sentinels (ErrChecksum/ErrCorrupt/ErrTruncated/ErrBadMagic) must be wrapped with %w and matched with errors.Is",
+	Doc:      "typed sentinels (ErrChecksum/ErrCorrupt/ErrTruncated/ErrBadMagic/ErrUnsupportedFormat/ErrPoolExhausted) must be wrapped with %w and matched with errors.Is",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -43,14 +43,17 @@ func init() {
 	Analyzer.Flags.BoolVar(&includeTests, "tests", false, "also check _test.go files")
 }
 
-// sentinelNames are the typed corruption sentinels of the engine
-// (pager.ErrChecksum/ErrTruncated/ErrBadMagic, storage.ErrCorrupt,
-// rtree.ErrCorrupt, pictdb's re-export).
+// sentinelNames are the typed sentinels of the engine
+// (pager.ErrChecksum/ErrTruncated/ErrBadMagic/ErrUnsupportedFormat/
+// ErrPoolExhausted, storage.ErrCorrupt, pictdb's ErrCorrupt and
+// re-exports).
 var sentinelNames = map[string]bool{
-	"ErrChecksum":  true,
-	"ErrCorrupt":   true,
-	"ErrTruncated": true,
-	"ErrBadMagic":  true,
+	"ErrChecksum":          true,
+	"ErrCorrupt":           true,
+	"ErrTruncated":         true,
+	"ErrBadMagic":          true,
+	"ErrUnsupportedFormat": true,
+	"ErrPoolExhausted":     true,
 }
 
 // isSentinel reports whether e denotes one of the corruption

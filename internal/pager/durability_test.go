@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -152,129 +153,53 @@ func TestTruncatedFileTypedError(t *testing.T) {
 	}
 }
 
-// writeV1File hand-crafts a legacy "PICTDB01" page file with numPages
+// v1Image hand-crafts a legacy "PICTDB01" page file with numPages
 // pages whose payloads use all PageSize bytes (no trailer zone).
-func writeV1File(t *testing.T, path string, numPages int) {
-	t.Helper()
+func v1Image(numPages int) []byte {
 	img := make([]byte, numPages*PageSize)
 	copy(img[0:8], "PICTDB01")
 	binary.LittleEndian.PutUint32(img[8:12], uint32(numPages))
-	binary.LittleEndian.PutUint32(img[12:16], 0) // empty free list
 	for id := 1; id < numPages; id++ {
 		for i := 0; i < PageSize; i++ {
 			img[id*PageSize+i] = byte(id * i)
 		}
 	}
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return img
 }
 
-func TestV1CompatAndUpgrade(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.db")
-	writeV1File(t, path, 3)
+// partialSumsImage is a current-magic file whose header admits to
+// partial checksum coverage — what the old in-place v1 upgrade left.
+func partialSumsImage() []byte {
+	img := make([]byte, 2*PageSize)
+	encodeHeaderSlot(img, 2, InvalidPage, 7)
+	img[16] &^= flagFullSums
+	binary.LittleEndian.PutUint32(img[28:32], crc32.Checksum(img[:28], castagnoli))
+	return img
+}
 
-	// Opens in compatibility mode: no verification, full payload
-	// (including the trailer zone) intact.
-	p, err := Open(path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Version() != 1 {
-		t.Fatalf("Version = %d, want 1", p.Version())
-	}
-	for id := PageID(1); id <= 2; id++ {
-		pg, err := p.Fetch(id)
+// TestUnsupportedFormatRefused: a v1 file and a partially checksummed
+// one are refused with the typed sentinel and not modified.
+func TestUnsupportedFormatRefused(t *testing.T) {
+	for name, img := range map[string][]byte{"v1 magic": v1Image(3), "full-checksum flag clear": partialSumsImage()} {
+		path := filepath.Join(t.TempDir(), "old.db")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		p, err := Open(path, 8)
+		if err == nil {
+			p.Close()
+			t.Fatalf("%s: opened, want ErrUnsupportedFormat", name)
+		}
+		if !errors.Is(err, ErrUnsupportedFormat) {
+			t.Fatalf("%s: %v, want ErrUnsupportedFormat", name, err)
+		}
+		after, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < PageSize; i++ {
-			if pg.Data[i] != byte(int(id)*i) {
-				t.Fatalf("v1 page %d byte %d corrupted on read", id, i)
-			}
+		if !bytes.Equal(after, img) {
+			t.Fatalf("%s: refused open modified the file", name)
 		}
-		p.Unpin(pg)
-	}
-
-	// First Commit upgrades the header to v2 (partial coverage).
-	if err := p.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Version() != 2 {
-		t.Fatalf("Version after Commit = %d, want 2", p.Version())
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	p, err = Open(path, 8)
-	if err != nil {
-		t.Fatalf("reopen after upgrade: %v", err)
-	}
-	if p.Version() != 2 {
-		t.Fatalf("reopened Version = %d, want 2", p.Version())
-	}
-	if p.FullChecksums() {
-		t.Fatal("upgraded file must not claim full checksum coverage")
-	}
-	// Legacy pages still serve their full untouched payload...
-	pg, err := p.Fetch(1)
-	if err != nil {
-		t.Fatalf("legacy page after upgrade: %v", err)
-	}
-	for i := 0; i < PageSize; i++ {
-		if pg.Data[i] != byte(i) {
-			t.Fatalf("legacy payload byte %d clobbered by upgrade", i)
-		}
-	}
-	p.Unpin(pg)
-	// ...while pages allocated post-upgrade get stamped and verified.
-	npg, err := p.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nid := npg.ID
-	fillPage(npg)
-	p.Unpin(npg)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The new page's trailer must verify on reopen; corrupting it must
-	// be detected even though the file is only partially covered.
-	p, err = Open(path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err = p.Fetch(nid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPattern(t, pg)
-	p.Unpin(pg)
-	p.Close()
-
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b [1]byte
-	off := int64(nid)*PageSize + 64
-	if _, err := f.ReadAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0x80
-	if _, err := f.WriteAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	p, err = Open(path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if _, err := p.Fetch(nid); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("corrupted stamped page on partial file: %v, want ErrChecksum", err)
 	}
 }
 

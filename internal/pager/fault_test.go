@@ -126,7 +126,7 @@ func TestFaultSyncError(t *testing.T) {
 
 // TestTornWriteDetected tears a data-page write (half the page
 // persists while the write reports success) and requires the damage to
-// surface as ErrChecksum on the next read of that page.
+// surface as a typed error on the next read of that page.
 func TestTornWriteDetected(t *testing.T) {
 	mem := NewMemBackend(nil)
 	// Write 1 is the fresh-file header; write 2 is the first data page
@@ -164,10 +164,12 @@ func TestTornWriteDetected(t *testing.T) {
 		case err == nil:
 			checkPattern(t, pg) // verified pages must be intact
 			p2.Unpin(pg)
-		case errors.Is(err, ErrChecksum):
+		case errors.Is(err, ErrChecksum), errors.Is(err, ErrTruncated):
+			// Write-back order within a stripe is unspecified; a tear of
+			// the file's last page leaves it short rather than mismatched.
 			torn++
 		default:
-			t.Fatalf("Fetch(%d): %v, want success or ErrChecksum", id, err)
+			t.Fatalf("Fetch(%d): %v, want success, ErrChecksum or ErrTruncated", id, err)
 		}
 	}
 	if torn != 1 {

@@ -1,12 +1,8 @@
 // Package pager provides the disk substrate for the pictorial database:
-// a file of fixed-size pages plus a sharded LRU buffer pool. Both the
-// alphanumeric B-tree indexes and the disk-resident R-tree variant
-// store their nodes in pager pages, which is what gives R-trees the
-// property the paper emphasizes: "because the storage organization of
-// R-trees is based on B-trees, they are better in dealing with paging
-// and disk I/O buffering".
+// a file of fixed-size pages plus a sharded LRU buffer pool. The
+// relation heaps and the catalog store their records in pager pages.
 //
-// Durability (v2 page format, magic "PICTDB02"): every page reserves
+// Durability (page format magic "PICTDB02"): every page reserves
 // an 8-byte trailer — a 4-byte marker plus a CRC-32C over the payload
 // and marker — stamped on write-back and verified on Fetch, so torn or
 // bit-rotted pages surface as typed ErrChecksum failures instead of
@@ -14,11 +10,10 @@
 // alternating generation-stamped slots on page 0; Commit syncs all
 // data pages *before* writing and syncing the next header slot, so a
 // crash at any point leaves either the old or the new header valid,
-// never a header describing unsynced pages. v1 files ("PICTDB01")
-// remain readable with verification disabled and are upgraded in place
-// on their first full flush; pages written before the upgrade stay
-// unverified (their trailer bytes may be payload), pages written after
-// it carry trailers.
+// never a header describing unsynced pages. There is one format: a
+// file written by the pre-checksum v1 format ("PICTDB01"), or upgraded
+// from it and therefore only partially checksummed, is refused with
+// ErrUnsupportedFormat and left untouched.
 //
 // Concurrency: the pool is striped into power-of-two mutex-guarded
 // shards keyed by PageID, each with its own LRU list, so concurrent
@@ -55,9 +50,8 @@ const TrailerSize = 8
 // to Data[0:PayloadSize] so the trailer can be stamped.
 const PayloadSize = PageSize - TrailerSize
 
-// pageMarker identifies a stamped trailer. A page whose trailer lacks
-// the marker predates checksumming (legacy v1 page) and is skipped by
-// verification unless the file guarantees full coverage.
+// pageMarker identifies a stamped trailer; a page read back without it
+// fails verification.
 const pageMarker uint32 = 0xD0C5A9E1
 
 // PageID identifies a page within a file. Page 0 is the file header
@@ -82,12 +76,23 @@ var ErrPageRange = errors.New("pager: page id out of range")
 var ErrTruncated = fmt.Errorf("%w: file truncated", ErrPageRange)
 
 // ErrChecksum is returned when a page's trailer CRC does not match its
-// contents, or a fully-checksummed file contains an unstamped page.
+// contents, or a page carries no trailer at all.
 var ErrChecksum = errors.New("pager: checksum mismatch")
 
-// ErrBadMagic is returned when the file header carries neither the v2
-// nor the v1 magic.
+// ErrBadMagic is returned when the file header does not carry a pictdb
+// magic.
 var ErrBadMagic = errors.New("pager: bad magic")
+
+// ErrUnsupportedFormat is returned for a file or record written in a
+// format this engine no longer reads: a v1 ("PICTDB01") page file, a
+// file whose header does not promise a checksum trailer on every page,
+// or (from the catalog loader) a V1 catalog record. The file is never
+// modified.
+var ErrUnsupportedFormat = errors.New("pager: unsupported format")
+
+// ErrPoolExhausted is returned when a page must be brought into the
+// buffer pool while as many pages as the pool holds are pinned.
+var ErrPoolExhausted = errors.New("pager: buffer pool exhausted")
 
 // Page is an in-memory image of one disk page.
 type Page struct {
@@ -95,10 +100,6 @@ type Page struct {
 	Data  [PageSize]byte
 	dirty bool
 	pins  int
-	// fresh marks a page allocated (and zeroed) during this process's
-	// lifetime: it is safe to stamp a trailer even in a partially
-	// checksummed file, because no legacy payload can occupy the zone.
-	fresh bool
 	// prev/next link the page into its shard's LRU list when unpinned.
 	prev, next *Page
 }
@@ -108,13 +109,16 @@ type Page struct {
 // must have at most one concurrent writer.
 func (p *Page) MarkDirty() { p.dirty = true }
 
-// File versions.
+// magic opens every header slot. unsupportedMagic is the v1 format's,
+// recognised only to refuse it by name.
 var (
-	magicV1 = [8]byte{'P', 'I', 'C', 'T', 'D', 'B', '0', '1'}
-	magicV2 = [8]byte{'P', 'I', 'C', 'T', 'D', 'B', '0', '2'}
+	magic            = [8]byte{'P', 'I', 'C', 'T', 'D', 'B', '0', '2'}
+	unsupportedMagic = [8]byte{'P', 'I', 'C', 'T', 'D', 'B', '0', '1'}
 )
 
-// Header flags.
+// flagFullSums is header flag bit 0: every page carries a trailer. It
+// is always written set; a header with it clear describes a file
+// upgraded from v1 and is refused.
 const flagFullSums = 1 << 0
 
 // Header slot layout. Page 0 holds two 32-byte slots (A at offset 0,
@@ -128,10 +132,6 @@ const flagFullSums = 1 << 0
 //	bytes 17..19 reserved (zero)
 //	bytes 20..27 generation counter
 //	bytes 28..31 CRC-32C over bytes 0..27
-//
-// v1 files store magic "PICTDB01", the page count and free head in
-// bytes 0..15 with no checksum; slot A's magic mismatch routes them to
-// the compatibility path.
 const headerSlotSize = 32
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -256,10 +256,15 @@ type Stats struct {
 type shard struct {
 	mu       sync.Mutex
 	capacity int
-	pages    map[PageID]*Page
-	lruHead  *Page
-	lruTail  *Page
-	stats    Stats // Hits/Misses/Evictions/Writes only
+	// pinned counts this stripe's pages with pins > 0. Every pin and
+	// unpin updates it, so it is a plain field under mu beside the
+	// fields they already write, not an atomic (which cost window_read
+	// 5% of its ops/s); poolPins reads it under each stripe's lock.
+	pinned  int
+	pages   map[PageID]*Page
+	lruHead *Page
+	lruTail *Page
+	stats   Stats // Hits/Misses/Evictions/Writes only
 }
 
 // Pager manages a page file through a sharded fixed-capacity LRU
@@ -272,15 +277,6 @@ type Pager struct {
 	mask     uint32 // len(shards)-1; shard count is a power of two
 	closed   atomic.Bool
 	readOnly atomic.Bool
-
-	// version is 1 for compatibility-mode files (no verification, no
-	// trailer stamping) and 2 once the v2 format is in effect. It only
-	// transitions 1→2, during the upgrade at the first Commit.
-	version atomic.Int32
-	// fullSums records the header flag: every page of the file is
-	// guaranteed to carry a trailer, so a missing marker is corruption
-	// rather than a legacy page.
-	fullSums bool
 
 	// hmu guards the file header state (page count, free list,
 	// generation) and serializes Allocate/Free. Lock order: hmu before
@@ -346,25 +342,30 @@ func OpenBackend(b Backend, poolPages int) (*Pager, error) {
 	return newPager(b, poolPages, "(backend)")
 }
 
+// minStripePages is the fewest pages a stripe may hold: a small pool
+// is striped less, so a handful of pins cannot fill a stripe whatever
+// the core count.
+const minStripePages = 8
+
 // shardCount picks a power-of-two stripe count: enough to spread the
-// cores' fetch traffic, never so many that a shard would hold less
-// than one page.
+// cores' fetch traffic, never so many that a shard would hold fewer
+// than minStripePages pages.
 func shardCount(capacity int) int {
 	target := runtime.GOMAXPROCS(0) * 2
 	if target > 16 {
 		target = 16
 	}
 	n := 1
-	for n < target && capacity/(n*2) >= 1 {
+	for n < target && capacity/(n*2) >= minStripePages {
 		n *= 2
 	}
 	return n
 }
 
-// parseHeaderSlot validates one 32-byte v2 header slot, returning its
+// parseHeaderSlot validates one 32-byte header slot, returning its
 // fields when the magic and CRC check out.
 func parseHeaderSlot(slot []byte) (numPages uint32, freeHead PageID, flags byte, gen uint64, ok bool) {
-	if [8]byte(slot[0:8]) != magicV2 {
+	if [8]byte(slot[0:8]) != magic {
 		return 0, 0, 0, 0, false
 	}
 	want := binary.LittleEndian.Uint32(slot[28:32])
@@ -376,6 +377,16 @@ func parseHeaderSlot(slot []byte) (numPages uint32, freeHead PageID, flags byte,
 		slot[16],
 		binary.LittleEndian.Uint64(slot[20:28]),
 		true
+}
+
+// encodeHeaderSlot serializes one header slot into buf[:headerSlotSize].
+func encodeHeaderSlot(buf []byte, numPages uint32, freeHead PageID, gen uint64) {
+	copy(buf[0:8], magic[:])
+	binary.LittleEndian.PutUint32(buf[8:12], numPages)
+	binary.LittleEndian.PutUint32(buf[12:16], uint32(freeHead))
+	buf[16] = flagFullSums
+	binary.LittleEndian.PutUint64(buf[20:28], gen)
+	binary.LittleEndian.PutUint32(buf[28:32], crc32.Checksum(buf[:28], castagnoli))
 }
 
 func newPager(b Backend, poolPages int, path string) (*Pager, error) {
@@ -402,10 +413,7 @@ func newPager(b Backend, poolPages int, path string) (*Pager, error) {
 	n, err := b.ReadAt(hdr[:], 0)
 	switch {
 	case (err == io.EOF || err == io.ErrUnexpectedEOF) && n == 0:
-		// Fresh file: full checksums from the start; write the first
-		// header into slot A.
-		p.version.Store(2)
-		p.fullSums = true
+		// Fresh file: write the first header into slot A.
 		p.numPages.Store(1)
 		p.freeHead = InvalidPage
 		p.hdrSlot = 1 // first writeHeader targets slot 0
@@ -419,7 +427,7 @@ func newPager(b Backend, poolPages int, path string) (*Pager, error) {
 		// magic checks below classify whatever bytes are present. (The
 		// header region is the first two slots — a fresh file's page 0
 		// may be shorter than a full page until data pages extend it.)
-		// Prefer the valid v2 slot with the highest generation.
+		// Prefer the valid slot with the highest generation.
 		best := -1
 		var bestNum uint32
 		var bestFree PageID
@@ -432,28 +440,24 @@ func newPager(b Backend, poolPages int, path string) (*Pager, error) {
 			}
 		}
 		switch {
+		case best >= 0 && bestFlags&flagFullSums == 0:
+			return nil, fmt.Errorf("pager: %s: %w: partially checksummed file (upgraded from v1)", path, ErrUnsupportedFormat)
+		case best >= 0 && (bestNum == 0 || uint32(bestFree) >= bestNum):
+			// The slot's CRC vouches for its bytes, not for their sense.
+			return nil, fmt.Errorf("pager: %s: header: free head %d with %d page(s): %w", path, bestFree, bestNum, ErrPageRange)
 		case best >= 0:
-			p.version.Store(2)
-			p.fullSums = bestFlags&flagFullSums != 0
 			p.numPages.Store(bestNum)
 			p.freeHead = bestFree
 			p.gen = bestGen
 			p.hdrSlot = best
-		case [8]byte(hdr[0:8]) == magicV1:
-			// Compatibility mode: no verification, no stamping, until
-			// the first Commit upgrades the file. Slot A is considered
-			// occupied by the v1 header so the upgrade writes slot B
-			// first, keeping the v1 header recoverable if it tears.
-			p.version.Store(1)
-			p.numPages.Store(binary.LittleEndian.Uint32(hdr[8:12]))
-			p.freeHead = PageID(binary.LittleEndian.Uint32(hdr[12:16]))
-			p.hdrSlot = 0
-		case [8]byte(hdr[0:8]) == magicV2:
-			// v2 magic but no slot validates: a torn or corrupted header.
+		case [8]byte(hdr[0:8]) == unsupportedMagic:
+			return nil, fmt.Errorf("pager: %s: %w: v1 page file (magic %q)", path, ErrUnsupportedFormat, hdr[0:8])
+		case [8]byte(hdr[0:8]) == magic:
+			// Right magic but no slot validates: a torn or corrupted header.
 			return nil, fmt.Errorf("pager: %s: header: %w (no valid header slot)", path, ErrChecksum)
 		default:
-			return nil, fmt.Errorf("pager: %s: %w: expected %q or %q, got %q: not a pictdb page file",
-				path, ErrBadMagic, magicV2[:], magicV1[:], hdr[0:8])
+			return nil, fmt.Errorf("pager: %s: %w: expected %q, got %q: not a pictdb page file",
+				path, ErrBadMagic, magic[:], hdr[0:8])
 		}
 	}
 	p.growVerified(p.numPages.Load())
@@ -471,16 +475,16 @@ func (p *Pager) shardFor(id PageID) *shard {
 func (p *Pager) writeHeader() error {
 	p.hmu.Lock()
 	defer p.hmu.Unlock()
+	return p.writeHeaderLocked(p.numPages.Load(), p.freeHead)
+}
+
+// writeHeaderLocked writes a header with an explicit page count and
+// free head: checkpoints and recovery persist the *committed* values,
+// not whatever uncommitted allocations are in flight. Caller holds hmu.
+func (p *Pager) writeHeaderLocked(numPages uint32, freeHead PageID) error {
 	slot := 1 - p.hdrSlot
 	var buf [headerSlotSize]byte
-	copy(buf[0:8], magicV2[:])
-	binary.LittleEndian.PutUint32(buf[8:12], p.numPages.Load())
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(p.freeHead))
-	if p.fullSums {
-		buf[16] = flagFullSums
-	}
-	binary.LittleEndian.PutUint64(buf[20:28], p.gen+1)
-	binary.LittleEndian.PutUint32(buf[28:32], crc32.Checksum(buf[:28], castagnoli))
+	encodeHeaderSlot(buf[:], numPages, freeHead, p.gen+1)
 	if _, err := p.backend.WriteAt(buf[:], int64(slot)*headerSlotSize); err != nil {
 		return fmt.Errorf("pager: write header: %w", err)
 	}
@@ -491,14 +495,6 @@ func (p *Pager) writeHeader() error {
 
 // NumPages returns the number of pages in the file, header included.
 func (p *Pager) NumPages() int { return int(p.numPages.Load()) }
-
-// Version reports the file format in effect: 1 for a not-yet-upgraded
-// compatibility-mode file, 2 for the checksummed format.
-func (p *Pager) Version() int { return int(p.version.Load()) }
-
-// FullChecksums reports whether every page of the file is guaranteed
-// to carry a verified trailer (false for files upgraded from v1).
-func (p *Pager) FullChecksums() bool { return p.fullSums }
 
 // Path returns the file path (or a placeholder for non-file backends).
 func (p *Pager) Path() string { return p.path }
@@ -572,7 +568,6 @@ func (p *Pager) Allocate() (*Page, error) {
 		}
 		p.freeHead = next
 		pg.Data = [PageSize]byte{}
-		pg.fresh = true
 		pg.MarkDirty()
 		p.clearVerified(pg.ID) // the on-disk image is now stale
 		p.allocs++
@@ -589,7 +584,6 @@ func (p *Pager) Allocate() (*Page, error) {
 	}
 	p.growVerified(uint32(id) + 1)
 	p.allocs++
-	pg.fresh = true
 	pg.MarkDirty()
 	return pg, nil
 }
@@ -677,11 +671,7 @@ func (p *Pager) fetchShard(id PageID) (*Page, error) {
 	sh := p.shardFor(id)
 	sh.mu.Lock()
 	if pg, ok := sh.pages[id]; ok {
-		sh.stats.Hits++
-		if pg.pins == 0 {
-			sh.lruRemove(pg)
-		}
-		pg.pins++
+		sh.pinResident(pg)
 		sh.mu.Unlock()
 		return pg, nil
 	}
@@ -726,7 +716,23 @@ func (p *Pager) installShard(sh *shard, id PageID, read bool) (*Page, error) {
 			continue
 		}
 		if victim == nil {
-			return nil, fmt.Errorf("pager: pool shard exhausted (%d pages, all pinned)", sh.capacity)
+			// Every page of this stripe is pinned. Same rule as above —
+			// overcommit the stripe — for as long as the pool as a whole
+			// has an unpinned page's worth of room; the stripe shrinks
+			// back as later installs find victims. Counting the pool's
+			// pins takes each stripe's lock in turn, so ours is dropped
+			// meanwhile, and a racing fetch may install the page.
+			sh.mu.Unlock()
+			pinned, capacity := p.poolPins()
+			sh.mu.Lock()
+			if pg, ok := sh.pages[id]; ok {
+				sh.pinResident(pg)
+				return pg, nil
+			}
+			if pinned >= capacity {
+				return nil, fmt.Errorf("pager: page %d: %w: all %d pages pinned", id, ErrPoolExhausted, capacity)
+			}
+			break
 		}
 		if err := p.flushPage(sh, victim); err != nil {
 			return nil, err
@@ -748,6 +754,7 @@ func (p *Pager) installShard(sh *shard, id PageID, read bool) (*Page, error) {
 			err := w.readFrameImage(f, id, pg.Data[:])
 			if err == nil {
 				sh.pages[id] = pg
+				sh.pinned++
 				return pg, nil
 			}
 			// A checkpoint may have retired the index and truncated the
@@ -775,7 +782,32 @@ func (p *Pager) installShard(sh *shard, id PageID, read bool) (*Page, error) {
 		}
 	}
 	sh.pages[id] = pg
+	sh.pinned++
 	return pg, nil
+}
+
+// poolPins returns how many pages are pinned pool-wide and how many the
+// pool holds. Caller holds no stripe lock.
+func (p *Pager) poolPins() (pinned, capacity int) {
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		pinned += sh.pinned
+		sh.mu.Unlock()
+		capacity += sh.capacity
+	}
+	return pinned, capacity
+}
+
+// pinResident takes a pin on a page already in the stripe, counting it
+// as a pool hit. Caller holds sh.mu.
+func (sh *shard) pinResident(pg *Page) {
+	sh.stats.Hits++
+	if pg.pins == 0 {
+		sh.lruRemove(pg)
+		sh.pinned++
+	}
+	pg.pins++
 }
 
 // Unpin releases a pin taken by Fetch or Allocate. Unpinned pages
@@ -790,6 +822,7 @@ func (p *Pager) Unpin(pg *Page) {
 	pg.pins--
 	if pg.pins == 0 {
 		sh.lruPush(pg)
+		sh.pinned--
 	}
 }
 
@@ -820,10 +853,8 @@ func (sh *shard) lruRemove(pg *Page) {
 	pg.prev, pg.next = nil, nil
 }
 
-// flushPage writes pg back if dirty, stamping the integrity trailer
-// when the v2 format is in effect and the page is known to own its
-// trailer zone (freshly allocated, or already stamped on disk). Caller
-// holds sh.mu.
+// flushPage writes pg back if dirty, stamping the integrity trailer.
+// Caller holds sh.mu.
 func (p *Pager) flushPage(sh *shard, pg *Page) error {
 	if !pg.dirty {
 		return nil
@@ -831,9 +862,7 @@ func (p *Pager) flushPage(sh *shard, pg *Page) error {
 	if p.readOnly.Load() {
 		return fmt.Errorf("pager: dirty page %d: %w", pg.ID, ErrReadOnly)
 	}
-	if p.version.Load() == 2 && (pg.fresh || trailerMarker(pg.Data[:]) == pageMarker) {
-		stampTrailer(pg.Data[:])
-	}
+	stampTrailer(pg.Data[:])
 	if _, err := p.backend.WriteAt(pg.Data[:], int64(pg.ID)*PageSize); err != nil {
 		return fmt.Errorf("pager: write page %d: %w", pg.ID, err)
 	}
@@ -864,15 +893,11 @@ func (p *Pager) flushShards() error {
 
 // commit is the ordered write barrier: flush every dirty data page,
 // sync, then write and sync the header. A crash at any point leaves a
-// file whose surviving header never describes unsynced pages. A v1
-// file is upgraded here — subsequent page writes carry trailers and
-// the header becomes v2 (partial coverage).
+// file whose surviving header never describes unsynced pages.
 func (p *Pager) commit() error {
 	if p.readOnly.Load() {
 		return ErrReadOnly
 	}
-	// Upgrade before flushing so the pages written below are stamped.
-	p.version.CompareAndSwap(1, 2)
 	if err := p.flushShards(); err != nil {
 		return err
 	}

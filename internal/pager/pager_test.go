@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -91,8 +92,8 @@ func TestPoolExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Allocate(); err == nil {
-		t.Fatal("third allocation with all pages pinned should fail")
+	if _, err := p.Allocate(); !errors.Is(err, ErrPoolExhausted) {
+		t.Fatalf("third allocation with all pages pinned: %v, want ErrPoolExhausted", err)
 	}
 	p.Unpin(a)
 	c, err := p.Allocate()
@@ -101,6 +102,57 @@ func TestPoolExhaustion(t *testing.T) {
 	}
 	p.Unpin(b)
 	p.Unpin(c)
+}
+
+// atGOMAXPROCS runs fn as a subtest at 1, 2 and 8 procs: the pool's
+// stripe count is derived from GOMAXPROCS, its behaviour must not be.
+func atGOMAXPROCS(t *testing.T, fn func(t *testing.T)) {
+	for _, n := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", n), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+			fn(t)
+		})
+	}
+}
+
+// TestPoolExhaustedOnlyWhenFullyPinned: pins crowded into one stripe
+// overcommit it rather than fail; the typed error arrives only once as
+// many pages as the pool holds are pinned, at any core count.
+func TestPoolExhaustedOnlyWhenFullyPinned(t *testing.T) {
+	atGOMAXPROCS(t, func(t *testing.T) {
+		const pool = 32
+		p := OpenMem(pool)
+		defer p.Close()
+		for i := 0; i < 16*(pool+1); i++ {
+			pg, err := p.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Unpin(pg)
+		}
+		// Ids congruent mod 16 share a stripe at every stripe count.
+		var held []*Page
+		for i := 1; i <= pool; i++ {
+			pg, err := p.Fetch(PageID(16 * i))
+			if err != nil {
+				t.Fatalf("pin %d of %d: %v", i, pool, err)
+			}
+			held = append(held, pg)
+		}
+		const next = PageID(16 * (pool + 1))
+		if _, err := p.Fetch(next); !errors.Is(err, ErrPoolExhausted) {
+			t.Fatalf("fetch with the whole pool pinned: %v, want ErrPoolExhausted", err)
+		}
+		p.Unpin(held[0])
+		pg, err := p.Fetch(next)
+		if err != nil {
+			t.Fatalf("fetch after one unpin: %v", err)
+		}
+		p.Unpin(pg)
+		for _, h := range held[1:] {
+			p.Unpin(h)
+		}
+	})
 }
 
 func TestFreeAndReuse(t *testing.T) {
@@ -242,8 +294,8 @@ func TestBadMagicRejected(t *testing.T) {
 		t.Errorf("error should wrap ErrBadMagic, got %v", err)
 	}
 	// The message must carry enough to diagnose from a log line: the
-	// file path, the magics we accept, and the bytes actually found.
-	for _, want := range []string{path, "PICTDB02", "PICTDB01", "XXXXXXXX"} {
+	// file path, the magic we accept, and the bytes actually found.
+	for _, want := range []string{path, "PICTDB02", "XXXXXXXX"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q should mention %q", err, want)
 		}
@@ -319,6 +371,10 @@ func TestLRUOrder(t *testing.T) {
 // surviving page round-trips its stamp. Run under -race (make check)
 // this exercises the shard striping and the header lock.
 func TestShardedPoolConcurrentMixed(t *testing.T) {
+	atGOMAXPROCS(t, testShardedPoolConcurrentMixed)
+}
+
+func testShardedPoolConcurrentMixed(t *testing.T) {
 	p := OpenMem(16)
 	defer p.Close()
 
@@ -394,6 +450,10 @@ func TestShardedPoolConcurrentMixed(t *testing.T) {
 }
 
 func TestConcurrentFetches(t *testing.T) {
+	atGOMAXPROCS(t, testConcurrentFetches)
+}
+
+func testConcurrentFetches(t *testing.T) {
 	p := OpenMem(8)
 	defer p.Close()
 	var ids []PageID

@@ -224,11 +224,7 @@ func (p *Pager) Pin(id PageID) (View, error) {
 		sh := p.shardFor(id)
 		sh.mu.Lock()
 		if pg, ok := sh.pages[id]; ok {
-			sh.stats.Hits++
-			if pg.pins == 0 {
-				sh.lruRemove(pg)
-			}
-			pg.pins++
+			sh.pinResident(pg)
 			sh.mu.Unlock()
 			return View{id: id, data: pg.Data[:], pg: pg, p: p}, nil
 		}
@@ -311,9 +307,18 @@ func (p *Pager) clearVerified(id PageID) {
 	}
 }
 
-// growVerified ensures the bitmap covers pages [0, pages). Caller
-// holds hmu (Allocate path).
+// maxVerifiedPages bounds the bitmap (64 GiB of file, 2 MiB of bits).
+// A page past it pays its CRC on every pool miss, so the bound costs
+// time, never correctness — and a damaged header's page count cannot
+// drive a gigabyte allocation at open.
+const maxVerifiedPages = 1 << 24
+
+// growVerified ensures the bitmap covers pages [0, pages), up to
+// maxVerifiedPages. Caller holds hmu (Allocate path).
 func (p *Pager) growVerified(pages uint32) {
+	if pages > maxVerifiedPages {
+		pages = maxVerifiedPages
+	}
 	vs := p.verified.Load()
 	need := int(pages+31)/32 + 1
 	if vs != nil && len(vs.bits) >= need {
@@ -329,27 +334,18 @@ func (p *Pager) growVerified(pages uint32) {
 }
 
 // verifyBytes checks a page image (pool frame or mmap view) against
-// its trailer according to the file's coverage guarantees, consulting
-// and maintaining the verified-bitmap so each on-disk generation of a
-// page pays for at most one CRC.
+// its trailer, consulting and maintaining the verified-bitmap so each
+// on-disk generation of a page pays for at most one CRC.
 func (p *Pager) verifyBytes(id PageID, data []byte) error {
-	if p.version.Load() != 2 {
-		return nil
-	}
 	if p.pageVerified(id) {
 		return nil
 	}
-	if trailerMarker(data) == pageMarker {
-		if err := verifyTrailer(data); err != nil {
-			return fmt.Errorf("pager: page %d: %w", id, err)
-		}
-		p.markVerified(id)
-		return nil
-	}
-	if p.fullSums {
+	if trailerMarker(data) != pageMarker {
 		return fmt.Errorf("pager: page %d: missing checksum trailer: %w", id, ErrChecksum)
 	}
-	// Partially checksummed file (upgraded from v1): the page predates
-	// the upgrade and carries no trailer; serve it unverified.
+	if err := verifyTrailer(data); err != nil {
+		return fmt.Errorf("pager: page %d: %w", id, err)
+	}
+	p.markVerified(id)
 	return nil
 }

@@ -341,10 +341,6 @@ func (p *Pager) walCommitBatch(w *walState, writers int) error {
 	if p.readOnly.Load() {
 		return ErrReadOnly
 	}
-	// First commit of an upgraded v1 file: subsequent captures stamp
-	// trailers, exactly like the in-place upgrade path.
-	p.version.CompareAndSwap(1, 2)
-
 	p.writeGate.Lock()
 	p.hmu.Lock()
 	p.gen++
@@ -378,9 +374,7 @@ func (p *Pager) walCommitBatch(w *walState, writers int) error {
 	w.imu.RUnlock()
 	for i, c := range caps {
 		pg := c.pg
-		if p.version.Load() == 2 && (pg.fresh || trailerMarker(pg.Data[:]) == pageMarker) {
-			stampTrailer(pg.Data[:])
-		}
+		stampTrailer(pg.Data[:])
 		offs[i] = base + int64(len(buf))
 		buf = appendFrame(buf, frameKindPage, gen, uint32(pg.ID), pg.Data[:])
 	}
@@ -739,28 +733,12 @@ func (p *Pager) recoverWAL(w *walState) error {
 	return nil
 }
 
-// writeHeaderState is writeHeader with explicit page count and free
-// head — checkpoints and recovery persist the *committed* values, not
-// whatever uncommitted allocations are in flight.
+// writeHeaderState is writeHeader with an explicit page count and
+// free head.
 func (p *Pager) writeHeaderState(numPages uint32, freeHead PageID) error {
 	p.hmu.Lock()
 	defer p.hmu.Unlock()
-	slot := 1 - p.hdrSlot
-	var buf [headerSlotSize]byte
-	copy(buf[0:8], magicV2[:])
-	binary.LittleEndian.PutUint32(buf[8:12], numPages)
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(freeHead))
-	if p.fullSums {
-		buf[16] = flagFullSums
-	}
-	binary.LittleEndian.PutUint64(buf[20:28], p.gen+1)
-	binary.LittleEndian.PutUint32(buf[28:32], crc32.Checksum(buf[:28], castagnoli))
-	if _, err := p.backend.WriteAt(buf[:], int64(slot)*headerSlotSize); err != nil {
-		return fmt.Errorf("pager: write header: %w", err)
-	}
-	p.gen++
-	p.hdrSlot = slot
-	return nil
+	return p.writeHeaderLocked(numPages, freeHead)
 }
 
 // --- snapshots --------------------------------------------------------
@@ -801,16 +779,8 @@ func (p *Pager) BeginSnapshot() (*Snapshot, error) {
 	freeHead := w.committedFreeHead
 	w.imu.Unlock()
 
-	hdr := make([]byte, PageSize)
-	copy(hdr[0:8], magicV2[:])
-	binary.LittleEndian.PutUint32(hdr[8:12], s.numPages)
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(freeHead))
-	if p.fullSums {
-		hdr[16] = flagFullSums
-	}
-	binary.LittleEndian.PutUint64(hdr[20:28], s.gen)
-	binary.LittleEndian.PutUint32(hdr[28:32], crc32.Checksum(hdr[:28], castagnoli))
-	s.header = hdr
+	s.header = make([]byte, PageSize)
+	encodeHeaderSlot(s.header, s.numPages, freeHead, s.gen)
 	return s, nil
 }
 

@@ -51,14 +51,14 @@ func DecodeObject(rec []byte) (Object, error) {
 	o.Kind = Kind(rec[8])
 	pos := 9
 	l, w := binary.Uvarint(rec[pos:])
-	if w <= 0 || pos+w+int(l) > len(rec) {
+	if w <= 0 || l > uint64(len(rec)-pos-w) {
 		return Object{}, fmt.Errorf("picture: truncated object label")
 	}
 	pos += w
 	o.Label = string(rec[pos : pos+int(l)])
 	pos += int(l)
 	n, w := binary.Uvarint(rec[pos:])
-	if w <= 0 || pos+w+int(n)*16 > len(rec) {
+	if w <= 0 || n > uint64(len(rec)-pos-w)/16 {
 		return Object{}, fmt.Errorf("picture: truncated object geometry")
 	}
 	pos += w

@@ -1,0 +1,101 @@
+package psql_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	pictdb "repro"
+	"repro/internal/storage"
+)
+
+// corpusPlans runs oracleCorpus and returns each statement's plan
+// notes (access path and cost estimates), one joined line per query.
+func corpusPlans(t *testing.T, db *pictdb.Database) []string {
+	t.Helper()
+	out := make([]string, len(oracleCorpus))
+	for i, q := range oracleCorpus {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		out[i] = strings.Join(res.Plan, " | ")
+	}
+	return out
+}
+
+// TestPlanChoiceOnOracleCorpus pins the planner's choice and estimates
+// over the oracle corpus, on the freshly packed US database and again
+// with a warm write side (L0 entries and tombstones the cost snapshot
+// must price). The expected lines were recorded at the commit before
+// the planner's in-place drift branch and the pending-write counters
+// were removed: removing them must not move any plan.
+func TestPlanChoiceOnOracleCorpus(t *testing.T) {
+	db := usdb(t)
+	check := func(state string, want []string) {
+		t.Helper()
+		for i, got := range corpusPlans(t, db) {
+			if got != want[i] {
+				t.Errorf("%s, query %d:\n got %s\nwant %s", state, i, got, want[i])
+			}
+		}
+	}
+	check("packed", packedPlans)
+
+	cities, _ := db.Relation("cities")
+	usMap, _ := db.Picture("us-map")
+	var ids []storage.TupleID
+	if err := cities.Scan(func(id storage.TupleID, _ pictdb.Tuple) bool {
+		ids = append(ids, id)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(ids); i += 7 {
+		if err := cities.Delete(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		name := fmt.Sprintf("newcity-%02d", i)
+		oid := usMap.AddPoint(name, pictdb.Pt(float64((i*137+11)%1000), float64((i*211+7)%1000)))
+		if _, err := cities.Insert(pictdb.Tuple{
+			pictdb.S(name), pictdb.S("NX"), pictdb.I(int64(100_000 + (i%10)*100_000)), pictdb.L("us-map", oid),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("warm write side", warmPlans)
+}
+
+var packedPlans = []string{
+	`cost: direct spatial search (est 25.8) kept over B-tree on cities.population (est 37.3) | direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
+	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covering`,
+	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), overlapping`,
+	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), disjoined`,
+	`index lookup: B-tree on cities.city (=) drives the at-clause (est 10.4 vs direct 25.8)`,
+	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (16 vs 1 nodes)`,
+	`juxtaposition: simultaneous R-tree traversal of "time-zones" and "cities" (covering), driving "cities" (1 vs 16 nodes)`,
+	`direct spatial search: R-tree of "lakes" on "lake-map", 15 window(s), covered-by | nested: direct spatial search: R-tree of "states" on "state-map", 1 window(s), overlapping`,
+	`index lookup: B-tree on cities.population (>) (est 37.3 vs scan 48.0)`,
+	`index lookup: B-tree on cities.population (>) (est 37.3 vs scan 48.0)`,
+	`scan: full scan of 1 relation(s)`,
+	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
+	`cost: direct spatial search (est 25.8) kept over B-tree on cities.population (est 37.3) | direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
+}
+
+var warmPlans = []string{
+	`cost: direct spatial search (est 43.7) kept over B-tree on cities.population (est 59.8) | direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
+	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covering`,
+	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), overlapping`,
+	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), disjoined`,
+	`index lookup: B-tree on cities.city (=) drives the at-clause (est 14.5 vs direct 43.7)`,
+	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (16 vs 1 nodes)`,
+	`juxtaposition: simultaneous R-tree traversal of "time-zones" and "cities" (covering), driving "cities" (1 vs 16 nodes)`,
+	`direct spatial search: R-tree of "lakes" on "lake-map", 15 window(s), covered-by | nested: direct spatial search: R-tree of "states" on "state-map", 1 window(s), overlapping`,
+	`index lookup: B-tree on cities.population (>) (est 59.8 vs scan 81.0)`,
+	`index lookup: B-tree on cities.population (>) (est 59.8 vs scan 81.0)`,
+	`scan: full scan of 1 relation(s)`,
+	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
+	`cost: direct spatial search (est 43.7) kept over B-tree on cities.population (est 59.8) | direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
+}

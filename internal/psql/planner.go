@@ -28,14 +28,12 @@ const btreeHysteresis = 0.5
 // directSearchCost estimates the page touches of answering the windows
 // through the index described by snap: expected nodes visited plus
 // expected qualifying-tuple fetches. The snapshot's live write-side
-// counters keep the estimate honest after inserts and deletes: under
-// WriteDelta the delta trees add their own visit and fetch terms, and
-// under WriteInPlace the pending-write counters scale the stale packed
-// stats (more entries, more nodes, worse overlap — drift degrades the
-// packing Table 1 measures).
+// sizes keep the estimate honest after inserts and deletes: the delta
+// trees and L0 buffers add their own visit and fetch terms, and
+// tombstones a probe per packed hit.
 func directSearchCost(snap relation.CostSnapshot, windows []geom.Rect, op SpatialOp) float64 {
 	s := snap.Stats
-	if s.Items == 0 && snap.DeltaItems == 0 && snap.PendingInserts == 0 {
+	if s.Items == 0 && snap.DeltaItems == 0 {
 		return 1
 	}
 	bounds := snap.Bounds
@@ -52,24 +50,6 @@ func directSearchCost(snap relation.CostSnapshot, windows []geom.Rect, op Spatia
 		overlapPenalty += s.Overlap / s.Coverage
 	}
 	items, nodes := float64(s.Items), float64(s.Nodes)
-	if snap.InPlace && s.Items > 0 {
-		// The packed tree was mutated in place since the last pack:
-		// Stats are stale. Scale the population by the net pending
-		// writes, grow the node count proportionally, and degrade the
-		// overlap penalty by the churn fraction — per-tuple Guttman
-		// inserts erode coverage/overlap roughly in proportion to the
-		// writes applied (Table 1's INSERT rows).
-		churn := float64(snap.PendingInserts+snap.PendingDeletes) / float64(s.Items)
-		items += float64(snap.PendingInserts - snap.PendingDeletes)
-		if items < 1 {
-			items = 1
-		}
-		nodes *= items / float64(s.Items)
-		if nodes < 1 {
-			nodes = 1
-		}
-		overlapPenalty *= 1 + churn
-	}
 	deltaItems := float64(snap.DeltaItems)
 	deltaNodes := float64(snap.DeltaNodes)
 	total := 0.0

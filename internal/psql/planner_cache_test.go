@@ -38,6 +38,35 @@ func sameRows(t *testing.T, label string, a, b *pictdb.Result) {
 	}
 }
 
+// oracleCorpus covers every access path the planner can choose.
+var oracleCorpus = []string{
+	`select city, state, population, loc from cities on us-map
+	 at loc covered-by {800±200, 500±500} where population > 450_000`,
+	`select city from cities on us-map at loc covering {640±2, 378±2}`,
+	`select city from cities on us-map at loc overlapping {500±150, 500±500}`,
+	`select city from cities on us-map at loc disjoined {800±200, 500±500}`,
+	// Equality conjunct: cheap enough that the planner may drive the
+	// at-clause from the B-tree instead of the R-tree.
+	`select city from cities on us-map
+	 at loc covered-by {800±200, 500±500} where city = 'Boston'`,
+	`select city, zone from cities, time-zones on us-map, time-zone-map
+	 at cities.loc covered-by time-zones.loc`,
+	`select zone, city from cities, time-zones on us-map, time-zone-map
+	 at time-zones.loc covering cities.loc`,
+	`select lake, area, lakes.loc from lakes on lake-map
+	 at lakes.loc covered-by
+	   select states.loc from states on state-map
+	   at states.loc overlapping {800±200, 500±500}`,
+	`select city from cities where population > 1_000_000`,
+	`select city from cities where state = 'TX' and population > 400_000`,
+	`select city, population from cities
+	 order by population desc limit 5`,
+	`select count(*), max(population) from cities
+	 on us-map at loc covered-by eastern-us`,
+	`select city from cities on us-map at loc covered-by eastern-us
+	 where distance(loc, {640±0, 378±0}) < 200 and population > 100_000`,
+}
+
 // TestPlannedMatchesNaiveOracle runs a corpus covering every access
 // path the planner can choose — direct search under all four spatial
 // operators, index-driven at-clauses, juxtaposition, nested mappings,
@@ -46,37 +75,10 @@ func sameRows(t *testing.T, label string, a, b *pictdb.Result) {
 // worker budgets 1 and 8. Both paths emit canonical row order, so any
 // divergence is a planner or batching bug.
 func TestPlannedMatchesNaiveOracle(t *testing.T) {
-	corpus := []string{
-		`select city, state, population, loc from cities on us-map
-		 at loc covered-by {800±200, 500±500} where population > 450_000`,
-		`select city from cities on us-map at loc covering {640±2, 378±2}`,
-		`select city from cities on us-map at loc overlapping {500±150, 500±500}`,
-		`select city from cities on us-map at loc disjoined {800±200, 500±500}`,
-		// Equality conjunct: cheap enough that the planner may drive the
-		// at-clause from the B-tree instead of the R-tree.
-		`select city from cities on us-map
-		 at loc covered-by {800±200, 500±500} where city = 'Boston'`,
-		`select city, zone from cities, time-zones on us-map, time-zone-map
-		 at cities.loc covered-by time-zones.loc`,
-		`select zone, city from cities, time-zones on us-map, time-zone-map
-		 at time-zones.loc covering cities.loc`,
-		`select lake, area, lakes.loc from lakes on lake-map
-		 at lakes.loc covered-by
-		   select states.loc from states on state-map
-		   at states.loc overlapping {800±200, 500±500}`,
-		`select city from cities where population > 1_000_000`,
-		`select city from cities where state = 'TX' and population > 400_000`,
-		`select city, population from cities
-		 order by population desc limit 5`,
-		`select count(*), max(population) from cities
-		 on us-map at loc covered-by eastern-us`,
-		`select city from cities on us-map at loc covered-by eastern-us
-		 where distance(loc, {640±0, 378±0}) < 200 and population > 100_000`,
-	}
 	for _, par := range []int{1, 8} {
 		db := usdb(t)
 		db.SetParallelism(par)
-		for _, q := range corpus {
+		for _, q := range oracleCorpus {
 			planned, err := db.Query(q)
 			if err != nil {
 				t.Fatalf("par=%d planned %s: %v", par, q, err)

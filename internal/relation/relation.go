@@ -26,9 +26,6 @@ type Relation struct {
 	spatial map[string]*SpatialIndex
 	// rtreeParams configures spatial indexes built for this relation.
 	rtreeParams rtree.Params
-	// spatialPolicy is the write policy applied to spatial indexes
-	// attached after the call (zero value: WriteDelta).
-	spatialPolicy WritePolicy
 
 	// Sharded mode (DESIGN.md §15, §16). When the shard list is non-nil
 	// the relation is split across N page files by Hilbert key range and
@@ -144,22 +141,6 @@ func (r *Relation) Len() int {
 // SetRTreeParams overrides the parameters used for spatial indexes
 // attached after the call.
 func (r *Relation) SetRTreeParams(p rtree.Params) { r.rtreeParams = p }
-
-// SetSpatialWritePolicy sets the write policy for every existing
-// spatial index and for indexes attached after the call.
-func (r *Relation) SetSpatialWritePolicy(p WritePolicy) {
-	r.spatialPolicy = p
-	for _, si := range r.spatial {
-		si.SetWritePolicy(p)
-	}
-	r.smu.RLock()
-	defer r.smu.RUnlock()
-	for _, sis := range r.shardSpatial {
-		for _, si := range sis {
-			si.SetWritePolicy(p)
-		}
-	}
-}
 
 // WaitRepacks blocks until no spatial index has a background repack in
 // flight.
@@ -515,9 +496,7 @@ func (r *Relation) AttachPicture(pic *picture.Picture, opts pack.Options) error 
 		return err
 	}
 	tree := pack.Tree(r.rtreeParams, items, opts)
-	si := newSpatialIndex(pic, tree, opts, r.rtreeParams)
-	si.policy = r.spatialPolicy
-	r.spatial[pic.Name()] = si
+	r.spatial[pic.Name()] = newSpatialIndex(pic, tree, opts, r.rtreeParams)
 	return nil
 }
 

@@ -105,8 +105,7 @@ func NewSharded(pagers []*pager.Pager, name string, schema Schema) (*Relation, e
 
 // OpenSharded reattaches to a sharded relation whose shard heaps start
 // at firsts[i] in pagers[i] — the catalog's reopen path. ranges gives
-// each shard's persisted Hilbert key range (nil = the even split a
-// never-rebalanced relation uses). The route table is rebuilt by
+// each shard's persisted Hilbert key range. The route table is rebuilt by
 // scanning every shard heap's sequence prefixes; a malformed sequence
 // is reported as corruption. A sequence stored in two shards with
 // byte-identical records is the durable artifact of a shard split that
@@ -123,7 +122,7 @@ func OpenSharded(pagers []*pager.Pager, name string, schema Schema, firsts []pag
 	if len(firsts) != len(pagers) {
 		return nil, fmt.Errorf("relation %s: %d shard heap pages for %d shards", name, len(firsts), len(pagers))
 	}
-	if ranges != nil && len(ranges) != len(pagers) {
+	if len(ranges) != len(pagers) {
 		return nil, fmt.Errorf("relation %s: %d shard key ranges for %d shards", name, len(ranges), len(pagers))
 	}
 	r := &Relation{
@@ -142,9 +141,6 @@ func OpenSharded(pagers []*pager.Pager, name string, schema Schema, firsts []pag
 		shards = append(shards, &relShard{pgr: p, heap: h})
 	}
 	r.shards.Store(&shards)
-	if ranges == nil {
-		ranges = evenKeyRanges(len(shards))
-	}
 	r.shardRanges = append([]KeyRange(nil), ranges...)
 	r.shardLive = make([]int64, len(shards))
 	maxSeq := shardSeqBase - 1
@@ -667,9 +663,7 @@ func (r *Relation) attachPictureSharded(pic *picture.Picture, opts pack.Options)
 	sis := make([]*SpatialIndex, len(perShard))
 	for s := range sis {
 		tree := pack.Tree(r.rtreeParams, perShard[s], opts)
-		si := newSpatialIndex(pic, tree, opts, r.rtreeParams)
-		si.policy = r.spatialPolicy
-		sis[s] = si
+		sis[s] = newSpatialIndex(pic, tree, opts, r.rtreeParams)
 	}
 	r.smu.Lock()
 	r.shardSpatial[pic.Name()] = sis
@@ -781,9 +775,6 @@ func (r *Relation) SpatialCostSnapshot(pictureName string, windows []geom.Rect) 
 		merged.DeltaItems += snap.DeltaItems
 		merged.DeltaNodes += snap.DeltaNodes
 		merged.Tombstones += snap.Tombstones
-		merged.PendingInserts += snap.PendingInserts
-		merged.PendingDeletes += snap.PendingDeletes
-		merged.InPlace = merged.InPlace || snap.InPlace
 		merged.Repacking = merged.Repacking || snap.Repacking
 	}
 	return merged, true

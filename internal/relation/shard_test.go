@@ -392,7 +392,7 @@ func TestShardedReopen(t *testing.T) {
 	}
 	firsts := rel.ShardHeapFirstPages()
 
-	re, err := OpenSharded(pagers, "cities", citySchema(), firsts, nil)
+	re, err := OpenSharded(pagers, "cities", citySchema(), firsts, rel.ShardKeyRanges())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +474,7 @@ func TestShardedDuplicateSequenceDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = OpenSharded(pagers, "cities", citySchema(), rel.ShardHeapFirstPages(), nil)
+	_, err = OpenSharded(pagers, "cities", citySchema(), rel.ShardHeapFirstPages(), rel.ShardKeyRanges())
 	if !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("differing duplicate sequence not reported as corruption: %v", err)
 	}
@@ -526,7 +526,7 @@ func TestShardedSplitDuplicateRepaired(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re, err := OpenSharded(pagers, "cities", citySchema(), rel.ShardHeapFirstPages(), nil)
+	re, err := OpenSharded(pagers, "cities", citySchema(), rel.ShardHeapFirstPages(), rel.ShardKeyRanges())
 	if err != nil {
 		t.Fatalf("byte-identical split duplicate not repaired: %v", err)
 	}
@@ -547,7 +547,7 @@ func TestShardedSplitDuplicateRepaired(t *testing.T) {
 	}
 	// The stale source record is gone from shard 0's heap: a second
 	// reopen finds no duplicate to repair and the same live count.
-	re2, err := OpenSharded(pagers, "cities", citySchema(), rel.ShardHeapFirstPages(), nil)
+	re2, err := OpenSharded(pagers, "cities", citySchema(), rel.ShardHeapFirstPages(), rel.ShardKeyRanges())
 	if err != nil {
 		t.Fatalf("reopen after repair: %v", err)
 	}

@@ -32,33 +32,6 @@ import (
 // happen under mu), so merged reads see each item exactly once.
 // See DESIGN.md §12 for the lifecycle and its invariants.
 
-// WritePolicy selects where Relation.Insert/Delete land for a spatial
-// index.
-type WritePolicy int
-
-const (
-	// WriteDelta (the default) absorbs writes into the in-memory delta
-	// R-tree and tombstone set; the packed tree stays immutable between
-	// repacks.
-	WriteDelta WritePolicy = iota
-	// WriteInPlace is the paper's §3.4 legacy behavior: per-tuple
-	// Guttman INSERT/DELETE straight into the packed tree. Kept as the
-	// measured baseline for the ingest benchmarks.
-	WriteInPlace
-)
-
-// String names the policy.
-func (p WritePolicy) String() string {
-	switch p {
-	case WriteDelta:
-		return "delta"
-	case WriteInPlace:
-		return "in-place"
-	default:
-		return fmt.Sprintf("WritePolicy(%d)", int(p))
-	}
-}
-
 // DefaultDeltaThreshold is the write-side size (L0 + live delta items
 // plus pending tombstones) at which a background repack is triggered.
 const DefaultDeltaThreshold = 4096
@@ -83,7 +56,7 @@ var spatialSeq atomic.Int64
 
 // SpatialIndex is an LSM index over a relation's loc column for one
 // associated picture: a packed R-tree (read-optimized, immutable
-// between repacks under WriteDelta) plus a write side made of an
+// between repacks) plus a write side made of an
 // append-only L0 buffer, a small delta R-tree the background absorber
 // drains the buffer into, and a tombstone set absorbing deletes. Leaf
 // entries carry the MBR of the referenced spatial object and the
@@ -111,41 +84,37 @@ type SpatialIndex struct {
 	mu     sync.RWMutex
 	packed *rtree.Tree
 	// stats captures the packed tree's structural measures (Table 1's
-	// node count, depth, coverage, overlap) as of the last pack/repack.
-	// Under WriteDelta they describe the packed tree exactly; under
-	// WriteInPlace they go stale as writes land (see CostSnapshot).
+	// node count, depth, coverage, overlap) as of the last pack/repack;
+	// the packed tree is immutable in between, so they describe it
+	// exactly.
 	stats rtree.Metrics
 	// l0 is the append-only write buffer: inserts land here in O(1) and
 	// the background absorber bulk-moves entries into delta, keeping
 	// R-tree maintenance off the writer's critical path. Reads scan it
 	// linearly (it is bounded by the repack threshold).
 	l0 []rtree.Item
-	// delta absorbs inserts under WriteDelta (via the L0 absorber).
+	// delta absorbs inserts (via the L0 absorber).
 	delta *rtree.Tree
 	// frozen/frozenL0 are the previous delta tree and L0 buffer while a
 	// background repack is merging them; nil otherwise. Immutable once
 	// set.
 	frozen   *rtree.Tree
 	frozenL0 []rtree.Item
-	// tombs holds the storage ids of deleted tuples whose entries still
-	// exist in packed (or frozen). An id deleted straight out of the
-	// active delta never enters tombs.
+	// tombs holds the storage ids of tuples deleted since the last
+	// freeze whose entries still exist in packed or frozen. An id
+	// deleted straight out of the L0 buffer or the active delta never
+	// enters tombs.
 	tombs map[int64]struct{}
-	// ts0 snapshots tombs at repack freeze time; nil when no repack is
-	// in flight. The merging repack removes exactly ts0 from the packed
-	// items, so reads filter packed by tombs but frozen only by
-	// tombs∖ts0 (a frozen entry is newer than anything ts0 names: ids
-	// are only reused after their tombstoned slot is reclaimed).
+	// ts0 is the tombstone set as it stood at repack freeze time; nil
+	// when no repack is in flight. The merging repack removes exactly
+	// ts0 from the packed items, so reads filter packed by tombs ∪ ts0
+	// and frozen by tombs alone: heap slots are reused as soon as they
+	// are freed, so a frozen entry may carry an id ts0 names, and ts0
+	// then names only the older packed incarnation.
 	ts0 map[int64]struct{}
 
-	policy     WritePolicy
 	threshold  int
 	autoRepack bool
-	// pendingIns/pendingDel count inserts/deletes not yet reflected in
-	// stats — the planner's staleness correction. Reset by repacks to
-	// whatever remains unabsorbed.
-	pendingIns int
-	pendingDel int
 	repacks    int
 
 	// repacking guards the single background repacker (and RepackNow)
@@ -176,7 +145,7 @@ func newSpatialIndex(pic *picture.Picture, tree *rtree.Tree, opts pack.Options, 
 
 // CostSnapshot is a consistent view of everything the query planner
 // needs to price a direct spatial search: the packed tree's stats, the
-// merged bounds, and the live write-side counters. Taken under the
+// merged bounds, and the live write-side sizes. Taken under the
 // index lock so the fields are mutually consistent.
 type CostSnapshot struct {
 	// Stats describes the packed tree as of the last pack/repack.
@@ -189,14 +158,6 @@ type CostSnapshot struct {
 	DeltaNodes int
 	// Tombstones counts deleted ids still present in packed/frozen.
 	Tombstones int
-	// PendingInserts/PendingDeletes count writes since Stats was
-	// computed. Under WriteDelta they are already covered by DeltaItems
-	// and Tombstones; under WriteInPlace they measure how stale Stats
-	// is.
-	PendingInserts int
-	PendingDeletes int
-	// InPlace reports WriteInPlace (Stats drift with every write).
-	InPlace bool
 	// Repacking reports an in-flight background repack.
 	Repacking bool
 }
@@ -206,13 +167,10 @@ func (si *SpatialIndex) CostSnapshot() CostSnapshot {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
 	snap := CostSnapshot{
-		Stats:          si.stats,
-		Bounds:         si.packed.Bounds(),
-		Tombstones:     len(si.tombs),
-		PendingInserts: si.pendingIns,
-		PendingDeletes: si.pendingDel,
-		InPlace:        si.policy == WriteInPlace,
-		Repacking:      si.frozen != nil,
+		Stats:      si.stats,
+		Bounds:     si.packed.Bounds(),
+		Tombstones: len(si.tombs) + len(si.ts0),
+		Repacking:  si.frozen != nil,
 	}
 	if si.delta.Len() > 0 {
 		snap.DeltaItems += si.delta.Len()
@@ -235,17 +193,17 @@ func (si *SpatialIndex) CostSnapshot() CostSnapshot {
 }
 
 // Stats returns the packed tree's structural measures as of the last
-// pack/repack. See CostSnapshot for the staleness counters.
+// pack/repack. See CostSnapshot for the write-side sizes.
 func (si *SpatialIndex) Stats() rtree.Metrics {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
 	return si.stats
 }
 
-// PackedTree returns the current packed tree. Under WriteDelta the
-// returned tree is immutable (a repack swaps in a new tree rather than
-// mutating it), so callers may compute metrics on it concurrently with
-// writers; it may be superseded at any moment.
+// PackedTree returns the current packed tree. The returned tree is
+// immutable (a repack swaps in a new tree rather than mutating it), so
+// callers may compute metrics on it concurrently with writers; it may
+// be superseded at any moment.
 func (si *SpatialIndex) PackedTree() *rtree.Tree {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
@@ -257,7 +215,7 @@ func (si *SpatialIndex) PackedTree() *rtree.Tree {
 func (si *SpatialIndex) Len() int {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
-	n := si.packed.Len() + si.delta.Len() + len(si.l0) + len(si.frozenL0) - len(si.tombs)
+	n := si.packed.Len() + si.delta.Len() + len(si.l0) + len(si.frozenL0) - len(si.tombs) - len(si.ts0)
 	if si.frozen != nil {
 		n += si.frozen.Len()
 	}
@@ -280,7 +238,7 @@ func (si *SpatialIndex) DeltaLen() int {
 func (si *SpatialIndex) TombstoneCount() int {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
-	return len(si.tombs)
+	return len(si.tombs) + len(si.ts0)
 }
 
 // Repacks returns how many repacks (background or synchronous) have
@@ -289,22 +247,6 @@ func (si *SpatialIndex) Repacks() int {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
 	return si.repacks
-}
-
-// WritePolicy returns the current write policy.
-func (si *SpatialIndex) WritePolicy() WritePolicy {
-	si.mu.RLock()
-	defer si.mu.RUnlock()
-	return si.policy
-}
-
-// SetWritePolicy changes where future writes land. Switching to
-// WriteInPlace does not flush the delta; reads keep merging it until a
-// repack folds it in.
-func (si *SpatialIndex) SetWritePolicy(p WritePolicy) {
-	si.mu.Lock()
-	si.policy = p
-	si.mu.Unlock()
 }
 
 // SetDeltaThreshold sets the delta size (live delta items + pending
@@ -352,17 +294,12 @@ func (si *SpatialIndex) boundsLocked() geom.Rect {
 	return b
 }
 
-// insert routes one new entry according to the write policy and
-// triggers the background absorber/repacker when their thresholds
-// cross. Under WriteDelta the writer's cost is one slice append.
+// insert appends one new entry to the L0 buffer and triggers the
+// background absorber/repacker when their thresholds cross. The
+// writer's cost is one slice append.
 func (si *SpatialIndex) insert(r geom.Rect, id int64) {
 	si.mu.Lock()
-	if si.policy == WriteInPlace {
-		si.packed.Insert(r, id)
-	} else {
-		si.l0 = append(si.l0, rtree.Item{Rect: r, Data: id})
-	}
-	si.pendingIns++
+	si.l0 = append(si.l0, rtree.Item{Rect: r, Data: id})
 	absorb := len(si.l0) >= DefaultAbsorbTrigger
 	due := si.repackDueLocked()
 	si.mu.Unlock()
@@ -378,8 +315,6 @@ func (si *SpatialIndex) insert(r geom.Rect, id int64) {
 func (si *SpatialIndex) delete(r geom.Rect, id int64) {
 	si.mu.Lock()
 	switch {
-	case si.policy == WriteInPlace:
-		si.packed.Delete(r, id)
 	case si.l0Delete(id):
 		// The entry never left the L0 buffer; no tombstone needed.
 	case si.delta.Delete(r, id):
@@ -387,7 +322,6 @@ func (si *SpatialIndex) delete(r geom.Rect, id int64) {
 	default:
 		si.tombs[id] = struct{}{}
 	}
-	si.pendingDel++
 	due := si.repackDueLocked()
 	si.mu.Unlock()
 	if due {
@@ -410,13 +344,11 @@ func (si *SpatialIndex) l0Delete(id int64) bool {
 // repackDueLocked reports whether the write side has outgrown the
 // threshold. Caller holds mu (any mode).
 func (si *SpatialIndex) repackDueLocked() bool {
-	if si.policy != WriteDelta || !si.autoRepack {
+	if !si.autoRepack {
 		return false
 	}
-	// Tombstones already being merged away (ts0) don't count as
-	// pending.
-	pendingTombs := len(si.tombs) - len(si.ts0)
-	return si.delta.Len()+len(si.l0)+pendingTombs >= si.threshold
+	// Tombstones already being merged away (ts0) don't count.
+	return si.delta.Len()+len(si.l0)+len(si.tombs) >= si.threshold
 }
 
 // triggerAbsorb starts the background L0 absorber unless one is already
@@ -540,40 +472,38 @@ func (si *SpatialIndex) RepackNow(stopTheWorld bool) {
 // merge and pack outside the lock, swap the new root in. Caller owns
 // the repacking flag.
 func (si *SpatialIndex) repackOnce() {
-	// Freeze: the active delta and L0 buffer become immutable, fresh
-	// ones take writes, and the tombstone set is snapshotted.
-	si.mu.Lock()
-	if si.delta.Len() == 0 && len(si.l0) == 0 && len(si.tombs) == 0 {
-		si.mu.Unlock()
+	if !si.freeze() {
 		return
 	}
-	frozen := si.delta
-	frozenL0 := si.l0
+	// packed and the frozen write side are immutable now, so readers
+	// proceed concurrently against the merged view.
+	tree := si.packMerged()
+	si.swap(tree, tree.ComputeMetrics())
+}
+
+// freeze makes the active delta, L0 buffer and tombstone set immutable
+// (fresh ones take writes), reporting false when the write side is
+// empty.
+func (si *SpatialIndex) freeze() bool {
+	si.mu.Lock()
+	defer si.mu.Unlock()
+	if si.delta.Len() == 0 && len(si.l0) == 0 && len(si.tombs) == 0 {
+		return false
+	}
+	si.frozen, si.frozenL0, si.ts0 = si.delta, si.l0, si.tombs
 	si.delta = rtree.New(deltaParams)
 	si.l0 = nil
-	ts0 := make(map[int64]struct{}, len(si.tombs))
-	for id := range si.tombs {
-		ts0[id] = struct{}{}
-	}
-	si.frozen, si.frozenL0, si.ts0 = frozen, frozenL0, ts0
-	packed := si.packed
-	si.mu.Unlock()
+	si.tombs = make(map[int64]struct{})
+	return true
+}
 
-	// Merge + pack outside the lock: packed and the frozen write side
-	// are immutable now, so readers proceed concurrently against the
-	// merged view.
-	tree := si.packMerged(packed, frozen, frozenL0, ts0)
-	stats := tree.ComputeMetrics()
-
-	// Swap: new root in, absorbed tombstones out.
+// swap installs the merged tree and retires the frozen write side with
+// the tombstones the merge applied. Tombstones taken since the freeze
+// stay: they now name entries of the new tree.
+func (si *SpatialIndex) swap(tree *rtree.Tree, stats rtree.Metrics) {
 	si.mu.Lock()
 	si.packed, si.stats = tree, stats
-	for id := range ts0 {
-		delete(si.tombs, id)
-	}
 	si.frozen, si.frozenL0, si.ts0 = nil, nil, nil
-	si.pendingIns = si.delta.Len() + len(si.l0)
-	si.pendingDel = len(si.tombs)
 	si.repacks++
 	si.mu.Unlock()
 }
@@ -585,7 +515,7 @@ func (si *SpatialIndex) repackSTW() {
 	defer si.mu.Unlock()
 	items := make([]rtree.Item, 0, si.packed.Len()+si.delta.Len()+len(si.l0))
 	for _, it := range si.packed.Items() {
-		if _, dead := si.tombs[it.Data]; !dead {
+		if !si.packedDeadLocked(it.Data) {
 			items = append(items, it)
 		}
 	}
@@ -611,22 +541,22 @@ func (si *SpatialIndex) repackSTW() {
 	si.l0 = nil
 	si.frozen, si.frozenL0, si.ts0 = nil, nil, nil
 	si.tombs = make(map[int64]struct{})
-	si.pendingIns, si.pendingDel = 0, 0
 	si.repacks++
 }
 
 // packMerged packs (packed ∖ ts0) ∪ frozen ∪ frozenL0 with the index's
 // recorded options, TrimToMultiple forced off so no live item is
-// dropped.
-func (si *SpatialIndex) packMerged(packed, frozen *rtree.Tree, frozenL0 []rtree.Item, ts0 map[int64]struct{}) *rtree.Tree {
-	items := make([]rtree.Item, 0, packed.Len()+frozen.Len()+len(frozenL0))
-	for _, it := range packed.Items() {
-		if _, dead := ts0[it.Data]; !dead {
+// dropped. It reads those fields without mu: between freeze and swap
+// only the holder of the repacking flag — the caller — writes them.
+func (si *SpatialIndex) packMerged() *rtree.Tree {
+	items := make([]rtree.Item, 0, si.packed.Len()+si.frozen.Len()+len(si.frozenL0))
+	for _, it := range si.packed.Items() {
+		if _, dead := si.ts0[it.Data]; !dead {
 			items = append(items, it)
 		}
 	}
-	items = append(items, frozen.Items()...)
-	items = append(items, frozenL0...)
+	items = append(items, si.frozen.Items()...)
+	items = append(items, si.frozenL0...)
 	opts := si.Opts
 	opts.TrimToMultiple = false
 	return pack.Tree(si.params, items, opts)
@@ -649,23 +579,29 @@ func (si *SpatialIndex) rebuild(items []rtree.Item, opts pack.Options) {
 	si.l0 = nil
 	si.frozen, si.frozenL0, si.ts0 = nil, nil, nil
 	si.tombs = make(map[int64]struct{})
-	si.pendingIns, si.pendingDel = 0, 0
 	si.repacks++
 	si.mu.Unlock()
 	si.repacking.Store(false)
 }
 
-// frozenDeadLocked reports whether a frozen-delta entry is tombstoned.
-// Only tombstones created after the freeze (tombs ∖ ts0) apply: the
-// merging repack removes exactly ts0 from packed, and an id in ts0
-// cannot name a frozen entry (its delta insert would postdate the
-// freeze and land in the active delta). Caller holds mu (any mode).
-func (si *SpatialIndex) frozenDeadLocked(id int64) bool {
-	if _, dead := si.tombs[id]; !dead {
-		return false
+// packedDeadLocked reports whether a packed-tree entry is tombstoned,
+// before the in-flight repack's freeze (ts0) or since. Caller holds mu
+// (any mode).
+func (si *SpatialIndex) packedDeadLocked(id int64) bool {
+	_, dead := si.tombs[id]
+	if !dead {
+		_, dead = si.ts0[id]
 	}
-	_, absorbed := si.ts0[id]
-	return !absorbed
+	return dead
+}
+
+// frozenDeadLocked reports whether a frozen-delta entry is tombstoned.
+// Only tombstones taken since the freeze apply: one in ts0 predates the
+// entry and names the packed incarnation of a reused id. Caller holds
+// mu (any mode).
+func (si *SpatialIndex) frozenDeadLocked(id int64) bool {
+	_, dead := si.tombs[id]
+	return dead
 }
 
 // sortItemsByData orders items by ascending data pointer. TupleID's
@@ -684,7 +620,7 @@ func (si *SpatialIndex) query(window geom.Rect) ([]rtree.Item, int) {
 	defer si.mu.RUnlock()
 	var out []rtree.Item
 	visited := si.packed.Search(window, func(it rtree.Item) bool {
-		if _, dead := si.tombs[it.Data]; !dead {
+		if !si.packedDeadLocked(it.Data) {
 			out = append(out, it)
 		}
 		return true
@@ -726,11 +662,11 @@ func (si *SpatialIndex) queryBatch(windows []geom.Rect, parallelism int) ([][]rt
 	if res == nil {
 		res = make([][]rtree.Item, len(windows))
 	}
-	if len(si.tombs) > 0 {
+	if len(si.tombs)+len(si.ts0) > 0 {
 		for i, items := range res {
 			live := items[:0]
 			for _, it := range items {
-				if _, dead := si.tombs[it.Data]; !dead {
+				if !si.packedDeadLocked(it.Data) {
 					live = append(live, it)
 				}
 			}
@@ -788,7 +724,7 @@ func (si *SpatialIndex) itemsLocked() ([]rtree.Item, int) {
 	var out []rtree.Item
 	visited := si.packed.NodeCount()
 	for _, it := range si.packed.Items() {
-		if _, dead := si.tombs[it.Data]; !dead {
+		if !si.packedDeadLocked(it.Data) {
 			out = append(out, it)
 		}
 	}
@@ -830,11 +766,8 @@ func (si *SpatialIndex) liveTreesLocked() []sideTree {
 	var out []sideTree
 	if si.packed.Len() > 0 {
 		dead := never
-		if len(si.tombs) > 0 {
-			dead = func(id int64) bool {
-				_, d := si.tombs[id]
-				return d
-			}
+		if len(si.tombs)+len(si.ts0) > 0 {
+			dead = si.packedDeadLocked
 		}
 		out = append(out, sideTree{tree: si.packed, dead: dead})
 	}
@@ -994,14 +927,12 @@ func (si *SpatialIndex) emptyClone() *SpatialIndex {
 	si.mu.RLock()
 	opts := si.Opts
 	params := si.params
-	policy := si.policy
 	threshold := si.threshold
 	auto := si.autoRepack
 	si.mu.RUnlock()
 	packOpts := opts
 	packOpts.TrimToMultiple = false
 	clone := newSpatialIndex(si.Picture, pack.Tree(params, nil, packOpts), opts, params)
-	clone.policy = policy
 	clone.threshold = threshold
 	clone.autoRepack = auto
 	return clone
@@ -1023,19 +954,15 @@ func (si *SpatialIndex) checkInvariants() error {
 			return fmt.Errorf("frozen delta: %w", err)
 		}
 	}
-	for id := range si.ts0 {
-		if _, ok := si.tombs[id]; !ok {
-			return fmt.Errorf("tombstone snapshot id %d missing from live set", id)
-		}
-	}
 	if si.ts0 != nil && si.frozen == nil {
 		return fmt.Errorf("tombstone snapshot present without frozen delta")
 	}
 	if len(si.frozenL0) > 0 && si.frozen == nil {
 		return fmt.Errorf("frozen L0 buffer present without frozen delta")
 	}
-	// Note: an L0/delta entry may share its id with a tombstone — ids
-	// are reused once their tombstoned slot is reclaimed, and the
-	// tombstone then names only the packed/frozen incarnation.
+	// Note: an L0/delta entry may share its id with a tombstone, and a
+	// frozen entry with one in ts0 — ids are reused once their
+	// tombstoned slot is reclaimed, and the tombstone then names only
+	// the older incarnation.
 	return nil
 }

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -240,65 +241,64 @@ func TestRepackNowStopTheWorld(t *testing.T) {
 }
 
 // TestFrozenTombstoneFiltering pins the id-lifecycle corner of the
-// mid-repack read: tombstones snapshotted at freeze (ts0) filter the
-// packed tree only — they are being merged away — while tombstones
-// created after the freeze filter both packed and frozen.
+// mid-repack read: tombstones frozen with the write side (ts0) filter
+// the packed tree only — they are being merged away — while tombstones
+// taken after the freeze filter both packed and frozen, including a
+// frozen entry whose reused id ts0 also names.
 func TestFrozenTombstoneFiltering(t *testing.T) {
 	si := newSpatialIndex(
 		picture.New("p", geom.R(0, 0, 10, 10)),
 		pack.Tree(rtree.DefaultParams(), []rtree.Item{
 			{Rect: geom.R(1, 1, 2, 2), Data: 1},
 			{Rect: geom.R(3, 3, 4, 4), Data: 2},
+			{Rect: geom.R(2, 2, 3, 3), Data: 6},
 		}, pack.Options{}),
 		pack.Options{}, rtree.DefaultParams(),
 	)
 	si.SetAutoRepack(false)
-	// Pre-freeze: id 1 deleted (tombstone), ids 3,4 inserted (delta).
+	liveIDs := func() []int64 {
+		items, _ := si.query(geom.R(0, 0, 10, 10))
+		ids := make([]int64, len(items))
+		for i, it := range items {
+			ids[i] = it.Data
+		}
+		return ids
+	}
+	// Pre-freeze: ids 1 and 6 deleted (tombstones), ids 3,4 inserted,
+	// and id 6 born again — the heap reuses a freed slot at once.
 	si.delete(geom.R(1, 1, 2, 2), 1)
+	si.delete(geom.R(2, 2, 3, 3), 6)
 	si.insert(geom.R(5, 5, 6, 6), 3)
 	si.insert(geom.R(7, 7, 8, 8), 4)
-	// Simulate the freeze step of a repack (delta tree and L0 buffer
-	// both freeze; the pre-freeze inserts sit in L0).
-	si.mu.Lock()
-	si.frozen, si.frozenL0 = si.delta, si.l0
-	si.delta, si.l0 = rtree.New(deltaParams), nil
-	si.ts0 = map[int64]struct{}{1: {}}
-	si.mu.Unlock()
-	// Post-freeze: id 2 (packed) and id 3 (frozen) deleted, id 5 born.
+	si.insert(geom.R(6, 6, 7, 7), 6)
+	if !si.freeze() {
+		t.Fatal("freeze found nothing to merge")
+	}
+	if got := liveIDs(); !reflect.DeepEqual(got, []int64{2, 3, 4, 6}) {
+		t.Fatalf("query after freeze = %v, want [2 3 4 6]", got)
+	}
+	// Post-freeze: id 2 (packed), id 3 (frozen) and the second id 6
+	// (frozen, its id also in ts0) deleted, id 5 born.
 	si.delete(geom.R(3, 3, 4, 4), 2)
 	si.delete(geom.R(5, 5, 6, 6), 3)
+	si.delete(geom.R(6, 6, 7, 7), 6)
 	si.insert(geom.R(9, 9, 10, 10), 5)
 
-	wantLive := []int64{4, 5}
-	items, _ := si.query(geom.R(0, 0, 10, 10))
-	got := make([]int64, len(items))
-	for i, it := range items {
-		got[i] = it.Data
-	}
-	if len(got) != len(wantLive) || got[0] != wantLive[0] || got[1] != wantLive[1] {
-		t.Fatalf("mid-repack query = %v, want %v", got, wantLive)
+	if got := liveIDs(); !reflect.DeepEqual(got, []int64{4, 5}) {
+		t.Fatalf("mid-repack query = %v, want [4 5]", got)
 	}
 	if si.Len() != 2 {
 		t.Fatalf("Len = %d mid-repack, want 2", si.Len())
 	}
 
-	// Complete the merge by hand and swap, as repackOnce would.
-	si.mu.RLock()
-	tree := si.packMerged(si.packed, si.frozen, si.frozenL0, si.ts0)
-	si.mu.RUnlock()
-	si.mu.Lock()
-	si.packed, si.stats = tree, tree.ComputeMetrics()
-	delete(si.tombs, 1)
-	si.frozen, si.frozenL0, si.ts0 = nil, nil, nil
-	si.mu.Unlock()
+	tree := si.packMerged()
+	si.swap(tree, tree.ComputeMetrics())
 
-	items, _ = si.query(geom.R(0, 0, 10, 10))
-	got = got[:0]
-	for _, it := range items {
-		got = append(got, it.Data)
-	}
-	if len(got) != 2 || got[0] != 4 || got[1] != 5 {
+	if got := liveIDs(); !reflect.DeepEqual(got, []int64{4, 5}) {
 		t.Fatalf("post-swap query = %v, want [4 5]", got)
+	}
+	if si.Len() != 2 {
+		t.Fatalf("Len = %d post-swap, want 2", si.Len())
 	}
 	if err := si.checkInvariants(); err != nil {
 		t.Fatal(err)
@@ -509,7 +509,7 @@ func TestCostSnapshot(t *testing.T) {
 	si := rel.Spatial("us-map")
 	si.SetAutoRepack(false)
 	snap := si.CostSnapshot()
-	if snap.DeltaItems != 0 || snap.Tombstones != 0 || snap.InPlace || snap.PendingInserts != 0 {
+	if snap.DeltaItems != 0 || snap.Tombstones != 0 {
 		t.Fatalf("fresh snapshot not clean: %+v", snap)
 	}
 	for i := 0; i < 20; i++ {
@@ -526,45 +526,10 @@ func TestCostSnapshot(t *testing.T) {
 	if snap.DeltaItems != 20 || snap.DeltaNodes != 0 || snap.Tombstones != 1 {
 		t.Fatalf("delta snapshot: %+v", snap)
 	}
-	if snap.PendingInserts != 20 || snap.PendingDeletes != 1 {
-		t.Fatalf("pending counters: %+v", snap)
-	}
-	// In-place mode: counters keep accruing, flagged InPlace.
-	si.SetWritePolicy(WriteInPlace)
-	addCity(t, rel, pic, randWord(rng), "ST", 0, 1, 1)
-	snap = si.CostSnapshot()
-	if !snap.InPlace || snap.PendingInserts != 21 {
-		t.Fatalf("in-place snapshot: %+v", snap)
-	}
 	// Repack clears everything.
-	si.SetWritePolicy(WriteDelta)
 	si.RepackNow(true)
 	snap = si.CostSnapshot()
-	if snap.DeltaItems != 0 || snap.Tombstones != 0 || snap.PendingInserts != 0 || snap.PendingDeletes != 0 {
+	if snap.DeltaItems != 0 || snap.Tombstones != 0 {
 		t.Fatalf("post-repack snapshot: %+v", snap)
-	}
-}
-
-func TestWriteInPlacePolicy(t *testing.T) {
-	rel, pic, rng := newSpatialFixture(t, 50, 7)
-	rel.SetSpatialWritePolicy(WriteInPlace)
-	si := rel.Spatial("us-map")
-	packed := si.PackedTree()
-	for i := 0; i < 30; i++ {
-		addCity(t, rel, pic, randWord(rng), "ST", int64(i), rng.Float64()*1000, rng.Float64()*1000)
-	}
-	if si.PackedTree() != packed {
-		t.Fatal("in-place insert replaced the packed tree")
-	}
-	if packed.Len() != 80 || si.DeltaLen() != 0 {
-		t.Fatalf("in-place: packed=%d delta=%d", packed.Len(), si.DeltaLen())
-	}
-	w := geom.R(0, 0, 1000, 1000)
-	got, _, err := rel.SearchArea("us-map", w, geom.CoveredBy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := oracleSearch(t, rel, pic, w, geom.CoveredBy); !idsEqual(got, want) {
-		t.Fatalf("in-place search: got %d want %d", len(got), len(want))
 	}
 }

@@ -76,60 +76,3 @@ func (t *Tree) QueryBatch(windows []geom.Rect, parallelism int) ([][]Item, int) 
 	wg.Wait()
 	return results, int(visits.Load())
 }
-
-// QueryBatch answers every window against the disk tree with up to
-// parallelism worker goroutines sharing the (sharded, thread-safe)
-// buffer pool. results[i] answers windows[i]; the int is total node
-// pages visited. The first error encountered aborts remaining work.
-func (t *DiskTree) QueryBatch(windows []geom.Rect, parallelism int) ([][]Item, int, error) {
-	n := len(windows)
-	if n == 0 {
-		return nil, 0, nil
-	}
-	results := make([][]Item, n)
-	workers := batchWorkers(parallelism, n)
-	if workers == 1 {
-		visited := 0
-		for i, w := range windows {
-			items, v, err := t.Query(w)
-			if err != nil {
-				return nil, 0, err
-			}
-			results[i] = items
-			visited += v
-		}
-		return results, visited, nil
-	}
-
-	var cursor, visits atomic.Int64
-	var failed atomic.Bool
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				items, v, err := t.Query(windows[i])
-				if err != nil {
-					if failed.CompareAndSwap(false, true) {
-						errCh <- err
-					}
-					return
-				}
-				results[i] = items
-				visits.Add(int64(v))
-			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		return nil, 0, err
-	}
-	return results, int(visits.Load()), nil
-}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/pager"
 )
 
 // batchWindows generates n query windows over the [0,1000]^2 extent.
@@ -49,41 +48,6 @@ func TestQueryBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestDiskQueryBatchMatchesSequential does the same for the disk tree,
-// where workers share the sharded buffer pool.
-func TestDiskQueryBatchMatchesSequential(t *testing.T) {
-	p := pager.OpenMem(256)
-	defer p.Close()
-	dt, err := BulkLoadDisk(p, 16, 8, uniformRectItems(1200, 43), xSortGrouper{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	windows := batchWindows(48, 44)
-
-	wantResults := make([][]Item, len(windows))
-	wantVisits := 0
-	for i, w := range windows {
-		items, v, err := dt.Query(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantResults[i] = items
-		wantVisits += v
-	}
-	for _, par := range []int{0, 1, 3, 8} {
-		got, visits, err := dt.QueryBatch(windows, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, wantResults) {
-			t.Fatalf("par=%d: disk batch results differ", par)
-		}
-		if visits != wantVisits {
-			t.Fatalf("par=%d: visits = %d, want %d", par, visits, wantVisits)
-		}
-	}
-}
-
 // TestTotalNodeVisits checks the cumulative counter accumulates across
 // batched and single queries and resets to zero.
 func TestTotalNodeVisits(t *testing.T) {
@@ -106,21 +70,13 @@ func TestTotalNodeVisits(t *testing.T) {
 }
 
 // TestConcurrentMixedReads is the read-path stress test: one shared
-// in-memory tree and one shared disk tree (one pager) hammered by
-// QueryBatch, point probes, nearest-neighbor searches, and disk
+// tree hammered by QueryBatch, point probes and nearest-neighbor
 // searches at once. Run under -race (make check) this certifies the
-// concurrent-reader contract end to end.
+// concurrent-reader contract.
 func TestConcurrentMixedReads(t *testing.T) {
 	items := uniformRectItems(2000, 47)
 	tr := New(DefaultParams())
 	insertAll(tr, items)
-
-	p := pager.OpenMem(128) // smaller than the tree: eviction under concurrency
-	defer p.Close()
-	dt, err := BulkLoadDisk(p, 16, 8, items, xSortGrouper{})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	oracle := func(w geom.Rect) map[int64]bool { return bruteSearch(items, w) }
 
@@ -138,7 +94,7 @@ func TestConcurrentMixedReads(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for q := 0; q < 30; q++ {
-				switch q % 3 {
+				switch q % 2 {
 				case 0: // batched window queries vs brute force
 					windows := batchWindows(8, seed*1000+int64(q))
 					results, _ := tr.QueryBatch(windows, 4)
@@ -160,25 +116,6 @@ func TestConcurrentMixedReads(t *testing.T) {
 					tr.ContainsPoint(pt)
 					if _, ok, _ := tr.NearestNeighbor(pt); !ok {
 						fail("NearestNeighbor found nothing in a full tree")
-						return
-					}
-				case 2: // disk-tree search through the shared pager
-					w := geom.WindowAt(rng.Float64()*1000, 40, rng.Float64()*1000, 40)
-					want := oracle(w)
-					got := 0
-					if _, err := dt.Search(w, func(it Item) bool {
-						if !want[it.Data] {
-							fail("disk search returned wrong item")
-							return false
-						}
-						got++
-						return true
-					}); err != nil {
-						fail(err.Error())
-						return
-					}
-					if got != len(want) {
-						fail("disk search result size mismatch")
 						return
 					}
 				}

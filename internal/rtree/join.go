@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/geom"
-	"repro/internal/pager"
 )
 
 // This file parallelizes the paper's juxtaposition primitive (§4): the
@@ -185,256 +184,4 @@ func joinWalk(n, m *node, pred func(a, b geom.Rect) bool, out *[]JoinPair) int {
 		}
 	}
 	return visited
-}
-
-// Juxtapose joins two disk trees (which may share a pager or use two)
-// with up to workers goroutines, returning matching item pairs plus
-// node-page pairs visited. Same contract as the in-memory Juxtapose:
-// output and visit count are identical to the serial descent
-// regardless of worker count. Traversal is zero-copy — node pages are
-// pinned and MBRs read in place. The first page error aborts the join.
-func (t *DiskTree) Juxtapose(u *DiskTree, pred func(a, b geom.Rect) bool, workers int) ([]JoinPair, int, error) {
-	if t.size == 0 || u.size == 0 {
-		return nil, 0, nil
-	}
-	workers = joinWorkers(workers)
-	if workers == 1 {
-		var out []JoinPair
-		visited, err := t.joinWalk(u, t.root, u.root, pred, &out)
-		if err != nil {
-			return nil, visited, err
-		}
-		return out, visited, nil
-	}
-
-	type task struct{ a, b pager.PageID }
-	frontier := []task{{t.root, u.root}}
-	visited := 0
-	for len(frontier) < workers*frontierFactor {
-		next := make([]task, 0, 2*len(frontier))
-		expanded := false
-		for _, pr := range frontier {
-			leafA, leafB, err := t.pairKinds(u, pr.a, pr.b)
-			if err != nil {
-				return nil, visited, err
-			}
-			if leafA && leafB {
-				next = append(next, pr)
-				continue
-			}
-			expanded = true
-			visited++
-			children, err := t.expandPair(u, pr.a, pr.b)
-			if err != nil {
-				return nil, visited, err
-			}
-			for _, c := range children {
-				next = append(next, task{c[0], c[1]})
-			}
-		}
-		frontier = next
-		if !expanded || len(frontier) == 0 {
-			break
-		}
-	}
-
-	results := make([][]JoinPair, len(frontier))
-	var cursor, visits atomic.Int64
-	var failed atomic.Bool
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
-	if workers > len(frontier) {
-		workers = len(frontier)
-	}
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(frontier) {
-					return
-				}
-				var out []JoinPair
-				v, err := t.joinWalk(u, frontier[i].a, frontier[i].b, pred, &out)
-				visits.Add(int64(v))
-				if err != nil {
-					if failed.CompareAndSwap(false, true) {
-						errCh <- err
-					}
-					return
-				}
-				results[i] = out
-			}
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		return nil, visited + int(visits.Load()), err
-	}
-
-	total := 0
-	for _, r := range results {
-		total += len(r)
-	}
-	out := make([]JoinPair, 0, total)
-	for _, r := range results {
-		out = append(out, r...)
-	}
-	return out, visited + int(visits.Load()), nil
-}
-
-// pairKinds reports whether each side of a node-page pair is a leaf.
-func (t *DiskTree) pairKinds(u *DiskTree, a, b pager.PageID) (leafA, leafB bool, err error) {
-	va, err := t.p.Pin(a)
-	if err != nil {
-		return false, false, err
-	}
-	leafA = nodeIsLeaf(va.Data())
-	va.Unpin()
-	vb, err := u.p.Pin(b)
-	if err != nil {
-		return false, false, err
-	}
-	leafB = nodeIsLeaf(vb.Data())
-	vb.Unpin()
-	return leafA, leafB, nil
-}
-
-// expandPair generates the intersecting child pairs of (a, b) in the
-// order the serial descent would visit them. At least one side is
-// internal.
-func (t *DiskTree) expandPair(u *DiskTree, a, b pager.PageID) ([][2]pager.PageID, error) {
-	va, err := t.p.Pin(a)
-	if err != nil {
-		return nil, err
-	}
-	defer va.Unpin()
-	vb, err := u.p.Pin(b)
-	if err != nil {
-		return nil, err
-	}
-	defer vb.Unpin()
-	da, db := va.Data(), vb.Data()
-	if err := validNode(a, da); err != nil {
-		return nil, err
-	}
-	if err := validNode(b, db); err != nil {
-		return nil, err
-	}
-	na, nb := nodeCount(da), nodeCount(db)
-	var out [][2]pager.PageID
-	switch {
-	case nodeIsLeaf(da):
-		nm := nodeMBRData(da, na)
-		for j := 0; j < nb; j++ {
-			if nm.Intersects(entryRect(db, j)) {
-				out = append(out, [2]pager.PageID{a, pager.PageID(entryPtr(db, j))})
-			}
-		}
-	case nodeIsLeaf(db):
-		mm := nodeMBRData(db, nb)
-		for i := 0; i < na; i++ {
-			if entryRect(da, i).Intersects(mm) {
-				out = append(out, [2]pager.PageID{pager.PageID(entryPtr(da, i)), b})
-			}
-		}
-	default:
-		for i := 0; i < na; i++ {
-			ra := entryRect(da, i)
-			for j := 0; j < nb; j++ {
-				if ra.Intersects(entryRect(db, j)) {
-					out = append(out, [2]pager.PageID{pager.PageID(entryPtr(da, i)), pager.PageID(entryPtr(db, j))})
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// joinWalk is the serial simultaneous descent over one disk subtree
-// pair, zero-copy over pinned views. Returns node-page pairs visited.
-// Both views stay pinned across the recursion; the pin count is
-// bounded by the sum of the two tree heights.
-func (t *DiskTree) joinWalk(u *DiskTree, a, b pager.PageID, pred func(a, b geom.Rect) bool, out *[]JoinPair) (int, error) {
-	va, err := t.p.Pin(a)
-	if err != nil {
-		return 0, err
-	}
-	defer va.Unpin()
-	vb, err := u.p.Pin(b)
-	if err != nil {
-		return 0, err
-	}
-	defer vb.Unpin()
-	da, db := va.Data(), vb.Data()
-	if err := validNode(a, da); err != nil {
-		return 0, err
-	}
-	if err := validNode(b, db); err != nil {
-		return 0, err
-	}
-	visited := 1
-	na, nb := nodeCount(da), nodeCount(db)
-	switch {
-	case nodeIsLeaf(da) && nodeIsLeaf(db):
-		for i := 0; i < na; i++ {
-			ra := entryRect(da, i)
-			for j := 0; j < nb; j++ {
-				rb := entryRect(db, j)
-				if pred(ra, rb) {
-					*out = append(*out, JoinPair{
-						A: Item{Rect: ra, Data: entryPtr(da, i)},
-						B: Item{Rect: rb, Data: entryPtr(db, j)},
-					})
-				}
-			}
-		}
-	case nodeIsLeaf(da):
-		nm := nodeMBRData(da, na)
-		for j := 0; j < nb; j++ {
-			if nm.Intersects(entryRect(db, j)) {
-				v, err := t.joinWalk(u, a, pager.PageID(entryPtr(db, j)), pred, out)
-				visited += v
-				if err != nil {
-					return visited, err
-				}
-			}
-		}
-	case nodeIsLeaf(db):
-		mm := nodeMBRData(db, nb)
-		for i := 0; i < na; i++ {
-			if entryRect(da, i).Intersects(mm) {
-				v, err := t.joinWalk(u, pager.PageID(entryPtr(da, i)), b, pred, out)
-				visited += v
-				if err != nil {
-					return visited, err
-				}
-			}
-		}
-	default:
-		for i := 0; i < na; i++ {
-			ra := entryRect(da, i)
-			for j := 0; j < nb; j++ {
-				if ra.Intersects(entryRect(db, j)) {
-					v, err := t.joinWalk(u, pager.PageID(entryPtr(da, i)), pager.PageID(entryPtr(db, j)), pred, out)
-					visited += v
-					if err != nil {
-						return visited, err
-					}
-				}
-			}
-		}
-	}
-	return visited, nil
-}
-
-// nodeMBRData computes a node's MBR in place from pinned page bytes.
-func nodeMBRData(data []byte, n int) geom.Rect {
-	out := geom.EmptyRect()
-	for i := 0; i < n; i++ {
-		out = out.Union(entryRect(data, i))
-	}
-	return out
 }

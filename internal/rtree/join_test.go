@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/pager"
 )
 
 // joinFixture builds two in-memory trees over overlapping random
@@ -89,151 +88,5 @@ func TestJuxtaposeEmpty(t *testing.T) {
 	}
 	if pairs, visited := Juxtapose(empty, a, func(x, y geom.Rect) bool { return x.Intersects(y) }, 4); len(pairs) != 0 || visited != 0 {
 		t.Fatalf("join from empty tree: %d pairs, %d visits", len(pairs), visited)
-	}
-}
-
-// diskJoinFixture builds two disk trees over the same random sets used
-// by joinFixture, sharing one pager.
-func diskJoinFixture(t testing.TB, n int, seed int64, pool int) (*DiskTree, *DiskTree, *pager.Pager) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	randRect := func() geom.Rect {
-		x, y := rng.Float64()*1000, rng.Float64()*1000
-		return geom.Rect{Min: geom.Pt(x, y), Max: geom.Pt(x+rng.Float64()*20, y+rng.Float64()*20)}
-	}
-	itemsA := make([]Item, n)
-	itemsB := make([]Item, n)
-	for i := 0; i < n; i++ {
-		itemsA[i] = Item{Rect: randRect(), Data: int64(i)}
-		itemsB[i] = Item{Rect: randRect(), Data: int64(1000000 + i)}
-	}
-	p := pager.OpenMem(pool)
-	da, err := BulkLoadDisk(p, 16, 8, itemsA, tileGrouper{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := BulkLoadDisk(p, 16, 8, itemsB, tileGrouper{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return da, db, p
-}
-
-// TestDiskJuxtaposeParallelMatchesSerial: the disk join at every
-// worker count reproduces the serial disk join exactly.
-func TestDiskJuxtaposeParallelMatchesSerial(t *testing.T) {
-	da, db, p := diskJoinFixture(t, 1500, 99, 1024)
-	defer p.Close()
-	pred := func(x, y geom.Rect) bool { return x.Intersects(y) }
-
-	want, wantVisited, err := da.Juxtapose(db, pred, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("fixture produced no join pairs")
-	}
-	for _, workers := range []int{2, 4, 8} {
-		got, visited, err := da.Juxtapose(db, pred, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if visited != wantVisited {
-			t.Errorf("workers=%d: visited %d node pairs, serial visited %d", workers, visited, wantVisited)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d pairs, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: pair %d = %+v, want %+v", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestDiskJuxtaposeMatchesMemorySet: the disk join finds the same pair
-// set (keyed by item data) as the in-memory join over the same items —
-// tree shapes differ, so only the sets are comparable.
-func TestDiskJuxtaposeMatchesMemorySet(t *testing.T) {
-	da, db, p := diskJoinFixture(t, 600, 5, 1024)
-	defer p.Close()
-	pred := func(x, y geom.Rect) bool { return x.Intersects(y) }
-	diskPairs, _, err := da.Juxtapose(db, pred, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Rebuild the same items in memory (same seed and generator as
-	// diskJoinFixture).
-	rng := rand.New(rand.NewSource(5))
-	randRect := func() geom.Rect {
-		x, y := rng.Float64()*1000, rng.Float64()*1000
-		return geom.Rect{Min: geom.Pt(x, y), Max: geom.Pt(x+rng.Float64()*20, y+rng.Float64()*20)}
-	}
-	ma := New(Params{Max: 8, Min: 4})
-	mb := New(Params{Max: 8, Min: 4})
-	for i := 0; i < 600; i++ {
-		ma.Insert(randRect(), int64(i))
-		mb.Insert(randRect(), int64(1000000+i))
-	}
-	memPairs, _ := Juxtapose(ma, mb, pred, 1)
-
-	key := func(p JoinPair) [2]int64 { return [2]int64{p.A.Data, p.B.Data} }
-	set := make(map[[2]int64]bool, len(memPairs))
-	for _, pr := range memPairs {
-		set[key(pr)] = true
-	}
-	if len(diskPairs) != len(memPairs) {
-		t.Fatalf("disk join %d pairs, memory join %d", len(diskPairs), len(memPairs))
-	}
-	for _, pr := range diskPairs {
-		if !set[key(pr)] {
-			t.Fatalf("disk pair %+v not found by memory join", pr)
-		}
-	}
-}
-
-// TestDiskSearchZeroAllocs asserts the zero-copy claim: a warm
-// DiskTree search performs no per-entry or per-node allocations.
-func TestDiskSearchZeroAllocs(t *testing.T) {
-	da, _, p := diskJoinFixture(t, 2000, 11, 2048)
-	defer p.Close()
-	window := geom.Rect{Min: geom.Pt(100, 100), Max: geom.Pt(300, 300)}
-	// Warm the pool and the stack pool.
-	if _, err := da.Search(window, func(Item) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := da.Search(window, func(Item) bool { return true }); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("warm DiskTree.Search allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestDiskQueryPreallocAllocs asserts Query's size-hinted
-// preallocation: after a warm-up query establishes the hint, a repeat
-// of the same window allocates only the result slice.
-func TestDiskQueryPreallocAllocs(t *testing.T) {
-	da, _, p := diskJoinFixture(t, 2000, 11, 2048)
-	defer p.Close()
-	window := geom.Rect{Min: geom.Pt(100, 100), Max: geom.Pt(300, 300)}
-	res, _, err := da.Query(window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) == 0 {
-		t.Fatal("window matched nothing; fixture broken")
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := da.Query(window); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 1 {
-		t.Errorf("warm DiskTree.Query allocates %.1f objects/op, want 1 (the result slice)", allocs)
 	}
 }

@@ -1,161 +1,25 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/geom"
 )
 
-// Skewed insert traces for the rebalancing experiments. Hilbert-range
+// The skewed insert trace for the rebalancing tests. Hilbert-range
 // sharding splits the key space evenly at creation, so any insert
 // distribution that concentrates on a narrow slice of the Hilbert
 // order lands on one hot shard — exactly the realistic pictorial case
-// (map objects bunch geographically). The generators here express that
+// (map objects bunch geographically). The generator expresses that
 // concentration directly in Hilbert-key order: the frame is cut into a
-// grid of cells ranked by the Hilbert key of their centers, and the
-// skew modes choose cells non-uniformly along that ranking.
+// grid of cells ranked by the Hilbert key of their centers, and cells
+// are chosen non-uniformly along that ranking.
 
 // skewGrid is the per-axis cell count of the Hilbert-ranked grid: 64²
 // cells is fine-grained against 256 max shards while keeping setup
 // cost trivial.
 const skewGrid = 64
-
-// SkewMode selects a skewed point distribution.
-type SkewMode int
-
-const (
-	// SkewUniform is the unskewed baseline (UniformPoints).
-	SkewUniform SkewMode = iota
-	// SkewZipf draws the cell rank from a Zipf distribution over the
-	// Hilbert ordering: rank 0 (the start of the curve) is hottest and
-	// density decays as rank^-s.
-	SkewZipf
-	// SkewCluster groups points into Gaussian clusters
-	// (ClusteredPoints).
-	SkewCluster
-	// SkewHot sends a fixed fraction of points into a contiguous prefix
-	// of the Hilbert ordering — "90% of inserts into 10% of the key
-	// space", the acceptance-criteria workload.
-	SkewHot
-)
-
-// SkewSpec is a parsed skew directive. The zero value is uniform.
-type SkewSpec struct {
-	Mode SkewMode
-	// S is the Zipf exponent (SkewZipf; > 1).
-	S float64
-	// K and Stddev parameterize SkewCluster.
-	K      int
-	Stddev float64
-	// Frac and Range parameterize SkewHot: Frac of the points land in
-	// the first Range fraction of the Hilbert ordering.
-	Frac, Range float64
-}
-
-// ParseSkew parses a -skew flag value:
-//
-//	uniform              no skew (the default; empty means uniform too)
-//	zipf:<s>             Zipf over the Hilbert ordering, exponent s > 1
-//	cluster:<k>:<stddev> k Gaussian clusters with the given deviation
-//	hot:<frac>:<range>   frac of points in the first range of the
-//	                     Hilbert ordering (hot:0.9:0.1 = 90% in 10%)
-func ParseSkew(spec string) (SkewSpec, error) {
-	if spec == "" || spec == "uniform" {
-		return SkewSpec{}, nil
-	}
-	parts := strings.Split(spec, ":")
-	bad := func() (SkewSpec, error) {
-		return SkewSpec{}, fmt.Errorf("workload: bad skew spec %q (want uniform, zipf:<s>, cluster:<k>:<stddev>, or hot:<frac>:<range>)", spec)
-	}
-	switch parts[0] {
-	case "zipf":
-		if len(parts) != 2 {
-			return bad()
-		}
-		s, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || s <= 1 {
-			return bad()
-		}
-		return SkewSpec{Mode: SkewZipf, S: s}, nil
-	case "cluster":
-		if len(parts) != 3 {
-			return bad()
-		}
-		k, err := strconv.Atoi(parts[1])
-		if err != nil || k < 1 {
-			return bad()
-		}
-		sd, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil || sd <= 0 {
-			return bad()
-		}
-		return SkewSpec{Mode: SkewCluster, K: k, Stddev: sd}, nil
-	case "hot":
-		if len(parts) != 3 {
-			return bad()
-		}
-		f, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || f <= 0 || f > 1 {
-			return bad()
-		}
-		r, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil || r <= 0 || r > 1 {
-			return bad()
-		}
-		return SkewSpec{Mode: SkewHot, Frac: f, Range: r}, nil
-	}
-	return bad()
-}
-
-// String renders the spec in ParseSkew's syntax.
-func (sp SkewSpec) String() string {
-	switch sp.Mode {
-	case SkewZipf:
-		return fmt.Sprintf("zipf:%g", sp.S)
-	case SkewCluster:
-		return fmt.Sprintf("cluster:%d:%g", sp.K, sp.Stddev)
-	case SkewHot:
-		return fmt.Sprintf("hot:%g:%g", sp.Frac, sp.Range)
-	default:
-		return "uniform"
-	}
-}
-
-// Points draws n points under the spec. Same spec and seed, same
-// points.
-func (sp SkewSpec) Points(n int, seed int64) []geom.Point {
-	switch sp.Mode {
-	case SkewZipf:
-		return zipfHilbertPoints(n, sp.S, seed)
-	case SkewCluster:
-		return ClusteredPoints(n, sp.K, sp.Stddev, seed)
-	case SkewHot:
-		return hotHilbertPoints(n, sp.Frac, sp.Range, seed)
-	default:
-		return UniformPoints(n, seed)
-	}
-}
-
-// Windows draws n query windows whose centers follow the spec and
-// whose half-extents are uniform up to maxHalf. The uniform spec
-// delegates to QueryWindows so existing benchmark traces are
-// unchanged when no -skew flag is given.
-func (sp SkewSpec) Windows(n int, maxHalf float64, seed int64) []geom.Rect {
-	if sp.Mode == SkewUniform {
-		return QueryWindows(n, maxHalf, seed)
-	}
-	rng := rand.New(rand.NewSource(seed ^ 0x51e77))
-	pts := sp.Points(n, seed)
-	out := make([]geom.Rect, n)
-	for i, p := range pts {
-		out[i] = geom.WindowAt(p.X, rng.Float64()*maxHalf, p.Y, rng.Float64()*maxHalf)
-	}
-	return out
-}
 
 // hilbertCells returns the grid's cells sorted by the Hilbert key of
 // their centers — the curve order the shard router uses.
@@ -192,22 +56,11 @@ func pointIn(rng *rand.Rand, r geom.Rect) geom.Point {
 	)
 }
 
-// zipfHilbertPoints draws cell ranks from Zipf(s) over the Hilbert
-// ordering and a uniform point inside each chosen cell.
-func zipfHilbertPoints(n int, s float64, seed int64) []geom.Point {
-	rng := rand.New(rand.NewSource(seed))
-	cells := hilbertCells()
-	z := rand.NewZipf(rng, s, 1, uint64(len(cells)-1))
-	out := make([]geom.Point, n)
-	for i := range out {
-		out[i] = pointIn(rng, cells[z.Uint64()])
-	}
-	return out
-}
-
-// hotHilbertPoints sends frac of the points into the first hotRange
-// fraction of the Hilbert ordering, the rest uniform over the frame.
-func hotHilbertPoints(n int, frac, hotRange float64, seed int64) []geom.Point {
+// HotHilbertPoints sends frac of the points into the first hotRange
+// fraction of the Hilbert ordering ("90% of inserts into 10% of the key
+// space"), the rest uniform over the frame. Same arguments, same
+// points.
+func HotHilbertPoints(n int, frac, hotRange float64, seed int64) []geom.Point {
 	rng := rand.New(rand.NewSource(seed))
 	cells := hilbertCells()
 	hot := int(hotRange * float64(len(cells)))

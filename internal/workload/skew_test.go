@@ -6,58 +6,25 @@ import (
 	"repro/internal/pack"
 )
 
-func TestParseSkew(t *testing.T) {
-	good := []string{"", "uniform", "zipf:1.2", "cluster:4:25", "hot:0.9:0.1"}
-	for _, s := range good {
-		if _, err := ParseSkew(s); err != nil {
-			t.Errorf("ParseSkew(%q): %v", s, err)
+func TestHotHilbertPointsDeterministicAndInFrame(t *testing.T) {
+	a := HotHilbertPoints(400, 0.9, 0.1, 11)
+	b := HotHilbertPoints(400, 0.9, 0.1, 11)
+	for i := range a {
+		if !a[i].Eq(b[i]) {
+			t.Fatalf("same seed diverged at %d", i)
 		}
-	}
-	bad := []string{"zipf", "zipf:0.5", "zipf:x", "cluster:4", "cluster:0:25",
-		"cluster:4:0", "hot:0.9", "hot:1.5:0.1", "hot:0.9:0", "nope:1"}
-	for _, s := range bad {
-		if _, err := ParseSkew(s); err == nil {
-			t.Errorf("ParseSkew(%q) accepted", s)
-		}
-	}
-	// Round-trip through String.
-	for _, s := range []string{"uniform", "zipf:1.2", "cluster:4:25", "hot:0.9:0.1"} {
-		sp, err := ParseSkew(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sp.String() != s {
-			t.Errorf("ParseSkew(%q).String() = %q", s, sp.String())
-		}
-	}
-}
-
-func TestSkewPointsDeterministicAndInFrame(t *testing.T) {
-	for _, spec := range []string{"uniform", "zipf:1.5", "cluster:4:25", "hot:0.9:0.1"} {
-		sp, err := ParseSkew(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := sp.Points(400, 11)
-		b := sp.Points(400, 11)
-		for i := range a {
-			if !a[i].Eq(b[i]) {
-				t.Fatalf("%s: same seed diverged at %d", spec, i)
-			}
-			if !Frame.ContainsPoint(a[i]) {
-				t.Fatalf("%s: point %v outside frame", spec, a[i])
-			}
+		if !Frame.ContainsPoint(a[i]) {
+			t.Fatalf("point %v outside frame", a[i])
 		}
 	}
 }
 
 // TestHotSkewConcentratesHilbertKeys checks the acceptance-criteria
-// workload really is skewed in the router's terms: with hot:0.9:0.1 at
+// workload really is skewed in the router's terms: at 0.9 into 0.1, at
 // least 85% of the points must fall in the first 10% of the Hilbert
 // key space (90% aimed there, plus strays from the uniform remainder).
 func TestHotSkewConcentratesHilbertKeys(t *testing.T) {
-	sp := SkewSpec{Mode: SkewHot, Frac: 0.9, Range: 0.1}
-	pts := sp.Points(4000, 3)
+	pts := HotHilbertPoints(4000, 0.9, 0.1, 3)
 	cut := (uint64(1) << pack.HilbertKeyBits) / 10 // 10% of the key space
 	in := 0
 	for _, p := range pts {
@@ -66,6 +33,6 @@ func TestHotSkewConcentratesHilbertKeys(t *testing.T) {
 		}
 	}
 	if frac := float64(in) / float64(len(pts)); frac < 0.85 {
-		t.Fatalf("hot:0.9:0.1 put only %.2f of points in the first 10%% of the key space", frac)
+		t.Fatalf("0.9 into 0.1 put only %.2f of points in the first 10%% of the key space", frac)
 	}
 }

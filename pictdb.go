@@ -79,22 +79,9 @@ type (
 	PackOptions = pack.Options
 	// RTreeParams configures R-tree branching.
 	RTreeParams = rtree.Params
-	// SpatialWritePolicy selects where spatial-index writes land.
-	SpatialWritePolicy = relation.WritePolicy
 	// SpatialCostSnapshot is the planner's consistent view of a spatial
 	// index.
 	SpatialCostSnapshot = relation.CostSnapshot
-)
-
-// Spatial write policy re-exports.
-const (
-	// WriteDelta absorbs writes into each index's in-memory delta
-	// R-tree (the default); a background repacker restores packed
-	// quality.
-	WriteDelta = relation.WriteDelta
-	// WriteInPlace is the paper's per-tuple Guttman maintenance,
-	// mutating the packed tree directly.
-	WriteInPlace = relation.WriteInPlace
 )
 
 // Value constructors, re-exported.
@@ -246,7 +233,10 @@ func openWithPager(p *pager.Pager, path string, poolPages int, factory func(rel 
 		return nil, err
 	}
 	if err := db.loadCatalog(); err != nil {
+		// Close without the final commit and checkpoint: a file whose
+		// catalog cannot be read is not ours to rewrite.
 		db.closeShardPagers()
+		p.SetReadOnly(true)
 		p.Close()
 		return nil, fmt.Errorf("pictdb: loading catalog: %w", err)
 	}
@@ -382,15 +372,6 @@ func (db *Database) Close() error {
 func (db *Database) WaitRepacks() {
 	for _, rel := range db.relations {
 		rel.WaitRepacks()
-	}
-}
-
-// SetSpatialWritePolicy sets the write policy on every spatial index
-// of every relation (and future indexes of existing relations):
-// WriteDelta (default) or WriteInPlace.
-func (db *Database) SetSpatialWritePolicy(p SpatialWritePolicy) {
-	for _, rel := range db.relations {
-		rel.SetSpatialWritePolicy(p)
 	}
 }
 

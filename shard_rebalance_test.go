@@ -114,11 +114,7 @@ func TestShardSplitPersistsAcrossReopen(t *testing.T) {
 	if err := rel.AttachPicture(pic, pictdb.PackOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	skew, err := workload.ParseSkew("hot:0.9:0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := skew.Points(300, 77)
+	pts := workload.HotHilbertPoints(300, 0.9, 0.1, 77)
 	for i, p := range pts {
 		name := fmt.Sprintf("p%03d", i)
 		oid := pic.AddPoint(name, p)
@@ -225,11 +221,7 @@ func TestShardSplitCrashMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	skew, err := workload.ParseSkew("hot:0.9:0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := skew.Points(120, 13)
+	pts := workload.HotHilbertPoints(120, 0.9, 0.1, 13)
 	n := 0
 	insert := func(count int) {
 		for i := 0; i < count; i++ {
