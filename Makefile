@@ -6,8 +6,8 @@ GO ?= go
 # suite, DESIGN.md §14), build, pass under the race detector (the
 # concurrent read path and parallel PACK are exercised by dedicated
 # -race stress tests), and survive the fault-injection and crash-point
-# suites, including the WAL crash-recovery matrix.
-check: vet lint build race faults walfaults
+# suites, including the WAL crash-recovery and shard-split matrices.
+check: vet lint build race faults walfaults shardfaults
 
 build:
 	$(GO) build ./...

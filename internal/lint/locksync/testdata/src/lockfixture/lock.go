@@ -238,7 +238,7 @@ func badSyncUnderDir(r *Relation, b backend) error {
 }
 
 // badSendUnderShardHeap blocks on a channel send with a shard heap
-// locked (the absorber handshake must happen outside it).
+// locked (the repacker handshake must happen outside it).
 func badSendUnderShardHeap(sh *relShard, ch chan int) {
 	sh.mu.Lock()
 	ch <- 1 // want `blocking channel send while holding shard heap mutex`

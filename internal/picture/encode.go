@@ -94,6 +94,8 @@ func (p *Picture) Restore(o Object) error {
 	if o.ID == 0 {
 		return fmt.Errorf("picture: restore of object with zero id")
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if _, dup := p.objects[o.ID]; dup {
 		return fmt.Errorf("picture: duplicate object id %d", o.ID)
 	}

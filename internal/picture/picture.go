@@ -15,6 +15,7 @@ package picture
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/geom"
 )
@@ -102,10 +103,14 @@ func (o Object) Anchor() geom.Point {
 }
 
 // Picture is a named 2-D extent holding spatial objects: one map of
-// the paper's pictorial database.
+// the paper's pictorial database. It is safe for concurrent use:
+// statements resolve loc pointers through Get while writers add and
+// remove objects.
 type Picture struct {
-	name    string
-	extent  geom.Rect
+	name   string
+	extent geom.Rect
+
+	mu      sync.RWMutex // guards objects and nextID
 	objects map[ObjectID]Object
 	nextID  ObjectID
 }
@@ -127,7 +132,11 @@ func (p *Picture) Name() string { return p.name }
 func (p *Picture) Extent() geom.Rect { return p.extent }
 
 // Len returns the number of objects on the picture.
-func (p *Picture) Len() int { return len(p.objects) }
+func (p *Picture) Len() int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return len(p.objects)
+}
 
 // AddPoint places a point object and returns its id.
 func (p *Picture) AddPoint(label string, pt geom.Point) ObjectID {
@@ -145,6 +154,8 @@ func (p *Picture) AddRegion(label string, poly geom.Polygon) ObjectID {
 }
 
 func (p *Picture) add(o Object) ObjectID {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	o.ID = p.nextID
 	p.nextID++
 	p.objects[o.ID] = o
@@ -153,6 +164,8 @@ func (p *Picture) add(o Object) ObjectID {
 
 // Get returns the object with the given id.
 func (p *Picture) Get(id ObjectID) (Object, bool) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	o, ok := p.objects[id]
 	return o, ok
 }
@@ -160,6 +173,8 @@ func (p *Picture) Get(id ObjectID) (Object, bool) {
 // Remove deletes the object with the given id, reporting whether it
 // existed.
 func (p *Picture) Remove(id ObjectID) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if _, ok := p.objects[id]; !ok {
 		return false
 	}
@@ -170,10 +185,12 @@ func (p *Picture) Remove(id ObjectID) bool {
 // Objects returns all objects ordered by id (stable for display and
 // index building).
 func (p *Picture) Objects() []Object {
+	p.mu.RLock()
 	out := make([]Object, 0, len(p.objects))
 	for _, o := range p.objects {
 		out = append(out, o)
 	}
+	p.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

@@ -2,6 +2,7 @@ package picture
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -150,5 +151,50 @@ func TestRenderDegenerate(t *testing.T) {
 	}
 	if out := DefaultRenderer().Render(geom.EmptyRect(), p.Objects()); out != "" {
 		t.Error("empty window should produce empty output")
+	}
+}
+
+// TestConcurrentAddAndRead is the -race check on Picture's lock: one
+// writer places points while readers resolve ids and enumerate, the
+// access pattern of an online shard split (AddPoint beside the
+// executor's loc resolution).
+func TestConcurrentAddAndRead(t *testing.T) {
+	p := New("m", geom.R(0, 0, 100, 100))
+	first := p.AddPoint("seed", geom.Pt(1, 1))
+	const n = 500
+	done := make(chan struct{})
+	started := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			started <- struct{}{}
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, ok := p.Get(first); !ok {
+					t.Error("seed object vanished")
+					return
+				}
+				if objs := p.Objects(); len(objs) == 0 || len(objs) > n+1 || p.Len() < len(objs) {
+					t.Errorf("Objects returned %d of %d", len(objs), p.Len())
+					return
+				}
+			}
+		}()
+	}
+	<-started
+	<-started
+	for i := 0; i < n; i++ {
+		p.AddPoint("w", geom.Pt(float64(i%100), 2))
+	}
+	close(done)
+	wg.Wait()
+	if p.Len() != n+1 {
+		t.Fatalf("Len = %d, want %d", p.Len(), n+1)
 	}
 }

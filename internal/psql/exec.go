@@ -879,7 +879,7 @@ func (st *execState) juxtapose(bi, bj int, op SpatialOp) ([]row, error) {
 		if nodesB > nodesA {
 			drive = b.name
 			jp, stats, visited, err := b.rel.JuxtaposeSpatialStats(b.picture, a.rel, a.picture,
-				func(y, x geom.Rect) bool { return pred(x, y) }, st.e.parallelism(), true)
+				func(y, x geom.Rect) bool { return pred(x, y) }, st.e.parallelism())
 			if err != nil {
 				return nil, err
 			}
@@ -891,7 +891,7 @@ func (st *execState) juxtapose(bi, bj int, op SpatialOp) ([]row, error) {
 			}
 		} else {
 			jp, stats, visited, err := a.rel.JuxtaposeSpatialStats(a.picture, b.rel, b.picture,
-				func(x, y geom.Rect) bool { return pred(x, y) }, st.e.parallelism(), true)
+				func(x, y geom.Rect) bool { return pred(x, y) }, st.e.parallelism())
 			if err != nil {
 				return nil, err
 			}

@@ -26,10 +26,16 @@ func corpusPlans(t *testing.T, db *pictdb.Database) []string {
 
 // TestPlanChoiceOnOracleCorpus pins the planner's choice and estimates
 // over the oracle corpus, on the freshly packed US database and again
-// with a warm write side (L0 entries and tombstones the cost snapshot
-// must price). The expected lines were recorded at the commit before
+// with a warm write side (delta-tree entries and tombstones the cost
+// snapshot must price). packedPlans was recorded at the commit before
 // the planner's in-place drift branch and the pending-write counters
-// were removed: removing them must not move any plan.
+// were removed and has not moved since. warmPlans was re-pinned when
+// the L0 buffer was deleted: the 40 pending inserts now sit in a
+// 3-node delta tree (a root over two leaves) instead of a buffer the
+// snapshot priced at zero nodes, so every direct-search estimate rose
+// by exactly 3.0 (43.7 to 46.7) and the cities side of the
+// juxtaposition by exactly 3 nodes (16 to 19); no access path and no
+// driving side changed.
 func TestPlanChoiceOnOracleCorpus(t *testing.T) {
 	db := usdb(t)
 	check := func(state string, want []string) {
@@ -85,17 +91,17 @@ var packedPlans = []string{
 }
 
 var warmPlans = []string{
-	`cost: direct spatial search (est 43.7) kept over B-tree on cities.population (est 59.8) | direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
+	`cost: direct spatial search (est 46.7) kept over B-tree on cities.population (est 59.8) | direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
 	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covering`,
 	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), overlapping`,
 	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), disjoined`,
-	`index lookup: B-tree on cities.city (=) drives the at-clause (est 14.5 vs direct 43.7)`,
-	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (16 vs 1 nodes)`,
-	`juxtaposition: simultaneous R-tree traversal of "time-zones" and "cities" (covering), driving "cities" (1 vs 16 nodes)`,
+	`index lookup: B-tree on cities.city (=) drives the at-clause (est 14.5 vs direct 46.7)`,
+	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (19 vs 1 nodes)`,
+	`juxtaposition: simultaneous R-tree traversal of "time-zones" and "cities" (covering), driving "cities" (1 vs 19 nodes)`,
 	`direct spatial search: R-tree of "lakes" on "lake-map", 15 window(s), covered-by | nested: direct spatial search: R-tree of "states" on "state-map", 1 window(s), overlapping`,
 	`index lookup: B-tree on cities.population (>) (est 59.8 vs scan 81.0)`,
 	`index lookup: B-tree on cities.population (>) (est 59.8 vs scan 81.0)`,
 	`scan: full scan of 1 relation(s)`,
 	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
-	`cost: direct spatial search (est 43.7) kept over B-tree on cities.population (est 59.8) | direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
+	`cost: direct spatial search (est 46.7) kept over B-tree on cities.population (est 59.8) | direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
 }

@@ -29,8 +29,8 @@ const btreeHysteresis = 0.5
 // through the index described by snap: expected nodes visited plus
 // expected qualifying-tuple fetches. The snapshot's live write-side
 // sizes keep the estimate honest after inserts and deletes: the delta
-// trees and L0 buffers add their own visit and fetch terms, and
-// tombstones a probe per packed hit.
+// trees add their own visit and fetch terms, and tombstones a probe per
+// packed hit.
 func directSearchCost(snap relation.CostSnapshot, windows []geom.Rect, op SpatialOp) float64 {
 	s := snap.Stats
 	if s.Items == 0 && snap.DeltaItems == 0 {

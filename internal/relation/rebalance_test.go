@@ -327,12 +327,13 @@ func tupleIDLessOrEqual(a, b storage.TupleID) bool {
 	return a.Slot <= b.Slot
 }
 
-// buildClusteredJoinRel makes a sharded relation of small square
-// regions drawn around Gaussian clusters, routed by Hilbert key
-// (picture attached before inserts).
+// buildClusteredJoinRel makes a relation of small square regions drawn
+// around Gaussian clusters (picture attached before inserts): sharded
+// and routed by Hilbert key, or with shards == 0 the unsharded
+// reference holding the same tuples in the same order.
 func buildClusteredJoinRel(t *testing.T, pic *picture.Picture, shards int, centers [][2]float64, seed int64, n int) *Relation {
 	t.Helper()
-	pagers := make([]*pager.Pager, shards)
+	pagers := make([]*pager.Pager, max(shards, 1))
 	for i := range pagers {
 		pagers[i] = pager.OpenMem(64)
 	}
@@ -341,7 +342,13 @@ func buildClusteredJoinRel(t *testing.T, pic *picture.Picture, shards int, cente
 			p.Close()
 		}
 	})
-	rel, err := NewSharded(pagers, "r", citySchema())
+	var rel *Relation
+	var err error
+	if shards == 0 {
+		rel, err = New(pagers[0], "r", citySchema())
+	} else {
+		rel, err = NewSharded(pagers, "r", citySchema())
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,54 +371,73 @@ func buildClusteredJoinRel(t *testing.T, pic *picture.Picture, shards int, cente
 }
 
 // TestScatterJuxtaposePruneIdentical checks the frontier restriction's
-// two contracts on clustered data: pruned output is bit-identical to
-// the pair-product scatter, and it joins at most half the
-// bounds-overlapping shard pair product. The two relations share two
-// cluster sites (so the join is non-vacuous) and differ in the rest;
-// six even Hilbert ranges over five clusters give L-shaped shard
-// regions whose MBRs overlap through empty space — exactly the pairs
-// the frontier walk proves empty.
+// two contracts on clustered data. Identity, with the write side warm
+// (every tuple still in a delta tree) and again after a repack: the
+// pruned sharded join resolves to the same logical pairs, in the same
+// canonical order, as the unsharded relations' JuxtaposeSpatial over
+// the same tuples (a single index pair, where no shard-pair pruning
+// exists). Pruning power, on the packed trees the frontier is cut
+// from: it joins at most half the bounds-overlapping shard pair
+// product. (A 50-entry delta tree is two or three leaves, so its
+// frontier is too coarse to promise a ratio; it only has to stay
+// conservative.) The two relations share two cluster sites (so the
+// join is non-vacuous) and differ in the rest; six even Hilbert ranges
+// over five clusters give L-shaped shard regions whose MBRs overlap
+// through empty space — exactly the pairs the frontier walk proves
+// empty.
 func TestScatterJuxtaposePruneIdentical(t *testing.T) {
 	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
 	ca := [][2]float64{{120, 150}, {850, 200}, {480, 520}, {200, 840}, {880, 870}}
 	cb := [][2]float64{{120, 150}, {850, 200}, {700, 650}, {350, 300}, {150, 500}}
 	rel := buildClusteredJoinRel(t, pic, 6, ca, 31, 300)
 	other := buildClusteredJoinRel(t, pic, 6, cb, 77, 300)
+	refRel := buildClusteredJoinRel(t, pic, 0, ca, 31, 300)
+	refOther := buildClusteredJoinRel(t, pic, 0, cb, 77, 300)
 	pred := func(a, b geom.Rect) bool { return a.Intersects(b) }
-	pruned, stats, _, err := rel.JuxtaposeSpatialStats("us-map", other, "us-map", pred, 2, true)
-	if err != nil {
-		t.Fatal(err)
+	split := func(pairs []SpatialPair) (as, bs []storage.TupleID) {
+		for _, p := range pairs {
+			as = append(as, p.A)
+			bs = append(bs, p.B)
+		}
+		return as, bs
 	}
-	full, fullStats, _, err := rel.JuxtaposeSpatialStats("us-map", other, "us-map", pred, 2, false)
-	if err != nil {
-		t.Fatal(err)
+	join := func(stage string) JoinShardStats {
+		t.Helper()
+		pruned, stats, _, err := rel.JuxtaposeSpatialStats("us-map", other, "us-map", pred, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, _, err := refRel.JuxtaposeSpatial("us-map", refOther, "us-map", pred, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pruned) == 0 {
+			t.Fatalf("%s: vacuous, no join pairs", stage)
+		}
+		gotA, gotB := split(pruned)
+		wantA, wantB := split(full)
+		if !namesEqual(resolveNames(t, rel, gotA), resolveNames(t, refRel, wantA)) ||
+			!namesEqual(resolveNames(t, other, gotB), resolveNames(t, refOther, wantB)) {
+			t.Fatalf("%s: pruned sharded join (%d pairs) diverged from the unsharded join (%d pairs)", stage, len(pruned), len(full))
+		}
+		// And the planner's no-join estimate agrees with the real join.
+		est, err := rel.JoinShardPairEstimate("us-map", other, "us-map")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est != stats {
+			t.Fatalf("%s: estimate %+v diverged from join stats %+v", stage, est, stats)
+		}
+		return stats
 	}
-	if len(pruned) != len(full) {
-		t.Fatalf("pruned join: %d pairs, full scatter: %d", len(pruned), len(full))
-	}
-	for i := range pruned {
-		if pruned[i] != full[i] {
-			t.Fatalf("pair %d diverged: %v vs %v", i, pruned[i], full[i])
+	join("warm write side")
+	for _, r := range []*Relation{rel, other} {
+		if err := r.RepackPicture("us-map", pack.Options{}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if len(pruned) == 0 {
-		t.Fatal("vacuous: no join pairs")
-	}
-	if fullStats.PairsJoined != fullStats.PairProduct {
-		t.Fatalf("unpruned scatter skipped pairs: %+v", fullStats)
-	}
-	if stats.PairProduct != fullStats.PairProduct {
-		t.Fatalf("pair product diverged: %d vs %d", stats.PairProduct, fullStats.PairProduct)
-	}
+	stats := join("packed")
 	if stats.PairsJoined*2 > stats.PairProduct {
 		t.Fatalf("frontier restriction joined %d of %d pairs, want <= half", stats.PairsJoined, stats.PairProduct)
-	}
-	// And the planner's no-join estimate agrees with the real join.
-	est, err := rel.JoinShardPairEstimate("us-map", other, "us-map")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est != stats {
-		t.Fatalf("estimate %+v diverged from join stats %+v", est, stats)
 	}
 }

@@ -609,18 +609,16 @@ type SpatialPair struct {
 // intersection (the pruning rule); it is called concurrently and must
 // be pure.
 func (r *Relation) JuxtaposeSpatial(picA string, s *Relation, picB string, pred func(a, b geom.Rect) bool, workers int) ([]SpatialPair, int, error) {
-	out, _, visited, err := r.JuxtaposeSpatialStats(picA, s, picB, pred, workers, true)
+	out, _, visited, err := r.JuxtaposeSpatialStats(picA, s, picB, pred, workers)
 	return out, visited, err
 }
 
 // JuxtaposeSpatialStats is JuxtaposeSpatial with the cross-shard pair
-// telemetry exposed and frontier pruning made optional: with prune set,
-// shard pairs whose subtree frontiers are disjoint are skipped (the
-// result is provably identical — pred implies rectangle intersection);
-// without it every bounds-overlapping pair is joined, the PR 9 baseline
-// the benchmarks compare against. For unsharded relations the stats
-// report the single 1×1 pair.
-func (r *Relation) JuxtaposeSpatialStats(picA string, s *Relation, picB string, pred func(a, b geom.Rect) bool, workers int, prune bool) ([]SpatialPair, JoinShardStats, int, error) {
+// telemetry exposed: shard pairs whose subtree frontiers are disjoint
+// are skipped (the result is provably identical — pred implies
+// rectangle intersection). For unsharded relations the stats report the
+// single 1×1 pair.
+func (r *Relation) JuxtaposeSpatialStats(picA string, s *Relation, picB string, pred func(a, b geom.Rect) bool, workers int) ([]SpatialPair, JoinShardStats, int, error) {
 	as := r.spatialList(picA)
 	if as == nil {
 		return nil, JoinShardStats{}, 0, fmt.Errorf("relation %s: no spatial index for picture %q", r.name, picA)
@@ -629,7 +627,7 @@ func (r *Relation) JuxtaposeSpatialStats(picA string, s *Relation, picB string, 
 	if bs == nil {
 		return nil, JoinShardStats{}, 0, fmt.Errorf("relation %s: no spatial index for picture %q", s.name, picB)
 	}
-	pairs, visited, stats := scatterJuxtapose(as, bs, pred, workers, prune)
+	pairs, visited, stats := scatterJuxtapose(as, bs, pred, workers)
 	out := make([]SpatialPair, len(pairs))
 	for i, p := range pairs {
 		out[i] = SpatialPair{

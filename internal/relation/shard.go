@@ -368,7 +368,7 @@ func (r *Relation) routeShard(t Tuple, enc []byte) int {
 // publish the route, then update the B-tree and per-shard spatial
 // indexes. Safe for concurrent callers: the heap write is under the
 // shard's lock, route/index updates under smu, and the spatial insert
-// is the LSM O(1) append.
+// under its index's own lock.
 func (r *Relation) insertSharded(t Tuple) (storage.TupleID, error) {
 	if err := r.schema.Validate(t); err != nil {
 		return storage.TupleID{}, err
@@ -780,62 +780,10 @@ func (r *Relation) SpatialCostSnapshot(pictureName string, windows []geom.Rect) 
 	return merged, true
 }
 
-// ShardInfo is one shard directory entry: the Hilbert key range routed
-// to the shard and the live extent of its spatial index for one
-// picture. The scatter step prunes shards by Bounds; KeyLo/KeyHi
-// document the routing rule (a tuple with key k lands on the shard
-// with KeyLo <= k < KeyHi — an even split at creation, narrowed as the
-// rebalancer splits hot shards).
-type ShardInfo struct {
-	Shard        int
-	KeyLo, KeyHi uint64
-	Items        int
-	Bounds       geom.Rect
-}
-
-// ShardDirectory returns the shard directory for pic.
-func (r *Relation) ShardDirectory(pictureName string) ([]ShardInfo, error) {
-	if !r.Sharded() {
-		return nil, fmt.Errorf("relation %s: not sharded", r.name)
-	}
-	sis := r.spatialList(pictureName)
-	if sis == nil {
-		return nil, fmt.Errorf("relation %s: no spatial index for picture %q", r.name, pictureName)
-	}
-	ranges := r.ShardKeyRanges()
-	out := make([]ShardInfo, len(sis))
-	for s, si := range sis {
-		out[s] = ShardInfo{
-			Shard:  s,
-			KeyLo:  ranges[s].Lo,
-			KeyHi:  ranges[s].Hi,
-			Items:  si.Len(),
-			Bounds: si.Bounds(),
-		}
-	}
-	return out, nil
-}
-
 // shardKeyLo is the smallest Hilbert key an even split routes to shard
 // s of n: the least k with k*n >> HilbertKeyBits == s.
 func shardKeyLo(s, n uint64) uint64 {
 	return (s<<pack.HilbertKeyBits + n - 1) / n
-}
-
-// ShardFanout reports how many of pic's shards a window query would
-// visit (non-empty shards whose bounds overlap the window) out of the
-// total shard count — the scatter-pruning telemetry.
-func (r *Relation) ShardFanout(pictureName string, window geom.Rect) (hit, total int, err error) {
-	sis := r.spatialList(pictureName)
-	if sis == nil {
-		return 0, 0, fmt.Errorf("relation %s: no spatial index for picture %q", r.name, pictureName)
-	}
-	for _, si := range sis {
-		if si.Len() > 0 && si.Bounds().Intersects(window) {
-			hit++
-		}
-	}
-	return hit, len(sis), nil
 }
 
 // mergeItemStreams k-way-merges per-shard item streams, each already in
@@ -1024,10 +972,8 @@ func (r *Relation) JoinShardPairEstimate(picA string, s *Relation, picB string) 
 // admits no qualifying entry pair. The union is sorted canonically by
 // (A, B) and migration-window duplicates (an entry transiently on two
 // shards during a split) are collapsed, so the result is bit-identical
-// to joining two unsharded indexes. prune=false keeps the full
-// bounds-overlap pair product — the baseline the benchmarks compare
-// against.
-func scatterJuxtapose(as, bs []*SpatialIndex, pred func(a, b geom.Rect) bool, workers int, prune bool) ([]rtree.JoinPair, int, JoinShardStats) {
+// to joining two unsharded indexes.
+func scatterJuxtapose(as, bs []*SpatialIndex, pred func(a, b geom.Rect) bool, workers int) ([]rtree.JoinPair, int, JoinShardStats) {
 	if len(as) == 1 && len(bs) == 1 {
 		ps, v := juxtaposeMerged(as[0], bs[0], pred, workers)
 		return ps, v, JoinShardStats{PairProduct: 1, PairsJoined: 1}
@@ -1055,7 +1001,7 @@ func scatterJuxtapose(as, bs []*SpatialIndex, pred func(a, b geom.Rect) bool, wo
 				continue
 			}
 			stats.PairProduct++
-			if prune && !frontiersIntersect(frontierOf(af, as, i), frontierOf(bf, bs, j)) {
+			if !frontiersIntersect(frontierOf(af, as, i), frontierOf(bf, bs, j)) {
 				continue
 			}
 			stats.PairsJoined++

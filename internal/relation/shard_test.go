@@ -556,10 +556,14 @@ func TestShardedSplitDuplicateRepaired(t *testing.T) {
 	}
 }
 
-// TestShardFanoutPruning: a clustered window must scatter to fewer
-// shards than the directory holds, while the full extent hits every
-// populated shard — the sub-linear fan-out the Hilbert routing buys.
-func TestShardFanoutPruning(t *testing.T) {
+// TestScatterFanoutPruning: a clustered window must scatter to fewer
+// shards than the relation holds, while the full extent reaches every
+// shard — the sub-linear fan-out the Hilbert routing buys. Asserted on
+// what the real scatter did: SearchArea's visit count equals the
+// per-shard visits summed over only the shards whose bounds meet the
+// window, strictly below the all-shards sum (a skipped shard saves at
+// least its root visit).
+func TestScatterFanoutPruning(t *testing.T) {
 	rel := newShardedCities(t, 8)
 	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
 	// Attach before inserting so routing resolves locations through the
@@ -577,51 +581,53 @@ func TestShardFanoutPruning(t *testing.T) {
 		}
 	}
 	rel.WaitRepacks()
-	dir, err := rel.ShardDirectory("us-map")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dir) != 8 {
-		t.Fatalf("directory has %d entries", len(dir))
+	sis := rel.Spatials("us-map")
+	if len(sis) != 8 {
+		t.Fatalf("relation has %d shard indexes", len(sis))
 	}
 	total := 0
-	for s, e := range dir {
-		if e.Shard != s {
-			t.Fatalf("directory entry %d labeled shard %d", s, e.Shard)
-		}
-		if s > 0 && dir[s-1].KeyHi != e.KeyLo {
-			t.Fatalf("key ranges not contiguous at shard %d: %d != %d", s, dir[s-1].KeyHi, e.KeyLo)
-		}
-		if e.Items == 0 {
+	for s, si := range sis {
+		if si.Len() == 0 {
 			t.Fatalf("shard %d empty under a uniform grid", s)
 		}
-		total += e.Items
-	}
-	if dir[0].KeyLo != 0 || dir[7].KeyHi != 1<<pack.HilbertKeyBits {
-		t.Fatalf("key ranges do not cover the key space: [%d, %d)", dir[0].KeyLo, dir[7].KeyHi)
+		total += si.Len()
 	}
 	if total != 1600 {
-		t.Fatalf("directory items sum to %d, want 1600", total)
+		t.Fatalf("shard items sum to %d, want 1600", total)
 	}
 
-	hit, n, err := rel.ShardFanout("us-map", geom.R(10, 10, 80, 80))
-	if err != nil {
-		t.Fatal(err)
+	// visits returns what the scatter reported for window beside the
+	// per-shard visit sums over the admitted shards and over all shards.
+	visits := func(window geom.Rect) (got, admitted, all, hit int) {
+		t.Helper()
+		_, got, err := rel.SearchArea("us-map", window, geom.Overlapping)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, si := range sis {
+			_, v := si.query(window)
+			all += v
+			if si.Bounds().Intersects(window) {
+				admitted += v
+				hit++
+			}
+		}
+		return got, admitted, all, hit
 	}
-	if n != 8 {
-		t.Fatalf("fanout total = %d", n)
+	got, admitted, all, hit := visits(geom.R(10, 10, 80, 80))
+	if got != admitted {
+		t.Fatalf("clustered window visited %d nodes, admitted shards sum to %d", got, admitted)
 	}
-	if hit >= n {
-		t.Fatalf("clustered window hit all %d shards — no pruning", n)
+	if got >= all {
+		t.Fatalf("clustered window visited %d nodes, all-shards sum %d — no pruning", got, all)
 	}
-	full, _, err := rel.ShardFanout("us-map", geom.R(0, 0, 1000, 1000))
-	if err != nil {
-		t.Fatal(err)
+	if hit == 0 || hit >= len(sis) {
+		t.Fatalf("clustered window admitted %d/%d shards", hit, len(sis))
 	}
-	if full != n {
-		t.Fatalf("full-extent window hit %d/%d shards", full, n)
+	got, admitted, all, hit = visits(geom.R(0, 0, 1000, 1000))
+	if hit != len(sis) || got != admitted || got != all {
+		t.Fatalf("full-extent window: %d/%d shards, visited %d, admitted %d, all %d", hit, len(sis), got, admitted, all)
 	}
-	t.Logf("clustered window fan-out: %d/%d shards", hit, n)
 }
 
 // TestShardedConcurrentWritersReaders is the -race stress: writers

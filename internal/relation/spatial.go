@@ -13,37 +13,25 @@ import (
 	"repro/internal/rtree"
 )
 
-// This file implements the LSM-style write path for spatial indexes.
+// This file implements the write path for spatial indexes: the paper's
+// §3.4 pair of mechanisms, dynamic INSERT/DELETE for changes and a
+// periodic PACK to reorganize.
 //
 // The paper's bet is that PACK's near-optimal static trees beat Guttman
 // dynamics on search cost — but a per-tuple Guttman insert into the
 // packed tree steadily destroys exactly the coverage/overlap properties
-// Table 1 celebrates. So writes are absorbed by the in-memory write
-// side — an append-only L0 buffer feeding a small delta R-tree, with a
-// tombstone set for deletes — reads merge packed + delta + L0 in
-// canonical ascending-TupleID order, and a background repacker folds the
-// write side back into a freshly packed tree when it crosses a
-// threshold.
-//
-// The L0 buffer is what makes inserts O(1) on the writer's thread: an
-// insert only appends an item, and a background absorber bulk-moves
-// L0 entries into the delta R-tree in small batches under the lock.
-// Every entry lives in exactly one tier at any instant (all moves
+// Table 1 celebrates. So writes go to an in-memory write side — a small
+// delta R-tree taking inserts directly, with a tombstone set for
+// deletes — reads merge packed + frozen + delta in canonical
+// ascending-TupleID order, and a background repacker folds the write
+// side back into a freshly packed tree when it crosses a threshold.
+// Every entry lives in exactly one tree at any instant (all moves
 // happen under mu), so merged reads see each item exactly once.
 // See DESIGN.md §12 for the lifecycle and its invariants.
 
-// DefaultDeltaThreshold is the write-side size (L0 + live delta items
-// plus pending tombstones) at which a background repack is triggered.
+// DefaultDeltaThreshold is the write-side size (live delta items plus
+// pending tombstones) at which a background repack is triggered.
 const DefaultDeltaThreshold = 4096
-
-// DefaultAbsorbTrigger is the L0 length at which the background
-// absorber starts draining the buffer into the delta R-tree.
-const DefaultAbsorbTrigger = 512
-
-// absorbBatch bounds how many L0 entries the absorber moves into the
-// delta tree per lock acquisition, so readers and writers are never
-// blocked behind a long drain.
-const absorbBatch = 128
 
 // deltaParams configures the write-absorbing delta tree. Wide nodes and
 // the linear split make inserts cheap; the resulting tree quality does
@@ -54,19 +42,18 @@ var deltaParams = rtree.Params{Max: 32, Min: 8, Split: rtree.SplitLinear}
 // spatialSeq hands out lock-ordering ranks for SpatialIndex pairs.
 var spatialSeq atomic.Int64
 
-// SpatialIndex is an LSM index over a relation's loc column for one
+// SpatialIndex is an index over a relation's loc column for one
 // associated picture: a packed R-tree (read-optimized, immutable
-// between repacks) plus a write side made of an
-// append-only L0 buffer, a small delta R-tree the background absorber
-// drains the buffer into, and a tombstone set absorbing deletes. Leaf
-// entries carry the MBR of the referenced spatial object and the
-// tuple's storage id — the paper's "(I, tuple-identifier)".
+// between repacks) plus a write side made of a small delta R-tree
+// taking inserts and a tombstone set absorbing deletes. Leaf entries
+// carry the MBR of the referenced spatial object and the tuple's
+// storage id — the paper's "(I, tuple-identifier)".
 //
-// All reads merge packed + delta + L0 minus tombstones and return items
-// in canonical ascending-TupleID order, bit-identical to a hypothetical
-// single-tree execution. A background repacker merges the write side
-// into the packed tree with parallel PACK and swaps the root atomically
-// under the index lock.
+// All reads merge packed + frozen + delta minus tombstones and return
+// items in canonical ascending-TupleID order, bit-identical to a
+// hypothetical single-tree execution. A background repacker merges the
+// write side into the packed tree with parallel PACK and swaps the root
+// atomically under the index lock.
 type SpatialIndex struct {
 	Picture *picture.Picture
 	// Opts records how the index was packed, so a catalog reload can
@@ -88,22 +75,14 @@ type SpatialIndex struct {
 	// the packed tree is immutable in between, so they describe it
 	// exactly.
 	stats rtree.Metrics
-	// l0 is the append-only write buffer: inserts land here in O(1) and
-	// the background absorber bulk-moves entries into delta, keeping
-	// R-tree maintenance off the writer's critical path. Reads scan it
-	// linearly (it is bounded by the repack threshold).
-	l0 []rtree.Item
-	// delta absorbs inserts (via the L0 absorber).
+	// delta takes inserts directly.
 	delta *rtree.Tree
-	// frozen/frozenL0 are the previous delta tree and L0 buffer while a
-	// background repack is merging them; nil otherwise. Immutable once
-	// set.
-	frozen   *rtree.Tree
-	frozenL0 []rtree.Item
+	// frozen is the previous delta tree while a background repack is
+	// merging it; nil otherwise. Immutable once set.
+	frozen *rtree.Tree
 	// tombs holds the storage ids of tuples deleted since the last
 	// freeze whose entries still exist in packed or frozen. An id
-	// deleted straight out of the L0 buffer or the active delta never
-	// enters tombs.
+	// deleted straight out of the active delta never enters tombs.
 	tombs map[int64]struct{}
 	// ts0 is the tombstone set as it stood at repack freeze time; nil
 	// when no repack is in flight. The merging repack removes exactly
@@ -121,10 +100,6 @@ type SpatialIndex struct {
 	// via CAS; wg lets WaitRepack block on it.
 	repacking atomic.Bool
 	wg        sync.WaitGroup
-	// absorbing guards the single background L0 absorber via CAS; awg
-	// lets WaitAbsorb block on it.
-	absorbing atomic.Bool
-	awg       sync.WaitGroup
 }
 
 // newSpatialIndex wraps a freshly packed tree.
@@ -182,13 +157,6 @@ func (si *SpatialIndex) CostSnapshot() CostSnapshot {
 		snap.DeltaNodes += si.frozen.NodeCount()
 		snap.Bounds = snap.Bounds.Union(si.frozen.Bounds())
 	}
-	snap.DeltaItems += len(si.l0) + len(si.frozenL0)
-	for _, it := range si.l0 {
-		snap.Bounds = snap.Bounds.Union(it.Rect)
-	}
-	for _, it := range si.frozenL0 {
-		snap.Bounds = snap.Bounds.Union(it.Rect)
-	}
 	return snap
 }
 
@@ -210,24 +178,24 @@ func (si *SpatialIndex) PackedTree() *rtree.Tree {
 	return si.packed
 }
 
-// Len returns the number of live entries: packed + frozen + L0 + delta
-// minus tombstones.
+// Len returns the number of live entries: packed + frozen + delta minus
+// tombstones.
 func (si *SpatialIndex) Len() int {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
-	n := si.packed.Len() + si.delta.Len() + len(si.l0) + len(si.frozenL0) - len(si.tombs) - len(si.ts0)
+	n := si.packed.Len() + si.delta.Len() - len(si.tombs) - len(si.ts0)
 	if si.frozen != nil {
 		n += si.frozen.Len()
 	}
 	return n
 }
 
-// DeltaLen returns the number of items in the write-absorbing side (L0
-// buffer and active delta, plus any frozen counterparts mid-repack).
+// DeltaLen returns the number of items in the write side (the active
+// delta, plus the frozen one mid-repack).
 func (si *SpatialIndex) DeltaLen() int {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
-	n := si.delta.Len() + len(si.l0) + len(si.frozenL0)
+	n := si.delta.Len()
 	if si.frozen != nil {
 		n += si.frozen.Len()
 	}
@@ -285,41 +253,26 @@ func (si *SpatialIndex) boundsLocked() geom.Rect {
 	if si.frozen != nil && si.frozen.Len() > 0 {
 		b = b.Union(si.frozen.Bounds())
 	}
-	for _, it := range si.l0 {
-		b = b.Union(it.Rect)
-	}
-	for _, it := range si.frozenL0 {
-		b = b.Union(it.Rect)
-	}
 	return b
 }
 
-// insert appends one new entry to the L0 buffer and triggers the
-// background absorber/repacker when their thresholds cross. The
-// writer's cost is one slice append.
+// insert puts one new entry into the delta tree and triggers the
+// background repacker when the write side crosses the threshold.
 func (si *SpatialIndex) insert(r geom.Rect, id int64) {
 	si.mu.Lock()
-	si.l0 = append(si.l0, rtree.Item{Rect: r, Data: id})
-	absorb := len(si.l0) >= DefaultAbsorbTrigger
+	si.delta.Insert(r, id)
 	due := si.repackDueLocked()
 	si.mu.Unlock()
 	if due {
 		si.triggerRepack()
-	} else if absorb {
-		si.triggerAbsorb()
 	}
 }
 
-// delete routes one removal: straight out of the L0 buffer or the
-// active delta when the entry lives there, a tombstone otherwise.
+// delete routes one removal: straight out of the active delta when the
+// entry lives there (no tombstone needed), a tombstone otherwise.
 func (si *SpatialIndex) delete(r geom.Rect, id int64) {
 	si.mu.Lock()
-	switch {
-	case si.l0Delete(id):
-		// The entry never left the L0 buffer; no tombstone needed.
-	case si.delta.Delete(r, id):
-		// The entry never left the active delta; no tombstone needed.
-	default:
+	if !si.delta.Delete(r, id) {
 		si.tombs[id] = struct{}{}
 	}
 	due := si.repackDueLocked()
@@ -329,18 +282,6 @@ func (si *SpatialIndex) delete(r geom.Rect, id int64) {
 	}
 }
 
-// l0Delete removes the entry with the given id from the L0 buffer,
-// reporting whether it was there. Caller holds mu exclusively.
-func (si *SpatialIndex) l0Delete(id int64) bool {
-	for i, it := range si.l0 {
-		if it.Data == id {
-			si.l0 = append(si.l0[:i], si.l0[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // repackDueLocked reports whether the write side has outgrown the
 // threshold. Caller holds mu (any mode).
 func (si *SpatialIndex) repackDueLocked() bool {
@@ -348,64 +289,7 @@ func (si *SpatialIndex) repackDueLocked() bool {
 		return false
 	}
 	// Tombstones already being merged away (ts0) don't count.
-	return si.delta.Len()+len(si.l0)+len(si.tombs) >= si.threshold
-}
-
-// triggerAbsorb starts the background L0 absorber unless one is already
-// running. Like triggerRepack it re-checks after releasing the flag so
-// a writer racing the handoff cannot strand a full buffer.
-func (si *SpatialIndex) triggerAbsorb() {
-	if !si.absorbing.CompareAndSwap(false, true) {
-		return
-	}
-	si.awg.Add(1)
-	go func() {
-		defer si.awg.Done()
-		for si.absorbOnce() {
-		}
-		si.absorbing.Store(false)
-		si.mu.RLock()
-		again := len(si.l0) >= DefaultAbsorbTrigger
-		si.mu.RUnlock()
-		if again {
-			si.triggerAbsorb()
-		}
-	}()
-}
-
-// absorbOnce moves up to absorbBatch L0 entries into the delta R-tree
-// and reports whether the buffer still has entries. The move happens
-// under the exclusive lock, so each entry is visible in exactly one
-// tier at any instant; the batch bound keeps the lock hold short.
-func (si *SpatialIndex) absorbOnce() bool {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	n := len(si.l0)
-	if n == 0 {
-		return false
-	}
-	if n > absorbBatch {
-		n = absorbBatch
-	}
-	for _, it := range si.l0[:n] {
-		si.delta.Insert(it.Rect, it.Data)
-	}
-	if n == len(si.l0) {
-		si.l0 = nil
-	} else {
-		si.l0 = si.l0[n:]
-	}
-	return len(si.l0) > 0
-}
-
-// WaitAbsorb blocks until no background absorber is running. Pending L0
-// entries remain readable throughout; this only matters to callers that
-// want a quiescent index (benchmarks, tests).
-func (si *SpatialIndex) WaitAbsorb() {
-	for si.absorbing.Load() {
-		si.awg.Wait()
-		runtime.Gosched()
-	}
+	return si.delta.Len()+len(si.tombs) >= si.threshold
 }
 
 func (si *SpatialIndex) repackDue() bool {
@@ -481,18 +365,16 @@ func (si *SpatialIndex) repackOnce() {
 	si.swap(tree, tree.ComputeMetrics())
 }
 
-// freeze makes the active delta, L0 buffer and tombstone set immutable
-// (fresh ones take writes), reporting false when the write side is
-// empty.
+// freeze makes the active delta and tombstone set immutable (fresh
+// ones take writes), reporting false when the write side is empty.
 func (si *SpatialIndex) freeze() bool {
 	si.mu.Lock()
 	defer si.mu.Unlock()
-	if si.delta.Len() == 0 && len(si.l0) == 0 && len(si.tombs) == 0 {
+	if si.delta.Len() == 0 && len(si.tombs) == 0 {
 		return false
 	}
-	si.frozen, si.frozenL0, si.ts0 = si.delta, si.l0, si.tombs
+	si.frozen, si.ts0 = si.delta, si.tombs
 	si.delta = rtree.New(deltaParams)
-	si.l0 = nil
 	si.tombs = make(map[int64]struct{})
 	return true
 }
@@ -503,7 +385,7 @@ func (si *SpatialIndex) freeze() bool {
 func (si *SpatialIndex) swap(tree *rtree.Tree, stats rtree.Metrics) {
 	si.mu.Lock()
 	si.packed, si.stats = tree, stats
-	si.frozen, si.frozenL0, si.ts0 = nil, nil, nil
+	si.frozen, si.ts0 = nil, nil
 	si.repacks++
 	si.mu.Unlock()
 }
@@ -513,7 +395,7 @@ func (si *SpatialIndex) swap(tree *rtree.Tree, stats rtree.Metrics) {
 func (si *SpatialIndex) repackSTW() {
 	si.mu.Lock()
 	defer si.mu.Unlock()
-	items := make([]rtree.Item, 0, si.packed.Len()+si.delta.Len()+len(si.l0))
+	items := make([]rtree.Item, 0, si.packed.Len()+si.delta.Len())
 	for _, it := range si.packed.Items() {
 		if !si.packedDeadLocked(it.Data) {
 			items = append(items, it)
@@ -526,37 +408,29 @@ func (si *SpatialIndex) repackSTW() {
 			}
 		}
 	}
-	for _, it := range si.frozenL0 {
-		if !si.frozenDeadLocked(it.Data) {
-			items = append(items, it)
-		}
-	}
 	items = append(items, si.delta.Items()...)
-	items = append(items, si.l0...)
 	opts := si.Opts
 	opts.TrimToMultiple = false
 	tree := pack.Tree(si.params, items, opts)
 	si.packed, si.stats = tree, tree.ComputeMetrics()
 	si.delta = rtree.New(deltaParams)
-	si.l0 = nil
-	si.frozen, si.frozenL0, si.ts0 = nil, nil, nil
+	si.frozen, si.ts0 = nil, nil
 	si.tombs = make(map[int64]struct{})
 	si.repacks++
 }
 
-// packMerged packs (packed ∖ ts0) ∪ frozen ∪ frozenL0 with the index's
-// recorded options, TrimToMultiple forced off so no live item is
-// dropped. It reads those fields without mu: between freeze and swap
-// only the holder of the repacking flag — the caller — writes them.
+// packMerged packs (packed ∖ ts0) ∪ frozen with the index's recorded
+// options, TrimToMultiple forced off so no live item is dropped. It
+// reads those fields without mu: between freeze and swap only the
+// holder of the repacking flag — the caller — writes them.
 func (si *SpatialIndex) packMerged() *rtree.Tree {
-	items := make([]rtree.Item, 0, si.packed.Len()+si.frozen.Len()+len(si.frozenL0))
+	items := make([]rtree.Item, 0, si.packed.Len()+si.frozen.Len())
 	for _, it := range si.packed.Items() {
 		if _, dead := si.ts0[it.Data]; !dead {
 			items = append(items, it)
 		}
 	}
 	items = append(items, si.frozen.Items()...)
-	items = append(items, si.frozenL0...)
 	opts := si.Opts
 	opts.TrimToMultiple = false
 	return pack.Tree(si.params, items, opts)
@@ -576,8 +450,7 @@ func (si *SpatialIndex) rebuild(items []rtree.Item, opts pack.Options) {
 	si.Opts = opts
 	si.packed, si.stats = tree, stats
 	si.delta = rtree.New(deltaParams)
-	si.l0 = nil
-	si.frozen, si.frozenL0, si.ts0 = nil, nil, nil
+	si.frozen, si.ts0 = nil, nil
 	si.tombs = make(map[int64]struct{})
 	si.repacks++
 	si.mu.Unlock()
@@ -639,16 +512,6 @@ func (si *SpatialIndex) query(window geom.Rect) ([]rtree.Item, int) {
 			return true
 		})
 	}
-	for _, it := range si.frozenL0 {
-		if it.Rect.Intersects(window) && !si.frozenDeadLocked(it.Data) {
-			out = append(out, it)
-		}
-	}
-	for _, it := range si.l0 {
-		if it.Rect.Intersects(window) {
-			out = append(out, it)
-		}
-	}
 	sortItemsByData(out)
 	return out, visited
 }
@@ -691,20 +554,6 @@ func (si *SpatialIndex) queryBatch(windows []geom.Rect, parallelism int) ([][]rt
 			res[i] = append(res[i], dr[i]...)
 		}
 	}
-	if len(si.frozenL0) > 0 || len(si.l0) > 0 {
-		for i, w := range windows {
-			for _, it := range si.frozenL0 {
-				if it.Rect.Intersects(w) && !si.frozenDeadLocked(it.Data) {
-					res[i] = append(res[i], it)
-				}
-			}
-			for _, it := range si.l0 {
-				if it.Rect.Intersects(w) {
-					res[i] = append(res[i], it)
-				}
-			}
-		}
-	}
 	for i := range res {
 		sortItemsByData(res[i])
 	}
@@ -740,12 +589,6 @@ func (si *SpatialIndex) itemsLocked() ([]rtree.Item, int) {
 		visited += si.delta.NodeCount()
 		out = append(out, si.delta.Items()...)
 	}
-	for _, it := range si.frozenL0 {
-		if !si.frozenDeadLocked(it.Data) {
-			out = append(out, it)
-		}
-	}
-	out = append(out, si.l0...)
 	sortItemsByData(out)
 	return out, visited
 }
@@ -757,9 +600,7 @@ type sideTree struct {
 	dead func(id int64) bool
 }
 
-// liveTreesLocked returns the non-empty constituent trees. The L0
-// buffers are loaded into throwaway trees so the join machinery (and
-// its node-level pruning) applies to every tier uniformly. Caller holds
+// liveTreesLocked returns the non-empty constituent trees. Caller holds
 // mu (any mode), and must hold it for as long as the trees are used.
 func (si *SpatialIndex) liveTreesLocked() []sideTree {
 	never := func(int64) bool { return false }
@@ -777,23 +618,7 @@ func (si *SpatialIndex) liveTreesLocked() []sideTree {
 	if si.delta.Len() > 0 {
 		out = append(out, sideTree{tree: si.delta, dead: never})
 	}
-	if len(si.frozenL0) > 0 {
-		out = append(out, sideTree{tree: treeOf(si.frozenL0), dead: si.frozenDeadLocked})
-	}
-	if len(si.l0) > 0 {
-		out = append(out, sideTree{tree: treeOf(si.l0), dead: never})
-	}
 	return out
-}
-
-// treeOf loads items into a fresh delta-shaped tree (for joins over the
-// L0 buffers; the buffers are bounded by the repack threshold).
-func treeOf(items []rtree.Item) *rtree.Tree {
-	t := rtree.New(deltaParams)
-	for _, it := range items {
-		t.Insert(it.Rect, it.Data)
-	}
-	return t
 }
 
 // juxtaposeMerged joins two (possibly identical) indexes: every
@@ -849,9 +674,8 @@ func juxtaposeMerged(si, sj *SpatialIndex, pred func(a, b geom.Rect) bool, worke
 const joinFrontierLimit = 24
 
 // frontier returns a bounded set of rectangles covering every live
-// entry in the index: a breadth-first frontier of each constituent tree
-// plus the L0 buffers' item rects (collapsed to their union when
-// oversized). Tombstoned entries may still be covered — the frontier is
+// entry in the index: a breadth-first frontier of each constituent
+// tree. Tombstoned entries may still be covered — the frontier is
 // conservative, which only costs a pruning opportunity, never a pair.
 func (si *SpatialIndex) frontier() []geom.Rect {
 	si.mu.RLock()
@@ -862,47 +686,6 @@ func (si *SpatialIndex) frontier() []geom.Rect {
 	}
 	if si.delta.Len() > 0 {
 		out = append(out, si.delta.FrontierRects(joinFrontierLimit)...)
-	}
-	nl0 := len(si.l0) + len(si.frozenL0)
-	switch {
-	case nl0 == 0:
-	case nl0 <= joinFrontierLimit:
-		for _, it := range si.frozenL0 {
-			out = append(out, it.Rect)
-		}
-		for _, it := range si.l0 {
-			out = append(out, it.Rect)
-		}
-	default:
-		// Too many loose items for per-item rects. A single global
-		// union would be the shard's full bounds and erase the
-		// frontier's pruning power exactly when the write side is warm,
-		// so cover the items with Hilbert-chunked group unions instead:
-		// sorted along the curve, spatially-near items share a chunk
-		// and the unions stay tight.
-		rects := make([]geom.Rect, 0, nl0)
-		for _, it := range si.frozenL0 {
-			rects = append(rects, it.Rect)
-		}
-		for _, it := range si.l0 {
-			rects = append(rects, it.Rect)
-		}
-		ext := si.Picture.Extent()
-		sort.Slice(rects, func(a, b int) bool {
-			return pack.HilbertKey(ext, rects[a].Center()) < pack.HilbertKey(ext, rects[b].Center())
-		})
-		per := (len(rects) + joinFrontierLimit - 1) / joinFrontierLimit
-		for i := 0; i < len(rects); i += per {
-			end := i + per
-			if end > len(rects) {
-				end = len(rects)
-			}
-			u := rects[i]
-			for _, r := range rects[i+1 : end] {
-				u = u.Union(r)
-			}
-			out = append(out, u)
-		}
 	}
 	return out
 }
@@ -938,7 +721,7 @@ func (si *SpatialIndex) emptyClone() *SpatialIndex {
 	return clone
 }
 
-// checkInvariants validates every constituent tree plus the LSM
+// checkInvariants validates every constituent tree plus the write-side
 // bookkeeping invariants.
 func (si *SpatialIndex) checkInvariants() error {
 	si.mu.RLock()
@@ -957,10 +740,7 @@ func (si *SpatialIndex) checkInvariants() error {
 	if si.ts0 != nil && si.frozen == nil {
 		return fmt.Errorf("tombstone snapshot present without frozen delta")
 	}
-	if len(si.frozenL0) > 0 && si.frozen == nil {
-		return fmt.Errorf("frozen L0 buffer present without frozen delta")
-	}
-	// Note: an L0/delta entry may share its id with a tombstone, and a
+	// Note: a delta entry may share its id with a tombstone, and a
 	// frozen entry with one in ts0 — ids are reused once their
 	// tombstoned slot is reclaimed, and the tombstone then names only
 	// the older incarnation.

@@ -13,8 +13,8 @@ import (
 )
 
 // benchFixture builds a cities relation with nPacked tuples in the
-// packed tree and nDelta tuples absorbed by the write side (L0 buffer
-// plus delta tree), with every 10th delta-era op deleting a packed
+// packed tree and nDelta tuples absorbed by the write side (the delta
+// tree), with every 10th delta-era op deleting a packed
 // tuple so tombstone filtering is on the measured path.
 func benchFixture(b *testing.B, nPacked, nDelta int) (*Relation, *SpatialIndex) {
 	b.Helper()
@@ -42,7 +42,6 @@ func benchFixture(b *testing.B, nPacked, nDelta int) (*Relation, *SpatialIndex) 
 			}
 		}
 	}
-	si.WaitAbsorb()
 	return rel, si
 }
 
@@ -56,8 +55,8 @@ func addBenchCity(b *testing.B, rel *Relation, pic *picture.Picture, name string
 	return id
 }
 
-// BenchmarkDeltaMergedSearch measures the two-tier merged window read
-// (packed + delta + L0 minus tombstones, canonically ordered) that
+// BenchmarkDeltaMergedSearch measures the two-tree merged window read
+// (packed + delta minus tombstones, canonically ordered) that
 // every query pays while writes are pending — the read-amplification
 // side of the LSM trade. Run via `make benchcheck`.
 func BenchmarkDeltaMergedSearch(b *testing.B) {

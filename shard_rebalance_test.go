@@ -34,7 +34,7 @@ func TestShardSplitQueryOracle(t *testing.T) {
 	}
 	defer udb.Close()
 	// Live write-side state on every shard, so the migration moves
-	// L0/delta entries and tombstones too.
+	// delta entries and tombstones too.
 	mutateUSOrdered(t, sdb)
 	mutateUSOrdered(t, udb)
 
