@@ -326,7 +326,8 @@ func BenchmarkClusteredWorkload(b *testing.B) {
 }
 
 // BenchmarkPSQLQueries measures end-to-end PSQL execution on the US
-// database: the §2.2 direct search and juxtaposition.
+// database: the §2.2 direct search and juxtaposition, bare and with a
+// where-clause that filters one relation.
 func BenchmarkPSQLQueries(b *testing.B) {
 	db, err := pictdb.BuildUSDatabase()
 	if err != nil {
@@ -340,6 +341,11 @@ func BenchmarkPSQLQueries(b *testing.B) {
 		"juxtaposition": `
 			select city, zone from cities, time-zones on us-map, time-zone-map
 			at cities.loc covered-by time-zones.loc`,
+		// The same join with one equality term on the small side, which
+		// the planner restricts before joining.
+		"juxtapositionFiltered": `
+			select city, zone from cities, time-zones on us-map, time-zone-map
+			at cities.loc covered-by time-zones.loc where time-zones.zone = 'Eastern'`,
 		"nestedMapping": `
 			select lake, lakes.loc from lakes on lake-map
 			at lakes.loc covered-by

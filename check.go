@@ -16,11 +16,11 @@ import (
 // Database verification: Check walks every layer of a persisted
 // database — raw pages (checksum trailers), the free list, the
 // catalog superblock and snapshot heap, every relation heap, B-tree
-// and spatial index — and reports per-page diagnostics. It is the
-// engine behind the `pictdbcheck` operator tool and the oracle the
-// fault-injection suite holds crash states against: a reopened
-// database must either Check clean or fail with a typed corruption
-// error, never serve silently wrong results.
+// and spatial index, every loc pointer — and reports per-page
+// diagnostics. It is the engine behind the `pictdbcheck` operator tool
+// and the oracle the fault-injection suite holds crash states against:
+// a reopened database must either Check clean or fail with a typed
+// corruption error, never serve silently wrong results.
 
 // ErrCorrupt is the typed root of database-level corruption findings.
 var ErrCorrupt = errors.New("pictdb: corrupt database")
@@ -35,7 +35,7 @@ var ErrUnsupportedFormat = pager.ErrUnsupportedFormat
 // was detected on (0 when no single page is implicated).
 type CheckProblem struct {
 	Page      pager.PageID
-	Component string // "page", "free-list", "superblock", "catalog", "relation:<name>", "relation:<name>:shard:<i>", "ownership"
+	Component string // "page", "free-list", "superblock", "catalog", "relation:<name>", "relation:<name>:loc", "relation:<name>:shard:<i>", "ownership"
 	Err       error
 }
 
@@ -162,8 +162,8 @@ func (db *Database) CheckParallel(par int) *CheckReport {
 		}
 	}
 
-	// 4. Relations: heap structure, tuple decodability, index
-	// invariants, index→tuple resolution.
+	// 4. Relations: loc→object resolution, heap structure, tuple
+	// decodability, index invariants, index→tuple resolution.
 	names := make([]string, 0, len(db.relations))
 	for name := range db.relations {
 		names = append(names, name)
@@ -173,6 +173,9 @@ func (db *Database) CheckParallel(par int) *CheckReport {
 	for _, name := range names {
 		rel := db.relations[name]
 		component := "relation:" + name
+		if err := db.checkLocRefs(rel); err != nil {
+			add(pager.InvalidPage, component+":loc", err)
+		}
 		if rel.Sharded() {
 			// Logical invariants (route table, per-shard heaps and
 			// spatial indexes) check per-shard in parallel, then each
@@ -205,6 +208,46 @@ func (db *Database) CheckParallel(par int) *CheckReport {
 		}
 	}
 	return r
+}
+
+// checkLocRefs resolves every non-zero loc pointer of rel whose
+// picture exists to a live object of that picture. A dangling pointer
+// is a tuple no spatial index carries and no spatial query answers —
+// what a crash leaves of a durably written pictorial tuple whose
+// picture object was only in the catalog snapshot (ROADMAP item 0). The
+// finding counts the dangling tuples and names the first.
+func (db *Database) checkLocRefs(rel *relation.Relation) error {
+	li := rel.Schema().LocColumn()
+	if li < 0 {
+		return nil
+	}
+	need := make([]bool, rel.Schema().Arity())
+	need[li] = true
+	dangling := 0
+	var firstID storage.TupleID
+	var firstRef relation.LocRef
+	err := rel.ScanCols(need, func(id storage.TupleID, t relation.Tuple) bool {
+		ref := t[li].Loc
+		pic, ok := db.pictures[ref.Picture]
+		if ref.IsZero() || !ok {
+			return true
+		}
+		if _, live := pic.Get(ref.Object); !live {
+			if dangling == 0 {
+				firstID, firstRef = id, ref
+			}
+			dangling++
+		}
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	if dangling > 0 {
+		return fmt.Errorf("%w: %d tuple(s) point at picture objects that do not exist (first: tuple %v, loc %v)",
+			ErrCorrupt, dangling, firstID, firstRef)
+	}
+	return nil
 }
 
 // checkShardFiles runs the file-level verification pass — raw page

@@ -8,8 +8,8 @@ package psql
 // mappings. Everything here depends only on the query text, so one
 // analysis is shared by every execution of a cached statement; the
 // cost-based choices that need catalog statistics (scan vs. index vs.
-// direct search, juxtaposition driving side) happen per-execution in
-// planner.go.
+// direct search, juxtaposition restriction and driving side) happen
+// per-execution in planner.go.
 
 // conjunct is one top-level AND term of the qualification, with its
 // static cost rank.
@@ -22,6 +22,23 @@ type conjunct struct {
 	// cost weights per-row evaluation expense: function calls and
 	// spatial operators dominate plain comparisons.
 	cost float64
+	// cmp is set when the term has the shape `column op literal` (or
+	// its mirror). It is the one shape the planner evaluates away from
+	// the joined row — through a B-tree, or as a restriction of one
+	// side of a juxtaposition — because against a literal of the
+	// column's type it cannot error, so moving it changes no
+	// statement's outcome. cmp.col.Table is the table name the term
+	// mentions ("" when unqualified); which binding that is, and
+	// whether the literal fits the column, is resolved per execution.
+	cmp *colCompare
+}
+
+// colCompare is a `column op literal` term with the column normalized
+// to the left.
+type colCompare struct {
+	col ColumnRef
+	op  string // = < <= > >=
+	lit Expr
 }
 
 // analysis is the syntactic plan skeleton for one query (and, via sub,
@@ -125,7 +142,8 @@ func rankConjunct(e Expr) conjunct {
 	if be, ok := e.(BinaryExpr); ok {
 		if _, spatial := spatialOpFromIdent(be.Op); spatial {
 			c.cost = costSpatial
-		} else if _, _, op, ok := columnVsLiteral(be); ok {
+		} else if col, lit, op, ok := columnVsLiteral(be); ok {
+			c.cmp = &colCompare{col: col, op: op, lit: lit}
 			if op == "=" {
 				c.sel = selEquality
 			} else {

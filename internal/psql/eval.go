@@ -29,43 +29,50 @@ func (st *execState) resolveLoc(d *Datum) *picture.Object {
 	return &obj
 }
 
-// lookupColumn finds the value of a column reference in the row.
-func (st *execState) lookupColumn(ref ColumnRef, r *row) (Datum, error) {
-	resolve := func(bi, ci int) (Datum, error) {
-		if r.tuples[bi] == nil {
-			return Datum{}, errf(ref.Pos, "internal: binding %q has no tuple", st.bindings[bi].name)
-		}
-		d := fromValue(r.tuples[bi][ci])
-		if d.Kind == KindLoc {
-			st.resolveLoc(&d)
-		}
-		return d, nil
-	}
+// resolveColumn finds the binding and the column index a column
+// reference names: a qualified reference names that binding's column,
+// an unqualified one the single binding that has the column.
+func (st *execState) resolveColumn(ref ColumnRef) (bi, ci int, err error) {
 	if ref.Table != "" {
 		bi, err := st.bindingIndex(ref.Table, ref.Pos)
 		if err != nil {
-			return Datum{}, err
+			return 0, 0, err
 		}
 		ci := st.bindings[bi].schema.ColumnIndex(ref.Column)
 		if ci < 0 {
-			return Datum{}, errf(ref.Pos, "relation %q has no column %q", ref.Table, ref.Column)
+			return 0, 0, errf(ref.Pos, "relation %q has no column %q", ref.Table, ref.Column)
 		}
-		return resolve(bi, ci)
+		return bi, ci, nil
 	}
-	found := -1
-	foundCol := -1
-	for bi, b := range st.bindings {
-		if ci := b.schema.ColumnIndex(ref.Column); ci >= 0 {
-			if found >= 0 {
-				return Datum{}, errf(ref.Pos, "column %q is ambiguous; qualify it", ref.Column)
+	bi = -1
+	for k, b := range st.bindings {
+		if at := b.schema.ColumnIndex(ref.Column); at >= 0 {
+			if bi >= 0 {
+				return 0, 0, errf(ref.Pos, "column %q is ambiguous; qualify it", ref.Column)
 			}
-			found, foundCol = bi, ci
+			bi, ci = k, at
 		}
 	}
-	if found < 0 {
-		return Datum{}, errf(ref.Pos, "unknown column %q", ref.Column)
+	if bi < 0 {
+		return 0, 0, errf(ref.Pos, "unknown column %q", ref.Column)
 	}
-	return resolve(found, foundCol)
+	return bi, ci, nil
+}
+
+// lookupColumn finds the value of a column reference in the row.
+func (st *execState) lookupColumn(ref ColumnRef, r *row) (Datum, error) {
+	bi, ci, err := st.resolveColumn(ref)
+	if err != nil {
+		return Datum{}, err
+	}
+	if r.tuples[bi] == nil {
+		return Datum{}, errf(ref.Pos, "internal: binding %q has no tuple", st.bindings[bi].name)
+	}
+	d := fromValue(r.tuples[bi][ci])
+	if d.Kind == KindLoc {
+		st.resolveLoc(&d)
+	}
+	return d, nil
 }
 
 // eval evaluates an expression over row r.

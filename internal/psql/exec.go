@@ -32,8 +32,9 @@ type Executor struct {
 	mu    sync.RWMutex // guards funcs
 	funcs map[string]Func
 	cache *stmtCache
-	// MaxProductRows caps unindexed cartesian products as a safety
-	// net; zero means the default of one million.
+	// MaxProductRows caps unindexed products — a cartesian product, the
+	// qualifying pairs of a disjoined juxtaposition — as a safety net;
+	// zero means the default of one million.
 	MaxProductRows int
 	// Parallelism caps the worker goroutines used for multi-window
 	// direct search, join materialization, and batched tuple fetch;
@@ -41,6 +42,14 @@ type Executor struct {
 	// identical at any setting — parallel plans merge in deterministic
 	// window/pair order.
 	Parallelism int
+}
+
+// maxProductRows resolves the executor's cap on unindexed products.
+func (e *Executor) maxProductRows() int {
+	if e.MaxProductRows > 0 {
+		return e.MaxProductRows
+	}
+	return 1_000_000
 }
 
 // parallelism resolves the executor's worker budget.
@@ -186,8 +195,12 @@ type execState struct {
 	bindings []binding
 	// need[i][ci] marks the columns of binding i the query references;
 	// nil means decode every column (naive mode / select *).
-	need     [][]bool
-	visited  int
+	need    [][]bool
+	visited int
+	// pushed[i] marks where-conjunct i as already evaluated by a plan
+	// step ahead of the joined row (a juxtaposition restriction);
+	// qualifies skips it. nil when nothing was pushed.
+	pushed   []bool
 	plan     []string
 	subnotes []string // plan notes of nested mappings, reported after the outer plan
 }
@@ -300,17 +313,21 @@ func (st *execState) resolveFrom() error {
 // qualifies applies the where-clause to one row. The planned path
 // evaluates the analysis's cost-ordered conjuncts with short-circuit
 // AND — cheap, selective terms reject rows before expensive function
-// calls run; the naive path evaluates the qualification exactly as
+// calls run — and skips the terms a juxtaposition restriction already
+// evaluated; the naive path evaluates the qualification exactly as
 // written.
 func (st *execState) qualifies(r *row) (bool, error) {
-	if st.opts.naive || st.an == nil || len(st.an.conjuncts) <= 1 {
+	if st.opts.naive || st.an == nil || (len(st.an.conjuncts) <= 1 && st.pushed == nil) {
 		d, err := st.eval(st.q.Where, r)
 		if err != nil {
 			return false, err
 		}
 		return d.Truth()
 	}
-	for _, c := range st.an.conjuncts {
+	for i, c := range st.an.conjuncts {
+		if st.pushed != nil && st.pushed[i] {
+			continue
+		}
 		d, err := st.eval(c.expr, r)
 		if err != nil {
 			return false, err
@@ -562,15 +579,16 @@ func (st *execState) planWindowSearch(bi int, op SpatialOp, windows []geom.Rect)
 	if ic, ok := st.bestIndexedConjunct(); ok {
 		costIdx := btreeCost(b.rel.Len(), ic.sel)
 		if costIdx < btreeHysteresis*costDirect {
-			ids, used := b.rel.LookupRange(ic.col.Column, ic.lo, ic.hi)
+			lo, hi := ic.bounds()
+			ids, used := b.rel.LookupRange(ic.cmp.col.Column, lo, hi)
 			if used {
 				st.note("index lookup: B-tree on %s.%s (%s) drives the at-clause (est %.1f vs direct %.1f)",
-					b.name, ic.col.Column, ic.op, costIdx, costDirect)
+					b.name, ic.cmp.col.Column, ic.cmp.op, costIdx, costDirect)
 				return st.filterSpatial(bi, ids, op, windows)
 			}
 		} else {
 			st.note("cost: direct spatial search (est %.1f) kept over B-tree on %s.%s (est %.1f)",
-				costDirect, b.name, ic.col.Column, costIdx)
+				costDirect, b.name, ic.cmp.col.Column, costIdx)
 		}
 	}
 	ids, err := st.directSearch(bi, op, windows)
@@ -650,15 +668,16 @@ func (st *execState) indexedCandidates() ([]storage.TupleID, bool) {
 	costScan := scanCost(b.rel.Len())
 	if costIdx >= costScan {
 		st.note("cost: scan (est %.1f) kept over B-tree on %s.%s (est %.1f)",
-			costScan, b.name, ic.col.Column, costIdx)
+			costScan, b.name, ic.cmp.col.Column, costIdx)
 		return nil, false
 	}
-	ids, used := b.rel.LookupRange(ic.col.Column, ic.lo, ic.hi)
+	lo, hi := ic.bounds()
+	ids, used := b.rel.LookupRange(ic.cmp.col.Column, lo, hi)
 	if !used {
 		return nil, false
 	}
 	st.note("index lookup: B-tree on %s.%s (%s) (est %.1f vs scan %.1f)",
-		b.name, ic.col.Column, ic.op, costIdx, costScan)
+		b.name, ic.cmp.col.Column, ic.cmp.op, costIdx, costScan)
 	return ids, true
 }
 
@@ -819,11 +838,16 @@ func (st *execState) directSearch(bi int, op SpatialOp, windows []geom.Rect) ([]
 	return dedupSortedIDs(out), nil
 }
 
+// pair is one juxtaposition result: x from the at-clause's left
+// binding, y from its right.
+type pair struct{ x, y storage.TupleID }
+
 // juxtapose performs the paper's geographic join between bindings bi
-// and bj via simultaneous R-tree traversal, producing joined rows in
-// canonical (binding 0 id, binding 1 id) order. The cost model picks
-// the driving side: the larger tree goes first so the parallel
-// traversal fans out over more subtrees.
+// and bj, producing joined rows in canonical (binding 0 id, binding 1
+// id) order. Where-terms that filter one relation alone restrict that
+// side before the join (restrict.go); intersecting operators then join
+// by the cheaper of a batched direct search from the survivors' MBRs
+// and the simultaneous R-tree traversal, and disjoined by nested loop.
 func (st *execState) juxtapose(bi, bj int, op SpatialOp) ([]row, error) {
 	if len(st.bindings) != 2 {
 		return nil, fmt.Errorf("psql: juxtaposition currently joins exactly two relations, got %d", len(st.bindings))
@@ -835,85 +859,29 @@ func (st *execState) juxtapose(bi, bj int, op SpatialOp) ([]row, error) {
 	if !a.rel.HasSpatial(a.picture) || !b.rel.HasSpatial(b.picture) {
 		return nil, fmt.Errorf("psql: juxtaposition requires spatial indexes on both relations")
 	}
-	pred := spatialPred(op)
-	type pair struct{ x, y storage.TupleID } // x = binding bi, y = binding bj
-	var pairs []pair
-	if op == OpDisjoined {
-		// Nested loop: disjoint pairs are exactly what tree pruning
-		// eliminates. Enumeration merges packed and delta trees.
-		st.note("juxtaposition: nested loop of %q and %q (%s admits no pruning)",
-			a.name, b.name, op)
-		itemsA, va, err := a.rel.SpatialItems(a.picture)
-		if err != nil {
-			return nil, err
-		}
-		itemsB, vb, err := b.rel.SpatialItems(b.picture)
-		if err != nil {
-			return nil, err
-		}
-		for _, ia := range itemsA {
-			for _, ib := range itemsB {
-				if pred(ia.Rect, ib.Rect) {
-					pairs = append(pairs, pair{storage.TupleIDFromInt64(ia.Data), storage.TupleIDFromInt64(ib.Data)})
-				}
+	// sides[0] is binding bi (the at-clause's left loc), sides[1] bj.
+	sides := [2]joinSide{{bi: bi}, {bi: bj}}
+	if st.q.Where != nil {
+		for _, t := range st.restrictions() {
+			s := &sides[0]
+			if t.bi == bj {
+				s = &sides[1]
 			}
-		}
-		st.visited += va + vb
-	} else {
-		// Parallel simultaneous traversal; visit count is
-		// worker-count-independent and pairs are canonically sorted
-		// below, so the result rows stay deterministic across worker
-		// budgets and driving-side choices. The driving side is the
-		// bigger index by live node count (packed plus delta), summed
-		// over shards for a sharded relation.
-		na, _ := a.rel.SpatialCostSnapshot(a.picture, nil)
-		nb, _ := b.rel.SpatialCostSnapshot(b.picture, nil)
-		nodesA := na.Stats.Nodes + na.DeltaNodes
-		nodesB := nb.Stats.Nodes + nb.DeltaNodes
-		if est, err := a.rel.JoinShardPairEstimate(a.picture, b.rel, b.picture); err == nil && est.PairProduct > 1 {
-			st.note("juxtaposition estimate: %.0f page touches (%d of %d overlapping shard pairs admitted)",
-				juxtaposeCost(nodesA, nodesB, est), est.PairsJoined, est.PairProduct)
-		}
-		drive := a.name
-		var shardStats relation.JoinShardStats
-		if nodesB > nodesA {
-			drive = b.name
-			jp, stats, visited, err := b.rel.JuxtaposeSpatialStats(b.picture, a.rel, a.picture,
-				func(y, x geom.Rect) bool { return pred(x, y) }, st.e.parallelism())
-			if err != nil {
-				return nil, err
-			}
-			st.visited += visited
-			shardStats = stats
-			pairs = make([]pair, len(jp))
-			for i, p := range jp {
-				pairs[i] = pair{p.B, p.A}
-			}
-		} else {
-			jp, stats, visited, err := a.rel.JuxtaposeSpatialStats(a.picture, b.rel, b.picture,
-				func(x, y geom.Rect) bool { return pred(x, y) }, st.e.parallelism())
-			if err != nil {
-				return nil, err
-			}
-			st.visited += visited
-			shardStats = stats
-			pairs = make([]pair, len(jp))
-			for i, p := range jp {
-				pairs[i] = pair{p.A, p.B}
-			}
-		}
-		st.note("juxtaposition: simultaneous R-tree traversal of %q and %q (%s), driving %q (%d vs %d nodes)",
-			a.name, b.name, op, drive, nodesA, nodesB)
-		if shardStats.PairProduct > 1 || shardStats.PairsJoined > 1 {
-			// Cross-shard: report the frontier restriction — the shard
-			// pairs actually joined out of the MBR-overlapping product
-			// (Gutiérrez-style two-tree restriction, DESIGN.md §16).
-			st.note("cross-shard juxtaposition: frontier restriction joined %d of %d overlapping shard pairs",
-				shardStats.PairsJoined, shardStats.PairProduct)
+			s.terms = append(s.terms, t)
 		}
 	}
+	var pairs []pair
+	var err error
+	if op == OpDisjoined {
+		pairs, err = st.nestedLoopPairs(&sides)
+	} else {
+		pairs, err = st.intersectingPairs(&sides, op)
+	}
+	if err != nil {
+		return nil, err
+	}
 	// Canonical row order: ascending by binding 0's id, then binding
-	// 1's — independent of traversal order and driving side.
+	// 1's — independent of the join algorithm and driving side.
 	first := bi == 0
 	sort.Slice(pairs, func(i, j int) bool {
 		pi, pj := pairs[i], pairs[j]
@@ -954,6 +922,57 @@ func (st *execState) juxtapose(bi, bj int, op SpatialOp) ([]row, error) {
 	return rows, nil
 }
 
+// traversalPairs joins the two sides by parallel simultaneous R-tree
+// traversal. The visit count is worker-count-independent and juxtapose
+// sorts the pairs canonically, so the result rows stay deterministic
+// across worker budgets and driving-side choices. The driving side is
+// the bigger index by live node count (packed plus delta, summed over
+// shards): the larger tree goes first so the traversal fans out over
+// more subtrees.
+func (st *execState) traversalPairs(sides *[2]joinSide, op SpatialOp, nodesA, nodesB int) ([]pair, error) {
+	a, b := st.bindings[sides[0].bi], st.bindings[sides[1].bi]
+	pred := spatialPred(op)
+	var pairs []pair
+	drive := a.name
+	var shardStats relation.JoinShardStats
+	if nodesB > nodesA {
+		drive = b.name
+		jp, stats, visited, err := b.rel.JuxtaposeSpatialStats(b.picture, a.rel, a.picture,
+			func(y, x geom.Rect) bool { return pred(x, y) }, st.e.parallelism())
+		if err != nil {
+			return nil, err
+		}
+		st.visited += visited
+		shardStats = stats
+		pairs = make([]pair, len(jp))
+		for i, p := range jp {
+			pairs[i] = pair{p.B, p.A}
+		}
+	} else {
+		jp, stats, visited, err := a.rel.JuxtaposeSpatialStats(a.picture, b.rel, b.picture,
+			func(x, y geom.Rect) bool { return pred(x, y) }, st.e.parallelism())
+		if err != nil {
+			return nil, err
+		}
+		st.visited += visited
+		shardStats = stats
+		pairs = make([]pair, len(jp))
+		for i, p := range jp {
+			pairs[i] = pair{p.A, p.B}
+		}
+	}
+	st.note("juxtaposition: simultaneous R-tree traversal of %q and %q (%s), driving %q (%d vs %d nodes)",
+		a.name, b.name, op, drive, nodesA, nodesB)
+	if shardStats.PairProduct > 1 || shardStats.PairsJoined > 1 {
+		// Cross-shard: report the frontier restriction — the shard
+		// pairs actually joined out of the MBR-overlapping product
+		// (Gutiérrez-style two-tree restriction, DESIGN.md §16).
+		st.note("cross-shard juxtaposition: frontier restriction joined %d of %d overlapping shard pairs",
+			shardStats.PairsJoined, shardStats.PairProduct)
+	}
+	return pairs, nil
+}
+
 // fetchSide materializes one join side's tuples for a pair list: each
 // distinct id is fetched and decoded once, and the result is expanded
 // back to pair positions (join sides repeat ids heavily).
@@ -988,10 +1007,7 @@ func (st *execState) fetchSide(bi int, ids []storage.TupleID) ([]relation.Tuple,
 func (st *execState) cartesian(fixed map[int][]storage.TupleID) ([]row, error) {
 	lists := make([][]storage.TupleID, len(st.bindings))
 	product := 1
-	limit := st.e.MaxProductRows
-	if limit <= 0 {
-		limit = 1_000_000
-	}
+	limit := st.e.maxProductRows()
 	for i := range st.bindings {
 		if ids, ok := fixed[i]; ok {
 			lists[i] = ids

@@ -148,6 +148,17 @@ func (st *execState) naiveJoin(bi, bj int, op SpatialOp) ([]row, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A disjoined juxtaposition is an unindexed product, capped like
+	// one. The cap counts the pairs that pass the where-terms filtering
+	// one relation alone (restrictions — the same terms the planned
+	// path evaluates ahead of its nested loop, evaluated here per joined
+	// row by the generic evaluator), so both executors refuse the same
+	// statements.
+	var capped []boundTerm
+	if op == OpDisjoined && st.q.Where != nil {
+		capped = st.restrictions()
+	}
+	limit := st.e.maxProductRows()
 	pred := spatialPred(op)
 	var rows []row
 	for i0, id0 := range ids0 {
@@ -167,10 +178,39 @@ func (st *execState) naiveJoin(bi, bj int, op SpatialOp) ([]row, error) {
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, row{ids: []storage.TupleID{id0, id1}, tuples: []relation.Tuple{t0, t1}})
+			r := row{ids: []storage.TupleID{id0, id1}, tuples: []relation.Tuple{t0, t1}}
+			if op == OpDisjoined {
+				ok, err := st.holdsAll(capped, &r)
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					continue
+				}
+				if len(rows) == limit {
+					return nil, errDisjoinedLimit(limit)
+				}
+			}
+			rows = append(rows, r)
 		}
 	}
 	return rows, nil
+}
+
+// holdsAll evaluates the terms' conjuncts over r with the generic
+// evaluator.
+func (st *execState) holdsAll(terms []boundTerm, r *row) (bool, error) {
+	for _, t := range terms {
+		d, err := st.eval(st.an.conjuncts[t.idx].expr, r)
+		if err != nil {
+			return false, err
+		}
+		ok, err := d.Truth()
+		if err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
 }
 
 // naiveCartesian is cartesian with per-id Get instead of batch
@@ -178,10 +218,7 @@ func (st *execState) naiveJoin(bi, bj int, op SpatialOp) ([]row, error) {
 func (st *execState) naiveCartesian(fixed map[int][]storage.TupleID) ([]row, error) {
 	lists := make([][]storage.TupleID, len(st.bindings))
 	product := 1
-	limit := st.e.MaxProductRows
-	if limit <= 0 {
-		limit = 1_000_000
-	}
+	limit := st.e.maxProductRows()
 	for i := range st.bindings {
 		if ids, ok := fixed[i]; ok {
 			lists[i] = ids

@@ -35,12 +35,20 @@ func corpusPlans(t *testing.T, db *pictdb.Database) []string {
 // snapshot priced at zero nodes, so every direct-search estimate rose
 // by exactly 3.0 (43.7 to 46.7) and the cities side of the
 // juxtaposition by exactly 3 nodes (16 to 19); no access path and no
-// driving side changed.
+// driving side changed. Those first 13 lines have no juxtaposition with
+// a where-clause and did not move when restrict.go landed; the lines
+// after them pin the restricted juxtapositions it added to the corpus:
+// the side restricted, the survivors, the three estimates, and the
+// join algorithm taken.
 func TestPlanChoiceOnOracleCorpus(t *testing.T) {
 	db := usdb(t)
 	check := func(state string, want []string) {
 		t.Helper()
-		for i, got := range corpusPlans(t, db) {
+		plans := corpusPlans(t, db)
+		if len(plans) != len(want) {
+			t.Fatalf("%s: %d statements, %d pinned plans", state, len(plans), len(want))
+		}
+		for i, got := range plans {
 			if got != want[i] {
 				t.Errorf("%s, query %d:\n got %s\nwant %s", state, i, got, want[i])
 			}
@@ -88,6 +96,17 @@ var packedPlans = []string{
 	`scan: full scan of 1 relation(s)`,
 	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
 	`cost: direct spatial search (est 25.8) kept over B-tree on cities.population (est 37.3) | direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
+	// Juxtapositions with a where-clause, pinned when restrict.go landed.
+	`juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 18.0) | cost: traversal (est 18.0) kept over batched direct search from the 1 surviving "time-zones" MBR(s) (est 19.5) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (16 vs 1 nodes)`,
+	`juxtaposition restriction: "cities" reduced to 1 of 48 tuple(s) by 1 where-term(s), B-tree on cities.city (=) (est 10.4 vs traversal 18.0) | juxtaposition: batched direct search of "time-zones" from the 1 surviving "cities" MBR(s) (covered-by) (est 5.0 vs traversal 18.0)`,
+	`cost: traversal (est 18.0) kept over restricting "cities" (est 48.0) | juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 18.0) | cost: traversal (est 18.0) kept over batched direct search from the 1 surviving "time-zones" MBR(s) (est 23.2) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (16 vs 1 nodes)`,
+	`juxtaposition restriction: "cities" reduced to 1 of 48 tuple(s) by 1 where-term(s), B-tree on cities.city (=) (est 10.4 vs traversal 18.0) | juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 18.0) | juxtaposition: batched direct search of "time-zones" from the 1 surviving "cities" MBR(s) (covered-by) (est 5.0 vs traversal 18.0)`,
+	`cost: traversal (est 18.0) kept over restricting "cities" (est 37.3) | juxtaposition restriction: "time-zones" reduced to 4 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 18.0) | cost: traversal (est 18.0) kept over batched direct search from the 4 surviving "time-zones" MBR(s) (est 72.8) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (16 vs 1 nodes)`,
+	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (16 vs 1 nodes)`,
+	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (16 vs 1 nodes)`,
+	`juxtaposition restriction: "cities" reduced to 6 of 48 tuple(s) by 1 where-term(s), B-tree on cities.population (>) (est 37.3) | juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0) | juxtaposition: nested loop of "cities" and "time-zones" (disjoined admits no pruning)`,
+	`juxtaposition restriction: "cities" reduced to 1 of 48 tuple(s) by 1 where-term(s), B-tree on cities.city (=) (est 10.4 vs traversal 18.0) | juxtaposition: batched direct search of "time-zones" from the 1 surviving "cities" MBR(s) (covering) (est 5.0 vs traversal 18.0)`,
+	`juxtaposition restriction: "time-zones" reduced to 2 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 18.0) | cost: traversal (est 18.0) kept over batched direct search from the 2 surviving "time-zones" MBR(s) (est 30.1) | juxtaposition: simultaneous R-tree traversal of "time-zones" and "cities" (covering), driving "cities" (1 vs 16 nodes)`,
 }
 
 var warmPlans = []string{
@@ -104,4 +123,15 @@ var warmPlans = []string{
 	`scan: full scan of 1 relation(s)`,
 	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
 	`cost: direct spatial search (est 46.7) kept over B-tree on cities.population (est 59.8) | direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
+	// Juxtapositions with a where-clause, pinned when restrict.go landed.
+	`juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 21.0) | cost: traversal (est 21.0) kept over batched direct search from the 1 surviving "time-zones" MBR(s) (est 37.2) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (19 vs 1 nodes)`,
+	`juxtaposition restriction: "cities" reduced to 1 of 81 tuple(s) by 1 where-term(s), B-tree on cities.city (=) (est 14.5 vs traversal 21.0) | juxtaposition: batched direct search of "time-zones" from the 1 surviving "cities" MBR(s) (covered-by) (est 5.0 vs traversal 21.0)`,
+	`cost: traversal (est 21.0) kept over restricting "cities" (est 81.0) | juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 21.0) | cost: traversal (est 21.0) kept over batched direct search from the 1 surviving "time-zones" MBR(s) (est 37.1) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (19 vs 1 nodes)`,
+	`juxtaposition restriction: "cities" reduced to 1 of 81 tuple(s) by 1 where-term(s), B-tree on cities.city (=) (est 14.5 vs traversal 21.0) | juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 21.0) | juxtaposition: batched direct search of "time-zones" from the 1 surviving "cities" MBR(s) (covered-by) (est 5.0 vs traversal 21.0)`,
+	`cost: traversal (est 21.0) kept over restricting "cities" (est 59.8) | juxtaposition restriction: "time-zones" reduced to 4 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 21.0) | cost: traversal (est 21.0) kept over batched direct search from the 4 surviving "time-zones" MBR(s) (est 127.2) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (19 vs 1 nodes)`,
+	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (19 vs 1 nodes)`,
+	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (19 vs 1 nodes)`,
+	`juxtaposition restriction: "cities" reduced to 5 of 81 tuple(s) by 1 where-term(s), B-tree on cities.population (>) (est 59.8) | juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0) | juxtaposition: nested loop of "cities" and "time-zones" (disjoined admits no pruning)`,
+	`juxtaposition restriction: "cities" reduced to 1 of 81 tuple(s) by 1 where-term(s), B-tree on cities.city (=) (est 14.5 vs traversal 21.0) | juxtaposition: batched direct search of "time-zones" from the 1 surviving "cities" MBR(s) (covering) (est 5.0 vs traversal 21.0)`,
+	`juxtaposition restriction: "time-zones" reduced to 2 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 21.0) | cost: traversal (est 21.0) kept over batched direct search from the 2 surviving "time-zones" MBR(s) (est 52.9) | juxtaposition: simultaneous R-tree traversal of "time-zones" and "cities" (covering), driving "cities" (1 vs 19 nodes)`,
 }

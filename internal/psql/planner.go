@@ -17,6 +17,16 @@ import (
 // and overlap the pack left behind — so a tightly packed tree (low
 // coverage, near-zero overlap) prices direct search low, and a drifted
 // or badly packed one prices it high. See DESIGN.md §11.
+//
+// A juxtaposition is priced three times with the same functions. A
+// where-term that filters one relation alone can restrict that side
+// before the join for min(scanCost, btreeCost) of the side; that is
+// taken when it is under juxtaposeCost of the whole two-tree traversal.
+// The restriction yields the exact survivor count, so the join itself
+// is then directSearchCost of the other side with the survivors' MBRs
+// as the windows against juxtaposeCost again: below it the survivors
+// probe the other tree in one batch, above it the traversal runs and
+// its pairs are filtered by the survivor set (restrict.go).
 
 // btreeHysteresis biases the at-clause plan toward direct spatial
 // search: the B-tree alternative must beat it by 2x before the planner
@@ -106,62 +116,77 @@ func btreeCost(n int, sel float64) float64 {
 // scanCost estimates a full scan: every tuple fetched and decoded.
 func scanCost(n int) float64 { return float64(n) }
 
-// indexableConjunct is one where-term answerable by a B-tree range
-// lookup on the (single) bound relation.
-type indexableConjunct struct {
-	col    ColumnRef
-	op     string
-	lo, hi *relation.Bound
-	sel    float64
+// boundTerm is a `column op literal` where-conjunct resolved against
+// the statement's bindings: the one binding whose column it names, and
+// the literal as a value of that column's type. Evaluating a bound term
+// cannot error, which is what lets a plan evaluate it away from the
+// joined row (B-tree lookup, juxtaposition restriction).
+type boundTerm struct {
+	idx int // position in analysis.conjuncts
+	bi  int // the binding the column belongs to
+	ci  int // the column's index in that binding's schema
+	cmp *colCompare
+	val relation.Value // cmp.lit as a value of the column's type
+	sel float64
+}
+
+// bindTerm resolves conjunct i to a boundTerm. ok is false for every
+// term whose evaluation could error or whose B-tree key would not order
+// correctly: any other shape, a column the evaluator's own resolution
+// (resolveColumn) rejects, and a literal that is not of the column's
+// type (a string against an int, a fractional bound on an int column).
+func (st *execState) bindTerm(i int) (boundTerm, bool) {
+	c := st.an.conjuncts[i]
+	if c.cmp == nil {
+		return boundTerm{}, false
+	}
+	bi, ci, err := st.resolveColumn(c.cmp.col)
+	if err != nil {
+		return boundTerm{}, false
+	}
+	v, ok := literalAsColumnValue(c.cmp.lit, st.bindings[bi].schema.Columns[ci].Type)
+	if !ok {
+		return boundTerm{}, false
+	}
+	return boundTerm{idx: i, bi: bi, ci: ci, cmp: c.cmp, val: v, sel: c.sel}, true
+}
+
+// bounds returns the B-tree range the term selects.
+func (t boundTerm) bounds() (lo, hi *relation.Bound) {
+	switch t.cmp.op {
+	case "=":
+		return &relation.Bound{Value: t.val, Inclusive: true}, &relation.Bound{Value: t.val, Inclusive: true}
+	case ">":
+		return &relation.Bound{Value: t.val}, nil
+	case ">=":
+		return &relation.Bound{Value: t.val, Inclusive: true}, nil
+	case "<":
+		return nil, &relation.Bound{Value: t.val}
+	default: // "<="
+		return nil, &relation.Bound{Value: t.val, Inclusive: true}
+	}
+}
+
+// moreSelectiveIndexed returns t when its column has a B-tree on rel
+// and it is more selective than best, and best otherwise.
+func moreSelectiveIndexed(rel *relation.Relation, best, t boundTerm) boundTerm {
+	if t.sel < best.sel && rel.Index(t.cmp.col.Column) != nil {
+		return t
+	}
+	return best
 }
 
 // bestIndexedConjunct scans the planner-ordered conjuncts of a
 // single-relation query for B-tree-answerable terms and returns the
 // most selective one. ok is false when none is indexable.
-func (st *execState) bestIndexedConjunct() (indexableConjunct, bool) {
-	best := indexableConjunct{sel: math.Inf(1)}
+func (st *execState) bestIndexedConjunct() (boundTerm, bool) {
+	best := boundTerm{sel: math.Inf(1)}
 	if len(st.bindings) != 1 || st.an == nil {
 		return best, false
 	}
-	b := st.bindings[0]
-	for _, c := range st.an.conjuncts {
-		be, isBin := c.expr.(BinaryExpr)
-		if !isBin {
-			continue
-		}
-		col, lit, op, ok := columnVsLiteral(be)
-		if !ok {
-			continue
-		}
-		if col.Table != "" && col.Table != b.name {
-			continue
-		}
-		ci := b.schema.ColumnIndex(col.Column)
-		if ci < 0 || b.rel.Index(col.Column) == nil {
-			continue
-		}
-		v, ok := literalAsColumnValue(lit, b.schema.Columns[ci].Type)
-		if !ok {
-			continue
-		}
-		ic := indexableConjunct{col: col, op: op, sel: c.sel}
-		switch op {
-		case "=":
-			ic.lo = &relation.Bound{Value: v, Inclusive: true}
-			ic.hi = &relation.Bound{Value: v, Inclusive: true}
-		case ">":
-			ic.lo = &relation.Bound{Value: v}
-		case ">=":
-			ic.lo = &relation.Bound{Value: v, Inclusive: true}
-		case "<":
-			ic.hi = &relation.Bound{Value: v}
-		case "<=":
-			ic.hi = &relation.Bound{Value: v, Inclusive: true}
-		default:
-			continue
-		}
-		if ic.sel < best.sel {
-			best = ic
+	for i := range st.an.conjuncts {
+		if t, ok := st.bindTerm(i); ok {
+			best = moreSelectiveIndexed(st.bindings[0].rel, best, t)
 		}
 	}
 	return best, !math.IsInf(best.sel, 1)

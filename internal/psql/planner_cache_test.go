@@ -65,6 +65,48 @@ var oracleCorpus = []string{
 	 on us-map at loc covered-by eastern-us`,
 	`select city from cities on us-map at loc covered-by eastern-us
 	 where distance(loc, {640±0, 378±0}) < 200 and population > 100_000`,
+	// Juxtapositions with a where-clause (restrict.go). A selective term
+	// on the small side: restricted by heap scan; one window prices the
+	// probe just over the 18-node traversal, which is kept and filtered.
+	`select city, zone from cities, time-zones on us-map, time-zone-map
+	 at cities.loc covered-by time-zones.loc where time-zones.zone = 'Eastern'`,
+	// On the large side, through its B-tree: the survivor's MBR probes
+	// the other tree.
+	`select city, zone from cities, time-zones on us-map, time-zone-map
+	 at cities.loc covered-by time-zones.loc where cities.city = 'Chicago'`,
+	// On both sides, the large one unindexed: only the small side is
+	// priced under the traversal.
+	`select city, zone from cities, time-zones on us-map, time-zone-map
+	 at cities.loc covered-by time-zones.loc
+	 where zone = 'Central' and cities.state = 'TX'`,
+	// On both sides, both restricted: one probes, the other filters.
+	`select city, zone from cities, time-zones on us-map, time-zone-map
+	 at cities.loc covered-by time-zones.loc
+	 where zone = 'Eastern' and city = 'Boston'`,
+	// An indexable range the B-tree prices over the traversal, and an
+	// unselective restriction: the traversal runs, its pairs filtered.
+	`select city, zone from cities, time-zones on us-map, time-zone-map
+	 at cities.loc covered-by time-zones.loc
+	 where cities.population > 1_000_000 and hour-diff > -100`,
+	// Terms that must not be pushed: a function call and a comparison
+	// across the two bindings.
+	`select city, zone from cities, time-zones on us-map, time-zone-map
+	 at cities.loc covered-by time-zones.loc
+	 where distance(cities.loc, {640±0, 378±0}) < 300 and population > hour-diff`,
+	// A fractional bound on an int column is not a bound term, and the
+	// pushable term ranked behind it stays behind it.
+	`select city, zone from cities, time-zones on us-map, time-zone-map
+	 at cities.loc covered-by time-zones.loc
+	 where population >= 400000.5 and hour-diff < -5`,
+	// Disjoined: the nested loop takes the restricted lists.
+	`select city, zone from cities, time-zones on us-map, time-zone-map
+	 at cities.loc disjoined time-zones.loc
+	 where zone = 'Pacific' and population > 1_000_000`,
+	// The at-clause in converse order, survivors on its left.
+	`select zone, city from cities, time-zones on us-map, time-zone-map
+	 at time-zones.loc covering cities.loc where city = 'Denver'`,
+	`select zone, city from cities, time-zones on us-map, time-zone-map
+	 at time-zones.loc covering cities.loc where hour-diff < -6`,
 }
 
 // TestPlannedMatchesNaiveOracle runs a corpus covering every access

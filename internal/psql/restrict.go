@@ -1,0 +1,366 @@
+package psql
+
+import (
+	"fmt"
+	"math"
+	"sort"
+
+	"repro/internal/geom"
+	"repro/internal/relation"
+	"repro/internal/rtree"
+	"repro/internal/storage"
+)
+
+// Restrict before you join. A juxtaposition's where-clause often
+// filters one relation alone (`regions.kind = 7`). Such terms are
+// evaluated against that relation before the join, and the survivors'
+// MBRs then either drive one batched direct search on the other side —
+// the nested mapping's access path, with the inner result bound by the
+// planner instead of written by the user — or filter the pairs of the
+// simultaneous traversal before any tuple is fetched. See DESIGN.md §11.
+
+// restrictions returns the where-terms a juxtaposition may evaluate per
+// relation ahead of the join: the longest run of bound terms at the
+// head of the planner-ordered conjuncts. Only a head run is taken
+// because qualifies evaluates conjuncts in that order with
+// short-circuit AND: a row an error-free head term rejects never
+// reaches the terms behind it, so evaluating the head run first, per
+// relation, rejects the same rows and surfaces the same errors. A bound
+// term behind a term that can error stays where it is.
+func (st *execState) restrictions() []boundTerm {
+	var out []boundTerm
+	for i := range st.an.conjuncts {
+		t, ok := st.bindTerm(i)
+		if !ok {
+			break
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
+// holds evaluates the term against the column value v with the
+// comparison semantics of evalBinary.
+func (t boundTerm) holds(v relation.Value, lit Datum) bool {
+	d := fromValue(v)
+	// Neither call can fail: bindTerm admitted the literal only as a
+	// value of the column's own type.
+	if t.cmp.op == "=" {
+		eq, _ := datumsEqual(d, lit)
+		return eq
+	}
+	c, _ := compare(d, lit)
+	switch t.cmp.op {
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	case ">":
+		return c > 0
+	default: // ">="
+		return c >= 0
+	}
+}
+
+// restrictionCost prices reducing binding bi to the tuples its terms
+// keep: the cheaper of a column-lazy heap scan and a B-tree lookup on
+// the most selective indexed term. via is that term when the B-tree
+// wins and nil when the scan does.
+func (st *execState) restrictionCost(bi int, terms []boundTerm) (cost float64, via *boundTerm) {
+	rel := st.bindings[bi].rel
+	cost = scanCost(rel.Len())
+	best := boundTerm{sel: math.Inf(1)}
+	for _, t := range terms {
+		best = moreSelectiveIndexed(rel, best, t)
+	}
+	if best.cmp != nil {
+		if c := btreeCost(rel.Len(), best.sel); c < cost {
+			return c, &best
+		}
+	}
+	return cost, nil
+}
+
+// joinSide is one side of a juxtaposition while it is planned.
+type joinSide struct {
+	bi    int         // the binding
+	terms []boundTerm // the where-terms that filter this binding alone
+	// restricted reports that terms were evaluated ahead of the join:
+	// items then holds the survivors, ascending by id, and qualifies
+	// skips the terms.
+	restricted bool
+	items      []rtree.Item
+	costProbe  float64 // estimate of a direct search driven from items
+}
+
+// restrict evaluates s.terms ahead of the join, through the B-tree on
+// via's column or, when via is nil, one heap scan, and notes the
+// outcome with the estimates in vs.
+func (st *execState) restrict(s *joinSide, via *boundTerm, vs string) error {
+	items, err := st.restrictSide(s.bi, s.terms, via)
+	if err != nil {
+		return err
+	}
+	s.restricted, s.items = true, items
+	if st.pushed == nil {
+		st.pushed = make([]bool, len(st.an.conjuncts))
+	}
+	for _, t := range s.terms {
+		st.pushed[t.idx] = true
+	}
+	b := st.bindings[s.bi]
+	how := "heap scan"
+	if via != nil {
+		how = fmt.Sprintf("B-tree on %s.%s (%s)", b.name, via.cmp.col.Column, via.cmp.op)
+	}
+	st.note("juxtaposition restriction: %q reduced to %d of %d tuple(s) by %d where-term(s), %s (%s)",
+		b.name, len(items), b.rel.Len(), len(s.terms), how, vs)
+	return nil
+}
+
+// restrictSide reduces binding bi to the tuples every term keeps and
+// returns them as (MBR, id) items in ascending id order — the shape
+// SpatialItems enumerates, so either can feed a join. Candidates come
+// from the B-tree on via's column, or from one heap scan when via is
+// nil; both decode only the terms' columns and loc. Tuples whose loc is
+// not a live object of the on-clause picture are dropped: the spatial
+// index does not carry them, so they join nothing.
+func (st *execState) restrictSide(bi int, terms []boundTerm, via *boundTerm) ([]rtree.Item, error) {
+	b := st.bindings[bi]
+	li := b.schema.LocColumn()
+	pic, ok := st.e.cat.Picture(b.picture)
+	if li < 0 || !ok {
+		return nil, fmt.Errorf("psql: relation %q has no loc column on picture %q", b.name, b.picture)
+	}
+	need := make([]bool, b.schema.Arity())
+	need[li] = true
+	lits := make([]Datum, len(terms))
+	for i, t := range terms {
+		need[t.ci] = true
+		lit, err := st.eval(t.cmp.lit, nil)
+		if err != nil {
+			return nil, err
+		}
+		lits[i] = lit
+	}
+	var out []rtree.Item
+	keep := func(id storage.TupleID, t relation.Tuple) {
+		for i, term := range terms {
+			if !term.holds(t[term.ci], lits[i]) {
+				return
+			}
+		}
+		if mbr, ok := tupleMBR(t, li, pic, b.picture); ok {
+			out = append(out, rtree.Item{Rect: mbr, Data: id.Int64()})
+		}
+	}
+	var ids []storage.TupleID
+	indexed := false
+	if via != nil {
+		lo, hi := via.bounds()
+		ids, indexed = b.rel.LookupRange(via.cmp.col.Column, lo, hi)
+	}
+	if indexed {
+		tuples, err := b.rel.GetBatch(ids, need, st.e.parallelism())
+		if err != nil {
+			return nil, err
+		}
+		for i, id := range ids {
+			keep(id, tuples[i])
+		}
+	} else if err := b.rel.ScanCols(need, func(id storage.TupleID, t relation.Tuple) bool {
+		keep(id, t)
+		return true
+	}); err != nil {
+		return nil, err
+	}
+	// The B-tree delivers key order, and a heap scan follows the page
+	// chain, which ascends only until a freed page is reused.
+	sort.Slice(out, func(i, j int) bool { return out[i].Data < out[j].Data })
+	return out, nil
+}
+
+// survives reports whether id is among the ascending survivor items.
+func survives(items []rtree.Item, id storage.TupleID) bool {
+	v := id.Int64()
+	i := sort.Search(len(items), func(i int) bool { return items[i].Data >= v })
+	return i < len(items) && items[i].Data == v
+}
+
+// itemRects returns the items' rectangles, the windows of a batched
+// direct search driven from them.
+func itemRects(items []rtree.Item) []geom.Rect {
+	out := make([]geom.Rect, len(items))
+	for i, it := range items {
+		out[i] = it.Rect
+	}
+	return out
+}
+
+// nestedLoopPairs is the disjoined juxtaposition: disjoint pairs are
+// exactly what tree pruning eliminates, so every pair of entries is
+// tested. A restriction is the only thing that shrinks the loop and is
+// always taken. The qualifying pairs are capped like any other
+// unindexed product.
+func (st *execState) nestedLoopPairs(sides *[2]joinSide) ([]pair, error) {
+	var items [2][]rtree.Item
+	for s := range sides {
+		side := &sides[s]
+		b := st.bindings[side.bi]
+		if len(side.terms) > 0 {
+			cost, via := st.restrictionCost(side.bi, side.terms)
+			if err := st.restrict(side, via, fmt.Sprintf("est %.1f", cost)); err != nil {
+				return nil, err
+			}
+			items[s] = side.items
+			continue
+		}
+		// Enumeration merges packed and delta trees.
+		all, visited, err := b.rel.SpatialItems(b.picture)
+		if err != nil {
+			return nil, err
+		}
+		items[s] = all
+		st.visited += visited
+	}
+	st.note("juxtaposition: nested loop of %q and %q (%s admits no pruning)",
+		st.bindings[sides[0].bi].name, st.bindings[sides[1].bi].name, OpDisjoined)
+	limit := st.e.maxProductRows()
+	var pairs []pair
+	for _, ia := range items[0] {
+		for _, ib := range items[1] {
+			if geom.Disjoined(ia.Rect, ib.Rect) {
+				if len(pairs) == limit {
+					return nil, errDisjoinedLimit(limit)
+				}
+				pairs = append(pairs, pair{storage.TupleIDFromInt64(ia.Data), storage.TupleIDFromInt64(ib.Data)})
+			}
+		}
+	}
+	return pairs, nil
+}
+
+// errDisjoinedLimit is the planned and naive executors' shared refusal
+// of a disjoined juxtaposition with more than limit qualifying pairs.
+func errDisjoinedLimit(limit int) error {
+	return fmt.Errorf("psql: disjoined juxtaposition exceeds %d rows; restrict a relation in the where-clause", limit)
+}
+
+// intersectingPairs joins the two sides under an operator that implies
+// MBR intersection. Three estimates pick the plan. A side is restricted
+// when its restriction is priced under the traversal; with the exact
+// survivor count in hand, a batched direct search of the other side
+// from the survivors' MBRs is priced against the traversal again, and
+// the cheaper runs. Whichever runs, pairs a restricted side rejects are
+// dropped here, before either side is fetched.
+func (st *execState) intersectingPairs(sides *[2]joinSide, op SpatialOp) ([]pair, error) {
+	a, b := st.bindings[sides[0].bi], st.bindings[sides[1].bi]
+	na, _ := a.rel.SpatialCostSnapshot(a.picture, nil)
+	nb, _ := b.rel.SpatialCostSnapshot(b.picture, nil)
+	nodesA := na.Stats.Nodes + na.DeltaNodes
+	nodesB := nb.Stats.Nodes + nb.DeltaNodes
+	est, err := a.rel.JoinShardPairEstimate(a.picture, b.rel, b.picture)
+	if err != nil {
+		return nil, err
+	}
+	costJoin := juxtaposeCost(nodesA, nodesB, est)
+	if est.PairProduct > 1 {
+		st.note("juxtaposition estimate: %.0f page touches (%d of %d overlapping shard pairs admitted)",
+			costJoin, est.PairsJoined, est.PairProduct)
+	}
+
+	// drive is the restricted side whose probe is cheapest, -1 while
+	// the traversal is.
+	drive, costBest := -1, costJoin
+	var probeWindows []geom.Rect
+	for s := range sides {
+		side := &sides[s]
+		if len(side.terms) == 0 {
+			continue
+		}
+		cost, via := st.restrictionCost(side.bi, side.terms)
+		if cost >= costJoin {
+			st.note("cost: traversal (est %.1f) kept over restricting %q (est %.1f)",
+				costJoin, st.bindings[side.bi].name, cost)
+			continue
+		}
+		if err := st.restrict(side, via, fmt.Sprintf("est %.1f vs traversal %.1f", cost, costJoin)); err != nil {
+			return nil, err
+		}
+		other := st.bindings[sides[1-s].bi]
+		windows := itemRects(side.items)
+		snap, _ := other.rel.SpatialCostSnapshot(other.picture, windows)
+		side.costProbe = directSearchCost(snap, windows, op)
+		if side.costProbe < costBest {
+			drive, costBest, probeWindows = s, side.costProbe, windows
+		}
+	}
+
+	var pairs []pair
+	if drive >= 0 {
+		pairs, err = st.probePairs(sides, drive, probeWindows, op)
+		st.note("juxtaposition: batched direct search of %q from the %d surviving %q MBR(s) (%s) (est %.1f vs traversal %.1f)",
+			st.bindings[sides[1-drive].bi].name, len(sides[drive].items), st.bindings[sides[drive].bi].name, op, costBest, costJoin)
+	} else {
+		for s := range sides {
+			if sides[s].restricted {
+				st.note("cost: traversal (est %.1f) kept over batched direct search from the %d surviving %q MBR(s) (est %.1f)",
+					costJoin, len(sides[s].items), st.bindings[sides[s].bi].name, sides[s].costProbe)
+			}
+		}
+		pairs, err = st.traversalPairs(sides, op, nodesA, nodesB)
+	}
+	if err != nil {
+		return nil, err
+	}
+	for s := range sides {
+		if !sides[s].restricted || s == drive {
+			continue // unrestricted, or the probe's own windows
+		}
+		kept := pairs[:0]
+		for _, p := range pairs {
+			id := p.x
+			if s == 1 {
+				id = p.y
+			}
+			if survives(sides[s].items, id) {
+				kept = append(kept, p)
+			}
+		}
+		pairs = kept
+	}
+	return pairs, nil
+}
+
+// probePairs answers the join by one batched direct search of the
+// other side's R-tree with windows, the driving side's surviving MBRs —
+// what a nested mapping's rows would be, bound here by the planner
+// rather than written by the user.
+func (st *execState) probePairs(sides *[2]joinSide, drive int, windows []geom.Rect, op SpatialOp) ([]pair, error) {
+	// The operator reads (sides[0] MBR, sides[1] MBR); SearchAreaBatch
+	// calls (object, window), so it is turned around when sides[0]'s
+	// survivors are the windows.
+	probe := spatialPred(op)
+	if drive == 0 {
+		probe = spatialPred(converse(op))
+	}
+	from := sides[drive].items
+	probed := st.bindings[sides[1-drive].bi]
+	batches, visited, err := probed.rel.SearchAreaBatch(probed.picture, windows, probe, st.e.parallelism())
+	if err != nil {
+		return nil, err
+	}
+	st.visited += visited
+	var pairs []pair
+	for i, ids := range batches {
+		fid := storage.TupleIDFromInt64(from[i].Data)
+		for _, id := range ids {
+			if drive == 0 {
+				pairs = append(pairs, pair{fid, id})
+			} else {
+				pairs = append(pairs, pair{id, fid})
+			}
+		}
+	}
+	return pairs, nil
+}

@@ -210,7 +210,7 @@ func (r *Relation) SplitShard(src int, pgr *pager.Pager) (int, *SplitPending, er
 			continue
 		}
 		gid := shardSeqBase + int64(i)
-		t, ok, err := r.fetchRouted(gid, v)
+		t, ok, err := r.fetchRouted(gid, v, nil)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -300,7 +300,7 @@ func (r *Relation) SplitShard(src int, pgr *pager.Pager) (int, *SplitPending, er
 			}
 			return 0, nil, fmt.Errorf("relation %s: shard %d: migrating %v: %w", r.name, src, storage.TupleIDFromInt64(m.gid), err)
 		}
-		t, err := decodeShardRecord(rec, m.gid)
+		t, err := decodeShardRecord(rec, m.gid, nil)
 		if err != nil {
 			if r.routeNow(m.gid) != v {
 				continue

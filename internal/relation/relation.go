@@ -324,12 +324,20 @@ func (r *Relation) Update(id storage.TupleID, t Tuple) (storage.TupleID, error) 
 // Scan calls fn on every tuple in storage order; returning false stops
 // the scan.
 func (r *Relation) Scan(fn func(id storage.TupleID, t Tuple) bool) error {
+	return r.ScanCols(nil, fn)
+}
+
+// ScanCols is Scan with column-lazy decode: only the columns whose need
+// flag is set are materialized, as in DecodeTupleCols (nil = all). It
+// is the access path of a scan that tests one or two columns of every
+// tuple and keeps few.
+func (r *Relation) ScanCols(need []bool, fn func(id storage.TupleID, t Tuple) bool) error {
 	if r.Sharded() {
-		return r.scanSharded(fn)
+		return r.scanSharded(need, fn)
 	}
 	var decodeErr error
 	err := r.heap.Scan(func(id storage.TupleID, rec []byte) bool {
-		t, err := DecodeTuple(rec)
+		t, err := DecodeTupleCols(rec, need)
 		if err != nil {
 			decodeErr = fmt.Errorf("relation %s: tuple %v: %w", r.name, id, err)
 			return false

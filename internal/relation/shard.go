@@ -282,8 +282,8 @@ func splitShardRecord(rec []byte) (int64, []byte, error) {
 
 // decodeShardRecord decodes a shard heap record, verifying its
 // sequence prefix matches the id it was looked up under (want < 0
-// skips the check).
-func decodeShardRecord(rec []byte, want int64) (Tuple, error) {
+// skips the check), materializing the columns need selects (nil = all).
+func decodeShardRecord(rec []byte, want int64, need []bool) (Tuple, error) {
 	seq, payload, err := splitShardRecord(rec)
 	if err != nil {
 		return nil, err
@@ -291,7 +291,7 @@ func decodeShardRecord(rec []byte, want int64) (Tuple, error) {
 	if want >= 0 && seq != want {
 		return nil, fmt.Errorf("%w: shard record carries sequence %d, route table says %d", storage.ErrCorrupt, seq, want)
 	}
-	return DecodeTuple(payload)
+	return DecodeTupleCols(payload, need)
 }
 
 // routeAtLocked returns the route entry for a global id, 0 when the id
@@ -422,7 +422,7 @@ func (r *Relation) insertSharded(t Tuple) (storage.TupleID, error) {
 // unchanged means the heap really is damaged. Retries terminate
 // because a given sequence moves at most once per split and splits are
 // finite.
-func (r *Relation) fetchRouted(gid, v int64) (Tuple, bool, error) {
+func (r *Relation) fetchRouted(gid, v int64, need []bool) (Tuple, bool, error) {
 	for {
 		s, lid := decodeRoute(v)
 		sh := r.shardList()[s]
@@ -431,7 +431,7 @@ func (r *Relation) fetchRouted(gid, v int64) (Tuple, bool, error) {
 		sh.mu.RUnlock()
 		if err == nil {
 			var t Tuple
-			t, err = decodeShardRecord(rec, gid)
+			t, err = decodeShardRecord(rec, gid, need)
 			if err == nil {
 				return t, true, nil
 			}
@@ -454,7 +454,7 @@ func (r *Relation) getSharded(id storage.TupleID) (Tuple, error) {
 	if v == 0 {
 		return nil, fmt.Errorf("%w: %v", storage.ErrNotFound, id)
 	}
-	t, ok, err := r.fetchRouted(gid, v)
+	t, ok, err := r.fetchRouted(gid, v, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -566,7 +566,7 @@ func (r *Relation) deleteSharded(id storage.TupleID) error {
 	if err != nil {
 		return fmt.Errorf("relation %s: shard %d: %w", r.name, s, err)
 	}
-	t, err := decodeShardRecord(rec, gid)
+	t, err := decodeShardRecord(rec, gid, nil)
 	if err != nil {
 		return err
 	}
@@ -593,17 +593,17 @@ func (r *Relation) deleteSharded(id storage.TupleID) error {
 	return nil
 }
 
-// scanSharded is Scan for sharded relations: global ids ascend in
+// scanSharded is ScanCols for sharded relations: global ids ascend in
 // insertion order, so the iteration walks the route table — the same
 // order an unsharded append-only heap scan yields.
-func (r *Relation) scanSharded(fn func(id storage.TupleID, t Tuple) bool) error {
+func (r *Relation) scanSharded(need []bool, fn func(id storage.TupleID, t Tuple) bool) error {
 	routes := r.routesSnapshot()
 	for i, v := range routes {
 		if v == 0 {
 			continue
 		}
 		gid := shardSeqBase + int64(i)
-		t, ok, err := r.fetchRouted(gid, v)
+		t, ok, err := r.fetchRouted(gid, v, need)
 		if err != nil {
 			return err
 		}
@@ -630,7 +630,7 @@ func (r *Relation) shardLocItems(pic *picture.Picture) ([][]rtree.Item, error) {
 		}
 		gid := shardSeqBase + int64(i)
 		s, _ := decodeRoute(v)
-		t, ok, err := r.fetchRouted(gid, v)
+		t, ok, err := r.fetchRouted(gid, v, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -305,6 +305,43 @@ func TestShardedJuxtaposeOracle(t *testing.T) {
 	}
 }
 
+// TestScanColsMatchesScan: the column-lazy scan visits the tuples Scan
+// visits, in the same order, with the needed columns materialized and
+// the rest left at their zero payload — unsharded and at every shard
+// count.
+func TestScanColsMatchesScan(t *testing.T) {
+	twins, _, _ := shardTwins(t, 200, 5)
+	need := []bool{false, false, true, true} // population, loc
+	for _, k := range append([]int{0}, shardCounts...) {
+		rel := twins[k]
+		var ids []storage.TupleID
+		var full []Tuple
+		if err := rel.Scan(func(id storage.TupleID, tu Tuple) bool {
+			ids, full = append(ids, id), append(full, tu)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		err := rel.ScanCols(need, func(id storage.TupleID, tu Tuple) bool {
+			if i >= len(ids) || id != ids[i] {
+				t.Fatalf("shards=%d: ScanCols tuple %d is %v, Scan disagrees", k, i, id)
+			}
+			if tu[2] != full[i][2] || tu[3] != full[i][3] {
+				t.Fatalf("shards=%d: needed columns of %v = %v, %v; Scan read %v, %v", k, id, tu[2], tu[3], full[i][2], full[i][3])
+			}
+			if tu[0].Str != "" || tu[1].Str != "" || tu[0].Type != TypeString {
+				t.Fatalf("shards=%d: skipped columns of %v materialized: %v", k, id, tu)
+			}
+			i++
+			return i < 150 // returning false stops the scan
+		})
+		if err != nil || i != 150 {
+			t.Fatalf("shards=%d: ScanCols visited %d tuples, err %v; want to stop at 150", k, i, err)
+		}
+	}
+}
+
 // TestShardedScanAndBatch verifies the non-spatial read paths: Scan
 // order, Get/GetBatch resolution, Len, and B-tree lookups over the
 // sharded route table.

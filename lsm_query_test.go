@@ -62,9 +62,10 @@ func mutateUS(t *testing.T, db *pictdb.Database) {
 }
 
 // lsmQueries covers every access path the planner can pick: direct
-// spatial search (all four operators), juxtaposition, and a nested
-// pictorial subquery — each of which must merge packed, frozen, and
-// delta trees identically to the naive full-scan reference.
+// spatial search (all four operators), juxtaposition with and without
+// a restricting where-clause, and a nested pictorial subquery — each
+// of which must merge packed, frozen, and delta trees identically to
+// the naive full-scan reference.
 var lsmQueries = map[string]string{
 	"direct-covered-by": `
 		select city, state, population, loc from cities on us-map
@@ -77,6 +78,29 @@ var lsmQueries = map[string]string{
 	"juxtaposition": `
 		select city, zone from cities, time-zones on us-map, time-zone-map
 		at cities.loc covered-by time-zones.loc`,
+	// Juxtapositions whose where-clause restricts a side before the
+	// join: the small side by heap scan, the large side through its
+	// B-tree, both, under disjoined, and with the at-clause in converse
+	// order. The survivors come from the heap and the probes and
+	// traversals from the merged trees, so a write-side entry either
+	// misses would show here.
+	"juxtaposition-small-side": `
+		select city, zone from cities, time-zones on us-map, time-zone-map
+		at cities.loc covered-by time-zones.loc where time-zones.zone = 'Eastern'`,
+	"juxtaposition-large-side": `
+		select city, zone from cities, time-zones on us-map, time-zone-map
+		at cities.loc covered-by time-zones.loc where cities.city = 'Houston'`,
+	"juxtaposition-both-sides": `
+		select city, zone, population from cities, time-zones on us-map, time-zone-map
+		at cities.loc covered-by time-zones.loc
+		where hour-diff < -5 and population > 450_000`,
+	"juxtaposition-disjoined": `
+		select city, zone from cities, time-zones on us-map, time-zone-map
+		at cities.loc disjoined time-zones.loc
+		where zone = 'Pacific' and population > 1_000_000`,
+	"juxtaposition-converse": `
+		select zone, city from cities, time-zones on us-map, time-zone-map
+		at time-zones.loc covering cities.loc where state = 'CA'`,
 	"nested": `
 		select lake, lakes.loc from lakes on lake-map
 		at lakes.loc covered-by

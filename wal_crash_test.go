@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -180,6 +181,95 @@ func TestWALCrashPointsTornAppends(t *testing.T) {
 				db2.Close()
 			}
 		})
+	}
+}
+
+// TestWALCrashDanglingLocRefsReported is the detection half of ROADMAP
+// item 0. A durable Write commits a pictorial tuple's heap page through
+// the WAL, but the picture object it points at lives only in the
+// catalog snapshot Checkpoint rewrites. A crash after five acknowledged
+// writes therefore recovers five rows whose locs dangle and that no
+// spatial query answers. Check must say so rather than report the file
+// clean, and the same writes followed by a Checkpoint must stay clean.
+// (The fix, making the picture durable with the tuple, is item 1.)
+func TestWALCrashDanglingLocRefsReported(t *testing.T) {
+	for _, checkpointed := range []bool{false, true} {
+		pair := pager.NewCrashPair()
+		db, err := openPairDB(pair.Main(), pair.WAL(), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pic, err := db.CreatePicture("plan", pictdb.R(0, 0, 100, 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := db.CreateRelation("pts", pictdb.MustSchema("name:string", "n:int", "loc:loc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rel.AttachPicture(pic, pictdb.PackOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			err := db.Write(func() error {
+				name := fmt.Sprintf("p%d", i)
+				oid := pic.AddPoint(name, pictdb.Pt(float64(10+15*i), 50))
+				_, err := rel.Insert(pictdb.Tuple{pictdb.S(name), pictdb.I(int64(i)), pictdb.L("plan", oid)})
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if checkpointed {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The crash: the last image is what the medium held when the
+		// fifth write (or the checkpoint) was acknowledged.
+		images := pair.Images()
+		img := images[len(images)-1]
+		_ = db.Close()
+
+		db2, err := openPairDB(pager.NewMemBackend(img.Main), pager.NewMemBackend(img.WAL), 64)
+		if err != nil {
+			t.Fatalf("checkpointed=%v: recovery failed: %v", checkpointed, err)
+		}
+		rel2, _ := db2.Relation("pts")
+		if rel2.Len() != 5 {
+			t.Fatalf("checkpointed=%v: recovered %d rows, want the 5 acknowledged", checkpointed, rel2.Len())
+		}
+		res, err := db2.Query(`select name from pts on plan at loc covered-by {50±50, 50±50}`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report := db2.Check()
+		if checkpointed {
+			if !report.OK() || res.Len() != 5 {
+				t.Fatalf("checkpointed: %d spatial answers, Check %v; want 5 and clean", res.Len(), report.Err())
+			}
+		} else {
+			// Today's behaviour, pinned until item 1 stage A: the
+			// geometry is gone. What this PR changes is that Check no
+			// longer calls the file clean.
+			if res.Len() != 0 {
+				t.Fatalf("crash image answers %d spatial rows; the picture is durable now — update ROADMAP item 0 and this test", res.Len())
+			}
+			if len(report.Problems) != 1 || report.Problems[0].Component != "relation:pts:loc" ||
+				!strings.Contains(report.Problems[0].Err.Error(), "5 tuple(s)") {
+				t.Fatalf("Check over 5 dangling locs reported %v", report.Problems)
+			}
+			if !pictdb.IsCorruption(report.Err()) {
+				t.Fatalf("dangling locs reported untyped: %v", report.Err())
+			}
+		}
+		if err := db2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
