@@ -6,7 +6,7 @@ GO ?= go
 # suite, DESIGN.md §14), build, pass under the race detector (the
 # concurrent read path and parallel PACK are exercised by dedicated
 # -race stress tests), and survive the fault-injection and crash-point
-# suites, including the WAL crash-recovery and shard-split matrices.
+# suites, including the WAL and sharded crash-recovery matrices.
 check: vet lint build race faults walfaults shardfaults
 
 build:
@@ -59,12 +59,13 @@ faults:
 walfaults:
 	$(GO) test -race -run 'WAL|Snapshot|Append' ./internal/pager/ ./cmd/pictdbcheck/ .
 
-# Shard-split durability: the split crash-point matrix (every fsync
-# boundary during an online shard split, recovery verified from each
-# captured image), the split query oracle, reopen persistence, and the
-# sharded crash/recovery suite.
+# Sharded crash recovery: the coordinated crash-point matrix over a
+# pictorial sharded relation (every fsync boundary of every shard's
+# commit, recovery verified from each captured image), the torn shard
+# WAL sweep, reopen of even and uneven persisted key-range layouts, and
+# OpenSharded's repair or typed refusal of cross-shard duplicates.
 shardfaults:
-	$(GO) test -race -run 'ShardSplit|ShardedCrash|ShardedDuplicate|SplitShard' ./internal/relation/ .
+	$(GO) test -race -run 'ShardedCrash|ShardedDuplicate|ShardedSplitDuplicate|ShardedReopen' ./internal/relation/ .
 
 # Short fuzz pass over the decoders of on-disk bytes: tuples, page-0
 # header slots, catalog records. (-fuzz takes one target per run.)

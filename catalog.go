@@ -41,8 +41,8 @@ const (
 	catObject   = 'O'
 	catRelation = 'R'
 	// catSharded is a sharded relation: one heap handle and one Hilbert
-	// key range per shard, so rebalanced (non-even) layouts survive
-	// reopen.
+	// key range per shard, so a non-even layout (an earlier build
+	// split shards online) survives reopen.
 	catSharded = 'T'
 	// catShardedV1 is the retired record without key ranges; the loader
 	// recognises the tag only to refuse it by name.

@@ -13,8 +13,9 @@
 // N workers — the report is identical at any parallelism. Each sharded
 // relation gets a balance line (shard count and imbalance factor, with
 // per-shard tuple counts and Hilbert key ranges under -v), and shard
-// page files no catalog relation references — the abandoned target of
-// an interrupted split — are flagged as orphans.
+// page files no catalog relation references — left by a crash between
+// creating the files and the checkpoint that would have named them —
+// are flagged as orphans.
 //
 // Exit status is 0 for a healthy file, 1 when verification finds
 // problems or the file cannot be opened (a file in a retired format is
@@ -132,8 +133,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 // count and imbalance factor (largest shard over the mean), with the
 // per-shard tuple counts and Hilbert key ranges under -v — and returns
 // any orphan sidecar files: shard page files on disk that no catalog
-// relation references. Orphans are typically the abandoned target of
-// an interrupted split (recovery keeps the source authoritative);
+// relation references. Orphans are left by a crash between creating
+// shard files and the checkpoint that would have named them (a
+// CreateShardedRelation, or an earlier build's online shard split);
 // they hold no committed data and are safe to remove.
 func shardReport(db *pictdb.Database, path string, verbose bool, stdout io.Writer) []string {
 	known := map[string]bool{}

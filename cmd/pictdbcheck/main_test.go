@@ -340,8 +340,8 @@ func TestCheckShardBalanceReport(t *testing.T) {
 }
 
 // TestCheckFlagsOrphanShardFile: a shard page file no catalog relation
-// references — the abandoned target of an interrupted split — is
-// flagged, and the database still checks clean.
+// references — left by a crash before the checkpoint that would have
+// named it — is flagged, and the database still checks clean.
 func TestCheckFlagsOrphanShardFile(t *testing.T) {
 	path := buildShardedDB(t)
 	orphan := pictdb.ShardPath(path, "cities", 9)

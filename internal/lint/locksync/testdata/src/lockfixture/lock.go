@@ -259,45 +259,3 @@ func suppressedSync(sh *shard, b backend) error {
 	//lint:ignore locksync fixture: single-writer bootstrap path, no readers exist yet
 	return b.Sync()
 }
-
-// --- shard-split migration paths (DESIGN.md §16) -----------------------
-
-// cleanSplitMigration is the split swap discipline: copy the record
-// under the source heap lock, insert under the destination heap lock,
-// then swap the route in its own smu critical section — no two of the
-// three ever held together.
-func cleanSplitMigration(r *Relation, src, dst *relShard) {
-	src.mu.RLock()
-	src.mu.RUnlock()
-	dst.mu.Lock()
-	dst.mu.Unlock()
-	r.smu.Lock()
-	r.smu.Unlock()
-}
-
-// badMigrateSwapUnderHeap swaps the route with the destination heap
-// still locked — a reader chasing the fresh route would stall behind
-// the whole migration.
-func badMigrateSwapUnderHeap(r *Relation, dst *relShard) {
-	dst.mu.Lock()
-	r.smu.Lock() // want `lock order violation: acquiring shard directory mutex`
-	r.smu.Unlock()
-	dst.mu.Unlock()
-}
-
-// badMigrateCopyUnderDir reads the source heap with the route
-// directory still locked.
-func badMigrateCopyUnderDir(r *Relation, src *relShard) {
-	r.smu.Lock()
-	src.mu.RLock() // want `lock order violation: acquiring shard heap mutex`
-	src.mu.RUnlock()
-	r.smu.Unlock()
-}
-
-// badSplitCommitUnderDir makes the split destination durable with the
-// route directory locked.
-func badSplitCommitUnderDir(r *Relation, b backend) error {
-	r.smu.RLock()
-	defer r.smu.RUnlock()
-	return b.Sync() // want `backend Sync while holding shard directory mutex`
-}

@@ -934,28 +934,25 @@ func (st *execState) traversalPairs(sides *[2]joinSide, op SpatialOp, nodesA, no
 	pred := spatialPred(op)
 	var pairs []pair
 	drive := a.name
-	var shardStats relation.JoinShardStats
 	if nodesB > nodesA {
 		drive = b.name
-		jp, stats, visited, err := b.rel.JuxtaposeSpatialStats(b.picture, a.rel, a.picture,
+		jp, visited, err := b.rel.JuxtaposeSpatial(b.picture, a.rel, a.picture,
 			func(y, x geom.Rect) bool { return pred(x, y) }, st.e.parallelism())
 		if err != nil {
 			return nil, err
 		}
 		st.visited += visited
-		shardStats = stats
 		pairs = make([]pair, len(jp))
 		for i, p := range jp {
 			pairs[i] = pair{p.B, p.A}
 		}
 	} else {
-		jp, stats, visited, err := a.rel.JuxtaposeSpatialStats(a.picture, b.rel, b.picture,
+		jp, visited, err := a.rel.JuxtaposeSpatial(a.picture, b.rel, b.picture,
 			func(x, y geom.Rect) bool { return pred(x, y) }, st.e.parallelism())
 		if err != nil {
 			return nil, err
 		}
 		st.visited += visited
-		shardStats = stats
 		pairs = make([]pair, len(jp))
 		for i, p := range jp {
 			pairs[i] = pair{p.A, p.B}
@@ -963,13 +960,6 @@ func (st *execState) traversalPairs(sides *[2]joinSide, op SpatialOp, nodesA, no
 	}
 	st.note("juxtaposition: simultaneous R-tree traversal of %q and %q (%s), driving %q (%d vs %d nodes)",
 		a.name, b.name, op, drive, nodesA, nodesB)
-	if shardStats.PairProduct > 1 || shardStats.PairsJoined > 1 {
-		// Cross-shard: report the frontier restriction — the shard
-		// pairs actually joined out of the MBR-overlapping product
-		// (Gutiérrez-style two-tree restriction, DESIGN.md §16).
-		st.note("cross-shard juxtaposition: frontier restriction joined %d of %d overlapping shard pairs",
-			shardStats.PairsJoined, shardStats.PairProduct)
-	}
 	return pairs, nil
 }
 

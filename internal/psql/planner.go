@@ -86,20 +86,10 @@ func directSearchCost(snap relation.CostSnapshot, windows []geom.Rect, op Spatia
 }
 
 // juxtaposeCost estimates the page touches of the paper's geographic
-// join across two (possibly sharded) indexes: every admitted shard
-// pair pays a synchronized two-tree descent over its share of both
-// sides' nodes, so the estimate is the combined node count scaled by
-// the shard-pair cardinality fraction — the pairs whose subtree
-// frontiers intersect over the bounds-overlapping pair product
-// (Relation.JoinShardPairEstimate). Unsharded joins have fraction 1
-// and degenerate to the plain two-tree estimate.
-func juxtaposeCost(nodesA, nodesB int, est relation.JoinShardStats) float64 {
-	if est.PairsJoined == 0 {
-		// Disjoint frontiers: the join runs no traversals at all.
-		return 1
-	}
-	frac := float64(est.PairsJoined) / float64(est.PairProduct)
-	return 1 + frac*float64(nodesA+nodesB)
+// join: a synchronized two-tree descent over both sides' nodes (summed
+// over shards when a side is sharded).
+func juxtaposeCost(nodesA, nodesB int) float64 {
+	return 1 + float64(nodesA+nodesB)
 }
 
 // btreeCost estimates the page touches of driving the query from a

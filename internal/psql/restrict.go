@@ -259,15 +259,7 @@ func (st *execState) intersectingPairs(sides *[2]joinSide, op SpatialOp) ([]pair
 	nb, _ := b.rel.SpatialCostSnapshot(b.picture, nil)
 	nodesA := na.Stats.Nodes + na.DeltaNodes
 	nodesB := nb.Stats.Nodes + nb.DeltaNodes
-	est, err := a.rel.JoinShardPairEstimate(a.picture, b.rel, b.picture)
-	if err != nil {
-		return nil, err
-	}
-	costJoin := juxtaposeCost(nodesA, nodesB, est)
-	if est.PairProduct > 1 {
-		st.note("juxtaposition estimate: %.0f page touches (%d of %d overlapping shard pairs admitted)",
-			costJoin, est.PairsJoined, est.PairProduct)
-	}
+	costJoin := juxtaposeCost(nodesA, nodesB)
 
 	// drive is the restricted side whose probe is cheapest, -1 while
 	// the traversal is.
@@ -297,6 +289,7 @@ func (st *execState) intersectingPairs(sides *[2]joinSide, op SpatialOp) ([]pair
 	}
 
 	var pairs []pair
+	var err error
 	if drive >= 0 {
 		pairs, err = st.probePairs(sides, drive, probeWindows, op)
 		st.note("juxtaposition: batched direct search of %q from the %d surviving %q MBR(s) (%s) (est %.1f vs traversal %.1f)",

@@ -27,45 +27,27 @@ type Relation struct {
 	// rtreeParams configures spatial indexes built for this relation.
 	rtreeParams rtree.Params
 
-	// Sharded mode (DESIGN.md §15, §16). When the shard list is non-nil
-	// the relation is split across N page files by Hilbert key range and
-	// heap/spatial above stay nil: every access dispatches to the
-	// sharded path. Global TupleIDs are insertion sequence numbers (not
-	// heap addresses); routes maps sequence - shardSeqBase to a packed
-	// (shard, local heap address) entry, 0 = dead. smu guards routes,
-	// indexes, shardSpatial, shardRanges, and shardLive against
-	// concurrent per-shard writers. The shard list itself is an atomic
-	// pointer because a shard split appends to it while readers are in
-	// flight: published copy-on-write under smu, loaded lock-free.
-	shards       atomic.Pointer[[]*relShard]
+	// Sharded mode (DESIGN.md §15). When shards is non-nil the relation
+	// is split across N page files by Hilbert key range and heap/spatial
+	// above stay nil: every access dispatches to the sharded path. The
+	// shard list and shardRanges are fixed by NewSharded/OpenSharded and
+	// never change afterwards. Global TupleIDs are insertion sequence
+	// numbers (not heap addresses); routes maps sequence - shardSeqBase
+	// to a packed (shard, local heap address) entry, 0 = dead. smu guards
+	// routes, indexes, shardSpatial, and shardLive against concurrent
+	// per-shard writers.
+	shards       []*relShard
 	smu          sync.RWMutex
 	routes       []int64
 	nextSeq      atomic.Int64
 	liveCount    atomic.Int64
 	shardSpatial map[string][]*SpatialIndex
 	// shardRanges holds each shard's half-open Hilbert key range
-	// [Lo, Hi); routeShard places new tuples by range lookup. A split
-	// narrows the source range and appends the new shard's.
+	// [Lo, Hi); routeShard places new tuples by range lookup.
 	shardRanges []KeyRange
-	// shardLive counts live tuples per shard — the rebalancer's
-	// imbalance signal, maintained by insert/delete/migration.
+	// shardLive counts live tuples per shard — the balance report's
+	// input, maintained by insert/delete.
 	shardLive []int64
-	// routeEpoch increments on every migration route swap; batch readers
-	// retry when it moves mid-batch (see getBatchSharded).
-	routeEpoch atomic.Int64
-	// splitHook, when set, is called once halfway through a shard
-	// split's migration loop — the oracle test's mid-migration probe.
-	splitHook func()
-}
-
-// shardList returns the current shard list (nil when unsharded). The
-// list is immutable once published; splits publish a grown copy.
-func (r *Relation) shardList() []*relShard {
-	p := r.shards.Load()
-	if p == nil {
-		return nil
-	}
-	return *p
 }
 
 // New creates an empty relation backed by a fresh heap in p.
@@ -149,7 +131,7 @@ func (r *Relation) WaitRepacks() {
 		si.WaitRepack()
 	}
 	r.smu.RLock()
-	all := make([]*SpatialIndex, 0, len(r.shardSpatial)*len(r.shardList()))
+	all := make([]*SpatialIndex, 0, len(r.shardSpatial)*len(r.shards))
 	for _, sis := range r.shardSpatial {
 		all = append(all, sis...)
 	}
@@ -617,25 +599,15 @@ type SpatialPair struct {
 // intersection (the pruning rule); it is called concurrently and must
 // be pure.
 func (r *Relation) JuxtaposeSpatial(picA string, s *Relation, picB string, pred func(a, b geom.Rect) bool, workers int) ([]SpatialPair, int, error) {
-	out, _, visited, err := r.JuxtaposeSpatialStats(picA, s, picB, pred, workers)
-	return out, visited, err
-}
-
-// JuxtaposeSpatialStats is JuxtaposeSpatial with the cross-shard pair
-// telemetry exposed: shard pairs whose subtree frontiers are disjoint
-// are skipped (the result is provably identical — pred implies
-// rectangle intersection). For unsharded relations the stats report the
-// single 1×1 pair.
-func (r *Relation) JuxtaposeSpatialStats(picA string, s *Relation, picB string, pred func(a, b geom.Rect) bool, workers int) ([]SpatialPair, JoinShardStats, int, error) {
 	as := r.spatialList(picA)
 	if as == nil {
-		return nil, JoinShardStats{}, 0, fmt.Errorf("relation %s: no spatial index for picture %q", r.name, picA)
+		return nil, 0, fmt.Errorf("relation %s: no spatial index for picture %q", r.name, picA)
 	}
 	bs := s.spatialList(picB)
 	if bs == nil {
-		return nil, JoinShardStats{}, 0, fmt.Errorf("relation %s: no spatial index for picture %q", s.name, picB)
+		return nil, 0, fmt.Errorf("relation %s: no spatial index for picture %q", s.name, picB)
 	}
-	pairs, visited, stats := scatterJuxtapose(as, bs, pred, workers)
+	pairs, visited := scatterJuxtapose(as, bs, pred, workers)
 	out := make([]SpatialPair, len(pairs))
 	for i, p := range pairs {
 		out[i] = SpatialPair{
@@ -643,7 +615,7 @@ func (r *Relation) JuxtaposeSpatialStats(picA string, s *Relation, picB string, 
 			B: storage.TupleIDFromInt64(p.B.Data),
 		}
 	}
-	return out, stats, visited, nil
+	return out, visited, nil
 }
 
 // HeapPages returns the page ids of the relation's tuple heap, for

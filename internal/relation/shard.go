@@ -62,6 +62,49 @@ type relShard struct {
 	heap *storage.Heap
 }
 
+// KeyRange is the half-open Hilbert key range [Lo, Hi) routed to one
+// shard.
+type KeyRange struct {
+	Lo, Hi uint64
+}
+
+// evenKeyRanges divides the Hilbert key space evenly across n shards —
+// the layout NewSharded gives every relation.
+func evenKeyRanges(n int) []KeyRange {
+	out := make([]KeyRange, n)
+	for s := range out {
+		out[s] = KeyRange{Lo: shardKeyLo(uint64(s), uint64(n)), Hi: shardKeyLo(uint64(s)+1, uint64(n))}
+	}
+	return out
+}
+
+// shardKeyLo is the smallest Hilbert key an even split routes to shard
+// s of n: the least k with k*n >> HilbertKeyBits == s.
+func shardKeyLo(s, n uint64) uint64 {
+	return (s<<pack.HilbertKeyBits + n - 1) / n
+}
+
+// shardForKey returns the shard whose range contains key. Ranges
+// partition [0, 1<<HilbertKeyBits) but need not be even or in shard
+// order (a catalog may carry the layout of an earlier build's online
+// splits), so the lookup is a scan; a key at or beyond every Hi
+// (possible only for degenerate extents) routes to the shard owning the
+// top of the key space.
+func shardForKey(ranges []KeyRange, key uint64) int {
+	for s, kr := range ranges {
+		if key >= kr.Lo && key < kr.Hi {
+			return s
+		}
+	}
+	top := 0
+	for s, kr := range ranges {
+		if kr.Hi > ranges[top].Hi {
+			top = s
+		}
+	}
+	return top
+}
+
 // encodeRoute packs a route-table entry: shard number above the 48-bit
 // local heap address. Valid entries are never zero (a live local id
 // has Page >= 1).
@@ -97,7 +140,7 @@ func NewSharded(pagers []*pager.Pager, name string, schema Schema) (*Relation, e
 		}
 		shards = append(shards, &relShard{pgr: p, heap: h})
 	}
-	r.shards.Store(&shards)
+	r.shards = shards
 	r.shardRanges = evenKeyRanges(len(shards))
 	r.shardLive = make([]int64, len(shards))
 	return r, nil
@@ -105,16 +148,17 @@ func NewSharded(pagers []*pager.Pager, name string, schema Schema) (*Relation, e
 
 // OpenSharded reattaches to a sharded relation whose shard heaps start
 // at firsts[i] in pagers[i] — the catalog's reopen path. ranges gives
-// each shard's persisted Hilbert key range. The route table is rebuilt by
-// scanning every shard heap's sequence prefixes; a malformed sequence
-// is reported as corruption. A sequence stored in two shards with
-// byte-identical records is the durable artifact of a shard split that
-// crashed after the destination committed but before the source's
-// deletions did (DESIGN.md §16): repair keeps the higher-numbered
-// shard's copy (the migration destination — splits only append shards)
-// and deletes the stale source record. Differing payloads remain
-// corruption. Indexes are not rebuilt here (the catalog re-creates
-// them), matching Open.
+// each shard's persisted Hilbert key range, which need not be the even
+// layout NewSharded produces. The route table is rebuilt by scanning
+// every shard heap's sequence prefixes; a malformed sequence is reported
+// as corruption. A sequence stored in two shards with byte-identical
+// records is what a build with online shard splits (removed, DESIGN.md
+// §17) left behind when it crashed after the destination shard
+// committed but before the source's deletions did: repair keeps the
+// higher-numbered shard's copy (those splits only appended shards) and
+// deletes the stale lower one. Differing payloads remain corruption.
+// Indexes are not rebuilt here (the catalog re-creates them), matching
+// Open.
 func OpenSharded(pagers []*pager.Pager, name string, schema Schema, firsts []pager.PageID, ranges []KeyRange) (*Relation, error) {
 	if len(pagers) == 0 || len(pagers) > MaxShards {
 		return nil, fmt.Errorf("relation %s: shard count %d out of range [1, %d]", name, len(pagers), MaxShards)
@@ -140,7 +184,7 @@ func OpenSharded(pagers []*pager.Pager, name string, schema Schema, firsts []pag
 		}
 		shards = append(shards, &relShard{pgr: p, heap: h})
 	}
-	r.shards.Store(&shards)
+	r.shards = shards
 	r.shardRanges = append([]KeyRange(nil), ranges...)
 	r.shardLive = make([]int64, len(shards))
 	maxSeq := shardSeqBase - 1
@@ -160,7 +204,7 @@ func OpenSharded(pagers []*pager.Pager, name string, schema Schema, firsts []pag
 			if r.routes[i] != 0 {
 				prev, plid := decodeRoute(r.routes[i])
 				if prev == s {
-					// A split never duplicates within one shard.
+					// No writer ever duplicated within one shard.
 					scanErr = fmt.Errorf("%w: sequence %d stored twice in shard %d", storage.ErrCorrupt, seq, s)
 					return false
 				}
@@ -207,46 +251,79 @@ func OpenSharded(pagers []*pager.Pager, name string, schema Schema, firsts []pag
 }
 
 // Sharded reports whether the relation is split across shard files.
-func (r *Relation) Sharded() bool { return r.shards.Load() != nil }
+func (r *Relation) Sharded() bool { return r.shards != nil }
 
 // ShardCount returns the number of shards (0 when unsharded).
-func (r *Relation) ShardCount() int { return len(r.shardList()) }
+func (r *Relation) ShardCount() int { return len(r.shards) }
 
 // ShardPager returns shard s's pager — the handle the database layer
 // commits, checkpoints, and closes.
-func (r *Relation) ShardPager(s int) *pager.Pager { return r.shardList()[s].pgr }
+func (r *Relation) ShardPager(s int) *pager.Pager { return r.shards[s].pgr }
 
 // ShardHeapFirstPages returns each shard heap's first page, the
 // handles the catalog persists to reopen the relation (nil when
 // unsharded).
 func (r *Relation) ShardHeapFirstPages() []pager.PageID {
-	shs := r.shardList()
-	if len(shs) == 0 {
+	if !r.Sharded() {
 		return nil
 	}
-	out := make([]pager.PageID, len(shs))
-	for s, sh := range shs {
+	out := make([]pager.PageID, len(r.shards))
+	for s, sh := range r.shards {
 		out[s] = sh.heap.FirstPage()
 	}
 	return out
 }
 
 // ShardKeyRanges returns each shard's half-open Hilbert key range —
-// the handles the catalog persists so a rebalanced layout routes the
-// same way after reopen (nil when unsharded).
+// the handles the catalog persists so an uneven layout routes the same
+// way after reopen (nil when unsharded).
 func (r *Relation) ShardKeyRanges() []KeyRange {
 	if !r.Sharded() {
 		return nil
 	}
-	r.smu.RLock()
-	defer r.smu.RUnlock()
 	return append([]KeyRange(nil), r.shardRanges...)
+}
+
+// ShardBalanceInfo is one shard's entry in the balance report.
+type ShardBalanceInfo struct {
+	Shard        int
+	Items        int64
+	KeyLo, KeyHi uint64
+}
+
+// ShardBalance reports each shard's live tuple count and Hilbert key
+// range, plus the imbalance factor: the largest shard's count over the
+// mean (1 = perfectly balanced, 0 = empty relation).
+func (r *Relation) ShardBalance() ([]ShardBalanceInfo, float64) {
+	if !r.Sharded() {
+		return nil, 0
+	}
+	out := make([]ShardBalanceInfo, len(r.shards))
+	total := int64(0)
+	maxItems := int64(0)
+	r.smu.RLock()
+	for s := range out {
+		out[s] = ShardBalanceInfo{
+			Shard: s,
+			Items: r.shardLive[s],
+			KeyLo: r.shardRanges[s].Lo,
+			KeyHi: r.shardRanges[s].Hi,
+		}
+		total += r.shardLive[s]
+		maxItems = max(maxItems, r.shardLive[s])
+	}
+	r.smu.RUnlock()
+	if total == 0 {
+		return out, 0
+	}
+	mean := float64(total) / float64(len(out))
+	return out, float64(maxItems) / mean
 }
 
 // ShardHeapPages returns the page ids owned by shard s's heap, for
 // per-shard-file ownership accounting during verification.
 func (r *Relation) ShardHeapPages(s int) ([]pager.PageID, error) {
-	sh := r.shardList()[s]
+	sh := r.shards[s]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.heap.Pages()
@@ -258,9 +335,8 @@ func (r *Relation) ShardHeapPages(s int) ([]pager.PageID, error) {
 // shards before its main file so the catalog never names shard pages
 // that are not yet durable.
 func (r *Relation) CommitShards() error {
-	shs := r.shardList()
-	return forEachShard(len(shs), len(shs), func(s int) error {
-		if err := shs[s].pgr.Commit(); err != nil {
+	return forEachShard(len(r.shards), len(r.shards), func(s int) error {
+		if err := r.shards[s].pgr.Commit(); err != nil {
 			return fmt.Errorf("relation %s: shard %d: %w", r.name, s, err)
 		}
 		return nil
@@ -313,15 +389,9 @@ func (r *Relation) routesSnapshot() []int64 {
 	return out
 }
 
-// routeNow re-reads gid's current route. A reader that snapshotted a
-// route v and then failed its heap read classifies the failure here:
-// 0 means a delete completed (sequences are never reused, so a cleared
-// route stays cleared — report not-found), a value different from v
-// means a shard split migrated the tuple (retry against the new
-// route), and an unchanged v means the heap really is damaged. Heap
-// reads are serialized against deletes and migrations by the shard
-// lock, so a bad read implies the move completed first and the recheck
-// observes the new route.
+// routeNow reads gid's current route, 0 when the id is unknown or was
+// deleted. Sequences are never reused and tuples never move, so a route
+// only ever goes from live to cleared.
 func (r *Relation) routeNow(gid int64) int64 {
 	r.smu.RLock()
 	v := r.routeAtLocked(gid)
@@ -329,25 +399,20 @@ func (r *Relation) routeNow(gid int64) int64 {
 	return v
 }
 
-// routeGone reports whether gid's route was cleared (deleted).
-func (r *Relation) routeGone(gid int64) bool { return r.routeNow(gid) == 0 }
-
 // routeShard picks the shard a new tuple should land on: the Hilbert
 // key of its loc object's MBR center over the attached picture's
-// extent, looked up in the per-shard key ranges (contiguous at
-// creation, narrowed and split as the rebalancer reacts to skew).
+// extent, looked up in the per-shard key ranges.
 // Tuples whose loc does not resolve (no picture attached yet, foreign
 // picture) fall back to a content hash. Placement only affects
 // locality — the route table, not the routing rule, resolves reads —
 // so attaching a picture after a fallback-routed load is correct, just
 // less clustered.
 func (r *Relation) routeShard(t Tuple, enc []byte) int {
-	r.smu.RLock()
-	n := len(r.shardRanges)
+	n := len(r.shards)
 	if n == 1 {
-		r.smu.RUnlock()
 		return 0
 	}
+	r.smu.RLock()
 	for _, sis := range r.shardSpatial {
 		pic := sis[0].Picture
 		if rect, ok := r.locMBR(t, pic); ok {
@@ -379,7 +444,7 @@ func (r *Relation) insertSharded(t Tuple) (storage.TupleID, error) {
 	buf := make([]byte, 8+len(enc))
 	binary.LittleEndian.PutUint64(buf, uint64(seq))
 	copy(buf[8:], enc)
-	sh := r.shardList()[s]
+	sh := r.shards[s]
 	sh.mu.Lock()
 	lid, err := sh.heap.Insert(buf)
 	sh.mu.Unlock()
@@ -416,35 +481,27 @@ func (r *Relation) insertSharded(t Tuple) (storage.TupleID, error) {
 }
 
 // fetchRouted reads the tuple for gid whose route was snapshotted as
-// v, chasing migrations: a failed heap read is classified by re-reading
-// the route — cleared means a delete completed (ok=false), changed
-// means a shard split moved the record (retry at the new location),
-// unchanged means the heap really is damaged. Retries terminate
-// because a given sequence moves at most once per split and splits are
-// finite.
+// v. A failed heap read is classified by re-reading the route: cleared
+// means a delete completed since the snapshot (ok=false) — the heap
+// read is serialized against the delete by the shard lock, and the
+// delete clears the route first — while a standing route means the heap
+// really is damaged.
 func (r *Relation) fetchRouted(gid, v int64, need []bool) (Tuple, bool, error) {
-	for {
-		s, lid := decodeRoute(v)
-		sh := r.shardList()[s]
-		sh.mu.RLock()
-		rec, err := sh.heap.Get(lid)
-		sh.mu.RUnlock()
-		if err == nil {
-			var t Tuple
-			t, err = decodeShardRecord(rec, gid, need)
-			if err == nil {
-				return t, true, nil
-			}
+	s, lid := decodeRoute(v)
+	sh := r.shards[s]
+	sh.mu.RLock()
+	rec, err := sh.heap.Get(lid)
+	sh.mu.RUnlock()
+	if err == nil {
+		var t Tuple
+		if t, err = decodeShardRecord(rec, gid, need); err == nil {
+			return t, true, nil
 		}
-		now := r.routeNow(gid)
-		if now == 0 {
-			return nil, false, nil
-		}
-		if now == v {
-			return nil, false, fmt.Errorf("relation %s: shard %d: %w", r.name, s, err)
-		}
-		v = now
 	}
+	if r.routeNow(gid) == 0 {
+		return nil, false, nil
+	}
+	return nil, false, fmt.Errorf("relation %s: shard %d: %w", r.name, s, err)
 }
 
 // getSharded is Get for sharded relations.
@@ -467,30 +524,13 @@ func (r *Relation) getSharded(id storage.TupleID) (Tuple, error) {
 // getBatchSharded is GetBatch for sharded relations: ids are grouped
 // by shard through the route table and the per-shard batches run
 // concurrently (each pinning its pages once, like the unsharded path).
-// out[i] corresponds to ids[i] at any worker count. A shard split
-// migrating tuples mid-batch can invalidate the grouping; the route
-// epoch detects that and the whole batch retries against the new
-// layout instead of reporting phantom corruption.
+// out[i] corresponds to ids[i] at any worker count.
 func (r *Relation) getBatchSharded(ids []storage.TupleID, need []bool, workers int) ([]Tuple, error) {
-	for {
-		epoch := r.routeEpoch.Load()
-		out, err := r.getBatchShardedOnce(ids, need, workers)
-		if err == nil {
-			return out, nil
-		}
-		if r.routeEpoch.Load() == epoch {
-			return nil, err
-		}
-	}
-}
-
-func (r *Relation) getBatchShardedOnce(ids []storage.TupleID, need []bool, workers int) ([]Tuple, error) {
 	out := make([]Tuple, len(ids))
 	if len(ids) == 0 {
 		return out, nil
 	}
-	shs := r.shardList()
-	n := len(shs)
+	n := len(r.shards)
 	perIDs := make([][]storage.TupleID, n)
 	perPos := make([][]int, n)
 	r.smu.RLock()
@@ -512,7 +552,7 @@ func (r *Relation) getBatchShardedOnce(ids []storage.TupleID, need []bool, worke
 		if len(perIDs[s]) == 0 {
 			return nil
 		}
-		sh := shs[s]
+		sh := r.shards[s]
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
 		return sh.heap.GetBatch(perIDs[s], func(k int, rec []byte) error {
@@ -542,7 +582,7 @@ func (r *Relation) getBatchShardedOnce(ids []storage.TupleID, need []bool, worke
 // the commit point and happens BEFORE the heap record is removed: a
 // concurrent reader whose heap read misses can then always attribute
 // the miss to a completed or in-flight delete by rechecking the route
-// (routeGone), and a second delete of the same id loses the route race
+// (fetchRouted), and a second delete of the same id loses the route race
 // and reports not-found instead of touching a reused slot.
 func (r *Relation) deleteSharded(id storage.TupleID) error {
 	gid := id.Int64()
@@ -556,7 +596,7 @@ func (r *Relation) deleteSharded(id storage.TupleID) error {
 	s, lid := decodeRoute(v)
 	r.shardLive[s]--
 	r.smu.Unlock()
-	sh := r.shardList()[s]
+	sh := r.shards[s]
 	sh.mu.Lock()
 	rec, err := sh.heap.Get(lid)
 	if err == nil {
@@ -622,7 +662,7 @@ func (r *Relation) scanSharded(need []bool, fn func(id storage.TupleID, t Tuple)
 // RepackPicture in sharded mode. Items come out in ascending sequence
 // order per shard.
 func (r *Relation) shardLocItems(pic *picture.Picture) ([][]rtree.Item, error) {
-	perShard := make([][]rtree.Item, len(r.shardList()))
+	perShard := make([][]rtree.Item, len(r.shards))
 	routes := r.routesSnapshot()
 	for i, v := range routes {
 		if v == 0 {
@@ -723,7 +763,7 @@ func (r *Relation) SpatialOpts(pictureName string) (pack.Options, bool) {
 	if sis == nil {
 		return pack.Options{}, false
 	}
-	return sis[0].Opts, true
+	return sis[0].PackOptions(), true
 }
 
 // SpatialCostSnapshot returns the planner's cost view of pic's index.
@@ -780,20 +820,10 @@ func (r *Relation) SpatialCostSnapshot(pictureName string, windows []geom.Rect) 
 	return merged, true
 }
 
-// shardKeyLo is the smallest Hilbert key an even split routes to shard
-// s of n: the least k with k*n >> HilbertKeyBits == s.
-func shardKeyLo(s, n uint64) uint64 {
-	return (s<<pack.HilbertKeyBits + n - 1) / n
-}
-
 // mergeItemStreams k-way-merges per-shard item streams, each already in
 // canonical ascending-TupleID (sequence) order, into one canonical
-// stream — the gather step. Shards partition the id space at rest, so
-// the merge is normally a strict interleave; during a shard split's
-// migration window an entry briefly exists on both the source and
-// destination shard (added to the destination before removal from the
-// source, so no reader ever misses it), and the merge collapses such
-// equal-sequence duplicates to one occurrence.
+// stream — the gather step. Shards partition the id space, so the merge
+// is a strict interleave.
 func mergeItemStreams(streams [][]rtree.Item) []rtree.Item {
 	switch len(streams) {
 	case 0:
@@ -807,8 +837,7 @@ func mergeItemStreams(streams [][]rtree.Item) []rtree.Item {
 	}
 	out := make([]rtree.Item, 0, total)
 	cur := make([]int, len(streams))
-	emitted := 0
-	for emitted < total {
+	for len(out) < total {
 		best := -1
 		var bd int64
 		for s, c := range cur {
@@ -816,12 +845,8 @@ func mergeItemStreams(streams [][]rtree.Item) []rtree.Item {
 				best, bd = s, streams[s][c].Data
 			}
 		}
+		out = append(out, streams[best][cur[best]])
 		cur[best]++
-		emitted++
-		if len(out) > 0 && out[len(out)-1].Data == bd {
-			continue // migration-window duplicate
-		}
-		out = append(out, streams[best][cur[best]-1])
 	}
 	return out
 }
@@ -906,105 +931,27 @@ func scatterItems(sis []*SpatialIndex) ([]rtree.Item, int) {
 	return mergeItemStreams(streams), visited
 }
 
-// JoinShardStats reports how much of the cross-shard pair product a
-// juxtaposition actually joined: PairProduct counts the (shard, shard)
-// pairs whose root bounds overlap (the work list the pre-PR 10 scatter
-// spawned), PairsJoined the pairs whose subtree frontiers intersect —
-// the only ones that can contribute result pairs and the only ones
-// joined now.
-type JoinShardStats struct {
-	PairProduct int
-	PairsJoined int
-}
-
-// JoinShardPairEstimate prices a cross-shard juxtaposition without
-// running it: PairProduct counts the shard pairs whose bounds overlap,
-// PairsJoined the ones whose frontiers intersect — exactly the pairs
-// JuxtaposeSpatial will traverse. The planner divides the two for its
-// shard-pair cardinality fraction. Cost: one frontier walk per
-// non-empty shard (O(joinFrontierLimit × fanout) nodes), no joins.
-func (r *Relation) JoinShardPairEstimate(picA string, s *Relation, picB string) (JoinShardStats, error) {
-	as := r.spatialList(picA)
-	if as == nil {
-		return JoinShardStats{}, fmt.Errorf("relation %s: no spatial index for picture %q", r.name, picA)
-	}
-	bs := s.spatialList(picB)
-	if bs == nil {
-		return JoinShardStats{}, fmt.Errorf("relation %s: no spatial index for picture %q", s.name, picB)
-	}
+// scatterJuxtapose joins two index lists: every pair of non-empty
+// shards whose bounds intersect is juxtaposed with the merged-tier
+// machinery — a pair that contributes nothing is found out at its two
+// roots — and the union is sorted canonically by (A, B). Shards
+// partition both id spaces, so no pair can appear twice and the result
+// is bit-identical to joining two unsharded indexes.
+func scatterJuxtapose(as, bs []*SpatialIndex, pred func(a, b geom.Rect) bool, workers int) ([]rtree.JoinPair, int) {
 	if len(as) == 1 && len(bs) == 1 {
-		return JoinShardStats{PairProduct: 1, PairsJoined: 1}, nil
-	}
-	var stats JoinShardStats
-	af := make([][]geom.Rect, len(as))
-	bf := make([][]geom.Rect, len(bs))
-	frontierOf := func(cache [][]geom.Rect, sis []*SpatialIndex, i int) []geom.Rect {
-		if cache[i] == nil {
-			cache[i] = sis[i].frontier()
-		}
-		return cache[i]
-	}
-	for i, ai := range as {
-		if ai.Len() == 0 {
-			continue
-		}
-		ab := ai.Bounds()
-		for j, bj := range bs {
-			if bj.Len() == 0 || !ab.Intersects(bj.Bounds()) {
-				continue
-			}
-			stats.PairProduct++
-			if frontiersIntersect(frontierOf(af, as, i), frontierOf(bf, bs, j)) {
-				stats.PairsJoined++
-			}
-		}
-	}
-	return stats, nil
-}
-
-// scatterJuxtapose joins two index lists: shard pairs whose bounds
-// overlap are candidates, and of those only the pairs whose R-tree
-// frontiers (a bounded set of subtree MBRs per shard, Gutiérrez-style
-// two-tree synchronized descent) actually intersect are juxtaposed
-// with the merged-tier machinery. Pruned pairs provably contribute
-// nothing: pred implies rectangle intersection and every live entry is
-// covered by its side's frontier, so a pair of disjoint frontiers
-// admits no qualifying entry pair. The union is sorted canonically by
-// (A, B) and migration-window duplicates (an entry transiently on two
-// shards during a split) are collapsed, so the result is bit-identical
-// to joining two unsharded indexes.
-func scatterJuxtapose(as, bs []*SpatialIndex, pred func(a, b geom.Rect) bool, workers int) ([]rtree.JoinPair, int, JoinShardStats) {
-	if len(as) == 1 && len(bs) == 1 {
-		ps, v := juxtaposeMerged(as[0], bs[0], pred, workers)
-		return ps, v, JoinShardStats{PairProduct: 1, PairsJoined: 1}
-	}
-	var stats JoinShardStats
-	// Frontiers are computed once per shard, lazily: a shard whose
-	// bounds overlap nothing never pays for one.
-	af := make([][]geom.Rect, len(as))
-	bf := make([][]geom.Rect, len(bs))
-	frontierOf := func(cache [][]geom.Rect, sis []*SpatialIndex, i int) []geom.Rect {
-		if cache[i] == nil {
-			cache[i] = sis[i].frontier()
-		}
-		return cache[i]
+		return juxtaposeMerged(as[0], bs[0], pred, workers)
 	}
 	var pairs []rtree.JoinPair
 	visited := 0
-	for i, ai := range as {
+	for _, ai := range as {
 		if ai.Len() == 0 {
 			continue
 		}
 		ab := ai.Bounds()
-		for j, bj := range bs {
+		for _, bj := range bs {
 			if bj.Len() == 0 || !ab.Intersects(bj.Bounds()) {
 				continue
 			}
-			stats.PairProduct++
-			if !frontiersIntersect(frontierOf(af, as, i), frontierOf(bf, bs, j)) {
-				continue
-			}
-			stats.PairsJoined++
 			ps, v := juxtaposeMerged(ai, bj, pred, workers)
 			visited += v
 			pairs = append(pairs, ps...)
@@ -1016,20 +963,7 @@ func scatterJuxtapose(as, bs []*SpatialIndex, pred func(a, b geom.Rect) bool, wo
 		}
 		return pairs[i].B.Data < pairs[j].B.Data
 	})
-	// Collapse duplicates from migration windows: an entry joined on
-	// both its source and destination shard yields the same (A, B) pair
-	// twice, adjacent after the sort.
-	dedup := pairs[:0]
-	for _, p := range pairs {
-		if len(dedup) > 0 {
-			last := dedup[len(dedup)-1]
-			if last.A.Data == p.A.Data && last.B.Data == p.B.Data {
-				continue
-			}
-		}
-		dedup = append(dedup, p)
-	}
-	return dedup, visited, stats
+	return pairs, visited
 }
 
 // forEachShard runs fn(s) for s in [0, n) with up to par goroutines,
@@ -1077,7 +1011,7 @@ func forEachShard(n, par int, fn func(s int) error) error {
 func (r *Relation) checkSharded(par int) error {
 	routes := r.routesSnapshot()
 	nextSeq := r.nextSeq.Load()
-	n := len(r.shardList())
+	n := len(r.shards)
 	counts := make([]int, n)
 	err := forEachShard(n, par, func(s int) error {
 		n, err := r.checkShard(s, routes, nextSeq)
@@ -1134,7 +1068,7 @@ func (r *Relation) checkShard(s int, routes []int64, nextSeq int64) (int, error)
 		lists[pic] = sis[s]
 	}
 	r.smu.RUnlock()
-	sh := r.shardList()[s]
+	sh := r.shards[s]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	wrap := func(err error) error {

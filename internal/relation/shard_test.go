@@ -263,46 +263,113 @@ func TestShardedSearchOracle(t *testing.T) {
 	verifyShardOracle(t, twins, "repacked")
 }
 
-// TestShardedJuxtaposeOracle joins two sharded relations at every
-// shard count and requires the pair stream to resolve to the same
-// logical pairs as the unsharded join, in the same canonical order.
-func TestShardedJuxtaposeOracle(t *testing.T) {
-	aTwins, _, _ := shardTwins(t, 180, 7)
-	bTwins, _, _ := shardTwins(t, 130, 11)
+// verifyJuxtaposeOracle joins a's and b's twins at every shard count
+// (key 0 is the unsharded pair) and requires the pair stream to resolve
+// to the same logical pairs as the unsharded join, in the same canonical
+// order, at parallelism 1 and 8.
+func verifyJuxtaposeOracle(t *testing.T, stage string, a, b map[int]*Relation) {
+	t.Helper()
+	split := func(pairs []SpatialPair) (as, bs []storage.TupleID) {
+		for _, p := range pairs {
+			as = append(as, p.A)
+			bs = append(bs, p.B)
+		}
+		return as, bs
+	}
 	for _, par := range []int{1, 8} {
-		oracle, _, err := aTwins[0].JuxtaposeSpatial("us-map", bTwins[0], "us-map", geom.Overlapping, par)
+		oracle, _, err := a[0].JuxtaposeSpatial("us-map", b[0], "us-map", geom.Overlapping, par)
 		if err != nil {
-			t.Fatalf("oracle par=%d: %v", par, err)
+			t.Fatalf("%s: oracle par=%d: %v", stage, par, err)
 		}
 		if len(oracle) == 0 {
-			t.Fatal("vacuous join")
+			t.Fatalf("%s: vacuous join", stage)
 		}
-		var wantA, wantB []storage.TupleID
-		for _, p := range oracle {
-			wantA = append(wantA, p.A)
-			wantB = append(wantB, p.B)
-		}
-		wantAN := resolveNames(t, aTwins[0], wantA)
-		wantBN := resolveNames(t, bTwins[0], wantB)
+		wantA, wantB := split(oracle)
+		wantAN := resolveNames(t, a[0], wantA)
+		wantBN := resolveNames(t, b[0], wantB)
 		for _, k := range shardCounts {
-			pairs, _, err := aTwins[k].JuxtaposeSpatial("us-map", bTwins[k], "us-map", geom.Overlapping, par)
+			pairs, _, err := a[k].JuxtaposeSpatial("us-map", b[k], "us-map", geom.Overlapping, par)
 			if err != nil {
-				t.Fatalf("shards=%d par=%d: %v", k, par, err)
+				t.Fatalf("%s shards=%d par=%d: %v", stage, k, par, err)
 			}
 			if len(pairs) != len(oracle) {
-				t.Fatalf("shards=%d par=%d: %d pairs, unsharded %d", k, par, len(pairs), len(oracle))
+				t.Fatalf("%s shards=%d par=%d: %d pairs, unsharded %d", stage, k, par, len(pairs), len(oracle))
 			}
-			var gotA, gotB []storage.TupleID
-			for _, p := range pairs {
-				gotA = append(gotA, p.A)
-				gotB = append(gotB, p.B)
-			}
-			if !namesEqual(resolveNames(t, aTwins[k], gotA), wantAN) ||
-				!namesEqual(resolveNames(t, bTwins[k], gotB), wantBN) {
-				t.Fatalf("shards=%d par=%d: join pairs diverge from unsharded", k, par)
+			gotA, gotB := split(pairs)
+			if !namesEqual(resolveNames(t, a[k], gotA), wantAN) ||
+				!namesEqual(resolveNames(t, b[k], gotB), wantBN) {
+				t.Fatalf("%s shards=%d par=%d: join pairs diverge from unsharded", stage, k, par)
 			}
 		}
 	}
+}
+
+// buildClusteredJoinRel makes a relation of small square regions drawn
+// around Gaussian clusters (picture attached before inserts, so every
+// tuple is routed by Hilbert key and sits in a delta tree): sharded, or
+// with shards == 0 the unsharded reference holding the same tuples in
+// the same order.
+func buildClusteredJoinRel(t *testing.T, pic *picture.Picture, shards int, centers [][2]float64, seed int64, n int) *Relation {
+	t.Helper()
+	var rel *Relation
+	if shards == 0 {
+		p := pager.OpenMem(64)
+		t.Cleanup(func() { p.Close() })
+		var err error
+		if rel, err = New(p, "r", citySchema()); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		rel = newShardedCities(t, shards)
+	}
+	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		c := centers[i%len(centers)]
+		x := clamp01k(c[0] + rng.NormFloat64()*20)
+		y := clamp01k(c[1] + rng.NormFloat64()*20)
+		name := fmt.Sprintf("r%d-%04d", seed, i)
+		oid := pic.AddRegion(name, geom.Poly(
+			geom.Pt(x-6, y-6), geom.Pt(x+6, y-6), geom.Pt(x+6, y+6), geom.Pt(x-6, y+6)))
+		if _, err := rel.Insert(Tuple{S(name), S("ST"), I(int64(i)), L("us-map", oid)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rel
+}
+
+// TestShardedJuxtaposeOracle holds the sharded join to the unsharded
+// one on two inputs. The blob twins are packed (attached after the
+// load). The clustered pair shares two of five cluster sites and
+// differs in the rest, so even Hilbert ranges give L-shaped shard
+// regions whose bounds overlap through space neither side occupies —
+// shard pairs the scatter admits and the traversal finds empty at the
+// roots; it is checked with the write side warm and again after a
+// repack.
+func TestShardedJuxtaposeOracle(t *testing.T) {
+	aTwins, _, _ := shardTwins(t, 180, 7)
+	bTwins, _, _ := shardTwins(t, 130, 11)
+	verifyJuxtaposeOracle(t, "blobs", aTwins, bTwins)
+
+	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
+	ca := [][2]float64{{120, 150}, {850, 200}, {480, 520}, {200, 840}, {880, 870}}
+	cb := [][2]float64{{120, 150}, {850, 200}, {700, 650}, {350, 300}, {150, 500}}
+	ac, bc := map[int]*Relation{}, map[int]*Relation{}
+	for _, k := range append([]int{0}, shardCounts...) {
+		ac[k] = buildClusteredJoinRel(t, pic, k, ca, 31, 300)
+		bc[k] = buildClusteredJoinRel(t, pic, k, cb, 77, 300)
+	}
+	verifyJuxtaposeOracle(t, "clustered, warm write side", ac, bc)
+	for k := range ac {
+		for _, rel := range []*Relation{ac[k], bc[k]} {
+			if err := rel.RepackPicture("us-map", pack.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	verifyJuxtaposeOracle(t, "clustered, packed", ac, bc)
 }
 
 // TestScanColsMatchesScan: the column-lazy scan visits the tuples Scan
@@ -492,7 +559,7 @@ func TestShardedDuplicateSequenceDetected(t *testing.T) {
 	// differing one is real corruption.
 	var rec []byte
 	srcShard := -1
-	for s, sh := range rel.shardList() {
+	for s, sh := range rel.shards {
 		sh.heap.Scan(func(_ storage.TupleID, r []byte) bool {
 			rec = append([]byte(nil), r...)
 			srcShard = s
@@ -506,7 +573,7 @@ func TestShardedDuplicateSequenceDetected(t *testing.T) {
 		t.Fatal("no record found")
 	}
 	rec[len(rec)-1] ^= 0xff
-	dst := rel.shardList()[1-srcShard]
+	dst := rel.shards[1-srcShard]
 	if _, err := dst.heap.Insert(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +610,7 @@ func TestShardedSplitDuplicateRepaired(t *testing.T) {
 	// insert whose matching source delete never became durable. Repair
 	// keeps whichever copy lives on the higher shard, so either
 	// direction exercises it.
-	shards := rel.shardList()
+	shards := rel.shards
 	var rec []byte
 	srcShard := -1
 	for s, sh := range shards {
@@ -821,5 +888,75 @@ func TestShardedCostSnapshotPrunes(t *testing.T) {
 	}
 	if clustered.Stats.Items >= all.Stats.Items {
 		t.Fatalf("clustered snapshot items %d not pruned below %d", clustered.Stats.Items, all.Stats.Items)
+	}
+}
+
+func TestEvenKeyRangesAndShardForKey(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 8} {
+		ranges := evenKeyRanges(n)
+		if len(ranges) != n {
+			t.Fatalf("n=%d: %d ranges", n, len(ranges))
+		}
+		if ranges[0].Lo != 0 || ranges[n-1].Hi != 1<<pack.HilbertKeyBits {
+			t.Fatalf("n=%d: ranges do not span the key space: %v", n, ranges)
+		}
+		for s := 1; s < n; s++ {
+			if ranges[s].Lo != ranges[s-1].Hi {
+				t.Fatalf("n=%d: gap between shard %d and %d: %v", n, s-1, s, ranges)
+			}
+		}
+		// Every key routes to the shard whose range holds it.
+		for s, kr := range ranges {
+			if got := shardForKey(ranges, kr.Lo); got != s {
+				t.Fatalf("n=%d: key %d -> shard %d, want %d", n, kr.Lo, got, s)
+			}
+			if got := shardForKey(ranges, kr.Hi-1); got != s {
+				t.Fatalf("n=%d: key %d -> shard %d, want %d", n, kr.Hi-1, got, s)
+			}
+		}
+	}
+	// An out-of-range key (degenerate extents can quantize past the
+	// top) lands on the shard owning the top of the space, wherever a
+	// persisted layout put that range.
+	ranges := []KeyRange{{Lo: 0, Hi: 100}, {Lo: 100, Hi: 1 << 32}, {Lo: 50, Hi: 100}}
+	if got := shardForKey(ranges, 1<<32); got != 1 {
+		t.Fatalf("overflow key -> shard %d, want 1", got)
+	}
+}
+
+func TestShardBalance(t *testing.T) {
+	rel := newShardedCities(t, 4)
+	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
+	// Attach first so routing uses Hilbert keys.
+	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	// Clustered corner: everything near the origin shares a narrow
+	// Hilbert prefix and lands on one shard.
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 120; i++ {
+		addCity(t, rel, pic, fmt.Sprintf("c%03d", i), "ST", int64(i), rng.Float64()*80, rng.Float64()*80)
+	}
+	infos, imbalance := rel.ShardBalance()
+	if len(infos) != 4 {
+		t.Fatalf("%d balance entries", len(infos))
+	}
+	total := int64(0)
+	for s, in := range infos {
+		total += in.Items
+		if kr := rel.ShardKeyRanges()[s]; in.Shard != s || in.KeyLo != kr.Lo || in.KeyHi != kr.Hi {
+			t.Fatalf("balance entry %d = %+v, key range %v", s, in, kr)
+		}
+	}
+	if total != 120 {
+		t.Fatalf("balance counts %d tuples, want 120", total)
+	}
+	if imbalance < 3.0 {
+		t.Fatalf("corner cluster imbalance %.2f, want >= 3 (all on one shard)", imbalance)
+	}
+	// Unsharded relations report nothing.
+	u, _ := newCities(t)
+	if infos, f := u.ShardBalance(); infos != nil || f != 0 {
+		t.Fatal("unsharded ShardBalance not empty")
 	}
 }

@@ -160,6 +160,15 @@ func (si *SpatialIndex) CostSnapshot() CostSnapshot {
 	return snap
 }
 
+// PackOptions returns the options the index was last packed with. Read
+// it through here rather than the Opts field when a RepackPicture may
+// be running: rebuild rewrites the field under the index lock.
+func (si *SpatialIndex) PackOptions() pack.Options {
+	si.mu.RLock()
+	defer si.mu.RUnlock()
+	return si.Opts
+}
+
 // Stats returns the packed tree's structural measures as of the last
 // pack/repack. See CostSnapshot for the write-side sizes.
 func (si *SpatialIndex) Stats() rtree.Metrics {
@@ -665,60 +674,6 @@ func juxtaposeMerged(si, sj *SpatialIndex, pred func(a, b geom.Rect) bool, worke
 		return pairs[i].B.Data < pairs[j].B.Data
 	})
 	return pairs, visited
-}
-
-// joinFrontierLimit bounds the per-shard frontier used to prune
-// cross-shard juxtaposition pairs: enough rectangles to separate
-// clusters the root MBR would smear together, few enough that the
-// O(K²) pairwise intersection test stays trivial next to one join.
-const joinFrontierLimit = 24
-
-// frontier returns a bounded set of rectangles covering every live
-// entry in the index: a breadth-first frontier of each constituent
-// tree. Tombstoned entries may still be covered — the frontier is
-// conservative, which only costs a pruning opportunity, never a pair.
-func (si *SpatialIndex) frontier() []geom.Rect {
-	si.mu.RLock()
-	defer si.mu.RUnlock()
-	out := si.packed.FrontierRects(joinFrontierLimit)
-	if si.frozen != nil && si.frozen.Len() > 0 {
-		out = append(out, si.frozen.FrontierRects(joinFrontierLimit)...)
-	}
-	if si.delta.Len() > 0 {
-		out = append(out, si.delta.FrontierRects(joinFrontierLimit)...)
-	}
-	return out
-}
-
-// frontiersIntersect reports whether any rectangle of a intersects any
-// of b — the shard-pair admission test for cross-shard juxtaposition.
-func frontiersIntersect(a, b []geom.Rect) bool {
-	for _, ra := range a {
-		for _, rb := range b {
-			if ra.Intersects(rb) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// emptyClone returns a fresh empty index with the same picture, pack
-// options, tree parameters, and write configuration — the spatial
-// sidecar a shard split creates for its destination shard.
-func (si *SpatialIndex) emptyClone() *SpatialIndex {
-	si.mu.RLock()
-	opts := si.Opts
-	params := si.params
-	threshold := si.threshold
-	auto := si.autoRepack
-	si.mu.RUnlock()
-	packOpts := opts
-	packOpts.TrimToMultiple = false
-	clone := newSpatialIndex(si.Picture, pack.Tree(params, nil, packOpts), opts, params)
-	clone.threshold = threshold
-	clone.autoRepack = auto
-	return clone
 }
 
 // checkInvariants validates every constituent tree plus the write-side

@@ -398,8 +398,9 @@ func TestJuxtaposeMergedMatchesOracle(t *testing.T) {
 }
 
 // TestConcurrentWritersReaders is the -race stress test: one writer
-// mutates the delta while readers run merged batch searches and
-// juxtapositions; at quiesce barriers the merged results must be
+// mutates the delta and every other round rebuilds the index
+// (RepackPicture) while readers run merged batch searches,
+// juxtapositions and the catalog's SpatialOpts read; at quiesce barriers the merged results must be
 // bit-identical (rows and order) to a serial oracle re-scan, at
 // parallelism 1 and 8.
 func TestConcurrentWritersReaders(t *testing.T) {
@@ -447,6 +448,12 @@ func TestConcurrentWritersReaders(t *testing.T) {
 					t.Error(err)
 					return
 				}
+				// What a Checkpoint reads of the index while the writer's
+				// RepackPicture below rewrites it.
+				if _, ok := rel.SpatialOpts("us-map"); !ok {
+					t.Error("SpatialOpts lost the index")
+					return
+				}
 			}
 		}(g)
 	}
@@ -481,6 +488,13 @@ func TestConcurrentWritersReaders(t *testing.T) {
 					t.Fatalf("round %d par %d window %d: merged %d ids, oracle %d",
 						round, par, i, len(batches[i]), len(want))
 				}
+			}
+		}
+		if round%2 == 1 {
+			// An explicit rebuild under the readers: the next round's
+			// barrier checks the rebuilt index against the oracle.
+			if err := rel.RepackPicture("us-map", pack.Options{}); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

@@ -95,58 +95,6 @@ func (t *Tree) ComputeMetrics() Metrics {
 	}
 }
 
-// FrontierRects returns a bounded covering frontier of the tree: a
-// cut of at most limit nodes, refined adaptively from the root by
-// repeatedly replacing the largest-area internal node of the cut with
-// its children while the cut stays within limit. Area-first refinement
-// spends the rectangle budget where coverage is coarsest — the big
-// empty-spanning subtrees whose MBRs cause spurious shard-pair
-// overlap — instead of descending whole levels in lockstep. Every
-// stored item lies inside some returned rectangle, so two trees whose
-// frontiers are pairwise disjoint cannot produce any join pair — the
-// cross-shard juxtaposition pruning test. Touches only
-// O(limit × fanout) nodes.
-func (t *Tree) FrontierRects(limit int) []geom.Rect {
-	if t.size == 0 {
-		return nil
-	}
-	if limit < 1 {
-		limit = 1
-	}
-	frontier := []*node{t.root}
-	for {
-		// Pick the internal node with the largest MBR area.
-		best, bestArea := -1, -1.0
-		for i, n := range frontier {
-			if n.leaf {
-				continue
-			}
-			if a := n.mbr().Area(); a > bestArea {
-				best, bestArea = i, a
-			}
-		}
-		if best < 0 {
-			break // all leaves
-		}
-		children := frontier[best].entries
-		if len(frontier)-1+len(children) > limit {
-			break
-		}
-		frontier[best] = frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		for _, e := range children {
-			frontier = append(frontier, e.child)
-		}
-	}
-	out := make([]geom.Rect, 0, len(frontier))
-	for _, n := range frontier {
-		if len(n.entries) > 0 {
-			out = append(out, n.mbr())
-		}
-	}
-	return out
-}
-
 // LevelRects returns, for each level from the root (level 0) down to
 // the leaves, the covering rectangles of the nodes at that level. The
 // packviz tool renders these to show how PACK arranges each level

@@ -7,7 +7,7 @@ import (
 	"repro/internal/geom"
 )
 
-// The skewed insert trace for the rebalancing tests. Hilbert-range
+// The skewed insert trace for the sharding tests. Hilbert-range
 // sharding splits the key space evenly at creation, so any insert
 // distribution that concentrates on a narrow slice of the Hilbert
 // order lands on one hot shard — exactly the realistic pictorial case

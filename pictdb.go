@@ -27,7 +27,6 @@
 package pictdb
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -623,95 +622,6 @@ func (db *Database) openShardedRelation(name string, schema Schema, firsts []pag
 	}
 	db.shardPagers[name] = pagers
 	return rel, nil
-}
-
-// SplitShard splits one shard of a sharded relation at its Hilbert
-// occupancy median, migrating the upper half into a new sidecar shard
-// file, and returns the new shard's index. The split is crash-safe at
-// every fsync boundary:
-//
-//  1. The relation-level split copies tuples into the new shard and
-//     atomically reroutes them; the source's records are NOT yet
-//     deleted, so every tuple has at least one durable copy throughout.
-//  2. The new shard's pager commits, then Checkpoint persists a catalog
-//     naming the new shard file and the narrowed key ranges. A crash
-//     before the checkpoint's flush reopens under the old catalog,
-//     which never mentions the new shard — clean.
-//  3. FinishSplit deletes the migrated records from the source shard
-//     and the source's pager commits. A crash before this commit leaves
-//     byte-identical duplicates in source and destination, which reopen
-//     detects via the rebuilt route table and repairs in favor of the
-//     destination copy.
-//
-// Concurrent reads see bit-identical results throughout; the caller
-// must hold off concurrent Write transactions (Database.Write already
-// serializes them via wmu when routed through SplitShard's Rebalance
-// wrapper).
-func (db *Database) SplitShard(name string, shard int) (int, error) {
-	if db.readOnly {
-		return 0, fmt.Errorf("pictdb: split shard: %w", pager.ErrReadOnly)
-	}
-	rel := db.relations[name]
-	if rel == nil {
-		return 0, fmt.Errorf("pictdb: split shard: unknown relation %q", name)
-	}
-	if !rel.Sharded() {
-		return 0, fmt.Errorf("pictdb: split shard: relation %q is not sharded", name)
-	}
-	pgr, err := db.openShardPager(name, rel.ShardCount(), false)
-	if err != nil {
-		return 0, err
-	}
-	dst, pending, err := rel.SplitShard(shard, pgr)
-	if err != nil {
-		pgr.Close()
-		return 0, err
-	}
-	db.shardPagers[name] = append(db.shardPagers[name], pgr)
-	// Destination before catalog before source cleanup — the crash-safety
-	// ordering documented above. Checkpoint internally commits every
-	// shard (including the new one) before flushing the snapshot.
-	if err := db.Checkpoint(); err != nil {
-		return 0, err
-	}
-	if err := rel.FinishSplit(pending); err != nil {
-		return 0, err
-	}
-	if err := rel.ShardPager(shard).Commit(); err != nil {
-		return 0, err
-	}
-	return dst, nil
-}
-
-// Rebalance splits the most loaded shard of the named relation while
-// its imbalance factor (largest shard over the mean) is at least
-// factor and the shard holds at least minTuples tuples, up to
-// MaxShards. It returns how many splits were performed. Factor values
-// at or below 1 are clamped to 1.5 — a relation can never get below
-// 1.0, so lower thresholds would split forever.
-func (db *Database) Rebalance(name string, factor float64, minTuples int) (int, error) {
-	if factor <= 1 {
-		factor = 1.5
-	}
-	rel := db.relations[name]
-	if rel == nil {
-		return 0, fmt.Errorf("pictdb: rebalance: unknown relation %q", name)
-	}
-	splits := 0
-	for rel.ShardCount() < relation.MaxShards {
-		shard, ok := rel.MostLoadedShard(factor, minTuples)
-		if !ok {
-			break
-		}
-		if _, err := db.SplitShard(name, shard); err != nil {
-			if errors.Is(err, relation.ErrShardNotSplittable) {
-				break
-			}
-			return splits, err
-		}
-		splits++
-	}
-	return splits, nil
 }
 
 // CreatePicture defines a new picture covering extent.

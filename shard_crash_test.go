@@ -8,6 +8,7 @@ import (
 	pictdb "repro"
 	"repro/internal/pager"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // Crash coverage for Hilbert-range sharding: a sharded commit fans out
@@ -66,13 +67,15 @@ func imageBackends(img pager.ClusterImage) (mains, wals []pager.Backend) {
 }
 
 // TestShardedCrashPointsWithRecovery sweeps every coordinated crash
-// image of a sharded workload. Because shards commit independently, a
+// image of a sharded pictorial workload — the one crash matrix whose
+// schema has a loc column. Because shards commit independently, a
 // crash mid-commit may persist the in-flight transaction on some
 // shards and not others — that partial state is legal for un-acked
-// rows. The invariants are: (1) recovery succeeds and Check is clean
-// from every image, (2) every acknowledged row is present (no acked
-// commit lost), (3) recovered rows are a duplicate-free subset of the
-// rows ever inserted.
+// rows. The invariants are: (1) recovery succeeds and Check finds
+// nothing but dangling locs (see below) from every image, (2) every
+// acknowledged row is present with its picture object and answers a
+// window over the frame (no acked commit lost), (3) recovered rows are
+// a duplicate-free subset of the rows ever inserted.
 func TestShardedCrashPointsWithRecovery(t *testing.T) {
 	const shards = 3
 	cluster := pager.NewCrashCluster(1 + shards)
@@ -87,14 +90,24 @@ func TestShardedCrashPointsWithRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := db.CreateShardedRelation("pts", pictdb.MustSchema("name:string", "n:int"), shards)
+	pic, err := db.CreatePicture("map", workload.Frame)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rel, err := db.CreateShardedRelation("pts", pictdb.MustSchema("name:string", "n:int", "loc:loc"), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	pts := workload.UniformPoints(100, 13)
 	n := 0
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 25; i++ {
-			if _, err := rel.Insert(pictdb.Tuple{pictdb.S(fmt.Sprintf("p%d", n)), pictdb.I(int64(n))}); err != nil {
+			name := fmt.Sprintf("p%d", n)
+			oid := pic.AddPoint(name, pts[n])
+			if _, err := rel.Insert(pictdb.Tuple{pictdb.S(name), pictdb.I(int64(n)), pictdb.L("map", oid)}); err != nil {
 				t.Fatal(err)
 			}
 			n++
@@ -122,16 +135,27 @@ func TestShardedCrashPointsWithRecovery(t *testing.T) {
 	if len(images) < 3*shards {
 		t.Fatalf("only %d crash images captured", len(images))
 	}
+	dangling := 0
 	for i, img := range images {
 		mains, wals := imageBackends(img)
 		db2, err := openClusterDB(t, mains, wals, 64)
 		if err != nil {
 			t.Fatalf("image %d: recovery failed: %v", i, err)
 		}
-		report := db2.Check()
-		if !report.OK() {
-			t.Fatalf("image %d: not Check-clean after recovery: %v", i, report.Err())
+		// A shard commits a row before any checkpoint carries its
+		// picture object (ROADMAP item 0), so an image between the two
+		// recovers rows with dangling locs. Check reports them; until
+		// the picture is durable with the tuple (item 1 stage A) the
+		// matrix accepts that finding alone, and below only on rows that
+		// were never acknowledged. Whoever lands stage A: drop this
+		// allowance and require report.OK().
+		for _, p := range db2.Check().Problems {
+			if p.Component != "relation:pts:loc" {
+				t.Fatalf("image %d: not Check-clean after recovery: %v", i, p)
+			}
+			dangling++
 		}
+		pic2, _ := db2.Picture("map")
 		seen := make(map[int64]bool)
 		if rel2, ok := db2.Relation("pts"); ok {
 			err := rel2.Scan(func(_ storage.TupleID, tup pictdb.Tuple) bool {
@@ -140,10 +164,27 @@ func TestShardedCrashPointsWithRecovery(t *testing.T) {
 					t.Fatalf("image %d: row %d recovered twice", i, v)
 				}
 				seen[v] = true
+				if _, live := pic2.Get(tup[2].Loc.Object); !live && v < ackedAt[i] {
+					t.Fatalf("image %d: acked row %d lost its picture object", i, v)
+				}
 				return true
 			})
 			if err != nil {
 				t.Fatalf("image %d: scan: %v", i, err)
+			}
+			// Every acknowledged row answers a window over the frame.
+			res, err := db2.Query("select n from pts on map at loc covered-by {500±500, 500±500}")
+			if err != nil {
+				t.Fatalf("image %d: window query: %v", i, err)
+			}
+			answered := make(map[int64]bool)
+			for _, row := range res.Rows {
+				answered[row[0].Int] = true
+			}
+			for v := int64(0); v < ackedAt[i]; v++ {
+				if !answered[v] {
+					t.Fatalf("image %d: acked row %d does not answer a window over the frame (%d rows did)", i, v, len(answered))
+				}
 			}
 		}
 		for v := int64(0); v < ackedAt[i]; v++ {
@@ -160,7 +201,7 @@ func TestShardedCrashPointsWithRecovery(t *testing.T) {
 			t.Fatalf("image %d: close: %v", i, err)
 		}
 	}
-	t.Logf("replayed %d coordinated cluster crash images clean (%d shards)", len(images), shards)
+	t.Logf("replayed %d coordinated cluster crash images clean (%d shards, %d with dangling locs on unacknowledged rows)", len(images), shards, dangling)
 }
 
 // TestShardedCrashTornShardWAL repeats the sweep with a lying medium

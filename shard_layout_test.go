@@ -1,0 +1,171 @@
+package pictdb_test
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	pictdb "repro"
+	"repro/internal/geom"
+	"repro/internal/relation"
+	"repro/internal/storage"
+	"repro/internal/workload"
+)
+
+// TestShardedReopenUnevenLayout opens a file set this build can no
+// longer produce: testdata/rebalanced_pr17 was written by the PR 17
+// build (the last with online shard splits) — a 2-shard relation "pts"
+// on picture "map" loaded with workload.HotHilbertPoints(300, 0.9, 0.1,
+// 77) named p000…p299 and then rebalanced online (imbalance factor
+// 1.5, split candidates of at least 10 tuples), which cut shard 0 at
+// its occupancy median into a third sidecar. The layout is a
+// creation-time fact now, but the catalog's per-shard key ranges are
+// format: the file must open with its uneven ranges and its extra
+// shard, route new inserts by them, and round-trip them through a
+// checkpoint of this build.
+func TestShardedReopenUnevenLayout(t *testing.T) {
+	wantRanges := []relation.KeyRange{
+		{Lo: 0, Hi: 230537638},
+		{Lo: 2147483648, Hi: 4294967296},
+		{Lo: 230537638, Hi: 2147483648},
+	}
+	wantItems := []int64{144, 12, 144}
+
+	dir := t.TempDir()
+	files, err := filepath.Glob("testdata/rebalanced_pr17/*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("fixture missing: %v", err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, "rebalanced.pictdb")
+
+	// verify checks the layout and the row set: the 300 fixture rows in
+	// insertion order, then extra.
+	verify := func(db *pictdb.Database, stage string, extra []string) *pictdb.Relation {
+		t.Helper()
+		rel, ok := db.Relation("pts")
+		if !ok {
+			t.Fatalf("%s: relation lost", stage)
+		}
+		if rel.ShardCount() != len(wantRanges) {
+			t.Fatalf("%s: %d shards, want %d", stage, rel.ShardCount(), len(wantRanges))
+		}
+		for s, kr := range rel.ShardKeyRanges() {
+			if kr != wantRanges[s] {
+				t.Fatalf("%s: shard %d range %v, want %v", stage, s, kr, wantRanges[s])
+			}
+		}
+		var names []string
+		last := int64(-1)
+		if err := rel.Scan(func(id storage.TupleID, tu pictdb.Tuple) bool {
+			if id.Int64() <= last {
+				t.Fatalf("%s: scan ids not ascending at %v", stage, id)
+			}
+			last = id.Int64()
+			names = append(names, tu[0].Str)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(names) != 300+len(extra) {
+			t.Fatalf("%s: %d rows, want %d", stage, len(names), 300+len(extra))
+		}
+		for i, name := range names {
+			want := fmt.Sprintf("p%03d", i)
+			if i >= 300 {
+				want = extra[i-300]
+			}
+			if name != want {
+				t.Fatalf("%s: row %d is %q, want %q", stage, i, name, want)
+			}
+		}
+		if report := db.Check(); !report.OK() {
+			t.Fatalf("%s: Check: %v", stage, report.Err())
+		}
+		return rel
+	}
+
+	db, err := pictdb.Open(path, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := verify(db, "opened", nil)
+	infos, _ := rel.ShardBalance()
+	for s, in := range infos {
+		if in.Items != wantItems[s] {
+			t.Fatalf("shard %d holds %d tuples, want %d", s, in.Items, wantItems[s])
+		}
+	}
+	// Every fixture row answers a window over the frame.
+	res, err := db.Query("select name from pts on map at loc covered-by {500±500, 500±500}")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 300 {
+		t.Fatalf("frame window returned %d rows, want 300", res.Len())
+	}
+
+	// New inserts route by the uneven ranges: half of these points fall
+	// in the first 5% of the Hilbert order, which is shard 0's whole
+	// range here and a tenth of it under an even 2- or 3-way layout.
+	pic, _ := db.Picture("map")
+	var extra []string
+	routed := make([]int64, len(wantRanges))
+	for i, p := range workload.HotHilbertPoints(60, 0.5, 0.05, 5) {
+		key := geom.HilbertKey(workload.Frame, p)
+		want := -1
+		for s, kr := range wantRanges {
+			if key >= kr.Lo && key < kr.Hi {
+				want = s
+			}
+		}
+		name := fmt.Sprintf("x%02d", i)
+		oid := pic.AddPoint(name, p)
+		if _, err := rel.Insert(pictdb.Tuple{pictdb.S(name), pictdb.L("map", oid)}); err != nil {
+			t.Fatal(err)
+		}
+		extra = append(extra, name)
+		routed[want]++
+		after, _ := rel.ShardBalance()
+		if after[want].Items != wantItems[want]+routed[want] {
+			t.Fatalf("point %d (key %d) did not land on shard %d: balance %+v", i, key, want, after)
+		}
+	}
+	for s, n := range routed {
+		if n == 0 {
+			t.Fatalf("no insert exercised shard %d's range (routed %v)", s, routed)
+		}
+	}
+
+	// This build's checkpoint writes the same ranges back.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := pictdb.Open(path, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	rel = verify(re, "reopened", extra)
+	infos, _ = rel.ShardBalance()
+	for s, in := range infos {
+		if in.Items != wantItems[s]+routed[s] {
+			t.Fatalf("reopened shard %d holds %d tuples, want %d", s, in.Items, wantItems[s]+routed[s])
+		}
+	}
+}
