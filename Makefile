@@ -44,6 +44,7 @@ benchcheck:
 	$(GO) test -run xxx -bench 'Pin|Fetch' -benchtime 100x -benchmem ./internal/pager/
 	$(GO) test -run xxx -bench 'DeltaMergedSearch|PackedOnlySearch' -benchtime 20x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'ShardedSearch|UnshardedSearch' -benchtime 20x -benchmem ./internal/relation/
+	$(GO) test -run xxx -bench 'OpenWindowRead' -benchtime 3x .
 	$(GO) run ./cmd/pictbench -quick > /dev/null
 
 # Durability suite: injected I/O faults, torn writes, crash-point
@@ -67,12 +68,14 @@ walfaults:
 shardfaults:
 	$(GO) test -race -run 'ShardedCrash|ShardedDuplicate|ShardedSplitDuplicate|ShardedReopen' ./internal/relation/ .
 
-# Short fuzz pass over the decoders of on-disk bytes: tuples, page-0
-# header slots, catalog records. (-fuzz takes one target per run.)
+# Short fuzz pass over the decoders of on-disk bytes — tuples, page-0
+# header slots, catalog records — and the B-tree bulk load against
+# per-item insertion. (-fuzz takes one target per run.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTuple -fuzztime 10s ./internal/relation/
 	$(GO) test -run '^$$' -fuzz FuzzParseHeaderSlots -fuzztime 10s ./internal/pager/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCatalogRecord -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzBulkLoad -fuzztime 10s ./internal/btree/
 
 # Paper reproduction targets.
 table1:

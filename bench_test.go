@@ -11,7 +11,10 @@ package pictdb_test
 
 import (
 	"fmt"
+	"math/rand"
+	"path/filepath"
 	"testing"
+	"time"
 
 	pictdb "repro"
 	"repro/internal/experiments"
@@ -500,4 +503,65 @@ func BenchmarkPSQLRepeatedWindow(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkOpenWindowRead measures pictdb.Open of a file shaped like
+// pictbench's window_read database: 200k clustered points with a B-tree
+// on pop and a Hilbert-packed R-tree, built once. Each iteration is one
+// catalog reload; Close is outside the timer.
+func BenchmarkOpenWindowRead(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "open.db")
+	db, err := pictdb.Open(path, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pic, err := db.CreatePicture("citymap", pictdb.R(0, 0, 1000, 1000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rel, err := db.CreateRelation("cities", pictdb.MustSchema("name:string", "pop:int", "loc:loc"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1985))
+	for i, pt := range workload.ClusteredPoints(200_000, 50, 30, 1985) {
+		name := fmt.Sprintf("c%06d", i)
+		if _, err := rel.Insert(pictdb.Tuple{pictdb.S(name), pictdb.I(rng.Int63n(1_000_000)), pictdb.L("citymap", pic.AddPoint(name, pt))}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := rel.CreateIndex("pop"); err != nil {
+		b.Fatal(err)
+	}
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	// Phase times come from inside the reload (its own clock seam) and
+	// add up goroutine time, so on several cores they exceed ns/op.
+	var phases [5]time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db, err := pictdb.Open(path, 4096)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		t := db.LoadTimes()
+		for j, d := range [5]time.Duration{t.Decode, t.Scan, t.BTree, t.Pack, t.Metrics} {
+			phases[j] += d
+		}
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	for j, name := range [5]string{"catalog-decode", "scan", "btree", "pack", "metrics"} {
+		b.ReportMetric(float64(phases[j].Microseconds())/1e3/float64(b.N), name+"-ms")
+	}
 }

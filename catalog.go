@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/pack"
 	"repro/internal/pager"
+	"repro/internal/par"
 	"repro/internal/picture"
 	"repro/internal/relation"
 	"repro/internal/storage"
@@ -27,7 +29,9 @@ import (
 // previous snapshot. Open replays the snapshot: heaps are reopened in
 // place; B-tree and R-tree indexes are rebuilt from the persisted
 // definitions (the paper's databases are static, so a one-time rebuild
-// on open mirrors the one-time initial PACK).
+// on open mirrors the one-time initial PACK) — one heap scan per
+// relation feeding all of its indexes, relations side by side and
+// beside the decoding of the picture objects (loadCatalog).
 var catMagic = [8]byte{'P', 'I', 'C', 'T', 'C', 'A', 'T', '1'}
 
 // superblockID is the well-known page of the superblock: the first
@@ -287,7 +291,74 @@ func (db *Database) Checkpoint() error {
 
 // --- load -------------------------------------------------------------
 
-// loadCatalog replays the current snapshot, if any.
+// nowFn is the clock the reload's phases are timed with; tests replace
+// it.
+var nowFn = time.Now
+
+// loadTimes is where a catalog reload spent its time: decoding the
+// snapshot's records, and the relations' index builds summed.
+type loadTimes struct {
+	Decode time.Duration
+	relation.BuildTimes
+}
+
+// scanRecords hands every record of the snapshot to fn; the first error
+// stops the scan.
+func scanRecords(snap *storage.Heap, fn func(raw []byte) error) error {
+	var fnErr error
+	err := snap.Scan(func(_ storage.TupleID, raw []byte) bool {
+		fnErr = fn(raw)
+		return fnErr == nil
+	})
+	if err != nil {
+		return err
+	}
+	return fnErr
+}
+
+// objectRecordName returns the picture name of a catObject record,
+// still inside raw, and the offset of the encoded object after it.
+func objectRecordName(raw []byte) (name []byte, pos int, err error) {
+	l, w := binary.Uvarint(raw[1:])
+	if w <= 0 || l > uint64(len(raw)-1-w) {
+		return nil, 0, errCatalog("truncated string")
+	}
+	pos = 1 + w + int(l)
+	return raw[1+w : pos], pos, nil
+}
+
+// decodeObjectRecord decodes a catObject record: the name of its
+// picture, still inside raw (a reload decodes one record per object and
+// looks the picture up without copying the name), and the object.
+func decodeObjectRecord(raw []byte) (pic []byte, obj picture.Object, err error) {
+	pic, pos, err := objectRecordName(raw)
+	if err != nil {
+		return nil, obj, err
+	}
+	if obj, err = picture.DecodeObject(raw[pos:]); err != nil {
+		return nil, obj, errCatalog("%w", err)
+	}
+	return pic, obj, nil
+}
+
+// loadedRel is what reloading one relation produced. pagers is set as
+// soon as a sharded relation's files are open, rel only once its
+// indexes are built.
+type loadedRel struct {
+	rel    *Relation
+	pagers []*pager.Pager
+	times  relation.BuildTimes
+}
+
+// loadCatalog replays the current snapshot, if any. The definitions —
+// locations, picture headers, relations — are read first; they are few.
+// Then the bulk runs as one task list on up to GOMAXPROCS goroutines:
+// task 0 decodes the picture objects, and one task per relation reopens
+// its heap (or shard files), scans it once for every index it had, and,
+// once the objects are in, resolves the loc pointers and builds the
+// indexes. On one core the tasks run in that order, one after another.
+// The error reported is the first in task order whatever the core
+// count, and every task has returned before loadCatalog does.
 func (db *Database) loadCatalog() error {
 	snapID, err := db.readSnapshotPage()
 	if err != nil {
@@ -301,67 +372,142 @@ func (db *Database) loadCatalog() error {
 		return err
 	}
 
+	// The definitions, and how many objects each picture has.
+	t0 := nowFn()
 	var rels []decodedRel
-	var scanErr error
-	err = snap.Scan(func(_ storage.TupleID, raw []byte) bool {
-		var rec catalogRecord
-		if rec, scanErr = decodeCatalogRecord(raw); scanErr != nil {
-			return false
+	objectCounts := make(map[string]*int)
+	err = scanRecords(snap, func(raw []byte) error {
+		if len(raw) > 0 && raw[0] == catObject {
+			name, _, err := objectRecordName(raw)
+			if err != nil {
+				return err
+			}
+			// A counter behind a pointer: the lookup takes the name's
+			// bytes as they lie, where a store would copy them per record.
+			n := objectCounts[string(name)]
+			if n == nil {
+				n = new(int)
+				objectCounts[string(name)] = n
+			}
+			*n++
+			return nil
+		}
+		rec, err := decodeCatalogRecord(raw)
+		if err != nil {
+			return err
 		}
 		switch rec.tag {
 		case catLocation:
 			db.locations[rec.name] = rec.rect
 		case catPicture:
 			db.pictures[rec.name] = picture.New(rec.name, rec.rect)
-		case catObject:
-			pic := db.pictures[rec.name]
-			if pic == nil {
-				scanErr = errCatalog("object for unknown picture %q", rec.name)
-				return false
-			}
-			if err := pic.Restore(rec.obj); err != nil {
-				scanErr = errCatalog("%w", err)
-				return false
-			}
 		default:
 			rels = append(rels, rec.rel)
 		}
-		return true
+		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if scanErr != nil {
-		return scanErr
-	}
+	db.loadTimes.Decode = nowFn().Sub(t0)
 
-	// Relations last: their index rebuilds resolve pictures.
-	for _, def := range rels {
-		var rel *Relation
-		if len(def.shardFirsts) > 0 {
-			rel, err = db.openShardedRelation(def.name, def.schema, def.shardFirsts, def.shardRanges)
-		} else {
-			rel, err = openRelation(db, def.name, def.schema, def.heapFirst)
+	loaded := make([]loadedRel, len(rels))
+	objectsIn := make(chan struct{})
+	var objectsErr error // written by task 0 before it closes objectsIn
+	err = par.Do(1+len(rels), 0, func(i int) error {
+		if i > 0 {
+			return db.loadRelation(rels[i-1], &loaded[i-1], func() error {
+				<-objectsIn
+				return objectsErr
+			})
 		}
+		defer close(objectsIn)
+		t0 := nowFn()
+		objectsErr = db.loadObjects(snap, objectCounts)
+		db.loadTimes.Decode += nowFn().Sub(t0)
+		return objectsErr
+	})
+	// Shard files opened by a relation that then failed are registered
+	// too: the caller closes every registered pager when the load fails.
+	for i, l := range loaded {
+		if l.pagers != nil {
+			db.shardPagers[rels[i].name] = l.pagers
+		}
+		if l.rel != nil {
+			db.relations[rels[i].name] = l.rel
+			db.loadTimes.BuildTimes.Add(l.times)
+		}
+	}
+	return err
+}
+
+// loadObjects decodes every picture object of the snapshot and restores
+// each picture's in one batch; counts says how many each picture has.
+func (db *Database) loadObjects(snap *storage.Heap, counts map[string]*int) error {
+	names := make([]string, 0, len(counts))
+	for name := range counts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	objs := make(map[string]*[]picture.Object, len(names))
+	for _, name := range names {
+		if db.pictures[name] == nil {
+			return errCatalog("object for unknown picture %q", name)
+		}
+		batch := make([]picture.Object, 0, *counts[name])
+		objs[name] = &batch
+	}
+	err := scanRecords(snap, func(raw []byte) error {
+		if raw[0] != catObject {
+			return nil
+		}
+		name, obj, err := decodeObjectRecord(raw)
 		if err != nil {
 			return err
 		}
-		for _, col := range def.indexed {
-			if err := rel.CreateIndex(col); err != nil {
-				return err
-			}
-		}
-		for _, a := range def.assocs {
-			pic := db.pictures[a.pic]
-			if pic == nil {
-				return fmt.Errorf("pictdb: relation %q associated with unknown picture %q", def.name, a.pic)
-			}
-			if err := rel.AttachPicture(pic, a.opts); err != nil {
-				return err
-			}
-		}
-		db.relations[def.name] = rel
+		batch := objs[string(name)]
+		*batch = append(*batch, obj)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
+	for _, name := range names {
+		if err := db.pictures[name].Restore(*objs[name]...); err != nil {
+			return errCatalog("%w", err)
+		}
+	}
+	return nil
+}
+
+// loadRelation reopens one persisted relation into out and rebuilds its
+// indexes with one scan of its heap. objectsIn blocks until the picture
+// objects are decoded and returns the error decoding them met: the heap
+// scan and the B-trees run before it is asked, the resolution of loc
+// pointers after.
+func (db *Database) loadRelation(def decodedRel, out *loadedRel, objectsIn func() error) error {
+	var rel *Relation
+	var err error
+	if len(def.shardFirsts) > 0 {
+		rel, out.pagers, err = db.openShardedRelation(def.name, def.schema, def.shardFirsts, def.shardRanges)
+	} else {
+		rel, err = relation.Open(db.pager, def.name, def.schema, def.heapFirst)
+	}
+	if err != nil {
+		return err
+	}
+	pics := make([]relation.PictureSpec, len(def.assocs))
+	for i, a := range def.assocs {
+		pic := db.pictures[a.pic]
+		if pic == nil {
+			return fmt.Errorf("pictdb: relation %q associated with unknown picture %q", def.name, a.pic)
+		}
+		pics[i] = relation.PictureSpec{Picture: pic, Opts: a.opts}
+	}
+	if out.times, err = rel.BuildIndexes(def.indexed, pics, objectsIn); err != nil {
+		return err
+	}
+	out.rel = rel
 	return nil
 }
 
@@ -369,10 +515,9 @@ func (db *Database) loadCatalog() error {
 // other fields it carries.
 type catalogRecord struct {
 	tag  byte
-	name string         // location, picture, or an object's picture
-	rect geom.Rect      // location rectangle or picture extent
-	obj  picture.Object // catObject
-	rel  decodedRel     // catRelation, catSharded
+	name string     // location, picture, or an object's picture
+	rect geom.Rect  // location rectangle or picture extent
+	rel  decodedRel // catRelation, catSharded
 }
 
 // decodeCatalogRecord decodes one snapshot record. Every failure wraps
@@ -392,9 +537,9 @@ func decodeCatalogRecord(raw []byte) (catalogRecord, error) {
 	case catLocation, catPicture:
 		rec.rect, _, err = readRect(raw, pos)
 	case catObject:
-		if rec.obj, err = picture.DecodeObject(raw[pos:]); err != nil {
-			err = errCatalog("%w", err)
-		}
+		// The reload calls decodeObjectRecord itself, once per object and
+		// without the name copy above.
+		_, _, err = decodeObjectRecord(raw)
 	case catRelation, catSharded:
 		rec.rel, err = decodeRelDef(raw, name, pos)
 	case catShardedV1:

@@ -10,7 +10,9 @@ package btree
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 )
 
 // Value is the payload stored per key: an int64, typically a packed
@@ -65,6 +67,94 @@ func New(order int) *Tree {
 
 // NewDefault returns an empty tree with DefaultOrder.
 func NewDefault() *Tree { return New(DefaultOrder) }
+
+// Entry is one (key, value) pair of a run handed to BulkLoad.
+type Entry struct {
+	Key   []byte
+	Value Value
+}
+
+// CompareEntries orders entries by key, then by value: the order of a
+// BulkLoad run. Entries of one index differ in their value (a tuple
+// id), so the order is total and a sorted run is unique.
+func CompareEntries(a, b Entry) int {
+	if c := bytes.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Value, b.Value)
+}
+
+// SortEntries sorts run into BulkLoad's order.
+func SortEntries(run []Entry) { slices.SortFunc(run, CompareEntries) }
+
+// BulkLoad builds a tree bottom-up from a run sorted by CompareEntries:
+// one pass lays the entries out as a chain of leaves, then each level of
+// inner nodes is cut from the level below — the single-sort bulk load,
+// against a root-to-leaf descent per entry with Insert. Every node is
+// filled to the order, as PACK fills R-tree nodes; only the last node
+// of a level may hold fewer, and the last inner node of a level takes a
+// child from its left sibling rather than stand over a single one. The
+// tree keeps the run's key slices (Insert copies its key; a caller
+// handing over a run gives the keys up). An unsorted run is a bug in
+// the caller and panics.
+func BulkLoad(order int, run []Entry) *Tree {
+	t := New(order)
+	n := len(run)
+	if n == 0 {
+		return t
+	}
+	keys := make([][]byte, n)
+	vals := make([]Value, n)
+	for i, e := range run {
+		if i > 0 && CompareEntries(run[i-1], e) > 0 {
+			panic(fmt.Sprintf("btree: BulkLoad run out of order at entry %d", i))
+		}
+		keys[i], vals[i] = e.Key, e.Value
+	}
+
+	// Leaves are windows of the two arrays, capped so that an Insert
+	// growing one reallocates instead of writing into its neighbour.
+	level := make([]node, 0, (n+order-1)/order)
+	// mins[i] is the smallest key under level[i]: the separator its
+	// parent stores when it is not the first child.
+	mins := make([][]byte, 0, cap(level))
+	var prev *leafNode
+	for lo := 0; lo < n; lo += order {
+		hi := min(lo+order, n)
+		leaf := &leafNode{keys: keys[lo:hi:hi], vals: vals[lo:hi:hi]}
+		if prev == nil {
+			t.first = leaf
+		} else {
+			prev.next = leaf
+		}
+		prev = leaf
+		level = append(level, leaf)
+		mins = append(mins, keys[lo])
+	}
+
+	for len(level) > 1 {
+		fan := order + 1
+		next := make([]node, 0, (len(level)+fan-1)/fan)
+		nextMins := make([][]byte, 0, cap(next))
+		for lo := 0; lo < len(level); {
+			hi := min(lo+fan, len(level))
+			if len(level)-hi == 1 {
+				hi--
+			}
+			in := &innerNode{keys: mins[lo+1 : hi : hi], children: level[lo:hi:hi]}
+			for _, c := range in.children {
+				c.setParent(in)
+			}
+			next = append(next, in)
+			nextMins = append(nextMins, mins[lo])
+			lo = hi
+		}
+		level, mins = next, nextMins
+	}
+	t.root = level[0]
+	t.size = n
+	return t
+}
 
 // Len returns the number of stored entries.
 func (t *Tree) Len() int { return t.size }
@@ -262,10 +352,14 @@ func (t *Tree) AscendFrom(lo []byte, fn func(key []byte, value Value) bool) {
 	}
 }
 
-// CheckInvariants verifies B+-tree ordering and linkage; it returns
-// nil for a valid tree.
+// CheckInvariants verifies B+-tree ordering, linkage and shape: the
+// leaf chain is sorted and holds size entries; no node holds more than
+// order keys; every inner node has one child more than keys, at least
+// two, each linked back to it; every leaf sits at the same depth; and
+// each separator bounds the subtrees beside it (nothing left of it is
+// greater, nothing right of it smaller). It returns nil for a valid
+// tree. Leaves emptied by Delete are valid.
 func (t *Tree) CheckInvariants() error {
-	// Leaf chain must be globally sorted and cover size entries.
 	var prev []byte
 	count := 0
 	for leaf := t.first; leaf != nil; leaf = leaf.next {
@@ -283,30 +377,66 @@ func (t *Tree) CheckInvariants() error {
 	if count != t.size {
 		return fmt.Errorf("btree: size %d but %d entries in leaf chain", t.size, count)
 	}
-	// Inner node separators must be ordered and children linked back.
-	var walk func(n node) error
-	walk = func(n node) error {
-		in, ok := n.(*innerNode)
-		if !ok {
-			return nil
+	leafDepth := -1
+	// walk returns the smallest and largest key under n (nil, nil when
+	// the subtree holds no entry).
+	var walk func(n node, depth int) (lo, hi []byte, err error)
+	walk = func(n node, depth int) ([]byte, []byte, error) {
+		if leaf, ok := n.(*leafNode); ok {
+			if len(leaf.keys) > t.order {
+				return nil, nil, fmt.Errorf("btree: leaf holds %d keys, order %d", len(leaf.keys), t.order)
+			}
+			if leafDepth < 0 {
+				leafDepth = depth
+			}
+			if depth != leafDepth {
+				return nil, nil, fmt.Errorf("btree: leaves at depths %d and %d", leafDepth, depth)
+			}
+			if len(leaf.keys) == 0 {
+				return nil, nil, nil
+			}
+			return leaf.keys[0], leaf.keys[len(leaf.keys)-1], nil
 		}
+		in := n.(*innerNode)
 		if len(in.children) != len(in.keys)+1 {
-			return fmt.Errorf("btree: inner children/keys mismatch")
+			return nil, nil, fmt.Errorf("btree: inner children/keys mismatch")
+		}
+		if len(in.children) < 2 {
+			return nil, nil, fmt.Errorf("btree: inner node with %d children", len(in.children))
+		}
+		if len(in.keys) > t.order {
+			return nil, nil, fmt.Errorf("btree: inner node holds %d keys, order %d", len(in.keys), t.order)
 		}
 		for i := 1; i < len(in.keys); i++ {
 			if bytes.Compare(in.keys[i-1], in.keys[i]) > 0 {
-				return fmt.Errorf("btree: inner keys out of order")
+				return nil, nil, fmt.Errorf("btree: inner keys out of order")
 			}
 		}
-		for _, c := range in.children {
+		var lo, hi []byte
+		for i, c := range in.children {
 			if c.parentNode() != in {
-				return fmt.Errorf("btree: child parent link broken")
+				return nil, nil, fmt.Errorf("btree: child parent link broken")
 			}
-			if err := walk(c); err != nil {
-				return err
+			clo, chi, err := walk(c, depth+1)
+			if err != nil {
+				return nil, nil, err
 			}
+			if clo == nil {
+				continue
+			}
+			if i > 0 && bytes.Compare(in.keys[i-1], clo) > 0 {
+				return nil, nil, fmt.Errorf("btree: separator %q above its right subtree's %q", in.keys[i-1], clo)
+			}
+			if i < len(in.keys) && bytes.Compare(chi, in.keys[i]) > 0 {
+				return nil, nil, fmt.Errorf("btree: separator %q below its left subtree's %q", in.keys[i], chi)
+			}
+			if lo == nil {
+				lo = clo
+			}
+			hi = chi
 		}
-		return nil
+		return lo, hi, nil
 	}
-	return walk(t.root)
+	_, _, err := walk(t.root, 0)
+	return err
 }

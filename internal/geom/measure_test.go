@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -200,5 +201,42 @@ func TestQuickSweepMatchesGrid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The y test in OverlapPairwise skips only pairs that add exactly zero,
+// so the sum is bit-identical to the sweep that forms every
+// intersection — planner estimates printed from it do not move.
+func TestOverlapPairwiseSkipIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 50; trial++ {
+		rects := make([]Rect, 2+rng.Intn(300))
+		for i := range rects {
+			x, y := rng.Float64()*1000, rng.Float64()*1000
+			rects[i] = R(x, y, x+rng.Float64()*80, y+rng.Float64()*80)
+			if rng.Intn(10) == 0 {
+				rects[i] = Pt(x, y).Rect()
+			}
+		}
+		rects[0] = EmptyRect()
+		sorted := make([]Rect, 0, len(rects))
+		for _, r := range rects {
+			if !r.IsEmpty() {
+				sorted = append(sorted, r)
+			}
+		}
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Min.X < sorted[j].Min.X })
+		want := 0.0
+		for i, ri := range sorted {
+			for _, rj := range sorted[i+1:] {
+				if rj.Min.X > ri.Max.X {
+					break
+				}
+				want += ri.Intersection(rj).Area()
+			}
+		}
+		if got := OverlapPairwise(rects); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: OverlapPairwise = %v, full sweep %v", trial, got, want)
+		}
 	}
 }

@@ -87,21 +87,31 @@ func DecodeObject(rec []byte) (Object, error) {
 	return o, nil
 }
 
-// Restore inserts an object preserving its existing ID — used when
+// Restore inserts objects preserving their existing IDs — used when
 // reloading a persisted picture, since tuples hold loc references to
-// these IDs. It returns an error on a duplicate id.
-func (p *Picture) Restore(o Object) error {
-	if o.ID == 0 {
-		return fmt.Errorf("picture: restore of object with zero id")
-	}
+// these IDs — under one lock, sizing an empty picture for the batch. It
+// returns an error on a zero or duplicate id; the picture is then left
+// partly restored and is not to be used.
+func (p *Picture) Restore(objs ...Object) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, dup := p.objects[o.ID]; dup {
-		return fmt.Errorf("picture: duplicate object id %d", o.ID)
+	if len(p.objects) == 0 {
+		p.objects = make(map[ObjectID]Object, len(objs))
 	}
-	p.objects[o.ID] = o
-	if o.ID >= p.nextID {
-		p.nextID = o.ID + 1
+	for _, o := range objs {
+		if o.ID == 0 {
+			return fmt.Errorf("picture: restore of object with zero id")
+		}
+		// One table access, not a lookup and then a store: an id already
+		// present shows as a store that did not grow the table.
+		n := len(p.objects)
+		p.objects[o.ID] = o
+		if len(p.objects) == n {
+			return fmt.Errorf("picture: duplicate object id %d", o.ID)
+		}
+		if o.ID >= p.nextID {
+			p.nextID = o.ID + 1
+		}
 	}
 	return nil
 }

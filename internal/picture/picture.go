@@ -170,6 +170,22 @@ func (p *Picture) Get(id ObjectID) (Object, bool) {
 	return o, ok
 }
 
+// MBRs resolves many ids under one read lock: rects[i] is the MBR of
+// the object ids[i] names and ok[i] whether it exists. It is Get for an
+// index build, which resolves every loc pointer of a relation at once.
+func (p *Picture) MBRs(ids []ObjectID) (rects []geom.Rect, ok []bool) {
+	rects = make([]geom.Rect, len(ids))
+	ok = make([]bool, len(ids))
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	for i, id := range ids {
+		if o, found := p.objects[id]; found {
+			rects[i], ok[i] = o.MBR(), true
+		}
+	}
+	return rects, ok
+}
+
 // Remove deletes the object with the given id, reporting whether it
 // existed.
 func (p *Picture) Remove(id ObjectID) bool {

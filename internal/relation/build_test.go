@@ -1,0 +1,277 @@
+package relation
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/btree"
+	"repro/internal/geom"
+	"repro/internal/pack"
+	"repro/internal/pager"
+	"repro/internal/picture"
+	"repro/internal/rtree"
+	"repro/internal/storage"
+)
+
+// buildFixture fills an unsharded (shards == 0) or sharded relation
+// with n cities spread over two pictures, then deletes every seventh so
+// that the heaps have holes and later inserts reuse their slots, and
+// leaves one tuple pointing at an object that is gone.
+func buildFixture(t *testing.T, shards, n int) (*Relation, [2]*picture.Picture) {
+	t.Helper()
+	var rel *Relation
+	if shards == 0 {
+		p := pager.OpenMem(512)
+		t.Cleanup(func() { p.Close() })
+		var err error
+		if rel, err = New(p, "cities", citySchema()); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		rel = newShardedCities(t, shards)
+	}
+	pics := [2]*picture.Picture{
+		picture.New("us-map", geom.R(0, 0, 1000, 1000)),
+		picture.New("rail-map", geom.R(0, 0, 1000, 1000)),
+	}
+	rng := rand.New(rand.NewSource(int64(31 + shards)))
+	var ids []storage.TupleID
+	add := func(i int) {
+		pic := pics[i%2]
+		ids = append(ids, addCity(t, rel, pic, fmt.Sprintf("c%04d", i), fmt.Sprintf("S%d", i%9), int64(rng.Intn(50)), rng.Float64()*1000, rng.Float64()*1000))
+	}
+	for i := 0; i < n; i++ {
+		add(i)
+	}
+	for i := 0; i < n; i += 7 {
+		if err := rel.Delete(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := n; i < n+n/5; i++ {
+		add(i)
+	}
+	gone := pics[0].AddPoint("gone", geom.Pt(1, 1))
+	if _, err := rel.Insert(Tuple{S("dangling"), S("S0"), I(1), L("us-map", gone)}); err != nil {
+		t.Fatal(err)
+	}
+	pics[0].Remove(gone)
+	return rel, pics
+}
+
+func indexStream(rel *Relation, col string) []btree.Entry {
+	var out []btree.Entry
+	rel.Index(col).Ascend(func(k []byte, v btree.Value) bool {
+		out = append(out, btree.Entry{Key: k, Value: v})
+		return true
+	})
+	return out
+}
+
+// One BuildIndexes call over two columns and two pictures builds what
+// the four separate calls build, unsharded and sharded, and each B-tree
+// comes out in (key, id) order.
+func TestBuildIndexesMatchesSeparateCalls(t *testing.T) {
+	for _, shards := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			one, picsOne := buildFixture(t, shards, 600)
+			sep, picsSep := buildFixture(t, shards, 600)
+			opts := pack.Options{Method: pack.MethodHilbert}
+			times, err := one.BuildIndexes([]string{"state", "population"},
+				[]PictureSpec{{picsOne[0], opts}, {picsOne[1], pack.Options{}}}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if times.Scan <= 0 || times.BTree <= 0 || times.Pack <= 0 || times.Metrics <= 0 {
+				t.Fatalf("a phase went untimed: %+v", times)
+			}
+			for _, col := range []string{"state", "population"} {
+				if err := sep.CreateIndex(col); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sep.AttachPicture(picsSep[0], opts); err != nil {
+				t.Fatal(err)
+			}
+			if err := sep.AttachPicture(picsSep[1], pack.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			for _, col := range []string{"state", "population"} {
+				got, want := indexStream(one, col), indexStream(sep, col)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("index %q differs between one build and separate builds", col)
+				}
+				for i := 1; i < len(got); i++ {
+					if btree.CompareEntries(got[i-1], got[i]) >= 0 {
+						t.Fatalf("index %q not in (key, id) order at %d", col, i)
+					}
+				}
+				if len(got) != one.Len() {
+					t.Fatalf("index %q holds %d entries, relation %d tuples", col, len(got), one.Len())
+				}
+			}
+			for _, name := range []string{"us-map", "rail-map"} {
+				a, b := one.Spatials(name), sep.Spatials(name)
+				if len(a) != len(b) || len(a) != max(shards, 1) {
+					t.Fatalf("%s: %d and %d spatial indexes", name, len(a), len(b))
+				}
+				for s := range a {
+					if !reflect.DeepEqual(a[s].PackedTree().Items(), b[s].PackedTree().Items()) {
+						t.Fatalf("%s shard %d: packed items differ", name, s)
+					}
+					if a[s].Stats() != b[s].Stats() || a[s].Stats() != a[s].PackedTree().ComputeMetrics() {
+						t.Fatalf("%s shard %d: stats %+v / %+v", name, s, a[s].Stats(), b[s].Stats())
+					}
+				}
+			}
+			if err := one.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// A shard's tree is packed from its items in ascending sequence — the
+// order of the route table, which the shard's heap leaves as soon as a
+// freed slot is reused. The reference walks the relation the way the
+// route table orders it and packs each shard's share.
+func TestBuildIndexesShardItemOrder(t *testing.T) {
+	rel, pics := buildFixture(t, 4, 900)
+	opts := pack.Options{Method: pack.MethodHilbert}
+	if err := rel.AttachPicture(pics[0], opts); err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]rtree.Item, 4)
+	routes := rel.routesSnapshot()
+	err := rel.Scan(func(id storage.TupleID, tu Tuple) bool {
+		if rect, ok := rel.locMBR(tu, pics[0]); ok {
+			s, _ := decodeRoute(routes[id.Int64()-shardSeqBase])
+			want[s] = append(want[s], rtree.Item{Rect: rect, Data: id.Int64()})
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, si := range rel.Spatials("us-map") {
+		ref := pack.Tree(rtree.DefaultParams(), want[s], opts)
+		if !reflect.DeepEqual(si.PackedTree().Items(), ref.Items()) {
+			t.Fatalf("shard %d: tree differs from one packed in sequence order", s)
+		}
+	}
+	// RepackPicture takes the same path.
+	if err := rel.RepackPicture("us-map", opts); err != nil {
+		t.Fatal(err)
+	}
+	for s, si := range rel.Spatials("us-map") {
+		ref := pack.Tree(rtree.DefaultParams(), want[s], opts)
+		if !reflect.DeepEqual(si.PackedTree().Items(), ref.Items()) {
+			t.Fatalf("shard %d after RepackPicture: tree differs", s)
+		}
+	}
+}
+
+// ready is asked after the heap scan and only by picture tasks; its
+// error abandons the build and nothing is attached.
+func TestBuildIndexesReadyGate(t *testing.T) {
+	rel, pics := buildFixture(t, 2, 300)
+	var asked atomic.Int32
+	if _, err := rel.BuildIndexes([]string{"state"}, nil, func() error {
+		asked.Add(1)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if asked.Load() != 0 {
+		t.Fatalf("a B-tree-only build asked ready %d times", asked.Load())
+	}
+	notYet := errors.New("objects failed to load")
+	_, err := rel.BuildIndexes([]string{"population"}, []PictureSpec{{Picture: pics[0]}}, func() error {
+		asked.Add(1)
+		return notYet
+	})
+	if !errors.Is(err, notYet) {
+		t.Fatalf("err = %v, want ready's error", err)
+	}
+	// Once per shard task; on one core the first refusal stops the rest.
+	if n := asked.Load(); n < 1 || n > 2 {
+		t.Fatalf("ready asked %d times, want once per shard task started", n)
+	}
+	if rel.Index("population") != nil || rel.HasSpatial("us-map") {
+		t.Fatal("an abandoned build attached an index")
+	}
+	if _, err := rel.BuildIndexes([]string{"population"}, []PictureSpec{{Picture: pics[0]}}, func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if rel.Index("population") == nil || !rel.HasSpatial("us-map") {
+		t.Fatal("build after an abandoned one attached nothing")
+	}
+}
+
+func TestBuildIndexesRejects(t *testing.T) {
+	rel, pics := buildFixture(t, 0, 50)
+	if err := rel.CreateIndex("state"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.AttachPicture(pics[1], pack.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func() error{
+		"unknown column":   func() error { _, err := rel.BuildIndexes([]string{"nope"}, nil, nil); return err },
+		"loc column":       func() error { _, err := rel.BuildIndexes([]string{"loc"}, nil, nil); return err },
+		"indexed column":   func() error { _, err := rel.BuildIndexes([]string{"state"}, nil, nil); return err },
+		"column twice":     func() error { _, err := rel.BuildIndexes([]string{"city", "city"}, nil, nil); return err },
+		"attached picture": func() error { _, err := rel.BuildIndexes(nil, []PictureSpec{{Picture: pics[1]}}, nil); return err },
+		"picture twice": func() error {
+			_, err := rel.BuildIndexes(nil, []PictureSpec{{Picture: pics[0]}, {Picture: pics[0]}}, nil)
+			return err
+		},
+		"bad beside good": func() error { _, err := rel.BuildIndexes([]string{"city", "nope"}, nil, nil); return err },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if rel.Index("city") != nil || rel.HasSpatial("us-map") {
+		t.Fatal("a rejected build attached an index")
+	}
+	p := pager.OpenMem(16)
+	defer p.Close()
+	flat, err := New(p, "flat", MustSchema("k:int"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := flat.AttachPicture(pics[0], pack.Options{}); err == nil {
+		t.Fatal("picture attached to a schema without a loc column")
+	}
+}
+
+// The phases are timed through nowFn: with a clock that advances one
+// millisecond per reading, the scan (two readings on one goroutine,
+// nothing else running) lasts exactly that, and every task at least
+// that.
+func TestBuildTimesClockSeam(t *testing.T) {
+	var ticks atomic.Int64
+	epoch := time.Unix(0, 0)
+	nowFn = func() time.Time { return epoch.Add(time.Duration(ticks.Add(1)) * time.Millisecond) }
+	defer func() { nowFn = time.Now }()
+	rel, pics := buildFixture(t, 0, 100)
+	times, err := rel.BuildIndexes([]string{"state", "city"}, []PictureSpec{{Picture: pics[0]}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if times.Scan != time.Millisecond {
+		t.Fatalf("Scan = %v, want 1ms", times.Scan)
+	}
+	if times.BTree < 2*time.Millisecond || times.Pack < time.Millisecond || times.Metrics < time.Millisecond {
+		t.Fatalf("task times %+v", times)
+	}
+	if n := ticks.Load(); n != 2+2*2+3 {
+		t.Fatalf("clock read %d times, want 9", n)
+	}
+}

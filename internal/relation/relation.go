@@ -333,30 +333,12 @@ func (r *Relation) ScanCols(need []bool, fn func(id storage.TupleID, t Tuple) bo
 }
 
 // CreateIndex builds a B-tree index over the named alphanumeric
-// column, indexing existing tuples ("the usual way" of §2.1).
+// column, indexing existing tuples ("the usual way" of §2.1): the
+// column's keys are read off the heap in one scan, sorted, and loaded
+// bottom-up. Inserts and deletes maintain it afterwards.
 func (r *Relation) CreateIndex(column string) error {
-	ci := r.schema.ColumnIndex(column)
-	if ci < 0 {
-		return fmt.Errorf("relation %s: no column %q", r.name, column)
-	}
-	if r.schema.Columns[ci].Type == TypeLoc {
-		return fmt.Errorf("relation %s: column %q is pictorial; use AttachPicture", r.name, column)
-	}
-	if _, dup := r.indexes[column]; dup {
-		return fmt.Errorf("relation %s: column %q already indexed", r.name, column)
-	}
-	idx := btree.NewDefault()
-	err := r.Scan(func(id storage.TupleID, t Tuple) bool {
-		idx.Insert(IndexKey(t[ci]), id.Int64())
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	r.rlockShardedW()
-	r.indexes[column] = idx
-	r.runlockShardedW()
-	return nil
+	_, err := r.BuildIndexes([]string{column}, nil, nil)
+	return err
 }
 
 // rlockShardedW/runlockShardedW are the exclusive counterparts of
@@ -462,32 +444,13 @@ func (r *Relation) runlockSharded() {
 }
 
 // AttachPicture associates the relation with pic and builds a packed
-// R-tree over the loc column using the given packing options. This is
-// the paper's initial PACK of a static database; subsequent Insert and
-// Delete calls maintain the index dynamically (§3.4).
+// R-tree over the loc column using the given packing options (one tree
+// per shard when sharded). This is the paper's initial PACK of a static
+// database; subsequent Insert and Delete calls maintain the index
+// dynamically (§3.4).
 func (r *Relation) AttachPicture(pic *picture.Picture, opts pack.Options) error {
-	if r.Sharded() {
-		return r.attachPictureSharded(pic, opts)
-	}
-	if r.schema.LocColumn() < 0 {
-		return fmt.Errorf("relation %s: schema has no loc column", r.name)
-	}
-	if _, dup := r.spatial[pic.Name()]; dup {
-		return fmt.Errorf("relation %s: picture %q already attached", r.name, pic.Name())
-	}
-	var items []rtree.Item
-	err := r.Scan(func(id storage.TupleID, t Tuple) bool {
-		if rect, ok := r.locMBR(t, pic); ok {
-			items = append(items, rtree.Item{Rect: rect, Data: id.Int64()})
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	tree := pack.Tree(r.rtreeParams, items, opts)
-	r.spatial[pic.Name()] = newSpatialIndex(pic, tree, opts, r.rtreeParams)
-	return nil
+	_, err := r.BuildIndexes(nil, []PictureSpec{{Picture: pic, Opts: opts}}, nil)
+	return err
 }
 
 // Spatial returns the spatial index for the named picture, or nil.
@@ -685,27 +648,20 @@ func (r *Relation) Check() error {
 
 // RepackPicture rebuilds the spatial index for the named picture from
 // the current tuples — the paper's §3.4 periodic reorganization of a
-// drifted index. The index object is rebuilt in place (the SpatialIndex
-// pointer stays valid): the new tree is packed from a heap scan with
+// drifted index. The index objects are rebuilt in place (SpatialIndex
+// pointers stay valid): each new tree is packed from the heap scan with
 // opts, and the delta, tombstones, and pending counters are cleared.
 func (r *Relation) RepackPicture(pictureName string, opts pack.Options) error {
-	if r.Sharded() {
-		return r.repackPictureSharded(pictureName, opts)
-	}
-	si := r.spatial[pictureName]
-	if si == nil {
+	sis := r.spatialList(pictureName)
+	if sis == nil {
 		return fmt.Errorf("relation %s: no spatial index for picture %q", r.name, pictureName)
 	}
-	var items []rtree.Item
-	err := r.Scan(func(id storage.TupleID, t Tuple) bool {
-		if rect, ok := r.locMBR(t, si.Picture); ok {
-			items = append(items, rtree.Item{Rect: rect, Data: id.Int64()})
-		}
-		return true
-	})
-	if err != nil {
+	b := &indexBuild{r: r, pics: []PictureSpec{{Picture: sis[0].Picture, Opts: opts}}}
+	if err := b.scan(); err != nil {
 		return err
 	}
-	si.rebuild(items, opts)
+	for s, si := range sis {
+		si.rebuild(b.items(0, s), opts)
+	}
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/pack"
 	"repro/internal/pager"
-	"repro/internal/picture"
+	"repro/internal/par"
 	"repro/internal/rtree"
 	"repro/internal/storage"
 )
@@ -335,7 +335,7 @@ func (r *Relation) ShardHeapPages(s int) ([]pager.PageID, error) {
 // shards before its main file so the catalog never names shard pages
 // that are not yet durable.
 func (r *Relation) CommitShards() error {
-	return forEachShard(len(r.shards), len(r.shards), func(s int) error {
+	return par.Do(len(r.shards), len(r.shards), func(s int) error {
 		if err := r.shards[s].pgr.Commit(); err != nil {
 			return fmt.Errorf("relation %s: shard %d: %w", r.name, s, err)
 		}
@@ -548,7 +548,7 @@ func (r *Relation) getBatchSharded(ids []storage.TupleID, need []bool, workers i
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	err := forEachShard(n, workers, func(s int) error {
+	err := par.Do(n, workers, func(s int) error {
 		if len(perIDs[s]) == 0 {
 			return nil
 		}
@@ -657,77 +657,6 @@ func (r *Relation) scanSharded(need []bool, fn func(id storage.TupleID, t Tuple)
 	return nil
 }
 
-// shardLocItems scans the relation and buckets (loc MBR, global id)
-// items per shard for pic — the build step of AttachPicture and
-// RepackPicture in sharded mode. Items come out in ascending sequence
-// order per shard.
-func (r *Relation) shardLocItems(pic *picture.Picture) ([][]rtree.Item, error) {
-	perShard := make([][]rtree.Item, len(r.shards))
-	routes := r.routesSnapshot()
-	for i, v := range routes {
-		if v == 0 {
-			continue
-		}
-		gid := shardSeqBase + int64(i)
-		s, _ := decodeRoute(v)
-		t, ok, err := r.fetchRouted(gid, v, nil)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			continue // deleted mid-build
-		}
-		if rect, ok := r.locMBR(t, pic); ok {
-			perShard[s] = append(perShard[s], rtree.Item{Rect: rect, Data: gid})
-		}
-	}
-	return perShard, nil
-}
-
-// attachPictureSharded is AttachPicture for sharded relations: one
-// packed R-tree per shard over that shard's tuples.
-func (r *Relation) attachPictureSharded(pic *picture.Picture, opts pack.Options) error {
-	if r.schema.LocColumn() < 0 {
-		return fmt.Errorf("relation %s: schema has no loc column", r.name)
-	}
-	r.smu.RLock()
-	_, dup := r.shardSpatial[pic.Name()]
-	r.smu.RUnlock()
-	if dup {
-		return fmt.Errorf("relation %s: picture %q already attached", r.name, pic.Name())
-	}
-	perShard, err := r.shardLocItems(pic)
-	if err != nil {
-		return err
-	}
-	sis := make([]*SpatialIndex, len(perShard))
-	for s := range sis {
-		tree := pack.Tree(r.rtreeParams, perShard[s], opts)
-		sis[s] = newSpatialIndex(pic, tree, opts, r.rtreeParams)
-	}
-	r.smu.Lock()
-	r.shardSpatial[pic.Name()] = sis
-	r.smu.Unlock()
-	return nil
-}
-
-// repackPictureSharded is RepackPicture for sharded relations: each
-// shard's index is rebuilt from that shard's current tuples.
-func (r *Relation) repackPictureSharded(pictureName string, opts pack.Options) error {
-	sis := r.spatialList(pictureName)
-	if sis == nil {
-		return fmt.Errorf("relation %s: no spatial index for picture %q", r.name, pictureName)
-	}
-	perShard, err := r.shardLocItems(sis[0].Picture)
-	if err != nil {
-		return err
-	}
-	for s, si := range sis {
-		si.rebuild(perShard[s], opts)
-	}
-	return nil
-}
-
 // spatialList returns the spatial indexes answering for pic: the
 // per-shard slice when sharded, a one-element slice otherwise, nil when
 // the picture is not attached.
@@ -804,12 +733,8 @@ func (r *Relation) SpatialCostSnapshot(pictureName string, windows []geom.Rect) 
 		merged.Stats.Leaves += snap.Stats.Leaves
 		merged.Stats.Coverage += snap.Stats.Coverage
 		merged.Stats.Overlap += snap.Stats.Overlap
-		merged.Stats.OverlapMeasure += snap.Stats.OverlapMeasure
 		if snap.Stats.Depth > merged.Stats.Depth {
 			merged.Stats.Depth = snap.Stats.Depth
-		}
-		if snap.Stats.DeadSpace > merged.Stats.DeadSpace {
-			merged.Stats.DeadSpace = snap.Stats.DeadSpace
 		}
 		merged.Bounds = merged.Bounds.Union(snap.Bounds)
 		merged.DeltaItems += snap.DeltaItems
@@ -966,54 +891,16 @@ func scatterJuxtapose(as, bs []*SpatialIndex, pred func(a, b geom.Rect) bool, wo
 	return pairs, visited
 }
 
-// forEachShard runs fn(s) for s in [0, n) with up to par goroutines,
-// returning the first error by shard order.
-func forEachShard(n, par int, fn func(s int) error) error {
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > n {
-		par = n
-	}
-	if par <= 1 || n <= 1 {
-		for s := 0; s < n; s++ {
-			if err := fn(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	sem := make(chan struct{}, par)
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = fn(s)
-			<-sem
-		}(s)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // checkSharded is Check for sharded relations: per-shard checks fan
-// out over par goroutines (0 = GOMAXPROCS), then the global structures
+// out over workers goroutines (0 = GOMAXPROCS), then the global structures
 // (route table cardinality, B-tree indexes) are verified against the
 // shards.
-func (r *Relation) checkSharded(par int) error {
+func (r *Relation) checkSharded(workers int) error {
 	routes := r.routesSnapshot()
 	nextSeq := r.nextSeq.Load()
 	n := len(r.shards)
 	counts := make([]int, n)
-	err := forEachShard(n, par, func(s int) error {
+	err := par.Do(n, workers, func(s int) error {
 		n, err := r.checkShard(s, routes, nextSeq)
 		counts[s] = n
 		return err
@@ -1131,9 +1018,9 @@ func (r *Relation) checkShard(s int, routes []int64, nextSeq int64) (int, error)
 
 // CheckShards is Check with an explicit per-shard parallelism (the
 // pictdbcheck -parallel path). It errors on unsharded relations.
-func (r *Relation) CheckShards(par int) error {
+func (r *Relation) CheckShards(workers int) error {
 	if !r.Sharded() {
 		return fmt.Errorf("relation %s: not sharded", r.name)
 	}
-	return r.checkSharded(par)
+	return r.checkSharded(workers)
 }

@@ -70,10 +70,11 @@ type SpatialIndex struct {
 
 	mu     sync.RWMutex
 	packed *rtree.Tree
-	// stats captures the packed tree's structural measures (Table 1's
-	// node count, depth, coverage, overlap) as of the last pack/repack;
-	// the packed tree is immutable in between, so they describe it
-	// exactly.
+	// stats holds the packed tree's search metrics (Table 1's node
+	// count, depth, coverage, overlap — what the planner prices with) as
+	// of the last pack/repack; the packed tree is immutable in between,
+	// so they describe it exactly. The two set measures are not kept:
+	// Stats computes them when asked.
 	stats rtree.Metrics
 	// delta takes inserts directly.
 	delta *rtree.Tree
@@ -110,7 +111,7 @@ func newSpatialIndex(pic *picture.Picture, tree *rtree.Tree, opts pack.Options, 
 		params:     params,
 		seq:        spatialSeq.Add(1),
 		packed:     tree,
-		stats:      tree.ComputeMetrics(),
+		stats:      tree.SearchMetrics(),
 		delta:      rtree.New(deltaParams),
 		tombs:      make(map[int64]struct{}),
 		threshold:  DefaultDeltaThreshold,
@@ -123,7 +124,8 @@ func newSpatialIndex(pic *picture.Picture, tree *rtree.Tree, opts pack.Options, 
 // merged bounds, and the live write-side sizes. Taken under the
 // index lock so the fields are mutually consistent.
 type CostSnapshot struct {
-	// Stats describes the packed tree as of the last pack/repack.
+	// Stats describes the packed tree as of the last pack/repack: its
+	// rtree.SearchMetrics, with OverlapMeasure and DeadSpace left zero.
 	Stats rtree.Metrics
 	// Bounds is the MBR of everything live (packed ∪ frozen ∪ delta).
 	Bounds geom.Rect
@@ -170,11 +172,15 @@ func (si *SpatialIndex) PackOptions() pack.Options {
 }
 
 // Stats returns the packed tree's structural measures as of the last
-// pack/repack. See CostSnapshot for the write-side sizes.
+// pack/repack — equal to PackedTree().ComputeMetrics(). The search
+// metrics are the ones kept for the planner; the two set measures are
+// swept here, on the caller's time. See CostSnapshot for the write-side
+// sizes.
 func (si *SpatialIndex) Stats() rtree.Metrics {
 	si.mu.RLock()
-	defer si.mu.RUnlock()
-	return si.stats
+	tree, stats := si.packed, si.stats
+	si.mu.RUnlock()
+	return tree.WithSetMeasures(stats)
 }
 
 // PackedTree returns the current packed tree. The returned tree is
@@ -319,7 +325,7 @@ func (si *SpatialIndex) triggerRepack() {
 	go func() {
 		defer si.wg.Done()
 		for si.repackDue() {
-			si.repackOnce()
+			si.repackOnce(false)
 		}
 		si.repacking.Store(false)
 		if si.repackDue() {
@@ -343,35 +349,41 @@ func (si *SpatialIndex) WaitRepack() {
 // otherwise it runs one background-style repack inline (readers keep
 // going, writers only blocked during freeze and swap). Either way any
 // in-flight background repack is waited out first, so on return the
-// write side is fully absorbed.
+// write side as it stood at the call is fully absorbed.
 func (si *SpatialIndex) RepackNow(stopTheWorld bool) {
 	// Take the repacker slot so no background repack interleaves.
 	for !si.repacking.CompareAndSwap(false, true) {
 		si.wg.Wait()
 		runtime.Gosched()
 	}
-	if stopTheWorld {
-		si.repackSTW()
-	} else {
-		si.repackOnce()
-	}
+	si.repackOnce(stopTheWorld)
 	si.repacking.Store(false)
 	if si.repackDue() {
 		si.triggerRepack()
 	}
 }
 
-// repackOnce is one background repack cycle: freeze the write side,
-// merge and pack outside the lock, swap the new root in. Caller owns
-// the repacking flag.
-func (si *SpatialIndex) repackOnce() {
-	if !si.freeze() {
-		return
+// repackOnce is one repack cycle: freeze the write side, merge and
+// pack, sweep the new tree's metrics, swap the new root in. The merge
+// and pack run outside the lock — packed and the frozen write side are
+// immutable by then, so readers proceed against the merged view — or,
+// with stopTheWorld, inside the exclusive section that froze them. The
+// metrics sweep is outside the lock either way. Caller owns the
+// repacking flag.
+func (si *SpatialIndex) repackOnce(stopTheWorld bool) {
+	var tree *rtree.Tree
+	if stopTheWorld {
+		si.mu.Lock()
+		if si.freezeLocked() {
+			tree = si.packMerged()
+		}
+		si.mu.Unlock()
+	} else if si.freeze() {
+		tree = si.packMerged()
 	}
-	// packed and the frozen write side are immutable now, so readers
-	// proceed concurrently against the merged view.
-	tree := si.packMerged()
-	si.swap(tree, tree.ComputeMetrics())
+	if tree != nil {
+		si.swap(tree, tree.SearchMetrics())
+	}
 }
 
 // freeze makes the active delta and tombstone set immutable (fresh
@@ -379,6 +391,11 @@ func (si *SpatialIndex) repackOnce() {
 func (si *SpatialIndex) freeze() bool {
 	si.mu.Lock()
 	defer si.mu.Unlock()
+	return si.freezeLocked()
+}
+
+// freezeLocked is freeze for a caller holding mu exclusively.
+func (si *SpatialIndex) freezeLocked() bool {
 	if si.delta.Len() == 0 && len(si.tombs) == 0 {
 		return false
 	}
@@ -397,35 +414,6 @@ func (si *SpatialIndex) swap(tree *rtree.Tree, stats rtree.Metrics) {
 	si.frozen, si.ts0 = nil, nil
 	si.repacks++
 	si.mu.Unlock()
-}
-
-// repackSTW collapses packed + frozen + delta into one packed tree
-// under the exclusive lock — the stop-the-world baseline.
-func (si *SpatialIndex) repackSTW() {
-	si.mu.Lock()
-	defer si.mu.Unlock()
-	items := make([]rtree.Item, 0, si.packed.Len()+si.delta.Len())
-	for _, it := range si.packed.Items() {
-		if !si.packedDeadLocked(it.Data) {
-			items = append(items, it)
-		}
-	}
-	if si.frozen != nil {
-		for _, it := range si.frozen.Items() {
-			if !si.frozenDeadLocked(it.Data) {
-				items = append(items, it)
-			}
-		}
-	}
-	items = append(items, si.delta.Items()...)
-	opts := si.Opts
-	opts.TrimToMultiple = false
-	tree := pack.Tree(si.params, items, opts)
-	si.packed, si.stats = tree, tree.ComputeMetrics()
-	si.delta = rtree.New(deltaParams)
-	si.frozen, si.ts0 = nil, nil
-	si.tombs = make(map[int64]struct{})
-	si.repacks++
 }
 
 // packMerged packs (packed ∖ ts0) ∪ frozen with the index's recorded
@@ -454,7 +442,7 @@ func (si *SpatialIndex) rebuild(items []rtree.Item, opts pack.Options) {
 		runtime.Gosched()
 	}
 	tree := pack.Tree(si.params, items, opts)
-	stats := tree.ComputeMetrics()
+	stats := tree.SearchMetrics()
 	si.mu.Lock()
 	si.Opts = opts
 	si.packed, si.stats = tree, stats

@@ -79,21 +79,49 @@ func (t *Tree) Coverage() float64 { return geom.CoverageArea(t.LeafRects()) }
 // of leaf MBRs (multiplicity counted; see DESIGN.md).
 func (t *Tree) Overlap() float64 { return geom.OverlapPairwise(t.LeafRects()) }
 
-// ComputeMetrics gathers all structural measures in one pass over the
-// leaf rectangles.
-func (t *Tree) ComputeMetrics() Metrics {
-	leaves := t.LeafRects()
+// SearchMetrics computes the measures a search-cost model reads —
+// Coverage, Overlap, Depth, Nodes, Leaves, Items — from one walk of the
+// tree and the pairwise sweep over its leaf rectangles. The two set
+// measures, OverlapMeasure and DeadSpace, cost a plane sweep each and
+// price nothing; they are left zero. ComputeMetrics is the full row.
+func (t *Tree) SearchMetrics() Metrics {
+	var leaves []geom.Rect
+	nodes := 0
+	var walk func(n *node)
+	walk = func(n *node) {
+		nodes++
+		if n.leaf {
+			if len(n.entries) > 0 {
+				leaves = append(leaves, n.mbr())
+			}
+			return
+		}
+		for _, e := range n.entries {
+			walk(e.child)
+		}
+	}
+	walk(t.root)
 	return Metrics{
-		Coverage:       geom.CoverageArea(leaves),
-		Overlap:        geom.OverlapPairwise(leaves),
-		OverlapMeasure: geom.OverlapMeasure(leaves),
-		Depth:          t.Depth(),
-		Nodes:          t.NodeCount(),
-		Leaves:         len(leaves),
-		Items:          t.Len(),
-		DeadSpace:      geom.DeadSpace(leaves),
+		Coverage: geom.CoverageArea(leaves),
+		Overlap:  geom.OverlapPairwise(leaves),
+		Depth:    t.Depth(),
+		Nodes:    nodes,
+		Leaves:   len(leaves),
+		Items:    t.Len(),
 	}
 }
+
+// WithSetMeasures completes m, the tree's SearchMetrics, with
+// OverlapMeasure and DeadSpace; the result equals ComputeMetrics.
+func (t *Tree) WithSetMeasures(m Metrics) Metrics {
+	leaves := t.LeafRects()
+	m.OverlapMeasure = geom.OverlapMeasure(leaves)
+	m.DeadSpace = geom.DeadSpace(leaves)
+	return m
+}
+
+// ComputeMetrics gathers all structural measures of Table 1.
+func (t *Tree) ComputeMetrics() Metrics { return t.WithSetMeasures(t.SearchMetrics()) }
 
 // LevelRects returns, for each level from the root (level 0) down to
 // the leaves, the covering rectangles of the nodes at that level. The

@@ -578,3 +578,30 @@ func TestConcurrentSearches(t *testing.T) {
 		t.Fatal(e)
 	}
 }
+
+// SearchMetrics is ComputeMetrics without the two set measures, and
+// WithSetMeasures restores them.
+func TestSearchMetricsIsComputeMetricsSubset(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 5, 400} {
+		tr := New(Params{Max: 4, Min: 2, Split: SplitQuadratic})
+		for i := 0; i < n; i++ {
+			x, y := rng.Float64()*1000, rng.Float64()*1000
+			tr.Insert(geom.R(x, y, x+rng.Float64()*30, y+rng.Float64()*30), int64(i))
+		}
+		full, search := tr.ComputeMetrics(), tr.SearchMetrics()
+		if search.OverlapMeasure != 0 || search.DeadSpace != 0 {
+			t.Fatalf("n=%d: SearchMetrics computed set measures: %+v", n, search)
+		}
+		if got := tr.WithSetMeasures(search); got != full {
+			t.Fatalf("n=%d: WithSetMeasures(SearchMetrics) = %+v, ComputeMetrics = %+v", n, got, full)
+		}
+		full.OverlapMeasure, full.DeadSpace = 0, 0
+		if search != full {
+			t.Fatalf("n=%d: SearchMetrics = %+v, want %+v", n, search, full)
+		}
+		if search.Nodes != tr.NodeCount() || search.Leaves != len(tr.LeafRects()) {
+			t.Fatalf("n=%d: walk counted %d nodes %d leaves, tree has %d and %d", n, search.Nodes, search.Leaves, tr.NodeCount(), len(tr.LeafRects()))
+		}
+	}
+}

@@ -35,6 +35,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/pack"
 	"repro/internal/pager"
+	"repro/internal/par"
 	"repro/internal/picture"
 	"repro/internal/psql"
 	"repro/internal/relation"
@@ -144,6 +145,10 @@ type Database struct {
 	poolPages     int
 	shardPagers   map[string][]*pager.Pager
 	newShardPager func(rel string, shard int, mustExist bool) (*pager.Pager, error)
+
+	// loadTimes is where the catalog reload that opened this database
+	// spent its time.
+	loadTimes loadTimes
 
 	// wmu serializes Write transactions: relation mutation is not
 	// internally locked, so concurrent writers take turns applying
@@ -345,11 +350,6 @@ func OpenCheckedParallel(path string, poolPages, par int) (*Database, *CheckRepo
 		db.SetReadOnly(true)
 	}
 	return db, report, nil
-}
-
-// openRelation reopens a persisted relation (catalog reload path).
-func openRelation(db *Database, name string, schema Schema, first pager.PageID) (*Relation, error) {
-	return relation.Open(db.pager, name, schema, first)
 }
 
 // Close drains in-flight background spatial repacks, then flushes
@@ -587,41 +587,32 @@ func (db *Database) CreateShardedRelation(name string, schema Schema, shards int
 }
 
 // openShardedRelation reopens a persisted sharded relation (catalog
-// reload path). Shard pagers open concurrently, so each shard's WAL
+// reload path) and returns it with its shard pagers, which the caller
+// registers. Shard pagers open concurrently, so each shard's WAL
 // recovery — replay through the last durable commit, torn-tail
 // truncation — proceeds in parallel across shard files.
-func (db *Database) openShardedRelation(name string, schema Schema, firsts []pager.PageID, ranges []relation.KeyRange) (*Relation, error) {
-	n := len(firsts)
-	pagers := make([]*pager.Pager, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range pagers {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			pagers[i], errs[i] = db.openShardPager(name, i, true)
-		}(i)
-	}
-	wg.Wait()
-	fail := func(err error) (*Relation, error) {
+func (db *Database) openShardedRelation(name string, schema Schema, firsts []pager.PageID, ranges []relation.KeyRange) (*Relation, []*pager.Pager, error) {
+	pagers := make([]*pager.Pager, len(firsts))
+	err := par.Do(len(pagers), len(pagers), func(i int) (err error) {
+		pagers[i], err = db.openShardPager(name, i, true)
+		return err
+	})
+	fail := func(err error) (*Relation, []*pager.Pager, error) {
 		for _, sp := range pagers {
 			if sp != nil {
 				sp.Close()
 			}
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return fail(err)
-		}
+	if err != nil {
+		return fail(err)
 	}
 	rel, err := relation.OpenSharded(pagers, name, schema, firsts, ranges)
 	if err != nil {
 		return fail(err)
 	}
-	db.shardPagers[name] = pagers
-	return rel, nil
+	return rel, pagers, nil
 }
 
 // CreatePicture defines a new picture covering extent.
