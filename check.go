@@ -176,19 +176,16 @@ func (db *Database) CheckParallel(par int) *CheckReport {
 		if err := db.checkLocRefs(rel); err != nil {
 			add(pager.InvalidPage, component+":loc", err)
 		}
+		// Logical invariants (id directory, heaps, indexes) check store
+		// by store in parallel; then a sharded relation's page files get
+		// the raw-page / free-list / ownership pass the main file gets
+		// above, and a main-file relation claims its heap pages there.
+		if err := rel.CheckShards(par); err != nil {
+			add(pager.InvalidPage, component, err)
+		}
 		if rel.Sharded() {
-			// Logical invariants (route table, per-shard heaps and
-			// spatial indexes) check per-shard in parallel, then each
-			// shard's page file gets the same raw-page / free-list /
-			// ownership pass the main file gets above.
-			if err := rel.CheckShards(par); err != nil {
-				add(pager.InvalidPage, component, err)
-			}
 			db.checkShardFiles(rel, component, par, r)
 			continue
-		}
-		if err := rel.Check(); err != nil {
-			add(pager.InvalidPage, component, err)
 		}
 		if pages, err := rel.HeapPages(); err != nil {
 			add(pager.InvalidPage, component, err)

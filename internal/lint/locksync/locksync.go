@@ -16,11 +16,11 @@
 //     and pager mutexes (hmu, shard.mu) strictly before WAL mutexes
 //     (qmu, imu). Acquiring against that order is flagged even if no
 //     I/O happens under it.
-//   - The sharding layer's locks (DESIGN.md §15): the shard route
-//     directory mutex (Relation.smu) and a shard heap mutex
-//     (relShard.mu) are never nested in either order — sharded
-//     operations resolve the route, release smu, then touch the heap —
-//     and neither lock may cover backend I/O or a blocking channel op.
+//   - The relation's locks (DESIGN.md §15): the directory mutex
+//     (Relation.smu) and a store's heap mutex (store.mu) are never
+//     nested in either order — an operation resolves ids under smu,
+//     releases it, then touches a heap — and neither lock may cover
+//     backend I/O or a blocking channel op.
 //
 // The walk is intraprocedural and syntactic over each function body:
 // a Lock/RLock on a recognized mutex marks it held until the matching
@@ -68,9 +68,25 @@ const (
 	classHeader               // Pager.hmu
 	classPool                 // shard.mu (pager buffer pool)
 	classWAL                  // walState.qmu / walState.imu
-	classShardDir             // Relation.smu (shard route directory)
-	classShardHeap            // relShard.mu (per-shard heap)
+	classRelDir               // Relation.smu (id, index and spatial directories)
+	classStoreHeap            // store.mu (one store's heap)
 )
+
+// knownMutexes is how a mutex is recognized: by the name of the struct
+// that owns it, the package that struct is declared in, and the field.
+// A rename there must be made here too; TestKnownMutexesExist fails
+// until it is, rather than the rule going quiet.
+var knownMutexes = []struct {
+	pkg, owner, field string
+	class             mutexClass
+}{
+	{"pager", "Pager", "hmu", classHeader},
+	{"pager", "shard", "mu", classPool},
+	{"pager", "walState", "qmu", classWAL},
+	{"pager", "walState", "imu", classWAL},
+	{"relation", "Relation", "smu", classRelDir},
+	{"relation", "store", "mu", classStoreHeap},
+}
 
 func (c mutexClass) String() string {
 	switch c {
@@ -80,10 +96,10 @@ func (c mutexClass) String() string {
 		return "pool shard mutex"
 	case classWAL:
 		return "WAL mutex"
-	case classShardDir:
-		return "shard directory mutex (smu)"
-	case classShardHeap:
-		return "shard heap mutex"
+	case classRelDir:
+		return "relation directory mutex (smu)"
+	case classStoreHeap:
+		return "store heap mutex"
 	}
 	return "mutex"
 }
@@ -138,19 +154,10 @@ func (w *walker) classify(recv ast.Expr) (string, mutexClass, bool) {
 	if owner == nil || owner.Obj() == nil {
 		return key, classOther, true
 	}
-	ownerName := owner.Obj().Name()
-	field := sel.Sel.Name
-	switch {
-	case ownerName == "Pager" && field == "hmu":
-		return key, classHeader, true
-	case ownerName == "shard" && field == "mu":
-		return key, classPool, true
-	case ownerName == "walState" && (field == "qmu" || field == "imu"):
-		return key, classWAL, true
-	case ownerName == "Relation" && field == "smu":
-		return key, classShardDir, true
-	case ownerName == "relShard" && field == "mu":
-		return key, classShardHeap, true
+	for _, k := range knownMutexes {
+		if owner.Obj().Name() == k.owner && sel.Sel.Name == k.field {
+			return key, k.class, true
+		}
 	}
 	return key, classOther, true
 }
@@ -426,14 +433,14 @@ func (w *walker) checkCall(call *ast.CallExpr, locks []held) {
 }
 
 // checkOrder enforces the pager's lock hierarchy — hmu before any
-// shard.mu, and both before the WAL's qmu/imu — plus the sharding
-// layer's discipline: the route directory mutex (Relation.smu) and a
-// shard heap mutex (relShard.mu) are NEVER nested, in either order.
-// Every sharded operation resolves the route, releases smu, then
-// touches the heap under the shard lock (and re-acquires smu afterwards
-// if it must publish); holding both would couple the routing hot path
-// to heap page I/O and, with per-shard writers running concurrently,
-// hand two lock orders to deadlock against each other.
+// shard.mu, and both before the WAL's qmu/imu — plus the relation's
+// discipline: the directory mutex (Relation.smu) and a store's heap
+// mutex (store.mu) are NEVER nested, in either order. Every operation
+// resolves ids under smu, releases it, then touches the heap under the
+// store lock (and re-acquires smu afterwards if it must publish);
+// holding both would couple the directory hot path to heap page I/O
+// and, with writers on several stores running concurrently, hand two
+// lock orders to deadlock against each other.
 func (w *walker) checkOrder(call *ast.CallExpr, key string, class mutexClass, locks []held) {
 	for _, h := range locks {
 		switch {
@@ -441,10 +448,10 @@ func (w *walker) checkOrder(call *ast.CallExpr, key string, class mutexClass, lo
 			w.pass.Reportf(call.Pos(), "lock order violation: acquiring header mutex %q while holding pool shard mutex %q (hmu must be taken before any shard.mu)", key, h.key)
 		case (class == classHeader || class == classPool) && h.class == classWAL:
 			w.pass.Reportf(call.Pos(), "lock order violation: acquiring pager mutex %q while holding WAL mutex %q (pager mutexes come before WAL mutexes)", key, h.key)
-		case class == classShardDir && h.class == classShardHeap:
-			w.pass.Reportf(call.Pos(), "lock order violation: acquiring shard directory mutex %q while holding shard heap mutex %q (smu and a shard's heap lock are never nested; see DESIGN.md §15)", key, h.key)
-		case class == classShardHeap && h.class == classShardDir:
-			w.pass.Reportf(call.Pos(), "lock order violation: acquiring shard heap mutex %q while holding shard directory mutex %q (resolve the route, release smu, then touch the heap; see DESIGN.md §15)", key, h.key)
+		case class == classRelDir && h.class == classStoreHeap:
+			w.pass.Reportf(call.Pos(), "lock order violation: acquiring relation directory mutex %q while holding store heap mutex %q (smu and a store's heap lock are never nested; see DESIGN.md §15)", key, h.key)
+		case class == classStoreHeap && h.class == classRelDir:
+			w.pass.Reportf(call.Pos(), "lock order violation: acquiring store heap mutex %q while holding relation directory mutex %q (resolve the id, release smu, then touch the heap; see DESIGN.md §15)", key, h.key)
 		}
 	}
 }

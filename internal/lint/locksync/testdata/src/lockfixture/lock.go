@@ -2,7 +2,8 @@
 // ops under pool/WAL/header mutexes, plus the pager lock hierarchy.
 //
 // locksync recognizes mutexes by owning-type name + field name
-// (Pager.hmu, shard.mu, walState.qmu/imu) and backends structurally
+// (Pager.hmu, shard.mu, walState.qmu/imu, Relation.smu, store.mu) and
+// backends structurally
 // (Sync+WriteAt+Truncate), so this package declares the same shapes
 // the real internal/pager has.
 package lockfixture
@@ -32,16 +33,16 @@ type Pager struct {
 	backend backend
 }
 
-// relShard / Relation mirror the sharding layer in internal/relation:
-// smu guards the route directory, each relShard.mu guards one shard's
-// heap, and the two are never held together.
-type relShard struct {
+// store / Relation mirror internal/relation: smu guards the id, index
+// and spatial directories, each store.mu guards one store's heap, and
+// the two are never held together.
+type store struct {
 	mu sync.RWMutex
 }
 
 type Relation struct {
 	smu    sync.RWMutex
-	shards []*relShard
+	stores []*store
 }
 
 // --- clean idioms ------------------------------------------------------
@@ -112,22 +113,22 @@ func cleanBranchScoped(sh *shard, b backend, cond bool) error {
 	return b.Sync()
 }
 
-// cleanRouteThenHeap is the sharded read discipline: resolve the route
-// under smu, release, then read the heap under the shard lock.
-func cleanRouteThenHeap(r *Relation, gid int) {
+// cleanResolveThenHeap is the read discipline: resolve the id under
+// smu, release, then read the heap under the store lock.
+func cleanResolveThenHeap(r *Relation, gid int) {
 	r.smu.RLock()
-	s := gid % len(r.shards)
+	s := gid % len(r.stores)
 	r.smu.RUnlock()
-	sh := r.shards[s]
-	sh.mu.RLock()
-	sh.mu.RUnlock()
+	st := r.stores[s]
+	st.mu.RLock()
+	st.mu.RUnlock()
 }
 
-// cleanHeapThenRepublish is the sharded delete discipline: the heap
-// mutation and the route re-publish are separate critical sections.
-func cleanHeapThenRepublish(r *Relation, sh *relShard) {
-	sh.mu.Lock()
-	sh.mu.Unlock()
+// cleanHeapThenPublish is the insert discipline: the heap write and
+// the id's publication are separate critical sections.
+func cleanHeapThenPublish(r *Relation, st *store) {
+	st.mu.Lock()
+	st.mu.Unlock()
 	r.smu.Lock()
 	r.smu.Unlock()
 }
@@ -213,36 +214,36 @@ func badOrderShardUnderWAL(sh *shard, w *walState) {
 	w.qmu.Unlock()
 }
 
-// badHeapUnderDir takes a shard heap lock with the route directory
-// still locked.
-func badHeapUnderDir(r *Relation, sh *relShard) {
+// badHeapUnderDir takes a store heap lock with the directory still
+// locked.
+func badHeapUnderDir(r *Relation, st *store) {
 	r.smu.RLock()
-	sh.mu.RLock() // want `lock order violation: acquiring shard heap mutex`
-	sh.mu.RUnlock()
+	st.mu.RLock() // want `lock order violation: acquiring store heap mutex`
+	st.mu.RUnlock()
 	r.smu.RUnlock()
 }
 
-// badDirUnderHeap republishes a route without releasing the heap lock.
-func badDirUnderHeap(r *Relation, sh *relShard) {
-	sh.mu.Lock()
-	r.smu.Lock() // want `lock order violation: acquiring shard directory mutex`
+// badDirUnderHeap publishes an id without releasing the heap lock.
+func badDirUnderHeap(r *Relation, st *store) {
+	st.mu.Lock()
+	r.smu.Lock() // want `lock order violation: acquiring relation directory mutex`
 	r.smu.Unlock()
-	sh.mu.Unlock()
+	st.mu.Unlock()
 }
 
-// badSyncUnderDir fsyncs with the route directory locked.
+// badSyncUnderDir fsyncs with the directory locked.
 func badSyncUnderDir(r *Relation, b backend) error {
 	r.smu.Lock()
 	defer r.smu.Unlock()
-	return b.Sync() // want `backend Sync while holding shard directory mutex`
+	return b.Sync() // want `backend Sync while holding relation directory mutex`
 }
 
-// badSendUnderShardHeap blocks on a channel send with a shard heap
+// badSendUnderStoreHeap blocks on a channel send with a store heap
 // locked (the repacker handshake must happen outside it).
-func badSendUnderShardHeap(sh *relShard, ch chan int) {
-	sh.mu.Lock()
-	ch <- 1 // want `blocking channel send while holding shard heap mutex`
-	sh.mu.Unlock()
+func badSendUnderStoreHeap(st *store, ch chan int) {
+	st.mu.Lock()
+	ch <- 1 // want `blocking channel send while holding store heap mutex`
+	st.mu.Unlock()
 }
 
 // releasedBeforeIO unlocks first: no violation.

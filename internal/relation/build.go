@@ -15,9 +15,9 @@ import (
 )
 
 // This file is the one routine that derives a relation's indexes from
-// its heap. CreateIndex, AttachPicture, RepackPicture and the catalog
-// reload all run it: one scan of the heap (of every shard's heap, side
-// by side, when sharded) collects each B-tree's (key, id) run and each
+// its heaps. CreateIndex, AttachPicture, RepackPicture and the catalog
+// reload all run it: one scan of every store's heap, side by side,
+// collects each B-tree's (key, id) run and each
 // picture's (object, id) list; then every index is its own task on up
 // to GOMAXPROCS goroutines — a run is sorted and bulk-loaded, a list
 // resolved against its picture and packed. On one core the tasks run
@@ -57,17 +57,17 @@ type locRef struct {
 	id  int64
 }
 
-// scanPart is what the scan of one heap collected: runs[c] holds
-// columns[c]'s (IndexKey, id) for every tuple, refs[p] the pointers into
-// pics[p], in the order PACK is handed them — heap order, or ascending
-// sequence within a shard.
+// scanPart is what the scan of one store's heap collected: runs[c]
+// holds columns[c]'s (IndexKey, id) for every tuple, refs[p] the
+// pointers into pics[p] in ascending id order, the order PACK is handed
+// them.
 type scanPart struct {
 	runs [][]btree.Entry
 	refs [][]locRef
 }
 
 // indexBuild is one scan of the relation for the indexes being built:
-// a part per shard, or one for the whole heap when unsharded.
+// a part per store.
 type indexBuild struct {
 	r       *Relation
 	columns []string
@@ -82,7 +82,9 @@ type indexBuild struct {
 // the first pointer is resolved (from every goroutine about to resolve
 // one), blocks until the objects are in place, and by returning an
 // error abandons the build with that error. Nothing is attached to the
-// relation unless every index was built.
+// relation unless every index was built. An index covers the tuples its
+// scan saw: a caller who needs it complete keeps writers out until
+// BuildIndexes returns.
 func (r *Relation) BuildIndexes(columns []string, pics []PictureSpec, ready func() error) (BuildTimes, error) {
 	var times BuildTimes
 	for i, col := range columns {
@@ -93,7 +95,7 @@ func (r *Relation) BuildIndexes(columns []string, pics []PictureSpec, ready func
 		if r.schema.Columns[ci].Type == TypeLoc {
 			return times, fmt.Errorf("relation %s: column %q is pictorial; use AttachPicture", r.name, col)
 		}
-		if _, dup := r.indexes[col]; dup || slices.Contains(columns[:i], col) {
+		if r.Index(col) != nil || slices.Contains(columns[:i], col) {
 			return times, fmt.Errorf("relation %s: column %q already indexed", r.name, col)
 		}
 	}
@@ -148,9 +150,9 @@ func (r *Relation) BuildIndexes(columns []string, pics []PictureSpec, ready func
 					}
 				}
 				t0 := nowFn()
-				tree := pack.Tree(r.rtreeParams, b.items(p, s), ps.Opts)
+				tree := pack.Tree(rtree.DefaultParams(), b.items(p, s), ps.Opts)
 				t1 := nowFn()
-				sis[p][s] = newSpatialIndex(ps.Picture, tree, ps.Opts, r.rtreeParams)
+				sis[p][s] = newSpatialIndex(ps.Picture, tree, ps.Opts)
 				return BuildTimes{Pack: t1.Sub(t0), Metrics: nowFn().Sub(t1)}, nil
 			})
 		}
@@ -167,23 +169,20 @@ func (r *Relation) BuildIndexes(columns []string, pics []PictureSpec, ready func
 		return times, err
 	}
 
-	r.rlockShardedW()
-	defer r.runlockShardedW()
+	r.smu.Lock()
+	defer r.smu.Unlock()
 	for c, col := range columns {
 		r.indexes[col] = trees[c]
 	}
 	for p, ps := range pics {
-		if r.Sharded() {
-			r.shardSpatial[ps.Picture.Name()] = sis[p]
-		} else {
-			r.spatial[ps.Picture.Name()] = sis[p][0]
-		}
+		r.spatial[ps.Picture.Name()] = sis[p]
 	}
 	return times, nil
 }
 
-// scan fills parts from the heap, or from every shard's heap
-// concurrently.
+// scan fills parts from every store's heap, each walked under its lock
+// beside the others. A record counts when the id directory places it
+// where it was found (placedAt).
 func (b *indexBuild) scan() error {
 	r := b.r
 	need := make([]bool, r.schema.Arity())
@@ -196,70 +195,50 @@ func (b *indexBuild) scan() error {
 	if len(b.pics) > 0 {
 		need[li] = true
 	}
-	newPart := func(sizeHint int) *scanPart {
+	r.smu.RLock()
+	dir := r.ids.snapshot()
+	r.smu.RUnlock()
+	b.parts = make([]*scanPart, len(r.stores))
+	return par.Do(len(r.stores), 0, func(s int) error {
+		st := r.stores[s]
 		p := &scanPart{runs: make([][]btree.Entry, len(b.columns)), refs: make([][]locRef, len(b.pics))}
-		for c := range p.runs {
-			p.runs[c] = make([]btree.Entry, 0, sizeHint)
-		}
-		return p
-	}
-	collect := func(p *scanPart, id int64, t Tuple) {
-		for c, ci := range cis {
-			p.runs[c] = append(p.runs[c], btree.Entry{Key: IndexKey(t[ci]), Value: id})
-		}
-		for pi, ps := range b.pics {
-			if ref := t[li].Loc; ref.Picture == ps.Picture.Name() {
-				p.refs[pi] = append(p.refs[pi], locRef{obj: ref.Object, id: id})
-			}
-		}
-	}
-
-	if !r.Sharded() {
-		p := newPart(r.heap.Len())
-		err := r.ScanCols(need, func(id storage.TupleID, t Tuple) bool {
-			collect(p, id.Int64(), t)
-			return true
-		})
-		b.parts = []*scanPart{p}
-		return err
-	}
-
-	// Sharded: each shard's heap is walked directly, under its lock,
-	// beside the others. A record counts when the route table points at
-	// it, which leaves out one a delete is half way through removing.
-	routes := r.routesSnapshot()
-	b.parts = make([]*scanPart, len(r.shards))
-	return par.Do(len(r.shards), 0, func(s int) error {
-		sh := r.shards[s]
-		p := newPart(0)
 		b.parts[s] = p
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
+		st.mu.RLock()
+		defer st.mu.RUnlock()
+		for c := range p.runs {
+			p.runs[c] = make([]btree.Entry, 0, st.heap.Len())
+		}
 		var scanErr error
-		err := sh.heap.Scan(func(lid storage.TupleID, rec []byte) bool {
-			seq, payload, err := splitShardRecord(rec)
+		err := st.heap.Scan(func(lid storage.TupleID, rec []byte) bool {
+			id, payload, err := dir.unframe(lid, rec)
 			if err == nil {
-				if i := seq - shardSeqBase; i >= int64(len(routes)) || routes[i] != encodeRoute(s, lid) {
+				if !placedAt(dir, id, s, lid) {
 					return true
 				}
 				var t Tuple
 				if t, err = DecodeTupleCols(payload, need); err == nil {
-					collect(p, seq, t)
+					for c, ci := range cis {
+						p.runs[c] = append(p.runs[c], btree.Entry{Key: IndexKey(t[ci]), Value: id})
+					}
+					for pi, ps := range b.pics {
+						if ref := t[li].Loc; ref.Picture == ps.Picture.Name() {
+							p.refs[pi] = append(p.refs[pi], locRef{obj: ref.Object, id: id})
+						}
+					}
 					return true
 				}
 			}
-			scanErr = err
+			scanErr = fmt.Errorf("tuple %v: %w", lid, err)
 			return false
 		})
 		if err == nil {
 			err = scanErr
 		}
 		if err != nil {
-			return fmt.Errorf("relation %s: shard %d: %w", r.name, s, err)
+			return r.storeErr(s, err)
 		}
-		// PACK is handed a shard's items in ascending sequence, the
-		// order of the route table; a heap reuses freed slots, so its
-		// own order is that only until the first delete.
+		// Ascending id is heap order only while no freed slot has been
+		// reused (and, for sequence ids, at all only within one store).
 		for _, refs := range p.refs {
 			slices.SortFunc(refs, func(x, y locRef) int { return cmp.Compare(x.id, y.id) })
 		}
@@ -267,7 +246,7 @@ func (b *indexBuild) scan() error {
 	})
 }
 
-// items resolves picture p's pointers in shard s to (MBR, id) entries,
+// items resolves picture p's pointers in store s to (MBR, id) entries,
 // under one read lock of the picture. A pointer whose object is gone is
 // left out, as a tuple's loc that resolves to nothing always was.
 func (b *indexBuild) items(p, s int) []rtree.Item {

@@ -147,10 +147,9 @@ func TestBuildIndexesShardItemOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([][]rtree.Item, 4)
-	routes := rel.routesSnapshot()
 	err := rel.Scan(func(id storage.TupleID, tu Tuple) bool {
 		if rect, ok := rel.locMBR(tu, pics[0]); ok {
-			s, _ := decodeRoute(routes[id.Int64()-shardSeqBase])
+			s, _, _ := rel.resolve(id.Int64())
 			want[s] = append(want[s], rtree.Item{Rect: rect, Data: id.Int64()})
 		}
 		return true

@@ -2,52 +2,73 @@ package relation
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/btree"
 	"repro/internal/geom"
 	"repro/internal/pack"
 	"repro/internal/pager"
+	"repro/internal/par"
 	"repro/internal/picture"
 	"repro/internal/rtree"
 	"repro/internal/storage"
 )
 
-// Relation is one table of the pictorial database: a tuple heap,
-// secondary B-tree indexes on alphanumeric columns, and R-tree spatial
-// indexes on the loc column, one per associated picture.
-type Relation struct {
-	name    string
-	schema  Schema
-	heap    *storage.Heap
-	indexes map[string]*btree.Tree
-	spatial map[string]*SpatialIndex
-	// rtreeParams configures spatial indexes built for this relation.
-	rtreeParams rtree.Params
+// store is one heap of a relation with the page file it lives in. mu
+// serializes heap access — writers exclusively, readers shared — so
+// writers and readers of one store never race on page bytes.
+type store struct {
+	mu   sync.RWMutex
+	pgr  *pager.Pager
+	heap *storage.Heap
+}
 
-	// Sharded mode (DESIGN.md §15). When shards is non-nil the relation
-	// is split across N page files by Hilbert key range and heap/spatial
-	// above stay nil: every access dispatches to the sharded path. The
-	// shard list and shardRanges are fixed by NewSharded/OpenSharded and
-	// never change afterwards. Global TupleIDs are insertion sequence
-	// numbers (not heap addresses); routes maps sequence - shardSeqBase
-	// to a packed (shard, local heap address) entry, 0 = dead. smu guards
-	// routes, indexes, shardSpatial, and shardLive against concurrent
-	// per-shard writers.
-	shards       []*relShard
-	smu          sync.RWMutex
-	routes       []int64
-	nextSeq      atomic.Int64
-	liveCount    atomic.Int64
-	shardSpatial map[string][]*SpatialIndex
-	// shardRanges holds each shard's half-open Hilbert key range
-	// [Lo, Hi); routeShard places new tuples by range lookup.
-	shardRanges []KeyRange
-	// shardLive counts live tuples per shard — the balance report's
-	// input, maintained by insert/delete.
-	shardLive []int64
+// Relation is one table of the pictorial database: tuple heaps in one
+// or more stores, secondary B-tree indexes on alphanumeric columns, and
+// R-tree spatial indexes on the loc column — one per associated picture
+// per store. New and Open make a one-store relation in the database's
+// main file; NewSharded and OpenSharded one whose stores are page files
+// of their own, tuples placed by Hilbert key range (shard.go). How ids
+// and records look differs between the two and is the codec's business
+// (ids.go); every operation here is written once, for any store count.
+//
+// Two kinds of lock, never nested (DESIGN.md §15, machine-checked by
+// locksync): smu guards the id directory, the index and spatial
+// directories, the B-trees and the per-store live counts; each store's
+// mu guards its heap. An operation resolves ids under smu, releases it,
+// and only then touches a heap.
+type Relation struct {
+	name   string
+	schema Schema
+	// stores, ranges and ids are fixed at construction: a tuple never
+	// moves between stores and the layout never changes.
+	stores []*store
+	// ranges holds each store's half-open Hilbert key range [Lo, Hi);
+	// place routes new tuples by it. Nil for a main-file relation.
+	ranges []KeyRange
+	ids    idCodec
+
+	smu     sync.RWMutex
+	indexes map[string]*btree.Tree
+	spatial map[string][]*SpatialIndex
+	// live counts live tuples per store: Len, the balance report and
+	// Check read it.
+	live []int64
+}
+
+func newRelation(name string, schema Schema, stores []*store, ids idCodec) *Relation {
+	return &Relation{
+		name:    name,
+		schema:  schema,
+		stores:  stores,
+		ids:     ids,
+		indexes: make(map[string]*btree.Tree),
+		spatial: make(map[string][]*SpatialIndex),
+		live:    make([]int64, len(stores)),
+	}
 }
 
 // New creates an empty relation backed by a fresh heap in p.
@@ -56,52 +77,115 @@ func New(p *pager.Pager, name string, schema Schema) (*Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("relation %s: %w", name, err)
 	}
-	return &Relation{
-		name:        name,
-		schema:      schema,
-		heap:        h,
-		indexes:     make(map[string]*btree.Tree),
-		spatial:     make(map[string]*SpatialIndex),
-		rtreeParams: rtree.DefaultParams(),
-	}, nil
+	return newRelation(name, schema, []*store{{pgr: p, heap: h}}, addrIDs{}), nil
 }
 
 // Open reattaches to a relation whose tuple heap starts at first —
 // the catalog's reopen path. Indexes are not rebuilt here; callers
-// re-create them (CreateIndex, AttachPicture) from the catalog's
-// records.
+// re-create them (BuildIndexes) from the catalog's records.
 func Open(p *pager.Pager, name string, schema Schema, first pager.PageID) (*Relation, error) {
 	h, err := storage.Open(p, first)
 	if err != nil {
 		return nil, fmt.Errorf("relation %s: %w", name, err)
 	}
-	return &Relation{
-		name:        name,
-		schema:      schema,
-		heap:        h,
-		indexes:     make(map[string]*btree.Tree),
-		spatial:     make(map[string]*SpatialIndex),
-		rtreeParams: rtree.DefaultParams(),
-	}, nil
+	r := newRelation(name, schema, []*store{{pgr: p, heap: h}}, addrIDs{})
+	r.live[0] = int64(h.Len())
+	return r, nil
+}
+
+// NewSharded creates an empty relation sharded across one page file
+// per pager. The pagers must be dedicated to this relation (each heap
+// is created at a fixed page of its own file).
+func NewSharded(pagers []*pager.Pager, name string, schema Schema) (*Relation, error) {
+	if len(pagers) == 0 || len(pagers) > MaxShards {
+		return nil, fmt.Errorf("relation %s: shard count %d out of range [1, %d]", name, len(pagers), MaxShards)
+	}
+	stores := make([]*store, len(pagers))
+	for i, p := range pagers {
+		h, _, err := storage.Create(p)
+		if err != nil {
+			return nil, fmt.Errorf("relation %s: shard %d: %w", name, i, err)
+		}
+		stores[i] = &store{pgr: p, heap: h}
+	}
+	ids := &seqIDs{}
+	ids.next.Store(seqBase)
+	r := newRelation(name, schema, stores, ids)
+	r.ranges = evenKeyRanges(len(stores))
+	return r, nil
+}
+
+// OpenSharded reattaches to a sharded relation whose heaps start at
+// firsts[i] in pagers[i] — the catalog's reopen path. ranges gives each
+// shard's persisted Hilbert key range, which need not be the even
+// layout NewSharded produces. The id directory is rebuilt from the
+// heaps (openSeqIDs, which also says what it repairs and what it
+// refuses). Indexes are not rebuilt here, matching Open.
+func OpenSharded(pagers []*pager.Pager, name string, schema Schema, firsts []pager.PageID, ranges []KeyRange) (*Relation, error) {
+	if len(pagers) == 0 || len(pagers) > MaxShards {
+		return nil, fmt.Errorf("relation %s: shard count %d out of range [1, %d]", name, len(pagers), MaxShards)
+	}
+	if len(firsts) != len(pagers) {
+		return nil, fmt.Errorf("relation %s: %d shard heap pages for %d shards", name, len(firsts), len(pagers))
+	}
+	if len(ranges) != len(pagers) {
+		return nil, fmt.Errorf("relation %s: %d shard key ranges for %d shards", name, len(ranges), len(pagers))
+	}
+	stores := make([]*store, len(pagers))
+	for i, p := range pagers {
+		h, err := storage.Open(p, firsts[i])
+		if err != nil {
+			return nil, fmt.Errorf("relation %s: shard %d: %w", name, i, err)
+		}
+		stores[i] = &store{pgr: p, heap: h}
+	}
+	r := newRelation(name, schema, stores, nil)
+	ids, err := openSeqIDs(stores, r.live)
+	if err != nil {
+		return nil, fmt.Errorf("relation %s: %w", name, err)
+	}
+	r.ids = ids
+	r.ranges = append([]KeyRange(nil), ranges...)
+	return r, nil
 }
 
 // Name returns the relation name.
 func (r *Relation) Name() string { return r.name }
 
-// HeapFirstPage returns the first page of the tuple heap, the handle
-// the catalog persists to reopen the relation. Sharded relations have
-// no heap in the main file (see ShardHeapFirstPages) and report
+// Sharded reports whether the relation's stores are page files of its
+// own beside the database's main file. Only code that handles those
+// files asks; nothing that reads or writes tuples does.
+func (r *Relation) Sharded() bool {
+	_, ok := r.ids.(*seqIDs)
+	return ok
+}
+
+// HeapFirstPage returns the first page of the tuple heap in the main
+// file, the handle the catalog persists to reopen the relation. Sharded
+// relations have no heap there (see ShardHeapFirstPages) and report
 // InvalidPage.
 func (r *Relation) HeapFirstPage() pager.PageID {
 	if r.Sharded() {
 		return pager.InvalidPage
 	}
-	return r.heap.FirstPage()
+	return r.stores[0].heap.FirstPage()
+}
+
+// HeapPages returns the page ids of the relation's tuple heap in the
+// main file, for page-ownership accounting during verification. Sharded
+// relations own no pages there (see ShardHeapPages) and return nil.
+func (r *Relation) HeapPages() ([]pager.PageID, error) {
+	if r.Sharded() {
+		return nil, nil
+	}
+	return r.ShardHeapPages(0)
 }
 
 // IndexedColumns returns the names of columns with B-tree indexes, in
 // unspecified order.
 func (r *Relation) IndexedColumns() []string {
+	r.smu.RLock()
+	defer r.smu.RUnlock()
 	out := make([]string, 0, len(r.indexes))
 	for col := range r.indexes {
 		out = append(out, col)
@@ -114,25 +198,21 @@ func (r *Relation) Schema() Schema { return r.schema }
 
 // Len returns the number of stored tuples.
 func (r *Relation) Len() int {
-	if r.Sharded() {
-		return int(r.liveCount.Load())
+	r.smu.RLock()
+	defer r.smu.RUnlock()
+	n := int64(0)
+	for _, c := range r.live {
+		n += c
 	}
-	return r.heap.Len()
+	return int(n)
 }
-
-// SetRTreeParams overrides the parameters used for spatial indexes
-// attached after the call.
-func (r *Relation) SetRTreeParams(p rtree.Params) { r.rtreeParams = p }
 
 // WaitRepacks blocks until no spatial index has a background repack in
 // flight.
 func (r *Relation) WaitRepacks() {
-	for _, si := range r.spatial {
-		si.WaitRepack()
-	}
 	r.smu.RLock()
-	all := make([]*SpatialIndex, 0, len(r.shardSpatial)*len(r.shards))
-	for _, sis := range r.shardSpatial {
+	var all []*SpatialIndex
+	for _, sis := range r.spatial {
 		all = append(all, sis...)
 	}
 	r.smu.RUnlock()
@@ -141,29 +221,59 @@ func (r *Relation) WaitRepacks() {
 	}
 }
 
-// Insert validates and stores t, updating every index. It returns the
-// tuple's storage id.
-func (r *Relation) Insert(t Tuple) (storage.TupleID, error) {
-	if r.Sharded() {
-		return r.insertSharded(t)
+// spatialWrite is one spatial-index update an Insert or Delete gathers
+// under smu and applies after releasing it, under the index's own lock.
+type spatialWrite struct {
+	si   *SpatialIndex
+	rect geom.Rect
+}
+
+// spatialWritesLocked lists, for a tuple of store s, the index and MBR
+// of every attached picture its loc resolves against. Caller holds smu.
+func (r *Relation) spatialWritesLocked(t Tuple, s int) []spatialWrite {
+	var out []spatialWrite
+	for _, sis := range r.spatial {
+		if rect, ok := r.locMBR(t, sis[0].Picture); ok {
+			out = append(out, spatialWrite{sis[s], rect})
+		}
 	}
+	return out
+}
+
+// Insert validates and stores t, updating every index. It returns the
+// tuple's id. Safe beside other writers and readers: the heap write is
+// under the store's lock, the id and B-tree updates under smu, each
+// spatial insert under its index's own lock.
+func (r *Relation) Insert(t Tuple) (storage.TupleID, error) {
 	if err := r.schema.Validate(t); err != nil {
 		return storage.TupleID{}, err
 	}
-	id, err := r.heap.Insert(EncodeTuple(t))
+	enc := EncodeTuple(t)
+	s := r.place(t, enc)
+	rec, seq := r.ids.frame(enc)
+	st := r.stores[s]
+	st.mu.Lock()
+	lid, err := st.heap.Insert(rec)
+	st.mu.Unlock()
 	if err != nil {
-		return storage.TupleID{}, err
+		return storage.TupleID{}, r.storeErr(s, err)
 	}
+	r.smu.Lock()
+	id := r.ids.publish(seq, s, lid)
+	r.live[s]++
 	for col, idx := range r.indexes {
-		ci := r.schema.ColumnIndex(col)
-		idx.Insert(IndexKey(t[ci]), id.Int64())
+		idx.Insert(IndexKey(t[r.schema.ColumnIndex(col)]), id)
 	}
-	for _, si := range r.spatial {
-		if rect, ok := r.locMBR(t, si.Picture); ok {
-			si.insert(rect, id.Int64())
-		}
+	writes := r.spatialWritesLocked(t, s)
+	r.smu.Unlock()
+	for _, w := range writes {
+		w.si.insert(w.rect, id)
 	}
-	return id, nil
+	return storage.TupleIDFromInt64(id), nil
+}
+
+func (r *Relation) storeErr(s int, err error) error {
+	return fmt.Errorf("relation %s: store %d: %w", r.name, s, err)
 }
 
 // locMBR resolves t's loc column against pic, returning the object's
@@ -184,42 +294,78 @@ func (r *Relation) locMBR(t Tuple, pic *picture.Picture) (geom.Rect, bool) {
 	return obj.MBR(), true
 }
 
-// Get returns the tuple stored under id.
-func (r *Relation) Get(id storage.TupleID) (Tuple, error) {
-	if r.Sharded() {
-		return r.getSharded(id)
-	}
-	rec, err := r.heap.Get(id)
+// resolve returns where id's record is, ok false when id names no live
+// tuple.
+func (r *Relation) resolve(id int64) (int, storage.TupleID, bool) {
+	r.smu.RLock()
+	defer r.smu.RUnlock()
+	return r.ids.resolve(id)
+}
+
+// decode unframes the record read from lid for id, checks that it is
+// id's, and materializes the columns need selects (nil = all).
+func (r *Relation) decode(id int64, lid storage.TupleID, rec []byte, need []bool) (Tuple, error) {
+	got, payload, err := r.ids.unframe(lid, rec)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeTuple(rec)
+	if got != id {
+		return nil, fmt.Errorf("%w: record carries id %d, the directory says %d", storage.ErrCorrupt, got, id)
+	}
+	return DecodeTupleCols(payload, need)
+}
+
+// fetch reads the tuple id names from lid of store s, where it was
+// resolved to. A failed read is classified by resolving id again: gone
+// from the directory means a Delete completed since — it retires the id
+// before it frees the record, and the read is serialized against the
+// free by the store lock — and ok is false; a standing id means the
+// heap is damaged (or, for an address id, that nothing is stored there).
+func (r *Relation) fetch(id int64, s int, lid storage.TupleID, need []bool) (Tuple, bool, error) {
+	st := r.stores[s]
+	st.mu.RLock()
+	rec, err := st.heap.Get(lid)
+	st.mu.RUnlock()
+	if err == nil {
+		var t Tuple
+		if t, err = r.decode(id, lid, rec, need); err == nil {
+			return t, true, nil
+		}
+	}
+	if _, _, ok := r.resolve(id); !ok {
+		return nil, false, nil
+	}
+	return nil, false, r.storeErr(s, err)
+}
+
+// Get returns the tuple stored under id.
+func (r *Relation) Get(id storage.TupleID) (Tuple, error) {
+	if s, lid, ok := r.resolve(id.Int64()); ok {
+		if t, ok, err := r.fetch(id.Int64(), s, lid, nil); ok || err != nil {
+			return t, err
+		}
+	}
+	return nil, fmt.Errorf("%w: %v", storage.ErrNotFound, id)
 }
 
 // GetBatch materializes the tuples stored under ids, preserving input
-// order: out[i] is the tuple for ids[i]. The heap pins each referenced
-// page once (sorted page order, zero-copy view when mmap is active) and
-// tuples are decoded in place; need selects which columns to
-// materialize, as in DecodeTupleCols (nil = all). With workers > 1 (0
-// means GOMAXPROCS) the batch is split into contiguous chunks decoded
-// concurrently; output is identical at any worker count.
+// order: out[i] is the tuple for ids[i]. Ids are grouped by store and
+// each store's share cut into chunks; a chunk pins each page it
+// references once (sorted page order, zero-copy view when mmap is
+// active) and decodes tuples in place; need selects which columns to
+// materialize, as in DecodeTupleCols (nil = all). Chunks run on up to
+// workers goroutines (0 means GOMAXPROCS); output is identical at any
+// worker count.
 func (r *Relation) GetBatch(ids []storage.TupleID, need []bool, workers int) ([]Tuple, error) {
-	if r.Sharded() {
-		return r.getBatchSharded(ids, need, workers)
-	}
 	out := make([]Tuple, len(ids))
 	if len(ids) == 0 {
 		return out, nil
 	}
-	decode := func(lo, hi int) error {
-		return r.heap.GetBatch(ids[lo:hi], func(i int, rec []byte) error {
-			t, err := DecodeTupleCols(rec, need)
-			if err != nil {
-				return fmt.Errorf("relation %s: tuple %v: %w", r.name, ids[lo+i], err)
-			}
-			out[lo+i] = t
-			return nil
-		})
+	r.smu.RLock()
+	lids, pos, err := r.ids.group(ids, len(r.stores))
+	r.smu.RUnlock()
+	if err != nil {
+		return nil, fmt.Errorf("relation %s: %w", r.name, err)
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -227,62 +373,83 @@ func (r *Relation) GetBatch(ids []storage.TupleID, need []bool, workers int) ([]
 	// Chunks below ~32 tuples cost more in goroutine churn and repeat
 	// page pins than they save.
 	const minChunk = 32
-	if max := (len(ids) + minChunk - 1) / minChunk; workers > max {
-		workers = max
+	type chunk struct{ s, lo, hi int }
+	var chunks []chunk
+	for s, l := range lids {
+		n := min(workers, (len(l)+minChunk-1)/minChunk)
+		for c := 0; c < n; c++ {
+			chunks = append(chunks, chunk{s, c * len(l) / n, (c + 1) * len(l) / n})
+		}
 	}
-	if workers <= 1 {
-		if err := decode(0, len(ids)); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	chunk := (len(ids) + workers - 1) / workers
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			errs[w] = decode(lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err = par.Do(len(chunks), workers, func(i int) error {
+		c := chunks[i]
+		st := r.stores[c.s]
+		st.mu.RLock()
+		defer st.mu.RUnlock()
+		return st.heap.GetBatch(lids[c.s][c.lo:c.hi], func(k int, rec []byte) error {
+			k += c.lo
+			p := k
+			if pos != nil {
+				p = pos[c.s][k]
+			}
+			t, err := r.decode(ids[p].Int64(), lids[c.s][k], rec, need)
+			if err != nil {
+				return fmt.Errorf("relation %s: tuple %v: %w", r.name, ids[p], err)
+			}
+			out[p] = t
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// Delete removes the tuple stored under id from the heap and every
-// index.
+// Delete removes the tuple stored under id from every index and the
+// heap, in that order: the id is retired and its index entries removed
+// in one critical section, and only then is the record freed. A reader
+// whose heap read misses can therefore always put the miss down to a
+// finished Delete by resolving the id again (fetch), no index entry
+// outlives its id, and a heap address is not handed to a new tuple
+// while entries of the old one remain. A second Delete of the same id
+// loses the race for the directory and reports not-found.
 func (r *Relation) Delete(id storage.TupleID) error {
-	if r.Sharded() {
-		return r.deleteSharded(id)
+	gid := id.Int64()
+	notFound := fmt.Errorf("%w: %v", storage.ErrNotFound, id)
+	s, lid, ok := r.resolve(gid)
+	var t Tuple
+	var err error
+	if ok {
+		t, ok, err = r.fetch(gid, s, lid, nil)
 	}
-	t, err := r.Get(id)
 	if err != nil {
 		return err
 	}
-	if err := r.heap.Delete(id); err != nil {
-		return err
+	if !ok {
+		return notFound
 	}
+	r.smu.Lock()
+	if _, _, ok := r.ids.resolve(gid); !ok {
+		r.smu.Unlock()
+		return notFound
+	}
+	r.ids.retire(gid)
+	r.live[s]--
 	for col, idx := range r.indexes {
-		ci := r.schema.ColumnIndex(col)
-		idx.Delete(IndexKey(t[ci]), id.Int64())
+		idx.Delete(IndexKey(t[r.schema.ColumnIndex(col)]), gid)
 	}
-	for _, si := range r.spatial {
-		if rect, ok := r.locMBR(t, si.Picture); ok {
-			si.delete(rect, id.Int64())
-		}
+	writes := r.spatialWritesLocked(t, s)
+	r.smu.Unlock()
+	for _, w := range writes {
+		w.si.delete(w.rect, gid)
+	}
+	st := r.stores[s]
+	st.mu.Lock()
+	err = st.heap.Delete(lid)
+	st.mu.Unlock()
+	if err != nil {
+		return r.storeErr(s, err)
 	}
 	return nil
 }
@@ -303,8 +470,8 @@ func (r *Relation) Update(id storage.TupleID, t Tuple) (storage.TupleID, error) 
 	return r.Insert(t)
 }
 
-// Scan calls fn on every tuple in storage order; returning false stops
-// the scan.
+// Scan calls fn on every tuple in ascending id order; returning false
+// stops the scan.
 func (r *Relation) Scan(fn func(id storage.TupleID, t Tuple) bool) error {
 	return r.ScanCols(nil, fn)
 }
@@ -312,24 +479,63 @@ func (r *Relation) Scan(fn func(id storage.TupleID, t Tuple) bool) error {
 // ScanCols is Scan with column-lazy decode: only the columns whose need
 // flag is set are materialized, as in DecodeTupleCols (nil = all). It
 // is the access path of a scan that tests one or two columns of every
-// tuple and keeps few.
+// tuple and keeps few. Tuples come in ascending id order; fn runs with
+// no lock held, so it may call back into the relation, and a tuple
+// deleted while the scan is under way is either seen or skipped.
 func (r *Relation) ScanCols(need []bool, fn func(id storage.TupleID, t Tuple) bool) error {
-	if r.Sharded() {
-		return r.scanSharded(need, fn)
-	}
-	var decodeErr error
-	err := r.heap.Scan(func(id storage.TupleID, rec []byte) bool {
-		t, err := DecodeTupleCols(rec, need)
-		if err != nil {
-			decodeErr = fmt.Errorf("relation %s: tuple %v: %w", r.name, id, err)
-			return false
-		}
-		return fn(id, t)
-	})
-	if err != nil {
+	r.smu.RLock()
+	dir := r.ids.snapshot()
+	r.smu.RUnlock()
+	var err error
+	if dir.walk(func(id int64, s int, lid storage.TupleID) bool {
+		var t Tuple
+		var ok bool
+		t, ok, err = r.fetch(id, s, lid, need)
+		return err == nil && (!ok || fn(storage.TupleIDFromInt64(id), t))
+	}) {
 		return err
 	}
-	return decodeErr
+	// The ids are heap addresses and heap order is their order: one pass
+	// over the pages, each decoded under the store lock and handed to fn
+	// after it is dropped.
+	type scanned struct {
+		id int64
+		t  Tuple
+	}
+	st := r.stores[0]
+	run := make([]scanned, 0, 128)
+	next := st.heap.FirstPage()
+	for next != pager.InvalidPage {
+		run = run[:0]
+		var decodeErr error
+		st.mu.RLock()
+		next, err = st.heap.ScanPage(next, func(lid storage.TupleID, rec []byte) bool {
+			id, payload, err := r.ids.unframe(lid, rec)
+			var t Tuple
+			if err == nil {
+				t, err = DecodeTupleCols(payload, need)
+			}
+			if err != nil {
+				decodeErr = fmt.Errorf("relation %s: tuple %v: %w", r.name, lid, err)
+				return false
+			}
+			run = append(run, scanned{id, t})
+			return true
+		})
+		st.mu.RUnlock()
+		if err != nil {
+			return err
+		}
+		for _, sc := range run {
+			if !fn(storage.TupleIDFromInt64(sc.id), sc.t) {
+				return nil
+			}
+		}
+		if decodeErr != nil {
+			return decodeErr
+		}
+	}
+	return nil
 }
 
 // CreateIndex builds a B-tree index over the named alphanumeric
@@ -341,22 +547,12 @@ func (r *Relation) CreateIndex(column string) error {
 	return err
 }
 
-// rlockShardedW/runlockShardedW are the exclusive counterparts of
-// rlockSharded, for index-map writes in sharded mode.
-func (r *Relation) rlockShardedW() {
-	if r.Sharded() {
-		r.smu.Lock()
-	}
-}
-
-func (r *Relation) runlockShardedW() {
-	if r.Sharded() {
-		r.smu.Unlock()
-	}
-}
-
 // Index returns the B-tree index on the named column, or nil.
-func (r *Relation) Index(column string) *btree.Tree { return r.indexes[column] }
+func (r *Relation) Index(column string) *btree.Tree {
+	r.smu.RLock()
+	defer r.smu.RUnlock()
+	return r.indexes[column]
+}
 
 // LookupEqual returns the storage ids of tuples whose column equals v,
 // using the index when one exists and a scan otherwise.
@@ -365,10 +561,14 @@ func (r *Relation) LookupEqual(column string, v Value) ([]storage.TupleID, error
 	if ci < 0 {
 		return nil, fmt.Errorf("relation %s: no column %q", r.name, column)
 	}
-	if idx := r.indexes[column]; idx != nil {
-		r.rlockSharded()
-		packed := idx.Get(IndexKey(v))
-		r.runlockSharded()
+	r.smu.RLock()
+	idx := r.indexes[column]
+	var packed []btree.Value
+	if idx != nil {
+		packed = idx.Get(IndexKey(v))
+	}
+	r.smu.RUnlock()
+	if idx != nil {
 		var out []storage.TupleID
 		for _, p := range packed {
 			out = append(out, storage.TupleIDFromInt64(p))
@@ -397,6 +597,8 @@ type Bound struct {
 // It reports ok=false when the column has no index, leaving the caller
 // to scan.
 func (r *Relation) LookupRange(column string, lo, hi *Bound) ([]storage.TupleID, bool) {
+	r.smu.RLock()
+	defer r.smu.RUnlock()
 	idx := r.indexes[column]
 	if idx == nil {
 		return nil, false
@@ -413,8 +615,6 @@ func (r *Relation) LookupRange(column string, lo, hi *Bound) ([]storage.TupleID,
 		out = append(out, storage.TupleIDFromInt64(v))
 		return true
 	}
-	r.rlockSharded()
-	defer r.runlockSharded()
 	if hi == nil {
 		idx.AscendFrom(loKey, collect)
 		return out, true
@@ -427,25 +627,9 @@ func (r *Relation) LookupRange(column string, lo, hi *Bound) ([]storage.TupleID,
 	return out, true
 }
 
-// rlockSharded/runlockSharded take the shard-state lock in sharded
-// mode only: B-tree index reads must not race the route/index updates
-// of concurrent per-shard writers. Unsharded relations keep their
-// lock-free read path.
-func (r *Relation) rlockSharded() {
-	if r.Sharded() {
-		r.smu.RLock()
-	}
-}
-
-func (r *Relation) runlockSharded() {
-	if r.Sharded() {
-		r.smu.RUnlock()
-	}
-}
-
 // AttachPicture associates the relation with pic and builds a packed
 // R-tree over the loc column using the given packing options (one tree
-// per shard when sharded). This is the paper's initial PACK of a static
+// per store). This is the paper's initial PACK of a static
 // database; subsequent Insert and Delete calls maintain the index
 // dynamically (§3.4).
 func (r *Relation) AttachPicture(pic *picture.Picture, opts pack.Options) error {
@@ -453,24 +637,21 @@ func (r *Relation) AttachPicture(pic *picture.Picture, opts pack.Options) error 
 	return err
 }
 
-// Spatial returns the spatial index for the named picture, or nil.
-// Sharded relations have one index per shard, not one — use Spatials,
-// HasSpatial, or SpatialCostSnapshot there; Spatial returns nil.
+// Spatial returns the spatial index for the named picture when the
+// relation has one store, nil when the picture is not attached or there
+// is an index per store — use Spatials, HasSpatial, or
+// SpatialCostSnapshot there.
 func (r *Relation) Spatial(pictureName string) *SpatialIndex {
-	return r.spatial[pictureName]
+	if sis := r.spatialList(pictureName); len(sis) == 1 {
+		return sis[0]
+	}
+	return nil
 }
 
 // Pictures returns the names of all attached pictures.
 func (r *Relation) Pictures() []string {
-	if r.Sharded() {
-		r.smu.RLock()
-		defer r.smu.RUnlock()
-		out := make([]string, 0, len(r.shardSpatial))
-		for name := range r.shardSpatial {
-			out = append(out, name)
-		}
-		return out
-	}
+	r.smu.RLock()
+	defer r.smu.RUnlock()
 	out := make([]string, 0, len(r.spatial))
 	for name := range r.spatial {
 		out = append(out, name)
@@ -486,9 +667,9 @@ func (r *Relation) Pictures() []string {
 // visit count is the number of R-tree nodes touched (summed across the
 // packed and delta trees). Ids are returned in canonical ascending
 // TupleID order, merged across packed + delta minus tombstones — the
-// answer a single freshly packed tree would give. On a sharded
-// relation the query scatters to only the shards whose bounds overlap
-// the window and the streams gather-merge in the same canonical order.
+// answer a single freshly packed tree would give. With several stores
+// the query scatters to only those whose bounds overlap the window and
+// the streams gather-merge in the same canonical order.
 func (r *Relation) SearchArea(pictureName string, window geom.Rect, pred func(obj, win geom.Rect) bool) ([]storage.TupleID, int, error) {
 	sis := r.spatialList(pictureName)
 	if sis == nil {
@@ -581,69 +762,113 @@ func (r *Relation) JuxtaposeSpatial(picA string, s *Relation, picB string, pred 
 	return out, visited, nil
 }
 
-// HeapPages returns the page ids of the relation's tuple heap, for
-// page-ownership accounting during verification. Sharded relations own
-// no pages of the main file (see ShardHeapPages) and return nil.
-func (r *Relation) HeapPages() ([]pager.PageID, error) {
-	if r.Sharded() {
-		return nil, nil
-	}
-	return r.heap.Pages()
-}
-
-// Check validates the relation end to end: the heap's slotted-page
+// Check validates the relation end to end: every heap's slotted-page
 // structure (every page checksum-verified through the pager), every
-// tuple's decodability and schema conformance, the structural
-// invariants of each B-tree and spatial index, and that every index
-// entry resolves to a live tuple. It returns the first problem found.
-func (r *Relation) Check() error {
-	if r.Sharded() {
-		return r.checkSharded(0)
-	}
-	if err := r.heap.Check(); err != nil {
-		return fmt.Errorf("relation %s: %w", r.name, err)
-	}
-	var decodeErr error
-	err := r.heap.Scan(func(id storage.TupleID, rec []byte) bool {
-		t, err := DecodeTuple(rec)
-		if err != nil {
-			decodeErr = fmt.Errorf("relation %s: tuple %v: %w", r.name, id, err)
-			return false
+// record's agreement with the id directory, every tuple's decodability
+// and schema conformance, the structural invariants of each B-tree and
+// spatial index, and that every index entry — B-tree or spatial —
+// resolves to a live tuple, a spatial one to a tuple of its own store.
+// It returns the first problem found.
+func (r *Relation) Check() error { return r.CheckShards(0) }
+
+// CheckShards is Check with the stores verified on up to workers
+// goroutines (0 = GOMAXPROCS; the pictdbcheck -parallel path).
+func (r *Relation) CheckShards(workers int) error {
+	r.smu.RLock()
+	dir := r.ids.snapshot()
+	counts := slices.Clone(r.live)
+	spatial := maps.Clone(r.spatial)
+	r.smu.RUnlock()
+	live := make([][]int64, len(r.stores))
+	err := par.Do(len(r.stores), workers, func(s int) (err error) {
+		if live[s], err = r.checkStore(s, dir, counts[s], spatial); err != nil {
+			return r.storeErr(s, err)
 		}
-		if err := r.schema.Validate(t); err != nil {
-			decodeErr = fmt.Errorf("relation %s: tuple %v: %w", r.name, id, err)
-			return false
-		}
-		return true
+		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("relation %s: %w", r.name, err)
+		return err
 	}
-	if decodeErr != nil {
-		return decodeErr
+	all := live[0]
+	if len(live) > 1 {
+		all = slices.Concat(live...)
+		slices.Sort(all)
 	}
+	r.smu.RLock()
+	defer r.smu.RUnlock()
 	for col, idx := range r.indexes {
 		if err := idx.CheckInvariants(); err != nil {
 			return fmt.Errorf("relation %s: index %q: %w", r.name, col, err)
 		}
 		var resolveErr error
 		idx.Ascend(func(_ []byte, v int64) bool {
-			if _, err := r.heap.Get(storage.TupleIDFromInt64(v)); err != nil {
-				resolveErr = fmt.Errorf("relation %s: index %q: entry %v: %w", r.name, col, storage.TupleIDFromInt64(v), err)
-				return false
+			if _, ok := slices.BinarySearch(all, v); !ok {
+				resolveErr = fmt.Errorf("relation %s: index %q: entry %v: %w", r.name, col, storage.TupleIDFromInt64(v), storage.ErrNotFound)
 			}
-			return true
+			return resolveErr == nil
 		})
 		if resolveErr != nil {
 			return resolveErr
 		}
 	}
-	for pic, si := range r.spatial {
-		if err := si.checkInvariants(); err != nil {
-			return fmt.Errorf("relation %s: spatial index %q: %w", r.name, pic, err)
+	return nil
+}
+
+// checkStore validates store s — heap structure, every record against
+// the directory snapshot dir, tuple decodability and schema conformance,
+// the count of live records against want, and the store's spatial
+// indexes (structure, plus every entry naming a live tuple of this
+// store). It returns the store's live ids in ascending order.
+func (r *Relation) checkStore(s int, dir idCodec, want int64, spatial map[string][]*SpatialIndex) ([]int64, error) {
+	st := r.stores[s]
+	var ids []int64
+	var scanErr error
+	st.mu.RLock()
+	err := st.heap.Check()
+	if err == nil {
+		err = st.heap.Scan(func(lid storage.TupleID, rec []byte) bool {
+			id, payload, err := dir.unframe(lid, rec)
+			if err == nil && !placedAt(dir, id, s, lid) {
+				err = fmt.Errorf("%w: record %v carries id %d, which the directory does not place there", storage.ErrCorrupt, lid, id)
+			}
+			var t Tuple
+			if err == nil {
+				t, err = DecodeTuple(payload)
+			}
+			if err == nil {
+				err = r.schema.Validate(t)
+			}
+			if err != nil {
+				scanErr = fmt.Errorf("tuple %v: %w", lid, err)
+				return false
+			}
+			ids = append(ids, id)
+			return true
+		})
+	}
+	st.mu.RUnlock()
+	if err == nil {
+		err = scanErr
+	}
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(ids)) != want {
+		return nil, fmt.Errorf("%w: the directory counts %d live tuples, the heap holds %d records", storage.ErrCorrupt, want, len(ids))
+	}
+	slices.Sort(ids)
+	for pic, sis := range spatial {
+		if err := sis[s].checkInvariants(); err != nil {
+			return nil, fmt.Errorf("spatial index %q: %w", pic, err)
+		}
+		items, _ := sis[s].items()
+		for _, it := range items {
+			if _, ok := slices.BinarySearch(ids, it.Data); !ok {
+				return nil, fmt.Errorf("spatial index %q: entry %v: %w", pic, storage.TupleIDFromInt64(it.Data), storage.ErrNotFound)
+			}
 		}
 	}
-	return nil
+	return ids, nil
 }
 
 // RepackPicture rebuilds the spatial index for the named picture from

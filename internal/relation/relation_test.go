@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -642,5 +644,54 @@ func TestUpdate(t *testing.T) {
 	}
 	if rel.Len() != 1 {
 		t.Fatalf("Len = %d after failed update", rel.Len())
+	}
+}
+
+// TestCheckResolvesIndexEntries: Check's promise that every index entry
+// names a live tuple holds for spatial entries and B-tree entries alike,
+// on a one-store address-id relation as on a sequence-id one. Each case
+// deletes a tuple and plants an entry for it behind the relation's back.
+func TestCheckResolvesIndexEntries(t *testing.T) {
+	kinds := map[string]func(t *testing.T) *Relation{
+		"unsharded": func(t *testing.T) *Relation { rel, _ := newCities(t); return rel },
+		"sharded3":  func(t *testing.T) *Relation { return newShardedCities(t, 3) },
+	}
+	plants := map[string]func(rel *Relation, s int, rect geom.Rect, id int64){
+		"spatial": func(rel *Relation, s int, rect geom.Rect, id int64) {
+			rel.Spatials("us-map")[s].insert(rect, id)
+		},
+		"btree": func(rel *Relation, _ int, _ geom.Rect, id int64) {
+			rel.Index("population").Insert(IndexKey(I(7)), id)
+		},
+	}
+	for kind, build := range kinds {
+		for what, plant := range plants {
+			t.Run(kind+"/"+what, func(t *testing.T) {
+				rel := build(t)
+				pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
+				var ids []storage.TupleID
+				for i := 0; i < 40; i++ {
+					ids = append(ids, addCity(t, rel, pic, fmt.Sprintf("c%02d", i), "ST", int64(i), float64(25*i), float64(1000-25*i)))
+				}
+				if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+					t.Fatal(err)
+				}
+				if err := rel.CreateIndex("population"); err != nil {
+					t.Fatal(err)
+				}
+				victim := ids[7]
+				s, _, _ := rel.resolve(victim.Int64())
+				if err := rel.Delete(victim); err != nil {
+					t.Fatal(err)
+				}
+				if err := rel.Check(); err != nil {
+					t.Fatalf("clean relation: %v", err)
+				}
+				plant(rel, s, geom.R(175, 825, 175, 825), victim.Int64())
+				if err := rel.Check(); !errors.Is(err, storage.ErrNotFound) {
+					t.Fatalf("entry for deleted tuple %v: Check = %v, want ErrNotFound", victim, err)
+				}
+			})
+		}
 	}
 }

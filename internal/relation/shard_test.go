@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -117,13 +118,13 @@ func clamp01k(v float64) float64 {
 
 // oracleWindows is a deterministic mix of clustered and broad windows.
 var oracleWindows = []geom.Rect{
-	geom.R(100, 150, 220, 280),  // inside blob A
-	geom.R(700, 600, 950, 850),  // inside blob B
-	geom.R(0, 0, 1000, 1000),    // everything
-	geom.R(480, 480, 520, 520),  // sparse center
-	geom.R(-50, -50, 10, 10),    // nearly empty corner
-	geom.R(300, 0, 600, 1000),   // vertical stripe
-	geom.R(140, 190, 820, 720),  // spans both blobs
+	geom.R(100, 150, 220, 280),   // inside blob A
+	geom.R(700, 600, 950, 850),   // inside blob B
+	geom.R(0, 0, 1000, 1000),     // everything
+	geom.R(480, 480, 520, 520),   // sparse center
+	geom.R(-50, -50, 10, 10),     // nearly empty corner
+	geom.R(300, 0, 600, 1000),    // vertical stripe
+	geom.R(140, 190, 820, 720),   // spans both blobs
 	geom.R(999, 999, 1000, 1000), // boundary sliver
 }
 
@@ -559,7 +560,7 @@ func TestShardedDuplicateSequenceDetected(t *testing.T) {
 	// differing one is real corruption.
 	var rec []byte
 	srcShard := -1
-	for s, sh := range rel.shards {
+	for s, sh := range rel.stores {
 		sh.heap.Scan(func(_ storage.TupleID, r []byte) bool {
 			rec = append([]byte(nil), r...)
 			srcShard = s
@@ -573,7 +574,7 @@ func TestShardedDuplicateSequenceDetected(t *testing.T) {
 		t.Fatal("no record found")
 	}
 	rec[len(rec)-1] ^= 0xff
-	dst := rel.shards[1-srcShard]
+	dst := rel.stores[1-srcShard]
 	if _, err := dst.heap.Insert(rec); err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +611,7 @@ func TestShardedSplitDuplicateRepaired(t *testing.T) {
 	// insert whose matching source delete never became durable. Repair
 	// keeps whichever copy lives on the higher shard, so either
 	// direction exercises it.
-	shards := rel.shards
+	shards := rel.stores
 	var rec []byte
 	srcShard := -1
 	for s, sh := range shards {
@@ -734,16 +735,31 @@ func TestScatterFanoutPruning(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentWritersReaders is the -race stress: writers
-// drive concurrent inserts (routed across shards) and deletes while
-// readers scatter window queries, scans, and batched gets across
-// shards. Invariants: no torn reads (every scanned tuple validates),
-// queries never error, and the final state checks clean.
+// TestShardedConcurrentWritersReaders is the -race stress, over a
+// four-store sequence-id relation and a one-store address-id one:
+// writers drive concurrent inserts (placed across stores) and deletes
+// while readers run window queries (single and batched), scans, point
+// and batched gets and B-tree range lookups, and a CreateIndex lands
+// beside the first writer's inserts. Invariants: no torn reads (every
+// scanned tuple validates), queries never error, and the final state
+// checks clean.
 func TestShardedConcurrentWritersReaders(t *testing.T) {
-	rel := newShardedCities(t, 4)
+	t.Run("sharded4", func(t *testing.T) { concurrentWritersReaders(t, newShardedCities(t, 4)) })
+	t.Run("unsharded", func(t *testing.T) {
+		p := pager.OpenMem(512)
+		t.Cleanup(func() { p.Close() })
+		rel, err := New(p, "cities", citySchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		concurrentWritersReaders(t, rel)
+	})
+}
+
+func concurrentWritersReaders(t *testing.T, rel *Relation) {
 	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
 	// Seed enough content that readers always see data, then attach so
-	// spatial writes flow through the per-shard LSM sides.
+	// spatial writes flow through the LSM write sides.
 	var seeded []storage.TupleID
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
@@ -752,10 +768,13 @@ func TestShardedConcurrentWritersReaders(t *testing.T) {
 	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
 		t.Fatal(err)
 	}
+	if err := rel.CreateIndex("population"); err != nil {
+		t.Fatal(err)
+	}
 
 	const writers = 4
 	const perWriter = 150
-	const readers = 4
+	const readers = 6
 	// Picture mutation is not synchronized — pre-register every object
 	// so the goroutines only exercise the relation's own locking.
 	oids := make([][]picture.ObjectID, writers)
@@ -767,13 +786,27 @@ func TestShardedConcurrentWritersReaders(t *testing.T) {
 		}
 	}
 	var wg sync.WaitGroup
-	errCh := make(chan error, writers+readers)
+	errCh := make(chan error, writers+readers+1)
 	done := make(chan struct{})
 
+	// An index covers what its scan saw, so the writers hold their
+	// deletes until the build beside them has been attached: a tuple
+	// deleted between its scan and its attach would leave it an entry
+	// Check reports.
+	indexed := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(indexed)
+		if err := rel.CreateIndex("city"); err != nil {
+			errCh <- fmt.Errorf("create index: %w", err)
+		}
+	}()
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var doomed []storage.TupleID
 			for i := 0; i < perWriter; i++ {
 				name := fmt.Sprintf("w%d-%03d", w, i)
 				id, err := rel.Insert(Tuple{S(name), S("ST"), I(int64(i)), L("us-map", oids[w][i])})
@@ -782,29 +815,54 @@ func TestShardedConcurrentWritersReaders(t *testing.T) {
 					return
 				}
 				if i%10 == 5 {
+					doomed = append(doomed, id)
+				}
+				select {
+				case <-indexed:
+				default:
+					continue
+				}
+				for _, id := range doomed {
 					if err := rel.Delete(id); err != nil {
 						errCh <- fmt.Errorf("writer %d: delete: %w", w, err)
 						return
 					}
+				}
+				doomed = doomed[:0]
+			}
+			<-indexed
+			for _, id := range doomed {
+				if err := rel.Delete(id); err != nil {
+					errCh <- fmt.Errorf("writer %d: delete: %w", w, err)
+					return
 				}
 			}
 		}(w)
 	}
 	go func() { wg.Wait(); close(done) }()
 
+	needCity := []bool{true, false, false, false}
 	var rg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		rg.Add(1)
 		go func(r int) {
 			defer rg.Done()
 			rng := rand.New(rand.NewSource(int64(200 + r)))
+			ascending := func(ids []storage.TupleID) bool {
+				for i := 1; i < len(ids); i++ {
+					if ids[i].Int64() <= ids[i-1].Int64() {
+						return false
+					}
+				}
+				return true
+			}
 			for {
 				select {
 				case <-done:
 					return
 				default:
 				}
-				switch r % 3 {
+				switch r {
 				case 0:
 					w := geom.R(rng.Float64()*800, rng.Float64()*800, 1000, 1000)
 					ids, _, err := rel.SearchArea("us-map", w, geom.Overlapping)
@@ -812,11 +870,9 @@ func TestShardedConcurrentWritersReaders(t *testing.T) {
 						errCh <- fmt.Errorf("reader %d: search: %w", r, err)
 						return
 					}
-					for i := 1; i < len(ids); i++ {
-						if ids[i].Int64() <= ids[i-1].Int64() {
-							errCh <- fmt.Errorf("reader %d: result ids not ascending", r)
-							return
-						}
+					if !ascending(ids) {
+						errCh <- fmt.Errorf("reader %d: result ids not ascending", r)
+						return
 					}
 				case 1:
 					n := 0
@@ -832,11 +888,44 @@ func TestShardedConcurrentWritersReaders(t *testing.T) {
 						errCh <- fmt.Errorf("reader %d: scan: %w", r, err)
 						return
 					}
-				default:
+				case 2:
 					if _, err := rel.GetBatch(seeded, nil, 4); err != nil {
 						errCh <- fmt.Errorf("reader %d: batch: %w", r, err)
 						return
 					}
+				case 3:
+					ws := []geom.Rect{geom.R(0, 0, 300, 300), geom.R(rng.Float64()*800, rng.Float64()*800, 1000, 1000)}
+					res, _, err := rel.SearchAreaBatch("us-map", ws, geom.Overlapping, 2)
+					if err != nil {
+						errCh <- fmt.Errorf("reader %d: batch search: %w", r, err)
+						return
+					}
+					if !ascending(res[0]) || !ascending(res[1]) {
+						errCh <- fmt.Errorf("reader %d: batch result ids not ascending", r)
+						return
+					}
+				case 4:
+					id := seeded[rng.Intn(len(seeded))]
+					if tu, err := rel.Get(id); err != nil || !strings.HasPrefix(tu[0].Str, "seed") {
+						errCh <- fmt.Errorf("reader %d: get %v: %v, %w", r, id, tu, err)
+						return
+					}
+					err := rel.ScanCols(needCity, func(_ storage.TupleID, tu Tuple) bool { return tu[0].Str != "" })
+					if err != nil {
+						errCh <- fmt.Errorf("reader %d: scan cols: %w", r, err)
+						return
+					}
+				default:
+					// The seeds, never deleted, hold populations 0..199;
+					// writers add more in 0..149.
+					ids, ok := rel.LookupRange("population", &Bound{Value: I(150), Inclusive: true}, nil)
+					if !ok || len(ids) != 50 {
+						errCh <- fmt.Errorf("reader %d: range lookup: %d ids, ok=%v", r, len(ids), ok)
+						return
+					}
+					rel.LookupRange("city", nil, nil)
+					rel.IndexedColumns()
+					rel.Pictures()
 				}
 			}
 		}(r)

@@ -61,9 +61,6 @@ type SpatialIndex struct {
 	// forced off so no live item is ever dropped).
 	Opts pack.Options
 
-	// params configures both the packed tree (at repack) and matches
-	// the relation's rtreeParams at attach time.
-	params rtree.Params
 	// seq orders lock acquisition when two indexes are locked together
 	// (juxtaposition): lower seq first, so no lock cycle can form.
 	seq int64
@@ -104,11 +101,10 @@ type SpatialIndex struct {
 }
 
 // newSpatialIndex wraps a freshly packed tree.
-func newSpatialIndex(pic *picture.Picture, tree *rtree.Tree, opts pack.Options, params rtree.Params) *SpatialIndex {
+func newSpatialIndex(pic *picture.Picture, tree *rtree.Tree, opts pack.Options) *SpatialIndex {
 	return &SpatialIndex{
 		Picture:    pic,
 		Opts:       opts,
-		params:     params,
 		seq:        spatialSeq.Add(1),
 		packed:     tree,
 		stats:      tree.SearchMetrics(),
@@ -430,7 +426,7 @@ func (si *SpatialIndex) packMerged() *rtree.Tree {
 	items = append(items, si.frozen.Items()...)
 	opts := si.Opts
 	opts.TrimToMultiple = false
-	return pack.Tree(si.params, items, opts)
+	return pack.Tree(rtree.DefaultParams(), items, opts)
 }
 
 // rebuild replaces the whole index with a fresh pack of items (the
@@ -441,7 +437,7 @@ func (si *SpatialIndex) rebuild(items []rtree.Item, opts pack.Options) {
 		si.wg.Wait()
 		runtime.Gosched()
 	}
-	tree := pack.Tree(si.params, items, opts)
+	tree := pack.Tree(rtree.DefaultParams(), items, opts)
 	stats := tree.SearchMetrics()
 	si.mu.Lock()
 	si.Opts = opts

@@ -255,7 +255,7 @@ func TestFrozenTombstoneFiltering(t *testing.T) {
 			{Rect: geom.R(3, 3, 4, 4), Data: 2},
 			{Rect: geom.R(2, 2, 3, 3), Data: 6},
 		}, pack.Options{}),
-		pack.Options{}, rtree.DefaultParams(),
+		pack.Options{},
 	)
 	si.SetAutoRepack(false)
 	liveIDs := func() []int64 {

@@ -409,32 +409,40 @@ func (h *Heap) Free() error {
 // call. A structurally invalid page stops the scan with an error
 // wrapping ErrCorrupt.
 func (h *Heap) Scan(fn func(id TupleID, rec []byte) bool) error {
-	id := h.first
-	for id != pager.InvalidPage {
-		pg, err := h.p.Fetch(id)
+	for id := h.first; id != pager.InvalidPage; {
+		next, err := h.ScanPage(id, fn)
 		if err != nil {
 			return err
 		}
-		v := pageView{pg}
-		if err := v.check(); err != nil {
-			h.p.Unpin(pg)
-			return fmt.Errorf("heap page %d: %w", id, err)
-		}
-		for i := 0; i < v.slotCount(); i++ {
-			off, length := v.slot(i)
-			if off == deadOffset {
-				continue
-			}
-			if !fn(TupleID{Page: id, Slot: uint16(i)}, pg.Data[off:off+length]) {
-				h.p.Unpin(pg)
-				return nil
-			}
-		}
-		next := v.nextPage()
-		h.p.Unpin(pg)
 		id = next
 	}
 	return nil
+}
+
+// ScanPage is Scan over one page of the chain, id. It returns the page
+// that follows, InvalidPage at the end of the chain or once fn has
+// stopped the scan. Pages never leave a chain, so a caller that guards
+// the heap with a lock may drop it between pages.
+func (h *Heap) ScanPage(id pager.PageID, fn func(id TupleID, rec []byte) bool) (pager.PageID, error) {
+	pg, err := h.p.Fetch(id)
+	if err != nil {
+		return pager.InvalidPage, err
+	}
+	defer h.p.Unpin(pg)
+	v := pageView{pg}
+	if err := v.check(); err != nil {
+		return pager.InvalidPage, fmt.Errorf("heap page %d: %w", id, err)
+	}
+	for i := 0; i < v.slotCount(); i++ {
+		off, length := v.slot(i)
+		if off == deadOffset {
+			continue
+		}
+		if !fn(TupleID{Page: id, Slot: uint16(i)}, pg.Data[off:off+length]) {
+			return pager.InvalidPage, nil
+		}
+	}
+	return v.nextPage(), nil
 }
 
 // Pages returns the page ids of the heap chain in order, guarding

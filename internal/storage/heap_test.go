@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/pager"
@@ -319,5 +321,61 @@ func TestHeapReopen(t *testing.T) {
 	// The heap remains appendable after reopen.
 	if _, err := h2.Insert([]byte("new after reopen")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScanPageResumes: a heap walked a page at a time yields what one
+// Scan yields, in the same order, one call per page of the chain, and a
+// callback that stops ends the walk.
+func TestScanPageResumes(t *testing.T) {
+	p := pager.OpenMem(64)
+	defer p.Close()
+	h, _, err := Create(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []TupleID
+	for i := 0; i < 600; i++ {
+		id, err := h.Insert([]byte(fmt.Sprintf("record-%04d-%s", i, strings.Repeat("x", i%50))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for i := 0; i < len(ids); i += 9 {
+		if err := h.Delete(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want []string
+	if err := h.Scan(func(id TupleID, rec []byte) bool {
+		want = append(want, id.String()+"="+string(rec))
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pages, err := h.Pages()
+	if err != nil || len(pages) < 4 {
+		t.Fatalf("want a heap of several pages, got %d (%v)", len(pages), err)
+	}
+	var got []string
+	var walked []pager.PageID
+	for next := h.FirstPage(); next != pager.InvalidPage; {
+		walked = append(walked, next)
+		next, err = h.ScanPage(next, func(id TupleID, rec []byte) bool {
+			got = append(got, id.String()+"="+string(rec))
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(walked, pages) {
+		t.Fatalf("page-wise walk differs from Scan: %d vs %d records over pages %v vs %v", len(got), len(want), walked, pages)
+	}
+	seen := 0
+	next, err := h.ScanPage(h.FirstPage(), func(TupleID, []byte) bool { seen++; return seen < 3 })
+	if err != nil || next != pager.InvalidPage || seen != 3 {
+		t.Fatalf("stopped walk: next=%v seen=%d err=%v", next, seen, err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	pictdb "repro"
@@ -13,27 +15,12 @@ import (
 	"repro/internal/workload"
 )
 
-// TestShardedReopenUnevenLayout opens a file set this build can no
-// longer produce: testdata/rebalanced_pr17 was written by the PR 17
-// build (the last with online shard splits) — a 2-shard relation "pts"
-// on picture "map" loaded with workload.HotHilbertPoints(300, 0.9, 0.1,
-// 77) named p000…p299 and then rebalanced online (imbalance factor
-// 1.5, split candidates of at least 10 tuples), which cut shard 0 at
-// its occupancy median into a third sidecar. The layout is a
-// creation-time fact now, but the catalog's per-shard key ranges are
-// format: the file must open with its uneven ranges and its extra
-// shard, route new inserts by them, and round-trip them through a
-// checkpoint of this build.
-func TestShardedReopenUnevenLayout(t *testing.T) {
-	wantRanges := []relation.KeyRange{
-		{Lo: 0, Hi: 230537638},
-		{Lo: 2147483648, Hi: 4294967296},
-		{Lo: 230537638, Hi: 2147483648},
-	}
-	wantItems := []int64{144, 12, 144}
-
+// copyFixture copies the file set testdata/<name> into a fresh
+// directory and returns the directory.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
 	dir := t.TempDir()
-	files, err := filepath.Glob("testdata/rebalanced_pr17/*")
+	files, err := filepath.Glob(filepath.Join("testdata", name, "*"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("fixture missing: %v", err)
 	}
@@ -46,7 +33,131 @@ func TestShardedReopenUnevenLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(dir, "rebalanced.pictdb")
+	return dir
+}
+
+// TestShardedReopenUnevenLayout opens file sets earlier builds wrote —
+// both record layouts are format (DESIGN.md §15, §17).
+func TestShardedReopenUnevenLayout(t *testing.T) {
+	t.Run("rebalanced_pr17", reopenRebalancedPR17)
+	t.Run("unsharded_pr19", reopenUnshardedPR19)
+}
+
+// reopenUnshardedPR19 opens an unsharded pictorial relation the PR 19
+// build wrote, the last with a code path of its own for one: "pts"
+// (name, n, loc) on picture "map", rows p000…p299 at
+// workload.UniformPoints(320, 19) with n = i mod 40, a B-tree on n and
+// the picture attached; then every 7th row deleted and p300…p319
+// inserted into the freed slots, so heap order is not insertion order;
+// then Checkpoint, Commit, Close. Records carry no sequence prefix and
+// ids are heap addresses: the file must open, check clean and answer
+// row for row, and take writes this build checkpoints back.
+func reopenUnshardedPR19(t *testing.T) {
+	path := filepath.Join(copyFixture(t, "unsharded_pr19"), "unsharded.pictdb")
+	pts := workload.UniformPoints(320, 19)
+	live := func(i int) bool { return i >= 300 || i%7 != 0 }
+	window := geom.R(0, 0, 500, 500)
+	var wantWindow, wantN7 []string
+	for i, p := range pts {
+		if !live(i) {
+			continue
+		}
+		if window.ContainsPoint(p) {
+			wantWindow = append(wantWindow, fmt.Sprintf("p%03d", i))
+		}
+		if i%40 == 7 {
+			wantN7 = append(wantN7, fmt.Sprintf("p%03d", i))
+		}
+	}
+
+	verify := func(db *pictdb.Database, stage string, rows int) *pictdb.Relation {
+		t.Helper()
+		rel, ok := db.Relation("pts")
+		if !ok || rel.Sharded() || rel.Index("n") == nil || !rel.HasSpatial("map") {
+			t.Fatalf("%s: relation, its B-tree or its spatial index lost", stage)
+		}
+		if rel.Len() != rows {
+			t.Fatalf("%s: %d rows, want %d", stage, rel.Len(), rows)
+		}
+		if report := db.Check(); !report.OK() {
+			t.Fatalf("%s: Check: %v", stage, report.Err())
+		}
+		for _, q := range []struct {
+			src  string
+			want []string
+		}{
+			{"select name from pts on map at loc covered-by {250±250, 250±250}", wantWindow},
+			{"select name from pts where n = 7", wantN7},
+		} {
+			res, err := db.Query(q.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			naive, err := db.QueryNaive(q.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Format() != naive.Format() {
+				t.Fatalf("%s: %s: planned and naive rows differ:\n%s\n%s", stage, q.src, res.Format(), naive.Format())
+			}
+			var got []string
+			for _, row := range res.Rows {
+				got = append(got, row[0].Str)
+			}
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, q.want) {
+				t.Fatalf("%s: %s: rows %v, want %v", stage, q.src, got, q.want)
+			}
+		}
+		return rel
+	}
+
+	db, err := pictdb.Open(path, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel := verify(db, "opened", 277)
+	pic, _ := db.Picture("map")
+	if err := db.Write(func() error {
+		_, err := rel.Insert(pictdb.Tuple{pictdb.S("x"), pictdb.I(41), pictdb.L("map", pic.AddPoint("x", geom.Pt(900, 900)))})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := pictdb.Open(path, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	verify(re, "reopened", 278)
+}
+
+// reopenRebalancedPR17 opens a file set this build can no
+// longer produce: testdata/rebalanced_pr17 was written by the PR 17
+// build (the last with online shard splits) — a 2-shard relation "pts"
+// on picture "map" loaded with workload.HotHilbertPoints(300, 0.9, 0.1,
+// 77) named p000…p299 and then rebalanced online (imbalance factor
+// 1.5, split candidates of at least 10 tuples), which cut shard 0 at
+// its occupancy median into a third sidecar. The layout is a
+// creation-time fact now, but the catalog's per-shard key ranges are
+// format: the file must open with its uneven ranges and its extra
+// shard, route new inserts by them, and round-trip them through a
+// checkpoint of this build.
+func reopenRebalancedPR17(t *testing.T) {
+	wantRanges := []relation.KeyRange{
+		{Lo: 0, Hi: 230537638},
+		{Lo: 2147483648, Hi: 4294967296},
+		{Lo: 230537638, Hi: 2147483648},
+	}
+	wantItems := []int64{144, 12, 144}
+
+	path := filepath.Join(copyFixture(t, "rebalanced_pr17"), "rebalanced.pictdb")
 
 	// verify checks the layout and the row set: the 300 fixture rows in
 	// insertion order, then extra.
