@@ -45,6 +45,7 @@ benchcheck:
 	$(GO) test -run xxx -bench 'DeltaMergedSearch|PackedOnlySearch' -benchtime 20x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'ShardedSearch|UnshardedSearch' -benchtime 20x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'OpenWindowRead' -benchtime 3x .
+	$(GO) test -run xxx -bench 'WindowStatement' -benchtime 200x -benchmem .
 	$(GO) run ./cmd/pictbench -quick > /dev/null
 
 # Durability suite: injected I/O faults, torn writes, crash-point

@@ -505,43 +505,163 @@ func BenchmarkPSQLRepeatedWindow(b *testing.B) {
 	})
 }
 
-// BenchmarkOpenWindowRead measures pictdb.Open of a file shaped like
-// pictbench's window_read database: 200k clustered points with a B-tree
-// on pop and a Hilbert-packed R-tree, built once. Each iteration is one
-// catalog reload; Close is outside the timer.
-func BenchmarkOpenWindowRead(b *testing.B) {
+// windowReadRelation fills db with a relation shaped like pictbench's
+// window_read database: n clustered points as cities(name, pop, loc) on
+// citymap, with a B-tree on pop and a Hilbert-packed R-tree.
+func windowReadRelation(tb testing.TB, db *pictdb.Database, n int) *pictdb.Relation {
+	tb.Helper()
+	pic, err := db.CreatePicture("citymap", pictdb.R(0, 0, 1000, 1000))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rel, err := db.CreateRelation("cities", pictdb.MustSchema("name:string", "pop:int", "loc:loc"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1985))
+	for i, pt := range workload.ClusteredPoints(n, 50, 30, 1985) {
+		name := fmt.Sprintf("c%06d", i)
+		if _, err := rel.Insert(pictdb.Tuple{pictdb.S(name), pictdb.I(rng.Int63n(1_000_000)), pictdb.L("citymap", pic.AddPoint(name, pt))}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := rel.CreateIndex("pop"); err != nil {
+		tb.Fatal(err)
+	}
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
+		tb.Fatal(err)
+	}
+	return rel
+}
+
+// windowReadFile writes the 200k-point window_read database to a file
+// under b's temporary directory and returns its path.
+func windowReadFile(b *testing.B) string {
 	path := filepath.Join(b.TempDir(), "open.db")
 	db, err := pictdb.Open(path, 4096)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pic, err := db.CreatePicture("citymap", pictdb.R(0, 0, 1000, 1000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rel, err := db.CreateRelation("cities", pictdb.MustSchema("name:string", "pop:int", "loc:loc"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1985))
-	for i, pt := range workload.ClusteredPoints(200_000, 50, 30, 1985) {
-		name := fmt.Sprintf("c%06d", i)
-		if _, err := rel.Insert(pictdb.Tuple{pictdb.S(name), pictdb.I(rng.Int63n(1_000_000)), pictdb.L("citymap", pic.AddPoint(name, pt))}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := rel.CreateIndex("pop"); err != nil {
-		b.Fatal(err)
-	}
-	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
-		b.Fatal(err)
-	}
+	windowReadRelation(b, db, 200_000)
 	if err := db.Checkpoint(); err != nil {
 		b.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		b.Fatal(err)
 	}
+	return path
+}
+
+// windowStatement renders the window_read statement over a square
+// window on center sized to hold want index candidates (to within the
+// points sharing its edge), keeping the tuples with pop above minPop.
+func windowStatement(tb testing.TB, rel *pictdb.Relation, center pictdb.Point, want int, minPop int64) string {
+	tb.Helper()
+	count := func(half float64) int {
+		ids, _, err := rel.SearchArea("citymap", pictdb.WindowAt(center.X, half, center.Y, half), geom.CoveredBy)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return len(ids)
+	}
+	lo, hi := 0.0, 1.0
+	for count(hi) < want {
+		hi *= 2
+	}
+	for i := 0; i < 40 && count(hi) != want; i++ {
+		if mid := (lo + hi) / 2; count(mid) < want {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return fmt.Sprintf("select name, pop from cities on citymap at loc covered-by {%g±%g, %g±%g} where pop > %d",
+		center.X, hi, center.Y, hi, minPop)
+}
+
+// BenchmarkWindowStatement measures one cached point-in-window
+// statement — the served path of pictbench's window_read — on the
+// reopened 200k-point file, at the workload's two window sizes: about
+// 30 index candidates (its median statement) and about 750 (where most
+// of its time goes). pop > 360000 rejects 36% of the candidates, the
+// workload's share. It reports ns and allocations per statement and ns
+// per candidate.
+func BenchmarkWindowStatement(b *testing.B) {
+	db, err := pictdb.Open(windowReadFile(b), 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	rel, _ := db.Relation("cities")
+	center := workload.ClusteredPoints(200_000, 50, 30, 1985)[7]
+	for _, want := range []int{30, 750} {
+		b.Run(fmt.Sprintf("candidates=%d", want), func(b *testing.B) {
+			q := windowStatement(b, rel, center, want, 360_000)
+			if _, err := db.Query(q); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Query(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(want), "ns/candidate")
+		})
+	}
+}
+
+// TestWindowStatementAllocs holds the allocations of a cached window
+// statement to what its result needs: a constant, a few slice growths
+// as the candidate list lengthens, and per returned row its one string —
+// nothing per candidate the where-clause rejects.
+func TestWindowStatementAllocs(t *testing.T) {
+	db := pictdb.New()
+	defer db.Close()
+	db.SetParallelism(1)
+	rel := windowReadRelation(t, db, 20_000)
+	center := workload.ClusteredPoints(20_000, 50, 30, 1985)[7]
+	allocs := func(want int, minPop int64) (perRun float64, rows int) {
+		q := windowStatement(t, rel, center, want, minPop)
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := db.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		}), len(res.Rows)
+	}
+	few, rows := allocs(30, 1_000_000)
+	many, rows2 := allocs(750, 1_000_000)
+	if rows != 0 || rows2 != 0 {
+		t.Fatalf("pop > 1000000 kept %d and %d rows", rows, rows2)
+	}
+	t.Logf("every candidate rejected: %.0f allocations at 30 candidates, %.0f at 750", few, many)
+	if many > few+12 {
+		t.Errorf("rejecting 750 candidates takes %.0f allocations, rejecting 30 takes %.0f: they grow with the candidates rejected", many, few)
+	}
+	if few > 32 {
+		t.Errorf("a cached window statement returning nothing takes %.0f allocations, want at most 32", few)
+	}
+	all, rows := allocs(750, -1)
+	t.Logf("every candidate returned: %.0f allocations for %d rows", all, rows)
+	if rows < 700 {
+		t.Fatalf("pop > -1 kept %d of about 750 candidates", rows)
+	}
+	if perRow := (all - many) / float64(rows); perRow > 1.1 {
+		t.Errorf("%.2f allocations per returned row, want its name string and no more", perRow)
+	}
+}
+
+// BenchmarkOpenWindowRead measures pictdb.Open of a file shaped like
+// pictbench's window_read database: 200k clustered points with a B-tree
+// on pop and a Hilbert-packed R-tree, built once. Each iteration is one
+// catalog reload; Close is outside the timer.
+func BenchmarkOpenWindowRead(b *testing.B) {
+	path := windowReadFile(b)
 	// Phase times come from inside the reload (its own clock seam) and
 	// add up goroutine time, so on several cores they exceed ns/op.
 	var phases [5]time.Duration

@@ -169,28 +169,29 @@ func (db *Database) Checkpoint() error {
 	}
 
 	// Named locations.
-	locNames := make([]string, 0, len(db.locations))
-	for name := range db.locations {
+	cat := db.catalog()
+	locNames := make([]string, 0, len(cat.locations))
+	for name := range cat.locations {
 		locNames = append(locNames, name)
 	}
 	sort.Strings(locNames)
 	for _, name := range locNames {
 		rec := []byte{catLocation}
 		rec = appendString(rec, name)
-		rec = appendRect(rec, db.locations[name])
+		rec = appendRect(rec, cat.locations[name])
 		if _, err := snap.Insert(rec); err != nil {
 			return err
 		}
 	}
 
 	// Pictures and their objects.
-	picNames := make([]string, 0, len(db.pictures))
-	for name := range db.pictures {
+	picNames := make([]string, 0, len(cat.pictures))
+	for name := range cat.pictures {
 		picNames = append(picNames, name)
 	}
 	sort.Strings(picNames)
 	for _, name := range picNames {
-		pic := db.pictures[name]
+		pic := cat.pictures[name]
 		rec := []byte{catPicture}
 		rec = appendString(rec, name)
 		rec = appendRect(rec, pic.Extent())
@@ -208,13 +209,13 @@ func (db *Database) Checkpoint() error {
 	}
 
 	// Relations.
-	relNames := make([]string, 0, len(db.relations))
-	for name := range db.relations {
+	relNames := make([]string, 0, len(cat.relations))
+	for name := range cat.relations {
 		relNames = append(relNames, name)
 	}
 	sort.Strings(relNames)
 	for _, name := range relNames {
-		rel := db.relations[name]
+		rel := cat.relations[name]
 		var rec []byte
 		if rel.Sharded() {
 			// Sharded relations persist one heap handle per shard plus
@@ -372,6 +373,10 @@ func (db *Database) loadCatalog() error {
 		return err
 	}
 
+	// The database is not shared yet: the reload fills its first catalog
+	// in place.
+	cat := db.catalog()
+
 	// The definitions, and how many objects each picture has.
 	t0 := nowFn()
 	var rels []decodedRel
@@ -398,9 +403,9 @@ func (db *Database) loadCatalog() error {
 		}
 		switch rec.tag {
 		case catLocation:
-			db.locations[rec.name] = rec.rect
+			cat.locations[rec.name] = rec.rect
 		case catPicture:
-			db.pictures[rec.name] = picture.New(rec.name, rec.rect)
+			cat.pictures[rec.name] = picture.New(rec.name, rec.rect)
 		default:
 			rels = append(rels, rec.rel)
 		}
@@ -434,7 +439,7 @@ func (db *Database) loadCatalog() error {
 			db.shardPagers[rels[i].name] = l.pagers
 		}
 		if l.rel != nil {
-			db.relations[rels[i].name] = l.rel
+			cat.relations[rels[i].name] = l.rel
 			db.loadTimes.BuildTimes.Add(l.times)
 		}
 	}
@@ -451,7 +456,7 @@ func (db *Database) loadObjects(snap *storage.Heap, counts map[string]*int) erro
 	sort.Strings(names)
 	objs := make(map[string]*[]picture.Object, len(names))
 	for _, name := range names {
-		if db.pictures[name] == nil {
+		if db.catalog().pictures[name] == nil {
 			return errCatalog("object for unknown picture %q", name)
 		}
 		batch := make([]picture.Object, 0, *counts[name])
@@ -473,7 +478,7 @@ func (db *Database) loadObjects(snap *storage.Heap, counts map[string]*int) erro
 		return err
 	}
 	for _, name := range names {
-		if err := db.pictures[name].Restore(*objs[name]...); err != nil {
+		if err := db.catalog().pictures[name].Restore(*objs[name]...); err != nil {
 			return errCatalog("%w", err)
 		}
 	}
@@ -498,7 +503,7 @@ func (db *Database) loadRelation(def decodedRel, out *loadedRel, objectsIn func(
 	}
 	pics := make([]relation.PictureSpec, len(def.assocs))
 	for i, a := range def.assocs {
-		pic := db.pictures[a.pic]
+		pic := db.catalog().pictures[a.pic]
 		if pic == nil {
 			return fmt.Errorf("pictdb: relation %q associated with unknown picture %q", def.name, a.pic)
 		}

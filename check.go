@@ -164,14 +164,15 @@ func (db *Database) CheckParallel(par int) *CheckReport {
 
 	// 4. Relations: loc→object resolution, heap structure, tuple
 	// decodability, index invariants, index→tuple resolution.
-	names := make([]string, 0, len(db.relations))
-	for name := range db.relations {
+	rels := db.catalog().relations
+	names := make([]string, 0, len(rels))
+	for name := range rels {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	r.Relations = len(names)
 	for _, name := range names {
-		rel := db.relations[name]
+		rel := rels[name]
 		component := "relation:" + name
 		if err := db.checkLocRefs(rel); err != nil {
 			add(pager.InvalidPage, component+":loc", err)
@@ -225,7 +226,7 @@ func (db *Database) checkLocRefs(rel *relation.Relation) error {
 	var firstRef relation.LocRef
 	err := rel.ScanCols(need, func(id storage.TupleID, t relation.Tuple) bool {
 		ref := t[li].Loc
-		pic, ok := db.pictures[ref.Picture]
+		pic, ok := db.catalog().pictures[ref.Picture]
 		if ref.IsZero() || !ok {
 			return true
 		}

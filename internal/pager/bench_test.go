@@ -52,11 +52,13 @@ func BenchmarkFetchChecksum(b *testing.B) {
 	}
 }
 
-// BenchmarkPinWarm measures the zero-copy read path against a warm
-// verified-bitmap on a real file: after the first lap every Pin is a
-// bitmap check plus a pointer into the mapping — no read, no copy, no
-// CRC. Without mmap support the same loop exercises the pool path.
-func BenchmarkPinWarm(b *testing.B) {
+// warmPinPager writes benchPages pages to a real file and reopens it
+// with a one-page pool, so the pool cannot serve a Pin; only the
+// mapping (or, without it, backend reads) can. With wal the write-ahead
+// log is attached, holding no frame — how every pictdb.Open serves a
+// read-only workload.
+func warmPinPager(b *testing.B, wal bool) *Pager {
+	b.Helper()
 	path := b.TempDir() + "/bench.db"
 	p, err := Open(path, benchPages+1)
 	if err != nil {
@@ -73,14 +75,33 @@ func BenchmarkPinWarm(b *testing.B) {
 	if err := p.Close(); err != nil {
 		b.Fatal(err)
 	}
-	// Reopen with a one-page pool so the pool cannot serve these reads;
-	// only the mapping (or, without it, backend reads) can.
 	p, err = Open(path, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer p.Close()
+	if wal {
+		if err := p.EnableWAL(); err != nil {
+			b.Fatal(err)
+		}
+	}
 	_ = p.EnableMmap()
+	return p
+}
+
+// BenchmarkPinWarm measures the zero-copy read path against a warm
+// verified-bitmap on a real file: after the first lap every Pin is a
+// bitmap check plus a pointer into the mapping — no read, no copy, no
+// CRC. Without mmap support the same loop exercises the pool path.
+func BenchmarkPinWarm(b *testing.B) { benchPinWarm(b, false) }
+
+// BenchmarkPinWarmWAL is BenchmarkPinWarm with an empty log attached:
+// what Pin asks the log (does this page have a frame?) should cost a
+// load when the log holds nothing.
+func BenchmarkPinWarmWAL(b *testing.B) { benchPinWarm(b, true) }
+
+func benchPinWarm(b *testing.B, wal bool) {
+	p := warmPinPager(b, wal)
+	defer p.Close()
 	b.ReportAllocs()
 	b.SetBytes(PageSize)
 	b.ResetTimer()

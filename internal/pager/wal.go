@@ -44,6 +44,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // WAL file format constants.
@@ -100,6 +101,11 @@ type walState struct {
 	index     map[PageID][]walFrame // frames per page, ascending gen
 	size      int64                 // append offset (next frame lands here)
 	snapshots int
+	// frames counts the entries of index. It is written only where
+	// index is, under imu, and read without it: a log holding no frame
+	// (a read-only workload, or any time after a checkpoint) answers
+	// hasFrame with one load.
+	frames atomic.Int64
 
 	committedGen      uint64
 	committedNumPages uint32
@@ -396,6 +402,7 @@ func (p *Pager) walCommitBatch(w *walState, writers int) error {
 		id := c.pg.ID
 		w.index[id] = append(w.index[id], walFrame{gen: gen, off: offs[i]})
 	}
+	w.frames.Add(int64(len(caps)))
 	w.size = base + int64(len(buf))
 	w.stats.Frames += uint64(len(caps))
 	w.imu.Unlock()
@@ -446,6 +453,9 @@ func (w *walState) latestFrame(id PageID, gen uint64) (walFrame, bool) {
 // the page file image of id may be stale and reads must go through the
 // WAL-aware pool path instead of the mmap.
 func (w *walState) hasFrame(id PageID) bool {
+	if w.frames.Load() == 0 {
+		return false
+	}
 	w.imu.RLock()
 	defer w.imu.RUnlock()
 	return len(w.index[id]) > 0
@@ -556,6 +566,7 @@ func (p *Pager) checkpointWALLocked(w *walState, must bool) error {
 	// images again.
 	w.imu.Lock()
 	w.index = make(map[PageID][]walFrame)
+	w.frames.Store(0)
 	w.size = walHeaderSize
 	w.stats.Checkpoints++
 	w.stats.Syncs++

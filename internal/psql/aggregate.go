@@ -1,6 +1,9 @@
 package psql
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Aggregate functions over the qualifying row set. The paper motivates
 // them directly: "An aggregate function on a set of highway segments
@@ -56,12 +59,12 @@ func (st *execState) evalAggregate(f FuncCall, rows []row) (Datum, error) {
 		return Datum{}, errf(f.Pos, "nested aggregates are not allowed")
 	}
 
+	var d Datum
 	switch f.Name {
 	case "count":
 		n := int64(0)
-		for i := range rows {
-			d, err := st.eval(arg, &rows[i])
-			if err != nil {
+		for _, r := range rows {
+			if err := st.eval(arg, r, &d); err != nil {
 				return Datum{}, err
 			}
 			if d.Kind != KindNull {
@@ -71,16 +74,15 @@ func (st *execState) evalAggregate(f FuncCall, rows []row) (Datum, error) {
 		return intD(n), nil
 	case "min", "max":
 		best := null()
-		for i := range rows {
-			d, err := st.eval(arg, &rows[i])
-			if err != nil {
+		for _, r := range rows {
+			if err := st.eval(arg, r, &d); err != nil {
 				return Datum{}, err
 			}
 			if best.Kind == KindNull {
 				best = d
 				continue
 			}
-			c, err := compare(d, best)
+			c, err := compare(&d, &best)
 			if err != nil {
 				return Datum{}, errf(f.Pos, "%s: %v", f.Name, err)
 			}
@@ -93,9 +95,8 @@ func (st *execState) evalAggregate(f FuncCall, rows []row) (Datum, error) {
 		sum := 0.0
 		allInt := true
 		n := 0
-		for i := range rows {
-			d, err := st.eval(arg, &rows[i])
-			if err != nil {
+		for _, r := range rows {
+			if err := st.eval(arg, r, &d); err != nil {
 				return Datum{}, err
 			}
 			if !d.IsNumeric() {
@@ -124,14 +125,9 @@ func (st *execState) evalAggregate(f FuncCall, rows []row) (Datum, error) {
 // projectAggregates evaluates an all-aggregate target list into a
 // single result row.
 func (st *execState) projectAggregates(rows []row) (*Result, error) {
-	res := &Result{NodesVisited: st.visited, Plan: st.planNotes()}
-	out := make([]Datum, 0, len(st.q.Select))
-	for _, it := range st.q.Select {
-		name := it.Alias
-		if name == "" {
-			name = it.Expr.String()
-		}
-		res.Columns = append(res.Columns, name)
+	res := &Result{NodesVisited: st.visited, Plan: st.planNotes(), Columns: slices.Clone(st.columns)}
+	out := make([]Datum, 0, len(st.items))
+	for _, it := range st.items {
 		f, ok := it.Expr.(FuncCall)
 		if !ok || !aggNames[f.Name] {
 			return nil, fmt.Errorf("psql: cannot mix %q with aggregates in the target list (no group-by)", it.Expr)

@@ -6,10 +6,12 @@ package psql
 // invalidation when RegisterFunc replaces one), the positions of area
 // literals (for the prepared-window path), and the analyses of nested
 // mappings. Everything here depends only on the query text, so one
-// analysis is shared by every execution of a cached statement; the
-// cost-based choices that need catalog statistics (scan vs. index vs.
-// direct search, juxtaposition restriction and driving side) happen
-// per-execution in planner.go.
+// analysis is shared by every execution of a cached statement. What
+// depends on the catalog as well is resolved when the statement is
+// bound (bind.go); the cost-based choices that need statistics (scan
+// vs. index vs. direct search, juxtaposition restriction and driving
+// side) are made in planner.go and exec.go, and kept while the
+// statistics stand.
 
 // conjunct is one top-level AND term of the qualification, with its
 // static cost rank.
@@ -122,18 +124,6 @@ func analyze(q *Query) *analysis {
 		}
 	}
 	return an
-}
-
-// forQuery returns the analysis of a nested mapping's query, falling
-// back to a fresh analysis when q was executed outside its parent
-// statement.
-func (an *analysis) forQuery(q *Query) *analysis {
-	if an != nil {
-		if sub, ok := an.sub[q]; ok {
-			return sub
-		}
-	}
-	return analyze(q)
 }
 
 // rankConjunct estimates e's selectivity and evaluation cost.

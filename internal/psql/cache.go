@@ -3,12 +3,16 @@ package psql
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 )
 
-// The statement cache maps exact query text to its parsed AST and
-// syntactic analysis, so repeated queries skip lexing, parsing, and
-// conjunct ranking. Cached ASTs are read-only: execution never mutates
-// a Query, which is what makes one entry safe to share across
+// The statement cache maps exact query text to its parsed AST, its
+// syntactic analysis and, from the first execution on, the statement
+// bound to the catalog (bind.go), so repeated queries skip lexing,
+// parsing, conjunct ranking, name resolution and — while nothing a
+// price reads has changed — pricing. Everything an entry holds is
+// read-only once published: execution never mutates a Query or a
+// boundStmt, which is what makes one entry safe to share across
 // concurrent Run calls. Entries record which functions the statement
 // references; RegisterFunc evicts exactly those entries, so a cached
 // plan can never call a stale function implementation.
@@ -25,10 +29,30 @@ type CacheStats struct {
 	Invalidations uint64 // entries evicted by RegisterFunc
 }
 
+// stmtEntry is one statement text parsed once: what the cache keeps per
+// text, what a Prepared holds, and what stands for a nested mapping
+// inside its parent's entry.
 type stmtEntry struct {
 	src string
 	q   *Query
 	an  *analysis
+	// sub holds an entry for each nested mapping of q's at-clause.
+	sub map[*Query]*stmtEntry
+	// bound is the statement as last bound to the catalog, nil until the
+	// first planned execution. Executor.run checks it against the
+	// catalog on every use and replaces it when it no longer holds.
+	bound atomic.Pointer[boundStmt]
+}
+
+func newStmtEntry(src string, q *Query, an *analysis) *stmtEntry {
+	ent := &stmtEntry{src: src, q: q, an: an}
+	if len(an.sub) > 0 {
+		ent.sub = make(map[*Query]*stmtEntry, len(an.sub))
+		for sq, san := range an.sub {
+			ent.sub[sq] = newStmtEntry("", sq, san)
+		}
+	}
+	return ent
 }
 
 // stmtCache is a mutex-guarded LRU over parsed statements. Operations
@@ -68,15 +92,15 @@ func (c *stmtCache) get(src string) (*stmtEntry, bool) {
 // put inserts a parsed statement, evicting the least recently used
 // entry at capacity. A concurrent insert of the same text wins
 // whichever lands last; both hold equivalent parses.
-func (c *stmtCache) put(src string, q *Query, an *analysis) {
+func (c *stmtCache) put(ent *stmtEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[src]; ok {
-		el.Value = &stmtEntry{src: src, q: q, an: an}
+	if el, ok := c.m[ent.src]; ok {
+		el.Value = ent
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.m[src] = c.ll.PushFront(&stmtEntry{src: src, q: q, an: an})
+	c.m[ent.src] = c.ll.PushFront(ent)
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

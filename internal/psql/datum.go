@@ -73,20 +73,28 @@ func locD(l relation.LocRef) Datum {
 	return Datum{Kind: KindLoc, Loc: l}
 }
 
-// fromValue converts a stored relation value to a runtime datum.
-func fromValue(v relation.Value) Datum {
+// setFromValue writes a stored relation value to out as a runtime
+// datum.
+func setFromValue(out *Datum, v *relation.Value) {
 	switch v.Type {
 	case relation.TypeInt:
-		return intD(v.Int)
+		*out = intD(v.Int)
 	case relation.TypeFloat:
-		return floatD(v.Float)
+		*out = floatD(v.Float)
 	case relation.TypeString:
-		return stringD(v.Str)
+		*out = stringD(v.Str)
 	case relation.TypeLoc:
-		return locD(v.Loc)
+		*out = locD(v.Loc)
 	default:
-		return null()
+		*out = null()
 	}
+}
+
+// fromValue converts a stored relation value to a runtime datum.
+func fromValue(v relation.Value) Datum {
+	var d Datum
+	setFromValue(&d, &v)
+	return d
 }
 
 // IsNumeric reports whether the datum is an int or float.
@@ -135,7 +143,7 @@ func (d Datum) String() string {
 
 // compare orders two datums, promoting ints to floats. It returns an
 // error for incomparable kinds.
-func compare(a, b Datum) (int, error) {
+func compare(a, b *Datum) (int, error) {
 	if a.IsNumeric() && b.IsNumeric() {
 		av, bv := a.AsFloat(), b.AsFloat()
 		switch {

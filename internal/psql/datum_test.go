@@ -59,7 +59,7 @@ func TestDatumCompare(t *testing.T) {
 		{locD(relation.LocRef{Picture: "a", Object: 2}), locD(relation.LocRef{Picture: "a", Object: 2}), 0},
 	}
 	for _, tt := range tests {
-		got, err := compare(tt.a, tt.b)
+		got, err := compare(&tt.a, &tt.b)
 		if err != nil {
 			t.Errorf("compare(%v, %v): %v", tt.a, tt.b, err)
 			continue
@@ -68,10 +68,11 @@ func TestDatumCompare(t *testing.T) {
 			t.Errorf("compare(%v, %v) = %d, want %d", tt.a, tt.b, got, tt.want)
 		}
 	}
-	if _, err := compare(intD(1), stringD("x")); err == nil {
+	one, x, unit := intD(1), stringD("x"), rectD(geom.R(0, 0, 1, 1))
+	if _, err := compare(&one, &x); err == nil {
 		t.Error("int vs string comparison should error")
 	}
-	if _, err := compare(rectD(geom.R(0, 0, 1, 1)), rectD(geom.R(0, 0, 1, 1))); err == nil {
+	if _, err := compare(&unit, &unit); err == nil {
 		t.Error("rect ordering should error (no total order)")
 	}
 }
@@ -79,7 +80,7 @@ func TestDatumCompare(t *testing.T) {
 func TestDatumsEqual(t *testing.T) {
 	eq := func(a, b Datum, want bool) {
 		t.Helper()
-		got, err := datumsEqual(a, b)
+		got, err := datumsEqual(&a, &b)
 		if err != nil {
 			t.Errorf("datumsEqual(%v, %v): %v", a, b, err)
 			return
@@ -96,7 +97,8 @@ func TestDatumsEqual(t *testing.T) {
 	eq(null(), intD(0), false)
 	eq(rectD(geom.R(0, 0, 1, 1)), rectD(geom.R(0, 0, 1, 1)), true)
 	eq(locD(relation.LocRef{Picture: "m", Object: 1}), locD(relation.LocRef{Picture: "m", Object: 1}), true)
-	if _, err := datumsEqual(intD(1), rectD(geom.R(0, 0, 1, 1))); err == nil {
+	one, unit := intD(1), rectD(geom.R(0, 0, 1, 1))
+	if _, err := datumsEqual(&one, &unit); err == nil {
 		t.Error("int vs rect equality should error")
 	}
 }

@@ -9,7 +9,32 @@ import (
 )
 
 // This file evaluates where-clause and target-list expressions over
-// one candidate row.
+// one candidate row. A result is written through an out-parameter: a
+// Datum is 104 bytes, and returning one by value through every level of
+// an expression was a measurable share of a statement.
+
+// boundCol is a column reference the binder resolved once, when the
+// statement was bound: evaluating it is an index into the row. A
+// reference the binder could not resolve stays a plain ColumnRef, which
+// the evaluator resolves by name — and so reports the error — on the
+// first row it meets; the naive executor binds nothing and evaluates
+// every reference that way.
+type boundCol struct {
+	ColumnRef
+	bi, ci int
+}
+
+// pictureNamed resolves a picture name a loc value carries: one of the
+// statement's own on-clause pictures, as a rule, and the catalog's
+// otherwise.
+func (st *execState) pictureNamed(name string) (*picture.Picture, bool) {
+	for i := range st.bindings {
+		if b := &st.bindings[i]; b.pic != nil && b.picture == name {
+			return b.pic, true
+		}
+	}
+	return st.e.cat.Picture(name)
+}
 
 // resolveLoc populates a loc datum's Rect from the referenced picture
 // object and returns the object for function use.
@@ -17,7 +42,7 @@ func (st *execState) resolveLoc(d *Datum) *picture.Object {
 	if d.Kind != KindLoc || d.Loc.IsZero() {
 		return nil
 	}
-	pic, ok := st.e.cat.Picture(d.Loc.Picture)
+	pic, ok := st.pictureNamed(d.Loc.Picture)
 	if !ok {
 		return nil
 	}
@@ -32,20 +57,20 @@ func (st *execState) resolveLoc(d *Datum) *picture.Object {
 // resolveColumn finds the binding and the column index a column
 // reference names: a qualified reference names that binding's column,
 // an unqualified one the single binding that has the column.
-func (st *execState) resolveColumn(ref ColumnRef) (bi, ci int, err error) {
+func resolveColumn(bindings []binding, ref ColumnRef) (bi, ci int, err error) {
 	if ref.Table != "" {
-		bi, err := st.bindingIndex(ref.Table, ref.Pos)
+		bi, err := bindingIndex(bindings, ref.Table, ref.Pos)
 		if err != nil {
 			return 0, 0, err
 		}
-		ci := st.bindings[bi].schema.ColumnIndex(ref.Column)
+		ci := bindings[bi].schema.ColumnIndex(ref.Column)
 		if ci < 0 {
 			return 0, 0, errf(ref.Pos, "relation %q has no column %q", ref.Table, ref.Column)
 		}
 		return bi, ci, nil
 	}
 	bi = -1
-	for k, b := range st.bindings {
+	for k, b := range bindings {
 		if at := b.schema.ColumnIndex(ref.Column); at >= 0 {
 			if bi >= 0 {
 				return 0, 0, errf(ref.Pos, "column %q is ambiguous; qualify it", ref.Column)
@@ -59,178 +84,193 @@ func (st *execState) resolveColumn(ref ColumnRef) (bi, ci int, err error) {
 	return bi, ci, nil
 }
 
-// lookupColumn finds the value of a column reference in the row.
-func (st *execState) lookupColumn(ref ColumnRef, r *row) (Datum, error) {
-	bi, ci, err := st.resolveColumn(ref)
-	if err != nil {
-		return Datum{}, err
+// column writes the value of column ci of binding bi in row r to out.
+func (st *execState) column(ref ColumnRef, bi, ci int, r row, out *Datum) error {
+	if r[bi] == nil {
+		return errf(ref.Pos, "internal: binding %q has no tuple", st.bindings[bi].name)
 	}
-	if r.tuples[bi] == nil {
-		return Datum{}, errf(ref.Pos, "internal: binding %q has no tuple", st.bindings[bi].name)
+	setFromValue(out, &r[bi][ci])
+	if out.Kind == KindLoc {
+		st.resolveLoc(out)
 	}
-	d := fromValue(r.tuples[bi][ci])
-	if d.Kind == KindLoc {
-		st.resolveLoc(&d)
-	}
-	return d, nil
+	return nil
 }
 
-// eval evaluates an expression over row r.
-func (st *execState) eval(e Expr, r *row) (Datum, error) {
+// eval evaluates an expression over row r into out.
+func (st *execState) eval(e Expr, r row, out *Datum) error {
 	switch ex := e.(type) {
 	case NumberLit:
 		if ex.IsInt {
-			return intD(ex.Int), nil
+			*out = intD(ex.Int)
+		} else {
+			*out = floatD(ex.Value)
 		}
-		return floatD(ex.Value), nil
+		return nil
 	case StringLit:
-		return stringD(ex.Value), nil
+		*out = stringD(ex.Value)
+		return nil
 	case AreaLit:
-		return rectD(geom.WindowAt(ex.CX, ex.DX, ex.CY, ex.DY)), nil
+		*out = rectD(geom.WindowAt(ex.CX, ex.DX, ex.CY, ex.DY))
+		return nil
+	case boundCol:
+		return st.column(ex.ColumnRef, ex.bi, ex.ci, r, out)
 	case ColumnRef:
-		return st.lookupColumn(ex, r)
+		bi, ci, err := resolveColumn(st.bindings, ex)
+		if err != nil {
+			return err
+		}
+		return st.column(ex, bi, ci, r, out)
 	case UnaryExpr:
-		return st.evalUnary(ex, r)
+		return st.evalUnary(ex, r, out)
 	case BinaryExpr:
-		return st.evalBinary(ex, r)
+		return st.evalBinary(ex, r, out)
 	case FuncCall:
-		return st.evalFunc(ex, r)
+		return st.evalFunc(ex, r, out)
 	}
-	return Datum{}, fmt.Errorf("psql: unhandled expression %T", e)
+	return fmt.Errorf("psql: unhandled expression %T", e)
 }
 
-func (st *execState) evalUnary(ex UnaryExpr, r *row) (Datum, error) {
-	d, err := st.eval(ex.Expr, r)
-	if err != nil {
-		return Datum{}, err
+// truth evaluates e over r as a condition.
+func (st *execState) truth(e Expr, r row) (bool, error) {
+	var d Datum
+	if err := st.eval(e, r, &d); err != nil {
+		return false, err
+	}
+	return d.Truth()
+}
+
+func (st *execState) evalUnary(ex UnaryExpr, r row, out *Datum) error {
+	if err := st.eval(ex.Expr, r, out); err != nil {
+		return err
 	}
 	switch ex.Op {
 	case "not":
-		b, err := d.Truth()
+		b, err := out.Truth()
 		if err != nil {
-			return Datum{}, err
+			return err
 		}
-		return boolD(!b), nil
+		*out = boolD(!b)
+		return nil
 	case "-":
-		switch d.Kind {
+		switch out.Kind {
 		case KindInt:
-			return intD(-d.Int), nil
+			*out = intD(-out.Int)
+			return nil
 		case KindFloat:
-			return floatD(-d.Float), nil
+			*out = floatD(-out.Float)
+			return nil
 		}
-		return Datum{}, errf(ex.Pos, "cannot negate %s", d.Kind)
+		return errf(ex.Pos, "cannot negate %s", out.Kind)
 	}
-	return Datum{}, errf(ex.Pos, "unknown unary operator %q", ex.Op)
+	return errf(ex.Pos, "unknown unary operator %q", ex.Op)
 }
 
-func (st *execState) evalBinary(ex BinaryExpr, r *row) (Datum, error) {
+func (st *execState) evalBinary(ex BinaryExpr, r row, out *Datum) error {
 	// Short-circuit booleans.
 	if ex.Op == "and" || ex.Op == "or" {
-		l, err := st.eval(ex.Left, r)
+		lb, err := st.truth(ex.Left, r)
 		if err != nil {
-			return Datum{}, err
+			return err
 		}
-		lb, err := l.Truth()
+		if lb == (ex.Op == "or") {
+			*out = boolD(lb)
+			return nil
+		}
+		rb, err := st.truth(ex.Right, r)
 		if err != nil {
-			return Datum{}, err
+			return err
 		}
-		if ex.Op == "and" && !lb {
-			return boolD(false), nil
-		}
-		if ex.Op == "or" && lb {
-			return boolD(true), nil
-		}
-		rd, err := st.eval(ex.Right, r)
-		if err != nil {
-			return Datum{}, err
-		}
-		rb, err := rd.Truth()
-		if err != nil {
-			return Datum{}, err
-		}
-		return boolD(rb), nil
+		*out = boolD(rb)
+		return nil
 	}
 
-	l, err := st.eval(ex.Left, r)
-	if err != nil {
-		return Datum{}, err
+	var l, rd Datum
+	if err := st.eval(ex.Left, r, &l); err != nil {
+		return err
 	}
-	rd, err := st.eval(ex.Right, r)
-	if err != nil {
-		return Datum{}, err
+	if err := st.eval(ex.Right, r, &rd); err != nil {
+		return err
 	}
 
 	// Spatial infix operators over loc/area values.
 	if op, ok := spatialOpFromIdent(ex.Op); ok {
 		if (l.Kind != KindLoc && l.Kind != KindRect) || (rd.Kind != KindLoc && rd.Kind != KindRect) {
-			return Datum{}, errf(ex.Pos, "spatial operator %q needs loc or area operands, got %s and %s", ex.Op, l.Kind, rd.Kind)
+			return errf(ex.Pos, "spatial operator %q needs loc or area operands, got %s and %s", ex.Op, l.Kind, rd.Kind)
 		}
-		return boolD(spatialPred(op)(l.Rect, rd.Rect)), nil
+		*out = boolD(spatialPred(op)(l.Rect, rd.Rect))
+		return nil
 	}
 
 	switch ex.Op {
 	case "=", "<>":
-		eq, err := datumsEqual(l, rd)
+		eq, err := datumsEqual(&l, &rd)
 		if err != nil {
-			return Datum{}, errf(ex.Pos, "%v", err)
+			return errf(ex.Pos, "%v", err)
 		}
-		if ex.Op == "<>" {
-			eq = !eq
-		}
-		return boolD(eq), nil
+		*out = boolD(eq == (ex.Op == "="))
+		return nil
 	case "<", "<=", ">", ">=":
-		c, err := compare(l, rd)
+		c, err := compare(&l, &rd)
 		if err != nil {
-			return Datum{}, errf(ex.Pos, "%v", err)
+			return errf(ex.Pos, "%v", err)
 		}
-		switch ex.Op {
-		case "<":
-			return boolD(c < 0), nil
-		case "<=":
-			return boolD(c <= 0), nil
-		case ">":
-			return boolD(c > 0), nil
-		default:
-			return boolD(c >= 0), nil
-		}
+		*out = boolD(orderHolds(ex.Op, c))
+		return nil
 	case "+", "-", "*", "/":
 		if !l.IsNumeric() || !rd.IsNumeric() {
-			return Datum{}, errf(ex.Pos, "arithmetic on %s and %s", l.Kind, rd.Kind)
+			return errf(ex.Pos, "arithmetic on %s and %s", l.Kind, rd.Kind)
 		}
 		if l.Kind == KindInt && rd.Kind == KindInt {
 			switch ex.Op {
 			case "+":
-				return intD(l.Int + rd.Int), nil
+				*out = intD(l.Int + rd.Int)
 			case "-":
-				return intD(l.Int - rd.Int), nil
+				*out = intD(l.Int - rd.Int)
 			case "*":
-				return intD(l.Int * rd.Int), nil
+				*out = intD(l.Int * rd.Int)
 			default:
 				if rd.Int == 0 {
-					return Datum{}, errf(ex.Pos, "division by zero")
+					return errf(ex.Pos, "division by zero")
 				}
-				return intD(l.Int / rd.Int), nil
+				*out = intD(l.Int / rd.Int)
 			}
+			return nil
 		}
 		a, b := l.AsFloat(), rd.AsFloat()
 		switch ex.Op {
 		case "+":
-			return floatD(a + b), nil
+			*out = floatD(a + b)
 		case "-":
-			return floatD(a - b), nil
+			*out = floatD(a - b)
 		case "*":
-			return floatD(a * b), nil
+			*out = floatD(a * b)
 		default:
 			if b == 0 {
-				return Datum{}, errf(ex.Pos, "division by zero")
+				return errf(ex.Pos, "division by zero")
 			}
-			return floatD(a / b), nil
+			*out = floatD(a / b)
 		}
+		return nil
 	}
-	return Datum{}, errf(ex.Pos, "unknown operator %q", ex.Op)
+	return errf(ex.Pos, "unknown operator %q", ex.Op)
 }
 
-func datumsEqual(a, b Datum) (bool, error) {
+// orderHolds reports whether a comparison result c (negative, zero,
+// positive) satisfies the ordering operator op.
+func orderHolds(op string, c int) bool {
+	switch op {
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	case ">":
+		return c > 0
+	default: // ">="
+		return c >= 0
+	}
+}
+
+func datumsEqual(a, b *Datum) (bool, error) {
 	if a.IsNumeric() && b.IsNumeric() {
 		return a.AsFloat() == b.AsFloat(), nil
 	}
@@ -249,25 +289,24 @@ func datumsEqual(a, b Datum) (bool, error) {
 	return false, fmt.Errorf("cannot compare %s with %s", a.Kind, b.Kind)
 }
 
-func (st *execState) evalFunc(ex FuncCall, r *row) (Datum, error) {
+func (st *execState) evalFunc(ex FuncCall, r row, out *Datum) error {
 	fn, ok := st.e.lookupFunc(ex.Name)
 	if !ok {
-		return Datum{}, errf(ex.Pos, "unknown function %q", ex.Name)
+		return errf(ex.Pos, "unknown function %q", ex.Name)
 	}
-	ctx := &FuncContext{Name: ex.Name, Pos: ex.Pos}
-	for _, arg := range ex.Args {
-		d, err := st.eval(arg, r)
-		if err != nil {
-			return Datum{}, err
+	ctx := &FuncContext{Name: ex.Name, Pos: ex.Pos, Args: make([]Datum, len(ex.Args)), Objects: make([]*picture.Object, len(ex.Args))}
+	for i, arg := range ex.Args {
+		d := &ctx.Args[i]
+		if err := st.eval(arg, r, d); err != nil {
+			return err
 		}
-		var obj *picture.Object
 		if d.Kind == KindLoc {
-			obj = st.resolveLoc(&d)
+			ctx.Objects[i] = st.resolveLoc(d)
 		}
-		ctx.Args = append(ctx.Args, d)
-		ctx.Objects = append(ctx.Objects, obj)
 	}
-	return fn(ctx)
+	d, err := fn(ctx)
+	*out = d
+	return err
 }
 
 // datumToValue converts a datum back to a storable relation value

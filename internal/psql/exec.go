@@ -3,7 +3,7 @@ package psql
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -89,19 +89,20 @@ func (e *Executor) lookupFunc(name string) (Func, bool) {
 // CacheStats reports the statement cache's hit/miss/eviction counters.
 func (e *Executor) CacheStats() CacheStats { return e.cache.stats() }
 
-// Run parses and executes one PSQL mapping, reusing the cached parse
-// and analysis when the exact query text was run before.
+// Run parses and executes one PSQL mapping, reusing the cached parse,
+// analysis and bound statement when the exact query text was run
+// before.
 func (e *Executor) Run(src string) (*Result, error) {
-	if ent, ok := e.cache.get(src); ok {
-		return e.exec(ent.q, ent.an, execOpts{})
+	ent, ok := e.cache.get(src)
+	if !ok {
+		q, err := Parse(src)
+		if err != nil {
+			return nil, err
+		}
+		ent = newStmtEntry(src, q, analyze(q))
+		e.cache.put(ent)
 	}
-	q, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	an := analyze(q)
-	e.cache.put(src, q, an)
-	return e.exec(q, an, execOpts{})
+	return e.run(ent, execOpts{})
 }
 
 // RunNaive parses and executes src through the naive reference path:
@@ -116,17 +117,17 @@ func (e *Executor) RunNaive(src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.exec(q, analyze(q), execOpts{naive: true})
+	return e.run(newStmtEntry(src, q, analyze(q)), execOpts{naive: true})
 }
 
 // Prepared is a statement parsed and analyzed once, whose at-clause
 // window is supplied per execution — the prepared-parameter path for
 // repeated point-in-window queries, including windows inside nested
-// mappings.
+// mappings. It holds what a cache entry holds — the parse, the analysis
+// and the bound statement — plus the one literal that is a hole.
 type Prepared struct {
 	e   *Executor
-	q   *Query
-	an  *analysis
+	ent *stmtEntry
 	pos int // source position of the area literal ExecWindow overrides
 }
 
@@ -143,35 +144,25 @@ func (e *Executor) Prepare(src string) (*Prepared, error) {
 	if len(an.areas) != 1 {
 		return nil, fmt.Errorf("psql: prepare needs exactly one at-clause area literal, found %d", len(an.areas))
 	}
-	return &Prepared{e: e, q: q, an: an, pos: an.areas[0]}, nil
+	return &Prepared{e: e, ent: newStmtEntry(src, q, an), pos: an.areas[0]}, nil
 }
 
 // Exec runs the prepared statement with its original window.
 func (p *Prepared) Exec() (*Result, error) {
-	return p.e.exec(p.q, p.an, execOpts{})
+	return p.e.run(p.ent, execOpts{})
 }
 
 // ExecWindow runs the prepared statement with the area literal
-// replaced by {cx±dx, cy±dy}. The parse, analysis, and plan skeleton
-// are reused; only the window changes.
+// replaced by {cx±dx, cy±dy}. The parse, analysis, and bound statement
+// are reused; only the window changes, and with it the price of the
+// access path.
 func (p *Prepared) ExecWindow(cx, dx, cy, dy float64) (*Result, error) {
 	w := geom.WindowAt(cx, dx, cy, dy)
-	return p.e.exec(p.q, p.an, execOpts{window: &w, windowPos: p.pos})
-}
-
-// binding is one from-clause entry resolved against the catalog.
-type binding struct {
-	name    string // alias or relation name
-	rel     *relation.Relation
-	schema  relation.Schema
-	picture string // picture from the on-clause, "" when none
+	return p.e.run(p.ent, execOpts{window: &w, windowPos: p.pos})
 }
 
 // row is one candidate result row: a tuple per binding.
-type row struct {
-	ids    []storage.TupleID
-	tuples []relation.Tuple
-}
+type row []relation.Tuple
 
 // execOpts carries per-execution modes threaded through nested
 // mappings.
@@ -186,20 +177,15 @@ type execOpts struct {
 	windowPos int
 }
 
-// execState carries one query execution.
+// execState carries one execution of a bound statement.
 type execState struct {
-	e        *Executor
-	q        *Query
-	an       *analysis
-	opts     execOpts
-	bindings []binding
-	// need[i][ci] marks the columns of binding i the query references;
-	// nil means decode every column (naive mode / select *).
-	need    [][]bool
+	*boundStmt
+	e       *Executor
+	opts    execOpts
 	visited int
 	// pushed[i] marks where-conjunct i as already evaluated by a plan
-	// step ahead of the joined row (a juxtaposition restriction);
-	// qualifies skips it. nil when nothing was pushed.
+	// step ahead of the joined row (fetchKept); qualifies skips it. nil
+	// when nothing was pushed.
 	pushed   []bool
 	plan     []string
 	subnotes []string // plan notes of nested mappings, reported after the outer plan
@@ -219,215 +205,87 @@ func (st *execState) planNotes() []string {
 	return append(append([]string(nil), st.plan...), st.subnotes...)
 }
 
-// Exec executes a parsed query (analyzing it on the spot; Run serves
-// repeated text through the statement cache instead).
+// Exec executes a parsed query (analyzing and binding it on the spot;
+// Run serves repeated text through the statement cache instead).
 func (e *Executor) Exec(q *Query) (*Result, error) {
-	return e.exec(q, analyze(q), execOpts{})
+	return e.run(newStmtEntry("", q, analyze(q)), execOpts{})
 }
 
-// exec executes a parsed and analyzed query.
-func (e *Executor) exec(q *Query, an *analysis, opts execOpts) (*Result, error) {
-	st := &execState{e: e, q: q, an: an, opts: opts}
-	if err := st.resolveFrom(); err != nil {
-		return nil, err
+// run executes ent's statement: the naive executor binds it afresh, the
+// planned one uses the entry's bound statement when it still holds
+// against the catalog and binds again, for everyone after, when not.
+func (e *Executor) run(ent *stmtEntry, opts execOpts) (*Result, error) {
+	if opts.naive {
+		b, err := e.bind(ent, true)
+		if err != nil {
+			return nil, err
+		}
+		return e.exec(b, opts)
 	}
-	st.computeNeed()
+	b := ent.bound.Load()
+	if b == nil || !b.current(e.cat) {
+		var err error
+		if b, err = e.bind(ent, false); err != nil {
+			return nil, err
+		}
+		ent.bound.Store(b)
+	}
+	return e.exec(b, opts)
+}
+
+// exec executes a bound statement.
+func (e *Executor) exec(b *boundStmt, opts execOpts) (*Result, error) {
+	st := &execState{boundStmt: b, e: e, opts: opts}
 	rows, err := st.candidateRows()
 	if err != nil {
 		return nil, err
 	}
 	// Qualification filter.
-	if q.Where != nil && hasAggregate(q.Where) {
-		return nil, fmt.Errorf("psql: aggregates are not allowed in the where-clause")
-	}
-	if q.Where != nil {
+	if st.q.Where != nil {
 		kept := rows[:0]
-		for i := range rows {
-			ok, err := st.qualifies(&rows[i])
+		for _, r := range rows {
+			ok, err := st.qualifies(r)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				kept = append(kept, rows[i])
+				kept = append(kept, r)
 			}
 		}
 		rows = kept
 	}
-	// An aggregated target list collapses to one row; order-by and
-	// limit are meaningless then.
-	for _, it := range q.Select {
-		if isAggregate(it.Expr) {
-			if len(q.OrderBy) > 0 || q.Limit != nil {
-				return nil, fmt.Errorf("psql: order by / limit cannot combine with aggregates")
-			}
-			return st.projectAggregates(rows)
-		}
+	if st.aggregate {
+		return st.projectAggregates(rows)
 	}
-	if len(q.OrderBy) > 0 {
+	if len(st.q.OrderBy) > 0 {
 		if err := st.orderRows(rows); err != nil {
 			return nil, err
 		}
 	}
-	if q.Limit != nil && len(rows) > *q.Limit {
-		rows = rows[:*q.Limit]
+	if st.q.Limit != nil && len(rows) > *st.q.Limit {
+		rows = rows[:*st.q.Limit]
 	}
 	return st.project(rows)
-}
-
-func (st *execState) resolveFrom() error {
-	q := st.q
-	if len(q.From) == 0 {
-		return fmt.Errorf("psql: query has no from-clause")
-	}
-	seen := map[string]bool{}
-	for i, ref := range q.From {
-		rel, ok := st.e.cat.Relation(ref.Relation)
-		if !ok {
-			return fmt.Errorf("psql: unknown relation %q", ref.Relation)
-		}
-		b := binding{name: ref.Binding(), rel: rel, schema: rel.Schema()}
-		if seen[b.name] {
-			return fmt.Errorf("psql: duplicate relation binding %q", b.name)
-		}
-		seen[b.name] = true
-		// Positional on-clause match; a single picture applies to all.
-		switch {
-		case len(q.On) == 0:
-		case len(q.On) == 1:
-			b.picture = q.On[0]
-		case len(q.On) == len(q.From):
-			b.picture = q.On[i]
-		default:
-			return fmt.Errorf("psql: on-clause lists %d pictures for %d relations", len(q.On), len(q.From))
-		}
-		if b.picture != "" {
-			if _, ok := st.e.cat.Picture(b.picture); !ok {
-				return fmt.Errorf("psql: unknown picture %q", b.picture)
-			}
-		}
-		st.bindings = append(st.bindings, b)
-	}
-	return nil
 }
 
 // qualifies applies the where-clause to one row. The planned path
 // evaluates the analysis's cost-ordered conjuncts with short-circuit
 // AND — cheap, selective terms reject rows before expensive function
-// calls run — and skips the terms a juxtaposition restriction already
-// evaluated; the naive path evaluates the qualification exactly as
-// written.
-func (st *execState) qualifies(r *row) (bool, error) {
-	if st.opts.naive || st.an == nil || (len(st.an.conjuncts) <= 1 && st.pushed == nil) {
-		d, err := st.eval(st.q.Where, r)
-		if err != nil {
-			return false, err
-		}
-		return d.Truth()
+// calls run — and skips the terms a fetch already evaluated; the naive
+// path evaluates the qualification exactly as written.
+func (st *execState) qualifies(r row) (bool, error) {
+	if st.opts.naive {
+		return st.truth(st.q.Where, r)
 	}
-	for i, c := range st.an.conjuncts {
+	for i, c := range st.conjuncts {
 		if st.pushed != nil && st.pushed[i] {
 			continue
 		}
-		d, err := st.eval(c.expr, r)
-		if err != nil {
+		if ok, err := st.truth(c, r); err != nil || !ok {
 			return false, err
-		}
-		ok, err := d.Truth()
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
 		}
 	}
 	return true, nil
-}
-
-// computeNeed marks, per binding, the columns any select, where, or
-// order-by expression references, so batch materialization can skip
-// decoding the rest (column-lazy). Unqualified references mark every
-// binding that has the column — over-marking is safe, under-marking is
-// not. Naive mode and select * decode everything (need stays nil /
-// all-true).
-func (st *execState) computeNeed() {
-	if st.opts.naive {
-		return
-	}
-	need := make([][]bool, len(st.bindings))
-	for i, b := range st.bindings {
-		need[i] = make([]bool, b.schema.Arity())
-	}
-	if st.q.Star {
-		for i := range need {
-			for j := range need[i] {
-				need[i][j] = true
-			}
-		}
-	}
-	mark := func(ref ColumnRef) {
-		for i, b := range st.bindings {
-			if ref.Table != "" && ref.Table != b.name {
-				continue
-			}
-			if ci := b.schema.ColumnIndex(ref.Column); ci >= 0 {
-				need[i][ci] = true
-			}
-		}
-	}
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		switch ex := e.(type) {
-		case ColumnRef:
-			mark(ex)
-		case UnaryExpr:
-			walk(ex.Expr)
-		case BinaryExpr:
-			walk(ex.Left)
-			walk(ex.Right)
-		case FuncCall:
-			for _, a := range ex.Args {
-				walk(a)
-			}
-		}
-	}
-	for _, it := range st.q.Select {
-		walk(it.Expr)
-	}
-	if st.q.Where != nil {
-		walk(st.q.Where)
-	}
-	for _, ob := range st.q.OrderBy {
-		walk(ob.Expr)
-	}
-	st.need = need
-}
-
-// needLoc additionally marks binding bi's loc column, for plans that
-// re-check the at-clause against materialized tuples.
-func (st *execState) needLoc(bi int) {
-	if st.need == nil {
-		return
-	}
-	if li := st.bindings[bi].schema.LocColumn(); li >= 0 {
-		st.need[bi][li] = true
-	}
-}
-
-// bindingIndex resolves a table name (alias) to its binding index; an
-// empty table name matches when there is exactly one binding.
-func (st *execState) bindingIndex(table string, pos int) (int, error) {
-	if table == "" {
-		if len(st.bindings) == 1 {
-			return 0, nil
-		}
-		return 0, errf(pos, "ambiguous unqualified loc with %d relations", len(st.bindings))
-	}
-	for i, b := range st.bindings {
-		if b.name == table {
-			return i, nil
-		}
-	}
-	return 0, errf(pos, "unknown relation %q", table)
 }
 
 // scanIDs returns every tuple id of binding i.
@@ -473,149 +331,164 @@ func converse(op SpatialOp) SpatialOp {
 // conjunct can use the B-tree index instead of a scan — the paper's
 // "indexed the usual way" alphanumeric path. Access paths are chosen
 // by the cost model in planner.go; the naive reference mode bypasses
-// it entirely.
+// it entirely. Every id list handed on is in canonical ascending order,
+// made so where it was produced, and nothing downstream sorts again.
 func (st *execState) candidateRows() ([]row, error) {
 	if st.opts.naive {
 		return st.naiveRows()
 	}
-	at := st.q.At
-	if at == nil {
-		if len(st.bindings) == 1 {
-			if ids, ok := st.indexedCandidates(); ok {
-				sortTupleIDs(ids)
-				return st.cartesian(map[int][]storage.TupleID{0: ids})
-			}
-		}
-		st.note("scan: full scan of %d relation(s)", len(st.bindings))
-		return st.cartesian(nil)
+	at := &st.at
+	if at.err != nil {
+		return nil, at.err
 	}
-
-	// Normalize: if the left side is not a loc term but the right is,
-	// flip using the converse operator so the loc ends up on the left.
-	left, op, right := at.Left, at.Op, at.Right
-	if _, lok := left.(LocTerm); !lok {
-		if _, rok := right.(LocTerm); rok {
-			left, right = right, left
-			op = converse(op)
-		}
-	}
-
-	switch l := left.(type) {
-	case LocTerm:
-		bi, err := st.bindingIndex(l.Table, l.Pos)
+	switch at.kind {
+	case atWindow:
+		windows, err := st.termWindows(at.right)
 		if err != nil {
 			return nil, err
 		}
-		switch r := right.(type) {
-		case LocTerm:
-			// Juxtaposition: simultaneous search of two R-trees.
-			bj, err := st.bindingIndex(r.Table, r.Pos)
-			if err != nil {
-				return nil, err
-			}
-			if bi == bj {
-				return nil, errf(at.Pos, "at-clause relates %q to itself", l.Table)
-			}
-			return st.juxtapose(bi, bj, op)
-		default:
-			windows, err := st.termWindows(right)
-			if err != nil {
-				return nil, err
-			}
-			ids, err := st.planWindowSearch(bi, op, windows)
-			if err != nil {
-				return nil, err
-			}
-			sortTupleIDs(ids)
-			fixed := map[int][]storage.TupleID{bi: ids}
-			return st.cartesian(fixed)
+		ids, err := st.planWindowSearch(at.bi, at.op, windows)
+		if err != nil {
+			return nil, err
 		}
-	default:
+		return st.cartesian(at.bi, ids)
+	case atJuxtapose:
+		return st.juxtapose(at.bi, at.bj, at.op)
+	case atConstant:
 		// No loc side at all: a constant predicate.
-		lw, err := st.termWindows(left)
-		if err != nil {
+		holds, err := st.constantAt()
+		if err != nil || !holds {
 			return nil, err
 		}
-		rw, err := st.termWindows(right)
-		if err != nil {
-			return nil, err
-		}
-		if !constantAtHolds(lw, rw, op) {
-			return nil, nil
-		}
-		return st.cartesian(nil)
+		return st.cartesian(-1, nil)
 	}
+	ids, ok, err := st.indexedCandidates()
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		sortTupleIDs(ids) // the B-tree delivers key order
+		return st.cartesian(0, ids)
+	}
+	return st.cartesian(-1, nil)
 }
 
-// constantAtHolds evaluates a constant at-clause (no loc side): true
-// when any left window relates to any right window.
-func constantAtHolds(lw, rw []geom.Rect, op SpatialOp) bool {
-	pred := spatialPred(op)
+// constantAt evaluates an at-clause with no loc side: it holds when any
+// left window relates to any right window.
+func (st *execState) constantAt() (bool, error) {
+	lw, err := st.termWindows(st.at.left)
+	if err != nil {
+		return false, err
+	}
+	rw, err := st.termWindows(st.at.right)
+	if err != nil {
+		return false, err
+	}
+	pred := spatialPred(st.at.op)
 	for _, a := range lw {
 		for _, b := range rw {
 			if pred(a, b) {
-				return true
+				return true, nil
 			}
 		}
 	}
-	return false
+	return false, nil
+}
+
+// pricedFor returns the statement's access path as price chooses it,
+// re-priced only when something it was priced from moved: the cost
+// generation of the relation it reads — binding bi's, read before price
+// takes its first figure, so a path is never kept under a generation
+// newer than what it saw — or the windows. A window that is a prepared
+// statement's parameter changes with every execution, so its paths are
+// not kept.
+func (st *execState) pricedFor(bi int, windows []geom.Rect, price func() (*pricedPath, error)) (*pricedPath, error) {
+	gen := st.bindings[bi].rel.CostGeneration()
+	if p := st.path.Load(); p != nil && p.costGen == gen && slices.Equal(p.windows, windows) {
+		return p, nil
+	}
+	p, err := price()
+	if err != nil {
+		return nil, err
+	}
+	p.costGen, p.windows = gen, windows
+	if st.opts.window == nil {
+		st.path.Store(p)
+	}
+	return p, nil
 }
 
 // planWindowSearch chooses the access path for a single-loc at-clause:
 // direct spatial search through the R-tree, or — when the cost model
 // prices it at under half the direct estimate — a B-tree lookup on the
 // most selective indexable where-conjunct with the spatial predicate
-// re-checked per candidate tuple.
+// re-checked per candidate tuple. It returns the candidates in
+// ascending id order.
 func (st *execState) planWindowSearch(bi int, op SpatialOp, windows []geom.Rect) ([]storage.TupleID, error) {
 	b := st.bindings[bi]
 	if b.picture == "" {
 		return nil, fmt.Errorf("psql: relation %q has no picture in the on-clause for direct search", b.name)
 	}
-	snap, ok := b.rel.SpatialCostSnapshot(b.picture, windows)
-	if !ok {
-		return nil, fmt.Errorf("psql: relation %q is not spatially indexed on picture %q", b.name, b.picture)
-	}
-	costDirect := directSearchCost(snap, windows, op)
-	if ic, ok := st.bestIndexedConjunct(); ok {
-		costIdx := btreeCost(b.rel.Len(), ic.sel)
-		if costIdx < btreeHysteresis*costDirect {
-			lo, hi := ic.bounds()
-			ids, used := b.rel.LookupRange(ic.cmp.col.Column, lo, hi)
-			if used {
-				st.note("index lookup: B-tree on %s.%s (%s) drives the at-clause (est %.1f vs direct %.1f)",
-					b.name, ic.cmp.col.Column, ic.cmp.op, costIdx, costDirect)
-				return st.filterSpatial(bi, ids, op, windows)
-			}
-		} else {
-			st.note("cost: direct spatial search (est %.1f) kept over B-tree on %s.%s (est %.1f)",
-				costDirect, b.name, ic.cmp.col.Column, costIdx)
+	p, err := st.pricedFor(bi, windows, func() (*pricedPath, error) {
+		snap, ok := b.rel.SpatialCostSnapshot(b.picture, windows)
+		if !ok {
+			return nil, fmt.Errorf("psql: relation %q is not spatially indexed on picture %q", b.name, b.picture)
 		}
-	}
-	ids, err := st.directSearch(bi, op, windows)
+		p := &pricedPath{}
+		costDirect := directSearchCost(snap, windows, op)
+		if ic, ok := st.bestIndexedConjunct(); ok {
+			costIdx := btreeCost(b.rel.Len(), ic.sel)
+			if costIdx < btreeHysteresis*costDirect {
+				p.via = &ic
+				p.notes = []string{fmt.Sprintf("index lookup: B-tree on %s.%s (%s) drives the at-clause (est %.1f vs direct %.1f)",
+					b.name, ic.cmp.col.Column, ic.cmp.op, costIdx, costDirect)}
+				return p, nil
+			}
+			p.notes = append(p.notes, fmt.Sprintf("cost: direct spatial search (est %.1f) kept over B-tree on %s.%s (est %.1f)",
+				costDirect, b.name, ic.cmp.col.Column, costIdx))
+		}
+		p.notes = append(p.notes, fmt.Sprintf("direct spatial search: R-tree of %q on %q, %d window(s), %s",
+			b.name, b.picture, len(windows), op))
+		return p, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	st.note("direct spatial search: R-tree of %q on %q, %d window(s), %s",
-		b.name, b.picture, len(windows), op)
+	st.plan = append(st.plan, p.notes...)
+	if p.via != nil {
+		ids, err := st.lookup(bi, p.via)
+		if err != nil {
+			return nil, err
+		}
+		return st.filterSpatial(bi, ids, op, windows)
+	}
+	return st.directSearch(bi, op, windows)
+}
+
+// lookup returns the ids the B-tree on via's column holds for the range
+// via selects, in key order.
+func (st *execState) lookup(bi int, via *boundTerm) ([]storage.TupleID, error) {
+	lo, hi := via.bounds()
+	ids, ok := st.bindings[bi].rel.LookupRange(via.cmp.col.Column, lo, hi)
+	if !ok {
+		// Indexes are never dropped, and via was bound to one.
+		return nil, fmt.Errorf("psql: internal: no B-tree on %s.%s", st.bindings[bi].name, via.cmp.col.Column)
+	}
 	return ids, nil
 }
 
 // filterSpatial keeps the candidate ids whose loc object satisfies op
 // against any window, checked per materialized tuple (the non-R-tree
-// half of an index-driven at-clause plan).
+// half of an index-driven at-clause plan), and returns them ascending.
 func (st *execState) filterSpatial(bi int, ids []storage.TupleID, op SpatialOp, windows []geom.Rect) ([]storage.TupleID, error) {
 	b := st.bindings[bi]
 	li := b.schema.LocColumn()
 	if li < 0 {
 		return nil, fmt.Errorf("psql: relation %q has no loc column", b.name)
 	}
-	pic, ok := st.e.cat.Picture(b.picture)
-	if !ok {
-		return nil, fmt.Errorf("psql: unknown picture %q", b.picture)
-	}
-	st.needLoc(bi)
 	need := make([]bool, b.schema.Arity())
 	need[li] = true
+	sortTupleIDs(ids) // the B-tree delivers key order
 	tuples, err := b.rel.GetBatch(ids, need, st.e.parallelism())
 	if err != nil {
 		return nil, err
@@ -623,7 +496,7 @@ func (st *execState) filterSpatial(bi int, ids []storage.TupleID, op SpatialOp, 
 	pred := spatialPred(op)
 	kept := ids[:0]
 	for i, id := range ids {
-		mbr, ok := tupleMBR(tuples[i], li, pic, b.picture)
+		mbr, ok := tupleMBR(tuples[i], li, b.pic, b.picture)
 		if !ok {
 			continue
 		}
@@ -657,28 +530,35 @@ func tupleMBR(t relation.Tuple, li int, pic *picture.Picture, picName string) (g
 // cost model prices that below a full scan. The full qualification is
 // still evaluated afterwards, so using the index only narrows the
 // candidates. ok is false when no conjunct is indexable or the scan is
-// cheaper.
-func (st *execState) indexedCandidates() ([]storage.TupleID, bool) {
-	ic, ok := st.bestIndexedConjunct()
-	if !ok {
-		return nil, false
-	}
+// cheaper; the plan notes say which.
+func (st *execState) indexedCandidates() ([]storage.TupleID, bool, error) {
 	b := st.bindings[0]
-	costIdx := btreeCost(b.rel.Len(), ic.sel)
-	costScan := scanCost(b.rel.Len())
-	if costIdx >= costScan {
-		st.note("cost: scan (est %.1f) kept over B-tree on %s.%s (est %.1f)",
-			costScan, b.name, ic.cmp.col.Column, costIdx)
-		return nil, false
+	p, err := st.pricedFor(0, nil, func() (*pricedPath, error) {
+		p := &pricedPath{}
+		if ic, ok := st.bestIndexedConjunct(); ok {
+			costIdx := btreeCost(b.rel.Len(), ic.sel)
+			costScan := scanCost(b.rel.Len())
+			if costIdx < costScan {
+				p.via = &ic
+				p.notes = []string{fmt.Sprintf("index lookup: B-tree on %s.%s (%s) (est %.1f vs scan %.1f)",
+					b.name, ic.cmp.col.Column, ic.cmp.op, costIdx, costScan)}
+				return p, nil
+			}
+			p.notes = append(p.notes, fmt.Sprintf("cost: scan (est %.1f) kept over B-tree on %s.%s (est %.1f)",
+				costScan, b.name, ic.cmp.col.Column, costIdx))
+		}
+		p.notes = append(p.notes, fmt.Sprintf("scan: full scan of %d relation(s)", len(st.bindings)))
+		return p, nil
+	})
+	if err != nil {
+		return nil, false, err
 	}
-	lo, hi := ic.bounds()
-	ids, used := b.rel.LookupRange(ic.cmp.col.Column, lo, hi)
-	if !used {
-		return nil, false
+	st.plan = append(st.plan, p.notes...)
+	if p.via == nil {
+		return nil, false, nil
 	}
-	st.note("index lookup: B-tree on %s.%s (%s) (est %.1f vs scan %.1f)",
-		b.name, ic.cmp.col.Column, ic.cmp.op, costIdx, costScan)
-	return ids, true
+	ids, err := st.lookup(0, p.via)
+	return ids, err == nil, err
 }
 
 // columnVsLiteral matches "col op literal" or its mirror, normalizing
@@ -765,8 +645,9 @@ func (st *execState) termWindows(t SpatialTerm) ([]geom.Rect, error) {
 		// rows as windows — "The binding of the top level window is
 		// dynamically done during the evaluation of the query." The
 		// nested execution inherits this statement's mode (naive /
-		// prepared window) and cached analysis.
-		res, err := st.e.exec(tt.Query, st.an.forQuery(tt.Query), st.opts)
+		// prepared window) and runs from its own entry, bound like any
+		// other statement's.
+		res, err := st.e.run(st.ent.sub[tt.Query], st.opts)
 		if err != nil {
 			return nil, err
 		}
@@ -794,48 +675,39 @@ func (st *execState) termWindows(t SpatialTerm) ([]geom.Rect, error) {
 
 // directSearch finds the tuples of binding bi whose loc satisfies op
 // against any of the windows, via the R-tree when the operator admits
-// intersection pruning. The returned ids are unordered (candidateRows
-// canonicalizes); duplicates across windows are removed.
+// intersection pruning. The ids come back ascending, each once however
+// many windows it satisfies.
 func (st *execState) directSearch(bi int, op SpatialOp, windows []geom.Rect) ([]storage.TupleID, error) {
 	b := st.bindings[bi]
-	if b.picture == "" {
-		return nil, fmt.Errorf("psql: relation %q has no picture in the on-clause for direct search", b.name)
+	pred := spatialPred(op)
+	if op != OpDisjoined {
+		// Batched direct search: all windows answered through the
+		// R-tree's concurrent read path, their ids sorted once.
+		ids, visited, err := b.rel.SearchWindows(b.picture, windows, pred, st.e.parallelism())
+		if err != nil {
+			return nil, fmt.Errorf("psql: relation %q is not spatially indexed on picture %q", b.name, b.picture)
+		}
+		st.visited += visited
+		return ids, nil
 	}
-	if !b.rel.HasSpatial(b.picture) {
+	// Disjointness cannot be pruned by intersection: enumerate all
+	// live leaf entries (merged across packed and delta trees) and
+	// test every window.
+	items, visited, err := b.rel.SpatialItems(b.picture)
+	if err != nil {
 		return nil, fmt.Errorf("psql: relation %q is not spatially indexed on picture %q", b.name, b.picture)
 	}
-	pred := spatialPred(op)
+	st.visited += visited
 	var out []storage.TupleID
-	if op == OpDisjoined {
-		// Disjointness cannot be pruned by intersection: enumerate all
-		// live leaf entries (merged across packed and delta trees) and
-		// test every window.
-		items, visited, err := b.rel.SpatialItems(b.picture)
-		if err != nil {
-			return nil, err
-		}
-		st.visited += visited
+	for _, it := range items { // ascending by id
 		for _, w := range windows {
-			for _, it := range items {
-				if pred(it.Rect, w) {
-					out = append(out, storage.TupleIDFromInt64(it.Data))
-				}
+			if pred(it.Rect, w) {
+				out = append(out, storage.TupleIDFromInt64(it.Data))
+				break
 			}
 		}
-	} else {
-		// Batched direct search: all windows answered through the
-		// R-tree's concurrent read path.
-		batches, visited, err := b.rel.SearchAreaBatch(b.picture, windows, pred, st.e.parallelism())
-		if err != nil {
-			return nil, err
-		}
-		st.visited += visited
-		for _, ids := range batches {
-			out = append(out, ids...)
-		}
 	}
-	sortTupleIDs(out)
-	return dedupSortedIDs(out), nil
+	return out, nil
 }
 
 // pair is one juxtaposition result: x from the at-clause's left
@@ -860,16 +732,7 @@ func (st *execState) juxtapose(bi, bj int, op SpatialOp) ([]row, error) {
 		return nil, fmt.Errorf("psql: juxtaposition requires spatial indexes on both relations")
 	}
 	// sides[0] is binding bi (the at-clause's left loc), sides[1] bj.
-	sides := [2]joinSide{{bi: bi}, {bi: bj}}
-	if st.q.Where != nil {
-		for _, t := range st.restrictions() {
-			s := &sides[0]
-			if t.bi == bj {
-				s = &sides[1]
-			}
-			s.terms = append(s.terms, t)
-		}
-	}
+	sides := [2]joinSide{{bi: bi, terms: st.sideTerms[bi]}, {bi: bj, terms: st.sideTerms[bj]}}
 	var pairs []pair
 	var err error
 	if op == OpDisjoined {
@@ -883,15 +746,14 @@ func (st *execState) juxtapose(bi, bj int, op SpatialOp) ([]row, error) {
 	// Canonical row order: ascending by binding 0's id, then binding
 	// 1's — independent of the join algorithm and driving side.
 	first := bi == 0
-	sort.Slice(pairs, func(i, j int) bool {
-		pi, pj := pairs[i], pairs[j]
+	slices.SortFunc(pairs, func(p, q pair) int {
 		if !first {
-			pi, pj = pair{pi.y, pi.x}, pair{pj.y, pj.x}
+			p, q = pair{p.y, p.x}, pair{q.y, q.x}
 		}
-		if pi.x != pj.x {
-			return tupleIDLess(pi.x, pj.x)
+		if c := p.x.Compare(q.x); c != 0 {
+			return c
 		}
-		return tupleIDLess(pi.y, pj.y)
+		return p.y.Compare(q.y)
 	})
 
 	// Batch-materialize each side once over the deduplicated ids; rows
@@ -910,14 +772,10 @@ func (st *execState) juxtapose(bi, bj int, op SpatialOp) ([]row, error) {
 		return nil, err
 	}
 	rows := make([]row, len(pairs))
-	idsBuf := make([]storage.TupleID, 2*len(pairs))
 	tupBuf := make([]relation.Tuple, 2*len(pairs))
-	for i, p := range pairs {
-		r := &rows[i]
-		r.ids = idsBuf[2*i : 2*i+2 : 2*i+2]
-		r.tuples = tupBuf[2*i : 2*i+2 : 2*i+2]
-		r.ids[bi], r.tuples[bi] = p.x, tx[i]
-		r.ids[bj], r.tuples[bj] = p.y, ty[i]
+	for i := range pairs {
+		rows[i] = tupBuf[2*i : 2*i+2 : 2*i+2]
+		rows[i][bi], rows[i][bj] = tx[i], ty[i]
 	}
 	return rows, nil
 }
@@ -964,49 +822,44 @@ func (st *execState) traversalPairs(sides *[2]joinSide, op SpatialOp, nodesA, no
 }
 
 // fetchSide materializes one join side's tuples for a pair list: each
-// distinct id is fetched and decoded once, and the result is expanded
-// back to pair positions (join sides repeat ids heavily).
+// distinct id is fetched and decoded once, in ascending order, and the
+// result is expanded back to pair positions (join sides repeat ids
+// heavily).
 func (st *execState) fetchSide(bi int, ids []storage.TupleID) ([]relation.Tuple, error) {
-	uniq := make([]storage.TupleID, 0, len(ids))
-	at := make(map[storage.TupleID]int, len(ids))
-	for _, id := range ids {
-		if _, ok := at[id]; !ok {
-			at[id] = len(uniq)
-			uniq = append(uniq, id)
-		}
-	}
-	var need []bool
-	if st.need != nil {
-		need = st.need[bi]
-	}
-	tuples, err := st.bindings[bi].rel.GetBatch(uniq, need, st.e.parallelism())
+	uniq := slices.Clone(ids)
+	sortTupleIDs(uniq)
+	uniq = slices.Compact(uniq)
+	tuples, err := st.bindings[bi].rel.GetBatch(uniq, st.need[bi], st.e.parallelism())
 	if err != nil {
 		return nil, err
 	}
 	out := make([]relation.Tuple, len(ids))
 	for i, id := range ids {
-		out[i] = tuples[at[id]]
+		at, _ := slices.BinarySearchFunc(uniq, id, storage.TupleID.Compare)
+		out[i] = tuples[at]
 	}
 	return out, nil
 }
 
-// cartesian builds the product of candidate id lists; fixed overrides
-// the candidate list for specific bindings, others are full scans.
-// Each binding's candidates are batch-materialized once — product rows
-// share the decoded tuples rather than re-fetching per row.
-func (st *execState) cartesian(fixed map[int][]storage.TupleID) ([]row, error) {
-	lists := make([][]storage.TupleID, len(st.bindings))
+// cartesian builds the product of candidate id lists: ids, ascending,
+// for binding fixed (none when negative), a full scan for the others.
+// Each binding's candidates are materialized once, through fetchKept —
+// so the where-terms that filter one relation alone have been applied
+// before the product is formed — and product rows share the decoded
+// tuples rather than re-fetching per row. The cap on the product counts
+// the candidates as they stood before those terms, as the naive
+// executor's does.
+func (st *execState) cartesian(fixed int, ids []storage.TupleID) ([]row, error) {
+	nb := len(st.bindings)
+	lists := make([][]storage.TupleID, nb)
 	product := 1
 	limit := st.e.maxProductRows()
 	for i := range st.bindings {
-		if ids, ok := fixed[i]; ok {
-			lists[i] = ids
-		} else {
-			ids, err := st.scanIDs(i)
-			if err != nil {
+		if lists[i] = ids; i != fixed {
+			var err error
+			if lists[i], err = st.scanIDs(i); err != nil {
 				return nil, err
 			}
-			lists[i] = ids
 		}
 		product *= len(lists[i])
 		if product > limit {
@@ -1016,30 +869,29 @@ func (st *execState) cartesian(fixed map[int][]storage.TupleID) ([]row, error) {
 	if product == 0 {
 		return nil, nil
 	}
-	tuples := make([][]relation.Tuple, len(lists))
+	tuples := make([][]relation.Tuple, nb)
+	product = 1
 	for i := range lists {
-		var need []bool
-		if st.need != nil {
-			need = st.need[i]
-		}
-		ts, err := st.bindings[i].rel.GetBatch(lists[i], need, st.e.parallelism())
-		if err != nil {
+		var err error
+		if lists[i], tuples[i], err = st.fetchKept(i, lists[i], st.need[i]); err != nil {
 			return nil, err
 		}
-		tuples[i] = ts
+		product *= len(lists[i])
 	}
-	nb := len(lists)
 	rows := make([]row, product)
-	idsBuf := make([]storage.TupleID, product*nb)
+	if nb == 1 {
+		// A one-relation row is the tuple's place in the fetched list.
+		for ri := range rows {
+			rows[ri] = tuples[0][ri : ri+1 : ri+1]
+		}
+		return rows, nil
+	}
 	tupBuf := make([]relation.Tuple, product*nb)
 	idx := make([]int, nb)
-	for ri := 0; ri < product; ri++ {
-		r := &rows[ri]
-		r.ids = idsBuf[ri*nb : (ri+1)*nb : (ri+1)*nb]
-		r.tuples = tupBuf[ri*nb : (ri+1)*nb : (ri+1)*nb]
+	for ri := range rows {
+		rows[ri] = tupBuf[ri*nb : (ri+1)*nb : (ri+1)*nb]
 		for i := range lists {
-			r.ids[i] = lists[i][idx[i]]
-			r.tuples[i] = tuples[i][idx[i]]
+			rows[ri][i] = tuples[i][idx[i]]
 		}
 		// Odometer increment.
 		for k := nb - 1; k >= 0; k-- {
@@ -1056,17 +908,14 @@ func (st *execState) cartesian(fixed map[int][]storage.TupleID) ([]row, error) {
 // orderRows sorts rows by the order-by keys. Key expressions are
 // evaluated per row; evaluation or comparison errors abort the query.
 func (st *execState) orderRows(rows []row) error {
-	keys := make([][]Datum, len(rows))
-	for i := range rows {
-		ks := make([]Datum, len(st.q.OrderBy))
-		for j, ob := range st.q.OrderBy {
-			d, err := st.eval(ob.Expr, &rows[i])
-			if err != nil {
+	nk := len(st.orderBy)
+	keys := make([]Datum, len(rows)*nk)
+	for i, r := range rows {
+		for j, e := range st.orderBy {
+			if err := st.eval(e, r, &keys[i*nk+j]); err != nil {
 				return err
 			}
-			ks[j] = d
 		}
-		keys[i] = ks
 	}
 	// Sort an index permutation (keys and rows must move together).
 	idx := make([]int, len(rows))
@@ -1074,25 +923,24 @@ func (st *execState) orderRows(rows []row) error {
 		idx[i] = i
 	}
 	var sortErr error
-	sort.SliceStable(idx, func(a, b int) bool {
+	slices.SortStableFunc(idx, func(a, b int) int {
 		if sortErr != nil {
-			return false
+			return 0
 		}
-		ka, kb := keys[idx[a]], keys[idx[b]]
 		for j, ob := range st.q.OrderBy {
-			c, err := compare(ka[j], kb[j])
+			c, err := compare(&keys[a*nk+j], &keys[b*nk+j])
 			if err != nil {
 				sortErr = err
-				return false
+				return 0
 			}
 			if c != 0 {
 				if ob.Desc {
-					return c > 0
+					return -c
 				}
-				return c < 0
+				return c
 			}
 		}
-		return false
+		return 0
 	})
 	if sortErr != nil {
 		return sortErr
@@ -1105,46 +953,27 @@ func (st *execState) orderRows(rows []row) error {
 	return nil
 }
 
-// project evaluates the target list over the qualifying rows.
+// project evaluates the target list over the qualifying rows, into one
+// block of datums the result's rows are cut from.
 func (st *execState) project(rows []row) (*Result, error) {
-	res := &Result{NodesVisited: st.visited, Plan: st.planNotes()}
-
-	// Expand the target list.
-	var items []SelectItem
-	if st.q.Star {
-		for bi, b := range st.bindings {
-			for _, col := range b.schema.Columns {
-				ref := ColumnRef{Column: col.Name}
-				if len(st.bindings) > 1 {
-					ref.Table = st.bindings[bi].name
-				}
-				items = append(items, SelectItem{Expr: ref})
-			}
-		}
-	} else {
-		items = st.q.Select
+	res := &Result{NodesVisited: st.visited, Plan: st.planNotes(), Columns: slices.Clone(st.columns)}
+	if len(rows) == 0 {
+		return res, nil
 	}
-	for _, it := range items {
-		name := it.Alias
-		if name == "" {
-			name = it.Expr.String()
-		}
-		res.Columns = append(res.Columns, name)
-	}
-
-	for _, r := range rows {
-		out := make([]Datum, len(items))
-		for i, it := range items {
-			d, err := st.eval(it.Expr, &r)
-			if err != nil {
+	n := len(st.items)
+	block := make([]Datum, len(rows)*n)
+	res.Rows = make([][]Datum, len(rows))
+	for ri, r := range rows {
+		out := block[ri*n : (ri+1)*n : (ri+1)*n]
+		for i, it := range st.items {
+			if err := st.eval(it.Expr, r, &out[i]); err != nil {
 				return nil, err
 			}
-			out[i] = d
-			if d.Kind == KindLoc {
-				res.Locs = append(res.Locs, d.Loc)
+			if out[i].Kind == KindLoc {
+				res.Locs = append(res.Locs, out[i].Loc)
 			}
 		}
-		res.Rows = append(res.Rows, out)
+		res.Rows[ri] = out
 	}
 	return res, nil
 }

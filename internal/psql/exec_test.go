@@ -5,7 +5,12 @@ import (
 	"testing"
 
 	pictdb "repro"
+	"repro/internal/geom"
+	"repro/internal/pack"
+	"repro/internal/pager"
+	"repro/internal/picture"
 	"repro/internal/psql"
+	"repro/internal/relation"
 )
 
 func usdb(t *testing.T) *pictdb.Database {
@@ -693,6 +698,72 @@ func TestAggregateErrors(t *testing.T) {
 	r := res.Rows[0]
 	if r[0].Int != 0 || r[1].Kind != psql.KindNull || r[2].Kind != psql.KindNull {
 		t.Errorf("empty aggregates = %v", r)
+	}
+}
+
+// oneRelation is a psql.Catalog over one relation and its picture, built
+// straight on a pager whose counters the test can read.
+type oneRelation struct {
+	rel *relation.Relation
+	pic *picture.Picture
+}
+
+func (c oneRelation) Relation(name string) (*relation.Relation, bool) {
+	return c.rel, name == c.rel.Name()
+}
+func (c oneRelation) Picture(name string) (*picture.Picture, bool) {
+	return c.pic, name == c.pic.Name()
+}
+func (oneRelation) Location(string) (geom.Rect, bool) { return geom.Rect{}, false }
+
+// TestTextRefusalsTouchNoPage: what a statement's text alone rules out —
+// an aggregate in the where-clause, an aggregated target list with
+// order by or limit — is refused when the statement is bound, with the
+// same message from the planned and the naive executor, before either
+// has searched an index or pinned a heap page. (Both used to find,
+// fetch and decode every candidate first.)
+func TestTextRefusalsTouchNoPage(t *testing.T) {
+	p := pager.OpenMem(4096)
+	defer p.Close()
+	pic := picture.New("m", geom.R(0, 0, 1000, 1000))
+	rel, err := relation.New(p, "pts", relation.MustSchema("n:int", "loc:loc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10_000; i++ {
+		oid := pic.AddPoint("", geom.Pt(float64(i%100)*10, float64(i/100)*10))
+		if _, err := rel.Insert(relation.Tuple{relation.I(int64(i)), relation.L("m", oid)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rel.AttachPicture(pic, pack.Options{Method: pack.MethodHilbert}); err != nil {
+		t.Fatal(err)
+	}
+	e := psql.NewExecutor(oneRelation{rel, pic})
+	at := ` from pts on m at loc covered-by {500±500, 500±500}`
+	for _, c := range []struct{ q, want string }{
+		{`select n` + at + ` where max(n) > 5`, "aggregates are not allowed in the where-clause"},
+		{`select count(*)` + at + ` where n > 5 and count(*) > 1`, "aggregates are not allowed in the where-clause"},
+		{`select count(*)` + at + ` order by n`, "order by / limit cannot combine with aggregates"},
+		{`select max(n)` + at + ` limit 3`, "order by / limit cannot combine with aggregates"},
+	} {
+		before := p.Stats()
+		_, perr := e.Run(c.q)
+		_, nerr := e.RunNaive(c.q)
+		if perr == nil || nerr == nil || perr.Error() != nerr.Error() || !strings.Contains(perr.Error(), c.want) {
+			t.Errorf("%s:\nplanned %v\n  naive %v\nwant both: %s", c.q, perr, nerr, c.want)
+		}
+		if after := p.Stats(); after != before {
+			t.Errorf("%s: refused after touching pages: pager stats %+v -> %+v", c.q, before, after)
+		}
+	}
+	// The same statements without the offending clause do read pages.
+	before := p.Stats()
+	if res, err := e.Run(`select count(*)` + at); err != nil || res.Rows[0][0].Int != 10_000 {
+		t.Fatalf("count(*) over the frame = %v, %v", res, err)
+	}
+	if p.Stats() == before {
+		t.Error("a statement that ran left the pager's counters where they were")
 	}
 }
 

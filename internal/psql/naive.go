@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
-	"repro/internal/relation"
 	"repro/internal/storage"
 )
 
@@ -18,61 +17,30 @@ import (
 
 // naiveRows is candidateRows for naive mode.
 func (st *execState) naiveRows() ([]row, error) {
-	at := st.q.At
-	if at == nil {
-		return st.naiveCartesian(nil)
+	at := &st.at
+	if at.err != nil {
+		return nil, at.err
 	}
-
-	// Normalize exactly like the planned path: loc on the left.
-	left, op, right := at.Left, at.Op, at.Right
-	if _, lok := left.(LocTerm); !lok {
-		if _, rok := right.(LocTerm); rok {
-			left, right = right, left
-			op = converse(op)
-		}
-	}
-
-	switch l := left.(type) {
-	case LocTerm:
-		bi, err := st.bindingIndex(l.Table, l.Pos)
+	switch at.kind {
+	case atWindow:
+		windows, err := st.termWindows(at.right)
 		if err != nil {
 			return nil, err
 		}
-		switch r := right.(type) {
-		case LocTerm:
-			bj, err := st.bindingIndex(r.Table, r.Pos)
-			if err != nil {
-				return nil, err
-			}
-			if bi == bj {
-				return nil, errf(at.Pos, "at-clause relates %q to itself", l.Table)
-			}
-			return st.naiveJoin(bi, bj, op)
-		default:
-			windows, err := st.termWindows(right)
-			if err != nil {
-				return nil, err
-			}
-			ids, err := st.naiveWindowFilter(bi, op, windows)
-			if err != nil {
-				return nil, err
-			}
-			return st.naiveCartesian(map[int][]storage.TupleID{bi: ids})
-		}
-	default:
-		lw, err := st.termWindows(left)
+		ids, err := st.naiveWindowFilter(at.bi, at.op, windows)
 		if err != nil {
 			return nil, err
 		}
-		rw, err := st.termWindows(right)
-		if err != nil {
+		return st.naiveCartesian(map[int][]storage.TupleID{at.bi: ids})
+	case atJuxtapose:
+		return st.naiveJoin(at.bi, at.bj, at.op)
+	case atConstant:
+		holds, err := st.constantAt()
+		if err != nil || !holds {
 			return nil, err
 		}
-		if !constantAtHolds(lw, rw, op) {
-			return nil, nil
-		}
-		return st.naiveCartesian(nil)
 	}
+	return st.naiveCartesian(nil)
 }
 
 // naiveMBRs scans binding bi and resolves each tuple's loc MBR against
@@ -88,10 +56,6 @@ func (st *execState) naiveMBRs(bi int) ([]storage.TupleID, []geom.Rect, error) {
 	if li < 0 {
 		return nil, nil, fmt.Errorf("psql: relation %q has no loc column", b.name)
 	}
-	pic, ok := st.e.cat.Picture(b.picture)
-	if !ok {
-		return nil, nil, fmt.Errorf("psql: unknown picture %q", b.picture)
-	}
 	ids, err := st.scanIDs(bi)
 	if err != nil {
 		return nil, nil, err
@@ -103,7 +67,7 @@ func (st *execState) naiveMBRs(bi int) ([]storage.TupleID, []geom.Rect, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		mbr, ok := tupleMBR(t, li, pic, b.picture)
+		mbr, ok := tupleMBR(t, li, b.pic, b.picture)
 		if !ok {
 			continue
 		}
@@ -155,7 +119,7 @@ func (st *execState) naiveJoin(bi, bj int, op SpatialOp) ([]row, error) {
 	// row by the generic evaluator), so both executors refuse the same
 	// statements.
 	var capped []boundTerm
-	if op == OpDisjoined && st.q.Where != nil {
+	if op == OpDisjoined {
 		capped = st.restrictions()
 	}
 	limit := st.e.maxProductRows()
@@ -178,9 +142,9 @@ func (st *execState) naiveJoin(bi, bj int, op SpatialOp) ([]row, error) {
 			if err != nil {
 				return nil, err
 			}
-			r := row{ids: []storage.TupleID{id0, id1}, tuples: []relation.Tuple{t0, t1}}
+			r := row{t0, t1}
 			if op == OpDisjoined {
-				ok, err := st.holdsAll(capped, &r)
+				ok, err := st.holdsAll(capped, r)
 				if err != nil {
 					return nil, err
 				}
@@ -199,14 +163,9 @@ func (st *execState) naiveJoin(bi, bj int, op SpatialOp) ([]row, error) {
 
 // holdsAll evaluates the terms' conjuncts over r with the generic
 // evaluator.
-func (st *execState) holdsAll(terms []boundTerm, r *row) (bool, error) {
+func (st *execState) holdsAll(terms []boundTerm, r row) (bool, error) {
 	for _, t := range terms {
-		d, err := st.eval(st.an.conjuncts[t.idx].expr, r)
-		if err != nil {
-			return false, err
-		}
-		ok, err := d.Truth()
-		if err != nil || !ok {
+		if ok, err := st.truth(st.an.conjuncts[t.idx].expr, r); err != nil || !ok {
 			return false, err
 		}
 	}
@@ -240,14 +199,13 @@ func (st *execState) naiveCartesian(fixed map[int][]storage.TupleID) ([]row, err
 	rows := make([]row, 0, product)
 	idx := make([]int, len(lists))
 	for {
-		r := row{ids: make([]storage.TupleID, len(lists)), tuples: make([]relation.Tuple, len(lists))}
+		r := make(row, len(lists))
 		for i, l := range lists {
-			id := l[idx[i]]
-			t, err := st.bindings[i].rel.Get(id)
+			t, err := st.bindings[i].rel.Get(l[idx[i]])
 			if err != nil {
 				return nil, err
 			}
-			r.ids[i], r.tuples[i] = id, t
+			r[i] = t
 		}
 		rows = append(rows, r)
 		k := len(idx) - 1

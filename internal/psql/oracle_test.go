@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	pictdb "repro"
+	"repro/internal/psql"
 )
 
 // TestRandomizedSpatialOracle cross-checks every spatial operator's
@@ -259,6 +260,151 @@ func randomizedJoinTrial(t *testing.T, rng *rand.Rand, trial int, ops []string, 
 				if strings.Contains(plan, "juxtaposition: "+alg) {
 					algorithms[alg]++
 				}
+			}
+		}
+	}
+}
+
+// evaluationOrderCorpus holds window statements whose outcome depends
+// on the order the planned executor evaluates things in: where-terms
+// tested on the fetched tuple before it becomes a row, the rest in
+// planner order afterwards, one sorted and de-duplicated candidate list
+// however many windows produced it. Each runs against
+// evaluationOrderDB and must leave what the naive executor leaves — the
+// same rows in the same order, the same Locs, or the same error.
+var evaluationOrderCorpus = []string{
+	// (a) A head run of bound terms, then a term that errors on the rows
+	// the run keeps: the error must surface.
+	`select n from pts on m at loc covered-by {500±400, 500±400} where n > 100 and v / (n - n) > 1`,
+	`select n from pts on m at loc covered-by {500±400, 500±400} where n > 100 and v < 90 and name < 5`,
+	// (b) The same with the run rejecting every row: no error may.
+	`select n from pts on m at loc covered-by {500±400, 500±400} where n > 100000 and v / (n - n) > 1`,
+	`select n from pts on m at loc covered-by {500±400, 500±400} where n > 100 and v < 0 and name < 5`,
+	// (c) A bound term behind a term that errors stays behind it (an
+	// equality outranks a range, bindable or not): both error, whatever
+	// the bound term would have rejected.
+	`select n from pts on m at loc covered-by {500±400, 500±400} where name = 5 and n > 100`,
+	`select n from pts on m at loc covered-by {500±400, 500±400} where name = 5 and n > 100000`,
+	// ... and errors nowhere when the window holds no candidate.
+	`select n from pts on m at loc covered-by {5000±1, 5000±1} where name = 5 and n > 100`,
+	// (d) or, arithmetic and functions over loc, beside a bound term.
+	`select n, v from pts on m at loc covered-by {500±300, 500±300} where n < 50 or v * 2 > 150`,
+	`select n, n + v from pts on m at loc overlapping {300±300, 700±200} where n + v > 200 and v >= 10`,
+	`select n, northest(loc) from pts on m at loc covered-by {500±400, 500±400} where northest(loc) > 500 and n > 10`,
+	`select n, height(loc) from pts on m at loc covered-by {500±400, 500±400} where height(loc) < 300 and v <= 50`,
+	`select name from pts on m at loc covered-by {500±400, 500±400} where name >= 'p0200' and v = 7`,
+	// (e) select *, order by a column not selected, limit.
+	`select * from pts on m at loc covered-by {400±250, 400±250} where v > 40`,
+	`select name from pts on m at loc covered-by {500±400, 500±400} where n > 20 order by v desc, n limit 15`,
+	`select n, loc from pts on m at loc covered-by {500±400, 500±400} where v < 30 limit 5`,
+	`select count(*), max(v) from pts on m at loc covered-by {500±400, 500±400} where v < 30`,
+	// A nested mapping whose windows overlap: a point inside several of
+	// them is one candidate.
+	`select n, loc from pts on m at loc covered-by
+	   (select zones.loc from zones on zm at zones.loc overlapping {500±300, 500±300})
+	 where v > 20`,
+	`select n from pts on m at loc disjoined
+	   (select zones.loc from zones on zm at zones.loc overlapping {500±300, 500±300})
+	 where v > 20`,
+}
+
+// evaluationOrderDB builds pts(n, name, v, loc) on m — 600 scattered
+// points, in one store or four — beside zones(z, loc) on zm, a dozen
+// rectangles that overlap one another, and registers height(loc).
+func evaluationOrderDB(t *testing.T, stores, parallelism int) *pictdb.Database {
+	t.Helper()
+	rng := rand.New(rand.NewSource(22))
+	db := pictdb.New()
+	t.Cleanup(func() { db.Close() })
+	db.SetParallelism(parallelism)
+	m, err := db.CreatePicture("m", pictdb.R(0, 0, 1000, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zm, err := db.CreatePicture("zm", pictdb.R(0, 0, 1000, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := pictdb.MustSchema("n:int", "name:string", "v:int", "loc:loc")
+	var pts *pictdb.Relation
+	if stores == 1 {
+		pts, err = db.CreateRelation("pts", schema)
+	} else {
+		pts, err = db.CreateShardedRelation("pts", schema, stores)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pts.AttachPicture(m, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 600; i++ {
+		oid := m.AddPoint("", pictdb.Pt(rng.Float64()*1000, rng.Float64()*1000))
+		tup := pictdb.Tuple{pictdb.I(int64(i)), pictdb.S(fmt.Sprintf("p%04d", i)), pictdb.I(int64(rng.Intn(100))), pictdb.L("m", oid)}
+		if _, err := pts.Insert(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Half the points packed, half in the write side.
+	if err := pts.RepackPicture("m", pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 600; i < 900; i++ {
+		oid := m.AddPoint("", pictdb.Pt(rng.Float64()*1000, rng.Float64()*1000))
+		tup := pictdb.Tuple{pictdb.I(int64(i)), pictdb.S(fmt.Sprintf("p%04d", i)), pictdb.I(int64(rng.Intn(100))), pictdb.L("m", oid)}
+		if _, err := pts.Insert(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zones, err := db.CreateRelation("zones", pictdb.MustSchema("z:int", "loc:loc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		x, y := 150+rng.Float64()*500, 150+rng.Float64()*500
+		oid := zm.AddRegion("", pictdb.Poly(pictdb.Pt(x, y), pictdb.Pt(x+250, y), pictdb.Pt(x+250, y+250), pictdb.Pt(x, y+250)))
+		if _, err := zones.Insert(pictdb.Tuple{pictdb.I(int64(i)), pictdb.L("zm", oid)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := zones.AttachPicture(zm, pictdb.PackOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	db.RegisterFunc("height", func(c *psql.FuncContext) (psql.Datum, error) {
+		return psql.Datum{Kind: psql.KindFloat, Float: c.Args[0].Rect.Min.Y}, nil
+	})
+	return db
+}
+
+// TestEvaluationOrderOracle runs evaluationOrderCorpus — each statement
+// twice, the second from its cached bound statement — against the naive
+// executor, at worker budgets 1 and 8, with pts in one store and in
+// four.
+func TestEvaluationOrderOracle(t *testing.T) {
+	for _, stores := range []int{1, 4} {
+		for _, par := range []int{1, 8} {
+			db := evaluationOrderDB(t, stores, par)
+			errored := 0
+			for _, q := range evaluationOrderCorpus {
+				label := fmt.Sprintf("stores=%d par=%d %s", stores, par, q)
+				naive, nerr := db.QueryNaive(q)
+				for run := 0; run < 2; run++ {
+					planned, perr := db.Query(q)
+					if (perr == nil) != (nerr == nil) || (perr != nil && perr.Error() != nerr.Error()) {
+						t.Fatalf("%s (run %d):\nplanned error %v\n  naive error %v", label, run, perr, nerr)
+					}
+					if perr == nil {
+						sameRows(t, label, planned, naive)
+					}
+				}
+				if nerr != nil {
+					errored++
+				} else if len(naive.Rows) == 0 && !strings.Contains(q, "100000") && !strings.Contains(q, "v < 0") && !strings.Contains(q, "5000±1") {
+					t.Errorf("%s: no rows: the statement tests nothing", label)
+				}
+			}
+			if errored != 4 {
+				t.Errorf("stores=%d par=%d: %d statements errored, the corpus has 4 that must", stores, par, errored)
 			}
 		}
 	}

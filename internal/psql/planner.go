@@ -2,7 +2,7 @@ package psql
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/relation"
@@ -110,35 +110,37 @@ func scanCost(n int) float64 { return float64(n) }
 // the statement's bindings: the one binding whose column it names, and
 // the literal as a value of that column's type. Evaluating a bound term
 // cannot error, which is what lets a plan evaluate it away from the
-// joined row (B-tree lookup, juxtaposition restriction).
+// joined row (B-tree lookup, restriction of the tuples a fetch returns).
 type boundTerm struct {
-	idx int // position in analysis.conjuncts
-	bi  int // the binding the column belongs to
-	ci  int // the column's index in that binding's schema
-	cmp *colCompare
-	val relation.Value // cmp.lit as a value of the column's type
-	sel float64
+	idx     int // position in analysis.conjuncts
+	bi      int // the binding the column belongs to
+	ci      int // the column's index in that binding's schema
+	cmp     *colCompare
+	val     relation.Value // cmp.lit as a value of the column's type
+	sel     float64
+	indexed bool // the column had a B-tree when the statement was bound
 }
 
-// bindTerm resolves conjunct i to a boundTerm. ok is false for every
-// term whose evaluation could error or whose B-tree key would not order
-// correctly: any other shape, a column the evaluator's own resolution
-// (resolveColumn) rejects, and a literal that is not of the column's
-// type (a string against an int, a fractional bound on an int column).
-func (st *execState) bindTerm(i int) (boundTerm, bool) {
-	c := st.an.conjuncts[i]
+// bindTerm resolves conjunct c, the idx-th, to a boundTerm. ok is false
+// for every term whose evaluation could error or whose B-tree key would
+// not order correctly: any other shape, a column the evaluator's own
+// resolution (resolveColumn) rejects, and a literal that is not of the
+// column's type (a string against an int, a fractional bound on an int
+// column).
+func bindTerm(bindings []binding, c conjunct, idx int) (boundTerm, bool) {
 	if c.cmp == nil {
 		return boundTerm{}, false
 	}
-	bi, ci, err := st.resolveColumn(c.cmp.col)
+	bi, ci, err := resolveColumn(bindings, c.cmp.col)
 	if err != nil {
 		return boundTerm{}, false
 	}
-	v, ok := literalAsColumnValue(c.cmp.lit, st.bindings[bi].schema.Columns[ci].Type)
+	v, ok := literalAsColumnValue(c.cmp.lit, bindings[bi].schema.Columns[ci].Type)
 	if !ok {
 		return boundTerm{}, false
 	}
-	return boundTerm{idx: i, bi: bi, ci: ci, cmp: c.cmp, val: v, sel: c.sel}, true
+	indexed := bindings[bi].rel.Index(c.cmp.col.Column) != nil
+	return boundTerm{idx: idx, bi: bi, ci: ci, cmp: c.cmp, val: v, sel: c.sel, indexed: indexed}, true
 }
 
 // bounds returns the B-tree range the term selects.
@@ -157,52 +159,35 @@ func (t boundTerm) bounds() (lo, hi *relation.Bound) {
 	}
 }
 
-// moreSelectiveIndexed returns t when its column has a B-tree on rel
-// and it is more selective than best, and best otherwise.
-func moreSelectiveIndexed(rel *relation.Relation, best, t boundTerm) boundTerm {
-	if t.sel < best.sel && rel.Index(t.cmp.col.Column) != nil {
+// moreSelectiveIndexed returns t when its column has a B-tree and it is
+// more selective than best, and best otherwise.
+func moreSelectiveIndexed(best, t boundTerm) boundTerm {
+	if t.sel < best.sel && t.indexed {
 		return t
 	}
 	return best
 }
 
-// bestIndexedConjunct scans the planner-ordered conjuncts of a
-// single-relation query for B-tree-answerable terms and returns the
-// most selective one. ok is false when none is indexable.
+// bestIndexedConjunct scans the bound terms of a single-relation query
+// for B-tree-answerable ones and returns the most selective. ok is
+// false when none is indexable.
 func (st *execState) bestIndexedConjunct() (boundTerm, bool) {
 	best := boundTerm{sel: math.Inf(1)}
-	if len(st.bindings) != 1 || st.an == nil {
+	if len(st.bindings) != 1 {
 		return best, false
 	}
-	for i := range st.an.conjuncts {
-		if t, ok := st.bindTerm(i); ok {
-			best = moreSelectiveIndexed(st.bindings[0].rel, best, t)
-		}
+	for _, t := range st.terms {
+		best = moreSelectiveIndexed(best, t)
 	}
 	return best, !math.IsInf(best.sel, 1)
 }
 
 // sortTupleIDs puts ids in canonical ascending (page, slot) order —
 // the order a heap scan delivers — so the row order of a fixed
-// candidate list never depends on which access path produced it.
+// candidate list never depends on which access path produced it. Most
+// lists arrive in that order; one pass confirms it.
 func sortTupleIDs(ids []storage.TupleID) {
-	sort.Slice(ids, func(i, j int) bool { return tupleIDLess(ids[i], ids[j]) })
-}
-
-func tupleIDLess(a, b storage.TupleID) bool {
-	if a.Page != b.Page {
-		return a.Page < b.Page
+	if !slices.IsSortedFunc(ids, storage.TupleID.Compare) {
+		slices.SortFunc(ids, storage.TupleID.Compare)
 	}
-	return a.Slot < b.Slot
-}
-
-// dedupSortedIDs removes adjacent duplicates from a sorted id list.
-func dedupSortedIDs(ids []storage.TupleID) []storage.TupleID {
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
 }

@@ -10,6 +10,7 @@ import (
 
 	pictdb "repro"
 	"repro/internal/psql"
+	"repro/internal/storage"
 )
 
 // sameRows fails the test unless a and b agree on Columns, Rows (order
@@ -472,5 +473,236 @@ func TestConcurrentRunStress(t *testing.T) {
 	stats := db.CacheStats()
 	if stats.Hits == 0 {
 		t.Error("concurrent stress recorded no cache hits")
+	}
+}
+
+// TestBoundStatementRevalidation runs one set of statement texts before
+// and after everything that can change what a cached statement was
+// bound to or priced from — a new B-tree, a second picture, a repack
+// (explicit and the background swap), an insert and a delete inside the
+// window, a named location redefined, a called function replaced — and
+// each time demands the naive executor's rows and, byte for byte, the
+// plan and visit count a fresh Executor (no cache, nothing bound)
+// reports for the same text.
+func TestBoundStatementRevalidation(t *testing.T) {
+	db := evaluationOrderDB(t, 1, 1)
+	pts, _ := db.Relation("pts")
+	m, _ := db.Picture("m")
+	db.DefineLocation("hot", pictdb.R(300, 300, 700, 700))
+	height := func(c *psql.FuncContext) (psql.Datum, error) {
+		return psql.Datum{Kind: psql.KindFloat, Float: c.Args[0].Rect.Min.Y}, nil
+	}
+	texts := []string{
+		`select n, name from pts on m at loc covered-by {500±200, 500±200} where v = 7`,
+		`select n from pts on m at loc covered-by hot where v > 50`,
+		`select n, height(loc) from pts on m at loc covered-by {500±200, 500±200} where height(loc) < 600 and v > 10`,
+		`select n from pts where v = 7`,
+		`select n from pts on m at loc covered-by
+		   (select zones.loc from zones on zm at zones.loc overlapping {500±100, 500±100}) where v < 5`,
+	}
+	plans := map[string]string{}
+	check := func(step string) {
+		t.Helper()
+		fresh := psql.NewExecutor(db)
+		fresh.RegisterFunc("height", height)
+		for _, q := range texts {
+			want, err := fresh.Run(q)
+			if err != nil {
+				t.Fatalf("%s: fresh executor: %s: %v", step, q, err)
+			}
+			naive, err := db.QueryNaive(q)
+			if err != nil {
+				t.Fatalf("%s: naive: %s: %v", step, q, err)
+			}
+			for run := 0; run < 2; run++ {
+				got, err := db.Query(q)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", step, q, err)
+				}
+				label := fmt.Sprintf("%s (run %d): %s", step, run, q)
+				sameRows(t, label, got, naive)
+				if !reflect.DeepEqual(got.Plan, want.Plan) || got.NodesVisited != want.NodesVisited {
+					t.Fatalf("%s:\ncached plan %q (%d nodes)\n fresh plan %q (%d nodes)", label, got.Plan, got.NodesVisited, want.Plan, want.NodesVisited)
+				}
+			}
+			plans[q] = strings.Join(want.Plan, " | ")
+		}
+	}
+	// moved demands that the step just taken changed what text i reports:
+	// a step that moves nothing tests nothing.
+	moved := func(step string, i int, before string) {
+		t.Helper()
+		if plans[texts[i]] == before {
+			t.Errorf("%s left the plan of %s as it was: %s", step, texts[i], before)
+		}
+	}
+	add := func(n int64, x, y float64, v int64) storage.TupleID {
+		t.Helper()
+		oid := m.AddPoint("", pictdb.Pt(x, y))
+		id, err := pts.Insert(pictdb.Tuple{pictdb.I(n), pictdb.S(fmt.Sprintf("p%04d", n)), pictdb.I(v), pictdb.L("m", oid)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+
+	check("as built")
+	before0, before3 := plans[texts[0]], plans[texts[3]]
+	if err := pts.CreateIndex("v"); err != nil {
+		t.Fatal(err)
+	}
+	check("after CreateIndex")
+	moved("CreateIndex", 0, before0)
+	moved("CreateIndex", 3, before3)
+
+	m2, err := db.CreatePicture("m2", pictdb.R(0, 0, 1000, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pts.AttachPicture(m2, pictdb.PackOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	check("after AttachPicture of a second picture")
+
+	before1 := plans[texts[1]]
+	if err := pts.RepackPicture("m", pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
+		t.Fatal(err)
+	}
+	check("after RepackPicture")
+	moved("RepackPicture", 1, before1)
+
+	before1 = plans[texts[1]]
+	id := add(9000, 510, 490, 7)
+	check("after an insert into the window")
+	moved("an insert", 1, before1)
+	before1 = plans[texts[1]]
+	if err := pts.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	check("after a delete from the window")
+	moved("a delete", 1, before1)
+
+	// A background repack: the write side crosses its threshold and the
+	// repacker swaps a merged tree in.
+	before1 = plans[texts[1]]
+	si := pts.Spatials("m")[0]
+	repacks := si.Repacks()
+	si.SetDeltaThreshold(8)
+	for i := int64(0); i < 16; i++ {
+		add(9100+i, 400+float64(i)*10, 600, 60)
+	}
+	pts.WaitRepacks()
+	if si.Repacks() == repacks {
+		t.Fatal("the write side crossed its threshold and no repack ran")
+	}
+	check("after a background repack swap")
+	moved("a background repack", 1, before1)
+
+	before1 = plans[texts[1]]
+	db.DefineLocation("hot", pictdb.R(100, 100, 900, 900))
+	check("after DefineLocation redefined the window")
+	moved("DefineLocation", 1, before1)
+
+	height = func(c *psql.FuncContext) (psql.Datum, error) {
+		return psql.Datum{Kind: psql.KindFloat, Float: 1000 - c.Args[0].Rect.Min.Y}, nil
+	}
+	db.RegisterFunc("height", height)
+	check("after RegisterFunc replaced height")
+}
+
+// TestBoundStatementSharedByGoroutines executes one cached text from 8
+// goroutines while a writer inserts into its window, a B-tree is
+// created on the column it tests, and a picture and a location are
+// defined: the bound statement the readers share must be
+// read-only once published, and replacing it must not tear a reader's
+// view. Run under -race (make check); every answer is also checked
+// against what the writer can have left.
+func TestBoundStatementSharedByGoroutines(t *testing.T) {
+	db := evaluationOrderDB(t, 1, 0)
+	pts, _ := db.Relation("pts")
+	m, _ := db.Picture("m")
+	const q = `select n, v from pts on m at loc covered-by {500±250, 500±250} where v > 40`
+	base, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const added = 40
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	fail := make(chan error, 16) // at most one per goroutine started below
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					if i >= 20 {
+						return
+					}
+				default:
+				}
+				res, err := db.Query(q)
+				if err != nil {
+					fail <- err
+					return
+				}
+				if n := len(res.Rows); n < len(base.Rows) || n > len(base.Rows)+added {
+					fail <- fmt.Errorf("%d rows, the writer leaves between %d and %d", n, len(base.Rows), len(base.Rows)+added)
+					return
+				}
+				for _, r := range res.Rows {
+					if r[1].Int <= 40 {
+						fail <- fmt.Errorf("row %v passed v > 40", r)
+						return
+					}
+				}
+			}
+		}()
+	}
+	var defs sync.WaitGroup
+	defs.Add(2)
+	go func() { // the writer
+		defer defs.Done()
+		for i := int64(0); i < added; i++ {
+			oid := m.AddPoint("", pictdb.Pt(400+float64(i)*5, 500))
+			if _, err := pts.Insert(pictdb.Tuple{pictdb.I(5000 + i), pictdb.S("w"), pictdb.I(90), pictdb.L("m", oid)}); err != nil {
+				fail <- err
+				return
+			}
+		}
+	}()
+	go func() { // the definitions
+		defer defs.Done()
+		if err := pts.CreateIndex("v"); err != nil {
+			fail <- err
+			return
+		}
+		for i := 0; i < 10; i++ {
+			if _, err := db.CreatePicture(fmt.Sprintf("extra%d", i), pictdb.R(0, 0, 10, 10)); err != nil {
+				fail <- err
+				return
+			}
+			db.DefineLocation(fmt.Sprintf("spot%d", i), pictdb.R(0, 0, float64(i+1), 1))
+		}
+	}()
+	defs.Wait()
+	close(done)
+	wg.Wait()
+	close(fail)
+	for err := range fail {
+		t.Error(err)
+	}
+	after, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := db.QueryNaive(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRows(t, "after the writers", after, naive)
+	if len(after.Rows) != len(base.Rows)+added {
+		t.Errorf("%d rows after the writers, want %d", len(after.Rows), len(base.Rows)+added)
 	}
 }

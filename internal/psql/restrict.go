@@ -1,9 +1,11 @@
 package psql
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/geom"
 	"repro/internal/relation"
@@ -11,54 +13,117 @@ import (
 	"repro/internal/storage"
 )
 
-// Restrict before you join. A juxtaposition's where-clause often
-// filters one relation alone (`regions.kind = 7`). Such terms are
-// evaluated against that relation before the join, and the survivors'
-// MBRs then either drive one batched direct search on the other side —
-// the nested mapping's access path, with the inner result bound by the
-// planner instead of written by the user — or filter the pairs of the
-// simultaneous traversal before any tuple is fetched. See DESIGN.md §11.
+// Restrict before you materialise. A where-clause often filters one
+// relation alone (`pop > 400000`, `regions.kind = 7`). Such terms are
+// evaluated on that relation's tuples as they are fetched, before a
+// candidate becomes a row (fetchKept). For a juxtaposition that is
+// before the join, and the survivors' MBRs then either drive one batched
+// direct search on the other side — the nested mapping's access path,
+// with the inner result bound by the planner instead of written by the
+// user — or filter the pairs of the simultaneous traversal before any
+// tuple is fetched. See DESIGN.md §11.
 
-// restrictions returns the where-terms a juxtaposition may evaluate per
-// relation ahead of the join: the longest run of bound terms at the
-// head of the planner-ordered conjuncts. Only a head run is taken
-// because qualifies evaluates conjuncts in that order with
-// short-circuit AND: a row an error-free head term rejects never
-// reaches the terms behind it, so evaluating the head run first, per
-// relation, rejects the same rows and surfaces the same errors. A bound
-// term behind a term that can error stays where it is.
-func (st *execState) restrictions() []boundTerm {
-	var out []boundTerm
-	for i := range st.an.conjuncts {
-		t, ok := st.bindTerm(i)
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	return out
-}
+// restrictions returns the where-terms a plan may evaluate per relation
+// ahead of the joined row: the longest run of bound terms at the head of
+// the planner-ordered conjuncts. Only a head run is taken because
+// qualifies evaluates conjuncts in that order with short-circuit AND: a
+// row an error-free head term rejects never reaches the terms behind
+// it, so evaluating the head run first, per relation, rejects the same
+// rows and surfaces the same errors. A bound term behind a term that can
+// error stays where it is. The run is fixed when the statement is bound
+// (boundStmt.head); sideTerms holds it by relation.
+func (st *execState) restrictions() []boundTerm { return st.terms[:st.head] }
 
 // holds evaluates the term against the column value v with the
-// comparison semantics of evalBinary.
-func (t boundTerm) holds(v relation.Value, lit Datum) bool {
-	d := fromValue(v)
-	// Neither call can fail: bindTerm admitted the literal only as a
-	// value of the column's own type.
+// comparison semantics of evalBinary — numbers compare as float64,
+// whichever of int and float column and literal are. bindTerm admitted
+// the literal only as a value of the column's own type, so no
+// comparison can fail; a stored value of another type (a record the
+// schema would not have let in) satisfies what an ordering result of
+// zero satisfies and equals nothing.
+func (t *boundTerm) holds(v *relation.Value) bool {
+	eq, c := false, 0
+	switch {
+	case v.Type == relation.TypeString && t.val.Type == relation.TypeString:
+		c = strings.Compare(v.Str, t.val.Str)
+		eq = c == 0
+	case numeric(v) && numeric(&t.val):
+		a, b := asFloat(v), asFloat(&t.val)
+		eq = a == b
+		switch {
+		case a < b:
+			c = -1
+		case a > b:
+			c = 1
+		}
+	}
 	if t.cmp.op == "=" {
-		eq, _ := datumsEqual(d, lit)
 		return eq
 	}
-	c, _ := compare(d, lit)
-	switch t.cmp.op {
-	case "<":
-		return c < 0
-	case "<=":
-		return c <= 0
-	case ">":
-		return c > 0
-	default: // ">="
-		return c >= 0
+	return orderHolds(t.cmp.op, c)
+}
+
+func numeric(v *relation.Value) bool {
+	return v.Type == relation.TypeInt || v.Type == relation.TypeFloat
+}
+
+func asFloat(v *relation.Value) float64 {
+	if v.Type == relation.TypeInt {
+		return float64(v.Int)
+	}
+	return v.Float
+}
+
+// holdAll is the test a fetch applies to a tuple decoded on the terms'
+// columns: every term holds.
+func holdAll(terms []boundTerm) func(relation.Tuple) bool {
+	return func(t relation.Tuple) bool {
+		for i := range terms {
+			if !terms[i].holds(&t[terms[i].ci]) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// fetchKept materializes, on the columns need selects, the tuples of
+// binding bi that ids name (ascending) and that the binding's terms of
+// the restrictions keep — the one fetch-and-restrict of the planned
+// executor, for a window's candidates, a product's operands and a
+// juxtaposition side alike. The terms' columns are decoded and tested
+// first (relation.FetchWhere), so a rejected candidate never becomes a
+// tuple, let alone a row; the terms are marked pushed and qualifies
+// skips them. It returns the survivors' ids, compacted in place, and
+// their tuples.
+func (st *execState) fetchKept(bi int, ids []storage.TupleID, need []bool) ([]storage.TupleID, []relation.Tuple, error) {
+	rel, terms := st.bindings[bi].rel, st.sideTerms[bi]
+	if len(terms) == 0 {
+		tuples, err := rel.GetBatch(ids, need, st.e.parallelism())
+		return ids, tuples, err
+	}
+	tuples, err := rel.FetchWhere(ids, need, st.test[bi], holdAll(terms), st.e.parallelism())
+	if err != nil {
+		return nil, nil, err
+	}
+	st.markPushed(terms)
+	n := 0
+	for i, t := range tuples {
+		if t != nil {
+			ids[n], tuples[n] = ids[i], t
+			n++
+		}
+	}
+	return ids[:n], tuples[:n], nil
+}
+
+// markPushed records that terms were evaluated ahead of the joined row.
+func (st *execState) markPushed(terms []boundTerm) {
+	if st.pushed == nil {
+		st.pushed = make([]bool, len(st.conjuncts))
+	}
+	for _, t := range terms {
+		st.pushed[t.idx] = true
 	}
 }
 
@@ -71,7 +136,7 @@ func (st *execState) restrictionCost(bi int, terms []boundTerm) (cost float64, v
 	cost = scanCost(rel.Len())
 	best := boundTerm{sel: math.Inf(1)}
 	for _, t := range terms {
-		best = moreSelectiveIndexed(rel, best, t)
+		best = moreSelectiveIndexed(best, t)
 	}
 	if best.cmp != nil {
 		if c := btreeCost(rel.Len(), best.sel); c < cost {
@@ -102,12 +167,7 @@ func (st *execState) restrict(s *joinSide, via *boundTerm, vs string) error {
 		return err
 	}
 	s.restricted, s.items = true, items
-	if st.pushed == nil {
-		st.pushed = make([]bool, len(st.an.conjuncts))
-	}
-	for _, t := range s.terms {
-		st.pushed[t.idx] = true
-	}
+	st.markPushed(s.terms)
 	b := st.bindings[s.bi]
 	how := "heap scan"
 	if via != nil {
@@ -121,70 +181,61 @@ func (st *execState) restrict(s *joinSide, via *boundTerm, vs string) error {
 // restrictSide reduces binding bi to the tuples every term keeps and
 // returns them as (MBR, id) items in ascending id order — the shape
 // SpatialItems enumerates, so either can feed a join. Candidates come
-// from the B-tree on via's column, or from one heap scan when via is
-// nil; both decode only the terms' columns and loc. Tuples whose loc is
-// not a live object of the on-clause picture are dropped: the spatial
-// index does not carry them, so they join nothing.
+// from the B-tree on via's column, through fetchKept, or from one heap
+// scan when via is nil; both decode only the terms' columns and loc.
+// Tuples whose loc is not a live object of the on-clause picture are
+// dropped: the spatial index does not carry them, so they join nothing.
 func (st *execState) restrictSide(bi int, terms []boundTerm, via *boundTerm) ([]rtree.Item, error) {
 	b := st.bindings[bi]
 	li := b.schema.LocColumn()
-	pic, ok := st.e.cat.Picture(b.picture)
-	if li < 0 || !ok {
+	if li < 0 || b.pic == nil {
 		return nil, fmt.Errorf("psql: relation %q has no loc column on picture %q", b.name, b.picture)
 	}
-	need := make([]bool, b.schema.Arity())
+	need := slices.Clone(st.test[bi])
 	need[li] = true
-	lits := make([]Datum, len(terms))
-	for i, t := range terms {
-		need[t.ci] = true
-		lit, err := st.eval(t.cmp.lit, nil)
-		if err != nil {
-			return nil, err
-		}
-		lits[i] = lit
-	}
 	var out []rtree.Item
-	keep := func(id storage.TupleID, t relation.Tuple) {
-		for i, term := range terms {
-			if !term.holds(t[term.ci], lits[i]) {
-				return
-			}
-		}
-		if mbr, ok := tupleMBR(t, li, pic, b.picture); ok {
+	item := func(id storage.TupleID, t relation.Tuple) {
+		if mbr, ok := tupleMBR(t, li, b.pic, b.picture); ok {
 			out = append(out, rtree.Item{Rect: mbr, Data: id.Int64()})
 		}
 	}
-	var ids []storage.TupleID
-	indexed := false
 	if via != nil {
-		lo, hi := via.bounds()
-		ids, indexed = b.rel.LookupRange(via.cmp.col.Column, lo, hi)
-	}
-	if indexed {
-		tuples, err := b.rel.GetBatch(ids, need, st.e.parallelism())
+		ids, err := st.lookup(bi, via)
+		if err != nil {
+			return nil, err
+		}
+		sortTupleIDs(ids) // the B-tree delivers key order
+		ids, tuples, err := st.fetchKept(bi, ids, need)
 		if err != nil {
 			return nil, err
 		}
 		for i, id := range ids {
-			keep(id, tuples[i])
+			item(id, tuples[i])
 		}
-	} else if err := b.rel.ScanCols(need, func(id storage.TupleID, t relation.Tuple) bool {
-		keep(id, t)
+		return out, nil
+	}
+	keep := holdAll(terms)
+	if err := b.rel.ScanCols(need, func(id storage.TupleID, t relation.Tuple) bool {
+		if keep(t) {
+			item(id, t)
+		}
 		return true
 	}); err != nil {
 		return nil, err
 	}
-	// The B-tree delivers key order, and a heap scan follows the page
-	// chain, which ascends only until a freed page is reused.
-	sort.Slice(out, func(i, j int) bool { return out[i].Data < out[j].Data })
+	// A heap scan follows the page chain, which ascends only until a
+	// freed page is reused.
+	byData := func(a, b rtree.Item) int { return cmp.Compare(a.Data, b.Data) }
+	if !slices.IsSortedFunc(out, byData) {
+		slices.SortFunc(out, byData)
+	}
 	return out, nil
 }
 
 // survives reports whether id is among the ascending survivor items.
 func survives(items []rtree.Item, id storage.TupleID) bool {
-	v := id.Int64()
-	i := sort.Search(len(items), func(i int) bool { return items[i].Data >= v })
-	return i < len(items) && items[i].Data == v
+	_, ok := slices.BinarySearchFunc(items, id.Int64(), func(it rtree.Item, v int64) int { return cmp.Compare(it.Data, v) })
+	return ok
 }
 
 // itemRects returns the items' rectangles, the windows of a batched

@@ -175,8 +175,13 @@ func (r *Relation) BuildIndexes(columns []string, pics []PictureSpec, ready func
 		r.indexes[col] = trees[c]
 	}
 	for p, ps := range pics {
+		for _, si := range sis[p] {
+			si.costGen = &r.costGen
+		}
 		r.spatial[ps.Picture.Name()] = sis[p]
 	}
+	r.gen.Add(1)
+	r.costGen.Add(1)
 	return times, nil
 }
 

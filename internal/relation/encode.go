@@ -52,6 +52,13 @@ func DecodeTuple(rec []byte) (Tuple, error) { return DecodeTupleCols(rec, nil) }
 // Validation is not relaxed: a corrupt record fails the same way
 // whether or not the broken column was needed.
 func DecodeTupleCols(rec []byte, need []bool) (Tuple, error) {
+	return decodeCols(rec, need, nil)
+}
+
+// decodeCols is DecodeTupleCols writing the values into dst[:0] when
+// the tuple fits dst's capacity — a batch fetch hands each tuple its
+// slice of one arena — and into a fresh slice otherwise.
+func decodeCols(rec []byte, need []bool, dst Tuple) (Tuple, error) {
 	n, off := binary.Uvarint(rec)
 	if off <= 0 {
 		return nil, fmt.Errorf("relation: corrupt tuple header")
@@ -62,8 +69,11 @@ func DecodeTupleCols(rec []byte, need []bool) (Tuple, error) {
 	if n > uint64(len(rec)-off) {
 		return nil, fmt.Errorf("relation: corrupt tuple header: %d columns in %d bytes", n, len(rec))
 	}
+	out := dst[:0]
+	if uint64(cap(out)) < n {
+		out = make(Tuple, 0, n)
+	}
 	pos := off
-	out := make(Tuple, 0, n)
 	for i := uint64(0); i < n; i++ {
 		if pos >= len(rec) {
 			return nil, fmt.Errorf("relation: truncated tuple at column %d", i)
@@ -116,6 +126,23 @@ func DecodeTupleCols(rec []byte, need []bool) (Tuple, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// decodeKept is the terms-first decode of a batch fetch: with keep
+// non-nil the record is decoded on test's columns alone and shown to
+// keep, and only a tuple keep accepts has need's columns materialized;
+// ok is false for one it rejects. Both decodes go to dst as in
+// decodeCols, and the first validates the whole record, so a corrupt one
+// fails whether or not keep would have rejected it — and exactly when
+// DecodeTupleCols(rec, nil) fails.
+func decodeKept(rec []byte, need, test []bool, keep func(Tuple) bool, dst Tuple) (t Tuple, ok bool, err error) {
+	if keep != nil {
+		if t, err = decodeCols(rec, test, dst); err != nil || !keep(t) {
+			return nil, false, err
+		}
+	}
+	t, err = decodeCols(rec, need, dst)
+	return t, err == nil, err
 }
 
 // IndexKey returns an order-preserving byte encoding of v:

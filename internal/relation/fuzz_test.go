@@ -11,7 +11,11 @@ import (
 // panics on any input, and any input it accepts re-encodes and
 // re-decodes to the same tuple (round-trip stability) — together the
 // guarantee Database.Check relies on when it re-decodes every stored
-// record.
+// record. The batch fetch's decode — into an arena slot, the terms'
+// columns first (decodeKept) — is held to the same decoder: it fails on
+// exactly the records DecodeTuple fails on, with the same error, and on
+// the others agrees with it on every needed column, whatever the masks
+// and whatever the slot's capacity.
 func FuzzDecodeTuple(f *testing.F) {
 	good := EncodeTuple(Tuple{S("abc"), I(5)})
 	f.Add(append([]byte(nil), good...))
@@ -26,6 +30,7 @@ func FuzzDecodeTuple(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tup, err := DecodeTuple(data)
+		checkDecodeKept(t, data, tup, err)
 		if err != nil {
 			return // rejecting is always fine; panicking is not
 		}
@@ -38,4 +43,66 @@ func FuzzDecodeTuple(f *testing.F) {
 			t.Fatalf("decode/encode round-trip unstable for input %x", data)
 		}
 	})
+}
+
+// checkDecodeKept runs decodeKept on data under masks and a slot
+// capacity derived from its bytes and compares it with full, err — what
+// DecodeTuple made of the same bytes.
+func checkDecodeKept(t *testing.T, data []byte, full Tuple, err error) {
+	t.Helper()
+	seed := uint32(len(data))
+	for _, b := range data {
+		seed = seed*31 + uint32(b)
+	}
+	mask := func(bits uint32) []bool {
+		m := make([]bool, 1+bits%5) // shorter than some tuples: the rest is needed
+		for i := range m {
+			m[i] = bits>>(3+i)&1 == 1
+		}
+		return m
+	}
+	need, test := mask(seed), mask(seed/7)
+	for _, accept := range []bool{true, false} {
+		slot := make(Tuple, seed%4, seed%4+seed/3%6) // stale values the decode must overwrite
+		for i := range slot {
+			slot[i] = S("stale")
+		}
+		var shown Tuple
+		got, ok, gerr := decodeKept(data, need, test, func(tt Tuple) bool {
+			shown = append(Tuple(nil), tt...)
+			return accept
+		}, slot[:0])
+		if (gerr == nil) != (err == nil) || (err != nil && gerr.Error() != err.Error()) {
+			t.Fatalf("decodeKept error %v, DecodeTuple error %v (input %x)", gerr, err, data)
+		}
+		if err != nil {
+			continue
+		}
+		if ok != accept {
+			t.Fatalf("decodeKept kept=%v under a keep answering %v (input %x)", ok, accept, data)
+		}
+		agree := func(what string, part Tuple, m []bool) {
+			if len(part) != len(full) {
+				t.Fatalf("%s has %d columns, DecodeTuple %d (input %x)", what, len(part), len(full), data)
+			}
+			for i, v := range part {
+				want := Value{Type: full[i].Type}
+				if i >= len(m) || m[i] {
+					want = full[i]
+				}
+				// Compared as encoded: a NaN equals itself there.
+				if !bytes.Equal(EncodeTuple(Tuple{v}), EncodeTuple(Tuple{want})) {
+					t.Fatalf("%s column %d = %+v, want %+v (input %x)", what, i, v, want, data)
+				}
+			}
+		}
+		agree("the tuple keep was shown", shown, test)
+		if !accept {
+			continue
+		}
+		agree("the kept tuple", got, need)
+		if len(got) > 0 && len(got) <= cap(slot) && &got[0] != &slot[:1][0] {
+			t.Fatalf("a %d-column tuple did not use its %d-value slot (input %x)", len(got), cap(slot), data)
+		}
+	}
 }

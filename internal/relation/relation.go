@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/btree"
 	"repro/internal/geom"
@@ -57,6 +58,15 @@ type Relation struct {
 	// live counts live tuples per store: Len, the balance report and
 	// Check read it.
 	live []int64
+
+	// gen counts the changes to what the relation is indexed by
+	// (BuildIndexes: CreateIndex, AttachPicture); costGen the changes to
+	// anything a plan is priced from — the tuple count, a spatial
+	// index's write side or packed tree (every Insert and Delete, every
+	// freeze, repack swap and rebuild). A statement bound or priced at
+	// one value is still good while the value stands.
+	gen     atomic.Uint64
+	costGen atomic.Uint64
 }
 
 func newRelation(name string, schema Schema, stores []*store, ids idCodec) *Relation {
@@ -151,6 +161,16 @@ func OpenSharded(pagers []*pager.Pager, name string, schema Schema, firsts []pag
 
 // Name returns the relation name.
 func (r *Relation) Name() string { return r.name }
+
+// Generation changes whenever a B-tree or a picture is attached to the
+// relation: what a statement resolved against it — which columns are
+// indexed, which pictures it answers on — holds while it stands.
+func (r *Relation) Generation() uint64 { return r.gen.Load() }
+
+// CostGeneration changes whenever anything SpatialCostSnapshot, Len or
+// the B-trees report may have: a price computed after reading it holds
+// while it stands.
+func (r *Relation) CostGeneration() uint64 { return r.costGen.Load() }
 
 // Sharded reports whether the relation's stores are page files of its
 // own beside the database's main file. Only code that handles those
@@ -269,6 +289,7 @@ func (r *Relation) Insert(t Tuple) (storage.TupleID, error) {
 	for _, w := range writes {
 		w.si.insert(w.rect, id)
 	}
+	r.costGen.Add(1)
 	return storage.TupleIDFromInt64(id), nil
 }
 
@@ -302,9 +323,9 @@ func (r *Relation) resolve(id int64) (int, storage.TupleID, bool) {
 	return r.ids.resolve(id)
 }
 
-// decode unframes the record read from lid for id, checks that it is
-// id's, and materializes the columns need selects (nil = all).
-func (r *Relation) decode(id int64, lid storage.TupleID, rec []byte, need []bool) (Tuple, error) {
+// payload unframes the record read from lid for id and checks that it
+// is id's.
+func (r *Relation) payload(id int64, lid storage.TupleID, rec []byte) ([]byte, error) {
 	got, payload, err := r.ids.unframe(lid, rec)
 	if err != nil {
 		return nil, err
@@ -312,7 +333,7 @@ func (r *Relation) decode(id int64, lid storage.TupleID, rec []byte, need []bool
 	if got != id {
 		return nil, fmt.Errorf("%w: record carries id %d, the directory says %d", storage.ErrCorrupt, got, id)
 	}
-	return DecodeTupleCols(payload, need)
+	return payload, nil
 }
 
 // fetch reads the tuple id names from lid of store s, where it was
@@ -327,8 +348,11 @@ func (r *Relation) fetch(id int64, s int, lid storage.TupleID, need []bool) (Tup
 	rec, err := st.heap.Get(lid)
 	st.mu.RUnlock()
 	if err == nil {
+		rec, err = r.payload(id, lid, rec)
+	}
+	if err == nil {
 		var t Tuple
-		if t, err = r.decode(id, lid, rec, need); err == nil {
+		if t, err = DecodeTupleCols(rec, need); err == nil {
 			return t, true, nil
 		}
 	}
@@ -349,14 +373,31 @@ func (r *Relation) Get(id storage.TupleID) (Tuple, error) {
 }
 
 // GetBatch materializes the tuples stored under ids, preserving input
-// order: out[i] is the tuple for ids[i]. Ids are grouped by store and
-// each store's share cut into chunks; a chunk pins each page it
-// references once (sorted page order, zero-copy view when mmap is
-// active) and decodes tuples in place; need selects which columns to
-// materialize, as in DecodeTupleCols (nil = all). Chunks run on up to
-// workers goroutines (0 means GOMAXPROCS); output is identical at any
-// worker count.
+// order: out[i] is the tuple for ids[i]. See FetchWhere, which it is
+// with nothing to test.
 func (r *Relation) GetBatch(ids []storage.TupleID, need []bool, workers int) ([]Tuple, error) {
+	return r.FetchWhere(ids, need, nil, nil, workers)
+}
+
+// FetchWhere materializes the tuples stored under ids that keep
+// accepts, preserving input order: out[i] is the tuple for ids[i], nil
+// when keep rejected it. Ids are grouped by store and each store's
+// share cut into chunks; a chunk pins each page it references once
+// (ascending page order — ids on the statement path arrive sorted, any
+// other order is sorted per chunk — zero-copy view when mmap is active)
+// and decodes its tuples in place into one arena. need selects which
+// columns to materialize, as in DecodeTupleCols (nil = all).
+//
+// With keep non-nil a record is first decoded on the columns test
+// selects alone and shown to keep; only a tuple keep accepts has need's
+// columns materialized, so a rejected candidate costs no string and no
+// tuple. The first decode validates the whole record, so a corrupt one
+// fails the fetch whether or not keep would have rejected it. keep runs
+// concurrently, must be pure, and must not retain its argument.
+//
+// Chunks run on up to workers goroutines (0 means GOMAXPROCS); output
+// is identical at any worker count.
+func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep func(Tuple) bool, workers int) ([]Tuple, error) {
 	out := make([]Tuple, len(ids))
 	if len(ids) == 0 {
 		return out, nil
@@ -381,9 +422,16 @@ func (r *Relation) GetBatch(ids []storage.TupleID, need []bool, workers int) ([]
 			chunks = append(chunks, chunk{s, c * len(l) / n, (c + 1) * len(l) / n})
 		}
 	}
+	arity := r.schema.Arity()
 	err = par.Do(len(chunks), workers, func(i int) error {
 		c := chunks[i]
 		st := r.stores[c.s]
+		// Tuples are cut from arenas of up to arenaTuples each: a kept
+		// tuple costs no allocation of its own, a rejected one none at
+		// all, and no arena is a large object.
+		const arenaTuples = 128
+		var arena []Value
+		left := c.hi - c.lo // candidates not yet decoded
 		st.mu.RLock()
 		defer st.mu.RUnlock()
 		return st.heap.GetBatch(lids[c.s][c.lo:c.hi], func(k int, rec []byte) error {
@@ -392,9 +440,27 @@ func (r *Relation) GetBatch(ids []storage.TupleID, need []bool, workers int) ([]
 			if pos != nil {
 				p = pos[c.s][k]
 			}
-			t, err := r.decode(ids[p].Int64(), lids[c.s][k], rec, need)
+			// The tuple's slice of the arena; a rejected candidate's is
+			// handed to the next one.
+			if len(arena) < arity {
+				arena = make([]Value, min(left, arenaTuples)*arity)
+			}
+			left--
+			slot := arena[:0:arity]
+			rec, err := r.payload(ids[p].Int64(), lids[c.s][k], rec)
+			var t Tuple
+			kept := false
+			if err == nil {
+				t, kept, err = decodeKept(rec, need, test, keep, slot)
+			}
 			if err != nil {
 				return fmt.Errorf("relation %s: tuple %v: %w", r.name, ids[p], err)
+			}
+			if !kept {
+				return nil
+			}
+			if len(t) <= arity { // it fit the slot
+				arena = arena[arity:]
 			}
 			out[p] = t
 			return nil
@@ -444,6 +510,7 @@ func (r *Relation) Delete(id storage.TupleID) error {
 	for _, w := range writes {
 		w.si.delete(w.rect, gid)
 	}
+	r.costGen.Add(1)
 	st := r.stores[s]
 	st.mu.Lock()
 	err = st.heap.Delete(lid)
@@ -669,20 +736,13 @@ func (r *Relation) Pictures() []string {
 // TupleID order, merged across packed + delta minus tombstones — the
 // answer a single freshly packed tree would give. With several stores
 // the query scatters to only those whose bounds overlap the window and
-// the streams gather-merge in the same canonical order.
+// the gathered ids are sorted into the same canonical order.
 func (r *Relation) SearchArea(pictureName string, window geom.Rect, pred func(obj, win geom.Rect) bool) ([]storage.TupleID, int, error) {
-	sis := r.spatialList(pictureName)
-	if sis == nil {
-		return nil, 0, fmt.Errorf("relation %s: no spatial index for picture %q", r.name, pictureName)
+	batches, visited, err := r.SearchAreaBatch(pictureName, []geom.Rect{window}, pred, 1)
+	if err != nil {
+		return nil, 0, err
 	}
-	items, visited := scatterQuery(sis, window)
-	var out []storage.TupleID
-	for _, it := range items {
-		if pred(it.Rect, window) {
-			out = append(out, storage.TupleIDFromInt64(it.Data))
-		}
-	}
-	return out, visited, nil
+	return batches[0], visited, nil
 }
 
 // SpatialItems enumerates every live entry of the named picture's
@@ -707,22 +767,60 @@ func (r *Relation) SpatialItems(pictureName string) ([]rtree.Item, int, error) {
 // across the batch and the merged trees. pred is called concurrently
 // and must be a pure function of its arguments.
 func (r *Relation) SearchAreaBatch(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool, parallelism int) ([][]storage.TupleID, int, error) {
+	batches, visited, err := r.search(pictureName, windows, pred, parallelism)
+	if err != nil {
+		return nil, 0, err
+	}
+	out := make([][]storage.TupleID, len(batches))
+	for i, ids := range batches {
+		slices.Sort(ids)
+		out[i] = tupleIDs(ids) // nil when empty
+	}
+	return out, visited, nil
+}
+
+// SearchWindows is the direct spatial search of one statement: the
+// tuples whose loc object MBR satisfies pred against any of the windows,
+// each id once, in canonical ascending TupleID order — the union of
+// SearchAreaBatch's lists, sorted once and de-duplicated — with the
+// visit count summed across the batch and the merged trees.
+func (r *Relation) SearchWindows(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool, parallelism int) ([]storage.TupleID, int, error) {
+	batches, visited, err := r.search(pictureName, windows, pred, parallelism)
+	if err != nil {
+		return nil, 0, err
+	}
+	var ids []int64
+	if len(batches) == 1 {
+		ids = batches[0]
+	} else {
+		ids = slices.Concat(batches...)
+	}
+	slices.Sort(ids)
+	return tupleIDs(slices.Compact(ids)), visited, nil
+}
+
+// search answers windows against the named picture's indexes: per
+// window, the ids of the qualifying tuples in no order (scatterSearch).
+func (r *Relation) search(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool, parallelism int) ([][]int64, int, error) {
 	sis := r.spatialList(pictureName)
 	if sis == nil {
 		return nil, 0, fmt.Errorf("relation %s: no spatial index for picture %q", r.name, pictureName)
 	}
-	batches, visited := scatterQueryBatch(sis, windows, parallelism)
-	out := make([][]storage.TupleID, len(batches))
-	for i, items := range batches {
-		var ids []storage.TupleID // nil when empty, like SearchArea
-		for _, it := range items {
-			if pred(it.Rect, windows[i]) {
-				ids = append(ids, storage.TupleIDFromInt64(it.Data))
-			}
-		}
-		out[i] = ids
+	batches, visited := scatterSearch(sis, windows, pred, parallelism)
+	return batches, visited, nil
+}
+
+// tupleIDs converts index data pointers to the tuple ids they encode;
+// nil when there are none.
+func tupleIDs(data []int64) []storage.TupleID {
+	if len(data) == 0 {
+		return nil
 	}
-	return out, visited, nil
+	out := make([]storage.TupleID, len(data))
+	for i, v := range data {
+		out[i] = storage.TupleIDFromInt64(v)
+	}
+	return out
 }
 
 // SpatialPair is one juxtaposition result: the storage ids of the

@@ -3,7 +3,6 @@ package relation
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/pack"
@@ -19,13 +18,13 @@ import (
 //
 // The contract is that the store count cannot be seen in an answer:
 // queries return the same rows in the same canonical order at every
-// count. Each store's spatial index answers locally in ascending id
-// order (the per-tier merge of DESIGN.md §12), and the gather step
-// k-way-merges the per-store streams by id — bit-identical to one big
-// index. Placement is a pure heuristic: contiguous key ranges per store
-// keep spatially clustered tuples together, so clustered windows overlap
-// few stores' bounds, but correctness never depends on where a tuple
-// lives — the id directory (ids.go) says where.
+// count. Each store's spatial index reports the ids it holds for a
+// window and the gather step sorts their union once — stores partition
+// the id space, so that is bit-identical to one big index. Placement is
+// a pure heuristic: contiguous key ranges per store keep spatially
+// clustered tuples together, so clustered windows overlap few stores'
+// bounds, but correctness never depends on where a tuple lives — the id
+// directory (ids.go) says where.
 
 // KeyRange is the half-open Hilbert key range [Lo, Hi) routed to one
 // shard.
@@ -262,68 +261,17 @@ func (r *Relation) SpatialCostSnapshot(pictureName string, windows []geom.Rect) 
 	return merged, true
 }
 
-// mergeItemStreams k-way-merges per-shard item streams, each already in
-// canonical ascending-TupleID (sequence) order, into one canonical
-// stream — the gather step. Shards partition the id space, so the merge
-// is a strict interleave.
-func mergeItemStreams(streams [][]rtree.Item) []rtree.Item {
-	switch len(streams) {
-	case 0:
-		return nil
-	case 1:
-		return streams[0]
-	}
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	out := make([]rtree.Item, 0, total)
-	cur := make([]int, len(streams))
-	for len(out) < total {
-		best := -1
-		var bd int64
-		for s, c := range cur {
-			if c < len(streams[s]) && (best < 0 || streams[s][c].Data < bd) {
-				best, bd = s, streams[s][c].Data
-			}
-		}
-		out = append(out, streams[best][cur[best]])
-		cur[best]++
-	}
-	return out
-}
-
-// scatterQuery runs window against every overlapping index in sis and
-// gathers the streams in canonical order. Pruning by shard bounds is
-// only applied when there is more than one index, so the unsharded
-// path keeps its exact legacy visit counts.
-func scatterQuery(sis []*SpatialIndex, window geom.Rect) ([]rtree.Item, int) {
+// scatterSearch answers every window against the indexes in sis whose
+// bounds it overlaps and returns, per window, the ids every admitted
+// index reported (SpatialIndex.search) — unordered; stores partition the
+// id space, so no id appears twice in one window's list. Pruning by
+// bounds is only applied when there is more than one index, so a
+// one-store relation keeps its exact visit counts.
+func scatterSearch(sis []*SpatialIndex, windows []geom.Rect, pred func(obj, win geom.Rect) bool, parallelism int) ([][]int64, int) {
+	out := make([][]int64, len(windows))
 	if len(sis) == 1 {
-		return sis[0].query(window)
+		return out, sis[0].search(windows, pred, parallelism, out)
 	}
-	streams := make([][]rtree.Item, 0, len(sis))
-	visited := 0
-	for _, si := range sis {
-		if si.Len() == 0 || !si.Bounds().Intersects(window) {
-			continue
-		}
-		items, v := si.query(window)
-		visited += v
-		if len(items) > 0 {
-			streams = append(streams, items)
-		}
-	}
-	return mergeItemStreams(streams), visited
-}
-
-// scatterQueryBatch is scatterQuery over many windows, scattering each
-// shard only the windows its bounds overlap and reusing the per-index
-// batched read path.
-func scatterQueryBatch(sis []*SpatialIndex, windows []geom.Rect, parallelism int) ([][]rtree.Item, int) {
-	if len(sis) == 1 {
-		return sis[0].queryBatch(windows, parallelism)
-	}
-	streams := make([][][]rtree.Item, len(windows))
 	visited := 0
 	for _, si := range sis {
 		if si.Len() == 0 {
@@ -341,17 +289,11 @@ func scatterQueryBatch(sis []*SpatialIndex, windows []geom.Rect, parallelism int
 		if len(sub) == 0 {
 			continue
 		}
-		res, v := si.queryBatch(sub, parallelism)
-		visited += v
+		res := make([][]int64, len(sub))
+		visited += si.search(sub, pred, parallelism, res)
 		for j, i := range wi {
-			if len(res[j]) > 0 {
-				streams[i] = append(streams[i], res[j])
-			}
+			out[i] = append(out[i], res[j]...)
 		}
-	}
-	out := make([][]rtree.Item, len(windows))
-	for i := range windows {
-		out[i] = mergeItemStreams(streams[i])
 	}
 	return out, visited
 }
@@ -361,16 +303,15 @@ func scatterItems(sis []*SpatialIndex) ([]rtree.Item, int) {
 	if len(sis) == 1 {
 		return sis[0].items()
 	}
-	streams := make([][]rtree.Item, 0, len(sis))
+	var out []rtree.Item
 	visited := 0
 	for _, si := range sis {
 		items, v := si.items()
 		visited += v
-		if len(items) > 0 {
-			streams = append(streams, items)
-		}
+		out = append(out, items...)
 	}
-	return mergeItemStreams(streams), visited
+	sortItemsByData(out)
+	return out, visited
 }
 
 // scatterJuxtapose joins two index lists: every pair of non-empty
@@ -399,11 +340,6 @@ func scatterJuxtapose(as, bs []*SpatialIndex, pred func(a, b geom.Rect) bool, wo
 			pairs = append(pairs, ps...)
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A.Data != pairs[j].A.Data {
-			return pairs[i].A.Data < pairs[j].A.Data
-		}
-		return pairs[i].B.Data < pairs[j].B.Data
-	})
+	sortJoinPairs(pairs)
 	return pairs, visited
 }

@@ -710,7 +710,7 @@ func TestScatterFanoutPruning(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, si := range sis {
-			_, v := si.query(window)
+			v := si.search([]geom.Rect{window}, geom.Overlapping, 1, make([][]int64, 1))
 			all += v
 			if si.Bounds().Intersects(window) {
 				admitted += v

@@ -1,9 +1,10 @@
 package relation
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -64,6 +65,11 @@ type SpatialIndex struct {
 	// seq orders lock acquisition when two indexes are locked together
 	// (juxtaposition): lower seq first, so no lock cycle can form.
 	seq int64
+	// costGen is bumped after every change to what CostSnapshot reports
+	// that does not come through Relation.Insert or Delete (which bump
+	// it themselves): a freeze, a repack swap, a rebuild. It is the
+	// owning relation's counter once the index is attached to one.
+	costGen *atomic.Uint64
 
 	mu     sync.RWMutex
 	packed *rtree.Tree
@@ -106,6 +112,7 @@ func newSpatialIndex(pic *picture.Picture, tree *rtree.Tree, opts pack.Options) 
 		Picture:    pic,
 		Opts:       opts,
 		seq:        spatialSeq.Add(1),
+		costGen:    new(atomic.Uint64),
 		packed:     tree,
 		stats:      tree.SearchMetrics(),
 		delta:      rtree.New(deltaParams),
@@ -398,6 +405,7 @@ func (si *SpatialIndex) freezeLocked() bool {
 	si.frozen, si.ts0 = si.delta, si.tombs
 	si.delta = rtree.New(deltaParams)
 	si.tombs = make(map[int64]struct{})
+	si.costGen.Add(1)
 	return true
 }
 
@@ -409,6 +417,7 @@ func (si *SpatialIndex) swap(tree *rtree.Tree, stats rtree.Metrics) {
 	si.packed, si.stats = tree, stats
 	si.frozen, si.ts0 = nil, nil
 	si.repacks++
+	si.costGen.Add(1)
 	si.mu.Unlock()
 }
 
@@ -446,6 +455,7 @@ func (si *SpatialIndex) rebuild(items []rtree.Item, opts pack.Options) {
 	si.frozen, si.ts0 = nil, nil
 	si.tombs = make(map[int64]struct{})
 	si.repacks++
+	si.costGen.Add(1)
 	si.mu.Unlock()
 	si.repacking.Store(false)
 }
@@ -474,83 +484,51 @@ func (si *SpatialIndex) frozenDeadLocked(id int64) bool {
 // int64 encoding (page<<16|slot) is order-preserving, so this is
 // canonical ascending-TupleID order.
 func sortItemsByData(items []rtree.Item) {
-	sort.Slice(items, func(i, j int) bool { return items[i].Data < items[j].Data })
+	slices.SortFunc(items, func(a, b rtree.Item) int { return cmp.Compare(a.Data, b.Data) })
 }
 
-// query returns every live item intersecting window, merged across
-// packed + frozen + delta minus tombstones, in canonical ascending-
-// TupleID order, plus the number of R-tree nodes visited (summed over
-// the searched trees).
-func (si *SpatialIndex) query(window geom.Rect) ([]rtree.Item, int) {
+// sortJoinPairs orders pairs canonically, ascending by (A.Data, B.Data).
+func sortJoinPairs(pairs []rtree.JoinPair) {
+	slices.SortFunc(pairs, func(a, b rtree.JoinPair) int {
+		if c := cmp.Compare(a.A.Data, b.A.Data); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.B.Data, b.B.Data)
+	})
+}
+
+// search answers every window with up to parallelism goroutines per
+// tree: the id of each live entry — packed + frozen + delta minus
+// tombstones — whose MBR intersects windows[i] and satisfies pred
+// against it is appended to out[i], and the nodes visited are added to
+// the count returned (summed over the searched trees). The predicate
+// runs as the leaves are reached, so only ids leave the index, in no
+// particular order; callers sort what they keep. pred is called
+// concurrently and must be pure.
+func (si *SpatialIndex) search(windows []geom.Rect, pred func(obj, win geom.Rect) bool, parallelism int, out [][]int64) int {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
-	var out []rtree.Item
-	visited := si.packed.Search(window, func(it rtree.Item) bool {
-		if !si.packedDeadLocked(it.Data) {
-			out = append(out, it)
+	tombs := len(si.tombs)+len(si.ts0) > 0
+	visited := si.packed.SearchBatch(windows, parallelism, func(i int, it rtree.Item) {
+		if pred(it.Rect, windows[i]) && !(tombs && si.packedDeadLocked(it.Data)) {
+			out[i] = append(out[i], it.Data)
 		}
-		return true
 	})
 	if si.frozen != nil && si.frozen.Len() > 0 {
-		visited += si.frozen.Search(window, func(it rtree.Item) bool {
-			if !si.frozenDeadLocked(it.Data) {
-				out = append(out, it)
+		visited += si.frozen.SearchBatch(windows, parallelism, func(i int, it rtree.Item) {
+			if pred(it.Rect, windows[i]) && !si.frozenDeadLocked(it.Data) {
+				out[i] = append(out[i], it.Data)
 			}
-			return true
 		})
 	}
 	if si.delta.Len() > 0 {
-		visited += si.delta.Search(window, func(it rtree.Item) bool {
-			out = append(out, it)
-			return true
+		visited += si.delta.SearchBatch(windows, parallelism, func(i int, it rtree.Item) {
+			if pred(it.Rect, windows[i]) {
+				out[i] = append(out[i], it.Data)
+			}
 		})
 	}
-	sortItemsByData(out)
-	return out, visited
-}
-
-// queryBatch answers many windows with up to parallelism goroutines per
-// tree, merging like query. results[i] is canonically ordered.
-func (si *SpatialIndex) queryBatch(windows []geom.Rect, parallelism int) ([][]rtree.Item, int) {
-	si.mu.RLock()
-	defer si.mu.RUnlock()
-	res, visited := si.packed.QueryBatch(windows, parallelism)
-	if res == nil {
-		res = make([][]rtree.Item, len(windows))
-	}
-	if len(si.tombs)+len(si.ts0) > 0 {
-		for i, items := range res {
-			live := items[:0]
-			for _, it := range items {
-				if !si.packedDeadLocked(it.Data) {
-					live = append(live, it)
-				}
-			}
-			res[i] = live
-		}
-	}
-	if si.frozen != nil && si.frozen.Len() > 0 {
-		fr, v := si.frozen.QueryBatch(windows, parallelism)
-		visited += v
-		for i := range fr {
-			for _, it := range fr[i] {
-				if !si.frozenDeadLocked(it.Data) {
-					res[i] = append(res[i], it)
-				}
-			}
-		}
-	}
-	if si.delta.Len() > 0 {
-		dr, v := si.delta.QueryBatch(windows, parallelism)
-		visited += v
-		for i := range dr {
-			res[i] = append(res[i], dr[i]...)
-		}
-	}
-	for i := range res {
-		sortItemsByData(res[i])
-	}
-	return res, visited
+	return visited
 }
 
 // items enumerates every live entry in canonical ascending-TupleID
@@ -651,12 +629,7 @@ func juxtaposeMerged(si, sj *SpatialIndex, pred func(a, b geom.Rect) bool, worke
 			}
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].A.Data != pairs[j].A.Data {
-			return pairs[i].A.Data < pairs[j].A.Data
-		}
-		return pairs[i].B.Data < pairs[j].B.Data
-	})
+	sortJoinPairs(pairs)
 	return pairs, visited
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -259,12 +260,10 @@ func TestFrozenTombstoneFiltering(t *testing.T) {
 	)
 	si.SetAutoRepack(false)
 	liveIDs := func() []int64 {
-		items, _ := si.query(geom.R(0, 0, 10, 10))
-		ids := make([]int64, len(items))
-		for i, it := range items {
-			ids[i] = it.Data
-		}
-		return ids
+		out := make([][]int64, 1)
+		si.search([]geom.Rect{geom.R(0, 0, 10, 10)}, geom.Overlapping, 1, out)
+		slices.Sort(out[0])
+		return out[0]
 	}
 	// Pre-freeze: ids 1 and 6 deleted (tombstones), ids 3,4 inserted,
 	// and id 6 born again — the heap reuses a freed slot at once.

@@ -12,9 +12,10 @@ import (
 // against one tree by a pool of worker goroutines. Single-query search
 // is recursive descent with no shared mutable state (see the
 // concurrency note on Tree), so batching needs no per-node locking —
-// workers pull windows from an atomic cursor and write results into
-// preassigned slots, making the output independent of goroutine
-// scheduling: results[i] always answers windows[i], in tree order.
+// workers pull windows from an atomic cursor and report each window's
+// items under its own index, making the output independent of goroutine
+// scheduling: what is reported for i always answers windows[i], in tree
+// order.
 
 // batchWorkers normalizes a parallelism request: <= 0 means
 // GOMAXPROCS, and there is never a reason to run more workers than
@@ -32,27 +33,29 @@ func batchWorkers(parallelism, n int) int {
 	return parallelism
 }
 
-// QueryBatch answers every window against the tree, fanning the
+// SearchBatch runs Search(windows[i]) for every window, fanning the
 // windows out over up to parallelism goroutines (0 or negative means
-// runtime.GOMAXPROCS(0)). results[i] holds the items intersecting
-// windows[i] in tree order — identical to calling Query(windows[i])
-// sequentially — and the second return is the total number of node
-// visits across the batch (the paper's measure A, summed).
-func (t *Tree) QueryBatch(windows []geom.Rect, parallelism int) ([][]Item, int) {
+// runtime.GOMAXPROCS(0)), and calls fn(i, item) for every item
+// intersecting windows[i], in tree order. Calls for one window come
+// from one goroutine, one after another; calls for different windows
+// may run concurrently, so fn may keep per-window state without a lock
+// and nothing else. It returns the total number of node visits across
+// the batch (the paper's measure A, summed).
+func (t *Tree) SearchBatch(windows []geom.Rect, parallelism int, fn func(i int, it Item)) int {
 	n := len(windows)
-	if n == 0 {
-		return nil, 0
+	search := func(i int) int {
+		return t.Search(windows[i], func(it Item) bool {
+			fn(i, it)
+			return true
+		})
 	}
-	results := make([][]Item, n)
 	workers := batchWorkers(parallelism, n)
 	if workers == 1 {
 		visited := 0
-		for i, w := range windows {
-			var v int
-			results[i], v = t.Query(w)
-			visited += v
+		for i := range windows {
+			visited += search(i)
 		}
-		return results, visited
+		return visited
 	}
 
 	var cursor atomic.Int64
@@ -67,12 +70,24 @@ func (t *Tree) QueryBatch(windows []geom.Rect, parallelism int) ([][]Item, int) 
 				if i >= n {
 					return
 				}
-				items, v := t.Query(windows[i])
-				results[i] = items
-				visits.Add(int64(v))
+				visits.Add(int64(search(i)))
 			}
 		}()
 	}
 	wg.Wait()
-	return results, int(visits.Load())
+	return int(visits.Load())
+}
+
+// QueryBatch answers every window against the tree like SearchBatch.
+// results[i] holds the items intersecting windows[i] in tree order —
+// identical to calling Query(windows[i]) sequentially.
+func (t *Tree) QueryBatch(windows []geom.Rect, parallelism int) ([][]Item, int) {
+	if len(windows) == 0 {
+		return nil, 0
+	}
+	results := make([][]Item, len(windows))
+	visited := t.SearchBatch(windows, parallelism, func(i int, it Item) {
+		results[i] = append(results[i], it)
+	})
+	return results, visited
 }

@@ -5,10 +5,11 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/pager"
 )
@@ -32,6 +33,12 @@ func (id TupleID) Int64() int64 {
 // TupleIDFromInt64 unpacks an id created by Int64.
 func TupleIDFromInt64(v int64) TupleID {
 	return TupleID{Page: pager.PageID(uint64(v) >> 16), Slot: uint16(uint64(v) & 0xffff)}
+}
+
+// Compare orders ids by (page, slot) — the order a heap scan delivers
+// and the order of their Int64 encodings.
+func (id TupleID) Compare(o TupleID) int {
+	return cmp.Compare(id.Int64(), o.Int64())
 }
 
 // String formats the id as "page:slot".
@@ -314,33 +321,32 @@ func (h *Heap) Get(id TupleID) ([]byte, error) {
 // straight from the mmap when one is active, from the buffer pool
 // otherwise). fn is called exactly once per id — i indexes into ids —
 // in ascending (page, slot) order, which groups all ids of one page
-// under a single pin. rec points into the pinned page image: it is
-// valid only during the call and must not be retained or written
-// through. Any fn error, unknown id, or corrupt slot aborts the batch.
+// under a single pin. Callers on the statement path hand in ids already
+// in that order, which one pass confirms; any other order is sorted
+// here. rec points into the pinned page image: it is valid only during
+// the call and must not be retained or written through. Any fn error,
+// unknown id, or corrupt slot aborts the batch.
 func (h *Heap) GetBatch(ids []TupleID, fn func(i int, rec []byte) error) error {
-	if len(ids) == 0 {
-		return nil
-	}
-	order := make([]int, len(ids))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		x, y := ids[order[a]], ids[order[b]]
-		if x.Page != y.Page {
-			return x.Page < y.Page
+	if !slices.IsSortedFunc(ids, TupleID.Compare) {
+		order := make([]int, len(ids))
+		for i := range order {
+			order[i] = i
 		}
-		return x.Slot < y.Slot
-	})
-	for k := 0; k < len(order); {
-		page := ids[order[k]].Page
+		slices.SortFunc(order, func(a, b int) int { return ids[a].Compare(ids[b]) })
+		sorted := make([]TupleID, len(ids))
+		for k, i := range order {
+			sorted[k] = ids[i]
+		}
+		return h.GetBatch(sorted, func(k int, rec []byte) error { return fn(order[k], rec) })
+	}
+	for i := 0; i < len(ids); {
+		page := ids[i].Page
 		v, err := h.p.Pin(page)
 		if err != nil {
 			return err
 		}
 		s := slotted(v.Data())
-		for ; k < len(order) && ids[order[k]].Page == page; k++ {
-			i := order[k]
+		for ; i < len(ids) && ids[i].Page == page; i++ {
 			id := ids[i]
 			if int(id.Slot) >= s.slotCount() {
 				v.Unpin()

@@ -28,9 +28,11 @@ package pictdb
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/pack"
@@ -129,12 +131,16 @@ var NewSchema = relation.NewSchema
 // Database is an integrated pictorial/alphanumeric database: the
 // catalog PSQL queries run against.
 type Database struct {
-	pager     *pager.Pager
-	relations map[string]*relation.Relation
-	pictures  map[string]*picture.Picture
-	locations map[string]geom.Rect
-	exec      *psql.Executor
-	readOnly  bool
+	pager *pager.Pager
+	// cat is what the names in a query denote. Definitions are rare and
+	// every statement resolves names, so the maps are published
+	// copy-on-write: a definition (serialized by defMu) copies the map it
+	// changes and stores a new catalog; a reader takes no lock and never
+	// sees a map that is being written.
+	cat      atomic.Pointer[catalog]
+	defMu    sync.Mutex
+	exec     *psql.Executor
+	readOnly bool
 
 	// Sharding: a sharded relation stores its tuples in dedicated page
 	// files (one pager + WAL per shard) beside the main file. path and
@@ -156,17 +162,53 @@ type Database struct {
 	wmu sync.Mutex
 }
 
+// catalog is one published state of the definitions. Its maps are never
+// written once the database is shared (loadCatalog fills the first one
+// before that).
+type catalog struct {
+	relations map[string]*relation.Relation
+	pictures  map[string]*picture.Picture
+	locations map[string]geom.Rect
+}
+
+func (db *Database) catalog() *catalog { return db.cat.Load() }
+
+// define applies one definition: change receives a copy of the current
+// catalog, replaces (never writes) the map it adds to — see defined —
+// and the copy is published unless change fails.
+func (db *Database) define(change func(c *catalog) error) error {
+	db.defMu.Lock()
+	defer db.defMu.Unlock()
+	next := *db.catalog()
+	if err := change(&next); err != nil {
+		return err
+	}
+	db.cat.Store(&next)
+	return nil
+}
+
+// defined returns a copy of m with name defined as v.
+func defined[V any](m map[string]V, name string, v V) map[string]V {
+	m = maps.Clone(m)
+	m[name] = v
+	return m
+}
+
+func newDatabase(p *pager.Pager) *Database {
+	db := &Database{pager: p, shardPagers: make(map[string][]*pager.Pager)}
+	db.cat.Store(&catalog{
+		relations: make(map[string]*relation.Relation),
+		pictures:  make(map[string]*picture.Picture),
+		locations: make(map[string]geom.Rect),
+	})
+	db.exec = psql.NewExecutor(db)
+	return db
+}
+
 // New creates an in-memory database. Sharded relations get in-memory
 // shard pagers.
 func New() *Database {
-	db := &Database{
-		pager:       pager.OpenMem(1024),
-		relations:   make(map[string]*relation.Relation),
-		pictures:    make(map[string]*picture.Picture),
-		locations:   make(map[string]geom.Rect),
-		shardPagers: make(map[string][]*pager.Pager),
-	}
-	db.exec = psql.NewExecutor(db)
+	db := newDatabase(pager.OpenMem(1024))
 	if err := db.ensureSuperblock(); err != nil {
 		// The in-memory pager cannot fail to allocate its first page.
 		panic(err)
@@ -221,17 +263,8 @@ func OpenWithPagerShards(p *pager.Pager, factory func(rel string, shard int, mus
 }
 
 func openWithPager(p *pager.Pager, path string, poolPages int, factory func(rel string, shard int, mustExist bool) (*pager.Pager, error)) (*Database, error) {
-	db := &Database{
-		pager:         p,
-		relations:     make(map[string]*relation.Relation),
-		pictures:      make(map[string]*picture.Picture),
-		locations:     make(map[string]geom.Rect),
-		path:          path,
-		poolPages:     poolPages,
-		shardPagers:   make(map[string][]*pager.Pager),
-		newShardPager: factory,
-	}
-	db.exec = psql.NewExecutor(db)
+	db := newDatabase(p)
+	db.path, db.poolPages, db.newShardPager = path, poolPages, factory
 	if err := db.ensureSuperblock(); err != nil {
 		p.Close()
 		return nil, err
@@ -369,7 +402,7 @@ func (db *Database) Close() error {
 // background repack in flight — the quiesce point tests and
 // checkpoints use before inspecting index structure.
 func (db *Database) WaitRepacks() {
-	for _, rel := range db.relations {
+	for _, rel := range db.catalog().relations {
 		rel.WaitRepacks()
 	}
 }
@@ -394,15 +427,16 @@ func (db *Database) Commit() error {
 // commitShards commits every sharded relation's shard pagers, each
 // relation's shards in parallel.
 func (db *Database) commitShards() error {
-	names := make([]string, 0, len(db.relations))
-	for name, rel := range db.relations {
+	rels := db.catalog().relations
+	names := make([]string, 0, len(rels))
+	for name, rel := range rels {
 		if rel.Sharded() {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if err := db.relations[name].CommitShards(); err != nil {
+		if err := rels[name].CommitShards(); err != nil {
 			return err
 		}
 	}
@@ -449,7 +483,7 @@ func (db *Database) Write(fn func() error) error {
 // while open; Close it promptly. Requires the WAL (file-backed opens)
 // and a committed catalog.
 func (db *Database) Snapshot() (*Database, error) {
-	for name, rel := range db.relations {
+	for name, rel := range db.catalog().relations {
 		if rel.Sharded() {
 			return nil, fmt.Errorf("pictdb: snapshot: relation %q is sharded; snapshots cover only the main page file", name)
 		}
@@ -535,15 +569,17 @@ func (db *Database) CreateRelation(name string, schema Schema) (*Relation, error
 	if db.readOnly {
 		return nil, fmt.Errorf("pictdb: create relation %q: %w", name, pager.ErrReadOnly)
 	}
-	if _, dup := db.relations[name]; dup {
-		return nil, fmt.Errorf("pictdb: relation %q already exists", name)
-	}
-	rel, err := relation.New(db.pager, name, schema)
-	if err != nil {
-		return nil, err
-	}
-	db.relations[name] = rel
-	return rel, nil
+	var rel *Relation
+	err := db.define(func(c *catalog) (err error) {
+		if _, dup := c.relations[name]; dup {
+			return fmt.Errorf("pictdb: relation %q already exists", name)
+		}
+		if rel, err = relation.New(db.pager, name, schema); err == nil {
+			c.relations = defined(c.relations, name, rel)
+		}
+		return err
+	})
+	return rel, err
 }
 
 // CreateShardedRelation defines a relation sharded across `shards`
@@ -557,33 +593,37 @@ func (db *Database) CreateShardedRelation(name string, schema Schema, shards int
 	if db.readOnly {
 		return nil, fmt.Errorf("pictdb: create relation %q: %w", name, pager.ErrReadOnly)
 	}
-	if _, dup := db.relations[name]; dup {
-		return nil, fmt.Errorf("pictdb: relation %q already exists", name)
-	}
 	if shards < 1 || shards > relation.MaxShards {
 		return nil, fmt.Errorf("pictdb: create relation %q: shard count %d out of range [1, %d]", name, shards, relation.MaxShards)
 	}
-	pagers := make([]*pager.Pager, 0, shards)
-	fail := func(err error) (*Relation, error) {
-		for _, sp := range pagers {
-			sp.Close()
+	var rel *Relation
+	err := db.define(func(c *catalog) error {
+		if _, dup := c.relations[name]; dup {
+			return fmt.Errorf("pictdb: relation %q already exists", name)
 		}
-		return nil, err
-	}
-	for i := 0; i < shards; i++ {
-		sp, err := db.openShardPager(name, i, false)
-		if err != nil {
+		pagers := make([]*pager.Pager, 0, shards)
+		fail := func(err error) error {
+			for _, sp := range pagers {
+				sp.Close()
+			}
+			return err
+		}
+		for i := 0; i < shards; i++ {
+			sp, err := db.openShardPager(name, i, false)
+			if err != nil {
+				return fail(err)
+			}
+			pagers = append(pagers, sp)
+		}
+		var err error
+		if rel, err = relation.NewSharded(pagers, name, schema); err != nil {
 			return fail(err)
 		}
-		pagers = append(pagers, sp)
-	}
-	rel, err := relation.NewSharded(pagers, name, schema)
-	if err != nil {
-		return fail(err)
-	}
-	db.relations[name] = rel
-	db.shardPagers[name] = pagers
-	return rel, nil
+		c.relations = defined(c.relations, name, rel)
+		db.shardPagers[name] = pagers
+		return nil
+	})
+	return rel, err
 }
 
 // openShardedRelation reopens a persisted sharded relation (catalog
@@ -620,31 +660,41 @@ func (db *Database) CreatePicture(name string, extent Rect) (*Picture, error) {
 	if db.readOnly {
 		return nil, fmt.Errorf("pictdb: create picture %q: %w", name, pager.ErrReadOnly)
 	}
-	if _, dup := db.pictures[name]; dup {
-		return nil, fmt.Errorf("pictdb: picture %q already exists", name)
-	}
 	p := picture.New(name, extent)
-	db.pictures[name] = p
+	err := db.define(func(c *catalog) error {
+		if _, dup := c.pictures[name]; dup {
+			return fmt.Errorf("pictdb: picture %q already exists", name)
+		}
+		c.pictures = defined(c.pictures, name, p)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	return p, nil
 }
 
 // DefineLocation names a constant area usable in at-clauses — the
 // paper's locations "predefined outside the retrieve mapping".
 func (db *Database) DefineLocation(name string, area Rect) {
-	db.locations[name] = area
+	_ = db.define(func(c *catalog) error { // the change cannot fail
+		c.locations = defined(c.locations, name, area)
+		return nil
+	})
 }
 
 // Relation implements psql.Catalog.
 func (db *Database) Relation(name string) (*relation.Relation, bool) {
-	r, ok := db.relations[name]
+	r, ok := db.catalog().relations[name]
 	return r, ok
 }
 
 // RelationNames returns every relation name in sorted order — the
 // enumeration the checker uses to report per-relation shard balance.
 func (db *Database) RelationNames() []string {
-	names := make([]string, 0, len(db.relations))
-	for n := range db.relations {
+	rels := db.catalog().relations
+	names := make([]string, 0, len(rels))
+	for n := range rels {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -653,13 +703,13 @@ func (db *Database) RelationNames() []string {
 
 // Picture implements psql.Catalog.
 func (db *Database) Picture(name string) (*picture.Picture, bool) {
-	p, ok := db.pictures[name]
+	p, ok := db.catalog().pictures[name]
 	return p, ok
 }
 
 // Location implements psql.Catalog.
 func (db *Database) Location(name string) (geom.Rect, bool) {
-	r, ok := db.locations[name]
+	r, ok := db.catalog().locations[name]
 	return r, ok
 }
 
@@ -707,7 +757,7 @@ func (db *Database) RegisterFunc(name string, f psql.Func) {
 // two output devices. All locs must reference the same picture; locs
 // referencing other pictures are skipped.
 func (db *Database) Render(res *Result, pictureName string, window Rect) (string, error) {
-	pic, ok := db.pictures[pictureName]
+	pic, ok := db.catalog().pictures[pictureName]
 	if !ok {
 		return "", fmt.Errorf("pictdb: unknown picture %q", pictureName)
 	}
