@@ -41,7 +41,8 @@ bench:
 benchcheck:
 	$(GO) test -run xxx -bench 'Juxtapos' -benchtime 10x -benchmem .
 	$(GO) test -run xxx -bench 'PSQL' -benchtime 10x -benchmem .
-	$(GO) test -run xxx -bench 'Pin|Fetch' -benchtime 100x -benchmem ./internal/pager/
+	$(GO) test -run xxx -bench 'Pin|Fetch|ReadBatch' -benchtime 100x -benchmem ./internal/pager/
+	$(GO) test -run xxx -bench 'GetBatch' -benchtime 100x -benchmem ./internal/storage/
 	$(GO) test -run xxx -bench 'DeltaMergedSearch|PackedOnlySearch' -benchtime 20x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'ShardedSearch|UnshardedSearch' -benchtime 20x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'OpenWindowRead' -benchtime 3x .

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -536,7 +537,7 @@ func windowReadRelation(tb testing.TB, db *pictdb.Database, n int) *pictdb.Relat
 
 // windowReadFile writes the 200k-point window_read database to a file
 // under b's temporary directory and returns its path.
-func windowReadFile(b *testing.B) string {
+func windowReadFile(b testing.TB) string {
 	path := filepath.Join(b.TempDir(), "open.db")
 	db, err := pictdb.Open(path, 4096)
 	if err != nil {
@@ -653,6 +654,89 @@ func TestWindowStatementAllocs(t *testing.T) {
 	}
 	if perRow := (all - many) / float64(rows); perRow > 1.1 {
 		t.Errorf("%.2f allocations per returned row, want its name string and no more", perRow)
+	}
+}
+
+// TestWindowReadsBypassThePool is the property the read path rests on:
+// opening the window_read file installs a constant number of pages in
+// the buffer pool, not one per heap page; cached window statements then
+// read their candidates through the file mapping — no pool lookup at
+// all; and a write makes exactly the pages it touches resident, after
+// which the next statement sees the new row through their frames.
+func TestWindowReadsBypassThePool(t *testing.T) {
+	db, err := pictdb.Open(windowReadFile(t), 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if !db.MmapActive() {
+		t.Skip("no file mapping in this build: every read takes the pool path")
+	}
+	t.Logf("%d of %d pages resident after Open", db.PoolResident(), db.NumPages())
+	if n := db.PoolResident(); n > 4 {
+		t.Fatalf("Open of a %d-page file left %d pages resident in the pool, want the superblock's few", db.NumPages(), n)
+	}
+	rel, _ := db.Relation("cities")
+	pic, _ := db.Picture("citymap")
+	center := workload.ClusteredPoints(200_000, 50, 30, 1985)[7]
+	texts := []string{windowStatement(t, rel, center, 30, 360_000), windowStatement(t, rel, center, 750, 360_000)}
+	for _, q := range texts { // into the statement cache
+		if _, err := db.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, resident := db.PoolStats(), db.PoolResident()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if _, err := db.Query(texts[(g+i)%2]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	after := db.PoolStats()
+	if after.MmapPins <= before.MmapPins {
+		t.Fatalf("200 window statements read no page through the mapping (mmap pins %d -> %d)", before.MmapPins, after.MmapPins)
+	}
+	if got := after.Hits + after.Misses - before.Hits - before.Misses; got != 0 || db.PoolResident() != resident {
+		t.Fatalf("200 window statements made %d pool lookups and moved residency %d -> %d, want none",
+			got, resident, db.PoolResident())
+	}
+
+	err = db.Write(func() error {
+		_, err := rel.Insert(pictdb.Tuple{pictdb.S("znew"), pictdb.I(999_999), pictdb.L("citymap", pic.AddPoint("znew", center))})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The heap's last page, and the page chained after it if it was full.
+	if grown := db.PoolResident() - resident; grown < 1 || grown > 2 {
+		t.Fatalf("one Write made %d pages resident, want the one or two it touched", grown)
+	}
+	for _, q := range texts {
+		got, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.QueryNaive(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResult(t, q, got, want)
+		found := false
+		for _, row := range got.Rows {
+			found = found || row[0].Str == "znew"
+		}
+		if !found {
+			t.Fatalf("%s: the row written into the window is missing", q)
+		}
 	}
 }
 

@@ -1,15 +1,19 @@
 // Package pinlifetime enforces the zero-copy pin lifetime rules of
 // DESIGN.md §10 at compile time:
 //
-//   - Every pager.Pager.Pin view and Pager.Fetch page must be released
-//     (View.Unpin / Pager.Unpin) on every path out of the acquiring
-//     function, including early error returns — or handed off
-//     explicitly (returned, stored, passed along), which transfers the
-//     obligation to the new owner.
-//   - A View's bytes (View.Data) must not outlive the view: returning
-//     them, storing them into a field, or sending them over a channel
-//     escapes memory that Unpin (or a remap) may invalidate.
-//   - Discarding the result of Pin/Fetch leaks the pin permanently.
+//   - Every pager.Pager.Pin view, Pager.BeginRead reader and
+//     Pager.Fetch page must be released (View.Unpin / Reader.End /
+//     Pager.Unpin) on every path out of the acquiring function,
+//     including early error returns — or handed off explicitly
+//     (returned, stored, passed along), which transfers the obligation
+//     to the new owner. Lending a reader to a helper (&r) is not a
+//     hand-off: the function that began the batch ends it.
+//   - A View's bytes (View.Data) and a Reader's (Reader.Page) must not
+//     outlive the pin: returning them, storing them into a field, or
+//     sending them over a channel escapes memory that Unpin, End, the
+//     reader's next Page (or a remap) may invalidate.
+//   - Discarding the result of Pin/BeginRead/Fetch leaks the pin
+//     permanently.
 //
 // The check is intraprocedural over the control-flow graph of each
 // function: paths on which the acquisition itself failed (guarded by
@@ -35,7 +39,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:     "pinlifetime",
-	Doc:      "check that pager pins (Pin views, Fetch pages) are released on all paths and view bytes do not escape the pin",
+	Doc:      "check that pager pins (Pin views, BeginRead readers, Fetch pages) are released on all paths and their bytes do not escape the pin",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }
@@ -53,7 +57,7 @@ type resource struct {
 	call    *ast.CallExpr   // the Pin/Fetch call
 	obj     types.Object    // the view / page variable
 	errObj  types.Object    // the error result variable (nil if blank)
-	method  string          // "Pin" or "Fetch"
+	method  string          // "Pin", "BeginRead" or "Fetch"
 	release string          // human name of the releasing call
 }
 
@@ -84,9 +88,14 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// isPinCall reports whether call is Pager.Pin; isFetchCall likewise.
+// releases names, per acquiring Pager method, the call that releases
+// what it returned.
+var releases = map[string]string{"Pin": "View.Unpin", "BeginRead": "Reader.End", "Fetch": "Pager.Unpin"}
+
+// acquisitionMethod returns which of the Pager's acquiring methods call
+// is, "" if none.
 func acquisitionMethod(info *types.Info, call *ast.CallExpr) string {
-	for _, m := range [...]string{"Pin", "Fetch"} {
+	for _, m := range [...]string{"Pin", "BeginRead", "Fetch"} {
 		if _, recvType, ok := lintutil.MethodCall(info, call, m); ok &&
 			lintutil.IsNamed(recvType, "pager", "Pager") {
 			return m
@@ -122,7 +131,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			if len(st.Lhs) == 0 {
 				return
 			}
-			res := &resource{assign: st, call: call, method: m}
+			res := &resource{assign: st, call: call, method: m, release: releases[m]}
 			if id, ok := st.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
 				res.obj = lintutil.ObjOf(info, id)
 			}
@@ -134,11 +143,6 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			if res.obj == nil {
 				pass.Reportf(call.Pos(), "result of %s discarded: the pin can never be released", m)
 				return
-			}
-			if m == "Pin" {
-				res.release = "View.Unpin"
-			} else {
-				res.release = "Pager.Unpin"
 			}
 			resources = append(resources, res)
 		case *ast.ExprStmt:
@@ -394,11 +398,11 @@ func classifyNode(info *types.Info, res *resource, n ast.Node) event {
 		if !ok || lintutil.ObjOf(info, id) != res.obj {
 			return true
 		}
-		switch use := identUse(parents, id); use {
-		case useReceiver, useLHS:
+		switch use := identUse(parents, id); {
+		case use == useReceiver, use == useLHS:
 			// method receiver or plain reassignment target: neutral
-		case useReleaseArg:
-			// handled by isRelease above
+		case use == useLent && res.method == "BeginRead":
+			// &r handed to a helper that reads through it: a loan
 		default:
 			if ev == evNone {
 				ev = evEscape
@@ -409,8 +413,13 @@ func classifyNode(info *types.Info, res *resource, n ast.Node) event {
 	return ev
 }
 
-// isRelease matches v.Unpin() (views) and p.Unpin(pg) (pages).
+// isRelease matches v.Unpin() (views), r.End() (readers) and
+// p.Unpin(pg) (pages).
 func isRelease(info *types.Info, res *resource, call *ast.CallExpr) bool {
+	if res.method == "BeginRead" {
+		recv, recvType, ok := lintutil.MethodCall(info, call, "End")
+		return ok && lintutil.IsNamed(recvType, "pager", "Reader") && lintutil.ObjOf(info, recv) == res.obj
+	}
 	recv, recvType, ok := lintutil.MethodCall(info, call, "Unpin")
 	if !ok {
 		return false
@@ -431,7 +440,7 @@ const (
 	useValue use = iota
 	useReceiver
 	useLHS
-	useReleaseArg
+	useLent // operand of &
 )
 
 // parentMap builds child->parent links for the subtree rooted at n.
@@ -469,74 +478,89 @@ func identUse(parents map[ast.Node]ast.Node, id *ast.Ident) use {
 			}
 		}
 	}
+	if u, ok := p.(*ast.UnaryExpr); ok && u.Op == token.AND {
+		return useLent
+	}
 	return useValue
 }
 
-// --- View.Data escape ---------------------------------------------------
+// --- View.Data / Reader.Page escape --------------------------------------
 
-// checkDataEscape flags view bytes outliving their pin: returning the
-// raw Data() slice, assigning it to a field, or sending it on a
-// channel. Derived copies (append, copy, decode) are fine — only the
+// pinnedBytes names the source of a call's pinned bytes — v.Data() or
+// r.Page(id) — and when they die, "" if e is neither.
+func pinnedBytes(info *types.Info, e ast.Expr) (source, dies string) {
+	call, ok := lintutil.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return "", ""
+	}
+	if _, recvType, ok := lintutil.MethodCall(info, call, "Data"); ok && lintutil.IsNamed(recvType, "pager", "View") {
+		return "View.Data", "the view's Unpin"
+	}
+	if _, recvType, ok := lintutil.MethodCall(info, call, "Page"); ok && lintutil.IsNamed(recvType, "pager", "Reader") {
+		return "Reader.Page", "the reader's next Page or End"
+	}
+	return "", ""
+}
+
+// checkDataEscape flags pinned bytes outliving their pin: returning the
+// raw Data() or Page() slice, assigning it to a field, or sending it on
+// a channel. Derived copies (append, copy, decode) are fine — only the
 // aliasing slice itself is tracked.
 func checkDataEscape(pass *analysis.Pass, info *types.Info, body *ast.BlockStmt) {
-	// Objects bound directly to a v.Data() result.
-	dataObjs := make(map[types.Object]token.Pos)
-	isDataCall := func(e ast.Expr) bool {
-		call, ok := lintutil.Unparen(e).(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		_, recvType, ok := lintutil.MethodCall(info, call, "Data")
-		return ok && lintutil.IsNamed(recvType, "pager", "View")
-	}
+	// Objects bound directly to a v.Data() or r.Page() result, with the
+	// (source, dies) wording of their diagnostics.
+	dataObjs := make(map[types.Object][2]string)
 	ast.Inspect(body, func(n ast.Node) bool {
 		a, ok := n.(*ast.AssignStmt)
-		if !ok || len(a.Lhs) != len(a.Rhs) {
+		if !ok || len(a.Lhs) != len(a.Rhs) && len(a.Rhs) != 1 {
 			return true
 		}
+		// b, err := r.Page(id) binds the bytes to the first name.
 		for i := range a.Rhs {
-			if isDataCall(a.Rhs[i]) {
+			if src, dies := pinnedBytes(info, a.Rhs[i]); src != "" {
 				if obj := lintutil.ObjOf(info, a.Lhs[i]); obj != nil {
-					dataObjs[obj] = a.Pos()
+					dataObjs[obj] = [2]string{src, dies}
 				}
 			}
 		}
 		return true
 	})
-	escapesData := func(e ast.Expr) bool {
+	escaping := func(e ast.Expr) (source, dies string) {
 		if e == nil {
-			return false
+			return "", ""
 		}
-		if isDataCall(e) {
-			return true
+		if src, dies := pinnedBytes(info, e); src != "" {
+			return src, dies
 		}
 		if obj := lintutil.ObjOf(info, e); obj != nil {
-			_, ok := dataObjs[obj]
-			return ok
+			w := dataObjs[obj]
+			return w[0], w[1]
 		}
-		return false
+		return "", ""
+	}
+	report := func(e ast.Expr, how string) {
+		if src, dies := escaping(e); src != "" {
+			pass.Reportf(e.Pos(), "%s bytes escape %s: the slice dies with %s (copy it instead)", src, how, dies)
+		}
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch st := n.(type) {
 		case *ast.ReturnStmt:
 			for _, r := range st.Results {
-				if escapesData(r) {
-					pass.Reportf(r.Pos(), "View.Data bytes escape via return: the slice dies with the view's Unpin (copy it instead)")
-				}
+				report(r, "via return")
 			}
 		case *ast.SendStmt:
-			if escapesData(st.Value) {
-				pass.Reportf(st.Value.Pos(), "View.Data bytes escape via channel send: the slice dies with the view's Unpin (copy it instead)")
-			}
+			report(st.Value, "via channel send")
 		case *ast.AssignStmt:
 			for i, lhs := range st.Lhs {
-				if i < len(st.Rhs) && escapesData(st.Rhs[i]) {
-					if _, isSel := lintutil.Unparen(lhs).(*ast.SelectorExpr); isSel {
-						pass.Reportf(st.Rhs[i].Pos(), "View.Data bytes escape into a struct field: the slice dies with the view's Unpin (copy it instead)")
-					}
-					if _, isIdx := lintutil.Unparen(lhs).(*ast.IndexExpr); isIdx {
-						pass.Reportf(st.Rhs[i].Pos(), "View.Data bytes escape into a container: the slice dies with the view's Unpin (copy it instead)")
-					}
+				if i >= len(st.Rhs) {
+					break
+				}
+				switch lintutil.Unparen(lhs).(type) {
+				case *ast.SelectorExpr:
+					report(st.Rhs[i], "into a struct field")
+				case *ast.IndexExpr:
+					report(st.Rhs[i], "into a container")
 				}
 			}
 		}

@@ -1,8 +1,8 @@
 // Package pager is a minimal stand-in for repro/internal/pager: the
 // pinlifetime analyzer matches types structurally (package base name
-// "pager", type names Pager/View/Page, method names Pin/Fetch/Unpin/
-// Data), so fixtures exercise exactly the matching used on the real
-// tree.
+// "pager", type names Pager/View/Reader/Page, method names Pin/
+// BeginRead/Fetch/Unpin/End/Data/Page), so fixtures exercise exactly
+// the matching used on the real tree.
 package pager
 
 type PageID uint32
@@ -20,7 +20,14 @@ func (v *View) ID() PageID   { return 0 }
 func (v *View) Data() []byte { return v.data }
 func (v *View) Unpin()       {}
 
+type Reader struct{ data []byte }
+
+func (r *Reader) Page(id PageID) ([]byte, error) { return r.data, nil }
+func (r *Reader) End()                           {}
+
 type Pager struct{}
+
+func (p *Pager) BeginRead() Reader { return Reader{} }
 
 func (p *Pager) Pin(id PageID) (View, error)    { return View{}, nil }
 func (p *Pager) Fetch(id PageID) (*Page, error) { return &Page{ID: id}, nil }

@@ -141,7 +141,71 @@ func cleanPerShardWorker(shards []*pager.Pager) {
 	}
 }
 
+// cleanReader is the batch idiom: one reader for the whole walk, ended
+// by defer, each page's bytes used before the next is asked for.
+func cleanReader(p *pager.Pager, ids []pager.PageID) (int, error) {
+	r := p.BeginRead()
+	defer r.End()
+	total := 0
+	for _, id := range ids {
+		b, err := r.Page(id)
+		if err != nil {
+			return 0, err
+		}
+		total += len(b)
+	}
+	return total, nil
+}
+
+// cleanReaderLent lends the reader to a helper; the function that began
+// the batch still ends it.
+func cleanReaderLent(p *pager.Pager) error {
+	r := p.BeginRead()
+	err := readOne(&r, 1)
+	r.End()
+	return err
+}
+
+func readOne(r *pager.Reader, id pager.PageID) error {
+	b, err := r.Page(id)
+	if err != nil {
+		return err
+	}
+	return validate(b)
+}
+
+// cleanReaderHandoff wraps the reader in a value the caller releases.
+type batch struct{ r pager.Reader }
+
+func cleanReaderHandoff(p *pager.Pager) batch {
+	r := p.BeginRead()
+	return batch{r: r}
+}
+
 // --- violations --------------------------------------------------------
+
+// leakReaderOnError ends the batch on the success path only.
+func leakReaderOnError(p *pager.Pager) error {
+	r := p.BeginRead() // want `BeginRead is not released on a return path ending at pin.go:\d+ \(missing Reader.End on that path\)`
+	b, err := r.Page(1)
+	if err != nil {
+		return err
+	}
+	use(b)
+	r.End()
+	return nil
+}
+
+// leakReaderLent: lending the reader does not discharge it.
+func leakReaderLent(p *pager.Pager) error {
+	r := p.BeginRead() // want `BeginRead is not released on a return path ending at pin.go:\d+`
+	return readOne(&r, 1)
+}
+
+// leakReaderDiscarded begins a batch nobody can end.
+func leakReaderDiscarded(p *pager.Pager) {
+	p.BeginRead() // want `result of BeginRead discarded`
+}
 
 // leakPerShardEarlyBreak leaks the current shard's pin when the scan
 // bails out of the fan-out loop early.
@@ -288,6 +352,38 @@ func copyData(p *pager.Pager) []byte {
 	out := append([]byte(nil), v.Data()...)
 	v.Unpin()
 	return out
+}
+
+// --- Reader.Page escapes -----------------------------------------------
+
+// escapeReturnPage returns bytes that die at the deferred End.
+func escapeReturnPage(p *pager.Pager) []byte {
+	r := p.BeginRead()
+	defer r.End()
+	b, err := r.Page(1)
+	if err != nil {
+		return nil
+	}
+	return b // want `Reader.Page bytes escape via return: the slice dies with the reader's next Page or End`
+}
+
+// escapeFieldPage parks a page's bytes past the next Page.
+func escapeFieldPage(p *pager.Pager, h *holder) {
+	r := p.BeginRead()
+	defer r.End()
+	b, _ := r.Page(1)
+	h.b = b // want `Reader.Page bytes escape into a struct field`
+}
+
+// copyPage is the sanctioned pattern: copy before the next Page or End.
+func copyPage(p *pager.Pager) []byte {
+	r := p.BeginRead()
+	defer r.End()
+	b, err := r.Page(1)
+	if err != nil {
+		return nil
+	}
+	return append([]byte(nil), b...)
 }
 
 func use([]byte)            {}

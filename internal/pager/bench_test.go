@@ -1,6 +1,9 @@
 package pager
 
-import "testing"
+import (
+	"sync/atomic"
+	"testing"
+)
 
 // BenchmarkFetchChecksum measures Fetch on pool misses: every
 // iteration pays one 4 KiB backend read, and the first lap also pays
@@ -112,4 +115,56 @@ func benchPinWarm(b *testing.B, wal bool) {
 		}
 		v.Unpin()
 	}
+}
+
+// BenchmarkPinWarmParallel and BenchmarkPinWarmWALParallel pin the same
+// file from every core at once: what a pin costs when the words it
+// writes (the mapping's reference count, the mmap-pin counter — and, on
+// the pool path, a stripe's lock and LRU links) are shared.
+func BenchmarkPinWarmParallel(b *testing.B)    { benchPinWarmParallel(b, false) }
+func BenchmarkPinWarmWALParallel(b *testing.B) { benchPinWarmParallel(b, true) }
+
+func benchPinWarmParallel(b *testing.B, wal bool) {
+	p := warmPinPager(b, wal)
+	defer p.Close()
+	b.ReportAllocs()
+	b.SetBytes(PageSize)
+	var next atomic.Uint32
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(next.Add(1)) * 97 // each goroutine starts elsewhere in the file
+		for ; pb.Next(); i++ {
+			v, err := p.Pin(PageID(1 + i%benchPages))
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			v.Unpin()
+		}
+	})
+}
+
+// BenchmarkReadBatchParallel is the same traffic through one Reader per
+// 100 pages, as Heap.GetBatch reads a window's candidates: one mapping
+// reference and one counter update per batch instead of per page.
+func BenchmarkReadBatchParallel(b *testing.B) {
+	p := warmPinPager(b, true)
+	defer p.Close()
+	b.ReportAllocs()
+	var next atomic.Uint32
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(next.Add(1)) * 97
+		for pb.Next() {
+			r := p.BeginRead()
+			for k := 0; k < 100; k, i = k+1, i+1 {
+				if _, err := r.Page(PageID(1 + i%benchPages)); err != nil {
+					b.Error(err)
+					break
+				}
+			}
+			r.End()
+		}
+	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/100, "ns/page")
 }

@@ -248,7 +248,7 @@ type Stats struct {
 	Writes    uint64 // dirty pages written back
 	Allocs    uint64 // pages allocated
 	Frees     uint64 // pages freed
-	MmapPins  uint64 // zero-copy views served straight from the mmap
+	MmapPins  uint64 // pages read straight from the mmap, no frame and no lock
 }
 
 // shard is one stripe of the buffer pool: a page map plus an LRU list
@@ -290,12 +290,14 @@ type Pager struct {
 	allocs   uint64
 	frees    uint64
 
-	// Zero-copy read path (view.go): the active file mapping, retired
-	// mappings kept alive for views pinned before a remap (guarded by
-	// hmu), the verified-bitmap, and the zero-copy pin counter.
+	// Zero-copy read path (view.go): the active file mapping, replaced
+	// mappings still held by readers that began before a remap (guarded
+	// by hmu), the verified- and residency bitmaps, and the count of
+	// pages served from a mapping.
 	mapping  atomic.Pointer[mapping]
 	retired  []*mapping
-	verified atomic.Pointer[verifiedSet]
+	verified pageBits // on-disk image passed its CRC this generation
+	resident pageBits // page has a frame in the pool; written under its stripe's lock
 	mmapPins atomic.Uint64
 
 	// Write-ahead log (wal.go): non-nil once EnableWAL/EnableWALBackend
@@ -400,7 +402,6 @@ func newPager(b Backend, poolPages int, path string) (*Pager, error) {
 		shards:  make([]shard, ns),
 		mask:    uint32(ns - 1),
 	}
-	p.verified.Store(newVerifiedSet(1))
 	for i := range p.shards {
 		cap := poolPages / ns
 		if i < poolPages%ns {
@@ -460,7 +461,6 @@ func newPager(b Backend, poolPages int, path string) (*Pager, error) {
 				path, ErrBadMagic, magic[:], hdr[0:8])
 		}
 	}
-	p.growVerified(p.numPages.Load())
 	return p, nil
 }
 
@@ -528,6 +528,20 @@ func (p *Pager) Stats() Stats {
 	return s
 }
 
+// Resident returns how many pages the pool holds now. With a file
+// mapping that is the write side's working set (view.go), not the pages
+// read.
+func (p *Pager) Resident() int {
+	n := 0
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		n += len(sh.pages)
+		sh.mu.Unlock()
+	}
+	return n
+}
+
 // ResetStats zeroes the pool counters (between experiment phases).
 func (p *Pager) ResetStats() {
 	for i := range p.shards {
@@ -569,7 +583,7 @@ func (p *Pager) Allocate() (*Page, error) {
 		p.freeHead = next
 		pg.Data = [PageSize]byte{}
 		pg.MarkDirty()
-		p.clearVerified(pg.ID) // the on-disk image is now stale
+		p.verified.clear(pg.ID) // the on-disk image is now stale
 		p.allocs++
 		return pg, nil
 	}
@@ -582,7 +596,6 @@ func (p *Pager) Allocate() (*Page, error) {
 		p.numPages.Add(^uint32(0))
 		return nil, err
 	}
-	p.growVerified(uint32(id) + 1)
 	p.allocs++
 	pg.MarkDirty()
 	return pg, nil
@@ -710,9 +723,7 @@ func (p *Pager) installShard(sh *shard, id PageID, read bool) (*Page, error) {
 				// the next commit captures them into the WAL.
 				break
 			}
-			sh.lruRemove(victim)
-			delete(sh.pages, victim.ID)
-			sh.stats.Evictions++
+			p.evict(sh, victim)
 			continue
 		}
 		if victim == nil {
@@ -737,9 +748,7 @@ func (p *Pager) installShard(sh *shard, id PageID, read bool) (*Page, error) {
 		if err := p.flushPage(sh, victim); err != nil {
 			return nil, err
 		}
-		sh.lruRemove(victim)
-		delete(sh.pages, victim.ID)
-		sh.stats.Evictions++
+		p.evict(sh, victim)
 	}
 	pg := &Page{ID: id, pins: 1}
 	if read {
@@ -753,8 +762,7 @@ func (p *Pager) installShard(sh *shard, id PageID, read bool) (*Page, error) {
 			// page-file images, so leave it untouched.
 			err := w.readFrameImage(f, id, pg.Data[:])
 			if err == nil {
-				sh.pages[id] = pg
-				sh.pinned++
+				p.admit(sh, pg)
 				return pg, nil
 			}
 			// A checkpoint may have retired the index and truncated the
@@ -781,9 +789,28 @@ func (p *Pager) installShard(sh *shard, id PageID, read bool) (*Page, error) {
 			return nil, err
 		}
 	}
-	sh.pages[id] = pg
-	sh.pinned++
+	p.admit(sh, pg)
 	return pg, nil
+}
+
+// admit enters a freshly built, pinned page into its stripe. The
+// residency bit goes up here, under the stripe's lock and before the
+// page is handed to anyone who could dirty it, so a reader that finds
+// the bit clear knows the pool holds nothing newer than the file.
+// Caller holds sh.mu.
+func (p *Pager) admit(sh *shard, pg *Page) {
+	sh.pages[pg.ID] = pg
+	sh.pinned++
+	p.resident.set(pg.ID)
+}
+
+// evict drops an unpinned, clean (or, in WAL mode, already logged) page
+// from its stripe. Caller holds sh.mu.
+func (p *Pager) evict(sh *shard, victim *Page) {
+	sh.lruRemove(victim)
+	delete(sh.pages, victim.ID)
+	p.resident.clear(victim.ID)
+	sh.stats.Evictions++
 }
 
 // poolPins returns how many pages are pinned pool-wide and how many the
@@ -869,7 +896,7 @@ func (p *Pager) flushPage(sh *shard, pg *Page) error {
 	// New bytes went out; only the next read can vouch for what the
 	// medium kept (torn writes report success), so forget the page's
 	// verification.
-	p.clearVerified(pg.ID)
+	p.verified.clear(pg.ID)
 	pg.dirty = false
 	sh.stats.Writes++
 	return nil

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -95,37 +97,290 @@ func TestPinParityWithFetch(t *testing.T) {
 	}
 }
 
-// TestPinPrefersDirtyPoolPage pins a page that is resident and dirty
-// in the pool: the view must serve the new bytes, not the stale
-// on-disk image under the mapping.
+// readers are the two entry points of the one read routine: a View is a
+// Reader that has read one page. Each returns the page's bytes and the
+// call that releases them.
+var readers = []struct {
+	name string
+	read func(p *Pager, id PageID) ([]byte, func(), error)
+}{
+	{"Pin", func(p *Pager, id PageID) ([]byte, func(), error) {
+		v, err := p.Pin(id)
+		if err != nil {
+			return nil, nil, err
+		}
+		return v.Data(), v.Unpin, nil
+	}},
+	{"Reader", func(p *Pager, id PageID) ([]byte, func(), error) {
+		r := p.BeginRead()
+		b, err := r.Page(id)
+		if err != nil {
+			r.End()
+			return nil, nil, err
+		}
+		return b, r.End, nil
+	}},
+}
+
+// evictAll pushes every unpinned page out of a one-stripe pool of
+// capacity pages by fetching that many others.
+func evictAll(t *testing.T, p *Pager, others []PageID) {
+	t.Helper()
+	for _, id := range others {
+		pg, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(pg)
+	}
+}
+
+// TestPinPrefersDirtyPoolPage is the residency rule: a page fetched
+// and dirtied is resident, so both entry points serve its frame (the new
+// bytes, not the stale image under the mapping); once it is flushed and
+// evicted the bit is down, the next read comes from the mapping again,
+// and — the write-back having cleared the verified bit — pays the CRC
+// of the new on-disk generation once.
 func TestPinPrefersDirtyPoolPage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "dirty.db")
-	ids := buildFile(t, path, 3)
+	for _, rd := range readers {
+		t.Run(rd.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "dirty.db")
+			ids := buildFile(t, path, 5)
+			p, err := Open(path, 2) // one stripe of two frames
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if err := p.EnableMmap(); err != nil && mmapSupported {
+				t.Fatal(err)
+			}
+			target := ids[0]
+			if p.resident.get(target) {
+				t.Fatal("page resident before anyone fetched it")
+			}
 
-	p, err := Open(path, 8)
-	if err != nil {
-		t.Fatal(err)
+			pg, err := p.Fetch(target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !p.resident.get(target) {
+				t.Fatal("fetched page not marked resident")
+			}
+			copy(pg.Data[8:], "fresh uncommitted bytes")
+			pg.MarkDirty()
+			p.Unpin(pg)
+
+			before := p.Stats()
+			b, release, err := rd.read(p, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(string(b[8:40]), "fresh uncommitted bytes") {
+				t.Fatalf("read of a dirty resident page returned stale bytes: %q", b[8:40])
+			}
+			release()
+			if st := p.Stats(); st.Hits != before.Hits+1 || st.MmapPins != before.MmapPins {
+				t.Fatalf("resident page: hits %d -> %d, mmap pins %d -> %d, want one hit and no mmap pin",
+					before.Hits, st.Hits, before.MmapPins, st.MmapPins)
+			}
+
+			// Flush, then evict: the frame and both bits go.
+			if err := p.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			evictAll(t, p, ids[1:3])
+			if p.resident.get(target) {
+				t.Fatal("residency bit survived eviction")
+			}
+			if p.verified.get(target) {
+				t.Fatal("verified bit survived the write-back")
+			}
+
+			before = p.Stats()
+			b, release, err = rd.read(p, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(string(b[8:40]), "fresh uncommitted bytes") {
+				t.Fatalf("read after flush and eviction lost the write: %q", b[8:40])
+			}
+			release()
+			if !p.verified.get(target) {
+				t.Fatal("first read of the new on-disk generation did not verify it")
+			}
+			if !p.MmapActive() {
+				return // no mapping in this build: the pool served it, as before
+			}
+			if st := p.Stats(); st.MmapPins != before.MmapPins+1 || st.Hits+st.Misses != before.Hits+before.Misses {
+				t.Fatalf("evicted page: mmap pins %d -> %d, pool reads %d -> %d, want one mmap pin and no pool read",
+					before.MmapPins, st.MmapPins, before.Hits+before.Misses, st.Hits+st.Misses)
+			}
+			if p.resident.get(target) {
+				t.Fatal("a read through the mapping installed the page")
+			}
+		})
 	}
+}
+
+// TestWALFramedPageServedThroughPool: while a page's newest image is a
+// WAL frame the bytes under the mapping are stale, so a read of it goes
+// through the pool's WAL-aware path even after its frame was evicted;
+// once a checkpoint has backfilled the page file the mapping serves it.
+func TestWALFramedPageServedThroughPool(t *testing.T) {
+	for _, rd := range readers {
+		t.Run(rd.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "framed.db")
+			ids := buildFile(t, path, 5)
+			p, err := Open(path, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if err := p.EnableWAL(); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.EnableMmap(); err != nil && mmapSupported {
+				t.Fatal(err)
+			}
+			target := ids[0]
+			pg, err := p.Fetch(target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(pg.Data[8:], "committed to the log")
+			pg.MarkDirty()
+			p.Unpin(pg)
+			if err := p.Commit(); err != nil { // appends a frame; the page file keeps the old image
+				t.Fatal(err)
+			}
+			evictAll(t, p, ids[1:3])
+			if p.resident.get(target) {
+				t.Fatal("logged page not evicted")
+			}
+
+			before := p.Stats()
+			b, release, err := rd.read(p, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(string(b[8:40]), "committed to the log") {
+				t.Fatalf("read of a WAL-framed page returned the stale page-file image: %q", b[8:40])
+			}
+			release()
+			if st := p.Stats(); st.MmapPins != before.MmapPins || st.Misses != before.Misses+1 {
+				t.Fatalf("framed page: mmap pins %d -> %d, misses %d -> %d, want a pool miss and no mmap pin",
+					before.MmapPins, st.MmapPins, before.Misses, st.Misses)
+			}
+
+			if err := p.CheckpointWAL(); err != nil {
+				t.Fatal(err)
+			}
+			evictAll(t, p, ids[1:3])
+			before = p.Stats()
+			b, release, err = rd.read(p, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(string(b[8:40]), "committed to the log") {
+				t.Fatalf("read after checkpoint lost the write: %q", b[8:40])
+			}
+			release()
+			if st := p.Stats(); p.MmapActive() && st.MmapPins != before.MmapPins+1 {
+				t.Fatalf("backfilled page: mmap pins %d -> %d, want the mapping to serve it", before.MmapPins, st.MmapPins)
+			}
+		})
+	}
+}
+
+// TestPageBitsLoseNoBitToGrowth: eight goroutines walk the whole id
+// range together, each setting its own bit of one shared word per step
+// and setting then clearing the bit next to it, so every chunk's
+// allocation and every word's update is raced eight ways; afterwards
+// exactly the bits left set are set.
+func TestPageBitsLoseNoBitToGrowth(t *testing.T) {
+	var b pageBits
+	const workers, stride = 8, chunkPages / 4
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for base := 0; base < trackedPages; base += stride {
+				id := PageID(base + 2*g)
+				b.set(id)
+				b.set(id + 1)
+				b.clear(id + 1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	for base := 0; base < trackedPages; base += stride {
+		for off := 0; off < 32; off++ {
+			id := PageID(base + off)
+			if want := off < 2*workers && off%2 == 0; b.get(id) != want {
+				t.Fatalf("bit %d reads %v, want %v", id, !want, want)
+			}
+		}
+	}
+	if b.get(trackedPages) || b.get(trackedPages+12345) {
+		t.Fatal("untracked page reads as set")
+	}
+	b.set(trackedPages) // no-ops, not panics
+	b.clear(trackedPages)
+}
+
+// TestResidencyMatchesPoolUnderChurn: eight goroutines fetch, dirty and
+// release pages of a pool too small to hold them (installs and
+// evictions on every stripe) while another allocates (the file grows);
+// afterwards a page's residency bit is set exactly when a stripe holds
+// its frame.
+func TestResidencyMatchesPoolUnderChurn(t *testing.T) {
+	p := OpenMem(32)
 	defer p.Close()
-	if err := p.EnableMmap(); err != nil && mmapSupported {
-		t.Fatal(err)
+	const pages = 256
+	for i := 0; i < pages; i++ {
+		pg, err := p.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(pg)
 	}
-
-	pg, err := p.Fetch(ids[0])
-	if err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	var failed atomic.Bool
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500 && !failed.Load(); i++ {
+				id := PageID(1 + (i*31+g*17)%pages)
+				if g == 0 && i%8 == 0 {
+					pg, err := p.Allocate()
+					if err != nil {
+						t.Error(err)
+						failed.Store(true)
+						return
+					}
+					p.Unpin(pg)
+					continue
+				}
+				r := p.BeginRead()
+				if _, err := r.Page(id); err != nil {
+					t.Errorf("page %d: %v", id, err)
+					failed.Store(true)
+				}
+				r.End()
+			}
+		}(g)
 	}
-	copy(pg.Data[8:], "fresh uncommitted bytes")
-	pg.MarkDirty()
-	p.Unpin(pg)
-
-	v, err := p.Pin(ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v.Unpin()
-	if !strings.HasPrefix(string(v.Data()[8:40]), "fresh uncommitted bytes") {
-		t.Fatalf("Pin returned stale bytes: %q", v.Data()[8:40])
+	wg.Wait()
+	for id := PageID(1); int(id) < p.NumPages(); id++ {
+		sh := p.shardFor(id)
+		sh.mu.Lock()
+		_, inPool := sh.pages[id]
+		sh.mu.Unlock()
+		if got := p.resident.get(id); got != inPool {
+			t.Fatalf("page %d: residency bit %v, frame in pool %v", id, got, inPool)
+		}
 	}
 }
 
@@ -224,7 +479,7 @@ func TestVerifiedBitmapSkipsReverify(t *testing.T) {
 	defer p.Close()
 	_ = p.EnableMmap()
 
-	if p.pageVerified(ids[0]) {
+	if p.verified.get(ids[0]) {
 		t.Fatal("page verified before any read")
 	}
 	v, err := p.Pin(ids[0])
@@ -232,7 +487,7 @@ func TestVerifiedBitmapSkipsReverify(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.Unpin()
-	if !p.pageVerified(ids[0]) {
+	if !p.verified.get(ids[0]) {
 		t.Fatal("page not marked verified after Pin")
 	}
 
@@ -248,72 +503,221 @@ func TestVerifiedBitmapSkipsReverify(t *testing.T) {
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if p.pageVerified(ids[0]) {
+	if p.verified.get(ids[0]) {
 		t.Fatal("verified bit survived a write-back")
 	}
 }
 
 // TestCloseRefusesWithPinnedViews is the pin-while-freed misuse
-// detection: Close must fail, naming the leak, while an mmap view is
-// outstanding, and succeed after the view is released.
+// detection: Close must fail, naming the leak, while a view or a reader
+// holds the mapping, leave the pager usable, and succeed after the
+// release.
 func TestCloseRefusesWithPinnedViews(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "leak.db")
-	ids := buildFile(t, path, 2)
+	for _, rd := range readers {
+		t.Run(rd.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "leak.db")
+			ids := buildFile(t, path, 2)
 
-	p, err := Open(path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.EnableMmap(); err != nil {
-		if mmapSupported {
-			t.Fatal(err)
-		}
-		p.Close()
-		t.Skip("mmap not supported in this build")
-	}
-	v, err := p.Pin(ids[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = p.Close()
-	if err == nil || !strings.Contains(err.Error(), "pinned mmap view") {
-		t.Fatalf("Close with pinned view: %v, want pinned-view error", err)
-	}
-	// The pager must still be usable: the refusal is a diagnostic, not
-	// a half-close.
-	v2, err := p.Pin(ids[1])
-	if err != nil {
-		t.Fatalf("Pin after refused Close: %v", err)
-	}
-	v2.Unpin()
-	v.Unpin()
-	if err := p.Close(); err != nil {
-		t.Fatalf("Close after Unpin: %v", err)
+			p, err := Open(path, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.EnableMmap(); err != nil {
+				if mmapSupported {
+					t.Fatal(err)
+				}
+				p.Close()
+				t.Skip("mmap not supported in this build")
+			}
+			_, release, err := rd.read(p, ids[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = p.Close()
+			if err == nil || !strings.Contains(err.Error(), "pinned mmap view") {
+				t.Fatalf("Close with an outstanding read: %v, want an error naming the leak", err)
+			}
+			// The pager must still be usable: the refusal is a diagnostic,
+			// not a half-close.
+			if !p.MmapActive() {
+				t.Fatal("refused Close dropped the mapping")
+			}
+			_, release2, err := rd.read(p, ids[1])
+			if err != nil {
+				t.Fatalf("read after refused Close: %v", err)
+			}
+			release2()
+			release()
+			if err := p.Close(); err != nil {
+				t.Fatalf("Close after release: %v", err)
+			}
+		})
 	}
 }
 
-// TestUnpinTwicePanics: releasing a view twice is a lifetime bug and
-// must panic rather than corrupt the pin count.
+// TestUnpinTwicePanics: releasing a view or ending a reader twice is
+// a lifetime bug and must panic rather than corrupt the reference count.
 func TestUnpinTwicePanics(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "double.db")
-	ids := buildFile(t, path, 1)
-	p, err := Open(path, 4)
+	for _, rd := range readers {
+		t.Run(rd.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "double.db")
+			ids := buildFile(t, path, 1)
+			p, err := Open(path, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			_ = p.EnableMmap()
+			_, release, err := rd.read(p, ids[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			release()
+			defer func() {
+				if recover() == nil {
+					t.Fatal("second release did not panic")
+				}
+			}()
+			release()
+		})
+	}
+}
+
+// liveMappings counts the mappings of p not yet unmapped.
+func liveMappings(p *Pager) int {
+	n := 0
+	for _, m := range p.mappings() {
+		if !m.dead() {
+			n++
+		}
+	}
+	return n
+}
+
+// growAndCommit allocates one patterned page and commits, which remaps.
+func growAndCommit(t *testing.T, p *Pager) PageID {
+	t.Helper()
+	pg, err := p.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillPage(pg)
+	id := pg.ID
+	p.Unpin(pg)
+	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+func checkBytes(t *testing.T, id PageID, b []byte) {
+	t.Helper()
+	for i := 8; i < 256; i++ {
+		if b[i] != byte(uint32(id)*uint32(i)) {
+			t.Errorf("page %d byte %d = %#x, want %#x", id, i, b[i], byte(uint32(id)*uint32(i)))
+			return
+		}
+	}
+}
+
+// TestRetiredMappingsAreUnmapped: every commit that grew the file
+// replaces the mapping, and a replaced mapping is unmapped as soon as no
+// reader holds it — 200 growths leave the current mapping and the one a
+// reader begun before the first of them still holds, not 201. That
+// reader keeps reading correct bytes throughout, of old pages (its
+// mapping) and of new ones (the pool).
+func TestRetiredMappingsAreUnmapped(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "retire.db")
+	ids := buildFile(t, path, 4)
+	p, err := Open(path, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	_ = p.EnableMmap()
-	v, err := p.Pin(ids[0])
+	if err := p.EnableMmap(); err != nil {
+		if mmapSupported {
+			t.Fatal(err)
+		}
+		t.Skip("mmap not supported in this build")
+	}
+	old := p.BeginRead()
+	first := p.mapping.Load()
+	for i := 0; i < 200; i++ {
+		id := growAndCommit(t, p)
+		if cur := p.mapping.Load(); cur == first || uint32(id) >= cur.pages {
+			t.Fatalf("growth %d: page %d not inside a new mapping", i, id)
+		}
+		if n := liveMappings(p); n > 2 {
+			t.Fatalf("growth %d: %d mappings alive, want at most 2", i, n)
+		}
+		for _, id := range []PageID{ids[i%len(ids)], id} {
+			b, err := old.Page(id)
+			if err != nil {
+				t.Fatalf("growth %d: reader begun before the remap: page %d: %v", i, id, err)
+			}
+			checkBytes(t, id, b)
+		}
+	}
+	if first.dead() {
+		t.Fatal("a mapping was unmapped under its reader")
+	}
+	old.End()
+	if !first.dead() {
+		t.Fatal("the retired mapping outlived its last reader")
+	}
+	if n := liveMappings(p); n != 1 {
+		t.Fatalf("%d mappings alive after the last reader left, want 1", n)
+	}
+}
+
+// TestRemapUnderReaders races batches of reads against 200 remaps: every
+// batch reads correct bytes whichever mapping it began on (the race
+// detector and a fault on unmapped memory are the other two judges), and
+// when the readers have left only the current mapping is alive.
+func TestRemapUnderReaders(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "race.db")
+	ids := buildFile(t, path, 8)
+	p, err := Open(path, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.Unpin()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second Unpin did not panic")
+	defer p.Close()
+	if err := p.EnableMmap(); err != nil {
+		if mmapSupported {
+			t.Fatal(err)
 		}
-	}()
-	v.Unpin()
+		t.Skip("mmap not supported in this build")
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; !stop.Load(); i++ {
+				r := p.BeginRead()
+				for k := 0; k < 3; k++ {
+					id := ids[(i+k)%len(ids)]
+					b, err := r.Page(id)
+					if err != nil {
+						t.Errorf("page %d: %v", id, err)
+						stop.Store(true)
+						break
+					}
+					checkBytes(t, id, b)
+				}
+				r.End()
+			}
+		}(g)
+	}
+	for i := 0; i < 200 && !stop.Load(); i++ {
+		growAndCommit(t, p)
+	}
+	stop.Store(true)
+	wg.Wait()
+	if n := liveMappings(p); n != 1 {
+		t.Fatalf("%d mappings alive after the readers left, want 1", n)
+	}
 }
 
 // TestEnableMmapRejectsNonFileBackends: memory and fault-injecting

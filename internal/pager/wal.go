@@ -515,7 +515,7 @@ func (p *Pager) checkpointWALLocked(w *walState, must bool) error {
 	}
 	// A backfill rewrites page-file bytes that pinned mmap views may be
 	// reading; defer until they release.
-	if pins := p.mmapViewPins(); pins > 0 {
+	if pins := heldReaders(p.mappings()); pins > 0 {
 		if must {
 			return fmt.Errorf("pager: checkpoint with %d pinned mmap view(s)", pins)
 		}
@@ -544,7 +544,7 @@ func (p *Pager) checkpointWALLocked(w *walState, must bool) error {
 		if _, err := p.backend.WriteAt(img, int64(id)*PageSize); err != nil {
 			return fmt.Errorf("pager: checkpoint page %d: %w", id, err)
 		}
-		p.clearVerified(id)
+		p.verified.clear(id)
 	}
 	if err := p.backend.Sync(); err != nil {
 		return err
@@ -582,21 +582,6 @@ func (p *Pager) checkpointWALLocked(w *walState, must bool) error {
 	}
 	p.tryRemap()
 	return nil
-}
-
-// mmapViewPins counts currently pinned zero-copy views across the
-// active and retired mappings.
-func (p *Pager) mmapViewPins() int64 {
-	var pins int64
-	if m := p.mapping.Load(); m != nil {
-		pins += m.pins.Load()
-	}
-	p.hmu.Lock()
-	for _, m := range p.retired {
-		pins += m.pins.Load()
-	}
-	p.hmu.Unlock()
-	return pins
 }
 
 // closeWAL commits outstanding dirty pages, checkpoints, and closes
@@ -709,7 +694,7 @@ func (p *Pager) recoverWAL(w *walState) error {
 			if _, err := p.backend.WriteAt(img, int64(id)*PageSize); err != nil {
 				return fmt.Errorf("pager: wal replay page %d: %w", id, err)
 			}
-			p.clearVerified(id)
+			p.verified.clear(id)
 		}
 		if err := p.backend.Sync(); err != nil {
 			return err
@@ -721,7 +706,6 @@ func (p *Pager) recoverWAL(w *walState) error {
 			p.gen = lastGen
 		}
 		p.hmu.Unlock()
-		p.growVerified(lastNumPages)
 		if err := p.writeHeaderState(lastNumPages, lastFreeHead); err != nil {
 			return err
 		}

@@ -81,8 +81,8 @@ const (
 const MaxRecordSize = pager.PayloadSize - headerSize - slotSize
 
 // slotted reads a slotted-page image wherever its bytes live: a
-// mutable pool frame (pageView) or a read-only pinned view from the
-// zero-copy Pin path (GetBatch). It never writes.
+// mutable pool frame (pageView) or the read-only bytes of the pager's
+// zero-copy read path (every read-only Heap method). It never writes.
 type slotted []byte
 
 func (s slotted) slotCount() int { return int(binary.LittleEndian.Uint16(s[offSlotCount:])) }
@@ -137,6 +137,20 @@ func (s slotted) slotRecord(i int) (offset, length int, err error) {
 	return off, length, nil
 }
 
+// record returns the record id names on this image of id.Page.
+func (s slotted) record(id TupleID) ([]byte, error) {
+	if int(id.Slot) >= s.slotCount() {
+		return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
+	}
+	off, length, err := s.slotRecord(int(id.Slot))
+	if err != nil {
+		return nil, fmt.Errorf("page %d: %w", id.Page, err)
+	}
+	return s[off : off+length], nil
+}
+
+// pageView is the write side's handle on a slotted page: a pool frame
+// fetched because it is about to be written.
 type pageView struct {
 	pg *pager.Page
 }
@@ -170,15 +184,6 @@ func (v pageView) init() {
 	v.setSlotCount(0)
 	v.setFreeEnd(pager.PayloadSize)
 	v.setNextPage(pager.InvalidPage)
-}
-
-// check validates the slotted structure of one page (see
-// slotted.check).
-func (v pageView) check() error { return v.bytes().check() }
-
-// slotRecord bounds-checks slot i (see slotted.slotRecord).
-func (v pageView) slotRecord(i int) (offset, length int, err error) {
-	return v.bytes().slotRecord(i)
 }
 
 // freeSpace returns the bytes available for one more record plus its
@@ -238,21 +243,21 @@ func Create(p *pager.Pager) (*Heap, pager.PageID, error) {
 // count is recomputed by walking the chain.
 func Open(p *pager.Pager, first pager.PageID) (*Heap, error) {
 	h := &Heap{p: p, first: first, last: first}
-	id := first
-	for id != pager.InvalidPage {
-		pg, err := p.Fetch(id)
+	r := p.BeginRead()
+	defer r.End()
+	for id := first; id != pager.InvalidPage; {
+		b, err := r.Page(id)
 		if err != nil {
 			return nil, err
 		}
-		v := pageView{pg}
-		for i := 0; i < v.slotCount(); i++ {
-			if off, _ := v.slot(i); off != deadOffset {
+		s := slotted(b)
+		for i := 0; i < s.slotCount(); i++ {
+			if off, _ := s.slot(i); off != deadOffset {
 				h.count++
 			}
 		}
 		h.last = id
-		id = v.nextPage()
-		p.Unpin(pg)
+		id = s.nextPage()
 	}
 	return h, nil
 }
@@ -298,33 +303,31 @@ func (h *Heap) Insert(rec []byte) (TupleID, error) {
 
 // Get returns a copy of the record at id.
 func (h *Heap) Get(id TupleID) ([]byte, error) {
-	pg, err := h.p.Fetch(id.Page)
+	r := h.p.BeginRead()
+	defer r.End()
+	b, err := r.Page(id.Page)
 	if err != nil {
 		return nil, err
 	}
-	defer h.p.Unpin(pg)
-	v := pageView{pg}
-	if int(id.Slot) >= v.slotCount() {
-		return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
-	}
-	off, length, err := v.slotRecord(int(id.Slot))
+	rec, err := slotted(b).record(id)
 	if err != nil {
-		return nil, fmt.Errorf("page %d: %w", id.Page, err)
+		return nil, err
 	}
-	out := make([]byte, length)
-	copy(out, pg.Data[off:off+length])
+	out := make([]byte, len(rec))
+	copy(out, rec)
 	return out, nil
 }
 
-// GetBatch reads the records of many ids, pinning each distinct page
-// once through the pager's zero-copy read path (Pager.Pin: bytes come
-// straight from the mmap when one is active, from the buffer pool
-// otherwise). fn is called exactly once per id — i indexes into ids —
-// in ascending (page, slot) order, which groups all ids of one page
-// under a single pin. Callers on the statement path hand in ids already
+// GetBatch reads the records of many ids through one pager.Reader held
+// for the whole batch (the zero-copy read path: bytes come straight from
+// the mmap when one is active and the page is not in the pool, from the
+// buffer pool otherwise), reading each distinct page once. fn is called
+// exactly once per id — i indexes into ids — in ascending (page, slot)
+// order, which groups all ids of one page under a single read. Callers
+// on the statement path hand in ids already
 // in that order, which one pass confirms; any other order is sorted
-// here. rec points into the pinned page image: it is valid only during
-// the call and must not be retained or written through. Any fn error,
+// here. rec points into the page image: it is valid only during the
+// call and must not be retained or written through. Any fn error,
 // unknown id, or corrupt slot aborts the batch.
 func (h *Heap) GetBatch(ids []TupleID, fn func(i int, rec []byte) error) error {
 	if !slices.IsSortedFunc(ids, TupleID.Compare) {
@@ -339,30 +342,24 @@ func (h *Heap) GetBatch(ids []TupleID, fn func(i int, rec []byte) error) error {
 		}
 		return h.GetBatch(sorted, func(k int, rec []byte) error { return fn(order[k], rec) })
 	}
+	r := h.p.BeginRead()
+	defer r.End()
 	for i := 0; i < len(ids); {
 		page := ids[i].Page
-		v, err := h.p.Pin(page)
+		b, err := r.Page(page)
 		if err != nil {
 			return err
 		}
-		s := slotted(v.Data())
+		s := slotted(b)
 		for ; i < len(ids) && ids[i].Page == page; i++ {
-			id := ids[i]
-			if int(id.Slot) >= s.slotCount() {
-				v.Unpin()
-				return fmt.Errorf("%w: %v", ErrNotFound, id)
-			}
-			off, length, err := s.slotRecord(int(id.Slot))
+			rec, err := s.record(ids[i])
 			if err != nil {
-				v.Unpin()
-				return fmt.Errorf("page %d: %w", id.Page, err)
+				return err
 			}
-			if err := fn(i, s[off:off+length]); err != nil {
-				v.Unpin()
+			if err := fn(i, rec); err != nil {
 				return err
 			}
 		}
-		v.Unpin()
 	}
 	return nil
 }
@@ -415,8 +412,10 @@ func (h *Heap) Free() error {
 // call. A structurally invalid page stops the scan with an error
 // wrapping ErrCorrupt.
 func (h *Heap) Scan(fn func(id TupleID, rec []byte) bool) error {
+	r := h.p.BeginRead()
+	defer r.End()
 	for id := h.first; id != pager.InvalidPage; {
-		next, err := h.ScanPage(id, fn)
+		next, err := scanPage(&r, id, fn)
 		if err != nil {
 			return err
 		}
@@ -430,25 +429,30 @@ func (h *Heap) Scan(fn func(id TupleID, rec []byte) bool) error {
 // stopped the scan. Pages never leave a chain, so a caller that guards
 // the heap with a lock may drop it between pages.
 func (h *Heap) ScanPage(id pager.PageID, fn func(id TupleID, rec []byte) bool) (pager.PageID, error) {
-	pg, err := h.p.Fetch(id)
+	r := h.p.BeginRead()
+	defer r.End()
+	return scanPage(&r, id, fn)
+}
+
+func scanPage(r *pager.Reader, id pager.PageID, fn func(id TupleID, rec []byte) bool) (pager.PageID, error) {
+	b, err := r.Page(id)
 	if err != nil {
 		return pager.InvalidPage, err
 	}
-	defer h.p.Unpin(pg)
-	v := pageView{pg}
-	if err := v.check(); err != nil {
+	s := slotted(b)
+	if err := s.check(); err != nil {
 		return pager.InvalidPage, fmt.Errorf("heap page %d: %w", id, err)
 	}
-	for i := 0; i < v.slotCount(); i++ {
-		off, length := v.slot(i)
+	for i := 0; i < s.slotCount(); i++ {
+		off, length := s.slot(i)
 		if off == deadOffset {
 			continue
 		}
-		if !fn(TupleID{Page: id, Slot: uint16(i)}, pg.Data[off:off+length]) {
+		if !fn(TupleID{Page: id, Slot: uint16(i)}, s[off:off+length]) {
 			return pager.InvalidPage, nil
 		}
 	}
-	return v.nextPage(), nil
+	return s.nextPage(), nil
 }
 
 // Pages returns the page ids of the heap chain in order, guarding
@@ -457,19 +461,19 @@ func (h *Heap) ScanPage(id pager.PageID, fn func(id TupleID, rec []byte) bool) (
 func (h *Heap) Pages() ([]pager.PageID, error) {
 	seen := make(map[pager.PageID]bool)
 	var out []pager.PageID
-	id := h.first
-	for id != pager.InvalidPage {
+	r := h.p.BeginRead()
+	defer r.End()
+	for id := h.first; id != pager.InvalidPage; {
 		if seen[id] {
 			return out, fmt.Errorf("%w: chain cycle at page %d", ErrCorrupt, id)
 		}
 		seen[id] = true
-		pg, err := h.p.Fetch(id)
+		b, err := r.Page(id)
 		if err != nil {
 			return out, err
 		}
 		out = append(out, id)
-		next := pageView{pg}.nextPage()
-		h.p.Unpin(pg)
+		next := slotted(b).nextPage()
 		if next != pager.InvalidPage && int(next) >= h.p.NumPages() {
 			return out, fmt.Errorf("%w: page %d links to out-of-range page %d", ErrCorrupt, id, next)
 		}
@@ -479,22 +483,22 @@ func (h *Heap) Pages() ([]pager.PageID, error) {
 }
 
 // Check walks the heap chain and validates every page's slotted
-// structure. Each visited page passes through the pager's Fetch and is
-// therefore checksum-verified; structural faults return errors
+// structure. Each visited page passes through the pager's read path and
+// is therefore checksum-verified; structural faults return errors
 // wrapping ErrCorrupt.
 func (h *Heap) Check() error {
 	pages, err := h.Pages()
 	if err != nil {
 		return err
 	}
+	r := h.p.BeginRead()
+	defer r.End()
 	for _, id := range pages {
-		pg, err := h.p.Fetch(id)
+		b, err := r.Page(id)
 		if err != nil {
 			return err
 		}
-		err = pageView{pg}.check()
-		h.p.Unpin(pg)
-		if err != nil {
+		if err := slotted(b).check(); err != nil {
 			return fmt.Errorf("heap page %d: %w", id, err)
 		}
 	}

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/pager"
@@ -378,4 +380,140 @@ func TestScanPageResumes(t *testing.T) {
 	if err != nil || next != pager.InvalidPage || seen != 3 {
 		t.Fatalf("stopped walk: next=%v seen=%d err=%v", next, seen, err)
 	}
+}
+
+// scatteredHeapFile writes a heap of pages pages (nine ~400-byte records
+// each) to a file under tb's temporary directory, closes it, and reopens
+// it as pictdb.Open would — log attached and empty, file mapped where the
+// build can — returning the pager, the heap's first page and one record
+// id per page.
+func scatteredHeapFile(tb testing.TB, pages int) (*pager.Pager, pager.PageID, []TupleID) {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "scattered.db")
+	p, err := pager.Open(path, pages+8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h, first, err := Create(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rec := bytes.Repeat([]byte("r"), 400)
+	var onePerPage []TupleID
+	for len(onePerPage) < pages {
+		id, err := h.Insert(rec)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if n := len(onePerPage); n == 0 || onePerPage[n-1].Page != id.Page {
+			onePerPage = append(onePerPage, id)
+		}
+	}
+	if err := p.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	p, err = pager.Open(path, pages+8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { p.Close() })
+	if err := p.EnableWAL(); err != nil {
+		tb.Fatal(err)
+	}
+	_ = p.EnableMmap()
+	return p, first, onePerPage
+}
+
+// TestReadOnlyMethodsInstallNothing: with the file mapped, opening a
+// heap and reading it every way there is leaves the buffer pool as it
+// found it — no frame installed, no pool lookup counted — because the
+// read-only methods read through the mapping; the first write then
+// installs exactly the page it touches.
+func TestReadOnlyMethodsInstallNothing(t *testing.T) {
+	p, first, ids := scatteredHeapFile(t, 40)
+	if !p.MmapActive() {
+		t.Skip("no file mapping in this build: every read takes the pool path")
+	}
+	before, resident := p.Stats(), p.Resident()
+	h, err := Open(p, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Get(ids[7]); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.GetBatch(ids, func(int, []byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	if err := h.Scan(func(TupleID, []byte) bool { seen++; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.ScanPage(ids[3].Page, func(TupleID, []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Check(); err != nil { // walks Pages, then every page
+		t.Fatal(err)
+	}
+	if seen != h.Len() {
+		t.Fatalf("Scan saw %d records, Len is %d", seen, h.Len())
+	}
+	after := p.Stats()
+	if p.Resident() != resident || after.Hits+after.Misses != before.Hits+before.Misses {
+		t.Fatalf("read-only walks touched the pool: resident %d -> %d, lookups %d -> %d",
+			resident, p.Resident(), before.Hits+before.Misses, after.Hits+after.Misses)
+	}
+	// Open 40, Get 1, GetBatch 40, Scan 40, ScanPage 1, Check 40 + 40.
+	if got := after.MmapPins - before.MmapPins; got != 202 {
+		t.Fatalf("%d pages read through the mapping, want 202: one per page per walk", got)
+	}
+	if err := h.Delete(ids[7]); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Resident(); got != resident+1 {
+		t.Fatalf("one Delete left %d pages resident, want %d", got, resident+1)
+	}
+	if _, err := h.Get(ids[7]); err == nil {
+		t.Fatal("Get read the deleted record from the stale mapped image, not the dirty frame")
+	}
+}
+
+// BenchmarkGetBatchScattered reads 100 records on 100 distinct pages of
+// a 2 000-page mapped heap from every core at once — the heap fetch of
+// a window whose candidates scatter — and reports the cost per page.
+func BenchmarkGetBatchScattered(b *testing.B) {
+	p, first, ids := scatteredHeapFile(b, 2000)
+	h, err := Open(p, first)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1985))
+	batches := make([][]TupleID, 64)
+	for i := range batches {
+		perm := rng.Perm(len(ids))[:100]
+		batch := make([]TupleID, 100)
+		for k, j := range perm {
+			batch[k] = ids[j]
+		}
+		slices.SortFunc(batch, TupleID.Compare)
+		batches[i] = batch
+	}
+	var next atomic.Uint32
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		total := 0
+		for i := int(next.Add(1)) * 17; pb.Next(); i++ {
+			err := h.GetBatch(batches[i%len(batches)], func(_ int, rec []byte) error {
+				total += len(rec)
+				return nil
+			})
+			if err != nil {
+				b.Error(err)
+				return
+			}
+		}
+		_ = total
+	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/100, "ns/page")
 }
