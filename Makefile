@@ -46,6 +46,7 @@ benchcheck:
 	$(GO) test -run xxx -bench 'DeltaMergedSearch|PackedOnlySearch' -benchtime 20x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'ShardedSearch|UnshardedSearch' -benchtime 20x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'OpenWindowRead' -benchtime 3x .
+	$(GO) test -run xxx -bench 'PackTree' -benchtime 3x ./internal/pack/
 	$(GO) test -run xxx -bench 'WindowStatement' -benchtime 200x -benchmem .
 	$(GO) run ./cmd/pictbench -quick > /dev/null
 
@@ -55,12 +56,13 @@ benchcheck:
 faults:
 	$(GO) test -race -run 'Fault|Crash|Torn|Checksum|Corrupt|Truncated|Degrad|UnsupportedFormat|Check' ./internal/pager/ ./cmd/pictdbcheck/ .
 
-# Write-ahead-log durability matrix: group-commit batching, snapshot
-# isolation under concurrent writers, append-region fault injection at
-# the log tail, and the coordinated (page file, WAL) crash-point sweep
-# with recovery verified from every captured image.
+# Write-ahead-log durability matrix: group-commit batching, live reads
+# beside concurrent group-committing writers, append-region fault
+# injection at the log tail, a failing final commit at Close, and the
+# coordinated (page file, WAL) crash-point sweep with recovery verified
+# from every captured image.
 walfaults:
-	$(GO) test -race -run 'WAL|Snapshot|Append' ./internal/pager/ ./cmd/pictdbcheck/ .
+	$(GO) test -race -run 'WAL|Append' ./internal/pager/ ./cmd/pictdbcheck/ .
 
 # Sharded crash recovery: the coordinated crash-point matrix over a
 # pictorial sharded relation (every fsync boundary of every shard's
@@ -71,13 +73,17 @@ shardfaults:
 	$(GO) test -race -run 'ShardedCrash|ShardedDuplicate|ShardedSplitDuplicate|ShardedReopen' ./internal/relation/ .
 
 # Short fuzz pass over the decoders of on-disk bytes — tuples, page-0
-# header slots, catalog records — and the B-tree bulk load against
-# per-item insertion. (-fuzz takes one target per run.)
+# header slots, catalog records, write-ahead log records (inspection
+# against recovery) — and the B-tree bulk load against per-item
+# insertion. (-fuzz takes one target per run. A log's seeds are pages
+# long: left at its default, minimizing each new input for up to a
+# minute would take the whole run.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTuple -fuzztime 10s ./internal/relation/
 	$(GO) test -run '^$$' -fuzz FuzzParseHeaderSlots -fuzztime 10s ./internal/pager/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCatalogRecord -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzBulkLoad -fuzztime 10s ./internal/btree/
+	$(GO) test -run '^$$' -fuzz FuzzRecoverWAL -fuzztime 10s -fuzzminimizetime 20x ./internal/pager/
 
 # Paper reproduction targets.
 table1:

@@ -1,6 +1,8 @@
 package pack
 
 import (
+	"cmp"
+
 	"repro/internal/geom"
 )
 
@@ -10,10 +12,9 @@ import (
 // consecutive runs tend to be spatially compact without the explicit
 // nearest-neighbor step of the paper's PACK.
 //
-// Hilbert packing is the most parallel-friendly strategy: once the
-// bounds are known, every key is an independent pure function of one
-// center, so key computation fans out perfectly and only the (also
-// parallel) sort remains.
+// Once the bounds are known every key is an independent pure function
+// of one center, so key computation fans out perfectly; one sort of
+// (key, position) remains.
 //
 // The curve mapping itself lives in geom (geom.HilbertKey and
 // friends) so the workload generators can derive curve keys without
@@ -40,10 +41,7 @@ func (g hilbertGrouper) Group(rects []geom.Rect, max int) [][]int {
 	if n == 0 {
 		return nil
 	}
-	// Bounds: a chunked union. Rect union is min/max per coordinate,
-	// so combining per-chunk partial bounds is order-independent and
-	// bit-identical to the sequential scan.
-	bounds := parallelBounds(rects, g.par)
+	bounds := geom.MBRRects(rects...)
 	side := uint32(1) << geom.HilbertOrder
 	scaleX, scaleY := 0.0, 0.0
 	if w := bounds.Width(); w > 0 {
@@ -62,38 +60,6 @@ func (g hilbertGrouper) Group(rects []geom.Rect, max int) [][]int {
 		}
 	})
 	order := identityOrder(n)
-	parallelSortStable(order, g.par, func(a, b int) bool { return keys[a] < keys[b] })
+	sortByKey(order, keys, cmp.Compare[uint64])
 	return slices2(order, max)
-}
-
-// parallelBounds unions all rects with up to par goroutines.
-func parallelBounds(rects []geom.Rect, par int) geom.Rect {
-	n := len(rects)
-	if par <= 1 || n < parallelThreshold {
-		bounds := geom.EmptyRect()
-		for _, r := range rects {
-			bounds = bounds.Union(r)
-		}
-		return bounds
-	}
-	if par > n {
-		par = n
-	}
-	partial := make([]geom.Rect, par)
-	for i := range partial {
-		partial[i] = geom.EmptyRect()
-	}
-	chunk := (n + par - 1) / par
-	parallelFor(n, par, func(lo, hi int) {
-		b := geom.EmptyRect()
-		for i := lo; i < hi; i++ {
-			b = b.Union(rects[i])
-		}
-		partial[lo/chunk] = b
-	})
-	bounds := geom.EmptyRect()
-	for _, b := range partial {
-		bounds = bounds.Union(b)
-	}
-	return bounds
 }

@@ -19,23 +19,14 @@ import (
 //
 // The greedy pop-nearest consumption is inherently sequential — each
 // NN() depends on every prior removal — so parallelism applies only to
-// the phases that permit it: center computation and the spatial
-// ordering sort.
+// the center computation.
 type nnGrouper struct{ par int }
 
 func (nnGrouper) Name() string { return "nn" }
 
 func (g nnGrouper) Group(rects []geom.Rect, max int) [][]int {
 	centers := centersOf(rects, g.par)
-	// The paper's example criterion: ascending x-coordinate.
-	order := identityOrder(len(rects))
-	parallelSortStable(order, g.par, func(a, b int) bool {
-		ca, cb := centers[a], centers[b]
-		if ca.X != cb.X {
-			return ca.X < cb.X
-		}
-		return ca.Y < cb.Y
-	})
+	order := sortedByXY(centers)
 
 	grid := newNNGrid(centers, order)
 	groups := make([][]int, 0, (len(rects)+max-1)/max)

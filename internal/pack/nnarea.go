@@ -18,23 +18,14 @@ import (
 // often; for extended objects area-greedy grouping avoids the long
 // thin groups center-distance grouping can produce.
 // Like the paper's PACK, the greedy accumulation is sequential; the
-// ordering sort and center computation run on Options.Parallelism
-// goroutines.
+// center computation runs on Options.Parallelism goroutines.
 type nnAreaGrouper struct{ par int }
 
 func (nnAreaGrouper) Name() string { return "nn-area" }
 
 func (g nnAreaGrouper) Group(rects []geom.Rect, max int) [][]int {
 	n := len(rects)
-	centers := centersOf(rects, g.par)
-	order := identityOrder(n)
-	parallelSortStable(order, g.par, func(a, b int) bool {
-		ca, cb := centers[a], centers[b]
-		if ca.X != cb.X {
-			return ca.X < cb.X
-		}
-		return ca.Y < cb.Y
-	})
+	order := sortedByXY(centersOf(rects, g.par))
 	taken := make([]bool, n)
 	remaining := n
 

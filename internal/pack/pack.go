@@ -81,7 +81,7 @@ type Options struct {
 	// for real use.
 	TrimToMultiple bool
 	// Parallelism is the number of goroutines a build may use for
-	// spatial-key computation, sorting, and node assembly. Zero means
+	// spatial-key computation and node assembly. Zero means
 	// runtime.GOMAXPROCS(0); 1 forces the sequential path. Every
 	// level produces output identical to the sequential build, so
 	// Table 1 numbers are unchanged at any setting.
@@ -140,13 +140,7 @@ type lowXGrouper struct{ par int }
 func (lowXGrouper) Name() string { return "lowx" }
 
 func (g lowXGrouper) Group(rects []geom.Rect, max int) [][]int {
-	order := sortedByCenter(rects, g.par, func(a, b geom.Point) bool {
-		if a.X != b.X {
-			return a.X < b.X
-		}
-		return a.Y < b.Y
-	})
-	return slices2(order, max)
+	return slices2(sortedByXY(centersOf(rects, g.par)), max)
 }
 
 // centersOf computes all rectangle centers, in parallel chunks when
@@ -170,14 +164,11 @@ func identityOrder(n int) []int {
 	return order
 }
 
-// sortedByCenter returns the indices of rects ordered by the given
-// comparison of their centers, using up to par goroutines.
-func sortedByCenter(rects []geom.Rect, par int, less func(a, b geom.Point) bool) []int {
-	centers := centersOf(rects, par)
-	order := identityOrder(len(rects))
-	parallelSortStable(order, par, func(a, b int) bool {
-		return less(centers[a], centers[b])
-	})
+// sortedByXY returns the positions of centers ordered by x, then y —
+// the paper's example criterion, ascending x-coordinate.
+func sortedByXY(centers []geom.Point) []int {
+	order := identityOrder(len(centers))
+	sortByKey(order, centers, byXY)
 	return order
 }
 

@@ -1,21 +1,24 @@
 package pack
 
 import (
-	"sort"
+	"slices"
 	"sync"
+
+	"repro/internal/geom"
 )
 
-// This file holds the multi-core machinery behind Options.Parallelism.
-// Every helper is deterministic: for any parallelism level the results
-// are identical to the sequential computation, so parallel PACK builds
-// the same tree the paper's single-threaded PACK does (verified by
-// TestParallelPackDeterminism). Determinism comes from two properties:
+// This file holds the multi-core machinery behind Options.Parallelism
+// and the one sort every grouper orders its objects with. For any
+// parallelism level the results are identical to the sequential
+// computation, so parallel PACK builds the same tree the paper's
+// single-threaded PACK does (verified by TestParallelPackDeterminism):
 //
-//   - parallelFor partitions work by index range and each range writes
-//     only its own slots, so the combined output is order-independent;
-//   - parallelSortStable is a stable merge sort (stable chunk sorts,
-//     left-preferring merges), and a stable sort's output is uniquely
-//     determined by the input order and the comparison.
+//   - parallelFor partitions the key computation by index range and
+//     each range writes only its own slots, so the combined output is
+//     order-independent;
+//   - sortByKey runs on one goroutine and orders by (key, position), a
+//     total order, so its output is the same whatever algorithm the
+//     standard library sorts with.
 
 // parallelThreshold is the input size below which goroutine fan-out
 // costs more than it saves; smaller inputs run sequentially. A var so
@@ -27,20 +30,7 @@ var parallelThreshold = 2048
 // chunks, one goroutine each. fn must only write state owned by its
 // index range. par <= 1 (or a small n) runs inline.
 func parallelFor(n, par int, fn func(lo, hi int)) {
-	if n < parallelThreshold {
-		par = 1
-	}
-	parallelChunks(n, par, fn)
-}
-
-// parallelChunks is parallelFor without the small-n bypass, for
-// coarse-grained units (a slab sort, a node group) where even a few
-// units are worth a goroutine each.
-func parallelChunks(n, par int, fn func(lo, hi int)) {
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
+	if n < parallelThreshold || par <= 1 {
 		if n > 0 {
 			fn(0, n)
 		}
@@ -62,95 +52,45 @@ func parallelChunks(n, par int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// sortScratch pools the merge buffers parallelSortStable needs, so the
-// level-by-level sorts of one build (and repeated builds) reuse scratch
-// instead of reallocating it.
-var sortScratch = sync.Pool{
-	New: func() any { return new([]int) },
+// keyed is one object under sortByKey: its sort key and its position
+// in the grouper's input.
+type keyed[K any] struct {
+	key K
+	pos int
 }
 
-// parallelSortStable stably sorts idx by less (comparing the *values*
-// idx holds, not positions) using up to par goroutines. The output is
-// identical to sort.SliceStable for every par.
-func parallelSortStable(idx []int, par int, less func(a, b int) bool) {
-	n := len(idx)
-	if par <= 1 || n < parallelThreshold {
-		sort.SliceStable(idx, func(i, j int) bool { return less(idx[i], idx[j]) })
-		return
+// sortByKey sorts idx — positions into keys — by (keys[p], p): PACK's
+// "order objects of DLIST by some spatial criterion", ties in input
+// order. cmp need not tell equal keys apart; position completes it to
+// a total order (for coordinates that are not NaN), which is what makes
+// the result independent of the sorting algorithm.
+func sortByKey[K any](idx []int, keys []K, cmp func(a, b K) int) {
+	pairs := make([]keyed[K], len(idx))
+	for i, p := range idx {
+		pairs[i] = keyed[K]{keys[p], p}
 	}
-	if par > n {
-		par = n
-	}
-	// Sort par contiguous runs concurrently; each run sort is stable.
-	runs := make([]int, 0, par+1) // run boundaries: runs[i]..runs[i+1]
-	chunk := (n + par - 1) / par
-	for lo := 0; lo <= n; lo += chunk {
-		runs = append(runs, lo)
-	}
-	if runs[len(runs)-1] != n {
-		runs = append(runs, n)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i+1 < len(runs); i++ {
-		lo, hi := runs[i], runs[i+1]
-		wg.Add(1)
-		go func(s []int) {
-			defer wg.Done()
-			sort.SliceStable(s, func(i, j int) bool { return less(s[i], s[j]) })
-		}(idx[lo:hi])
-	}
-	wg.Wait()
-
-	// Merge adjacent run pairs (concurrently) until one run remains.
-	// Merges prefer the left run on ties, preserving stability.
-	bufp := sortScratch.Get().(*[]int)
-	if cap(*bufp) < n {
-		*bufp = make([]int, n)
-	}
-	src, dst := idx, (*bufp)[:n]
-	for len(runs) > 2 {
-		next := make([]int, 0, len(runs)/2+2)
-		var mg sync.WaitGroup
-		for i := 0; i+2 < len(runs); i += 2 {
-			lo, mid, hi := runs[i], runs[i+1], runs[i+2]
-			next = append(next, lo)
-			mg.Add(1)
-			go func(lo, mid, hi int) {
-				defer mg.Done()
-				mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi], less)
-			}(lo, mid, hi)
+	slices.SortFunc(pairs, func(a, b keyed[K]) int {
+		if c := cmp(a.key, b.key); c != 0 {
+			return c
 		}
-		// An odd trailing run is copied through unchanged.
-		if len(runs)%2 == 0 {
-			lo, hi := runs[len(runs)-2], runs[len(runs)-1]
-			next = append(next, lo)
-			copy(dst[lo:hi], src[lo:hi])
-		}
-		next = append(next, n)
-		mg.Wait()
-		runs = next
-		src, dst = dst, src
+		return a.pos - b.pos
+	})
+	for i, kp := range pairs {
+		idx[i] = kp.pos
 	}
-	if &src[0] != &idx[0] {
-		copy(idx, src)
-	}
-	sortScratch.Put(bufp)
 }
 
-// mergeRuns merges two sorted runs into out, taking from a when the
-// heads compare equal (stability).
-func mergeRuns(out, a, b []int, less func(x, y int) bool) {
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if less(b[j], a[i]) {
-			out[k] = b[j]
-			j++
-		} else {
-			out[k] = a[i]
-			i++
-		}
-		k++
+// byXY orders centers by x, then y.
+func byXY(a, b geom.Point) int {
+	switch {
+	case a.X < b.X:
+		return -1
+	case a.X > b.X:
+		return 1
+	case a.Y < b.Y:
+		return -1
+	case a.Y > b.Y:
+		return 1
 	}
-	copy(out[k:], a[i:])
-	copy(out[k+len(a)-i:], b[j:])
+	return 0
 }

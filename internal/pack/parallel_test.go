@@ -1,9 +1,11 @@
 package pack
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,28 +14,52 @@ import (
 	"repro/internal/workload"
 )
 
-// TestParallelSortStable checks that the parallel merge sort matches
-// sort.SliceStable exactly, including tie handling, across sizes that
-// hit the sequential bypass, unbalanced chunks, and odd run counts.
+// TestParallelSortStable checks that sortByKey — the one sort behind
+// every grouper — returns exactly sort.SliceStable's order: integer
+// keys with heavy ties, center keys with repeated coordinates and
+// wholly equal centers, a slab of an earlier order (STR's second pass),
+// at sizes from empty to past parallelThreshold. (The name is the one
+// the test floor lists; nothing about the sort is parallel.)
 func TestParallelSortStable(t *testing.T) {
-	defer func(old int) { parallelThreshold = old }(parallelThreshold)
-	parallelThreshold = 2
-
 	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 2, 3, 17, 100, 1023, 4096} {
-		for _, par := range []int{1, 2, 3, 4, 7, 8, 16} {
-			// Few distinct keys => many ties => stability is load-bearing.
-			keys := make([]int, n)
-			for i := range keys {
-				keys[i] = rng.Intn(5)
+	for _, n := range []int{0, 1, 2, 3, 17, 100, 1023, parallelThreshold, 2*parallelThreshold + 1} {
+		// Few distinct keys => many ties => position is load-bearing.
+		keys := make([]uint64, n)
+		centers := make([]geom.Point, n)
+		for i := range keys {
+			keys[i] = uint64(rng.Intn(5))
+			centers[i] = geom.Pt(float64(rng.Intn(4)), float64(rng.Intn(4))-0.5)
+		}
+		want := identityOrder(n)
+		sort.SliceStable(want, func(i, j int) bool { return keys[want[i]] < keys[want[j]] })
+		got := identityOrder(n)
+		sortByKey(got, keys, cmp.Compare[uint64])
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: integer keys diverge from SliceStable", n)
+		}
+
+		lessXY := func(a, b geom.Point) bool {
+			if a.X != b.X {
+				return a.X < b.X
 			}
-			want := identityOrder(n)
-			sort.SliceStable(want, func(i, j int) bool { return keys[want[i]] < keys[want[j]] })
-			got := identityOrder(n)
-			parallelSortStable(got, par, func(a, b int) bool { return keys[a] < keys[b] })
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("n=%d par=%d: parallel sort diverges from SliceStable", n, par)
-			}
+			return a.Y < b.Y
+		}
+		want = identityOrder(n)
+		sort.SliceStable(want, func(i, j int) bool { return lessXY(centers[want[i]], centers[want[j]]) })
+		got = sortedByXY(centers)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: center keys diverge from SliceStable", n)
+		}
+
+		// The middle half of the x-order, re-sorted by (y, x).
+		slab := append([]int(nil), want[n/4:n-n/4]...)
+		sort.SliceStable(slab, func(i, j int) bool {
+			a, b := centers[slab[i]], centers[slab[j]]
+			return lessXY(geom.Pt(a.Y, a.X), geom.Pt(b.Y, b.X))
+		})
+		sortByKey(got[n/4:n-n/4], centers, byYX)
+		if !slices.Equal(got[n/4:n-n/4], slab) {
+			t.Fatalf("n=%d: slab re-sort diverges from SliceStable", n)
 		}
 	}
 }
@@ -86,6 +112,28 @@ func TestParallelTreeMatchesSequential(t *testing.T) {
 			if !reflect.DeepEqual(seq.Items(), par.Items()) {
 				t.Fatalf("%s J=%d: leaf item order differs", m, j)
 			}
+		}
+	}
+}
+
+var packed *rtree.Tree // keeps BenchmarkPackTree's builds from being optimized away
+
+// BenchmarkPackTree times PACK of the engine's largest served input —
+// pictbench window_read's 200 000 clustered points at the paper's
+// branching factor — under the two curve/tile orders the engine and
+// its examples pack with, at the parallelism of one core and of the
+// benchmark machine's two. It is the measurement behind the share of
+// pictdb.Open that BenchmarkOpenWindowRead reports as pack-ms.
+func BenchmarkPackTree(b *testing.B) {
+	items := workload.PointItems(workload.ClusteredPoints(200_000, 50, 30, 1985))
+	for _, m := range []Method{MethodHilbert, MethodSTR} {
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/par=%d", m, par), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					packed = Tree(rtree.DefaultParams(), items, Options{Method: m, Parallelism: par})
+				}
+			})
 		}
 	}
 }

@@ -35,15 +35,7 @@ func (g rotateGrouper) Group(rects []geom.Rect, max int) [][]int {
 		chunk := geom.RotateAll(centers[lo:hi], alpha)
 		copy(rotated[lo:hi], chunk)
 	})
-	order := identityOrder(n)
-	parallelSortStable(order, g.par, func(a, b int) bool {
-		pa, pb := rotated[a], rotated[b]
-		if pa.X != pb.X {
-			return pa.X < pb.X
-		}
-		return pa.Y < pb.Y
-	})
-	return slices2(order, max)
+	return slices2(sortedByXY(rotated), max)
 }
 
 // RotatePackAngle exposes the rotation angle that would be used for

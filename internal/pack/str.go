@@ -2,7 +2,6 @@ package pack
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/geom"
 )
@@ -12,13 +11,14 @@ import (
 // paper's packing idea: sort by center x, cut into ceil(sqrt(n/max))
 // vertical slabs of ~max*slabCount entries each, sort each slab by
 // center y, and slice runs of max.
-//
-// Both sorting dimensions parallelize: the x-sort is a parallel merge
-// sort, and the per-slab y-sorts are independent of each other so each
-// slab runs on its own goroutine.
 type strGrouper struct{ par int }
 
 func (strGrouper) Name() string { return "str" }
+
+// byYX orders centers by y, then x.
+func byYX(a, b geom.Point) int {
+	return byXY(geom.Point{X: a.Y, Y: a.X}, geom.Point{X: b.Y, Y: b.X})
+}
 
 func (g strGrouper) Group(rects []geom.Rect, max int) [][]int {
 	n := len(rects)
@@ -26,44 +26,20 @@ func (g strGrouper) Group(rects []geom.Rect, max int) [][]int {
 		return nil
 	}
 	centers := centersOf(rects, g.par)
-	order := identityOrder(n)
-	parallelSortStable(order, g.par, func(a, b int) bool {
-		ca, cb := centers[a], centers[b]
-		if ca.X != cb.X {
-			return ca.X < cb.X
-		}
-		return ca.Y < cb.Y
-	})
+	order := sortedByXY(centers)
 	nodeCount := (n + max - 1) / max
 	slabs := int(math.Ceil(math.Sqrt(float64(nodeCount))))
 	perSlab := slabs * max
 
-	// Slabs are disjoint index ranges of the x-order; sort each by y
-	// concurrently, then slice every slab into runs of max.
-	slabCount := (n + perSlab - 1) / perSlab
-	parallelChunks(slabCount, g.par, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			start := s * perSlab
-			end := start + perSlab
-			if end > n {
-				end = n
-			}
-			slab := order[start:end]
-			sort.SliceStable(slab, func(i, j int) bool {
-				a, b := centers[slab[i]], centers[slab[j]]
-				if a.Y != b.Y {
-					return a.Y < b.Y
-				}
-				return a.X < b.X
-			})
-		}
-	})
+	// Slabs are consecutive ranges of the x-order: sort each by y and
+	// slice it into runs of max.
 	groups := make([][]int, 0, nodeCount)
 	for start := 0; start < n; start += perSlab {
 		end := start + perSlab
 		if end > n {
 			end = n
 		}
+		sortByKey(order[start:end], centers, byYX)
 		groups = append(groups, slices2(order[start:end], max)...)
 	}
 	return groups

@@ -753,7 +753,7 @@ func (p *Pager) installShard(sh *shard, id PageID, read bool) (*Page, error) {
 	pg := &Page{ID: id, pins: 1}
 	if read {
 		for w != nil {
-			f, ok := w.latestFrame(id, ^uint64(0))
+			f, ok := w.latestFrame(id)
 			if !ok {
 				break // no frame: the page file holds the newest image
 			}
@@ -770,7 +770,7 @@ func (p *Pager) installShard(sh *shard, id PageID, read bool) (*Page, error) {
 			// gone, the backfilled page file now holds the image — retry
 			// against the index. A stable frame that still fails is
 			// genuine corruption.
-			if f2, ok2 := w.latestFrame(id, ^uint64(0)); ok2 && f2 == f {
+			if f2, ok2 := w.latestFrame(id); ok2 && f2 == f {
 				return nil, err
 			}
 		}
@@ -964,9 +964,11 @@ func (p *Pager) Commit() error {
 func (p *Pager) Flush() error { return p.Commit() }
 
 // Close commits and closes the pager (read-only pagers just release
-// the backend). Further operations fail with ErrClosed. Close refuses
+// the backends). Further operations fail with ErrClosed. Close refuses
 // — and the pager stays open — while zero-copy views are still pinned,
-// because unmapping would leave them dangling.
+// because unmapping would leave them dangling. Past that point the pager
+// is closed whatever happens: a failed final commit or checkpoint is
+// returned, and the backends are released all the same.
 func (p *Pager) Close() error {
 	if p.closed.Load() {
 		return nil
@@ -974,41 +976,25 @@ func (p *Pager) Close() error {
 	if err := p.closeMapping(); err != nil {
 		return err
 	}
-	if w := p.wal.Load(); w != nil && !p.readOnly.Load() {
-		// The final checkpoint below rewrites the page file; refuse while
-		// snapshots still pin old generations (before marking closed, so
-		// the pager stays usable and the caller can release them).
-		w.imu.RLock()
-		snaps := w.snapshots
-		w.imu.RUnlock()
-		if snaps > 0 {
-			return fmt.Errorf("pager: close: %w: %d snapshot(s)", ErrSnapshotsActive, snaps)
-		}
-	}
 	if p.closed.Swap(true) {
 		return nil
 	}
-	if w := p.wal.Load(); w != nil {
-		if p.readOnly.Load() {
-			err := w.backend.Close()
-			if cerr := p.backend.Close(); err == nil {
-				err = cerr
-			}
-			return err
+	w := p.wal.Load()
+	var err error
+	if !p.readOnly.Load() {
+		if w != nil {
+			err = p.closeWAL(w)
+		} else {
+			err = p.commit()
 		}
-		// Final commit + checkpoint: the page file is left carrying the
-		// full committed state and the WAL truncated, so the database
-		// stands alone (and stays readable by WAL-less opens).
-		if err := p.closeWAL(w); err != nil {
-			return err
+	}
+	if w != nil {
+		if cerr := w.backend.Close(); err == nil {
+			err = cerr
 		}
-		return p.backend.Close()
 	}
-	if p.readOnly.Load() {
-		return p.backend.Close()
+	if cerr := p.backend.Close(); err == nil {
+		err = cerr
 	}
-	if err := p.commit(); err != nil {
-		return err
-	}
-	return p.backend.Close()
+	return err
 }

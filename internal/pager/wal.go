@@ -1,6 +1,6 @@
 package pager
 
-// Write-ahead log with group commit and snapshot-isolated reads.
+// Write-ahead log with group commit.
 //
 // With a WAL enabled (EnableWAL / EnableWALBackend), Commit no longer
 // rewrites the page file in place. Instead the commit leader captures
@@ -18,15 +18,6 @@ package pager
 // verified), everything else from the page file. Dirty pages are never
 // stolen to the page file — eviction skips them — so the page file
 // always holds exactly the last checkpointed state.
-//
-// Snapshot reads: BeginSnapshot pins the last durably committed
-// generation and returns a read-only Backend view that resolves every
-// page to its newest frame at or below that generation (falling back
-// to the page file) and synthesizes a page-0 header describing exactly
-// that generation's page count and free list. Readers therefore never
-// observe a torn root or an in-progress write, and never block
-// writers; checkpoints defer while snapshots are pinned so the page
-// file cannot advance beneath them.
 //
 // Recovery: on open, committed WAL records are replayed into the v2
 // page format (ordered: data, sync, header, sync) and the WAL is
@@ -70,10 +61,6 @@ var walMagic = [8]byte{'P', 'I', 'C', 'T', 'W', 'A', 'L', '1'}
 // ErrNoWAL is returned by WAL-only operations on a pager without one.
 var ErrNoWAL = errors.New("pager: no write-ahead log enabled")
 
-// ErrSnapshotsActive is returned when an operation (checkpoint, close)
-// requires the WAL to quiesce but snapshots still pin old generations.
-var ErrSnapshotsActive = errors.New("pager: snapshots still active")
-
 // walFrame locates one page image inside the WAL.
 type walFrame struct {
 	gen uint64
@@ -95,12 +82,17 @@ type walState struct {
 	leader bool
 
 	// imu guards the frame index, append offset, committed header
-	// state, snapshot count, and counters. Readers (snapshot pins,
-	// WAL-aware fetches) take it shared and briefly.
-	imu       sync.RWMutex
-	index     map[PageID][]walFrame // frames per page, ascending gen
-	size      int64                 // append offset (next frame lands here)
-	snapshots int
+	// state, and counters. Readers (WAL-aware fetches) take it shared
+	// and briefly.
+	imu sync.RWMutex
+	// index lists each page's frames in ascending generation. Readers
+	// want only the newest, but a batch is indexed before its fsync: when
+	// that fsync fails the newest frame is unacknowledged, and the list
+	// is what lets a checkpoint still find — and backfill — the newest
+	// acknowledged image beneath it instead of truncating it away with
+	// the log (TestWALAppendFaults, "checkpoint after failed wal sync").
+	index map[PageID][]walFrame
+	size  int64 // append offset (next frame lands here)
 	// frames counts the entries of index. It is written only where
 	// index is, under imu, and read without it: a log holding no frame
 	// (a read-only workload, or any time after a checkpoint) answers
@@ -183,8 +175,7 @@ func (p *Pager) enableWAL(b Backend, path string) error {
 		return err
 	}
 	// The page file is now the recovered, committed state; seed the
-	// committed marks from it so snapshots taken before the first WAL
-	// commit see it.
+	// committed marks from it.
 	p.hmu.Lock()
 	w.committedGen = p.gen
 	w.committedNumPages = p.numPages.Load()
@@ -290,6 +281,37 @@ func readFrameAt(r io.ReaderAt, off int64) (kind byte, gen uint64, ref uint32, p
 		return 0, 0, 0, nil, fmt.Errorf("%w: wal record at %d: stored %#08x, computed %#08x", ErrChecksum, off, want, sum)
 	}
 	return hdr[4], binary.LittleEndian.Uint64(hdr[8:16]), binary.LittleEndian.Uint32(hdr[16:20]), payload, nil
+}
+
+// checkRecord reports whether a record whose CRC validated also makes
+// sense as the next record of a batch holding pending page records so
+// far: the CRC vouches for the bytes, not for their sense. Recovery and
+// InspectWAL both stop trusting the log at the first record that fails
+// it, so the report's verdict is about what recovery will replay.
+func checkRecord(kind byte, ref uint32, payload []byte, pending uint32) error {
+	switch kind {
+	case frameKindPage:
+		if len(payload) != PageSize {
+			return fmt.Errorf("%w: page record of %d bytes", ErrChecksum, len(payload))
+		}
+	case frameKindCommit:
+		if len(payload) != commitPayloadSize || ref != pending {
+			return fmt.Errorf("%w: commit record of %d bytes closing %d of %d page records", ErrChecksum, len(payload), ref, pending)
+		}
+		numPages, freeHead := commitState(payload)
+		if numPages == 0 || uint32(freeHead) >= numPages {
+			return fmt.Errorf("%w: commit record: free head %d with %d page(s)", ErrPageRange, freeHead, numPages)
+		}
+	default:
+		return fmt.Errorf("%w: unknown record kind %d", ErrChecksum, kind)
+	}
+	return nil
+}
+
+// commitState decodes a commit record's payload: the page count and
+// free-list head of the header state it commits.
+func commitState(payload []byte) (numPages uint32, freeHead PageID) {
+	return binary.LittleEndian.Uint32(payload[0:4]), PageID(binary.LittleEndian.Uint32(payload[4:8]))
 }
 
 // writeWALHeader initializes an empty WAL: magic, version, CRC.
@@ -426,27 +448,22 @@ func (p *Pager) walCommitBatch(w *walState, writers int) error {
 	auto := w.checkpointEvery > 0 && w.size >= walHeaderSize+w.checkpointEvery
 	w.imu.Unlock()
 	if auto {
-		// Best-effort (still under commitMu): skipped while snapshots or
-		// mmap views pin old page images; the WAL keeps growing until
-		// they release.
+		// Best-effort (still under commitMu): skipped while mmap views
+		// pin old page images; the WAL keeps growing until they release.
 		_ = p.checkpointWALLocked(w, false)
 	}
 	return nil
 }
 
-// latestFrame returns the newest WAL frame for id at or below gen
-// (math.MaxUint64 for "current state").
-func (w *walState) latestFrame(id PageID, gen uint64) (walFrame, bool) {
+// latestFrame returns the newest WAL frame for id.
+func (w *walState) latestFrame(id PageID) (walFrame, bool) {
 	w.imu.RLock()
 	defer w.imu.RUnlock()
 	frames := w.index[id]
-	// Frames are appended in ascending generation order.
-	for i := len(frames) - 1; i >= 0; i-- {
-		if frames[i].gen <= gen {
-			return frames[i], true
-		}
+	if len(frames) == 0 {
+		return walFrame{}, false
 	}
-	return walFrame{}, false
+	return frames[len(frames)-1], true
 }
 
 // hasFrame reports whether any WAL frame exists for id — when true,
@@ -479,9 +496,8 @@ func (w *walState) readFrameImage(f walFrame, id PageID, dst []byte) error {
 
 // CheckpointWAL backfills every committed WAL page image into the page
 // file with the ordered-commit barrier and truncates the WAL. It fails
-// with ErrSnapshotsActive while snapshots pin old generations (the
-// backfill would advance the page file beneath them) and defers,
-// without error, while zero-copy mmap views are pinned.
+// while zero-copy mmap views are pinned: the backfill would rewrite the
+// bytes they read.
 func (p *Pager) CheckpointWAL() error {
 	w := p.wal.Load()
 	if w == nil {
@@ -498,19 +514,12 @@ func (p *Pager) checkpointWAL(w *walState, must bool) error {
 
 func (p *Pager) checkpointWALLocked(w *walState, must bool) error {
 	w.imu.RLock()
-	snaps := w.snapshots
 	gen := w.committedGen
 	numPages := w.committedNumPages
 	freeHead := w.committedFreeHead
 	empty := w.size <= walHeaderSize
 	w.imu.RUnlock()
 	if empty {
-		return nil
-	}
-	if snaps > 0 {
-		if must {
-			return fmt.Errorf("%w: %d snapshot(s)", ErrSnapshotsActive, snaps)
-		}
 		return nil
 	}
 	// A backfill rewrites page-file bytes that pinned mmap views may be
@@ -522,8 +531,9 @@ func (p *Pager) checkpointWALLocked(w *walState, must bool) error {
 		return nil
 	}
 
-	// Latest committed frame per page. No leader runs concurrently
-	// (commitMu), so the index is stable.
+	// Latest committed frame per page: a frame past gen belongs to a
+	// batch whose fsync failed and was never acknowledged. No leader runs
+	// concurrently (commitMu), so the index is stable.
 	w.imu.RLock()
 	latest := make(map[PageID]walFrame, len(w.index))
 	for id, frames := range w.index {
@@ -555,15 +565,13 @@ func (p *Pager) checkpointWALLocked(w *walState, must bool) error {
 	if err := p.backend.Sync(); err != nil {
 		return err
 	}
-	// The page file now carries generation gen in full; drop the log.
 	// The page file now carries generation gen in full. Retire the
 	// index BEFORE truncating the log bytes: concurrent readers (pool
-	// misses, snapshots pinned at gen) that consult the index after this
-	// point resolve to the freshly backfilled page file; readers that
-	// resolved a frame just before retirement and lose the race to the
-	// truncate retry against the index (see latestFrame callers). A
-	// crash before the truncate only means recovery replays the same
-	// images again.
+	// misses) that consult the index after this point resolve to the
+	// freshly backfilled page file; readers that resolved a frame just
+	// before retirement and lose the race to the truncate retry against
+	// the index (see latestFrame's caller). A crash before the truncate
+	// only means recovery replays the same images again.
 	w.imu.Lock()
 	w.index = make(map[PageID][]walFrame)
 	w.frames.Store(0)
@@ -584,18 +592,14 @@ func (p *Pager) checkpointWALLocked(w *walState, must bool) error {
 	return nil
 }
 
-// closeWAL commits outstanding dirty pages, checkpoints, and closes
-// the WAL backend. Called by Close with the pager still open.
+// closeWAL is Close's final commit and checkpoint: the page file is
+// left carrying the full committed state and the WAL truncated, so the
+// database stands alone (and stays readable by WAL-less opens).
 func (p *Pager) closeWAL(w *walState) error {
-	if !p.readOnly.Load() {
-		if err := p.commitWAL(w); err != nil {
-			return err
-		}
-		if err := p.checkpointWAL(w, true); err != nil {
-			return err
-		}
+	if err := p.commitWAL(w); err != nil {
+		return err
 	}
-	return w.backend.Close()
+	return p.checkpointWAL(w, true)
 }
 
 // --- recovery ---------------------------------------------------------
@@ -645,39 +649,25 @@ func (p *Pager) recoverWAL(w *walState) error {
 	off := int64(walHeaderSize)
 	for {
 		kind, gen, ref, payload, err := readFrameAt(w.backend, off)
+		if err == nil {
+			err = checkRecord(kind, ref, payload, pendingCount)
+		}
 		if err != nil {
 			// Torn tail: everything from off on is discarded.
 			break
 		}
-		switch kind {
-		case frameKindPage:
-			if len(payload) != PageSize {
-				err = fmt.Errorf("bad page frame")
-			} else {
-				img := make([]byte, PageSize)
-				copy(img, payload)
-				pending[PageID(ref)] = img
-				pendingCount++
+		if kind == frameKindPage {
+			pending[PageID(ref)] = payload // readFrameAt's own allocation
+			pendingCount++
+		} else {
+			for id, img := range pending {
+				latest[id] = img
 			}
-		case frameKindCommit:
-			if len(payload) != commitPayloadSize || ref != pendingCount {
-				err = fmt.Errorf("bad commit frame")
-			} else {
-				for id, img := range pending {
-					latest[id] = img
-				}
-				pending = make(map[PageID][]byte)
-				pendingCount = 0
-				lastGen = gen
-				lastNumPages = binary.LittleEndian.Uint32(payload[0:4])
-				lastFreeHead = PageID(binary.LittleEndian.Uint32(payload[4:8]))
-				committed = true
-			}
-		default:
-			err = fmt.Errorf("unknown frame kind %d", kind)
-		}
-		if err != nil {
-			break
+			pending = make(map[PageID][]byte)
+			pendingCount = 0
+			lastGen = gen
+			lastNumPages, lastFreeHead = commitState(payload)
+			committed = true
 		}
 		off += frameSize(len(payload))
 	}
@@ -736,158 +726,6 @@ func (p *Pager) writeHeaderState(numPages uint32, freeHead PageID) error {
 	return p.writeHeaderLocked(numPages, freeHead)
 }
 
-// --- snapshots --------------------------------------------------------
-
-// Snapshot pins one durably committed generation of the database: a
-// consistent, immutable page-level view served from WAL frames at or
-// below the pinned generation and the page file beneath them. Active
-// snapshots defer checkpoints, so Release promptly.
-type Snapshot struct {
-	p        *Pager
-	w        *walState
-	gen      uint64
-	numPages uint32
-	header   []byte // synthesized page 0 describing exactly this generation
-	released bool
-	relMu    sync.Mutex
-}
-
-// BeginSnapshot pins the last committed generation. It fails with
-// ErrNoWAL when no write-ahead log is enabled (without one, in-place
-// page write-back could tear the view).
-func (p *Pager) BeginSnapshot() (*Snapshot, error) {
-	if p.closed.Load() {
-		return nil, ErrClosed
-	}
-	w := p.wal.Load()
-	if w == nil {
-		return nil, ErrNoWAL
-	}
-	w.imu.Lock()
-	s := &Snapshot{
-		p:        p,
-		w:        w,
-		gen:      w.committedGen,
-		numPages: w.committedNumPages,
-	}
-	w.snapshots++
-	freeHead := w.committedFreeHead
-	w.imu.Unlock()
-
-	s.header = make([]byte, PageSize)
-	encodeHeaderSlot(s.header, s.numPages, freeHead, s.gen)
-	return s, nil
-}
-
-// Gen returns the committed generation the snapshot pins.
-func (s *Snapshot) Gen() uint64 { return s.gen }
-
-// NumPages returns the page count of the pinned generation.
-func (s *Snapshot) NumPages() int { return int(s.numPages) }
-
-// Release unpins the snapshot, re-enabling checkpoints. Idempotent.
-func (s *Snapshot) Release() {
-	s.relMu.Lock()
-	defer s.relMu.Unlock()
-	if s.released {
-		return
-	}
-	s.released = true
-	s.w.imu.Lock()
-	s.w.snapshots--
-	s.w.imu.Unlock()
-}
-
-// Backend returns a read-only Backend serving the snapshot's pages —
-// open a second Pager over it (OpenBackend) to run the full read stack
-// against the pinned generation. Closing the backend releases the
-// snapshot.
-func (s *Snapshot) Backend() Backend { return &snapshotBackend{s: s} }
-
-// pageBytes copies the snapshot's image of page id into dst.
-func (s *Snapshot) pageBytes(id PageID, dst []byte) error {
-	if id == 0 {
-		copy(dst, s.header)
-		return nil
-	}
-	for {
-		f, ok := s.w.latestFrame(id, s.gen)
-		if !ok {
-			break
-		}
-		err := s.w.readFrameImage(f, id, dst)
-		if err == nil {
-			return nil
-		}
-		// A checkpoint that started before this snapshot was pinned may
-		// retire the index under us; the backfilled page file then holds
-		// the image. A stable frame that still fails is corruption.
-		if f2, ok2 := s.w.latestFrame(id, s.gen); ok2 && f2 == f {
-			return err
-		}
-	}
-	// No committed frame at or below the pinned generation: the page
-	// file holds the newest image ≤ gen (checkpoints defer while the
-	// snapshot is pinned, so it cannot advance beneath us).
-	n, err := s.p.backend.ReadAt(dst, int64(id)*PageSize)
-	switch {
-	case err == io.EOF || err == io.ErrUnexpectedEOF || (err == nil && n < PageSize):
-		return fmt.Errorf("pager: snapshot read page %d: %w", id, ErrTruncated)
-	case err != nil:
-		return fmt.Errorf("pager: snapshot read page %d: %w", id, err)
-	}
-	return nil
-}
-
-// snapshotBackend adapts a Snapshot to the Backend interface:
-// arbitrary-offset reads resolved page by page, writes refused.
-type snapshotBackend struct {
-	s       *Snapshot
-	pageBuf [PageSize]byte
-	mu      sync.Mutex
-}
-
-func (b *snapshotBackend) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("pager: snapshot read at negative offset %d", off)
-	}
-	total := int64(b.s.numPages) * PageSize
-	n := 0
-	for n < len(p) {
-		o := off + int64(n)
-		if o >= total {
-			if n == 0 {
-				return 0, io.EOF
-			}
-			return n, io.ErrUnexpectedEOF
-		}
-		id := PageID(o / PageSize)
-		po := int(o % PageSize)
-		chunk := len(p) - n
-		if chunk > PageSize-po {
-			chunk = PageSize - po
-		}
-		b.mu.Lock()
-		err := b.s.pageBytes(id, b.pageBuf[:])
-		if err != nil {
-			b.mu.Unlock()
-			return n, err
-		}
-		copy(p[n:n+chunk], b.pageBuf[po:po+chunk])
-		b.mu.Unlock()
-		n += chunk
-	}
-	return n, nil
-}
-
-func (b *snapshotBackend) WriteAt(p []byte, off int64) (int, error) { return 0, ErrReadOnly }
-func (b *snapshotBackend) Truncate(size int64) error                { return ErrReadOnly }
-func (b *snapshotBackend) Sync() error                              { return nil }
-func (b *snapshotBackend) Close() error {
-	b.s.Release()
-	return nil
-}
-
 // --- inspection -------------------------------------------------------
 
 // WALReport summarizes a read-only scan of a write-ahead log.
@@ -934,8 +772,14 @@ func InspectWAL(r io.ReaderAt) (*WALReport, error) {
 	off := int64(walHeaderSize)
 	sawAny := false
 	torn := int64(-1)
+	var pending uint32 // page records since the last commit record
 	for {
-		kind, gen, _, payload, err := readFrameAt(r, off)
+		kind, gen, ref, payload, err := readFrameAt(r, off)
+		if err == nil && torn < 0 {
+			// Past a tear the batch a record belongs to is unknown, and
+			// recovery has stopped anyway: any commit there counts.
+			err = checkRecord(kind, ref, payload, pending)
+		}
 		if err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				if torn < 0 && !frameStartsAt(r, off) {
@@ -957,7 +801,9 @@ func InspectWAL(r io.ReaderAt) (*WALReport, error) {
 		}
 		sawAny = true
 		rep.Records++
+		pending++
 		if kind == frameKindCommit {
+			pending = 0
 			rep.Commits++
 			rep.LastGen = gen
 			rep.LastCommit = off + frameSize(len(payload))

@@ -15,7 +15,7 @@ import (
 
 // newWALPager builds a pager over fresh memory backends with a WAL
 // attached, returning both halves for crash simulation.
-func newWALPager(t *testing.T, pool int) (*Pager, *MemBackend, *MemBackend) {
+func newWALPager(t testing.TB, pool int) (*Pager, *MemBackend, *MemBackend) {
 	t.Helper()
 	main := NewMemBackend(nil)
 	wal := NewMemBackend(nil)
@@ -44,7 +44,7 @@ func reopenWAL(t *testing.T, mainImg, walImg []byte, pool int) *Pager {
 }
 
 // writeCounter stamps value into page id's payload and commits.
-func writeCounter(t *testing.T, p *Pager, id PageID, value uint64) {
+func writeCounter(t testing.TB, p *Pager, id PageID, value uint64) {
 	t.Helper()
 	p.BeginWrite()
 	pg, err := p.Fetch(id)
@@ -72,7 +72,7 @@ func readCounter(t *testing.T, p *Pager, id PageID) uint64 {
 	return v
 }
 
-func allocPage(t *testing.T, p *Pager) PageID {
+func allocPage(t testing.TB, p *Pager) PageID {
 	t.Helper()
 	pg, err := p.Allocate()
 	if err != nil {
@@ -272,169 +272,6 @@ func TestWALRecoveryRejectsBadMagic(t *testing.T) {
 	}
 }
 
-func TestWALSnapshotPinsExactGeneration(t *testing.T) {
-	p, _, _ := newWALPager(t, 256)
-	// K pages that are always committed with identical values — a
-	// reader observing two different values has seen a torn generation.
-	const K = 8
-	ids := make([]PageID, K)
-	for i := range ids {
-		ids[i] = allocPage(t, p)
-	}
-	for _, id := range ids {
-		writeCounter(t, p, id, 1)
-	}
-
-	stop := make(chan struct{})
-	var writerErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for v := uint64(2); ; v++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			p.BeginWrite()
-			for _, id := range ids {
-				pg, err := p.Fetch(id)
-				if err != nil {
-					writerErr = err
-					p.EndWrite()
-					return
-				}
-				binary.LittleEndian.PutUint64(pg.Data[0:8], v)
-				pg.MarkDirty()
-				p.Unpin(pg)
-			}
-			p.EndWrite()
-			if err := p.Commit(); err != nil {
-				writerErr = err
-				return
-			}
-		}
-	}()
-
-	for r := 0; r < 8; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				snap, err := p.BeginSnapshot()
-				if err != nil {
-					t.Errorf("BeginSnapshot: %v", err)
-					return
-				}
-				b := snap.Backend()
-				var want uint64
-				for k, id := range ids {
-					var buf [8]byte
-					if _, err := b.ReadAt(buf[:], int64(id)*PageSize); err != nil {
-						t.Errorf("snapshot read: %v", err)
-						b.Close()
-						return
-					}
-					v := binary.LittleEndian.Uint64(buf[:])
-					if k == 0 {
-						want = v
-					} else if v != want {
-						t.Errorf("snapshot gen %d: page %d has %d, page %d has %d — torn generation",
-							snap.Gen(), ids[0], want, id, v)
-						b.Close()
-						return
-					}
-				}
-				b.Close()
-			}
-		}()
-	}
-	time.Sleep(30 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	if writerErr != nil {
-		t.Fatalf("writer: %v", writerErr)
-	}
-}
-
-func TestWALSnapshotBlocksCheckpointAndClose(t *testing.T) {
-	p, _, _ := newWALPager(t, 64)
-	id := allocPage(t, p)
-	writeCounter(t, p, id, 1)
-	snap, err := p.BeginSnapshot()
-	if err != nil {
-		t.Fatalf("BeginSnapshot: %v", err)
-	}
-	if err := p.CheckpointWAL(); !errors.Is(err, ErrSnapshotsActive) {
-		t.Fatalf("CheckpointWAL with snapshot = %v, want ErrSnapshotsActive", err)
-	}
-	if err := p.Close(); !errors.Is(err, ErrSnapshotsActive) {
-		t.Fatalf("Close with snapshot = %v, want ErrSnapshotsActive", err)
-	}
-	// The snapshot keeps serving its pinned generation while newer
-	// commits land.
-	writeCounter(t, p, id, 2)
-	b := snap.Backend()
-	var buf [8]byte
-	if _, err := b.ReadAt(buf[:], int64(id)*PageSize); err != nil {
-		t.Fatalf("snapshot read: %v", err)
-	}
-	if v := binary.LittleEndian.Uint64(buf[:]); v != 1 {
-		t.Fatalf("snapshot sees %d, want pinned 1", v)
-	}
-	if _, err := b.WriteAt(buf[:], 0); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("snapshot write = %v, want ErrReadOnly", err)
-	}
-	b.Close()
-	if err := p.CheckpointWAL(); err != nil {
-		t.Fatalf("CheckpointWAL after release: %v", err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatalf("Close after release: %v", err)
-	}
-}
-
-func TestWALSnapshotBackendReadSemantics(t *testing.T) {
-	p, _, _ := newWALPager(t, 64)
-	id := allocPage(t, p)
-	writeCounter(t, p, id, 9)
-	snap, err := p.BeginSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Release()
-	b := snap.Backend()
-	defer b.Close()
-	total := int64(snap.NumPages()) * PageSize
-	// Read past the end: EOF at the boundary, ErrUnexpectedEOF across.
-	var one [1]byte
-	if _, err := b.ReadAt(one[:], total); err == nil {
-		t.Fatal("read at EOF succeeded")
-	}
-	span := make([]byte, PageSize)
-	if n, err := b.ReadAt(span, total-4); err == nil || n != 4 {
-		t.Fatalf("read across EOF = (%d, %v), want (4, error)", n, err)
-	}
-	// A cross-page read matches two single-page reads.
-	cross := make([]byte, PageSize)
-	if _, err := b.ReadAt(cross, PageSize/2); err != nil {
-		t.Fatalf("cross-page read: %v", err)
-	}
-	a := make([]byte, PageSize)
-	c := make([]byte, PageSize)
-	if _, err := b.ReadAt(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.ReadAt(c, PageSize); err != nil {
-		t.Fatal(err)
-	}
-	want := append(append([]byte(nil), a[PageSize/2:]...), c[:PageSize/2]...)
-	if !bytes.Equal(cross, want) {
-		t.Fatal("cross-page read differs from per-page reads")
-	}
-}
-
 func TestInspectWALClassifiesCorruption(t *testing.T) {
 	p, _, wal := newWALPager(t, 64)
 	id := allocPage(t, p)
@@ -548,23 +385,24 @@ func TestWALAppendFaults(t *testing.T) {
 		}
 	})
 
-	t.Run("failed wal sync fails the commit", func(t *testing.T) {
-		main := NewMemBackend(nil)
-		walMem := NewMemBackend(nil)
+	// failedSync leaves page id with an acknowledged frame (value 1) and a
+	// newer one (value 9) whose batch reached the log but whose fsync
+	// failed. WAL syncs: #1 the header at enable, #2 the first commit,
+	// #3 the second commit (fails).
+	failedSync := func(t *testing.T) (p *Pager, main, walMem *MemBackend, id PageID) {
+		t.Helper()
+		main = NewMemBackend(nil)
+		walMem = NewMemBackend(nil)
 		p, err := OpenBackend(main, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// WAL syncs: #1 the header at enable, #2 the first commit,
-		// #3 the second commit (fails), #4 the retry.
 		fb := NewFaultBackend(walMem, FaultConfig{FailSync: 3})
 		if err := p.EnableWALBackend(fb); err != nil {
 			t.Fatal(err)
 		}
-		id := allocPage(t, p)
-		if err := p.Commit(); err != nil {
-			t.Fatal(err)
-		}
+		id = allocPage(t, p)
+		writeCounter(t, p, id, 1)
 		p.BeginWrite()
 		pg, err := p.Fetch(id)
 		if err != nil {
@@ -577,6 +415,11 @@ func TestWALAppendFaults(t *testing.T) {
 		if err := p.Commit(); !errors.Is(err, ErrInjected) {
 			t.Fatalf("Commit over failing sync = %v, want ErrInjected", err)
 		}
+		return p, main, walMem, id
+	}
+
+	t.Run("failed wal sync fails the commit", func(t *testing.T) {
+		p, main, walMem, id := failedSync(t)
 		// The records reached the log; only the fsync failed. A retry
 		// makes them durable.
 		if err := p.Commit(); err != nil {
@@ -587,6 +430,107 @@ func TestWALAppendFaults(t *testing.T) {
 			t.Fatalf("recovered %d, want 9 (retried sync)", got)
 		}
 	})
+
+	// This case pins walState.index's per-page frame *list*: the failed
+	// batch's frame is indexed (newest) before its fsync, so a checkpoint
+	// can only find the acknowledged image by looking past it. An index
+	// holding just the newest frame per page would backfill the
+	// unacknowledged 9, or skip the page and truncate the acknowledged 1
+	// away with the log.
+	t.Run("checkpoint after failed wal sync backfills the acknowledged image", func(t *testing.T) {
+		p, main, walMem, id := failedSync(t)
+		if err := p.CheckpointWAL(); err != nil {
+			t.Fatalf("CheckpointWAL: %v", err)
+		}
+		img := main.Bytes()
+		if int64(len(img)) < (int64(id)+1)*PageSize {
+			t.Fatalf("page file ends at %d, before page %d", len(img), id)
+		}
+		if got := binary.LittleEndian.Uint64(img[int64(id)*PageSize:]); got != 1 {
+			t.Fatalf("page file holds %d, want the acknowledged 1", got)
+		}
+		rp := reopenWAL(t, img, walMem.Bytes(), 64)
+		if got := readCounter(t, rp, id); got != 1 {
+			t.Fatalf("recovered %d, want the acknowledged 1", got)
+		}
+	})
+}
+
+// closeCounter counts Close calls on the backend it wraps.
+type closeCounter struct {
+	Backend
+	closes int
+}
+
+func (c *closeCounter) Close() error {
+	c.closes++
+	return c.Backend.Close()
+}
+
+// TestWALCloseFaultReleasesBackends: once Close has marked the pager
+// closed, a failing final commit or checkpoint is reported and both
+// backends are still released, exactly once — a second Close has
+// nothing left to do and says so.
+func TestWALCloseFaultReleasesBackends(t *testing.T) {
+	// open builds a WAL pager with one committed and one uncommitted
+	// write, over backends failing the given Sync ordinals (0: none).
+	open := func(t *testing.T, mainFail, walFail int) (p *Pager, main, wal *closeCounter, mainFB, walFB *FaultBackend) {
+		t.Helper()
+		mainFB = NewFaultBackend(NewMemBackend(nil), FaultConfig{FailSync: mainFail})
+		walFB = NewFaultBackend(NewMemBackend(nil), FaultConfig{FailSync: walFail})
+		main, wal = &closeCounter{Backend: mainFB}, &closeCounter{Backend: walFB}
+		p, err := OpenBackend(main, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.EnableWALBackend(wal); err != nil {
+			t.Fatal(err)
+		}
+		id := allocPage(t, p)
+		writeCounter(t, p, id, 1)
+		pg, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(pg.Data[0:8], 2)
+		pg.MarkDirty()
+		p.Unpin(pg)
+		return p, main, wal, mainFB, walFB
+	}
+	// The Sync ordinals Close starts from, read off a fault-free run.
+	p, _, _, mainFB, walFB := open(t, 0, 0)
+	_, _, mainSyncs := mainFB.Ops()
+	_, _, walSyncs := walFB.Ops()
+	if err := p.Close(); err != nil {
+		t.Fatalf("fault-free Close: %v", err)
+	}
+
+	for _, tc := range []struct {
+		name              string
+		mainFail, walFail int
+	}{
+		{"final commit's wal sync", 0, walSyncs + 1},
+		{"final checkpoint's page-file sync", mainSyncs + 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, main, wal, _, _ := open(t, tc.mainFail, tc.walFail)
+			if err := p.Close(); !errors.Is(err, ErrInjected) {
+				t.Fatalf("Close = %v, want ErrInjected", err)
+			}
+			if main.closes != 1 || wal.closes != 1 {
+				t.Fatalf("backend closes: main %d, wal %d, want 1 and 1", main.closes, wal.closes)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatalf("second Close = %v, want nil", err)
+			}
+			if main.closes != 1 || wal.closes != 1 {
+				t.Fatalf("second Close closed again: main %d, wal %d", main.closes, wal.closes)
+			}
+			if _, err := p.Fetch(1); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Fetch after failed Close = %v, want ErrClosed", err)
+			}
+		})
+	}
 }
 
 func TestWALCrashPointSweep(t *testing.T) {

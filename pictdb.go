@@ -156,9 +156,9 @@ type Database struct {
 	// spent its time.
 	loadTimes loadTimes
 
-	// wmu serializes Write transactions: relation mutation is not
-	// internally locked, so concurrent writers take turns applying
-	// their changes while the WAL group-commits their durability.
+	// wmu serializes Write transactions: concurrent writers take turns
+	// applying their changes while the WAL group-commits their
+	// durability.
 	wmu sync.Mutex
 }
 
@@ -220,8 +220,7 @@ func New() *Database {
 // path, with a buffer pool of poolPages pages. A write-ahead log at
 // path+".wal" is enabled (and recovered, if a previous process crashed
 // mid-commit) before any other access: commits group into single
-// fsyncs, and Snapshot/SnapshotQuery serve consistent reads that never
-// block writers.
+// fsyncs.
 func Open(path string, poolPages int) (*Database, error) {
 	p, err := pager.Open(path, poolPages)
 	if err != nil {
@@ -444,8 +443,10 @@ func (db *Database) commitShards() error {
 }
 
 // Write applies fn as one serialized, durably committed transaction:
-// writers take turns mutating (relations are not internally locked),
-// each mutation is bracketed against the WAL capture so a commit batch
+// writers take turns running fn (a relation's own locks keep readers
+// safe beside each mutation; taking turns keeps one writer's fn whole
+// and two writers off one tuple id, DESIGN.md §15), each mutation is
+// bracketed against the WAL capture so a commit batch
 // never contains half of it, and the commit is acknowledged only once
 // its log records are fsynced. Concurrent Write calls group-commit —
 // their batches share fsyncs — so total commit throughput rises with
@@ -476,63 +477,13 @@ func (db *Database) Write(fn func() error) error {
 	return db.Commit()
 }
 
-// Snapshot returns a read-only Database pinned to the last durably
-// committed generation: queries against it see exactly that
-// generation's rows — never a torn root, never an in-progress write —
-// and never block writers. The snapshot holds WAL checkpoints back
-// while open; Close it promptly. Requires the WAL (file-backed opens)
-// and a committed catalog.
-func (db *Database) Snapshot() (*Database, error) {
-	for name, rel := range db.catalog().relations {
-		if rel.Sharded() {
-			return nil, fmt.Errorf("pictdb: snapshot: relation %q is sharded; snapshots cover only the main page file", name)
-		}
-	}
-	snap, err := db.pager.BeginSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	if snap.NumPages() <= int(superblockID) {
-		snap.Release()
-		return nil, fmt.Errorf("pictdb: snapshot: no committed catalog yet")
-	}
-	sp, err := pager.OpenBackend(snap.Backend(), 1024)
-	if err != nil {
-		snap.Release()
-		return nil, fmt.Errorf("pictdb: snapshot: %w", err)
-	}
-	sp.SetReadOnly(true)
-	// OpenWithPager rebuilds the in-memory indexes from the snapshot's
-	// heaps; on failure it closes sp, whose backend Close releases the
-	// snapshot pin.
-	sdb, err := OpenWithPager(sp)
-	if err != nil {
-		return nil, fmt.Errorf("pictdb: snapshot: %w", err)
-	}
-	sdb.readOnly = true
-	return sdb, nil
-}
-
-// SnapshotQuery runs one PSQL mapping against a fresh snapshot of the
-// last committed generation, releasing the snapshot before returning.
-// The result is row-for-row identical to running Query on a quiesced
-// database at that generation.
-func (db *Database) SnapshotQuery(src string) (*Result, error) {
-	sdb, err := db.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	defer sdb.Close()
-	return sdb.Query(src)
-}
-
 // WALStats reports write-ahead log activity (zero value when no WAL is
 // enabled — in-memory databases).
 func (db *Database) WALStats() pager.WALStats { return db.pager.WALStats() }
 
 // CheckpointWAL forces the WAL's committed page images into the page
 // file and truncates the log — shard files first, then the main file.
-// Fails while snapshots are open.
+// Fails while zero-copy page views are pinned.
 func (db *Database) CheckpointWAL() error {
 	if err := db.forEachShardPager(func(rel string, shard int, p *pager.Pager) error {
 		if err := p.CheckpointWAL(); err != nil {
