@@ -2,11 +2,13 @@ GO ?= go
 
 .PHONY: check build test race vet lint bench benchcheck faults walfaults shardfaults fuzz table1 clean
 
-# The gate: everything must vet, lint clean (the pictdblint analyzer
-# suite, DESIGN.md §14), build, pass under the race detector (the
-# concurrent read path and parallel PACK are exercised by dedicated
-# -race stress tests), and survive the fault-injection and crash-point
-# suites, including the WAL and sharded crash-recovery matrices.
+# The gate: everything must vet, keep the typed-error rule (lint),
+# build, pass under the race detector (the concurrent read path and
+# parallel PACK are exercised by dedicated -race stress tests), and
+# survive the fault-injection and crash-point suites, including the WAL
+# and sharded crash-recovery matrices. Every test binary that opens a
+# pager also fails when its tests leave a pin, a reader or a goroutine
+# behind (internal/leakcheck, DESIGN.md §14).
 check: vet lint build race faults walfaults shardfaults
 
 build:
@@ -15,15 +17,11 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The engine's own go/analysis suite: pinlifetime, locksync,
-# corruptwrap, benchguard (DESIGN.md §14). The binary drives
-# `go vet -vettool=` itself, so analyzer results are cached per package
-# by the build cache like any vet run.
-lint: bin/pictdblint
-	./bin/pictdblint ./...
-
-bin/pictdblint: $(shell find cmd/pictdblint internal/lint -name '*.go' -not -path '*/testdata/*' 2>/dev/null)
-	$(GO) build -o bin/pictdblint ./cmd/pictdblint
+# go vet plus the typed-error rule (DESIGN.md §14): a standard-library
+# go/types test that sentinels are wrapped with %w and matched with
+# errors.Is. It also runs inside `go test ./...`.
+lint: vet
+	$(GO) test -run 'TestCorruptWrap' -count=1 .
 
 test:
 	$(GO) test ./...
@@ -74,12 +72,15 @@ shardfaults:
 
 # Short fuzz pass over the decoders of on-disk bytes — tuples, page-0
 # header slots, catalog records, write-ahead log records (inspection
-# against recovery) — and the B-tree bulk load against per-item
-# insertion. (-fuzz takes one target per run. A log's seeds are pages
-# long: left at its default, minimizing each new input for up to a
-# minute would take the whole run.)
+# against recovery), slotted heap pages, picture objects — and the
+# B-tree bulk load against per-item insertion. (-fuzz takes one target
+# per run. Left at its default, minimizing one new input of a log's
+# page-long seeds, or of a long object label, can take up to a minute:
+# the whole run.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTuple -fuzztime 10s ./internal/relation/
+	$(GO) test -run '^$$' -fuzz FuzzScanPage -fuzztime 10s -fuzzminimizetime 20x ./internal/storage/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeObject -fuzztime 10s -fuzzminimizetime 20x ./internal/picture/
 	$(GO) test -run '^$$' -fuzz FuzzParseHeaderSlots -fuzztime 10s ./internal/pager/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCatalogRecord -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzBulkLoad -fuzztime 10s ./internal/btree/

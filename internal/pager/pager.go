@@ -391,6 +391,11 @@ func encodeHeaderSlot(buf []byte, numPages uint32, freeHead PageID, gen uint64) 
 	binary.LittleEndian.PutUint32(buf[28:32], crc32.Checksum(buf[:28], castagnoli))
 }
 
+// OpenHook, when non-nil, is called with every pager newPager builds.
+// Test binaries set it in TestMain to audit the pagers their tests open
+// (internal/leakcheck); nothing else sets it.
+var OpenHook func(*Pager)
+
 func newPager(b Backend, poolPages int, path string) (*Pager, error) {
 	if poolPages < 1 {
 		return nil, fmt.Errorf("pager: pool must hold at least 1 page, got %d", poolPages)
@@ -461,6 +466,9 @@ func newPager(b Backend, poolPages int, path string) (*Pager, error) {
 				path, ErrBadMagic, magic[:], hdr[0:8])
 		}
 	}
+	if OpenHook != nil {
+		OpenHook(p)
+	}
 	return p, nil
 }
 
@@ -502,11 +510,22 @@ func (p *Pager) Path() string { return p.path }
 // SetReadOnly toggles read-only mode: Allocate, Free, Commit and Flush
 // fail with ErrReadOnly, and Close skips write-back. Used to serve
 // queries from a file that failed verification without risking further
-// damage.
+// damage. A failed fsync sets it too (failStop).
 func (p *Pager) SetReadOnly(ro bool) { p.readOnly.Store(ro) }
 
 // ReadOnly reports whether the pager refuses writes.
 func (p *Pager) ReadOnly() bool { return p.readOnly.Load() }
+
+// Closed reports whether the pager has been closed.
+func (p *Pager) Closed() bool { return p.closed.Load() }
+
+// Outstanding reports what the pager still lends out: the readers and
+// views holding a file mapping, and the pool pages pinned by Fetch,
+// Allocate or a reader. Both are zero once every pin is released.
+func (p *Pager) Outstanding() (readers int64, pins int) {
+	pins, _ = p.poolPins()
+	return heldReaders(p.mappings()), pins
+}
 
 // Stats returns a snapshot of the pool counters, summed over shards.
 func (p *Pager) Stats() Stats {
@@ -929,18 +948,29 @@ func (p *Pager) commit() error {
 		return err
 	}
 	if err := p.backend.Sync(); err != nil {
-		return err
+		return p.failStop(err)
 	}
 	if err := p.writeHeader(); err != nil {
 		return err
 	}
 	if err := p.backend.Sync(); err != nil {
-		return err
+		return p.failStop(err)
 	}
 	// If the file grew past the mapped region, extend the mapping so
 	// the new pages also serve zero-copy (best-effort).
 	p.tryRemap()
 	return nil
+}
+
+// failStop makes the pager read-only after a failed fsync and returns
+// err wrapped with ErrReadOnly as well. The pages the sync was to harden
+// are already marked clean, so a retried commit would write nothing and
+// acknowledge them, durable or not; refusing every later write is the
+// answer that never lies. Reopening recovers the last acknowledged
+// commit.
+func (p *Pager) failStop(err error) error {
+	p.readOnly.Store(true)
+	return fmt.Errorf("%w (the pager is read-only from here on: %w)", err, ErrReadOnly)
 }
 
 // Commit flushes all dirty pages, syncs them, and only then writes and

@@ -436,7 +436,7 @@ func (p *Pager) walCommitBatch(w *walState, writers int) error {
 	p.writeGate.Unlock()
 
 	if err := w.backend.Sync(); err != nil {
-		return fmt.Errorf("pager: wal sync: %w", err)
+		return p.failStop(fmt.Errorf("pager: wal sync: %w", err))
 	}
 	w.imu.Lock()
 	w.committedGen = gen

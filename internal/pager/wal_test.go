@@ -388,8 +388,10 @@ func TestWALAppendFaults(t *testing.T) {
 	// failedSync leaves page id with an acknowledged frame (value 1) and a
 	// newer one (value 9) whose batch reached the log but whose fsync
 	// failed. WAL syncs: #1 the header at enable, #2 the first commit,
-	// #3 the second commit (fails).
-	failedSync := func(t *testing.T) (p *Pager, main, walMem *MemBackend, id PageID) {
+	// #3 the second commit (fails). ackedWAL is the log as the last
+	// successful fsync left it: what a medium that dropped the failed
+	// batch holds.
+	failedSync := func(t *testing.T) (p *Pager, main, walMem *MemBackend, ackedWAL []byte, id PageID) {
 		t.Helper()
 		main = NewMemBackend(nil)
 		walMem = NewMemBackend(nil)
@@ -403,6 +405,7 @@ func TestWALAppendFaults(t *testing.T) {
 		}
 		id = allocPage(t, p)
 		writeCounter(t, p, id, 1)
+		ackedWAL = walMem.Bytes()
 		p.BeginWrite()
 		pg, err := p.Fetch(id)
 		if err != nil {
@@ -412,33 +415,49 @@ func TestWALAppendFaults(t *testing.T) {
 		pg.MarkDirty()
 		p.Unpin(pg)
 		p.EndWrite()
-		if err := p.Commit(); !errors.Is(err, ErrInjected) {
-			t.Fatalf("Commit over failing sync = %v, want ErrInjected", err)
+		if err := p.Commit(); !errors.Is(err, ErrInjected) || !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("Commit over failing sync = %v, want ErrInjected and ErrReadOnly", err)
 		}
-		return p, main, walMem, id
+		return p, main, walMem, ackedWAL, id
+	}
+	// recovered reopens the page file beside each log the failed sync may
+	// have left: the acknowledged 1 must come back from both, and the
+	// unacknowledged 9 may only come from the log that kept its batch.
+	recovered := func(t *testing.T, mainImg, walImg, ackedWAL []byte, id PageID) {
+		t.Helper()
+		if got := readCounter(t, reopenWAL(t, mainImg, ackedWAL, 64), id); got != 1 {
+			t.Fatalf("recovered %d from the log without the failed batch, want the acknowledged 1", got)
+		}
+		if got := readCounter(t, reopenWAL(t, mainImg, walImg, 64), id); got != 1 && got != 9 {
+			t.Fatalf("recovered %d, want the acknowledged 1 or the failed batch's 9", got)
+		}
 	}
 
+	// A failed fsync is fail-stop: the batch's pages are already marked
+	// clean, so a retried Commit would write nothing and acknowledge a 9
+	// that may not be durable. Every later write is refused instead.
 	t.Run("failed wal sync fails the commit", func(t *testing.T) {
-		p, main, walMem, id := failedSync(t)
-		// The records reached the log; only the fsync failed. A retry
-		// makes them durable.
-		if err := p.Commit(); err != nil {
-			t.Fatalf("retry Commit: %v", err)
+		p, main, walMem, ackedWAL, id := failedSync(t)
+		if err := p.Commit(); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("retry Commit = %v, want ErrReadOnly", err)
 		}
-		rp := reopenWAL(t, main.Bytes(), walMem.Bytes(), 64)
-		if got := readCounter(t, rp, id); got != 9 {
-			t.Fatalf("recovered %d, want 9 (retried sync)", got)
+		if _, err := p.Allocate(); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("Allocate after a failed sync = %v, want ErrReadOnly", err)
 		}
+		if err := p.Close(); err != nil {
+			t.Fatalf("Close of the read-only pager: %v", err)
+		}
+		recovered(t, main.Bytes(), walMem.Bytes(), ackedWAL, id)
 	})
 
-	// This case pins walState.index's per-page frame *list*: the failed
-	// batch's frame is indexed (newest) before its fsync, so a checkpoint
-	// can only find the acknowledged image by looking past it. An index
-	// holding just the newest frame per page would backfill the
-	// unacknowledged 9, or skip the page and truncate the acknowledged 1
-	// away with the log.
-	t.Run("checkpoint after failed wal sync backfills the acknowledged image", func(t *testing.T) {
-		p, main, walMem, id := failedSync(t)
+	// The probe that once acknowledged a lost value: failed sync, then a
+	// checkpoint, then a retried Commit. The checkpoint backfills only the
+	// acknowledged image — walState.index keeps every frame of a page
+	// because the failed batch's frame is indexed (newest) before its
+	// fsync — and drops the failed batch with the log; the Commit after it
+	// must not return nil.
+	t.Run("checkpoint after failed wal sync backfills the acknowledged", func(t *testing.T) {
+		p, main, walMem, ackedWAL, id := failedSync(t)
 		if err := p.CheckpointWAL(); err != nil {
 			t.Fatalf("CheckpointWAL: %v", err)
 		}
@@ -449,10 +468,10 @@ func TestWALAppendFaults(t *testing.T) {
 		if got := binary.LittleEndian.Uint64(img[int64(id)*PageSize:]); got != 1 {
 			t.Fatalf("page file holds %d, want the acknowledged 1", got)
 		}
-		rp := reopenWAL(t, img, walMem.Bytes(), 64)
-		if got := readCounter(t, rp, id); got != 1 {
-			t.Fatalf("recovered %d, want the acknowledged 1", got)
+		if err := p.Commit(); !errors.Is(err, ErrReadOnly) {
+			t.Fatalf("Commit after the checkpoint = %v, want ErrReadOnly", err)
 		}
+		recovered(t, img, walMem.Bytes(), ackedWAL, id)
 	})
 }
 

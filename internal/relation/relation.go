@@ -36,11 +36,10 @@ type store struct {
 // and records look differs between the two and is the codec's business
 // (ids.go); every operation here is written once, for any store count.
 //
-// Two kinds of lock, never nested (DESIGN.md §15, machine-checked by
-// locksync): smu guards the id directory, the index and spatial
-// directories, the B-trees and the per-store live counts; each store's
-// mu guards its heap. An operation resolves ids under smu, releases it,
-// and only then touches a heap.
+// Two kinds of lock, never nested (DESIGN.md §15): smu guards the id
+// directory, the index and spatial directories, the B-trees and the
+// per-store live counts; each store's mu guards its heap. An operation
+// resolves ids under smu, releases it, and only then touches a heap.
 type Relation struct {
 	name   string
 	schema Schema

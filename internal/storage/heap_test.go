@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -379,6 +380,42 @@ func TestScanPageResumes(t *testing.T) {
 	next, err := h.ScanPage(h.FirstPage(), func(TupleID, []byte) bool { seen++; return seen < 3 })
 	if err != nil || next != pager.InvalidPage || seen != 3 {
 		t.Fatalf("stopped walk: next=%v seen=%d err=%v", next, seen, err)
+	}
+}
+
+// TestWalksReportCorruptPage: a page whose slot directory is invalid
+// but whose bytes are intact (no checksum can see it) stops Scan,
+// ScanPage and Check with an error wrapping ErrCorrupt, and every one
+// of them releases its reader on that path (the package's TestMain
+// fails on a pin left behind, the pager closed or not).
+func TestWalksReportCorruptPage(t *testing.T) {
+	p := pager.OpenMem(16)
+	defer p.Close()
+	h, first, err := Create(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := h.Insert([]byte(fmt.Sprintf("record-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pg, err := p.Fetch(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pageView{pg}.setFreeEnd(0) // below the slot directory
+	pg.MarkDirty()
+	p.Unpin(pg)
+	scan := func(TupleID, []byte) bool { return true }
+	for name, walk := range map[string]func() error{
+		"Scan":     func() error { return h.Scan(scan) },
+		"ScanPage": func() error { _, err := h.ScanPage(first, scan); return err },
+		"Check":    h.Check,
+	} {
+		if err := walk(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s over a corrupt slot directory = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

@@ -453,9 +453,11 @@ func (db *Database) commitShards() error {
 // writer count instead of serializing one fsync each. When fn returns
 // an error nothing is committed and the error is returned (already
 // applied mutations are not rolled back in memory; callers treat a
-// failed Write as fatal for the handle, matching Commit's contract).
+// failed Write as fatal for the handle, matching Commit's contract). A
+// failed fsync makes the main pager read-only (fail-stop), and every
+// later Write is refused with ErrReadOnly before fn runs.
 func (db *Database) Write(fn func() error) error {
-	if db.readOnly {
+	if db.readOnly || db.pager.ReadOnly() {
 		return fmt.Errorf("pictdb: write: %w", pager.ErrReadOnly)
 	}
 	db.wmu.Lock()

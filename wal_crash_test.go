@@ -1,6 +1,7 @@
 package pictdb_test
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -265,6 +266,144 @@ func TestWALCrashDanglingLocRefsReported(t *testing.T) {
 			if !pictdb.IsCorruption(report.Err()) {
 				t.Fatalf("dangling locs reported untyped: %v", report.Err())
 			}
+		}
+		if err := db2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWALCrashDefinitionAfterCheckpoint pins the definitions twin of
+// the hole above (ROADMAP item 1). Definitions reach the file only at
+// Checkpoint, so a relation created after the last one exists in memory
+// alone: a crash after five acknowledged Writes into it recovers a file
+// without the relation, five acknowledged rows lost, and Check calls
+// that file clean. (The fix makes a definition a record committed with
+// the writes that need it.)
+func TestWALCrashDefinitionAfterCheckpoint(t *testing.T) {
+	pair := pager.NewCrashPair()
+	db, err := openPairDB(pair.Main(), pair.WAL(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := db.CreateRelation("late", pictdb.MustSchema("name:string", "n:int"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		err := db.Write(func() error {
+			_, err := rel.Insert(pictdb.Tuple{pictdb.S(fmt.Sprintf("p%d", i)), pictdb.I(int64(i))})
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The crash: the last image is what the medium held when the fifth
+	// write was acknowledged.
+	images := pair.Images()
+	img := images[len(images)-1]
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := openPairDB(pager.NewMemBackend(img.Main), pager.NewMemBackend(img.WAL), 64)
+	if err != nil {
+		t.Fatalf("recovery from image %d of %d failed: %v", len(images)-1, len(images), err)
+	}
+	defer db2.Close()
+	report := db2.Check()
+	if rel2, ok := db2.Relation("late"); ok || !report.OK() {
+		rows := 0
+		if ok {
+			rows = rel2.Len()
+		}
+		t.Fatalf("crash image holds relation %q: %v with %d rows, Check %v; today the definition is lost and Check is clean. "+
+			"If definitions are durable now, flip this test to require all 5 acknowledged rows and a clean Check, and update ROADMAP item 1",
+			"late", ok, rows, report.Err())
+	}
+}
+
+// syncSwitch is a backend whose Sync fails with pager.ErrInjected while
+// failing is set.
+type syncSwitch struct {
+	pager.Backend
+	failing atomic.Bool
+}
+
+func (s *syncSwitch) Sync() error {
+	if s.failing.Load() {
+		return fmt.Errorf("sync: %w", pager.ErrInjected)
+	}
+	return s.Backend.Sync()
+}
+
+// TestWALWriteFailedSyncIsFailStop: a Write whose WAL fsync fails
+// returns the error, and the database takes no write after it, even
+// once the medium works again: its pages are already marked clean, so
+// a later commit would acknowledge them without making them durable.
+// Reopening holds every acknowledged row, whether or not the medium
+// kept the failed batch.
+func TestWALWriteFailedSyncIsFailStop(t *testing.T) {
+	main, walMem := pager.NewMemBackend(nil), pager.NewMemBackend(nil)
+	wal := &syncSwitch{Backend: walMem}
+	db, err := openPairDB(main, wal, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := db.CreateRelation("pts", pictdb.MustSchema("name:string", "n:int"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	insert := func(n int) error {
+		return db.Write(func() error {
+			_, err := rel.Insert(pictdb.Tuple{pictdb.S(fmt.Sprintf("p%d", n)), pictdb.I(int64(n))})
+			return err
+		})
+	}
+	const acked = 5
+	for n := 0; n < acked; n++ {
+		if err := insert(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ackedWAL := walMem.Bytes()
+	wal.failing.Store(true)
+	if err := insert(acked); !errors.Is(err, pager.ErrInjected) {
+		t.Fatalf("Write over a failing fsync = %v, want ErrInjected", err)
+	}
+	wal.failing.Store(false)
+	if err := insert(acked + 1); !errors.Is(err, pager.ErrReadOnly) {
+		t.Fatalf("Write after a failed fsync = %v, want ErrReadOnly", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close after a failed fsync: %v", err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		wal     []byte
+		maxRows int
+	}{
+		{"failed batch kept", walMem.Bytes(), acked + 1},
+		{"failed batch lost", ackedWAL, acked},
+	} {
+		db2, err := openPairDB(pager.NewMemBackend(main.Bytes()), pager.NewMemBackend(tc.wal), 64)
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", tc.name, err)
+		}
+		rel2, _ := db2.Relation("pts")
+		if rows := rel2.Len(); rows < acked || rows > tc.maxRows {
+			t.Errorf("%s: reopened with %d rows, want the %d acknowledged (at most %d)", tc.name, rows, acked, tc.maxRows)
+		}
+		if report := db2.Check(); !report.OK() {
+			t.Errorf("%s: reopened file not clean: %v", tc.name, report.Err())
 		}
 		if err := db2.Close(); err != nil {
 			t.Fatal(err)
