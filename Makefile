@@ -50,7 +50,9 @@ benchcheck:
 
 # Durability suite: injected I/O faults, torn writes, crash-point
 # snapshots, checksum and corruption detection, across the pager and
-# the full database stack.
+# the full database stack, and the typed refusal of old formats (v1
+# pages, a PICTCAT1 catalog — the testdata/ file sets included — left
+# byte-identical).
 faults:
 	$(GO) test -race -run 'Fault|Crash|Torn|Checksum|Corrupt|Truncated|Degrad|UnsupportedFormat|Check' ./internal/pager/ ./cmd/pictdbcheck/ .
 
@@ -58,27 +60,29 @@ faults:
 # beside concurrent group-committing writers, append-region fault
 # injection at the log tail, a failing final commit at Close, and the
 # coordinated (page file, WAL) crash-point sweep with recovery verified
-# from every captured image.
+# from every captured image — pictorial rows and definitions made after
+# the last Checkpoint included, and a delete a crash undid.
 walfaults:
 	$(GO) test -race -run 'WAL|Append' ./internal/pager/ ./cmd/pictdbcheck/ .
 
 # Sharded crash recovery: the coordinated crash-point matrix over a
 # pictorial sharded relation (every fsync boundary of every shard's
-# commit, recovery verified from each captured image), the torn shard
-# WAL sweep, reopen of even and uneven persisted key-range layouts, and
-# OpenSharded's repair or typed refusal of cross-shard duplicates.
+# commit, recovery verified from each captured image, Check clean), the
+# torn shard WAL sweep, reopen of a sharded relation, the refusal of
+# the file sets an earlier build's online splits left, and the typed
+# refusal of a sequence stored twice.
 shardfaults:
-	$(GO) test -race -run 'ShardedCrash|ShardedDuplicate|ShardedSplitDuplicate|ShardedReopen' ./internal/relation/ .
+	$(GO) test -race -run 'ShardedCrash|ShardedDuplicate|ShardedReopen' ./internal/relation/ .
 
-# Short fuzz pass over the decoders of on-disk bytes — tuples, page-0
-# header slots, catalog records, write-ahead log records (inspection
-# against recovery), slotted heap pages, picture objects — and the
-# B-tree bulk load against per-item insertion. (-fuzz takes one target
-# per run. Left at its default, minimizing one new input of a log's
-# page-long seeds, or of a long object label, can take up to a minute:
-# the whole run.)
+# Short fuzz pass over the decoders of on-disk bytes — tuple records
+# with the objects their locs carry, page-0 header slots, catalog
+# records, write-ahead log records (inspection against recovery),
+# slotted heap pages, picture objects — and the B-tree bulk load against
+# per-item insertion. (-fuzz takes one target per run. Left at its
+# default, minimizing one new input of a log's page-long seeds, or of a
+# long object label, can take up to a minute: the whole run.)
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeTuple -fuzztime 10s ./internal/relation/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeTuple -fuzztime 10s -fuzzminimizetime 20x ./internal/relation/
 	$(GO) test -run '^$$' -fuzz FuzzScanPage -fuzztime 10s -fuzzminimizetime 20x ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeObject -fuzztime 10s -fuzzminimizetime 20x ./internal/picture/
 	$(GO) test -run '^$$' -fuzz FuzzParseHeaderSlots -fuzztime 10s ./internal/pager/

@@ -769,3 +769,35 @@ func BenchmarkOpenWindowRead(b *testing.B) {
 		b.ReportMetric(float64(phases[j].Microseconds())/1e3/float64(b.N), name+"-ms")
 	}
 }
+
+// BenchmarkDefineThenWrite times one definition and one acknowledged
+// Write made durable in a database holding a 200 000-object picture
+// (windowReadFile): a DefineLocation, then a Write inserting one tuple
+// on that picture. The Write's group commit carries the changed
+// definitions with it (DESIGN.md §13), so an iteration is one commit of
+// a few pages, whatever the picture holds. When definitions and picture
+// objects reached the file only through Checkpoint's rewrite of the
+// catalog, the same durability cost a re-encoding of every object
+// (EXPERIMENTS.md has both).
+func BenchmarkDefineThenWrite(b *testing.B) {
+	db, err := pictdb.Open(windowReadFile(b), 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	rel, _ := db.Relation("cities")
+	pic, _ := db.Picture("citymap")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := db.DefineLocation(fmt.Sprintf("spot%d", i), pictdb.R(0, 0, 1, 1)); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.Write(func() error {
+			name := fmt.Sprintf("w%d", i)
+			_, err := rel.Insert(pictdb.Tuple{pictdb.S(name), pictdb.I(int64(i)), pictdb.L("citymap", pic.AddPoint(name, pictdb.Pt(500, 500)))})
+			return err
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -57,7 +57,9 @@ func buildSmallDB(t *testing.T, path string) {
 	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackSTR}); err != nil {
 		t.Fatal(err)
 	}
-	db.DefineLocation("north", pictdb.R(0, 50, 100, 100))
+	if err := db.DefineLocation("north", pictdb.R(0, 50, 100, 100)); err != nil {
+		t.Fatal(err)
+	}
 
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)

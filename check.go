@@ -4,38 +4,41 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/pager"
+	"repro/internal/par"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
 
 // Database verification: Check walks every layer of a persisted
-// database — raw pages (checksum trailers), the free list, the
-// catalog superblock and snapshot heap, every relation heap, B-tree
-// and spatial index, every loc pointer — and reports per-page
-// diagnostics. It is the engine behind the `pictdbcheck` operator tool
-// and the oracle the fault-injection suite holds crash states against:
-// a reopened database must either Check clean or fail with a typed
-// corruption error, never serve silently wrong results.
+// database — raw pages (checksum trailers), the free list, the catalog
+// superblock and definitions heap, every relation heap (every tuple,
+// the object its loc carries included), B-tree and spatial index — and
+// reports per-page diagnostics. It is the engine behind the
+// `pictdbcheck` operator tool and the oracle the fault-injection suite
+// holds crash states against: a reopened database must either Check
+// clean or fail with a typed corruption error, never serve silently
+// wrong results.
 
 // ErrCorrupt is the typed root of database-level corruption findings.
 var ErrCorrupt = errors.New("pictdb: corrupt database")
 
 // ErrUnsupportedFormat is returned by Open for a page file or catalog
-// record in a format this engine no longer reads (v1 pages, partially
-// checksummed files, V1 sharded-relation records). The file is left
-// untouched.
+// in a format this engine no longer reads (v1 pages, partially
+// checksummed files, a PICTCAT1 catalog). The file is left untouched.
 var ErrUnsupportedFormat = pager.ErrUnsupportedFormat
+
+// ErrDanglingLoc is Relation.Insert's refusal of a non-zero loc that
+// names no picture of the database, or no object of that picture.
+var ErrDanglingLoc = relation.ErrDanglingLoc
 
 // CheckProblem is one verification finding, anchored to the page it
 // was detected on (0 when no single page is implicated).
 type CheckProblem struct {
 	Page      pager.PageID
-	Component string // "page", "free-list", "superblock", "catalog", "relation:<name>", "relation:<name>:loc", "relation:<name>:shard:<i>", "ownership"
+	Component string // "page", "free-list", "superblock", "catalog", "relation:<name>", "relation:<name>:shard:<i>", "ownership"
 	Err       error
 }
 
@@ -91,11 +94,12 @@ func IsCorruption(err error) bool {
 // them out).
 func (db *Database) Check() *CheckReport { return db.CheckParallel(1) }
 
-// CheckParallel is Check with up to par shard files verified
+// CheckParallel is Check with up to workers shard files verified
 // concurrently — per-shard verification is independent (each shard is
 // its own page file), so `pictdbcheck -parallel` overlaps their page
-// scans. The report is identical at every par; par <= 1 is serial.
-func (db *Database) CheckParallel(par int) *CheckReport {
+// scans. The report is identical at every worker count; workers <= 1 is
+// serial.
+func (db *Database) CheckParallel(workers int) *CheckReport {
 	r := &CheckReport{Pages: db.pager.NumPages()}
 	add := func(page pager.PageID, component string, err error) {
 		r.Problems = append(r.Problems, CheckProblem{Page: page, Component: component, Err: err})
@@ -131,7 +135,7 @@ func (db *Database) CheckParallel(par int) *CheckReport {
 		claim(id, "free-list")
 	}
 
-	// 3. Catalog superblock and snapshot heap.
+	// 3. Catalog superblock and definitions heap.
 	claim(superblockID, "superblock")
 	sb, err := db.pager.Fetch(superblockID)
 	if err != nil {
@@ -140,19 +144,19 @@ func (db *Database) CheckParallel(par int) *CheckReport {
 		if [8]byte(sb.Data[:8]) != catMagic {
 			add(superblockID, "superblock", fmt.Errorf("%w: bad catalog magic %q", ErrCorrupt, sb.Data[:8]))
 		}
-		snapID := pager.PageID(binary.LittleEndian.Uint32(sb.Data[8:12]))
+		defsID := pager.PageID(binary.LittleEndian.Uint32(sb.Data[8:12]))
 		db.pager.Unpin(sb)
-		if snapID != pager.InvalidPage {
-			if int(snapID) >= db.pager.NumPages() {
-				add(superblockID, "catalog", fmt.Errorf("%w: snapshot page %d out of range", ErrCorrupt, snapID))
-			} else if snap, err := storage.Open(db.pager, snapID); err != nil {
-				add(snapID, "catalog", err)
+		if defsID != pager.InvalidPage {
+			if int(defsID) >= db.pager.NumPages() {
+				add(superblockID, "catalog", fmt.Errorf("%w: definitions page %d out of range", ErrCorrupt, defsID))
+			} else if defs, err := storage.Open(db.pager, defsID); err != nil {
+				add(defsID, "catalog", err)
 			} else {
-				if err := snap.Check(); err != nil {
-					add(snapID, "catalog", err)
+				if err := defs.Check(); err != nil {
+					add(defsID, "catalog", err)
 				}
-				if pages, err := snap.Pages(); err != nil {
-					add(snapID, "catalog", err)
+				if pages, err := defs.Pages(); err != nil {
+					add(defsID, "catalog", err)
 				} else {
 					for _, id := range pages {
 						claim(id, "catalog")
@@ -162,30 +166,23 @@ func (db *Database) CheckParallel(par int) *CheckReport {
 		}
 	}
 
-	// 4. Relations: loc→object resolution, heap structure, tuple
-	// decodability, index invariants, index→tuple resolution.
+	// 4. Relations: heap structure, tuple decodability, index invariants,
+	// index→tuple resolution.
 	rels := db.catalog().relations
-	names := make([]string, 0, len(rels))
-	for name := range rels {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := sortedNames(rels)
 	r.Relations = len(names)
 	for _, name := range names {
 		rel := rels[name]
 		component := "relation:" + name
-		if err := db.checkLocRefs(rel); err != nil {
-			add(pager.InvalidPage, component+":loc", err)
-		}
 		// Logical invariants (id directory, heaps, indexes) check store
 		// by store in parallel; then a sharded relation's page files get
 		// the raw-page / free-list / ownership pass the main file gets
 		// above, and a main-file relation claims its heap pages there.
-		if err := rel.CheckShards(par); err != nil {
+		if err := rel.CheckShards(workers); err != nil {
 			add(pager.InvalidPage, component, err)
 		}
 		if rel.Sharded() {
-			db.checkShardFiles(rel, component, par, r)
+			db.checkShardFiles(rel, component, workers, r)
 			continue
 		}
 		if pages, err := rel.HeapPages(); err != nil {
@@ -208,53 +205,13 @@ func (db *Database) CheckParallel(par int) *CheckReport {
 	return r
 }
 
-// checkLocRefs resolves every non-zero loc pointer of rel whose
-// picture exists to a live object of that picture. A dangling pointer
-// is a tuple no spatial index carries and no spatial query answers —
-// what a crash leaves of a durably written pictorial tuple whose
-// picture object was only in the catalog snapshot (ROADMAP item 0). The
-// finding counts the dangling tuples and names the first.
-func (db *Database) checkLocRefs(rel *relation.Relation) error {
-	li := rel.Schema().LocColumn()
-	if li < 0 {
-		return nil
-	}
-	need := make([]bool, rel.Schema().Arity())
-	need[li] = true
-	dangling := 0
-	var firstID storage.TupleID
-	var firstRef relation.LocRef
-	err := rel.ScanCols(need, func(id storage.TupleID, t relation.Tuple) bool {
-		ref := t[li].Loc
-		pic, ok := db.catalog().pictures[ref.Picture]
-		if ref.IsZero() || !ok {
-			return true
-		}
-		if _, live := pic.Get(ref.Object); !live {
-			if dangling == 0 {
-				firstID, firstRef = id, ref
-			}
-			dangling++
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if dangling > 0 {
-		return fmt.Errorf("%w: %d tuple(s) point at picture objects that do not exist (first: tuple %v, loc %v)",
-			ErrCorrupt, dangling, firstID, firstRef)
-	}
-	return nil
-}
-
 // checkShardFiles runs the file-level verification pass — raw page
 // scan, free list, heap-page ownership, leak accounting — over every
-// shard file of a sharded relation, up to par shards concurrently.
+// shard file of a sharded relation, up to workers shards concurrently.
 // Findings land under component "<component>:shard:<i>" with
 // shard-file-local page ids, appended in shard order so the report is
-// deterministic at every par.
-func (db *Database) checkShardFiles(rel *relation.Relation, component string, par int, r *CheckReport) {
+// deterministic at every worker count.
+func (db *Database) checkShardFiles(rel *relation.Relation, component string, workers int, r *CheckReport) {
 	n := rel.ShardCount()
 	type shardResult struct {
 		pages    int
@@ -312,24 +269,10 @@ func (db *Database) checkShardFiles(rel *relation.Relation, component string, pa
 			}
 		}
 	}
-	if par <= 1 || n <= 1 {
-		for s := 0; s < n; s++ {
-			checkOne(s)
-		}
-	} else {
-		sem := make(chan struct{}, par)
-		var wg sync.WaitGroup
-		for s := 0; s < n; s++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(s int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				checkOne(s)
-			}(s)
-		}
-		wg.Wait()
-	}
+	_ = par.Do(n, max(workers, 1), func(s int) error {
+		checkOne(s)
+		return nil
+	})
 	for s := range results {
 		r.Pages += results[s].pages
 		r.FreePages += results[s].free

@@ -11,7 +11,8 @@ import (
 )
 
 // buildCheckDB persists a small database with at least one free-list
-// page (the second checkpoint frees the first snapshot page).
+// page (a definition between two checkpoints makes the second rewrite
+// the definitions and free the first heap of them).
 func buildCheckDB(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "check.db")
@@ -28,10 +29,14 @@ func buildCheckDB(t *testing.T) string {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 2; i++ {
-		if err := db.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DefineLocation("zone", pictdb.R(0, 0, 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
@@ -62,7 +67,7 @@ func TestCheckHealthyDatabase(t *testing.T) {
 		t.Fatalf("report.Relations = %d, want 1", report.Relations)
 	}
 	if report.FreePages == 0 {
-		t.Fatal("expected a free page after double checkpoint")
+		t.Fatal("expected a free page after rewritten definitions")
 	}
 }
 

@@ -102,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "pictdbcheck: %v\n", err)
 		if errors.Is(err, pictdb.ErrUnsupportedFormat) {
-			fmt.Fprintln(stderr, "pictdbcheck: unsupported format: the file predates the checksummed page format or the current catalog records; it is not corrupt and was not modified")
+			fmt.Fprintln(stderr, "pictdbcheck: unsupported format: the file predates the checksummed page format or the current catalog format; it is not corrupt and was not modified")
 		}
 		return 1
 	}

@@ -29,12 +29,17 @@ func buildDB(t *testing.T) string {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
-	// Checkpoint twice: the second frees the first snapshot page, so
-	// the file has at least one free-list page.
-	for i := 0; i < 2; i++ {
-		if err := db.Checkpoint(); err != nil {
-			t.Fatalf("Checkpoint: %v", err)
-		}
+	// Checkpoint twice with a definition between: the second rewrites
+	// the definitions and frees the first heap of them, so the file has
+	// at least one free-list page.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	if err := db.DefineLocation("zone", pictdb.R(0, 0, 1, 1)); err != nil {
+		t.Fatalf("DefineLocation: %v", err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -141,9 +146,9 @@ func TestCheckUsage(t *testing.T) {
 }
 
 // snapshotLiveDB builds a database and copies both halves — page file
-// and WAL sidecar — while it is still open, after two checkpoints.
-// Group commit syncs the log before acknowledging, so the copied pair
-// is a crash-consistent image whose WAL still holds committed frames.
+// and WAL sidecar — while it is still open, after two commits. Group
+// commit syncs the log before acknowledging, so the copied pair is a
+// crash-consistent image whose WAL still holds committed frames.
 func snapshotLiveDB(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -162,8 +167,8 @@ func snapshotLiveDB(t *testing.T) string {
 				t.Fatalf("Insert: %v", err)
 			}
 		}
-		if err := db.Checkpoint(); err != nil {
-			t.Fatalf("Checkpoint: %v", err)
+		if err := db.Commit(); err != nil {
+			t.Fatalf("Commit: %v", err)
 		}
 	}
 	mainBytes, err := os.ReadFile(orig)
@@ -390,9 +395,11 @@ func TestCheckShardedCorruptShard(t *testing.T) {
 	}
 }
 
-// TestCheckRefusesUnsupportedFormat: a v1 page file, and a database
-// whose sharded-relation record carries the retired V1 tag, are
-// refused by name — exit 1, the typed message, the file untouched.
+// TestCheckRefusesUnsupportedFormat: a v1 page file, a database whose
+// catalog superblock says PICTCAT1 — the format that kept picture
+// objects in the catalog — and the two file sets earlier builds wrote in
+// that format (testdata/) are refused by name: exit 1, the typed
+// message, every file of the set untouched.
 func TestCheckRefusesUnsupportedFormat(t *testing.T) {
 	v1 := filepath.Join(t.TempDir(), "v1.db")
 	hdr := make([]byte, pager.PageSize)
@@ -401,34 +408,41 @@ func TestCheckRefusesUnsupportedFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Retag the current record ('T') as the V1 one ('S') through the
-	// pager, so the page's checksum stays valid.
-	v1cat := buildShardedDB(t)
-	p, err := pager.Open(v1cat, 16)
+	// Restamp a current file's superblock as PICTCAT1 through the pager,
+	// so the page's checksum stays valid.
+	cat1 := buildShardedDB(t)
+	p, err := pager.Open(cat1, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	retagged := false
-	for id := pager.PageID(1); int(id) < p.NumPages() && !retagged; id++ {
-		pg, err := p.Fetch(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i := bytes.Index(pg.Data[:], []byte("T\x06cities")); i >= 0 {
-			pg.Data[i] = 'S'
-			pg.MarkDirty()
-			retagged = true
-		}
-		p.Unpin(pg)
+	sb, err := p.Fetch(1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := p.Close(); err != nil || !retagged {
-		t.Fatalf("retag: found=%v, close: %v", retagged, err)
+	if string(sb.Data[:8]) != "PICTCAT2" {
+		t.Fatalf("superblock magic %q", sb.Data[:8])
+	}
+	copy(sb.Data[:8], "PICTCAT1")
+	sb.MarkDirty()
+	p.Unpin(sb)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	for _, path := range []string{v1, v1cat} {
-		before, err := os.ReadFile(path)
+	paths := []string{v1, cat1}
+	for _, fixture := range []string{"rebalanced_pr17/rebalanced.pictdb", "unsharded_pr19/unsharded.pictdb"} {
+		paths = append(paths, copyFixture(t, fixture))
+	}
+	for _, path := range paths {
+		files, err := filepath.Glob(path + "*")
 		if err != nil {
 			t.Fatal(err)
+		}
+		before := map[string][]byte{}
+		for _, f := range files {
+			if before[f], err = os.ReadFile(f); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var out, errb bytes.Buffer
 		if code := run([]string{path}, &out, &errb); code != 1 {
@@ -437,12 +451,36 @@ func TestCheckRefusesUnsupportedFormat(t *testing.T) {
 		if !strings.Contains(errb.String(), "unsupported format") || !strings.Contains(errb.String(), "not modified") {
 			t.Fatalf("%s: stderr lacks the typed refusal: %q", path, errb.String())
 		}
-		after, err := os.ReadFile(path)
+		for f, b := range before {
+			after, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(b, after) {
+				t.Fatalf("%s: pictdbcheck modified %s, a file it refused", path, f)
+			}
+		}
+	}
+}
+
+// copyFixture copies the file set testdata/<dir>/<main>* into a fresh
+// directory and returns the copy of the main file.
+func copyFixture(t *testing.T, fixture string) string {
+	t.Helper()
+	src := filepath.Join("..", "..", "testdata", fixture)
+	files, err := filepath.Glob(src + "*")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("fixture %s missing: %v", fixture, err)
+	}
+	dir := t.TempDir()
+	for _, f := range files {
+		b, err := os.ReadFile(f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(before, after) {
-			t.Fatalf("%s: pictdbcheck modified a file it refused", path)
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+	return filepath.Join(dir, filepath.Base(src))
 }

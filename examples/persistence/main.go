@@ -59,7 +59,9 @@ func build(path string) {
 	if err := cities.AttachPicture(atlas, pictdb.PackOptions{Method: pictdb.PackNN}); err != nil {
 		log.Fatal(err)
 	}
-	db.DefineLocation("east", pictdb.R(600, 0, 1000, 1000))
+	if err := db.DefineLocation("east", pictdb.R(600, 0, 1000, 1000)); err != nil {
+		log.Fatal(err)
+	}
 
 	if err := db.Checkpoint(); err != nil {
 		log.Fatal(err)

@@ -482,6 +482,11 @@ func (w *walState) hasFrame(id PageID) bool {
 // bytes), verifying the frame CRC.
 func (w *walState) readFrameImage(f walFrame, id PageID, dst []byte) error {
 	kind, gen, ref, payload, err := readFrameAt(w.backend, f.off)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		// The index holds a frame the log does not: a lying medium kept
+		// only part of an append it acknowledged.
+		return fmt.Errorf("pager: wal frame for page %d at %d: %w", id, f.off, ErrTruncated)
+	}
 	if err != nil {
 		return fmt.Errorf("pager: wal frame for page %d: %w", id, err)
 	}

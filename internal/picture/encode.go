@@ -1,6 +1,7 @@
 package picture
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -8,8 +9,8 @@ import (
 	"repro/internal/geom"
 )
 
-// Object wire format, used by the database catalog to persist
-// pictures:
+// Object wire format, carried inline by every relation tuple whose loc
+// names the object:
 //
 //	8 bytes  object id
 //	1 byte   kind
@@ -18,9 +19,9 @@ import (
 //
 // Points store one vertex, segments two, regions all polygon vertices.
 
-// EncodeObject serializes o.
-func EncodeObject(o Object) []byte {
-	buf := binary.LittleEndian.AppendUint64(nil, uint64(o.ID))
+// AppendObject appends the encoding of o to buf.
+func AppendObject(buf []byte, o Object) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(o.ID))
 	buf = append(buf, byte(o.Kind))
 	buf = binary.AppendUvarint(buf, uint64(len(o.Label)))
 	buf = append(buf, o.Label...)
@@ -41,57 +42,81 @@ func EncodeObject(o Object) []byte {
 	return buf
 }
 
-// DecodeObject parses a record produced by EncodeObject.
+// EncodeObject serializes o.
+func EncodeObject(o Object) []byte { return AppendObject(nil, o) }
+
+// DecodeObject parses an encoding produced by EncodeObject. Bytes after
+// the encoding are ignored; ObjectLen says where it ends.
 func DecodeObject(rec []byte) (Object, error) {
+	o, _, err := parseObject(rec, true)
+	return o, err
+}
+
+// ObjectLen returns the length of the object encoding at the start of
+// rec. It accepts and rejects exactly what DecodeObject does, and decodes
+// nothing: a tuple decoder validates an inline object with it.
+func ObjectLen(rec []byte) (int, error) {
+	_, n, err := parseObject(rec, false)
+	return n, err
+}
+
+// parseObject validates the encoding at the start of rec and returns
+// its length, and the object when decode is set.
+func parseObject(rec []byte, decode bool) (Object, int, error) {
 	if len(rec) < 9 {
-		return Object{}, fmt.Errorf("picture: truncated object record")
+		return Object{}, 0, fmt.Errorf("picture: truncated object record")
 	}
-	var o Object
-	o.ID = ObjectID(binary.LittleEndian.Uint64(rec))
-	o.Kind = Kind(rec[8])
+	kind := Kind(rec[8])
 	pos := 9
 	l, w := binary.Uvarint(rec[pos:])
 	if w <= 0 || l > uint64(len(rec)-pos-w) {
-		return Object{}, fmt.Errorf("picture: truncated object label")
+		return Object{}, 0, fmt.Errorf("picture: truncated object label")
 	}
 	pos += w
-	o.Label = string(rec[pos : pos+int(l)])
+	label := rec[pos : pos+int(l)]
 	pos += int(l)
 	n, w := binary.Uvarint(rec[pos:])
 	if w <= 0 || n > uint64(len(rec)-pos-w)/16 {
-		return Object{}, fmt.Errorf("picture: truncated object geometry")
+		return Object{}, 0, fmt.Errorf("picture: truncated object geometry")
 	}
 	pos += w
+	switch {
+	case kind == KindPoint && n != 1:
+		return Object{}, 0, fmt.Errorf("picture: point object with %d vertices", n)
+	case kind == KindSegment && n != 2:
+		return Object{}, 0, fmt.Errorf("picture: segment object with %d vertices", n)
+	case kind > KindRegion:
+		return Object{}, 0, fmt.Errorf("picture: unknown object kind %d", kind)
+	}
+	end := pos + 16*int(n)
+	if !decode {
+		return Object{}, end, nil
+	}
+	o := Object{ID: ObjectID(binary.LittleEndian.Uint64(rec)), Kind: kind, Label: string(label)}
 	pts := make([]geom.Point, n)
 	for i := range pts {
 		pts[i].X = math.Float64frombits(binary.LittleEndian.Uint64(rec[pos:]))
 		pts[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(rec[pos+8:]))
 		pos += 16
 	}
-	switch o.Kind {
+	switch kind {
 	case KindPoint:
-		if len(pts) != 1 {
-			return Object{}, fmt.Errorf("picture: point object with %d vertices", len(pts))
-		}
 		o.Point = pts[0]
 	case KindSegment:
-		if len(pts) != 2 {
-			return Object{}, fmt.Errorf("picture: segment object with %d vertices", len(pts))
-		}
 		o.Segment = geom.Seg(pts[0], pts[1])
-	case KindRegion:
-		o.Region = geom.Polygon{Vertices: pts}
 	default:
-		return Object{}, fmt.Errorf("picture: unknown object kind %d", o.Kind)
+		o.Region = geom.Polygon{Vertices: pts}
 	}
-	return o, nil
+	return o, end, nil
 }
 
-// Restore inserts objects preserving their existing IDs — used when
-// reloading a persisted picture, since tuples hold loc references to
-// these IDs — under one lock, sizing an empty picture for the batch. It
-// returns an error on a zero or duplicate id; the picture is then left
-// partly restored and is not to be used.
+// Restore inserts objects preserving their IDs — the reload rebuilding
+// a picture from the objects its relations' tuples carry — under one
+// lock, sizing an empty picture for the batch. Tuples that name one
+// object carry the same encoding, so an id already present is accepted
+// when the object encodes identically. A zero id, or one restored with a
+// different encoding, is an error; the picture is then left partly
+// restored and is not to be used.
 func (p *Picture) Restore(objs ...Object) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -102,13 +127,13 @@ func (p *Picture) Restore(objs ...Object) error {
 		if o.ID == 0 {
 			return fmt.Errorf("picture: restore of object with zero id")
 		}
-		// One table access, not a lookup and then a store: an id already
-		// present shows as a store that did not grow the table.
-		n := len(p.objects)
-		p.objects[o.ID] = o
-		if len(p.objects) == n {
-			return fmt.Errorf("picture: duplicate object id %d", o.ID)
+		if prev, dup := p.objects[o.ID]; dup {
+			if !bytes.Equal(EncodeObject(prev), EncodeObject(o)) {
+				return fmt.Errorf("picture %s: object %d restored with two different encodings", p.name, o.ID)
+			}
+			continue
 		}
+		p.objects[o.ID] = o
 		if o.ID >= p.nextID {
 			p.nextID = o.ID + 1
 		}

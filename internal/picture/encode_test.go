@@ -59,8 +59,15 @@ func TestRestore(t *testing.T) {
 	if err := pic.Restore(obj); err != nil {
 		t.Fatal(err)
 	}
-	if err := pic.Restore(obj); err == nil {
-		t.Fatal("duplicate id accepted")
+	// Two tuples naming one object carry one encoding: restoring it
+	// again is accepted, a different object under the id is not.
+	if err := pic.Restore(obj); err != nil {
+		t.Fatalf("identical object restored twice: %v", err)
+	}
+	moved := obj
+	moved.Point = geom.Pt(5, 6)
+	if err := pic.Restore(moved); err == nil {
+		t.Fatal("a different object under a restored id accepted")
 	}
 	if err := pic.Restore(Object{Kind: KindPoint}); err == nil {
 		t.Fatal("zero id accepted")
@@ -73,6 +80,29 @@ func TestRestore(t *testing.T) {
 	got, ok := pic.Get(17)
 	if !ok || got.Label != "r" {
 		t.Fatalf("restored object lost: %+v %v", got, ok)
+	}
+}
+
+// ObjectLen accepts what DecodeObject accepts and measures the
+// encoding it decodes, whatever follows it.
+func TestObjectLenMatchesDecode(t *testing.T) {
+	for _, o := range []Object{
+		{ID: 1, Kind: KindPoint, Label: "p", Point: geom.Pt(3, 4)},
+		{ID: 2, Kind: KindSegment, Segment: geom.Seg(geom.Pt(0, 0), geom.Pt(10, 20))},
+		{ID: 3, Kind: KindRegion, Label: "r", Region: geom.Poly(geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 4))},
+	} {
+		enc := EncodeObject(o)
+		for cut := 0; cut <= len(enc); cut++ {
+			rec := append(enc[:cut:cut], "tail"...)
+			n, lerr := ObjectLen(rec)
+			_, derr := DecodeObject(rec)
+			if (lerr == nil) != (derr == nil) {
+				t.Fatalf("object %d cut at %d: ObjectLen %v, DecodeObject %v", o.ID, cut, lerr, derr)
+			}
+			if cut == len(enc) && n != len(enc) {
+				t.Fatalf("object %d: ObjectLen %d, encoding %d bytes", o.ID, n, len(enc))
+			}
+		}
 	}
 }
 

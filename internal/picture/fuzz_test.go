@@ -8,10 +8,11 @@ import (
 )
 
 // FuzzDecodeObject feeds arbitrary bytes to the object decoder on its
-// own (FuzzDecodeCatalogRecord reaches it only through a valid catalog
-// record). Seeds are one encoding of each kind, their truncations and a
-// bogus kind. Properties: the decoder never panics, and any input it
-// accepts re-encodes to bytes that decode and re-encode to themselves.
+// own (FuzzDecodeTuple reaches it only inside a tuple's loc column).
+// Seeds are one encoding of each kind, their truncations and a bogus
+// kind. Properties: the decoder never panics, ObjectLen accepts exactly
+// what it accepts, and any input it accepts re-encodes to bytes that
+// decode and re-encode to themselves.
 func FuzzDecodeObject(f *testing.F) {
 	for _, o := range []Object{
 		{ID: 1, Kind: KindPoint, Label: "a point", Point: geom.Pt(3.5, -7.25)},
@@ -29,6 +30,9 @@ func FuzzDecodeObject(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		o, err := DecodeObject(data)
+		if n, lerr := ObjectLen(data); (lerr == nil) != (err == nil) || (err == nil && n > len(data)) {
+			t.Fatalf("ObjectLen = %d, %v; DecodeObject error %v (input %x)", n, lerr, err, data)
+		}
 		if err != nil {
 			return // rejecting is always fine; panicking is not
 		}

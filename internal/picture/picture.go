@@ -4,7 +4,8 @@
 // object identifier and a display label. Relation tuples reference
 // objects through loc pointers (picture name + object id), mirroring
 // the paper's backward identifiers "which point to the area on the
-// picture".
+// picture", and a stored tuple carries the object it names (EncodeObject):
+// a picture's objects in memory are rebuilt from its tuples on reopen.
 //
 // The package also provides the "analog form" output device: an ASCII
 // renderer that draws a window of a picture with the qualifying
@@ -170,24 +171,11 @@ func (p *Picture) Get(id ObjectID) (Object, bool) {
 	return o, ok
 }
 
-// MBRs resolves many ids under one read lock: rects[i] is the MBR of
-// the object ids[i] names and ok[i] whether it exists. It is Get for an
-// index build, which resolves every loc pointer of a relation at once.
-func (p *Picture) MBRs(ids []ObjectID) (rects []geom.Rect, ok []bool) {
-	rects = make([]geom.Rect, len(ids))
-	ok = make([]bool, len(ids))
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	for i, id := range ids {
-		if o, found := p.objects[id]; found {
-			rects[i], ok[i] = o.MBR(), true
-		}
-	}
-	return rects, ok
-}
-
-// Remove deletes the object with the given id, reporting whether it
-// existed.
+// Remove deletes the object with the given id from the picture in
+// memory, reporting whether it existed. It writes nothing: a tuple that
+// names the object carries it, so the object is back after a reopen
+// while such a tuple lives, and one that no tuple names is gone then
+// anyway.
 func (p *Picture) Remove(id ObjectID) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -79,25 +79,6 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-func TestMBRsMatchesGet(t *testing.T) {
-	p := New("m", geom.R(0, 0, 100, 100))
-	pt := p.AddPoint("p", geom.Pt(3, 4))
-	seg := p.AddSegment("s", geom.Seg(geom.Pt(0, 0), geom.Pt(10, 20)))
-	gone := p.AddPoint("g", geom.Pt(9, 9))
-	p.Remove(gone)
-	ids := []ObjectID{seg, gone, pt, 0, pt}
-	rects, ok := p.MBRs(ids)
-	for i, id := range ids {
-		o, found := p.Get(id)
-		if ok[i] != found || (found && rects[i] != o.MBR()) {
-			t.Fatalf("MBRs[%d] = %v, %v; Get(%d) = %v, %v", i, rects[i], ok[i], id, o.MBR(), found)
-		}
-	}
-	if rects, ok := p.MBRs(nil); len(rects) != 0 || len(ok) != 0 {
-		t.Fatal("MBRs(nil) returned entries")
-	}
-}
-
 func TestObjectsOrdered(t *testing.T) {
 	p := New("m", geom.R(0, 0, 10, 10))
 	p.AddPoint("c", geom.Pt(3, 3))

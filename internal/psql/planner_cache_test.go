@@ -488,7 +488,9 @@ func TestBoundStatementRevalidation(t *testing.T) {
 	db := evaluationOrderDB(t, 1, 1)
 	pts, _ := db.Relation("pts")
 	m, _ := db.Picture("m")
-	db.DefineLocation("hot", pictdb.R(300, 300, 700, 700))
+	if err := db.DefineLocation("hot", pictdb.R(300, 300, 700, 700)); err != nil {
+		t.Fatal(err)
+	}
 	height := func(c *psql.FuncContext) (psql.Datum, error) {
 		return psql.Datum{Kind: psql.KindFloat, Float: c.Args[0].Rect.Min.Y}, nil
 	}
@@ -599,7 +601,9 @@ func TestBoundStatementRevalidation(t *testing.T) {
 	moved("a background repack", 1, before1)
 
 	before1 = plans[texts[1]]
-	db.DefineLocation("hot", pictdb.R(100, 100, 900, 900))
+	if err := db.DefineLocation("hot", pictdb.R(100, 100, 900, 900)); err != nil {
+		t.Fatal(err)
+	}
 	check("after DefineLocation redefined the window")
 	moved("DefineLocation", 1, before1)
 
@@ -683,7 +687,10 @@ func TestBoundStatementSharedByGoroutines(t *testing.T) {
 				fail <- err
 				return
 			}
-			db.DefineLocation(fmt.Sprintf("spot%d", i), pictdb.R(0, 0, float64(i+1), 1))
+			if err := db.DefineLocation(fmt.Sprintf("spot%d", i), pictdb.R(0, 0, float64(i+1), 1)); err != nil {
+				fail <- err
+				return
+			}
 		}
 	}()
 	defs.Wait()

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/btree"
@@ -14,14 +15,18 @@ import (
 	"repro/internal/storage"
 )
 
-// This file is the one routine that derives a relation's indexes from
-// its heaps. CreateIndex, AttachPicture, RepackPicture and the catalog
-// reload all run it: one scan of every store's heap, side by side,
-// collects each B-tree's (key, id) run and each
-// picture's (object, id) list; then every index is its own task on up
-// to GOMAXPROCS goroutines — a run is sorted and bulk-loaded, a list
-// resolved against its picture and packed. On one core the tasks run
-// one after another, B-trees first.
+// This file is the one routine that derives a relation's in-memory
+// state from its heaps. Open, CreateIndex, AttachPicture and
+// RepackPicture all run it: one scan of every store's heap, side by
+// side, collects each B-tree's (key, id) run and each attached picture's
+// (MBR, id) items, the MBR being that of the object the tuple's loc
+// carries. On Open the same scan also counts every record, keeps the
+// sequences a sharded relation's route table is rebuilt from, and
+// collects every object a tuple carries. Then every index is its own
+// task on up to GOMAXPROCS goroutines — a run is sorted and bulk-loaded,
+// a list packed — and on Open each store's objects are restored into
+// their pictures beside them. On one core the tasks run one after
+// another, B-trees first.
 
 // nowFn is the clock the build phases are timed with; tests replace it.
 var nowFn = time.Now
@@ -36,9 +41,9 @@ type PictureSpec struct {
 // BuildTimes is where an index build spent its time, summed over its
 // tasks: goroutine time, not elapsed time, once tasks overlap.
 type BuildTimes struct {
-	Scan    time.Duration // heap scan and column decode
+	Scan    time.Duration // heap scan, decode, and on Open the objects' restore
 	BTree   time.Duration // sorting the runs and bulk-loading them
-	Pack    time.Duration // resolving loc pointers and PACK
+	Pack    time.Duration // PACK
 	Metrics time.Duration // the packed trees' search metrics
 }
 
@@ -50,20 +55,23 @@ func (t *BuildTimes) Add(u BuildTimes) {
 	t.Metrics += u.Metrics
 }
 
-// locRef is one tuple's pointer into a picture: the object its loc
-// column names and the tuple's id.
-type locRef struct {
-	obj picture.ObjectID
+// route is where the scan found a record: the id it carries and its
+// heap address.
+type route struct {
 	id  int64
+	lid storage.TupleID
 }
 
 // scanPart is what the scan of one store's heap collected: runs[c]
-// holds columns[c]'s (IndexKey, id) for every tuple, refs[p] the
-// pointers into pics[p] in ascending id order, the order PACK is handed
-// them.
+// holds columns[c]'s (IndexKey, id) for every tuple, items[p] the
+// (MBR, id) entries of pics[p] in ascending id order, the order PACK is
+// handed them, and, on Open, routes every record's place and objs the
+// objects its tuples carry by picture name.
 type scanPart struct {
-	runs [][]btree.Entry
-	refs [][]locRef
+	runs   [][]btree.Entry
+	items  [][]rtree.Item
+	routes []route
+	objs   map[string]*[]picture.Object
 }
 
 // indexBuild is one scan of the relation for the indexes being built:
@@ -76,16 +84,18 @@ type indexBuild struct {
 }
 
 // BuildIndexes builds B-trees over columns and attaches pics, all from
-// one scan of the heap. The scan and the B-trees need only the tuples;
-// resolving a loc pointer needs its picture's objects, and a caller
-// still loading those passes ready: it is called after the scan, before
-// the first pointer is resolved (from every goroutine about to resolve
-// one), blocks until the objects are in place, and by returning an
-// error abandons the build with that error. Nothing is attached to the
-// relation unless every index was built. An index covers the tuples its
-// scan saw: a caller who needs it complete keeps writers out until
-// BuildIndexes returns.
-func (r *Relation) BuildIndexes(columns []string, pics []PictureSpec, ready func() error) (BuildTimes, error) {
+// one scan of the heap. Nothing is attached to the relation unless
+// every index was built. An index covers the tuples its scan saw: a
+// caller who needs it complete keeps writers out until BuildIndexes
+// returns.
+func (r *Relation) BuildIndexes(columns []string, pics []PictureSpec) (BuildTimes, error) {
+	return r.build(columns, pics, false)
+}
+
+// build is BuildIndexes; with open set it is Open's reload of a relation
+// whose directory is still empty: every record counts, and the ids the
+// records carry become the directory (adoptRoutes).
+func (r *Relation) build(columns []string, pics []PictureSpec, open bool) (BuildTimes, error) {
 	var times BuildTimes
 	for i, col := range columns {
 		ci := r.schema.ColumnIndex(col)
@@ -112,19 +122,20 @@ func (r *Relation) BuildIndexes(columns []string, pics []PictureSpec, ready func
 			return times, fmt.Errorf("relation %s: picture %q already attached", r.name, name)
 		}
 	}
-	if len(columns) == 0 && len(pics) == 0 {
+	if !open && len(columns) == 0 && len(pics) == 0 {
 		return times, nil
 	}
 	b := &indexBuild{r: r, columns: columns, pics: pics}
 	t0 := nowFn()
-	err := b.scan()
+	err := b.scan(open)
+	if err == nil && open {
+		err = r.adoptRoutes(b.parts)
+	}
 	times.Scan = nowFn().Sub(t0)
 	if err != nil {
 		return times, err
 	}
 
-	// B-trees first: they can start at once, and a picture's task may
-	// hold its goroutine waiting in ready.
 	trees := make([]*btree.Tree, len(columns))
 	sis := make([][]*SpatialIndex, len(pics))
 	var tasks []func() (BuildTimes, error)
@@ -144,16 +155,22 @@ func (r *Relation) BuildIndexes(columns []string, pics []PictureSpec, ready func
 		sis[p] = make([]*SpatialIndex, len(b.parts))
 		for s := range sis[p] {
 			tasks = append(tasks, func() (BuildTimes, error) {
-				if ready != nil {
-					if err := ready(); err != nil {
-						return BuildTimes{}, err
-					}
-				}
 				t0 := nowFn()
-				tree := pack.Tree(rtree.DefaultParams(), b.items(p, s), ps.Opts)
+				tree := pack.Tree(rtree.DefaultParams(), b.parts[s].items[p], ps.Opts)
 				t1 := nowFn()
 				sis[p][s] = newSpatialIndex(ps.Picture, tree, ps.Opts)
 				return BuildTimes{Pack: t1.Sub(t0), Metrics: nowFn().Sub(t1)}, nil
+			})
+		}
+	}
+	// The objects a store's tuples carry go to their pictures beside the
+	// index builds: nothing else needs them.
+	for _, part := range b.parts {
+		if part.objs != nil {
+			tasks = append(tasks, func() (BuildTimes, error) {
+				t0 := nowFn()
+				err := r.restoreObjects(part.objs)
+				return BuildTimes{Scan: nowFn().Sub(t0)}, err
 			})
 		}
 	}
@@ -186,86 +203,179 @@ func (r *Relation) BuildIndexes(columns []string, pics []PictureSpec, ready func
 }
 
 // scan fills parts from every store's heap, each walked under its lock
-// beside the others. A record counts when the id directory places it
-// where it was found (placedAt).
-func (b *indexBuild) scan() error {
+// beside the others. Without open, a record counts when the id
+// directory places it where it was found; with open, every record counts
+// and the objects the tuples carry are collected.
+func (b *indexBuild) scan(open bool) error {
 	r := b.r
-	need := make([]bool, r.schema.Arity())
+	var dir idCodec
+	if !open {
+		r.smu.RLock()
+		dir = r.ids.snapshot()
+		r.smu.RUnlock()
+	}
+	b.parts = make([]*scanPart, len(r.stores))
+	return par.Do(len(r.stores), 0, func(s int) error {
+		if err := b.scanStore(s, dir); err != nil {
+			return r.storeErr(s, err)
+		}
+		return nil
+	})
+}
+
+// scanStore fills parts[s] from store s's heap under the store's lock;
+// dir is nil on Open.
+func (b *indexBuild) scanStore(s int, dir idCodec) error {
+	r := b.r
+	arity := r.schema.Arity()
+	need := make([]bool, arity)
 	cis := make([]int, len(b.columns))
 	for c, col := range b.columns {
 		cis[c] = r.schema.ColumnIndex(col)
 		need[cis[c]] = true
 	}
 	li := r.schema.LocColumn()
-	if len(b.pics) > 0 {
-		need[li] = true
-	}
-	r.smu.RLock()
-	dir := r.ids.snapshot()
-	r.smu.RUnlock()
-	b.parts = make([]*scanPart, len(r.stores))
-	return par.Do(len(r.stores), 0, func(s int) error {
-		st := r.stores[s]
-		p := &scanPart{runs: make([][]btree.Entry, len(b.columns)), refs: make([][]locRef, len(b.pics))}
-		b.parts[s] = p
-		st.mu.RLock()
-		defer st.mu.RUnlock()
-		for c := range p.runs {
-			p.runs[c] = make([]btree.Entry, 0, st.heap.Len())
+	var locCols []int
+	for i, col := range r.schema.Columns {
+		if col.Type == TypeLoc && (dir == nil || (i == li && len(b.pics) > 0)) {
+			locCols = append(locCols, i)
 		}
-		var scanErr error
-		err := st.heap.Scan(func(lid storage.TupleID, rec []byte) bool {
-			id, payload, err := dir.unframe(lid, rec)
-			if err == nil {
-				if !placedAt(dir, id, s, lid) {
-					return true
+	}
+	st := r.stores[s]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	n := st.heap.Len()
+	p := &scanPart{runs: make([][]btree.Entry, len(b.columns)), items: make([][]rtree.Item, len(b.pics))}
+	b.parts[s] = p
+	for c := range p.runs {
+		p.runs[c] = make([]btree.Entry, 0, n)
+	}
+	for pi := range p.items {
+		p.items[pi] = make([]rtree.Item, 0, n/len(p.items))
+	}
+	if dir == nil {
+		p.objs = make(map[string]*[]picture.Object)
+		p.routes = make([]route, 0, n)
+	}
+	slot := make(Tuple, 0, arity)
+	locs := make([]locBytes, arity)
+	// collect takes one live record's keys, items and objects.
+	collect := func(id int64, body []byte) error {
+		for _, i := range locCols {
+			locs[i] = locBytes{}
+		}
+		t, err := decodeCols(body, need, slot, locs)
+		if err != nil {
+			return err
+		}
+		if len(t) != arity {
+			return errTuple("%d columns, the schema has %d", len(t), arity)
+		}
+		for c, ci := range cis {
+			p.runs[c] = append(p.runs[c], btree.Entry{Key: IndexKey(t[ci]), Value: id})
+		}
+		for _, i := range locCols {
+			lb := locs[i]
+			if lb.obj == nil {
+				continue
+			}
+			obj, err := picture.DecodeObject(lb.obj)
+			if err != nil {
+				return err
+			}
+			if p.objs != nil {
+				batch := p.objs[string(lb.pic)]
+				if batch == nil {
+					// The first picture gets room for every tuple: a
+					// relation on one picture is the usual case.
+					var objs []picture.Object
+					if len(p.objs) == 0 {
+						objs = make([]picture.Object, 0, n)
+					}
+					batch = &objs
+					p.objs[string(lb.pic)] = batch
 				}
-				var t Tuple
-				if t, err = DecodeTupleCols(payload, need); err == nil {
-					for c, ci := range cis {
-						p.runs[c] = append(p.runs[c], btree.Entry{Key: IndexKey(t[ci]), Value: id})
-					}
-					for pi, ps := range b.pics {
-						if ref := t[li].Loc; ref.Picture == ps.Picture.Name() {
-							p.refs[pi] = append(p.refs[pi], locRef{obj: ref.Object, id: id})
-						}
-					}
-					return true
+				*batch = append(*batch, obj)
+			}
+			for pi, ps := range b.pics {
+				if i == li && string(lb.pic) == ps.Picture.Name() {
+					p.items[pi] = append(p.items[pi], rtree.Item{Rect: obj.MBR(), Data: id})
 				}
 			}
-			scanErr = fmt.Errorf("tuple %v: %w", lid, err)
-			return false
-		})
-		if err == nil {
-			err = scanErr
-		}
-		if err != nil {
-			return r.storeErr(s, err)
-		}
-		// Ascending id is heap order only while no freed slot has been
-		// reused (and, for sequence ids, at all only within one store).
-		for _, refs := range p.refs {
-			slices.SortFunc(refs, func(x, y locRef) int { return cmp.Compare(x.id, y.id) })
 		}
 		return nil
+	}
+	var scanErr error
+	err := st.heap.Scan(func(lid storage.TupleID, rec []byte) bool {
+		id, body, err := r.ids.unframe(lid, rec)
+		if err == nil && dir != nil && !placedAt(dir, id, s, lid) {
+			return true
+		}
+		if err == nil {
+			err = collect(id, body)
+		}
+		if err != nil {
+			scanErr = fmt.Errorf("tuple %v: %w", lid, err)
+			return false
+		}
+		if dir == nil {
+			p.routes = append(p.routes, route{id, lid})
+		}
+		return true
 	})
+	if err == nil {
+		err = scanErr
+	}
+	if err != nil {
+		return err
+	}
+	// Heap order is id order only until a freed slot is reused.
+	for _, items := range p.items {
+		slices.SortFunc(items, func(x, y rtree.Item) int { return cmp.Compare(x.Data, y.Data) })
+	}
+	return nil
 }
 
-// items resolves picture p's pointers in store s to (MBR, id) entries,
-// under one read lock of the picture. A pointer whose object is gone is
-// left out, as a tuple's loc that resolves to nothing always was.
-func (b *indexBuild) items(p, s int) []rtree.Item {
-	refs := b.parts[s].refs[p]
-	ids := make([]picture.ObjectID, len(refs))
-	for i, ref := range refs {
-		ids[i] = ref.obj
+// restoreObjects puts the objects a store's tuples carry into their
+// pictures. A tuple naming a picture the catalog does not define, or two
+// tuples carrying one object differently, is corruption.
+func (r *Relation) restoreObjects(objs map[string]*[]picture.Object) error {
+	names := make([]string, 0, len(objs))
+	for name := range objs {
+		names = append(names, name)
 	}
-	rects, ok := b.pics[p].Picture.MBRs(ids)
-	items := make([]rtree.Item, 0, len(refs))
-	for i, ref := range refs {
-		if ok[i] {
-			items = append(items, rtree.Item{Rect: rects[i], Data: ref.id})
+	sort.Strings(names)
+	for _, name := range names {
+		pic, ok := r.lookupPicture(name)
+		if !ok {
+			return fmt.Errorf("%w: a tuple names picture %q, which the catalog does not define", storage.ErrCorrupt, name)
+		}
+		if err := pic.Restore(*objs[name]...); err != nil {
+			return fmt.Errorf("%w: %w", storage.ErrCorrupt, err)
 		}
 	}
-	return items
+	return nil
+}
+
+// adoptRoutes counts the records an open scan found into each store's
+// live count and, for sequence ids, makes them the route table. A
+// sequence stored twice, in one store or in two, is corruption.
+func (r *Relation) adoptRoutes(parts []*scanPart) error {
+	dir, seq := r.ids.(*seqIDs)
+	for s, p := range parts {
+		r.live[s] = int64(len(p.routes))
+		for _, e := range p.routes {
+			if !seq {
+				break
+			}
+			if prev, _, dup := dir.resolve(e.id); dup {
+				return fmt.Errorf("relation %s: %w: sequence %d stored in store %d and store %d", r.name, storage.ErrCorrupt, e.id, prev, s)
+			}
+			dir.publish(e.id, s, e.lid)
+			if e.id >= dir.next.Load() {
+				dir.next.Store(e.id + 1)
+			}
+		}
+	}
+	return nil
 }

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -21,23 +20,24 @@ import (
 // buildFixture fills an unsharded (shards == 0) or sharded relation
 // with n cities spread over two pictures, then deletes every seventh so
 // that the heaps have holes and later inserts reuse their slots, and
-// leaves one tuple pointing at an object that is gone.
+// leaves one tuple whose object its picture no longer holds — the tuple
+// still carries it.
 func buildFixture(t *testing.T, shards, n int) (*Relation, [2]*picture.Picture) {
 	t.Helper()
+	pics := [2]*picture.Picture{
+		usMap(),
+		picture.New("rail-map", geom.R(0, 0, 1000, 1000)),
+	}
 	var rel *Relation
 	if shards == 0 {
 		p := pager.OpenMem(512)
 		t.Cleanup(func() { p.Close() })
 		var err error
-		if rel, err = New(p, "cities", citySchema()); err != nil {
+		if rel, err = New(p, "cities", citySchema(), catalogOf(pics[:]...)); err != nil {
 			t.Fatal(err)
 		}
 	} else {
-		rel = newShardedCities(t, shards)
-	}
-	pics := [2]*picture.Picture{
-		picture.New("us-map", geom.R(0, 0, 1000, 1000)),
-		picture.New("rail-map", geom.R(0, 0, 1000, 1000)),
+		rel = newShardedCities(t, shards, pics[:]...)
 	}
 	rng := rand.New(rand.NewSource(int64(31 + shards)))
 	var ids []storage.TupleID
@@ -83,7 +83,7 @@ func TestBuildIndexesMatchesSeparateCalls(t *testing.T) {
 			sep, picsSep := buildFixture(t, shards, 600)
 			opts := pack.Options{Method: pack.MethodHilbert}
 			times, err := one.BuildIndexes([]string{"state", "population"},
-				[]PictureSpec{{picsOne[0], opts}, {picsOne[1], pack.Options{}}}, nil)
+				[]PictureSpec{{picsOne[0], opts}, {picsOne[1], pack.Options{}}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +139,8 @@ func TestBuildIndexesMatchesSeparateCalls(t *testing.T) {
 // A shard's tree is packed from its items in ascending sequence — the
 // order of the route table, which the shard's heap leaves as soon as a
 // freed slot is reused. The reference walks the relation the way the
-// route table orders it and packs each shard's share.
+// route table orders it and packs each shard's share of the objects
+// the tuples carry.
 func TestBuildIndexesShardItemOrder(t *testing.T) {
 	rel, pics := buildFixture(t, 4, 900)
 	opts := pack.Options{Method: pack.MethodHilbert}
@@ -148,10 +149,19 @@ func TestBuildIndexesShardItemOrder(t *testing.T) {
 	}
 	want := make([][]rtree.Item, 4)
 	err := rel.Scan(func(id storage.TupleID, tu Tuple) bool {
-		if rect, ok := rel.locMBR(tu, pics[0]); ok {
-			s, _, _ := rel.resolve(id.Int64())
-			want[s] = append(want[s], rtree.Item{Rect: rect, Data: id.Int64()})
+		if tu[3].Loc.Picture != pics[0].Name() {
+			return true
 		}
+		s, lid, _ := rel.resolve(id.Int64())
+		locs := make([]locBytes, 4)
+		if _, _, err := rel.fetch(id.Int64(), s, lid, nil, locs); err != nil {
+			t.Fatal(err)
+		}
+		obj, err := picture.DecodeObject(locs[3].obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[s] = append(want[s], rtree.Item{Rect: obj.MBR(), Data: id.Int64()})
 		return true
 	})
 	if err != nil {
@@ -175,43 +185,6 @@ func TestBuildIndexesShardItemOrder(t *testing.T) {
 	}
 }
 
-// ready is asked after the heap scan and only by picture tasks; its
-// error abandons the build and nothing is attached.
-func TestBuildIndexesReadyGate(t *testing.T) {
-	rel, pics := buildFixture(t, 2, 300)
-	var asked atomic.Int32
-	if _, err := rel.BuildIndexes([]string{"state"}, nil, func() error {
-		asked.Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if asked.Load() != 0 {
-		t.Fatalf("a B-tree-only build asked ready %d times", asked.Load())
-	}
-	notYet := errors.New("objects failed to load")
-	_, err := rel.BuildIndexes([]string{"population"}, []PictureSpec{{Picture: pics[0]}}, func() error {
-		asked.Add(1)
-		return notYet
-	})
-	if !errors.Is(err, notYet) {
-		t.Fatalf("err = %v, want ready's error", err)
-	}
-	// Once per shard task; on one core the first refusal stops the rest.
-	if n := asked.Load(); n < 1 || n > 2 {
-		t.Fatalf("ready asked %d times, want once per shard task started", n)
-	}
-	if rel.Index("population") != nil || rel.HasSpatial("us-map") {
-		t.Fatal("an abandoned build attached an index")
-	}
-	if _, err := rel.BuildIndexes([]string{"population"}, []PictureSpec{{Picture: pics[0]}}, func() error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if rel.Index("population") == nil || !rel.HasSpatial("us-map") {
-		t.Fatal("build after an abandoned one attached nothing")
-	}
-}
-
 func TestBuildIndexesRejects(t *testing.T) {
 	rel, pics := buildFixture(t, 0, 50)
 	if err := rel.CreateIndex("state"); err != nil {
@@ -221,16 +194,16 @@ func TestBuildIndexesRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, call := range map[string]func() error{
-		"unknown column":   func() error { _, err := rel.BuildIndexes([]string{"nope"}, nil, nil); return err },
-		"loc column":       func() error { _, err := rel.BuildIndexes([]string{"loc"}, nil, nil); return err },
-		"indexed column":   func() error { _, err := rel.BuildIndexes([]string{"state"}, nil, nil); return err },
-		"column twice":     func() error { _, err := rel.BuildIndexes([]string{"city", "city"}, nil, nil); return err },
-		"attached picture": func() error { _, err := rel.BuildIndexes(nil, []PictureSpec{{Picture: pics[1]}}, nil); return err },
+		"unknown column":   func() error { _, err := rel.BuildIndexes([]string{"nope"}, nil); return err },
+		"loc column":       func() error { _, err := rel.BuildIndexes([]string{"loc"}, nil); return err },
+		"indexed column":   func() error { _, err := rel.BuildIndexes([]string{"state"}, nil); return err },
+		"column twice":     func() error { _, err := rel.BuildIndexes([]string{"city", "city"}, nil); return err },
+		"attached picture": func() error { _, err := rel.BuildIndexes(nil, []PictureSpec{{Picture: pics[1]}}); return err },
 		"picture twice": func() error {
-			_, err := rel.BuildIndexes(nil, []PictureSpec{{Picture: pics[0]}, {Picture: pics[0]}}, nil)
+			_, err := rel.BuildIndexes(nil, []PictureSpec{{Picture: pics[0]}, {Picture: pics[0]}})
 			return err
 		},
-		"bad beside good": func() error { _, err := rel.BuildIndexes([]string{"city", "nope"}, nil, nil); return err },
+		"bad beside good": func() error { _, err := rel.BuildIndexes([]string{"city", "nope"}, nil); return err },
 	} {
 		if err := call(); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -241,7 +214,7 @@ func TestBuildIndexesRejects(t *testing.T) {
 	}
 	p := pager.OpenMem(16)
 	defer p.Close()
-	flat, err := New(p, "flat", MustSchema("k:int"))
+	flat, err := New(p, "flat", MustSchema("k:int"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +233,7 @@ func TestBuildTimesClockSeam(t *testing.T) {
 	nowFn = func() time.Time { return epoch.Add(time.Duration(ticks.Add(1)) * time.Millisecond) }
 	defer func() { nowFn = time.Now }()
 	rel, pics := buildFixture(t, 0, 100)
-	times, err := rel.BuildIndexes([]string{"state", "city"}, []PictureSpec{{Picture: pics[0]}}, nil)
+	times, err := rel.BuildIndexes([]string{"state", "city"}, []PictureSpec{{Picture: pics[0]}})
 	if err != nil {
 		t.Fatal(err)
 	}

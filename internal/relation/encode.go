@@ -6,20 +6,38 @@ import (
 	"math"
 
 	"repro/internal/picture"
+	"repro/internal/storage"
 )
 
-// Tuple wire format (heap records):
+// Tuple wire format, the body of every heap record (ids.go says what a
+// record carries before it):
 //
 //	uvarint column count, then per column:
 //	  byte type tag
 //	  int:    8 bytes little-endian two's complement
 //	  float:  8 bytes little-endian IEEE-754
 //	  string: uvarint length + bytes
-//	  loc:    uvarint picture-name length + bytes, 8-byte object id
+//	  loc:    uvarint picture-name length + bytes, then the object the
+//	          loc names as picture.EncodeObject lays it out — its first
+//	          8 bytes are the object id. A zero loc (no picture, object
+//	          0) has the 8-byte id alone.
+//
+// The object inside a loc column is the geometry the tuple stands for:
+// the reload rebuilds the spatial indexes and the pictures' objects from
+// it (build.go).
 
-// EncodeTuple serializes t.
-func EncodeTuple(t Tuple) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(t)))
+// EncodeTuple serializes t's body with every loc as its picture name
+// and object id alone: the bytes a row holds of its own, and the body of
+// a stored tuple whose locs are all zero. A stored tuple's non-zero loc
+// carries the rest of its object after the id (Relation.Insert), and
+// DecodeTuple requires it.
+func EncodeTuple(t Tuple) []byte { return appendBody(nil, t, nil) }
+
+// appendBody appends t's body to buf. With objs non-nil, every non-zero
+// loc is written as its picture name and the next of objs (they come in
+// column order); with objs nil, as its name and object id (EncodeTuple).
+func appendBody(buf []byte, t Tuple, objs []picture.Object) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(t)))
 	for _, v := range t {
 		buf = append(buf, byte(v.Type))
 		switch v.Type {
@@ -33,41 +51,60 @@ func EncodeTuple(t Tuple) []byte {
 		case TypeLoc:
 			buf = binary.AppendUvarint(buf, uint64(len(v.Loc.Picture)))
 			buf = append(buf, v.Loc.Picture...)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Loc.Object))
+			if objs == nil || v.Loc.IsZero() {
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Loc.Object))
+			} else {
+				buf = picture.AppendObject(buf, objs[0])
+				objs = objs[1:]
+			}
 		}
 	}
 	return buf
 }
 
-// DecodeTuple parses a record produced by EncodeTuple.
+// errTuple is a body that does not decode: storage corruption.
+func errTuple(format string, args ...any) error {
+	return fmt.Errorf("%w: relation: %w", storage.ErrCorrupt, fmt.Errorf(format, args...))
+}
+
+// DecodeTuple parses a tuple body.
 func DecodeTuple(rec []byte) (Tuple, error) { return DecodeTupleCols(rec, nil) }
 
-// DecodeTupleCols parses a record, materializing only the columns whose
-// need flag is set. Skipped columns keep their type tag but carry a
-// zero payload — in particular no string or picture-name bytes are
+// DecodeTupleCols parses a tuple body, materializing only the columns
+// whose need flag is set. Skipped columns keep their type tag but carry
+// a zero payload — in particular no string or picture-name bytes are
 // copied out of rec, which is what makes batch materialization over
 // pinned pages cheap when a query touches a few columns of a wide
 // tuple. A nil need (or one shorter than the tuple) decodes the
 // remaining columns, so DecodeTupleCols(rec, nil) == DecodeTuple(rec).
-// Validation is not relaxed: a corrupt record fails the same way
-// whether or not the broken column was needed.
+// Validation is not relaxed: a corrupt body — a loc's inline object
+// included — fails the same way whether or not the broken column was
+// needed.
 func DecodeTupleCols(rec []byte, need []bool) (Tuple, error) {
-	return decodeCols(rec, need, nil)
+	return decodeCols(rec, need, nil, nil)
+}
+
+// locBytes is where a non-zero loc column's picture name and object
+// encoding lie inside a body.
+type locBytes struct {
+	pic, obj []byte
 }
 
 // decodeCols is DecodeTupleCols writing the values into dst[:0] when
 // the tuple fits dst's capacity — a batch fetch hands each tuple its
-// slice of one arena — and into a fresh slice otherwise.
-func decodeCols(rec []byte, need []bool, dst Tuple) (Tuple, error) {
+// slice of one arena — and into a fresh slice otherwise. locs[i] is set
+// for every non-zero loc column i within its length (and left alone for
+// the others).
+func decodeCols(rec []byte, need []bool, dst Tuple, locs []locBytes) (Tuple, error) {
 	n, off := binary.Uvarint(rec)
 	if off <= 0 {
-		return nil, fmt.Errorf("relation: corrupt tuple header")
+		return nil, errTuple("corrupt tuple header")
 	}
 	// Every column takes at least one byte, so a count exceeding the
 	// remaining bytes is corrupt — and must be rejected before it sizes
 	// an allocation.
 	if n > uint64(len(rec)-off) {
-		return nil, fmt.Errorf("relation: corrupt tuple header: %d columns in %d bytes", n, len(rec))
+		return nil, errTuple("corrupt tuple header: %d columns in %d bytes", n, len(rec))
 	}
 	out := dst[:0]
 	if uint64(cap(out)) < n {
@@ -76,7 +113,7 @@ func decodeCols(rec []byte, need []bool, dst Tuple) (Tuple, error) {
 	pos := off
 	for i := uint64(0); i < n; i++ {
 		if pos >= len(rec) {
-			return nil, fmt.Errorf("relation: truncated tuple at column %d", i)
+			return nil, errTuple("truncated tuple at column %d", i)
 		}
 		want := need == nil || i >= uint64(len(need)) || need[i]
 		typ := Type(rec[pos])
@@ -86,7 +123,7 @@ func decodeCols(rec []byte, need []bool, dst Tuple) (Tuple, error) {
 		switch typ {
 		case TypeInt, TypeFloat:
 			if pos+8 > len(rec) {
-				return nil, fmt.Errorf("relation: truncated numeric column %d", i)
+				return nil, errTuple("truncated numeric column %d", i)
 			}
 			if want {
 				bits := binary.LittleEndian.Uint64(rec[pos:])
@@ -102,7 +139,7 @@ func decodeCols(rec []byte, need []bool, dst Tuple) (Tuple, error) {
 			// Bound l before converting: a 64-bit length can wrap int
 			// and slip past the range check as a negative slice index.
 			if w <= 0 || l > uint64(len(rec)) || pos+w+int(l) > len(rec) {
-				return nil, fmt.Errorf("relation: truncated string column %d", i)
+				return nil, errTuple("truncated string column %d", i)
 			}
 			pos += w
 			if want {
@@ -112,16 +149,28 @@ func decodeCols(rec []byte, need []bool, dst Tuple) (Tuple, error) {
 		case TypeLoc:
 			l, w := binary.Uvarint(rec[pos:])
 			if w <= 0 || l > uint64(len(rec)) || pos+w+int(l)+8 > len(rec) {
-				return nil, fmt.Errorf("relation: truncated loc column %d", i)
+				return nil, errTuple("truncated loc column %d", i)
 			}
 			pos += w
-			if want {
-				v.Loc.Picture = string(rec[pos : pos+int(l)])
-				v.Loc.Object = picture.ObjectID(binary.LittleEndian.Uint64(rec[pos+int(l):]))
+			pic := rec[pos : pos+int(l)]
+			pos += int(l)
+			obj := picture.ObjectID(binary.LittleEndian.Uint64(rec[pos:]))
+			size := 8
+			if l > 0 || obj != 0 {
+				var err error
+				if size, err = picture.ObjectLen(rec[pos:]); err != nil {
+					return nil, errTuple("loc column %d: %w", i, err)
+				}
+				if i < uint64(len(locs)) {
+					locs[i] = locBytes{pic: pic, obj: rec[pos : pos+size]}
+				}
 			}
-			pos += int(l) + 8
+			if want {
+				v.Loc = LocRef{Picture: string(pic), Object: obj}
+			}
+			pos += size
 		default:
-			return nil, fmt.Errorf("relation: unknown type tag %d in column %d", typ, i)
+			return nil, errTuple("unknown type tag %d in column %d", typ, i)
 		}
 		out = append(out, v)
 	}
@@ -129,19 +178,19 @@ func decodeCols(rec []byte, need []bool, dst Tuple) (Tuple, error) {
 }
 
 // decodeKept is the terms-first decode of a batch fetch: with keep
-// non-nil the record is decoded on test's columns alone and shown to
+// non-nil the body is decoded on test's columns alone and shown to
 // keep, and only a tuple keep accepts has need's columns materialized;
 // ok is false for one it rejects. Both decodes go to dst as in
-// decodeCols, and the first validates the whole record, so a corrupt one
+// decodeCols, and the first validates the whole body, so a corrupt one
 // fails whether or not keep would have rejected it — and exactly when
 // DecodeTupleCols(rec, nil) fails.
 func decodeKept(rec []byte, need, test []bool, keep func(Tuple) bool, dst Tuple) (t Tuple, ok bool, err error) {
 	if keep != nil {
-		if t, err = decodeCols(rec, test, dst); err != nil || !keep(t) {
+		if t, err = decodeCols(rec, test, dst, nil); err != nil || !keep(t) {
 			return nil, false, err
 		}
 	}
-	t, err = decodeCols(rec, need, dst)
+	t, err = decodeCols(rec, need, dst, nil)
 	return t, err == nil, err
 }
 

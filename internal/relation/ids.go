@@ -11,21 +11,22 @@ import (
 // This file is the id/record codec: the only code that knows which of
 // the two record layouts on disk a relation has (DESIGN.md §15).
 //
-//   - Address ids (New/Open): one store; a tuple's id is its heap
-//     address and its record is the encoded tuple. Nothing is kept in
-//     memory per tuple, and an id is reused once its slot is freed.
-//   - Sequence ids (NewSharded/OpenSharded): any number of stores; a
-//     tuple's id is its insertion sequence number, carried as an 8-byte
-//     little-endian prefix of its record, so ascending id order is
-//     insertion order whichever store a tuple landed in. The route table
-//     maps sequence → (store, heap address); it is rebuilt on open from
-//     the prefixes and is the only truth about where a tuple lives.
-//     Sequences are never reused and tuples never move, so a route only
-//     ever goes from live to retired.
+//   - Address ids (New, and Open of a relation in the main file): one
+//     store; a tuple's id is its heap address and its record is the
+//     encoded tuple. Nothing is kept in memory per tuple, and an id is
+//     reused once its slot is freed.
+//   - Sequence ids (NewSharded, and Open of a sharded relation): any
+//     number of stores; a tuple's id is its insertion sequence number,
+//     carried as an 8-byte little-endian prefix of its record, so
+//     ascending id order is insertion order whichever store a tuple
+//     landed in. The route table maps sequence → (store, heap address);
+//     Open rebuilds it from the prefixes in the scan that rebuilds the
+//     indexes (build.go), and it is the only truth about where a tuple
+//     lives. Sequences are never reused and tuples never move, so a route
+//     only ever goes from live to retired.
 //
-// Everything else in the package is written once against idCodec.
-// Giving every record the prefix would leave one layout and no codec;
-// that is a format change and waits for one (DESIGN.md §17).
+// Everything else in the package is written once against idCodec. Why
+// the main file keeps address ids is in DESIGN.md §17.
 
 // idCodec maps between tuple ids and heap records. The directory
 // methods — publish, resolve, retire, group, walk, snapshot — are called
@@ -190,62 +191,4 @@ func (c *seqIDs) walk(fn func(int64, int, storage.TupleID) bool) bool {
 
 func (c *seqIDs) snapshot() idCodec {
 	return &seqIDs{routes: append([]int64(nil), c.routes...)}
-}
-
-// openSeqIDs rebuilds the route table by scanning every store's
-// sequence prefixes, counting each store's live records into live. A
-// malformed sequence, or one stored twice in a store, is corruption. A
-// sequence stored in two stores with byte-identical records is what a
-// build with online shard splits (removed, DESIGN.md §17) left behind
-// when it crashed after the destination shard committed but before the
-// source's deletions did: the higher-numbered store's copy is kept
-// (those splits only appended shards) and the stale lower one deleted,
-// durably at the next commit. Differing payloads remain corruption.
-func openSeqIDs(stores []*store, live []int64) (*seqIDs, error) {
-	c := &seqIDs{}
-	maxSeq := seqBase - 1
-	for s, st := range stores {
-		var scanErr error
-		err := st.heap.Scan(func(lid storage.TupleID, rec []byte) bool {
-			seq, _, err := c.unframe(lid, rec)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if prev, plid, dup := c.resolve(seq); dup {
-				if prev == s {
-					scanErr = fmt.Errorf("%w: sequence %d stored twice in shard %d", storage.ErrCorrupt, seq, s)
-					return false
-				}
-				stale, err := stores[prev].heap.Get(plid)
-				if err != nil {
-					scanErr = fmt.Errorf("%w: sequence %d stored in both shard %d and shard %d", storage.ErrCorrupt, seq, prev, s)
-					return false
-				}
-				if string(stale) != string(rec) {
-					scanErr = fmt.Errorf("%w: sequence %d stored in both shard %d and shard %d with differing records", storage.ErrCorrupt, seq, prev, s)
-					return false
-				}
-				// Stores scan in ascending order, so prev is the split's
-				// source.
-				if err := stores[prev].heap.Delete(plid); err != nil {
-					scanErr = fmt.Errorf("shard %d: dropping stale split duplicate of sequence %d: %w", prev, seq, err)
-					return false
-				}
-				live[prev]--
-			}
-			c.publish(seq, s, lid)
-			live[s]++
-			maxSeq = max(maxSeq, seq)
-			return true
-		})
-		if err == nil {
-			err = scanErr
-		}
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-	}
-	c.next.Store(maxSeq + 1)
-	return c, nil
 }

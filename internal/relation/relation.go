@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"runtime"
@@ -27,13 +28,24 @@ type store struct {
 	heap *storage.Heap
 }
 
+// Pictures resolves the picture names a loc column holds: the catalog a
+// relation was created in.
+type Pictures interface {
+	Picture(name string) (*picture.Picture, bool)
+}
+
+// ErrDanglingLoc is Insert's refusal of a non-zero loc that names no
+// picture of the relation's catalog, or no object of that picture: a
+// stored tuple carries the object its loc names.
+var ErrDanglingLoc = errors.New("relation: loc names no picture object")
+
 // Relation is one table of the pictorial database: tuple heaps in one
 // or more stores, secondary B-tree indexes on alphanumeric columns, and
 // R-tree spatial indexes on the loc column — one per associated picture
-// per store. New and Open make a one-store relation in the database's
-// main file; NewSharded and OpenSharded one whose stores are page files
-// of their own, tuples placed by Hilbert key range (shard.go). How ids
-// and records look differs between the two and is the codec's business
+// per store. New makes a one-store relation in the database's main file;
+// NewSharded one whose stores are page files of their own, tuples placed
+// by Hilbert key range (shard.go); Open reopens either. How ids and
+// records look differs between the two and is the codec's business
 // (ids.go); every operation here is written once, for any store count.
 //
 // Two kinds of lock, never nested (DESIGN.md §15): smu guards the id
@@ -43,12 +55,11 @@ type store struct {
 type Relation struct {
 	name   string
 	schema Schema
-	// stores, ranges and ids are fixed at construction: a tuple never
-	// moves between stores and the layout never changes.
+	// pics resolves the pictures the loc column names.
+	pics Pictures
+	// stores and ids are fixed at construction: a tuple never moves
+	// between stores and the layout never changes.
 	stores []*store
-	// ranges holds each store's half-open Hilbert key range [Lo, Hi);
-	// place routes new tuples by it. Nil for a main-file relation.
-	ranges []KeyRange
 	ids    idCodec
 
 	smu     sync.RWMutex
@@ -68,10 +79,11 @@ type Relation struct {
 	costGen atomic.Uint64
 }
 
-func newRelation(name string, schema Schema, stores []*store, ids idCodec) *Relation {
+func newRelation(name string, schema Schema, pics Pictures, stores []*store, ids idCodec) *Relation {
 	return &Relation{
 		name:    name,
 		schema:  schema,
+		pics:    pics,
 		stores:  stores,
 		ids:     ids,
 		indexes: make(map[string]*btree.Tree),
@@ -80,32 +92,21 @@ func newRelation(name string, schema Schema, stores []*store, ids idCodec) *Rela
 	}
 }
 
-// New creates an empty relation backed by a fresh heap in p.
-func New(p *pager.Pager, name string, schema Schema) (*Relation, error) {
+// New creates an empty relation backed by a fresh heap in p, resolving
+// loc columns through pics.
+func New(p *pager.Pager, name string, schema Schema, pics Pictures) (*Relation, error) {
 	h, _, err := storage.Create(p)
 	if err != nil {
 		return nil, fmt.Errorf("relation %s: %w", name, err)
 	}
-	return newRelation(name, schema, []*store{{pgr: p, heap: h}}, addrIDs{}), nil
-}
-
-// Open reattaches to a relation whose tuple heap starts at first —
-// the catalog's reopen path. Indexes are not rebuilt here; callers
-// re-create them (BuildIndexes) from the catalog's records.
-func Open(p *pager.Pager, name string, schema Schema, first pager.PageID) (*Relation, error) {
-	h, err := storage.Open(p, first)
-	if err != nil {
-		return nil, fmt.Errorf("relation %s: %w", name, err)
-	}
-	r := newRelation(name, schema, []*store{{pgr: p, heap: h}}, addrIDs{})
-	r.live[0] = int64(h.Len())
-	return r, nil
+	return newRelation(name, schema, pics, []*store{{pgr: p, heap: h}}, addrIDs{}), nil
 }
 
 // NewSharded creates an empty relation sharded across one page file
-// per pager. The pagers must be dedicated to this relation (each heap
-// is created at a fixed page of its own file).
-func NewSharded(pagers []*pager.Pager, name string, schema Schema) (*Relation, error) {
+// per pager, resolving loc columns through pics. The pagers must be
+// dedicated to this relation (each heap is created at a fixed page of
+// its own file).
+func NewSharded(pagers []*pager.Pager, name string, schema Schema, pics Pictures) (*Relation, error) {
 	if len(pagers) == 0 || len(pagers) > MaxShards {
 		return nil, fmt.Errorf("relation %s: shard count %d out of range [1, %d]", name, len(pagers), MaxShards)
 	}
@@ -119,43 +120,56 @@ func NewSharded(pagers []*pager.Pager, name string, schema Schema) (*Relation, e
 	}
 	ids := &seqIDs{}
 	ids.next.Store(seqBase)
-	r := newRelation(name, schema, stores, ids)
-	r.ranges = evenKeyRanges(len(stores))
-	return r, nil
+	return newRelation(name, schema, pics, stores, ids), nil
 }
 
-// OpenSharded reattaches to a sharded relation whose heaps start at
-// firsts[i] in pagers[i] — the catalog's reopen path. ranges gives each
-// shard's persisted Hilbert key range, which need not be the even
-// layout NewSharded produces. The id directory is rebuilt from the
-// heaps (openSeqIDs, which also says what it repairs and what it
-// refuses). Indexes are not rebuilt here, matching Open.
-func OpenSharded(pagers []*pager.Pager, name string, schema Schema, firsts []pager.PageID, ranges []KeyRange) (*Relation, error) {
-	if len(pagers) == 0 || len(pagers) > MaxShards {
-		return nil, fmt.Errorf("relation %s: shard count %d out of range [1, %d]", name, len(pagers), MaxShards)
+// Def is a relation as its catalog records it: where its tuples are and
+// what it is indexed by.
+type Def struct {
+	Name   string
+	Schema Schema
+	// Pagers and Heaps name each store: its page file and its heap's
+	// first page. Sharded says the stores are page files of their own;
+	// otherwise there is one, in the database's main file.
+	Pagers  []*pager.Pager
+	Heaps   []pager.PageID
+	Sharded bool
+	// Columns are the B-tree indexed columns, Attach the pictures with
+	// a spatial index.
+	Columns []string
+	Attach  []PictureSpec
+}
+
+// Open reattaches to the relation def describes — the catalog's reopen
+// path — and rebuilds everything it keeps in memory from one scan of
+// each store's heap (build.go): a sharded relation's id directory, the
+// B-trees, a packed R-tree per attached picture per store, and, in the
+// pictures pics resolves, every object a tuple names.
+func Open(def Def, pics Pictures) (*Relation, BuildTimes, error) {
+	n := len(def.Pagers)
+	if n == 0 || n > MaxShards || len(def.Heaps) != n || (!def.Sharded && n != 1) {
+		return nil, BuildTimes{}, fmt.Errorf("relation %s: %d stores and %d heaps (sharded %v)", def.Name, n, len(def.Heaps), def.Sharded)
 	}
-	if len(firsts) != len(pagers) {
-		return nil, fmt.Errorf("relation %s: %d shard heap pages for %d shards", name, len(firsts), len(pagers))
-	}
-	if len(ranges) != len(pagers) {
-		return nil, fmt.Errorf("relation %s: %d shard key ranges for %d shards", name, len(ranges), len(pagers))
-	}
-	stores := make([]*store, len(pagers))
-	for i, p := range pagers {
-		h, err := storage.Open(p, firsts[i])
+	stores := make([]*store, n)
+	for i, p := range def.Pagers {
+		h, err := storage.Open(p, def.Heaps[i])
 		if err != nil {
-			return nil, fmt.Errorf("relation %s: shard %d: %w", name, i, err)
+			return nil, BuildTimes{}, fmt.Errorf("relation %s: store %d: %w", def.Name, i, err)
 		}
 		stores[i] = &store{pgr: p, heap: h}
 	}
-	r := newRelation(name, schema, stores, nil)
-	ids, err := openSeqIDs(stores, r.live)
-	if err != nil {
-		return nil, fmt.Errorf("relation %s: %w", name, err)
+	var ids idCodec = addrIDs{}
+	if def.Sharded {
+		seq := &seqIDs{}
+		seq.next.Store(seqBase)
+		ids = seq
 	}
-	r.ids = ids
-	r.ranges = append([]KeyRange(nil), ranges...)
-	return r, nil
+	r := newRelation(def.Name, def.Schema, pics, stores, ids)
+	times, err := r.build(def.Columns, def.Attach, true)
+	if err != nil {
+		return nil, times, err
+	}
+	return r, times, nil
 }
 
 // Name returns the relation name.
@@ -240,35 +254,57 @@ func (r *Relation) WaitRepacks() {
 	}
 }
 
-// spatialWrite is one spatial-index update an Insert or Delete gathers
-// under smu and applies after releasing it, under the index's own lock.
-type spatialWrite struct {
-	si   *SpatialIndex
-	rect geom.Rect
-}
-
-// spatialWritesLocked lists, for a tuple of store s, the index and MBR
-// of every attached picture its loc resolves against. Caller holds smu.
-func (r *Relation) spatialWritesLocked(t Tuple, s int) []spatialWrite {
-	var out []spatialWrite
-	for _, sis := range r.spatial {
-		if rect, ok := r.locMBR(t, sis[0].Picture); ok {
-			out = append(out, spatialWrite{sis[s], rect})
-		}
-	}
-	return out
-}
-
 // Insert validates and stores t, updating every index. It returns the
-// tuple's id. Safe beside other writers and readers: the heap write is
-// under the store's lock, the id and B-tree updates under smu, each
-// spatial insert under its index's own lock.
+// tuple's id. Every non-zero loc must name an object of a picture in the
+// relation's catalog (ErrDanglingLoc): the record carries that object.
+// Safe beside other writers and readers: the heap write is under the
+// store's lock, the id and B-tree updates under smu, the spatial insert
+// under its index's own lock.
 func (r *Relation) Insert(t Tuple) (storage.TupleID, error) {
 	if err := r.schema.Validate(t); err != nil {
 		return storage.TupleID{}, err
 	}
-	enc := EncodeTuple(t)
-	s := r.place(t, enc)
+	objs, err := r.resolveLocs(t)
+	if err != nil {
+		return storage.TupleID{}, err
+	}
+	return r.insert(t, objs)
+}
+
+// resolveLocs returns the objects t's non-zero locs name, in column
+// order, through the relation's catalog.
+func (r *Relation) resolveLocs(t Tuple) ([]picture.Object, error) {
+	var objs []picture.Object
+	for i, v := range t {
+		if v.Type != TypeLoc || v.Loc.IsZero() {
+			continue
+		}
+		pic, ok := r.lookupPicture(v.Loc.Picture)
+		if !ok {
+			return nil, fmt.Errorf("relation %s: column %q: %w: no picture %q", r.name, r.schema.Columns[i].Name, ErrDanglingLoc, v.Loc.Picture)
+		}
+		obj, ok := pic.Get(v.Loc.Object)
+		if !ok {
+			return nil, fmt.Errorf("relation %s: column %q: %w: no object %v", r.name, r.schema.Columns[i].Name, ErrDanglingLoc, v.Loc)
+		}
+		objs = append(objs, obj)
+	}
+	return objs, nil
+}
+
+// lookupPicture resolves name through the relation's catalog.
+func (r *Relation) lookupPicture(name string) (*picture.Picture, bool) {
+	if r.pics == nil {
+		return nil, false
+	}
+	return r.pics.Picture(name)
+}
+
+// insert stores t, whose locs name objs (resolveLocs).
+func (r *Relation) insert(t Tuple, objs []picture.Object) (storage.TupleID, error) {
+	enc := appendBody(nil, t, objs)
+	loc, mbr, hasLoc := r.spatialLoc(t, objs)
+	s := r.place(t, loc, mbr, hasLoc)
 	rec, seq := r.ids.frame(enc)
 	st := r.stores[s]
 	st.mu.Lock()
@@ -283,10 +319,10 @@ func (r *Relation) Insert(t Tuple) (storage.TupleID, error) {
 	for col, idx := range r.indexes {
 		idx.Insert(IndexKey(t[r.schema.ColumnIndex(col)]), id)
 	}
-	writes := r.spatialWritesLocked(t, s)
+	si := r.spatialLocked(loc, hasLoc, s)
 	r.smu.Unlock()
-	for _, w := range writes {
-		w.si.insert(w.rect, id)
+	if si != nil {
+		si.insert(mbr, id)
 	}
 	r.costGen.Add(1)
 	return storage.TupleIDFromInt64(id), nil
@@ -296,22 +332,25 @@ func (r *Relation) storeErr(s int, err error) error {
 	return fmt.Errorf("relation %s: store %d: %w", r.name, s, err)
 }
 
-// locMBR resolves t's loc column against pic, returning the object's
-// MBR when the tuple is associated with that picture.
-func (r *Relation) locMBR(t Tuple, pic *picture.Picture) (geom.Rect, bool) {
+// spatialLoc returns t's loc — the first loc column, the one spatial
+// indexes are over — and the MBR of the object it names, the first of
+// objs; ok is false when t has no loc or a zero one.
+func (r *Relation) spatialLoc(t Tuple, objs []picture.Object) (LocRef, geom.Rect, bool) {
 	li := r.schema.LocColumn()
-	if li < 0 {
-		return geom.Rect{}, false
+	if li < 0 || t[li].Loc.IsZero() {
+		return LocRef{}, geom.Rect{}, false
 	}
-	ref := t[li].Loc
-	if ref.Picture != pic.Name() {
-		return geom.Rect{}, false
+	return t[li].Loc, objs[0].MBR(), true
+}
+
+// spatialLocked returns store s's index over the picture loc names, nil
+// when there is no loc or that picture is not attached. Caller holds
+// smu.
+func (r *Relation) spatialLocked(loc LocRef, hasLoc bool, s int) *SpatialIndex {
+	if sis := r.spatial[loc.Picture]; hasLoc && sis != nil {
+		return sis[s]
 	}
-	obj, ok := pic.Get(ref.Object)
-	if !ok {
-		return geom.Rect{}, false
-	}
-	return obj.MBR(), true
+	return nil
 }
 
 // resolve returns where id's record is, ok false when id names no live
@@ -336,12 +375,13 @@ func (r *Relation) payload(id int64, lid storage.TupleID, rec []byte) ([]byte, e
 }
 
 // fetch reads the tuple id names from lid of store s, where it was
-// resolved to. A failed read is classified by resolving id again: gone
-// from the directory means a Delete completed since — it retires the id
-// before it frees the record, and the read is serialized against the
-// free by the store lock — and ok is false; a standing id means the
-// heap is damaged (or, for an address id, that nothing is stored there).
-func (r *Relation) fetch(id int64, s int, lid storage.TupleID, need []bool) (Tuple, bool, error) {
+// resolved to, with locs as in decodeCols. A failed read is classified
+// by resolving id again: gone from the directory means a Delete
+// completed since — it retires the id before it frees the record, and
+// the read is serialized against the free by the store lock — and ok is
+// false; a standing id means the heap is damaged (or, for an address id,
+// that nothing is stored there).
+func (r *Relation) fetch(id int64, s int, lid storage.TupleID, need []bool, locs []locBytes) (Tuple, bool, error) {
 	st := r.stores[s]
 	st.mu.RLock()
 	rec, err := st.heap.Get(lid)
@@ -351,7 +391,7 @@ func (r *Relation) fetch(id int64, s int, lid storage.TupleID, need []bool) (Tup
 	}
 	if err == nil {
 		var t Tuple
-		if t, err = DecodeTupleCols(rec, need); err == nil {
+		if t, err = decodeCols(rec, need, nil, locs); err == nil {
 			return t, true, nil
 		}
 	}
@@ -364,7 +404,7 @@ func (r *Relation) fetch(id int64, s int, lid storage.TupleID, need []bool) (Tup
 // Get returns the tuple stored under id.
 func (r *Relation) Get(id storage.TupleID) (Tuple, error) {
 	if s, lid, ok := r.resolve(id.Int64()); ok {
-		if t, ok, err := r.fetch(id.Int64(), s, lid, nil); ok || err != nil {
+		if t, ok, err := r.fetch(id.Int64(), s, lid, nil, nil); ok || err != nil {
 			return t, err
 		}
 	}
@@ -477,22 +517,36 @@ func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep fun
 // whose heap read misses can therefore always put the miss down to a
 // finished Delete by resolving the id again (fetch), no index entry
 // outlives its id, and a heap address is not handed to a new tuple
-// while entries of the old one remain. A second Delete of the same id
-// loses the race for the directory and reports not-found.
+// while entries of the old one remain. The spatial entry is found by the
+// object the record carries, whatever its picture holds now. A second
+// Delete of the same id loses the race for the directory and reports
+// not-found.
 func (r *Relation) Delete(id storage.TupleID) error {
 	gid := id.Int64()
 	notFound := fmt.Errorf("%w: %v", storage.ErrNotFound, id)
 	s, lid, ok := r.resolve(gid)
+	locs := make([]locBytes, r.schema.Arity())
 	var t Tuple
 	var err error
 	if ok {
-		t, ok, err = r.fetch(gid, s, lid, nil)
+		t, ok, err = r.fetch(gid, s, lid, nil, locs)
 	}
 	if err != nil {
 		return err
 	}
 	if !ok {
 		return notFound
+	}
+	var loc LocRef
+	var mbr geom.Rect
+	li := r.schema.LocColumn()
+	hasLoc := li >= 0 && locs[li].obj != nil
+	if hasLoc {
+		obj, err := picture.DecodeObject(locs[li].obj)
+		if err != nil {
+			return r.storeErr(s, errTuple("loc column %d: %w", li, err))
+		}
+		loc, mbr = t[li].Loc, obj.MBR()
 	}
 	r.smu.Lock()
 	if _, _, ok := r.ids.resolve(gid); !ok {
@@ -504,10 +558,10 @@ func (r *Relation) Delete(id storage.TupleID) error {
 	for col, idx := range r.indexes {
 		idx.Delete(IndexKey(t[r.schema.ColumnIndex(col)]), gid)
 	}
-	writes := r.spatialWritesLocked(t, s)
+	si := r.spatialLocked(loc, hasLoc, s)
 	r.smu.Unlock()
-	for _, w := range writes {
-		w.si.delete(w.rect, gid)
+	if si != nil {
+		si.delete(mbr, gid)
 	}
 	r.costGen.Add(1)
 	st := r.stores[s]
@@ -525,15 +579,20 @@ func (r *Relation) Delete(id storage.TupleID) error {
 // should include spatial information for updating each of the spatial
 // index associated with the updated relation". Records are immutable
 // in the slotted pages, so the update is a delete plus insert; the new
-// storage id is returned.
+// storage id is returned. A t the relation would refuse leaves the old
+// tuple in place.
 func (r *Relation) Update(id storage.TupleID, t Tuple) (storage.TupleID, error) {
 	if err := r.schema.Validate(t); err != nil {
+		return storage.TupleID{}, err
+	}
+	objs, err := r.resolveLocs(t)
+	if err != nil {
 		return storage.TupleID{}, err
 	}
 	if err := r.Delete(id); err != nil {
 		return storage.TupleID{}, err
 	}
-	return r.Insert(t)
+	return r.insert(t, objs)
 }
 
 // Scan calls fn on every tuple in ascending id order; returning false
@@ -556,7 +615,7 @@ func (r *Relation) ScanCols(need []bool, fn func(id storage.TupleID, t Tuple) bo
 	if dir.walk(func(id int64, s int, lid storage.TupleID) bool {
 		var t Tuple
 		var ok bool
-		t, ok, err = r.fetch(id, s, lid, need)
+		t, ok, err = r.fetch(id, s, lid, need, nil)
 		return err == nil && (!ok || fn(storage.TupleIDFromInt64(id), t))
 	}) {
 		return err
@@ -609,7 +668,7 @@ func (r *Relation) ScanCols(need []bool, fn func(id storage.TupleID, t Tuple) bo
 // column's keys are read off the heap in one scan, sorted, and loaded
 // bottom-up. Inserts and deletes maintain it afterwards.
 func (r *Relation) CreateIndex(column string) error {
-	_, err := r.BuildIndexes([]string{column}, nil, nil)
+	_, err := r.BuildIndexes([]string{column}, nil)
 	return err
 }
 
@@ -699,7 +758,7 @@ func (r *Relation) LookupRange(column string, lo, hi *Bound) ([]storage.TupleID,
 // database; subsequent Insert and Delete calls maintain the index
 // dynamically (§3.4).
 func (r *Relation) AttachPicture(pic *picture.Picture, opts pack.Options) error {
-	_, err := r.BuildIndexes(nil, []PictureSpec{{Picture: pic, Opts: opts}}, nil)
+	_, err := r.BuildIndexes(nil, []PictureSpec{{Picture: pic, Opts: opts}})
 	return err
 }
 
@@ -979,11 +1038,11 @@ func (r *Relation) RepackPicture(pictureName string, opts pack.Options) error {
 		return fmt.Errorf("relation %s: no spatial index for picture %q", r.name, pictureName)
 	}
 	b := &indexBuild{r: r, pics: []PictureSpec{{Picture: sis[0].Picture, Opts: opts}}}
-	if err := b.scan(); err != nil {
+	if err := b.scan(false); err != nil {
 		return err
 	}
 	for s, si := range sis {
-		si.rebuild(b.items(0, s), opts)
+		si.rebuild(b.parts[s].items[0], opts)
 	}
 	return nil
 }

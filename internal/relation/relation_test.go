@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -18,16 +19,49 @@ func citySchema() Schema {
 	return MustSchema("city:string", "state:string", "population:int", "loc:loc")
 }
 
+// testPictures is the catalog a relation under test resolves its locs
+// through.
+type testPictures map[string]*picture.Picture
+
+func (c testPictures) Picture(name string) (*picture.Picture, bool) {
+	p, ok := c[name]
+	return p, ok
+}
+
+// catalogOf is a catalog of pics.
+func catalogOf(pics ...*picture.Picture) testPictures {
+	c := make(testPictures)
+	for _, p := range pics {
+		c[p.Name()] = p
+	}
+	return c
+}
+
+// usMap is the picture most tests place cities on.
+func usMap() *picture.Picture { return picture.New("us-map", geom.R(0, 0, 1000, 1000)) }
+
 func newCities(t *testing.T) (*Relation, *picture.Picture) {
 	t.Helper()
 	p := pager.OpenMem(64)
 	t.Cleanup(func() { p.Close() })
-	rel, err := New(p, "cities", citySchema())
+	pic := usMap()
+	rel, err := New(p, "cities", citySchema(), catalogOf(pic))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
 	return rel, pic
+}
+
+// withObjects returns t's body as a stored record carries it: every
+// non-zero loc with a point object of its id.
+func withObjects(t Tuple) []byte {
+	var objs []picture.Object
+	for _, v := range t {
+		if v.Type == TypeLoc && !v.Loc.IsZero() {
+			objs = append(objs, picture.Object{ID: v.Loc.Object, Kind: picture.KindPoint, Label: "o", Point: geom.Pt(1, 2)})
+		}
+	}
+	return appendBody(nil, t, objs)
 }
 
 func addCity(t *testing.T, rel *Relation, pic *picture.Picture, name, state string, pop int64, x, y float64) storage.TupleID {
@@ -87,7 +121,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 		{S("mixed"), I(-99), F(0.5), L("pic", 7)},
 	}
 	for i, tu := range tuples {
-		rec := EncodeTuple(tu)
+		rec := withObjects(tu)
 		got, err := DecodeTuple(rec)
 		if err != nil {
 			t.Fatalf("tuple %d: %v", i, err)
@@ -99,6 +133,40 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 			if !got[j].Eq(tu[j]) {
 				t.Fatalf("tuple %d col %d: %v != %v", i, j, got[j], tu[j])
 			}
+		}
+	}
+	// EncodeTuple is a row's own bytes: a stored body when every loc is
+	// zero, and short of the object a non-zero one must carry.
+	if !bytes.Equal(EncodeTuple(tuples[3]), withObjects(tuples[3])) {
+		t.Fatal("EncodeTuple of a loc-free tuple differs from its stored body")
+	}
+	if _, err := DecodeTuple(EncodeTuple(tuples[4])); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("a non-zero loc without its object decoded: %v", err)
+	}
+}
+
+// A stored body carries the object its loc names after the object id;
+// decodeCols reports where it lies, and a sharded store's record is the
+// same body behind its sequence.
+func TestRecordLayout(t *testing.T) {
+	obj := picture.Object{ID: 7, Kind: picture.KindSegment, Label: "s", Segment: geom.Seg(geom.Pt(0, 0), geom.Pt(3, 4))}
+	tu := Tuple{S("x"), L("map", 7), I(9)}
+	rec := seqRecord(seqBase+5, tu, []picture.Object{obj})
+	seq, body, err := (&seqIDs{}).unframe(storage.TupleID{}, rec)
+	if err != nil || seq != seqBase+5 || !bytes.Equal(body, appendBody(nil, tu, []picture.Object{obj})) {
+		t.Fatalf("unframe = %d, %v", seq, err)
+	}
+	locs := make([]locBytes, 3)
+	got, err := decodeCols(body, nil, nil, locs)
+	if err != nil || !got[1].Eq(tu[1]) || !got[2].Eq(tu[2]) {
+		t.Fatalf("decode = %v, %v", got, err)
+	}
+	if string(locs[1].pic) != "map" || !bytes.Equal(locs[1].obj, picture.EncodeObject(obj)) || locs[0].obj != nil {
+		t.Fatalf("loc bytes %q %x", locs[1].pic, locs[1].obj)
+	}
+	for _, bad := range [][]byte{rec[:7], seqRecord(seqBase-1, tu, []picture.Object{obj})} {
+		if _, _, err := (&seqIDs{}).unframe(storage.TupleID{}, bad); !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("bad prefix %x: %v", bad, err)
 		}
 	}
 }
@@ -328,12 +396,12 @@ func TestMultiPictureAssociation(t *testing.T) {
 	// into one picture or the other; each picture gets its own R-tree.
 	p := pager.OpenMem(64)
 	defer p.Close()
-	rel, err := New(p, "landmarks", MustSchema("name:string", "loc:loc"))
+	picA := picture.New("map-a", geom.R(0, 0, 100, 100))
+	picB := picture.New("map-b", geom.R(0, 0, 100, 100))
+	rel, err := New(p, "landmarks", MustSchema("name:string", "loc:loc"), catalogOf(picA, picB))
 	if err != nil {
 		t.Fatal(err)
 	}
-	picA := picture.New("map-a", geom.R(0, 0, 100, 100))
-	picB := picture.New("map-b", geom.R(0, 0, 100, 100))
 	oa := picA.AddPoint("x", geom.Pt(10, 10))
 	ob := picB.AddPoint("y", geom.Pt(90, 90))
 	rel.Insert(Tuple{S("onA"), L("map-a", oa)})
@@ -443,7 +511,7 @@ func TestLookupRange(t *testing.T) {
 func TestRelationOpen(t *testing.T) {
 	p := pager.OpenMem(64)
 	defer p.Close()
-	rel, err := New(p, "r", MustSchema("name:string", "v:int"))
+	rel, err := New(p, "r", MustSchema("name:string", "v:int"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +522,7 @@ func TestRelationOpen(t *testing.T) {
 	}
 	first := rel.HeapFirstPage()
 
-	re, err := Open(p, "r", rel.Schema(), first)
+	re, _, err := Open(Def{Name: "r", Schema: rel.Schema(), Pagers: []*pager.Pager{p}, Heaps: []pager.PageID{first}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +544,7 @@ func TestRelationOpen(t *testing.T) {
 
 func TestDecodeTupleColsLazy(t *testing.T) {
 	tu := Tuple{S("Washington"), S("DC"), I(700000), F(2.5), L("us-map", 7)}
-	rec := EncodeTuple(tu)
+	rec := withObjects(tu)
 
 	// nil need == full decode.
 	full, err := DecodeTupleCols(rec, nil)
@@ -652,9 +720,12 @@ func TestUpdate(t *testing.T) {
 // on a one-store address-id relation as on a sequence-id one. Each case
 // deletes a tuple and plants an entry for it behind the relation's back.
 func TestCheckResolvesIndexEntries(t *testing.T) {
-	kinds := map[string]func(t *testing.T) *Relation{
-		"unsharded": func(t *testing.T) *Relation { rel, _ := newCities(t); return rel },
-		"sharded3":  func(t *testing.T) *Relation { return newShardedCities(t, 3) },
+	kinds := map[string]func(t *testing.T) (*Relation, *picture.Picture){
+		"unsharded": newCities,
+		"sharded3": func(t *testing.T) (*Relation, *picture.Picture) {
+			pic := usMap()
+			return newShardedCities(t, 3, pic), pic
+		},
 	}
 	plants := map[string]func(rel *Relation, s int, rect geom.Rect, id int64){
 		"spatial": func(rel *Relation, s int, rect geom.Rect, id int64) {
@@ -667,8 +738,7 @@ func TestCheckResolvesIndexEntries(t *testing.T) {
 	for kind, build := range kinds {
 		for what, plant := range plants {
 			t.Run(kind+"/"+what, func(t *testing.T) {
-				rel := build(t)
-				pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
+				rel, pic := build(t)
 				var ids []storage.TupleID
 				for i := 0; i < 40; i++ {
 					ids = append(ids, addCity(t, rel, pic, fmt.Sprintf("c%02d", i), "ST", int64(i), float64(25*i), float64(1000-25*i)))

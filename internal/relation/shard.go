@@ -33,7 +33,7 @@ type KeyRange struct {
 }
 
 // evenKeyRanges divides the Hilbert key space evenly across n shards —
-// the layout NewSharded gives every relation.
+// the layout of every sharded relation.
 func evenKeyRanges(n int) []KeyRange {
 	out := make([]KeyRange, n)
 	for s := range out {
@@ -48,25 +48,11 @@ func shardKeyLo(s, n uint64) uint64 {
 	return (s<<pack.HilbertKeyBits + n - 1) / n
 }
 
-// shardForKey returns the shard whose range contains key. Ranges
-// partition [0, 1<<HilbertKeyBits) but need not be even or in shard
-// order (a catalog may carry the layout of an earlier build's online
-// splits), so the lookup is a scan; a key at or beyond every Hi
-// (possible only for degenerate extents) routes to the shard owning the
-// top of the key space.
-func shardForKey(ranges []KeyRange, key uint64) int {
-	for s, kr := range ranges {
-		if key >= kr.Lo && key < kr.Hi {
-			return s
-		}
-	}
-	top := 0
-	for s, kr := range ranges {
-		if kr.Hi > ranges[top].Hi {
-			top = s
-		}
-	}
-	return top
+// shardForKey returns the shard of n whose even key range contains key
+// (shardKeyLo's inverse); a key beyond the key space (possible only for
+// degenerate extents) routes to the last.
+func shardForKey(n int, key uint64) int {
+	return int(min(key*uint64(n)>>pack.HilbertKeyBits, uint64(n-1)))
 }
 
 // ShardCount returns the number of stores: the shard files of a
@@ -87,12 +73,13 @@ func (r *Relation) ShardHeapFirstPages() []pager.PageID {
 	return out
 }
 
-// ShardKeyRanges returns each shard's half-open Hilbert key range —
-// the handles the catalog persists so an uneven layout routes the same
-// way after reopen (nil for a relation in the main file, which has
-// none).
+// ShardKeyRanges returns each shard's half-open Hilbert key range (nil
+// for a relation in the main file, which has none).
 func (r *Relation) ShardKeyRanges() []KeyRange {
-	return append([]KeyRange(nil), r.ranges...)
+	if !r.Sharded() {
+		return nil
+	}
+	return evenKeyRanges(len(r.stores))
 }
 
 // ShardBalanceInfo is one shard's entry in the balance report.
@@ -110,6 +97,7 @@ func (r *Relation) ShardBalance() ([]ShardBalanceInfo, float64) {
 		return nil, 0
 	}
 	out := make([]ShardBalanceInfo, len(r.stores))
+	ranges := r.ShardKeyRanges()
 	total := int64(0)
 	maxItems := int64(0)
 	r.smu.RLock()
@@ -117,8 +105,8 @@ func (r *Relation) ShardBalance() ([]ShardBalanceInfo, float64) {
 		out[s] = ShardBalanceInfo{
 			Shard: s,
 			Items: r.live[s],
-			KeyLo: r.ranges[s].Lo,
-			KeyHi: r.ranges[s].Hi,
+			KeyLo: ranges[s].Lo,
+			KeyHi: ranges[s].Hi,
 		}
 		total += r.live[s]
 		maxItems = max(maxItems, r.live[s])
@@ -155,29 +143,28 @@ func (r *Relation) CommitShards() error {
 }
 
 // place picks the store a new tuple should land in: the Hilbert key of
-// its loc object's MBR center over the attached picture's extent,
-// looked up in the per-store key ranges. Tuples whose loc does not
-// resolve (no picture attached yet, foreign picture) fall back to a
-// content hash. Placement only affects locality — the id directory, not
-// the placement rule, resolves reads — so attaching a picture after a
-// fallback-placed load is correct, just less clustered.
-func (r *Relation) place(t Tuple, enc []byte) int {
+// the center of its loc object's MBR over the picture's extent, looked
+// up in the per-store key ranges, when the relation has that picture
+// attached. Other tuples (no loc, or a picture not attached yet) fall
+// back to a hash of their own bytes (EncodeTuple). Placement only
+// affects locality — the id directory, not the placement rule, resolves
+// reads — so attaching a picture after a fallback-placed load is
+// correct, just less clustered.
+func (r *Relation) place(t Tuple, loc LocRef, mbr geom.Rect, hasLoc bool) int {
 	n := len(r.stores)
 	if n == 1 {
 		return 0
 	}
-	r.smu.RLock()
-	for _, sis := range r.spatial {
-		pic := sis[0].Picture
-		if rect, ok := r.locMBR(t, pic); ok {
-			s := shardForKey(r.ranges, pack.HilbertKey(pic.Extent(), rect.Center()))
-			r.smu.RUnlock()
-			return s
+	if hasLoc {
+		r.smu.RLock()
+		sis := r.spatial[loc.Picture]
+		r.smu.RUnlock()
+		if sis != nil {
+			return shardForKey(n, pack.HilbertKey(sis[0].Picture.Extent(), mbr.Center()))
 		}
 	}
-	r.smu.RUnlock()
 	h := fnv.New64a()
-	h.Write(enc)
+	h.Write(EncodeTuple(t))
 	return int(h.Sum64() % uint64(n))
 }
 

@@ -8,7 +8,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/pack"
 	"repro/internal/pager"
-	"repro/internal/picture"
 )
 
 // shardBenchFixture builds a repacked relation over nShards page files
@@ -19,10 +18,11 @@ func shardBenchFixture(b *testing.B, nShards, n int) *Relation {
 	b.Helper()
 	var rel *Relation
 	var err error
+	pic := usMap()
 	if nShards == 0 {
 		p := pager.OpenMem(4096)
 		b.Cleanup(func() { p.Close() })
-		rel, err = New(p, "cities", citySchema())
+		rel, err = New(p, "cities", citySchema(), catalogOf(pic))
 	} else {
 		pagers := make([]*pager.Pager, nShards)
 		for i := range pagers {
@@ -33,12 +33,11 @@ func shardBenchFixture(b *testing.B, nShards, n int) *Relation {
 				p.Close()
 			}
 		})
-		rel, err = NewSharded(pagers, "cities", citySchema())
+		rel, err = NewSharded(pagers, "cities", citySchema(), catalogOf(pic))
 	}
 	if err != nil {
 		b.Fatal(err)
 	}
-	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
 	if err := rel.AttachPicture(pic, pack.Options{Method: pack.MethodSTR}); err != nil {
 		b.Fatal(err)
 	}

@@ -21,8 +21,8 @@ import (
 var shardCounts = []int{1, 2, 4, 8}
 
 // newShardedCities builds a sharded cities relation over fresh
-// in-memory pagers.
-func newShardedCities(t *testing.T, shards int) *Relation {
+// in-memory pagers, its locs resolved among pics.
+func newShardedCities(t *testing.T, shards int, pics ...*picture.Picture) *Relation {
 	t.Helper()
 	pagers := make([]*pager.Pager, shards)
 	for i := range pagers {
@@ -33,7 +33,7 @@ func newShardedCities(t *testing.T, shards int) *Relation {
 			p.Close()
 		}
 	})
-	rel, err := NewSharded(pagers, "cities", citySchema())
+	rel, err := NewSharded(pagers, "cities", citySchema(), catalogOf(pics...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func newShardedCities(t *testing.T, shards int) *Relation {
 // aligned across twins: ids[k][i] is the i-th inserted tuple).
 func shardTwins(t *testing.T, n int, seed int64) (map[int]*Relation, map[int][]storage.TupleID, *picture.Picture) {
 	t.Helper()
-	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
+	pic := usMap()
 	rng := rand.New(rand.NewSource(seed))
 	type city struct {
 		name string
@@ -83,13 +83,13 @@ func shardTwins(t *testing.T, n int, seed int64) (map[int]*Relation, map[int][]s
 	// Key 0 is the unsharded oracle.
 	p := pager.OpenMem(512)
 	t.Cleanup(func() { p.Close() })
-	un, err := New(p, "cities", citySchema())
+	un, err := New(p, "cities", citySchema(), catalogOf(pic))
 	if err != nil {
 		t.Fatal(err)
 	}
 	twins[0] = un
 	for _, k := range shardCounts {
-		twins[k] = newShardedCities(t, k)
+		twins[k] = newShardedCities(t, k, pic)
 	}
 	for k, rel := range twins {
 		for _, c := range cities {
@@ -317,11 +317,11 @@ func buildClusteredJoinRel(t *testing.T, pic *picture.Picture, shards int, cente
 		p := pager.OpenMem(64)
 		t.Cleanup(func() { p.Close() })
 		var err error
-		if rel, err = New(p, "r", citySchema()); err != nil {
+		if rel, err = New(p, "r", citySchema(), catalogOf(pic)); err != nil {
 			t.Fatal(err)
 		}
 	} else {
-		rel = newShardedCities(t, shards)
+		rel = newShardedCities(t, shards, pic)
 	}
 	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
 		t.Fatal(err)
@@ -354,7 +354,7 @@ func TestShardedJuxtaposeOracle(t *testing.T) {
 	bTwins, _, _ := shardTwins(t, 130, 11)
 	verifyJuxtaposeOracle(t, "blobs", aTwins, bTwins)
 
-	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
+	pic := usMap()
 	ca := [][2]float64{{120, 150}, {850, 200}, {480, 520}, {200, 840}, {880, 870}}
 	cb := [][2]float64{{120, 150}, {850, 200}, {700, 650}, {350, 300}, {150, 500}}
 	ac, bc := map[int]*Relation{}, map[int]*Relation{}
@@ -467,9 +467,15 @@ func TestShardedScanAndBatch(t *testing.T) {
 	}
 }
 
+// shardDef is what a catalog records of rel, whose stores are pagers.
+func shardDef(rel *Relation, pagers []*pager.Pager) Def {
+	return Def{Name: rel.Name(), Schema: rel.Schema(), Pagers: pagers, Heaps: rel.ShardHeapFirstPages(), Sharded: true}
+}
+
 // TestShardedReopen drops the in-memory Relation and reattaches via
-// OpenSharded over the same pagers: the route table rebuilt from the
-// sequence prefixes must reproduce ids, order, and contents exactly.
+// Open over the same pagers: the route table rebuilt from the sequence
+// prefixes must reproduce ids, order, and contents exactly, and the
+// picture its objects.
 func TestShardedReopen(t *testing.T) {
 	pagers := make([]*pager.Pager, 4)
 	for i := range pagers {
@@ -480,11 +486,11 @@ func TestShardedReopen(t *testing.T) {
 			p.Close()
 		}
 	})
-	rel, err := NewSharded(pagers, "cities", citySchema())
+	pic := usMap()
+	rel, err := NewSharded(pagers, "cities", citySchema(), catalogOf(pic))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
 	rng := rand.New(rand.NewSource(9))
 	var ids []storage.TupleID
 	for i := 0; i < 150; i++ {
@@ -495,12 +501,17 @@ func TestShardedReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	firsts := rel.ShardHeapFirstPages()
-
-	re, err := OpenSharded(pagers, "cities", citySchema(), firsts, rel.ShardKeyRanges())
+	// The objects come back from the tuples: reopen over an empty copy
+	// of the picture.
+	fresh := usMap()
+	re, _, err := Open(shardDef(rel, pagers), catalogOf(fresh))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if fresh.Len() != rel.Len() {
+		t.Fatalf("reopen restored %d objects for %d tuples", fresh.Len(), rel.Len())
+	}
+	pic = fresh
 	if re.Len() != rel.Len() {
 		t.Fatalf("reopened Len=%d, want %d", re.Len(), rel.Len())
 	}
@@ -546,18 +557,16 @@ func TestShardedDuplicateSequenceDetected(t *testing.T) {
 			p.Close()
 		}
 	})
-	rel, err := NewSharded(pagers, "cities", citySchema())
+	pic := usMap()
+	rel, err := NewSharded(pagers, "cities", citySchema(), catalogOf(pic))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
 	addCity(t, rel, pic, "one", "ST", 1, 100, 100)
 
-	// Copy shard A's record (with its sequence prefix) into shard B,
-	// flipping a payload byte so the two copies differ. A byte-identical
-	// duplicate is the legitimate artifact of an interrupted shard split
-	// and is repaired on reopen (TestShardedSplitDuplicateRepaired); a
-	// differing one is real corruption.
+	// Copy shard A's record (with its sequence prefix) into shard B:
+	// whether the copies agree or not, one sequence in two places is
+	// corruption.
 	var rec []byte
 	srcShard := -1
 	for s, sh := range rel.stores {
@@ -573,91 +582,14 @@ func TestShardedDuplicateSequenceDetected(t *testing.T) {
 	if rec == nil {
 		t.Fatal("no record found")
 	}
-	rec[len(rec)-1] ^= 0xff
 	dst := rel.stores[1-srcShard]
 	if _, err := dst.heap.Insert(rec); err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = OpenSharded(pagers, "cities", citySchema(), rel.ShardHeapFirstPages(), rel.ShardKeyRanges())
+	_, _, err = Open(shardDef(rel, pagers), catalogOf(usMap()))
 	if !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("differing duplicate sequence not reported as corruption: %v", err)
-	}
-}
-
-// TestShardedSplitDuplicateRepaired forges the durable artifact of a
-// shard split that crashed after the destination's commit but before
-// the source's deletions: the same sequence byte-identical on two
-// shards. Reopen must repair it — adopt the higher shard's copy, drop
-// the stale source record — and present each tuple exactly once.
-func TestShardedSplitDuplicateRepaired(t *testing.T) {
-	pagers := []*pager.Pager{pager.OpenMem(64), pager.OpenMem(64)}
-	t.Cleanup(func() {
-		for _, p := range pagers {
-			p.Close()
-		}
-	})
-	rel, err := NewSharded(pagers, "cities", citySchema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
-	addCity(t, rel, pic, "one", "ST", 1, 100, 100)
-	addCity(t, rel, pic, "two", "ST", 2, 900, 900)
-	addCity(t, rel, pic, "three", "ST", 3, 500, 500)
-	want := rel.Len()
-
-	// Copy a record verbatim into the other shard — the migration
-	// insert whose matching source delete never became durable. Repair
-	// keeps whichever copy lives on the higher shard, so either
-	// direction exercises it.
-	shards := rel.stores
-	var rec []byte
-	srcShard := -1
-	for s, sh := range shards {
-		sh.heap.Scan(func(_ storage.TupleID, r []byte) bool {
-			rec = append([]byte(nil), r...)
-			srcShard = s
-			return false
-		})
-		if rec != nil {
-			break
-		}
-	}
-	if rec == nil {
-		t.Fatal("no record found")
-	}
-	if _, err := shards[1-srcShard].heap.Insert(rec); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenSharded(pagers, "cities", citySchema(), rel.ShardHeapFirstPages(), rel.ShardKeyRanges())
-	if err != nil {
-		t.Fatalf("byte-identical split duplicate not repaired: %v", err)
-	}
-	if re.Len() != want {
-		t.Fatalf("repaired relation has %d live tuples, want %d", int64(re.Len()), want)
-	}
-	seen := map[string]int{}
-	if err := re.Scan(func(_ storage.TupleID, tu Tuple) bool {
-		seen[tu[0].Str]++
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"one", "two", "three"} {
-		if seen[name] != 1 {
-			t.Fatalf("tuple %q seen %d times after repair", name, seen[name])
-		}
-	}
-	// The stale source record is gone from shard 0's heap: a second
-	// reopen finds no duplicate to repair and the same live count.
-	re2, err := OpenSharded(pagers, "cities", citySchema(), rel.ShardHeapFirstPages(), rel.ShardKeyRanges())
-	if err != nil {
-		t.Fatalf("reopen after repair: %v", err)
-	}
-	if re2.Len() != want {
-		t.Fatalf("second reopen has %d live tuples, want %d", int64(re2.Len()), want)
+		t.Fatalf("duplicate sequence not reported as corruption: %v", err)
 	}
 }
 
@@ -669,8 +601,8 @@ func TestShardedSplitDuplicateRepaired(t *testing.T) {
 // window, strictly below the all-shards sum (a skipped shard saves at
 // least its root visit).
 func TestScatterFanoutPruning(t *testing.T) {
-	rel := newShardedCities(t, 8)
-	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
+	pic := usMap()
+	rel := newShardedCities(t, 8, pic)
 	// Attach before inserting so routing resolves locations through the
 	// picture (Hilbert placement) instead of the hash fallback — tight
 	// per-shard MBRs are what make pruning possible.
@@ -744,20 +676,23 @@ func TestScatterFanoutPruning(t *testing.T) {
 // scanned tuple validates), queries never error, and the final state
 // checks clean.
 func TestShardedConcurrentWritersReaders(t *testing.T) {
-	t.Run("sharded4", func(t *testing.T) { concurrentWritersReaders(t, newShardedCities(t, 4)) })
+	t.Run("sharded4", func(t *testing.T) {
+		pic := usMap()
+		concurrentWritersReaders(t, newShardedCities(t, 4, pic), pic)
+	})
 	t.Run("unsharded", func(t *testing.T) {
 		p := pager.OpenMem(512)
 		t.Cleanup(func() { p.Close() })
-		rel, err := New(p, "cities", citySchema())
+		pic := usMap()
+		rel, err := New(p, "cities", citySchema(), catalogOf(pic))
 		if err != nil {
 			t.Fatal(err)
 		}
-		concurrentWritersReaders(t, rel)
+		concurrentWritersReaders(t, rel, pic)
 	})
 }
 
-func concurrentWritersReaders(t *testing.T, rel *Relation) {
-	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
+func concurrentWritersReaders(t *testing.T, rel *Relation, pic *picture.Picture) {
 	// Seed enough content that readers always see data, then attach so
 	// spatial writes flow through the LSM write sides.
 	var seeded []storage.TupleID
@@ -950,8 +885,8 @@ func concurrentWritersReaders(t *testing.T, rel *Relation) {
 // clustered window must be cheaper than the full merge — only
 // overlapping shards contribute.
 func TestShardedCostSnapshotPrunes(t *testing.T) {
-	rel := newShardedCities(t, 8)
-	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
+	pic := usMap()
+	rel := newShardedCities(t, 8, pic)
 	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -996,26 +931,24 @@ func TestEvenKeyRangesAndShardForKey(t *testing.T) {
 		}
 		// Every key routes to the shard whose range holds it.
 		for s, kr := range ranges {
-			if got := shardForKey(ranges, kr.Lo); got != s {
+			if got := shardForKey(n, kr.Lo); got != s {
 				t.Fatalf("n=%d: key %d -> shard %d, want %d", n, kr.Lo, got, s)
 			}
-			if got := shardForKey(ranges, kr.Hi-1); got != s {
+			if got := shardForKey(n, kr.Hi-1); got != s {
 				t.Fatalf("n=%d: key %d -> shard %d, want %d", n, kr.Hi-1, got, s)
 			}
 		}
 	}
 	// An out-of-range key (degenerate extents can quantize past the
-	// top) lands on the shard owning the top of the space, wherever a
-	// persisted layout put that range.
-	ranges := []KeyRange{{Lo: 0, Hi: 100}, {Lo: 100, Hi: 1 << 32}, {Lo: 50, Hi: 100}}
-	if got := shardForKey(ranges, 1<<32); got != 1 {
-		t.Fatalf("overflow key -> shard %d, want 1", got)
+	// top) lands on the shard owning the top of the space.
+	if got := shardForKey(3, 1<<pack.HilbertKeyBits); got != 2 {
+		t.Fatalf("overflow key -> shard %d, want 2", got)
 	}
 }
 
 func TestShardBalance(t *testing.T) {
-	rel := newShardedCities(t, 4)
-	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
+	pic := usMap()
+	rel := newShardedCities(t, 4, pic)
 	// Attach first so routing uses Hilbert keys.
 	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
 		t.Fatal(err)

@@ -20,11 +20,11 @@ func benchFixture(b *testing.B, nPacked, nDelta int) (*Relation, *SpatialIndex) 
 	b.Helper()
 	p := pager.OpenMem(4096)
 	b.Cleanup(func() { p.Close() })
-	rel, err := New(p, "cities", citySchema())
+	pic := usMap()
+	rel, err := New(p, "cities", citySchema(), catalogOf(pic))
 	if err != nil {
 		b.Fatal(err)
 	}
-	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
 	rng := rand.New(rand.NewSource(1985))
 	for i := 0; i < nPacked; i++ {
 		addBenchCity(b, rel, pic, fmt.Sprintf("p%d", i), rng.Float64()*1000, rng.Float64()*1000)

@@ -23,11 +23,11 @@ func newSpatialFixture(t *testing.T, n int, seed int64) (*Relation, *picture.Pic
 	t.Helper()
 	p := pager.OpenMem(512)
 	t.Cleanup(func() { p.Close() })
-	rel, err := New(p, "cities", citySchema())
+	pic := usMap()
+	rel, err := New(p, "cities", citySchema(), catalogOf(pic))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		addCity(t, rel, pic, randWord(rng), "ST", int64(i), rng.Float64()*1000, rng.Float64()*1000)
@@ -44,7 +44,7 @@ func oracleSearch(t *testing.T, rel *Relation, pic *picture.Picture, window geom
 	t.Helper()
 	var out []storage.TupleID
 	err := rel.Scan(func(id storage.TupleID, tu Tuple) bool {
-		if rect, ok := rel.locMBR(tu, pic); ok && pred(rect, window) {
+		if rect, ok := locMBR(tu, pic); ok && pred(rect, window) {
 			out = append(out, id)
 		}
 		return true
@@ -54,6 +54,17 @@ func oracleSearch(t *testing.T, rel *Relation, pic *picture.Picture, window geom
 	}
 	// Heap scan order is already canonical (page, slot) ascending.
 	return out
+}
+
+// locMBR resolves tu's loc on pic, the oracle's view of where it is.
+func locMBR(tu Tuple, pic *picture.Picture) (geom.Rect, bool) {
+	for _, v := range tu {
+		if v.Type == TypeLoc && v.Loc.Picture == pic.Name() {
+			o, ok := pic.Get(v.Loc.Object)
+			return o.MBR(), ok
+		}
+	}
+	return geom.Rect{}, false
 }
 
 func idsEqual(a, b []storage.TupleID) bool {
@@ -325,11 +336,11 @@ func TestJuxtaposeMergedMatchesOracle(t *testing.T) {
 	p := pager.OpenMem(512)
 	t.Cleanup(func() { p.Close() })
 	mk := func(name string, n int, seed int64) (*Relation, *picture.Picture) {
-		rel, err := New(p, name, citySchema())
+		pic := usMap()
+		rel, err := New(p, name, citySchema(), catalogOf(pic))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pic := picture.New("us-map", geom.R(0, 0, 1000, 1000))
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < n; i++ {
 			addRegion(t, rel, pic, randWord(rng), rng.Float64()*1000, rng.Float64()*1000, 20+rng.Float64()*40)
@@ -363,12 +374,12 @@ func TestJuxtaposeMergedMatchesOracle(t *testing.T) {
 	type pr struct{ a, b storage.TupleID }
 	var want []pr
 	relA.Scan(func(ida storage.TupleID, ta Tuple) bool {
-		ra, ok := relA.locMBR(ta, picA)
+		ra, ok := locMBR(ta, picA)
 		if !ok {
 			return true
 		}
 		relB.Scan(func(idb storage.TupleID, tb Tuple) bool {
-			rb, ok := relB.locMBR(tb, picB)
+			rb, ok := locMBR(tb, picB)
 			if ok && pred(ra, rb) {
 				want = append(want, pr{ida, idb})
 			}

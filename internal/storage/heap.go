@@ -388,7 +388,7 @@ func (h *Heap) Delete(id TupleID) error {
 
 // Free returns every page of the heap to the pager's free list; the
 // heap must not be used afterwards. Used when a heap is replaced
-// wholesale (e.g. superseded catalog snapshots).
+// wholesale (e.g. a superseded heap of catalog definitions).
 func (h *Heap) Free() error {
 	id := h.first
 	for id != pager.InvalidPage {

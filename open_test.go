@@ -1,12 +1,14 @@
 package pictdb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -251,52 +253,38 @@ func memFixture(t *testing.T, mutate func(db *Database)) []byte {
 	return mem.Bytes()
 }
 
-// A picture-object record that does not decode, in the middle of the
-// snapshot, fails Open with ErrCorrupt while relation rebuilds are
-// already under way beside the decode; none of their goroutines
-// outlives the failed Open, at any core count.
+// A tuple whose inline object does not decode — a bad kind byte, in
+// the middle of roads' heap — fails Open with a typed corruption error
+// while the other relation's rebuild runs beside it; none of their
+// goroutines outlives the failed Open, at any core count.
 func TestOpenCorruptObjectRecord(t *testing.T) {
 	image := memFixture(t, func(db *Database) {
-		// Re-write the snapshot record by record into a fresh heap, with
-		// one object record in the middle cut short, and point the
-		// superblock at it.
-		oldID, err := db.readSnapshotPage()
+		roads, _ := db.Relation("roads")
+		heap, err := storage.Open(db.pager, roads.HeapFirstPage())
 		if err != nil {
 			t.Fatal(err)
 		}
-		old, err := storage.Open(db.pager, oldID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		objects := 0
-		if err := scanRecords(old, func(raw []byte) error {
-			if raw[0] == catObject {
-				objects++
-			}
-			return nil
+		var lids []storage.TupleID
+		var recs [][]byte
+		if err := heap.Scan(func(lid storage.TupleID, rec []byte) bool {
+			lids, recs = append(lids, lid), append(recs, bytes.Clone(rec))
+			return true
 		}); err != nil {
 			t.Fatal(err)
 		}
-		fresh, _, err := storage.Create(db.pager)
+		lid, rec := lids[len(lids)/2], recs[len(recs)/2]
+		pg, err := db.pager.Fetch(lid.Page)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen := 0
-		if err := scanRecords(old, func(raw []byte) error {
-			rec := append([]byte(nil), raw...)
-			if raw[0] == catObject {
-				if seen++; seen == objects/2 {
-					rec = rec[:len(rec)-5]
-				}
-			}
-			_, err := fresh.Insert(rec)
-			return err
-		}); err != nil {
-			t.Fatal(err)
+		at := bytes.Index(pg.Data[:], rec)
+		pic := bytes.Index(rec, []byte("roadmap"))
+		if at < 0 || pic < 0 {
+			t.Fatal("record not found on its page")
 		}
-		if err := db.writeSnapshotPage(fresh.FirstPage()); err != nil {
-			t.Fatal(err)
-		}
+		pg.Data[at+pic+len("roadmap")+8] = 99 // the object's kind, after its id
+		pg.MarkDirty()
+		db.pager.Unpin(pg)
 	})
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
@@ -309,17 +297,17 @@ func TestOpenCorruptObjectRecord(t *testing.T) {
 		db, err := OpenWithPager(p)
 		if err == nil {
 			db.Close()
-			t.Fatalf("GOMAXPROCS=%d: a snapshot with a truncated object record opened", procs)
+			t.Fatalf("GOMAXPROCS=%d: a tuple with a corrupt object opened", procs)
 		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("GOMAXPROCS=%d: err = %v, want ErrCorrupt", procs, err)
+		if !IsCorruption(err) || !strings.Contains(err.Error(), "unknown object kind") {
+			t.Fatalf("GOMAXPROCS=%d: err = %v, want a typed corrupt-object error", procs, err)
 		}
 		settleGoroutines(t, base, fmt.Sprintf("GOMAXPROCS=%d, after the failed open", procs))
 	}
 }
 
-// A read error anywhere in the reload — the snapshot, the relation heap
-// scans running beside it — fails Open with the injected I/O error and
+// A read error anywhere in the reload — the definitions, the relation
+// heap scans running beside each other — fails Open with the injected I/O error and
 // leaves no goroutine behind. Every read of a clean open is failed in
 // turn.
 func TestOpenReadFaultSweep(t *testing.T) {

@@ -156,6 +156,12 @@ type Database struct {
 	// spent its time.
 	loadTimes loadTimes
 
+	// defsWritten is the encoding of the definitions the superblock
+	// names, what writeDefinitions compares against; defsMu serializes
+	// it with their rewrite.
+	defsMu      sync.Mutex
+	defsWritten [][]byte
+
 	// wmu serializes Write transactions: concurrent writers take turns
 	// applying their changes while the WAL group-commits their
 	// durability.
@@ -185,6 +191,16 @@ func (db *Database) define(change func(c *catalog) error) error {
 	}
 	db.cat.Store(&next)
 	return nil
+}
+
+// sortedNames returns m's keys in order.
+func sortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // defined returns a copy of m with name defined as v.
@@ -264,11 +280,11 @@ func OpenWithPagerShards(p *pager.Pager, factory func(rel string, shard int, mus
 func openWithPager(p *pager.Pager, path string, poolPages int, factory func(rel string, shard int, mustExist bool) (*pager.Pager, error)) (*Database, error) {
 	db := newDatabase(p)
 	db.path, db.poolPages, db.newShardPager = path, poolPages, factory
-	if err := db.ensureSuperblock(); err != nil {
-		p.Close()
-		return nil, err
+	err := db.ensureSuperblock()
+	if err == nil {
+		err = db.loadCatalog()
 	}
-	if err := db.loadCatalog(); err != nil {
+	if err != nil {
 		// Close without the final commit and checkpoint: a file whose
 		// catalog cannot be read is not ours to rewrite.
 		db.closeShardPagers()
@@ -276,6 +292,7 @@ func openWithPager(p *pager.Pager, path string, poolPages int, factory func(rel 
 		p.Close()
 		return nil, fmt.Errorf("pictdb: loading catalog: %w", err)
 	}
+	db.defsWritten = db.encodeDefinitions()
 	return db, nil
 }
 
@@ -324,13 +341,8 @@ func (db *Database) openShardPager(rel string, shard int, mustExist bool) (*page
 // file, so the catalog never outlives the pages it names). The first
 // error is returned; all pagers are closed regardless.
 func (db *Database) closeShardPagers() error {
-	names := make([]string, 0, len(db.shardPagers))
-	for name := range db.shardPagers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	var first error
-	for _, name := range names {
+	for _, name := range sortedNames(db.shardPagers) {
 		for i, sp := range db.shardPagers[name] {
 			if err := sp.Close(); err != nil && first == nil {
 				first = fmt.Errorf("pictdb: closing relation %q shard %d: %w", name, i, err)
@@ -344,12 +356,7 @@ func (db *Database) closeShardPagers() error {
 // forEachShardPager visits every shard pager in deterministic
 // (relation name, shard) order.
 func (db *Database) forEachShardPager(fn func(rel string, shard int, p *pager.Pager) error) error {
-	names := make([]string, 0, len(db.shardPagers))
-	for name := range db.shardPagers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range sortedNames(db.shardPagers) {
 		for i, sp := range db.shardPagers[name] {
 			if err := fn(name, i, sp); err != nil {
 				return err
@@ -384,13 +391,18 @@ func OpenCheckedParallel(path string, poolPages, par int) (*Database, *CheckRepo
 	return db, report, nil
 }
 
-// Close drains in-flight background spatial repacks, then flushes
-// (with the ordered commit barrier) and closes the underlying storage:
-// shard files first, then the main file, so the surviving catalog only
-// ever names shard pages that were durably closed.
+// Close drains in-flight background spatial repacks, then commits and
+// closes the underlying storage: shard files first, then the main file
+// with the definitions as they stand, so the surviving catalog only ever
+// names shard pages that were durably closed.
 func (db *Database) Close() error {
 	db.WaitRepacks()
 	err := db.closeShardPagers()
+	if !db.pager.ReadOnly() {
+		if derr := db.writeDefinitions(); err == nil {
+			err = derr
+		}
+	}
 	if cerr := db.pager.Close(); err == nil {
 		err = cerr
 	}
@@ -406,35 +418,48 @@ func (db *Database) WaitRepacks() {
 	}
 }
 
-// Commit flushes every dirty page, syncs them, and only then writes
-// and syncs the file header — the explicit durability barrier. Data
-// committed here survives a crash; a crash mid-commit leaves the
-// previous header in effect. With the WAL (file-backed databases),
-// Commit appends to the log with a single group fsync instead; the
-// page file catches up at the next checkpoint. Sharded relations
-// commit first — every shard's WAL fsyncs in parallel — and the main
-// file (which holds the catalog naming those shard pages) commits
-// after them, so a crash between the two phases loses at most the
-// not-yet-acknowledged transaction, never an acked one.
+// Commit is the durability barrier: everything written before it — tuples
+// with the geometry their locs carry, and every definition — survives a
+// crash once it returns. Sharded relations commit first, every shard's
+// WAL fsyncing in parallel; then the definitions are rewritten if they
+// changed (writeDefinitions) and the main file commits: with the WAL
+// (file-backed databases) one group fsync of the log, the page file
+// catching up at the next WAL checkpoint; without it, every dirty page
+// flushed and synced before the file header. A crash between the two
+// phases loses at most the transaction not yet acknowledged, never an
+// acknowledged one.
 func (db *Database) Commit() error {
 	if err := db.commitShards(); err != nil {
 		return err
 	}
+	if err := db.writeDefinitions(); err != nil {
+		return err
+	}
 	return db.pager.Commit()
+}
+
+// Checkpoint is Commit followed by CheckpointWAL: what Commit made
+// durable is folded into the page files and the logs are emptied. It
+// makes nothing durable that Commit did not, and costs what the logs
+// hold, not what the database holds.
+func (db *Database) Checkpoint() error {
+	if db.readOnly {
+		return fmt.Errorf("pictdb: checkpoint: %w", pager.ErrReadOnly)
+	}
+	if err := db.Commit(); err != nil {
+		return err
+	}
+	return db.CheckpointWAL()
 }
 
 // commitShards commits every sharded relation's shard pagers, each
 // relation's shards in parallel.
 func (db *Database) commitShards() error {
 	rels := db.catalog().relations
-	names := make([]string, 0, len(rels))
-	for name, rel := range rels {
-		if rel.Sharded() {
-			names = append(names, name)
+	for _, name := range sortedNames(rels) {
+		if !rels[name].Sharded() {
+			continue
 		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
 		if err := rels[name].CommitShards(); err != nil {
 			return err
 		}
@@ -448,7 +473,10 @@ func (db *Database) commitShards() error {
 // and two writers off one tuple id, DESIGN.md §15), each mutation is
 // bracketed against the WAL capture so a commit batch
 // never contains half of it, and the commit is acknowledged only once
-// its log records are fsynced. Concurrent Write calls group-commit —
+// its log records are fsynced. The commit is Commit's: the tuples fn
+// wrote carry their locs' objects, and every definition made before the
+// Write or in fn (a relation, picture, location, index or attached
+// picture) is durable with them. Concurrent Write calls group-commit —
 // their batches share fsyncs — so total commit throughput rises with
 // writer count instead of serializing one fsync each. When fn returns
 // an error nothing is committed and the error is returned (already
@@ -484,16 +512,23 @@ func (db *Database) Write(fn func() error) error {
 func (db *Database) WALStats() pager.WALStats { return db.pager.WALStats() }
 
 // CheckpointWAL forces the WAL's committed page images into the page
-// file and truncates the log — shard files first, then the main file.
+// file and truncates the log — shard files first, then the main file; a
+// page file without a log (an in-memory database) has nothing to fold.
 // Fails while zero-copy page views are pinned.
 func (db *Database) CheckpointWAL() error {
 	if err := db.forEachShardPager(func(rel string, shard int, p *pager.Pager) error {
+		if !p.WALEnabled() {
+			return nil
+		}
 		if err := p.CheckpointWAL(); err != nil {
 			return fmt.Errorf("pictdb: checkpoint relation %q shard %d: %w", rel, shard, err)
 		}
 		return nil
 	}); err != nil {
 		return err
+	}
+	if !db.pager.WALEnabled() {
+		return nil
 	}
 	return db.pager.CheckpointWAL()
 }
@@ -527,7 +562,7 @@ func (db *Database) CreateRelation(name string, schema Schema) (*Relation, error
 		if _, dup := c.relations[name]; dup {
 			return fmt.Errorf("pictdb: relation %q already exists", name)
 		}
-		if rel, err = relation.New(db.pager, name, schema); err == nil {
+		if rel, err = relation.New(db.pager, name, schema, db); err == nil {
 			c.relations = defined(c.relations, name, rel)
 		}
 		return err
@@ -569,7 +604,7 @@ func (db *Database) CreateShardedRelation(name string, schema Schema, shards int
 			pagers = append(pagers, sp)
 		}
 		var err error
-		if rel, err = relation.NewSharded(pagers, name, schema); err != nil {
+		if rel, err = relation.NewSharded(pagers, name, schema, db); err != nil {
 			return fail(err)
 		}
 		c.relations = defined(c.relations, name, rel)
@@ -579,33 +614,26 @@ func (db *Database) CreateShardedRelation(name string, schema Schema, shards int
 	return rel, err
 }
 
-// openShardedRelation reopens a persisted sharded relation (catalog
-// reload path) and returns it with its shard pagers, which the caller
-// registers. Shard pagers open concurrently, so each shard's WAL
-// recovery — replay through the last durable commit, torn-tail
-// truncation — proceeds in parallel across shard files.
-func (db *Database) openShardedRelation(name string, schema Schema, firsts []pager.PageID, ranges []relation.KeyRange) (*Relation, []*pager.Pager, error) {
-	pagers := make([]*pager.Pager, len(firsts))
-	err := par.Do(len(pagers), len(pagers), func(i int) (err error) {
+// openShardPagers opens the n shard files of a persisted relation
+// (catalog reload path) concurrently, so each shard's WAL recovery —
+// replay through the last durable commit, torn-tail truncation —
+// proceeds in parallel across shard files. On failure the files it did
+// open are closed and nil is returned.
+func (db *Database) openShardPagers(name string, n int) ([]*pager.Pager, error) {
+	pagers := make([]*pager.Pager, n)
+	err := par.Do(n, n, func(i int) (err error) {
 		pagers[i], err = db.openShardPager(name, i, true)
 		return err
 	})
-	fail := func(err error) (*Relation, []*pager.Pager, error) {
+	if err != nil {
 		for _, sp := range pagers {
 			if sp != nil {
 				sp.Close()
 			}
 		}
-		return nil, nil, err
+		return nil, err
 	}
-	if err != nil {
-		return fail(err)
-	}
-	rel, err := relation.OpenSharded(pagers, name, schema, firsts, ranges)
-	if err != nil {
-		return fail(err)
-	}
-	return rel, pagers, nil
+	return pagers, nil
 }
 
 // CreatePicture defines a new picture covering extent.
@@ -628,9 +656,13 @@ func (db *Database) CreatePicture(name string, extent Rect) (*Picture, error) {
 }
 
 // DefineLocation names a constant area usable in at-clauses — the
-// paper's locations "predefined outside the retrieve mapping".
-func (db *Database) DefineLocation(name string, area Rect) {
-	_ = db.define(func(c *catalog) error { // the change cannot fail
+// paper's locations "predefined outside the retrieve mapping". A name
+// already defined is redefined.
+func (db *Database) DefineLocation(name string, area Rect) error {
+	if db.readOnly {
+		return fmt.Errorf("pictdb: define location %q: %w", name, pager.ErrReadOnly)
+	}
+	return db.define(func(c *catalog) error {
 		c.locations = defined(c.locations, name, area)
 		return nil
 	})
@@ -645,13 +677,7 @@ func (db *Database) Relation(name string) (*relation.Relation, bool) {
 // RelationNames returns every relation name in sorted order — the
 // enumeration the checker uses to report per-relation shard balance.
 func (db *Database) RelationNames() []string {
-	rels := db.catalog().relations
-	names := make([]string, 0, len(rels))
-	for n := range rels {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return sortedNames(db.catalog().relations)
 }
 
 // Picture implements psql.Catalog.

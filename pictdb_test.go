@@ -1,11 +1,13 @@
 package pictdb_test
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	pictdb "repro"
+	"repro/internal/pager"
 )
 
 func TestDatabaseLifecycle(t *testing.T) {
@@ -74,12 +76,28 @@ func TestOpenFileBacked(t *testing.T) {
 func TestDefineLocation(t *testing.T) {
 	db := pictdb.New()
 	defer db.Close()
-	db.DefineLocation("zone-a", pictdb.R(0, 0, 10, 10))
+	if err := db.DefineLocation("zone-a", pictdb.R(0, 0, 10, 10)); err != nil {
+		t.Fatal(err)
+	}
 	if r, ok := db.Location("zone-a"); !ok || r.Area() != 100 {
 		t.Fatalf("location = %v %v", r, ok)
 	}
 	if _, ok := db.Location("zone-b"); ok {
 		t.Fatal("undefined location resolved")
+	}
+}
+
+// A read-only database refuses a location as it refuses every other
+// definition: one it took could never reach the file.
+func TestDefineLocationReadOnly(t *testing.T) {
+	db := pictdb.New()
+	defer db.Close()
+	db.SetReadOnly(true)
+	if err := db.DefineLocation("zone-a", pictdb.R(0, 0, 10, 10)); !errors.Is(err, pager.ErrReadOnly) {
+		t.Fatalf("DefineLocation on a read-only database = %v, want ErrReadOnly", err)
+	}
+	if _, ok := db.Location("zone-a"); ok {
+		t.Fatal("a refused location was defined")
 	}
 }
 

@@ -67,13 +67,12 @@ func imageBackends(img pager.ClusterImage) (mains, wals []pager.Backend) {
 }
 
 // TestShardedCrashPointsWithRecovery sweeps every coordinated crash
-// image of a sharded pictorial workload — the one crash matrix whose
-// schema has a loc column. Because shards commit independently, a
-// crash mid-commit may persist the in-flight transaction on some
-// shards and not others — that partial state is legal for un-acked
-// rows. The invariants are: (1) recovery succeeds and Check finds
-// nothing but dangling locs (see below) from every image, (2) every
-// acknowledged row is present with its picture object and answers a
+// image of a sharded pictorial workload. Because shards commit
+// independently, a crash mid-commit may persist the in-flight
+// transaction on some shards and not others — that partial state is
+// legal for un-acked rows. The invariants are: (1) recovery succeeds and
+// Check is clean from every image, (2) every recovered row carries its
+// picture object, and every acknowledged row is present and answers a
 // window over the frame (no acked commit lost), (3) recovered rows are
 // a duplicate-free subset of the rows ever inserted.
 func TestShardedCrashPointsWithRecovery(t *testing.T) {
@@ -135,25 +134,14 @@ func TestShardedCrashPointsWithRecovery(t *testing.T) {
 	if len(images) < 3*shards {
 		t.Fatalf("only %d crash images captured", len(images))
 	}
-	dangling := 0
 	for i, img := range images {
 		mains, wals := imageBackends(img)
 		db2, err := openClusterDB(t, mains, wals, 64)
 		if err != nil {
 			t.Fatalf("image %d: recovery failed: %v", i, err)
 		}
-		// A shard commits a row before any checkpoint carries its
-		// picture object (ROADMAP item 0), so an image between the two
-		// recovers rows with dangling locs. Check reports them; until
-		// the picture is durable with the tuple (item 1 stage A) the
-		// matrix accepts that finding alone, and below only on rows that
-		// were never acknowledged. Whoever lands stage A: drop this
-		// allowance and require report.OK().
-		for _, p := range db2.Check().Problems {
-			if p.Component != "relation:pts:loc" {
-				t.Fatalf("image %d: not Check-clean after recovery: %v", i, p)
-			}
-			dangling++
+		if report := db2.Check(); !report.OK() {
+			t.Fatalf("image %d: not Check-clean after recovery: %v", i, report.Err())
 		}
 		pic2, _ := db2.Picture("map")
 		seen := make(map[int64]bool)
@@ -164,8 +152,8 @@ func TestShardedCrashPointsWithRecovery(t *testing.T) {
 					t.Fatalf("image %d: row %d recovered twice", i, v)
 				}
 				seen[v] = true
-				if _, live := pic2.Get(tup[2].Loc.Object); !live && v < ackedAt[i] {
-					t.Fatalf("image %d: acked row %d lost its picture object", i, v)
+				if _, live := pic2.Get(tup[2].Loc.Object); !live {
+					t.Fatalf("image %d: row %d recovered without its picture object", i, v)
 				}
 				return true
 			})
@@ -201,7 +189,7 @@ func TestShardedCrashPointsWithRecovery(t *testing.T) {
 			t.Fatalf("image %d: close: %v", i, err)
 		}
 	}
-	t.Logf("replayed %d coordinated cluster crash images clean (%d shards, %d with dangling locs on unacknowledged rows)", len(images), shards, dangling)
+	t.Logf("replayed %d coordinated cluster crash images clean (%d shards)", len(images), shards)
 }
 
 // TestShardedCrashTornShardWAL repeats the sweep with a lying medium

@@ -176,8 +176,8 @@ func populateUSWith(db *Database, createRelation func(name string, schema Schema
 
 	// The paper's example predefined location: the Eastern US window
 	// used in §2.2 (scaled to the frame).
-	db.DefineLocation("eastern-us", R(600, 0, 1000, 1000))
-	db.DefineLocation("western-us", R(0, 0, 400, 1000))
-
-	return nil
+	if err := db.DefineLocation("eastern-us", R(600, 0, 1000, 1000)); err != nil {
+		return err
+	}
+	return db.DefineLocation("western-us", R(0, 0, 400, 1000))
 }

@@ -12,6 +12,7 @@ import (
 
 	pictdb "repro"
 	"repro/internal/pager"
+	"repro/internal/storage"
 )
 
 // openPairDB opens the full database stack over a CrashPair's two
@@ -35,13 +36,18 @@ func openPairDB(mainB, walB pager.Backend, pool int) (*pictdb.Database, error) {
 // acknowledged when each image was taken. Every image must recover to
 // a Database.Check-clean state holding AT LEAST every acknowledged
 // checkpoint's rows (no acked commit lost) and EXACTLY some committed
-// row count (no half states).
+// row count (no half states). Then a pictorial relation is defined
+// after the last Checkpoint and written one acknowledged Write at a
+// time, with no Checkpoint after: at every image, every acknowledged
+// tuple of it answers a window over the frame.
 func TestWALCrashPointsWithRecovery(t *testing.T) {
 	pair := pager.NewCrashPair()
-	var ackedRows atomic.Int64
+	var ackedRows, ackedLate atomic.Int64
 	ackedAt := make(map[int]int64)
+	lateAt := make(map[int]int64)
 	pair.OnSync = func(i int, _ pager.CrashImage) {
 		ackedAt[i] = ackedRows.Load() // OnSync is serialized by the pair
+		lateAt[i] = ackedLate.Load()
 	}
 
 	db, err := openPairDB(pair.Main(), pair.WAL(), 64)
@@ -73,6 +79,27 @@ func TestWALCrashPointsWithRecovery(t *testing.T) {
 			}
 		}
 	}
+	pic, err := db.CreatePicture("plan", pictdb.R(0, 0, 100, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	late, err := db.CreateRelation("late", pictdb.MustSchema("name:string", "n:int", "loc:loc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := late.AttachPicture(pic, pictdb.PackOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if err := db.Write(func() error {
+			name := fmt.Sprintf("l%d", i)
+			_, err := late.Insert(pictdb.Tuple{pictdb.S(name), pictdb.I(int64(i)), pictdb.L("plan", pic.AddPoint(name, pictdb.Pt(float64(5+15*i), 40)))})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ackedLate.Store(int64(i + 1))
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +126,14 @@ func TestWALCrashPointsWithRecovery(t *testing.T) {
 		}
 		if int64(rows) < ackedAt[i] {
 			t.Fatalf("image %d: recovered %d rows < %d acknowledged — acked commit lost", i, rows, ackedAt[i])
+		}
+		if lateAt[i] > 0 {
+			answered := windowAnswers(t, db2, `select n from late on plan at loc covered-by {50±50, 50±50}`)
+			for v := int64(0); v < lateAt[i]; v++ {
+				if !answered[v] {
+					t.Fatalf("image %d: acknowledged row %d of the relation defined after the last Checkpoint does not answer (%d rows did)", i, v, len(answered))
+				}
+			}
 		}
 		if err := db2.Close(); err != nil {
 			t.Fatalf("image %d: close: %v", i, err)
@@ -184,102 +219,156 @@ func TestWALCrashPointsTornAppends(t *testing.T) {
 	}
 }
 
-// TestWALCrashDanglingLocRefsReported is the detection half of ROADMAP
-// item 0. A durable Write commits a pictorial tuple's heap page through
-// the WAL, but the picture object it points at lives only in the
-// catalog snapshot Checkpoint rewrites. A crash after five acknowledged
-// writes therefore recovers five rows whose locs dangle and that no
-// spatial query answers. Check must say so rather than report the file
-// clean, and the same writes followed by a Checkpoint must stay clean.
-// (The fix, making the picture durable with the tuple, is item 1.)
-func TestWALCrashDanglingLocRefsReported(t *testing.T) {
-	for _, checkpointed := range []bool{false, true} {
-		pair := pager.NewCrashPair()
-		db, err := openPairDB(pair.Main(), pair.WAL(), 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pic, err := db.CreatePicture("plan", pictdb.R(0, 0, 100, 100))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel, err := db.CreateRelation("pts", pictdb.MustSchema("name:string", "n:int", "loc:loc"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rel.AttachPicture(pic, pictdb.PackOptions{}); err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5; i++ {
-			err := db.Write(func() error {
-				name := fmt.Sprintf("p%d", i)
-				oid := pic.AddPoint(name, pictdb.Pt(float64(10+15*i), 50))
-				_, err := rel.Insert(pictdb.Tuple{pictdb.S(name), pictdb.I(int64(i)), pictdb.L("plan", oid)})
-				return err
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if checkpointed {
-			if err := db.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// The crash: the last image is what the medium held when the
-		// fifth write (or the checkpoint) was acknowledged.
-		images := pair.Images()
-		img := images[len(images)-1]
-		_ = db.Close()
+// windowAnswers runs a statement whose first column is an int and
+// returns the values it answered.
+func windowAnswers(t *testing.T, db *pictdb.Database, src string) map[int64]bool {
+	t.Helper()
+	res, err := db.Query(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answered := make(map[int64]bool)
+	for _, row := range res.Rows {
+		answered[row[0].Int] = true
+	}
+	return answered
+}
 
-		db2, err := openPairDB(pager.NewMemBackend(img.Main), pager.NewMemBackend(img.WAL), 64)
+// pictorialWrites defines picture "plan" and relation pts(name, n, loc)
+// with the picture attached, and inserts rows p0…p(n-1) at
+// (10+15i, 50), each in a Write of its own — no Checkpoint anywhere. It
+// returns the relation, the picture and the rows' ids.
+func pictorialWrites(t *testing.T, db *pictdb.Database, n int) (*pictdb.Relation, *pictdb.Picture, []storage.TupleID) {
+	t.Helper()
+	pic, err := db.CreatePicture("plan", pictdb.R(0, 0, 100, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := db.CreateRelation("pts", pictdb.MustSchema("name:string", "n:int", "loc:loc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]storage.TupleID, n)
+	for i := range ids {
+		err := db.Write(func() (err error) {
+			name := fmt.Sprintf("p%d", i)
+			oid := pic.AddPoint(name, pictdb.Pt(float64(10+15*i), 50))
+			ids[i], err = rel.Insert(pictdb.Tuple{pictdb.S(name), pictdb.I(int64(i)), pictdb.L("plan", oid)})
+			return err
+		})
 		if err != nil {
-			t.Fatalf("checkpointed=%v: recovery failed: %v", checkpointed, err)
-		}
-		rel2, _ := db2.Relation("pts")
-		if rel2.Len() != 5 {
-			t.Fatalf("checkpointed=%v: recovered %d rows, want the 5 acknowledged", checkpointed, rel2.Len())
-		}
-		res, err := db2.Query(`select name from pts on plan at loc covered-by {50±50, 50±50}`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		report := db2.Check()
-		if checkpointed {
-			if !report.OK() || res.Len() != 5 {
-				t.Fatalf("checkpointed: %d spatial answers, Check %v; want 5 and clean", res.Len(), report.Err())
-			}
-		} else {
-			// Today's behaviour, pinned until item 1 stage A: the
-			// geometry is gone. What this PR changes is that Check no
-			// longer calls the file clean.
-			if res.Len() != 0 {
-				t.Fatalf("crash image answers %d spatial rows; the picture is durable now — update ROADMAP item 0 and this test", res.Len())
-			}
-			if len(report.Problems) != 1 || report.Problems[0].Component != "relation:pts:loc" ||
-				!strings.Contains(report.Problems[0].Err.Error(), "5 tuple(s)") {
-				t.Fatalf("Check over 5 dangling locs reported %v", report.Problems)
-			}
-			if !pictdb.IsCorruption(report.Err()) {
-				t.Fatalf("dangling locs reported untyped: %v", report.Err())
-			}
-		}
-		if err := db2.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return rel, pic, ids
 }
 
-// TestWALCrashDefinitionAfterCheckpoint pins the definitions twin of
-// the hole above (ROADMAP item 1). Definitions reach the file only at
-// Checkpoint, so a relation created after the last one exists in memory
-// alone: a crash after five acknowledged Writes into it recovers a file
-// without the relation, five acknowledged rows lost, and Check calls
-// that file clean. (The fix makes a definition a record committed with
-// the writes that need it.)
+// TestWALCrashPictorialWritesKeepGeometry: a durable Write commits a
+// pictorial tuple with the object its loc names inside the record, and
+// the picture and relation definitions with it. A crash after five
+// acknowledged Writes, with no Checkpoint ever taken, recovers five
+// rows that answer a window over the frame, their objects back in the
+// picture, and a clean Check.
+func TestWALCrashPictorialWritesKeepGeometry(t *testing.T) {
+	pair := pager.NewCrashPair()
+	db, err := openPairDB(pair.Main(), pair.WAL(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pictorialWrites(t, db, 5)
+	// The crash: the last image is what the medium held when the fifth
+	// write was acknowledged.
+	images := pair.Images()
+	img := images[len(images)-1]
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := openPairDB(pager.NewMemBackend(img.Main), pager.NewMemBackend(img.WAL), 64)
+	if err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	defer db2.Close()
+	rel2, ok := db2.Relation("pts")
+	if !ok || rel2.Len() != 5 {
+		t.Fatalf("recovered relation %v, want the 5 acknowledged rows", ok)
+	}
+	if got := windowAnswers(t, db2, `select n from pts on plan at loc covered-by {50±50, 50±50}`); len(got) != 5 {
+		t.Fatalf("%d spatial answers, want 5", len(got))
+	}
+	pic2, _ := db2.Picture("plan")
+	if pic2.Len() != 5 {
+		t.Fatalf("picture holds %d objects, want the 5 the rows carry", pic2.Len())
+	}
+	if report := db2.Check(); !report.OK() {
+		t.Fatalf("Check: %v", report.Err())
+	}
+}
+
+// TestWALCrashUnacknowledgedDeleteUndone is the mirror case: a Write
+// that deletes a pictorial tuple, and removes its object from the
+// picture (in memory only), is undone by a crash before its commit. The
+// tuple comes back with its geometry: it answers a window over the
+// frame, its object is in the picture again, and Check is clean.
+func TestWALCrashUnacknowledgedDeleteUndone(t *testing.T) {
+	pair := pager.NewCrashPair()
+	db, err := openPairDB(pair.Main(), pair.WAL(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, pic, ids := pictorialWrites(t, db, 5)
+	acked := len(pair.Images())
+	victim, err := rel.Get(ids[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Write(func() error {
+		if err := rel.Delete(ids[2]); err != nil {
+			return err
+		}
+		pic.Remove(victim[2].Loc.Object)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	images := pair.Images()
+	if len(images) == acked {
+		t.Fatal("the delete's commit captured no image")
+	}
+	// The crash: the medium as it was when the fifth insert was
+	// acknowledged — the delete's commit never reached it.
+	img := images[acked-1]
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := openPairDB(pager.NewMemBackend(img.Main), pager.NewMemBackend(img.WAL), 64)
+	if err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	defer db2.Close()
+	if rel2, ok := db2.Relation("pts"); !ok || rel2.Len() != 5 {
+		t.Fatalf("recovered relation %v, want it with 5 rows", ok)
+	}
+	if got := windowAnswers(t, db2, `select n from pts on plan at loc covered-by {50±50, 50±50}`); !got[2] || len(got) != 5 {
+		t.Fatalf("spatial answers %v, want all 5 with the undeleted row 2", got)
+	}
+	pic2, _ := db2.Picture("plan")
+	if obj, ok := pic2.Get(victim[2].Loc.Object); !ok || obj.Point != pictdb.Pt(40, 50) {
+		t.Fatalf("the undeleted row's object = %+v, %v; want the point at (40, 50)", obj, ok)
+	}
+	if report := db2.Check(); !report.OK() {
+		t.Fatalf("Check: %v", report.Err())
+	}
+}
+
+// TestWALCrashDefinitionAfterCheckpoint: a definition is committed with
+// the writes that need it. A relation created after the last Checkpoint
+// and written with five acknowledged Writes survives a crash after the
+// fifth, with its five rows and a clean Check.
 func TestWALCrashDefinitionAfterCheckpoint(t *testing.T) {
 	pair := pager.NewCrashPair()
 	db, err := openPairDB(pair.Main(), pair.WAL(), 64)
@@ -315,15 +404,12 @@ func TestWALCrashDefinitionAfterCheckpoint(t *testing.T) {
 		t.Fatalf("recovery from image %d of %d failed: %v", len(images)-1, len(images), err)
 	}
 	defer db2.Close()
-	report := db2.Check()
-	if rel2, ok := db2.Relation("late"); ok || !report.OK() {
-		rows := 0
-		if ok {
-			rows = rel2.Len()
-		}
-		t.Fatalf("crash image holds relation %q: %v with %d rows, Check %v; today the definition is lost and Check is clean. "+
-			"If definitions are durable now, flip this test to require all 5 acknowledged rows and a clean Check, and update ROADMAP item 1",
-			"late", ok, rows, report.Err())
+	rel2, ok := db2.Relation("late")
+	if !ok || rel2.Len() != 5 {
+		t.Fatalf("crash image holds relation %q: %v; want it with its 5 acknowledged rows", "late", ok)
+	}
+	if report := db2.Check(); !report.OK() {
+		t.Fatalf("Check: %v", report.Err())
 	}
 }
 
