@@ -49,12 +49,13 @@ benchcheck:
 	$(GO) run ./cmd/pictbench -quick > /dev/null
 
 # Durability suite: injected I/O faults, torn writes, crash-point
-# snapshots, checksum and corruption detection, across the pager and
-# the full database stack, and the typed refusal of old formats (v1
-# pages, a PICTCAT1 catalog — the testdata/ file sets included — left
-# byte-identical).
+# snapshots, checksum and corruption detection, across the pager, the
+# relations' own Check (an index entry naming no tuple, a located tuple
+# its index lost) and the full database stack, and the typed refusal of
+# old formats (v1 pages, a PICTCAT1 catalog — the testdata/ file sets
+# included — left byte-identical).
 faults:
-	$(GO) test -race -run 'Fault|Crash|Torn|Checksum|Corrupt|Truncated|Degrad|UnsupportedFormat|Check' ./internal/pager/ ./cmd/pictdbcheck/ .
+	$(GO) test -race -run 'Fault|Crash|Torn|Checksum|Corrupt|Truncated|Degrad|UnsupportedFormat|Check' ./internal/pager/ ./internal/relation/ ./cmd/pictdbcheck/ .
 
 # Write-ahead-log durability matrix: group-commit batching, live reads
 # beside concurrent group-committing writers, append-region fault

@@ -26,7 +26,7 @@ import (
 //
 // The definitions are a handful of records: named locations, pictures
 // (name and extent), and relations (schema, one heap handle per store,
-// indexed columns, and attached pictures with their pack options).
+// indexed columns, and attached pictures).
 // They are all the catalog holds:
 // a tuple carries the object its loc names, so a picture's objects are
 // data in its relations' heaps. Commit re-encodes the definitions and,
@@ -50,8 +50,10 @@ const superblockID pager.PageID = 1
 
 // Catalog record type tags. A relation record is the same after its
 // tag either way: the name, the store count and each store's heap page,
-// the schema, the indexed columns, the attached pictures with their
-// pack options.
+// the schema, the indexed columns, the attached pictures. Each attached
+// picture's name is followed by two bytes that once chose its packing:
+// every index is Hilbert-packed now, so they are written as
+// (pack.MethodHilbert, 0) and read past whatever they hold.
 const (
 	catLocation = 'L'
 	catPicture  = 'P'
@@ -204,14 +206,7 @@ func encodeRelDef(name string, rel *Relation) []byte {
 	sort.Strings(pics)
 	rec = binary.AppendUvarint(rec, uint64(len(pics)))
 	for _, pn := range pics {
-		opts, _ := rel.SpatialOpts(pn)
-		rec = appendString(rec, pn)
-		rec = append(rec, byte(opts.Method))
-		if opts.TrimToMultiple {
-			rec = append(rec, 1)
-		} else {
-			rec = append(rec, 0)
-		}
+		rec = append(appendString(rec, pn), byte(pack.MethodHilbert), 0)
 	}
 	return rec
 }
@@ -377,12 +372,12 @@ func (db *Database) loadRelation(def decodedRel, out *loadedRel) error {
 		}
 		rd.Pagers = pagers
 	}
-	for _, a := range def.assocs {
-		pic := db.catalog().pictures[a.pic]
+	for _, pn := range def.assocs {
+		pic := db.catalog().pictures[pn]
 		if pic == nil {
-			return errCatalog("relation %q associated with unknown picture %q", def.name, a.pic)
+			return errCatalog("relation %q associated with unknown picture %q", def.name, pn)
 		}
-		rd.Attach = append(rd.Attach, relation.PictureSpec{Picture: pic, Opts: a.opts})
+		rd.Attach = append(rd.Attach, pic)
 	}
 	rel, times, err := relation.Open(rd, db)
 	out.times = times
@@ -433,13 +428,7 @@ type decodedRel struct {
 	heaps   []pager.PageID
 	schema  Schema
 	indexed []string
-	assocs  []assoc
-}
-
-// assoc is a persisted picture association.
-type assoc struct {
-	pic  string
-	opts pack.Options
+	assocs  []string // attached pictures
 }
 
 // decodeRelDef decodes the body of a relation record whose name ended
@@ -503,10 +492,11 @@ func decodeRelDef(rec []byte, name string, pos int) (decodedRel, error) {
 			return def, err
 		}
 		pos = np
+		// The two packing bytes say nothing a reload needs (catRelation).
 		if pos+2 > len(rec) {
 			return def, errCatalog("truncated association options")
 		}
-		def.assocs = append(def.assocs, assoc{pic: pn, opts: pack.Options{Method: pack.Method(rec[pos]), TrimToMultiple: rec[pos+1] == 1}})
+		def.assocs = append(def.assocs, pn)
 		pos += 2
 	}
 	return def, nil

@@ -54,7 +54,7 @@ func buildSmallDB(t *testing.T, path string) {
 	if err := rel.CreateIndex("name"); err != nil {
 		t.Fatal(err)
 	}
-	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackSTR}); err != nil {
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.DefineLocation("north", pictdb.R(0, 50, 100, 100)); err != nil {
@@ -321,7 +321,7 @@ func TestSoakMixedOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackSTR}); err != nil {
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		t.Fatal(err)
 	}
 

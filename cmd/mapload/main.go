@@ -7,7 +7,8 @@
 // (coordinates in the picture frame). Every other column becomes an
 // alphanumeric column: integer-parsable columns become int, float-
 // parsable become float, the rest string. A loc column is appended
-// automatically and the spatial index packed with the selected method.
+// automatically and the spatial index Hilbert-packed, as every
+// relation's is.
 //
 //	name,state,population,x,y
 //	Washington,DC,638333,827,596
@@ -32,7 +33,6 @@ func main() {
 	dbPath := flag.String("db", "pictdb.db", "database file to create or extend")
 	relName := flag.String("relation", "objects", "relation name")
 	picName := flag.String("picture", "map", "picture name")
-	method := flag.String("method", "nn", "packing method: nn, lowx, str, hilbert, nn-area")
 	labelCol := flag.String("label", "", "column used as the display label (default: first string column)")
 	demo := flag.Bool("demo", false, "load the built-in US datasets instead of a CSV")
 	frame := flag.Float64("frame", 1000, "picture frame side length")
@@ -50,7 +50,7 @@ func main() {
 		if flag.NArg() != 1 {
 			fail("usage: mapload [flags] points.csv (or -demo)")
 		}
-		loadCSV(db, flag.Arg(0), *relName, *picName, *labelCol, *method, *frame)
+		loadCSV(db, flag.Arg(0), *relName, *picName, *labelCol, *frame)
 	}
 
 	if err := db.Checkpoint(); err != nil {
@@ -64,23 +64,8 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-func packMethod(name string) pictdb.PackMethod {
-	switch name {
-	case "lowx":
-		return pictdb.PackLowX
-	case "str":
-		return pictdb.PackSTR
-	case "hilbert":
-		return pictdb.PackHilbert
-	case "nn-area":
-		return pictdb.PackNNArea
-	default:
-		return pictdb.PackNN
-	}
-}
-
 // loadCSV builds one relation + picture from a CSV of point features.
-func loadCSV(db *pictdb.Database, path, relName, picName, labelCol, method string, frame float64) {
+func loadCSV(db *pictdb.Database, path, relName, picName, labelCol string, frame float64) {
 	f, err := os.Open(path)
 	if err != nil {
 		fail("%v", err)
@@ -221,10 +206,10 @@ func loadCSV(db *pictdb.Database, path, relName, picName, labelCol, method strin
 			fail("row %d: %v", ln+2, err)
 		}
 	}
-	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: packMethod(method)}); err != nil {
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		fail("%v", err)
 	}
-	fmt.Printf("loaded %d rows into %s on %s (packed: %s)\n", len(rows), relName, picName, method)
+	fmt.Printf("loaded %d rows into %s on %s\n", len(rows), relName, picName)
 }
 
 // loadDemo reproduces BuildUSDatabase's content into the open file.
@@ -249,7 +234,7 @@ func loadDemo(db *pictdb.Database) {
 	if err := rel.CreateIndex("population"); err != nil {
 		fail("%v", err)
 	}
-	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackNN}); err != nil {
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		fail("%v", err)
 	}
 	fmt.Printf("loaded demo: %d cities on us-map\n", rel.Len())

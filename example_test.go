@@ -28,7 +28,7 @@ func ExampleDatabase_Query() {
 		oid := pic.AddPoint(s.name, pictdb.Pt(s.x, s.y))
 		rel.Insert(pictdb.Tuple{pictdb.S(s.name), pictdb.I(s.grade), pictdb.L("plan", oid)})
 	}
-	rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackNN})
+	rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert})
 
 	res, err := db.Query(`
 		select name, grade

@@ -56,7 +56,7 @@ func build(path string) {
 	if err := cities.CreateIndex("population"); err != nil {
 		log.Fatal(err)
 	}
-	if err := cities.AttachPicture(atlas, pictdb.PackOptions{Method: pictdb.PackNN}); err != nil {
+	if err := cities.AttachPicture(atlas, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		log.Fatal(err)
 	}
 	if err := db.DefineLocation("east", pictdb.R(600, 0, 1000, 1000)); err != nil {

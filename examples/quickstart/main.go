@@ -45,9 +45,9 @@ func main() {
 		}
 	}
 
-	// 3. Pack the spatial index (the paper's PACK: the database is
+	// 3. Pack the spatial index (PACK in Hilbert order: the database is
 	// static, so pay a one-time build for tight leaves).
-	if err := wells.AttachPicture(plan, pictdb.PackOptions{Method: pictdb.PackNN}); err != nil {
+	if err := wells.AttachPicture(plan, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		log.Fatal(err)
 	}
 

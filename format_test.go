@@ -15,7 +15,7 @@ import (
 
 // relRecordBody appends a relation record's schema, index and
 // association lists: (name string, loc loc), a B-tree on name, picture
-// "map" packed with method 3.
+// "map" with the packing bytes the encoder writes (Hilbert, 0).
 func relRecordBody(rec []byte) []byte {
 	rec = binary.AppendUvarint(rec, 2) // arity
 	rec = append(appendString(rec, "name"), byte(relation.TypeString))
@@ -124,6 +124,115 @@ func TestUnsupportedFormatRefused(t *testing.T) {
 	writeCatalogFile(t, cat1, catMagicV1, v1ShardedRecord())
 	for _, path := range []string{v1, cat1} {
 		refuseUnchanged(t, path)
+	}
+}
+
+// setPackingBytes rewrites, in the closed database at path, the last
+// two bytes of relation rel's definitions record — the packing bytes of
+// its one attached picture — to method and trim, as an earlier build
+// wrote them.
+func setPackingBytes(t *testing.T, path, rel string, method, trim byte) {
+	t.Helper()
+	p, err := pager.Open(path, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := p.Fetch(superblockID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := pager.PageID(binary.LittleEndian.Uint32(sb.Data[8:12]))
+	p.Unpin(sb)
+	defs, err := storage.Open(p, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var at storage.TupleID
+	var rec []byte
+	if err := defs.Scan(func(id storage.TupleID, raw []byte) bool {
+		if name, _, err := readString(raw, 1); err == nil && raw[0] == catRelation && name == rel {
+			at, rec = id, bytes.Clone(raw)
+		}
+		return rec == nil
+	}); err != nil || rec == nil {
+		t.Fatalf("relation %q record: %v", rel, err)
+	}
+	if rec[len(rec)-2] != byte(PackHilbert) || rec[len(rec)-1] != 0 {
+		t.Fatalf("packing bytes %v, want the encoder's (Hilbert, 0)", rec[len(rec)-2:])
+	}
+	rec[len(rec)-2], rec[len(rec)-1] = method, trim
+	if err := defs.Delete(at); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := defs.Insert(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReopenIgnoresPackingBytes: a definitions record written by an
+// earlier build that packed a picture nearest-neighbour with
+// TrimToMultiple — which left the remainder past a multiple of the
+// fanout out of the index on every reopen — reopens fully indexed: the
+// reload packs every index with Hilbert order and reads past the bytes.
+func TestReopenIgnoresPackingBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.db")
+	db, err := Open(path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pic, err := db.CreatePicture("map", R(0, 0, 100, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := db.CreateRelation("pts", MustSchema("n:int", "loc:loc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 10 // not a multiple of the fanout
+	for i := 0; i < n; i++ {
+		oid := pic.AddPoint("", Pt(float64(5+9*i), float64(95-9*i)))
+		if _, err := rel.Insert(Tuple{I(int64(i)), L("map", oid)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rel.AttachPicture(pic, PackOptions{Method: PackHilbert}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	setPackingBytes(t, path, "pts", byte(PackNN), 1)
+
+	db, err = Open(path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rel, _ = db.Relation("pts")
+	indexed := 0
+	for _, si := range rel.Spatials("map") {
+		indexed += si.Len()
+	}
+	if indexed != n {
+		t.Fatalf("%d of %d located tuples indexed", indexed, n)
+	}
+	const q = `select n from pts on map at loc covered-by {50±50, 50±50}`
+	got, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.QueryNaive(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != n || got.Format() != want.Format() {
+		t.Fatalf("rows:\n%s\nnaive:\n%s", got.Format(), want.Format())
+	}
+	if report := db.Check(); !report.OK() {
+		t.Fatal(report.Err())
 	}
 }
 

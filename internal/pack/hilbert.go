@@ -1,7 +1,7 @@
 package pack
 
 import (
-	"cmp"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -14,7 +14,7 @@ import (
 //
 // Once the bounds are known every key is an independent pure function
 // of one center, so key computation fans out perfectly; one sort of
-// (key, position) remains.
+// (key, position) words remains.
 //
 // The curve mapping itself lives in geom (geom.HilbertKey and
 // friends) so the workload generators can derive curve keys without
@@ -41,6 +41,25 @@ func (g hilbertGrouper) Group(rects []geom.Rect, max int) [][]int {
 	if n == 0 {
 		return nil
 	}
+	// One sort of key<<32 | position words: a key is HilbertKeyBits = 32
+	// bits and a position is below 2^32 (PACK takes fewer than 2^32
+	// items), so word order is (key, position) order — sortByKey's — with
+	// no comparator call.
+	words := hilbertKeys(rects, g.par)
+	for i := range words {
+		words[i] = words[i]<<32 | uint64(i)
+	}
+	slices.Sort(words)
+	order := make([]int, n)
+	for i, w := range words {
+		order[i] = int(uint32(w))
+	}
+	return slices2(order, max)
+}
+
+// hilbertKeys returns the Hilbert key of every rectangle's center on
+// the curve over their bounds.
+func hilbertKeys(rects []geom.Rect, par int) []uint64 {
 	bounds := geom.MBRRects(rects...)
 	side := uint32(1) << geom.HilbertOrder
 	scaleX, scaleY := 0.0, 0.0
@@ -50,8 +69,8 @@ func (g hilbertGrouper) Group(rects []geom.Rect, max int) [][]int {
 	if h := bounds.Height(); h > 0 {
 		scaleY = float64(side-1) / h
 	}
-	keys := make([]uint64, n)
-	parallelFor(n, g.par, func(lo, hi int) {
+	keys := make([]uint64, len(rects))
+	parallelFor(len(rects), par, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c := rects[i].Center()
 			x := uint32((c.X - bounds.Min.X) * scaleX)
@@ -59,7 +78,5 @@ func (g hilbertGrouper) Group(rects []geom.Rect, max int) [][]int {
 			keys[i] = geom.HilbertD(geom.HilbertOrder, x, y)
 		}
 	})
-	order := identityOrder(n)
-	sortByKey(order, keys, cmp.Compare[uint64])
-	return slices2(order, max)
+	return keys
 }

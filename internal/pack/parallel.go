@@ -8,7 +8,8 @@ import (
 )
 
 // This file holds the multi-core machinery behind Options.Parallelism
-// and the one sort every grouper orders its objects with. For any
+// and the sort the groupers order their objects with (Hilbert's sorts
+// packed words instead, to the same order). For any
 // parallelism level the results are identical to the sequential
 // computation, so parallel PACK builds the same tree the paper's
 // single-threaded PACK does (verified by TestParallelPackDeterminism):

@@ -64,6 +64,38 @@ func TestParallelSortStable(t *testing.T) {
 	}
 }
 
+// TestHilbertOrderMatchesSortByKey: the Hilbert grouper's one sort of
+// key<<32|position words gives exactly sortByKey's (key, position)
+// order — on the 200 000 clustered points BenchmarkPackTree packs, on
+// 5 000 centers drawn from a 3×3 grid (nine keys, heavy ties) and on
+// 100 copies of one point (every key 0) — so it packs the trees the
+// comparator sort packed.
+func TestHilbertOrderMatchesSortByKey(t *testing.T) {
+	var clustered []geom.Rect
+	for _, it := range workload.PointItems(workload.ClusteredPoints(200_000, 50, 30, 1985)) {
+		clustered = append(clustered, it.Rect)
+	}
+	rng := rand.New(rand.NewSource(11))
+	grid := make([]geom.Rect, 5000)
+	for i := range grid {
+		grid[i] = geom.Pt(float64(rng.Intn(3)), float64(rng.Intn(3))).Rect()
+	}
+	same := make([]geom.Rect, 100)
+	for i := range same {
+		same[i] = geom.Pt(4, 2).Rect()
+	}
+	for name, rects := range map[string][]geom.Rect{"clustered": clustered, "grid": grid, "one point": same} {
+		want := identityOrder(len(rects))
+		sortByKey(want, hilbertKeys(rects, 1), cmp.Compare[uint64])
+		for _, par := range []int{1, 2} {
+			got := slices.Concat(hilbertGrouper{par: par}.Group(rects, 4)...)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s, par=%d: order differs from sortByKey's", name, par)
+			}
+		}
+	}
+}
+
 // TestParallelPackDeterminism asserts the tentpole guarantee: for every
 // packing method, a parallel build groups identically to the
 // sequential build (TestParallelTreeMatchesSequential checks the trees

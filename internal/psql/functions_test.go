@@ -56,7 +56,7 @@ func fdb(t *testing.T) *pictdb.Database {
 	add("seg", pic.AddSegment("SEG", pictdb.Seg(pictdb.Pt(0, 0), pictdb.Pt(30, 40))))
 	// A right triangle with area 50, perimeter 10+10+~14.14.
 	add("tri", pic.AddRegion("TRI", pictdb.Poly(pictdb.Pt(50, 50), pictdb.Pt(60, 50), pictdb.Pt(50, 60))))
-	if err := rel.AttachPicture(pic, pictdb.PackOptions{}); err != nil {
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		t.Fatal(err)
 	}
 	return db

@@ -19,7 +19,6 @@ import (
 func TestRandomizedSpatialOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1985))
 	ops := []string{"covered-by", "covering", "overlapping", "disjoined"}
-	methods := []pictdb.PackMethod{pictdb.PackNN, pictdb.PackLowX, pictdb.PackSTR, pictdb.PackHilbert}
 
 	for trial := 0; trial < 8; trial++ {
 		db := pictdb.New()
@@ -58,7 +57,7 @@ func TestRandomizedSpatialOracle(t *testing.T) {
 			}
 			mbrs[int64(i)] = obj.MBR()
 		}
-		if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: methods[trial%len(methods)]}); err != nil {
+		if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 			t.Fatal(err)
 		}
 
@@ -177,7 +176,7 @@ func ptsAndRects(t *testing.T, rng *rand.Rand, np, nr, kinds int, indexKind bool
 	if err := pts.AttachPicture(pmap, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rects.AttachPicture(rmap, pictdb.PackOptions{}); err != nil {
+	if err := rects.AttachPicture(rmap, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		t.Fatal(err)
 	}
 	return db, pmbr, rmbr, kind
@@ -346,8 +345,8 @@ func evaluationOrderDB(t *testing.T, stores, parallelism int) *pictdb.Database {
 		}
 	}
 	// Half the points packed, half in the write side.
-	if err := pts.RepackPicture("m", pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
-		t.Fatal(err)
+	for _, si := range pts.Spatials("m") {
+		si.RepackNow(false)
 	}
 	for i := 600; i < 900; i++ {
 		oid := m.AddPoint("", pictdb.Pt(rng.Float64()*1000, rng.Float64()*1000))
@@ -367,7 +366,7 @@ func evaluationOrderDB(t *testing.T, stores, parallelism int) *pictdb.Database {
 			t.Fatal(err)
 		}
 	}
-	if err := zones.AttachPicture(zm, pictdb.PackOptions{}); err != nil {
+	if err := zones.AttachPicture(zm, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		t.Fatal(err)
 	}
 	db.RegisterFunc("height", func(c *psql.FuncContext) (psql.Datum, error) {

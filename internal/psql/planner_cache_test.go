@@ -159,7 +159,7 @@ func TestPlannedMatchesNaiveRandomized(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := rel.AttachPicture(pic, pictdb.PackOptions{}); err != nil {
+		if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 			t.Fatal(err)
 		}
 		for q := 0; q < 8; q++ {
@@ -561,17 +561,17 @@ func TestBoundStatementRevalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pts.AttachPicture(m2, pictdb.PackOptions{}); err != nil {
+	if err := pts.AttachPicture(m2, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		t.Fatal(err)
 	}
 	check("after AttachPicture of a second picture")
 
 	before1 := plans[texts[1]]
-	if err := pts.RepackPicture("m", pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
-		t.Fatal(err)
+	for _, si := range pts.Spatials("m") {
+		si.RepackNow(false)
 	}
-	check("after RepackPicture")
-	moved("RepackPicture", 1, before1)
+	check("after an explicit repack")
+	moved("an explicit repack", 1, before1)
 
 	before1 = plans[texts[1]]
 	id := add(9000, 510, 490, 7)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/btree"
-	"repro/internal/pack"
 	"repro/internal/par"
 	"repro/internal/picture"
 	"repro/internal/rtree"
@@ -16,27 +15,20 @@ import (
 )
 
 // This file is the one routine that derives a relation's in-memory
-// state from its heaps. Open, CreateIndex, AttachPicture and
-// RepackPicture all run it: one scan of every store's heap, side by
-// side, collects each B-tree's (key, id) run and each attached picture's
-// (MBR, id) items, the MBR being that of the object the tuple's loc
-// carries. On Open the same scan also counts every record, keeps the
-// sequences a sharded relation's route table is rebuilt from, and
-// collects every object a tuple carries. Then every index is its own
-// task on up to GOMAXPROCS goroutines — a run is sorted and bulk-loaded,
-// a list packed — and on Open each store's objects are restored into
+// state from its heaps. Open, CreateIndex and AttachPicture all run it:
+// one scan of every store's heap, side by side, collects each B-tree's
+// (key, id) run and each attached picture's (MBR, id) items, the MBR
+// being that of the object the tuple's loc carries. On Open the same
+// scan also counts every record, keeps the sequences a sharded
+// relation's route table is rebuilt from, and collects every object a
+// tuple carries. Then every index is its own task on up to GOMAXPROCS
+// goroutines — a run is sorted and bulk-loaded, a list Hilbert-packed
+// (packTree) — and on Open each store's objects are restored into
 // their pictures beside them. On one core the tasks run one after
 // another, B-trees first.
 
 // nowFn is the clock the build phases are timed with; tests replace it.
 var nowFn = time.Now
-
-// PictureSpec names a picture to attach and the options to pack its
-// index with.
-type PictureSpec struct {
-	Picture *picture.Picture
-	Opts    pack.Options
-}
 
 // BuildTimes is where an index build spent its time, summed over its
 // tasks: goroutine time, not elapsed time, once tasks overlap.
@@ -79,7 +71,7 @@ type scanPart struct {
 type indexBuild struct {
 	r       *Relation
 	columns []string
-	pics    []PictureSpec
+	pics    []*picture.Picture
 	parts   []*scanPart
 }
 
@@ -88,14 +80,14 @@ type indexBuild struct {
 // every index was built. An index covers the tuples its scan saw: a
 // caller who needs it complete keeps writers out until BuildIndexes
 // returns.
-func (r *Relation) BuildIndexes(columns []string, pics []PictureSpec) (BuildTimes, error) {
+func (r *Relation) BuildIndexes(columns []string, pics []*picture.Picture) (BuildTimes, error) {
 	return r.build(columns, pics, false)
 }
 
 // build is BuildIndexes; with open set it is Open's reload of a relation
 // whose directory is still empty: every record counts, and the ids the
 // records carry become the directory (adoptRoutes).
-func (r *Relation) build(columns []string, pics []PictureSpec, open bool) (BuildTimes, error) {
+func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (BuildTimes, error) {
 	var times BuildTimes
 	for i, col := range columns {
 		ci := r.schema.ColumnIndex(col)
@@ -112,11 +104,11 @@ func (r *Relation) build(columns []string, pics []PictureSpec, open bool) (Build
 	if len(pics) > 0 && r.schema.LocColumn() < 0 {
 		return times, fmt.Errorf("relation %s: schema has no loc column", r.name)
 	}
-	for i, ps := range pics {
-		name := ps.Picture.Name()
+	for i, pic := range pics {
+		name := pic.Name()
 		dup := r.HasSpatial(name)
 		for _, prev := range pics[:i] {
-			dup = dup || prev.Picture.Name() == name
+			dup = dup || prev.Name() == name
 		}
 		if dup {
 			return times, fmt.Errorf("relation %s: picture %q already attached", r.name, name)
@@ -151,14 +143,14 @@ func (r *Relation) build(columns []string, pics []PictureSpec, open bool) (Build
 			return BuildTimes{BTree: nowFn().Sub(t0)}, nil
 		})
 	}
-	for p, ps := range pics {
+	for p, pic := range pics {
 		sis[p] = make([]*SpatialIndex, len(b.parts))
 		for s := range sis[p] {
 			tasks = append(tasks, func() (BuildTimes, error) {
 				t0 := nowFn()
-				tree := pack.Tree(rtree.DefaultParams(), b.parts[s].items[p], ps.Opts)
+				tree := packTree(b.parts[s].items[p])
 				t1 := nowFn()
-				sis[p][s] = newSpatialIndex(ps.Picture, tree, ps.Opts)
+				sis[p][s] = newSpatialIndex(pic, tree)
 				return BuildTimes{Pack: t1.Sub(t0), Metrics: nowFn().Sub(t1)}, nil
 			})
 		}
@@ -191,11 +183,11 @@ func (r *Relation) build(columns []string, pics []PictureSpec, open bool) (Build
 	for c, col := range columns {
 		r.indexes[col] = trees[c]
 	}
-	for p, ps := range pics {
+	for p, pic := range pics {
 		for _, si := range sis[p] {
 			si.costGen = &r.costGen
 		}
-		r.spatial[ps.Picture.Name()] = sis[p]
+		r.spatial[pic.Name()] = sis[p]
 	}
 	r.gen.Add(1)
 	r.costGen.Add(1)
@@ -297,8 +289,8 @@ func (b *indexBuild) scanStore(s int, dir idCodec) error {
 				}
 				*batch = append(*batch, obj)
 			}
-			for pi, ps := range b.pics {
-				if i == li && string(lb.pic) == ps.Picture.Name() {
+			for pi, pic := range b.pics {
+				if i == li && string(lb.pic) == pic.Name() {
 					p.items[pi] = append(p.items[pi], rtree.Item{Rect: obj.MBR(), Data: id})
 				}
 			}

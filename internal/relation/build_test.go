@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/btree"
 	"repro/internal/geom"
-	"repro/internal/pack"
 	"repro/internal/pager"
 	"repro/internal/picture"
 	"repro/internal/rtree"
@@ -81,9 +80,7 @@ func TestBuildIndexesMatchesSeparateCalls(t *testing.T) {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			one, picsOne := buildFixture(t, shards, 600)
 			sep, picsSep := buildFixture(t, shards, 600)
-			opts := pack.Options{Method: pack.MethodHilbert}
-			times, err := one.BuildIndexes([]string{"state", "population"},
-				[]PictureSpec{{picsOne[0], opts}, {picsOne[1], pack.Options{}}})
+			times, err := one.BuildIndexes([]string{"state", "population"}, picsOne[:])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,10 +92,10 @@ func TestBuildIndexesMatchesSeparateCalls(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := sep.AttachPicture(picsSep[0], opts); err != nil {
+			if err := sep.AttachPicture(picsSep[0], hilbertPack); err != nil {
 				t.Fatal(err)
 			}
-			if err := sep.AttachPicture(picsSep[1], pack.Options{}); err != nil {
+			if err := sep.AttachPicture(picsSep[1], hilbertPack); err != nil {
 				t.Fatal(err)
 			}
 			for _, col := range []string{"state", "population"} {
@@ -143,8 +140,7 @@ func TestBuildIndexesMatchesSeparateCalls(t *testing.T) {
 // the tuples carry.
 func TestBuildIndexesShardItemOrder(t *testing.T) {
 	rel, pics := buildFixture(t, 4, 900)
-	opts := pack.Options{Method: pack.MethodHilbert}
-	if err := rel.AttachPicture(pics[0], opts); err != nil {
+	if err := rel.AttachPicture(pics[0], hilbertPack); err != nil {
 		t.Fatal(err)
 	}
 	want := make([][]rtree.Item, 4)
@@ -168,19 +164,9 @@ func TestBuildIndexesShardItemOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s, si := range rel.Spatials("us-map") {
-		ref := pack.Tree(rtree.DefaultParams(), want[s], opts)
+		ref := packTree(want[s])
 		if !reflect.DeepEqual(si.PackedTree().Items(), ref.Items()) {
 			t.Fatalf("shard %d: tree differs from one packed in sequence order", s)
-		}
-	}
-	// RepackPicture takes the same path.
-	if err := rel.RepackPicture("us-map", opts); err != nil {
-		t.Fatal(err)
-	}
-	for s, si := range rel.Spatials("us-map") {
-		ref := pack.Tree(rtree.DefaultParams(), want[s], opts)
-		if !reflect.DeepEqual(si.PackedTree().Items(), ref.Items()) {
-			t.Fatalf("shard %d after RepackPicture: tree differs", s)
 		}
 	}
 }
@@ -190,7 +176,7 @@ func TestBuildIndexesRejects(t *testing.T) {
 	if err := rel.CreateIndex("state"); err != nil {
 		t.Fatal(err)
 	}
-	if err := rel.AttachPicture(pics[1], pack.Options{}); err != nil {
+	if err := rel.AttachPicture(pics[1], hilbertPack); err != nil {
 		t.Fatal(err)
 	}
 	for name, call := range map[string]func() error{
@@ -198,9 +184,9 @@ func TestBuildIndexesRejects(t *testing.T) {
 		"loc column":       func() error { _, err := rel.BuildIndexes([]string{"loc"}, nil); return err },
 		"indexed column":   func() error { _, err := rel.BuildIndexes([]string{"state"}, nil); return err },
 		"column twice":     func() error { _, err := rel.BuildIndexes([]string{"city", "city"}, nil); return err },
-		"attached picture": func() error { _, err := rel.BuildIndexes(nil, []PictureSpec{{Picture: pics[1]}}); return err },
+		"attached picture": func() error { _, err := rel.BuildIndexes(nil, pics[1:]); return err },
 		"picture twice": func() error {
-			_, err := rel.BuildIndexes(nil, []PictureSpec{{Picture: pics[0]}, {Picture: pics[0]}})
+			_, err := rel.BuildIndexes(nil, []*picture.Picture{pics[0], pics[0]})
 			return err
 		},
 		"bad beside good": func() error { _, err := rel.BuildIndexes([]string{"city", "nope"}, nil); return err },
@@ -218,7 +204,7 @@ func TestBuildIndexesRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := flat.AttachPicture(pics[0], pack.Options{}); err == nil {
+	if err := flat.AttachPicture(pics[0], hilbertPack); err == nil {
 		t.Fatal("picture attached to a schema without a loc column")
 	}
 }
@@ -233,7 +219,7 @@ func TestBuildTimesClockSeam(t *testing.T) {
 	nowFn = func() time.Time { return epoch.Add(time.Duration(ticks.Add(1)) * time.Millisecond) }
 	defer func() { nowFn = time.Now }()
 	rel, pics := buildFixture(t, 0, 100)
-	times, err := rel.BuildIndexes([]string{"state", "city"}, []PictureSpec{{Picture: pics[0]}})
+	times, err := rel.BuildIndexes([]string{"state", "city"}, pics[:1])
 	if err != nil {
 		t.Fatal(err)
 	}

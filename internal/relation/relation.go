@@ -73,7 +73,7 @@ type Relation struct {
 	// (BuildIndexes: CreateIndex, AttachPicture); costGen the changes to
 	// anything a plan is priced from — the tuple count, a spatial
 	// index's write side or packed tree (every Insert and Delete, every
-	// freeze, repack swap and rebuild). A statement bound or priced at
+	// freeze and repack swap). A statement bound or priced at
 	// one value is still good while the value stands.
 	gen     atomic.Uint64
 	costGen atomic.Uint64
@@ -137,7 +137,7 @@ type Def struct {
 	// Columns are the B-tree indexed columns, Attach the pictures with
 	// a spatial index.
 	Columns []string
-	Attach  []PictureSpec
+	Attach  []*picture.Picture
 }
 
 // Open reattaches to the relation def describes — the catalog's reopen
@@ -752,13 +752,19 @@ func (r *Relation) LookupRange(column string, lo, hi *Bound) ([]storage.TupleID,
 	return out, true
 }
 
-// AttachPicture associates the relation with pic and builds a packed
-// R-tree over the loc column using the given packing options (one tree
-// per store). This is the paper's initial PACK of a static
-// database; subsequent Insert and Delete calls maintain the index
-// dynamically (§3.4).
+// AttachPicture associates the relation with pic and builds a
+// Hilbert-packed R-tree over the loc column (one tree per store). This
+// is the paper's initial PACK of a static database; subsequent Insert
+// and Delete calls maintain the index dynamically (§3.4), and every
+// reload and repack packs it the same way. opts must be
+// {Method: pack.MethodHilbert}; any other value is refused and nothing
+// is attached. The parameter stays only because the benchmark harness
+// compiles against it.
 func (r *Relation) AttachPicture(pic *picture.Picture, opts pack.Options) error {
-	_, err := r.BuildIndexes(nil, []PictureSpec{{Picture: pic, Opts: opts}})
+	if opts != hilbertPack {
+		return fmt.Errorf("relation %s: picture %q: spatial indexes are Hilbert-packed, not %+v", r.name, pic.Name(), opts)
+	}
+	_, err := r.BuildIndexes(nil, []*picture.Picture{pic})
 	return err
 }
 
@@ -923,8 +929,9 @@ func (r *Relation) JuxtaposeSpatial(picA string, s *Relation, picB string, pred 
 // record's agreement with the id directory, every tuple's decodability
 // and schema conformance, the structural invariants of each B-tree and
 // spatial index, and that every index entry — B-tree or spatial —
-// resolves to a live tuple, a spatial one to a tuple of its own store.
-// It returns the first problem found.
+// resolves to a live tuple, a spatial one to a tuple of its own store,
+// and that a store's index on a picture holds as many entries as the
+// store has tuples located on it. It returns the first problem found.
 func (r *Relation) Check() error { return r.CheckShards(0) }
 
 // CheckShards is Check with the stores verified on up to workers
@@ -973,11 +980,14 @@ func (r *Relation) CheckShards(workers int) error {
 // checkStore validates store s — heap structure, every record against
 // the directory snapshot dir, tuple decodability and schema conformance,
 // the count of live records against want, and the store's spatial
-// indexes (structure, plus every entry naming a live tuple of this
-// store). It returns the store's live ids in ascending order.
+// indexes (structure, every entry naming a live tuple of this store, and
+// one entry per tuple whose loc names the index's picture). It returns
+// the store's live ids in ascending order.
 func (r *Relation) checkStore(s int, dir idCodec, want int64, spatial map[string][]*SpatialIndex) ([]int64, error) {
 	st := r.stores[s]
 	var ids []int64
+	li := r.schema.LocColumn()
+	located := make(map[string]int) // live tuples per picture their loc names
 	var scanErr error
 	st.mu.RLock()
 	err := st.heap.Check()
@@ -999,6 +1009,9 @@ func (r *Relation) checkStore(s int, dir idCodec, want int64, spatial map[string
 				return false
 			}
 			ids = append(ids, id)
+			if li >= 0 && t[li].Loc.Object != 0 {
+				located[t[li].Loc.Picture]++
+			}
 			return true
 		})
 	}
@@ -1023,26 +1036,9 @@ func (r *Relation) checkStore(s int, dir idCodec, want int64, spatial map[string
 				return nil, fmt.Errorf("spatial index %q: entry %v: %w", pic, storage.TupleIDFromInt64(it.Data), storage.ErrNotFound)
 			}
 		}
+		if len(items) != located[pic] {
+			return nil, fmt.Errorf("spatial index %q: %w: %d entries, %d live tuples located on the picture", pic, storage.ErrCorrupt, len(items), located[pic])
+		}
 	}
 	return ids, nil
-}
-
-// RepackPicture rebuilds the spatial index for the named picture from
-// the current tuples — the paper's §3.4 periodic reorganization of a
-// drifted index. The index objects are rebuilt in place (SpatialIndex
-// pointers stay valid): each new tree is packed from the heap scan with
-// opts, and the delta, tombstones, and pending counters are cleared.
-func (r *Relation) RepackPicture(pictureName string, opts pack.Options) error {
-	sis := r.spatialList(pictureName)
-	if sis == nil {
-		return fmt.Errorf("relation %s: no spatial index for picture %q", r.name, pictureName)
-	}
-	b := &indexBuild{r: r, pics: []PictureSpec{{Picture: sis[0].Picture, Opts: opts}}}
-	if err := b.scan(false); err != nil {
-		return err
-	}
-	for s, si := range sis {
-		si.rebuild(b.parts[s].items[0], opts)
-	}
-	return nil
 }

@@ -64,6 +64,14 @@ func withObjects(t Tuple) []byte {
 	return appendBody(nil, t, objs)
 }
 
+// repack folds every store's write side on the named picture into a
+// fresh pack, as a background repack would.
+func repack(rel *Relation, pictureName string) {
+	for _, si := range rel.Spatials(pictureName) {
+		si.RepackNow(false)
+	}
+}
+
 func addCity(t *testing.T, rel *Relation, pic *picture.Picture, name, state string, pop int64, x, y float64) storage.TupleID {
 	t.Helper()
 	oid := pic.AddPoint(name, geom.Pt(x, y))
@@ -341,7 +349,7 @@ func TestAttachPictureAndSearchArea(t *testing.T) {
 	addCity(t, rel, pic, "East1", "AA", 1, 900, 500)
 	addCity(t, rel, pic, "East2", "AA", 2, 850, 400)
 	addCity(t, rel, pic, "West1", "BB", 3, 100, 500)
-	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
 	if rel.Spatial("us-map") == nil {
@@ -362,14 +370,14 @@ func TestAttachPictureAndSearchArea(t *testing.T) {
 		t.Fatal("search on missing picture succeeded")
 	}
 	// Double attach fails.
-	if err := rel.AttachPicture(pic, pack.Options{}); err == nil {
+	if err := rel.AttachPicture(pic, hilbertPack); err == nil {
 		t.Fatal("double attach accepted")
 	}
 }
 
 func TestSpatialIndexMaintainedByInsertDelete(t *testing.T) {
 	rel, pic := newCities(t)
-	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
 	// Insert after attach: the paper's §3.4 dynamic maintenance.
@@ -406,10 +414,10 @@ func TestMultiPictureAssociation(t *testing.T) {
 	ob := picB.AddPoint("y", geom.Pt(90, 90))
 	rel.Insert(Tuple{S("onA"), L("map-a", oa)})
 	rel.Insert(Tuple{S("onB"), L("map-b", ob)})
-	if err := rel.AttachPicture(picA, pack.Options{}); err != nil {
+	if err := rel.AttachPicture(picA, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
-	if err := rel.AttachPicture(picB, pack.Options{}); err != nil {
+	if err := rel.AttachPicture(picB, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
 	if len(rel.Pictures()) != 2 {
@@ -422,35 +430,38 @@ func TestMultiPictureAssociation(t *testing.T) {
 	}
 }
 
-func TestRepackPicture(t *testing.T) {
+// TestAttachPictureRefusesOtherPacking: a relation's index is packed
+// one way. Any options but {Method: MethodHilbert} are refused, the
+// relation stays unindexed on the picture, and the Hilbert attach that
+// follows indexes every tuple — TrimToMultiple, which dropped the
+// remainder past a multiple of the fanout, among the refused.
+func TestAttachPictureRefusesOtherPacking(t *testing.T) {
 	rel, pic := newCities(t)
-	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+	for i := 0; i < 10; i++ {
+		addCity(t, rel, pic, fmt.Sprintf("c%d", i), "ST", int64(i), float64(10*i), float64(10*i))
+	}
+	for _, opts := range []pack.Options{
+		{},
+		{Method: pack.MethodSTR},
+		{Method: pack.MethodHilbert, TrimToMultiple: true},
+		{Method: pack.MethodHilbert, Parallelism: 1},
+	} {
+		if err := rel.AttachPicture(pic, opts); err == nil {
+			t.Fatalf("%+v: attached", opts)
+		}
+		if rel.HasSpatial("us-map") || rel.Generation() != 0 {
+			t.Fatalf("%+v: a refused attach left an index", opts)
+		}
+	}
+	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 200; i++ {
-		addCity(t, rel, pic, randWord(rng), "ST", int64(i), rng.Float64()*1000, rng.Float64()*1000)
+	ids, _, err := rel.SearchArea("us-map", geom.R(0, 0, 100, 100), geom.CoveredBy)
+	if err != nil || len(ids) != 10 {
+		t.Fatalf("covered-by the frame: %d ids, %v; want 10", len(ids), err)
 	}
-	si := rel.Spatial("us-map")
-	beforeLive := si.Len()
-	if err := rel.RepackPicture("us-map", pack.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if si != rel.Spatial("us-map") {
-		t.Fatal("repack replaced the SpatialIndex object")
-	}
-	after := si.PackedTree().ComputeMetrics()
-	if after.Items != beforeLive {
-		t.Fatalf("repack lost items: %d live -> %d packed", beforeLive, after.Items)
-	}
-	if si.DeltaLen() != 0 || si.TombstoneCount() != 0 {
-		t.Fatalf("repack left delta=%d tombs=%d", si.DeltaLen(), si.TombstoneCount())
-	}
-	if si.Stats() != after {
-		t.Fatalf("stats %+v != computed %+v", si.Stats(), after)
-	}
-	if err := rel.RepackPicture("nope", pack.Options{}); err == nil {
-		t.Fatal("repack of missing picture accepted")
+	if opts, ok := rel.SpatialOpts("us-map"); !ok || opts != hilbertPack {
+		t.Fatalf("SpatialOpts = %+v, %v", opts, ok)
 	}
 }
 
@@ -653,7 +664,7 @@ func TestSpatialIndexStats(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		addCity(t, rel, pic, randWord(rng), "ST", int64(i), rng.Float64()*1000, rng.Float64()*1000)
 	}
-	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
 	si := rel.Spatial("us-map")
@@ -672,7 +683,7 @@ func TestUpdate(t *testing.T) {
 	if err := rel.CreateIndex("state"); err != nil {
 		t.Fatal(err)
 	}
-	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
 	id := addCity(t, rel, pic, "Old", "AA", 100, 10, 10)
@@ -743,7 +754,7 @@ func TestCheckResolvesIndexEntries(t *testing.T) {
 				for i := 0; i < 40; i++ {
 					ids = append(ids, addCity(t, rel, pic, fmt.Sprintf("c%02d", i), "ST", int64(i), float64(25*i), float64(1000-25*i)))
 				}
-				if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+				if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 					t.Fatal(err)
 				}
 				if err := rel.CreateIndex("population"); err != nil {
@@ -760,6 +771,57 @@ func TestCheckResolvesIndexEntries(t *testing.T) {
 				plant(rel, s, geom.R(175, 825, 175, 825), victim.Int64())
 				if err := rel.Check(); !errors.Is(err, storage.ErrNotFound) {
 					t.Fatalf("entry for deleted tuple %v: Check = %v, want ErrNotFound", victim, err)
+				}
+			})
+		}
+	}
+}
+
+// TestCheckCountsSpatialEntries: a located tuple missing from its
+// store's spatial index is found by Check, not only an entry that names
+// no tuple. Each case removes one entry behind the relation's back — a
+// packed one (it becomes a tombstone) and one still in the write side.
+func TestCheckCountsSpatialEntries(t *testing.T) {
+	for _, shards := range []int{0, 3} {
+		for _, where := range []string{"packed", "delta"} {
+			t.Run(fmt.Sprintf("shards%d/%s", shards, where), func(t *testing.T) {
+				var rel *Relation
+				var pic *picture.Picture
+				if shards == 0 {
+					rel, pic = newCities(t)
+				} else {
+					pic = usMap()
+					rel = newShardedCities(t, shards, pic)
+				}
+				var ids []storage.TupleID
+				add := func(i int) {
+					ids = append(ids, addCity(t, rel, pic, fmt.Sprintf("c%02d", i), "ST", int64(i), float64(25*i), float64(1000-25*i)))
+				}
+				for i := 0; i < 30; i++ {
+					add(i)
+				}
+				if err := rel.AttachPicture(pic, hilbertPack); err != nil {
+					t.Fatal(err)
+				}
+				for i := 30; i < 40; i++ {
+					add(i)
+				}
+				if err := rel.Check(); err != nil {
+					t.Fatalf("clean relation: %v", err)
+				}
+				victim := ids[7]
+				if where == "delta" {
+					victim = ids[37]
+				}
+				s, _, _ := rel.resolve(victim.Int64())
+				tu, err := rel.Get(victim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				obj, _ := pic.Get(tu[3].Loc.Object)
+				rel.Spatials("us-map")[s].delete(obj.MBR(), victim.Int64())
+				if err := rel.Check(); !errors.Is(err, storage.ErrCorrupt) {
+					t.Fatalf("tuple %v unindexed: Check = %v, want ErrCorrupt", victim, err)
 				}
 			})
 		}

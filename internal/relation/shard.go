@@ -177,8 +177,8 @@ func (r *Relation) spatialList(pictureName string) []*SpatialIndex {
 }
 
 // Spatials returns the spatial indexes backing pic — one per store,
-// nil when the picture is not attached. Callers tune thresholds or
-// policies through it.
+// nil when the picture is not attached. Callers set a store's repack
+// threshold or run its repack through it.
 func (r *Relation) Spatials(pictureName string) []*SpatialIndex {
 	return r.spatialList(pictureName)
 }
@@ -188,14 +188,16 @@ func (r *Relation) HasSpatial(pictureName string) bool {
 	return r.spatialList(pictureName) != nil
 }
 
-// SpatialOpts returns the pack options pic's index was built with
-// (every store's index records the same options).
+// SpatialOpts returns the pack options every spatial index is built
+// with, {Method: pack.MethodHilbert}, and whether pic is attached. It is
+// kept only for the benchmark harness, which compiles against it; it
+// goes with AttachPicture's options when the harness reads the engine's
+// own counters.
 func (r *Relation) SpatialOpts(pictureName string) (pack.Options, bool) {
-	sis := r.spatialList(pictureName)
-	if sis == nil {
+	if !r.HasSpatial(pictureName) {
 		return pack.Options{}, false
 	}
-	return sis[0].PackOptions(), true
+	return hilbertPack, true
 }
 
 // SpatialCostSnapshot returns the planner's cost view of pic's index.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/pack"
 	"repro/internal/pager"
 )
 
@@ -38,16 +37,14 @@ func shardBenchFixture(b *testing.B, nShards, n int) *Relation {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := rel.AttachPicture(pic, pack.Options{Method: pack.MethodSTR}); err != nil {
+	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1985))
 	for i := 0; i < n; i++ {
 		addBenchCity(b, rel, pic, fmt.Sprintf("p%d", i), rng.Float64()*1000, rng.Float64()*1000)
 	}
-	if err := rel.RepackPicture("us-map", pack.Options{Method: pack.MethodSTR}); err != nil {
-		b.Fatal(err)
-	}
+	repack(rel, "us-map")
 	return rel
 }
 

@@ -99,7 +99,7 @@ func shardTwins(t *testing.T, n int, seed int64) (map[int]*Relation, map[int][]s
 			}
 			ids[k] = append(ids[k], id)
 		}
-		if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+		if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 			t.Fatalf("twin %d: %v", k, err)
 		}
 	}
@@ -254,9 +254,7 @@ func TestShardedSearchOracle(t *testing.T) {
 	// Repack every twin (per-shard repacks for the sharded ones) and
 	// re-verify from the swapped roots.
 	for k, rel := range twins {
-		if err := rel.RepackPicture("us-map", pack.Options{}); err != nil {
-			t.Fatalf("twin %d: repack: %v", k, err)
-		}
+		repack(rel, "us-map")
 		if got := rel.Len(); got != 600-86 {
 			t.Fatalf("twin %d: Len=%d after deletes", k, got)
 		}
@@ -323,7 +321,7 @@ func buildClusteredJoinRel(t *testing.T, pic *picture.Picture, shards int, cente
 	} else {
 		rel = newShardedCities(t, shards, pic)
 	}
-	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
@@ -365,9 +363,7 @@ func TestShardedJuxtaposeOracle(t *testing.T) {
 	verifyJuxtaposeOracle(t, "clustered, warm write side", ac, bc)
 	for k := range ac {
 		for _, rel := range []*Relation{ac[k], bc[k]} {
-			if err := rel.RepackPicture("us-map", pack.Options{}); err != nil {
-				t.Fatal(err)
-			}
+			repack(rel, "us-map")
 		}
 	}
 	verifyJuxtaposeOracle(t, "clustered, packed", ac, bc)
@@ -529,7 +525,7 @@ func TestShardedReopen(t *testing.T) {
 	if !namesEqual(before, after) {
 		t.Fatalf("reopened scan diverges:\nbefore %v\nafter  %v", before, after)
 	}
-	if err := re.AttachPicture(pic, pack.Options{}); err != nil {
+	if err := re.AttachPicture(pic, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
 	if err := re.Check(); err != nil {
@@ -606,7 +602,7 @@ func TestScatterFanoutPruning(t *testing.T) {
 	// Attach before inserting so routing resolves locations through the
 	// picture (Hilbert placement) instead of the hash fallback — tight
 	// per-shard MBRs are what make pruning possible.
-	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
 	// A dense uniform grid: every shard's key range is populated and
@@ -700,7 +696,7 @@ func concurrentWritersReaders(t *testing.T, rel *Relation, pic *picture.Picture)
 	for i := 0; i < 200; i++ {
 		seeded = append(seeded, addCity(t, rel, pic, fmt.Sprintf("seed%03d", i), "ST", int64(i), rng.Float64()*1000, rng.Float64()*1000))
 	}
-	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
 	if err := rel.CreateIndex("population"); err != nil {
@@ -887,7 +883,7 @@ func concurrentWritersReaders(t *testing.T, rel *Relation, pic *picture.Picture)
 func TestShardedCostSnapshotPrunes(t *testing.T) {
 	pic := usMap()
 	rel := newShardedCities(t, 8, pic)
-	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
 	for gy := 0; gy < 30; gy++ {
@@ -896,9 +892,7 @@ func TestShardedCostSnapshotPrunes(t *testing.T) {
 		}
 	}
 	// Pack the LSM deltas so per-shard Items reflects the packed trees.
-	if err := rel.RepackPicture("us-map", pack.Options{}); err != nil {
-		t.Fatal(err)
-	}
+	repack(rel, "us-map")
 	all, ok := rel.SpatialCostSnapshot("us-map", nil)
 	if !ok {
 		t.Fatal("no snapshot")
@@ -950,7 +944,7 @@ func TestShardBalance(t *testing.T) {
 	pic := usMap()
 	rel := newShardedCities(t, 4, pic)
 	// Attach first so routing uses Hilbert keys.
-	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
 	// Clustered corner: everything near the origin shares a narrow

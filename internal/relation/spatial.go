@@ -57,17 +57,13 @@ var spatialSeq atomic.Int64
 // atomically under the index lock.
 type SpatialIndex struct {
 	Picture *picture.Picture
-	// Opts records how the index was packed, so a catalog reload can
-	// rebuild it identically. Repacks reuse it (with TrimToMultiple
-	// forced off so no live item is ever dropped).
-	Opts pack.Options
 
 	// seq orders lock acquisition when two indexes are locked together
 	// (juxtaposition): lower seq first, so no lock cycle can form.
 	seq int64
 	// costGen is bumped after every change to what CostSnapshot reports
 	// that does not come through Relation.Insert or Delete (which bump
-	// it themselves): a freeze, a repack swap, a rebuild. It is the
+	// it themselves): a freeze or a repack swap. It is the
 	// owning relation's counter once the index is attached to one.
 	costGen *atomic.Uint64
 
@@ -106,11 +102,19 @@ type SpatialIndex struct {
 	wg        sync.WaitGroup
 }
 
+// hilbertPack is the one packing every spatial index is built, reloaded
+// and repacked with: Hilbert order at rtree.DefaultParams (DESIGN.md §5).
+var hilbertPack = pack.Options{Method: pack.MethodHilbert}
+
+// packTree packs items into a spatial index's tree.
+func packTree(items []rtree.Item) *rtree.Tree {
+	return pack.Tree(rtree.DefaultParams(), items, hilbertPack)
+}
+
 // newSpatialIndex wraps a freshly packed tree.
-func newSpatialIndex(pic *picture.Picture, tree *rtree.Tree, opts pack.Options) *SpatialIndex {
+func newSpatialIndex(pic *picture.Picture, tree *rtree.Tree) *SpatialIndex {
 	return &SpatialIndex{
 		Picture:    pic,
-		Opts:       opts,
 		seq:        spatialSeq.Add(1),
 		costGen:    new(atomic.Uint64),
 		packed:     tree,
@@ -163,15 +167,6 @@ func (si *SpatialIndex) CostSnapshot() CostSnapshot {
 		snap.Bounds = snap.Bounds.Union(si.frozen.Bounds())
 	}
 	return snap
-}
-
-// PackOptions returns the options the index was last packed with. Read
-// it through here rather than the Opts field when a RepackPicture may
-// be running: rebuild rewrites the field under the index lock.
-func (si *SpatialIndex) PackOptions() pack.Options {
-	si.mu.RLock()
-	defer si.mu.RUnlock()
-	return si.Opts
 }
 
 // Stats returns the packed tree's structural measures as of the last
@@ -248,8 +243,7 @@ func (si *SpatialIndex) SetDeltaThreshold(n int) {
 }
 
 // SetAutoRepack enables or disables the background repacker. With it
-// off the delta grows without bound until RepackNow is called — the
-// stop-the-world baseline the benchmarks measure.
+// off the write side grows without bound until RepackNow is called.
 func (si *SpatialIndex) SetAutoRepack(on bool) {
 	si.mu.Lock()
 	si.autoRepack = on
@@ -421,10 +415,9 @@ func (si *SpatialIndex) swap(tree *rtree.Tree, stats rtree.Metrics) {
 	si.mu.Unlock()
 }
 
-// packMerged packs (packed ∖ ts0) ∪ frozen with the index's recorded
-// options, TrimToMultiple forced off so no live item is dropped. It
-// reads those fields without mu: between freeze and swap only the
-// holder of the repacking flag — the caller — writes them.
+// packMerged packs (packed ∖ ts0) ∪ frozen. It reads those fields
+// without mu: between freeze and swap only the holder of the repacking
+// flag — the caller — writes them.
 func (si *SpatialIndex) packMerged() *rtree.Tree {
 	items := make([]rtree.Item, 0, si.packed.Len()+si.frozen.Len())
 	for _, it := range si.packed.Items() {
@@ -433,31 +426,7 @@ func (si *SpatialIndex) packMerged() *rtree.Tree {
 		}
 	}
 	items = append(items, si.frozen.Items()...)
-	opts := si.Opts
-	opts.TrimToMultiple = false
-	return pack.Tree(rtree.DefaultParams(), items, opts)
-}
-
-// rebuild replaces the whole index with a fresh pack of items (the
-// explicit RepackPicture / catalog path), clearing the write side.
-// Takes the repacker slot so no background repack interleaves.
-func (si *SpatialIndex) rebuild(items []rtree.Item, opts pack.Options) {
-	for !si.repacking.CompareAndSwap(false, true) {
-		si.wg.Wait()
-		runtime.Gosched()
-	}
-	tree := pack.Tree(rtree.DefaultParams(), items, opts)
-	stats := tree.SearchMetrics()
-	si.mu.Lock()
-	si.Opts = opts
-	si.packed, si.stats = tree, stats
-	si.delta = rtree.New(deltaParams)
-	si.frozen, si.ts0 = nil, nil
-	si.tombs = make(map[int64]struct{})
-	si.repacks++
-	si.costGen.Add(1)
-	si.mu.Unlock()
-	si.repacking.Store(false)
+	return packTree(items)
 }
 
 // packedDeadLocked reports whether a packed-tree entry is tombstoned,

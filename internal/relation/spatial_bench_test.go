@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/pack"
 	"repro/internal/pager"
 	"repro/internal/picture"
 	"repro/internal/storage"
@@ -29,7 +28,7 @@ func benchFixture(b *testing.B, nPacked, nDelta int) (*Relation, *SpatialIndex) 
 	for i := 0; i < nPacked; i++ {
 		addBenchCity(b, rel, pic, fmt.Sprintf("p%d", i), rng.Float64()*1000, rng.Float64()*1000)
 	}
-	if err := rel.AttachPicture(pic, pack.Options{Method: pack.MethodSTR}); err != nil {
+	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 		b.Fatal(err)
 	}
 	si := rel.Spatial("us-map")

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/pack"
 	"repro/internal/pager"
 	"repro/internal/picture"
 	"repro/internal/rtree"
@@ -32,7 +31,7 @@ func newSpatialFixture(t *testing.T, n int, seed int64) (*Relation, *picture.Pic
 	for i := 0; i < n; i++ {
 		addCity(t, rel, pic, randWord(rng), "ST", int64(i), rng.Float64()*1000, rng.Float64()*1000)
 	}
-	if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
 	return rel, pic, rng
@@ -262,12 +261,11 @@ func TestRepackNowStopTheWorld(t *testing.T) {
 func TestFrozenTombstoneFiltering(t *testing.T) {
 	si := newSpatialIndex(
 		picture.New("p", geom.R(0, 0, 10, 10)),
-		pack.Tree(rtree.DefaultParams(), []rtree.Item{
+		packTree([]rtree.Item{
 			{Rect: geom.R(1, 1, 2, 2), Data: 1},
 			{Rect: geom.R(3, 3, 4, 4), Data: 2},
 			{Rect: geom.R(2, 2, 3, 3), Data: 6},
-		}, pack.Options{}),
-		pack.Options{},
+		}),
 	)
 	si.SetAutoRepack(false)
 	liveIDs := func() []int64 {
@@ -345,7 +343,7 @@ func TestJuxtaposeMergedMatchesOracle(t *testing.T) {
 		for i := 0; i < n; i++ {
 			addRegion(t, rel, pic, randWord(rng), rng.Float64()*1000, rng.Float64()*1000, 20+rng.Float64()*40)
 		}
-		if err := rel.AttachPicture(pic, pack.Options{}); err != nil {
+		if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 			t.Fatal(err)
 		}
 		// Post-attach churn so both sides carry deltas and tombstones.
@@ -408,9 +406,9 @@ func TestJuxtaposeMergedMatchesOracle(t *testing.T) {
 }
 
 // TestConcurrentWritersReaders is the -race stress test: one writer
-// mutates the delta and every other round rebuilds the index
-// (RepackPicture) while readers run merged batch searches,
-// juxtapositions and the catalog's SpatialOpts read; at quiesce barriers the merged results must be
+// mutates the delta and every other round repacks the index inline
+// (RepackNow) while readers run merged batch searches and
+// juxtapositions; at quiesce barriers the merged results must be
 // bit-identical (rows and order) to a serial oracle re-scan, at
 // parallelism 1 and 8.
 func TestConcurrentWritersReaders(t *testing.T) {
@@ -458,12 +456,6 @@ func TestConcurrentWritersReaders(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				// What a Checkpoint reads of the index while the writer's
-				// RepackPicture below rewrites it.
-				if _, ok := rel.SpatialOpts("us-map"); !ok {
-					t.Error("SpatialOpts lost the index")
-					return
-				}
 			}
 		}(g)
 	}
@@ -501,11 +493,9 @@ func TestConcurrentWritersReaders(t *testing.T) {
 			}
 		}
 		if round%2 == 1 {
-			// An explicit rebuild under the readers: the next round's
-			// barrier checks the rebuilt index against the oracle.
-			if err := rel.RepackPicture("us-map", pack.Options{}); err != nil {
-				t.Fatal(err)
-			}
+			// An explicit repack under the readers: the next round's
+			// barrier checks the repacked index against the oracle.
+			si.RepackNow(false)
 		}
 	}
 	close(stop)
@@ -563,7 +553,9 @@ func TestCostSnapshot(t *testing.T) {
 // TestWriteSideGoroutines is the leak check on the write side's
 // background work. With auto-repack on, inserts and deletes below the
 // threshold run entirely on the writer's goroutine; crossing it starts
-// one goroutine, the repacker, which WaitRepack drains.
+// one goroutine, the repacker, which WaitRepack drains. The repacker's
+// PACK may be mid-way through a level, with up to GOMAXPROCS workers it
+// joins before it moves on.
 func TestWriteSideGoroutines(t *testing.T) {
 	rel, pic, rng := newSpatialFixture(t, 100, 9)
 	si := rel.Spatial("us-map")
@@ -588,8 +580,8 @@ func TestWriteSideGoroutines(t *testing.T) {
 		t.Fatalf("sub-threshold writes: repacks=%d delta=%d", si.Repacks(), si.DeltaLen())
 	}
 	write(500)
-	if n := runtime.NumGoroutine(); n > before+1 {
-		t.Fatalf("%d goroutines after crossing the threshold, want at most %d", n, before+1)
+	if n, most := runtime.NumGoroutine(), before+1+runtime.GOMAXPROCS(0); n > most {
+		t.Fatalf("%d goroutines after crossing the threshold, want at most %d", n, most)
 	}
 	si.WaitRepack()
 	if si.Repacks() != 1 || si.DeltaLen() != 0 || si.Len() != 1100 {

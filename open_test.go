@@ -89,7 +89,7 @@ func buildOpenFixture(t *testing.T, db *Database, shards bool) {
 			t.Fatal(err)
 		}
 	}
-	if err := roads.AttachPicture(roadmap, PackOptions{Method: PackSTR}); err != nil {
+	if err := roads.AttachPicture(roadmap, hilbert); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Checkpoint(); err != nil {

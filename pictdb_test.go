@@ -33,7 +33,7 @@ func TestDatabaseLifecycle(t *testing.T) {
 	if _, err := rel.Insert(pictdb.Tuple{pictdb.S("A"), pictdb.L("map", oid)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rel.AttachPicture(pic, pictdb.PackOptions{}); err != nil {
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -51,7 +51,7 @@ func spatialCrashWorkload(t *testing.T, db *pictdb.Database) map[int]bool {
 			return bail()
 		}
 	}
-	if err := rel.AttachPicture(pic, pictdb.PackOptions{}); err != nil {
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		t.Fatal(err)
 	}
 	// Small threshold: every burst below crosses it several times, so

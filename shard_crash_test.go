@@ -97,7 +97,7 @@ func TestShardedCrashPointsWithRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rel.AttachPicture(pic, pictdb.PackOptions{}); err != nil {
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		t.Fatal(err)
 	}
 	pts := workload.UniformPoints(100, 13)

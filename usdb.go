@@ -155,10 +155,10 @@ func populateUSWith(db *Database, createRelation func(name string, schema Schema
 		return err
 	}
 
-	// Pack every spatial index with the paper's PACK (nearest
-	// neighbor); the database is static from here on, the
-	// configuration the paper optimizes for.
-	packOpts := pack.Options{Method: pack.MethodNN}
+	// Pack every spatial index (Hilbert order, as every relation's is);
+	// the database is static from here on, the configuration the paper
+	// optimizes for.
+	packOpts := pack.Options{Method: pack.MethodHilbert}
 	for _, assoc := range []struct {
 		rel *Relation
 		pic *Picture

@@ -87,7 +87,7 @@ func TestWALCrashPointsWithRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := late.AttachPicture(pic, pictdb.PackOptions{}); err != nil {
+	if err := late.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
@@ -248,7 +248,7 @@ func pictorialWrites(t *testing.T, db *pictdb.Database, n int) (*pictdb.Relation
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rel.AttachPicture(pic, pictdb.PackOptions{}); err != nil {
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		t.Fatal(err)
 	}
 	ids := make([]storage.TupleID, n)
