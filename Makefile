@@ -48,8 +48,9 @@ benchcheck:
 	$(GO) test -run xxx -bench 'WindowStatement' -benchtime 200x -benchmem .
 	$(GO) run ./cmd/pictbench -quick > /dev/null
 
-# Durability suite: injected I/O faults, torn writes, crash-point
-# snapshots, checksum and corruption detection, across the pager, the
+# Durability suite: injected I/O faults, torn writes, crash points
+# captured over a page file and its log (a background repack's
+# included), checksum and corruption detection, across the pager, the
 # relations' own Check (an index entry naming no tuple, a located tuple
 # its index lost) and the full database stack, and the typed refusal of
 # old formats (v1 pages, a PICTCAT1 catalog — the testdata/ file sets
@@ -59,7 +60,8 @@ faults:
 
 # Write-ahead-log durability matrix: group-commit batching, live reads
 # beside concurrent group-committing writers, append-region fault
-# injection at the log tail, a failing final commit at Close, and the
+# injection at the log tail, a failing final commit at Close, a shard's
+# failed fsync stopping the whole database, and the
 # coordinated (page file, WAL) crash-point sweep with recovery verified
 # from every captured image — pictorial rows and definitions made after
 # the last Checkpoint included, and a delete a crash undid.

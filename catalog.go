@@ -343,7 +343,7 @@ func (db *Database) loadCatalog() error {
 	// too: the caller closes every registered pager when the load fails.
 	for i, l := range loaded {
 		if l.pagers != nil {
-			db.shardPagers[rels[i].name] = l.pagers
+			cat.shards[rels[i].name] = l.pagers
 		}
 		if l.rel != nil {
 			cat.relations[rels[i].name] = l.rel

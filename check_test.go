@@ -146,8 +146,8 @@ func TestCheckDegradesToReadOnly(t *testing.T) {
 }
 
 // TestFaultyCheckpointSurfacesTyped injects write and sync failures
-// into a live database and asserts checkpointing reports them rather
-// than claiming durability.
+// into a live database's page file, which only a checkpoint writes, and
+// asserts checkpointing reports them rather than claiming durability.
 func TestFaultyCheckpointSurfacesTyped(t *testing.T) {
 	for _, cfg := range []pager.FaultConfig{
 		{FailWrite: 5},
@@ -155,11 +155,7 @@ func TestFaultyCheckpointSurfacesTyped(t *testing.T) {
 		{FailSync: 1},
 	} {
 		fb := pager.NewFaultBackend(pager.NewMemBackend(nil), cfg)
-		p, err := pager.OpenBackend(fb, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := pictdb.OpenWithPager(p)
+		db, err := openPairDB(fb, pager.NewMemBackend(nil), 64)
 		if err != nil {
 			t.Fatal(err)
 		}

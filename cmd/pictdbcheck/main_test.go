@@ -415,6 +415,9 @@ func TestCheckRefusesUnsupportedFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := p.EnableWAL(); err != nil {
+		t.Fatal(err)
+	}
 	sb, err := p.Fetch(1)
 	if err != nil {
 		t.Fatal(err)

@@ -44,10 +44,7 @@ func v1ShardedRecord() []byte {
 // magic and whose definitions heap holds exactly the given records.
 func writeCatalogFile(t *testing.T, path string, magic [8]byte, recs ...[]byte) {
 	t.Helper()
-	p, err := pager.Open(path, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := openLogged(t, path)
 	sb, err := p.Allocate()
 	if err != nil || sb.ID != superblockID {
 		t.Fatalf("superblock: page %v, %v", sb, err)
@@ -68,6 +65,21 @@ func writeCatalogFile(t *testing.T, path string, magic [8]byte, recs ...[]byte) 
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// openLogged opens the page file at path with its log attached, as a
+// pager that writes must be.
+func openLogged(t *testing.T, path string) *pager.Pager {
+	t.Helper()
+	p, err := pager.Open(path, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnableWAL(); err != nil {
+		p.Close()
+		t.Fatal(err)
+	}
+	return p
 }
 
 // refuseUnchanged opens path, asserts the open is refused with
@@ -133,10 +145,7 @@ func TestUnsupportedFormatRefused(t *testing.T) {
 // wrote them.
 func setPackingBytes(t *testing.T, path, rel string, method, trim byte) {
 	t.Helper()
-	p, err := pager.Open(path, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := openLogged(t, path)
 	sb, err := p.Fetch(superblockID)
 	if err != nil {
 		t.Fatal(err)

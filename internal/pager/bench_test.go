@@ -19,6 +19,9 @@ func benchPager(b *testing.B) *Pager {
 	if err != nil {
 		b.Fatal(err)
 	}
+	if err := p.EnableWALBackend(NewMemBackend(nil)); err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < benchPages; i++ {
 		pg, err := p.Allocate()
 		if err != nil {
@@ -27,14 +30,13 @@ func benchPager(b *testing.B) *Pager {
 		fillPage(pg)
 		p.Unpin(pg)
 	}
-	if err := p.Commit(); err != nil {
+	// Close folds the log into the page file. Reopen over its bytes with
+	// a pool of one page, so every Fetch in the loop below is a miss that
+	// reads from the backend.
+	if err := p.Close(); err != nil {
 		b.Fatal(err)
 	}
-	// Reopen over the same bytes with a pool of one page, so every
-	// Fetch in the loop below is a miss that reads from the backend.
-	img := mem.Bytes()
-	p.Close()
-	p2, err := OpenBackend(NewMemBackend(img), 1)
+	p2, err := OpenBackend(NewMemBackend(mem.Bytes()), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,10 +65,7 @@ func BenchmarkFetchChecksum(b *testing.B) {
 func warmPinPager(b *testing.B, wal bool) *Pager {
 	b.Helper()
 	path := b.TempDir() + "/bench.db"
-	p, err := Open(path, benchPages+1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	p := openLogged(b, path, benchPages+1)
 	for i := 0; i < benchPages; i++ {
 		pg, err := p.Allocate()
 		if err != nil {
@@ -78,7 +77,7 @@ func warmPinPager(b *testing.B, wal bool) *Pager {
 	if err := p.Close(); err != nil {
 		b.Fatal(err)
 	}
-	p, err = Open(path, 1)
+	p, err := Open(path, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -30,10 +31,7 @@ func checkPattern(t *testing.T, pg *Page) {
 
 func TestChecksumDetectsCorruption(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sum.db")
-	p, err := Open(path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := openLogged(t, path, 8)
 	pg, err := p.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -73,10 +71,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 
 func TestMissingTrailerOnFullSumsFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "miss.db")
-	p, err := Open(path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := openLogged(t, path, 8)
 	pg, err := p.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -111,10 +106,7 @@ func TestMissingTrailerOnFullSumsFile(t *testing.T) {
 
 func TestTruncatedFileTypedError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trunc.db")
-	p, err := Open(path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := openLogged(t, path, 8)
 	var last PageID
 	for i := 0; i < 3; i++ {
 		pg, err := p.Allocate()
@@ -134,7 +126,7 @@ func TestTruncatedFileTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err = Open(path, 8)
+	p, err := Open(path, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +197,7 @@ func TestUnsupportedFormatRefused(t *testing.T) {
 
 func TestFreeListAcrossCommitAndReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "free.db")
-	p, err := Open(path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := openLogged(t, path, 8)
 	var ids []PageID
 	for i := 0; i < 3; i++ {
 		pg, err := p.Allocate()
@@ -237,10 +226,7 @@ func TestFreeListAcrossCommitAndReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p, err = Open(path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p = openLogged(t, path, 8)
 	defer p.Close()
 	if got := p.NumPages(); got != numPages {
 		t.Fatalf("NumPages after reopen = %d, want %d", got, numPages)
@@ -263,7 +249,7 @@ func TestFreeListAcrossCommitAndReopen(t *testing.T) {
 }
 
 // opRecorder logs the order of backend operations so the test can
-// assert the commit protocol: data writes, sync, header write, sync.
+// assert the write-back protocol: data writes, sync, header write, sync.
 type opRecorder struct {
 	*MemBackend
 	ops []string
@@ -283,10 +269,33 @@ func (r *opRecorder) Sync() error {
 	return r.MemBackend.Sync()
 }
 
+// writeBackOrder compacts ops into runs and requires the one write-back
+// step's: data+ sync header sync.
+func writeBackOrder(t *testing.T, what string, ops []string) {
+	t.Helper()
+	var compact []string
+	for _, op := range ops {
+		if len(compact) > 0 && compact[len(compact)-1] == op {
+			continue
+		}
+		compact = append(compact, op)
+	}
+	if !slices.Equal(compact, []string{"data", "sync", "header", "sync"}) {
+		t.Fatalf("%s op sequence %v, want data+ sync header sync", what, ops)
+	}
+}
+
+// TestCommitOrdersDataBeforeHeader: a commit writes only the log; the
+// page file is written by a checkpoint and by recovery, and both order
+// its pages before the header that describes them.
 func TestCommitOrdersDataBeforeHeader(t *testing.T) {
 	rec := &opRecorder{MemBackend: NewMemBackend(nil)}
 	p, err := OpenBackend(rec, 8)
 	if err != nil {
+		t.Fatal(err)
+	}
+	wal := NewMemBackend(nil)
+	if err := p.EnableWALBackend(wal); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -301,31 +310,38 @@ func TestCommitOrdersDataBeforeHeader(t *testing.T) {
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Expect: data+ sync header sync.
-	var compact []string
-	for _, op := range rec.ops {
-		if len(compact) > 0 && compact[len(compact)-1] == op {
-			continue
-		}
-		compact = append(compact, op)
+	if len(rec.ops) != 0 {
+		t.Fatalf("commit touched the page file: %v", rec.ops)
 	}
-	want := []string{"data", "sync", "header", "sync"}
-	if len(compact) != len(want) {
-		t.Fatalf("commit op sequence %v, want %v", rec.ops, want)
+	img, log := rec.Bytes(), wal.Bytes()
+	if err := p.CheckpointWAL(); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if compact[i] != want[i] {
-			t.Fatalf("commit op sequence %v, want %v", rec.ops, want)
-		}
-	}
+	writeBackOrder(t, "checkpoint", rec.ops)
 	p.Close()
+
+	// Recovery replays the same log through the same step.
+	rec = &opRecorder{MemBackend: NewMemBackend(img)}
+	rp, err := OpenBackend(rec, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rp.EnableWALBackend(NewMemBackend(log)); err != nil {
+		t.Fatal(err)
+	}
+	writeBackOrder(t, "recovery", rec.ops)
+	rp.Close()
 }
 
-func TestHeaderSlotAlternation(t *testing.T) {
-	rec := NewMemBackend(nil)
+// onePage opens a logged pager over rec and allocates and fills one
+// page, not yet committed.
+func onePage(t *testing.T, rec Backend) (*Pager, PageID) {
+	t.Helper()
 	p, err := OpenBackend(rec, 8)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnableWALBackend(NewMemBackend(nil)); err != nil {
 		t.Fatal(err)
 	}
 	pg, err := p.Allocate()
@@ -334,44 +350,45 @@ func TestHeaderSlotAlternation(t *testing.T) {
 	}
 	fillPage(pg)
 	p.Unpin(pg)
+	return p, pg.ID
+}
+
+// commitAndFold commits and checkpoints p.
+func commitAndFold(t *testing.T, p *Pager) {
+	t.Helper()
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	if err := p.CheckpointWAL(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestHeaderSlotAlternation(t *testing.T) {
+	rec := NewMemBackend(nil)
+	p, _ := onePage(t, rec)
+	commitAndFold(t, p)
 	img1 := rec.Bytes()
-	if err := p.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	commitAndFold(t, p)
 	img2 := rec.Bytes()
 	p.Close()
 
-	// Consecutive commits must write different slots: one slot of img2
-	// equals the corresponding slot of img1 (untouched), the other
+	// Consecutive checkpoints must write different slots: one slot of
+	// img2 equals the corresponding slot of img1 (untouched), the other
 	// differs (new generation).
 	s0Same := bytes.Equal(img1[0:headerSlotSize], img2[0:headerSlotSize])
 	s1Same := bytes.Equal(img1[headerSlotSize:2*headerSlotSize], img2[headerSlotSize:2*headerSlotSize])
 	if s0Same == s1Same {
-		t.Fatalf("commits must alternate header slots (slot0 same=%v, slot1 same=%v)", s0Same, s1Same)
+		t.Fatalf("checkpoints must alternate header slots (slot0 same=%v, slot1 same=%v)", s0Same, s1Same)
 	}
 }
 
 func TestTornHeaderSlotFallsBack(t *testing.T) {
 	rec := NewMemBackend(nil)
-	p, err := OpenBackend(rec, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err := p.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillPage(pg)
-	p.Unpin(pg)
-	if err := p.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	p, id := onePage(t, rec)
+	// Two checkpoints: both header slots describe the page.
+	commitAndFold(t, p)
+	commitAndFold(t, p)
 	p.Close()
 
 	// Tear the most recent header slot; open must fall back to the
@@ -391,7 +408,7 @@ func TestTornHeaderSlotFallsBack(t *testing.T) {
 		t.Fatalf("open with one torn slot: %v", err)
 	}
 	defer p2.Close()
-	pg2, err := p2.Fetch(pg.ID)
+	pg2, err := p2.Fetch(id)
 	if err != nil {
 		t.Fatal(err)
 	}

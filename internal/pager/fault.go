@@ -16,10 +16,11 @@ import (
 // seeded RNG, so every failing schedule is reproducible from its
 // FaultConfig.
 //
-// A SnapshotBackend captures the byte image at every Sync — the
-// crash-point harness reopens the database from each snapshot and
-// requires it to either verify clean or fail with a typed corruption
-// error.
+// A CrashPair captures the page file and its log together at every Sync
+// of either — the states a crash could leave behind — and a CrashCluster
+// does the same for a database of several files; the crash-point
+// harnesses recover each capture and require it clean at a committed
+// state.
 
 // ErrInjected is the error returned by injected I/O faults.
 var ErrInjected = errors.New("pager: injected I/O fault")
@@ -203,48 +204,14 @@ func (f *FaultBackend) Sync() error {
 
 func (f *FaultBackend) Close() error { return f.inner.Close() }
 
-// SnapshotBackend wraps a MemBackend and records a copy of the full
-// byte image at every Sync — the states a crashed process could leave
-// behind under an ordered-write discipline. The crash-point harness
-// reopens the store from each snapshot.
-type SnapshotBackend struct {
-	*MemBackend
-	mu    sync.Mutex
-	snaps [][]byte
-}
-
-// NewSnapshotBackend creates an empty snapshotting memory backend.
-func NewSnapshotBackend() *SnapshotBackend {
-	return &SnapshotBackend{MemBackend: NewMemBackend(nil)}
-}
-
-func (s *SnapshotBackend) Sync() error {
-	img := s.MemBackend.Bytes()
-	s.mu.Lock()
-	s.snaps = append(s.snaps, img)
-	s.mu.Unlock()
-	return s.MemBackend.Sync()
-}
-
-// Snapshots returns the byte images captured at each Sync, in order.
-func (s *SnapshotBackend) Snapshots() [][]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([][]byte, len(s.snaps))
-	for i, b := range s.snaps {
-		out[i] = append([]byte(nil), b...)
-	}
-	return out
-}
-
-// CrashImage is one coordinated crash point of a WAL-mode database:
-// the page file and WAL sidecar bytes captured at the same instant.
+// CrashImage is one coordinated crash point of a pager: the page file
+// and WAL bytes captured at the same instant.
 type CrashImage struct {
 	Main []byte
 	WAL  []byte
 }
 
-// CrashPair is the WAL-mode crash-point harness: two in-memory stores
+// CrashPair is the crash-point harness of one pager: two in-memory stores
 // (the page file and its WAL sidecar) whose Syncs each capture a
 // consistent image of *both* under one mutex — the state a crash at
 // that barrier could leave behind. The OnSync hook fires with each

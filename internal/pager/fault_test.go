@@ -3,6 +3,7 @@ package pager
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 )
 
@@ -11,10 +12,7 @@ import (
 func buildImage(t *testing.T, n int) []byte {
 	t.Helper()
 	mem := NewMemBackend(nil)
-	p, err := OpenBackend(mem, n+4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, _ := newWALPager(t, mem, n+4)
 	for i := 0; i < n; i++ {
 		pg, err := p.Allocate()
 		if err != nil {
@@ -73,54 +71,48 @@ func TestFaultReadError(t *testing.T) {
 	}
 }
 
-func TestFaultWriteError(t *testing.T) {
-	fb := NewFaultBackend(NewMemBackend(nil), FaultConfig{FailWrite: 2})
-	p, err := OpenBackend(fb, 8) // write 1: fresh header
-	if err != nil {
-		t.Fatal(err)
-	}
+// filledPage allocates one patterned page on p and commits it to the log.
+func filledPage(t *testing.T, p *Pager) PageID {
+	t.Helper()
 	pg, err := p.Allocate()
 	if err != nil {
 		t.Fatal(err)
 	}
 	fillPage(pg)
+	id := pg.ID
 	p.Unpin(pg)
-	if err := p.Commit(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("Commit with failing page write: %v, want ErrInjected", err)
+	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return id
+}
+
+// The page file is written only by a checkpoint (and by recovery), so
+// its write and sync faults surface there.
+func TestFaultWriteError(t *testing.T) {
+	fb := NewFaultBackend(NewMemBackend(nil), FaultConfig{FailWrite: 2})
+	p, _ := newWALPager(t, fb, 8) // write 1: fresh header
+	filledPage(t, p)
+	if err := p.CheckpointWAL(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("checkpoint with failing page write: %v, want ErrInjected", err)
 	}
 }
 
 func TestFaultShortWrite(t *testing.T) {
 	fb := NewFaultBackend(NewMemBackend(nil), FaultConfig{ShortWrite: 2})
-	p, err := OpenBackend(fb, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err := p.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillPage(pg)
-	p.Unpin(pg)
-	if err := p.Commit(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("Commit with short page write: %v, want ErrInjected", err)
+	p, _ := newWALPager(t, fb, 8)
+	filledPage(t, p)
+	if err := p.CheckpointWAL(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("checkpoint with short page write: %v, want ErrInjected", err)
 	}
 }
 
 func TestFaultSyncError(t *testing.T) {
 	fb := NewFaultBackend(NewMemBackend(nil), FaultConfig{FailSync: 1})
-	p, err := OpenBackend(fb, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err := p.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillPage(pg)
-	p.Unpin(pg)
-	if err := p.Commit(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("Commit with failing sync: %v, want ErrInjected", err)
+	p, _ := newWALPager(t, fb, 8)
+	filledPage(t, p)
+	if err := p.CheckpointWAL(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("checkpoint with failing sync: %v, want ErrInjected", err)
 	}
 }
 
@@ -129,26 +121,17 @@ func TestFaultSyncError(t *testing.T) {
 // surface as a typed error on the next read of that page.
 func TestTornWriteDetected(t *testing.T) {
 	mem := NewMemBackend(nil)
-	// Write 1 is the fresh-file header; write 2 is the first data page
-	// flushed by Commit.
+	// Write 1 is the fresh-file header; write 2 is the first page the
+	// checkpoint writes back.
 	fb := NewFaultBackend(mem, FaultConfig{TornWrite: 2})
-	p, err := OpenBackend(fb, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p, _ := newWALPager(t, fb, 8)
 	var ids []PageID
 	for i := 0; i < 3; i++ {
-		pg, err := p.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillPage(pg)
-		ids = append(ids, pg.ID)
-		p.Unpin(pg)
+		ids = append(ids, filledPage(t, p))
 	}
-	// Commit "succeeds": the torn write lied.
-	if err := p.Commit(); err != nil {
-		t.Fatalf("Commit over torn write reported failure: %v", err)
+	// The checkpoint "succeeds": the torn write lied.
+	if err := p.CheckpointWAL(); err != nil {
+		t.Fatalf("checkpoint over torn write reported failure: %v", err)
 	}
 
 	// Reopen from the backing bytes, as after a crash.
@@ -165,8 +148,8 @@ func TestTornWriteDetected(t *testing.T) {
 			checkPattern(t, pg) // verified pages must be intact
 			p2.Unpin(pg)
 		case errors.Is(err, ErrChecksum), errors.Is(err, ErrTruncated):
-			// Write-back order within a stripe is unspecified; a tear of
-			// the file's last page leaves it short rather than mismatched.
+			// A tear of the file's last page leaves it short rather than
+			// mismatched.
 			torn++
 		default:
 			t.Fatalf("Fetch(%d): %v, want success, ErrChecksum or ErrTruncated", id, err)
@@ -188,10 +171,7 @@ func TestRandomTornWritesNeverSilent(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			mem := NewMemBackend(nil)
 			fb := NewFaultBackend(mem, FaultConfig{Seed: seed, TornWriteProb: 0.3})
-			p, err := OpenBackend(fb, 4) // tiny pool forces evictions mid-run
-			if err != nil {
-				t.Fatal(err)
-			}
+			p, _ := newWALPager(t, fb, 4)
 			var ids []PageID
 			for i := 0; i < 12; i++ {
 				pg, err := p.Allocate()
@@ -202,8 +182,8 @@ func TestRandomTornWritesNeverSilent(t *testing.T) {
 				ids = append(ids, pg.ID)
 				p.Unpin(pg)
 			}
-			p.Commit() // may or may not surface an error; both are fine
-			p.Close()
+			p.Commit()
+			p.Close() // writes back through fb: may or may not surface an error; both are fine
 
 			p2, err := OpenBackend(NewMemBackend(mem.Bytes()), 16)
 			if err != nil {
@@ -232,18 +212,25 @@ func TestRandomTornWritesNeverSilent(t *testing.T) {
 	}
 }
 
-// TestCrashPointsPager snapshots the backing bytes at every sync and
-// reopens the pager from each snapshot — the states an ordered-write
-// crash can leave. Every snapshot must open (one of the header slots
-// is always intact) and every page inside the recovered header's page
-// count must verify.
+// TestCrashPointsPager captures the page file and its log at every
+// sync of a pager that allocates, commits and checkpoints in rounds, and
+// reopens each capture with recovery. Every capture must open, hold a
+// committed round's page count no smaller than the last round
+// acknowledged when it was taken, keep a valid free list, and verify
+// every page inside its page count with the bytes written to it.
 func TestCrashPointsPager(t *testing.T) {
-	snap := NewSnapshotBackend()
-	p, err := OpenBackend(snap, 8)
+	pair := NewCrashPair()
+	var acked atomic.Int64 // pages acknowledged, header included
+	acked.Store(1)
+	ackedAt := make(map[int]int64)
+	pair.OnSync = func(i int, _ CrashImage) { ackedAt[i] = acked.Load() } // serialized by the pair
+	p, err := OpenBackend(pair.Main(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ids []PageID
+	if err := p.EnableWALBackend(pair.WAL()); err != nil {
+		t.Fatal(err)
+	}
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 3; i++ {
 			pg, err := p.Allocate()
@@ -251,33 +238,44 @@ func TestCrashPointsPager(t *testing.T) {
 				t.Fatal(err)
 			}
 			fillPage(pg)
-			ids = append(ids, pg.ID)
 			p.Unpin(pg)
 		}
 		if err := p.Commit(); err != nil {
 			t.Fatal(err)
+		}
+		acked.Store(int64(p.NumPages()))
+		if round%2 == 1 {
+			if err := p.CheckpointWAL(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	snaps := snap.Snapshots()
-	if len(snaps) < 8 {
-		t.Fatalf("expected at least 8 sync snapshots, got %d", len(snaps))
+	images := pair.Images()
+	if len(images) < 8 {
+		t.Fatalf("expected at least 8 crash images, got %d", len(images))
 	}
-	for i, img := range snaps {
-		p2, err := OpenBackend(NewMemBackend(img), 16)
+	for i, img := range images {
+		p2, err := OpenBackend(NewMemBackend(img.Main), 16)
 		if err != nil {
-			t.Fatalf("snapshot %d: reopen: %v", i, err)
+			t.Fatalf("image %d: reopen: %v", i, err)
+		}
+		if err := p2.EnableWALBackend(NewMemBackend(img.WAL)); err != nil {
+			t.Fatalf("image %d: recovery: %v", i, err)
+		}
+		if n := int64(p2.NumPages()); (n-1)%3 != 0 || n < ackedAt[i] {
+			t.Fatalf("image %d: %d pages, not a committed round at or past the %d acknowledged", i, n, ackedAt[i])
 		}
 		if _, err := p2.FreePages(); err != nil {
-			t.Fatalf("snapshot %d: free list: %v", i, err)
+			t.Fatalf("image %d: free list: %v", i, err)
 		}
 		for id := 1; id < p2.NumPages(); id++ {
 			pg, err := p2.Fetch(PageID(id))
 			if err != nil {
-				t.Fatalf("snapshot %d: page %d: %v", i, id, err)
+				t.Fatalf("image %d: page %d: %v", i, id, err)
 			}
 			checkPattern(t, pg)
 			p2.Unpin(pg)

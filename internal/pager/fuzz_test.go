@@ -72,7 +72,8 @@ func FuzzParseHeaderSlots(f *testing.F) {
 // holds a sane header, verifies every page it has bytes for, closes
 // cleanly and reopens.
 func FuzzRecoverWAL(f *testing.F) {
-	p, main, wal := newWALPager(f, 64)
+	main := NewMemBackend(nil)
+	p, wal := newWALPager(f, main, 64)
 	a, b := allocPage(f, p), allocPage(f, p)
 	writeCounter(f, p, a, 1)
 	writeCounter(f, p, b, 2)

@@ -4,15 +4,18 @@
 //
 // Durability (page format magic "PICTDB02"): every page reserves
 // an 8-byte trailer — a 4-byte marker plus a CRC-32C over the payload
-// and marker — stamped on write-back and verified on Fetch, so torn or
-// bit-rotted pages surface as typed ErrChecksum failures instead of
-// silently wrong query results. The file header lives in two
-// alternating generation-stamped slots on page 0; Commit syncs all
-// data pages *before* writing and syncing the next header slot, so a
-// crash at any point leaves either the old or the new header valid,
-// never a header describing unsynced pages. There is one format: a
-// file written by the pre-checksum v1 format ("PICTDB01"), or upgraded
-// from it and therefore only partially checksummed, is refused with
+// and marker — stamped when the page is logged and verified on Fetch,
+// so torn or bit-rotted pages surface as typed ErrChecksum failures
+// instead of silently wrong query results. Every pager that writes
+// commits through its write-ahead log (wal.go); only a checkpoint and
+// recovery write the page file, and both sync the data pages *before*
+// writing and syncing the next of the header's two alternating
+// generation-stamped slots on page 0, so a crash at any point leaves
+// either the old or the new header valid, never a header describing
+// unsynced pages. A pager without a log is a reader: Allocate, Free and
+// Commit refuse with ErrNoWAL. There is one format: a file written by
+// the pre-checksum v1 format ("PICTDB01"), or upgraded from it and
+// therefore only partially checksummed, is refused with
 // ErrUnsupportedFormat and left untouched.
 //
 // Concurrency: the pool is striped into power-of-two mutex-guarded
@@ -32,6 +35,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -104,9 +108,10 @@ type Page struct {
 	prev, next *Page
 }
 
-// MarkDirty records that the page image differs from disk and must be
-// written back before eviction. Call it while holding a pin; a page
-// must have at most one concurrent writer.
+// MarkDirty records that the page image differs from its logged or
+// on-disk one: the next commit logs it, and until then it is never
+// evicted. Call it while holding a pin; a page must have at most one
+// concurrent writer.
 func (p *Page) MarkDirty() { p.dirty = true }
 
 // magic opens every header slot. unsupportedMagic is the v1 format's,
@@ -122,7 +127,7 @@ var (
 const flagFullSums = 1 << 0
 
 // Header slot layout. Page 0 holds two 32-byte slots (A at offset 0,
-// B at offset 32); Commit alternates between them so a torn header
+// B at offset 32); write-back alternates between them so a torn header
 // write destroys at most the slot being written:
 //
 //	bytes 0..7   magic "PICTDB02"
@@ -180,7 +185,7 @@ type MemBackend struct {
 
 // NewMemBackend creates a memory backend initialized with a copy of
 // data (nil for an empty store) — the seam the crash-point harness
-// uses to reopen a database from a snapshot of its bytes.
+// uses to reopen a database from a crash image of its bytes.
 func NewMemBackend(data []byte) *MemBackend {
 	m := &MemBackend{}
 	if len(data) > 0 {
@@ -214,11 +219,11 @@ func (m *MemBackend) ReadAt(p []byte, off int64) (int, error) {
 func (m *MemBackend) WriteAt(p []byte, off int64) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	end := off + int64(len(p))
-	if end > int64(len(m.buf)) {
-		grown := make([]byte, end)
-		copy(grown, m.buf)
-		m.buf = grown
+	if end := off + int64(len(p)); end > int64(len(m.buf)) {
+		// Grow as append does, so a store written page after page past its
+		// end (a write-back in page order, a log's appends) is not copied
+		// whole for every page.
+		m.buf = append(m.buf, make([]byte, end-int64(len(m.buf)))...)
 	}
 	return copy(m.buf[off:], p), nil
 }
@@ -245,7 +250,6 @@ type Stats struct {
 	Hits      uint64 // page found in the pool
 	Misses    uint64 // page read from the backend
 	Evictions uint64 // pages evicted to make room
-	Writes    uint64 // dirty pages written back
 	Allocs    uint64 // pages allocated
 	Frees     uint64 // pages freed
 	MmapPins  uint64 // pages read straight from the mmap, no frame and no lock
@@ -264,7 +268,7 @@ type shard struct {
 	pages   map[PageID]*Page
 	lruHead *Page
 	lruTail *Page
-	stats   Stats // Hits/Misses/Evictions/Writes only
+	stats   Stats // Hits/Misses/Evictions only
 }
 
 // Pager manages a page file through a sharded fixed-capacity LRU
@@ -301,9 +305,9 @@ type Pager struct {
 	mmapPins atomic.Uint64
 
 	// Write-ahead log (wal.go): non-nil once EnableWAL/EnableWALBackend
-	// attached a log. Commit then routes through group commit, eviction
-	// never steals dirty pages into the page file, and reads prefer the
-	// newest WAL frame over the (possibly stale) page file. writeGate's
+	// attached a log (OpenMem attaches an in-memory one); nil makes the
+	// pager a reader. Commit is group commit, and reads prefer the newest
+	// WAL frame over the (possibly stale) page file. writeGate's
 	// shared side brackets multi-page mutations (BeginWrite/EndWrite);
 	// the commit leader captures page images under the exclusive side so
 	// a batch never contains half a mutation.
@@ -312,7 +316,8 @@ type Pager struct {
 }
 
 // Open opens (or creates) a page file at path with a buffer pool of
-// poolPages pages. poolPages must be at least 1.
+// poolPages pages. poolPages must be at least 1. The pager is a reader
+// until EnableWAL or EnableWALBackend attaches a log.
 func Open(path string, poolPages int) (*Pager, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -327,11 +332,15 @@ func Open(path string, poolPages int) (*Pager, error) {
 }
 
 // OpenMem creates a purely in-memory pager, useful for tests and for
-// indexes that never need to persist.
+// indexes that never need to persist. Its log is in memory too, so it
+// commits as every other pager does.
 func OpenMem(poolPages int) *Pager {
 	p, err := newPager(NewMemBackend(nil), poolPages, "(mem)")
+	if err == nil {
+		err = p.EnableWALBackend(NewMemBackend(nil))
+	}
 	if err != nil {
-		// The memory backend cannot fail to initialize.
+		// Memory backends cannot fail to initialize.
 		panic(err)
 	}
 	return p
@@ -339,7 +348,8 @@ func OpenMem(poolPages int) *Pager {
 
 // OpenBackend opens a pager over an arbitrary Backend — the seam the
 // fault-injection and crash-point harnesses use to run the full stack
-// over torn, failing, or snapshotted storage.
+// over torn, failing, or captured storage. Like Open's, the pager is a
+// reader until a log is attached.
 func OpenBackend(b Backend, poolPages int) (*Pager, error) {
 	return newPager(b, poolPages, "(backend)")
 }
@@ -423,7 +433,7 @@ func newPager(b Backend, poolPages int, path string) (*Pager, error) {
 		p.numPages.Store(1)
 		p.freeHead = InvalidPage
 		p.hdrSlot = 1 // first writeHeader targets slot 0
-		if err := p.writeHeader(); err != nil {
+		if err := p.writeHeader(1, InvalidPage); err != nil {
 			return nil, err
 		}
 	case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
@@ -476,20 +486,14 @@ func (p *Pager) shardFor(id PageID) *shard {
 	return &p.shards[uint32(id)&p.mask]
 }
 
-// writeHeader serializes the header into the inactive slot, flipping
-// the active slot only when the write succeeds. Callers are
-// responsible for ordering it after the data pages it describes have
-// been synced.
-func (p *Pager) writeHeader() error {
+// writeHeader serializes a header with the given page count and free
+// head into the inactive slot, flipping the active slot only when the
+// write succeeds. Write-back passes the *committed* values, not whatever
+// uncommitted allocations are in flight, and orders the call after the
+// data pages it describes have been synced.
+func (p *Pager) writeHeader(numPages uint32, freeHead PageID) error {
 	p.hmu.Lock()
 	defer p.hmu.Unlock()
-	return p.writeHeaderLocked(p.numPages.Load(), p.freeHead)
-}
-
-// writeHeaderLocked writes a header with an explicit page count and
-// free head: checkpoints and recovery persist the *committed* values,
-// not whatever uncommitted allocations are in flight. Caller holds hmu.
-func (p *Pager) writeHeaderLocked(numPages uint32, freeHead PageID) error {
 	slot := 1 - p.hdrSlot
 	var buf [headerSlotSize]byte
 	encodeHeaderSlot(buf[:], numPages, freeHead, p.gen+1)
@@ -507,8 +511,8 @@ func (p *Pager) NumPages() int { return int(p.numPages.Load()) }
 // Path returns the file path (or a placeholder for non-file backends).
 func (p *Pager) Path() string { return p.path }
 
-// SetReadOnly toggles read-only mode: Allocate, Free, Commit and Flush
-// fail with ErrReadOnly, and Close skips write-back. Used to serve
+// SetReadOnly toggles read-only mode: Allocate, Free and Commit fail
+// with ErrReadOnly, and Close skips its final commit. Used to serve
 // queries from a file that failed verification without risking further
 // damage. A failed fsync sets it too (failStop).
 func (p *Pager) SetReadOnly(ro bool) { p.readOnly.Store(ro) }
@@ -536,7 +540,6 @@ func (p *Pager) Stats() Stats {
 		s.Hits += sh.stats.Hits
 		s.Misses += sh.stats.Misses
 		s.Evictions += sh.stats.Evictions
-		s.Writes += sh.stats.Writes
 		sh.mu.Unlock()
 	}
 	p.hmu.Lock()
@@ -575,16 +578,25 @@ func (p *Pager) ResetStats() {
 	p.mmapPins.Store(0)
 }
 
+// writable returns why the pager refuses a write, nil when it takes one.
+func (p *Pager) writable() error {
+	switch {
+	case p.closed.Load():
+		return ErrClosed
+	case p.readOnly.Load():
+		return ErrReadOnly
+	case p.wal.Load() == nil:
+		return ErrNoWAL
+	}
+	return nil
+}
+
 // Allocate returns a pinned, zeroed page, reusing a freed page when one
 // is available and extending the file otherwise. Callers must Unpin it.
-// The header recording the grown page count reaches disk at the next
-// Commit, after the page data itself.
+// The grown page count is logged by the next Commit, with the page.
 func (p *Pager) Allocate() (*Page, error) {
-	if p.closed.Load() {
-		return nil, ErrClosed
-	}
-	if p.readOnly.Load() {
-		return nil, ErrReadOnly
+	if err := p.writable(); err != nil {
+		return nil, err
 	}
 	p.hmu.Lock()
 	defer p.hmu.Unlock()
@@ -621,13 +633,10 @@ func (p *Pager) Allocate() (*Page, error) {
 }
 
 // Free returns a page to the free list. The page must not be pinned.
-// The shrunk free list reaches disk at the next Commit.
+// The shrunk free list is logged by the next Commit.
 func (p *Pager) Free(id PageID) error {
-	if p.closed.Load() {
-		return ErrClosed
-	}
-	if p.readOnly.Load() {
-		return ErrReadOnly
+	if err := p.writable(); err != nil {
+		return err
 	}
 	p.hmu.Lock()
 	defer p.hmu.Unlock()
@@ -725,33 +734,23 @@ func (p *Pager) install(id PageID, read bool) (*Page, error) {
 // contents from the newest WAL frame or the backend (verifying frame
 // CRC or page trailer respectively) when read is true. Caller holds
 // sh.mu.
+//
+// Eviction never steals: a dirty page reaches the page file only through
+// its log and a checkpoint, so eviction skips dirty victims and drops a
+// clean one without a write (its newest image is a WAL frame or the page
+// file). A stripe whose unpinned pages are all dirty overcommits until
+// the next commit logs them; one whose pages are all pinned overcommits
+// for as long as the pool as a whole has an unpinned page's worth of
+// room, and then refuses with ErrPoolExhausted. An overcommitted stripe
+// shrinks back as later installs find victims.
 func (p *Pager) installShard(sh *shard, id PageID, read bool) (*Page, error) {
 	w := p.wal.Load()
 	for len(sh.pages) >= sh.capacity {
 		victim := sh.lruTail
-		if w != nil {
-			// No-steal: in WAL mode a dirty page must never reach the page
-			// file outside a checkpoint, so eviction skips dirty victims.
-			// A clean victim's newest image is already durable (WAL frame
-			// or page file), so it is dropped without a write.
-			for victim != nil && victim.dirty {
-				victim = victim.prev
-			}
-			if victim == nil {
-				// Every unpinned page is dirty: overcommit the shard until
-				// the next commit captures them into the WAL.
-				break
-			}
-			p.evict(sh, victim)
-			continue
-		}
 		if victim == nil {
-			// Every page of this stripe is pinned. Same rule as above —
-			// overcommit the stripe — for as long as the pool as a whole
-			// has an unpinned page's worth of room; the stripe shrinks
-			// back as later installs find victims. Counting the pool's
-			// pins takes each stripe's lock in turn, so ours is dropped
-			// meanwhile, and a racing fetch may install the page.
+			// Counting the pool's pins takes each stripe's lock in turn, so
+			// ours is dropped meanwhile, and a racing fetch may install the
+			// page.
 			sh.mu.Unlock()
 			pinned, capacity := p.poolPins()
 			sh.mu.Lock()
@@ -764,8 +763,11 @@ func (p *Pager) installShard(sh *shard, id PageID, read bool) (*Page, error) {
 			}
 			break
 		}
-		if err := p.flushPage(sh, victim); err != nil {
-			return nil, err
+		for victim != nil && victim.dirty {
+			victim = victim.prev
+		}
+		if victim == nil {
+			break
 		}
 		p.evict(sh, victim)
 	}
@@ -823,8 +825,8 @@ func (p *Pager) admit(sh *shard, pg *Page) {
 	p.resident.set(pg.ID)
 }
 
-// evict drops an unpinned, clean (or, in WAL mode, already logged) page
-// from its stripe. Caller holds sh.mu.
+// evict drops an unpinned, clean page from its stripe. Caller holds
+// sh.mu.
 func (p *Pager) evict(sh *shard, victim *Page) {
 	sh.lruRemove(victim)
 	delete(sh.pages, victim.ID)
@@ -899,69 +901,6 @@ func (sh *shard) lruRemove(pg *Page) {
 	pg.prev, pg.next = nil, nil
 }
 
-// flushPage writes pg back if dirty, stamping the integrity trailer.
-// Caller holds sh.mu.
-func (p *Pager) flushPage(sh *shard, pg *Page) error {
-	if !pg.dirty {
-		return nil
-	}
-	if p.readOnly.Load() {
-		return fmt.Errorf("pager: dirty page %d: %w", pg.ID, ErrReadOnly)
-	}
-	stampTrailer(pg.Data[:])
-	if _, err := p.backend.WriteAt(pg.Data[:], int64(pg.ID)*PageSize); err != nil {
-		return fmt.Errorf("pager: write page %d: %w", pg.ID, err)
-	}
-	// New bytes went out; only the next read can vouch for what the
-	// medium kept (torn writes report success), so forget the page's
-	// verification.
-	p.verified.clear(pg.ID)
-	pg.dirty = false
-	sh.stats.Writes++
-	return nil
-}
-
-// flushShards writes every dirty pooled page back to the backend.
-func (p *Pager) flushShards() error {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, pg := range sh.pages {
-			if err := p.flushPage(sh, pg); err != nil {
-				sh.mu.Unlock()
-				return err
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return nil
-}
-
-// commit is the ordered write barrier: flush every dirty data page,
-// sync, then write and sync the header. A crash at any point leaves a
-// file whose surviving header never describes unsynced pages.
-func (p *Pager) commit() error {
-	if p.readOnly.Load() {
-		return ErrReadOnly
-	}
-	if err := p.flushShards(); err != nil {
-		return err
-	}
-	if err := p.backend.Sync(); err != nil {
-		return p.failStop(err)
-	}
-	if err := p.writeHeader(); err != nil {
-		return err
-	}
-	if err := p.backend.Sync(); err != nil {
-		return p.failStop(err)
-	}
-	// If the file grew past the mapped region, extend the mapping so
-	// the new pages also serve zero-copy (best-effort).
-	p.tryRemap()
-	return nil
-}
-
 // failStop makes the pager read-only after a failed fsync and returns
 // err wrapped with ErrReadOnly as well. The pages the sync was to harden
 // are already marked clean, so a retried commit would write nothing and
@@ -973,32 +912,48 @@ func (p *Pager) failStop(err error) error {
 	return fmt.Errorf("%w (the pager is read-only from here on: %w)", err, ErrReadOnly)
 }
 
-// Commit flushes all dirty pages, syncs them, and only then writes and
-// syncs the header — the explicit durability barrier callers place at
-// the end of bulk builds and checkpoints. With a WAL enabled, Commit
-// instead appends the dirty pages and a commit record to the log with
-// a single (group) fsync; the page file is updated later, by a
-// checkpoint.
+// Commit is the durability barrier: it appends every dirty page and a
+// commit record to the log and acknowledges once one (group) fsync has
+// hardened them; the page file catches up at the next checkpoint. A
+// pager without a log refuses with ErrNoWAL.
 func (p *Pager) Commit() error {
-	if p.closed.Load() {
-		return ErrClosed
+	if err := p.writable(); err != nil {
+		return err
 	}
-	if w := p.wal.Load(); w != nil {
-		return p.commitWAL(w)
-	}
-	return p.commit()
+	return p.commitWAL(p.wal.Load())
 }
 
-// Flush is Commit under its historical name: every flush of the page
-// file is an ordered commit.
-func (p *Pager) Flush() error { return p.Commit() }
+// dirtyPage is a dirty pool page and the stripe that holds it.
+type dirtyPage struct {
+	pg *Page
+	sh *shard
+}
 
-// Close commits and closes the pager (read-only pagers just release
-// the backends). Further operations fail with ErrClosed. Close refuses
-// — and the pager stays open — while zero-copy views are still pinned,
-// because unmapping would leave them dangling. Past that point the pager
-// is closed whatever happens: a failed final commit or checkpoint is
-// returned, and the backends are released all the same.
+// dirtyPages returns every dirty pool page, in page order.
+func (p *Pager) dirtyPages() []dirtyPage {
+	var out []dirtyPage
+	for i := range p.shards {
+		sh := &p.shards[i]
+		sh.mu.Lock()
+		for _, pg := range sh.pages {
+			if pg.dirty {
+				out = append(out, dirtyPage{pg, sh})
+			}
+		}
+		sh.mu.Unlock()
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].pg.ID < out[j].pg.ID })
+	return out
+}
+
+// Close commits, checkpoints and closes the pager (read-only pagers just
+// release the backends; a pager without a log refuses with ErrNoWAL if a
+// page was dirtied, and closes all the same). Further operations fail
+// with ErrClosed. Close refuses — and the pager stays open — while
+// zero-copy views are still pinned, because unmapping would leave them
+// dangling. Past that point the pager is closed whatever happens: a
+// failed final commit or checkpoint is returned, and the backends are
+// released all the same.
 func (p *Pager) Close() error {
 	if p.closed.Load() {
 		return nil
@@ -1011,11 +966,13 @@ func (p *Pager) Close() error {
 	}
 	w := p.wal.Load()
 	var err error
-	if !p.readOnly.Load() {
-		if w != nil {
-			err = p.closeWAL(w)
-		} else {
-			err = p.commit()
+	switch {
+	case p.readOnly.Load():
+	case w != nil:
+		err = p.closeWAL(w)
+	default:
+		if n := len(p.dirtyPages()); n > 0 {
+			err = fmt.Errorf("pager: close: %d page(s) changed without a log: %w", n, ErrNoWAL)
 		}
 	}
 	if w != nil {

@@ -49,38 +49,6 @@ func TestFetchInvalid(t *testing.T) {
 	}
 }
 
-func TestEvictionWritesBack(t *testing.T) {
-	p := OpenMem(2)
-	defer p.Close()
-
-	// Allocate 5 pages, each stamped with its id; pool holds only 2,
-	// so earlier pages must be evicted and written back.
-	var ids []PageID
-	for i := 0; i < 5; i++ {
-		pg, err := p.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint32(pg.Data[:4], uint32(pg.ID))
-		pg.MarkDirty()
-		ids = append(ids, pg.ID)
-		p.Unpin(pg)
-	}
-	if s := p.Stats(); s.Evictions == 0 {
-		t.Error("expected evictions with a 2-page pool")
-	}
-	for _, id := range ids {
-		pg, err := p.Fetch(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := PageID(binary.LittleEndian.Uint32(pg.Data[:4])); got != id {
-			t.Errorf("page %d round-tripped as %d", id, got)
-		}
-		p.Unpin(pg)
-	}
-}
-
 func TestPoolExhaustion(t *testing.T) {
 	p := OpenMem(2)
 	defer p.Close()
@@ -129,6 +97,10 @@ func TestPoolExhaustedOnlyWhenFullyPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.Unpin(pg)
+			// Committed pages are clean, so later installs can evict them.
+			if err := p.Commit(); err != nil {
+				t.Fatal(err)
+			}
 		}
 		// Ids congruent mod 16 share a stripe at every stripe count.
 		var held []*Page
@@ -197,10 +169,7 @@ func TestFreePinnedFails(t *testing.T) {
 
 func TestPersistenceAcrossReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "test.db")
-	p, err := Open(path, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := openLogged(t, path, 4)
 	pg, err := p.Allocate()
 	if err != nil {
 		t.Fatal(err)
@@ -233,10 +202,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 
 func TestFreeListPersists(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "free.db")
-	p, err := Open(path, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := openLogged(t, path, 4)
 	a, _ := p.Allocate()
 	b, _ := p.Allocate()
 	idA := a.ID
@@ -249,10 +215,7 @@ func TestFreeListPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2, err := Open(path, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p2 := openLogged(t, path, 4)
 	defer p2.Close()
 	pg, err := p2.Allocate()
 	if err != nil {
@@ -311,8 +274,8 @@ func TestClosedOperationsFail(t *testing.T) {
 	if _, err := p.Fetch(1); err != ErrClosed {
 		t.Errorf("Fetch after close: %v, want ErrClosed", err)
 	}
-	if err := p.Flush(); err != ErrClosed {
-		t.Errorf("Flush after close: %v, want ErrClosed", err)
+	if err := p.Commit(); err != ErrClosed {
+		t.Errorf("Commit after close: %v, want ErrClosed", err)
 	}
 	if err := p.Close(); err != nil {
 		t.Errorf("double close: %v", err)
@@ -348,6 +311,10 @@ func TestLRUOrder(t *testing.T) {
 	idA, idB := a.ID, b.ID
 	p.Unpin(a)
 	p.Unpin(b)
+	// Logged pages are clean: only a clean page is an eviction victim.
+	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	// Touch A so B becomes the LRU victim.
 	a2, _ := p.Fetch(idA)
 	p.Unpin(a2)
@@ -467,6 +434,10 @@ func testConcurrentFetches(t *testing.T) {
 		ids = append(ids, pg.ID)
 		p.Unpin(pg)
 	}
+	// Logged, the pages are clean, and the fetches below evict them.
+	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	fail := make(chan string, 8)
 	for g := 0; g < 8; g++ {
@@ -493,5 +464,54 @@ func testConcurrentFetches(t *testing.T) {
 	close(fail)
 	for e := range fail {
 		t.Fatal(e)
+	}
+}
+
+// openLogged opens the page file at path with its log attached, as a
+// pager that writes must be.
+func openLogged(t testing.TB, path string, pool int) *Pager {
+	t.Helper()
+	p, err := Open(path, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnableWAL(); err != nil {
+		p.Close()
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestNoLogPagerIsAReader: a pager without a log refuses every write
+// with ErrNoWAL and serves reads, and Close reports a page dirtied
+// behind its back.
+func TestNoLogPagerIsAReader(t *testing.T) {
+	img := buildImage(t, 2)
+	p, err := OpenBackend(NewMemBackend(img), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Allocate(); !errors.Is(err, ErrNoWAL) {
+		t.Fatalf("Allocate = %v, want ErrNoWAL", err)
+	}
+	if err := p.Free(1); !errors.Is(err, ErrNoWAL) {
+		t.Fatalf("Free = %v, want ErrNoWAL", err)
+	}
+	if err := p.Commit(); !errors.Is(err, ErrNoWAL) {
+		t.Fatalf("Commit = %v, want ErrNoWAL", err)
+	}
+	if err := p.CheckpointWAL(); !errors.Is(err, ErrNoWAL) {
+		t.Fatalf("CheckpointWAL = %v, want ErrNoWAL", err)
+	}
+	pg, err := p.Fetch(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPattern(t, pg)
+	pg.Data[8] ^= 0xFF
+	pg.MarkDirty()
+	p.Unpin(pg)
+	if err := p.Close(); !errors.Is(err, ErrNoWAL) {
+		t.Fatalf("Close with a page dirtied and no log = %v, want ErrNoWAL", err)
 	}
 }

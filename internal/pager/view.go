@@ -18,7 +18,7 @@ package pager
 //     common "not resident" answer costs one atomic load and no stripe
 //     lock.
 //   - Without a mapping (other platforms, the pictdb_nommap build,
-//     memory, fault-injecting and snapshot backends) every read takes
+//     memory, fault-injecting and crash-capture backends) every read takes
 //     the pool path: the bytes alias the pooled frame and hold its pin.
 //
 // Checksums are verified once per page generation: a verified-bitmap
@@ -35,7 +35,7 @@ package pager
 //     Page or End, whichever comes first. Do not retain them after.
 //   - A View (Pin … Unpin) is a batch of one: same routine, same rules.
 //   - Reads are read-only; writers go through Fetch + MarkDirty.
-//   - Do not write a page (MarkDirty/flush) while holding its bytes.
+//   - Do not write a page (MarkDirty) while holding its bytes.
 //   - End / Unpin exactly once; a second one panics.
 //   - Close fails while any reader or view is outstanding, instead of
 //     unmapping memory out from under it.
@@ -186,7 +186,7 @@ func (v *View) Unpin() {
 
 // mapping is one read-only mmap of the backing file. Pages [0, pages)
 // are served from data; anything beyond (allocated after the map was
-// made) falls back to the pool until a commit remaps.
+// made) falls back to the pool until a checkpoint remaps.
 //
 // refs counts the readers holding the mapping. A mapping that has been
 // replaced (or is being closed) is retired, and a retired mapping is
@@ -287,7 +287,7 @@ func (m *mapping) page(id PageID) []byte {
 // EnableMmap maps the backing file read-only and routes Pin through
 // it. It fails with ErrMmapUnsupported when the build lacks mmap or
 // the backend is not a plain file (memory, fault-injecting and
-// snapshot backends keep the pool path, which preserves their
+// crash-capture backends keep the pool path, which preserves their
 // interception of every read). Safe to call once, before concurrent
 // use.
 func (p *Pager) EnableMmap() error {
@@ -344,7 +344,7 @@ func (p *Pager) remapLocked(f *os.File) error {
 }
 
 // tryRemap extends the mapping after the file has grown (called at the
-// end of a successful Commit). Best-effort: failures leave the old
+// end of a successful checkpoint). Best-effort: failures leave the old
 // mapping serving its pages and the pool serving the rest.
 func (p *Pager) tryRemap() {
 	m := p.mapping.Load()
@@ -470,7 +470,7 @@ func (b *pageBits) clear(id PageID) {
 // verifyBytes checks a page image (pool frame or mapped bytes) against
 // its trailer, consulting and maintaining the verified-bitmap so each
 // on-disk generation of a page pays for at most one CRC on whichever
-// path reads it first. Write-back, checkpoint backfill and reuse of a
+// path reads it first. Write-back (checkpoint or recovery) and reuse of a
 // freed page clear the bit, because only a future read can vouch for
 // what reached the medium.
 func (p *Pager) verifyBytes(id PageID, data []byte) error {

@@ -14,10 +14,7 @@ import (
 // pages and returns their ids.
 func buildFile(t *testing.T, path string, n int) []PageID {
 	t.Helper()
-	p, err := Open(path, n+4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := openLogged(t, path, n+4)
 	ids := make([]PageID, n)
 	for i := 0; i < n; i++ {
 		pg, err := p.Allocate()
@@ -137,19 +134,16 @@ func evictAll(t *testing.T, p *Pager, others []PageID) {
 
 // TestPinPrefersDirtyPoolPage is the residency rule: a page fetched
 // and dirtied is resident, so both entry points serve its frame (the new
-// bytes, not the stale image under the mapping); once it is flushed and
-// evicted the bit is down, the next read comes from the mapping again,
-// and — the write-back having cleared the verified bit — pays the CRC
-// of the new on-disk generation once.
+// bytes, not the stale image under the mapping); once it is committed,
+// checkpointed and evicted the bit is down, the next read comes from the
+// mapping again, and — the write-back having cleared the verified bit —
+// pays the CRC of the new on-disk generation once.
 func TestPinPrefersDirtyPoolPage(t *testing.T) {
 	for _, rd := range readers {
 		t.Run(rd.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "dirty.db")
 			ids := buildFile(t, path, 5)
-			p, err := Open(path, 2) // one stripe of two frames
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := openLogged(t, path, 2) // one stripe of two frames
 			defer p.Close()
 			if err := p.EnableMmap(); err != nil && mmapSupported {
 				t.Fatal(err)
@@ -184,8 +178,11 @@ func TestPinPrefersDirtyPoolPage(t *testing.T) {
 					before.Hits, st.Hits, before.MmapPins, st.MmapPins)
 			}
 
-			// Flush, then evict: the frame and both bits go.
+			// Commit and checkpoint, then evict: the frame and both bits go.
 			if err := p.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.CheckpointWAL(); err != nil {
 				t.Fatal(err)
 			}
 			evictAll(t, p, ids[1:3])
@@ -202,7 +199,7 @@ func TestPinPrefersDirtyPoolPage(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !strings.HasPrefix(string(b[8:40]), "fresh uncommitted bytes") {
-				t.Fatalf("read after flush and eviction lost the write: %q", b[8:40])
+				t.Fatalf("read after checkpoint and eviction lost the write: %q", b[8:40])
 			}
 			release()
 			if !p.verified.get(target) {
@@ -231,14 +228,8 @@ func TestWALFramedPageServedThroughPool(t *testing.T) {
 		t.Run(rd.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "framed.db")
 			ids := buildFile(t, path, 5)
-			p, err := Open(path, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := openLogged(t, path, 2)
 			defer p.Close()
-			if err := p.EnableWAL(); err != nil {
-				t.Fatal(err)
-			}
 			if err := p.EnableMmap(); err != nil && mmapSupported {
 				t.Fatal(err)
 			}
@@ -345,6 +336,10 @@ func TestResidencyMatchesPoolUnderChurn(t *testing.T) {
 		}
 		p.Unpin(pg)
 	}
+	// Logged, the pages are clean: the reads below evict them.
+	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	var failed atomic.Bool
 	for g := 0; g < 8; g++ {
@@ -385,16 +380,14 @@ func TestResidencyMatchesPoolUnderChurn(t *testing.T) {
 }
 
 // TestPinSeesPagesAllocatedAfterMmap allocates and commits new pages
-// after the mapping was made: Commit remaps, and pins of the new pages
-// return the committed bytes.
+// after the mapping was made: pins of the new pages return the committed
+// bytes, from the pool's log frames until a checkpoint writes the pages
+// back and remaps, and from the grown mapping after it.
 func TestPinSeesPagesAllocatedAfterMmap(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grow.db")
 	buildFile(t, path, 2)
 
-	p, err := Open(path, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := openLogged(t, path, 16)
 	defer p.Close()
 	if err := p.EnableMmap(); err != nil {
 		if mmapSupported {
@@ -416,18 +409,28 @@ func TestPinSeesPagesAllocatedAfterMmap(t *testing.T) {
 	if err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range newIDs {
-		v, err := p.Pin(id)
-		if err != nil {
-			t.Fatalf("Pin(%d) after growth: %v", id, err)
-		}
-		for i := 8; i < 256; i++ {
-			if v.Data()[i] != byte(uint32(id)*uint32(i)) {
-				t.Fatalf("page %d byte %d mismatch after remap", id, i)
+	pinAll := func(when string) {
+		for _, id := range newIDs {
+			v, err := p.Pin(id)
+			if err != nil {
+				t.Fatalf("Pin(%d) %s: %v", id, when, err)
 			}
+			for i := 8; i < 256; i++ {
+				if v.Data()[i] != byte(uint32(id)*uint32(i)) {
+					t.Fatalf("page %d byte %d mismatch %s", id, i, when)
+				}
+			}
+			v.Unpin()
 		}
-		v.Unpin()
 	}
+	pinAll("after the commit")
+	if err := p.CheckpointWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if m := p.mapping.Load(); uint32(newIDs[len(newIDs)-1]) >= m.pages {
+		t.Fatalf("checkpoint left a mapping of %d pages, short of page %d", m.pages, newIDs[len(newIDs)-1])
+	}
+	pinAll("after the checkpoint's remap")
 }
 
 // TestPinDetectsCorruption flips a committed byte directly in the file
@@ -472,10 +475,7 @@ func TestVerifiedBitmapSkipsReverify(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bitmap.db")
 	ids := buildFile(t, path, 2)
 
-	p, err := Open(path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := openLogged(t, path, 8)
 	defer p.Close()
 	_ = p.EnableMmap()
 
@@ -491,8 +491,8 @@ func TestVerifiedBitmapSkipsReverify(t *testing.T) {
 		t.Fatal("page not marked verified after Pin")
 	}
 
-	// Dirty the page and flush it: the on-disk generation changed, so
-	// the bit must drop.
+	// Dirty the page, commit and checkpoint it: the on-disk generation
+	// changed, so the bit must drop.
 	pg, err := p.Fetch(ids[0])
 	if err != nil {
 		t.Fatal(err)
@@ -501,6 +501,9 @@ func TestVerifiedBitmapSkipsReverify(t *testing.T) {
 	pg.MarkDirty()
 	p.Unpin(pg)
 	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckpointWAL(); err != nil {
 		t.Fatal(err)
 	}
 	if p.verified.get(ids[0]) {
@@ -594,7 +597,11 @@ func liveMappings(p *Pager) int {
 	return n
 }
 
-// growAndCommit allocates one patterned page and commits, which remaps.
+// growAndCommit allocates one patterned page, commits it, and folds the
+// log into the page file, which remaps. It takes the checkpoint past its
+// check for readers: a reader that begins just after that check holds
+// its mapping across the remap, the window the mapping's reference count
+// exists for, and these tests hold readers there on purpose.
 func growAndCommit(t *testing.T, p *Pager) PageID {
 	t.Helper()
 	pg, err := p.Allocate()
@@ -605,6 +612,12 @@ func growAndCommit(t *testing.T, p *Pager) PageID {
 	id := pg.ID
 	p.Unpin(pg)
 	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	w := p.wal.Load()
+	w.commitMu.Lock()
+	defer w.commitMu.Unlock()
+	if err := p.fold(w); err != nil {
 		t.Fatal(err)
 	}
 	return id
@@ -629,10 +642,7 @@ func checkBytes(t *testing.T, id PageID, b []byte) {
 func TestRetiredMappingsAreUnmapped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "retire.db")
 	ids := buildFile(t, path, 4)
-	p, err := Open(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := openLogged(t, path, 64)
 	defer p.Close()
 	if err := p.EnableMmap(); err != nil {
 		if mmapSupported {
@@ -677,10 +687,7 @@ func TestRetiredMappingsAreUnmapped(t *testing.T) {
 func TestRemapUnderReaders(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "race.db")
 	ids := buildFile(t, path, 8)
-	p, err := Open(path, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := openLogged(t, path, 64)
 	defer p.Close()
 	if err := p.EnableMmap(); err != nil {
 		if mmapSupported {

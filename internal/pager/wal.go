@@ -2,16 +2,18 @@ package pager
 
 // Write-ahead log with group commit.
 //
-// With a WAL enabled (EnableWAL / EnableWALBackend), Commit no longer
-// rewrites the page file in place. Instead the commit leader captures
+// Every pager that writes keeps a log: EnableWAL puts it in a sidecar
+// file, EnableWALBackend in any Backend, and OpenMem in memory. Commit
+// never rewrites the page file in place. The commit leader captures
 // every dirty pool page as a CRC-32C-framed, generation-stamped record
-// appended to the WAL sidecar, follows them with a commit record
-// carrying the header state (page count, free-list head), and fsyncs
-// once for the whole batch. Concurrent committers enqueue; whichever
-// arrives first becomes the leader, drains the queue, and acknowledges
-// every batched writer after the single sync — group commit. The page
-// file itself is only rewritten by checkpoints (and by recovery), so a
-// torn in-place page write can no longer destroy committed data.
+// appended to the log, follows them with a commit record carrying the
+// header state (page count, free-list head), and fsyncs once for the
+// whole batch. Concurrent committers enqueue; whichever arrives first
+// becomes the leader, drains the queue, and acknowledges every batched
+// writer after the single sync — group commit. The page file itself is
+// only rewritten by checkpoints and by recovery, through one write-back
+// step (data, sync, header, sync), so a torn in-place page write can no
+// longer destroy committed data.
 //
 // Reads consult the WAL first: a page whose latest image lives in a
 // committed-or-captured WAL frame is served from the frame (frame CRC
@@ -19,12 +21,12 @@ package pager
 // stolen to the page file — eviction skips them — so the page file
 // always holds exactly the last checkpointed state.
 //
-// Recovery: on open, committed WAL records are replayed into the v2
-// page format (ordered: data, sync, header, sync) and the WAL is
-// truncated. A torn tail — any bytes past the last record whose CRC
-// validates through a commit record — is discarded; InspectWAL
-// distinguishes that tolerated tail from corruption *before* the last
-// commit point, which is data loss and reported as such.
+// Recovery: on open, committed WAL records are replayed into the page
+// file by the same write-back step and the WAL is truncated. A torn
+// tail — any bytes past the last record whose CRC validates through a
+// commit record — is discarded; InspectWAL distinguishes that tolerated
+// tail from corruption *before* the last commit point, which is data
+// loss and reported as such.
 
 import (
 	"encoding/binary"
@@ -58,7 +60,8 @@ const frameMagic uint32 = 0x57414C46 // "FLAW" little-endian, reads "WALF"
 
 var walMagic = [8]byte{'P', 'I', 'C', 'T', 'W', 'A', 'L', '1'}
 
-// ErrNoWAL is returned by WAL-only operations on a pager without one.
+// ErrNoWAL is returned by every write to a pager without a log: such a
+// pager is a reader.
 var ErrNoWAL = errors.New("pager: no write-ahead log enabled")
 
 // walFrame locates one page image inside the WAL.
@@ -106,7 +109,7 @@ type walState struct {
 	stats WALStats
 
 	// checkpointEvery triggers an automatic checkpoint once the WAL
-	// grows past this many bytes (0 disables automatic checkpoints).
+	// grows past this many bytes.
 	checkpointEvery int64
 }
 
@@ -130,8 +133,8 @@ func WALPath(path string) string { return path + ".wal" }
 
 // EnableWAL opens (or creates) the WAL sidecar next to a file-backed
 // pager, recovers any committed records it holds into the page file,
-// and switches Commit to the group-commit write-ahead discipline. Call
-// it immediately after Open, before mutations.
+// and makes the pager a writer. Call it immediately after Open, before
+// mutations.
 func (p *Pager) EnableWAL() error {
 	if p.closed.Load() {
 		return ErrClosed
@@ -152,7 +155,7 @@ func (p *Pager) EnableWAL() error {
 
 // EnableWALBackend attaches a write-ahead log stored in b — the seam
 // the fault-injection and crash-point harnesses use to run the WAL
-// over torn, failing, or snapshotted storage. Existing committed
+// over torn, failing, or captured storage. Existing committed
 // records in b are recovered into the page file first.
 func (p *Pager) EnableWALBackend(b Backend) error {
 	if p.closed.Load() {
@@ -185,11 +188,8 @@ func (p *Pager) enableWAL(b Backend, path string) error {
 	return nil
 }
 
-// WALEnabled reports whether commits go through a write-ahead log.
-func (p *Pager) WALEnabled() bool { return p.wal.Load() != nil }
-
-// WALStats returns a snapshot of the WAL counters. The zero value is
-// returned when no WAL is enabled.
+// WALStats returns a snapshot of the WAL counters; a reader, which has
+// no log, has logged nothing and reports the zero value.
 func (p *Pager) WALStats() WALStats {
 	w := p.wal.Load()
 	if w == nil {
@@ -201,17 +201,6 @@ func (p *Pager) WALStats() WALStats {
 	s.Size = w.size
 	s.LastGen = w.committedGen
 	return s
-}
-
-// SetWALCheckpointThreshold sets the WAL size, in bytes, past which a
-// commit triggers an automatic checkpoint (backfill into the page file
-// and WAL truncation). Zero disables automatic checkpoints.
-func (p *Pager) SetWALCheckpointThreshold(bytes int64) {
-	if w := p.wal.Load(); w != nil {
-		w.imu.Lock()
-		w.checkpointEvery = bytes
-		w.imu.Unlock()
-	}
 }
 
 // BeginWrite brackets the start of a multi-page logical mutation
@@ -328,7 +317,7 @@ func writeWALHeader(b Backend) error {
 
 // --- group commit -----------------------------------------------------
 
-// commitWAL is Commit in WAL mode: enqueue, and either wait for a
+// commitWAL is Commit past its checks: enqueue, and either wait for a
 // leader's batch to cover this request or become the leader and drain
 // the queue, one fsync per batch.
 func (p *Pager) commitWAL(w *walState) error {
@@ -378,22 +367,7 @@ func (p *Pager) walCommitBatch(w *walState, writers int) error {
 	p.hmu.Unlock()
 
 	// Capture every dirty page, in page order for reproducible logs.
-	type captured struct {
-		pg *Page
-		sh *shard
-	}
-	var caps []captured
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, pg := range sh.pages {
-			if pg.dirty {
-				caps = append(caps, captured{pg, sh})
-			}
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(caps, func(i, j int) bool { return caps[i].pg.ID < caps[j].pg.ID })
+	caps := p.dirtyPages()
 
 	buf := make([]byte, 0, len(caps)*(frameHeaderSize+PageSize+frameTrailer)+frameHeaderSize+commitPayloadSize+frameTrailer)
 	offs := make([]int64, len(caps))
@@ -445,7 +419,7 @@ func (p *Pager) walCommitBatch(w *walState, writers int) error {
 	w.stats.Commits += uint64(writers)
 	w.stats.Batches++
 	w.stats.Syncs++
-	auto := w.checkpointEvery > 0 && w.size >= walHeaderSize+w.checkpointEvery
+	auto := w.size >= walHeaderSize+w.checkpointEvery
 	w.imu.Unlock()
 	if auto {
 		// Best-effort (still under commitMu): skipped while mmap views
@@ -500,9 +474,9 @@ func (w *walState) readFrameImage(f walFrame, id PageID, dst []byte) error {
 // --- checkpoint -------------------------------------------------------
 
 // CheckpointWAL backfills every committed WAL page image into the page
-// file with the ordered-commit barrier and truncates the WAL. It fails
-// while zero-copy mmap views are pinned: the backfill would rewrite the
-// bytes they read.
+// file by the one write-back step and truncates the WAL. It fails while
+// zero-copy mmap views are pinned: the backfill would rewrite the bytes
+// they read. A reader, which has no log, refuses with ErrNoWAL.
 func (p *Pager) CheckpointWAL() error {
 	w := p.wal.Load()
 	if w == nil {
@@ -519,9 +493,6 @@ func (p *Pager) checkpointWAL(w *walState, must bool) error {
 
 func (p *Pager) checkpointWALLocked(w *walState, must bool) error {
 	w.imu.RLock()
-	gen := w.committedGen
-	numPages := w.committedNumPages
-	freeHead := w.committedFreeHead
 	empty := w.size <= walHeaderSize
 	w.imu.RUnlock()
 	if empty {
@@ -535,11 +506,20 @@ func (p *Pager) checkpointWALLocked(w *walState, must bool) error {
 		}
 		return nil
 	}
+	return p.fold(w)
+}
 
+// fold is a checkpoint past its checks: it writes the newest committed
+// image of every logged page back, empties the log and remaps the grown
+// file. Caller holds commitMu.
+func (p *Pager) fold(w *walState) error {
 	// Latest committed frame per page: a frame past gen belongs to a
 	// batch whose fsync failed and was never acknowledged. No leader runs
 	// concurrently (commitMu), so the index is stable.
 	w.imu.RLock()
+	gen := w.committedGen
+	numPages := w.committedNumPages
+	freeHead := w.committedFreeHead
 	latest := make(map[PageID]walFrame, len(w.index))
 	for id, frames := range w.index {
 		for i := len(frames) - 1; i >= 0; i-- {
@@ -550,24 +530,7 @@ func (p *Pager) checkpointWALLocked(w *walState, must bool) error {
 		}
 	}
 	w.imu.RUnlock()
-
-	img := make([]byte, PageSize)
-	for id, f := range latest {
-		if err := w.readFrameImage(f, id, img); err != nil {
-			return err
-		}
-		if _, err := p.backend.WriteAt(img, int64(id)*PageSize); err != nil {
-			return fmt.Errorf("pager: checkpoint page %d: %w", id, err)
-		}
-		p.verified.clear(id)
-	}
-	if err := p.backend.Sync(); err != nil {
-		return err
-	}
-	if err := p.writeHeaderState(numPages, freeHead); err != nil {
-		return err
-	}
-	if err := p.backend.Sync(); err != nil {
+	if err := p.writeBack(w, latest, numPages, freeHead); err != nil {
 		return err
 	}
 	// The page file now carries generation gen in full. Retire the
@@ -584,22 +547,59 @@ func (p *Pager) checkpointWALLocked(w *walState, must bool) error {
 	w.stats.Checkpoints++
 	w.stats.Syncs++
 	w.imu.Unlock()
-	if err := w.backend.Truncate(walHeaderSize); err != nil {
-		return fmt.Errorf("pager: truncate wal: %w", err)
-	}
-	if err := writeWALHeader(w.backend); err != nil {
-		return err
-	}
-	if err := w.backend.Sync(); err != nil {
+	if err := w.reset(); err != nil {
 		return err
 	}
 	p.tryRemap()
 	return nil
 }
 
+// writeBack is the one writer of the page file. It writes the image of
+// every frame in frames to its page, in page order, syncs, writes a
+// header for (numPages, freeHead) into the inactive slot, and syncs
+// again: a crash at any point leaves a header that describes only synced
+// pages, and the step repeated after it (recovery replays the same log)
+// lands in the same state. Checkpoints and recovery call it; caller
+// holds commitMu.
+func (p *Pager) writeBack(w *walState, frames map[PageID]walFrame, numPages uint32, freeHead PageID) error {
+	ids := make([]PageID, 0, len(frames))
+	for id := range frames {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	img := make([]byte, PageSize)
+	for _, id := range ids {
+		if err := w.readFrameImage(frames[id], id, img); err != nil {
+			return err
+		}
+		if _, err := p.backend.WriteAt(img, int64(id)*PageSize); err != nil {
+			return fmt.Errorf("pager: write back page %d: %w", id, err)
+		}
+		p.verified.clear(id)
+	}
+	if err := p.backend.Sync(); err != nil {
+		return err
+	}
+	if err := p.writeHeader(numPages, freeHead); err != nil {
+		return err
+	}
+	return p.backend.Sync()
+}
+
+// reset empties the log down to a fresh header and syncs it.
+func (w *walState) reset() error {
+	if err := w.backend.Truncate(walHeaderSize); err != nil {
+		return fmt.Errorf("pager: truncate wal: %w", err)
+	}
+	if err := writeWALHeader(w.backend); err != nil {
+		return err
+	}
+	return w.backend.Sync()
+}
+
 // closeWAL is Close's final commit and checkpoint: the page file is
 // left carrying the full committed state and the WAL truncated, so the
-// database stands alone (and stays readable by WAL-less opens).
+// database stands alone (and stays readable by a reader's open).
 func (p *Pager) closeWAL(w *walState) error {
 	if err := p.commitWAL(w); err != nil {
 		return err
@@ -616,6 +616,7 @@ func (p *Pager) closeWAL(w *walState) error {
 func (p *Pager) recoverWAL(w *walState) error {
 	w.commitMu.Lock()
 	defer w.commitMu.Unlock()
+	w.size = walHeaderSize
 
 	var hdr [walHeaderSize]byte
 	n, err := w.backend.ReadAt(hdr[:], 0)
@@ -624,14 +625,7 @@ func (p *Pager) recoverWAL(w *walState) error {
 		// Empty or header-torn WAL: nothing was ever durably committed
 		// through it (the header is written and synced before the first
 		// record); initialize it fresh.
-		if err := writeWALHeader(w.backend); err != nil {
-			return err
-		}
-		if err := w.backend.Sync(); err != nil {
-			return err
-		}
-		w.size = walHeaderSize
-		return nil
+		return w.reset()
 	case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
 		return fmt.Errorf("pager: read wal header: %w", err)
 	}
@@ -642,11 +636,11 @@ func (p *Pager) recoverWAL(w *walState) error {
 		return fmt.Errorf("pager: wal %s: header: %w", w.path, ErrChecksum)
 	}
 
-	// Scan records, applying page images only when their batch reaches
-	// a valid commit record.
-	latest := make(map[PageID][]byte)
-	pending := make(map[PageID][]byte)
-	var pendingCount uint32
+	// Scan records, applying page frames only when their batch reaches a
+	// valid commit record.
+	latest := make(map[PageID]walFrame)
+	pending := make(map[PageID]walFrame)
+	var pendingCount uint32 // page records, which may name a page twice
 	var lastGen uint64
 	var lastNumPages uint32
 	var lastFreeHead PageID
@@ -662,13 +656,13 @@ func (p *Pager) recoverWAL(w *walState) error {
 			break
 		}
 		if kind == frameKindPage {
-			pending[PageID(ref)] = payload // readFrameAt's own allocation
+			pending[PageID(ref)] = walFrame{gen: gen, off: off}
 			pendingCount++
 		} else {
-			for id, img := range pending {
-				latest[id] = img
+			for id, f := range pending {
+				latest[id] = f
 			}
-			pending = make(map[PageID][]byte)
+			clear(pending)
 			pendingCount = 0
 			lastGen = gen
 			lastNumPages, lastFreeHead = commitState(payload)
@@ -678,21 +672,11 @@ func (p *Pager) recoverWAL(w *walState) error {
 	}
 
 	if committed {
-		// Replay: data pages first, sync, then the header, then sync —
-		// the same ordered barrier as a normal commit, so a crash
-		// mid-recovery just recovers again.
-		for id, img := range latest {
+		for id := range latest {
 			if uint32(id) >= lastNumPages {
 				return fmt.Errorf("pager: wal %s: %w: committed frame for page %d beyond page count %d",
 					w.path, ErrChecksum, id, lastNumPages)
 			}
-			if _, err := p.backend.WriteAt(img, int64(id)*PageSize); err != nil {
-				return fmt.Errorf("pager: wal replay page %d: %w", id, err)
-			}
-			p.verified.clear(id)
-		}
-		if err := p.backend.Sync(); err != nil {
-			return err
 		}
 		p.hmu.Lock()
 		p.numPages.Store(lastNumPages)
@@ -701,34 +685,13 @@ func (p *Pager) recoverWAL(w *walState) error {
 			p.gen = lastGen
 		}
 		p.hmu.Unlock()
-		if err := p.writeHeaderState(lastNumPages, lastFreeHead); err != nil {
+		// A crash mid-replay just recovers again.
+		if err := p.writeBack(w, latest, lastNumPages, lastFreeHead); err != nil {
 			return err
 		}
-		if err := p.backend.Sync(); err != nil {
-			return err
-		}
-		w.stats.Frames = 0
 	}
 	// Drop the replayed (and any torn) records.
-	if err := w.backend.Truncate(walHeaderSize); err != nil {
-		return fmt.Errorf("pager: truncate wal: %w", err)
-	}
-	if err := writeWALHeader(w.backend); err != nil {
-		return err
-	}
-	if err := w.backend.Sync(); err != nil {
-		return err
-	}
-	w.size = walHeaderSize
-	return nil
-}
-
-// writeHeaderState is writeHeader with an explicit page count and
-// free head.
-func (p *Pager) writeHeaderState(numPages uint32, freeHead PageID) error {
-	p.hmu.Lock()
-	defer p.hmu.Unlock()
-	return p.writeHeaderLocked(numPages, freeHead)
+	return w.reset()
 }
 
 // --- inspection -------------------------------------------------------

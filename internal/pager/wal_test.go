@@ -13,11 +13,10 @@ import (
 	"time"
 )
 
-// newWALPager builds a pager over fresh memory backends with a WAL
-// attached, returning both halves for crash simulation.
-func newWALPager(t testing.TB, pool int) (*Pager, *MemBackend, *MemBackend) {
+// newWALPager opens a pager over main with a fresh in-memory log
+// attached, returning the log too for crash simulation.
+func newWALPager(t testing.TB, main Backend, pool int) (*Pager, *MemBackend) {
 	t.Helper()
-	main := NewMemBackend(nil)
 	wal := NewMemBackend(nil)
 	p, err := OpenBackend(main, pool)
 	if err != nil {
@@ -26,7 +25,7 @@ func newWALPager(t testing.TB, pool int) (*Pager, *MemBackend, *MemBackend) {
 	if err := p.EnableWALBackend(wal); err != nil {
 		t.Fatalf("EnableWALBackend: %v", err)
 	}
-	return p, main, wal
+	return p, wal
 }
 
 // reopenWAL opens a fresh pager over crash images of the two halves,
@@ -84,7 +83,8 @@ func allocPage(t testing.TB, p *Pager) PageID {
 }
 
 func TestWALCommitRecoverReopen(t *testing.T) {
-	p, main, wal := newWALPager(t, 64)
+	main := NewMemBackend(nil)
+	p, wal := newWALPager(t, main, 64)
 	id := allocPage(t, p)
 	writeCounter(t, p, id, 41)
 	writeCounter(t, p, id, 42)
@@ -109,7 +109,8 @@ func TestWALCommitRecoverReopen(t *testing.T) {
 }
 
 func TestWALNoStealUntilCheckpoint(t *testing.T) {
-	p, main, _ := newWALPager(t, 4) // tiny pool: forces eviction pressure
+	main := NewMemBackend(nil)
+	p, _ := newWALPager(t, main, 4) // tiny pool: forces eviction pressure
 	var ids []PageID
 	for i := 0; i < 12; i++ {
 		ids = append(ids, allocPage(t, p))
@@ -232,7 +233,8 @@ func TestWALGroupCommitBatchesWriters(t *testing.T) {
 }
 
 func TestWALRecoveryTruncatesTornTail(t *testing.T) {
-	p, main, wal := newWALPager(t, 64)
+	main := NewMemBackend(nil)
+	p, wal := newWALPager(t, main, 64)
 	id := allocPage(t, p)
 	writeCounter(t, p, id, 7)
 	committedWAL := wal.Bytes()
@@ -273,7 +275,7 @@ func TestWALRecoveryRejectsBadMagic(t *testing.T) {
 }
 
 func TestInspectWALClassifiesCorruption(t *testing.T) {
-	p, _, wal := newWALPager(t, 64)
+	p, wal := newWALPager(t, NewMemBackend(nil), 64)
 	id := allocPage(t, p)
 	writeCounter(t, p, id, 1)
 	afterFirst := wal.Bytes()
@@ -660,8 +662,8 @@ func TestWALFileBackedReopenAndMmap(t *testing.T) {
 }
 
 func TestWALAutoCheckpoint(t *testing.T) {
-	p, _, _ := newWALPager(t, 256)
-	p.SetWALCheckpointThreshold(16 * PageSize)
+	p, _ := newWALPager(t, NewMemBackend(nil), 256)
+	p.wal.Load().checkpointEvery = 16 * PageSize
 	var ids []PageID
 	for i := 0; i < 8; i++ {
 		ids = append(ids, allocPage(t, p))
@@ -678,7 +680,7 @@ func TestWALAutoCheckpoint(t *testing.T) {
 
 func TestWALStatsString(t *testing.T) {
 	// Exercise the fmt path used by pictdbcheck's summary line.
-	p, _, _ := newWALPager(t, 16)
+	p, _ := newWALPager(t, NewMemBackend(nil), 16)
 	id := allocPage(t, p)
 	writeCounter(t, p, id, 1)
 	s := p.WALStats()

@@ -281,10 +281,7 @@ func TestTupleIDInt64Roundtrip(t *testing.T) {
 
 func TestHeapReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "heap.db")
-	p, err := pager.Open(path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := openLogged(t, path, 8)
 	h, first, err := Create(p)
 	if err != nil {
 		t.Fatal(err)
@@ -302,10 +299,7 @@ func TestHeapReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2, err := pager.Open(path, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p2 := openLogged(t, path, 8)
 	defer p2.Close()
 	h2, err := Open(p2, first)
 	if err != nil {
@@ -427,10 +421,7 @@ func TestWalksReportCorruptPage(t *testing.T) {
 func scatteredHeapFile(tb testing.TB, pages int) (*pager.Pager, pager.PageID, []TupleID) {
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "scattered.db")
-	p, err := pager.Open(path, pages+8)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	p := openLogged(tb, path, pages+8)
 	h, first, err := Create(p)
 	if err != nil {
 		tb.Fatal(err)
@@ -449,14 +440,8 @@ func scatteredHeapFile(tb testing.TB, pages int) (*pager.Pager, pager.PageID, []
 	if err := p.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	p, err = pager.Open(path, pages+8)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	p = openLogged(tb, path, pages+8)
 	tb.Cleanup(func() { p.Close() })
-	if err := p.EnableWAL(); err != nil {
-		tb.Fatal(err)
-	}
 	_ = p.EnableMmap()
 	return p, first, onePerPage
 }
@@ -553,4 +538,19 @@ func BenchmarkGetBatchScattered(b *testing.B) {
 		_ = total
 	})
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/100, "ns/page")
+}
+
+// openLogged opens the page file at path with its log attached, as
+// pictdb.Open does: a pager that writes keeps a log.
+func openLogged(tb testing.TB, path string, pool int) *pager.Pager {
+	tb.Helper()
+	p, err := pager.Open(path, pool)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := p.EnableWAL(); err != nil {
+		p.Close()
+		tb.Fatal(err)
+	}
+	return p
 }

@@ -231,12 +231,16 @@ func settleGoroutines(t *testing.T, base int, what string) {
 }
 
 // memFixture builds the fixture, sites unsharded, over an in-memory
-// backend and returns the page file's bytes after a clean close.
+// backend and returns the page file's bytes after a clean close, which
+// folds the log into them.
 func memFixture(t *testing.T, mutate func(db *Database)) []byte {
 	t.Helper()
 	mem := pager.NewMemBackend(nil)
 	p, err := pager.OpenBackend(mem, 256)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnableWALBackend(pager.NewMemBackend(nil)); err != nil {
 		t.Fatal(err)
 	}
 	db, err := OpenWithPager(p)

@@ -137,19 +137,18 @@ type Database struct {
 	// copy-on-write: a definition (serialized by defMu) copies the map it
 	// changes and stores a new catalog; a reader takes no lock and never
 	// sees a map that is being written.
-	cat      atomic.Pointer[catalog]
-	defMu    sync.Mutex
-	exec     *psql.Executor
-	readOnly bool
+	cat   atomic.Pointer[catalog]
+	defMu sync.Mutex
+	exec  *psql.Executor
 
 	// Sharding: a sharded relation stores its tuples in dedicated page
-	// files (one pager + WAL per shard) beside the main file. path and
-	// poolPages parameterize the default shard-file naming/opening;
-	// newShardPager is the factory seam fault-injection suites override
-	// to put shards on snapshotted or failing backends.
+	// files (one pager + WAL per shard) beside the main file, listed in
+	// the catalog's shards. path and poolPages parameterize the default
+	// shard-file naming/opening; newShardPager is the factory seam
+	// fault-injection suites override to put shards on captured or
+	// failing backends.
 	path          string
 	poolPages     int
-	shardPagers   map[string][]*pager.Pager
 	newShardPager func(rel string, shard int, mustExist bool) (*pager.Pager, error)
 
 	// loadTimes is where the catalog reload that opened this database
@@ -175,16 +174,23 @@ type catalog struct {
 	relations map[string]*relation.Relation
 	pictures  map[string]*picture.Picture
 	locations map[string]geom.Rect
+	// shards holds each sharded relation's shard pagers, by relation
+	// name: what Write brackets, ReadOnly polls and Close closes.
+	shards map[string][]*pager.Pager
 }
 
 func (db *Database) catalog() *catalog { return db.cat.Load() }
 
-// define applies one definition: change receives a copy of the current
-// catalog, replaces (never writes) the map it adds to — see defined —
-// and the copy is published unless change fails.
-func (db *Database) define(change func(c *catalog) error) error {
+// define applies one definition, what names it in errors: change
+// receives a copy of the current catalog, replaces (never writes) the
+// map it adds to — see defined — and the copy is published unless
+// change fails. A read-only database refuses before change runs.
+func (db *Database) define(what string, change func(c *catalog) error) error {
 	db.defMu.Lock()
 	defer db.defMu.Unlock()
+	if db.ReadOnly() {
+		return fmt.Errorf("pictdb: %s: %w", what, pager.ErrReadOnly)
+	}
 	next := *db.catalog()
 	if err := change(&next); err != nil {
 		return err
@@ -211,18 +217,20 @@ func defined[V any](m map[string]V, name string, v V) map[string]V {
 }
 
 func newDatabase(p *pager.Pager) *Database {
-	db := &Database{pager: p, shardPagers: make(map[string][]*pager.Pager)}
+	db := &Database{pager: p}
 	db.cat.Store(&catalog{
 		relations: make(map[string]*relation.Relation),
 		pictures:  make(map[string]*picture.Picture),
 		locations: make(map[string]geom.Rect),
+		shards:    make(map[string][]*pager.Pager),
 	})
 	db.exec = psql.NewExecutor(db)
 	return db
 }
 
-// New creates an in-memory database. Sharded relations get in-memory
-// shard pagers.
+// New creates an in-memory database. Its pager, and the shard pagers of
+// its sharded relations, keep their logs in memory: a Write commits as
+// it does on a file.
 func New() *Database {
 	db := newDatabase(pager.OpenMem(1024))
 	if err := db.ensureSuperblock(); err != nil {
@@ -257,11 +265,13 @@ func Open(path string, poolPages int) (*Database, error) {
 
 // OpenWithPager builds a database over an already-open pager — the
 // seam the fault-injection and crash-point suites use to run the full
-// stack over torn, failing, or snapshotted backends. The pager is
-// closed if the catalog cannot be loaded. Sharded relations cannot be
-// reopened through this seam unless their page files sit beside a
-// file-backed pager's path; use OpenWithPagerShards to inject shard
-// backends explicitly.
+// stack over torn, failing, or captured backends. The pager is closed
+// if the catalog cannot be loaded. A pager without a log serves reads
+// only: every write through it fails with pager.ErrNoWAL, and so does
+// the open of an empty store, whose superblock it cannot write. Sharded
+// relations cannot be reopened through this seam unless their page files
+// sit beside a file-backed pager's path; use OpenWithPagerShards to
+// inject shard backends explicitly.
 func OpenWithPager(p *pager.Pager) (*Database, error) {
 	return openWithPager(p, "", 0, nil)
 }
@@ -270,7 +280,7 @@ func OpenWithPager(p *pager.Pager) (*Database, error) {
 // factory: the catalog reload asks it for (relation, shard) pagers
 // instead of opening files beside the main path. The crash-point and
 // fault-injection suites use it to reopen sharded databases over
-// snapshotted or failing shard backends. The factory owns recovery
+// captured or failing shard backends. The factory owns recovery
 // (EnableWAL) of whatever it returns; pagers it hands over are closed
 // by the Database.
 func OpenWithPagerShards(p *pager.Pager, factory func(rel string, shard int, mustExist bool) (*pager.Pager, error)) (*Database, error) {
@@ -341,23 +351,26 @@ func (db *Database) openShardPager(rel string, shard int, mustExist bool) (*page
 // file, so the catalog never outlives the pages it names). The first
 // error is returned; all pagers are closed regardless.
 func (db *Database) closeShardPagers() error {
+	db.defMu.Lock()
+	defer db.defMu.Unlock()
 	var first error
-	for _, name := range sortedNames(db.shardPagers) {
-		for i, sp := range db.shardPagers[name] {
-			if err := sp.Close(); err != nil && first == nil {
-				first = fmt.Errorf("pictdb: closing relation %q shard %d: %w", name, i, err)
-			}
+	next := *db.catalog()
+	_ = next.forEachShardPager(func(rel string, shard int, p *pager.Pager) error {
+		if err := p.Close(); err != nil && first == nil {
+			first = fmt.Errorf("pictdb: closing relation %q shard %d: %w", rel, shard, err)
 		}
-	}
-	db.shardPagers = make(map[string][]*pager.Pager)
+		return nil
+	})
+	next.shards = make(map[string][]*pager.Pager)
+	db.cat.Store(&next)
 	return first
 }
 
-// forEachShardPager visits every shard pager in deterministic
+// forEachShardPager visits every shard pager of c in deterministic
 // (relation name, shard) order.
-func (db *Database) forEachShardPager(fn func(rel string, shard int, p *pager.Pager) error) error {
-	for _, name := range sortedNames(db.shardPagers) {
-		for i, sp := range db.shardPagers[name] {
+func (c *catalog) forEachShardPager(fn func(rel string, shard int, p *pager.Pager) error) error {
+	for _, name := range sortedNames(c.shards) {
+		for i, sp := range c.shards[name] {
 			if err := fn(name, i, sp); err != nil {
 				return err
 			}
@@ -422,12 +435,10 @@ func (db *Database) WaitRepacks() {
 // with the geometry their locs carry, and every definition — survives a
 // crash once it returns. Sharded relations commit first, every shard's
 // WAL fsyncing in parallel; then the definitions are rewritten if they
-// changed (writeDefinitions) and the main file commits: with the WAL
-// (file-backed databases) one group fsync of the log, the page file
-// catching up at the next WAL checkpoint; without it, every dirty page
-// flushed and synced before the file header. A crash between the two
-// phases loses at most the transaction not yet acknowledged, never an
-// acknowledged one.
+// changed (writeDefinitions) and the main file commits: one group fsync
+// of its log, the page file catching up at the next WAL checkpoint. A
+// crash between the two phases loses at most the transaction not yet
+// acknowledged, never an acknowledged one.
 func (db *Database) Commit() error {
 	if err := db.commitShards(); err != nil {
 		return err
@@ -443,7 +454,7 @@ func (db *Database) Commit() error {
 // makes nothing durable that Commit did not, and costs what the logs
 // hold, not what the database holds.
 func (db *Database) Checkpoint() error {
-	if db.readOnly {
+	if db.ReadOnly() {
 		return fmt.Errorf("pictdb: checkpoint: %w", pager.ErrReadOnly)
 	}
 	if err := db.Commit(); err != nil {
@@ -482,20 +493,25 @@ func (db *Database) commitShards() error {
 // an error nothing is committed and the error is returned (already
 // applied mutations are not rolled back in memory; callers treat a
 // failed Write as fatal for the handle, matching Commit's contract). A
-// failed fsync makes the main pager read-only (fail-stop), and every
-// later Write is refused with ErrReadOnly before fn runs.
+// failed fsync makes its pager, main or shard, read-only (fail-stop), and
+// with it the database: every later Write is refused with ErrReadOnly
+// before fn runs.
 func (db *Database) Write(fn func() error) error {
-	if db.readOnly || db.pager.ReadOnly() {
+	if db.ReadOnly() {
 		return fmt.Errorf("pictdb: write: %w", pager.ErrReadOnly)
 	}
 	db.wmu.Lock()
+	// The shard pagers bracketed are the ones in place when fn starts: a
+	// sharded relation defined meanwhile, in fn or beside it, must not be
+	// released without having been entered.
+	c := db.catalog()
 	db.pager.BeginWrite()
-	_ = db.forEachShardPager(func(_ string, _ int, p *pager.Pager) error {
+	_ = c.forEachShardPager(func(_ string, _ int, p *pager.Pager) error {
 		p.BeginWrite()
 		return nil
 	})
 	err := fn()
-	_ = db.forEachShardPager(func(_ string, _ int, p *pager.Pager) error {
+	_ = c.forEachShardPager(func(_ string, _ int, p *pager.Pager) error {
 		p.EndWrite()
 		return nil
 	})
@@ -507,28 +523,20 @@ func (db *Database) Write(fn func() error) error {
 	return db.Commit()
 }
 
-// WALStats reports write-ahead log activity (zero value when no WAL is
-// enabled — in-memory databases).
+// WALStats reports the main file's write-ahead log activity.
 func (db *Database) WALStats() pager.WALStats { return db.pager.WALStats() }
 
 // CheckpointWAL forces the WAL's committed page images into the page
-// file and truncates the log — shard files first, then the main file; a
-// page file without a log (an in-memory database) has nothing to fold.
+// file and truncates the log — shard files first, then the main file.
 // Fails while zero-copy page views are pinned.
 func (db *Database) CheckpointWAL() error {
-	if err := db.forEachShardPager(func(rel string, shard int, p *pager.Pager) error {
-		if !p.WALEnabled() {
-			return nil
-		}
+	if err := db.catalog().forEachShardPager(func(rel string, shard int, p *pager.Pager) error {
 		if err := p.CheckpointWAL(); err != nil {
 			return fmt.Errorf("pictdb: checkpoint relation %q shard %d: %w", rel, shard, err)
 		}
 		return nil
 	}); err != nil {
 		return err
-	}
-	if !db.pager.WALEnabled() {
-		return nil
 	}
 	return db.pager.CheckpointWAL()
 }
@@ -538,27 +546,37 @@ func (db *Database) CheckpointWAL() error {
 // keep running. OpenChecked applies it automatically when verification
 // fails.
 func (db *Database) SetReadOnly(ro bool) {
-	db.readOnly = ro
 	db.pager.SetReadOnly(ro)
-	_ = db.forEachShardPager(func(_ string, _ int, p *pager.Pager) error {
+	_ = db.catalog().forEachShardPager(func(_ string, _ int, p *pager.Pager) error {
 		p.SetReadOnly(ro)
 		return nil
 	})
 }
 
-// ReadOnly reports whether the database refuses writes.
-func (db *Database) ReadOnly() bool { return db.readOnly }
+// ReadOnly reports whether the database refuses writes: true once any of
+// its pagers, main or shard, is read-only — by SetReadOnly, or because a
+// failed fsync stopped it.
+func (db *Database) ReadOnly() bool {
+	if db.pager.ReadOnly() {
+		return true
+	}
+	for _, pagers := range db.catalog().shards {
+		for _, p := range pagers {
+			if p.ReadOnly() {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // NumPages reports the size of the underlying page file in pages.
 func (db *Database) NumPages() int { return db.pager.NumPages() }
 
 // CreateRelation defines a new relation.
 func (db *Database) CreateRelation(name string, schema Schema) (*Relation, error) {
-	if db.readOnly {
-		return nil, fmt.Errorf("pictdb: create relation %q: %w", name, pager.ErrReadOnly)
-	}
 	var rel *Relation
-	err := db.define(func(c *catalog) (err error) {
+	err := db.define(fmt.Sprintf("create relation %q", name), func(c *catalog) (err error) {
 		if _, dup := c.relations[name]; dup {
 			return fmt.Errorf("pictdb: relation %q already exists", name)
 		}
@@ -578,14 +596,11 @@ func (db *Database) CreateRelation(name string, schema Schema) (*Relation, error
 // relation. For a file-backed database shard s lives at
 // ShardPath(path, name, s); in-memory databases get in-memory shards.
 func (db *Database) CreateShardedRelation(name string, schema Schema, shards int) (*Relation, error) {
-	if db.readOnly {
-		return nil, fmt.Errorf("pictdb: create relation %q: %w", name, pager.ErrReadOnly)
-	}
 	if shards < 1 || shards > relation.MaxShards {
 		return nil, fmt.Errorf("pictdb: create relation %q: shard count %d out of range [1, %d]", name, shards, relation.MaxShards)
 	}
 	var rel *Relation
-	err := db.define(func(c *catalog) error {
+	err := db.define(fmt.Sprintf("create relation %q", name), func(c *catalog) error {
 		if _, dup := c.relations[name]; dup {
 			return fmt.Errorf("pictdb: relation %q already exists", name)
 		}
@@ -608,7 +623,7 @@ func (db *Database) CreateShardedRelation(name string, schema Schema, shards int
 			return fail(err)
 		}
 		c.relations = defined(c.relations, name, rel)
-		db.shardPagers[name] = pagers
+		c.shards = defined(c.shards, name, pagers)
 		return nil
 	})
 	return rel, err
@@ -638,11 +653,8 @@ func (db *Database) openShardPagers(name string, n int) ([]*pager.Pager, error) 
 
 // CreatePicture defines a new picture covering extent.
 func (db *Database) CreatePicture(name string, extent Rect) (*Picture, error) {
-	if db.readOnly {
-		return nil, fmt.Errorf("pictdb: create picture %q: %w", name, pager.ErrReadOnly)
-	}
 	p := picture.New(name, extent)
-	err := db.define(func(c *catalog) error {
+	err := db.define(fmt.Sprintf("create picture %q", name), func(c *catalog) error {
 		if _, dup := c.pictures[name]; dup {
 			return fmt.Errorf("pictdb: picture %q already exists", name)
 		}
@@ -659,10 +671,7 @@ func (db *Database) CreatePicture(name string, extent Rect) (*Picture, error) {
 // paper's locations "predefined outside the retrieve mapping". A name
 // already defined is redefined.
 func (db *Database) DefineLocation(name string, area Rect) error {
-	if db.readOnly {
-		return fmt.Errorf("pictdb: define location %q: %w", name, pager.ErrReadOnly)
-	}
-	return db.define(func(c *catalog) error {
+	return db.define(fmt.Sprintf("define location %q", name), func(c *catalog) error {
 		c.locations = defined(c.locations, name, area)
 		return nil
 	})

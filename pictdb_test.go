@@ -101,6 +101,26 @@ func TestDefineLocationReadOnly(t *testing.T) {
 	}
 }
 
+// An in-memory database commits as a file does: through its log, one
+// group commit per Write.
+func TestNewCommitsThroughTheLog(t *testing.T) {
+	db := pictdb.New()
+	defer db.Close()
+	rel, err := db.CreateRelation("r", pictdb.MustSchema("v:int"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Write(func() error {
+		_, err := rel.Insert(pictdb.Tuple{pictdb.I(1)})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if s := db.WALStats(); s.Commits != 1 || s.Frames == 0 {
+		t.Fatalf("WALStats after one Write = %+v, want 1 commit carrying its pages", s)
+	}
+}
+
 func TestBuildUSDatabaseInventory(t *testing.T) {
 	db, err := pictdb.BuildUSDatabase()
 	if err != nil {

@@ -3,6 +3,7 @@ package pictdb_test
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	pictdb "repro"
@@ -12,13 +13,14 @@ import (
 
 // spatialCrashWorkload drives a spatially indexed relation through
 // insert/delete bursts sized to keep background repacks in flight
-// (delta threshold 32, bursts of ~100), checkpointing after each burst.
+// (delta threshold 32, bursts of ~100), checkpointing after each burst
+// and storing the tuple count of each acknowledged checkpoint in acked.
 // It returns the tuple counts a recovered image may legitimately show:
-// every successfully checkpointed state, plus every state a checkpoint
-// or close *attempted* — under fault injection a barrier that errors
-// may still have landed (fail-stop leaves it indeterminate), and a
-// successful Close persists heap pages of the tail state.
-func spatialCrashWorkload(t *testing.T, db *pictdb.Database) map[int]bool {
+// none (a crash before the first commit), every state a checkpoint
+// attempted — under fault injection a checkpoint that errors may still
+// have committed — and the state the workload stopped in, which Close
+// commits.
+func spatialCrashWorkload(t *testing.T, db *pictdb.Database, acked *atomic.Int64) map[int]bool {
 	t.Helper()
 	pic, err := db.CreatePicture("map", pictdb.R(0, 0, 1000, 1000))
 	if err != nil {
@@ -28,7 +30,7 @@ func spatialCrashWorkload(t *testing.T, db *pictdb.Database) map[int]bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allowed := map[int]bool{}
+	allowed := map[int]bool{0: true}
 	n := 0
 	var ids []storage.TupleID
 	add := func() error {
@@ -41,9 +43,16 @@ func spatialCrashWorkload(t *testing.T, db *pictdb.Database) map[int]bool {
 		n++
 		return nil
 	}
+	checkpoint := func() error {
+		allowed[rel.Len()] = true // attempted
+		if err := db.Checkpoint(); err != nil {
+			return err
+		}
+		acked.Store(int64(rel.Len()))
+		return nil
+	}
 	bail := func() map[int]bool {
-		// The tail state may still reach disk through Close.
-		allowed[rel.Len()] = true
+		allowed[rel.Len()] = true // the tail state, which Close commits
 		return allowed
 	}
 	for i := 0; i < 150; i++ {
@@ -57,8 +66,7 @@ func spatialCrashWorkload(t *testing.T, db *pictdb.Database) map[int]bool {
 	// Small threshold: every burst below crosses it several times, so
 	// checkpoints run with repacks in flight or freshly swapped.
 	rel.Spatial("map").SetDeltaThreshold(32)
-	allowed[rel.Len()] = true // attempted
-	if err := db.Checkpoint(); err != nil {
+	if err := checkpoint(); err != nil {
 		return allowed
 	}
 	for round := 0; round < 3; round++ {
@@ -75,55 +83,84 @@ func spatialCrashWorkload(t *testing.T, db *pictdb.Database) map[int]bool {
 				return bail()
 			}
 		}
-		allowed[rel.Len()] = true // attempted
-		if err := db.Checkpoint(); err != nil {
+		if err := checkpoint(); err != nil {
 			return allowed
 		}
 	}
 	return allowed
 }
 
-// verifySpatialRecovery opens a crash image and, when it verifies
-// clean, requires the rebuilt spatial index to agree exactly with the
-// committed heap: a full-window direct search returns every live tuple
-// in canonical order — the recovered root is the old or the new tree,
-// never a torn one. Returns the recovery outcome.
-func verifySpatialRecovery(t *testing.T, img []byte, committed map[int]bool, label string) (clean, degraded, refused bool) {
+// spatialRun is what one spatialCrashWorkload over a CrashPair left.
+type spatialRun struct {
+	pair    *pager.CrashPair
+	fault   *pager.FaultBackend // the faulted half, nil without faults
+	allowed map[int]bool
+	ackedAt map[int]int64 // tuples acknowledged when image i was taken
+	repacks int
+}
+
+// spatialCrashRun opens a database over a CrashPair, with one write of
+// the page file (or, onWAL, of the log) failing as cfg says when cfg is
+// not nil, runs spatialCrashWorkload on it and closes it. ok is false
+// when the open itself failed.
+func spatialCrashRun(t *testing.T, cfg *pager.FaultConfig, onWAL bool) (run spatialRun, ok bool) {
 	t.Helper()
-	p, err := pager.OpenBackend(pager.NewMemBackend(img), 128)
-	if err != nil {
-		if !pictdb.IsCorruption(err) {
-			t.Fatalf("%s: pager open failed untyped: %v", label, err)
-		}
-		return false, false, true
+	run.pair = pager.NewCrashPair()
+	var acked atomic.Int64
+	run.ackedAt = make(map[int]int64)
+	run.pair.OnSync = func(i int, _ pager.CrashImage) { run.ackedAt[i] = acked.Load() } // serialized by the pair
+	main, wal := run.pair.Main(), run.pair.WAL()
+	switch {
+	case cfg == nil:
+	case onWAL:
+		run.fault = pager.NewFaultBackend(wal, *cfg)
+		wal = run.fault
+	default:
+		run.fault = pager.NewFaultBackend(main, *cfg)
+		main = run.fault
 	}
-	db, err := pictdb.OpenWithPager(p)
+	db, err := openPairDB(main, wal, 128)
 	if err != nil {
-		if !pictdb.IsCorruption(err) {
-			t.Fatalf("%s: open failed untyped: %v", label, err)
-		}
-		return false, false, true
+		return run, false
+	}
+	run.allowed = spatialCrashWorkload(t, db, &acked)
+	db.WaitRepacks()
+	if rel, ok := db.Relation("cities"); ok && rel.Spatial("map") != nil {
+		run.repacks = rel.Spatial("map").Repacks()
+	}
+	db.Close() // may fail under injected faults; the images are what a crash leaves
+	return run, true
+}
+
+// verifySpatialRecovery recovers one crash image and requires a clean
+// Check at an allowed tuple count no smaller than floor, the count
+// acknowledged when the image was taken, and a rebuilt spatial index
+// that agrees exactly with the committed heap: a full-window direct
+// search returns every live tuple in canonical order — the recovered
+// root is the old or the new tree, never a torn one.
+func verifySpatialRecovery(t *testing.T, img pager.CrashImage, allowed map[int]bool, floor int64, label string) {
+	t.Helper()
+	db, err := openPairDB(pager.NewMemBackend(img.Main), pager.NewMemBackend(img.WAL), 128)
+	if err != nil {
+		t.Fatalf("%s: recovery failed: %v", label, err)
 	}
 	defer db.Close()
-	report := db.Check()
-	if !report.OK() {
-		if !pictdb.IsCorruption(report.Err()) {
-			t.Fatalf("%s: report error not typed: %v", label, report.Err())
-		}
-		return false, true, false
+	if report := db.Check(); !report.OK() {
+		t.Fatalf("%s: not Check-clean after recovery: %v", label, report.Err())
 	}
 	rel, ok := db.Relation("cities")
-	if !ok {
-		// Crash before the first catalog checkpoint: an empty database
-		// is the committed state 0.
-		return true, false, false
+	rows := 0
+	if ok {
+		rows = rel.Len()
 	}
-	if len(committed) > 0 && !committed[rel.Len()] {
-		t.Fatalf("%s: clean open with %d tuples, not a committed state %v", label, rel.Len(), committed)
+	if !allowed[rows] {
+		t.Fatalf("%s: recovered %d tuples, not a committed state %v", label, rows, allowed)
 	}
-	if rel.Spatial("map") == nil {
-		// Committed before AttachPicture was checkpointed.
-		return true, false, false
+	if int64(rows) < floor {
+		t.Fatalf("%s: recovered %d tuples < %d acknowledged — acked commit lost", label, rows, floor)
+	}
+	if !ok || rel.Spatial("map") == nil {
+		return
 	}
 	gotIDs, _, err := rel.SearchArea("map", pictdb.R(0, 0, 1000, 1000), func(obj, win pictdb.Rect) bool { return true })
 	if err != nil {
@@ -153,94 +190,61 @@ func verifySpatialRecovery(t *testing.T, img []byte, committed map[int]bool, lab
 			t.Fatalf("%s: recovered index order diverges at %d: %v vs %v", label, i, gotIDs[i], wantIDs[i])
 		}
 	}
-	return true, false, false
 }
 
-// TestCrashMidRepackRecovers captures the byte image at every sync
-// while background repacks churn against the ingest workload, and
-// reopens each image. A crash mid-repack must recover to a consistent
-// index — the one rebuilt from the committed heap — never a torn tree.
+// TestCrashMidRepackRecovers captures the page file and its log at
+// every sync while background repacks churn against the ingest
+// workload, and recovers each capture. A crash mid-repack must recover
+// Check-clean at a committed state with no acknowledged checkpoint lost,
+// and with the index rebuilt from the committed heap — never a torn tree.
 func TestCrashMidRepackRecovers(t *testing.T) {
-	snap := pager.NewSnapshotBackend()
-	p, err := pager.OpenBackend(snap, 128)
-	if err != nil {
-		t.Fatal(err)
+	run, ok := spatialCrashRun(t, nil, false)
+	if !ok {
+		t.Fatal("open over a fault-free pair failed")
 	}
-	db, err := pictdb.OpenWithPager(p)
-	if err != nil {
-		t.Fatal(err)
+	if len(run.allowed) < 4 {
+		t.Fatalf("workload committed only %d states", len(run.allowed))
 	}
-	committed := spatialCrashWorkload(t, db)
-	if len(committed) < 3 {
-		t.Fatalf("workload committed only %d states", len(committed))
-	}
-	rel, _ := db.Relation("cities")
-	rel.WaitRepacks()
-	if rel.Spatial("map").Repacks() == 0 {
+	if run.repacks == 0 {
 		t.Fatal("workload triggered no background repacks; crash points miss the repack window")
 	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
+	images := run.pair.Images()
+	for i, img := range images {
+		verifySpatialRecovery(t, img, run.allowed, run.ackedAt[i], fmt.Sprintf("image %d", i))
 	}
-	var clean, degraded, refused int
-	for i, img := range snap.Snapshots() {
-		c, d, r := verifySpatialRecovery(t, img, committed, fmt.Sprintf("snapshot %d", i))
-		if c {
-			clean++
-		}
-		if d {
-			degraded++
-		}
-		if r {
-			refused++
-		}
-	}
-	if clean == 0 {
-		t.Fatal("no snapshot recovered clean")
-	}
-	t.Logf("spatial crash points: %d clean, %d degraded, %d refused", clean, degraded, refused)
+	t.Logf("recovered %d crash images clean", len(images))
 }
 
-// TestFaultMidRepackCommit injects write failures at a sweep of
-// ordinals across the same repack-heavy workload, then reopens the
-// surviving byte image: every outcome must be clean-with-committed-
-// state, degraded-with-typed-report, or refused-with-typed-error, and
-// clean opens must pass the index/heap agreement check.
+// TestFaultMidRepackCommit fails one write at a sweep of ordinals, on
+// the page file and on the log in turn, across the same repack-heavy
+// workload, and recovers every capture of each run: each must be
+// Check-clean at a committed state with no acknowledged checkpoint
+// lost, and its index must agree with its heap.
 func TestFaultMidRepackCommit(t *testing.T) {
-	// Dry run to size the ordinal sweep.
-	probe := pager.NewFaultBackend(pager.NewMemBackend(nil), pager.FaultConfig{})
-	p, err := pager.OpenBackend(probe, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := pictdb.OpenWithPager(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spatialCrashWorkload(t, db)
-	db.Close()
-	_, writes, _ := probe.Ops()
-	if writes < 20 {
-		t.Fatalf("dry run performed only %d writes", writes)
-	}
-	step := writes / 12
-	if step == 0 {
-		step = 1
-	}
-	for k := 1; k <= writes; k += step {
-		mem := pager.NewMemBackend(nil)
-		fb := pager.NewFaultBackend(mem, pager.FaultConfig{FailWrite: k})
-		p, err := pager.OpenBackend(fb, 128)
-		if err != nil {
-			continue // injected before the file header existed
-		}
-		db, err := pictdb.OpenWithPager(p)
-		if err != nil {
-			p.Close()
-			continue
-		}
-		committed := spatialCrashWorkload(t, db)
-		db.Close() // may fail; the image below is what a crash leaves
-		verifySpatialRecovery(t, mem.Bytes(), committed, fmt.Sprintf("fail-write %d", k))
+	for _, onWAL := range []bool{false, true} {
+		t.Run(map[bool]string{false: "main", true: "wal"}[onWAL], func(t *testing.T) {
+			// Dry run to size the ordinal sweep.
+			dry, ok := spatialCrashRun(t, &pager.FaultConfig{}, onWAL)
+			if !ok {
+				t.Fatal("fault-free dry run failed to open")
+			}
+			_, writes, _ := dry.fault.Ops()
+			if writes < 8 {
+				t.Fatalf("dry run performed only %d writes", writes)
+			}
+			step := max(writes/12, 1)
+			images := 0
+			for k := 1; k <= writes; k += step {
+				run, ok := spatialCrashRun(t, &pager.FaultConfig{FailWrite: k}, onWAL)
+				if !ok {
+					continue // injected before the store was usable
+				}
+				for i, img := range run.pair.Images() {
+					verifySpatialRecovery(t, img, run.allowed, run.ackedAt[i], fmt.Sprintf("fail-write %d, image %d", k, i))
+					images++
+				}
+			}
+			t.Logf("%d writes swept in steps of %d: %d crash images recovered clean", writes, step, images)
+		})
 	}
 }

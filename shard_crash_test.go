@@ -1,6 +1,7 @@
 package pictdb_test
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -283,5 +284,113 @@ func TestShardedCrashTornShardWAL(t *testing.T) {
 				db2.Close()
 			}
 		})
+	}
+}
+
+// TestShardedWALFailedSyncStopsTheDatabase: a failed fsync of one
+// shard's log is fail-stop for the whole database, not only for that
+// shard's pager. The Write whose commit it fails returns the error;
+// from then on ReadOnly reports true, and a Write, a Checkpoint and a
+// definition are refused before they run anything — a Write's fn would
+// otherwise put its row in memory and in the index of a store whose
+// commits are refused.
+func TestShardedWALFailedSyncStopsTheDatabase(t *testing.T) {
+	const shards = 2
+	var mains, wals []pager.Backend
+	for i := 0; i <= shards; i++ {
+		mains = append(mains, pager.NewMemBackend(nil))
+		wals = append(wals, pager.NewMemBackend(nil))
+	}
+	// Shard 0's log: sync 1 is its header, at open; sync 2 is its first
+	// commit.
+	wals[1] = pager.NewFaultBackend(wals[1], pager.FaultConfig{FailSync: 2})
+	db, err := openClusterDB(t, mains, wals, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rel, err := db.CreateShardedRelation("pts", pictdb.MustSchema("name:string", "n:int"), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(n int) func() error {
+		return func() error {
+			_, err := rel.Insert(pictdb.Tuple{pictdb.S(fmt.Sprintf("p%d", n)), pictdb.I(int64(n))})
+			return err
+		}
+	}
+	if err := db.Write(insert(0)); !errors.Is(err, pager.ErrInjected) {
+		t.Fatalf("Write over a failing shard fsync = %v, want ErrInjected", err)
+	}
+	if !db.ReadOnly() {
+		t.Fatal("ReadOnly is false after a shard's fsync failed")
+	}
+	ran := false
+	err = db.Write(func() error { ran = true; return insert(1)() })
+	if !errors.Is(err, pager.ErrReadOnly) || ran {
+		t.Fatalf("Write after the failed fsync = %v (fn ran: %v), want ErrReadOnly before fn", err, ran)
+	}
+	if err := db.Checkpoint(); !errors.Is(err, pager.ErrReadOnly) {
+		t.Fatalf("Checkpoint after the failed fsync = %v, want ErrReadOnly", err)
+	}
+	if _, err := db.CreateRelation("more", pictdb.MustSchema("a:int")); !errors.Is(err, pager.ErrReadOnly) {
+		t.Fatalf("CreateRelation after the failed fsync = %v, want ErrReadOnly", err)
+	}
+	if got := rel.Len(); got != 1 {
+		t.Fatalf("relation holds %d rows, want only the failed Write's 1", got)
+	}
+}
+
+// TestWriteBesideShardedDefinitions: Write, Checkpoint and ReadOnly visit
+// every shard pager while CreateShardedRelation adds more. They read the
+// published catalog, which a definition replaces and never writes, so
+// under -race this fails if a shard list is ever written in place; and a
+// Write releases exactly the shard pagers it entered, or the release of
+// one defined in between panics.
+func TestWriteBesideShardedDefinitions(t *testing.T) {
+	db := pictdb.New()
+	defer db.Close()
+	schema := pictdb.MustSchema("n:int")
+	rel, err := db.CreateShardedRelation("pts", schema, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const defs = 6
+	defined := make(chan error, 1)
+	go func() {
+		for i := 0; i < defs; i++ {
+			if _, err := db.CreateShardedRelation(fmt.Sprintf("r%d", i), schema, 2); err != nil {
+				defined <- err
+				return
+			}
+		}
+		defined <- nil
+	}()
+	for n := 0; ; n++ {
+		select {
+		case err := <-defined:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rel.Len(); got != n {
+				t.Fatalf("relation holds %d rows, want %d", got, n)
+			}
+			return
+		default:
+		}
+		if err := db.Write(func() error {
+			_, err := rel.Insert(pictdb.Tuple{pictdb.I(int64(n))})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n%8 == 7 {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if db.ReadOnly() {
+			t.Fatal("ReadOnly is true with every pager healthy")
+		}
 	}
 }
