@@ -389,30 +389,9 @@ func BenchmarkParallelPackBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryBatch measures batched window queries on one shared
-// in-memory tree at 1/2/4/8 worker goroutines, reporting aggregate
-// queries/sec (the concurrent read path's scaling curve).
-func BenchmarkQueryBatch(b *testing.B) {
-	items := workload.PointItems(workload.UniformPoints(100000, 53))
-	t := pack.Tree(rtree.Params{Max: 16, Min: 8}, items, pack.Options{Method: pack.MethodSTR})
-	windows := workload.QueryWindows(256, 25, 54)
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				t.QueryBatch(windows, par)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(len(windows))*float64(b.N)/b.Elapsed().Seconds(), "queries/sec")
-		})
-	}
-}
-
-// BenchmarkJuxtaposeParallel measures the parallel geographic join at
-// 1/2/4/8 workers over in-memory trees. The output is identical at
-// every worker count (frontier order is serial DFS order), so only
-// wall-clock moves.
-func BenchmarkJuxtaposeParallel(b *testing.B) {
+// BenchmarkJuxtapose measures the geographic join over two in-memory
+// trees: 50k points against 5k small regions.
+func BenchmarkJuxtapose(b *testing.B) {
 	params := rtree.Params{Max: 16, Min: 8}
 	points := pack.Tree(params, workload.PointItems(workload.UniformPoints(50000, 57)), pack.Options{Method: pack.MethodSTR})
 	wins := workload.QueryWindows(5000, 25, 58)
@@ -422,40 +401,31 @@ func BenchmarkJuxtaposeParallel(b *testing.B) {
 	}
 	regions := pack.Tree(params, regionItems, pack.Options{Method: pack.MethodSTR})
 	pred := func(a, b geom.Rect) bool { return a.Intersects(b) }
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			pairs := 0
-			for i := 0; i < b.N; i++ {
-				out, _ := rtree.Juxtapose(points, regions, pred, par)
-				pairs = len(out)
-			}
-			b.ReportMetric(float64(pairs), "pairs")
-		})
+	b.ReportAllocs()
+	pairs := 0
+	for i := 0; i < b.N; i++ {
+		out, _ := rtree.Juxtapose(points, regions, pred, 0)
+		pairs = len(out)
 	}
+	b.ReportMetric(float64(pairs), "pairs")
 }
 
 // BenchmarkPSQLRepeatedWindow measures the repeated point-in-window
-// workload the statement cache and prepared-parameter path exist for:
-// the same mapping executed over and over with the window moving
-// through a fixed cycle of 64 positions. All three modes run the
-// identical query sequence; they differ only in how much work repeats.
-// "naive" re-parses and executes the reference path every time,
-// "cached" formats the text per window and serves it through the
-// statement cache (all hits after the first cycle), and "prepared"
-// re-binds the window of a statement parsed once.
+// workload the statement cache exists for: the same mapping executed
+// over and over with the window moving through a fixed cycle of 64
+// positions. Both modes run the identical query sequence; they differ
+// only in how much work repeats. "naive" re-parses and executes the
+// reference path every time, and "cached" formats the text per window
+// and serves it through the statement cache (all hits after the first
+// cycle).
 func BenchmarkPSQLRepeatedWindow(b *testing.B) {
 	const tmpl = `
 		select city, state, loc from cities on us-map
 		at loc covered-by {%g±%g, %g±%g} where population > 450_000`
-	type win struct{ cx, dx, cy, dy float64 }
-	wins := make([]win, 0, 64)
 	texts := make([]string, 0, 64)
 	for _, w := range workload.QueryWindows(64, 180, 1985) {
 		c := w.Center()
-		v := win{c.X, (w.Max.X - w.Min.X) / 2, c.Y, (w.Max.Y - w.Min.Y) / 2}
-		wins = append(wins, v)
-		texts = append(texts, fmt.Sprintf(tmpl, v.cx, v.dx, v.cy, v.dy))
+		texts = append(texts, fmt.Sprintf(tmpl, c.X, (w.Max.X-w.Min.X)/2, c.Y, (w.Max.Y-w.Min.Y)/2))
 	}
 	b.Run("naive", func(b *testing.B) {
 		db, err := pictdb.BuildUSDatabase()
@@ -481,25 +451,6 @@ func BenchmarkPSQLRepeatedWindow(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := db.Query(texts[i%len(texts)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("prepared", func(b *testing.B) {
-		db, err := pictdb.BuildUSDatabase()
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer db.Close()
-		p, err := db.Prepare(fmt.Sprintf(tmpl, 800.0, 200.0, 500.0, 500.0))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w := wins[i%len(wins)]
-			if _, err := p.ExecWindow(w.cx, w.dx, w.cy, w.dy); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -620,7 +571,6 @@ func BenchmarkWindowStatement(b *testing.B) {
 func TestWindowStatementAllocs(t *testing.T) {
 	db := pictdb.New()
 	defer db.Close()
-	db.SetParallelism(1)
 	rel := windowReadRelation(t, db, 20_000)
 	center := workload.ClusteredPoints(20_000, 50, 30, 1985)[7]
 	allocs := func(want int, minPop int64) (perRun float64, rows int) {

@@ -48,27 +48,3 @@ func PackIndex(params RTreeParams, items []IndexItem, opts PackOptions) *Index {
 // behind PSQL's juxtaposition. It returns the number of node pairs
 // visited.
 var JoinIndexes = rtree.JoinPairs
-
-// IndexJoinPair is one juxtaposition result: item A from the first
-// index, item B from the second.
-type IndexJoinPair = rtree.JoinPair
-
-// JuxtaposeIndexes joins two indexes with up to workers goroutines
-// (0 means runtime.GOMAXPROCS(0)), returning every item pair whose
-// rectangles satisfy pred plus the node pairs visited. The pairs, in
-// order, and the visit count are identical to collecting JoinIndexes
-// serially, for any worker count. pred must imply rectangle
-// intersection (the pruning rule) and is called concurrently.
-func JuxtaposeIndexes(a, b *Index, pred func(x, y Rect) bool, workers int) ([]IndexJoinPair, int) {
-	return rtree.Juxtapose(a, b, pred, workers)
-}
-
-// QueryIndexBatch answers every window against idx with up to
-// parallelism worker goroutines (0 means runtime.GOMAXPROCS(0)).
-// results[i] holds the items intersecting windows[i] in tree order —
-// identical to sequential Query calls — and the int is the total node
-// visits across the batch. Index reads are safe for any number of
-// concurrent callers; see the concurrency note on rtree.Tree.
-func QueryIndexBatch(idx *Index, windows []Rect, parallelism int) ([][]IndexItem, int) {
-	return idx.QueryBatch(windows, parallelism)
-}

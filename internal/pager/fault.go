@@ -104,14 +104,6 @@ func (f *FaultBackend) Ops() (reads, writes, syncs int) {
 	return f.reads, f.writes, f.syncs
 }
 
-// AppendOps returns how many append-region (non-page-aligned) writes
-// have been seen, for sizing the append-fault ordinals.
-func (f *FaultBackend) AppendOps() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.appends
-}
-
 func (f *FaultBackend) ReadAt(p []byte, off int64) (int, error) {
 	f.mu.Lock()
 	f.reads++

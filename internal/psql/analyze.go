@@ -3,10 +3,9 @@ package psql
 // This file derives the cacheable, purely syntactic half of a query
 // plan from a parsed AST: the where-clause split into ranked AND
 // conjuncts, the set of functions the statement calls (for cache
-// invalidation when RegisterFunc replaces one), the positions of area
-// literals (for the prepared-window path), and the analyses of nested
-// mappings. Everything here depends only on the query text, so one
-// analysis is shared by every execution of a cached statement. What
+// invalidation when RegisterFunc replaces one), and the analyses of
+// nested mappings. Everything here depends only on the query text, so
+// one analysis is shared by every execution of a cached statement. What
 // depends on the catalog as well is resolved when the statement is
 // bound (bind.go); the cost-based choices that need statistics (scan
 // vs. index vs. direct search, juxtaposition restriction and driving
@@ -58,10 +57,6 @@ type analysis struct {
 	// nested mappings — the statement cache evicts entries whose funcs
 	// set contains a re-registered name.
 	funcs map[string]bool
-	// areas lists the source positions of every at-clause area literal,
-	// outermost query first: the prepared-statement window parameter is
-	// resolved against these.
-	areas []int
 	// sub maps each nested mapping's Query to its own analysis.
 	sub map[*Query]*analysis
 }
@@ -110,16 +105,12 @@ func analyze(q *Query) *analysis {
 
 	if q.At != nil {
 		for _, t := range []SpatialTerm{q.At.Left, q.At.Right} {
-			switch tt := t.(type) {
-			case AreaTerm:
-				an.areas = append(an.areas, tt.Pos)
-			case SubqueryTerm:
+			if tt, ok := t.(SubqueryTerm); ok {
 				sub := analyze(tt.Query)
 				an.sub[tt.Query] = sub
 				for name := range sub.funcs {
 					an.funcs[name] = true
 				}
-				an.areas = append(an.areas, sub.areas...)
 			}
 		}
 	}

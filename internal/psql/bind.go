@@ -12,9 +12,9 @@ import (
 // This file binds a parsed statement to the catalog: everything about
 // executing it that depends on the text and on what its names denote,
 // and on no tuple. The planned executor binds a statement once, when it
-// is first run, keeps the result with the statement's cache entry (or
-// its Prepared), and before every later use checks it against what the
-// catalog hands back now (boundStmt.current). The naive executor binds
+// is first run, keeps the result with the statement's cache entry, and
+// before every later use checks it against what the catalog hands back
+// now (boundStmt.current). The naive executor binds
 // afresh for every execution and binds less: it keeps the expressions
 // as written and resolves their columns by name, row by row, so the
 // oracle shares the from-clause resolution and the text's refusals with

@@ -30,8 +30,7 @@ type CacheStats struct {
 }
 
 // stmtEntry is one statement text parsed once: what the cache keeps per
-// text, what a Prepared holds, and what stands for a nested mapping
-// inside its parent's entry.
+// text, and what stands for a nested mapping inside its parent's entry.
 type stmtEntry struct {
 	src string
 	q   *Query

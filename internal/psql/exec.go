@@ -2,7 +2,6 @@ package psql
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -25,40 +24,19 @@ type Catalog interface {
 // Executor runs PSQL queries against a catalog. It is safe for
 // concurrent use: Run calls may race with each other and with
 // RegisterFunc (the statement cache and function registry are locked
-// internally); MaxProductRows and Parallelism should be configured
-// before the executor is shared.
+// internally). A statement runs on its caller's goroutine; concurrency
+// comes from concurrent callers.
 type Executor struct {
 	cat   Catalog
 	mu    sync.RWMutex // guards funcs
 	funcs map[string]Func
 	cache *stmtCache
-	// MaxProductRows caps unindexed products — a cartesian product, the
-	// qualifying pairs of a disjoined juxtaposition — as a safety net;
-	// zero means the default of one million.
-	MaxProductRows int
-	// Parallelism caps the worker goroutines used for multi-window
-	// direct search, join materialization, and batched tuple fetch;
-	// zero or negative means runtime.GOMAXPROCS(0). Query results are
-	// identical at any setting — parallel plans merge in deterministic
-	// window/pair order.
-	Parallelism int
 }
 
-// maxProductRows resolves the executor's cap on unindexed products.
-func (e *Executor) maxProductRows() int {
-	if e.MaxProductRows > 0 {
-		return e.MaxProductRows
-	}
-	return 1_000_000
-}
-
-// parallelism resolves the executor's worker budget.
-func (e *Executor) parallelism() int {
-	if e.Parallelism > 0 {
-		return e.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// maxProductRows caps unindexed products — a cartesian product, the
+// qualifying pairs of a disjoined juxtaposition — as a safety net;
+// tests lower it.
+var maxProductRows = 1_000_000
 
 // NewExecutor returns an executor with the builtin function registry
 // and a statement cache of DefaultStatementCacheSize entries.
@@ -120,47 +98,6 @@ func (e *Executor) RunNaive(src string) (*Result, error) {
 	return e.run(newStmtEntry(src, q, analyze(q)), execOpts{naive: true})
 }
 
-// Prepared is a statement parsed and analyzed once, whose at-clause
-// window is supplied per execution — the prepared-parameter path for
-// repeated point-in-window queries, including windows inside nested
-// mappings. It holds what a cache entry holds — the parse, the analysis
-// and the bound statement — plus the one literal that is a hole.
-type Prepared struct {
-	e   *Executor
-	ent *stmtEntry
-	pos int // source position of the area literal ExecWindow overrides
-}
-
-// Prepare parses src and binds its single at-clause area literal as
-// the statement's window parameter. The literal may sit in the outer
-// query or in a nested mapping; a statement with zero or multiple area
-// literals cannot be prepared this way.
-func (e *Executor) Prepare(src string) (*Prepared, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	an := analyze(q)
-	if len(an.areas) != 1 {
-		return nil, fmt.Errorf("psql: prepare needs exactly one at-clause area literal, found %d", len(an.areas))
-	}
-	return &Prepared{e: e, ent: newStmtEntry(src, q, an), pos: an.areas[0]}, nil
-}
-
-// Exec runs the prepared statement with its original window.
-func (p *Prepared) Exec() (*Result, error) {
-	return p.e.run(p.ent, execOpts{})
-}
-
-// ExecWindow runs the prepared statement with the area literal
-// replaced by {cx±dx, cy±dy}. The parse, analysis, and bound statement
-// are reused; only the window changes, and with it the price of the
-// access path.
-func (p *Prepared) ExecWindow(cx, dx, cy, dy float64) (*Result, error) {
-	w := geom.WindowAt(cx, dx, cy, dy)
-	return p.e.run(p.ent, execOpts{window: &w, windowPos: p.pos})
-}
-
 // row is one candidate result row: a tuple per binding.
 type row []relation.Tuple
 
@@ -171,10 +108,6 @@ type execOpts struct {
 	// batching, no index shortcuts beyond the spatial semantics
 	// themselves.
 	naive bool
-	// window, when non-nil, replaces the area literal at source
-	// position windowPos — the prepared-statement parameter.
-	window    *geom.Rect
-	windowPos int
 }
 
 // execState carries one execution of a bound statement.
@@ -399,9 +332,7 @@ func (st *execState) constantAt() (bool, error) {
 // re-priced only when something it was priced from moved: the cost
 // generation of the relation it reads — binding bi's, read before price
 // takes its first figure, so a path is never kept under a generation
-// newer than what it saw — or the windows. A window that is a prepared
-// statement's parameter changes with every execution, so its paths are
-// not kept.
+// newer than what it saw — or the windows.
 func (st *execState) pricedFor(bi int, windows []geom.Rect, price func() (*pricedPath, error)) (*pricedPath, error) {
 	gen := st.bindings[bi].rel.CostGeneration()
 	if p := st.path.Load(); p != nil && p.costGen == gen && slices.Equal(p.windows, windows) {
@@ -412,9 +343,7 @@ func (st *execState) pricedFor(bi int, windows []geom.Rect, price func() (*price
 		return nil, err
 	}
 	p.costGen, p.windows = gen, windows
-	if st.opts.window == nil {
-		st.path.Store(p)
-	}
+	st.path.Store(p)
 	return p, nil
 }
 
@@ -489,7 +418,7 @@ func (st *execState) filterSpatial(bi int, ids []storage.TupleID, op SpatialOp, 
 	need := make([]bool, b.schema.Arity())
 	need[li] = true
 	sortTupleIDs(ids) // the B-tree delivers key order
-	tuples, err := b.rel.GetBatch(ids, need, st.e.parallelism())
+	tuples, err := b.rel.GetBatch(ids, need, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -629,10 +558,6 @@ func literalAsColumnValue(e Expr, t relation.Type) (relation.Value, bool) {
 func (st *execState) termWindows(t SpatialTerm) ([]geom.Rect, error) {
 	switch tt := t.(type) {
 	case AreaTerm:
-		if st.opts.window != nil && tt.Pos == st.opts.windowPos {
-			// Prepared-statement window parameter replaces this literal.
-			return []geom.Rect{*st.opts.window}, nil
-		}
 		return []geom.Rect{geom.WindowAt(tt.CX, tt.DX, tt.CY, tt.DY)}, nil
 	case NameTerm:
 		r, ok := st.e.cat.Location(tt.Name)
@@ -644,9 +569,9 @@ func (st *execState) termWindows(t SpatialTerm) ([]geom.Rect, error) {
 		// Nested mapping: run it, collect the loc/area values of its
 		// rows as windows — "The binding of the top level window is
 		// dynamically done during the evaluation of the query." The
-		// nested execution inherits this statement's mode (naive /
-		// prepared window) and runs from its own entry, bound like any
-		// other statement's.
+		// nested execution inherits this statement's mode (naive or
+		// planned) and runs from its own entry, bound like any other
+		// statement's.
 		res, err := st.e.run(st.ent.sub[tt.Query], st.opts)
 		if err != nil {
 			return nil, err
@@ -682,8 +607,8 @@ func (st *execState) directSearch(bi int, op SpatialOp, windows []geom.Rect) ([]
 	pred := spatialPred(op)
 	if op != OpDisjoined {
 		// Batched direct search: all windows answered through the
-		// R-tree's concurrent read path, their ids sorted once.
-		ids, visited, err := b.rel.SearchWindows(b.picture, windows, pred, st.e.parallelism())
+		// R-tree, their ids sorted once.
+		ids, visited, err := b.rel.SearchWindows(b.picture, windows, pred)
 		if err != nil {
 			return nil, fmt.Errorf("psql: relation %q is not spatially indexed on picture %q", b.name, b.picture)
 		}
@@ -780,13 +705,11 @@ func (st *execState) juxtapose(bi, bj int, op SpatialOp) ([]row, error) {
 	return rows, nil
 }
 
-// traversalPairs joins the two sides by parallel simultaneous R-tree
-// traversal. The visit count is worker-count-independent and juxtapose
-// sorts the pairs canonically, so the result rows stay deterministic
-// across worker budgets and driving-side choices. The driving side is
-// the bigger index by live node count (packed plus delta, summed over
-// shards): the larger tree goes first so the traversal fans out over
-// more subtrees.
+// traversalPairs joins the two sides by simultaneous R-tree traversal.
+// juxtapose sorts the pairs canonically, so the result rows stay
+// deterministic across driving-side choices. The driving side is the
+// bigger index by live node count (packed plus delta, summed over
+// shards): the larger tree goes first.
 func (st *execState) traversalPairs(sides *[2]joinSide, op SpatialOp, nodesA, nodesB int) ([]pair, error) {
 	a, b := st.bindings[sides[0].bi], st.bindings[sides[1].bi]
 	pred := spatialPred(op)
@@ -795,7 +718,7 @@ func (st *execState) traversalPairs(sides *[2]joinSide, op SpatialOp, nodesA, no
 	if nodesB > nodesA {
 		drive = b.name
 		jp, visited, err := b.rel.JuxtaposeSpatial(b.picture, a.rel, a.picture,
-			func(y, x geom.Rect) bool { return pred(x, y) }, st.e.parallelism())
+			func(y, x geom.Rect) bool { return pred(x, y) }, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -806,7 +729,7 @@ func (st *execState) traversalPairs(sides *[2]joinSide, op SpatialOp, nodesA, no
 		}
 	} else {
 		jp, visited, err := a.rel.JuxtaposeSpatial(a.picture, b.rel, b.picture,
-			func(x, y geom.Rect) bool { return pred(x, y) }, st.e.parallelism())
+			func(x, y geom.Rect) bool { return pred(x, y) }, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -829,7 +752,7 @@ func (st *execState) fetchSide(bi int, ids []storage.TupleID) ([]relation.Tuple,
 	uniq := slices.Clone(ids)
 	sortTupleIDs(uniq)
 	uniq = slices.Compact(uniq)
-	tuples, err := st.bindings[bi].rel.GetBatch(uniq, st.need[bi], st.e.parallelism())
+	tuples, err := st.bindings[bi].rel.GetBatch(uniq, st.need[bi], 0)
 	if err != nil {
 		return nil, err
 	}
@@ -853,7 +776,7 @@ func (st *execState) cartesian(fixed int, ids []storage.TupleID) ([]row, error) 
 	nb := len(st.bindings)
 	lists := make([][]storage.TupleID, nb)
 	product := 1
-	limit := st.e.maxProductRows()
+	limit := maxProductRows
 	for i := range st.bindings {
 		if lists[i] = ids; i != fixed {
 			var err error

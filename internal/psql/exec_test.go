@@ -766,53 +766,3 @@ func TestTextRefusalsTouchNoPage(t *testing.T) {
 		t.Error("a statement that ran left the pager's counters where they were")
 	}
 }
-
-func TestExecutorParallelismDeterminism(t *testing.T) {
-	// Multi-window direct search and juxtaposition must produce
-	// identical results (rows, order, visit counts) at any worker
-	// budget: parallel plans merge in deterministic window/pair order.
-	queries := []string{
-		// Multi-window: the nested mapping binds one window per state.
-		`select city, state
-		 from   cities
-		 on     us-map
-		 at     loc covered-by
-		        select states.loc
-		        from   states
-		        on     state-map
-		        at     states.loc overlapping {800±200, 500±500}`,
-		// Juxtaposition with parallel tuple materialization.
-		`select city, zone
-		 from   cities, time-zones
-		 on     us-map, time-zone-map
-		 at     cities.loc covered-by time-zones.loc`,
-	}
-	for _, q := range queries {
-		db := usdb(t)
-		db.SetParallelism(1)
-		want, err := db.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{2, 8} {
-			db.SetParallelism(par)
-			got, err := db.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got.Rows) != len(want.Rows) {
-				t.Fatalf("par=%d: %d rows, want %d", par, len(got.Rows), len(want.Rows))
-			}
-			for i := range want.Rows {
-				for j := range want.Rows[i] {
-					if got.Rows[i][j].String() != want.Rows[i][j].String() {
-						t.Fatalf("par=%d: row %d col %d = %v, want %v", par, i, j, got.Rows[i][j], want.Rows[i][j])
-					}
-				}
-			}
-			if got.NodesVisited != want.NodesVisited {
-				t.Fatalf("par=%d: visited %d nodes, want %d", par, got.NodesVisited, want.NodesVisited)
-			}
-		}
-	}
-}

@@ -122,7 +122,7 @@ func (st *execState) naiveJoin(bi, bj int, op SpatialOp) ([]row, error) {
 	if op == OpDisjoined {
 		capped = st.restrictions()
 	}
-	limit := st.e.maxProductRows()
+	limit := maxProductRows
 	pred := spatialPred(op)
 	var rows []row
 	for i0, id0 := range ids0 {
@@ -177,7 +177,7 @@ func (st *execState) holdsAll(terms []boundTerm, r row) (bool, error) {
 func (st *execState) naiveCartesian(fixed map[int][]storage.TupleID) ([]row, error) {
 	lists := make([][]storage.TupleID, len(st.bindings))
 	product := 1
-	limit := st.e.maxProductRows()
+	limit := maxProductRows
 	for i := range st.bindings {
 		if ids, ok := fixed[i]; ok {
 			lists[i] = ids

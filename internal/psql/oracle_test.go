@@ -310,12 +310,11 @@ var evaluationOrderCorpus = []string{
 // evaluationOrderDB builds pts(n, name, v, loc) on m — 600 scattered
 // points, in one store or four — beside zones(z, loc) on zm, a dozen
 // rectangles that overlap one another, and registers height(loc).
-func evaluationOrderDB(t *testing.T, stores, parallelism int) *pictdb.Database {
+func evaluationOrderDB(t *testing.T, stores int) *pictdb.Database {
 	t.Helper()
 	rng := rand.New(rand.NewSource(22))
 	db := pictdb.New()
 	t.Cleanup(func() { db.Close() })
-	db.SetParallelism(parallelism)
 	m, err := db.CreatePicture("m", pictdb.R(0, 0, 1000, 1000))
 	if err != nil {
 		t.Fatal(err)
@@ -377,34 +376,31 @@ func evaluationOrderDB(t *testing.T, stores, parallelism int) *pictdb.Database {
 
 // TestEvaluationOrderOracle runs evaluationOrderCorpus — each statement
 // twice, the second from its cached bound statement — against the naive
-// executor, at worker budgets 1 and 8, with pts in one store and in
-// four.
+// executor, with pts in one store and in four.
 func TestEvaluationOrderOracle(t *testing.T) {
 	for _, stores := range []int{1, 4} {
-		for _, par := range []int{1, 8} {
-			db := evaluationOrderDB(t, stores, par)
-			errored := 0
-			for _, q := range evaluationOrderCorpus {
-				label := fmt.Sprintf("stores=%d par=%d %s", stores, par, q)
-				naive, nerr := db.QueryNaive(q)
-				for run := 0; run < 2; run++ {
-					planned, perr := db.Query(q)
-					if (perr == nil) != (nerr == nil) || (perr != nil && perr.Error() != nerr.Error()) {
-						t.Fatalf("%s (run %d):\nplanned error %v\n  naive error %v", label, run, perr, nerr)
-					}
-					if perr == nil {
-						sameRows(t, label, planned, naive)
-					}
+		db := evaluationOrderDB(t, stores)
+		errored := 0
+		for _, q := range evaluationOrderCorpus {
+			label := fmt.Sprintf("stores=%d %s", stores, q)
+			naive, nerr := db.QueryNaive(q)
+			for run := 0; run < 2; run++ {
+				planned, perr := db.Query(q)
+				if (perr == nil) != (nerr == nil) || (perr != nil && perr.Error() != nerr.Error()) {
+					t.Fatalf("%s (run %d):\nplanned error %v\n  naive error %v", label, run, perr, nerr)
 				}
-				if nerr != nil {
-					errored++
-				} else if len(naive.Rows) == 0 && !strings.Contains(q, "100000") && !strings.Contains(q, "v < 0") && !strings.Contains(q, "5000±1") {
-					t.Errorf("%s: no rows: the statement tests nothing", label)
+				if perr == nil {
+					sameRows(t, label, planned, naive)
 				}
 			}
-			if errored != 4 {
-				t.Errorf("stores=%d par=%d: %d statements errored, the corpus has 4 that must", stores, par, errored)
+			if nerr != nil {
+				errored++
+			} else if len(naive.Rows) == 0 && !strings.Contains(q, "100000") && !strings.Contains(q, "v < 0") && !strings.Contains(q, "5000±1") {
+				t.Errorf("%s: no rows: the statement tests nothing", label)
 			}
+		}
+		if errored != 4 {
+			t.Errorf("stores=%d: %d statements errored, the corpus has 4 that must", stores, errored)
 		}
 	}
 }

@@ -114,24 +114,21 @@ var oracleCorpus = []string{
 // path the planner can choose — direct search under all four spatial
 // operators, index-driven at-clauses, juxtaposition, nested mappings,
 // B-tree and scan qualifications, ordering, aggregates — and checks
-// the planned executor against the naive reference row for row, at
-// worker budgets 1 and 8. Both paths emit canonical row order, so any
-// divergence is a planner or batching bug.
+// the planned executor against the naive reference row for row. Both
+// paths emit canonical row order, so any divergence is a planner or
+// batching bug.
 func TestPlannedMatchesNaiveOracle(t *testing.T) {
-	for _, par := range []int{1, 8} {
-		db := usdb(t)
-		db.SetParallelism(par)
-		for _, q := range oracleCorpus {
-			planned, err := db.Query(q)
-			if err != nil {
-				t.Fatalf("par=%d planned %s: %v", par, q, err)
-			}
-			naive, err := db.QueryNaive(q)
-			if err != nil {
-				t.Fatalf("par=%d naive %s: %v", par, q, err)
-			}
-			sameRows(t, fmt.Sprintf("par=%d %s", par, q), planned, naive)
+	db := usdb(t)
+	for _, q := range oracleCorpus {
+		planned, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("planned %s: %v", q, err)
 		}
+		naive, err := db.QueryNaive(q)
+		if err != nil {
+			t.Fatalf("naive %s: %v", q, err)
+		}
+		sameRows(t, q, planned, naive)
 	}
 }
 
@@ -257,76 +254,6 @@ func TestRegisterFuncInvalidatesCache(t *testing.T) {
 	}
 }
 
-// TestPreparedWindow checks the prepared-parameter path: ExecWindow
-// must equal re-parsing the statement with the window spliced into the
-// text, both for a top-level window and for one inside a nested
-// mapping.
-func TestPreparedWindow(t *testing.T) {
-	db := usdb(t)
-	p, err := db.Prepare(`select city, loc from cities on us-map
-	                      at loc covered-by {800±200, 500±500}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Original window.
-	got, err := p.Exec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := db.QueryNaive(`select city, loc from cities on us-map
-	                            at loc covered-by {800±200, 500±500}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, "prepared original window", got, want)
-	// Re-bound windows.
-	for _, w := range []struct{ cx, dx, cy, dy float64 }{
-		{200, 200, 500, 500}, // west coast
-		{640, 30, 378, 30},   // around Chicago
-		{500, 500, 500, 500}, // everything
-	} {
-		got, err := p.ExecWindow(w.cx, w.dx, w.cy, w.dy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		text := fmt.Sprintf(`select city, loc from cities on us-map
-		                     at loc covered-by {%g±%g, %g±%g}`, w.cx, w.dx, w.cy, w.dy)
-		want, err := db.QueryNaive(text)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRows(t, text, got, want)
-	}
-
-	// Window inside a nested mapping.
-	nested := `select lake, lakes.loc from lakes on lake-map
-	           at lakes.loc covered-by
-	             select states.loc from states on state-map
-	             at states.loc overlapping {%g±%g, %g±%g}`
-	pn, err := db.Prepare(fmt.Sprintf(nested, 800.0, 200.0, 500.0, 500.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotN, err := pn.ExecWindow(200, 200, 500, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantN, err := db.QueryNaive(fmt.Sprintf(nested, 200.0, 200.0, 500.0, 500.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, "prepared nested window", gotN, wantN)
-
-	// Zero or multiple area literals cannot be prepared.
-	if _, err := db.Prepare(`select city from cities`); err == nil {
-		t.Error("prepare with no area literal should fail")
-	}
-	if _, err := db.Prepare(`select city from cities on us-map
-	                         at {1±1, 1±1} covered-by {2±2, 2±2}`); err == nil {
-		t.Error("prepare with two area literals should fail")
-	}
-}
-
 // TestPlannerAccessPathChoice pins the cost model's decisions on the
 // US database: a highly selective equality conjunct flips the
 // at-clause to the B-tree, a loose range conjunct keeps the paper's
@@ -402,10 +329,10 @@ func TestConjunctReordering(t *testing.T) {
 }
 
 // TestConcurrentRunStress hammers one shared executor from many
-// goroutines mixing cached queries, prepared executions, and function
-// re-registration. Run under -race (make check) it verifies the
-// statement cache, function registry, and batched read path are safe
-// to share; results are also checked against a precomputed answer.
+// goroutines mixing cached queries and function re-registration. Run
+// under -race (make check) it verifies the statement cache, function
+// registry, and read path are safe to share; results are also checked
+// against a precomputed answer.
 func TestConcurrentRunStress(t *testing.T) {
 	db := usdb(t)
 	queries := []string{
@@ -422,11 +349,6 @@ func TestConcurrentRunStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[i] = res
-	}
-	prep, err := db.Prepare(`select city from cities on us-map
-	                         at loc covered-by {500±150, 500±500}`)
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	const goroutines = 8
@@ -448,12 +370,6 @@ func TestConcurrentRunStress(t *testing.T) {
 					errs[g] = fmt.Errorf("goroutine %d iter %d: %d rows, want %d",
 						g, i, len(res.Rows), len(want[qi].Rows))
 					return
-				}
-				if i%5 == 0 {
-					if _, err := prep.ExecWindow(500, 100+float64(i), 500, 500); err != nil {
-						errs[g] = err
-						return
-					}
 				}
 				if i%7 == 0 {
 					name := fmt.Sprintf("f%d", g)
@@ -485,7 +401,7 @@ func TestConcurrentRunStress(t *testing.T) {
 // plan and visit count a fresh Executor (no cache, nothing bound)
 // reports for the same text.
 func TestBoundStatementRevalidation(t *testing.T) {
-	db := evaluationOrderDB(t, 1, 1)
+	db := evaluationOrderDB(t, 1)
 	pts, _ := db.Relation("pts")
 	m, _ := db.Picture("m")
 	if err := db.DefineLocation("hot", pictdb.R(300, 300, 700, 700)); err != nil {
@@ -622,7 +538,7 @@ func TestBoundStatementRevalidation(t *testing.T) {
 // view. Run under -race (make check); every answer is also checked
 // against what the writer can have left.
 func TestBoundStatementSharedByGoroutines(t *testing.T) {
-	db := evaluationOrderDB(t, 1, 0)
+	db := evaluationOrderDB(t, 1)
 	pts, _ := db.Relation("pts")
 	m, _ := db.Picture("m")
 	const q = `select n, v from pts on m at loc covered-by {500±250, 500±250} where v > 40`

@@ -99,10 +99,10 @@ func holdAll(terms []boundTerm) func(relation.Tuple) bool {
 func (st *execState) fetchKept(bi int, ids []storage.TupleID, need []bool) ([]storage.TupleID, []relation.Tuple, error) {
 	rel, terms := st.bindings[bi].rel, st.sideTerms[bi]
 	if len(terms) == 0 {
-		tuples, err := rel.GetBatch(ids, need, st.e.parallelism())
+		tuples, err := rel.GetBatch(ids, need, 0)
 		return ids, tuples, err
 	}
-	tuples, err := rel.FetchWhere(ids, need, st.test[bi], holdAll(terms), st.e.parallelism())
+	tuples, err := rel.FetchWhere(ids, need, st.test[bi], holdAll(terms))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -276,7 +276,7 @@ func (st *execState) nestedLoopPairs(sides *[2]joinSide) ([]pair, error) {
 	}
 	st.note("juxtaposition: nested loop of %q and %q (%s admits no pruning)",
 		st.bindings[sides[0].bi].name, st.bindings[sides[1].bi].name, OpDisjoined)
-	limit := st.e.maxProductRows()
+	limit := maxProductRows
 	var pairs []pair
 	for _, ia := range items[0] {
 		for _, ib := range items[1] {
@@ -390,7 +390,7 @@ func (st *execState) probePairs(sides *[2]joinSide, drive int, windows []geom.Re
 	}
 	from := sides[drive].items
 	probed := st.bindings[sides[1-drive].bi]
-	batches, visited, err := probed.rel.SearchAreaBatch(probed.picture, windows, probe, st.e.parallelism())
+	batches, visited, err := probed.rel.SearchAreaBatch(probed.picture, windows, probe, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -38,25 +38,21 @@ var juxtapositionErrors = []struct{ where, want string }{
 }
 
 // TestJuxtapositionErrorParity runs every failing where-clause under an
-// intersecting and a disjoined at-clause, planned and naive, at worker
-// budgets 1 and 8.
+// intersecting and a disjoined at-clause, planned and naive.
 func TestJuxtapositionErrorParity(t *testing.T) {
-	for _, par := range []int{1, 8} {
-		db := usdb(t)
-		db.SetParallelism(par)
-		for _, c := range juxtapositionErrors {
-			for _, q := range []string{citiesInZones + c.where, strings.Replace(citiesInZones, "covered-by", "disjoined", 1) + c.where} {
-				_, perr := db.Query(q)
-				_, nerr := db.QueryNaive(q)
-				if perr == nil || nerr == nil {
-					t.Fatalf("par=%d %s: planned error %v, naive error %v, want both", par, q, perr, nerr)
-				}
-				if perr.Error() != nerr.Error() {
-					t.Errorf("par=%d %s:\nplanned %v\n  naive %v", par, q, perr, nerr)
-				}
-				if !strings.Contains(perr.Error(), c.want) {
-					t.Errorf("par=%d %s: error %q does not mention %q", par, q, perr, c.want)
-				}
+	db := usdb(t)
+	for _, c := range juxtapositionErrors {
+		for _, q := range []string{citiesInZones + c.where, strings.Replace(citiesInZones, "covered-by", "disjoined", 1) + c.where} {
+			_, perr := db.Query(q)
+			_, nerr := db.QueryNaive(q)
+			if perr == nil || nerr == nil {
+				t.Fatalf("%s: planned error %v, naive error %v, want both", q, perr, nerr)
+			}
+			if perr.Error() != nerr.Error() {
+				t.Errorf("%s:\nplanned %v\n  naive %v", q, perr, nerr)
+			}
+			if !strings.Contains(perr.Error(), c.want) {
+				t.Errorf("%s: error %q does not mention %q", q, perr, c.want)
 			}
 		}
 	}
@@ -65,11 +61,12 @@ func TestJuxtapositionErrorParity(t *testing.T) {
 // TestDisjoinedJuxtapositionHonorsMaxProductRows: a disjoined
 // juxtaposition is an unindexed product, and both executors refuse one
 // whose qualifying pairs — counted after the one-relation where-terms —
-// pass MaxProductRows, with the same error.
+// pass the cap on unindexed products, with the same error.
 func TestDisjoinedJuxtapositionHonorsMaxProductRows(t *testing.T) {
 	db := usdb(t)
 	e := psql.NewExecutor(db)
-	e.MaxProductRows = 20
+	restore := psql.SetMaxProductRows(20)
+	defer restore()
 	disjoined := `select city, zone from cities, time-zones on us-map, time-zone-map
 		at cities.loc disjoined time-zones.loc `
 
@@ -112,6 +109,7 @@ func TestDisjoinedJuxtapositionHonorsMaxProductRows(t *testing.T) {
 	}
 
 	// The default limit leaves the same statement alone.
+	restore()
 	if _, err := db.Query(disjoined); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -413,30 +412,29 @@ func (r *Relation) Get(id storage.TupleID) (Tuple, error) {
 
 // GetBatch materializes the tuples stored under ids, preserving input
 // order: out[i] is the tuple for ids[i]. See FetchWhere, which it is
-// with nothing to test.
+// with nothing to test. workers is ignored; it stays only because
+// cmd/pictbench compiles against it, until the benchmark reads the
+// engine's own counters (ROADMAP.md item 5).
 func (r *Relation) GetBatch(ids []storage.TupleID, need []bool, workers int) ([]Tuple, error) {
-	return r.FetchWhere(ids, need, nil, nil, workers)
+	return r.FetchWhere(ids, need, nil, nil)
 }
 
 // FetchWhere materializes the tuples stored under ids that keep
 // accepts, preserving input order: out[i] is the tuple for ids[i], nil
-// when keep rejected it. Ids are grouped by store and each store's
-// share cut into chunks; a chunk pins each page it references once
-// (ascending page order — ids on the statement path arrive sorted, any
-// other order is sorted per chunk — zero-copy view when mmap is active)
-// and decodes its tuples in place into one arena. need selects which
-// columns to materialize, as in DecodeTupleCols (nil = all).
+// when keep rejected it. Ids are grouped by store and the stores read in
+// order; a store pins each page it references once (ascending page
+// order — ids on the statement path arrive sorted, any other order is
+// sorted per store — zero-copy view when mmap is active) and decodes
+// its tuples in place into arenas. need selects which columns to
+// materialize, as in DecodeTupleCols (nil = all).
 //
 // With keep non-nil a record is first decoded on the columns test
 // selects alone and shown to keep; only a tuple keep accepts has need's
 // columns materialized, so a rejected candidate costs no string and no
 // tuple. The first decode validates the whole record, so a corrupt one
-// fails the fetch whether or not keep would have rejected it. keep runs
-// concurrently, must be pure, and must not retain its argument.
-//
-// Chunks run on up to workers goroutines (0 means GOMAXPROCS); output
-// is identical at any worker count.
-func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep func(Tuple) bool, workers int) ([]Tuple, error) {
+// fails the fetch whether or not keep would have rejected it. keep must
+// not retain its argument.
+func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep func(Tuple) bool) ([]Tuple, error) {
 	out := make([]Tuple, len(ids))
 	if len(ids) == 0 {
 		return out, nil
@@ -447,37 +445,23 @@ func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep fun
 	if err != nil {
 		return nil, fmt.Errorf("relation %s: %w", r.name, err)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Chunks below ~32 tuples cost more in goroutine churn and repeat
-	// page pins than they save.
-	const minChunk = 32
-	type chunk struct{ s, lo, hi int }
-	var chunks []chunk
-	for s, l := range lids {
-		n := min(workers, (len(l)+minChunk-1)/minChunk)
-		for c := 0; c < n; c++ {
-			chunks = append(chunks, chunk{s, c * len(l) / n, (c + 1) * len(l) / n})
-		}
-	}
 	arity := r.schema.Arity()
-	err = par.Do(len(chunks), workers, func(i int) error {
-		c := chunks[i]
-		st := r.stores[c.s]
-		// Tuples are cut from arenas of up to arenaTuples each: a kept
-		// tuple costs no allocation of its own, a rejected one none at
-		// all, and no arena is a large object.
-		const arenaTuples = 128
-		var arena []Value
-		left := c.hi - c.lo // candidates not yet decoded
+	// Tuples are cut from arenas of up to arenaTuples each: a kept tuple
+	// costs no allocation of its own, a rejected one none at all, and no
+	// arena is a large object.
+	const arenaTuples = 128
+	var arena []Value
+	left := len(ids) // candidates not yet decoded
+	for s, l := range lids {
+		if len(l) == 0 {
+			continue
+		}
+		st := r.stores[s]
 		st.mu.RLock()
-		defer st.mu.RUnlock()
-		return st.heap.GetBatch(lids[c.s][c.lo:c.hi], func(k int, rec []byte) error {
-			k += c.lo
+		err := st.heap.GetBatch(l, func(k int, rec []byte) error {
 			p := k
 			if pos != nil {
-				p = pos[c.s][k]
+				p = pos[s][k]
 			}
 			// The tuple's slice of the arena; a rejected candidate's is
 			// handed to the next one.
@@ -486,7 +470,7 @@ func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep fun
 			}
 			left--
 			slot := arena[:0:arity]
-			rec, err := r.payload(ids[p].Int64(), lids[c.s][k], rec)
+			rec, err := r.payload(ids[p].Int64(), l[k], rec)
 			var t Tuple
 			kept := false
 			if err == nil {
@@ -504,9 +488,10 @@ func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep fun
 			out[p] = t
 			return nil
 		})
-	})
-	if err != nil {
-		return nil, err
+		st.mu.RUnlock()
+		if err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -802,7 +787,7 @@ func (r *Relation) Pictures() []string {
 // the query scatters to only those whose bounds overlap the window and
 // the gathered ids are sorted into the same canonical order.
 func (r *Relation) SearchArea(pictureName string, window geom.Rect, pred func(obj, win geom.Rect) bool) ([]storage.TupleID, int, error) {
-	batches, visited, err := r.SearchAreaBatch(pictureName, []geom.Rect{window}, pred, 1)
+	batches, visited, err := r.SearchAreaBatch(pictureName, []geom.Rect{window}, pred, 0)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -823,15 +808,15 @@ func (r *Relation) SpatialItems(pictureName string) ([]rtree.Item, int, error) {
 	return items, visited, nil
 }
 
-// SearchAreaBatch answers many windows against one spatial index with
-// up to parallelism goroutines (0 means GOMAXPROCS), using the
-// R-tree's batched read path. results[i] holds the qualifying storage
-// ids for windows[i] in canonical ascending-TupleID order — identical
-// to calling SearchArea per window — and the visit count is summed
-// across the batch and the merged trees. pred is called concurrently
-// and must be a pure function of its arguments.
+// SearchAreaBatch answers many windows against one spatial index, one
+// after another. results[i] holds the qualifying storage ids for
+// windows[i] in canonical ascending-TupleID order — identical to
+// calling SearchArea per window — and the visit count is summed across
+// the batch and the merged trees. parallelism is ignored; it stays only
+// because cmd/pictbench compiles against it, until the benchmark reads
+// the engine's own counters (ROADMAP.md item 5).
 func (r *Relation) SearchAreaBatch(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool, parallelism int) ([][]storage.TupleID, int, error) {
-	batches, visited, err := r.search(pictureName, windows, pred, parallelism)
+	batches, visited, err := r.search(pictureName, windows, pred)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -848,8 +833,8 @@ func (r *Relation) SearchAreaBatch(pictureName string, windows []geom.Rect, pred
 // each id once, in canonical ascending TupleID order — the union of
 // SearchAreaBatch's lists, sorted once and de-duplicated — with the
 // visit count summed across the batch and the merged trees.
-func (r *Relation) SearchWindows(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool, parallelism int) ([]storage.TupleID, int, error) {
-	batches, visited, err := r.search(pictureName, windows, pred, parallelism)
+func (r *Relation) SearchWindows(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool) ([]storage.TupleID, int, error) {
+	batches, visited, err := r.search(pictureName, windows, pred)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -865,12 +850,12 @@ func (r *Relation) SearchWindows(pictureName string, windows []geom.Rect, pred f
 
 // search answers windows against the named picture's indexes: per
 // window, the ids of the qualifying tuples in no order (scatterSearch).
-func (r *Relation) search(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool, parallelism int) ([][]int64, int, error) {
+func (r *Relation) search(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool) ([][]int64, int, error) {
 	sis := r.spatialList(pictureName)
 	if sis == nil {
 		return nil, 0, fmt.Errorf("relation %s: no spatial index for picture %q", r.name, pictureName)
 	}
-	batches, visited := scatterSearch(sis, windows, pred, parallelism)
+	batches, visited := scatterSearch(sis, windows, pred)
 	return batches, visited, nil
 }
 
@@ -897,13 +882,12 @@ type SpatialPair struct {
 // this relation's spatial index on picA and s's index on picB: a
 // simultaneous traversal of the two merged indexes (each constituent
 // packed/delta tree pair juxtaposed, tombstoned entries dropped)
-// reporting every tuple pair whose object MBRs satisfy pred, fanned
-// out over up to workers goroutines (0 means GOMAXPROCS). Pairs are
-// returned in canonical ascending (A, B) TupleID order and the
-// node-pair visit count is identical at any worker count, so executors
-// layered on top stay deterministic. pred must imply rectangle
-// intersection (the pruning rule); it is called concurrently and must
-// be pure.
+// reporting every tuple pair whose object MBRs satisfy pred, with the
+// node pairs visited. Pairs are returned in canonical ascending (A, B)
+// TupleID order. pred must imply rectangle intersection (the pruning
+// rule). workers is ignored; it stays only because cmd/pictbench
+// compiles against it, until the benchmark reads the engine's own
+// counters (ROADMAP.md item 5).
 func (r *Relation) JuxtaposeSpatial(picA string, s *Relation, picB string, pred func(a, b geom.Rect) bool, workers int) ([]SpatialPair, int, error) {
 	as := r.spatialList(picA)
 	if as == nil {
@@ -913,7 +897,7 @@ func (r *Relation) JuxtaposeSpatial(picA string, s *Relation, picB string, pred 
 	if bs == nil {
 		return nil, 0, fmt.Errorf("relation %s: no spatial index for picture %q", s.name, picB)
 	}
-	pairs, visited := scatterJuxtapose(as, bs, pred, workers)
+	pairs, visited := scatterJuxtapose(as, bs, pred)
 	out := make([]SpatialPair, len(pairs))
 	for i, p := range pairs {
 		out[i] = SpatialPair{

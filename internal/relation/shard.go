@@ -256,10 +256,10 @@ func (r *Relation) SpatialCostSnapshot(pictureName string, windows []geom.Rect) 
 // id space, so no id appears twice in one window's list. Pruning by
 // bounds is only applied when there is more than one index, so a
 // one-store relation keeps its exact visit counts.
-func scatterSearch(sis []*SpatialIndex, windows []geom.Rect, pred func(obj, win geom.Rect) bool, parallelism int) ([][]int64, int) {
+func scatterSearch(sis []*SpatialIndex, windows []geom.Rect, pred func(obj, win geom.Rect) bool) ([][]int64, int) {
 	out := make([][]int64, len(windows))
 	if len(sis) == 1 {
-		return out, sis[0].search(windows, pred, parallelism, out)
+		return out, sis[0].search(windows, pred, out)
 	}
 	visited := 0
 	for _, si := range sis {
@@ -279,7 +279,7 @@ func scatterSearch(sis []*SpatialIndex, windows []geom.Rect, pred func(obj, win 
 			continue
 		}
 		res := make([][]int64, len(sub))
-		visited += si.search(sub, pred, parallelism, res)
+		visited += si.search(sub, pred, res)
 		for j, i := range wi {
 			out[i] = append(out[i], res[j]...)
 		}
@@ -309,9 +309,9 @@ func scatterItems(sis []*SpatialIndex) ([]rtree.Item, int) {
 // roots — and the union is sorted canonically by (A, B). Shards
 // partition both id spaces, so no pair can appear twice and the result
 // is bit-identical to joining two unsharded indexes.
-func scatterJuxtapose(as, bs []*SpatialIndex, pred func(a, b geom.Rect) bool, workers int) ([]rtree.JoinPair, int) {
+func scatterJuxtapose(as, bs []*SpatialIndex, pred func(a, b geom.Rect) bool) ([]rtree.JoinPair, int) {
 	if len(as) == 1 && len(bs) == 1 {
-		return juxtaposeMerged(as[0], bs[0], pred, workers)
+		return juxtaposeMerged(as[0], bs[0], pred)
 	}
 	var pairs []rtree.JoinPair
 	visited := 0
@@ -324,7 +324,7 @@ func scatterJuxtapose(as, bs []*SpatialIndex, pred func(a, b geom.Rect) bool, wo
 			if bj.Len() == 0 || !ab.Intersects(bj.Bounds()) {
 				continue
 			}
-			ps, v := juxtaposeMerged(ai, bj, pred, workers)
+			ps, v := juxtaposeMerged(ai, bj, pred)
 			visited += v
 			pairs = append(pairs, ps...)
 		}

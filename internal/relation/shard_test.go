@@ -189,23 +189,21 @@ func verifyShardOracle(t *testing.T, twins map[int]*Relation, stage string) {
 		}
 	}
 
-	// Batched path at parallelism 1 and 8 must match the serial calls.
-	for _, par := range []int{1, 8} {
-		oracleBatches, _, err := twins[0].SearchAreaBatch("us-map", oracleWindows, geom.Overlapping, par)
+	// The batched path must match the serial calls.
+	oracleBatches, _, err := twins[0].SearchAreaBatch("us-map", oracleWindows, geom.Overlapping, 0)
+	if err != nil {
+		t.Fatalf("%s: oracle batch: %v", stage, err)
+	}
+	for _, k := range shardCounts {
+		batches, _, err := twins[k].SearchAreaBatch("us-map", oracleWindows, geom.Overlapping, 0)
 		if err != nil {
-			t.Fatalf("%s: oracle batch par=%d: %v", stage, par, err)
+			t.Fatalf("%s shards=%d: %v", stage, k, err)
 		}
-		for _, k := range shardCounts {
-			batches, _, err := twins[k].SearchAreaBatch("us-map", oracleWindows, geom.Overlapping, par)
-			if err != nil {
-				t.Fatalf("%s shards=%d par=%d: %v", stage, k, par, err)
-			}
-			for wi := range oracleWindows {
-				got := resolveNames(t, twins[k], batches[wi])
-				want := resolveNames(t, twins[0], oracleBatches[wi])
-				if !namesEqual(got, want) {
-					t.Fatalf("%s shards=%d par=%d window %d: batch rows diverge", stage, k, par, wi)
-				}
+		for wi := range oracleWindows {
+			got := resolveNames(t, twins[k], batches[wi])
+			want := resolveNames(t, twins[0], oracleBatches[wi])
+			if !namesEqual(got, want) {
+				t.Fatalf("%s shards=%d window %d: batch rows diverge", stage, k, wi)
 			}
 		}
 	}
@@ -265,7 +263,7 @@ func TestShardedSearchOracle(t *testing.T) {
 // verifyJuxtaposeOracle joins a's and b's twins at every shard count
 // (key 0 is the unsharded pair) and requires the pair stream to resolve
 // to the same logical pairs as the unsharded join, in the same canonical
-// order, at parallelism 1 and 8.
+// order.
 func verifyJuxtaposeOracle(t *testing.T, stage string, a, b map[int]*Relation) {
 	t.Helper()
 	split := func(pairs []SpatialPair) (as, bs []storage.TupleID) {
@@ -275,30 +273,28 @@ func verifyJuxtaposeOracle(t *testing.T, stage string, a, b map[int]*Relation) {
 		}
 		return as, bs
 	}
-	for _, par := range []int{1, 8} {
-		oracle, _, err := a[0].JuxtaposeSpatial("us-map", b[0], "us-map", geom.Overlapping, par)
+	oracle, _, err := a[0].JuxtaposeSpatial("us-map", b[0], "us-map", geom.Overlapping, 0)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", stage, err)
+	}
+	if len(oracle) == 0 {
+		t.Fatalf("%s: vacuous join", stage)
+	}
+	wantA, wantB := split(oracle)
+	wantAN := resolveNames(t, a[0], wantA)
+	wantBN := resolveNames(t, b[0], wantB)
+	for _, k := range shardCounts {
+		pairs, _, err := a[k].JuxtaposeSpatial("us-map", b[k], "us-map", geom.Overlapping, 0)
 		if err != nil {
-			t.Fatalf("%s: oracle par=%d: %v", stage, par, err)
+			t.Fatalf("%s shards=%d: %v", stage, k, err)
 		}
-		if len(oracle) == 0 {
-			t.Fatalf("%s: vacuous join", stage)
+		if len(pairs) != len(oracle) {
+			t.Fatalf("%s shards=%d: %d pairs, unsharded %d", stage, k, len(pairs), len(oracle))
 		}
-		wantA, wantB := split(oracle)
-		wantAN := resolveNames(t, a[0], wantA)
-		wantBN := resolveNames(t, b[0], wantB)
-		for _, k := range shardCounts {
-			pairs, _, err := a[k].JuxtaposeSpatial("us-map", b[k], "us-map", geom.Overlapping, par)
-			if err != nil {
-				t.Fatalf("%s shards=%d par=%d: %v", stage, k, par, err)
-			}
-			if len(pairs) != len(oracle) {
-				t.Fatalf("%s shards=%d par=%d: %d pairs, unsharded %d", stage, k, par, len(pairs), len(oracle))
-			}
-			gotA, gotB := split(pairs)
-			if !namesEqual(resolveNames(t, a[k], gotA), wantAN) ||
-				!namesEqual(resolveNames(t, b[k], gotB), wantBN) {
-				t.Fatalf("%s shards=%d par=%d: join pairs diverge from unsharded", stage, k, par)
-			}
+		gotA, gotB := split(pairs)
+		if !namesEqual(resolveNames(t, a[k], gotA), wantAN) ||
+			!namesEqual(resolveNames(t, b[k], gotB), wantBN) {
+			t.Fatalf("%s shards=%d: join pairs diverge from unsharded", stage, k)
 		}
 	}
 }
@@ -427,21 +423,18 @@ func TestShardedScanAndBatch(t *testing.T) {
 		if !idsEqual(scanned, ids[k]) {
 			t.Fatalf("shards=%d: scan order != insertion order", k)
 		}
-		// GetBatch at several worker counts, against Get.
-		for _, workers := range []int{1, 4} {
-			tuples, err := rel.GetBatch(ids[k], nil, workers)
+		// GetBatch against Get.
+		tuples, err := rel.GetBatch(ids[k], nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range ids[k] {
+			want, err := rel.Get(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, id := range ids[k] {
-				want, err := rel.Get(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tuples[i][0].Str != want[0].Str {
-					t.Fatalf("shards=%d workers=%d: batch[%d] = %q, Get %q",
-						k, workers, i, tuples[i][0].Str, want[0].Str)
-				}
+			if tuples[i][0].Str != want[0].Str {
+				t.Fatalf("shards=%d: batch[%d] = %q, Get %q", k, i, tuples[i][0].Str, want[0].Str)
 			}
 		}
 	}
@@ -638,7 +631,7 @@ func TestScatterFanoutPruning(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, si := range sis {
-			v := si.search([]geom.Rect{window}, geom.Overlapping, 1, make([][]int64, 1))
+			v := si.search([]geom.Rect{window}, geom.Overlapping, make([][]int64, 1))
 			all += v
 			if si.Bounds().Intersects(window) {
 				admitted += v
@@ -820,13 +813,13 @@ func concurrentWritersReaders(t *testing.T, rel *Relation, pic *picture.Picture)
 						return
 					}
 				case 2:
-					if _, err := rel.GetBatch(seeded, nil, 4); err != nil {
+					if _, err := rel.GetBatch(seeded, nil, 0); err != nil {
 						errCh <- fmt.Errorf("reader %d: batch: %w", r, err)
 						return
 					}
 				case 3:
 					ws := []geom.Rect{geom.R(0, 0, 300, 300), geom.R(rng.Float64()*800, rng.Float64()*800, 1000, 1000)}
-					res, _, err := rel.SearchAreaBatch("us-map", ws, geom.Overlapping, 2)
+					res, _, err := rel.SearchAreaBatch("us-map", ws, geom.Overlapping, 0)
 					if err != nil {
 						errCh <- fmt.Errorf("reader %d: batch search: %w", r, err)
 						return

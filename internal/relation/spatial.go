@@ -466,36 +466,42 @@ func sortJoinPairs(pairs []rtree.JoinPair) {
 	})
 }
 
-// search answers every window with up to parallelism goroutines per
-// tree: the id of each live entry — packed + frozen + delta minus
-// tombstones — whose MBR intersects windows[i] and satisfies pred
-// against it is appended to out[i], and the nodes visited are added to
-// the count returned (summed over the searched trees). The predicate
-// runs as the leaves are reached, so only ids leave the index, in no
-// particular order; callers sort what they keep. pred is called
-// concurrently and must be pure.
-func (si *SpatialIndex) search(windows []geom.Rect, pred func(obj, win geom.Rect) bool, parallelism int, out [][]int64) int {
+// search answers every window, one after another: the id of each live
+// entry — packed + frozen + delta minus tombstones — whose MBR
+// intersects windows[i] and satisfies pred against it is appended to
+// out[i], and the nodes visited are added to the count returned (summed
+// over the searched trees). The predicate runs as the leaves are
+// reached, so only ids leave the index, in no particular order; callers
+// sort what they keep.
+func (si *SpatialIndex) search(windows []geom.Rect, pred func(obj, win geom.Rect) bool, out [][]int64) int {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
 	tombs := len(si.tombs)+len(si.ts0) > 0
-	visited := si.packed.SearchBatch(windows, parallelism, func(i int, it rtree.Item) {
-		if pred(it.Rect, windows[i]) && !(tombs && si.packedDeadLocked(it.Data)) {
-			out[i] = append(out[i], it.Data)
+	frozen := si.frozen != nil && si.frozen.Len() > 0
+	visited := 0
+	for i, w := range windows {
+		visited += si.packed.Search(w, func(it rtree.Item) bool {
+			if pred(it.Rect, w) && !(tombs && si.packedDeadLocked(it.Data)) {
+				out[i] = append(out[i], it.Data)
+			}
+			return true
+		})
+		if frozen {
+			visited += si.frozen.Search(w, func(it rtree.Item) bool {
+				if pred(it.Rect, w) && !si.frozenDeadLocked(it.Data) {
+					out[i] = append(out[i], it.Data)
+				}
+				return true
+			})
 		}
-	})
-	if si.frozen != nil && si.frozen.Len() > 0 {
-		visited += si.frozen.SearchBatch(windows, parallelism, func(i int, it rtree.Item) {
-			if pred(it.Rect, windows[i]) && !si.frozenDeadLocked(it.Data) {
-				out[i] = append(out[i], it.Data)
-			}
-		})
-	}
-	if si.delta.Len() > 0 {
-		visited += si.delta.SearchBatch(windows, parallelism, func(i int, it rtree.Item) {
-			if pred(it.Rect, windows[i]) {
-				out[i] = append(out[i], it.Data)
-			}
-		})
+		if si.delta.Len() > 0 {
+			visited += si.delta.Search(w, func(it rtree.Item) bool {
+				if pred(it.Rect, w) {
+					out[i] = append(out[i], it.Data)
+				}
+				return true
+			})
+		}
 	}
 	return visited
 }
@@ -562,12 +568,12 @@ func (si *SpatialIndex) liveTreesLocked() []sideTree {
 }
 
 // juxtaposeMerged joins two (possibly identical) indexes: every
-// constituent-tree pair is juxtaposed with the PR 4 parallel machinery,
-// tombstoned pairs dropped, and the union sorted canonically by
-// (A.Data, B.Data) — bit-identical to joining two hypothetical single
-// trees. Both indexes are read-locked in seq order so no lock cycle can
-// form against another join running the opposite direction.
-func juxtaposeMerged(si, sj *SpatialIndex, pred func(a, b geom.Rect) bool, workers int) ([]rtree.JoinPair, int) {
+// constituent-tree pair is juxtaposed (rtree.JoinPairs), tombstoned
+// pairs dropped, and the union sorted canonically by (A.Data, B.Data) —
+// bit-identical to joining two hypothetical single trees. Both indexes
+// are read-locked in seq order so no lock cycle can form against
+// another join running the opposite direction.
+func juxtaposeMerged(si, sj *SpatialIndex, pred func(a, b geom.Rect) bool) ([]rtree.JoinPair, int) {
 	if si == sj {
 		si.mu.RLock()
 		defer si.mu.RUnlock()
@@ -588,14 +594,12 @@ func juxtaposeMerged(si, sj *SpatialIndex, pred func(a, b geom.Rect) bool, worke
 	visited := 0
 	for _, ta := range aTrees {
 		for _, tb := range bTrees {
-			ps, v := rtree.Juxtapose(ta.tree, tb.tree, pred, workers)
-			visited += v
-			for _, p := range ps {
-				if ta.dead(p.A.Data) || tb.dead(p.B.Data) {
-					continue
+			visited += rtree.JoinPairs(ta.tree, tb.tree, pred, func(a, b rtree.Item) bool {
+				if !ta.dead(a.Data) && !tb.dead(b.Data) {
+					pairs = append(pairs, rtree.JoinPair{A: a, B: b})
 				}
-				pairs = append(pairs, p)
-			}
+				return true
+			})
 		}
 	}
 	sortJoinPairs(pairs)

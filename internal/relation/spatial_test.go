@@ -165,17 +165,15 @@ func TestMergedSearchMatchesOracle(t *testing.T) {
 			t.Fatalf("window %v: got %v want %v", w, got, want)
 		}
 	}
-	// Batched form is identical at any parallelism.
-	for _, par := range []int{1, 2, 8} {
-		batches, _, err := rel.SearchAreaBatch("us-map", windows, geom.Overlapping, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, w := range windows {
-			want := oracleSearch(t, rel, pic, w, geom.Overlapping)
-			if !idsEqual(batches[i], want) {
-				t.Fatalf("par %d window %d: got %d want %d ids", par, i, len(batches[i]), len(want))
-			}
+	// The batched form is identical.
+	batches, _, err := rel.SearchAreaBatch("us-map", windows, geom.Overlapping, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range windows {
+		want := oracleSearch(t, rel, pic, w, geom.Overlapping)
+		if !idsEqual(batches[i], want) {
+			t.Fatalf("window %d: got %d want %d ids", i, len(batches[i]), len(want))
 		}
 	}
 }
@@ -270,7 +268,7 @@ func TestFrozenTombstoneFiltering(t *testing.T) {
 	si.SetAutoRepack(false)
 	liveIDs := func() []int64 {
 		out := make([][]int64, 1)
-		si.search([]geom.Rect{geom.R(0, 0, 10, 10)}, geom.Overlapping, 1, out)
+		si.search([]geom.Rect{geom.R(0, 0, 10, 10)}, geom.Overlapping, out)
 		slices.Sort(out[0])
 		return out[0]
 	}
@@ -388,19 +386,16 @@ func TestJuxtaposeMergedMatchesOracle(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatal("oracle found no pairs; widen the predicate")
 	}
-	for _, workers := range []int{1, 8} {
-		got, _, err := relA.JuxtaposeSpatial("us-map", relB, "us-map", pred, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d pairs, oracle %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].A != want[i].a || got[i].B != want[i].b {
-				t.Fatalf("workers=%d: pair %d = %v/%v, want %v/%v",
-					workers, i, got[i].A, got[i].B, want[i].a, want[i].b)
-			}
+	got, _, err := relA.JuxtaposeSpatial("us-map", relB, "us-map", pred, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d pairs, oracle %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].A != want[i].a || got[i].B != want[i].b {
+			t.Fatalf("pair %d = %v/%v, want %v/%v", i, got[i].A, got[i].B, want[i].a, want[i].b)
 		}
 	}
 }
@@ -409,8 +404,7 @@ func TestJuxtaposeMergedMatchesOracle(t *testing.T) {
 // mutates the delta and every other round repacks the index inline
 // (RepackNow) while readers run merged batch searches and
 // juxtapositions; at quiesce barriers the merged results must be
-// bit-identical (rows and order) to a serial oracle re-scan, at
-// parallelism 1 and 8.
+// bit-identical (rows and order) to a serial oracle re-scan.
 func TestConcurrentWritersReaders(t *testing.T) {
 	rel, pic, rng := newSpatialFixture(t, 300, 5)
 	si := rel.Spatial("us-map")
@@ -433,11 +427,7 @@ func TestConcurrentWritersReaders(t *testing.T) {
 					return
 				default:
 				}
-				par := 1
-				if g%2 == 1 {
-					par = 8
-				}
-				batches, _, err := rel.SearchAreaBatch("us-map", windows, geom.Overlapping, par)
+				batches, _, err := rel.SearchAreaBatch("us-map", windows, geom.Overlapping, 0)
 				if err != nil {
 					t.Error(err)
 					return
@@ -452,7 +442,7 @@ func TestConcurrentWritersReaders(t *testing.T) {
 				}
 				// Self-join exercises the merged juxtaposition under the
 				// same churn.
-				if _, _, err := rel.JuxtaposeSpatial("us-map", rel, "us-map", geom.Overlapping, par); err != nil {
+				if _, _, err := rel.JuxtaposeSpatial("us-map", rel, "us-map", geom.Overlapping, 0); err != nil {
 					t.Error(err)
 					return
 				}
@@ -479,17 +469,15 @@ func TestConcurrentWritersReaders(t *testing.T) {
 		// Quiesce barrier: the writer is idle here, so the merged view
 		// is stable (background repacks preserve it) and must equal the
 		// serial oracle bit-for-bit.
-		for _, par := range []int{1, 8} {
-			batches, _, err := rel.SearchAreaBatch("us-map", windows, geom.Overlapping, par)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, w := range windows {
-				want := oracleSearch(t, rel, pic, w, geom.Overlapping)
-				if !idsEqual(batches[i], want) {
-					t.Fatalf("round %d par %d window %d: merged %d ids, oracle %d",
-						round, par, i, len(batches[i]), len(want))
-				}
+		batches, _, err := rel.SearchAreaBatch("us-map", windows, geom.Overlapping, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range windows {
+			want := oracleSearch(t, rel, pic, w, geom.Overlapping)
+			if !idsEqual(batches[i], want) {
+				t.Fatalf("round %d window %d: merged %d ids, oracle %d",
+					round, i, len(batches[i]), len(want))
 			}
 		}
 		if round%2 == 1 {

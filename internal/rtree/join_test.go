@@ -25,9 +25,8 @@ func joinFixture(t testing.TB, n int, seed int64) (*Tree, *Tree) {
 	return a, b
 }
 
-// TestJuxtaposeMatchesJoinPairs: for every worker count, the parallel
-// join must reproduce the serial JoinPairs emission exactly — same
-// pairs, same order, same node-pair visit count.
+// TestJuxtaposeMatchesJoinPairs: Juxtapose collects exactly what
+// JoinPairs emits — same pairs, same order, same node-pair visit count.
 func TestJuxtaposeMatchesJoinPairs(t *testing.T) {
 	a, b := joinFixture(t, 800, 42)
 	pred := func(x, y geom.Rect) bool { return x.Intersects(y) }
@@ -41,24 +40,22 @@ func TestJuxtaposeMatchesJoinPairs(t *testing.T) {
 		t.Fatal("fixture produced no join pairs")
 	}
 
-	for _, workers := range []int{1, 2, 4, 8, 16} {
-		got, visited := Juxtapose(a, b, pred, workers)
-		if visited != wantVisited {
-			t.Errorf("workers=%d: visited %d node pairs, serial visited %d", workers, visited, wantVisited)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d pairs, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: pair %d = %+v, want %+v", workers, i, got[i], want[i])
-			}
+	got, visited := Juxtapose(a, b, pred, 1)
+	if visited != wantVisited {
+		t.Errorf("visited %d node pairs, JoinPairs visited %d", visited, wantVisited)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d pairs, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("pair %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }
 
 // TestJuxtaposeCoveredBy exercises a non-symmetric predicate (the
-// paper's covered-by) so task boundaries cannot hide an argument swap.
+// paper's covered-by) so an argument swap cannot hide.
 func TestJuxtaposeCoveredBy(t *testing.T) {
 	a, b := joinFixture(t, 400, 7)
 	pred := func(x, y geom.Rect) bool { return y.Contains(x) }
@@ -67,9 +64,9 @@ func TestJuxtaposeCoveredBy(t *testing.T) {
 		want = append(want, JoinPair{A: x, B: y})
 		return true
 	})
-	got, visited := Juxtapose(a, b, pred, 4)
+	got, visited := Juxtapose(a, b, pred, 1)
 	if visited != wantVisited || len(got) != len(want) {
-		t.Fatalf("workers=4: %d pairs / %d visits, want %d / %d", len(got), visited, len(want), wantVisited)
+		t.Fatalf("%d pairs / %d visits, want %d / %d", len(got), visited, len(want), wantVisited)
 	}
 	for i := range got {
 		if got[i] != want[i] {
@@ -83,10 +80,10 @@ func TestJuxtaposeCoveredBy(t *testing.T) {
 func TestJuxtaposeEmpty(t *testing.T) {
 	a, _ := joinFixture(t, 50, 3)
 	empty := New(Params{Max: 8, Min: 4})
-	if pairs, visited := Juxtapose(a, empty, func(x, y geom.Rect) bool { return x.Intersects(y) }, 4); len(pairs) != 0 || visited != 0 {
+	if pairs, visited := Juxtapose(a, empty, func(x, y geom.Rect) bool { return x.Intersects(y) }, 1); len(pairs) != 0 || visited != 0 {
 		t.Fatalf("join with empty tree: %d pairs, %d visits", len(pairs), visited)
 	}
-	if pairs, visited := Juxtapose(empty, a, func(x, y geom.Rect) bool { return x.Intersects(y) }, 4); len(pairs) != 0 || visited != 0 {
+	if pairs, visited := Juxtapose(empty, a, func(x, y geom.Rect) bool { return x.Intersects(y) }, 1); len(pairs) != 0 || visited != 0 {
 		t.Fatalf("join from empty tree: %d pairs, %d visits", len(pairs), visited)
 	}
 }

@@ -13,7 +13,6 @@ package rtree
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -138,11 +137,10 @@ func (p Params) Validate() error {
 // Tree is an in-memory R-tree.
 //
 // Concurrency: all read operations (Search, SearchWithin, Query,
-// QueryBatch, ContainsPoint, NearestNeighbor(s), Items, the metrics
-// walkers) are safe for any number of concurrent readers — they touch
-// only immutable node state and per-query local counters, and the one
-// piece of shared instrumentation, the cumulative visit counter, is
-// atomic. Mutations (Insert, Delete) require exclusive access: callers
+// ContainsPoint, NearestNeighbor(s), JoinPairs, Items, the metrics
+// walkers) are safe for any number of concurrent readers — they write
+// nothing shared: each counts its visits in a local and returns the
+// count. Mutations (Insert, Delete) require exclusive access: callers
 // interleaving writes with reads must serialize externally, the usual
 // R-tree contract.
 type Tree struct {
@@ -150,21 +148,7 @@ type Tree struct {
 	root   *node
 	height int // depth: edges from root to leaves; 0 when root is a leaf
 	size   int // number of stored items
-
-	// visits accumulates nodes visited across all searches — the
-	// paper's A, aggregated. Atomic so concurrent queries on one tree
-	// never race (each query also returns its own count locally).
-	visits atomic.Int64
 }
-
-// TotalNodeVisits returns the cumulative number of nodes visited by
-// every search run against this tree since the last reset. Safe to
-// call concurrently with searches.
-func (t *Tree) TotalNodeVisits() int64 { return t.visits.Load() }
-
-// ResetNodeVisits zeroes the cumulative visit counter (between
-// experiment phases).
-func (t *Tree) ResetNodeVisits() { t.visits.Store(0) }
 
 // New returns an empty R-tree with the given parameters. It panics if
 // the parameters are invalid (a programming error, not a data error).

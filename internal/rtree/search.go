@@ -12,10 +12,8 @@ import (
 // the paper's measure A — so experiments can report search cost
 // structurally, independent of hardware.
 //
-// Visit counts are returned to the caller (never accumulated into
-// shared per-query state) and additionally folded into the tree's
-// atomic cumulative counter, so any number of goroutines may search
-// one tree concurrently without racing on instrumentation; see the
+// Visit counts are returned to the caller and accumulated nowhere else,
+// so any number of goroutines may search one tree concurrently; see the
 // concurrency note on Tree.
 
 // Search visits every item whose rectangle intersects window and calls
@@ -43,7 +41,6 @@ func (t *Tree) Search(window geom.Rect, fn func(Item) bool) int {
 		return true
 	}
 	walk(t.root)
-	t.visits.Add(int64(visited))
 	return visited
 }
 
@@ -69,7 +66,6 @@ func (t *Tree) SearchWithin(window geom.Rect, fn func(Item) bool) int {
 		return true
 	}
 	walk(t.root)
-	t.visits.Add(int64(visited))
 	return visited
 }
 
@@ -166,7 +162,6 @@ func (t *Tree) NearestNeighbor(p geom.Point) (Item, bool, int) {
 		}
 	}
 	walk(t.root)
-	t.visits.Add(int64(visited))
 	return best, true, visited
 }
 
@@ -233,7 +228,6 @@ func (t *Tree) NearestNeighbors(p geom.Point, k int) ([]Item, int) {
 		}
 	}
 	walk(t.root)
-	t.visits.Add(int64(visited))
 	out := make([]Item, len(best))
 	for i, s := range best {
 		out[i] = s.it

@@ -147,29 +147,25 @@ func assertSameResult(t *testing.T, label string, got, want *pictdb.Result) {
 
 func runLSMQueries(t *testing.T, db *pictdb.Database, stage string) {
 	t.Helper()
-	for _, par := range []int{1, 8} {
-		db.SetParallelism(par)
-		for name, q := range lsmQueries {
-			got, err := db.Query(q)
-			if err != nil {
-				t.Fatalf("%s/%s par=%d: %v", stage, name, par, err)
-			}
-			want, err := db.QueryNaive(q)
-			if err != nil {
-				t.Fatalf("%s/%s par=%d naive: %v", stage, name, par, err)
-			}
-			assertSameResult(t, fmt.Sprintf("%s/%s par=%d", stage, name, par), got, want)
-			if name != "direct-disjoined" && got.Len() == 0 {
-				t.Fatalf("%s/%s: vacuous — zero rows on both paths", stage, name)
-			}
+	for name, q := range lsmQueries {
+		got, err := db.Query(q)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", stage, name, err)
+		}
+		want, err := db.QueryNaive(q)
+		if err != nil {
+			t.Fatalf("%s/%s naive: %v", stage, name, err)
+		}
+		assertSameResult(t, stage+"/"+name, got, want)
+		if name != "direct-disjoined" && got.Len() == 0 {
+			t.Fatalf("%s/%s: vacuous — zero rows on both paths", stage, name)
 		}
 	}
-	db.SetParallelism(0)
 }
 
 // TestLSMQueryMatchesNaive mutates the US database after its spatial
 // indexes are packed, then checks the planned executor against the
-// naive full-scan reference at parallelism 1 and 8 — first with the
+// naive full-scan reference — first with the
 // writes live in the delta trees and tombstone sets, then again after
 // forcing a repack so the merged results come from the swapped root.
 func TestLSMQueryMatchesNaive(t *testing.T) {

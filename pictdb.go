@@ -75,8 +75,6 @@ type (
 	Result = psql.Result
 	// CacheStats reports PSQL statement-cache counters.
 	CacheStats = psql.CacheStats
-	// Prepared is a PSQL statement with a re-bindable window parameter.
-	Prepared = psql.Prepared
 	// PackOptions configures spatial index packing.
 	PackOptions = pack.Options
 	// RTreeParams configures R-tree branching.
@@ -715,24 +713,9 @@ func (db *Database) QueryNaive(src string) (*Result, error) {
 	return db.exec.RunNaive(src)
 }
 
-// Prepare parses a PSQL mapping whose single at-clause area literal
-// becomes a per-execution window parameter — the fast path for
-// repeated point-in-window queries.
-func (db *Database) Prepare(src string) (*psql.Prepared, error) {
-	return db.exec.Prepare(src)
-}
-
 // CacheStats reports the PSQL statement cache's counters.
 func (db *Database) CacheStats() psql.CacheStats {
 	return db.exec.CacheStats()
-}
-
-// SetParallelism caps the worker goroutines the executor uses for
-// multi-window direct search and join materialization. Zero or
-// negative restores the default, runtime.GOMAXPROCS(0). Results are
-// identical at any setting.
-func (db *Database) SetParallelism(n int) {
-	db.exec.Parallelism = n
 }
 
 // RegisterFunc installs an application-defined PSQL function.

@@ -11,7 +11,7 @@ import (
 // The sharded oracle: a PSQL query over a sharded database must return
 // results bit-identical to the same query over the unsharded database
 // — same columns, same rows in the same order, same loc pointers — at
-// every shard count and parallelism. Both configurations are also held
+// every shard count. Both configurations are also held
 // against their own naive full-scan executor, so a sharded-specific
 // planner bug cannot hide behind a matching naive divergence.
 
@@ -69,36 +69,30 @@ func mutateUSOrdered(t *testing.T, db *pictdb.Database) {
 }
 
 // verifyShardedAgainstUnsharded runs every planner access path on both
-// databases at parallelism 1 and 8, requiring (a) sharded planned ==
-// sharded naive, (b) sharded planned == unsharded planned, row for row.
+// databases, requiring (a) sharded planned == sharded naive, (b) sharded
+// planned == unsharded planned, row for row.
 func verifyShardedAgainstUnsharded(t *testing.T, sdb, udb *pictdb.Database, stage string) {
 	t.Helper()
-	for _, par := range []int{1, 8} {
-		sdb.SetParallelism(par)
-		udb.SetParallelism(par)
-		for name, q := range lsmQueries {
-			label := fmt.Sprintf("%s/%s par=%d", stage, name, par)
-			got, err := sdb.Query(q)
-			if err != nil {
-				t.Fatalf("%s: sharded: %v", label, err)
-			}
-			naive, err := sdb.QueryNaive(q)
-			if err != nil {
-				t.Fatalf("%s: sharded naive: %v", label, err)
-			}
-			assertSameResult(t, label+" [vs naive]", got, naive)
-			want, err := udb.Query(q)
-			if err != nil {
-				t.Fatalf("%s: unsharded: %v", label, err)
-			}
-			assertSameResult(t, label+" [vs unsharded]", got, want)
-			if name != "direct-disjoined" && got.Len() == 0 {
-				t.Fatalf("%s: vacuous — zero rows everywhere", label)
-			}
+	for name, q := range lsmQueries {
+		label := stage + "/" + name
+		got, err := sdb.Query(q)
+		if err != nil {
+			t.Fatalf("%s: sharded: %v", label, err)
+		}
+		naive, err := sdb.QueryNaive(q)
+		if err != nil {
+			t.Fatalf("%s: sharded naive: %v", label, err)
+		}
+		assertSameResult(t, label+" [vs naive]", got, naive)
+		want, err := udb.Query(q)
+		if err != nil {
+			t.Fatalf("%s: unsharded: %v", label, err)
+		}
+		assertSameResult(t, label+" [vs unsharded]", got, want)
+		if name != "direct-disjoined" && got.Len() == 0 {
+			t.Fatalf("%s: vacuous — zero rows everywhere", label)
 		}
 	}
-	sdb.SetParallelism(0)
-	udb.SetParallelism(0)
 }
 
 // TestShardedQueryOracle holds BuildUSDatabaseSharded(k) against
