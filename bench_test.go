@@ -11,8 +11,10 @@ package pictdb_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -604,6 +606,148 @@ func TestWindowStatementAllocs(t *testing.T) {
 	}
 	if perRow := (all - many) / float64(rows); perRow > 1.1 {
 		t.Errorf("%.2f allocations per returned row, want its name string and no more", perRow)
+	}
+}
+
+// joinDatabase builds in memory a database shaped like pictbench's
+// join_nested: n clustered sites(name, pop, loc) on sitemap with a
+// B-tree on pop, and m regions(tag, kind, loc) on regionmap, each a
+// square on a site holding the 8 sites nearest its centre (by the larger
+// axis distance), region i of kind kind(i). Regions are drawn one after
+// another from one seed, so at one n the first k are the same at any m.
+func joinDatabase(tb testing.TB, n, m int, kind func(i int) int64) *pictdb.Database {
+	tb.Helper()
+	db := pictdb.New()
+	tb.Cleanup(func() { db.Close() })
+	frame := pictdb.R(0, 0, 1000, 1000)
+	sitemap, err := db.CreatePicture("sitemap", frame)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	regionmap, err := db.CreatePicture("regionmap", frame)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sites, err := db.CreateRelation("sites", pictdb.MustSchema("name:string", "pop:int", "loc:loc"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	regions, err := db.CreateRelation("regions", pictdb.MustSchema("tag:string", "kind:int", "loc:loc"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1985))
+	pts := workload.ClusteredPoints(n, 50, 30, 1985)
+	for i, pt := range pts {
+		name := fmt.Sprintf("s%06d", i)
+		if _, err := sites.Insert(pictdb.Tuple{pictdb.S(name), pictdb.I(rng.Int63n(1_000_000)), pictdb.L("sitemap", sitemap.AddPoint(name, pt))}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < m; i++ {
+		c := pts[rng.Intn(n)]
+		var near [8]float64 // the 8 smallest distances, ascending
+		for j := range near {
+			near[j] = math.Inf(1)
+		}
+		for _, p := range pts {
+			d := max(math.Abs(p.X-c.X), math.Abs(p.Y-c.Y))
+			if d >= near[7] {
+				continue
+			}
+			j := 7
+			for ; j > 0 && near[j-1] > d; j-- {
+				near[j] = near[j-1]
+			}
+			near[j] = d
+		}
+		half := near[7]
+		tag := fmt.Sprintf("r%05d", i)
+		oid := regionmap.AddRegion(tag, geom.RectPoly(geom.R(c.X-half, c.Y-half, c.X+half, c.Y+half)))
+		if _, err := regions.Insert(pictdb.Tuple{pictdb.S(tag), pictdb.I(kind(i)), pictdb.L("regionmap", oid)}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := sites.CreateIndex("pop"); err != nil {
+		tb.Fatal(err)
+	}
+	hilbert := pictdb.PackOptions{Method: pictdb.PackHilbert}
+	if err := sites.AttachPicture(sitemap, hilbert); err != nil {
+		tb.Fatal(err)
+	}
+	if err := regions.AttachPicture(regionmap, hilbert); err != nil {
+		tb.Fatal(err)
+	}
+	return db
+}
+
+// joinStatement is join_nested's juxtaposition: the regions of kind k
+// restricted first, then joined with the sites whose pop exceeds minPop.
+func joinStatement(k, minPop int64) string {
+	return fmt.Sprintf("select sites.name, regions.tag from sites, regions on sitemap, regionmap "+
+		"at sites.loc covered-by regions.loc where regions.kind = %d and sites.pop > %d", k, minPop)
+}
+
+// BenchmarkJuxtapositionStatement measures one cached juxtaposition
+// statement — the served path of pictbench's join_nested — at a tenth of
+// that workload's size: 5 000 clustered sites, 200 regions of 64 kinds,
+// each statement restricting regions to one kind by a heap scan (about 3
+// survivors of 200) and probing sites from the survivors' MBRs. The 64
+// texts cycle through the statement cache. It reports ns and
+// allocations per statement.
+func BenchmarkJuxtapositionStatement(b *testing.B) {
+	db := joinDatabase(b, 5_000, 200, func(i int) int64 { return int64(i % 64) })
+	texts := make([]string, 64)
+	for k := range texts {
+		texts[k] = joinStatement(int64(k), 1000*int64(k%4))
+		if _, err := db.Query(texts[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Query(texts[i%len(texts)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRestrictionScanAllocs holds the allocations of a cached
+// scan-restricted juxtaposition to what its survivors need: the same 20
+// regions survive among 200 and among 2 000, and the statement must not
+// allocate more for the 1 800 more tuples its where-clause rejects.
+func TestRestrictionScanAllocs(t *testing.T) {
+	kind := func(i int) int64 {
+		if i < 20 {
+			return 0
+		}
+		return 1 + int64(i%63)
+	}
+	q := joinStatement(0, 0)
+	allocs := func(regions int) (float64, *pictdb.Result) {
+		db := joinDatabase(t, 5_000, regions, kind)
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := strings.Join(res.Plan, "\n")
+		if !strings.Contains(plan, fmt.Sprintf(`"regions" reduced to 20 of %d tuple(s)`, regions)) ||
+			!strings.Contains(plan, "heap scan") || !strings.Contains(plan, "batched direct search") {
+			t.Fatalf("%d regions: not a scan-restricted probe:\n%s", regions, plan)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := db.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		}), res
+	}
+	few, small := allocs(200)
+	many, large := allocs(2_000)
+	assertSameResult(t, q, large, small)
+	t.Logf("%d rows: %.0f allocations over 200 regions, %.0f over 2000", len(small.Rows), few, many)
+	if many > few+12 {
+		t.Errorf("rejecting 1980 regions takes %.0f allocations, rejecting 180 takes %.0f: they grow with the tuples rejected", many, few)
 	}
 }
 

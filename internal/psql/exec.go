@@ -221,10 +221,12 @@ func (st *execState) qualifies(r row) (bool, error) {
 	return true, nil
 }
 
-// scanIDs returns every tuple id of binding i.
+// scanIDs returns every tuple id of binding i. No column is
+// materialized, but every record is still validated in full.
 func (st *execState) scanIDs(i int) ([]storage.TupleID, error) {
 	var out []storage.TupleID
-	err := st.bindings[i].rel.Scan(func(id storage.TupleID, _ relation.Tuple) bool {
+	none := make([]bool, st.bindings[i].schema.Arity())
+	err := st.bindings[i].rel.ScanCols(none, nil, nil, func(id storage.TupleID, _ relation.Tuple) bool {
 		out = append(out, id)
 		return true
 	})
@@ -747,19 +749,39 @@ func (st *execState) traversalPairs(sides *[2]joinSide, op SpatialOp, nodesA, no
 // fetchSide materializes one join side's tuples for a pair list: each
 // distinct id is fetched and decoded once, in ascending order, and the
 // result is expanded back to pair positions (join sides repeat ids
-// heavily).
+// heavily). The positions are visited in ascending id order — their own
+// order when the side is the one the pairs are sorted by, a permutation
+// sorted once otherwise — so the distinct ids and each position's tuple
+// both fall out of a linear walk.
 func (st *execState) fetchSide(bi int, ids []storage.TupleID) ([]relation.Tuple, error) {
-	uniq := slices.Clone(ids)
-	sortTupleIDs(uniq)
-	uniq = slices.Compact(uniq)
+	var order []int // nil: ids are already ascending
+	if !slices.IsSortedFunc(ids, storage.TupleID.Compare) {
+		order = make([]int, len(ids))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortFunc(order, func(a, b int) int { return ids[a].Compare(ids[b]) })
+	}
+	// which[i] is the index of ids[i] among the distinct ids.
+	uniq := make([]storage.TupleID, 0, len(ids))
+	which := make([]int, len(ids))
+	for k := range ids {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
+		if len(uniq) == 0 || uniq[len(uniq)-1] != ids[i] {
+			uniq = append(uniq, ids[i])
+		}
+		which[i] = len(uniq) - 1
+	}
 	tuples, err := st.bindings[bi].rel.GetBatch(uniq, st.need[bi], 0)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]relation.Tuple, len(ids))
-	for i, id := range ids {
-		at, _ := slices.BinarySearchFunc(uniq, id, storage.TupleID.Compare)
-		out[i] = tuples[at]
+	for i, u := range which {
+		out[i] = tuples[u]
 	}
 	return out, nil
 }

@@ -182,7 +182,8 @@ func (st *execState) restrict(s *joinSide, via *boundTerm, vs string) error {
 // returns them as (MBR, id) items in ascending id order — the shape
 // SpatialItems enumerates, so either can feed a join. Candidates come
 // from the B-tree on via's column, through fetchKept, or from one heap
-// scan when via is nil; both decode only the terms' columns and loc.
+// scan when via is nil. Either way the terms are tested on a decode of
+// their columns alone, and only a survivor has its loc materialized.
 // Tuples whose loc is not a live object of the on-clause picture are
 // dropped: the spatial index does not carry them, so they join nothing.
 func (st *execState) restrictSide(bi int, terms []boundTerm, via *boundTerm) ([]rtree.Item, error) {
@@ -191,7 +192,7 @@ func (st *execState) restrictSide(bi int, terms []boundTerm, via *boundTerm) ([]
 	if li < 0 || b.pic == nil {
 		return nil, fmt.Errorf("psql: relation %q has no loc column on picture %q", b.name, b.picture)
 	}
-	need := slices.Clone(st.test[bi])
+	need := make([]bool, b.schema.Arity())
 	need[li] = true
 	var out []rtree.Item
 	item := func(id storage.TupleID, t relation.Tuple) {
@@ -214,11 +215,8 @@ func (st *execState) restrictSide(bi int, terms []boundTerm, via *boundTerm) ([]
 		}
 		return out, nil
 	}
-	keep := holdAll(terms)
-	if err := b.rel.ScanCols(need, func(id storage.TupleID, t relation.Tuple) bool {
-		if keep(t) {
-			item(id, t)
-		}
+	if err := b.rel.ScanCols(need, st.test[bi], holdAll(terms), func(id storage.TupleID, t relation.Tuple) bool {
+		item(id, t)
 		return true
 	}); err != nil {
 		return nil, err

@@ -149,12 +149,16 @@ func TestBuildIndexesShardItemOrder(t *testing.T) {
 			return true
 		}
 		s, lid, _ := rel.resolve(id.Int64())
-		locs := make([]locBytes, 4)
-		if _, _, err := rel.fetch(id.Int64(), s, lid, nil, locs); err != nil {
-			t.Fatal(err)
-		}
-		obj, err := picture.DecodeObject(locs[3].obj)
-		if err != nil {
+		var obj picture.Object
+		if _, err := rel.fetch(id.Int64(), s, lid, func(body []byte) error {
+			locs := make([]locBytes, 4)
+			if _, err := decodeCols(body, nil, nil, locs); err != nil {
+				return err
+			}
+			var err error
+			obj, err = picture.DecodeObject(locs[3].obj)
+			return err
+		}); err != nil {
 			t.Fatal(err)
 		}
 		want[s] = append(want[s], rtree.Item{Rect: obj.MBR(), Data: id.Int64()})

@@ -373,37 +373,43 @@ func (r *Relation) payload(id int64, lid storage.TupleID, rec []byte) ([]byte, e
 	return payload, nil
 }
 
-// fetch reads the tuple id names from lid of store s, where it was
-// resolved to, with locs as in decodeCols. A failed read is classified
-// by resolving id again: gone from the directory means a Delete
-// completed since — it retires the id before it frees the record, and
-// the read is serialized against the free by the store lock — and ok is
-// false; a standing id means the heap is damaged (or, for an address id,
-// that nothing is stored there).
-func (r *Relation) fetch(id int64, s int, lid storage.TupleID, need []bool, locs []locBytes) (Tuple, bool, error) {
+// fetch reads the record id names from lid of store s, where it was
+// resolved to, and hands its tuple body to decode under the store lock:
+// the body points into the page and is valid only during the call. A
+// failed read or decode is classified by resolving id again: gone from
+// the directory means a Delete completed since — it retires the id
+// before it frees the record, and the read is serialized against the
+// free by the store lock — and ok is false; a standing id means the heap
+// is damaged (or, for an address id, that nothing is stored there).
+func (r *Relation) fetch(id int64, s int, lid storage.TupleID, decode func(body []byte) error) (ok bool, err error) {
 	st := r.stores[s]
 	st.mu.RLock()
-	rec, err := st.heap.Get(lid)
+	err = st.heap.GetBatch([]storage.TupleID{lid}, func(_ int, rec []byte) error {
+		body, err := r.payload(id, lid, rec)
+		if err == nil {
+			err = decode(body)
+		}
+		return err
+	})
 	st.mu.RUnlock()
 	if err == nil {
-		rec, err = r.payload(id, lid, rec)
-	}
-	if err == nil {
-		var t Tuple
-		if t, err = decodeCols(rec, need, nil, locs); err == nil {
-			return t, true, nil
-		}
+		return true, nil
 	}
 	if _, _, ok := r.resolve(id); !ok {
-		return nil, false, nil
+		return false, nil
 	}
-	return nil, false, r.storeErr(s, err)
+	return false, r.storeErr(s, err)
 }
 
 // Get returns the tuple stored under id.
 func (r *Relation) Get(id storage.TupleID) (Tuple, error) {
 	if s, lid, ok := r.resolve(id.Int64()); ok {
-		if t, ok, err := r.fetch(id.Int64(), s, lid, nil, nil); ok || err != nil {
+		var t Tuple
+		ok, err := r.fetch(id.Int64(), s, lid, func(body []byte) (err error) {
+			t, err = DecodeTuple(body)
+			return err
+		})
+		if ok || err != nil {
 			return t, err
 		}
 	}
@@ -417,6 +423,38 @@ func (r *Relation) Get(id storage.TupleID) (Tuple, error) {
 // engine's own counters (ROADMAP.md item 5).
 func (r *Relation) GetBatch(ids []storage.TupleID, need []bool, workers int) ([]Tuple, error) {
 	return r.FetchWhere(ids, need, nil, nil)
+}
+
+// arenaTuples bounds the tuples of one tupleArena block: 128 × arity
+// values stays under the allocator's large-object size.
+const arenaTuples = 128
+
+// tupleArena cuts decoded tuples from blocks of up to arenaTuples
+// tuples: a kept tuple costs no allocation of its own, a rejected one
+// none at all. A block holds no more tuples than there are records left
+// to decode, and twice as many as the block before it, up to the bound.
+type tupleArena struct {
+	arity int
+	left  int // records still to be decoded, as far as known
+	block int // tuples in the next block, left permitting
+	free  []Value
+}
+
+// decode is the one step that turns a heap record's tuple body into a
+// Tuple, for the batch fetch and both scan walks: decodeKept into the
+// arena's next slot, which the tuple keeps when keep accepts it and
+// which otherwise goes to the next record.
+func (a *tupleArena) decode(body []byte, need, test []bool, keep func(Tuple) bool) (Tuple, bool, error) {
+	if len(a.free) < a.arity {
+		a.free = make([]Value, max(1, min(a.left, a.block))*a.arity)
+		a.block = min(2*a.block, arenaTuples)
+	}
+	a.left--
+	t, ok, err := decodeKept(body, need, test, keep, a.free[:0:a.arity])
+	if ok && len(t) <= a.arity { // it fit the slot
+		a.free = a.free[a.arity:]
+	}
+	return t, ok, err
 }
 
 // FetchWhere materializes the tuples stored under ids that keep
@@ -433,7 +471,8 @@ func (r *Relation) GetBatch(ids []storage.TupleID, need []bool, workers int) ([]
 // columns materialized, so a rejected candidate costs no string and no
 // tuple. The first decode validates the whole record, so a corrupt one
 // fails the fetch whether or not keep would have rejected it. keep must
-// not retain its argument.
+// not retain its argument. keep runs under the store lock, so it must
+// not call into the relation.
 func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep func(Tuple) bool) ([]Tuple, error) {
 	out := make([]Tuple, len(ids))
 	if len(ids) == 0 {
@@ -445,13 +484,7 @@ func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep fun
 	if err != nil {
 		return nil, fmt.Errorf("relation %s: %w", r.name, err)
 	}
-	arity := r.schema.Arity()
-	// Tuples are cut from arenas of up to arenaTuples each: a kept tuple
-	// costs no allocation of its own, a rejected one none at all, and no
-	// arena is a large object.
-	const arenaTuples = 128
-	var arena []Value
-	left := len(ids) // candidates not yet decoded
+	arena := tupleArena{arity: r.schema.Arity(), left: len(ids), block: arenaTuples}
 	for s, l := range lids {
 		if len(l) == 0 {
 			continue
@@ -463,29 +496,15 @@ func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep fun
 			if pos != nil {
 				p = pos[s][k]
 			}
-			// The tuple's slice of the arena; a rejected candidate's is
-			// handed to the next one.
-			if len(arena) < arity {
-				arena = make([]Value, min(left, arenaTuples)*arity)
-			}
-			left--
-			slot := arena[:0:arity]
-			rec, err := r.payload(ids[p].Int64(), l[k], rec)
+			body, err := r.payload(ids[p].Int64(), l[k], rec)
 			var t Tuple
-			kept := false
 			if err == nil {
-				t, kept, err = decodeKept(rec, need, test, keep, slot)
+				t, _, err = arena.decode(body, need, test, keep)
 			}
 			if err != nil {
 				return fmt.Errorf("relation %s: tuple %v: %w", r.name, ids[p], err)
 			}
-			if !kept {
-				return nil
-			}
-			if len(t) <= arity { // it fit the slot
-				arena = arena[arity:]
-			}
-			out[p] = t
+			out[p] = t // nil when keep rejected it
 			return nil
 		})
 		st.mu.RUnlock()
@@ -510,28 +529,33 @@ func (r *Relation) Delete(id storage.TupleID) error {
 	gid := id.Int64()
 	notFound := fmt.Errorf("%w: %v", storage.ErrNotFound, id)
 	s, lid, ok := r.resolve(gid)
-	locs := make([]locBytes, r.schema.Arity())
 	var t Tuple
+	var loc LocRef
+	var mbr geom.Rect
+	li := r.schema.LocColumn()
+	hasLoc := false
 	var err error
 	if ok {
-		t, ok, err = r.fetch(gid, s, lid, nil, locs)
+		ok, err = r.fetch(gid, s, lid, func(body []byte) (err error) {
+			locs := make([]locBytes, r.schema.Arity())
+			if t, err = decodeCols(body, nil, nil, locs); err != nil {
+				return err
+			}
+			if hasLoc = li >= 0 && locs[li].obj != nil; hasLoc {
+				obj, err := picture.DecodeObject(locs[li].obj)
+				if err != nil {
+					return errTuple("loc column %d: %w", li, err)
+				}
+				loc, mbr = t[li].Loc, obj.MBR()
+			}
+			return nil
+		})
 	}
 	if err != nil {
 		return err
 	}
 	if !ok {
 		return notFound
-	}
-	var loc LocRef
-	var mbr geom.Rect
-	li := r.schema.LocColumn()
-	hasLoc := li >= 0 && locs[li].obj != nil
-	if hasLoc {
-		obj, err := picture.DecodeObject(locs[li].obj)
-		if err != nil {
-			return r.storeErr(s, errTuple("loc column %d: %w", li, err))
-		}
-		loc, mbr = t[li].Loc, obj.MBR()
 	}
 	r.smu.Lock()
 	if _, _, ok := r.ids.resolve(gid); !ok {
@@ -583,55 +607,69 @@ func (r *Relation) Update(id storage.TupleID, t Tuple) (storage.TupleID, error) 
 // Scan calls fn on every tuple in ascending id order; returning false
 // stops the scan.
 func (r *Relation) Scan(fn func(id storage.TupleID, t Tuple) bool) error {
-	return r.ScanCols(nil, fn)
+	return r.ScanCols(nil, nil, nil, fn)
 }
 
-// ScanCols is Scan with column-lazy decode: only the columns whose need
-// flag is set are materialized, as in DecodeTupleCols (nil = all). It
-// is the access path of a scan that tests one or two columns of every
-// tuple and keeps few. Tuples come in ascending id order; fn runs with
-// no lock held, so it may call back into the relation, and a tuple
-// deleted while the scan is under way is either seen or skipped.
-func (r *Relation) ScanCols(need []bool, fn func(id storage.TupleID, t Tuple) bool) error {
+// ScanCols calls fn on every tuple keep accepts, in ascending id order;
+// returning false stops the scan. It is FetchWhere over the whole
+// relation: with keep non-nil a record is first decoded on the columns
+// test selects alone and shown to keep, and only a tuple keep accepts
+// has need's columns materialized (as in DecodeTupleCols, nil = all) —
+// a rejected record costs no tuple and no string. The first decode
+// validates the whole record, so a corrupt one fails the scan whether or
+// not keep would have rejected it. keep must not retain its argument,
+// and it runs under the store lock, so it must not call into the
+// relation. fn runs with no lock held, so it may call back into the
+// relation, and a tuple deleted while the scan is under way is either
+// seen or skipped.
+func (r *Relation) ScanCols(need, test []bool, keep func(Tuple) bool, fn func(id storage.TupleID, t Tuple) bool) error {
 	r.smu.RLock()
 	dir := r.ids.snapshot()
 	r.smu.RUnlock()
+	// How many tuples keep accepts is unknown: the blocks start small.
+	arena := tupleArena{arity: r.schema.Arity(), left: r.Len(), block: 8}
 	var err error
 	if dir.walk(func(id int64, s int, lid storage.TupleID) bool {
 		var t Tuple
-		var ok bool
-		t, ok, err = r.fetch(id, s, lid, need, nil)
-		return err == nil && (!ok || fn(storage.TupleIDFromInt64(id), t))
+		kept := false // and false for a tuple deleted since the snapshot
+		_, err = r.fetch(id, s, lid, func(body []byte) (err error) {
+			t, kept, err = arena.decode(body, need, test, keep)
+			return err
+		})
+		return err == nil && (!kept || fn(storage.TupleIDFromInt64(id), t))
 	}) {
 		return err
 	}
 	// The ids are heap addresses and heap order is their order: one pass
-	// over the pages, each decoded under the store lock and handed to fn
-	// after it is dropped.
+	// over the pages, each decoded under the store lock and its kept
+	// tuples handed to fn after it is dropped.
 	type scanned struct {
 		id int64
 		t  Tuple
 	}
-	st := r.stores[0]
-	run := make([]scanned, 0, 128)
-	next := st.heap.FirstPage()
-	for next != pager.InvalidPage {
-		run = run[:0]
-		var decodeErr error
-		st.mu.RLock()
-		next, err = st.heap.ScanPage(next, func(lid storage.TupleID, rec []byte) bool {
-			id, payload, err := r.ids.unframe(lid, rec)
-			var t Tuple
-			if err == nil {
-				t, err = DecodeTupleCols(payload, need)
-			}
-			if err != nil {
-				decodeErr = fmt.Errorf("relation %s: tuple %v: %w", r.name, lid, err)
-				return false
-			}
+	var run []scanned
+	var decodeErr error
+	page := func(lid storage.TupleID, rec []byte) bool {
+		id, body, err := r.ids.unframe(lid, rec)
+		var t Tuple
+		kept := false
+		if err == nil {
+			t, kept, err = arena.decode(body, need, test, keep)
+		}
+		if err != nil {
+			decodeErr = fmt.Errorf("relation %s: tuple %v: %w", r.name, lid, err)
+			return false
+		}
+		if kept {
 			run = append(run, scanned{id, t})
-			return true
-		})
+		}
+		return true
+	}
+	st := r.stores[0]
+	for next := st.heap.FirstPage(); next != pager.InvalidPage; {
+		run = run[:0]
+		st.mu.RLock()
+		next, err = st.heap.ScanPage(next, page)
 		st.mu.RUnlock()
 		if err != nil {
 			return err
@@ -686,10 +724,10 @@ func (r *Relation) LookupEqual(column string, v Value) ([]storage.TupleID, error
 		return out, nil
 	}
 	var out []storage.TupleID
-	err := r.Scan(func(id storage.TupleID, t Tuple) bool {
-		if t[ci].Eq(v) {
-			out = append(out, id)
-		}
+	test := make([]bool, r.schema.Arity())
+	test[ci] = true
+	err := r.ScanCols(make([]bool, len(test)), test, func(t Tuple) bool { return t[ci].Eq(v) }, func(id storage.TupleID, _ Tuple) bool {
+		out = append(out, id)
 		return true
 	})
 	return out, err

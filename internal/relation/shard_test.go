@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -367,11 +368,16 @@ func TestShardedJuxtaposeOracle(t *testing.T) {
 
 // TestScanColsMatchesScan: the column-lazy scan visits the tuples Scan
 // visits, in the same order, with the needed columns materialized and
-// the rest left at their zero payload — unsharded and at every shard
-// count.
+// the rest left at their zero payload; with a keep, it visits exactly
+// the tuples Scan followed by the same filter visits, and keep sees the
+// tested columns alone — unsharded and at every shard count. Either way
+// returning false stops the scan, and a record whose inline object is
+// corrupt fails it whether keep would accept or reject it.
 func TestScanColsMatchesScan(t *testing.T) {
-	twins, _, _ := shardTwins(t, 200, 5)
+	twins, _, pic := shardTwins(t, 200, 5)
 	need := []bool{false, false, true, true} // population, loc
+	test := []bool{false, false, true, false}
+	even := func(tu Tuple) bool { return tu[2].Int%2 == 0 }
 	for _, k := range append([]int{0}, shardCounts...) {
 		rel := twins[k]
 		var ids []storage.TupleID
@@ -382,24 +388,77 @@ func TestScanColsMatchesScan(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		i := 0
-		err := rel.ScanCols(need, func(id storage.TupleID, tu Tuple) bool {
-			if i >= len(ids) || id != ids[i] {
-				t.Fatalf("shards=%d: ScanCols tuple %d is %v, Scan disagrees", k, i, id)
+		for _, filtered := range []bool{false, true} {
+			var tested []bool
+			var keep func(Tuple) bool
+			if filtered {
+				tested = test
+				keep = func(tu Tuple) bool {
+					if tu[0].Str != "" || tu[1].Str != "" || tu[3].Loc.Picture != "" || tu[3].Type != TypeLoc {
+						t.Fatalf("shards=%d: keep was shown untested columns: %v", k, tu)
+					}
+					return even(tu)
+				}
 			}
-			if tu[2] != full[i][2] || tu[3] != full[i][3] {
-				t.Fatalf("shards=%d: needed columns of %v = %v, %v; Scan read %v, %v", k, id, tu[2], tu[3], full[i][2], full[i][3])
+			var wantIDs []storage.TupleID
+			var want []Tuple
+			for i, tu := range full {
+				if !filtered || even(tu) {
+					wantIDs, want = append(wantIDs, ids[i]), append(want, tu)
+				}
 			}
-			if tu[0].Str != "" || tu[1].Str != "" || tu[0].Type != TypeString {
-				t.Fatalf("shards=%d: skipped columns of %v materialized: %v", k, id, tu)
+			stop := len(want) * 3 / 4
+			i := 0
+			err := rel.ScanCols(need, tested, keep, func(id storage.TupleID, tu Tuple) bool {
+				if i >= len(want) || id != wantIDs[i] {
+					t.Fatalf("shards=%d, filtered %v: ScanCols tuple %d is %v, Scan disagrees", k, filtered, i, id)
+				}
+				if tu[2] != want[i][2] || tu[3] != want[i][3] {
+					t.Fatalf("shards=%d: needed columns of %v = %v, %v; Scan read %v, %v", k, id, tu[2], tu[3], want[i][2], want[i][3])
+				}
+				if tu[0].Str != "" || tu[1].Str != "" || tu[0].Type != TypeString {
+					t.Fatalf("shards=%d: skipped columns of %v materialized: %v", k, id, tu)
+				}
+				i++
+				return i < stop // returning false stops the scan
+			})
+			if err != nil || i != stop {
+				t.Fatalf("shards=%d, filtered %v: ScanCols visited %d tuples, err %v; want to stop at %d", k, filtered, i, err, stop)
 			}
-			i++
-			return i < 150 // returning false stops the scan
-		})
-		if err != nil || i != 150 {
-			t.Fatalf("shards=%d: ScanCols visited %d tuples, err %v; want to stop at 150", k, i, err)
+		}
+
+		// A stored record whose object's kind byte is damaged.
+		obj, _ := pic.Get(full[0][3].Loc.Object)
+		body := appendBody(nil, Tuple{S("bad"), S("ST"), I(2), full[0][3]}, []picture.Object{obj})
+		body[bytes.Index(body, picture.EncodeObject(obj))+8] = 99
+		if _, err := DecodeTuple(body); !errors.Is(err, storage.ErrCorrupt) {
+			t.Fatalf("the damaged body decodes: %v", err)
+		}
+		plant(t, rel, len(rel.stores)-1, body)
+		for _, accept := range []bool{true, false} {
+			err := rel.ScanCols(need, test, func(Tuple) bool { return accept }, func(storage.TupleID, Tuple) bool { return true })
+			if !errors.Is(err, storage.ErrCorrupt) {
+				t.Fatalf("shards=%d: a scan whose keep answers %v over a damaged object: %v", k, accept, err)
+			}
 		}
 	}
+}
+
+// plant stores body, unvalidated, as a record of store s that rel's
+// directory knows: what a damaged page would hold.
+func plant(t *testing.T, rel *Relation, s int, body []byte) {
+	t.Helper()
+	rec, seq := rel.ids.frame(body)
+	st := rel.stores[s]
+	st.mu.Lock()
+	lid, err := st.heap.Insert(rec)
+	st.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel.smu.Lock()
+	rel.ids.publish(seq, s, lid)
+	rel.smu.Unlock()
 }
 
 // TestShardedScanAndBatch verifies the non-spatial read paths: Scan
@@ -834,7 +893,17 @@ func concurrentWritersReaders(t *testing.T, rel *Relation, pic *picture.Picture)
 						errCh <- fmt.Errorf("reader %d: get %v: %v, %w", r, id, tu, err)
 						return
 					}
-					err := rel.ScanCols(needCity, func(_ storage.TupleID, tu Tuple) bool { return tu[0].Str != "" })
+					seed := func(tu Tuple) bool { return strings.HasPrefix(tu[0].Str, "seed") }
+					seeds := 0
+					err := rel.ScanCols(needCity, needCity, seed, func(_ storage.TupleID, tu Tuple) bool {
+						if seed(tu) {
+							seeds++
+						}
+						return true
+					})
+					if err == nil && seeds != len(seeded) {
+						err = fmt.Errorf("%d seeds kept, want %d", seeds, len(seeded))
+					}
 					if err != nil {
 						errCh <- fmt.Errorf("reader %d: scan cols: %w", r, err)
 						return

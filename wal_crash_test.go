@@ -553,11 +553,16 @@ func TestWALSnapshotPSQLStress(t *testing.T) {
 		rg.Add(1)
 		go func(r int) {
 			defer rg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
+			// Each reader completes at least one read, so a scheduler
+			// that runs every writer first (GOMAXPROCS 1) still leaves
+			// the stress something to check.
+			for first := true; ; first = false {
+				if !first {
+					select {
+					case <-done:
+						return
+					default:
+					}
 				}
 				res, err := db.Query(`select seq from events`)
 				if err != nil {
