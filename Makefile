@@ -4,8 +4,8 @@ GO ?= go
 
 # The gate: everything must vet, keep the typed-error rule (lint),
 # build, pass under the race detector (concurrent callers of one
-# executor, relation and tree, writers beside readers, and parallel
-# PACK are exercised by dedicated -race stress tests), and
+# executor, relation and tree, writers beside readers, and PACKs side
+# by side are exercised by dedicated -race stress tests), and
 # survive the fault-injection and crash-point suites, including the WAL
 # and sharded crash-recovery matrices. Every test binary that opens a
 # pager also fails when its tests leave a pin, a reader or a goroutine

@@ -372,25 +372,6 @@ func BenchmarkPSQLQueries(b *testing.B) {
 
 // --- Parallel execution (DESIGN.md "Parallel execution") -------------
 
-// BenchmarkParallelPackBuild measures PACK build time at worker counts
-// 1/2/4/8 — the speedup-vs-cores curve EXPERIMENTS.md describes. The
-// output tree is identical at every setting (the parallel sort is
-// stable and merges prefer the left run), so only wall-clock moves.
-func BenchmarkParallelPackBuild(b *testing.B) {
-	items := workload.PointItems(workload.UniformPoints(200000, 52))
-	params := rtree.Params{Max: 16, Min: 8}
-	for _, m := range []pack.Method{pack.MethodHilbert, pack.MethodSTR} {
-		for _, par := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/par=%d", m, par), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					pack.Tree(params, items, pack.Options{Method: m, Parallelism: par})
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkJuxtapose measures the geographic join over two in-memory
 // trees: 50k points against 5k small regions.
 func BenchmarkJuxtapose(b *testing.B) {

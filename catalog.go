@@ -12,7 +12,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/pack"
 	"repro/internal/pager"
-	"repro/internal/par"
 	"repro/internal/picture"
 	"repro/internal/relation"
 	"repro/internal/storage"
@@ -36,7 +35,8 @@ import (
 // the writes that need them (writeDefinitions). Open reads them and then
 // rebuilds every relation from one scan of its heaps — its id
 // directory, B-trees and packed R-trees, and its pictures' objects —
-// relations side by side (loadCatalog, relation.Open).
+// one relation after another, in name order (loadCatalog,
+// relation.Open).
 var catMagic = [8]byte{'P', 'I', 'C', 'T', 'C', 'A', 'T', '2'}
 
 // catMagicV1 is the superblock of the format before tuples carried their
@@ -283,20 +283,11 @@ func scanRecords(defs *storage.Heap, fn func(raw []byte) error) error {
 	return fnErr
 }
 
-// loadedRel is what reloading one relation produced. pagers is set as
-// soon as a sharded relation's files are open, rel only once it is
-// rebuilt.
-type loadedRel struct {
-	rel    *Relation
-	pagers []*pager.Pager
-	times  relation.BuildTimes
-}
-
 // loadCatalog reads the definitions, if any, then rebuilds every
-// relation (loadRelation) as one task list on up to GOMAXPROCS
-// goroutines; on one core the relations are rebuilt one after another,
-// in name order. The error reported is the first in that order whatever
-// the core count, and every task has returned before loadCatalog does.
+// relation (loadRelation) one after another, in name order — the order
+// the definitions are written in — and stops at the first failure. The
+// parallelism is inside a relation: its stores' scans and its index
+// builds (relation.Open).
 func (db *Database) loadCatalog() error {
 	defsID, err := db.definitionsPage()
 	if err != nil {
@@ -335,27 +326,17 @@ func (db *Database) loadCatalog() error {
 	}
 	db.loadTimes.Decode = nowFn().Sub(t0)
 
-	loaded := make([]loadedRel, len(rels))
-	err = par.Do(len(rels), 0, func(i int) error {
-		return db.loadRelation(rels[i], &loaded[i])
-	})
-	// Shard files opened by a relation that then failed are registered
-	// too: the caller closes every registered pager when the load fails.
-	for i, l := range loaded {
-		if l.pagers != nil {
-			cat.shards[rels[i].name] = l.pagers
-		}
-		if l.rel != nil {
-			cat.relations[rels[i].name] = l.rel
-			db.loadTimes.BuildTimes.Add(l.times)
+	for _, def := range rels {
+		if err := db.loadRelation(cat, def); err != nil {
+			return err
 		}
 	}
-	return err
+	return nil
 }
 
-// loadRelation reopens one persisted relation into out: its shard files,
+// loadRelation reopens one persisted relation into cat: its shard files,
 // if it has them, then relation.Open's one scan of its heaps.
-func (db *Database) loadRelation(def decodedRel, out *loadedRel) error {
+func (db *Database) loadRelation(cat *catalog, def decodedRel) error {
 	rd := relation.Def{
 		Name:    def.name,
 		Schema:  def.schema,
@@ -366,25 +347,27 @@ func (db *Database) loadRelation(def decodedRel, out *loadedRel) error {
 	}
 	if def.sharded {
 		pagers, err := db.openShardPagers(def.name, len(def.heaps))
-		out.pagers = pagers
 		if err != nil {
 			return err
 		}
+		// Registered before the rebuild, which may fail: the caller closes
+		// every registered pager when the load fails.
+		cat.shards[def.name] = pagers
 		rd.Pagers = pagers
 	}
 	for _, pn := range def.assocs {
-		pic := db.catalog().pictures[pn]
+		pic := cat.pictures[pn]
 		if pic == nil {
 			return errCatalog("relation %q associated with unknown picture %q", def.name, pn)
 		}
 		rd.Attach = append(rd.Attach, pic)
 	}
 	rel, times, err := relation.Open(rd, db)
-	out.times = times
 	if err != nil {
 		return err
 	}
-	out.rel = rel
+	cat.relations[def.name] = rel
+	db.loadTimes.BuildTimes.Add(times)
 	return nil
 }
 

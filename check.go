@@ -89,35 +89,109 @@ func IsCorruption(err error) bool {
 }
 
 // Check verifies the whole database and returns a report with
-// per-page diagnostics. It never mutates the file. Shard files of
-// sharded relations are verified too (serially; CheckParallel fans
-// them out).
-func (db *Database) Check() *CheckReport { return db.CheckParallel(1) }
+// per-page diagnostics. It never mutates the file. The main file and
+// every shard file of a sharded relation get the same file pass
+// (checkFile); the structures each file holds are checked inside it.
+func (db *Database) Check() *CheckReport {
+	r := &CheckReport{}
+	r.checkFile(db.pager, "", func(claim func(pager.PageID, string)) {
+		// The catalog superblock and definitions heap.
+		claim(superblockID, "superblock")
+		sb, err := db.pager.Fetch(superblockID)
+		if err != nil {
+			r.add(superblockID, "superblock", err)
+		} else {
+			if [8]byte(sb.Data[:8]) != catMagic {
+				r.add(superblockID, "superblock", fmt.Errorf("%w: bad catalog magic %q", ErrCorrupt, sb.Data[:8]))
+			}
+			defsID := pager.PageID(binary.LittleEndian.Uint32(sb.Data[8:12]))
+			db.pager.Unpin(sb)
+			if defsID != pager.InvalidPage {
+				if int(defsID) >= db.pager.NumPages() {
+					r.add(superblockID, "catalog", fmt.Errorf("%w: definitions page %d out of range", ErrCorrupt, defsID))
+				} else if defs, err := storage.Open(db.pager, defsID); err != nil {
+					r.add(defsID, "catalog", err)
+				} else {
+					if err := defs.Check(); err != nil {
+						r.add(defsID, "catalog", err)
+					}
+					if pages, err := defs.Pages(); err != nil {
+						r.add(defsID, "catalog", err)
+					} else {
+						for _, id := range pages {
+							claim(id, "catalog")
+						}
+					}
+				}
+			}
+		}
 
-// CheckParallel is Check with up to workers shard files verified
-// concurrently — per-shard verification is independent (each shard is
-// its own page file), so `pictdbcheck -parallel` overlaps their page
-// scans. The report is identical at every worker count; workers <= 1 is
-// serial.
-func (db *Database) CheckParallel(workers int) *CheckReport {
-	r := &CheckReport{Pages: db.pager.NumPages()}
-	add := func(page pager.PageID, component string, err error) {
-		r.Problems = append(r.Problems, CheckProblem{Page: page, Component: component, Err: err})
+		// Relations: heap structure, tuple decodability, index
+		// invariants, index→tuple resolution (Relation.Check); then a
+		// sharded relation's page files get their own file pass, and a
+		// main-file relation claims its heap pages here.
+		rels := db.catalog().relations
+		names := sortedNames(rels)
+		r.Relations = len(names)
+		for _, name := range names {
+			rel := rels[name]
+			component := "relation:" + name
+			if err := rel.Check(); err != nil {
+				r.add(pager.InvalidPage, component, err)
+			}
+			if rel.Sharded() {
+				r.checkShardFiles(rel, component)
+				continue
+			}
+			if pages, err := rel.HeapPages(); err != nil {
+				r.add(pager.InvalidPage, component, err)
+			} else {
+				for _, id := range pages {
+					claim(id, component)
+				}
+			}
+		}
+	})
+	return r
+}
+
+// add files one finding.
+func (r *CheckReport) add(page pager.PageID, component string, err error) {
+	r.Problems = append(r.Problems, CheckProblem{Page: page, Component: component, Err: err})
+}
+
+// checkFile is the file-level pass over one page file p, the main file
+// or a shard file, and adds p's pages, free pages and leaks to r:
+//
+//  1. every page reads back with a valid checksum trailer (Fetch
+//     verifies it);
+//  2. the free list is in range, acyclic and checksummed, and its pages
+//     are claimed first;
+//  3. claims claims the pages of the structures p holds, and a page
+//     claimed twice is an ownership finding;
+//  4. allocated pages no structure owns are counted as leaked — benign:
+//     a crash between a data sync and its header commit strands them.
+//
+// Findings of the pass itself are filed under comp, or, for the main
+// file (comp ""), under "page", "free-list" and "ownership". Page ids
+// are p's own.
+func (r *CheckReport) checkFile(p *pager.Pager, comp string, claims func(claim func(pager.PageID, string))) {
+	add := func(page pager.PageID, kind string, err error) {
+		if comp != "" {
+			kind = comp
+		}
+		r.add(page, kind, err)
 	}
-
-	// 1. Raw page scan: every page must read back with a valid trailer
-	// (or be a tolerated pre-upgrade page in a partially checksummed
-	// file). Fetch performs the verification.
-	for id := pager.PageID(1); int(id) < db.pager.NumPages(); id++ {
-		pg, err := db.pager.Fetch(id)
+	r.Pages += p.NumPages()
+	for id := pager.PageID(1); int(id) < p.NumPages(); id++ {
+		pg, err := p.Fetch(id)
 		if err != nil {
 			add(id, "page", err)
 			continue
 		}
-		db.pager.Unpin(pg)
+		p.Unpin(pg)
 	}
 
-	// 2. Free list: in-range, acyclic, checksummed links.
 	owners := make(map[pager.PageID]string)
 	claim := func(id pager.PageID, owner string) {
 		if prev, dup := owners[id]; dup {
@@ -126,157 +200,49 @@ func (db *Database) CheckParallel(workers int) *CheckReport {
 		}
 		owners[id] = owner
 	}
-	free, err := db.pager.FreePages()
+	free, err := p.FreePages()
 	if err != nil {
 		add(pager.InvalidPage, "free-list", err)
 	}
-	r.FreePages = len(free)
+	r.FreePages += len(free)
 	for _, id := range free {
 		claim(id, "free-list")
 	}
+	claims(claim)
 
-	// 3. Catalog superblock and definitions heap.
-	claim(superblockID, "superblock")
-	sb, err := db.pager.Fetch(superblockID)
-	if err != nil {
-		add(superblockID, "superblock", err)
-	} else {
-		if [8]byte(sb.Data[:8]) != catMagic {
-			add(superblockID, "superblock", fmt.Errorf("%w: bad catalog magic %q", ErrCorrupt, sb.Data[:8]))
-		}
-		defsID := pager.PageID(binary.LittleEndian.Uint32(sb.Data[8:12]))
-		db.pager.Unpin(sb)
-		if defsID != pager.InvalidPage {
-			if int(defsID) >= db.pager.NumPages() {
-				add(superblockID, "catalog", fmt.Errorf("%w: definitions page %d out of range", ErrCorrupt, defsID))
-			} else if defs, err := storage.Open(db.pager, defsID); err != nil {
-				add(defsID, "catalog", err)
-			} else {
-				if err := defs.Check(); err != nil {
-					add(defsID, "catalog", err)
-				}
-				if pages, err := defs.Pages(); err != nil {
-					add(defsID, "catalog", err)
-				} else {
-					for _, id := range pages {
-						claim(id, "catalog")
-					}
-				}
-			}
-		}
-	}
-
-	// 4. Relations: heap structure, tuple decodability, index invariants,
-	// index→tuple resolution.
-	rels := db.catalog().relations
-	names := sortedNames(rels)
-	r.Relations = len(names)
-	for _, name := range names {
-		rel := rels[name]
-		component := "relation:" + name
-		// Logical invariants (id directory, heaps, indexes) check store
-		// by store in parallel; then a sharded relation's page files get
-		// the raw-page / free-list / ownership pass the main file gets
-		// above, and a main-file relation claims its heap pages there.
-		if err := rel.CheckShards(workers); err != nil {
-			add(pager.InvalidPage, component, err)
-		}
-		if rel.Sharded() {
-			db.checkShardFiles(rel, component, workers, r)
-			continue
-		}
-		if pages, err := rel.HeapPages(); err != nil {
-			add(pager.InvalidPage, component, err)
-		} else {
-			for _, id := range pages {
-				claim(id, component)
-			}
-		}
-	}
-
-	// 5. Accounting: every page should be owned by exactly one
-	// structure. Unowned pages are leaked, not corrupt — a crash
-	// between a data sync and its header commit can strand them.
-	for id := 1; id < db.pager.NumPages(); id++ {
+	for id := 1; id < p.NumPages(); id++ {
 		if _, ok := owners[pager.PageID(id)]; !ok {
 			r.Leaked++
 		}
 	}
-	return r
 }
 
-// checkShardFiles runs the file-level verification pass — raw page
-// scan, free list, heap-page ownership, leak accounting — over every
-// shard file of a sharded relation, up to workers shards concurrently.
-// Findings land under component "<component>:shard:<i>" with
-// shard-file-local page ids, appended in shard order so the report is
-// deterministic at every worker count.
-func (db *Database) checkShardFiles(rel *relation.Relation, component string, workers int, r *CheckReport) {
-	n := rel.ShardCount()
-	type shardResult struct {
-		pages    int
-		free     int
-		leaked   int
-		problems []CheckProblem
-	}
-	results := make([]shardResult, n)
-	checkOne := func(s int) {
-		res := &results[s]
+// checkShardFiles runs checkFile over every shard file of a sharded
+// relation, the shards side by side on up to GOMAXPROCS goroutines, each
+// claiming its heap pages. Findings land under component
+// "<component>:shard:<i>" with shard-file-local page ids, appended in
+// shard order, so the report does not depend on the core count.
+func (r *CheckReport) checkShardFiles(rel *relation.Relation, component string) {
+	shards := make([]CheckReport, rel.ShardCount())
+	_ = par.Do(len(shards), 0, func(s int) error {
+		sr := &shards[s]
 		comp := fmt.Sprintf("%s:shard:%d", component, s)
-		add := func(page pager.PageID, err error) {
-			res.problems = append(res.problems, CheckProblem{Page: page, Component: comp, Err: err})
-		}
-		sp := rel.ShardPager(s)
-		res.pages = sp.NumPages()
-
-		// Raw page scan: valid trailer on every page.
-		for id := pager.PageID(1); int(id) < sp.NumPages(); id++ {
-			pg, err := sp.Fetch(id)
+		sr.checkFile(rel.ShardPager(s), comp, func(claim func(pager.PageID, string)) {
+			pages, err := rel.ShardHeapPages(s)
 			if err != nil {
-				add(id, err)
-				continue
-			}
-			sp.Unpin(pg)
-		}
-
-		// Free list + ownership, scoped to this shard's file.
-		owners := make(map[pager.PageID]string)
-		claim := func(id pager.PageID, owner string) {
-			if prev, dup := owners[id]; dup {
-				add(id, fmt.Errorf("%w: page claimed by both %s and %s", ErrCorrupt, prev, owner))
+				sr.add(pager.InvalidPage, comp, err)
 				return
 			}
-			owners[id] = owner
-		}
-		free, err := sp.FreePages()
-		if err != nil {
-			add(pager.InvalidPage, err)
-		}
-		res.free = len(free)
-		for _, id := range free {
-			claim(id, "free-list")
-		}
-		if pages, err := rel.ShardHeapPages(s); err != nil {
-			add(pager.InvalidPage, err)
-		} else {
 			for _, id := range pages {
 				claim(id, "heap")
 			}
-		}
-		for id := 1; id < sp.NumPages(); id++ {
-			if _, ok := owners[pager.PageID(id)]; !ok {
-				res.leaked++
-			}
-		}
-	}
-	_ = par.Do(n, max(workers, 1), func(s int) error {
-		checkOne(s)
+		})
 		return nil
 	})
-	for s := range results {
-		r.Pages += results[s].pages
-		r.FreePages += results[s].free
-		r.Leaked += results[s].leaked
-		r.Problems = append(r.Problems, results[s].problems...)
+	for _, sr := range shards {
+		r.Pages += sr.Pages
+		r.FreePages += sr.FreePages
+		r.Leaked += sr.Leaked
+		r.Problems = append(r.Problems, sr.Problems...)
 	}
 }

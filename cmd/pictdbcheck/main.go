@@ -9,13 +9,12 @@
 // Sharded relations keep their tuples in sidecar page files
 // (file.db.<relation>.s<N>), each with its own write-ahead log; the
 // checker inspects every shard WAL before opening and verifies every
-// shard file. With -parallel N the per-shard verification fans out over
-// N workers — the report is identical at any parallelism. Each sharded
-// relation gets a balance line (shard count and imbalance factor, with
-// per-shard tuple counts and Hilbert key ranges under -v), and shard
-// page files no catalog relation references — left by a crash between
-// creating the files and the checkpoint that would have named them —
-// are flagged as orphans.
+// shard file, the shard files side by side; the report is the same at
+// any core count. Each sharded relation gets a balance line (shard
+// count and imbalance factor, with per-shard tuple counts and Hilbert
+// key ranges under -v), and shard page files no catalog relation
+// references — left by a crash between creating the files and the
+// checkpoint that would have named them — are flagged as orphans.
 //
 // Exit status is 0 for a healthy file, 1 when verification finds
 // problems or the file cannot be opened (a file in a retired format is
@@ -46,10 +45,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pictdbcheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	pool := fs.Int("pool", 256, "buffer pool size in pages")
-	parallel := fs.Int("parallel", 1, "verification workers (shard files are checked concurrently)")
 	verbose := fs.Bool("v", false, "print per-component summary even when healthy")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: pictdbcheck [-pool N] [-parallel N] [-v] file.db")
+		fmt.Fprintln(stderr, "usage: pictdbcheck [-pool N] [-v] file.db")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -60,10 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	path := fs.Arg(0)
-	if *parallel < 1 {
-		fmt.Fprintln(stderr, "pictdbcheck: -parallel must be at least 1")
-		return 2
-	}
 
 	// Opening a pictdb file creates it when absent; a checker must not.
 	if _, err := os.Stat(path); err != nil {
@@ -98,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	db, report, err := pictdb.OpenCheckedParallel(path, *pool, *parallel)
+	db, report, err := pictdb.OpenChecked(path, *pool)
 	if err != nil {
 		fmt.Fprintf(stderr, "pictdbcheck: %v\n", err)
 		if errors.Is(err, pictdb.ErrUnsupportedFormat) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -292,9 +293,31 @@ func buildShardedDB(t *testing.T) string {
 	return path
 }
 
+// runAtProcs runs the checker on path at GOMAXPROCS 1 and 4 — the shard
+// files are checked side by side when there are cores for it — and
+// returns stdout, which must be byte-identical at both, and the
+// combined output of the last run.
+func runAtProcs(t *testing.T, path string, wantCode int) (stdout, combined string) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for i, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		var out, errb bytes.Buffer
+		if code := run([]string{path}, &out, &errb); code != wantCode {
+			t.Fatalf("GOMAXPROCS=%d: exit %d (want %d); stdout=%q stderr=%q", procs, code, wantCode, out.String(), errb.String())
+		}
+		if i > 0 && out.String() != stdout {
+			t.Fatalf("GOMAXPROCS=%d: stdout differs from GOMAXPROCS=1:\n%s\nvs\n%s", procs, out.String(), stdout)
+		}
+		stdout, combined = out.String(), out.String()+errb.String()
+	}
+	return stdout, combined
+}
+
 // TestCheckShardedParallel verifies a healthy sharded database checks
-// clean with the per-shard verification fanned out over workers, and
-// that the shard page files were actually found on disk.
+// clean, with the same report whether its shard files are checked one
+// after another or side by side, and that the shard page files were
+// actually found on disk.
 func TestCheckShardedParallel(t *testing.T) {
 	path := buildShardedDB(t)
 	for s := 0; s < 3; s++ {
@@ -302,14 +325,8 @@ func TestCheckShardedParallel(t *testing.T) {
 			t.Fatalf("shard file missing: %v", err)
 		}
 	}
-	for _, par := range []string{"1", "4"} {
-		var out, errb bytes.Buffer
-		if code := run([]string{"-parallel", par, path}, &out, &errb); code != 0 {
-			t.Fatalf("-parallel %s: exit %d; stdout=%q stderr=%q", par, code, out.String(), errb.String())
-		}
-		if !strings.Contains(out.String(), "OK") {
-			t.Fatalf("-parallel %s: expected OK summary, got %q", par, out.String())
-		}
+	if out, _ := runAtProcs(t, path, 0); !strings.Contains(out, "OK") {
+		t.Fatalf("expected OK summary, got %q", out)
 	}
 }
 
@@ -371,8 +388,8 @@ func TestCheckFlagsOrphanShardFile(t *testing.T) {
 }
 
 // TestCheckShardedCorruptShard flips a byte in one shard's page file:
-// the checker must exit non-zero and name a checksum failure, at any
-// parallelism.
+// the checker must exit non-zero and name a checksum failure, with the
+// same report at any core count.
 func TestCheckShardedCorruptShard(t *testing.T) {
 	path := buildShardedDB(t)
 	sp := pictdb.ShardPath(path, "cities", 1)
@@ -382,16 +399,8 @@ func TestCheckShardedCorruptShard(t *testing.T) {
 	}
 	corruptPage(t, sp, pager.PageID(st.Size()/pager.PageSize-1))
 
-	for _, par := range []string{"1", "4"} {
-		var out, errb bytes.Buffer
-		if code := run([]string{"-parallel", par, path}, &out, &errb); code != 1 {
-			t.Fatalf("-parallel %s: exit %d on corrupt shard (want 1); stdout=%q stderr=%q",
-				par, code, out.String(), errb.String())
-		}
-		combined := out.String() + errb.String()
-		if !strings.Contains(combined, "checksum") {
-			t.Fatalf("-parallel %s: expected checksum failure, got %q", par, combined)
-		}
+	if _, combined := runAtProcs(t, path, 1); !strings.Contains(combined, "checksum") {
+		t.Fatalf("expected checksum failure, got %q", combined)
 	}
 }
 

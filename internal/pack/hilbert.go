@@ -12,15 +12,14 @@ import (
 // consecutive runs tend to be spatially compact without the explicit
 // nearest-neighbor step of the paper's PACK.
 //
-// Once the bounds are known every key is an independent pure function
-// of one center, so key computation fans out perfectly; one sort of
-// (key, position) words remains.
+// Once the bounds are known every key is a pure function of one
+// center; one sort of (key, position) words orders them.
 //
 // The curve mapping itself lives in geom (geom.HilbertKey and
 // friends) so the workload generators can derive curve keys without
 // importing pack; the identifiers below re-export it for the sharding
 // and routing layers, which historically reach it through pack.
-type hilbertGrouper struct{ par int }
+type hilbertGrouper struct{}
 
 func (hilbertGrouper) Name() string { return "hilbert" }
 
@@ -36,7 +35,7 @@ func HilbertKey(bounds geom.Rect, p geom.Point) uint64 {
 	return geom.HilbertKey(bounds, p)
 }
 
-func (g hilbertGrouper) Group(rects []geom.Rect, max int) [][]int {
+func (hilbertGrouper) Group(rects []geom.Rect, max int) [][]int {
 	n := len(rects)
 	if n == 0 {
 		return nil
@@ -45,7 +44,7 @@ func (g hilbertGrouper) Group(rects []geom.Rect, max int) [][]int {
 	// bits and a position is below 2^32 (PACK takes fewer than 2^32
 	// items), so word order is (key, position) order — sortByKey's — with
 	// no comparator call.
-	words := hilbertKeys(rects, g.par)
+	words := hilbertKeys(rects)
 	for i := range words {
 		words[i] = words[i]<<32 | uint64(i)
 	}
@@ -59,7 +58,7 @@ func (g hilbertGrouper) Group(rects []geom.Rect, max int) [][]int {
 
 // hilbertKeys returns the Hilbert key of every rectangle's center on
 // the curve over their bounds.
-func hilbertKeys(rects []geom.Rect, par int) []uint64 {
+func hilbertKeys(rects []geom.Rect) []uint64 {
 	bounds := geom.MBRRects(rects...)
 	side := uint32(1) << geom.HilbertOrder
 	scaleX, scaleY := 0.0, 0.0
@@ -70,13 +69,11 @@ func hilbertKeys(rects []geom.Rect, par int) []uint64 {
 		scaleY = float64(side-1) / h
 	}
 	keys := make([]uint64, len(rects))
-	parallelFor(len(rects), par, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c := rects[i].Center()
-			x := uint32((c.X - bounds.Min.X) * scaleX)
-			y := uint32((c.Y - bounds.Min.Y) * scaleY)
-			keys[i] = geom.HilbertD(geom.HilbertOrder, x, y)
-		}
-	})
+	for i, r := range rects {
+		c := r.Center()
+		x := uint32((c.X - bounds.Min.X) * scaleX)
+		y := uint32((c.Y - bounds.Min.Y) * scaleY)
+		keys[i] = geom.HilbertD(geom.HilbertOrder, x, y)
+	}
 	return keys
 }

@@ -16,16 +16,12 @@ import (
 // NN(DLIST, I) returns — and removes — the item of DLIST spatially
 // closest to I. Distances are between rectangle centers (for the leaf
 // level over point data this is the point distance the paper uses).
-//
-// The greedy pop-nearest consumption is inherently sequential — each
-// NN() depends on every prior removal — so parallelism applies only to
-// the center computation.
-type nnGrouper struct{ par int }
+type nnGrouper struct{}
 
 func (nnGrouper) Name() string { return "nn" }
 
-func (g nnGrouper) Group(rects []geom.Rect, max int) [][]int {
-	centers := centersOf(rects, g.par)
+func (nnGrouper) Group(rects []geom.Rect, max int) [][]int {
+	centers := centersOf(rects)
 	order := sortedByXY(centers)
 
 	grid := newNNGrid(centers, order)

@@ -17,15 +17,13 @@ import (
 // of the item nearest to the seed. For point data the two coincide
 // often; for extended objects area-greedy grouping avoids the long
 // thin groups center-distance grouping can produce.
-// Like the paper's PACK, the greedy accumulation is sequential; the
-// center computation runs on Options.Parallelism goroutines.
-type nnAreaGrouper struct{ par int }
+type nnAreaGrouper struct{}
 
 func (nnAreaGrouper) Name() string { return "nn-area" }
 
-func (g nnAreaGrouper) Group(rects []geom.Rect, max int) [][]int {
+func (nnAreaGrouper) Group(rects []geom.Rect, max int) [][]int {
 	n := len(rects)
-	order := sortedByXY(centersOf(rects, g.par))
+	order := sortedByXY(centersOf(rects))
 	taken := make([]bool, n)
 	remaining := n
 

@@ -15,7 +15,6 @@ package pack
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
@@ -80,78 +79,53 @@ type Options struct {
 	// Table 1 exactly. Trimmed items are NOT indexed; leave this off
 	// for real use.
 	TrimToMultiple bool
-	// Parallelism is the number of goroutines a build may use for
-	// spatial-key computation and node assembly. Zero means
-	// runtime.GOMAXPROCS(0); 1 forces the sequential path. Every
-	// level produces output identical to the sequential build, so
-	// Table 1 numbers are unchanged at any setting.
-	Parallelism int
 }
 
-// parallelism resolves the effective worker count.
-func (o Options) parallelism() int {
-	if o.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Parallelism
-}
-
-// Tree builds a packed R-tree over items with the given parameters.
+// Tree builds a packed R-tree over items with the given parameters, on
+// the caller's goroutine: the paper's sequential PACK.
 func Tree(params rtree.Params, items []rtree.Item, opts Options) *rtree.Tree {
 	if opts.TrimToMultiple {
 		n := len(items) - len(items)%params.Max
 		items = items[:n]
 	}
-	par := opts.parallelism()
-	return rtree.BulkP(params, items, GrouperWith(opts.Method, par), par)
+	return rtree.Bulk(params, items, Grouper(opts.Method))
 }
 
-// Grouper returns the rtree.Grouper implementing the given method,
-// running single-threaded (the paper's sequential PACK).
-func Grouper(m Method) rtree.Grouper { return GrouperWith(m, 1) }
-
-// GrouperWith returns the rtree.Grouper for the given method using up
-// to par goroutines per level. Grouping output is identical for every
-// par; 0 means runtime.GOMAXPROCS(0).
-func GrouperWith(m Method, par int) rtree.Grouper {
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
+// Grouper returns the rtree.Grouper implementing the given method.
+func Grouper(m Method) rtree.Grouper {
 	switch m {
 	case MethodLowX:
-		return lowXGrouper{par: par}
+		return lowXGrouper{}
 	case MethodSTR:
-		return strGrouper{par: par}
+		return strGrouper{}
 	case MethodHilbert:
-		return hilbertGrouper{par: par}
+		return hilbertGrouper{}
 	case MethodRotate:
-		return rotateGrouper{par: par}
+		return rotateGrouper{}
 	case MethodNNArea:
-		return nnAreaGrouper{par: par}
+		return nnAreaGrouper{}
 	default:
-		return nnGrouper{par: par}
+		return nnGrouper{}
 	}
 }
 
 // lowXGrouper sorts by center x (breaking ties by y) and slices
 // consecutive groups of max.
-type lowXGrouper struct{ par int }
+type lowXGrouper struct{}
 
 func (lowXGrouper) Name() string { return "lowx" }
 
-func (g lowXGrouper) Group(rects []geom.Rect, max int) [][]int {
-	return slices2(sortedByXY(centersOf(rects, g.par)), max)
+func (lowXGrouper) Group(rects []geom.Rect, max int) [][]int {
+	return slices2(sortedByXY(centersOf(rects)), max)
 }
 
-// centersOf computes all rectangle centers, in parallel chunks when
-// par > 1, so comparison functions don't recompute them per probe.
-func centersOf(rects []geom.Rect, par int) []geom.Point {
+// centersOf computes all rectangle centers once, so comparison
+// functions don't recompute them per probe.
+func centersOf(rects []geom.Rect) []geom.Point {
 	centers := make([]geom.Point, len(rects))
-	parallelFor(len(rects), par, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			centers[i] = rects[i].Center()
-		}
-	})
+	for i, r := range rects {
+		centers[i] = r.Center()
+	}
 	return centers
 }
 

@@ -17,24 +17,16 @@ import (
 // axis-aligned MBRs stored in the tree may still touch; the
 // TestRotatePackZeroOverlap property verifies disjointness in the
 // rotated frame, the faithful reading of the theorem.
-type rotateGrouper struct{ par int }
+type rotateGrouper struct{}
 
 func (rotateGrouper) Name() string { return "rotate" }
 
-func (g rotateGrouper) Group(rects []geom.Rect, max int) [][]int {
-	n := len(rects)
-	if n == 0 {
+func (rotateGrouper) Group(rects []geom.Rect, max int) [][]int {
+	if len(rects) == 0 {
 		return nil
 	}
-	centers := centersOf(rects, g.par)
-	// SeparatingAngle inspects all center pairs and stays sequential;
-	// applying the rotation is per-point and fans out.
-	alpha := geom.SeparatingAngle(centers)
-	rotated := make([]geom.Point, n)
-	parallelFor(n, g.par, func(lo, hi int) {
-		chunk := geom.RotateAll(centers[lo:hi], alpha)
-		copy(rotated[lo:hi], chunk)
-	})
+	centers := centersOf(rects)
+	rotated := geom.RotateAll(centers, geom.SeparatingAngle(centers))
 	return slices2(sortedByXY(rotated), max)
 }
 
@@ -42,9 +34,5 @@ func (g rotateGrouper) Group(rects []geom.Rect, max int) [][]int {
 // the given rectangles, so experiments can verify Theorem 3.2 in the
 // rotated frame.
 func RotatePackAngle(rects []geom.Rect) float64 {
-	centers := make([]geom.Point, len(rects))
-	for i, r := range rects {
-		centers[i] = r.Center()
-	}
-	return geom.SeparatingAngle(centers)
+	return geom.SeparatingAngle(centersOf(rects))
 }

@@ -11,7 +11,7 @@ import (
 // paper's packing idea: sort by center x, cut into ceil(sqrt(n/max))
 // vertical slabs of ~max*slabCount entries each, sort each slab by
 // center y, and slice runs of max.
-type strGrouper struct{ par int }
+type strGrouper struct{}
 
 func (strGrouper) Name() string { return "str" }
 
@@ -20,12 +20,12 @@ func byYX(a, b geom.Point) int {
 	return byXY(geom.Point{X: a.Y, Y: a.X}, geom.Point{X: b.Y, Y: b.X})
 }
 
-func (g strGrouper) Group(rects []geom.Rect, max int) [][]int {
+func (strGrouper) Group(rects []geom.Rect, max int) [][]int {
 	n := len(rects)
 	if n == 0 {
 		return nil
 	}
-	centers := centersOf(rects, g.par)
+	centers := centersOf(rects)
 	order := sortedByXY(centers)
 	nodeCount := (n + max - 1) / max
 	slabs := int(math.Ceil(math.Sqrt(float64(nodeCount))))

@@ -1,7 +1,7 @@
 // Package par runs a fixed list of independent tasks on a bounded
-// number of goroutines. It is the one fan-out the relation tier and the
-// catalog reload share: per-shard work, per-index builds, per-relation
-// rebuilds.
+// number of goroutines. It is the one fan-out of the build side and the
+// shard code: a relation's heap scans and index builds, per-store
+// checks, per-shard commits and recoveries.
 package par
 
 import (

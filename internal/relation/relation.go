@@ -953,19 +953,17 @@ func (r *Relation) JuxtaposeSpatial(picA string, s *Relation, picB string, pred 
 // spatial index, and that every index entry — B-tree or spatial —
 // resolves to a live tuple, a spatial one to a tuple of its own store,
 // and that a store's index on a picture holds as many entries as the
-// store has tuples located on it. It returns the first problem found.
-func (r *Relation) Check() error { return r.CheckShards(0) }
-
-// CheckShards is Check with the stores verified on up to workers
-// goroutines (0 = GOMAXPROCS; the pictdbcheck -parallel path).
-func (r *Relation) CheckShards(workers int) error {
+// store has tuples located on it. The stores are verified side by side
+// on up to GOMAXPROCS goroutines, the budget of the reload's scans. It
+// returns the first problem found, in store order.
+func (r *Relation) Check() error {
 	r.smu.RLock()
 	dir := r.ids.snapshot()
 	counts := slices.Clone(r.live)
 	spatial := maps.Clone(r.spatial)
 	r.smu.RUnlock()
 	live := make([][]int64, len(r.stores))
-	err := par.Do(len(r.stores), workers, func(s int) (err error) {
+	err := par.Do(len(r.stores), 0, func(s int) (err error) {
 		if live[s], err = r.checkStore(s, dir, counts[s], spatial); err != nil {
 			return r.storeErr(s, err)
 		}

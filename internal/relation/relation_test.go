@@ -444,7 +444,6 @@ func TestAttachPictureRefusesOtherPacking(t *testing.T) {
 		{},
 		{Method: pack.MethodSTR},
 		{Method: pack.MethodHilbert, TrimToMultiple: true},
-		{Method: pack.MethodHilbert, Parallelism: 1},
 	} {
 		if err := rel.AttachPicture(pic, opts); err == nil {
 			t.Fatalf("%+v: attached", opts)

@@ -583,9 +583,6 @@ func TestShardedReopen(t *testing.T) {
 	if err := re.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if err := re.CheckShards(4); err != nil {
-		t.Fatal(err)
-	}
 	// A new insert after reopen continues the sequence: no id reuse.
 	nid := addCity(t, re, pic, "fresh", "ST", 1, 500, 500)
 	for _, id := range ids {

@@ -53,8 +53,8 @@ var spatialSeq atomic.Int64
 // All reads merge packed + frozen + delta minus tombstones and return
 // items in canonical ascending-TupleID order, bit-identical to a
 // hypothetical single-tree execution. A background repacker merges the
-// write side into the packed tree with parallel PACK and swaps the root
-// atomically under the index lock.
+// write side into the packed tree with PACK, on its own goroutine, and
+// swaps the root atomically under the index lock.
 type SpatialIndex struct {
 	Picture *picture.Picture
 

@@ -541,9 +541,8 @@ func TestCostSnapshot(t *testing.T) {
 // TestWriteSideGoroutines is the leak check on the write side's
 // background work. With auto-repack on, inserts and deletes below the
 // threshold run entirely on the writer's goroutine; crossing it starts
-// one goroutine, the repacker, which WaitRepack drains. The repacker's
-// PACK may be mid-way through a level, with up to GOMAXPROCS workers it
-// joins before it moves on.
+// one goroutine, the repacker, which WaitRepack drains. Its PACK runs
+// on that goroutine: nothing else starts.
 func TestWriteSideGoroutines(t *testing.T) {
 	rel, pic, rng := newSpatialFixture(t, 100, 9)
 	si := rel.Spatial("us-map")
@@ -568,7 +567,7 @@ func TestWriteSideGoroutines(t *testing.T) {
 		t.Fatalf("sub-threshold writes: repacks=%d delta=%d", si.Repacks(), si.DeltaLen())
 	}
 	write(500)
-	if n, most := runtime.NumGoroutine(), before+1+runtime.GOMAXPROCS(0); n > most {
+	if n, most := runtime.NumGoroutine(), before+1; n > most {
 		t.Fatalf("%d goroutines after crossing the threshold, want at most %d", n, most)
 	}
 	si.WaitRepack()

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/geom"
 )
@@ -30,16 +29,6 @@ type Grouper interface {
 // dynamically built tree. Bulk panics if g violates its contract (a
 // programming error in the grouper, not a data error).
 func Bulk(params Params, items []Item, g Grouper) *Tree {
-	return BulkP(params, items, g, 1)
-}
-
-// BulkP is Bulk with a worker budget: node assembly and per-level MBR
-// computation run on up to parallelism goroutines (the grouper g
-// manages its own internal parallelism). The resulting tree is
-// identical to Bulk's for every parallelism value, because groups are
-// assembled into preassigned slots and every per-node computation is
-// independent. parallelism <= 1 is the sequential path.
-func BulkP(params Params, items []Item, g Grouper, parallelism int) *Tree {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
@@ -51,43 +40,35 @@ func BulkP(params Params, items []Item, g Grouper, parallelism int) *Tree {
 
 	// Build the leaf level.
 	rects := make([]geom.Rect, len(items))
-	bulkChunks(len(items), parallelism, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rects[i] = items[i].Rect
-		}
-	})
+	for i, it := range items {
+		rects[i] = it.Rect
+	}
 	groups := checkedGroups(g, rects, params)
 	level := make([]*node, len(groups))
-	bulkChunks(len(groups), parallelism, func(lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			n := newNode(true, params.Max+1)
-			for _, idx := range groups[gi] {
-				n.addEntry(entry{rect: items[idx].Rect, data: items[idx].Data})
-			}
-			level[gi] = n
+	for gi, grp := range groups {
+		n := newNode(true, params.Max+1)
+		for _, idx := range grp {
+			n.addEntry(entry{rect: items[idx].Rect, data: items[idx].Data})
 		}
-	})
+		level[gi] = n
+	}
 
 	// Build internal levels until a single node remains.
 	height := 0
 	for len(level) > 1 {
 		rects = rects[:len(level)]
-		bulkChunks(len(level), parallelism, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				rects[i] = level[i].mbr()
-			}
-		})
+		for i, n := range level {
+			rects[i] = n.mbr()
+		}
 		groups = checkedGroups(g, rects, params)
 		next := make([]*node, len(groups))
-		bulkChunks(len(groups), parallelism, func(lo, hi int) {
-			for gi := lo; gi < hi; gi++ {
-				n := newNode(false, params.Max+1)
-				for _, idx := range groups[gi] {
-					n.addEntry(entry{rect: rects[idx], child: level[idx]})
-				}
-				next[gi] = n
+		for gi, grp := range groups {
+			n := newNode(false, params.Max+1)
+			for _, idx := range grp {
+				n.addEntry(entry{rect: rects[idx], child: level[idx]})
 			}
-		})
+			next[gi] = n
+		}
 		level = next
 		height++
 	}
@@ -95,35 +76,6 @@ func BulkP(params Params, items []Item, g Grouper, parallelism int) *Tree {
 	t.height = height
 	t.size = len(items)
 	return t
-}
-
-// bulkChunks fans fn out over [0, n) in contiguous ranges on up to par
-// goroutines; par <= 1 runs inline. Each range writes only its own
-// slots, so results are independent of scheduling.
-func bulkChunks(n, par int, fn func(lo, hi int)) {
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	chunk := (n + par - 1) / par
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // checkedGroups runs the grouper, validates its output, and rebalances

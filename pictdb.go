@@ -384,18 +384,11 @@ func (c *catalog) forEachShardPager(fn func(rel string, shard int, p *pager.Page
 // error is non-nil only when the file cannot be opened at all (bad
 // magic, corrupt header or catalog).
 func OpenChecked(path string, poolPages int) (*Database, *CheckReport, error) {
-	return OpenCheckedParallel(path, poolPages, 1)
-}
-
-// OpenCheckedParallel is OpenChecked with the verification pass fanned
-// out over par workers — sharded relations have their shard files
-// checked concurrently (the report is identical at any par).
-func OpenCheckedParallel(path string, poolPages, par int) (*Database, *CheckReport, error) {
 	db, err := Open(path, poolPages)
 	if err != nil {
 		return nil, nil, err
 	}
-	report := db.CheckParallel(par)
+	report := db.Check()
 	if !report.OK() {
 		db.SetReadOnly(true)
 	}
