@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: check build test race vet lint bench benchcheck faults walfaults shardfaults fuzz table1 clean
+.PHONY: check build test race vet lint bench benchcheck faults walfaults fuzz table1 clean
 
 # The gate: everything must vet, keep the typed-error rule (lint),
 # build, pass under the race detector (concurrent callers of one
 # executor, relation and tree, writers beside readers, and PACKs side
 # by side are exercised by dedicated -race stress tests), and
 # survive the fault-injection and crash-point suites, including the WAL
-# and sharded crash-recovery matrices. Every test binary that opens a
+# crash-recovery matrix. Every test binary that opens a
 # pager also fails when its tests leave a pin, a reader or a goroutine
 # behind (internal/leakcheck, DESIGN.md §14).
-check: vet lint build race faults walfaults shardfaults
+check: vet lint build race faults walfaults
 
 build:
 	$(GO) build ./...
@@ -53,30 +53,24 @@ benchcheck:
 # captured over a page file and its log (a background repack's
 # included), checksum and corruption detection, across the pager, the
 # relations' own Check (an index entry naming no tuple, a located tuple
-# its index lost) and the full database stack, and the typed refusal of
-# old formats (v1 pages, a PICTCAT1 catalog — the testdata/ file sets
-# included — left byte-identical).
+# its index lost, a sequence stored twice) and the full database stack,
+# reopen of a relation of several stores, and the typed refusal of old
+# formats (v1 pages, a PICTCAT1 catalog, a relation whose stores were
+# page files of their own — the testdata/ file sets included — left
+# byte-identical).
 faults:
-	$(GO) test -race -run 'Fault|Crash|Torn|Checksum|Corrupt|Truncated|Degrad|UnsupportedFormat|Check' ./internal/pager/ ./internal/relation/ ./cmd/pictdbcheck/ .
+	$(GO) test -race -run 'Fault|Crash|Torn|Checksum|Corrupt|Truncated|Degrad|UnsupportedFormat|Check|ShardedDuplicate|ShardedReopen' ./internal/pager/ ./internal/relation/ ./cmd/pictdbcheck/ .
 
 # Write-ahead-log durability matrix: group-commit batching, live reads
 # beside concurrent group-committing writers, append-region fault
-# injection at the log tail, a failing final commit at Close, a shard's
-# failed fsync stopping the whole database, and the
-# coordinated (page file, WAL) crash-point sweep with recovery verified
-# from every captured image — pictorial rows and definitions made after
-# the last Checkpoint included, and a delete a crash undid.
+# injection at the log tail, a failing final commit at Close, a failed
+# fsync stopping the database, and the coordinated (page file, WAL)
+# crash-point sweep with recovery verified from every captured image —
+# a relation of four stores beside a one-store one, pictorial rows and
+# definitions made after the last Checkpoint included, and a delete a
+# crash undid.
 walfaults:
 	$(GO) test -race -run 'WAL|Append' ./internal/pager/ ./cmd/pictdbcheck/ .
-
-# Sharded crash recovery: the coordinated crash-point matrix over a
-# pictorial sharded relation (every fsync boundary of every shard's
-# commit, recovery verified from each captured image, Check clean), the
-# torn shard WAL sweep, reopen of a sharded relation, the refusal of
-# the file sets an earlier build's online splits left, and the typed
-# refusal of a sequence stored twice.
-shardfaults:
-	$(GO) test -race -run 'ShardedCrash|ShardedDuplicate|ShardedReopen' ./internal/relation/ .
 
 # Short fuzz pass over the decoders of on-disk bytes — tuple records
 # with the objects their locs carry, page-0 header slots, catalog

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -875,4 +876,112 @@ func BenchmarkDefineThenWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkStoreIngest loads storeIngestRows points into a relation of
+// 1, 2, 4 and 8 stores (CreateShardedRelation) in 32-row Writes while
+// one reader answers small window statements beside it, and reports the
+// writer's rows/s and the reader's median statement latency. durable
+// runs over a page file (one fsync per acknowledged Write), mem over
+// pictdb.New(); uniform spreads the points over the frame, hot puts 9 in
+// 10 in one sixteenth of it. One iteration is one whole load: run with
+// -benchtime 1x. It is the measurement behind DESIGN.md §15's
+// write-bandwidth paragraph.
+func BenchmarkStoreIngest(b *testing.B) {
+	for _, durable := range []bool{false, true} {
+		for _, hot := range []bool{false, true} {
+			for _, stores := range []int{1, 2, 4, 8} {
+				name := fmt.Sprintf("%s/%s/stores=%d", map[bool]string{false: "mem", true: "durable"}[durable], map[bool]string{false: "uniform", true: "hot"}[hot], stores)
+				b.Run(name, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						storeIngest(b, durable, hot, stores)
+					}
+				})
+			}
+		}
+	}
+}
+
+const storeIngestRows = 200_000
+
+func storeIngest(b *testing.B, durable, hot bool, stores int) {
+	db := pictdb.New()
+	if durable {
+		var err error
+		if db, err = pictdb.Open(filepath.Join(b.TempDir(), "ingest.db"), 1024); err != nil {
+			b.Fatal(err)
+		}
+	}
+	defer db.Close()
+	pic, err := db.CreatePicture("citymap", pictdb.R(0, 0, 1000, 1000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rel, err := db.CreateShardedRelation("cities", pictdb.MustSchema("name:string", "pop:int", "loc:loc"), stores)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(stores)))
+	point := func(i int) pictdb.Point {
+		if hot && i%10 != 0 {
+			return pictdb.Pt(rng.Float64()*250, rng.Float64()*250)
+		}
+		return pictdb.Pt(rng.Float64()*1000, rng.Float64()*1000)
+	}
+
+	done := make(chan struct{})
+	var lat []time.Duration
+	var readErr error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		qrng := rand.New(rand.NewSource(1985))
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			x, y := qrng.Float64()*1000, qrng.Float64()*1000
+			t0 := time.Now()
+			if _, err := db.Query(fmt.Sprintf("select pop from cities on citymap at loc covered-by {%.1f±10, %.1f±10}", x, y)); err != nil {
+				readErr = err
+				return
+			}
+			lat = append(lat, time.Since(t0))
+		}
+	}()
+
+	b.ResetTimer()
+	t0 := time.Now()
+	for i := 0; i < storeIngestRows; i += 32 {
+		if err := db.Write(func() error {
+			for j := i; j < i+32 && j < storeIngestRows; j++ {
+				name := fmt.Sprintf("c%06d", j)
+				if _, err := rel.Insert(pictdb.Tuple{pictdb.S(name), pictdb.I(int64(j)), pictdb.L("citymap", pic.AddPoint(name, point(j)))}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	elapsed := time.Since(t0)
+	b.StopTimer()
+	close(done)
+	wg.Wait()
+	if readErr != nil {
+		b.Fatal(readErr)
+	}
+	b.ReportMetric(float64(storeIngestRows)/elapsed.Seconds(), "rows/s")
+	if len(lat) > 0 {
+		slices.Sort(lat)
+		b.ReportMetric(float64(lat[len(lat)/2].Nanoseconds())/1e3, "read-p50-us")
+	}
+	db.WaitRepacks()
 }

@@ -53,12 +53,18 @@ const superblockID pager.PageID = 1
 // the schema, the indexed columns, the attached pictures. Each attached
 // picture's name is followed by two bytes that once chose its packing:
 // every index is Hilbert-packed now, so they are written as
-// (pack.MethodHilbert, 0) and read past whatever they hold.
+// (pack.MethodHilbert, 0) and read past whatever they hold. Every heap
+// page is a page of the main file.
 const (
 	catLocation = 'L'
 	catPicture  = 'P'
-	catRelation = 'R' // a relation in the main file: one store
-	catSharded  = 'T' // a relation whose stores are shard files
+	catRelation = 'R' // address ids: one store
+	catSeqRel   = 'M' // sequence ids: one or more stores
+	// catShardFiles is the record of an earlier format whose stores were
+	// page files of their own beside the main file, each with its own
+	// log. Open refuses it with ErrUnsupportedFormat and leaves every
+	// file of the set as it is.
+	catShardFiles = 'T'
 )
 
 // ensureSuperblock creates or validates the superblock page.
@@ -181,8 +187,8 @@ func (db *Database) encodeDefinitions() [][]byte {
 // encodeRelDef encodes one relation's definition.
 func encodeRelDef(name string, rel *Relation) []byte {
 	tag := byte(catRelation)
-	if rel.Sharded() {
-		tag = catSharded
+	if rel.SeqIDs() {
+		tag = catSeqRel
 	}
 	rec := appendString([]byte{tag}, name)
 	heaps := rel.ShardHeapFirstPages()
@@ -215,9 +221,7 @@ func encodeRelDef(name string, rel *Relation) []byte {
 // commit of the main file: when they differ from the ones the superblock
 // names, it writes them into a fresh heap, points the superblock at it
 // and frees the old heap, under the write gate, so no commit batch holds
-// part of the switch. Callers commit after it. Shard heaps a definition
-// names are committed before the main file (Commit), so the definitions
-// never name a shard page that is not durable.
+// part of the switch. Callers commit after it.
 func (db *Database) writeDefinitions() error {
 	db.defsMu.Lock()
 	defer db.defsMu.Unlock()
@@ -334,26 +338,16 @@ func (db *Database) loadCatalog() error {
 	return nil
 }
 
-// loadRelation reopens one persisted relation into cat: its shard files,
-// if it has them, then relation.Open's one scan of its heaps.
+// loadRelation reopens one persisted relation into cat: relation.Open's
+// one scan of its heaps.
 func (db *Database) loadRelation(cat *catalog, def decodedRel) error {
 	rd := relation.Def{
 		Name:    def.name,
 		Schema:  def.schema,
-		Pagers:  []*pager.Pager{db.pager},
+		Pager:   db.pager,
 		Heaps:   def.heaps,
-		Sharded: def.sharded,
+		SeqIDs:  def.seqIDs,
 		Columns: def.indexed,
-	}
-	if def.sharded {
-		pagers, err := db.openShardPagers(def.name, len(def.heaps))
-		if err != nil {
-			return err
-		}
-		// Registered before the rebuild, which may fail: the caller closes
-		// every registered pager when the load fails.
-		cat.shards[def.name] = pagers
-		rd.Pagers = pagers
 	}
 	for _, pn := range def.assocs {
 		pic := cat.pictures[pn]
@@ -377,11 +371,12 @@ type catalogRecord struct {
 	tag  byte
 	name string     // location, picture or relation
 	rect geom.Rect  // location rectangle or picture extent
-	rel  decodedRel // catRelation, catSharded
+	rel  decodedRel // catRelation, catSeqRel
 }
 
-// decodeCatalogRecord decodes one definitions record. Every failure
-// wraps ErrCorrupt.
+// decodeCatalogRecord decodes one definitions record. A catShardFiles
+// record is refused with ErrUnsupportedFormat; every other failure wraps
+// ErrCorrupt.
 func decodeCatalogRecord(raw []byte) (catalogRecord, error) {
 	if len(raw) == 0 {
 		return catalogRecord{}, errCatalog("empty")
@@ -395,8 +390,10 @@ func decodeCatalogRecord(raw []byte) (catalogRecord, error) {
 	switch rec.tag {
 	case catLocation, catPicture:
 		rec.rect, _, err = readRect(raw, pos)
-	case catRelation, catSharded:
+	case catRelation, catSeqRel:
 		rec.rel, err = decodeRelDef(raw, name, pos)
+	case catShardFiles:
+		err = fmt.Errorf("pictdb: %w: relation %q keeps its stores in page files of their own", ErrUnsupportedFormat, name)
 	default:
 		err = errCatalog("unknown tag %q", rec.tag)
 	}
@@ -404,10 +401,10 @@ func decodeCatalogRecord(raw []byte) (catalogRecord, error) {
 }
 
 // decodedRel mirrors the persisted relation definition: heaps holds one
-// heap page per store, and sharded says the stores are shard files.
+// heap page per store, and seqIDs says the records carry sequence ids.
 type decodedRel struct {
 	name    string
-	sharded bool
+	seqIDs  bool
 	heaps   []pager.PageID
 	schema  Schema
 	indexed []string
@@ -417,9 +414,9 @@ type decodedRel struct {
 // decodeRelDef decodes the body of a relation record whose name ended
 // at pos.
 func decodeRelDef(rec []byte, name string, pos int) (decodedRel, error) {
-	def := decodedRel{name: name, sharded: rec[0] == catSharded}
+	def := decodedRel{name: name, seqIDs: rec[0] == catSeqRel}
 	n, w := binary.Uvarint(rec[pos:])
-	if w <= 0 || n == 0 || n > relation.MaxShards || (!def.sharded && n != 1) {
+	if w <= 0 || n == 0 || n > relation.MaxShards || (!def.seqIDs && n != 1) {
 		return def, errCatalog("bad store count")
 	}
 	pos += w

@@ -325,11 +325,7 @@ func TestSoakMixedOperations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	type entry struct {
-		pos pictdb.Point
-		oid pictdb.ObjectID
-	}
-	shadow := map[int64]entry{}
+	shadow := map[int64]pictdb.Point{}
 	rng := rand.New(rand.NewSource(2026))
 	nextK := int64(0)
 
@@ -347,11 +343,11 @@ func TestSoakMixedOperations(t *testing.T) {
 			got[r[0].Int] = true
 		}
 		want := 0
-		for k, e := range shadow {
-			if w.ContainsPoint(e.pos) {
+		for k, pos := range shadow {
+			if w.ContainsPoint(pos) {
 				want++
 				if !got[k] {
-					t.Fatalf("missing key %d at %v in window %v", k, e.pos, w)
+					t.Fatalf("missing key %d at %v in window %v", k, pos, w)
 				}
 			}
 		}
@@ -369,10 +365,10 @@ func TestSoakMixedOperations(t *testing.T) {
 				if _, err := rel.Insert(pictdb.Tuple{pictdb.I(nextK), pictdb.L("m", oid)}); err != nil {
 					t.Fatal(err)
 				}
-				shadow[nextK] = entry{pos: p, oid: oid}
+				shadow[nextK] = p
 				nextK++
 			case r < 8: // delete a random live key
-				for k, e := range shadow {
+				for k := range shadow {
 					ids, err := rel.LookupEqual("k", pictdb.I(k))
 					if err != nil || len(ids) != 1 {
 						t.Fatalf("lookup %d: %v ids=%d", k, err, len(ids))
@@ -380,20 +376,18 @@ func TestSoakMixedOperations(t *testing.T) {
 					if err := rel.Delete(ids[0]); err != nil {
 						t.Fatal(err)
 					}
-					pic.Remove(e.oid)
 					delete(shadow, k)
 					break
 				}
 			default: // move: update a tuple to a new location
-				for k, e := range shadow {
+				for k := range shadow {
 					ids, _ := rel.LookupEqual("k", pictdb.I(k))
 					p := pictdb.Pt(rng.Float64()*1000, rng.Float64()*1000)
 					oid := pic.AddPoint("", p)
 					if _, err := rel.Update(ids[0], pictdb.Tuple{pictdb.I(k), pictdb.L("m", oid)}); err != nil {
 						t.Fatal(err)
 					}
-					pic.Remove(e.oid)
-					shadow[k] = entry{pos: p, oid: oid}
+					shadow[k] = p
 					break
 				}
 			}

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"repro/internal/pager"
-	"repro/internal/par"
 	"repro/internal/relation"
 	"repro/internal/storage"
 )
@@ -38,7 +37,7 @@ var ErrDanglingLoc = relation.ErrDanglingLoc
 // was detected on (0 when no single page is implicated).
 type CheckProblem struct {
 	Page      pager.PageID
-	Component string // "page", "free-list", "superblock", "catalog", "relation:<name>", "relation:<name>:shard:<i>", "ownership"
+	Component string // "page", "free-list", "superblock", "catalog", "relation:<name>", "ownership"
 	Err       error
 }
 
@@ -89,12 +88,12 @@ func IsCorruption(err error) bool {
 }
 
 // Check verifies the whole database and returns a report with
-// per-page diagnostics. It never mutates the file. The main file and
-// every shard file of a sharded relation get the same file pass
-// (checkFile); the structures each file holds are checked inside it.
+// per-page diagnostics. It never mutates the file. One file pass
+// (checkFile) covers the database; the structures the file holds, every
+// store of every relation among them, claim their pages inside it.
 func (db *Database) Check() *CheckReport {
 	r := &CheckReport{}
-	r.checkFile(db.pager, "", func(claim func(pager.PageID, string)) {
+	r.checkFile(db.pager, func(claim func(pager.PageID, string)) {
 		// The catalog superblock and definitions heap.
 		claim(superblockID, "superblock")
 		sb, err := db.pager.Fetch(superblockID)
@@ -127,9 +126,8 @@ func (db *Database) Check() *CheckReport {
 		}
 
 		// Relations: heap structure, tuple decodability, index
-		// invariants, index→tuple resolution (Relation.Check); then a
-		// sharded relation's page files get their own file pass, and a
-		// main-file relation claims its heap pages here.
+		// invariants, index→tuple resolution (Relation.Check); then every
+		// store's heap pages are claimed.
 		rels := db.catalog().relations
 		names := sortedNames(rels)
 		r.Relations = len(names)
@@ -138,10 +136,6 @@ func (db *Database) Check() *CheckReport {
 			component := "relation:" + name
 			if err := rel.Check(); err != nil {
 				r.add(pager.InvalidPage, component, err)
-			}
-			if rel.Sharded() {
-				r.checkShardFiles(rel, component)
-				continue
 			}
 			if pages, err := rel.HeapPages(); err != nil {
 				r.add(pager.InvalidPage, component, err)
@@ -160,8 +154,8 @@ func (r *CheckReport) add(page pager.PageID, component string, err error) {
 	r.Problems = append(r.Problems, CheckProblem{Page: page, Component: component, Err: err})
 }
 
-// checkFile is the file-level pass over one page file p, the main file
-// or a shard file, and adds p's pages, free pages and leaks to r:
+// checkFile is the file-level pass over the page file p, and adds p's
+// pages, free pages and leaks to r:
 //
 //  1. every page reads back with a valid checksum trailer (Fetch
 //     verifies it);
@@ -172,21 +166,14 @@ func (r *CheckReport) add(page pager.PageID, component string, err error) {
 //  4. allocated pages no structure owns are counted as leaked — benign:
 //     a crash between a data sync and its header commit strands them.
 //
-// Findings of the pass itself are filed under comp, or, for the main
-// file (comp ""), under "page", "free-list" and "ownership". Page ids
-// are p's own.
-func (r *CheckReport) checkFile(p *pager.Pager, comp string, claims func(claim func(pager.PageID, string))) {
-	add := func(page pager.PageID, kind string, err error) {
-		if comp != "" {
-			kind = comp
-		}
-		r.add(page, kind, err)
-	}
+// Findings of the pass itself are filed under "page", "free-list" and
+// "ownership".
+func (r *CheckReport) checkFile(p *pager.Pager, claims func(claim func(pager.PageID, string))) {
 	r.Pages += p.NumPages()
 	for id := pager.PageID(1); int(id) < p.NumPages(); id++ {
 		pg, err := p.Fetch(id)
 		if err != nil {
-			add(id, "page", err)
+			r.add(id, "page", err)
 			continue
 		}
 		p.Unpin(pg)
@@ -195,14 +182,14 @@ func (r *CheckReport) checkFile(p *pager.Pager, comp string, claims func(claim f
 	owners := make(map[pager.PageID]string)
 	claim := func(id pager.PageID, owner string) {
 		if prev, dup := owners[id]; dup {
-			add(id, "ownership", fmt.Errorf("%w: page claimed by both %s and %s", ErrCorrupt, prev, owner))
+			r.add(id, "ownership", fmt.Errorf("%w: page claimed by both %s and %s", ErrCorrupt, prev, owner))
 			return
 		}
 		owners[id] = owner
 	}
 	free, err := p.FreePages()
 	if err != nil {
-		add(pager.InvalidPage, "free-list", err)
+		r.add(pager.InvalidPage, "free-list", err)
 	}
 	r.FreePages += len(free)
 	for _, id := range free {
@@ -214,35 +201,5 @@ func (r *CheckReport) checkFile(p *pager.Pager, comp string, claims func(claim f
 		if _, ok := owners[pager.PageID(id)]; !ok {
 			r.Leaked++
 		}
-	}
-}
-
-// checkShardFiles runs checkFile over every shard file of a sharded
-// relation, the shards side by side on up to GOMAXPROCS goroutines, each
-// claiming its heap pages. Findings land under component
-// "<component>:shard:<i>" with shard-file-local page ids, appended in
-// shard order, so the report does not depend on the core count.
-func (r *CheckReport) checkShardFiles(rel *relation.Relation, component string) {
-	shards := make([]CheckReport, rel.ShardCount())
-	_ = par.Do(len(shards), 0, func(s int) error {
-		sr := &shards[s]
-		comp := fmt.Sprintf("%s:shard:%d", component, s)
-		sr.checkFile(rel.ShardPager(s), comp, func(claim func(pager.PageID, string)) {
-			pages, err := rel.ShardHeapPages(s)
-			if err != nil {
-				sr.add(pager.InvalidPage, comp, err)
-				return
-			}
-			for _, id := range pages {
-				claim(id, "heap")
-			}
-		})
-		return nil
-	})
-	for _, sr := range shards {
-		r.Pages += sr.Pages
-		r.FreePages += sr.FreePages
-		r.Leaked += sr.Leaked
-		r.Problems = append(r.Problems, sr.Problems...)
 	}
 }

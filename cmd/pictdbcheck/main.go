@@ -6,15 +6,11 @@
 //	$ pictdbcheck us.db
 //	us.db: 412 pages, 3 free, 5 relations, 0 leaked: OK
 //
-// Sharded relations keep their tuples in sidecar page files
-// (file.db.<relation>.s<N>), each with its own write-ahead log; the
-// checker inspects every shard WAL before opening and verifies every
-// shard file, the shard files side by side; the report is the same at
-// any core count. Each sharded relation gets a balance line (shard
-// count and imbalance factor, with per-shard tuple counts and Hilbert
-// key ranges under -v), and shard page files no catalog relation
-// references — left by a crash between creating the files and the
-// checkpoint that would have named them — are flagged as orphans.
+// A database is one page file and its write-ahead log (file.db.wal),
+// which the checker inspects before opening; every store of every
+// relation is a heap in the page file. Each relation of more than one
+// store gets a balance line (store count and imbalance factor, with
+// per-store tuple counts and Hilbert key ranges under -v).
 //
 // Exit status is 0 for a healthy file, 1 when verification finds
 // problems or the file cannot be opened (a file in a retired format is
@@ -29,9 +25,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	pictdb "repro"
 	"repro/internal/pager"
@@ -65,31 +58,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Inspect every write-ahead log sidecar before opening: opening runs
-	// recovery, which replays and truncates the logs, destroying the
+	// Inspect the write-ahead log sidecar before opening: opening runs
+	// recovery, which replays and truncates the log, destroying the
 	// evidence a checker should report. A torn tail after the last
 	// commit is a tolerated crash artifact; a corrupt record BEFORE a
 	// later commit means acknowledged data is damaged, and the file
 	// must not be opened (recovery would silently replay a prefix).
-	// Sharded relations add one WAL per shard file, each independent.
-	for _, wf := range append([]string{path}, shardFiles(path)...) {
-		wal, err := pager.InspectWALFile(pager.WALPath(wf))
-		if err != nil {
-			fmt.Fprintf(stderr, "pictdbcheck: %s: %v\n", pager.WALPath(wf), err)
-			return 1
+	wal, err := pager.InspectWALFile(pager.WALPath(path))
+	if err != nil {
+		fmt.Fprintf(stderr, "pictdbcheck: %s: %v\n", pager.WALPath(path), err)
+		return 1
+	}
+	walLine := describeWAL(wal)
+	if !wal.OK() {
+		fmt.Fprintf(stdout, "%s: wal: %s\n", path, walLine)
+		for _, p := range wal.Problems {
+			fmt.Fprintf(stdout, "  %s\n", p)
 		}
-		walLine := describeWAL(wal)
-		if !wal.OK() {
-			fmt.Fprintf(stdout, "%s: wal: %s\n", wf, walLine)
-			for _, p := range wal.Problems {
-				fmt.Fprintf(stdout, "  %s\n", p)
-			}
-			fmt.Fprintln(stderr, "pictdbcheck: write-ahead log is corrupt before its last commit; committed data would be lost on recovery")
-			return 1
-		}
-		if *verbose || !wal.Empty {
-			fmt.Fprintf(stdout, "%s: wal: %s\n", wf, walLine)
-		}
+		fmt.Fprintln(stderr, "pictdbcheck: write-ahead log is corrupt before its last commit; committed data would be lost on recovery")
+		return 1
+	}
+	if *verbose || !wal.Empty {
+		fmt.Fprintf(stdout, "%s: wal: %s\n", path, walLine)
 	}
 
 	db, report, err := pictdb.OpenChecked(path, *pool)
@@ -102,9 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer db.Close()
 
-	for _, f := range shardReport(db, path, *verbose, stdout) {
-		fmt.Fprintf(stdout, "%s: orphan shard file (no catalog reference; safe to remove)\n", f)
-	}
+	shardReport(db, path, *verbose, stdout)
 
 	summary := fmt.Sprintf("%s: %d pages, %d free, %d relations, %d leaked",
 		path, report.Pages, report.FreePages, report.Relations, report.Leaked)
@@ -123,25 +111,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 1
 }
 
-// shardReport prints one balance line per sharded relation — shard
-// count and imbalance factor (largest shard over the mean), with the
-// per-shard tuple counts and Hilbert key ranges under -v — and returns
-// any orphan sidecar files: shard page files on disk that no catalog
-// relation references. Orphans are left by a crash between creating
-// shard files and the checkpoint that would have named them (a
-// CreateShardedRelation, or an earlier build's online shard split);
-// they hold no committed data and are safe to remove.
-func shardReport(db *pictdb.Database, path string, verbose bool, stdout io.Writer) []string {
-	known := map[string]bool{}
+// shardReport prints one balance line per relation of more than one
+// store — store count and imbalance factor (largest store over the
+// mean), with the per-store tuple counts and Hilbert key ranges under -v.
+func shardReport(db *pictdb.Database, path string, verbose bool, stdout io.Writer) {
 	for _, name := range db.RelationNames() {
 		rel, ok := db.Relation(name)
-		if !ok || !rel.Sharded() {
+		if !ok || rel.ShardCount() == 1 {
 			continue
 		}
 		infos, imbalance := rel.ShardBalance()
-		for s := range infos {
-			known[pictdb.ShardPath(path, name, s)] = true
-		}
 		fmt.Fprintf(stdout, "%s: %s: %d shard(s), imbalance %.2f\n", path, name, len(infos), imbalance)
 		if verbose {
 			for _, in := range infos {
@@ -150,49 +129,6 @@ func shardReport(db *pictdb.Database, path string, verbose bool, stdout io.Write
 			}
 		}
 	}
-	var orphans []string
-	for _, f := range shardFiles(path) {
-		if !known[f] {
-			orphans = append(orphans, f)
-		}
-	}
-	return orphans
-}
-
-// shardFiles lists the shard page files next to path
-// (path.<relation>.s<N>), excluding their WAL sidecars, in
-// deterministic order.
-func shardFiles(path string) []string {
-	matches, err := filepath.Glob(path + ".*.s*")
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, m := range matches {
-		if strings.HasSuffix(m, ".wal") {
-			continue
-		}
-		// Require a numeric shard suffix: <anything>.sN
-		i := strings.LastIndex(m, ".s")
-		if i < 0 || !allDigits(m[i+2:]) {
-			continue
-		}
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func allDigits(s string) bool {
-	if s == "" {
-		return false
-	}
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return false
-		}
-	}
-	return true
 }
 
 // describeWAL renders one operator-facing line about the sidecar log's

@@ -266,8 +266,8 @@ func TestCheckRejectsCorruptWALRecord(t *testing.T) {
 	}
 }
 
-// buildShardedDB persists a database whose relation is sharded across
-// three sidecar page files and returns the main path.
+// buildShardedDB persists a database whose relation has three stores
+// and returns its path.
 func buildShardedDB(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "check.db")
@@ -293,10 +293,10 @@ func buildShardedDB(t *testing.T) string {
 	return path
 }
 
-// runAtProcs runs the checker on path at GOMAXPROCS 1 and 4 — the shard
-// files are checked side by side when there are cores for it — and
-// returns stdout, which must be byte-identical at both, and the
-// combined output of the last run.
+// runAtProcs runs the checker on path at GOMAXPROCS 1 and 4 — a
+// relation's stores are checked side by side when there are cores for
+// it — and returns stdout, which must be byte-identical at both, and
+// the combined output of the last run.
 func runAtProcs(t *testing.T, path string, wantCode int) (stdout, combined string) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -314,16 +314,18 @@ func runAtProcs(t *testing.T, path string, wantCode int) (stdout, combined strin
 	return stdout, combined
 }
 
-// TestCheckShardedParallel verifies a healthy sharded database checks
-// clean, with the same report whether its shard files are checked one
-// after another or side by side, and that the shard page files were
-// actually found on disk.
+// TestCheckShardedParallel verifies a healthy database with a relation
+// of three stores checks clean, with the same report whether the stores
+// are checked one after another or side by side, and that the database
+// is its page file and its log, nothing beside them.
 func TestCheckShardedParallel(t *testing.T) {
 	path := buildShardedDB(t)
-	for s := 0; s < 3; s++ {
-		if _, err := os.Stat(pictdb.ShardPath(path, "cities", s)); err != nil {
-			t.Fatalf("shard file missing: %v", err)
-		}
+	files, err := filepath.Glob(filepath.Join(filepath.Dir(path), "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{path, pager.WALPath(path)}; strings.Join(files, " ") != strings.Join(want, " ") {
+		t.Fatalf("database files %v, want %v", files, want)
 	}
 	if out, _ := runAtProcs(t, path, 0); !strings.Contains(out, "OK") {
 		t.Fatalf("expected OK summary, got %q", out)
@@ -361,43 +363,24 @@ func TestCheckShardBalanceReport(t *testing.T) {
 	}
 }
 
-// TestCheckFlagsOrphanShardFile: a shard page file no catalog relation
-// references — left by a crash before the checkpoint that would have
-// named it — is flagged, and the database still checks clean.
-func TestCheckFlagsOrphanShardFile(t *testing.T) {
-	path := buildShardedDB(t)
-	orphan := pictdb.ShardPath(path, "cities", 9)
-	src, err := os.ReadFile(pictdb.ShardPath(path, "cities", 0))
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	if err := os.WriteFile(orphan, src, 0o644); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-
-	var out, errb bytes.Buffer
-	if code := run([]string{path}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d with orphan (want 0); stdout=%q stderr=%q", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), orphan) || !strings.Contains(out.String(), "orphan shard file") {
-		t.Fatalf("expected orphan flag for %s, got %q", orphan, out.String())
-	}
-	if !strings.Contains(out.String(), "OK") {
-		t.Fatalf("expected OK summary alongside orphan note, got %q", out.String())
-	}
-}
-
-// TestCheckShardedCorruptShard flips a byte in one shard's page file:
-// the checker must exit non-zero and name a checksum failure, with the
-// same report at any core count.
+// TestCheckShardedCorruptShard flips a byte in a heap page of one store
+// of a three-store relation: the checker must exit non-zero and name a
+// checksum failure, with the same report at any core count.
 func TestCheckShardedCorruptShard(t *testing.T) {
 	path := buildShardedDB(t)
-	sp := pictdb.ShardPath(path, "cities", 1)
-	st, err := os.Stat(sp)
+	db, err := pictdb.Open(path, 64)
 	if err != nil {
-		t.Fatalf("Stat: %v", err)
+		t.Fatal(err)
 	}
-	corruptPage(t, sp, pager.PageID(st.Size()/pager.PageSize-1))
+	rel, _ := db.Relation("cities")
+	pages, err := rel.ShardHeapPages(1)
+	if err != nil || len(pages) == 0 {
+		t.Fatalf("store 1 heap pages %v: %v", pages, err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	corruptPage(t, path, pages[len(pages)-1])
 
 	if _, combined := runAtProcs(t, path, 1); !strings.Contains(combined, "checksum") {
 		t.Fatalf("expected checksum failure, got %q", combined)
@@ -406,9 +389,10 @@ func TestCheckShardedCorruptShard(t *testing.T) {
 
 // TestCheckRefusesUnsupportedFormat: a v1 page file, a database whose
 // catalog superblock says PICTCAT1 — the format that kept picture
-// objects in the catalog — and the two file sets earlier builds wrote in
-// that format (testdata/) are refused by name: exit 1, the typed
-// message, every file of the set untouched.
+// objects in the catalog — the two file sets earlier builds wrote in
+// that format, and a PICTCAT2 file set whose relation keeps its stores
+// in page files of their own (testdata/) are refused by name: exit 1,
+// the typed message, every file of the set untouched.
 func TestCheckRefusesUnsupportedFormat(t *testing.T) {
 	v1 := filepath.Join(t.TempDir(), "v1.db")
 	hdr := make([]byte, pager.PageSize)
@@ -442,7 +426,7 @@ func TestCheckRefusesUnsupportedFormat(t *testing.T) {
 	}
 
 	paths := []string{v1, cat1}
-	for _, fixture := range []string{"rebalanced_pr17/rebalanced.pictdb", "unsharded_pr19/unsharded.pictdb"} {
+	for _, fixture := range []string{"rebalanced_pr17/rebalanced.pictdb", "unsharded_pr19/unsharded.pictdb", "sharded_pr32/sharded.pictdb"} {
 		paths = append(paths, copyFixture(t, fixture))
 	}
 	for _, path := range paths {

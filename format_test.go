@@ -119,9 +119,11 @@ func refuseUnchanged(t *testing.T, path string) {
 	}
 }
 
-// TestUnsupportedFormatRefused: Open refuses a v1 page file and a file
+// TestUnsupportedFormatRefused: Open refuses a v1 page file, a file
 // whose catalog superblock is PICTCAT1 — the format that kept picture
-// objects in the catalog — with the typed sentinel, and leaves the
+// objects in the catalog — and testdata/sharded_pr32, a PICTCAT2 file
+// set whose 2-store relation keeps its stores in page files of their own
+// (a catShardFiles record), with the typed sentinel, and leaves every
 // file's bytes as it found them.
 func TestUnsupportedFormatRefused(t *testing.T) {
 	dir := t.TempDir()
@@ -134,7 +136,21 @@ func TestUnsupportedFormatRefused(t *testing.T) {
 	}
 	cat1 := filepath.Join(dir, "cat1.db")
 	writeCatalogFile(t, cat1, catMagicV1, v1ShardedRecord())
-	for _, path := range []string{v1, cat1} {
+	shardFiles := filepath.Join(dir, "sharded.pictdb")
+	fixture, err := filepath.Glob(filepath.Join("testdata", "sharded_pr32", "*"))
+	if err != nil || len(fixture) != 6 {
+		t.Fatalf("fixture sharded_pr32: %d files, %v", len(fixture), err)
+	}
+	for _, f := range fixture {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range []string{v1, cat1, shardFiles} {
 		refuseUnchanged(t, path)
 	}
 }
@@ -247,10 +263,12 @@ func TestReopenIgnoresPackingBytes(t *testing.T) {
 
 // FuzzDecodeCatalogRecord feeds arbitrary bytes to the catalog loader's
 // record decoder. Properties: it never panics, and it rejects only with
-// ErrCorrupt.
+// ErrCorrupt — or, for a record of stores in page files of their own,
+// with ErrUnsupportedFormat.
 func FuzzDecodeCatalogRecord(f *testing.F) {
 	f.Add(v1ShardedRecord())
-	f.Add(append([]byte{catSharded}, v1ShardedRecord()[1:]...)) // a current record
+	f.Add(append([]byte{catSeqRel}, v1ShardedRecord()[1:]...))     // a current record
+	f.Add(append([]byte{catShardFiles}, v1ShardedRecord()[1:]...)) // a refused one
 	f.Add(appendRect(appendString([]byte{catLocation}, "east"), R(0, 0, 10, 10)))
 	f.Add(appendRect(appendString([]byte{catPicture}, "map"), R(0, 0, 100, 100)))
 	f.Add(binary.LittleEndian.AppendUint32(appendString([]byte{catRelation}, "r"), 7))
@@ -260,7 +278,10 @@ func FuzzDecodeCatalogRecord(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, err := decodeCatalogRecord(data)
-		if err != nil && !errors.Is(err, ErrCorrupt) {
+		if err == nil || errors.Is(err, ErrCorrupt) {
+			return
+		}
+		if !errors.Is(err, ErrUnsupportedFormat) || data[0] != catShardFiles {
 			t.Fatalf("untyped decode error: %v (input %x)", err, data)
 		}
 	})

@@ -17,10 +17,9 @@ import (
 // FaultConfig.
 //
 // A CrashPair captures the page file and its log together at every Sync
-// of either — the states a crash could leave behind — and a CrashCluster
-// does the same for a database of several files; the crash-point
-// harnesses recover each capture and require it clean at a committed
-// state.
+// of either — the states a crash could leave behind, the whole database
+// being that one pair; the crash-point harnesses recover each capture
+// and require it clean at a committed state.
 
 // ErrInjected is the error returned by injected I/O faults.
 var ErrInjected = errors.New("pager: injected I/O fault")
@@ -268,101 +267,6 @@ func (h *crashHalf) Truncate(size int64) error                { return h.b.Trunc
 func (h *crashHalf) Close() error                             { return nil }
 
 func (h *crashHalf) Sync() error {
-	h.c.capture()
-	return nil
-}
-
-// ClusterImage is one coordinated crash point of a multi-file
-// database: every member's (page file, WAL) bytes captured at the same
-// instant. Member 0 is conventionally the main database file; members
-// 1..N are shard files.
-type ClusterImage struct {
-	Members []CrashImage
-}
-
-// CrashCluster generalizes CrashPair to N coordinated (page file, WAL)
-// pairs — the harness for sharded databases, where a commit fans out
-// over independent per-shard WALs before the main file commits. Any
-// member's Sync captures a globally consistent byte image of EVERY
-// member under one mutex: exactly the state a crash between two
-// shards' commits (or between the shard phase and the main-file
-// commit) could leave behind. The OnSync hook fires with each image's
-// index while the cluster mutex is held, so tests can record the
-// acknowledged-commit floor at each barrier.
-type CrashCluster struct {
-	mu      sync.Mutex
-	members []clusterMember
-	images  []ClusterImage
-
-	// OnSync, when set before any Sync, observes each captured image.
-	OnSync func(index int, img ClusterImage)
-}
-
-type clusterMember struct{ main, wal *MemBackend }
-
-// NewCrashCluster creates a coordinated crash harness of n (main, WAL)
-// pairs.
-func NewCrashCluster(n int) *CrashCluster {
-	c := &CrashCluster{members: make([]clusterMember, n)}
-	for i := range c.members {
-		c.members[i] = clusterMember{main: NewMemBackend(nil), wal: NewMemBackend(nil)}
-	}
-	return c
-}
-
-// Members returns the number of coordinated pairs.
-func (c *CrashCluster) Members() int { return len(c.members) }
-
-// Main returns the page-file half of member i.
-func (c *CrashCluster) Main(i int) Backend { return &clusterHalf{c: c, b: c.members[i].main} }
-
-// WAL returns the log half of member i.
-func (c *CrashCluster) WAL(i int) Backend { return &clusterHalf{c: c, b: c.members[i].wal} }
-
-// Images returns copies of every coordinated crash image so far.
-func (c *CrashCluster) Images() []ClusterImage {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]ClusterImage, len(c.images))
-	for i, img := range c.images {
-		cp := ClusterImage{Members: make([]CrashImage, len(img.Members))}
-		for m, mi := range img.Members {
-			cp.Members[m] = CrashImage{
-				Main: append([]byte(nil), mi.Main...),
-				WAL:  append([]byte(nil), mi.WAL...),
-			}
-		}
-		out[i] = cp
-	}
-	return out
-}
-
-func (c *CrashCluster) capture() {
-	c.mu.Lock()
-	img := ClusterImage{Members: make([]CrashImage, len(c.members))}
-	for i, m := range c.members {
-		img.Members[i] = CrashImage{Main: m.main.Bytes(), WAL: m.wal.Bytes()}
-	}
-	c.images = append(c.images, img)
-	if c.OnSync != nil {
-		c.OnSync(len(c.images)-1, img)
-	}
-	c.mu.Unlock()
-}
-
-// clusterHalf adapts one MemBackend of a CrashCluster, routing Sync
-// through the cluster-wide capture.
-type clusterHalf struct {
-	c *CrashCluster
-	b *MemBackend
-}
-
-func (h *clusterHalf) ReadAt(p []byte, off int64) (int, error)  { return h.b.ReadAt(p, off) }
-func (h *clusterHalf) WriteAt(p []byte, off int64) (int, error) { return h.b.WriteAt(p, off) }
-func (h *clusterHalf) Truncate(size int64) error                { return h.b.Truncate(size) }
-func (h *clusterHalf) Close() error                             { return nil }
-
-func (h *clusterHalf) Sync() error {
 	h.c.capture()
 	return nil
 }

@@ -554,25 +554,30 @@ func (p *Pager) fold(w *walState) error {
 	return nil
 }
 
-// writeBack is the one writer of the page file. It writes the image of
-// every frame in frames to its page, in page order, syncs, writes a
-// header for (numPages, freeHead) into the inactive slot, and syncs
-// again: a crash at any point leaves a header that describes only synced
-// pages, and the step repeated after it (recovery replays the same log)
-// lands in the same state. Checkpoints and recovery call it; caller
-// holds commitMu.
+// writeBack is the one writer of the page file. It reads and verifies
+// the image of every frame in frames, then writes each to its page, in
+// page order, syncs, writes a header for (numPages, freeHead) into the
+// inactive slot, and syncs again: a crash at any point leaves a header
+// that describes only synced pages, and the step repeated after it
+// (recovery replays the same log) lands in the same state. A frame that
+// does not read back (a torn append) fails the step before any page is
+// written, so the page file never holds part of a generation the log
+// cannot replay. Checkpoints and recovery call it; caller holds
+// commitMu.
 func (p *Pager) writeBack(w *walState, frames map[PageID]walFrame, numPages uint32, freeHead PageID) error {
 	ids := make([]PageID, 0, len(frames))
 	for id := range frames {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	img := make([]byte, PageSize)
-	for _, id := range ids {
-		if err := w.readFrameImage(frames[id], id, img); err != nil {
+	imgs := make([]byte, len(ids)*PageSize)
+	for i, id := range ids {
+		if err := w.readFrameImage(frames[id], id, imgs[i*PageSize:(i+1)*PageSize]); err != nil {
 			return err
 		}
-		if _, err := p.backend.WriteAt(img, int64(id)*PageSize); err != nil {
+	}
+	for i, id := range ids {
+		if _, err := p.backend.WriteAt(imgs[i*PageSize:(i+1)*PageSize], int64(id)*PageSize); err != nil {
 			return fmt.Errorf("pager: write back page %d: %w", id, err)
 		}
 		p.verified.clear(id)

@@ -1,7 +1,7 @@
 // Package par runs a fixed list of independent tasks on a bounded
-// number of goroutines. It is the one fan-out of the build side and the
-// shard code: a relation's heap scans and index builds, per-store
-// checks, per-shard commits and recoveries.
+// number of goroutines. It is the one fan-out of the build side and of
+// Check: a relation's heap scans and index builds, and per-store
+// checks.
 package par
 
 import (

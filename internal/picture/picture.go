@@ -171,21 +171,6 @@ func (p *Picture) Get(id ObjectID) (Object, bool) {
 	return o, ok
 }
 
-// Remove deletes the object with the given id from the picture in
-// memory, reporting whether it existed. It writes nothing: a tuple that
-// names the object carries it, so the object is back after a reopen
-// while such a tuple lives, and one that no tuple names is gone then
-// anyway.
-func (p *Picture) Remove(id ObjectID) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, ok := p.objects[id]; !ok {
-		return false
-	}
-	delete(p.objects, id)
-	return true
-}
-
 // Objects returns all objects ordered by id (stable for display and
 // index building).
 func (p *Picture) Objects() []Object {

@@ -65,20 +65,6 @@ func TestIntersectsWindowRefinement(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	p := New("m", geom.R(0, 0, 10, 10))
-	id := p.AddPoint("x", geom.Pt(1, 1))
-	if !p.Remove(id) {
-		t.Fatal("remove failed")
-	}
-	if p.Remove(id) {
-		t.Fatal("double remove succeeded")
-	}
-	if p.Len() != 0 {
-		t.Fatal("object not removed")
-	}
-}
-
 func TestObjectsOrdered(t *testing.T) {
 	p := New("m", geom.R(0, 0, 10, 10))
 	p.AddPoint("c", geom.Pt(3, 3))

@@ -11,11 +11,10 @@ import (
 // This file is the id/record codec: the only code that knows which of
 // the two record layouts on disk a relation has (DESIGN.md §15).
 //
-//   - Address ids (New, and Open of a relation in the main file): one
-//     store; a tuple's id is its heap address and its record is the
+//   - Address ids (New, and Open of what it made): one store; a tuple's id is its heap address and its record is the
 //     encoded tuple. Nothing is kept in memory per tuple, and an id is
 //     reused once its slot is freed.
-//   - Sequence ids (NewSharded, and Open of a sharded relation): any
+//   - Sequence ids (NewSharded, and Open of what it made): any
 //     number of stores; a tuple's id is its insertion sequence number,
 //     carried as an 8-byte little-endian prefix of its record, so
 //     ascending id order is insertion order whichever store a tuple
@@ -25,8 +24,9 @@ import (
 //     lives. Sequences are never reused and tuples never move, so a route
 //     only ever goes from live to retired.
 //
-// Everything else in the package is written once against idCodec. Why
-// the main file keeps address ids is in DESIGN.md §17.
+// Everything else in the package is written once against idCodec. Both
+// layouts live in the database's one page file; why New keeps address
+// ids is in DESIGN.md §17.
 
 // idCodec maps between tuple ids and heap records. The directory
 // methods — publish, resolve, retire, group, walk, snapshot — are called

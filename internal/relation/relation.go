@@ -18,12 +18,11 @@ import (
 	"repro/internal/storage"
 )
 
-// store is one heap of a relation with the page file it lives in. mu
-// serializes heap access — writers exclusively, readers shared — so
-// writers and readers of one store never race on page bytes.
+// store is one heap of a relation. mu serializes heap access — writers
+// exclusively, readers shared — so writers and readers of one store
+// never race on page bytes.
 type store struct {
 	mu   sync.RWMutex
-	pgr  *pager.Pager
 	heap *storage.Heap
 }
 
@@ -41,8 +40,8 @@ var ErrDanglingLoc = errors.New("relation: loc names no picture object")
 // Relation is one table of the pictorial database: tuple heaps in one
 // or more stores, secondary B-tree indexes on alphanumeric columns, and
 // R-tree spatial indexes on the loc column — one per associated picture
-// per store. New makes a one-store relation in the database's main file;
-// NewSharded one whose stores are page files of their own, tuples placed
+// per store. Every store is a heap in the database's one page file. New
+// makes a one-store relation; NewSharded one of n stores, tuples placed
 // by Hilbert key range (shard.go); Open reopens either. How ids and
 // records look differs between the two and is the codec's business
 // (ids.go); every operation here is written once, for any store count.
@@ -56,8 +55,10 @@ type Relation struct {
 	schema Schema
 	// pics resolves the pictures the loc column names.
 	pics Pictures
-	// stores and ids are fixed at construction: a tuple never moves
-	// between stores and the layout never changes.
+	// pgr is the page file every store's heap lives in. stores and ids
+	// are fixed at construction: a tuple never moves between stores and
+	// the layout never changes.
+	pgr    *pager.Pager
 	stores []*store
 	ids    idCodec
 
@@ -78,11 +79,12 @@ type Relation struct {
 	costGen atomic.Uint64
 }
 
-func newRelation(name string, schema Schema, pics Pictures, stores []*store, ids idCodec) *Relation {
+func newRelation(p *pager.Pager, name string, schema Schema, pics Pictures, stores []*store, ids idCodec) *Relation {
 	return &Relation{
 		name:    name,
 		schema:  schema,
 		pics:    pics,
+		pgr:     p,
 		stores:  stores,
 		ids:     ids,
 		indexes: make(map[string]*btree.Tree),
@@ -98,28 +100,27 @@ func New(p *pager.Pager, name string, schema Schema, pics Pictures) (*Relation, 
 	if err != nil {
 		return nil, fmt.Errorf("relation %s: %w", name, err)
 	}
-	return newRelation(name, schema, pics, []*store{{pgr: p, heap: h}}, addrIDs{}), nil
+	return newRelation(p, name, schema, pics, []*store{{heap: h}}, addrIDs{}), nil
 }
 
-// NewSharded creates an empty relation sharded across one page file
-// per pager, resolving loc columns through pics. The pagers must be
-// dedicated to this relation (each heap is created at a fixed page of
-// its own file).
-func NewSharded(pagers []*pager.Pager, name string, schema Schema, pics Pictures) (*Relation, error) {
-	if len(pagers) == 0 || len(pagers) > MaxShards {
-		return nil, fmt.Errorf("relation %s: shard count %d out of range [1, %d]", name, len(pagers), MaxShards)
+// NewSharded creates an empty relation of stores heaps in p, each with
+// a spatial index per attached picture, ids being sequences (ids.go),
+// resolving loc columns through pics.
+func NewSharded(p *pager.Pager, stores int, name string, schema Schema, pics Pictures) (*Relation, error) {
+	if stores < 1 || stores > MaxShards {
+		return nil, fmt.Errorf("relation %s: shard count %d out of range [1, %d]", name, stores, MaxShards)
 	}
-	stores := make([]*store, len(pagers))
-	for i, p := range pagers {
+	sts := make([]*store, stores)
+	for i := range sts {
 		h, _, err := storage.Create(p)
 		if err != nil {
-			return nil, fmt.Errorf("relation %s: shard %d: %w", name, i, err)
+			return nil, fmt.Errorf("relation %s: store %d: %w", name, i, err)
 		}
-		stores[i] = &store{pgr: p, heap: h}
+		sts[i] = &store{heap: h}
 	}
 	ids := &seqIDs{}
 	ids.next.Store(seqBase)
-	return newRelation(name, schema, pics, stores, ids), nil
+	return newRelation(p, name, schema, pics, sts, ids), nil
 }
 
 // Def is a relation as its catalog records it: where its tuples are and
@@ -127,12 +128,13 @@ func NewSharded(pagers []*pager.Pager, name string, schema Schema, pics Pictures
 type Def struct {
 	Name   string
 	Schema Schema
-	// Pagers and Heaps name each store: its page file and its heap's
-	// first page. Sharded says the stores are page files of their own;
-	// otherwise there is one, in the database's main file.
-	Pagers  []*pager.Pager
-	Heaps   []pager.PageID
-	Sharded bool
+	// Pager is the page file the stores live in, and Heaps names each
+	// store's heap by its first page. SeqIDs says the records carry
+	// sequence ids (NewSharded); otherwise there is one store of address
+	// ids (New).
+	Pager  *pager.Pager
+	Heaps  []pager.PageID
+	SeqIDs bool
 	// Columns are the B-tree indexed columns, Attach the pictures with
 	// a spatial index.
 	Columns []string
@@ -141,29 +143,29 @@ type Def struct {
 
 // Open reattaches to the relation def describes — the catalog's reopen
 // path — and rebuilds everything it keeps in memory from one scan of
-// each store's heap (build.go): a sharded relation's id directory, the
+// each store's heap (build.go): a sequence-id relation's id directory, the
 // B-trees, a packed R-tree per attached picture per store, and, in the
 // pictures pics resolves, every object a tuple names.
 func Open(def Def, pics Pictures) (*Relation, BuildTimes, error) {
-	n := len(def.Pagers)
-	if n == 0 || n > MaxShards || len(def.Heaps) != n || (!def.Sharded && n != 1) {
-		return nil, BuildTimes{}, fmt.Errorf("relation %s: %d stores and %d heaps (sharded %v)", def.Name, n, len(def.Heaps), def.Sharded)
+	n := len(def.Heaps)
+	if n == 0 || n > MaxShards || (!def.SeqIDs && n != 1) {
+		return nil, BuildTimes{}, fmt.Errorf("relation %s: %d stores (sequence ids %v)", def.Name, n, def.SeqIDs)
 	}
 	stores := make([]*store, n)
-	for i, p := range def.Pagers {
-		h, err := storage.Open(p, def.Heaps[i])
+	for i, first := range def.Heaps {
+		h, err := storage.Open(def.Pager, first)
 		if err != nil {
 			return nil, BuildTimes{}, fmt.Errorf("relation %s: store %d: %w", def.Name, i, err)
 		}
-		stores[i] = &store{pgr: p, heap: h}
+		stores[i] = &store{heap: h}
 	}
 	var ids idCodec = addrIDs{}
-	if def.Sharded {
+	if def.SeqIDs {
 		seq := &seqIDs{}
 		seq.next.Store(seqBase)
 		ids = seq
 	}
-	r := newRelation(def.Name, def.Schema, pics, stores, ids)
+	r := newRelation(def.Pager, def.Name, def.Schema, pics, stores, ids)
 	times, err := r.build(def.Columns, def.Attach, true)
 	if err != nil {
 		return nil, times, err
@@ -184,33 +186,39 @@ func (r *Relation) Generation() uint64 { return r.gen.Load() }
 // while it stands.
 func (r *Relation) CostGeneration() uint64 { return r.costGen.Load() }
 
-// Sharded reports whether the relation's stores are page files of its
-// own beside the database's main file. Only code that handles those
-// files asks; nothing that reads or writes tuples does.
-func (r *Relation) Sharded() bool {
+// SeqIDs reports whether the relation's ids are sequences (NewSharded)
+// rather than heap addresses (New): what the catalog records.
+func (r *Relation) SeqIDs() bool {
 	_, ok := r.ids.(*seqIDs)
 	return ok
 }
 
-// HeapFirstPage returns the first page of the tuple heap in the main
-// file, the handle the catalog persists to reopen the relation. Sharded
-// relations have no heap there (see ShardHeapFirstPages) and report
-// InvalidPage.
+// Sharded reports false: no relation has page files of its own. It is
+// kept only for the benchmark harness, which compiles against it.
+func (r *Relation) Sharded() bool { return false }
+
+// HeapFirstPage returns the first page of the tuple heap of an
+// address-id relation; a sequence-id relation's records carry a prefix
+// and it reports InvalidPage (see ShardHeapFirstPages).
 func (r *Relation) HeapFirstPage() pager.PageID {
-	if r.Sharded() {
+	if r.SeqIDs() {
 		return pager.InvalidPage
 	}
 	return r.stores[0].heap.FirstPage()
 }
 
-// HeapPages returns the page ids of the relation's tuple heap in the
-// main file, for page-ownership accounting during verification. Sharded
-// relations own no pages there (see ShardHeapPages) and return nil.
+// HeapPages returns the page ids of every store's heap, for
+// page-ownership accounting during verification.
 func (r *Relation) HeapPages() ([]pager.PageID, error) {
-	if r.Sharded() {
-		return nil, nil
+	var out []pager.PageID
+	for s := range r.stores {
+		pages, err := r.ShardHeapPages(s)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pages...)
 	}
-	return r.ShardHeapPages(0)
+	return out, nil
 }
 
 // IndexedColumns returns the names of columns with B-tree indexes, in

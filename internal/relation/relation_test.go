@@ -532,7 +532,7 @@ func TestRelationOpen(t *testing.T) {
 	}
 	first := rel.HeapFirstPage()
 
-	re, _, err := Open(Def{Name: "r", Schema: rel.Schema(), Pagers: []*pager.Pager{p}, Heaps: []pager.PageID{first}}, nil)
+	re, _, err := Open(Def{Name: "r", Schema: rel.Schema(), Pager: p, Heaps: []pager.PageID{first}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,18 @@
 package relation
 
 import (
-	"fmt"
 	"hash/fnv"
 
 	"repro/internal/geom"
 	"repro/internal/pack"
 	"repro/internal/pager"
-	"repro/internal/par"
 	"repro/internal/rtree"
 )
 
 // This file is what a relation with several stores adds (DESIGN.md
-// §15): placement of new tuples by Hilbert key range, the accessors the
-// database layer reaches the stores' page files through, and the
-// scatter-gather read path over one spatial index per store.
+// §15): placement of new tuples by Hilbert key range, the per-store
+// accessors the catalog, the checker and the balance report read, and
+// the scatter-gather read path over one spatial index per store.
 //
 // The contract is that the store count cannot be seen in an answer:
 // queries return the same rows in the same canonical order at every
@@ -55,16 +53,15 @@ func shardForKey(n int, key uint64) int {
 	return int(min(key*uint64(n)>>pack.HilbertKeyBits, uint64(n-1)))
 }
 
-// ShardCount returns the number of stores: the shard files of a
-// sharded relation, 1 for a relation in the main file.
+// ShardCount returns the number of stores.
 func (r *Relation) ShardCount() int { return len(r.stores) }
 
-// ShardPager returns store s's pager — for a sharded relation the
-// handle the database layer commits, checkpoints, and closes.
-func (r *Relation) ShardPager(s int) *pager.Pager { return r.stores[s].pgr }
+// ShardPager returns the page file store s lives in: the database's one
+// pager, whatever s. It is kept only for the benchmark harness.
+func (r *Relation) ShardPager(int) *pager.Pager { return r.pgr }
 
 // ShardHeapFirstPages returns each store heap's first page, the
-// handles the catalog persists to reopen a sharded relation.
+// handles the catalog persists to reopen the relation.
 func (r *Relation) ShardHeapFirstPages() []pager.PageID {
 	out := make([]pager.PageID, len(r.stores))
 	for s, st := range r.stores {
@@ -73,10 +70,10 @@ func (r *Relation) ShardHeapFirstPages() []pager.PageID {
 	return out
 }
 
-// ShardKeyRanges returns each shard's half-open Hilbert key range (nil
-// for a relation in the main file, which has none).
+// ShardKeyRanges returns each store's half-open Hilbert key range (nil
+// for a one-store relation, which routes nothing).
 func (r *Relation) ShardKeyRanges() []KeyRange {
-	if !r.Sharded() {
+	if len(r.stores) == 1 {
 		return nil
 	}
 	return evenKeyRanges(len(r.stores))
@@ -91,9 +88,10 @@ type ShardBalanceInfo struct {
 
 // ShardBalance reports each shard's live tuple count and Hilbert key
 // range, plus the imbalance factor: the largest shard's count over the
-// mean (1 = perfectly balanced, 0 = empty relation).
+// mean (1 = perfectly balanced, 0 = empty relation). A one-store
+// relation has no balance to report: nil.
 func (r *Relation) ShardBalance() ([]ShardBalanceInfo, float64) {
-	if !r.Sharded() {
+	if len(r.stores) == 1 {
 		return nil, 0
 	}
 	out := make([]ShardBalanceInfo, len(r.stores))
@@ -119,27 +117,12 @@ func (r *Relation) ShardBalance() ([]ShardBalanceInfo, float64) {
 	return out, float64(maxItems) / mean
 }
 
-// ShardHeapPages returns the page ids owned by store s's heap, for
-// per-file ownership accounting during verification.
+// ShardHeapPages returns the page ids owned by store s's heap.
 func (r *Relation) ShardHeapPages(s int) ([]pager.PageID, error) {
 	st := r.stores[s]
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return st.heap.Pages()
-}
-
-// CommitShards durably commits every shard's pager, fanning out over
-// goroutines so each shard's WAL batches and fsyncs independently. The
-// first error (by shard order) is returned. The database layer commits
-// shards before its main file so the catalog never names shard pages
-// that are not yet durable.
-func (r *Relation) CommitShards() error {
-	return par.Do(len(r.stores), len(r.stores), func(s int) error {
-		if err := r.stores[s].pgr.Commit(); err != nil {
-			return fmt.Errorf("relation %s: shard %d: %w", r.name, s, err)
-		}
-		return nil
-	})
 }
 
 // place picks the store a new tuple should land in: the Hilbert key of

@@ -18,21 +18,12 @@ func shardBenchFixture(b *testing.B, nShards, n int) *Relation {
 	var rel *Relation
 	var err error
 	pic := usMap()
+	p := pager.OpenMem(4096)
+	b.Cleanup(func() { p.Close() })
 	if nShards == 0 {
-		p := pager.OpenMem(4096)
-		b.Cleanup(func() { p.Close() })
 		rel, err = New(p, "cities", citySchema(), catalogOf(pic))
 	} else {
-		pagers := make([]*pager.Pager, nShards)
-		for i := range pagers {
-			pagers[i] = pager.OpenMem(4096)
-		}
-		b.Cleanup(func() {
-			for _, p := range pagers {
-				p.Close()
-			}
-		})
-		rel, err = NewSharded(pagers, "cities", citySchema(), catalogOf(pic))
+		rel, err = NewSharded(p, nShards, "cities", citySchema(), catalogOf(pic))
 	}
 	if err != nil {
 		b.Fatal(err)

@@ -21,20 +21,13 @@ import (
 // unsharded execution.
 var shardCounts = []int{1, 2, 4, 8}
 
-// newShardedCities builds a sharded cities relation over fresh
-// in-memory pagers, its locs resolved among pics.
+// newShardedCities builds a cities relation of shards stores in a fresh
+// in-memory pager, its locs resolved among pics.
 func newShardedCities(t *testing.T, shards int, pics ...*picture.Picture) *Relation {
 	t.Helper()
-	pagers := make([]*pager.Pager, shards)
-	for i := range pagers {
-		pagers[i] = pager.OpenMem(512)
-	}
-	t.Cleanup(func() {
-		for _, p := range pagers {
-			p.Close()
-		}
-	})
-	rel, err := NewSharded(pagers, "cities", citySchema(), catalogOf(pics...))
+	p := pager.OpenMem(512)
+	t.Cleanup(func() { p.Close() })
+	rel, err := NewSharded(p, shards, "cities", citySchema(), catalogOf(pics...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,27 +508,20 @@ func TestShardedScanAndBatch(t *testing.T) {
 	}
 }
 
-// shardDef is what a catalog records of rel, whose stores are pagers.
-func shardDef(rel *Relation, pagers []*pager.Pager) Def {
-	return Def{Name: rel.Name(), Schema: rel.Schema(), Pagers: pagers, Heaps: rel.ShardHeapFirstPages(), Sharded: true}
+// shardDef is what a catalog records of rel, whose stores live in p.
+func shardDef(rel *Relation, p *pager.Pager) Def {
+	return Def{Name: rel.Name(), Schema: rel.Schema(), Pager: p, Heaps: rel.ShardHeapFirstPages(), SeqIDs: true}
 }
 
 // TestShardedReopen drops the in-memory Relation and reattaches via
-// Open over the same pagers: the route table rebuilt from the sequence
+// Open over the same pager: the route table rebuilt from the sequence
 // prefixes must reproduce ids, order, and contents exactly, and the
 // picture its objects.
 func TestShardedReopen(t *testing.T) {
-	pagers := make([]*pager.Pager, 4)
-	for i := range pagers {
-		pagers[i] = pager.OpenMem(512)
-	}
-	t.Cleanup(func() {
-		for _, p := range pagers {
-			p.Close()
-		}
-	})
+	p := pager.OpenMem(512)
+	t.Cleanup(func() { p.Close() })
 	pic := usMap()
-	rel, err := NewSharded(pagers, "cities", citySchema(), catalogOf(pic))
+	rel, err := NewSharded(p, 4, "cities", citySchema(), catalogOf(pic))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +538,7 @@ func TestShardedReopen(t *testing.T) {
 	// The objects come back from the tuples: reopen over an empty copy
 	// of the picture.
 	fresh := usMap()
-	re, _, err := Open(shardDef(rel, pagers), catalogOf(fresh))
+	re, _, err := Open(shardDef(rel, p), catalogOf(fresh))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,17 +579,13 @@ func TestShardedReopen(t *testing.T) {
 }
 
 // TestShardedDuplicateSequenceDetected forges the one corruption the
-// route rebuild must catch: the same global sequence stored on two
-// shards.
+// route rebuild must catch: the same global sequence stored in two
+// stores.
 func TestShardedDuplicateSequenceDetected(t *testing.T) {
-	pagers := []*pager.Pager{pager.OpenMem(64), pager.OpenMem(64)}
-	t.Cleanup(func() {
-		for _, p := range pagers {
-			p.Close()
-		}
-	})
+	p := pager.OpenMem(64)
+	t.Cleanup(func() { p.Close() })
 	pic := usMap()
-	rel, err := NewSharded(pagers, "cities", citySchema(), catalogOf(pic))
+	rel, err := NewSharded(p, 2, "cities", citySchema(), catalogOf(pic))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,7 +614,7 @@ func TestShardedDuplicateSequenceDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = Open(shardDef(rel, pagers), catalogOf(usMap()))
+	_, _, err = Open(shardDef(rel, p), catalogOf(usMap()))
 	if !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("duplicate sequence not reported as corruption: %v", err)
 	}

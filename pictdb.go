@@ -29,7 +29,6 @@ package pictdb
 import (
 	"fmt"
 	"maps"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,7 +36,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/pack"
 	"repro/internal/pager"
-	"repro/internal/par"
 	"repro/internal/picture"
 	"repro/internal/psql"
 	"repro/internal/relation"
@@ -139,16 +137,6 @@ type Database struct {
 	defMu sync.Mutex
 	exec  *psql.Executor
 
-	// Sharding: a sharded relation stores its tuples in dedicated page
-	// files (one pager + WAL per shard) beside the main file, listed in
-	// the catalog's shards. path and poolPages parameterize the default
-	// shard-file naming/opening; newShardPager is the factory seam
-	// fault-injection suites override to put shards on captured or
-	// failing backends.
-	path          string
-	poolPages     int
-	newShardPager func(rel string, shard int, mustExist bool) (*pager.Pager, error)
-
 	// loadTimes is where the catalog reload that opened this database
 	// spent its time.
 	loadTimes loadTimes
@@ -172,9 +160,6 @@ type catalog struct {
 	relations map[string]*relation.Relation
 	pictures  map[string]*picture.Picture
 	locations map[string]geom.Rect
-	// shards holds each sharded relation's shard pagers, by relation
-	// name: what Write brackets, ReadOnly polls and Close closes.
-	shards map[string][]*pager.Pager
 }
 
 func (db *Database) catalog() *catalog { return db.cat.Load() }
@@ -220,15 +205,13 @@ func newDatabase(p *pager.Pager) *Database {
 		relations: make(map[string]*relation.Relation),
 		pictures:  make(map[string]*picture.Picture),
 		locations: make(map[string]geom.Rect),
-		shards:    make(map[string][]*pager.Pager),
 	})
 	db.exec = psql.NewExecutor(db)
 	return db
 }
 
-// New creates an in-memory database. Its pager, and the shard pagers of
-// its sharded relations, keep their logs in memory: a Write commits as
-// it does on a file.
+// New creates an in-memory database. Its pager keeps its log in memory:
+// a Write commits as it does on a file.
 func New() *Database {
 	db := newDatabase(pager.OpenMem(1024))
 	if err := db.ensureSuperblock(); err != nil {
@@ -238,8 +221,9 @@ func New() *Database {
 	return db
 }
 
-// Open creates a database whose tuple heaps persist in a page file at
-// path, with a buffer pool of poolPages pages. A write-ahead log at
+// Open creates a database whose tuple heaps — every store of every
+// relation — persist in one page file at path, with one buffer pool of
+// poolPages pages for the whole database. A write-ahead log at
 // path+".wal" is enabled (and recovered, if a previous process crashed
 // mid-commit) before any other access: commits group into single
 // fsyncs.
@@ -258,7 +242,7 @@ func Open(path string, poolPages int) (*Database, error) {
 	// served straight from the mapping instead of copied into pool
 	// frames. Unsupported platforms/builds just keep the pool path.
 	_ = p.EnableMmap()
-	return openWithPager(p, path, poolPages, nil)
+	return OpenWithPager(p)
 }
 
 // OpenWithPager builds a database over an already-open pager — the
@@ -266,28 +250,10 @@ func Open(path string, poolPages int) (*Database, error) {
 // stack over torn, failing, or captured backends. The pager is closed
 // if the catalog cannot be loaded. A pager without a log serves reads
 // only: every write through it fails with pager.ErrNoWAL, and so does
-// the open of an empty store, whose superblock it cannot write. Sharded
-// relations cannot be reopened through this seam unless their page files
-// sit beside a file-backed pager's path; use OpenWithPagerShards to
-// inject shard backends explicitly.
+// the open of an empty store, whose superblock it cannot write. The
+// pager holds the whole database: every store of every relation.
 func OpenWithPager(p *pager.Pager) (*Database, error) {
-	return openWithPager(p, "", 0, nil)
-}
-
-// OpenWithPagerShards is OpenWithPager with an explicit shard-pager
-// factory: the catalog reload asks it for (relation, shard) pagers
-// instead of opening files beside the main path. The crash-point and
-// fault-injection suites use it to reopen sharded databases over
-// captured or failing shard backends. The factory owns recovery
-// (EnableWAL) of whatever it returns; pagers it hands over are closed
-// by the Database.
-func OpenWithPagerShards(p *pager.Pager, factory func(rel string, shard int, mustExist bool) (*pager.Pager, error)) (*Database, error) {
-	return openWithPager(p, "", 0, factory)
-}
-
-func openWithPager(p *pager.Pager, path string, poolPages int, factory func(rel string, shard int, mustExist bool) (*pager.Pager, error)) (*Database, error) {
 	db := newDatabase(p)
-	db.path, db.poolPages, db.newShardPager = path, poolPages, factory
 	err := db.ensureSuperblock()
 	if err == nil {
 		err = db.loadCatalog()
@@ -295,7 +261,6 @@ func openWithPager(p *pager.Pager, path string, poolPages int, factory func(rel 
 	if err != nil {
 		// Close without the final commit and checkpoint: a file whose
 		// catalog cannot be read is not ours to rewrite.
-		db.closeShardPagers()
 		p.SetReadOnly(true)
 		p.Close()
 		return nil, fmt.Errorf("pictdb: loading catalog: %w", err)
@@ -304,77 +269,19 @@ func openWithPager(p *pager.Pager, path string, poolPages int, factory func(rel 
 	return db, nil
 }
 
-// ShardPath returns the page file holding shard s of relation rel for
-// a database whose main file is at path. Each shard's WAL rides at the
-// usual "+.wal" suffix of this path.
+// OpenWithPagerShards is OpenWithPager; factory is never asked for a
+// pager, because every store lives in p. It is kept only for the
+// benchmark harness, which compiles against it.
+func OpenWithPagerShards(p *pager.Pager, factory func(rel string, shard int, mustExist bool) (*pager.Pager, error)) (*Database, error) {
+	return OpenWithPager(p)
+}
+
+// ShardPath returns path.rel.s<shard>, the name an earlier format gave
+// the page file of store shard of relation rel. The engine writes no
+// such file; it is kept only for the benchmark harness, which compiles
+// against it.
 func ShardPath(path, rel string, shard int) string {
 	return fmt.Sprintf("%s.%s.s%d", path, rel, shard)
-}
-
-// openShardPager opens (or creates) the pager for one shard of rel,
-// with WAL recovery and best-effort mmap, mirroring Open's main-file
-// setup. mustExist guards the reopen path: a catalog that names a
-// shard whose file is gone is reported as such, not silently
-// re-created empty.
-func (db *Database) openShardPager(rel string, shard int, mustExist bool) (*pager.Pager, error) {
-	if db.newShardPager != nil {
-		return db.newShardPager(rel, shard, mustExist)
-	}
-	if db.path == "" {
-		return pager.OpenMem(1024), nil
-	}
-	sp := ShardPath(db.path, rel, shard)
-	if mustExist {
-		if _, err := os.Stat(sp); err != nil {
-			return nil, fmt.Errorf("pictdb: relation %q shard %d: missing page file %s: %w", rel, shard, sp, err)
-		}
-	}
-	pool := db.poolPages
-	if pool <= 0 {
-		pool = 1024
-	}
-	p, err := pager.Open(sp, pool)
-	if err != nil {
-		return nil, fmt.Errorf("pictdb: relation %q shard %d: %w", rel, shard, err)
-	}
-	if err := p.EnableWAL(); err != nil {
-		p.Close()
-		return nil, fmt.Errorf("pictdb: relation %q shard %d: %w", rel, shard, err)
-	}
-	_ = p.EnableMmap()
-	return p, nil
-}
-
-// closeShardPagers closes every shard pager (shards before the main
-// file, so the catalog never outlives the pages it names). The first
-// error is returned; all pagers are closed regardless.
-func (db *Database) closeShardPagers() error {
-	db.defMu.Lock()
-	defer db.defMu.Unlock()
-	var first error
-	next := *db.catalog()
-	_ = next.forEachShardPager(func(rel string, shard int, p *pager.Pager) error {
-		if err := p.Close(); err != nil && first == nil {
-			first = fmt.Errorf("pictdb: closing relation %q shard %d: %w", rel, shard, err)
-		}
-		return nil
-	})
-	next.shards = make(map[string][]*pager.Pager)
-	db.cat.Store(&next)
-	return first
-}
-
-// forEachShardPager visits every shard pager of c in deterministic
-// (relation name, shard) order.
-func (c *catalog) forEachShardPager(fn func(rel string, shard int, p *pager.Pager) error) error {
-	for _, name := range sortedNames(c.shards) {
-		for i, sp := range c.shards[name] {
-			if err := fn(name, i, sp); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // OpenChecked opens the database at path and runs a full verification
@@ -395,17 +302,13 @@ func OpenChecked(path string, poolPages int) (*Database, *CheckReport, error) {
 	return db, report, nil
 }
 
-// Close drains in-flight background spatial repacks, then commits and
-// closes the underlying storage: shard files first, then the main file
-// with the definitions as they stand, so the surviving catalog only ever
-// names shard pages that were durably closed.
+// Close drains in-flight background spatial repacks, then commits the
+// definitions as they stand and closes the page file.
 func (db *Database) Close() error {
+	var err error
 	db.WaitRepacks()
-	err := db.closeShardPagers()
 	if !db.pager.ReadOnly() {
-		if derr := db.writeDefinitions(); err == nil {
-			err = derr
-		}
+		err = db.writeDefinitions()
 	}
 	if cerr := db.pager.Close(); err == nil {
 		err = cerr
@@ -424,16 +327,10 @@ func (db *Database) WaitRepacks() {
 
 // Commit is the durability barrier: everything written before it — tuples
 // with the geometry their locs carry, and every definition — survives a
-// crash once it returns. Sharded relations commit first, every shard's
-// WAL fsyncing in parallel; then the definitions are rewritten if they
-// changed (writeDefinitions) and the main file commits: one group fsync
-// of its log, the page file catching up at the next WAL checkpoint. A
-// crash between the two phases loses at most the transaction not yet
-// acknowledged, never an acknowledged one.
+// crash once it returns. The definitions are rewritten if they changed
+// (writeDefinitions) and the page file commits: one group fsync of its
+// one log, the page file catching up at the next WAL checkpoint.
 func (db *Database) Commit() error {
-	if err := db.commitShards(); err != nil {
-		return err
-	}
 	if err := db.writeDefinitions(); err != nil {
 		return err
 	}
@@ -442,8 +339,8 @@ func (db *Database) Commit() error {
 
 // Checkpoint is Commit followed by CheckpointWAL: what Commit made
 // durable is folded into the page files and the logs are emptied. It
-// makes nothing durable that Commit did not, and costs what the logs
-// hold, not what the database holds.
+// makes nothing durable that Commit did not, and costs what the log
+// holds, not what the database holds.
 func (db *Database) Checkpoint() error {
 	if db.ReadOnly() {
 		return fmt.Errorf("pictdb: checkpoint: %w", pager.ErrReadOnly)
@@ -452,21 +349,6 @@ func (db *Database) Checkpoint() error {
 		return err
 	}
 	return db.CheckpointWAL()
-}
-
-// commitShards commits every sharded relation's shard pagers, each
-// relation's shards in parallel.
-func (db *Database) commitShards() error {
-	rels := db.catalog().relations
-	for _, name := range sortedNames(rels) {
-		if !rels[name].Sharded() {
-			continue
-		}
-		if err := rels[name].CommitShards(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Write applies fn as one serialized, durably committed transaction:
@@ -484,28 +366,16 @@ func (db *Database) commitShards() error {
 // an error nothing is committed and the error is returned (already
 // applied mutations are not rolled back in memory; callers treat a
 // failed Write as fatal for the handle, matching Commit's contract). A
-// failed fsync makes its pager, main or shard, read-only (fail-stop), and
-// with it the database: every later Write is refused with ErrReadOnly
-// before fn runs.
+// failed fsync makes the pager read-only (fail-stop), and with it the
+// database: every later Write is refused with ErrReadOnly before fn
+// runs.
 func (db *Database) Write(fn func() error) error {
 	if db.ReadOnly() {
 		return fmt.Errorf("pictdb: write: %w", pager.ErrReadOnly)
 	}
 	db.wmu.Lock()
-	// The shard pagers bracketed are the ones in place when fn starts: a
-	// sharded relation defined meanwhile, in fn or beside it, must not be
-	// released without having been entered.
-	c := db.catalog()
 	db.pager.BeginWrite()
-	_ = c.forEachShardPager(func(_ string, _ int, p *pager.Pager) error {
-		p.BeginWrite()
-		return nil
-	})
 	err := fn()
-	_ = c.forEachShardPager(func(_ string, _ int, p *pager.Pager) error {
-		p.EndWrite()
-		return nil
-	})
 	db.pager.EndWrite()
 	db.wmu.Unlock()
 	if err != nil {
@@ -514,52 +384,24 @@ func (db *Database) Write(fn func() error) error {
 	return db.Commit()
 }
 
-// WALStats reports the main file's write-ahead log activity.
+// WALStats reports the database's write-ahead log activity.
 func (db *Database) WALStats() pager.WALStats { return db.pager.WALStats() }
 
 // CheckpointWAL forces the WAL's committed page images into the page
-// file and truncates the log — shard files first, then the main file.
-// Fails while zero-copy page views are pinned.
-func (db *Database) CheckpointWAL() error {
-	if err := db.catalog().forEachShardPager(func(rel string, shard int, p *pager.Pager) error {
-		if err := p.CheckpointWAL(); err != nil {
-			return fmt.Errorf("pictdb: checkpoint relation %q shard %d: %w", rel, shard, err)
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	return db.pager.CheckpointWAL()
-}
+// file and truncates the log. Fails while zero-copy page views are
+// pinned.
+func (db *Database) CheckpointWAL() error { return db.pager.CheckpointWAL() }
 
 // SetReadOnly degrades the database to read-only: relation and picture
 // definition, checkpointing, and all pager writes fail, while queries
 // keep running. OpenChecked applies it automatically when verification
 // fails.
-func (db *Database) SetReadOnly(ro bool) {
-	db.pager.SetReadOnly(ro)
-	_ = db.catalog().forEachShardPager(func(_ string, _ int, p *pager.Pager) error {
-		p.SetReadOnly(ro)
-		return nil
-	})
-}
+func (db *Database) SetReadOnly(ro bool) { db.pager.SetReadOnly(ro) }
 
-// ReadOnly reports whether the database refuses writes: true once any of
-// its pagers, main or shard, is read-only — by SetReadOnly, or because a
-// failed fsync stopped it.
-func (db *Database) ReadOnly() bool {
-	if db.pager.ReadOnly() {
-		return true
-	}
-	for _, pagers := range db.catalog().shards {
-		for _, p := range pagers {
-			if p.ReadOnly() {
-				return true
-			}
-		}
-	}
-	return false
-}
+// ReadOnly reports whether the database refuses writes: true once its
+// pager is read-only — by SetReadOnly, or because a failed fsync stopped
+// it.
+func (db *Database) ReadOnly() bool { return db.pager.ReadOnly() }
 
 // NumPages reports the size of the underlying page file in pages.
 func (db *Database) NumPages() int { return db.pager.NumPages() }
@@ -579,67 +421,27 @@ func (db *Database) CreateRelation(name string, schema Schema) (*Relation, error
 	return rel, err
 }
 
-// CreateShardedRelation defines a relation sharded across `shards`
-// dedicated page files (each with its own pager, WAL, buffer pool, and
-// LSM spatial write side), routed by Hilbert key range. The relation
-// behaves as one logical table: queries scatter to overlapping shards
-// and gather in canonical order, bit-identical to an unsharded
-// relation. For a file-backed database shard s lives at
-// ShardPath(path, name, s); in-memory databases get in-memory shards.
+// CreateShardedRelation defines a relation of `shards` stores, each a
+// heap in the database's page file with its own lock and its own LSM
+// spatial index per attached picture, tuples routed by Hilbert key
+// range. The relation behaves as one logical table: queries scatter to
+// the stores whose indexes overlap and gather in canonical order,
+// bit-identical to a one-store relation.
 func (db *Database) CreateShardedRelation(name string, schema Schema, shards int) (*Relation, error) {
 	if shards < 1 || shards > relation.MaxShards {
 		return nil, fmt.Errorf("pictdb: create relation %q: shard count %d out of range [1, %d]", name, shards, relation.MaxShards)
 	}
 	var rel *Relation
-	err := db.define(fmt.Sprintf("create relation %q", name), func(c *catalog) error {
+	err := db.define(fmt.Sprintf("create relation %q", name), func(c *catalog) (err error) {
 		if _, dup := c.relations[name]; dup {
 			return fmt.Errorf("pictdb: relation %q already exists", name)
 		}
-		pagers := make([]*pager.Pager, 0, shards)
-		fail := func(err error) error {
-			for _, sp := range pagers {
-				sp.Close()
-			}
-			return err
+		if rel, err = relation.NewSharded(db.pager, shards, name, schema, db); err == nil {
+			c.relations = defined(c.relations, name, rel)
 		}
-		for i := 0; i < shards; i++ {
-			sp, err := db.openShardPager(name, i, false)
-			if err != nil {
-				return fail(err)
-			}
-			pagers = append(pagers, sp)
-		}
-		var err error
-		if rel, err = relation.NewSharded(pagers, name, schema, db); err != nil {
-			return fail(err)
-		}
-		c.relations = defined(c.relations, name, rel)
-		c.shards = defined(c.shards, name, pagers)
-		return nil
-	})
-	return rel, err
-}
-
-// openShardPagers opens the n shard files of a persisted relation
-// (catalog reload path) concurrently, so each shard's WAL recovery —
-// replay through the last durable commit, torn-tail truncation —
-// proceeds in parallel across shard files. On failure the files it did
-// open are closed and nil is returned.
-func (db *Database) openShardPagers(name string, n int) ([]*pager.Pager, error) {
-	pagers := make([]*pager.Pager, n)
-	err := par.Do(n, n, func(i int) (err error) {
-		pagers[i], err = db.openShardPager(name, i, true)
 		return err
 	})
-	if err != nil {
-		for _, sp := range pagers {
-			if sp != nil {
-				sp.Close()
-			}
-		}
-		return nil, err
-	}
-	return pagers, nil
+	return rel, err
 }
 
 // CreatePicture defines a new picture covering extent.

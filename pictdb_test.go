@@ -2,7 +2,10 @@ package pictdb_test
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -200,5 +203,142 @@ func TestRenderSkipsForeignLocs(t *testing.T) {
 	}
 	if strings.Contains(out, "*") {
 		t.Error("foreign locs were rendered")
+	}
+}
+
+// TestStoresLiveInTheMainFile: a relation of four stores keeps every
+// store in the database's one page file. After Checkpoint and Close its
+// directory holds exactly that file and its log, and one durable 32-row
+// Write, its rows spread over several stores, costs one fsync of the one
+// log.
+func TestStoresLiveInTheMainFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "stores.db")
+	db, err := pictdb.Open(path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pic, err := db.CreatePicture("map", pictdb.R(0, 0, 100, 100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := db.CreateShardedRelation("pts", pictdb.MustSchema("name:string", "n:int", "loc:loc"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	before := db.WALStats().Syncs
+	if err := db.Write(func() error {
+		for i := 0; i < 32; i++ {
+			name := fmt.Sprintf("p%d", i)
+			oid := pic.AddPoint(name, pictdb.Pt(float64(3*i+1), float64(97-3*i)))
+			if _, err := rel.Insert(pictdb.Tuple{pictdb.S(name), pictdb.I(int64(i)), pictdb.L("map", oid)}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.WALStats().Syncs - before; got != 1 {
+		t.Fatalf("one durable Write issued %d log fsyncs, want 1", got)
+	}
+	infos, _ := rel.ShardBalance()
+	used := 0
+	for _, in := range infos {
+		if in.Items > 0 {
+			used++
+		}
+	}
+	if used < 2 {
+		t.Fatalf("the Write's rows landed in %d of 4 stores, want several: %+v", used, infos)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"stores.db", "stores.db.wal"}; !slices.Equal(names, want) {
+		t.Fatalf("database directory holds %v, want %v", names, want)
+	}
+
+	db, err = pictdb.Open(path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rel, _ = db.Relation("pts")
+	if rel.Len() != 32 || rel.ShardCount() != 4 {
+		t.Fatalf("reopened relation: %d rows in %d stores, want 32 in 4", rel.Len(), rel.ShardCount())
+	}
+	if report := db.Check(); !report.OK() {
+		t.Fatal(report.Err())
+	}
+}
+
+// TestWriteBesideShardedDefinitions: Write and Checkpoint run beside
+// CreateShardedRelation defining more relations. They read the
+// published catalog, which a definition replaces and never writes, so
+// under -race this fails if a definition ever writes a catalog in place.
+func TestWriteBesideShardedDefinitions(t *testing.T) {
+	db := pictdb.New()
+	defer db.Close()
+	schema := pictdb.MustSchema("n:int")
+	rel, err := db.CreateShardedRelation("pts", schema, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const defs = 6
+	defined := make(chan error, 1)
+	go func() {
+		for i := 0; i < defs; i++ {
+			if _, err := db.CreateShardedRelation(fmt.Sprintf("r%d", i), schema, 2); err != nil {
+				defined <- err
+				return
+			}
+		}
+		defined <- nil
+	}()
+	for n := 0; ; n++ {
+		select {
+		case err := <-defined:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := rel.Len(); got != n {
+				t.Fatalf("relation holds %d rows, want %d", got, n)
+			}
+			return
+		default:
+		}
+		if err := db.Write(func() error {
+			_, err := rel.Insert(pictdb.Tuple{pictdb.I(int64(n))})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n%8 == 7 {
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if db.ReadOnly() {
+			t.Fatal("ReadOnly is true with the pager healthy")
+		}
 	}
 }

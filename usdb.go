@@ -41,7 +41,8 @@ func BuildUSDatabaseFile(path string, poolPages int) (*Database, error) {
 }
 
 // BuildUSDatabaseSharded builds the same in-memory database with every
-// relation split across shards Hilbert-range page files. Query results
+// relation split into shards stores by Hilbert key range, each store a
+// heap of the one pager with spatial indexes of its own. Query results
 // are identical to BuildUSDatabase row for row — the shard_oracle tests
 // hold the two configurations against each other.
 func BuildUSDatabaseSharded(shards int) (*Database, error) {

@@ -13,10 +13,12 @@ import (
 	pictdb "repro"
 	"repro/internal/pager"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // openPairDB opens the full database stack over a CrashPair's two
-// halves (page file + WAL), running WAL recovery first.
+// halves (page file + WAL), running WAL recovery first. The pair is the
+// whole database: every store of every relation lives in the page file.
 func openPairDB(mainB, walB pager.Backend, pool int) (*pictdb.Database, error) {
 	p, err := pager.OpenBackend(mainB, pool)
 	if err != nil {
@@ -36,10 +38,12 @@ func openPairDB(mainB, walB pager.Backend, pool int) (*pictdb.Database, error) {
 // acknowledged when each image was taken. Every image must recover to
 // a Database.Check-clean state holding AT LEAST every acknowledged
 // checkpoint's rows (no acked commit lost) and EXACTLY some committed
-// row count (no half states). Then a pictorial relation is defined
-// after the last Checkpoint and written one acknowledged Write at a
-// time, with no Checkpoint after: at every image, every acknowledged
-// tuple of it answers a window over the frame.
+// row count (no half states). Beside it, a pictorial relation of four
+// stores takes the same rows in the same commits; at every image its
+// recovered rows hold the invariants of storeRowsRecovered. Then a
+// pictorial relation is defined after the last Checkpoint and written
+// one acknowledged Write at a time, with no Checkpoint after: at every
+// image, every acknowledged tuple of it answers a window over the frame.
 func TestWALCrashPointsWithRecovery(t *testing.T) {
 	pair := pager.NewCrashPair()
 	var ackedRows, ackedLate atomic.Int64
@@ -58,11 +62,15 @@ func TestWALCrashPointsWithRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	insertStoreRow := createStoreRelation(t, db, 4)
 	committed := map[int]bool{0: true}
 	n := 0
 	for round := 0; round < 4; round++ {
 		for i := 0; i < 25; i++ {
 			if _, err := rel.Insert(pictdb.Tuple{pictdb.S(fmt.Sprintf("p%d", n)), pictdb.I(int64(n))}); err != nil {
+				t.Fatal(err)
+			}
+			if err := insertStoreRow(n); err != nil {
 				t.Fatal(err)
 			}
 			n++
@@ -127,6 +135,7 @@ func TestWALCrashPointsWithRecovery(t *testing.T) {
 		if int64(rows) < ackedAt[i] {
 			t.Fatalf("image %d: recovered %d rows < %d acknowledged — acked commit lost", i, rows, ackedAt[i])
 		}
+		storeRowsRecovered(t, i, db2, ackedAt[i], int64(n))
 		if lateAt[i] > 0 {
 			answered := windowAnswers(t, db2, `select n from late on plan at loc covered-by {50±50, 50±50}`)
 			for v := int64(0); v < lateAt[i]; v++ {
@@ -147,9 +156,11 @@ func TestWALCrashPointsWithRecovery(t *testing.T) {
 // reporting success. An acknowledged commit may then genuinely be
 // gone, but never silently: every crash image must either recover to a
 // Check-clean database at some committed row count, or refuse/degrade
-// with a typed corruption error.
+// with a typed corruption error. A pictorial relation of four stores
+// takes the same rows in the same commits, so a clean image holds as
+// many of its rows, with storeRowsRecovered's invariants.
 func TestWALCrashPointsTornAppends(t *testing.T) {
-	for _, tornAt := range []int{1, 2, 3, 5, 8, 12} {
+	for _, tornAt := range []int{1, 2, 3, 4, 5, 7, 8, 12} {
 		tornAt := tornAt
 		t.Run(fmt.Sprintf("tornAppend=%d", tornAt), func(t *testing.T) {
 			pair := pager.NewCrashPair()
@@ -165,12 +176,17 @@ func TestWALCrashPointsTornAppends(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			insertStoreRow := createStoreRelation(t, db, 4)
 			committed := map[int]bool{0: true}
 			n := 0
 		workload:
 			for round := 0; round < 5; round++ {
 				for i := 0; i < 10; i++ {
-					if _, err := rel.Insert(pictdb.Tuple{pictdb.S(fmt.Sprintf("p%d", n)), pictdb.I(int64(n))}); err != nil {
+					_, err := rel.Insert(pictdb.Tuple{pictdb.S(fmt.Sprintf("p%d", n)), pictdb.I(int64(n))})
+					if err == nil {
+						err = insertStoreRow(n)
+					}
+					if err != nil {
 						// A torn record read back mid-run surfaces as typed
 						// corruption; the workload stops there.
 						if !pictdb.IsCorruption(err) {
@@ -180,13 +196,22 @@ func TestWALCrashPointsTornAppends(t *testing.T) {
 					}
 					n++
 				}
-				if err := db.Checkpoint(); err != nil {
+				// Checkpoint's two halves apart: a commit acknowledged before
+				// the WAL checkpoint reads back a torn record is a committed
+				// state.
+				if err := db.Commit(); err != nil {
+					if !pictdb.IsCorruption(err) {
+						t.Fatalf("commit failed untyped: %v", err)
+					}
+					break workload
+				}
+				committed[n] = true
+				if err := db.CheckpointWAL(); err != nil {
 					if !pictdb.IsCorruption(err) {
 						t.Fatalf("checkpoint failed untyped: %v", err)
 					}
 					break workload
 				}
-				committed[n] = true
 			}
 			_ = db.Close() // may fail over the damaged log; the images matter
 
@@ -213,10 +238,77 @@ func TestWALCrashPointsTornAppends(t *testing.T) {
 				if !committed[rows] {
 					t.Fatalf("image %d: clean with %d rows, not a committed state %v — silent damage", i, rows, committed)
 				}
+				if got := storeRowsRecovered(t, i, db2, 0, int64(n)); got != rows {
+					t.Fatalf("image %d: the four-store relation recovered %d rows beside %d committed with them", i, got, rows)
+				}
 				db2.Close()
 			}
 		})
 	}
+}
+
+// createStoreRelation defines picture "map" and relation spts(name, n,
+// loc) of the given number of stores with the picture attached, and
+// returns an insert of row n: a point of a fixed uniform set, placed by
+// its Hilbert key.
+func createStoreRelation(t *testing.T, db *pictdb.Database, stores int) func(n int) error {
+	t.Helper()
+	pic, err := db.CreatePicture("map", workload.Frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := db.CreateShardedRelation("spts", pictdb.MustSchema("name:string", "n:int", "loc:loc"), stores)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
+		t.Fatal(err)
+	}
+	pts := workload.UniformPoints(200, 13)
+	return func(n int) error {
+		name := fmt.Sprintf("s%d", n)
+		_, err := rel.Insert(pictdb.Tuple{pictdb.S(name), pictdb.I(int64(n)), pictdb.L("map", pic.AddPoint(name, pts[n]))})
+		return err
+	}
+}
+
+// storeRowsRecovered holds relation spts (createStoreRelation) of crash
+// image i, recovered as db, to the crash invariants and returns its row
+// count: every recovered row carries its picture object, no row is
+// recovered twice or was never inserted (n < inserted), and each of the
+// first acked rows is present and answers a window over the frame.
+func storeRowsRecovered(t *testing.T, i int, db *pictdb.Database, acked, inserted int64) int {
+	t.Helper()
+	rel, ok := db.Relation("spts")
+	if !ok {
+		if acked > 0 {
+			t.Fatalf("image %d: relation spts lost with %d rows acknowledged", i, acked)
+		}
+		return 0
+	}
+	pic, _ := db.Picture("map")
+	seen := make(map[int64]bool)
+	err := rel.Scan(func(_ storage.TupleID, tup pictdb.Tuple) bool {
+		v := tup[1].Int
+		if seen[v] || v < 0 || v >= inserted {
+			t.Fatalf("image %d: spts row %d recovered twice or never inserted", i, v)
+		}
+		seen[v] = true
+		if _, live := pic.Get(tup[2].Loc.Object); !live {
+			t.Fatalf("image %d: spts row %d recovered without its picture object", i, v)
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatalf("image %d: scan spts: %v", i, err)
+	}
+	answered := windowAnswers(t, db, `select n from spts on map at loc covered-by {500±500, 500±500}`)
+	for v := int64(0); v < acked; v++ {
+		if !seen[v] || !answered[v] {
+			t.Fatalf("image %d: acknowledged spts row %d recovered %v, answers the frame %v", i, v, seen[v], answered[v])
+		}
+	}
+	return len(seen)
 }
 
 // windowAnswers runs a statement whose first column is an int and
@@ -309,29 +401,22 @@ func TestWALCrashPictorialWritesKeepGeometry(t *testing.T) {
 }
 
 // TestWALCrashUnacknowledgedDeleteUndone is the mirror case: a Write
-// that deletes a pictorial tuple, and removes its object from the
-// picture (in memory only), is undone by a crash before its commit. The
-// tuple comes back with its geometry: it answers a window over the
-// frame, its object is in the picture again, and Check is clean.
+// that deletes a pictorial tuple is undone by a crash before its commit.
+// The tuple comes back with its geometry: it answers a window over the
+// frame, its object is in the picture, and Check is clean.
 func TestWALCrashUnacknowledgedDeleteUndone(t *testing.T) {
 	pair := pager.NewCrashPair()
 	db, err := openPairDB(pair.Main(), pair.WAL(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, pic, ids := pictorialWrites(t, db, 5)
+	rel, _, ids := pictorialWrites(t, db, 5)
 	acked := len(pair.Images())
 	victim, err := rel.Get(ids[2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Write(func() error {
-		if err := rel.Delete(ids[2]); err != nil {
-			return err
-		}
-		pic.Remove(victim[2].Loc.Object)
-		return nil
-	}); err != nil {
+	if err := db.Write(func() error { return rel.Delete(ids[2]) }); err != nil {
 		t.Fatal(err)
 	}
 	images := pair.Images()
@@ -494,6 +579,54 @@ func TestWALWriteFailedSyncIsFailStop(t *testing.T) {
 		if err := db2.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestShardedWALFailedSyncStopsTheDatabase: a failed fsync of the log
+// under a Write into a relation of two stores is fail-stop for the whole
+// database. The Write whose commit it fails returns the error; from then
+// on ReadOnly reports true, and a Write, a Checkpoint and a definition
+// are refused before they run anything — a Write's fn would otherwise
+// put its row in memory and in the index of a store whose commits are
+// refused.
+func TestShardedWALFailedSyncStopsTheDatabase(t *testing.T) {
+	wal := &syncSwitch{Backend: pager.NewMemBackend(nil)}
+	db, err := openPairDB(pager.NewMemBackend(nil), wal, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rel, err := db.CreateShardedRelation("pts", pictdb.MustSchema("name:string", "n:int"), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(n int) func() error {
+		return func() error {
+			_, err := rel.Insert(pictdb.Tuple{pictdb.S(fmt.Sprintf("p%d", n)), pictdb.I(int64(n))})
+			return err
+		}
+	}
+	wal.failing.Store(true)
+	if err := db.Write(insert(0)); !errors.Is(err, pager.ErrInjected) {
+		t.Fatalf("Write over a failing fsync = %v, want ErrInjected", err)
+	}
+	wal.failing.Store(false)
+	if !db.ReadOnly() {
+		t.Fatal("ReadOnly is false after the log's fsync failed")
+	}
+	ran := false
+	err = db.Write(func() error { ran = true; return insert(1)() })
+	if !errors.Is(err, pager.ErrReadOnly) || ran {
+		t.Fatalf("Write after the failed fsync = %v (fn ran: %v), want ErrReadOnly before fn", err, ran)
+	}
+	if err := db.Checkpoint(); !errors.Is(err, pager.ErrReadOnly) {
+		t.Fatalf("Checkpoint after the failed fsync = %v, want ErrReadOnly", err)
+	}
+	if _, err := db.CreateRelation("more", pictdb.MustSchema("a:int")); !errors.Is(err, pager.ErrReadOnly) {
+		t.Fatalf("CreateRelation after the failed fsync = %v, want ErrReadOnly", err)
+	}
+	if got := rel.Len(); got != 1 {
+		t.Fatalf("relation holds %d rows, want only the failed Write's 1", got)
 	}
 }
 
