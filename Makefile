@@ -44,6 +44,7 @@ benchcheck:
 	$(GO) test -run xxx -bench 'GetBatch' -benchtime 100x -benchmem ./internal/storage/
 	$(GO) test -run xxx -bench 'DeltaMergedSearch|PackedOnlySearch' -benchtime 20x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'ShardedSearch|UnshardedSearch' -benchtime 20x -benchmem ./internal/relation/
+	$(GO) test -run xxx -bench 'Repack$$' -benchtime 3x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'OpenWindowRead' -benchtime 3x .
 	$(GO) test -run xxx -bench 'PackTree' -benchtime 3x ./internal/pack/
 	$(GO) test -run xxx -bench 'WindowStatement' -benchtime 200x -benchmem .

@@ -824,7 +824,7 @@ func BenchmarkOpenWindowRead(b *testing.B) {
 	path := windowReadFile(b)
 	// Phase times come from inside the reload (its own clock seam) and
 	// add up goroutine time, so on several cores they exceed ns/op.
-	var phases [5]time.Duration
+	var phases [4]time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db, err := pictdb.Open(path, 4096)
@@ -833,7 +833,7 @@ func BenchmarkOpenWindowRead(b *testing.B) {
 		}
 		b.StopTimer()
 		t := db.LoadTimes()
-		for j, d := range [5]time.Duration{t.Decode, t.Scan, t.BTree, t.Pack, t.Metrics} {
+		for j, d := range [4]time.Duration{t.Decode, t.Scan, t.BTree, t.Pack} {
 			phases[j] += d
 		}
 		if err := db.Close(); err != nil {
@@ -841,7 +841,7 @@ func BenchmarkOpenWindowRead(b *testing.B) {
 		}
 		b.StartTimer()
 	}
-	for j, name := range [5]string{"catalog-decode", "scan", "btree", "pack", "metrics"} {
+	for j, name := range [4]string{"catalog-decode", "scan", "btree", "pack"} {
 		b.ReportMetric(float64(phases[j].Microseconds())/1e3/float64(b.N), name+"-ms")
 	}
 }

@@ -13,10 +13,10 @@ import (
 // node visit, one B-tree node visit, and one tuple fetch all count 1.
 // The direct-search estimate follows the paper's Table 1 reasoning —
 // the expected number of nodes visited grows with the fraction of the
-// indexed space the window covers, inflated by the leaf-level coverage
-// and overlap the pack left behind — so a tightly packed tree (low
-// coverage, near-zero overlap) prices direct search low, and a drifted
-// or badly packed one prices it high. See DESIGN.md §11.
+// indexed space the window covers, widened by the average leaf's area
+// (coverage over leaves) — so a tightly packed tree prices direct
+// search low. Table 1's leaf overlap is not priced: on fresh Hilbert
+// packs, the only trees served, it moved no plan (DESIGN.md §11, §17).
 //
 // A juxtaposition is priced three times with the same functions. A
 // where-term that filters one relation alone can restrict that side
@@ -55,10 +55,6 @@ func directSearchCost(snap relation.CostSnapshot, windows []geom.Rect, op Spatia
 	if s.Leaves > 0 {
 		avgLeaf = s.Coverage / float64(s.Leaves)
 	}
-	overlapPenalty := 1.0
-	if s.Coverage > 0 {
-		overlapPenalty += s.Overlap / s.Coverage
-	}
 	items, nodes := float64(s.Items), float64(s.Nodes)
 	deltaItems := float64(snap.DeltaItems)
 	deltaNodes := float64(snap.DeltaNodes)
@@ -66,7 +62,7 @@ func directSearchCost(snap relation.CostSnapshot, windows []geom.Rect, op Spatia
 	for _, w := range windows {
 		// A node is visited when its MBR intersects the window: the
 		// classic window-inflated-by-average-extent estimate.
-		f := (w.Intersection(bounds).Area() + avgLeaf) / boundsArea * overlapPenalty
+		f := (w.Intersection(bounds).Area() + avgLeaf) / boundsArea
 		if f > 1 {
 			f = 1
 		}

@@ -33,10 +33,9 @@ var nowFn = time.Now
 // BuildTimes is where an index build spent its time, summed over its
 // tasks: goroutine time, not elapsed time, once tasks overlap.
 type BuildTimes struct {
-	Scan    time.Duration // heap scan, decode, and on Open the objects' restore
-	BTree   time.Duration // sorting the runs and bulk-loading them
-	Pack    time.Duration // PACK
-	Metrics time.Duration // the packed trees' search metrics
+	Scan  time.Duration // heap scan, decode, and on Open the objects' restore
+	BTree time.Duration // sorting the runs and bulk-loading them
+	Pack  time.Duration // PACK and the walk of the packed trees' search metrics
 }
 
 // Add sums u into t.
@@ -44,7 +43,6 @@ func (t *BuildTimes) Add(u BuildTimes) {
 	t.Scan += u.Scan
 	t.BTree += u.BTree
 	t.Pack += u.Pack
-	t.Metrics += u.Metrics
 }
 
 // route is where the scan found a record: the id it carries and its
@@ -148,10 +146,8 @@ func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (
 		for s := range sis[p] {
 			tasks = append(tasks, func() (BuildTimes, error) {
 				t0 := nowFn()
-				tree := packTree(b.parts[s].items[p])
-				t1 := nowFn()
-				sis[p][s] = newSpatialIndex(pic, tree)
-				return BuildTimes{Pack: t1.Sub(t0), Metrics: nowFn().Sub(t1)}, nil
+				sis[p][s] = newSpatialIndex(pic, packTree(b.parts[s].items[p]))
+				return BuildTimes{Pack: nowFn().Sub(t0)}, nil
 			})
 		}
 	}

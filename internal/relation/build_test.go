@@ -82,7 +82,7 @@ func TestBuildIndexesMatchesSeparateCalls(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if times.Scan <= 0 || times.BTree <= 0 || times.Pack <= 0 || times.Metrics <= 0 {
+			if times.Scan <= 0 || times.BTree <= 0 || times.Pack <= 0 {
 				t.Fatalf("a phase went untimed: %+v", times)
 			}
 			for _, col := range []string{"state", "population"} {
@@ -119,8 +119,9 @@ func TestBuildIndexesMatchesSeparateCalls(t *testing.T) {
 					if !reflect.DeepEqual(a[s].PackedTree().Items(), b[s].PackedTree().Items()) {
 						t.Fatalf("%s shard %d: packed items differ", name, s)
 					}
-					if a[s].Stats() != b[s].Stats() || a[s].Stats() != a[s].PackedTree().ComputeMetrics() {
-						t.Fatalf("%s shard %d: stats %+v / %+v", name, s, a[s].Stats(), b[s].Stats())
+					sa, sb := a[s].CostSnapshot().Stats, b[s].CostSnapshot().Stats
+					if sa != sb || sa != a[s].PackedTree().SearchMetrics() {
+						t.Fatalf("%s shard %d: stats %+v / %+v", name, s, sa, sb)
 					}
 				}
 			}
@@ -228,10 +229,10 @@ func TestBuildTimesClockSeam(t *testing.T) {
 	if times.Scan != time.Millisecond {
 		t.Fatalf("Scan = %v, want 1ms", times.Scan)
 	}
-	if times.BTree < 2*time.Millisecond || times.Pack < time.Millisecond || times.Metrics < time.Millisecond {
+	if times.BTree < 2*time.Millisecond || times.Pack < time.Millisecond {
 		t.Fatalf("task times %+v", times)
 	}
-	if n := ticks.Load(); n != 2+2*2+3 {
-		t.Fatalf("clock read %d times, want 9", n)
+	if n := ticks.Load(); n != 2+3*2 {
+		t.Fatalf("clock read %d times, want 8", n)
 	}
 }

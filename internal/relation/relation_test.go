@@ -665,11 +665,11 @@ func TestSpatialIndexStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	si := rel.Spatial("us-map")
-	stats := si.Stats()
+	stats := si.CostSnapshot().Stats
 	if stats.Items != 150 || stats.Nodes < 1 || stats.Depth < 1 {
 		t.Fatalf("stats not populated: %+v", stats)
 	}
-	want := si.PackedTree().ComputeMetrics()
+	want := si.PackedTree().SearchMetrics()
 	if stats != want {
 		t.Fatalf("stats %+v != computed %+v", stats, want)
 	}

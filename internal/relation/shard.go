@@ -187,8 +187,9 @@ func (r *Relation) SpatialOpts(pictureName string) (pack.Options, bool) {
 // For a sharded relation it merges per-shard snapshots over only the
 // shards whose bounds overlap the union of the query windows (none
 // given = every shard), so estimated costs track the shards a scatter
-// would actually visit: sizes, deltas, and areas sum; depth is the
-// maximum — the gather visits shard trees independently, not stacked.
+// would actually visit: item, node and leaf counts, coverage and the
+// write sides sum. Depth is the first admitted shard's: the planner
+// does not price it.
 func (r *Relation) SpatialCostSnapshot(pictureName string, windows []geom.Rect) (CostSnapshot, bool) {
 	sis := r.spatialList(pictureName)
 	if sis == nil {
@@ -220,15 +221,10 @@ func (r *Relation) SpatialCostSnapshot(pictureName string, windows []geom.Rect) 
 		merged.Stats.Nodes += snap.Stats.Nodes
 		merged.Stats.Leaves += snap.Stats.Leaves
 		merged.Stats.Coverage += snap.Stats.Coverage
-		merged.Stats.Overlap += snap.Stats.Overlap
-		if snap.Stats.Depth > merged.Stats.Depth {
-			merged.Stats.Depth = snap.Stats.Depth
-		}
 		merged.Bounds = merged.Bounds.Union(snap.Bounds)
 		merged.DeltaItems += snap.DeltaItems
 		merged.DeltaNodes += snap.DeltaNodes
 		merged.Tombstones += snap.Tombstones
-		merged.Repacking = merged.Repacking || snap.Repacking
 	}
 	return merged, true
 }

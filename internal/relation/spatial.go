@@ -69,11 +69,10 @@ type SpatialIndex struct {
 
 	mu     sync.RWMutex
 	packed *rtree.Tree
-	// stats holds the packed tree's search metrics (Table 1's node
-	// count, depth, coverage, overlap — what the planner prices with) as
-	// of the last pack/repack; the packed tree is immutable in between,
-	// so they describe it exactly. The two set measures are not kept:
-	// Stats computes them when asked.
+	// stats holds the packed tree's search metrics (Table 1's item,
+	// node and leaf counts, depth and coverage — what the planner prices
+	// with) as of the last pack/repack; the packed tree is immutable in
+	// between, so they describe it exactly.
 	stats rtree.Metrics
 	// delta takes inserts directly.
 	delta *rtree.Tree
@@ -92,9 +91,8 @@ type SpatialIndex struct {
 	// then names only the older packed incarnation.
 	ts0 map[int64]struct{}
 
-	threshold  int
-	autoRepack bool
-	repacks    int
+	threshold int
+	repacks   int
 
 	// repacking guards the single background repacker (and RepackNow)
 	// via CAS; wg lets WaitRepack block on it.
@@ -114,15 +112,14 @@ func packTree(items []rtree.Item) *rtree.Tree {
 // newSpatialIndex wraps a freshly packed tree.
 func newSpatialIndex(pic *picture.Picture, tree *rtree.Tree) *SpatialIndex {
 	return &SpatialIndex{
-		Picture:    pic,
-		seq:        spatialSeq.Add(1),
-		costGen:    new(atomic.Uint64),
-		packed:     tree,
-		stats:      tree.SearchMetrics(),
-		delta:      rtree.New(deltaParams),
-		tombs:      make(map[int64]struct{}),
-		threshold:  DefaultDeltaThreshold,
-		autoRepack: true,
+		Picture:   pic,
+		seq:       spatialSeq.Add(1),
+		costGen:   new(atomic.Uint64),
+		packed:    tree,
+		stats:     tree.SearchMetrics(),
+		delta:     rtree.New(deltaParams),
+		tombs:     make(map[int64]struct{}),
+		threshold: DefaultDeltaThreshold,
 	}
 }
 
@@ -132,7 +129,7 @@ func newSpatialIndex(pic *picture.Picture, tree *rtree.Tree) *SpatialIndex {
 // index lock so the fields are mutually consistent.
 type CostSnapshot struct {
 	// Stats describes the packed tree as of the last pack/repack: its
-	// rtree.SearchMetrics, with OverlapMeasure and DeadSpace left zero.
+	// rtree.SearchMetrics, with the three sweeps left zero.
 	Stats rtree.Metrics
 	// Bounds is the MBR of everything live (packed ∪ frozen ∪ delta).
 	Bounds geom.Rect
@@ -142,8 +139,6 @@ type CostSnapshot struct {
 	DeltaNodes int
 	// Tombstones counts deleted ids still present in packed/frozen.
 	Tombstones int
-	// Repacking reports an in-flight background repack.
-	Repacking bool
 }
 
 // CostSnapshot returns a consistent planner view of the index.
@@ -154,7 +149,6 @@ func (si *SpatialIndex) CostSnapshot() CostSnapshot {
 		Stats:      si.stats,
 		Bounds:     si.packed.Bounds(),
 		Tombstones: len(si.tombs) + len(si.ts0),
-		Repacking:  si.frozen != nil,
 	}
 	if si.delta.Len() > 0 {
 		snap.DeltaItems += si.delta.Len()
@@ -167,18 +161,6 @@ func (si *SpatialIndex) CostSnapshot() CostSnapshot {
 		snap.Bounds = snap.Bounds.Union(si.frozen.Bounds())
 	}
 	return snap
-}
-
-// Stats returns the packed tree's structural measures as of the last
-// pack/repack — equal to PackedTree().ComputeMetrics(). The search
-// metrics are the ones kept for the planner; the two set measures are
-// swept here, on the caller's time. See CostSnapshot for the write-side
-// sizes.
-func (si *SpatialIndex) Stats() rtree.Metrics {
-	si.mu.RLock()
-	tree, stats := si.packed, si.stats
-	si.mu.RUnlock()
-	return tree.WithSetMeasures(stats)
 }
 
 // PackedTree returns the current packed tree. The returned tree is
@@ -232,21 +214,14 @@ func (si *SpatialIndex) Repacks() int {
 
 // SetDeltaThreshold sets the delta size (live delta items + pending
 // tombstones) that triggers a background repack. Zero or negative
-// restores DefaultDeltaThreshold.
+// restores DefaultDeltaThreshold; math.MaxInt turns background repacks
+// off, and the write side then grows until RepackNow is called.
 func (si *SpatialIndex) SetDeltaThreshold(n int) {
 	if n <= 0 {
 		n = DefaultDeltaThreshold
 	}
 	si.mu.Lock()
 	si.threshold = n
-	si.mu.Unlock()
-}
-
-// SetAutoRepack enables or disables the background repacker. With it
-// off the write side grows without bound until RepackNow is called.
-func (si *SpatialIndex) SetAutoRepack(on bool) {
-	si.mu.Lock()
-	si.autoRepack = on
 	si.mu.Unlock()
 }
 
@@ -297,9 +272,6 @@ func (si *SpatialIndex) delete(r geom.Rect, id int64) {
 // repackDueLocked reports whether the write side has outgrown the
 // threshold. Caller holds mu (any mode).
 func (si *SpatialIndex) repackDueLocked() bool {
-	if !si.autoRepack {
-		return false
-	}
 	// Tombstones already being merged away (ts0) don't count.
 	return si.delta.Len()+len(si.tombs) >= si.threshold
 }
@@ -322,7 +294,7 @@ func (si *SpatialIndex) triggerRepack() {
 	go func() {
 		defer si.wg.Done()
 		for si.repackDue() {
-			si.repackOnce(false)
+			si.repackOnce()
 		}
 		si.repacking.Store(false)
 		if si.repackDue() {
@@ -340,20 +312,20 @@ func (si *SpatialIndex) WaitRepack() {
 	}
 }
 
-// RepackNow synchronously merges the delta into the packed tree. With
-// stopTheWorld the whole merge+pack runs under the exclusive index lock
-// (readers and writers blocked throughout — the baseline strategy);
-// otherwise it runs one background-style repack inline (readers keep
-// going, writers only blocked during freeze and swap). Either way any
-// in-flight background repack is waited out first, so on return the
-// write side as it stood at the call is fully absorbed.
-func (si *SpatialIndex) RepackNow(stopTheWorld bool) {
+// RepackNow synchronously merges the write side into the packed tree:
+// one repack, run inline (readers keep going, writers are only blocked
+// during freeze and swap). Any in-flight background repack is waited
+// out first, so on return the write side as it stood at the call is
+// fully absorbed. The parameter is ignored; it stays only because
+// cmd/pictbench compiles against it, until the benchmark reads the
+// engine's own counters (ROADMAP.md item 2), as GetBatch's workers does.
+func (si *SpatialIndex) RepackNow(bool) {
 	// Take the repacker slot so no background repack interleaves.
 	for !si.repacking.CompareAndSwap(false, true) {
 		si.wg.Wait()
 		runtime.Gosched()
 	}
-	si.repackOnce(stopTheWorld)
+	si.repackOnce()
 	si.repacking.Store(false)
 	if si.repackDue() {
 		si.triggerRepack()
@@ -361,25 +333,13 @@ func (si *SpatialIndex) RepackNow(stopTheWorld bool) {
 }
 
 // repackOnce is one repack cycle: freeze the write side, merge and
-// pack, sweep the new tree's metrics, swap the new root in. The merge
-// and pack run outside the lock — packed and the frozen write side are
-// immutable by then, so readers proceed against the merged view — or,
-// with stopTheWorld, inside the exclusive section that froze them. The
-// metrics sweep is outside the lock either way. Caller owns the
-// repacking flag.
-func (si *SpatialIndex) repackOnce(stopTheWorld bool) {
-	var tree *rtree.Tree
-	if stopTheWorld {
-		si.mu.Lock()
-		if si.freezeLocked() {
-			tree = si.packMerged()
-		}
-		si.mu.Unlock()
-	} else if si.freeze() {
-		tree = si.packMerged()
-	}
-	if tree != nil {
-		si.swap(tree, tree.SearchMetrics())
+// pack, walk the new tree's search metrics, swap the new root in. All
+// but the freeze and the swap run outside the lock: packed and the
+// frozen write side are immutable by then, so readers proceed against
+// the merged view. Caller owns the repacking flag.
+func (si *SpatialIndex) repackOnce() {
+	if si.freeze() {
+		si.swap(si.packMerged())
 	}
 }
 
@@ -388,11 +348,6 @@ func (si *SpatialIndex) repackOnce(stopTheWorld bool) {
 func (si *SpatialIndex) freeze() bool {
 	si.mu.Lock()
 	defer si.mu.Unlock()
-	return si.freezeLocked()
-}
-
-// freezeLocked is freeze for a caller holding mu exclusively.
-func (si *SpatialIndex) freezeLocked() bool {
 	if si.delta.Len() == 0 && len(si.tombs) == 0 {
 		return false
 	}
@@ -403,10 +358,11 @@ func (si *SpatialIndex) freezeLocked() bool {
 	return true
 }
 
-// swap installs the merged tree and retires the frozen write side with
-// the tombstones the merge applied. Tombstones taken since the freeze
-// stay: they now name entries of the new tree.
-func (si *SpatialIndex) swap(tree *rtree.Tree, stats rtree.Metrics) {
+// swap installs the merged tree with its search metrics and retires the
+// frozen write side with the tombstones the merge applied. Tombstones
+// taken since the freeze stay: they now name entries of the new tree.
+func (si *SpatialIndex) swap(tree *rtree.Tree) {
+	stats := tree.SearchMetrics()
 	si.mu.Lock()
 	si.packed, si.stats = tree, stats
 	si.frozen, si.ts0 = nil, nil

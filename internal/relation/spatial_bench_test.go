@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/pager"
 	"repro/internal/picture"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // benchFixture builds a cities relation with nPacked tuples in the
@@ -32,7 +34,7 @@ func benchFixture(b *testing.B, nPacked, nDelta int) (*Relation, *SpatialIndex) 
 		b.Fatal(err)
 	}
 	si := rel.Spatial("us-map")
-	si.SetAutoRepack(false)
+	si.SetDeltaThreshold(math.MaxInt)
 	for i := 0; i < nDelta; i++ {
 		id := addBenchCity(b, rel, pic, fmt.Sprintf("d%d", i), rng.Float64()*1000, rng.Float64()*1000)
 		if i%10 == 9 {
@@ -82,7 +84,7 @@ func BenchmarkDeltaMergedSearch(b *testing.B) {
 // fully repacked — the baseline the merged read is compared against.
 func BenchmarkPackedOnlySearch(b *testing.B) {
 	rel, si := benchFixture(b, 5000, 1000)
-	si.RepackNow(true)
+	si.RepackNow(false)
 	if si.DeltaLen() != 0 || si.TombstoneCount() != 0 {
 		b.Fatal("repack left pending write side")
 	}
@@ -97,6 +99,34 @@ func BenchmarkPackedOnlySearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, _, err := rel.SearchArea("us-map", windows[i%len(windows)], pred); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRepack times one repack at the served size: 200 000 packed
+// points (the window_read shape, clustered) and a 4 096-entry write
+// side, merged and re-packed by one RepackNow plus WaitRepack per op.
+// Every op starts from the same packed tree and the same write side, so
+// every op does the same work; building them is untimed. It is the
+// figure relation.repack_ms is a sum of.
+func BenchmarkRepack(b *testing.B) {
+	const packed = 200_000
+	items := workload.PointItems(workload.ClusteredPoints(packed+DefaultDeltaThreshold, 50, 30, 1985))
+	base := packTree(items[:packed])
+	pic := usMap()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		si := newSpatialIndex(pic, base)
+		si.SetDeltaThreshold(math.MaxInt)
+		for _, it := range items[packed:] {
+			si.insert(it.Rect, it.Data)
+		}
+		b.StartTimer()
+		si.RepackNow(false)
+		si.WaitRepack()
+		if si.DeltaLen() != 0 || si.PackedTree().Len() != len(items) {
+			b.Fatalf("repack left %d pending, packed %d of %d", si.DeltaLen(), si.PackedTree().Len(), len(items))
 		}
 	}
 }

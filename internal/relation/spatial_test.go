@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -81,7 +82,7 @@ func idsEqual(a, b []storage.TupleID) bool {
 func TestDeltaAbsorbsWrites(t *testing.T) {
 	rel, pic, rng := newSpatialFixture(t, 100, 1)
 	si := rel.Spatial("us-map")
-	si.SetAutoRepack(false)
+	si.SetDeltaThreshold(math.MaxInt)
 	packedBefore := si.PackedTree()
 	if n := packedBefore.Len(); n != 100 {
 		t.Fatalf("packed = %d items", n)
@@ -133,7 +134,7 @@ func TestDeltaAbsorbsWrites(t *testing.T) {
 func TestMergedSearchMatchesOracle(t *testing.T) {
 	rel, pic, rng := newSpatialFixture(t, 200, 2)
 	si := rel.Spatial("us-map")
-	si.SetAutoRepack(false)
+	si.SetDeltaThreshold(math.MaxInt)
 	var live []storage.TupleID
 	rel.Scan(func(id storage.TupleID, _ Tuple) bool { live = append(live, id); return true })
 	// Churn: inserts and deletes interleaved, delta and packed victims.
@@ -205,8 +206,8 @@ func TestAutoRepack(t *testing.T) {
 	if si.Len() != len(live) {
 		t.Fatalf("live = %d, want %d", si.Len(), len(live))
 	}
-	if got := si.PackedTree().ComputeMetrics(); got != si.Stats() {
-		t.Fatalf("stats not refreshed: %+v vs %+v", si.Stats(), got)
+	if got, want := si.CostSnapshot().Stats, si.PackedTree().SearchMetrics(); got != want {
+		t.Fatalf("stats not refreshed: %+v vs %+v", got, want)
 	}
 	w := geom.R(0, 0, 1000, 1000)
 	got, _, err := rel.SearchArea("us-map", w, geom.CoveredBy)
@@ -221,10 +222,13 @@ func TestAutoRepack(t *testing.T) {
 	}
 }
 
-func TestRepackNowStopTheWorld(t *testing.T) {
+// RepackNow drains the write side (inserts and a tombstone) into the
+// packed tree without changing an answer, and refreshes what the planner
+// prices.
+func TestRepackNowDrainsWriteSide(t *testing.T) {
 	rel, pic, rng := newSpatialFixture(t, 150, 4)
 	si := rel.Spatial("us-map")
-	si.SetAutoRepack(false)
+	si.SetDeltaThreshold(math.MaxInt)
 	for i := 0; i < 80; i++ {
 		addCity(t, rel, pic, randWord(rng), "ST", int64(i), rng.Float64()*1000, rng.Float64()*1000)
 	}
@@ -235,19 +239,19 @@ func TestRepackNowStopTheWorld(t *testing.T) {
 	}
 	w := geom.R(0, 0, 1000, 1000)
 	before, _, _ := rel.SearchArea("us-map", w, geom.CoveredBy)
-	si.RepackNow(true)
+	si.RepackNow(false)
 	if si.DeltaLen() != 0 || si.TombstoneCount() != 0 {
-		t.Fatalf("STW repack left delta=%d tombs=%d", si.DeltaLen(), si.TombstoneCount())
+		t.Fatalf("repack left delta=%d tombs=%d", si.DeltaLen(), si.TombstoneCount())
 	}
 	if si.PackedTree().Len() != si.Len() {
 		t.Fatalf("packed %d != live %d", si.PackedTree().Len(), si.Len())
 	}
 	after, _, _ := rel.SearchArea("us-map", w, geom.CoveredBy)
 	if !idsEqual(before, after) {
-		t.Fatal("STW repack changed query results")
+		t.Fatal("repack changed query results")
 	}
-	if got := si.PackedTree().ComputeMetrics(); got != si.Stats() {
-		t.Fatal("STW repack did not refresh stats")
+	if got, want := si.CostSnapshot().Stats, si.PackedTree().SearchMetrics(); got != want {
+		t.Fatalf("repack did not refresh stats: %+v vs %+v", got, want)
 	}
 }
 
@@ -265,7 +269,7 @@ func TestFrozenTombstoneFiltering(t *testing.T) {
 			{Rect: geom.R(2, 2, 3, 3), Data: 6},
 		}),
 	)
-	si.SetAutoRepack(false)
+	si.SetDeltaThreshold(math.MaxInt)
 	liveIDs := func() []int64 {
 		out := make([][]int64, 1)
 		si.search([]geom.Rect{geom.R(0, 0, 10, 10)}, geom.Overlapping, out)
@@ -299,8 +303,7 @@ func TestFrozenTombstoneFiltering(t *testing.T) {
 		t.Fatalf("Len = %d mid-repack, want 2", si.Len())
 	}
 
-	tree := si.packMerged()
-	si.swap(tree, tree.ComputeMetrics())
+	si.swap(si.packMerged())
 
 	if got := liveIDs(); !reflect.DeepEqual(got, []int64{4, 5}) {
 		t.Fatalf("post-swap query = %v, want [4 5]", got)
@@ -347,7 +350,7 @@ func TestJuxtaposeMergedMatchesOracle(t *testing.T) {
 		// Post-attach churn so both sides carry deltas and tombstones.
 		var ids []storage.TupleID
 		rel.Scan(func(id storage.TupleID, _ Tuple) bool { ids = append(ids, id); return true })
-		rel.Spatial("us-map").SetAutoRepack(false)
+		rel.Spatial("us-map").SetDeltaThreshold(math.MaxInt)
 		for i := 0; i < n/2; i++ {
 			if rng.Intn(3) == 0 && len(ids) > 0 {
 				k := rng.Intn(len(ids))
@@ -511,7 +514,7 @@ func tupleIDLessT(a, b storage.TupleID) bool {
 func TestCostSnapshot(t *testing.T) {
 	rel, pic, rng := newSpatialFixture(t, 100, 6)
 	si := rel.Spatial("us-map")
-	si.SetAutoRepack(false)
+	si.SetDeltaThreshold(math.MaxInt)
 	snap := si.CostSnapshot()
 	if snap.DeltaItems != 0 || snap.Tombstones != 0 {
 		t.Fatalf("fresh snapshot not clean: %+v", snap)
@@ -531,7 +534,7 @@ func TestCostSnapshot(t *testing.T) {
 		t.Fatalf("delta snapshot: %+v", snap)
 	}
 	// Repack clears everything.
-	si.RepackNow(true)
+	si.RepackNow(false)
 	snap = si.CostSnapshot()
 	if snap.DeltaItems != 0 || snap.Tombstones != 0 {
 		t.Fatalf("post-repack snapshot: %+v", snap)

@@ -80,48 +80,43 @@ func (t *Tree) Coverage() float64 { return geom.CoverageArea(t.LeafRects()) }
 func (t *Tree) Overlap() float64 { return geom.OverlapPairwise(t.LeafRects()) }
 
 // SearchMetrics computes the measures a search-cost model reads —
-// Coverage, Overlap, Depth, Nodes, Leaves, Items — from one walk of the
-// tree and the pairwise sweep over its leaf rectangles. The two set
-// measures, OverlapMeasure and DeadSpace, cost a plane sweep each and
-// price nothing; they are left zero. ComputeMetrics is the full row.
+// Items, Nodes, Leaves, Depth and Coverage — in one walk of the tree
+// that allocates nothing. Leaves counts the non-empty leaves, and
+// Coverage sums their areas in the order LeafRects lists them, so it
+// equals CoverageArea of LeafRects bit for bit. Overlap and the two set
+// measures each cost a sweep over the leaf rectangles and price
+// nothing; they are left zero. ComputeMetrics is the full row.
 func (t *Tree) SearchMetrics() Metrics {
-	var leaves []geom.Rect
-	nodes := 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		nodes++
-		if n.leaf {
-			if len(n.entries) > 0 {
-				leaves = append(leaves, n.mbr())
-			}
-			return
+	m := Metrics{Depth: t.Depth(), Items: t.Len()}
+	m.walk(t.root)
+	return m
+}
+
+// walk adds n's subtree to m's node and leaf counts and coverage.
+func (m *Metrics) walk(n *node) {
+	m.Nodes++
+	if n.leaf {
+		if len(n.entries) > 0 {
+			m.Leaves++
+			m.Coverage += n.mbr().Area()
 		}
-		for _, e := range n.entries {
-			walk(e.child)
-		}
+		return
 	}
-	walk(t.root)
-	return Metrics{
-		Coverage: geom.CoverageArea(leaves),
-		Overlap:  geom.OverlapPairwise(leaves),
-		Depth:    t.Depth(),
-		Nodes:    nodes,
-		Leaves:   len(leaves),
-		Items:    t.Len(),
+	for _, e := range n.entries {
+		m.walk(e.child)
 	}
 }
 
-// WithSetMeasures completes m, the tree's SearchMetrics, with
-// OverlapMeasure and DeadSpace; the result equals ComputeMetrics.
-func (t *Tree) WithSetMeasures(m Metrics) Metrics {
+// ComputeMetrics gathers all structural measures of Table 1: the
+// search metrics and the three sweeps over the leaf rectangles.
+func (t *Tree) ComputeMetrics() Metrics {
+	m := t.SearchMetrics()
 	leaves := t.LeafRects()
+	m.Overlap = geom.OverlapPairwise(leaves)
 	m.OverlapMeasure = geom.OverlapMeasure(leaves)
 	m.DeadSpace = geom.DeadSpace(leaves)
 	return m
 }
-
-// ComputeMetrics gathers all structural measures of Table 1.
-func (t *Tree) ComputeMetrics() Metrics { return t.WithSetMeasures(t.SearchMetrics()) }
 
 // LevelRects returns, for each level from the root (level 0) down to
 // the leaves, the covering rectangles of the nodes at that level. The

@@ -579,8 +579,9 @@ func TestConcurrentSearches(t *testing.T) {
 	}
 }
 
-// SearchMetrics is ComputeMetrics without the two set measures, and
-// WithSetMeasures restores them.
+// SearchMetrics is ComputeMetrics without the three sweeps: every
+// other field is equal, bit for bit, and Overlap, OverlapMeasure and
+// DeadSpace are zero.
 func TestSearchMetricsIsComputeMetricsSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 5, 400} {
@@ -590,15 +591,18 @@ func TestSearchMetricsIsComputeMetricsSubset(t *testing.T) {
 			tr.Insert(geom.R(x, y, x+rng.Float64()*30, y+rng.Float64()*30), int64(i))
 		}
 		full, search := tr.ComputeMetrics(), tr.SearchMetrics()
-		if search.OverlapMeasure != 0 || search.DeadSpace != 0 {
-			t.Fatalf("n=%d: SearchMetrics computed set measures: %+v", n, search)
+		if search.Overlap != 0 || search.OverlapMeasure != 0 || search.DeadSpace != 0 {
+			t.Fatalf("n=%d: SearchMetrics computed a sweep: %+v", n, search)
 		}
-		if got := tr.WithSetMeasures(search); got != full {
-			t.Fatalf("n=%d: WithSetMeasures(SearchMetrics) = %+v, ComputeMetrics = %+v", n, got, full)
+		if n == 400 && full.Overlap == 0 {
+			t.Fatalf("n=%d: ComputeMetrics swept no overlap: %+v", n, full)
 		}
-		full.OverlapMeasure, full.DeadSpace = 0, 0
+		full.Overlap, full.OverlapMeasure, full.DeadSpace = 0, 0, 0
 		if search != full {
 			t.Fatalf("n=%d: SearchMetrics = %+v, want %+v", n, search, full)
+		}
+		if search.Coverage != geom.CoverageArea(tr.LeafRects()) {
+			t.Fatalf("n=%d: walk summed coverage %v, CoverageArea %v", n, search.Coverage, geom.CoverageArea(tr.LeafRects()))
 		}
 		if search.Nodes != tr.NodeCount() || search.Leaves != len(tr.LeafRects()) {
 			t.Fatalf("n=%d: walk counted %d nodes %d leaves, tree has %d and %d", n, search.Nodes, search.Leaves, tr.NodeCount(), len(tr.LeafRects()))

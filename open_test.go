@@ -132,8 +132,8 @@ func captureOpenState(t *testing.T, db *Database) openState {
 		rel, _ := db.Relation(rp[0])
 		for _, si := range rel.Spatials(rp[1]) {
 			m := si.PackedTree().ComputeMetrics()
-			if m != si.Stats() {
-				t.Fatalf("%s: Stats %+v, ComputeMetrics %+v", rp[0], si.Stats(), m)
+			if got, want := si.CostSnapshot().Stats, si.PackedTree().SearchMetrics(); got != want {
+				t.Fatalf("%s: priced %+v, SearchMetrics %+v", rp[0], got, want)
 			}
 			st.Metrics[rp[0]] = append(st.Metrics[rp[0]], m)
 			st.Items[rp[0]] = append(st.Items[rp[0]], si.PackedTree().Items())
