@@ -36,7 +36,8 @@ bench:
 # Short benchmark smoke pass (no -race: the detector's overhead makes
 # timings meaningless). Catches perf-path regressions that fail to
 # run — wrong flags, broken benchmarks, alloc-assertion drift — not
-# timing changes; CI runs it as a non-blocking job.
+# timing changes; CI runs it as a non-blocking job. The one StoreIngest
+# cell keeps the n-store write path running.
 benchcheck:
 	$(GO) test -run xxx -bench 'Juxtapos' -benchtime 10x -benchmem .
 	$(GO) test -run xxx -bench 'PSQL' -benchtime 10x -benchmem .
@@ -48,19 +49,21 @@ benchcheck:
 	$(GO) test -run xxx -bench 'OpenWindowRead' -benchtime 3x .
 	$(GO) test -run xxx -bench 'PackTree' -benchtime 3x ./internal/pack/
 	$(GO) test -run xxx -bench 'WindowStatement' -benchtime 200x -benchmem .
+	$(GO) test -run xxx -bench 'StoreIngest/mem/uniform/stores=4$$' -benchtime 1x .
 	$(GO) run ./cmd/pictbench -quick > /dev/null
 
 # Durability suite: injected I/O faults, torn writes, crash points
 # captured over a page file and its log (a background repack's
 # included), checksum and corruption detection, across the pager, the
 # relations' own Check (an index entry naming no tuple, a located tuple
-# its index lost, a sequence stored twice) and the full database stack,
+# its index lost, a heap page chained into two stores) and the full
+# database stack,
 # reopen of a relation of several stores, and the typed refusal of old
 # formats (v1 pages, a PICTCAT1 catalog, a relation whose stores were
-# page files of their own — the testdata/ file sets included — left
-# byte-identical).
+# page files of their own, one whose records carried sequence ids — the
+# testdata/ file sets included — left byte-identical).
 faults:
-	$(GO) test -race -run 'Fault|Crash|Torn|Checksum|Corrupt|Truncated|Degrad|UnsupportedFormat|Check|ShardedDuplicate|ShardedReopen' ./internal/pager/ ./internal/relation/ ./cmd/pictdbcheck/ .
+	$(GO) test -race -run 'Fault|Crash|Torn|Checksum|Corrupt|Truncated|Degrad|UnsupportedFormat|Check|DuplicatePage|ShardedReopen' ./internal/pager/ ./internal/relation/ ./cmd/pictdbcheck/ .
 
 # Write-ahead-log durability matrix: group-commit batching, live reads
 # beside concurrent group-committing writers, append-region fault

@@ -33,8 +33,8 @@ import (
 // a fresh heap, points the superblock at it and frees the old one, all
 // under the write gate, so they are durable in the same group commit as
 // the writes that need them (writeDefinitions). Open reads them and then
-// rebuilds every relation from one scan of its heaps — its id
-// directory, B-trees and packed R-trees, and its pictures' objects —
+// rebuilds every relation from one scan of its heaps — its page
+// table, B-trees and packed R-trees, and its pictures' objects —
 // one relation after another, in name order (loadCatalog,
 // relation.Open).
 var catMagic = [8]byte{'P', 'I', 'C', 'T', 'C', 'A', 'T', '2'}
@@ -48,22 +48,22 @@ var catMagicV1 = [8]byte{'P', 'I', 'C', 'T', 'C', 'A', 'T', '1'}
 // page ever allocated in a database file.
 const superblockID pager.PageID = 1
 
-// Catalog record type tags. A relation record is the same after its
-// tag either way: the name, the store count and each store's heap page,
-// the schema, the indexed columns, the attached pictures. Each attached
-// picture's name is followed by two bytes that once chose its packing:
-// every index is Hilbert-packed now, so they are written as
-// (pack.MethodHilbert, 0) and read past whatever they hold. Every heap
-// page is a page of the main file.
+// Catalog record type tags. A relation record holds the name, the store
+// count and each store's heap page, the schema, the indexed columns, the
+// attached pictures. Each attached picture's name is followed by two
+// bytes that once chose its packing: every index is Hilbert-packed now,
+// so they are written as (pack.MethodHilbert, 0) and read past whatever
+// they hold. Every heap page is a page of the main file.
 const (
 	catLocation = 'L'
 	catPicture  = 'P'
-	catRelation = 'R' // address ids: one store
-	catSeqRel   = 'M' // sequence ids: one or more stores
-	// catShardFiles is the record of an earlier format whose stores were
-	// page files of their own beside the main file, each with its own
-	// log. Open refuses it with ErrUnsupportedFormat and leaves every
-	// file of the set as it is.
+	catRelation = 'R' // one or more stores, ids heap addresses
+	// catSeqPrefix and catShardFiles are relation records of earlier
+	// formats: stores in the main file whose records carried an 8-byte
+	// sequence id, and stores in page files of their own beside the main
+	// file, each with its own log. Open refuses either with
+	// ErrUnsupportedFormat and leaves every file of the set as it is.
+	catSeqPrefix  = 'M'
 	catShardFiles = 'T'
 )
 
@@ -186,11 +186,7 @@ func (db *Database) encodeDefinitions() [][]byte {
 
 // encodeRelDef encodes one relation's definition.
 func encodeRelDef(name string, rel *Relation) []byte {
-	tag := byte(catRelation)
-	if rel.SeqIDs() {
-		tag = catSeqRel
-	}
-	rec := appendString([]byte{tag}, name)
+	rec := appendString([]byte{catRelation}, name)
 	heaps := rel.ShardHeapFirstPages()
 	rec = binary.AppendUvarint(rec, uint64(len(heaps)))
 	for _, h := range heaps {
@@ -346,7 +342,6 @@ func (db *Database) loadRelation(cat *catalog, def decodedRel) error {
 		Schema:  def.schema,
 		Pager:   db.pager,
 		Heaps:   def.heaps,
-		SeqIDs:  def.seqIDs,
 		Columns: def.indexed,
 	}
 	for _, pn := range def.assocs {
@@ -371,12 +366,12 @@ type catalogRecord struct {
 	tag  byte
 	name string     // location, picture or relation
 	rect geom.Rect  // location rectangle or picture extent
-	rel  decodedRel // catRelation, catSeqRel
+	rel  decodedRel // catRelation
 }
 
-// decodeCatalogRecord decodes one definitions record. A catShardFiles
-// record is refused with ErrUnsupportedFormat; every other failure wraps
-// ErrCorrupt.
+// decodeCatalogRecord decodes one definitions record. A catSeqPrefix or
+// catShardFiles record is refused with ErrUnsupportedFormat; every other
+// failure wraps ErrCorrupt.
 func decodeCatalogRecord(raw []byte) (catalogRecord, error) {
 	if len(raw) == 0 {
 		return catalogRecord{}, errCatalog("empty")
@@ -390,8 +385,10 @@ func decodeCatalogRecord(raw []byte) (catalogRecord, error) {
 	switch rec.tag {
 	case catLocation, catPicture:
 		rec.rect, _, err = readRect(raw, pos)
-	case catRelation, catSeqRel:
+	case catRelation:
 		rec.rel, err = decodeRelDef(raw, name, pos)
+	case catSeqPrefix:
+		err = fmt.Errorf("pictdb: %w: relation %q carries a sequence id in every record", ErrUnsupportedFormat, name)
 	case catShardFiles:
 		err = fmt.Errorf("pictdb: %w: relation %q keeps its stores in page files of their own", ErrUnsupportedFormat, name)
 	default:
@@ -401,10 +398,9 @@ func decodeCatalogRecord(raw []byte) (catalogRecord, error) {
 }
 
 // decodedRel mirrors the persisted relation definition: heaps holds one
-// heap page per store, and seqIDs says the records carry sequence ids.
+// heap page per store.
 type decodedRel struct {
 	name    string
-	seqIDs  bool
 	heaps   []pager.PageID
 	schema  Schema
 	indexed []string
@@ -414,9 +410,9 @@ type decodedRel struct {
 // decodeRelDef decodes the body of a relation record whose name ended
 // at pos.
 func decodeRelDef(rec []byte, name string, pos int) (decodedRel, error) {
-	def := decodedRel{name: name, seqIDs: rec[0] == catSeqRel}
+	def := decodedRel{name: name}
 	n, w := binary.Uvarint(rec[pos:])
-	if w <= 0 || n == 0 || n > relation.MaxShards || (!def.seqIDs && n != 1) {
+	if w <= 0 || n == 0 || n > relation.MaxShards {
 		return def, errCatalog("bad store count")
 	}
 	pos += w

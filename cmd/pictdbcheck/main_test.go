@@ -426,7 +426,7 @@ func TestCheckRefusesUnsupportedFormat(t *testing.T) {
 	}
 
 	paths := []string{v1, cat1}
-	for _, fixture := range []string{"rebalanced_pr17/rebalanced.pictdb", "unsharded_pr19/unsharded.pictdb", "sharded_pr32/sharded.pictdb"} {
+	for _, fixture := range []string{"rebalanced_pr17/rebalanced.pictdb", "unsharded_pr19/unsharded.pictdb", "sharded_pr32/sharded.pictdb", "seqids/seqids.pictdb"} {
 		paths = append(paths, copyFixture(t, fixture))
 	}
 	for _, path := range paths {

@@ -263,12 +263,13 @@ func TestReopenIgnoresPackingBytes(t *testing.T) {
 
 // FuzzDecodeCatalogRecord feeds arbitrary bytes to the catalog loader's
 // record decoder. Properties: it never panics, and it rejects only with
-// ErrCorrupt — or, for a record of stores in page files of their own,
-// with ErrUnsupportedFormat.
+// ErrCorrupt — or, for a record of sequence ids or of stores in page
+// files of their own, with ErrUnsupportedFormat.
 func FuzzDecodeCatalogRecord(f *testing.F) {
 	f.Add(v1ShardedRecord())
-	f.Add(append([]byte{catSeqRel}, v1ShardedRecord()[1:]...))     // a current record
-	f.Add(append([]byte{catShardFiles}, v1ShardedRecord()[1:]...)) // a refused one
+	f.Add(append([]byte{catRelation}, v1ShardedRecord()[1:]...))  // a current record
+	f.Add(append([]byte{catSeqPrefix}, v1ShardedRecord()[1:]...)) // two refused ones
+	f.Add(append([]byte{catShardFiles}, v1ShardedRecord()[1:]...))
 	f.Add(appendRect(appendString([]byte{catLocation}, "east"), R(0, 0, 10, 10)))
 	f.Add(appendRect(appendString([]byte{catPicture}, "map"), R(0, 0, 100, 100)))
 	f.Add(binary.LittleEndian.AppendUint32(appendString([]byte{catRelation}, "r"), 7))
@@ -281,7 +282,7 @@ func FuzzDecodeCatalogRecord(f *testing.F) {
 		if err == nil || errors.Is(err, ErrCorrupt) {
 			return
 		}
-		if !errors.Is(err, ErrUnsupportedFormat) || data[0] != catShardFiles {
+		if !errors.Is(err, ErrUnsupportedFormat) || (data[0] != catSeqPrefix && data[0] != catShardFiles) {
 			t.Fatalf("untyped decode error: %v (input %x)", err, data)
 		}
 	})

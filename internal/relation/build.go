@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/btree"
+	"repro/internal/pager"
 	"repro/internal/par"
 	"repro/internal/picture"
 	"repro/internal/rtree"
@@ -19,9 +20,8 @@ import (
 // one scan of every store's heap, side by side, collects each B-tree's
 // (key, id) run and each attached picture's (MBR, id) items, the MBR
 // being that of the object the tuple's loc carries. On Open the same
-// scan also counts every record, keeps the sequences a sharded
-// relation's route table is rebuilt from, and collects every object a
-// tuple carries. Then every index is its own task on up to GOMAXPROCS
+// scan also notes the pages an n-store relation's page table is filled
+// from, and collects every object a tuple carries. Then every index is its own task on up to GOMAXPROCS
 // goroutines — a run is sorted and bulk-loaded, a list Hilbert-packed
 // (packTree) — and on Open each store's objects are restored into
 // their pictures beside them. On one core the tasks run one after
@@ -45,23 +45,16 @@ func (t *BuildTimes) Add(u BuildTimes) {
 	t.Pack += u.Pack
 }
 
-// route is where the scan found a record: the id it carries and its
-// heap address.
-type route struct {
-	id  int64
-	lid storage.TupleID
-}
-
 // scanPart is what the scan of one store's heap collected: runs[c]
 // holds columns[c]'s (IndexKey, id) for every tuple, items[p] the
 // (MBR, id) entries of pics[p] in ascending id order, the order PACK is
-// handed them, and, on Open, routes every record's place and objs the
-// objects its tuples carry by picture name.
+// handed them, and, on Open, pages the pages its records lie on and
+// objs the objects its tuples carry by picture name.
 type scanPart struct {
-	runs   [][]btree.Entry
-	items  [][]rtree.Item
-	routes []route
-	objs   map[string]*[]picture.Object
+	runs  [][]btree.Entry
+	items [][]rtree.Item
+	pages []pager.PageID
+	objs  map[string]*[]picture.Object
 }
 
 // indexBuild is one scan of the relation for the indexes being built:
@@ -83,8 +76,8 @@ func (r *Relation) BuildIndexes(columns []string, pics []*picture.Picture) (Buil
 }
 
 // build is BuildIndexes; with open set it is Open's reload of a relation
-// whose directory is still empty: every record counts, and the ids the
-// records carry become the directory (adoptRoutes).
+// whose live counts and page table are still empty: the records the scan
+// finds fill them (adopt).
 func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (BuildTimes, error) {
 	var times BuildTimes
 	for i, col := range columns {
@@ -119,7 +112,7 @@ func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (
 	t0 := nowFn()
 	err := b.scan(open)
 	if err == nil && open {
-		err = r.adoptRoutes(b.parts)
+		err = r.adopt(b.parts)
 	}
 	times.Scan = nowFn().Sub(t0)
 	if err != nil {
@@ -191,29 +184,21 @@ func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (
 }
 
 // scan fills parts from every store's heap, each walked under its lock
-// beside the others. Without open, a record counts when the id
-// directory places it where it was found; with open, every record counts
-// and the objects the tuples carry are collected.
+// beside the others; with open, the records' pages are noted and the
+// objects the tuples carry collected.
 func (b *indexBuild) scan(open bool) error {
 	r := b.r
-	var dir idCodec
-	if !open {
-		r.smu.RLock()
-		dir = r.ids.snapshot()
-		r.smu.RUnlock()
-	}
 	b.parts = make([]*scanPart, len(r.stores))
 	return par.Do(len(r.stores), 0, func(s int) error {
-		if err := b.scanStore(s, dir); err != nil {
+		if err := b.scanStore(s, open); err != nil {
 			return r.storeErr(s, err)
 		}
 		return nil
 	})
 }
 
-// scanStore fills parts[s] from store s's heap under the store's lock;
-// dir is nil on Open.
-func (b *indexBuild) scanStore(s int, dir idCodec) error {
+// scanStore fills parts[s] from store s's heap under the store's lock.
+func (b *indexBuild) scanStore(s int, open bool) error {
 	r := b.r
 	arity := r.schema.Arity()
 	need := make([]bool, arity)
@@ -225,7 +210,7 @@ func (b *indexBuild) scanStore(s int, dir idCodec) error {
 	li := r.schema.LocColumn()
 	var locCols []int
 	for i, col := range r.schema.Columns {
-		if col.Type == TypeLoc && (dir == nil || (i == li && len(b.pics) > 0)) {
+		if col.Type == TypeLoc && (open || (i == li && len(b.pics) > 0)) {
 			locCols = append(locCols, i)
 		}
 	}
@@ -241,9 +226,8 @@ func (b *indexBuild) scanStore(s int, dir idCodec) error {
 	for pi := range p.items {
 		p.items[pi] = make([]rtree.Item, 0, n/len(p.items))
 	}
-	if dir == nil {
+	if open {
 		p.objs = make(map[string]*[]picture.Object)
-		p.routes = make([]route, 0, n)
 	}
 	slot := make(Tuple, 0, arity)
 	locs := make([]locBytes, arity)
@@ -294,20 +278,15 @@ func (b *indexBuild) scanStore(s int, dir idCodec) error {
 		return nil
 	}
 	var scanErr error
-	err := st.heap.Scan(func(lid storage.TupleID, rec []byte) bool {
-		id, body, err := r.ids.unframe(lid, rec)
-		if err == nil && dir != nil && !placedAt(dir, id, s, lid) {
-			return true
-		}
-		if err == nil {
-			err = collect(id, body)
-		}
-		if err != nil {
+	err := st.heap.Scan(func(lid storage.TupleID, body []byte) bool {
+		if err := collect(lid.Int64(), body); err != nil {
 			scanErr = fmt.Errorf("tuple %v: %w", lid, err)
 			return false
 		}
-		if dir == nil {
-			p.routes = append(p.routes, route{id, lid})
+		if open {
+			if k := len(p.pages); k == 0 || p.pages[k-1] != lid.Page {
+				p.pages = append(p.pages, lid.Page)
+			}
 		}
 		return true
 	})
@@ -345,23 +324,18 @@ func (r *Relation) restoreObjects(objs map[string]*[]picture.Object) error {
 	return nil
 }
 
-// adoptRoutes counts the records an open scan found into each store's
-// live count and, for sequence ids, makes them the route table. A
-// sequence stored twice, in one store or in two, is corruption.
-func (r *Relation) adoptRoutes(parts []*scanPart) error {
-	dir, seq := r.ids.(*seqIDs)
+// adopt takes each store's live count from its heap and, when there are
+// several stores, gives each page an open scan found a record on to its
+// store in the page table. A page two stores' heaps hold is corruption.
+func (r *Relation) adopt(parts []*scanPart) error {
 	for s, p := range parts {
-		r.live[s] = int64(len(p.routes))
-		for _, e := range p.routes {
-			if !seq {
-				break
-			}
-			if prev, _, dup := dir.resolve(e.id); dup {
-				return fmt.Errorf("relation %s: %w: sequence %d stored in store %d and store %d", r.name, storage.ErrCorrupt, e.id, prev, s)
-			}
-			dir.publish(e.id, s, e.lid)
-			if e.id >= dir.next.Load() {
-				dir.next.Store(e.id + 1)
+		r.live[s] = int64(r.stores[s].heap.Len())
+		if len(parts) == 1 {
+			break
+		}
+		for _, page := range p.pages {
+			if err := r.pages.claim(page, s); err != nil {
+				return fmt.Errorf("relation %s: %w", r.name, err)
 			}
 		}
 	}

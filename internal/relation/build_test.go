@@ -132,11 +132,10 @@ func TestBuildIndexesMatchesSeparateCalls(t *testing.T) {
 	}
 }
 
-// A shard's tree is packed from its items in ascending sequence — the
-// order of the route table, which the shard's heap leaves as soon as a
-// freed slot is reused. The reference walks the relation the way the
-// route table orders it and packs each shard's share of the objects
-// the tuples carry.
+// A store's tree is packed from its items in ascending id order — the
+// order of a scan, which the store's heap chain leaves as soon as a
+// freed slot is reused. The reference walks the relation in id order and
+// packs each store's share of the objects the tuples carry.
 func TestBuildIndexesShardItemOrder(t *testing.T) {
 	rel, pics := buildFixture(t, 4, 900)
 	if err := rel.AttachPicture(pics[0], hilbertPack); err != nil {
@@ -147,17 +146,17 @@ func TestBuildIndexesShardItemOrder(t *testing.T) {
 		if tu[3].Loc.Picture != pics[0].Name() {
 			return true
 		}
-		s, lid, _ := rel.resolve(id.Int64())
-		var obj picture.Object
-		if _, err := rel.fetch(id.Int64(), s, lid, func(body []byte) error {
-			locs := make([]locBytes, 4)
-			if _, err := decodeCols(body, nil, nil, locs); err != nil {
-				return err
-			}
-			var err error
-			obj, err = picture.DecodeObject(locs[3].obj)
-			return err
-		}); err != nil {
+		s, _ := rel.storeOf(id)
+		body, err := rel.stores[s].heap.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		locs := make([]locBytes, 4)
+		if _, err := decodeCols(body, nil, nil, locs); err != nil {
+			t.Fatal(err)
+		}
+		obj, err := picture.DecodeObject(locs[3].obj)
+		if err != nil {
 			t.Fatal(err)
 		}
 		want[s] = append(want[s], rtree.Item{Rect: obj.MBR(), Data: id.Int64()})
@@ -169,7 +168,7 @@ func TestBuildIndexesShardItemOrder(t *testing.T) {
 	for s, si := range rel.Spatials("us-map") {
 		ref := packTree(want[s])
 		if !reflect.DeepEqual(si.PackedTree().Items(), ref.Items()) {
-			t.Fatalf("shard %d: tree differs from one packed in sequence order", s)
+			t.Fatalf("shard %d: tree differs from one packed in id order", s)
 		}
 	}
 }

@@ -9,8 +9,7 @@ import (
 	"repro/internal/storage"
 )
 
-// Tuple wire format, the body of every heap record (ids.go says what a
-// record carries before it):
+// Tuple wire format, every heap record being one tuple body:
 //
 //	uvarint column count, then per column:
 //	  byte type tag

@@ -6,18 +6,15 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/picture"
-	"repro/internal/storage"
 )
 
 // FuzzDecodeTuple feeds arbitrary bytes to the heap record decoder: a
-// sharded store's sequence prefix and the tuple body after it, the
-// objects loc columns carry included (a main-file record is the body
-// alone). Seeds are records: a valid one and its truncations, a
-// bogus type tag, and a record per object kind with its object cut
-// short and with a bad kind byte. Properties: the decoders never panic;
-// a record shorter than its prefix is refused; any body DecodeTuple
-// accepts re-encodes, with the objects its locs carry, and re-decodes
-// to the same tuple (round-trip stability) — together the guarantee
+// record is the tuple body, the objects loc columns carry included.
+// Seeds are records: a valid one and its truncations, a bogus type tag,
+// and a record per object kind with its object cut short and with a bad
+// kind byte. Properties: the decoders never panic; any body DecodeTuple
+// accepts re-encodes, with the objects its locs carry, and re-decodes to
+// the same tuple (round-trip stability) — together the guarantee
 // Database.Check relies on when it re-decodes every stored record. The
 // batch fetch's decode — into an arena slot, the terms' columns first
 // (decodeKept) — is held to the same decoder: it fails on exactly the
@@ -26,21 +23,21 @@ import (
 // whatever the slot's capacity; with no column needed, the loc's object
 // is validated all the same.
 func FuzzDecodeTuple(f *testing.F) {
-	good := seqRecord(seqBase, Tuple{S("abc"), I(5)}, nil)
+	good := appendBody(nil, Tuple{S("abc"), I(5), F(0.5)}, nil)
 	f.Add(bytes.Clone(good))
 	for cut := 1; cut < len(good); cut++ {
 		f.Add(bytes.Clone(good[:cut]))
 	}
 	f.Add([]byte{})
 	bad := bytes.Clone(good)
-	bad[8+1] = 200
+	bad[1] = 200
 	f.Add(bad)
 	for _, obj := range []picture.Object{
 		{ID: 7, Kind: picture.KindPoint, Label: "a point", Point: geom.Pt(3.5, -7.25)},
 		{ID: 42, Kind: picture.KindSegment, Segment: geom.Seg(geom.Pt(0, 0), geom.Pt(10, 20))},
 		{ID: 9001, Kind: picture.KindRegion, Label: "région", Region: geom.Poly(geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 4))},
 	} {
-		rec := seqRecord(seqBase+int64(obj.ID), Tuple{F(3.25), L("map", obj.ID), S("")}, []picture.Object{obj})
+		rec := appendBody(nil, Tuple{F(3.25), L("map", obj.ID), S("")}, []picture.Object{obj})
 		f.Add(rec)
 		at := bytes.Index(rec, picture.EncodeObject(obj))
 		f.Add(bytes.Clone(rec[:at+len(picture.EncodeObject(obj))-3])) // geometry cut short
@@ -48,21 +45,13 @@ func FuzzDecodeTuple(f *testing.F) {
 		kind[at+8] = 99
 		f.Add(kind)
 	}
-	f.Add(seqRecord(seqBase+1, Tuple{L("", 0), I(-1)}, nil))
+	f.Add(appendBody(nil, Tuple{L("", 0), I(-1)}, nil))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _, ferr := (&seqIDs{}).unframe(storage.TupleID{}, data)
-		if len(data) < 8 {
-			if ferr == nil {
-				t.Fatalf("a %d-byte record unframed", len(data))
-			}
-			return
-		}
-		body := data[8:]
+	f.Fuzz(func(t *testing.T, body []byte) {
 		tup, err := DecodeTuple(body)
 		checkDecodeKept(t, body, tup, err)
 		if _, skipErr := DecodeTupleCols(body, make([]bool, len(body))); (skipErr == nil) != (err == nil) {
-			t.Fatalf("decode needing no column: %v, DecodeTuple: %v (input %x)", skipErr, err, data)
+			t.Fatalf("decode needing no column: %v, DecodeTuple: %v (input %x)", skipErr, err, body)
 		}
 		if err != nil {
 			return // rejecting is always fine; panicking is not
@@ -70,21 +59,12 @@ func FuzzDecodeTuple(f *testing.F) {
 		re := appendBody(nil, tup, carried(t, body))
 		tup2, err := DecodeTuple(re)
 		if err != nil {
-			t.Fatalf("re-encoding of accepted input failed to decode: %v (input %x)", err, data)
+			t.Fatalf("re-encoding of accepted input failed to decode: %v (input %x)", err, body)
 		}
 		if !bytes.Equal(appendBody(nil, tup2, carried(t, re)), re) {
-			t.Fatalf("decode/encode round-trip unstable for input %x", data)
+			t.Fatalf("decode/encode round-trip unstable for input %x", body)
 		}
 	})
-}
-
-// seqRecord is the record a sharded store holds for t, whose locs name
-// objs, under sequence seq.
-func seqRecord(seq int64, t Tuple, objs []picture.Object) []byte {
-	c := &seqIDs{}
-	c.next.Store(seq)
-	rec, _ := c.frame(appendBody(nil, t, objs))
-	return rec
 }
 
 // carried returns the objects an accepted body's locs carry, in column

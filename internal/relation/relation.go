@@ -20,10 +20,12 @@ import (
 
 // store is one heap of a relation. mu serializes heap access — writers
 // exclusively, readers shared — so writers and readers of one store
-// never race on page bytes.
+// never race on page bytes. It also guards deleting, the records a
+// Delete has claimed and not yet freed.
 type store struct {
-	mu   sync.RWMutex
-	heap *storage.Heap
+	mu       sync.RWMutex
+	heap     *storage.Heap
+	deleting map[storage.TupleID]struct{}
 }
 
 // Pictures resolves the picture names a loc column holds: the catalog a
@@ -42,27 +44,29 @@ var ErrDanglingLoc = errors.New("relation: loc names no picture object")
 // R-tree spatial indexes on the loc column — one per associated picture
 // per store. Every store is a heap in the database's one page file. New
 // makes a one-store relation; NewSharded one of n stores, tuples placed
-// by Hilbert key range (shard.go); Open reopens either. How ids and
-// records look differs between the two and is the codec's business
-// (ids.go); every operation here is written once, for any store count.
+// by Hilbert key range (shard.go); Open reopens either. A tuple's id is
+// its heap address whatever the store count (ids.go); every operation
+// here is written once, for any store count.
 //
-// Two kinds of lock, never nested (DESIGN.md §15): smu guards the id
-// directory, the index and spatial directories, the B-trees and the
-// per-store live counts; each store's mu guards its heap. An operation
-// resolves ids under smu, releases it, and only then touches a heap.
+// Two kinds of lock, never nested (DESIGN.md §15): smu guards the page
+// table, the index and spatial directories, the B-trees and the
+// per-store live counts; each store's mu guards its heap and the records
+// a Delete has claimed. An operation finds an id's store under smu,
+// releases it, and only then touches a heap.
 type Relation struct {
 	name   string
 	schema Schema
 	// pics resolves the pictures the loc column names.
 	pics Pictures
-	// pgr is the page file every store's heap lives in. stores and ids
-	// are fixed at construction: a tuple never moves between stores and
-	// the layout never changes.
+	// pgr is the page file every store's heap lives in. stores is fixed
+	// at construction: a tuple never moves between stores and the layout
+	// never changes.
 	pgr    *pager.Pager
 	stores []*store
-	ids    idCodec
 
-	smu     sync.RWMutex
+	smu sync.RWMutex
+	// pages names each heap page's store when there is more than one.
+	pages   pageStores
 	indexes map[string]*btree.Tree
 	spatial map[string][]*SpatialIndex
 	// live counts live tuples per store: Len, the balance report and
@@ -79,14 +83,13 @@ type Relation struct {
 	costGen atomic.Uint64
 }
 
-func newRelation(p *pager.Pager, name string, schema Schema, pics Pictures, stores []*store, ids idCodec) *Relation {
+func newRelation(p *pager.Pager, name string, schema Schema, pics Pictures, stores []*store) *Relation {
 	return &Relation{
 		name:    name,
 		schema:  schema,
 		pics:    pics,
 		pgr:     p,
 		stores:  stores,
-		ids:     ids,
 		indexes: make(map[string]*btree.Tree),
 		spatial: make(map[string][]*SpatialIndex),
 		live:    make([]int64, len(stores)),
@@ -100,12 +103,12 @@ func New(p *pager.Pager, name string, schema Schema, pics Pictures) (*Relation, 
 	if err != nil {
 		return nil, fmt.Errorf("relation %s: %w", name, err)
 	}
-	return newRelation(p, name, schema, pics, []*store{{heap: h}}, addrIDs{}), nil
+	return newRelation(p, name, schema, pics, []*store{{heap: h}}), nil
 }
 
 // NewSharded creates an empty relation of stores heaps in p, each with
-// a spatial index per attached picture, ids being sequences (ids.go),
-// resolving loc columns through pics.
+// a spatial index per attached picture, resolving loc columns through
+// pics.
 func NewSharded(p *pager.Pager, stores int, name string, schema Schema, pics Pictures) (*Relation, error) {
 	if stores < 1 || stores > MaxShards {
 		return nil, fmt.Errorf("relation %s: shard count %d out of range [1, %d]", name, stores, MaxShards)
@@ -118,9 +121,7 @@ func NewSharded(p *pager.Pager, stores int, name string, schema Schema, pics Pic
 		}
 		sts[i] = &store{heap: h}
 	}
-	ids := &seqIDs{}
-	ids.next.Store(seqBase)
-	return newRelation(p, name, schema, pics, sts, ids), nil
+	return newRelation(p, name, schema, pics, sts), nil
 }
 
 // Def is a relation as its catalog records it: where its tuples are and
@@ -129,12 +130,9 @@ type Def struct {
 	Name   string
 	Schema Schema
 	// Pager is the page file the stores live in, and Heaps names each
-	// store's heap by its first page. SeqIDs says the records carry
-	// sequence ids (NewSharded); otherwise there is one store of address
-	// ids (New).
-	Pager  *pager.Pager
-	Heaps  []pager.PageID
-	SeqIDs bool
+	// store's heap by its first page.
+	Pager *pager.Pager
+	Heaps []pager.PageID
 	// Columns are the B-tree indexed columns, Attach the pictures with
 	// a spatial index.
 	Columns []string
@@ -143,13 +141,13 @@ type Def struct {
 
 // Open reattaches to the relation def describes — the catalog's reopen
 // path — and rebuilds everything it keeps in memory from one scan of
-// each store's heap (build.go): a sequence-id relation's id directory, the
+// each store's heap (build.go): an n-store relation's page table, the
 // B-trees, a packed R-tree per attached picture per store, and, in the
 // pictures pics resolves, every object a tuple names.
 func Open(def Def, pics Pictures) (*Relation, BuildTimes, error) {
 	n := len(def.Heaps)
-	if n == 0 || n > MaxShards || (!def.SeqIDs && n != 1) {
-		return nil, BuildTimes{}, fmt.Errorf("relation %s: %d stores (sequence ids %v)", def.Name, n, def.SeqIDs)
+	if n == 0 || n > MaxShards {
+		return nil, BuildTimes{}, fmt.Errorf("relation %s: %d stores", def.Name, n)
 	}
 	stores := make([]*store, n)
 	for i, first := range def.Heaps {
@@ -159,13 +157,7 @@ func Open(def Def, pics Pictures) (*Relation, BuildTimes, error) {
 		}
 		stores[i] = &store{heap: h}
 	}
-	var ids idCodec = addrIDs{}
-	if def.SeqIDs {
-		seq := &seqIDs{}
-		seq.next.Store(seqBase)
-		ids = seq
-	}
-	r := newRelation(def.Pager, def.Name, def.Schema, pics, stores, ids)
+	r := newRelation(def.Pager, def.Name, def.Schema, pics, stores)
 	times, err := r.build(def.Columns, def.Attach, true)
 	if err != nil {
 		return nil, times, err
@@ -186,22 +178,15 @@ func (r *Relation) Generation() uint64 { return r.gen.Load() }
 // while it stands.
 func (r *Relation) CostGeneration() uint64 { return r.costGen.Load() }
 
-// SeqIDs reports whether the relation's ids are sequences (NewSharded)
-// rather than heap addresses (New): what the catalog records.
-func (r *Relation) SeqIDs() bool {
-	_, ok := r.ids.(*seqIDs)
-	return ok
-}
-
 // Sharded reports false: no relation has page files of its own. It is
 // kept only for the benchmark harness, which compiles against it.
 func (r *Relation) Sharded() bool { return false }
 
-// HeapFirstPage returns the first page of the tuple heap of an
-// address-id relation; a sequence-id relation's records carry a prefix
-// and it reports InvalidPage (see ShardHeapFirstPages).
+// HeapFirstPage returns the first page of the tuple heap of a
+// one-store relation; a relation of several heaps reports InvalidPage
+// (see ShardHeapFirstPages).
 func (r *Relation) HeapFirstPage() pager.PageID {
-	if r.SeqIDs() {
+	if len(r.stores) > 1 {
 		return pager.InvalidPage
 	}
 	return r.stores[0].heap.FirstPage()
@@ -312,16 +297,21 @@ func (r *Relation) insert(t Tuple, objs []picture.Object) (storage.TupleID, erro
 	enc := appendBody(nil, t, objs)
 	loc, mbr, hasLoc := r.spatialLoc(t, objs)
 	s := r.place(t, loc, mbr, hasLoc)
-	rec, seq := r.ids.frame(enc)
 	st := r.stores[s]
 	st.mu.Lock()
-	lid, err := st.heap.Insert(rec)
+	lid, err := st.heap.Insert(enc)
 	st.mu.Unlock()
 	if err != nil {
 		return storage.TupleID{}, r.storeErr(s, err)
 	}
 	r.smu.Lock()
-	id := r.ids.publish(seq, s, lid)
+	if len(r.stores) > 1 {
+		if err := r.pages.claim(lid.Page, s); err != nil {
+			r.smu.Unlock()
+			return storage.TupleID{}, r.storeErr(s, err)
+		}
+	}
+	id := lid.Int64()
 	r.live[s]++
 	for col, idx := range r.indexes {
 		idx.Insert(IndexKey(t[r.schema.ColumnIndex(col)]), id)
@@ -332,7 +322,7 @@ func (r *Relation) insert(t Tuple, objs []picture.Object) (storage.TupleID, erro
 		si.insert(mbr, id)
 	}
 	r.costGen.Add(1)
-	return storage.TupleIDFromInt64(id), nil
+	return lid, nil
 }
 
 func (r *Relation) storeErr(s int, err error) error {
@@ -360,68 +350,35 @@ func (r *Relation) spatialLocked(loc LocRef, hasLoc bool, s int) *SpatialIndex {
 	return nil
 }
 
-// resolve returns where id's record is, ok false when id names no live
-// tuple.
-func (r *Relation) resolve(id int64) (int, storage.TupleID, bool) {
+// storeOf returns the store whose heap holds id, ok false when no store
+// owns its page.
+func (r *Relation) storeOf(id storage.TupleID) (int, bool) {
+	if len(r.stores) == 1 {
+		return 0, true
+	}
 	r.smu.RLock()
 	defer r.smu.RUnlock()
-	return r.ids.resolve(id)
-}
-
-// payload unframes the record read from lid for id and checks that it
-// is id's.
-func (r *Relation) payload(id int64, lid storage.TupleID, rec []byte) ([]byte, error) {
-	got, payload, err := r.ids.unframe(lid, rec)
-	if err != nil {
-		return nil, err
-	}
-	if got != id {
-		return nil, fmt.Errorf("%w: record carries id %d, the directory says %d", storage.ErrCorrupt, got, id)
-	}
-	return payload, nil
-}
-
-// fetch reads the record id names from lid of store s, where it was
-// resolved to, and hands its tuple body to decode under the store lock:
-// the body points into the page and is valid only during the call. A
-// failed read or decode is classified by resolving id again: gone from
-// the directory means a Delete completed since — it retires the id
-// before it frees the record, and the read is serialized against the
-// free by the store lock — and ok is false; a standing id means the heap
-// is damaged (or, for an address id, that nothing is stored there).
-func (r *Relation) fetch(id int64, s int, lid storage.TupleID, decode func(body []byte) error) (ok bool, err error) {
-	st := r.stores[s]
-	st.mu.RLock()
-	err = st.heap.GetBatch([]storage.TupleID{lid}, func(_ int, rec []byte) error {
-		body, err := r.payload(id, lid, rec)
-		if err == nil {
-			err = decode(body)
-		}
-		return err
-	})
-	st.mu.RUnlock()
-	if err == nil {
-		return true, nil
-	}
-	if _, _, ok := r.resolve(id); !ok {
-		return false, nil
-	}
-	return false, r.storeErr(s, err)
+	return r.pages.store(id.Page)
 }
 
 // Get returns the tuple stored under id.
 func (r *Relation) Get(id storage.TupleID) (Tuple, error) {
-	if s, lid, ok := r.resolve(id.Int64()); ok {
-		var t Tuple
-		ok, err := r.fetch(id.Int64(), s, lid, func(body []byte) (err error) {
-			t, err = DecodeTuple(body)
-			return err
-		})
-		if ok || err != nil {
-			return t, err
-		}
+	s, ok := r.storeOf(id)
+	if !ok {
+		return nil, fmt.Errorf("%w: %v", storage.ErrNotFound, id)
 	}
-	return nil, fmt.Errorf("%w: %v", storage.ErrNotFound, id)
+	var t Tuple
+	st := r.stores[s]
+	st.mu.RLock()
+	err := st.heap.GetBatch([]storage.TupleID{id}, func(_ int, body []byte) (err error) {
+		t, err = DecodeTuple(body)
+		return err
+	})
+	st.mu.RUnlock()
+	if err != nil {
+		return nil, r.storeErr(s, err)
+	}
+	return t, nil
 }
 
 // GetBatch materializes the tuples stored under ids, preserving input
@@ -486,9 +443,7 @@ func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep fun
 	if len(ids) == 0 {
 		return out, nil
 	}
-	r.smu.RLock()
-	lids, pos, err := r.ids.group(ids, len(r.stores))
-	r.smu.RUnlock()
+	lids, pos, err := r.group(ids)
 	if err != nil {
 		return nil, fmt.Errorf("relation %s: %w", r.name, err)
 	}
@@ -504,11 +459,7 @@ func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep fun
 			if pos != nil {
 				p = pos[s][k]
 			}
-			body, err := r.payload(ids[p].Int64(), l[k], rec)
-			var t Tuple
-			if err == nil {
-				t, _, err = arena.decode(body, need, test, keep)
-			}
+			t, _, err := arena.decode(rec, need, test, keep)
 			if err != nil {
 				return fmt.Errorf("relation %s: tuple %v: %w", r.name, ids[p], err)
 			}
@@ -523,28 +474,55 @@ func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep fun
 	return out, nil
 }
 
+// group sorts a batch of ids by store: lids[s][k] is ids[pos[s][k]], and
+// a nil pos stands for the identity. An id on a page no store owns fails
+// the batch.
+func (r *Relation) group(ids []storage.TupleID) (lids [][]storage.TupleID, pos [][]int, err error) {
+	if len(r.stores) == 1 {
+		return [][]storage.TupleID{ids}, nil, nil
+	}
+	lids = make([][]storage.TupleID, len(r.stores))
+	pos = make([][]int, len(r.stores))
+	r.smu.RLock()
+	defer r.smu.RUnlock()
+	for i, id := range ids {
+		s, ok := r.pages.store(id.Page)
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: %v", storage.ErrNotFound, id)
+		}
+		lids[s] = append(lids[s], id)
+		pos[s] = append(pos[s], i)
+	}
+	return lids, pos, nil
+}
+
 // Delete removes the tuple stored under id from every index and the
-// heap, in that order: the id is retired and its index entries removed
-// in one critical section, and only then is the record freed. A reader
-// whose heap read misses can therefore always put the miss down to a
-// finished Delete by resolving the id again (fetch), no index entry
-// outlives its id, and a heap address is not handed to a new tuple
-// while entries of the old one remain. The spatial entry is found by the
-// object the record carries, whatever its picture holds now. A second
-// Delete of the same id loses the race for the directory and reports
-// not-found.
+// heap, in that order. Under the store's lock it reads the record and
+// claims it: of two Deletes of one id exactly one finds it live and
+// unclaimed, and the other reports not-found. The claimant then removes
+// the index entries and only then frees the record, dropping its claim,
+// so no index entry outlives its tuple and a heap address is not handed
+// to a new tuple while entries of the old one remain. The spatial entry
+// is found by the object the record carries, whatever its picture holds
+// now.
 func (r *Relation) Delete(id storage.TupleID) error {
 	gid := id.Int64()
-	notFound := fmt.Errorf("%w: %v", storage.ErrNotFound, id)
-	s, lid, ok := r.resolve(gid)
+	s, ok := r.storeOf(id)
+	if !ok {
+		return fmt.Errorf("%w: %v", storage.ErrNotFound, id)
+	}
 	var t Tuple
 	var loc LocRef
 	var mbr geom.Rect
 	li := r.schema.LocColumn()
 	hasLoc := false
+	st := r.stores[s]
+	st.mu.Lock()
 	var err error
-	if ok {
-		ok, err = r.fetch(gid, s, lid, func(body []byte) (err error) {
+	if _, claimed := st.deleting[id]; claimed {
+		err = fmt.Errorf("%w: %v (being deleted)", storage.ErrNotFound, id)
+	} else {
+		err = st.heap.GetBatch([]storage.TupleID{id}, func(_ int, body []byte) (err error) {
 			locs := make([]locBytes, r.schema.Arity())
 			if t, err = decodeCols(body, nil, nil, locs); err != nil {
 				return err
@@ -559,18 +537,17 @@ func (r *Relation) Delete(id storage.TupleID) error {
 			return nil
 		})
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		if st.deleting == nil {
+			st.deleting = make(map[storage.TupleID]struct{})
+		}
+		st.deleting[id] = struct{}{}
 	}
-	if !ok {
-		return notFound
+	st.mu.Unlock()
+	if err != nil {
+		return r.storeErr(s, err)
 	}
 	r.smu.Lock()
-	if _, _, ok := r.ids.resolve(gid); !ok {
-		r.smu.Unlock()
-		return notFound
-	}
-	r.ids.retire(gid)
 	r.live[s]--
 	for col, idx := range r.indexes {
 		idx.Delete(IndexKey(t[r.schema.ColumnIndex(col)]), gid)
@@ -581,9 +558,9 @@ func (r *Relation) Delete(id storage.TupleID) error {
 		si.delete(mbr, gid)
 	}
 	r.costGen.Add(1)
-	st := r.stores[s]
 	st.mu.Lock()
-	err = st.heap.Delete(lid)
+	err = st.heap.Delete(id)
+	delete(st.deleting, id)
 	st.mu.Unlock()
 	if err != nil {
 		return r.storeErr(s, err)
@@ -631,64 +608,66 @@ func (r *Relation) Scan(fn func(id storage.TupleID, t Tuple) bool) error {
 // relation, and a tuple deleted while the scan is under way is either
 // seen or skipped.
 func (r *Relation) ScanCols(need, test []bool, keep func(Tuple) bool, fn func(id storage.TupleID, t Tuple) bool) error {
-	r.smu.RLock()
-	dir := r.ids.snapshot()
-	r.smu.RUnlock()
 	// How many tuples keep accepts is unknown: the blocks start small.
 	arena := tupleArena{arity: r.schema.Arity(), left: r.Len(), block: 8}
-	var err error
-	if dir.walk(func(id int64, s int, lid storage.TupleID) bool {
-		var t Tuple
-		kept := false // and false for a tuple deleted since the snapshot
-		_, err = r.fetch(id, s, lid, func(body []byte) (err error) {
-			t, kept, err = arena.decode(body, need, test, keep)
-			return err
-		})
-		return err == nil && (!kept || fn(storage.TupleIDFromInt64(id), t))
-	}) {
-		return err
-	}
-	// The ids are heap addresses and heap order is their order: one pass
-	// over the pages, each decoded under the store lock and its kept
-	// tuples handed to fn after it is dropped.
+	// Ids are heap addresses: a page's ids ascend, and are below every id
+	// of a higher page. One page at a time, each decoded under its store's
+	// lock and its kept tuples handed to fn after the lock is dropped.
 	type scanned struct {
-		id int64
+		id storage.TupleID
 		t  Tuple
 	}
 	var run []scanned
 	var decodeErr error
-	page := func(lid storage.TupleID, rec []byte) bool {
-		id, body, err := r.ids.unframe(lid, rec)
-		var t Tuple
-		kept := false
-		if err == nil {
-			t, kept, err = arena.decode(body, need, test, keep)
-		}
+	visit := func(lid storage.TupleID, body []byte) bool {
+		t, kept, err := arena.decode(body, need, test, keep)
 		if err != nil {
 			decodeErr = fmt.Errorf("relation %s: tuple %v: %w", r.name, lid, err)
 			return false
 		}
 		if kept {
-			run = append(run, scanned{id, t})
+			run = append(run, scanned{lid, t})
 		}
 		return true
 	}
-	st := r.stores[0]
-	for next := st.heap.FirstPage(); next != pager.InvalidPage; {
+	// scanPage scans page of store s, reporting the page its heap chains
+	// to and whether the scan is over.
+	scanPage := func(s int, page pager.PageID) (pager.PageID, bool, error) {
 		run = run[:0]
+		st := r.stores[s]
 		st.mu.RLock()
-		next, err = st.heap.ScanPage(next, page)
+		next, err := st.heap.ScanPage(page, visit)
 		st.mu.RUnlock()
 		if err != nil {
-			return err
+			return 0, true, err
 		}
 		for _, sc := range run {
-			if !fn(storage.TupleIDFromInt64(sc.id), sc.t) {
-				return nil
+			if !fn(sc.id, sc.t) {
+				return 0, true, nil
 			}
 		}
-		if decodeErr != nil {
-			return decodeErr
+		return next, decodeErr != nil, decodeErr
+	}
+	if len(r.stores) == 1 {
+		for page := r.stores[0].heap.FirstPage(); page != pager.InvalidPage; {
+			next, done, err := scanPage(0, page)
+			if done {
+				return err
+			}
+			page = next
+		}
+		return nil
+	}
+	// Several heaps: their pages in ascending order, which the page table
+	// gives.
+	r.smu.RLock()
+	pages := slices.Clone(r.pages)
+	r.smu.RUnlock()
+	for page := range pages {
+		if s, ok := pages.store(pager.PageID(page)); ok {
+			if _, done, err := scanPage(s, pager.PageID(page)); done {
+				return err
+			}
 		}
 	}
 	return nil
@@ -956,7 +935,7 @@ func (r *Relation) JuxtaposeSpatial(picA string, s *Relation, picB string, pred 
 
 // Check validates the relation end to end: every heap's slotted-page
 // structure (every page checksum-verified through the pager), every
-// record's agreement with the id directory, every tuple's decodability
+// record's page belonging to its store in the page table, every tuple's decodability
 // and schema conformance, the structural invariants of each B-tree and
 // spatial index, and that every index entry — B-tree or spatial —
 // resolves to a live tuple, a spatial one to a tuple of its own store,
@@ -966,13 +945,13 @@ func (r *Relation) JuxtaposeSpatial(picA string, s *Relation, picB string, pred 
 // returns the first problem found, in store order.
 func (r *Relation) Check() error {
 	r.smu.RLock()
-	dir := r.ids.snapshot()
+	pages := slices.Clone(r.pages)
 	counts := slices.Clone(r.live)
 	spatial := maps.Clone(r.spatial)
 	r.smu.RUnlock()
 	live := make([][]int64, len(r.stores))
 	err := par.Do(len(r.stores), 0, func(s int) (err error) {
-		if live[s], err = r.checkStore(s, dir, counts[s], spatial); err != nil {
+		if live[s], err = r.checkStore(s, pages, counts[s], spatial); err != nil {
 			return r.storeErr(s, err)
 		}
 		return nil
@@ -1005,13 +984,14 @@ func (r *Relation) Check() error {
 	return nil
 }
 
-// checkStore validates store s — heap structure, every record against
-// the directory snapshot dir, tuple decodability and schema conformance,
+// checkStore validates store s — heap structure, every record's page
+// against the page table pages (of an n-store relation), tuple
+// decodability and schema conformance,
 // the count of live records against want, and the store's spatial
 // indexes (structure, every entry naming a live tuple of this store, and
 // one entry per tuple whose loc names the index's picture). It returns
 // the store's live ids in ascending order.
-func (r *Relation) checkStore(s int, dir idCodec, want int64, spatial map[string][]*SpatialIndex) ([]int64, error) {
+func (r *Relation) checkStore(s int, pages pageStores, want int64, spatial map[string][]*SpatialIndex) ([]int64, error) {
 	st := r.stores[s]
 	var ids []int64
 	li := r.schema.LocColumn()
@@ -1021,13 +1001,13 @@ func (r *Relation) checkStore(s int, dir idCodec, want int64, spatial map[string
 	err := st.heap.Check()
 	if err == nil {
 		err = st.heap.Scan(func(lid storage.TupleID, rec []byte) bool {
-			id, payload, err := dir.unframe(lid, rec)
-			if err == nil && !placedAt(dir, id, s, lid) {
-				err = fmt.Errorf("%w: record %v carries id %d, which the directory does not place there", storage.ErrCorrupt, lid, id)
+			var err error
+			if owner, ok := pages.store(lid.Page); len(r.stores) > 1 && (!ok || owner != s) {
+				err = fmt.Errorf("%w: page %d is not this store's in the page table", storage.ErrCorrupt, lid.Page)
 			}
 			var t Tuple
 			if err == nil {
-				t, err = DecodeTuple(payload)
+				t, err = DecodeTuple(rec)
 			}
 			if err == nil {
 				err = r.schema.Validate(t)
@@ -1036,7 +1016,7 @@ func (r *Relation) checkStore(s int, dir idCodec, want int64, spatial map[string
 				scanErr = fmt.Errorf("tuple %v: %w", lid, err)
 				return false
 			}
-			ids = append(ids, id)
+			ids = append(ids, lid.Int64())
 			if li >= 0 && t[li].Loc.Object != 0 {
 				located[t[li].Loc.Picture]++
 			}
@@ -1051,7 +1031,7 @@ func (r *Relation) checkStore(s int, dir idCodec, want int64, spatial map[string
 		return nil, err
 	}
 	if int64(len(ids)) != want {
-		return nil, fmt.Errorf("%w: the directory counts %d live tuples, the heap holds %d records", storage.ErrCorrupt, want, len(ids))
+		return nil, fmt.Errorf("%w: the relation counts %d live tuples, the heap holds %d records", storage.ErrCorrupt, want, len(ids))
 	}
 	slices.Sort(ids)
 	for pic, sis := range spatial {

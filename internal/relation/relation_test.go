@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -154,16 +155,11 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 }
 
 // A stored body carries the object its loc names after the object id;
-// decodeCols reports where it lies, and a sharded store's record is the
-// same body behind its sequence.
+// decodeCols reports where it lies.
 func TestRecordLayout(t *testing.T) {
 	obj := picture.Object{ID: 7, Kind: picture.KindSegment, Label: "s", Segment: geom.Seg(geom.Pt(0, 0), geom.Pt(3, 4))}
 	tu := Tuple{S("x"), L("map", 7), I(9)}
-	rec := seqRecord(seqBase+5, tu, []picture.Object{obj})
-	seq, body, err := (&seqIDs{}).unframe(storage.TupleID{}, rec)
-	if err != nil || seq != seqBase+5 || !bytes.Equal(body, appendBody(nil, tu, []picture.Object{obj})) {
-		t.Fatalf("unframe = %d, %v", seq, err)
-	}
+	body := appendBody(nil, tu, []picture.Object{obj})
 	locs := make([]locBytes, 3)
 	got, err := decodeCols(body, nil, nil, locs)
 	if err != nil || !got[1].Eq(tu[1]) || !got[2].Eq(tu[2]) {
@@ -171,11 +167,6 @@ func TestRecordLayout(t *testing.T) {
 	}
 	if string(locs[1].pic) != "map" || !bytes.Equal(locs[1].obj, picture.EncodeObject(obj)) || locs[0].obj != nil {
 		t.Fatalf("loc bytes %q %x", locs[1].pic, locs[1].obj)
-	}
-	for _, bad := range [][]byte{rec[:7], seqRecord(seqBase-1, tu, []picture.Object{obj})} {
-		if _, _, err := (&seqIDs{}).unframe(storage.TupleID{}, bad); !errors.Is(err, storage.ErrCorrupt) {
-			t.Fatalf("bad prefix %x: %v", bad, err)
-		}
 	}
 }
 
@@ -725,7 +716,7 @@ func TestUpdate(t *testing.T) {
 
 // TestCheckResolvesIndexEntries: Check's promise that every index entry
 // names a live tuple holds for spatial entries and B-tree entries alike,
-// on a one-store address-id relation as on a sequence-id one. Each case
+// on a one-store relation as on one of several stores. Each case
 // deletes a tuple and plants an entry for it behind the relation's back.
 func TestCheckResolvesIndexEntries(t *testing.T) {
 	kinds := map[string]func(t *testing.T) (*Relation, *picture.Picture){
@@ -758,7 +749,7 @@ func TestCheckResolvesIndexEntries(t *testing.T) {
 					t.Fatal(err)
 				}
 				victim := ids[7]
-				s, _, _ := rel.resolve(victim.Int64())
+				s, _ := rel.storeOf(victim)
 				if err := rel.Delete(victim); err != nil {
 					t.Fatal(err)
 				}
@@ -810,7 +801,7 @@ func TestCheckCountsSpatialEntries(t *testing.T) {
 				if where == "delta" {
 					victim = ids[37]
 				}
-				s, _, _ := rel.resolve(victim.Int64())
+				s, _ := rel.storeOf(victim)
 				tu, err := rel.Get(victim)
 				if err != nil {
 					t.Fatal(err)
@@ -822,5 +813,73 @@ func TestCheckCountsSpatialEntries(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestConcurrentDoubleDelete races two Deletes of every id of a batch:
+// of each pair exactly one succeeds and the other reports ErrNotFound,
+// and Len and Check agree after every round — at one store and at
+// several.
+func TestConcurrentDoubleDelete(t *testing.T) {
+	for _, stores := range []int{1, 4} {
+		t.Run(fmt.Sprintf("stores=%d", stores), func(t *testing.T) {
+			var rel *Relation
+			var pic *picture.Picture
+			if stores == 1 {
+				rel, pic = newCities(t)
+			} else {
+				pic = usMap()
+				rel = newShardedCities(t, stores, pic)
+			}
+			if err := rel.AttachPicture(pic, hilbertPack); err != nil {
+				t.Fatal(err)
+			}
+			if err := rel.CreateIndex("population"); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(stores)))
+			for round := 0; round < 200; round++ {
+				var ids []storage.TupleID
+				for i := 0; i < 50; i++ {
+					ids = append(ids, addCity(t, rel, pic, fmt.Sprintf("r%d-%d", round, i), "ST", int64(i), rng.Float64()*1000, rng.Float64()*1000))
+				}
+				victims := ids[:25]
+				errs := make([][]error, 2)
+				start := make(chan struct{})
+				var wg sync.WaitGroup
+				for g := range errs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						for _, id := range victims {
+							errs[g] = append(errs[g], rel.Delete(id))
+						}
+					}()
+				}
+				close(start)
+				wg.Wait()
+				for i, id := range victims {
+					a, b := errs[0][i], errs[1][i]
+					if (a == nil) == (b == nil) {
+						t.Fatalf("round %d: the two Deletes of %v returned %v and %v; want exactly one success", round, id, a, b)
+					}
+					if lost := errors.Join(a, b); !errors.Is(lost, storage.ErrNotFound) {
+						t.Fatalf("round %d: the losing Delete of %v: %v, want ErrNotFound", round, id, lost)
+					}
+				}
+				if rel.Len() != 25 {
+					t.Fatalf("round %d: Len = %d after deleting 25 of 50", round, rel.Len())
+				}
+				if err := rel.Check(); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				for _, id := range ids[25:] {
+					if err := rel.Delete(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -14,15 +14,18 @@ import (
 // accessors the catalog, the checker and the balance report read, and
 // the scatter-gather read path over one spatial index per store.
 //
-// The contract is that the store count cannot be seen in an answer:
-// queries return the same rows in the same canonical order at every
-// count. Each store's spatial index reports the ids it holds for a
-// window and the gather step sorts their union once — stores partition
-// the id space, so that is bit-identical to one big index. Placement is
-// a pure heuristic: contiguous key ranges per store keep spatially
+// The contract is that the store count changes no answer's rows:
+// queries return the same rows at every count, each in the canonical
+// ascending id order. Each store's spatial index reports the ids it
+// holds for a window and the gather step sorts their union once — a
+// tuple's id is its heap address and stores own disjoint pages, so no
+// id appears twice. An id follows its relation's layout, so under the
+// default order the rows come in an order that can differ between
+// counts; under an order by that is total on them, it cannot. Placement
+// is a pure heuristic: contiguous key ranges per store keep spatially
 // clustered tuples together, so clustered windows overlap few stores'
-// bounds, but correctness never depends on where a tuple lives — the id
-// directory (ids.go) says where.
+// bounds, but correctness never depends on where a tuple lives — the
+// page table (ids.go) says where.
 
 // KeyRange is the half-open Hilbert key range [Lo, Hi) routed to one
 // shard.
@@ -130,7 +133,7 @@ func (r *Relation) ShardHeapPages(s int) ([]pager.PageID, error) {
 // up in the per-store key ranges, when the relation has that picture
 // attached. Other tuples (no loc, or a picture not attached yet) fall
 // back to a hash of their own bytes (EncodeTuple). Placement only
-// affects locality — the id directory, not the placement rule, resolves
+// affects locality — the page table, not the placement rule, resolves
 // reads — so attaching a picture after a fallback-placed load is
 // correct, just less clustered.
 func (r *Relation) place(t Tuple, loc LocRef, mbr geom.Rect, hasLoc bool) int {
@@ -285,9 +288,9 @@ func scatterItems(sis []*SpatialIndex) ([]rtree.Item, int) {
 // scatterJuxtapose joins two index lists: every pair of non-empty
 // shards whose bounds intersect is juxtaposed with the merged-tier
 // machinery — a pair that contributes nothing is found out at its two
-// roots — and the union is sorted canonically by (A, B). Shards
-// partition both id spaces, so no pair can appear twice and the result
-// is bit-identical to joining two unsharded indexes.
+// roots — and the union is sorted canonically by (A, B). Stores own
+// disjoint heap pages, so no pair can appear twice and the result holds
+// the pairs one index per relation would give.
 func scatterJuxtapose(as, bs []*SpatialIndex, pred func(a, b geom.Rect) bool) ([]rtree.JoinPair, int) {
 	if len(as) == 1 && len(bs) == 1 {
 		return juxtaposeMerged(as[0], bs[0], pred)

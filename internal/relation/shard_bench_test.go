@@ -69,7 +69,7 @@ func BenchmarkUnshardedSearch(b *testing.B) {
 
 // BenchmarkShardedSearch is the same workload scatter-gathered across
 // 8 Hilbert-range shards: the directory prunes non-overlapping shards,
-// then per-shard result streams merge in ascending sequence order.
+// then per-shard results are gathered in ascending id order.
 func BenchmarkShardedSearch(b *testing.B) {
 	runShardSearchBench(b, shardBenchFixture(b, 8, 6000))
 }

@@ -2,9 +2,12 @@ package relation
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,9 +19,9 @@ import (
 	"repro/internal/storage"
 )
 
-// shardCounts is the oracle matrix from the issue: sharded results
-// must be bit-identical across all of these and row-identical to the
-// unsharded execution.
+// shardCounts is the oracle matrix: at each of these store counts a
+// search returns the unsharded relation's rows, each relation in its own
+// ascending id order.
 var shardCounts = []int{1, 2, 4, 8}
 
 // newShardedCities builds a cities relation of shards stores in a fresh
@@ -123,9 +126,9 @@ var oracleWindows = []geom.Rect{
 }
 
 // resolveNames materializes result ids into tuple names — the
-// cross-twin comparison key (TupleIDs differ between the unsharded
-// heap addressing and the sharded sequence numbering, but for these
-// workloads both orders are insertion order, so positions align).
+// cross-twin comparison key: every twin's ids are heap addresses of its
+// own layout, so the twins agree on the rows, not on the ids or their
+// order.
 func resolveNames(t *testing.T, rel *Relation, ids []storage.TupleID) []string {
 	t.Helper()
 	out := make([]string, len(ids))
@@ -139,22 +142,27 @@ func resolveNames(t *testing.T, rel *Relation, ids []storage.TupleID) []string {
 	return out
 }
 
-func namesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// sameRows reports whether a and b hold the same names, counted with
+// multiplicity, in any order.
+func sameRows(a, b []string) bool {
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.Sort(a)
+	slices.Sort(b)
+	return slices.Equal(a, b)
 }
 
-// verifyShardOracle checks every window against the unsharded oracle
-// (row-for-row by resolved tuple) and requires bit-identical TupleID
-// streams across all sharded twins (sequence ids are shard-count
-// independent).
+// ascending fails t unless ids are in strictly ascending order: the
+// canonical order of every answer.
+func ascending(t *testing.T, what string, ids []storage.TupleID) {
+	t.Helper()
+	if !slices.IsSortedFunc(ids, storage.TupleID.Compare) || len(slices.Compact(slices.Clone(ids))) != len(ids) {
+		t.Fatalf("%s: ids not strictly ascending: %v", what, ids)
+	}
+}
+
+// verifyShardOracle checks every window against the unsharded oracle:
+// the same rows at every store count, each twin's ids in ascending
+// order.
 func verifyShardOracle(t *testing.T, twins map[int]*Relation, stage string) {
 	t.Helper()
 	for wi, w := range oracleWindows {
@@ -162,42 +170,32 @@ func verifyShardOracle(t *testing.T, twins map[int]*Relation, stage string) {
 		if err != nil {
 			t.Fatalf("%s window %d: oracle: %v", stage, wi, err)
 		}
+		ascending(t, stage, oracleIDs)
 		want := resolveNames(t, twins[0], oracleIDs)
-		var ref []storage.TupleID
 		for _, k := range shardCounts {
 			ids, _, err := twins[k].SearchArea("us-map", w, geom.Overlapping)
 			if err != nil {
 				t.Fatalf("%s window %d shards=%d: %v", stage, wi, k, err)
 			}
+			ascending(t, fmt.Sprintf("%s window %d shards=%d", stage, wi, k), ids)
 			got := resolveNames(t, twins[k], ids)
-			if !namesEqual(got, want) {
+			if !sameRows(got, want) {
 				t.Fatalf("%s window %d shards=%d: rows diverge from unsharded\n got %v\nwant %v",
 					stage, wi, k, got, want)
-			}
-			if ref == nil {
-				ref = ids
-			} else if !idsEqual(ids, ref) {
-				t.Fatalf("%s window %d shards=%d: TupleID stream differs from shards=%d",
-					stage, wi, k, shardCounts[0])
 			}
 		}
 	}
 
-	// The batched path must match the serial calls.
-	oracleBatches, _, err := twins[0].SearchAreaBatch("us-map", oracleWindows, geom.Overlapping, 0)
-	if err != nil {
-		t.Fatalf("%s: oracle batch: %v", stage, err)
-	}
-	for _, k := range shardCounts {
-		batches, _, err := twins[k].SearchAreaBatch("us-map", oracleWindows, geom.Overlapping, 0)
+	// The batched path must match the serial calls, id for id.
+	for k, rel := range twins {
+		batches, _, err := rel.SearchAreaBatch("us-map", oracleWindows, geom.Overlapping, 0)
 		if err != nil {
 			t.Fatalf("%s shards=%d: %v", stage, k, err)
 		}
-		for wi := range oracleWindows {
-			got := resolveNames(t, twins[k], batches[wi])
-			want := resolveNames(t, twins[0], oracleBatches[wi])
-			if !namesEqual(got, want) {
-				t.Fatalf("%s shards=%d window %d: batch rows diverge", stage, k, wi)
+		for wi, w := range oracleWindows {
+			ids, _, _ := rel.SearchArea("us-map", w, geom.Overlapping)
+			if !idsEqual(batches[wi], ids) {
+				t.Fatalf("%s shards=%d window %d: batch diverges from SearchArea", stage, k, wi)
 			}
 		}
 	}
@@ -215,19 +213,22 @@ func verifyShardOracle(t *testing.T, twins map[int]*Relation, stage string) {
 		if len(items) != len(oracleItems) {
 			t.Fatalf("%s shards=%d: %d items, unsharded %d", stage, k, len(items), len(oracleItems))
 		}
+		ids := make([]storage.TupleID, len(items))
+		got, want := make([]string, len(items)), make([]string, len(items))
 		for i := range items {
-			if items[i].Rect != oracleItems[i].Rect {
-				t.Fatalf("%s shards=%d: item %d rect %v, unsharded %v",
-					stage, k, i, items[i].Rect, oracleItems[i].Rect)
-			}
+			ids[i] = storage.TupleIDFromInt64(items[i].Data)
+			got[i], want[i] = fmt.Sprint(items[i].Rect), fmt.Sprint(oracleItems[i].Rect)
+		}
+		ascending(t, fmt.Sprintf("%s shards=%d: items", stage, k), ids)
+		if !sameRows(got, want) {
+			t.Fatalf("%s shards=%d: item rects diverge from unsharded", stage, k)
 		}
 	}
 }
 
-// TestShardedSearchOracle is the issue's oracle matrix: identical
-// content at shard counts 1/2/4/8 vs the unsharded relation, checked
-// fresh, after deletes (all deletes after all inserts, so both
-// numbering schemes remain insertion-ordered), and after a repack.
+// TestShardedSearchOracle is the oracle matrix: identical content at
+// store counts 1/2/4/8 vs the unsharded relation, checked fresh, after
+// deletes, and after a repack.
 func TestShardedSearchOracle(t *testing.T) {
 	twins, ids, _ := shardTwins(t, 600, 42)
 	verifyShardOracle(t, twins, "fresh")
@@ -256,8 +257,8 @@ func TestShardedSearchOracle(t *testing.T) {
 
 // verifyJuxtaposeOracle joins a's and b's twins at every shard count
 // (key 0 is the unsharded pair) and requires the pair stream to resolve
-// to the same logical pairs as the unsharded join, in the same canonical
-// order.
+// to the same logical pairs as the unsharded join, each in its own
+// canonical ascending (A, B) order.
 func verifyJuxtaposeOracle(t *testing.T, stage string, a, b map[int]*Relation) {
 	t.Helper()
 	split := func(pairs []SpatialPair) (as, bs []storage.TupleID) {
@@ -274,9 +275,22 @@ func verifyJuxtaposeOracle(t *testing.T, stage string, a, b map[int]*Relation) {
 	if len(oracle) == 0 {
 		t.Fatalf("%s: vacuous join", stage)
 	}
-	wantA, wantB := split(oracle)
-	wantAN := resolveNames(t, a[0], wantA)
-	wantBN := resolveNames(t, b[0], wantB)
+	// names resolves the pairs to "a|b" and fails t unless they ascend.
+	names := func(k int, pairs []SpatialPair) []string {
+		if !slices.IsSortedFunc(pairs, func(x, y SpatialPair) int {
+			return cmp.Or(x.A.Compare(y.A), x.B.Compare(y.B))
+		}) {
+			t.Fatalf("%s shards=%d: pairs not in ascending (A, B) order", stage, k)
+		}
+		as, bs := split(pairs)
+		an, bn := resolveNames(t, a[k], as), resolveNames(t, b[k], bs)
+		out := make([]string, len(pairs))
+		for i := range out {
+			out[i] = an[i] + "|" + bn[i]
+		}
+		return out
+	}
+	want := names(0, oracle)
 	for _, k := range shardCounts {
 		pairs, _, err := a[k].JuxtaposeSpatial("us-map", b[k], "us-map", geom.Overlapping, 0)
 		if err != nil {
@@ -285,9 +299,7 @@ func verifyJuxtaposeOracle(t *testing.T, stage string, a, b map[int]*Relation) {
 		if len(pairs) != len(oracle) {
 			t.Fatalf("%s shards=%d: %d pairs, unsharded %d", stage, k, len(pairs), len(oracle))
 		}
-		gotA, gotB := split(pairs)
-		if !namesEqual(resolveNames(t, a[k], gotA), wantAN) ||
-			!namesEqual(resolveNames(t, b[k], gotB), wantBN) {
+		if !sameRows(names(k, pairs), want) {
 			t.Fatalf("%s shards=%d: join pairs diverge from unsharded", stage, k)
 		}
 	}
@@ -438,25 +450,29 @@ func TestScanColsMatchesScan(t *testing.T) {
 }
 
 // plant stores body, unvalidated, as a record of store s that rel's
-// directory knows: what a damaged page would hold.
+// page table knows: what a damaged page would hold.
 func plant(t *testing.T, rel *Relation, s int, body []byte) {
 	t.Helper()
-	rec, seq := rel.ids.frame(body)
 	st := rel.stores[s]
 	st.mu.Lock()
-	lid, err := st.heap.Insert(rec)
+	lid, err := st.heap.Insert(body)
 	st.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
 	rel.smu.Lock()
-	rel.ids.publish(seq, s, lid)
+	if len(rel.stores) > 1 {
+		err = rel.pages.claim(lid.Page, s)
+	}
 	rel.smu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestShardedScanAndBatch verifies the non-spatial read paths: Scan
 // order, Get/GetBatch resolution, Len, and B-tree lookups over the
-// sharded route table.
+// page table.
 func TestShardedScanAndBatch(t *testing.T) {
 	twins, ids, _ := shardTwins(t, 200, 3)
 	for _, k := range shardCounts {
@@ -464,7 +480,7 @@ func TestShardedScanAndBatch(t *testing.T) {
 		if rel.Len() != 200 {
 			t.Fatalf("shards=%d: Len=%d", k, rel.Len())
 		}
-		// Scan must yield ascending insertion order.
+		// Scan must yield every id once, in ascending order.
 		var scanned []storage.TupleID
 		if err := rel.Scan(func(id storage.TupleID, _ Tuple) bool {
 			scanned = append(scanned, id)
@@ -472,8 +488,11 @@ func TestShardedScanAndBatch(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if !idsEqual(scanned, ids[k]) {
-			t.Fatalf("shards=%d: scan order != insertion order", k)
+		ascending(t, fmt.Sprintf("shards=%d: scan", k), scanned)
+		inserted := slices.Clone(ids[k])
+		slices.SortFunc(inserted, storage.TupleID.Compare)
+		if !idsEqual(scanned, inserted) {
+			t.Fatalf("shards=%d: scan yields other ids than were inserted", k)
 		}
 		// GetBatch against Get.
 		tuples, err := rel.GetBatch(ids[k], nil, 0)
@@ -490,7 +509,8 @@ func TestShardedScanAndBatch(t *testing.T) {
 			}
 		}
 	}
-	// B-tree index over a sharded relation resolves through routes.
+	// B-tree index over a sharded relation resolves through the page
+	// table.
 	rel := twins[4]
 	if err := rel.CreateIndex("city"); err != nil {
 		t.Fatal(err)
@@ -510,13 +530,13 @@ func TestShardedScanAndBatch(t *testing.T) {
 
 // shardDef is what a catalog records of rel, whose stores live in p.
 func shardDef(rel *Relation, p *pager.Pager) Def {
-	return Def{Name: rel.Name(), Schema: rel.Schema(), Pager: p, Heaps: rel.ShardHeapFirstPages(), SeqIDs: true}
+	return Def{Name: rel.Name(), Schema: rel.Schema(), Pager: p, Heaps: rel.ShardHeapFirstPages()}
 }
 
 // TestShardedReopen drops the in-memory Relation and reattaches via
-// Open over the same pager: the route table rebuilt from the sequence
-// prefixes must reproduce ids, order, and contents exactly, and the
-// picture its objects.
+// Open over the same pager: the page table refilled by the scan must
+// reproduce ids, order, and contents exactly, and the picture its
+// objects.
 func TestShardedReopen(t *testing.T) {
 	p := pager.OpenMem(512)
 	t.Cleanup(func() { p.Close() })
@@ -560,7 +580,7 @@ func TestShardedReopen(t *testing.T) {
 	}
 	collect(rel, &before)
 	collect(re, &after)
-	if !namesEqual(before, after) {
+	if !slices.Equal(before, after) {
 		t.Fatalf("reopened scan diverges:\nbefore %v\nafter  %v", before, after)
 	}
 	if err := re.AttachPicture(pic, hilbertPack); err != nil {
@@ -569,19 +589,27 @@ func TestShardedReopen(t *testing.T) {
 	if err := re.Check(); err != nil {
 		t.Fatal(err)
 	}
-	// A new insert after reopen continues the sequence: no id reuse.
+	// A new insert after reopen takes an address no live tuple holds,
+	// and its page table resolves it.
 	nid := addCity(t, re, pic, "fresh", "ST", 1, 500, 500)
-	for _, id := range ids {
-		if id == nid {
-			t.Fatalf("reopened relation reissued id %v", nid)
+	for i, id := range ids {
+		if id == nid && i%5 != 0 {
+			t.Fatalf("reopened relation reissued the live id %v", nid)
 		}
+	}
+	if tu, err := re.Get(nid); err != nil || tu[0].Str != "fresh" {
+		t.Fatalf("Get(%v) after reopen = %v, %v", nid, tu, err)
+	}
+	if err := re.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestShardedDuplicateSequenceDetected forges the one corruption the
-// route rebuild must catch: the same global sequence stored in two
-// stores.
-func TestShardedDuplicateSequenceDetected(t *testing.T) {
+// TestShardedDuplicatePageDetected forges the one corruption the page
+// table must catch: a heap page chained into two stores' heaps. Open
+// refuses it, and Check of a relation that is already open flags the
+// page's records in the store the table does not give it to.
+func TestShardedDuplicatePageDetected(t *testing.T) {
 	p := pager.OpenMem(64)
 	t.Cleanup(func() { p.Close() })
 	pic := usMap()
@@ -589,34 +617,33 @@ func TestShardedDuplicateSequenceDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
+		t.Fatal(err)
+	}
+	// Two cities in opposite halves: one in each store.
 	addCity(t, rel, pic, "one", "ST", 1, 100, 100)
-
-	// Copy shard A's record (with its sequence prefix) into shard B:
-	// whether the copies agree or not, one sequence in two places is
-	// corruption.
-	var rec []byte
-	srcShard := -1
-	for s, sh := range rel.stores {
-		sh.heap.Scan(func(_ storage.TupleID, r []byte) bool {
-			rec = append([]byte(nil), r...)
-			srcShard = s
-			return false
-		})
-		if rec != nil {
-			break
-		}
+	addCity(t, rel, pic, "two", "ST", 2, 900, 100)
+	if rel.live[0] != 1 || rel.live[1] != 1 {
+		t.Fatalf("stores hold %v tuples, want one each", rel.live)
 	}
-	if rec == nil {
-		t.Fatal("no record found")
-	}
-	dst := rel.stores[1-srcShard]
-	if _, err := dst.heap.Insert(rec); err != nil {
+	if err := rel.Check(); err != nil {
 		t.Fatal(err)
 	}
 
-	_, _, err = Open(shardDef(rel, p), catalogOf(usMap()))
-	if !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("duplicate sequence not reported as corruption: %v", err)
+	// Chain store 0's page behind store 1's: the page is now in both heaps.
+	pg, err := p.Fetch(rel.stores[1].heap.FirstPage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(pg.Data[6:10], uint32(rel.stores[0].heap.FirstPage()))
+	pg.MarkDirty()
+	p.Unpin(pg)
+
+	if err := rel.Check(); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("Check of a page in two stores: %v, want ErrCorrupt", err)
+	}
+	if _, _, err := Open(shardDef(rel, p), catalogOf(usMap())); !errors.Is(err, storage.ErrCorrupt) {
+		t.Fatalf("Open of a page in two stores: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -695,7 +722,7 @@ func TestScatterFanoutPruning(t *testing.T) {
 }
 
 // TestShardedConcurrentWritersReaders is the -race stress, over a
-// four-store sequence-id relation and a one-store address-id one:
+// four-store relation and a one-store one:
 // writers drive concurrent inserts (placed across stores) and deletes
 // while readers run window queries (single and batched), scans, point
 // and batched gets and B-tree range lookups, and a CreateIndex lands

@@ -38,11 +38,14 @@ func copyFixture(t *testing.T, name string) string {
 // (an unsharded pictorial relation with a B-tree, by the PR 19 build).
 // Both are refused with ErrUnsupportedFormat — an old format, not
 // corruption — and every file of each set is left byte for byte as it
-// was (DESIGN.md §17).
+// was (DESIGN.md §17). So is testdata/seqids, a checkpointed 2-store
+// relation with a B-tree and a picture whose records carry sequence ids
+// (a catSeqPrefix record, by the last build that wrote them).
 func TestShardedReopenUnevenLayout(t *testing.T) {
 	for _, fx := range []struct{ dir, main string }{
 		{"rebalanced_pr17", "rebalanced.pictdb"},
 		{"unsharded_pr19", "unsharded.pictdb"},
+		{"seqids", "seqids.pictdb"},
 	} {
 		t.Run(fx.dir, func(t *testing.T) {
 			dir := copyFixture(t, fx.dir)

@@ -2,93 +2,98 @@ package pictdb_test
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 
 	pictdb "repro"
-	"repro/internal/storage"
 )
 
-// The sharded oracle: a PSQL query over a sharded database must return
-// results bit-identical to the same query over the unsharded database
-// — same columns, same rows in the same order, same loc pointers — at
-// every shard count. Both configurations are also held
-// against their own naive full-scan executor, so a sharded-specific
-// planner bug cannot hide behind a matching naive divergence.
+// The sharded oracle: a PSQL query over a database whose relations
+// have n stores must return the rows the same query returns over the
+// one-store database, at every store count. A tuple's id is its heap
+// address, so an answer's default order (ascending id) follows each
+// database's own layout: across store counts rows are compared as
+// multisets, and row for row only under an order by that is total on
+// them. Each database is also held row for row against its own naive
+// full-scan executor, so a sharded-specific planner bug cannot hide
+// behind a matching naive divergence.
 
-// mutateUSOrdered is mutateUS with all inserts issued before any
-// delete. The unsharded heap reuses freed slots for later inserts while
-// the sharded numbering is append-only, so an insert-after-delete
-// workload would legitimately reorder rows between the two
-// configurations; keeping the mutation insert-first preserves strict
-// row-order comparability while still leaving live deltas and
-// tombstones in every spatial index.
-func mutateUSOrdered(t *testing.T, db *pictdb.Database) {
+// shardOrderedQueries end in an order by that is a total order on their
+// rows.
+var shardOrderedQueries = map[string]string{
+	"direct-ordered": `
+		select city, state, population, loc from cities on us-map
+		at loc covered-by {800±200, 500±500} where population > 450_000
+		order by population desc, city, state`,
+	"juxtaposition-ordered": `
+		select city, zone from cities, time-zones on us-map, time-zone-map
+		at cities.loc covered-by time-zones.loc order by zone, city`,
+}
+
+// assertSameRows requires got and want to hold the same columns, the
+// same rows and the same loc pointers, each counted with multiplicity,
+// in any order.
+func assertSameRows(t *testing.T, label string, got, want *pictdb.Result) {
 	t.Helper()
-	cities, _ := db.Relation("cities")
-	usMap, _ := db.Picture("us-map")
-
-	var ids []storage.TupleID
-	if err := cities.Scan(func(id storage.TupleID, _ pictdb.Tuple) bool {
-		ids = append(ids, id)
-		return true
-	}); err != nil {
-		t.Fatal(err)
+	if !slices.Equal(got.Columns, want.Columns) {
+		t.Fatalf("%s: columns %v, want %v", label, got.Columns, want.Columns)
 	}
-	for i := 0; i < 80; i++ {
-		x := float64((i*137 + 11) % 1000)
-		y := float64((i*211 + 7) % 1000)
-		pop := 100_000 + (i%10)*100_000
-		name := fmt.Sprintf("newcity-%02d", i)
-		oid := usMap.AddPoint(name, pictdb.Pt(x, y))
-		if _, err := cities.Insert(pictdb.Tuple{
-			pictdb.S(name), pictdb.S("NX"), pictdb.I(int64(pop)), pictdb.L("us-map", oid),
-		}); err != nil {
-			t.Fatal(err)
+	keys := func(r *pictdb.Result) (rows, locs []string) {
+		for _, row := range r.Rows {
+			cells := make([]string, len(row))
+			for i, d := range row {
+				cells[i] = d.String()
+			}
+			rows = append(rows, strings.Join(cells, "\x00"))
 		}
+		for _, l := range r.Locs {
+			locs = append(locs, fmt.Sprint(l))
+		}
+		slices.Sort(rows)
+		slices.Sort(locs)
+		return rows, locs
 	}
-	zones, _ := db.Relation("time-zones")
-	tzMap, _ := db.Picture("time-zone-map")
-	for i := 0; i < 4; i++ {
-		x0, y0 := float64(100+i*200), float64(150+i*150)
-		name := fmt.Sprintf("newzone-%d", i)
-		oid := tzMap.AddRegion(name, pictdb.Poly(
-			pictdb.Pt(x0, y0), pictdb.Pt(x0+180, y0),
-			pictdb.Pt(x0+180, y0+220), pictdb.Pt(x0, y0+220)))
-		if _, err := zones.Insert(pictdb.Tuple{
-			pictdb.S(name), pictdb.F(float64(i)), pictdb.L("time-zone-map", oid),
-		}); err != nil {
-			t.Fatal(err)
-		}
+	gotRows, gotLocs := keys(got)
+	wantRows, wantLocs := keys(want)
+	if !slices.Equal(gotRows, wantRows) {
+		t.Fatalf("%s: rows differ\n got %q\nwant %q", label, gotRows, wantRows)
 	}
-	// Deletes last: only pre-mutation rows, present in both twins.
-	for i := 0; i < len(ids); i += 7 {
-		if err := cities.Delete(ids[i]); err != nil {
-			t.Fatal(err)
-		}
+	if !slices.Equal(gotLocs, wantLocs) {
+		t.Fatalf("%s: locs differ\n got %v\nwant %v", label, gotLocs, wantLocs)
 	}
 }
 
 // verifyShardedAgainstUnsharded runs every planner access path on both
-// databases, requiring (a) sharded planned == sharded naive, (b) sharded
-// planned == unsharded planned, row for row.
+// databases, requiring (a) each database's planned answer == its naive
+// one, row for row, and (b) sharded planned == unsharded planned, as
+// multisets, and row for row under shardOrderedQueries' order by.
 func verifyShardedAgainstUnsharded(t *testing.T, sdb, udb *pictdb.Database, stage string) {
 	t.Helper()
-	for name, q := range lsmQueries {
+	queries := maps.Clone(lsmQueries)
+	maps.Copy(queries, shardOrderedQueries)
+	for name, q := range queries {
 		label := stage + "/" + name
-		got, err := sdb.Query(q)
-		if err != nil {
-			t.Fatalf("%s: sharded: %v", label, err)
+		results := make([]*pictdb.Result, 2)
+		for i, db := range []*pictdb.Database{sdb, udb} {
+			got, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("%s: db %d: %v", label, i, err)
+			}
+			naive, err := db.QueryNaive(q)
+			if err != nil {
+				t.Fatalf("%s: db %d naive: %v", label, i, err)
+			}
+			assertSameResult(t, fmt.Sprintf("%s [db %d vs naive]", label, i), got, naive)
+			results[i] = got
 		}
-		naive, err := sdb.QueryNaive(q)
-		if err != nil {
-			t.Fatalf("%s: sharded naive: %v", label, err)
+		got, want := results[0], results[1]
+		if _, ordered := shardOrderedQueries[name]; ordered {
+			assertSameResult(t, label+" [vs unsharded]", got, want)
+		} else {
+			assertSameRows(t, label+" [vs unsharded]", got, want)
 		}
-		assertSameResult(t, label+" [vs naive]", got, naive)
-		want, err := udb.Query(q)
-		if err != nil {
-			t.Fatalf("%s: unsharded: %v", label, err)
-		}
-		assertSameResult(t, label+" [vs unsharded]", got, want)
 		if name != "direct-disjoined" && got.Len() == 0 {
 			t.Fatalf("%s: vacuous — zero rows everywhere", label)
 		}
@@ -120,8 +125,8 @@ func TestShardedQueryOracle(t *testing.T) {
 			}
 			verifyShardedAgainstUnsharded(t, sdb, udb, "pristine")
 
-			mutateUSOrdered(t, sdb)
-			mutateUSOrdered(t, udb)
+			mutateUS(t, sdb)
+			mutateUS(t, udb)
 			// The mutation must actually exercise the merged read path.
 			deltas, tombs := 0, 0
 			for _, si := range cities.Spatials("us-map") {
