@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race vet lint bench benchcheck faults walfaults fuzz table1 clean
+.PHONY: check build test race vet lint bench benchcheck faults walfaults defrace fuzz table1 clean
 
 # The gate: everything must vet, keep the typed-error rule (lint),
 # build, pass under the race detector (concurrent callers of one
@@ -10,7 +10,7 @@ GO ?= go
 # crash-recovery matrix. Every test binary that opens a
 # pager also fails when its tests leave a pin, a reader or a goroutine
 # behind (internal/leakcheck, DESIGN.md §14).
-check: vet lint build race faults walfaults
+check: vet lint build race faults walfaults defrace
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,16 @@ faults:
 # crash undid.
 walfaults:
 	$(GO) test -race -run 'WAL|Append' ./internal/pager/ ./cmd/pictdbcheck/ .
+
+# Definitions beside writers, under -race and repeated: a relation
+# defined beside a committing Write, and one defined and loaded inside
+# a Write's fn beside a goroutine committing in a loop. A definition
+# touches no page and takes no writer lock, so neither races nor
+# deadlocks (the timeout turns a deadlock into a failure); one run in
+# twenty caught the race a definition's page allocation once had with
+# the commit's capture, fifty in a row do.
+defrace:
+	$(GO) test -race -timeout 120s -run 'TestWriteBesideShardedDefinitions|TestDefineInsideWrite' -count=50 .
 
 # Short fuzz pass over the decoders of on-disk bytes — tuple records
 # with the objects their locs carry, page-0 header slots, catalog

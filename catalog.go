@@ -216,17 +216,13 @@ func encodeRelDef(name string, rel *Relation) []byte {
 // writeDefinitions makes the definitions as they stand part of the next
 // commit of the main file: when they differ from the ones the superblock
 // names, it writes them into a fresh heap, points the superblock at it
-// and frees the old heap, under the write gate, so no commit batch holds
-// part of the switch. Callers commit after it.
+// and frees the old heap. The caller holds the write gate, so no commit
+// batch holds part of the switch, and commits after it.
 func (db *Database) writeDefinitions() error {
-	db.defsMu.Lock()
-	defer db.defsMu.Unlock()
 	recs := db.encodeDefinitions()
 	if slices.EqualFunc(recs, db.defsWritten, bytes.Equal) {
 		return nil
 	}
-	db.pager.BeginWrite()
-	defer db.pager.EndWrite()
 	old, err := db.definitionsPage()
 	if err != nil {
 		return err

@@ -12,3 +12,8 @@ func (db *Database) LoadTimes() loadTimes { return db.loadTimes }
 func (db *Database) PoolStats() pager.Stats { return db.pager.Stats() }
 func (db *Database) PoolResident() int      { return db.pager.Resident() }
 func (db *Database) MmapActive() bool       { return db.pager.MmapActive() }
+
+// CommitPages commits the page file alone, without rewriting the
+// definitions: the page frames it logs are the pages dirtied since the
+// last commit.
+func (db *Database) CommitPages() error { return db.pager.Commit() }

@@ -49,7 +49,7 @@ func writeCatalogFile(t *testing.T, path string, magic [8]byte, recs ...[]byte) 
 	if err != nil || sb.ID != superblockID {
 		t.Fatalf("superblock: page %v, %v", sb, err)
 	}
-	defs, first, err := storage.Create(p)
+	defs, _, err := storage.Create(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func writeCatalogFile(t *testing.T, path string, magic [8]byte, recs ...[]byte) 
 		}
 	}
 	copy(sb.Data[:8], magic[:])
-	binary.LittleEndian.PutUint32(sb.Data[8:12], uint32(first))
+	binary.LittleEndian.PutUint32(sb.Data[8:12], uint32(defs.FirstPage()))
 	sb.MarkDirty()
 	p.Unpin(sb)
 	if err := p.Close(); err != nil {
@@ -274,6 +274,7 @@ func FuzzDecodeCatalogRecord(f *testing.F) {
 	f.Add(appendRect(appendString([]byte{catPicture}, "map"), R(0, 0, 100, 100)))
 	f.Add(binary.LittleEndian.AppendUint32(appendString([]byte{catRelation}, "r"), 7))
 	f.Add(relRecordBody(binary.LittleEndian.AppendUint32(binary.AppendUvarint(appendString([]byte{catRelation}, "pts"), 1), 2)))
+	f.Add(relRecordBody(binary.LittleEndian.AppendUint32(binary.AppendUvarint(appendString([]byte{catRelation}, "pts"), 1), 0))) // a store that never held a row
 	f.Add([]byte{})
 	f.Add([]byte{catLocation, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 

@@ -307,12 +307,12 @@ type Pager struct {
 	// Write-ahead log (wal.go): non-nil once EnableWAL/EnableWALBackend
 	// attached a log (OpenMem attaches an in-memory one); nil makes the
 	// pager a reader. Commit is group commit, and reads prefer the newest
-	// WAL frame over the (possibly stale) page file. writeGate's
-	// shared side brackets multi-page mutations (BeginWrite/EndWrite);
-	// the commit leader captures page images under the exclusive side so
-	// a batch never contains half a mutation.
+	// WAL frame over the (possibly stale) page file. writeGate brackets
+	// multi-page mutations (BeginWrite/EndWrite), one at a time, and the
+	// commit leader captures page images under it too, so a batch never
+	// contains half a mutation.
 	wal       atomic.Pointer[walState]
-	writeGate sync.RWMutex
+	writeGate sync.Mutex
 }
 
 // Open opens (or creates) a page file at path with a buffer pool of

@@ -203,17 +203,17 @@ func (p *Pager) WALStats() WALStats {
 	return s
 }
 
-// BeginWrite brackets the start of a multi-page logical mutation
-// (shared side of the write gate). The WAL commit leader captures page
-// images under the exclusive side, so a batch can never contain a
-// half-applied mutation. Callers performing concurrent mutations must
-// hold the gate for the full mutation and release it before Commit;
-// single-goroutine callers need no gate (their own Commit orders after
-// their mutations).
-func (p *Pager) BeginWrite() { p.writeGate.RLock() }
+// BeginWrite takes the write gate, the pager's one writer lock, for a
+// multi-page logical mutation: one mutation holds it at a time, and the
+// WAL commit leader captures page images under it, so a batch never
+// contains half a mutation. A caller mutating beside other goroutines
+// holds the gate for the whole mutation and releases it before Commit;
+// a single-goroutine caller needs no gate (its own Commit orders after
+// its mutations).
+func (p *Pager) BeginWrite() { p.writeGate.Lock() }
 
-// EndWrite releases the bracket taken by BeginWrite.
-func (p *Pager) EndWrite() { p.writeGate.RUnlock() }
+// EndWrite releases the gate taken by BeginWrite.
+func (p *Pager) EndWrite() { p.writeGate.Unlock() }
 
 // --- frame encoding ---------------------------------------------------
 
@@ -349,7 +349,7 @@ func (p *Pager) commitWAL(w *walState) error {
 
 // walCommitBatch appends one generation — every dirty pool page plus a
 // commit record — and fsyncs it. Page images are captured under the
-// exclusive write gate, so no in-flight mutation can be half-captured;
+// write gate, so no in-flight mutation can be half-captured;
 // the fsync happens outside the gate, so writers resume mutating while
 // the batch hardens.
 func (p *Pager) walCommitBatch(w *walState, writers int) error {

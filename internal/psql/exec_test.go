@@ -726,7 +726,7 @@ func TestTextRefusalsTouchNoPage(t *testing.T) {
 	p := pager.OpenMem(4096)
 	defer p.Close()
 	pic := picture.New("m", geom.R(0, 0, 1000, 1000))
-	rel, err := relation.New(p, "pts", relation.MustSchema("n:int", "loc:loc"), oneRelation{pic: pic})
+	rel, err := relation.NewSharded(p, 1, "pts", relation.MustSchema("n:int", "loc:loc"), oneRelation{pic: pic})
 	if err != nil {
 		t.Fatal(err)
 	}

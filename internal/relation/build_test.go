@@ -31,7 +31,7 @@ func buildFixture(t *testing.T, shards, n int) (*Relation, [2]*picture.Picture) 
 		p := pager.OpenMem(512)
 		t.Cleanup(func() { p.Close() })
 		var err error
-		if rel, err = New(p, "cities", citySchema(), catalogOf(pics[:]...)); err != nil {
+		if rel, err = NewSharded(p, 1, "cities", citySchema(), catalogOf(pics[:]...)); err != nil {
 			t.Fatal(err)
 		}
 	} else {
@@ -202,7 +202,7 @@ func TestBuildIndexesRejects(t *testing.T) {
 	}
 	p := pager.OpenMem(16)
 	defer p.Close()
-	flat, err := New(p, "flat", MustSchema("k:int"), nil)
+	flat, err := NewSharded(p, 1, "flat", MustSchema("k:int"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

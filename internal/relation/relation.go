@@ -28,6 +28,14 @@ type store struct {
 	deleting map[storage.TupleID]struct{}
 }
 
+// firstPage returns the heap's first page under mu: the store's first
+// tuple writes it.
+func (st *store) firstPage() pager.PageID {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.heap.FirstPage()
+}
+
 // Pictures resolves the picture names a loc column holds: the catalog a
 // relation was created in.
 type Pictures interface {
@@ -42,9 +50,9 @@ var ErrDanglingLoc = errors.New("relation: loc names no picture object")
 // Relation is one table of the pictorial database: tuple heaps in one
 // or more stores, secondary B-tree indexes on alphanumeric columns, and
 // R-tree spatial indexes on the loc column — one per associated picture
-// per store. Every store is a heap in the database's one page file. New
-// makes a one-store relation; NewSharded one of n stores, tuples placed
-// by Hilbert key range (shard.go); Open reopens either. A tuple's id is
+// per store. Every store is a heap in the database's one page file.
+// NewSharded makes a relation of n ≥ 1 stores, tuples placed by Hilbert
+// key range (shard.go); Open reopens it. A tuple's id is
 // its heap address whatever the store count (ids.go); every operation
 // here is written once, for any store count.
 //
@@ -96,19 +104,10 @@ func newRelation(p *pager.Pager, name string, schema Schema, pics Pictures, stor
 	}
 }
 
-// New creates an empty relation backed by a fresh heap in p, resolving
-// loc columns through pics.
-func New(p *pager.Pager, name string, schema Schema, pics Pictures) (*Relation, error) {
-	h, _, err := storage.Create(p)
-	if err != nil {
-		return nil, fmt.Errorf("relation %s: %w", name, err)
-	}
-	return newRelation(p, name, schema, pics, []*store{{heap: h}}), nil
-}
-
 // NewSharded creates an empty relation of stores heaps in p, each with
 // a spatial index per attached picture, resolving loc columns through
-// pics.
+// pics. It touches no page: each heap takes its first page with its
+// first tuple.
 func NewSharded(p *pager.Pager, stores int, name string, schema Schema, pics Pictures) (*Relation, error) {
 	if stores < 1 || stores > MaxShards {
 		return nil, fmt.Errorf("relation %s: shard count %d out of range [1, %d]", name, stores, MaxShards)
@@ -130,7 +129,7 @@ type Def struct {
 	Name   string
 	Schema Schema
 	// Pager is the page file the stores live in, and Heaps names each
-	// store's heap by its first page.
+	// store's heap by its first page (InvalidPage: no tuple yet).
 	Pager *pager.Pager
 	Heaps []pager.PageID
 	// Columns are the B-tree indexed columns, Attach the pictures with
@@ -183,13 +182,13 @@ func (r *Relation) CostGeneration() uint64 { return r.costGen.Load() }
 func (r *Relation) Sharded() bool { return false }
 
 // HeapFirstPage returns the first page of the tuple heap of a
-// one-store relation; a relation of several heaps reports InvalidPage
-// (see ShardHeapFirstPages).
+// one-store relation (InvalidPage before its first tuple); a relation
+// of several heaps reports InvalidPage (see ShardHeapFirstPages).
 func (r *Relation) HeapFirstPage() pager.PageID {
 	if len(r.stores) > 1 {
 		return pager.InvalidPage
 	}
-	return r.stores[0].heap.FirstPage()
+	return r.stores[0].firstPage()
 }
 
 // HeapPages returns the page ids of every store's heap, for
@@ -649,7 +648,7 @@ func (r *Relation) ScanCols(need, test []bool, keep func(Tuple) bool, fn func(id
 		return next, decodeErr != nil, decodeErr
 	}
 	if len(r.stores) == 1 {
-		for page := r.stores[0].heap.FirstPage(); page != pager.InvalidPage; {
+		for page := r.stores[0].firstPage(); page != pager.InvalidPage; {
 			next, done, err := scanPage(0, page)
 			if done {
 				return err

@@ -46,7 +46,7 @@ func newCities(t *testing.T) (*Relation, *picture.Picture) {
 	p := pager.OpenMem(64)
 	t.Cleanup(func() { p.Close() })
 	pic := usMap()
-	rel, err := New(p, "cities", citySchema(), catalogOf(pic))
+	rel, err := NewSharded(p, 1, "cities", citySchema(), catalogOf(pic))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestMultiPictureAssociation(t *testing.T) {
 	defer p.Close()
 	picA := picture.New("map-a", geom.R(0, 0, 100, 100))
 	picB := picture.New("map-b", geom.R(0, 0, 100, 100))
-	rel, err := New(p, "landmarks", MustSchema("name:string", "loc:loc"), catalogOf(picA, picB))
+	rel, err := NewSharded(p, 1, "landmarks", MustSchema("name:string", "loc:loc"), catalogOf(picA, picB))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestLookupRange(t *testing.T) {
 func TestRelationOpen(t *testing.T) {
 	p := pager.OpenMem(64)
 	defer p.Close()
-	rel, err := New(p, "r", MustSchema("name:string", "v:int"), nil)
+	rel, err := NewSharded(p, 1, "r", MustSchema("name:string", "v:int"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

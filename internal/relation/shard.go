@@ -64,11 +64,12 @@ func (r *Relation) ShardCount() int { return len(r.stores) }
 func (r *Relation) ShardPager(int) *pager.Pager { return r.pgr }
 
 // ShardHeapFirstPages returns each store heap's first page, the
-// handles the catalog persists to reopen the relation.
+// handles the catalog persists to reopen the relation: InvalidPage for
+// a store that has held no tuple.
 func (r *Relation) ShardHeapFirstPages() []pager.PageID {
 	out := make([]pager.PageID, len(r.stores))
 	for s, st := range r.stores {
-		out[s] = st.heap.FirstPage()
+		out[s] = st.firstPage()
 	}
 	return out
 }

@@ -21,7 +21,7 @@ func shardBenchFixture(b *testing.B, nShards, n int) *Relation {
 	p := pager.OpenMem(4096)
 	b.Cleanup(func() { p.Close() })
 	if nShards == 0 {
-		rel, err = New(p, "cities", citySchema(), catalogOf(pic))
+		rel, err = NewSharded(p, 1, "cities", citySchema(), catalogOf(pic))
 	} else {
 		rel, err = NewSharded(p, nShards, "cities", citySchema(), catalogOf(pic))
 	}

@@ -80,7 +80,7 @@ func shardTwins(t *testing.T, n int, seed int64) (map[int]*Relation, map[int][]s
 	// Key 0 is the unsharded oracle.
 	p := pager.OpenMem(512)
 	t.Cleanup(func() { p.Close() })
-	un, err := New(p, "cities", citySchema(), catalogOf(pic))
+	un, err := NewSharded(p, 1, "cities", citySchema(), catalogOf(pic))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func buildClusteredJoinRel(t *testing.T, pic *picture.Picture, shards int, cente
 		p := pager.OpenMem(64)
 		t.Cleanup(func() { p.Close() })
 		var err error
-		if rel, err = New(p, "r", citySchema(), catalogOf(pic)); err != nil {
+		if rel, err = NewSharded(p, 1, "r", citySchema(), catalogOf(pic)); err != nil {
 			t.Fatal(err)
 		}
 	} else {
@@ -738,7 +738,7 @@ func TestShardedConcurrentWritersReaders(t *testing.T) {
 		p := pager.OpenMem(512)
 		t.Cleanup(func() { p.Close() })
 		pic := usMap()
-		rel, err := New(p, "cities", citySchema(), catalogOf(pic))
+		rel, err := NewSharded(p, 1, "cities", citySchema(), catalogOf(pic))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ func benchFixture(b *testing.B, nPacked, nDelta int) (*Relation, *SpatialIndex) 
 	p := pager.OpenMem(4096)
 	b.Cleanup(func() { p.Close() })
 	pic := usMap()
-	rel, err := New(p, "cities", citySchema(), catalogOf(pic))
+	rel, err := NewSharded(p, 1, "cities", citySchema(), catalogOf(pic))
 	if err != nil {
 		b.Fatal(err)
 	}

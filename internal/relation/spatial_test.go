@@ -24,7 +24,7 @@ func newSpatialFixture(t *testing.T, n int, seed int64) (*Relation, *picture.Pic
 	p := pager.OpenMem(512)
 	t.Cleanup(func() { p.Close() })
 	pic := usMap()
-	rel, err := New(p, "cities", citySchema(), catalogOf(pic))
+	rel, err := NewSharded(p, 1, "cities", citySchema(), catalogOf(pic))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestJuxtaposeMergedMatchesOracle(t *testing.T) {
 	t.Cleanup(func() { p.Close() })
 	mk := func(name string, n int, seed int64) (*Relation, *picture.Picture) {
 		pic := usMap()
-		rel, err := New(p, name, citySchema(), catalogOf(pic))
+		rel, err := NewSharded(p, 1, name, citySchema(), catalogOf(pic))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -17,11 +18,10 @@ import (
 // returns for the same id.
 func FuzzScanPage(f *testing.F) {
 	p := pager.OpenMem(4)
-	h, first, err := Create(p)
+	h, _, err := Create(p)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(pageBytes(f, p, first)) // empty
 	var ids []TupleID
 	for _, rec := range []string{"alpha", "", "gamma gamma", "delta"} {
 		id, err := h.Insert([]byte(rec))
@@ -30,6 +30,8 @@ func FuzzScanPage(f *testing.F) {
 		}
 		ids = append(ids, id)
 	}
+	first := h.FirstPage()
+	f.Add(emptyPageBytes())
 	f.Add(pageBytes(f, p, first))
 	if err := h.Delete(ids[1]); err != nil {
 		f.Fatal(err)
@@ -43,10 +45,14 @@ func FuzzScanPage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := pager.OpenMem(4)
 		defer p.Close()
-		h, first, err := Create(p)
+		h, _, err := Create(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if _, err := h.Insert(nil); err != nil {
+			t.Fatal(err)
+		}
+		first := h.FirstPage()
 		pg, err := p.Fetch(first)
 		if err != nil {
 			t.Fatal(err)
@@ -81,6 +87,14 @@ func FuzzScanPage(f *testing.F) {
 			}
 		}
 	})
+}
+
+// emptyPageBytes returns the payload of a slotted page holding no
+// record, as a heap's first Insert initializes it.
+func emptyPageBytes() []byte {
+	b := make([]byte, pager.PayloadSize)
+	binary.LittleEndian.PutUint16(b[offFreeEnd:], pager.PayloadSize)
+	return b
 }
 
 // pageBytes copies the payload of page id.

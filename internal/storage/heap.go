@@ -224,23 +224,15 @@ type Heap struct {
 	count int
 }
 
-// Create allocates a new empty heap in p and returns it along with the
-// PageID of its first page (store it to reopen the heap later).
+// Create returns a new empty heap in p. It touches no page: the heap
+// takes its first page with its first record, so the PageID it returns
+// is InvalidPage. Store FirstPage to reopen the heap.
 func Create(p *pager.Pager) (*Heap, pager.PageID, error) {
-	pg, err := p.Allocate()
-	if err != nil {
-		return nil, pager.InvalidPage, err
-	}
-	v := pageView{pg}
-	v.init()
-	pg.MarkDirty()
-	id := pg.ID
-	p.Unpin(pg)
-	return &Heap{p: p, first: id, last: id}, id, nil
+	return &Heap{p: p}, pager.InvalidPage, nil
 }
 
-// Open reattaches to a heap whose first page is first. The record
-// count is recomputed by walking the chain.
+// Open reattaches to a heap whose first page is first (InvalidPage: an
+// empty heap). The record count is recomputed by walking the chain.
 func Open(p *pager.Pager, first pager.PageID) (*Heap, error) {
 	h := &Heap{p: p, first: first, last: first}
 	r := p.BeginRead()
@@ -262,39 +254,47 @@ func Open(p *pager.Pager, first pager.PageID) (*Heap, error) {
 	return h, nil
 }
 
-// FirstPage returns the PageID of the heap's first page.
+// FirstPage returns the PageID of the heap's first page, InvalidPage
+// until its first Insert.
 func (h *Heap) FirstPage() pager.PageID { return h.first }
 
 // Len returns the number of live records.
 func (h *Heap) Len() int { return h.count }
 
-// Insert appends a record and returns its TupleID.
+// Insert appends a record and returns its TupleID. A full last page
+// gets a fresh page chained after it, and a heap with no page yet takes
+// its first one here.
 func (h *Heap) Insert(rec []byte) (TupleID, error) {
 	if len(rec) > MaxRecordSize {
 		return TupleID{}, fmt.Errorf("%w: %d > %d", ErrTooLarge, len(rec), MaxRecordSize)
 	}
-	pg, err := h.p.Fetch(h.last)
-	if err != nil {
-		return TupleID{}, err
-	}
-	v := pageView{pg}
-	if v.freeSpace() < len(rec)+slotSize {
-		// Chain a fresh page.
-		npg, err := h.p.Allocate()
-		if err != nil {
-			h.p.Unpin(pg)
+	var pg *pager.Page
+	if h.last != pager.InvalidPage {
+		var err error
+		if pg, err = h.p.Fetch(h.last); err != nil {
 			return TupleID{}, err
 		}
-		nv := pageView{npg}
-		nv.init()
-		v.setNextPage(npg.ID)
-		pg.MarkDirty()
-		npg.MarkDirty()
-		h.p.Unpin(pg)
-		h.last = npg.ID
-		pg, v = npg, nv
 	}
-	slot := v.insert(rec)
+	if pg == nil || (pageView{pg}).freeSpace() < len(rec)+slotSize {
+		npg, err := h.p.Allocate()
+		if err != nil {
+			if pg != nil {
+				h.p.Unpin(pg)
+			}
+			return TupleID{}, err
+		}
+		pageView{npg}.init()
+		if pg == nil {
+			h.first = npg.ID
+		} else {
+			pageView{pg}.setNextPage(npg.ID)
+			pg.MarkDirty()
+			h.p.Unpin(pg)
+		}
+		h.last = npg.ID
+		pg = npg
+	}
+	slot := pageView{pg}.insert(rec)
 	id := TupleID{Page: pg.ID, Slot: uint16(slot)}
 	h.p.Unpin(pg)
 	h.count++

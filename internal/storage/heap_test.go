@@ -279,10 +279,53 @@ func TestTupleIDInt64Roundtrip(t *testing.T) {
 	}
 }
 
+// TestEmptyHeapHasNoPage: Create touches no page, and every walk of a
+// heap with no page — Open, Scan, Pages, Check, Free — ends at once; the
+// first Insert allocates the first page, and the heap reopens from it.
+func TestEmptyHeapHasNoPage(t *testing.T) {
+	p := pager.OpenMem(8)
+	defer p.Close()
+	pages := p.NumPages()
+	h, first, err := Create(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != pager.InvalidPage || h.FirstPage() != pager.InvalidPage || p.NumPages() != pages {
+		t.Fatalf("Create: first page %d (FirstPage %d), %d pages -> %d; want no page", first, h.FirstPage(), pages, p.NumPages())
+	}
+	empty, err := Open(p, pager.InvalidPage)
+	if err != nil || empty.Len() != 0 {
+		t.Fatalf("Open of no page = %d records, %v", empty.Len(), err)
+	}
+	if err := empty.Scan(func(TupleID, []byte) bool { t.Fatal("Scan of an empty heap called fn"); return false }); err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := empty.Pages(); err != nil || len(ids) != 0 {
+		t.Fatalf("Pages of an empty heap = %v, %v", ids, err)
+	}
+	if err := empty.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if err := empty.Free(); err != nil {
+		t.Fatal(err)
+	}
+	id, err := h.Insert([]byte("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.NumPages() != pages+1 || h.FirstPage() != id.Page {
+		t.Fatalf("first Insert: %d pages -> %d, first page %d, record on %d; want one page, the record's", pages, p.NumPages(), h.FirstPage(), id.Page)
+	}
+	h2, err := Open(p, h.FirstPage())
+	if err != nil || h2.Len() != 1 {
+		t.Fatalf("reopened from the first page: %d records, %v", h2.Len(), err)
+	}
+}
+
 func TestHeapReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "heap.db")
 	p := openLogged(t, path, 8)
-	h, first, err := Create(p)
+	h, _, err := Create(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,6 +338,7 @@ func TestHeapReopen(t *testing.T) {
 		ids = append(ids, id)
 	}
 	h.Delete(ids[3])
+	first := h.FirstPage()
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +429,7 @@ func TestScanPageResumes(t *testing.T) {
 func TestWalksReportCorruptPage(t *testing.T) {
 	p := pager.OpenMem(16)
 	defer p.Close()
-	h, first, err := Create(p)
+	h, _, err := Create(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,6 +438,7 @@ func TestWalksReportCorruptPage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	first := h.FirstPage()
 	pg, err := p.Fetch(first)
 	if err != nil {
 		t.Fatal(err)
@@ -422,7 +467,7 @@ func scatteredHeapFile(tb testing.TB, pages int) (*pager.Pager, pager.PageID, []
 	tb.Helper()
 	path := filepath.Join(tb.TempDir(), "scattered.db")
 	p := openLogged(tb, path, pages+8)
-	h, first, err := Create(p)
+	h, _, err := Create(p)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -437,6 +482,7 @@ func scatteredHeapFile(tb testing.TB, pages int) (*pager.Pager, pager.PageID, []
 			onePerPage = append(onePerPage, id)
 		}
 	}
+	first := h.FirstPage()
 	if err := p.Close(); err != nil {
 		tb.Fatal(err)
 	}

@@ -142,15 +142,9 @@ type Database struct {
 	loadTimes loadTimes
 
 	// defsWritten is the encoding of the definitions the superblock
-	// names, what writeDefinitions compares against; defsMu serializes
-	// it with their rewrite.
-	defsMu      sync.Mutex
+	// names, what writeDefinitions compares against; the pager's write
+	// gate guards it with their rewrite.
 	defsWritten [][]byte
-
-	// wmu serializes Write transactions: concurrent writers take turns
-	// applying their changes while the WAL group-commits their
-	// durability.
-	wmu sync.Mutex
 }
 
 // catalog is one published state of the definitions. Its maps are never
@@ -308,7 +302,9 @@ func (db *Database) Close() error {
 	var err error
 	db.WaitRepacks()
 	if !db.pager.ReadOnly() {
+		db.pager.BeginWrite()
 		err = db.writeDefinitions()
+		db.pager.EndWrite()
 	}
 	if cerr := db.pager.Close(); err == nil {
 		err = cerr
@@ -327,14 +323,10 @@ func (db *Database) WaitRepacks() {
 
 // Commit is the durability barrier: everything written before it — tuples
 // with the geometry their locs carry, and every definition — survives a
-// crash once it returns. The definitions are rewritten if they changed
-// (writeDefinitions) and the page file commits: one group fsync of its
-// one log, the page file catching up at the next WAL checkpoint.
+// crash once it returns. It is a Write with nothing to apply: one group
+// fsync of the one log, the page file catching up at the next checkpoint.
 func (db *Database) Commit() error {
-	if err := db.writeDefinitions(); err != nil {
-		return err
-	}
-	return db.pager.Commit()
+	return db.Write(func() error { return nil })
 }
 
 // Checkpoint is Commit followed by CheckpointWAL: what Commit made
@@ -352,36 +344,36 @@ func (db *Database) Checkpoint() error {
 }
 
 // Write applies fn as one serialized, durably committed transaction:
-// writers take turns running fn (a relation's own locks keep readers
-// safe beside each mutation; taking turns keeps one writer's fn whole
-// and two writers off one tuple id, DESIGN.md §15), each mutation is
-// bracketed against the WAL capture so a commit batch
-// never contains half of it, and the commit is acknowledged only once
-// its log records are fsynced. The commit is Commit's: the tuples fn
-// wrote carry their locs' objects, and every definition made before the
-// Write or in fn (a relation, picture, location, index or attached
-// picture) is durable with them. Concurrent Write calls group-commit —
-// their batches share fsyncs — so total commit throughput rises with
-// writer count instead of serializing one fsync each. When fn returns
+// fn and the rewrite of any changed definitions run holding the pager's
+// write gate, the one writer lock, so writers take turns (a relation's
+// own locks keep readers safe beside each mutation; taking turns keeps
+// one writer's fn whole and two writers off one tuple id, DESIGN.md
+// §15) and a commit batch, whose capture takes the gate too, never
+// holds half of one. The commit is acknowledged only once its log
+// records are fsynced: the tuples fn wrote carry their locs' objects,
+// and every definition made before the Write or in fn (a relation,
+// picture, location, index or attached picture: a catalog edit that
+// touches no page and takes no gate) is durable with them. Concurrent
+// Write calls group-commit: their batches share fsyncs. When fn returns
 // an error nothing is committed and the error is returned (already
 // applied mutations are not rolled back in memory; callers treat a
-// failed Write as fatal for the handle, matching Commit's contract). A
-// failed fsync makes the pager read-only (fail-stop), and with it the
-// database: every later Write is refused with ErrReadOnly before fn
-// runs.
+// failed Write as fatal for the handle). A failed fsync makes the pager
+// read-only (fail-stop), and with it the database: every later Write is
+// refused with ErrReadOnly before fn runs.
 func (db *Database) Write(fn func() error) error {
 	if db.ReadOnly() {
 		return fmt.Errorf("pictdb: write: %w", pager.ErrReadOnly)
 	}
-	db.wmu.Lock()
 	db.pager.BeginWrite()
 	err := fn()
+	if err == nil {
+		err = db.writeDefinitions()
+	}
 	db.pager.EndWrite()
-	db.wmu.Unlock()
 	if err != nil {
 		return err
 	}
-	return db.Commit()
+	return db.pager.Commit()
 }
 
 // WALStats reports the database's write-ahead log activity.
@@ -406,27 +398,17 @@ func (db *Database) ReadOnly() bool { return db.pager.ReadOnly() }
 // NumPages reports the size of the underlying page file in pages.
 func (db *Database) NumPages() int { return db.pager.NumPages() }
 
-// CreateRelation defines a new relation.
+// CreateRelation defines a new relation of one store.
 func (db *Database) CreateRelation(name string, schema Schema) (*Relation, error) {
-	var rel *Relation
-	err := db.define(fmt.Sprintf("create relation %q", name), func(c *catalog) (err error) {
-		if _, dup := c.relations[name]; dup {
-			return fmt.Errorf("pictdb: relation %q already exists", name)
-		}
-		if rel, err = relation.New(db.pager, name, schema, db); err == nil {
-			c.relations = defined(c.relations, name, rel)
-		}
-		return err
-	})
-	return rel, err
+	return db.CreateShardedRelation(name, schema, 1)
 }
 
 // CreateShardedRelation defines a relation of `shards` stores, each a
 // heap in the database's page file with its own lock and its own LSM
 // spatial index per attached picture, tuples routed by Hilbert key
 // range. The relation behaves as one logical table: queries scatter to
-// the stores whose indexes overlap and gather in canonical order,
-// bit-identical to a one-store relation.
+// the stores whose indexes overlap and gather the rows a one-store
+// relation gives, in its order under an order by (DESIGN.md §15).
 func (db *Database) CreateShardedRelation(name string, schema Schema, shards int) (*Relation, error) {
 	if shards < 1 || shards > relation.MaxShards {
 		return nil, fmt.Errorf("pictdb: create relation %q: shard count %d out of range [1, %d]", name, shards, relation.MaxShards)
