@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race vet lint bench benchcheck faults walfaults defrace fuzz table1 clean
+.PHONY: check build test race vet lint bench benchcheck faults walfaults defrace deleterace fuzz table1 clean
 
 # The gate: everything must vet, keep the typed-error rule (lint),
 # build, pass under the race detector (concurrent callers of one
@@ -10,7 +10,7 @@ GO ?= go
 # crash-recovery matrix. Every test binary that opens a
 # pager also fails when its tests leave a pin, a reader or a goroutine
 # behind (internal/leakcheck, DESIGN.md §14).
-check: vet lint build race faults walfaults defrace
+check: vet lint build race faults walfaults defrace deleterace
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,13 @@ walfaults:
 # the commit's capture, fifty in a row do.
 defrace:
 	$(GO) test -race -timeout 120s -run 'TestWriteBesideShardedDefinitions|TestDefineInsideWrite' -count=50 .
+
+# Two Deletes of one id, raced under -race and repeated, at one store
+# and at four: the heap's dead-slot check, under the store lock in the
+# section that reads the record, is all that lets exactly one of them
+# win, so no tuple is counted out or unindexed twice.
+deleterace:
+	$(GO) test -race -timeout 300s -run TestConcurrentDoubleDelete -count=20 ./internal/relation/
 
 # Short fuzz pass over the decoders of on-disk bytes — tuple records
 # with the objects their locs carry, page-0 header slots, catalog

@@ -90,13 +90,6 @@ func setFromValue(out *Datum, v *relation.Value) {
 	}
 }
 
-// fromValue converts a stored relation value to a runtime datum.
-func fromValue(v relation.Value) Datum {
-	var d Datum
-	setFromValue(&d, &v)
-	return d
-}
-
 // IsNumeric reports whether the datum is an int or float.
 func (d Datum) IsNumeric() bool { return d.Kind == KindInt || d.Kind == KindFloat }
 

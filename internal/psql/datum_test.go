@@ -114,8 +114,9 @@ func TestFromValue(t *testing.T) {
 		{relation.L("m", 3), KindLoc},
 	}
 	for _, tt := range tests {
-		if got := fromValue(tt.v); got.Kind != tt.kind {
-			t.Errorf("fromValue(%v).Kind = %v, want %v", tt.v, got.Kind, tt.kind)
+		var got Datum
+		if setFromValue(&got, &tt.v); got.Kind != tt.kind {
+			t.Errorf("setFromValue(%v).Kind = %v, want %v", tt.v, got.Kind, tt.kind)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/picture"
-	"repro/internal/relation"
 )
 
 // This file evaluates where-clause and target-list expressions over
@@ -307,20 +306,4 @@ func (st *execState) evalFunc(ex FuncCall, r row, out *Datum) error {
 	d, err := fn(ctx)
 	*out = d
 	return err
-}
-
-// datumToValue converts a datum back to a storable relation value
-// where possible (used by tooling that materializes query results).
-func datumToValue(d Datum) (relation.Value, bool) {
-	switch d.Kind {
-	case KindInt:
-		return relation.I(d.Int), true
-	case KindFloat:
-		return relation.F(d.Float), true
-	case KindString:
-		return relation.S(d.Str), true
-	case KindLoc:
-		return relation.L(d.Loc.Picture, d.Loc.Object), true
-	}
-	return relation.Value{}, false
 }

@@ -138,12 +138,6 @@ func (st *execState) planNotes() []string {
 	return append(append([]string(nil), st.plan...), st.subnotes...)
 }
 
-// Exec executes a parsed query (analyzing and binding it on the spot;
-// Run serves repeated text through the statement cache instead).
-func (e *Executor) Exec(q *Query) (*Result, error) {
-	return e.run(newStmtEntry("", q, analyze(q)), execOpts{})
-}
-
 // run executes ent's statement: the naive executor binds it afresh, the
 // planned one uses the entry's bound statement when it still holds
 // against the catalog and binds again, for everyone after, when not.

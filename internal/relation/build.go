@@ -296,7 +296,8 @@ func (b *indexBuild) scanStore(s int, open bool) error {
 	if err != nil {
 		return err
 	}
-	// Heap order is id order only until a freed slot is reused.
+	// Heap order is id order only while the chain's pages ascend; a page
+	// the pager hands back from its free list may not.
 	for _, items := range p.items {
 		slices.SortFunc(items, func(x, y rtree.Item) int { return cmp.Compare(x.Data, y.Data) })
 	}

@@ -18,7 +18,7 @@ import (
 
 // buildFixture fills an unsharded (shards == 0) or sharded relation
 // with n cities spread over two pictures, then deletes every seventh so
-// that the heaps have holes and later inserts reuse their slots, and
+// that the heaps hold dead slots, which later inserts never take, and
 // adds one tuple at (1, 1) after them.
 func buildFixture(t *testing.T, shards, n int) (*Relation, [2]*picture.Picture) {
 	t.Helper()
@@ -133,8 +133,8 @@ func TestBuildIndexesMatchesSeparateCalls(t *testing.T) {
 }
 
 // A store's tree is packed from its items in ascending id order — the
-// order of a scan, which the store's heap chain leaves as soon as a
-// freed slot is reused. The reference walks the relation in id order and
+// order of a scan only while the store's heap chain ascends in page
+// order. The reference walks the relation in id order and
 // packs each store's share of the objects the tuples carry.
 func TestBuildIndexesShardItemOrder(t *testing.T) {
 	rel, pics := buildFixture(t, 4, 900)

@@ -9,8 +9,9 @@ import (
 
 // This file is how an id finds its tuple (DESIGN.md §15). In every
 // relation a tuple's id is its heap address and its record is the
-// encoded tuple: nothing precedes it, and an id is reused once its slot
-// is freed. Every store is a heap in the database's one page file, so
+// encoded tuple: nothing precedes it. A freed slot is never handed out
+// again, so an id names one tuple and, once that tuple is deleted,
+// none. Every store is a heap in the database's one page file, so
 // the heaps own disjoint pages and an address is unique across a
 // relation's stores. A one-store relation needs nothing more; an
 // n-store relation keeps pageStores, which names the store whose heap

@@ -20,12 +20,10 @@ import (
 
 // store is one heap of a relation. mu serializes heap access — writers
 // exclusively, readers shared — so writers and readers of one store
-// never race on page bytes. It also guards deleting, the records a
-// Delete has claimed and not yet freed.
+// never race on page bytes.
 type store struct {
-	mu       sync.RWMutex
-	heap     *storage.Heap
-	deleting map[storage.TupleID]struct{}
+	mu   sync.RWMutex
+	heap *storage.Heap
 }
 
 // firstPage returns the heap's first page under mu: the store's first
@@ -58,9 +56,9 @@ var ErrDanglingLoc = errors.New("relation: loc names no picture object")
 //
 // Two kinds of lock, never nested (DESIGN.md §15): smu guards the page
 // table, the index and spatial directories, the B-trees and the
-// per-store live counts; each store's mu guards its heap and the records
-// a Delete has claimed. An operation finds an id's store under smu,
-// releases it, and only then touches a heap.
+// per-store live counts; each store's mu guards its heap. An operation
+// finds an id's store under smu, releases it, and only then touches a
+// heap.
 type Relation struct {
 	name   string
 	schema Schema
@@ -495,13 +493,12 @@ func (r *Relation) group(ids []storage.TupleID) (lids [][]storage.TupleID, pos [
 	return lids, pos, nil
 }
 
-// Delete removes the tuple stored under id from every index and the
-// heap, in that order. Under the store's lock it reads the record and
-// claims it: of two Deletes of one id exactly one finds it live and
-// unclaimed, and the other reports not-found. The claimant then removes
-// the index entries and only then frees the record, dropping its claim,
-// so no index entry outlives its tuple and a heap address is not handed
-// to a new tuple while entries of the old one remain. The spatial entry
+// Delete removes the tuple stored under id from the heap and then from
+// every index. Under the store's lock, in one section, it reads the
+// record and frees its slot: the heap's own dead-slot check decides
+// which of two Deletes of one id wins, and the other reports not-found.
+// A freed slot is never handed out again, so until the index entries go
+// they name a dead slot, which resolves to no tuple. The spatial entry
 // is found by the object the record carries, whatever its picture holds
 // now.
 func (r *Relation) Delete(id storage.TupleID) error {
@@ -517,30 +514,22 @@ func (r *Relation) Delete(id storage.TupleID) error {
 	hasLoc := false
 	st := r.stores[s]
 	st.mu.Lock()
-	var err error
-	if _, claimed := st.deleting[id]; claimed {
-		err = fmt.Errorf("%w: %v (being deleted)", storage.ErrNotFound, id)
-	} else {
-		err = st.heap.GetBatch([]storage.TupleID{id}, func(_ int, body []byte) (err error) {
-			locs := make([]locBytes, r.schema.Arity())
-			if t, err = decodeCols(body, nil, nil, locs); err != nil {
-				return err
-			}
-			if hasLoc = li >= 0 && locs[li].obj != nil; hasLoc {
-				obj, err := picture.DecodeObject(locs[li].obj)
-				if err != nil {
-					return errTuple("loc column %d: %w", li, err)
-				}
-				loc, mbr = t[li].Loc, obj.MBR()
-			}
-			return nil
-		})
-	}
-	if err == nil {
-		if st.deleting == nil {
-			st.deleting = make(map[storage.TupleID]struct{})
+	err := st.heap.GetBatch([]storage.TupleID{id}, func(_ int, body []byte) (err error) {
+		locs := make([]locBytes, r.schema.Arity())
+		if t, err = decodeCols(body, nil, nil, locs); err != nil {
+			return err
 		}
-		st.deleting[id] = struct{}{}
+		if hasLoc = li >= 0 && locs[li].obj != nil; hasLoc {
+			obj, err := picture.DecodeObject(locs[li].obj)
+			if err != nil {
+				return errTuple("loc column %d: %w", li, err)
+			}
+			loc, mbr = t[li].Loc, obj.MBR()
+		}
+		return nil
+	})
+	if err == nil {
+		err = st.heap.Delete(id)
 	}
 	st.mu.Unlock()
 	if err != nil {
@@ -557,13 +546,6 @@ func (r *Relation) Delete(id storage.TupleID) error {
 		si.delete(mbr, gid)
 	}
 	r.costGen.Add(1)
-	st.mu.Lock()
-	err = st.heap.Delete(id)
-	delete(st.deleting, id)
-	st.mu.Unlock()
-	if err != nil {
-		return r.storeErr(s, err)
-	}
 	return nil
 }
 

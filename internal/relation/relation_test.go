@@ -760,6 +760,16 @@ func TestCheckResolvesIndexEntries(t *testing.T) {
 				if err := rel.Check(); !errors.Is(err, storage.ErrNotFound) {
 					t.Fatalf("entry for deleted tuple %v: Check = %v, want ErrNotFound", victim, err)
 				}
+				// A tuple placed where the victim was lands in its store,
+				// and takes a new address: the planted entry still names
+				// no tuple.
+				nid := addCity(t, rel, pic, "newcomer", "ST", 7, 175, 825)
+				if ns, _ := rel.storeOf(nid); ns != s {
+					t.Fatalf("newcomer %v went to store %d, want the victim's store %d", nid, ns, s)
+				}
+				if err := rel.Check(); !errors.Is(err, storage.ErrNotFound) {
+					t.Fatalf("entry for deleted tuple %v after insert %v: Check = %v, want ErrNotFound", victim, nid, err)
+				}
 			})
 		}
 	}
@@ -813,6 +823,87 @@ func TestCheckCountsSpatialEntries(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFreedIDNamesNoOtherTuple: a tuple id names one tuple. An id a
+// window search returned, deleted from the last page of its store —
+// where that store's next insert lands — stays dead after an insert far
+// outside the window into the same store: the insert takes a new id,
+// and Get and FetchWhere of the old one report ErrNotFound rather than
+// return the newcomer.
+func TestFreedIDNamesNoOtherTuple(t *testing.T) {
+	for _, stores := range []int{1, 4} {
+		t.Run(fmt.Sprintf("stores=%d", stores), func(t *testing.T) {
+			pic := usMap()
+			rel := newShardedCities(t, stores, pic)
+			if err := rel.AttachPicture(pic, hilbertPack); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(stores)))
+			for i := 0; i < 400; i++ {
+				addCity(t, rel, pic, fmt.Sprintf("c%03d", i), "ST", int64(i), rng.Float64()*1000, rng.Float64()*1000)
+			}
+			window := geom.R(0, 0, 300, 300)
+			ids, _, err := rel.SearchArea("us-map", window, geom.Overlapping)
+			if err != nil {
+				t.Fatal(err)
+			}
+			victim, s := storage.TupleID{}, -1
+			for _, id := range ids {
+				vs, _ := rel.storeOf(id)
+				pages, err := rel.ShardHeapPages(vs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if id.Page == pages[len(pages)-1] {
+					victim, s = id, vs
+					break
+				}
+			}
+			if s < 0 {
+				t.Fatalf("none of the window's %d ids is on its store's last page", len(ids))
+			}
+			if err := rel.Delete(victim); err != nil {
+				t.Fatal(err)
+			}
+			// The first point of a coarse grid, at least 150 from the
+			// window on one axis, that the relation places in the victim's
+			// store.
+			var at geom.Point
+			found := false
+			for y := 995.0; y > 0 && !found; y -= 10 {
+				for x := 995.0; x > 0 && !found; x -= 10 {
+					if x < window.Max.X+150 && y < window.Max.Y+150 {
+						continue
+					}
+					at = geom.Pt(x, y)
+					found = shardForKey(stores, pack.HilbertKey(pic.Extent(), at)) == s
+				}
+			}
+			if !found {
+				t.Fatalf("no point far from the window is placed in store %d", s)
+			}
+			nid := addCity(t, rel, pic, "newcomer", "ST", 1, at.X, at.Y)
+			if ns, _ := rel.storeOf(nid); ns != s {
+				t.Fatalf("newcomer %v went to store %d, want %d", nid, ns, s)
+			}
+			if nid == victim {
+				t.Fatalf("the insert after the delete took the deleted id %v", victim)
+			}
+			if got, err := rel.Get(victim); !errors.Is(err, storage.ErrNotFound) {
+				t.Fatalf("Get of deleted %v = %v, %v; want ErrNotFound", victim, got, err)
+			}
+			if got, err := rel.FetchWhere([]storage.TupleID{victim}, nil, nil, nil); !errors.Is(err, storage.ErrNotFound) {
+				t.Fatalf("FetchWhere of deleted %v = %v, %v; want ErrNotFound", victim, got, err)
+			}
+			if got, err := rel.Get(nid); err != nil || got[0].Str != "newcomer" {
+				t.Fatalf("Get(%v) = %v, %v; want the newcomer", nid, got, err)
+			}
+			if err := rel.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

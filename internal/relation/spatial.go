@@ -84,11 +84,10 @@ type SpatialIndex struct {
 	// deleted straight out of the active delta never enters tombs.
 	tombs map[int64]struct{}
 	// ts0 is the tombstone set as it stood at repack freeze time; nil
-	// when no repack is in flight. The merging repack removes exactly
-	// ts0 from the packed items, so reads filter packed by tombs ∪ ts0
-	// and frozen by tombs alone: heap slots are reused as soon as they
-	// are freed, so a frozen entry may carry an id ts0 names, and ts0
-	// then names only the older packed incarnation.
+	// when no repack is in flight. Reads filter packed and frozen by one
+	// predicate, tombs ∪ ts0 (an id names one tuple, so no live entry
+	// carries an id either set names); the sets stay apart only so the
+	// swap retires exactly the ts0 the merge dropped.
 	ts0 map[int64]struct{}
 
 	threshold int
@@ -385,23 +384,15 @@ func (si *SpatialIndex) packMerged() *rtree.Tree {
 	return packTree(items)
 }
 
-// packedDeadLocked reports whether a packed-tree entry is tombstoned,
-// before the in-flight repack's freeze (ts0) or since. Caller holds mu
-// (any mode).
-func (si *SpatialIndex) packedDeadLocked(id int64) bool {
+// deadLocked reports whether a packed or frozen entry is tombstoned,
+// before the in-flight repack's freeze (ts0) or since. Delta entries
+// are never tombstoned: a delete takes them out of the delta. Caller
+// holds mu (any mode).
+func (si *SpatialIndex) deadLocked(id int64) bool {
 	_, dead := si.tombs[id]
 	if !dead {
 		_, dead = si.ts0[id]
 	}
-	return dead
-}
-
-// frozenDeadLocked reports whether a frozen-delta entry is tombstoned.
-// Only tombstones taken since the freeze apply: one in ts0 predates the
-// entry and names the packed incarnation of a reused id. Caller holds
-// mu (any mode).
-func (si *SpatialIndex) frozenDeadLocked(id int64) bool {
-	_, dead := si.tombs[id]
 	return dead
 }
 
@@ -437,14 +428,14 @@ func (si *SpatialIndex) search(windows []geom.Rect, pred func(obj, win geom.Rect
 	visited := 0
 	for i, w := range windows {
 		visited += si.packed.Search(w, func(it rtree.Item) bool {
-			if pred(it.Rect, w) && !(tombs && si.packedDeadLocked(it.Data)) {
+			if pred(it.Rect, w) && !(tombs && si.deadLocked(it.Data)) {
 				out[i] = append(out[i], it.Data)
 			}
 			return true
 		})
 		if frozen {
 			visited += si.frozen.Search(w, func(it rtree.Item) bool {
-				if pred(it.Rect, w) && !si.frozenDeadLocked(it.Data) {
+				if pred(it.Rect, w) && !(tombs && si.deadLocked(it.Data)) {
 					out[i] = append(out[i], it.Data)
 				}
 				return true
@@ -475,14 +466,14 @@ func (si *SpatialIndex) itemsLocked() ([]rtree.Item, int) {
 	var out []rtree.Item
 	visited := si.packed.NodeCount()
 	for _, it := range si.packed.Items() {
-		if !si.packedDeadLocked(it.Data) {
+		if !si.deadLocked(it.Data) {
 			out = append(out, it)
 		}
 	}
 	if si.frozen != nil && si.frozen.Len() > 0 {
 		visited += si.frozen.NodeCount()
 		for _, it := range si.frozen.Items() {
-			if !si.frozenDeadLocked(it.Data) {
+			if !si.deadLocked(it.Data) {
 				out = append(out, it)
 			}
 		}
@@ -506,16 +497,16 @@ type sideTree struct {
 // mu (any mode), and must hold it for as long as the trees are used.
 func (si *SpatialIndex) liveTreesLocked() []sideTree {
 	never := func(int64) bool { return false }
+	dead := never
+	if len(si.tombs)+len(si.ts0) > 0 {
+		dead = si.deadLocked
+	}
 	var out []sideTree
 	if si.packed.Len() > 0 {
-		dead := never
-		if len(si.tombs)+len(si.ts0) > 0 {
-			dead = si.packedDeadLocked
-		}
 		out = append(out, sideTree{tree: si.packed, dead: dead})
 	}
 	if si.frozen != nil && si.frozen.Len() > 0 {
-		out = append(out, sideTree{tree: si.frozen, dead: si.frozenDeadLocked})
+		out = append(out, sideTree{tree: si.frozen, dead: dead})
 	}
 	if si.delta.Len() > 0 {
 		out = append(out, sideTree{tree: si.delta, dead: never})
@@ -581,9 +572,5 @@ func (si *SpatialIndex) checkInvariants() error {
 	if si.ts0 != nil && si.frozen == nil {
 		return fmt.Errorf("tombstone snapshot present without frozen delta")
 	}
-	// Note: a delta entry may share its id with a tombstone, and a
-	// frozen entry with one in ts0 — ids are reused once their
-	// tombstoned slot is reclaimed, and the tombstone then names only
-	// the older incarnation.
 	return nil
 }

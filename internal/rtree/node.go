@@ -137,7 +137,7 @@ func (p Params) Validate() error {
 // Tree is an in-memory R-tree.
 //
 // Concurrency: all read operations (Search, SearchWithin, Query,
-// ContainsPoint, NearestNeighbor(s), JoinPairs, Items, the metrics
+// ContainsPoint, NearestNeighbor, JoinPairs, Items, the metrics
 // walkers) are safe for any number of concurrent readers — they write
 // nothing shared: each counts its visits in a local and returns the
 // count. Mutations (Insert, Delete) require exclusive access: callers

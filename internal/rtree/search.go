@@ -1,11 +1,6 @@
 package rtree
 
-import (
-	"math"
-	"sort"
-
-	"repro/internal/geom"
-)
+import "repro/internal/geom"
 
 // This file implements the paper's Section 3.1 SEARCH procedure and its
 // variants. Every search returns the number of R-tree nodes visited —
@@ -163,76 +158,6 @@ func (t *Tree) NearestNeighbor(p geom.Point) (Item, bool, int) {
 	}
 	walk(t.root)
 	return best, true, visited
-}
-
-// NearestNeighbors returns the k items whose rectangles are closest
-// to p, ordered nearest first, with the number of nodes visited. It
-// generalizes NearestNeighbor with the same branch-and-bound descent,
-// pruning subtrees farther than the current k-th best (Roussopoulos,
-// Kelley & Vincent, SIGMOD 1995). Fewer than k items are returned when
-// the tree is smaller than k.
-func (t *Tree) NearestNeighbors(p geom.Point, k int) ([]Item, int) {
-	if k <= 0 || t.size == 0 {
-		return nil, 0
-	}
-	// best is a sorted slice of at most k candidates (small k assumed).
-	type scored struct {
-		it Item
-		d  float64
-	}
-	var best []scored
-	worst := func() float64 {
-		if len(best) < k {
-			return math.Inf(1)
-		}
-		return best[len(best)-1].d
-	}
-	add := func(it Item, d float64) {
-		i := len(best)
-		for i > 0 && best[i-1].d > d {
-			i--
-		}
-		best = append(best, scored{})
-		copy(best[i+1:], best[i:])
-		best[i] = scored{it: it, d: d}
-		if len(best) > k {
-			best = best[:k]
-		}
-	}
-	visited := 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		visited++
-		if n.leaf {
-			for _, e := range n.entries {
-				if d := rectPointDist(e.rect, p); d < worst() {
-					add(e.item(), d)
-				}
-			}
-			return
-		}
-		type cand struct {
-			d float64
-			c *node
-		}
-		cands := make([]cand, 0, len(n.entries))
-		for _, e := range n.entries {
-			cands = append(cands, cand{rectPointDist(e.rect, p), e.child})
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
-		for _, c := range cands {
-			if c.d > worst() {
-				break
-			}
-			walk(c.c)
-		}
-	}
-	walk(t.root)
-	out := make([]Item, len(best))
-	for i, s := range best {
-		out[i] = s.it
-	}
-	return out, visited
 }
 
 // rectPointDist returns the minimal distance from p to rectangle r

@@ -193,21 +193,13 @@ func (v pageView) freeSpace() int {
 	return v.freeEnd() - dirEnd
 }
 
-// insert places rec in the page, returning its slot. The caller must
-// have checked freeSpace.
+// insert places rec in a new slot at the end of the directory,
+// returning it: a dead slot is never handed out again, so a TupleID
+// names one record for the life of the file. The caller must have
+// checked freeSpace.
 func (v pageView) insert(rec []byte) int {
-	// Reuse a dead slot if one exists.
-	slot := -1
-	for i := 0; i < v.slotCount(); i++ {
-		if off, _ := v.slot(i); off == deadOffset {
-			slot = i
-			break
-		}
-	}
-	if slot == -1 {
-		slot = v.slotCount()
-		v.setSlotCount(slot + 1)
-	}
+	slot := v.slotCount()
+	v.setSlotCount(slot + 1)
 	start := v.freeEnd() - len(rec)
 	copy(v.pg.Data[start:], rec)
 	v.setFreeEnd(start)
@@ -366,7 +358,9 @@ func (h *Heap) GetBatch(ids []TupleID, fn func(i int, rec []byte) error) error {
 
 // Delete removes the record at id. Space within the page is not
 // compacted (records are never updated in place in this static-
-// database design), but the slot becomes reusable.
+// database design), and the slot stays dead: no later Insert takes it,
+// so id resolves to ErrNotFound from now on. Of two Deletes of one id
+// the second reports ErrNotFound.
 func (h *Heap) Delete(id TupleID) error {
 	pg, err := h.p.Fetch(id.Page)
 	if err != nil {

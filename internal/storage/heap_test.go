@@ -111,19 +111,62 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestDeadSlotReuse(t *testing.T) {
-	h := newHeap(t)
+// TestDeadSlotStaysDead: an insert after a delete takes a new slot,
+// and the dead slot still resolves to no record after a reopen.
+func TestDeadSlotStaysDead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "heap.db")
+	p := openLogged(t, path, 8)
+	h, _, err := Create(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a, _ := h.Insert([]byte("victim"))
 	h.Insert([]byte("keeper"))
 	if err := h.Delete(a); err != nil {
 		t.Fatal(err)
 	}
-	c, err := h.Insert([]byte("reuser"))
+	c, err := h.Insert([]byte("newcomer"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Page != a.Page || c.Slot != a.Slot {
-		t.Fatalf("dead slot not reused: got %v, want %v", c, a)
+	if c == a {
+		t.Fatalf("insert after delete took the dead slot %v", a)
+	}
+	if c.Page != a.Page {
+		t.Fatalf("insert went to page %d, want the last page %d", c.Page, a.Page)
+	}
+	if _, err := h.Get(a); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of the dead slot = %v, want ErrNotFound", err)
+	}
+	first := h.FirstPage()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p2 := openLogged(t, path, 8)
+	defer p2.Close()
+	h2, err := Open(p2, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := h2.Insert([]byte("after reopen"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d == a || d == c {
+		t.Fatalf("insert after reopen took slot %v (dead %v, live %v)", d, a, c)
+	}
+	if _, err := h2.Get(a); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of the dead slot after reopen = %v, want ErrNotFound", err)
+	}
+	if err := h2.Delete(a); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("second Delete of the dead slot = %v, want ErrNotFound", err)
+	}
+	if got, err := h2.Get(c); err != nil || string(got) != "newcomer" {
+		t.Fatalf("Get(%v) after reopen = %q, %v", c, got, err)
+	}
+	if h2.Len() != 3 {
+		t.Fatalf("Len after reopen = %d, want 3", h2.Len())
 	}
 }
 
