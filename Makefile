@@ -89,9 +89,12 @@ defrace:
 # Two Deletes of one id, raced under -race and repeated, at one store
 # and at four: the heap's dead-slot check, under the store lock in the
 # section that reads the record, is all that lets exactly one of them
-# win, so no tuple is counted out or unindexed twice.
+# win, so no tuple is counted out or unindexed twice. Beside them,
+# deletes raced against window, B-tree and juxtaposition statements: a
+# tuple deleted between a statement's probe and its fetch is skipped,
+# and no statement fails.
 deleterace:
-	$(GO) test -race -timeout 300s -run TestConcurrentDoubleDelete -count=20 ./internal/relation/
+	$(GO) test -race -timeout 300s -run 'TestConcurrentDoubleDelete|TestFetchBesideDelete' -count=20 ./internal/relation/ ./internal/psql/
 
 # Short fuzz pass over the decoders of on-disk bytes — tuple records
 # with the objects their locs carry, page-0 header slots, catalog

@@ -57,7 +57,7 @@ const superblockID pager.PageID = 1
 const (
 	catLocation = 'L'
 	catPicture  = 'P'
-	catRelation = 'R' // one or more stores, ids heap addresses
+	catRelation = 'R' // one or more stores, ids heap addresses and their store
 	// catSeqPrefix and catShardFiles are relation records of earlier
 	// formats: stores in the main file whose records carried an 8-byte
 	// sequence id, and stores in page files of their own beside the main

@@ -421,6 +421,9 @@ func (st *execState) filterSpatial(bi int, ids []storage.TupleID, op SpatialOp, 
 	pred := spatialPred(op)
 	kept := ids[:0]
 	for i, id := range ids {
+		if tuples[i] == nil {
+			continue // deleted since the B-tree was read
+		}
 		mbr, ok := tupleMBR(tuples[i], li, b.pic, b.picture)
 		if !ok {
 			continue
@@ -692,11 +695,16 @@ func (st *execState) juxtapose(bi, bj int, op SpatialOp) ([]row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]row, len(pairs))
+	// A pair whose tuple was deleted since the pairs were found is dropped.
+	rows := make([]row, 0, len(pairs))
 	tupBuf := make([]relation.Tuple, 2*len(pairs))
 	for i := range pairs {
-		rows[i] = tupBuf[2*i : 2*i+2 : 2*i+2]
-		rows[i][bi], rows[i][bj] = tx[i], ty[i]
+		if tx[i] == nil || ty[i] == nil {
+			continue
+		}
+		r := tupBuf[2*i : 2*i+2 : 2*i+2]
+		r[bi], r[bj] = tx[i], ty[i]
+		rows = append(rows, r)
 	}
 	return rows, nil
 }

@@ -94,19 +94,21 @@ func holdAll(terms []boundTerm) func(relation.Tuple) bool {
 // juxtaposition side alike. The terms' columns are decoded and tested
 // first (relation.FetchWhere), so a rejected candidate never becomes a
 // tuple, let alone a row; the terms are marked pushed and qualifies
-// skips them. It returns the survivors' ids, compacted in place, and
-// their tuples.
+// skips them. A tuple deleted since ids were read is dropped too. It
+// returns the survivors' ids, compacted in place, and their tuples.
 func (st *execState) fetchKept(bi int, ids []storage.TupleID, need []bool) ([]storage.TupleID, []relation.Tuple, error) {
 	rel, terms := st.bindings[bi].rel, st.sideTerms[bi]
-	if len(terms) == 0 {
-		tuples, err := rel.GetBatch(ids, need, 0)
-		return ids, tuples, err
+	var keep func(relation.Tuple) bool
+	if len(terms) > 0 {
+		keep = holdAll(terms)
 	}
-	tuples, err := rel.FetchWhere(ids, need, st.test[bi], holdAll(terms))
+	tuples, err := rel.FetchWhere(ids, need, st.test[bi], keep)
 	if err != nil {
 		return nil, nil, err
 	}
-	st.markPushed(terms)
+	if keep != nil {
+		st.markPushed(terms)
+	}
 	n := 0
 	for i, t := range tuples {
 		if t != nil {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/btree"
-	"repro/internal/pager"
 	"repro/internal/par"
 	"repro/internal/picture"
 	"repro/internal/rtree"
@@ -20,11 +19,11 @@ import (
 // one scan of every store's heap, side by side, collects each B-tree's
 // (key, id) run and each attached picture's (MBR, id) items, the MBR
 // being that of the object the tuple's loc carries. On Open the same
-// scan also notes the pages an n-store relation's page table is filled
-// from, and collects every object a tuple carries. Then every index is its own task on up to GOMAXPROCS
-// goroutines — a run is sorted and bulk-loaded, a list Hilbert-packed
-// (packTree) — and on Open each store's objects are restored into
-// their pictures beside them. On one core the tasks run one after
+// scan also collects every object a tuple carries, and the stores' page
+// lists are checked disjoint. Then every index is its own task on up to
+// GOMAXPROCS goroutines — a run is sorted and bulk-loaded, a list
+// Hilbert-packed (packTree) — and on Open each store's objects are
+// restored into their pictures beside them. On one core the tasks run one after
 // another, B-trees first.
 
 // nowFn is the clock the build phases are timed with; tests replace it.
@@ -48,12 +47,11 @@ func (t *BuildTimes) Add(u BuildTimes) {
 // scanPart is what the scan of one store's heap collected: runs[c]
 // holds columns[c]'s (IndexKey, id) for every tuple, items[p] the
 // (MBR, id) entries of pics[p] in ascending id order, the order PACK is
-// handed them, and, on Open, pages the pages its records lie on and
-// objs the objects its tuples carry by picture name.
+// handed them, and, on Open, objs the objects its tuples carry by
+// picture name.
 type scanPart struct {
 	runs  [][]btree.Entry
 	items [][]rtree.Item
-	pages []pager.PageID
 	objs  map[string]*[]picture.Object
 }
 
@@ -75,9 +73,9 @@ func (r *Relation) BuildIndexes(columns []string, pics []*picture.Picture) (Buil
 	return r.build(columns, pics, false)
 }
 
-// build is BuildIndexes; with open set it is Open's reload of a relation
-// whose live counts and page table are still empty: the records the scan
-// finds fill them (adopt).
+// build is BuildIndexes; with open set it is Open's reload, which also
+// restores the objects the tuples carry and refuses a page two stores'
+// heaps chain (disjointHeaps).
 func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (BuildTimes, error) {
 	var times BuildTimes
 	for i, col := range columns {
@@ -112,7 +110,7 @@ func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (
 	t0 := nowFn()
 	err := b.scan(open)
 	if err == nil && open {
-		err = r.adopt(b.parts)
+		err = r.disjointHeaps()
 	}
 	times.Scan = nowFn().Sub(t0)
 	if err != nil {
@@ -279,14 +277,10 @@ func (b *indexBuild) scanStore(s int, open bool) error {
 	}
 	var scanErr error
 	err := st.heap.Scan(func(lid storage.TupleID, body []byte) bool {
-		if err := collect(lid.Int64(), body); err != nil {
-			scanErr = fmt.Errorf("tuple %v: %w", lid, err)
+		id := inStore(lid, s)
+		if err := collect(id.Int64(), body); err != nil {
+			scanErr = fmt.Errorf("tuple %v: %w", id, err)
 			return false
-		}
-		if open {
-			if k := len(p.pages); k == 0 || p.pages[k-1] != lid.Page {
-				p.pages = append(p.pages, lid.Page)
-			}
 		}
 		return true
 	})
@@ -320,24 +314,6 @@ func (r *Relation) restoreObjects(objs map[string]*[]picture.Object) error {
 		}
 		if err := pic.Restore(*objs[name]...); err != nil {
 			return fmt.Errorf("%w: %w", storage.ErrCorrupt, err)
-		}
-	}
-	return nil
-}
-
-// adopt takes each store's live count from its heap and, when there are
-// several stores, gives each page an open scan found a record on to its
-// store in the page table. A page two stores' heaps hold is corruption.
-func (r *Relation) adopt(parts []*scanPart) error {
-	for s, p := range parts {
-		r.live[s] = int64(r.stores[s].heap.Len())
-		if len(parts) == 1 {
-			break
-		}
-		for _, page := range p.pages {
-			if err := r.pages.claim(page, s); err != nil {
-				return fmt.Errorf("relation %s: %w", r.name, err)
-			}
 		}
 	}
 	return nil

@@ -34,6 +34,13 @@ func (st *store) firstPage() pager.PageID {
 	return st.heap.FirstPage()
 }
 
+// len returns the heap's live record count under mu.
+func (st *store) len() int {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.heap.Len()
+}
+
 // Pictures resolves the picture names a loc column holds: the catalog a
 // relation was created in.
 type Pictures interface {
@@ -50,15 +57,13 @@ var ErrDanglingLoc = errors.New("relation: loc names no picture object")
 // R-tree spatial indexes on the loc column — one per associated picture
 // per store. Every store is a heap in the database's one page file.
 // NewSharded makes a relation of n ≥ 1 stores, tuples placed by Hilbert
-// key range (shard.go); Open reopens it. A tuple's id is
-// its heap address whatever the store count (ids.go); every operation
-// here is written once, for any store count.
+// key range (shard.go); Open reopens it. A tuple's id is its heap
+// address and its store whatever the store count (ids.go); every
+// operation here is written once, for any store count.
 //
-// Two kinds of lock, never nested (DESIGN.md §15): smu guards the page
-// table, the index and spatial directories, the B-trees and the
-// per-store live counts; each store's mu guards its heap. An operation
-// finds an id's store under smu, releases it, and only then touches a
-// heap.
+// Two kinds of lock, never nested (DESIGN.md §15): smu guards the index
+// and spatial directories and the B-trees; each store's mu guards its
+// heap and with it the store's live count, the heap's.
 type Relation struct {
 	name   string
 	schema Schema
@@ -70,14 +75,9 @@ type Relation struct {
 	pgr    *pager.Pager
 	stores []*store
 
-	smu sync.RWMutex
-	// pages names each heap page's store when there is more than one.
-	pages   pageStores
+	smu     sync.RWMutex
 	indexes map[string]*btree.Tree
 	spatial map[string][]*SpatialIndex
-	// live counts live tuples per store: Len, the balance report and
-	// Check read it.
-	live []int64
 
 	// gen counts the changes to what the relation is indexed by
 	// (BuildIndexes: CreateIndex, AttachPicture); costGen the changes to
@@ -98,7 +98,6 @@ func newRelation(p *pager.Pager, name string, schema Schema, pics Pictures, stor
 		stores:  stores,
 		indexes: make(map[string]*btree.Tree),
 		spatial: make(map[string][]*SpatialIndex),
-		live:    make([]int64, len(stores)),
 	}
 }
 
@@ -138,9 +137,9 @@ type Def struct {
 
 // Open reattaches to the relation def describes — the catalog's reopen
 // path — and rebuilds everything it keeps in memory from one scan of
-// each store's heap (build.go): an n-store relation's page table, the
-// B-trees, a packed R-tree per attached picture per store, and, in the
-// pictures pics resolves, every object a tuple names.
+// each store's heap (build.go): the B-trees, a packed R-tree per
+// attached picture per store, and, in the pictures pics resolves, every
+// object a tuple names.
 func Open(def Def, pics Pictures) (*Relation, BuildTimes, error) {
 	n := len(def.Heaps)
 	if n == 0 || n > MaxShards {
@@ -220,13 +219,11 @@ func (r *Relation) Schema() Schema { return r.schema }
 
 // Len returns the number of stored tuples.
 func (r *Relation) Len() int {
-	r.smu.RLock()
-	defer r.smu.RUnlock()
-	n := int64(0)
-	for _, c := range r.live {
-		n += c
+	n := 0
+	for _, st := range r.stores {
+		n += st.len()
 	}
-	return int(n)
+	return n
 }
 
 // WaitRepacks blocks until no spatial index has a background repack in
@@ -247,8 +244,8 @@ func (r *Relation) WaitRepacks() {
 // tuple's id. Every non-zero loc must name an object of a picture in the
 // relation's catalog (ErrDanglingLoc): the record carries that object.
 // Safe beside other writers and readers: the heap write is under the
-// store's lock, the id and B-tree updates under smu, the spatial insert
-// under its index's own lock.
+// store's lock, the B-tree updates under smu, the spatial insert under
+// its index's own lock.
 func (r *Relation) Insert(t Tuple) (storage.TupleID, error) {
 	if err := r.schema.Validate(t); err != nil {
 		return storage.TupleID{}, err
@@ -301,15 +298,9 @@ func (r *Relation) insert(t Tuple, objs []picture.Object) (storage.TupleID, erro
 	if err != nil {
 		return storage.TupleID{}, r.storeErr(s, err)
 	}
+	tid := inStore(lid, s)
+	id := tid.Int64()
 	r.smu.Lock()
-	if len(r.stores) > 1 {
-		if err := r.pages.claim(lid.Page, s); err != nil {
-			r.smu.Unlock()
-			return storage.TupleID{}, r.storeErr(s, err)
-		}
-	}
-	id := lid.Int64()
-	r.live[s]++
 	for col, idx := range r.indexes {
 		idx.Insert(IndexKey(t[r.schema.ColumnIndex(col)]), id)
 	}
@@ -319,7 +310,7 @@ func (r *Relation) insert(t Tuple, objs []picture.Object) (storage.TupleID, erro
 		si.insert(mbr, id)
 	}
 	r.costGen.Add(1)
-	return lid, nil
+	return tid, nil
 }
 
 func (r *Relation) storeErr(s int, err error) error {
@@ -347,15 +338,10 @@ func (r *Relation) spatialLocked(loc LocRef, hasLoc bool, s int) *SpatialIndex {
 	return nil
 }
 
-// storeOf returns the store whose heap holds id, ok false when no store
-// owns its page.
+// storeOf returns the store id names, ok false when the relation has no
+// such store.
 func (r *Relation) storeOf(id storage.TupleID) (int, bool) {
-	if len(r.stores) == 1 {
-		return 0, true
-	}
-	r.smu.RLock()
-	defer r.smu.RUnlock()
-	return r.pages.store(id.Page)
+	return int(id.Store), int(id.Store) < len(r.stores)
 }
 
 // Get returns the tuple stored under id.
@@ -368,6 +354,9 @@ func (r *Relation) Get(id storage.TupleID) (Tuple, error) {
 	st := r.stores[s]
 	st.mu.RLock()
 	err := st.heap.GetBatch([]storage.TupleID{id}, func(_ int, body []byte) (err error) {
+		if body == nil {
+			return fmt.Errorf("%w: %v (deleted)", storage.ErrNotFound, id)
+		}
 		t, err = DecodeTuple(body)
 		return err
 	})
@@ -421,11 +410,12 @@ func (a *tupleArena) decode(body []byte, need, test []bool, keep func(Tuple) boo
 
 // FetchWhere materializes the tuples stored under ids that keep
 // accepts, preserving input order: out[i] is the tuple for ids[i], nil
-// when keep rejected it. Ids are grouped by store and the stores read in
-// order; a store pins each page it references once (ascending page
-// order — ids on the statement path arrive sorted, any other order is
-// sorted per store — zero-copy view when mmap is active) and decodes
-// its tuples in place into arenas. need selects which columns to
+// when keep rejected it or the tuple was deleted after ids were read (an
+// id never handed out fails the fetch with ErrNotFound). Ids are grouped
+// by store and the stores read in order; a store pins each page it
+// references once (ascending page order — ids on the statement path
+// arrive sorted, any other order is sorted per store — zero-copy view
+// when mmap is active) and decodes its tuples in place into arenas. need selects which columns to
 // materialize, as in DecodeTupleCols (nil = all).
 //
 // With keep non-nil a record is first decoded on the columns test
@@ -452,6 +442,9 @@ func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep fun
 		st := r.stores[s]
 		st.mu.RLock()
 		err := st.heap.GetBatch(l, func(k int, rec []byte) error {
+			if rec == nil {
+				return nil // deleted since ids were read
+			}
 			p := k
 			if pos != nil {
 				p = pos[s][k]
@@ -472,23 +465,22 @@ func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep fun
 }
 
 // group sorts a batch of ids by store: lids[s][k] is ids[pos[s][k]], and
-// a nil pos stands for the identity. An id on a page no store owns fails
-// the batch.
+// a nil pos stands for the identity. An id naming no store of the
+// relation fails the batch.
 func (r *Relation) group(ids []storage.TupleID) (lids [][]storage.TupleID, pos [][]int, err error) {
+	for _, id := range ids {
+		if _, ok := r.storeOf(id); !ok {
+			return nil, nil, fmt.Errorf("%w: %v", storage.ErrNotFound, id)
+		}
+	}
 	if len(r.stores) == 1 {
 		return [][]storage.TupleID{ids}, nil, nil
 	}
 	lids = make([][]storage.TupleID, len(r.stores))
 	pos = make([][]int, len(r.stores))
-	r.smu.RLock()
-	defer r.smu.RUnlock()
 	for i, id := range ids {
-		s, ok := r.pages.store(id.Page)
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: %v", storage.ErrNotFound, id)
-		}
-		lids[s] = append(lids[s], id)
-		pos[s] = append(pos[s], i)
+		lids[id.Store] = append(lids[id.Store], id)
+		pos[id.Store] = append(pos[id.Store], i)
 	}
 	return lids, pos, nil
 }
@@ -515,6 +507,9 @@ func (r *Relation) Delete(id storage.TupleID) error {
 	st := r.stores[s]
 	st.mu.Lock()
 	err := st.heap.GetBatch([]storage.TupleID{id}, func(_ int, body []byte) (err error) {
+		if body == nil {
+			return fmt.Errorf("%w: %v (already deleted)", storage.ErrNotFound, id)
+		}
 		locs := make([]locBytes, r.schema.Arity())
 		if t, err = decodeCols(body, nil, nil, locs); err != nil {
 			return err
@@ -536,7 +531,6 @@ func (r *Relation) Delete(id storage.TupleID) error {
 		return r.storeErr(s, err)
 	}
 	r.smu.Lock()
-	r.live[s]--
 	for col, idx := range r.indexes {
 		idx.Delete(IndexKey(t[r.schema.ColumnIndex(col)]), gid)
 	}
@@ -591,64 +585,47 @@ func (r *Relation) Scan(fn func(id storage.TupleID, t Tuple) bool) error {
 func (r *Relation) ScanCols(need, test []bool, keep func(Tuple) bool, fn func(id storage.TupleID, t Tuple) bool) error {
 	// How many tuples keep accepts is unknown: the blocks start small.
 	arena := tupleArena{arity: r.schema.Arity(), left: r.Len(), block: 8}
-	// Ids are heap addresses: a page's ids ascend, and are below every id
-	// of a higher page. One page at a time, each decoded under its store's
-	// lock and its kept tuples handed to fn after the lock is dropped.
+	// Each store's chain in store order, one page at a time, each decoded
+	// under its store's lock and its kept tuples handed to fn after the
+	// lock is dropped.
 	type scanned struct {
 		id storage.TupleID
 		t  Tuple
 	}
 	var run []scanned
 	var decodeErr error
+	var s int // the store being walked
 	visit := func(lid storage.TupleID, body []byte) bool {
+		id := inStore(lid, s)
 		t, kept, err := arena.decode(body, need, test, keep)
 		if err != nil {
-			decodeErr = fmt.Errorf("relation %s: tuple %v: %w", r.name, lid, err)
+			decodeErr = fmt.Errorf("relation %s: tuple %v: %w", r.name, id, err)
 			return false
 		}
 		if kept {
-			run = append(run, scanned{lid, t})
+			run = append(run, scanned{id, t})
 		}
 		return true
 	}
-	// scanPage scans page of store s, reporting the page its heap chains
-	// to and whether the scan is over.
-	scanPage := func(s int, page pager.PageID) (pager.PageID, bool, error) {
-		run = run[:0]
+	for s = range r.stores {
 		st := r.stores[s]
-		st.mu.RLock()
-		next, err := st.heap.ScanPage(page, visit)
-		st.mu.RUnlock()
-		if err != nil {
-			return 0, true, err
-		}
-		for _, sc := range run {
-			if !fn(sc.id, sc.t) {
-				return 0, true, nil
-			}
-		}
-		return next, decodeErr != nil, decodeErr
-	}
-	if len(r.stores) == 1 {
-		for page := r.stores[0].firstPage(); page != pager.InvalidPage; {
-			next, done, err := scanPage(0, page)
-			if done {
+		for page := st.firstPage(); page != pager.InvalidPage; {
+			run = run[:0]
+			st.mu.RLock()
+			next, err := st.heap.ScanPage(page, visit)
+			st.mu.RUnlock()
+			if err != nil {
 				return err
+			}
+			for _, sc := range run {
+				if !fn(sc.id, sc.t) {
+					return nil
+				}
+			}
+			if decodeErr != nil {
+				return decodeErr
 			}
 			page = next
-		}
-		return nil
-	}
-	// Several heaps: their pages in ascending order, which the page table
-	// gives.
-	r.smu.RLock()
-	pages := slices.Clone(r.pages)
-	r.smu.RUnlock()
-	for page := range pages {
-		if s, ok := pages.store(pager.PageID(page)); ok {
-			if _, done, err := scanPage(s, pager.PageID(page)); done {
-				return err
-			}
 		}
 	}
 	return nil
@@ -915,24 +892,25 @@ func (r *Relation) JuxtaposeSpatial(picA string, s *Relation, picB string, pred 
 }
 
 // Check validates the relation end to end: every heap's slotted-page
-// structure (every page checksum-verified through the pager), every
-// record's page belonging to its store in the page table, every tuple's decodability
-// and schema conformance, the structural invariants of each B-tree and
-// spatial index, and that every index entry — B-tree or spatial —
+// structure (every page checksum-verified through the pager), no page in
+// two stores' heaps, every store's live count against its records,
+// every tuple's decodability and schema conformance, the structural
+// invariants of each B-tree and spatial index, and that every index entry — B-tree or spatial —
 // resolves to a live tuple, a spatial one to a tuple of its own store,
 // and that a store's index on a picture holds as many entries as the
 // store has tuples located on it. The stores are verified side by side
 // on up to GOMAXPROCS goroutines, the budget of the reload's scans. It
 // returns the first problem found, in store order.
 func (r *Relation) Check() error {
+	if err := r.disjointHeaps(); err != nil {
+		return err
+	}
 	r.smu.RLock()
-	pages := slices.Clone(r.pages)
-	counts := slices.Clone(r.live)
 	spatial := maps.Clone(r.spatial)
 	r.smu.RUnlock()
 	live := make([][]int64, len(r.stores))
 	err := par.Do(len(r.stores), 0, func(s int) (err error) {
-		if live[s], err = r.checkStore(s, pages, counts[s], spatial); err != nil {
+		if live[s], err = r.checkStore(s, spatial); err != nil {
 			return r.storeErr(s, err)
 		}
 		return nil
@@ -940,11 +918,9 @@ func (r *Relation) Check() error {
 	if err != nil {
 		return err
 	}
-	all := live[0]
-	if len(live) > 1 {
-		all = slices.Concat(live...)
-		slices.Sort(all)
-	}
+	// An id's store is its top bits: the stores' ascending lists, in store
+	// order, are one ascending list.
+	all := slices.Concat(live...)
 	r.smu.RLock()
 	defer r.smu.RUnlock()
 	for col, idx := range r.indexes {
@@ -965,39 +941,33 @@ func (r *Relation) Check() error {
 	return nil
 }
 
-// checkStore validates store s — heap structure, every record's page
-// against the page table pages (of an n-store relation), tuple
-// decodability and schema conformance,
-// the count of live records against want, and the store's spatial
-// indexes (structure, every entry naming a live tuple of this store, and
-// one entry per tuple whose loc names the index's picture). It returns
-// the store's live ids in ascending order.
-func (r *Relation) checkStore(s int, pages pageStores, want int64, spatial map[string][]*SpatialIndex) ([]int64, error) {
+// checkStore validates store s — heap structure, tuple decodability and
+// schema conformance, the heap's live count against the records its scan
+// finds in the same lock section, and the store's spatial indexes
+// (structure, every entry naming a live tuple of this store, and one
+// entry per tuple whose loc names the index's picture). It returns the
+// store's live ids in ascending order.
+func (r *Relation) checkStore(s int, spatial map[string][]*SpatialIndex) ([]int64, error) {
 	st := r.stores[s]
 	var ids []int64
 	li := r.schema.LocColumn()
 	located := make(map[string]int) // live tuples per picture their loc names
 	var scanErr error
 	st.mu.RLock()
+	want := st.heap.Len()
 	err := st.heap.Check()
 	if err == nil {
 		err = st.heap.Scan(func(lid storage.TupleID, rec []byte) bool {
-			var err error
-			if owner, ok := pages.store(lid.Page); len(r.stores) > 1 && (!ok || owner != s) {
-				err = fmt.Errorf("%w: page %d is not this store's in the page table", storage.ErrCorrupt, lid.Page)
-			}
-			var t Tuple
-			if err == nil {
-				t, err = DecodeTuple(rec)
-			}
+			id := inStore(lid, s)
+			t, err := DecodeTuple(rec)
 			if err == nil {
 				err = r.schema.Validate(t)
 			}
 			if err != nil {
-				scanErr = fmt.Errorf("tuple %v: %w", lid, err)
+				scanErr = fmt.Errorf("tuple %v: %w", id, err)
 				return false
 			}
-			ids = append(ids, lid.Int64())
+			ids = append(ids, id.Int64())
 			if li >= 0 && t[li].Loc.Object != 0 {
 				located[t[li].Loc.Picture]++
 			}
@@ -1011,8 +981,8 @@ func (r *Relation) checkStore(s int, pages pageStores, want int64, spatial map[s
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(ids)) != want {
-		return nil, fmt.Errorf("%w: the relation counts %d live tuples, the heap holds %d records", storage.ErrCorrupt, want, len(ids))
+	if len(ids) != want {
+		return nil, fmt.Errorf("%w: the heap counts %d live records and holds %d", storage.ErrCorrupt, want, len(ids))
 	}
 	slices.Sort(ids)
 	for pic, sis := range spatial {

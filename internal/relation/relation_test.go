@@ -637,12 +637,24 @@ func TestGetBatchMatchesGetRelation(t *testing.T) {
 		}
 	}
 
-	// A dead id fails the whole batch.
+	// A dead id's entry is nil and the rest of the batch is fetched; an
+	// id never handed out fails the whole batch.
 	if err := rel.Delete(ids[5]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rel.GetBatch(ids, nil, 0); err == nil {
-		t.Fatal("batch with dead id succeeded")
+	got, err = rel.GetBatch(ids, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ids {
+		if (got[i] == nil) != (i == 5) {
+			t.Fatalf("batch with dead id %v: entry %d = %v", ids[5], i, got[i])
+		}
+	}
+	bad := ids[0]
+	bad.Slot += 999
+	if _, err := rel.GetBatch([]storage.TupleID{ids[0], bad}, nil, 0); !errors.Is(err, storage.ErrNotFound) {
+		t.Fatalf("batch with an id never handed out: %v, want ErrNotFound", err)
 	}
 }
 
@@ -830,8 +842,8 @@ func TestCheckCountsSpatialEntries(t *testing.T) {
 // window search returned, deleted from the last page of its store —
 // where that store's next insert lands — stays dead after an insert far
 // outside the window into the same store: the insert takes a new id,
-// and Get and FetchWhere of the old one report ErrNotFound rather than
-// return the newcomer.
+// Get of the old one reports ErrNotFound and FetchWhere leaves its entry
+// nil, rather than return the newcomer.
 func TestFreedIDNamesNoOtherTuple(t *testing.T) {
 	for _, stores := range []int{1, 4} {
 		t.Run(fmt.Sprintf("stores=%d", stores), func(t *testing.T) {
@@ -894,8 +906,8 @@ func TestFreedIDNamesNoOtherTuple(t *testing.T) {
 			if got, err := rel.Get(victim); !errors.Is(err, storage.ErrNotFound) {
 				t.Fatalf("Get of deleted %v = %v, %v; want ErrNotFound", victim, got, err)
 			}
-			if got, err := rel.FetchWhere([]storage.TupleID{victim}, nil, nil, nil); !errors.Is(err, storage.ErrNotFound) {
-				t.Fatalf("FetchWhere of deleted %v = %v, %v; want ErrNotFound", victim, got, err)
+			if got, err := rel.FetchWhere([]storage.TupleID{victim}, nil, nil, nil); err != nil || len(got) != 1 || got[0] != nil {
+				t.Fatalf("FetchWhere of deleted %v = %v, %v; want [<nil>]", victim, got, err)
 			}
 			if got, err := rel.Get(nid); err != nil || got[0].Str != "newcomer" {
 				t.Fatalf("Get(%v) = %v, %v; want the newcomer", nid, got, err)

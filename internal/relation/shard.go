@@ -18,14 +18,14 @@ import (
 // queries return the same rows at every count, each in the canonical
 // ascending id order. Each store's spatial index reports the ids it
 // holds for a window and the gather step sorts their union once — a
-// tuple's id is its heap address and stores own disjoint pages, so no
-// id appears twice. An id follows its relation's layout, so under the
+// tuple's id names its store, so no id appears twice. An id follows its
+// relation's layout, ascending by (store, page, slot), so under the
 // default order the rows come in an order that can differ between
 // counts; under an order by that is total on them, it cannot. Placement
 // is a pure heuristic: contiguous key ranges per store keep spatially
 // clustered tuples together, so clustered windows overlap few stores'
-// bounds, but correctness never depends on where a tuple lives — the
-// page table (ids.go) says where.
+// bounds, but correctness never depends on where a tuple lives — its id
+// says where (ids.go).
 
 // KeyRange is the half-open Hilbert key range [Lo, Hi) routed to one
 // shard.
@@ -102,18 +102,17 @@ func (r *Relation) ShardBalance() ([]ShardBalanceInfo, float64) {
 	ranges := r.ShardKeyRanges()
 	total := int64(0)
 	maxItems := int64(0)
-	r.smu.RLock()
-	for s := range out {
+	for s, st := range r.stores {
+		n := int64(st.len())
 		out[s] = ShardBalanceInfo{
 			Shard: s,
-			Items: r.live[s],
+			Items: n,
 			KeyLo: ranges[s].Lo,
 			KeyHi: ranges[s].Hi,
 		}
-		total += r.live[s]
-		maxItems = max(maxItems, r.live[s])
+		total += n
+		maxItems = max(maxItems, n)
 	}
-	r.smu.RUnlock()
 	if total == 0 {
 		return out, 0
 	}
@@ -134,8 +133,8 @@ func (r *Relation) ShardHeapPages(s int) ([]pager.PageID, error) {
 // up in the per-store key ranges, when the relation has that picture
 // attached. Other tuples (no loc, or a picture not attached yet) fall
 // back to a hash of their own bytes (EncodeTuple). Placement only
-// affects locality — the page table, not the placement rule, resolves
-// reads — so attaching a picture after a fallback-placed load is
+// affects locality — the id, not the placement rule, resolves reads —
+// so attaching a picture after a fallback-placed load is
 // correct, just less clustered.
 func (r *Relation) place(t Tuple, loc LocRef, mbr geom.Rect, hasLoc bool) int {
 	n := len(r.stores)
@@ -289,9 +288,9 @@ func scatterItems(sis []*SpatialIndex) ([]rtree.Item, int) {
 // scatterJuxtapose joins two index lists: every pair of non-empty
 // shards whose bounds intersect is juxtaposed with the merged-tier
 // machinery — a pair that contributes nothing is found out at its two
-// roots — and the union is sorted canonically by (A, B). Stores own
-// disjoint heap pages, so no pair can appear twice and the result holds
-// the pairs one index per relation would give.
+// roots — and the union is sorted canonically by (A, B). An id names
+// its store, so no pair can appear twice and the result holds the pairs
+// one index per relation would give.
 func scatterJuxtapose(as, bs []*SpatialIndex, pred func(a, b geom.Rect) bool) ([]rtree.JoinPair, int) {
 	if len(as) == 1 && len(bs) == 1 {
 		return juxtaposeMerged(as[0], bs[0], pred)

@@ -449,30 +449,22 @@ func TestScanColsMatchesScan(t *testing.T) {
 	}
 }
 
-// plant stores body, unvalidated, as a record of store s that rel's
-// page table knows: what a damaged page would hold.
+// plant stores body, unvalidated, as a record of store s: what a
+// damaged page would hold.
 func plant(t *testing.T, rel *Relation, s int, body []byte) {
 	t.Helper()
 	st := rel.stores[s]
 	st.mu.Lock()
-	lid, err := st.heap.Insert(body)
+	_, err := st.heap.Insert(body)
 	st.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel.smu.Lock()
-	if len(rel.stores) > 1 {
-		err = rel.pages.claim(lid.Page, s)
-	}
-	rel.smu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestShardedScanAndBatch verifies the non-spatial read paths: Scan
-// order, Get/GetBatch resolution, Len, and B-tree lookups over the
-// page table.
+// order, Get/GetBatch resolution, Len, and B-tree lookups over ids that
+// name their store.
 func TestShardedScanAndBatch(t *testing.T) {
 	twins, ids, _ := shardTwins(t, 200, 3)
 	for _, k := range shardCounts {
@@ -509,8 +501,8 @@ func TestShardedScanAndBatch(t *testing.T) {
 			}
 		}
 	}
-	// B-tree index over a sharded relation resolves through the page
-	// table.
+	// B-tree index over a sharded relation resolves through the store its
+	// ids name.
 	rel := twins[4]
 	if err := rel.CreateIndex("city"); err != nil {
 		t.Fatal(err)
@@ -528,15 +520,154 @@ func TestShardedScanAndBatch(t *testing.T) {
 	}
 }
 
+// TestIDsNameTheirStore: at four stores, every id Insert, Scan,
+// SearchArea and LookupEqual (through a B-tree and through a scan)
+// return carries the store whose heap holds its page.
+func TestIDsNameTheirStore(t *testing.T) {
+	pic := usMap()
+	rel := newShardedCities(t, 4, pic)
+	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(38))
+	var inserted []storage.TupleID
+	for i := 0; i < 300; i++ {
+		inserted = append(inserted, addCity(t, rel, pic, fmt.Sprintf("c%03d", i), "ST", int64(i%7), rng.Float64()*1000, rng.Float64()*1000))
+	}
+	pages := make([][]pager.PageID, rel.ShardCount())
+	for s := range pages {
+		var err error
+		if pages[s], err = rel.ShardHeapPages(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stores := map[uint8]bool{}
+	check := func(how string, ids []storage.TupleID) {
+		t.Helper()
+		if len(ids) == 0 {
+			t.Fatalf("%s returned no ids", how)
+		}
+		for _, id := range ids {
+			if int(id.Store) >= len(pages) || !slices.Contains(pages[id.Store], id.Page) {
+				t.Fatalf("%s: id %v names store %d, whose heap does not hold page %d", how, id, id.Store, id.Page)
+			}
+			stores[id.Store] = true
+		}
+	}
+	check("Insert", inserted)
+	var scanned []storage.TupleID
+	if err := rel.Scan(func(id storage.TupleID, _ Tuple) bool {
+		scanned = append(scanned, id)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("Scan", scanned)
+	found, _, err := rel.SearchArea("us-map", geom.R(0, 0, 1000, 1000), geom.CoveredBy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("SearchArea", found)
+	byScan, err := rel.LookupEqual("population", I(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("LookupEqual by scan", byScan)
+	if err := rel.CreateIndex("population"); err != nil {
+		t.Fatal(err)
+	}
+	byIndex, err := rel.LookupEqual("population", I(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("LookupEqual by index", byIndex)
+	if len(stores) != 4 {
+		t.Fatalf("the ids name %d stores, want all 4", len(stores))
+	}
+}
+
+// TestIDPastStoreCountNotFound: an id naming a store the relation does
+// not have resolves to no tuple in Get, FetchWhere and Delete.
+func TestIDPastStoreCountNotFound(t *testing.T) {
+	for _, stores := range []int{1, 4} {
+		t.Run(fmt.Sprintf("stores=%d", stores), func(t *testing.T) {
+			pic := usMap()
+			rel := newShardedCities(t, stores, pic)
+			id := addCity(t, rel, pic, "one", "ST", 1, 500, 500)
+			for _, s := range []int{stores, MaxShards} {
+				bad := id
+				bad.Store = uint8(s)
+				if _, err := rel.Get(bad); !errors.Is(err, storage.ErrNotFound) {
+					t.Fatalf("Get(%v) = %v, want ErrNotFound", bad, err)
+				}
+				if _, err := rel.FetchWhere([]storage.TupleID{id, bad}, nil, nil, nil); !errors.Is(err, storage.ErrNotFound) {
+					t.Fatalf("FetchWhere(%v) = %v, want ErrNotFound", bad, err)
+				}
+				if err := rel.Delete(bad); !errors.Is(err, storage.ErrNotFound) {
+					t.Fatalf("Delete(%v) = %v, want ErrNotFound", bad, err)
+				}
+			}
+			if tu, err := rel.Get(id); err != nil || tu[0].Str != "one" || rel.Len() != 1 {
+				t.Fatalf("Get(%v) = %v, %v with Len %d; want the one tuple", id, tu, err, rel.Len())
+			}
+		})
+	}
+}
+
+// TestFetchSkipsTupleDeletedSinceProbe: a window search's ids, one of
+// them deleted before the fetch, are fetched whole but for that entry,
+// which FetchWhere leaves nil.
+func TestFetchSkipsTupleDeletedSinceProbe(t *testing.T) {
+	for _, stores := range []int{1, 4} {
+		t.Run(fmt.Sprintf("stores=%d", stores), func(t *testing.T) {
+			pic := usMap()
+			rel := newShardedCities(t, stores, pic)
+			if err := rel.AttachPicture(pic, hilbertPack); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(stores)))
+			for i := 0; i < 200; i++ {
+				addCity(t, rel, pic, fmt.Sprintf("c%03d", i), "ST", int64(i), rng.Float64()*1000, rng.Float64()*1000)
+			}
+			ids, _, err := rel.SearchArea("us-map", geom.R(0, 0, 600, 600), geom.Overlapping)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ids) < 10 {
+				t.Fatalf("the window holds %d ids", len(ids))
+			}
+			want, err := rel.FetchWhere(ids, nil, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			victim := len(ids) / 2
+			if err := rel.Delete(ids[victim]); err != nil {
+				t.Fatal(err)
+			}
+			got, err := rel.FetchWhere(ids, nil, nil, nil)
+			if err != nil {
+				t.Fatalf("FetchWhere after deleting %v: %v", ids[victim], err)
+			}
+			for i := range ids {
+				switch {
+				case i == victim && got[i] != nil:
+					t.Fatalf("deleted %v fetched as %v", ids[i], got[i])
+				case i != victim && (got[i] == nil || got[i][0].Str != want[i][0].Str):
+					t.Fatalf("entry %d (%v) = %v, want %v", i, ids[i], got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
 // shardDef is what a catalog records of rel, whose stores live in p.
 func shardDef(rel *Relation, p *pager.Pager) Def {
 	return Def{Name: rel.Name(), Schema: rel.Schema(), Pager: p, Heaps: rel.ShardHeapFirstPages()}
 }
 
 // TestShardedReopen drops the in-memory Relation and reattaches via
-// Open over the same pager: the page table refilled by the scan must
-// reproduce ids, order, and contents exactly, and the picture its
-// objects.
+// Open over the same pager: the reload's scan must reproduce ids,
+// order, and contents exactly, and the picture its objects.
 func TestShardedReopen(t *testing.T) {
 	p := pager.OpenMem(512)
 	t.Cleanup(func() { p.Close() })
@@ -590,7 +721,7 @@ func TestShardedReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A new insert after reopen takes an address no live tuple holds,
-	// and its page table resolves it.
+	// and its id resolves it.
 	nid := addCity(t, re, pic, "fresh", "ST", 1, 500, 500)
 	for i, id := range ids {
 		if id == nid && i%5 != 0 {
@@ -605,10 +736,10 @@ func TestShardedReopen(t *testing.T) {
 	}
 }
 
-// TestShardedDuplicatePageDetected forges the one corruption the page
-// table must catch: a heap page chained into two stores' heaps. Open
-// refuses it, and Check of a relation that is already open flags the
-// page's records in the store the table does not give it to.
+// TestShardedDuplicatePageDetected forges the one corruption ids that
+// name their store cannot show: a heap page chained into two stores'
+// heaps. Open and Check both find the page in the heaps' own page lists
+// and refuse it.
 func TestShardedDuplicatePageDetected(t *testing.T) {
 	p := pager.OpenMem(64)
 	t.Cleanup(func() { p.Close() })
@@ -623,8 +754,8 @@ func TestShardedDuplicatePageDetected(t *testing.T) {
 	// Two cities in opposite halves: one in each store.
 	addCity(t, rel, pic, "one", "ST", 1, 100, 100)
 	addCity(t, rel, pic, "two", "ST", 2, 900, 100)
-	if rel.live[0] != 1 || rel.live[1] != 1 {
-		t.Fatalf("stores hold %v tuples, want one each", rel.live)
+	if n0, n1 := rel.stores[0].heap.Len(), rel.stores[1].heap.Len(); n0 != 1 || n1 != 1 {
+		t.Fatalf("stores hold %d and %d tuples, want one each", n0, n1)
 	}
 	if err := rel.Check(); err != nil {
 		t.Fatal(err)

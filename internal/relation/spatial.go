@@ -397,8 +397,8 @@ func (si *SpatialIndex) deadLocked(id int64) bool {
 }
 
 // sortItemsByData orders items by ascending data pointer. TupleID's
-// int64 encoding (page<<16|slot) is order-preserving, so this is
-// canonical ascending-TupleID order.
+// int64 encoding (store<<48|page<<16|slot) is order-preserving, so this
+// is canonical ascending-TupleID order.
 func sortItemsByData(items []rtree.Item) {
 	slices.SortFunc(items, func(a, b rtree.Item) int { return cmp.Compare(a.Data, b.Data) })
 }

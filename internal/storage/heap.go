@@ -14,35 +14,45 @@ import (
 	"repro/internal/pager"
 )
 
-// TupleID locates one tuple: the page that holds it and its slot
-// within the page. The zero TupleID is invalid.
+// TupleID locates one tuple: the page that holds it, its slot within
+// the page, and the store of its relation whose heap the page is in. A
+// heap hands out ids with Store 0 and never reads it; a relation of
+// several stores sets it. The zero TupleID is invalid.
 type TupleID struct {
-	Page pager.PageID
-	Slot uint16
+	Page  pager.PageID
+	Slot  uint16
+	Store uint8
 }
 
 // IsValid reports whether the id could refer to a stored tuple.
 func (id TupleID) IsValid() bool { return id.Page != pager.InvalidPage }
 
 // Int64 packs the TupleID into an int64 so it can ride in an R-tree
-// leaf entry's data pointer.
+// leaf entry's data pointer: store<<48 | page<<16 | slot, which is
+// page<<16 | slot for Store 0.
 func (id TupleID) Int64() int64 {
-	return int64(uint64(id.Page)<<16 | uint64(id.Slot))
+	return int64(uint64(id.Store)<<48 | uint64(id.Page)<<16 | uint64(id.Slot))
 }
 
 // TupleIDFromInt64 unpacks an id created by Int64.
 func TupleIDFromInt64(v int64) TupleID {
-	return TupleID{Page: pager.PageID(uint64(v) >> 16), Slot: uint16(uint64(v) & 0xffff)}
+	return TupleID{Page: pager.PageID(uint32(v >> 16)), Slot: uint16(v), Store: uint8(v >> 48)}
 }
 
-// Compare orders ids by (page, slot) — the order a heap scan delivers
-// and the order of their Int64 encodings.
+// Compare orders ids by (store, page, slot) — the order of their Int64
+// encodings, and within a store the order a heap scan delivers.
 func (id TupleID) Compare(o TupleID) int {
 	return cmp.Compare(id.Int64(), o.Int64())
 }
 
-// String formats the id as "page:slot".
-func (id TupleID) String() string { return fmt.Sprintf("%d:%d", id.Page, id.Slot) }
+// String formats the id as "page:slot", or "store/page:slot" for a
+// store other than 0.
+func (id TupleID) String() string {
+	if id.Store != 0 {
+		return fmt.Sprintf("%d/%d:%d", id.Store, id.Page, id.Slot)
+	}
+	return fmt.Sprintf("%d:%d", id.Page, id.Slot)
+}
 
 // ErrNotFound is returned when a TupleID does not refer to a live tuple.
 var ErrNotFound = errors.New("storage: tuple not found")
@@ -123,28 +133,19 @@ func (s slotted) check() error {
 	return nil
 }
 
-// slotRecord bounds-checks slot i and returns its record range,
-// distinguishing dead slots (ErrNotFound) from structurally invalid
-// ones (ErrCorrupt).
-func (s slotted) slotRecord(i int) (offset, length int, err error) {
-	off, length := s.slot(i)
-	if off == deadOffset {
-		return 0, 0, fmt.Errorf("%w: slot %d (deleted)", ErrNotFound, i)
-	}
-	if off < headerSize || off+length > pager.PageSize {
-		return 0, 0, fmt.Errorf("%w: slot %d record [%d,%d) outside page", ErrCorrupt, i, off, off+length)
-	}
-	return off, length, nil
-}
-
-// record returns the record id names on this image of id.Page.
+// record returns the record id names on this image of id.Page, nil for
+// a dead slot. A slot past the end of the directory was never handed
+// out: ErrNotFound.
 func (s slotted) record(id TupleID) ([]byte, error) {
 	if int(id.Slot) >= s.slotCount() {
 		return nil, fmt.Errorf("%w: %v", ErrNotFound, id)
 	}
-	off, length, err := s.slotRecord(int(id.Slot))
-	if err != nil {
-		return nil, fmt.Errorf("page %d: %w", id.Page, err)
+	off, length := s.slot(int(id.Slot))
+	if off == deadOffset {
+		return nil, nil
+	}
+	if off < headerSize || off+length > pager.PageSize {
+		return nil, fmt.Errorf("page %d: %w: slot %d record [%d,%d) outside page", id.Page, ErrCorrupt, id.Slot, off, off+length)
 	}
 	return s[off : off+length], nil
 }
@@ -305,6 +306,9 @@ func (h *Heap) Get(id TupleID) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if rec == nil {
+		return nil, fmt.Errorf("%w: %v (deleted)", ErrNotFound, id)
+	}
 	out := make([]byte, len(rec))
 	copy(out, rec)
 	return out, nil
@@ -319,8 +323,9 @@ func (h *Heap) Get(id TupleID) ([]byte, error) {
 // on the statement path hand in ids already
 // in that order, which one pass confirms; any other order is sorted
 // here. rec points into the page image: it is valid only during the
-// call and must not be retained or written through. Any fn error,
-// unknown id, or corrupt slot aborts the batch.
+// call and must not be retained or written through. A deleted id's rec
+// is nil. Any fn error, id never handed out, or corrupt slot aborts the
+// batch.
 func (h *Heap) GetBatch(ids []TupleID, fn func(i int, rec []byte) error) error {
 	if !slices.IsSortedFunc(ids, TupleID.Compare) {
 		order := make([]int, len(ids))

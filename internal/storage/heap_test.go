@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -272,9 +273,21 @@ func TestGetBatchDeadSlot(t *testing.T) {
 	if err := h.Delete(a); err != nil {
 		t.Fatal(err)
 	}
-	err := h.GetBatch([]TupleID{b, a}, func(int, []byte) error { return nil })
-	if err == nil {
-		t.Fatal("deleted record readable through GetBatch")
+	// A deleted id is handed to fn with a nil record; the batch goes on.
+	got := make([][]byte, 2)
+	called := make([]bool, 2)
+	err := h.GetBatch([]TupleID{b, a}, func(i int, rec []byte) error {
+		got[i], called[i] = append([]byte(nil), rec...), true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !called[0] || !called[1] || string(got[0]) != "b" || got[1] != nil {
+		t.Fatalf("GetBatch of a live and a deleted id = %q (called %v), want [b <nil>]", got, called)
+	}
+	if _, err := h.Get(a); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of the deleted id = %v, want ErrNotFound", err)
 	}
 }
 
@@ -319,6 +332,24 @@ func TestTupleIDInt64Roundtrip(t *testing.T) {
 	}
 	if TupleID.IsValid(TupleID{}) {
 		t.Fatal("zero TupleID should be invalid")
+	}
+}
+
+// TestTupleIDStoreEncoding: every store number survives Int64 at the
+// largest page and slot, and a store-0 id encodes as page<<16|slot.
+func TestTupleIDStoreEncoding(t *testing.T) {
+	for s := 0; s <= math.MaxUint8; s++ {
+		id := TupleID{Page: math.MaxUint32, Slot: math.MaxUint16, Store: uint8(s)}
+		if got := TupleIDFromInt64(id.Int64()); got != id {
+			t.Fatalf("roundtrip %v -> %v", id, got)
+		}
+		if id.Int64() < 0 {
+			t.Fatalf("%v encodes negative: %d", id, id.Int64())
+		}
+	}
+	id := TupleID{Page: math.MaxUint32, Slot: math.MaxUint16}
+	if got, want := id.Int64(), int64(math.MaxUint32)<<16|math.MaxUint16; got != want {
+		t.Fatalf("store-0 %v encodes as %#x, want page<<16|slot = %#x", id, got, want)
 	}
 }
 

@@ -17,7 +17,8 @@ import (
 // delta threshold is far above these counts, so every write stays in
 // the delta trees until a repack is forced explicitly. The deleted
 // cities are every 7th by name, so databases of any layout lose the same
-// rows; the inserts that follow reuse the slots the deletes freed.
+// rows; the inserts that follow take new slots, since a freed slot is
+// never handed out again.
 func mutateUS(t *testing.T, db *pictdb.Database) {
 	t.Helper()
 	cities, _ := db.Relation("cities")
