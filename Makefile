@@ -46,8 +46,8 @@ benchcheck:
 	$(GO) test -run xxx -bench 'DeltaMergedSearch|PackedOnlySearch' -benchtime 20x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'ShardedSearch|UnshardedSearch' -benchtime 20x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'Repack$$' -benchtime 3x -benchmem ./internal/relation/
-	$(GO) test -run xxx -bench 'OpenWindowRead' -benchtime 3x .
-	$(GO) test -run xxx -bench 'PackTree' -benchtime 3x ./internal/pack/
+	$(GO) test -run xxx -bench 'OpenWindowRead' -benchtime 3x -benchmem .
+	$(GO) test -run xxx -bench 'PackTree' -benchtime 3x -benchmem ./internal/pack/
 	$(GO) test -run xxx -bench 'WindowStatement' -benchtime 200x -benchmem .
 	$(GO) test -run xxx -bench 'StoreIngest/mem/uniform/stores=4$$' -benchtime 1x .
 	$(GO) run ./cmd/pictbench -quick > /dev/null
@@ -99,8 +99,8 @@ deleterace:
 # Short fuzz pass over the decoders of on-disk bytes — tuple records
 # with the objects their locs carry, page-0 header slots, catalog
 # records, write-ahead log records (inspection against recovery),
-# slotted heap pages, picture objects — and the B-tree bulk load against
-# per-item insertion. (-fuzz takes one target per run. Left at its
+# slotted heap pages, picture objects — the B-tree bulk load against
+# per-item insertion, and the B-tree run sort against a comparator sort. (-fuzz takes one target per run. Left at its
 # default, minimizing one new input of a log's page-long seeds, or of a
 # long object label, can take up to a minute: the whole run.)
 fuzz:
@@ -110,6 +110,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseHeaderSlots -fuzztime 10s ./internal/pager/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCatalogRecord -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzBulkLoad -fuzztime 10s ./internal/btree/
+	$(GO) test -run '^$$' -fuzz FuzzSortEntries -fuzztime 10s ./internal/btree/
 	$(GO) test -run '^$$' -fuzz FuzzRecoverWAL -fuzztime 10s -fuzzminimizetime 20x ./internal/pager/
 
 # Paper reproduction targets.

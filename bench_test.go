@@ -825,6 +825,7 @@ func BenchmarkOpenWindowRead(b *testing.B) {
 	// Phase times come from inside the reload (its own clock seam) and
 	// add up goroutine time, so on several cores they exceed ns/op.
 	var phases [4]time.Duration
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db, err := pictdb.Open(path, 4096)

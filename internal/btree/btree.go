@@ -11,6 +11,7 @@ package btree
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
 )
@@ -84,8 +85,99 @@ func CompareEntries(a, b Entry) int {
 	return cmp.Compare(a.Value, b.Value)
 }
 
-// SortEntries sorts run into BulkLoad's order.
-func SortEntries(run []Entry) { slices.SortFunc(run, CompareEntries) }
+// SortEntries sorts run into BulkLoad's order, the order
+// slices.SortFunc(run, CompareEntries) gives. It sorts words, not keys:
+// a record per entry of the key's first 8 bytes as a big-endian word
+// (zero-padded), its value and its position goes through an LSD radix
+// sort by (prefix, value), and run is gathered in the records' order.
+// Padded prefixes order as bytes.Compare orders the keys wherever they
+// differ, so only a run of equal prefixes holding a key that is not 8
+// bytes long — two longer keys that share 8 bytes, or a shorter one
+// beside its NUL-extended twin — is sorted again with CompareEntries.
+func SortEntries(run []Entry) {
+	recs := sortRecords(run)
+	// Gather into a copy: the loads are independent, where following
+	// the permutation's cycles in place chains one cache miss on the
+	// next.
+	sorted := make([]Entry, len(run))
+	for i, r := range recs {
+		sorted[i] = run[r.pos]
+	}
+	copy(run, sorted)
+	for lo := 0; lo < len(run); {
+		hi, long := lo+1, len(run[lo].Key) != 8
+		for hi < len(run) && recs[hi].prefix == recs[lo].prefix {
+			long = long || len(run[hi].Key) != 8
+			hi++
+		}
+		if long && hi-lo > 1 {
+			slices.SortFunc(run[lo:hi], CompareEntries)
+		}
+		lo = hi
+	}
+}
+
+// sortRecord is one entry of a run as SortEntries sorts it: the key's
+// first 8 bytes, the value with its sign bit flipped (unsigned order is
+// then int64 order) and the entry's position in the run.
+type sortRecord struct {
+	prefix, value uint64
+	pos           int
+}
+
+// sortRecords returns the records of run sorted by (prefix, value),
+// stably: an LSD radix sort over the value's 8 bytes and then the
+// prefix's, which skips a byte every record shares and, when the run
+// is already in value order (a heap scan hands ids over ascending), all
+// of the value's bytes.
+func sortRecords(run []Entry) []sortRecord {
+	recs := make([]sortRecord, len(run))
+	// counts[b] histograms byte b of the 16-byte (prefix, value) word,
+	// least significant first: the value's bytes are 0-7.
+	var counts [16][256]int
+	inOrder := true
+	for i, e := range run {
+		var p [8]byte
+		copy(p[:], e.Key)
+		r := sortRecord{prefix: binary.BigEndian.Uint64(p[:]), value: uint64(e.Value) ^ 1<<63, pos: i}
+		recs[i] = r
+		inOrder = inOrder && (i == 0 || recs[i-1].value <= r.value)
+		for b := range 8 {
+			counts[b][byte(r.value>>(8*b))]++
+			counts[8+b][byte(r.prefix>>(8*b))]++
+		}
+	}
+	var spare []sortRecord
+	for b := range counts {
+		if b < 8 && inOrder {
+			continue
+		}
+		if slices.Contains(counts[b][:], len(run)) {
+			continue // every record has the same byte here
+		}
+		if spare == nil {
+			spare = make([]sortRecord, len(run))
+		}
+		var start [256]int
+		sum := 0
+		for v, c := range counts[b] {
+			start[v] = sum
+			sum += c
+		}
+		shift := 8 * uint(b%8)
+		for _, r := range recs {
+			w := r.value
+			if b >= 8 {
+				w = r.prefix
+			}
+			v := byte(w >> shift)
+			spare[start[v]] = r
+			start[v]++
+		}
+		recs, spare = spare, recs
+	}
+	return recs
+}
 
 // BulkLoad builds a tree bottom-up from a run sorted by CompareEntries:
 // one pass lays the entries out as a chain of leaves, then each level of

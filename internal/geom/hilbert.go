@@ -45,26 +45,53 @@ func hilbertQuantize(v float64) uint32 {
 }
 
 // HilbertD maps grid cell (x, y) to its 1-D distance along the Hilbert
-// curve of the given order (the classic xy2d conversion).
+// curve of the given order, 0 <= order <= HilbertOrder; bits of x and y
+// at or above order are ignored. It is the classic xy2d conversion read
+// four curve levels at a time from hilbertTable. An order below
+// HilbertOrder is the full order's curve on the cell's lowest corner,
+// shifted: the levels below order add less than one cell of it.
 func HilbertD(order uint, x, y uint32) uint64 {
+	if order > HilbertOrder {
+		panic("geom: Hilbert order above HilbertOrder")
+	}
+	x <<= HilbertOrder - order
+	y <<= HilbertOrder - order
 	var d uint64
-	for s := uint32(1) << (order - 1); s > 0; s >>= 1 {
-		var rx, ry uint32
-		if x&s > 0 {
-			rx = 1
-		}
-		if y&s > 0 {
-			ry = 1
-		}
-		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
-		// Rotate the quadrant.
-		if ry == 0 {
-			if rx == 1 {
-				x = s - 1 - x
-				y = s - 1 - y
+	state := uint16(0)
+	for shift := HilbertOrder - 4; shift >= 0; shift -= 4 {
+		e := hilbertTable[state<<8|uint16(x>>shift&15)<<4|uint16(y>>shift&15)]
+		d = d<<8 | uint64(e&0xff)
+		state = e >> 8
+	}
+	return d >> (2 * (HilbertOrder - order))
+}
+
+// hilbertTable[state<<8 | xn<<4 | yn] is the xy2d walk over four curve
+// levels: the 8 bits of distance that the nibbles xn and yn of x and y
+// add, and, above them, the state the next four levels start in. A
+// state is the flip the levels above left on the cell's coordinates,
+// bit 0 for a swap of x and y and bit 1 for a complement of both; the
+// two commute, so four states are all there are.
+var hilbertTable = func() (t [4 << 8]uint16) {
+	for state := range 4 {
+		for xy := range 256 {
+			s := state
+			var d int
+			for bit := 3; bit >= 0; bit-- {
+				rx, ry := xy>>(4+bit)&1, xy>>bit&1
+				if s&2 != 0 {
+					rx, ry = rx^1, ry^1
+				}
+				if s&1 != 0 {
+					rx, ry = ry, rx
+				}
+				d = d<<2 | (3*rx ^ ry)
+				if ry == 0 {
+					s ^= 1 | rx<<1
+				}
 			}
-			x, y = y, x
+			t[state<<8|xy] = uint16(s<<8 | d)
 		}
 	}
-	return d
-}
+	return t
+}()

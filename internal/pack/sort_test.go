@@ -172,3 +172,59 @@ func BenchmarkPackTree(b *testing.B) {
 		})
 	}
 }
+
+// A Hilbert PACK allocates per level, not per node: the grouper's key,
+// order and group slices, and Bulk's one slab of nodes and one of
+// entries. 20 000 points at the paper's branching factor make a tree of
+// height 7, eight levels.
+func TestHilbertPackAllocsPerLevel(t *testing.T) {
+	items := workload.PointItems(workload.ClusteredPoints(20_000, 20, 30, 39))
+	tr := Tree(rtree.DefaultParams(), items, Options{Method: MethodHilbert})
+	levels := tr.Depth() + 1
+	allocs := testing.AllocsPerRun(5, func() {
+		Tree(rtree.DefaultParams(), items, Options{Method: MethodHilbert})
+	})
+	t.Logf("%d levels, %.0f allocations", levels, allocs)
+	if limit := 10 * levels; allocs > float64(limit) {
+		t.Fatalf("Hilbert PACK of %d items made %.0f allocations, more than %d for %d levels", len(items), allocs, limit, levels)
+	}
+}
+
+// Nodes cut from a level's slab take live writes as nodes allocated one
+// by one do: 1 000 mixed Inserts and Deletes on a packed tree — full
+// leaves split, underfull ones are condensed and their entries
+// reinserted — keep every invariant and every item, at the paper's
+// branching factor and at a wider one.
+func TestPackedTreeTakesWrites(t *testing.T) {
+	for _, params := range []rtree.Params{rtree.DefaultParams(), {Max: 16, Min: 4}} {
+		rng := rand.New(rand.NewSource(int64(params.Max)))
+		items := workload.PointItems(workload.UniformPoints(3000, int64(params.Max)))
+		tr := Tree(params, items, Options{Method: MethodHilbert})
+		live := slices.Clone(items)
+		for i := range 1000 {
+			if rng.Intn(2) == 0 && len(live) > 0 {
+				j := rng.Intn(len(live))
+				if !tr.Delete(live[j].Rect, live[j].Data) {
+					t.Fatalf("Max %d, write %d: Delete of a live item failed", params.Max, i)
+				}
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+			} else {
+				p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
+				it := rtree.Item{Rect: p.Rect(), Data: int64(10_000 + i)}
+				tr.InsertItem(it)
+				live = append(live, it)
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatalf("Max %d, write %d: %v", params.Max, i, err)
+			}
+		}
+		byData := func(a, b rtree.Item) int { return cmp.Compare(a.Data, b.Data) }
+		got := tr.Items()
+		slices.SortFunc(got, byData)
+		slices.SortFunc(live, byData)
+		if !reflect.DeepEqual(got, live) {
+			t.Fatalf("Max %d: the tree holds %d items, %d were written", params.Max, len(got), len(live))
+		}
+	}
+}

@@ -44,38 +44,51 @@ func Bulk(params Params, items []Item, g Grouper) *Tree {
 		rects[i] = it.Rect
 	}
 	groups := checkedGroups(g, rects, params)
-	level := make([]*node, len(groups))
+	level := slab(len(groups), params, true)
 	for gi, grp := range groups {
-		n := newNode(true, params.Max+1)
+		n := &level[gi]
 		for _, idx := range grp {
 			n.addEntry(entry{rect: items[idx].Rect, data: items[idx].Data})
 		}
-		level[gi] = n
 	}
 
 	// Build internal levels until a single node remains.
 	height := 0
 	for len(level) > 1 {
 		rects = rects[:len(level)]
-		for i, n := range level {
-			rects[i] = n.mbr()
+		for i := range level {
+			rects[i] = level[i].mbr()
 		}
 		groups = checkedGroups(g, rects, params)
-		next := make([]*node, len(groups))
+		next := slab(len(groups), params, false)
 		for gi, grp := range groups {
-			n := newNode(false, params.Max+1)
+			n := &next[gi]
 			for _, idx := range grp {
-				n.addEntry(entry{rect: rects[idx], child: level[idx]})
+				n.addEntry(entry{rect: rects[idx], child: &level[idx]})
 			}
-			next[gi] = n
 		}
 		level = next
 		height++
 	}
-	t.root = level[0]
+	t.root = &level[0]
 	t.height = height
 	t.size = len(items)
 	return t
+}
+
+// slab cuts a level of n nodes from one slab of nodes, and their
+// entries from one slab of entries: each node's entries are an empty
+// window of capacity Max+1, as newNode gives a node, so an Insert that
+// overflows it, or the split that follows, reslices its own window and
+// never a neighbour's.
+func slab(n int, params Params, leaf bool) []node {
+	nodes := make([]node, n)
+	width := params.Max + 1
+	entries := make([]entry, n*width)
+	for i := range nodes {
+		nodes[i] = node{leaf: leaf, entries: entries[i*width : i*width : (i+1)*width]}
+	}
+	return nodes
 }
 
 // checkedGroups runs the grouper, validates its output, and rebalances
