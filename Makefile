@@ -37,7 +37,8 @@ bench:
 # timings meaningless). Catches perf-path regressions that fail to
 # run — wrong flags, broken benchmarks, alloc-assertion drift — not
 # timing changes; CI runs it as a non-blocking job. The one StoreIngest
-# cell keeps the n-store write path running.
+# cell keeps the n-store write path running; SplitKinds and UpdateDrift
+# show an allocation added to the dynamic Insert and Delete.
 benchcheck:
 	$(GO) test -run xxx -bench 'Juxtapos' -benchtime 10x -benchmem .
 	$(GO) test -run xxx -bench 'PSQL' -benchtime 10x -benchmem .
@@ -49,6 +50,8 @@ benchcheck:
 	$(GO) test -run xxx -bench 'OpenWindowRead' -benchtime 3x -benchmem .
 	$(GO) test -run xxx -bench 'PackTree' -benchtime 3x -benchmem ./internal/pack/
 	$(GO) test -run xxx -bench 'WindowStatement' -benchtime 200x -benchmem .
+	$(GO) test -run xxx -bench 'SplitKinds' -benchtime 3x -benchmem .
+	$(GO) test -run xxx -bench 'UpdateDrift' -benchtime 2000x -benchmem .
 	$(GO) test -run xxx -bench 'StoreIngest/mem/uniform/stores=4$$' -benchtime 1x .
 	$(GO) run ./cmd/pictbench -quick > /dev/null
 

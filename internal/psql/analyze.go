@@ -53,10 +53,6 @@ type analysis struct {
 	// reordered reports whether planner order differs from source
 	// order (worth a plan note).
 	reordered bool
-	// funcs names every function the statement calls, including inside
-	// nested mappings — the statement cache evicts entries whose funcs
-	// set contains a re-registered name.
-	funcs map[string]bool
 	// sub maps each nested mapping's Query to its own analysis.
 	sub map[*Query]*analysis
 }
@@ -76,7 +72,7 @@ const (
 
 // analyze builds the analysis for q and its nested mappings.
 func analyze(q *Query) *analysis {
-	an := &analysis{funcs: map[string]bool{}, sub: map[*Query]*analysis{}}
+	an := &analysis{sub: map[*Query]*analysis{}}
 
 	if q.Where != nil {
 		var split func(e Expr)
@@ -92,25 +88,10 @@ func analyze(q *Query) *analysis {
 		an.reordered = sortConjuncts(an.conjuncts)
 	}
 
-	collect := func(e Expr) { collectFuncs(e, an.funcs) }
-	for _, it := range q.Select {
-		collect(it.Expr)
-	}
-	if q.Where != nil {
-		collect(q.Where)
-	}
-	for _, ob := range q.OrderBy {
-		collect(ob.Expr)
-	}
-
 	if q.At != nil {
 		for _, t := range []SpatialTerm{q.At.Left, q.At.Right} {
 			if tt, ok := t.(SubqueryTerm); ok {
-				sub := analyze(tt.Query)
-				an.sub[tt.Query] = sub
-				for name := range sub.funcs {
-					an.funcs[name] = true
-				}
+				an.sub[tt.Query] = analyze(tt.Query)
 			}
 		}
 	}
@@ -172,20 +153,4 @@ func callsFunc(e Expr) bool {
 		return callsFunc(ex.Expr)
 	}
 	return false
-}
-
-// collectFuncs adds every function name called in e to out.
-func collectFuncs(e Expr, out map[string]bool) {
-	switch ex := e.(type) {
-	case FuncCall:
-		out[ex.Name] = true
-		for _, a := range ex.Args {
-			collectFuncs(a, out)
-		}
-	case BinaryExpr:
-		collectFuncs(ex.Left, out)
-		collectFuncs(ex.Right, out)
-	case UnaryExpr:
-		collectFuncs(ex.Expr, out)
-	}
 }

@@ -88,11 +88,12 @@ type boundStmt struct {
 }
 
 // pricedPath is an access-path choice with the notes that report it,
-// kept for as long as what it was priced from stands: the cost
-// generation of the relation it reads, taken before the first figure
-// was, and the windows.
+// keyed on what it was priced from: the spatial index's cost snapshot
+// (zero without an at-clause), the relation's tuple count and the
+// windows.
 type pricedPath struct {
-	costGen uint64
+	snap    relation.CostSnapshot
+	n       int
 	windows []geom.Rect
 	via     *boundTerm // the B-tree term that drives the statement; nil for the R-tree or a scan
 	notes   []string

@@ -13,9 +13,9 @@ import (
 // price reads has changed — pricing. Everything an entry holds is
 // read-only once published: execution never mutates a Query or a
 // boundStmt, which is what makes one entry safe to share across
-// concurrent Run calls. Entries record which functions the statement
-// references; RegisterFunc evicts exactly those entries, so a cached
-// plan can never call a stale function implementation.
+// concurrent Run calls. Nothing in an entry names a function
+// implementation: a call looks its function up when it runs, so a
+// cached statement calls whatever RegisterFunc last installed.
 
 // DefaultStatementCacheSize is the executor's statement-cache capacity
 // when none is configured.
@@ -23,10 +23,9 @@ const DefaultStatementCacheSize = 128
 
 // CacheStats reports statement-cache effectiveness counters.
 type CacheStats struct {
-	Hits          uint64
-	Misses        uint64
-	Entries       int
-	Invalidations uint64 // entries evicted by RegisterFunc
+	Hits    uint64
+	Misses  uint64
+	Entries int
 }
 
 // stmtEntry is one statement text parsed once: what the cache keeps per
@@ -54,17 +53,15 @@ func newStmtEntry(src string, q *Query, an *analysis) *stmtEntry {
 	return ent
 }
 
-// stmtCache is a mutex-guarded LRU over parsed statements. Operations
-// are O(1) except invalidateFunc, which walks all entries (bounded by
-// the capacity, and only on function registration).
+// stmtCache is a mutex-guarded LRU over parsed statements; every
+// operation is O(1).
 type stmtCache struct {
-	mu            sync.Mutex
-	cap           int
-	ll            *list.List // front = most recently used; values are *stmtEntry
-	m             map[string]*list.Element
-	hits          uint64
-	misses        uint64
-	invalidations uint64
+	mu     sync.Mutex
+	cap    int
+	ll     *list.List // front = most recently used; values are *stmtEntry
+	m      map[string]*list.Element
+	hits   uint64
+	misses uint64
 }
 
 func newStmtCache(capacity int) *stmtCache {
@@ -107,25 +104,9 @@ func (c *stmtCache) put(ent *stmtEntry) {
 	}
 }
 
-// invalidateFunc evicts every cached statement that calls name.
-func (c *stmtCache) invalidateFunc(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		ent := el.Value.(*stmtEntry)
-		if ent.an.funcs[name] {
-			c.ll.Remove(el)
-			delete(c.m, ent.src)
-			c.invalidations++
-		}
-		el = next
-	}
-}
-
 // stats snapshots the counters.
 func (c *stmtCache) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.ll.Len(), Invalidations: c.invalidations}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.ll.Len()}
 }

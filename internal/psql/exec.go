@@ -45,15 +45,14 @@ func NewExecutor(cat Catalog) *Executor {
 }
 
 // RegisterFunc installs (or replaces) a PSQL-callable function — the
-// paper's application-defined extension hook. Cached statements that
-// call name are invalidated, so queries parsed before the registration
-// still see the new implementation.
+// paper's application-defined extension hook. A call looks its function
+// up when it runs, so a statement cached before the registration calls
+// the new implementation.
 func (e *Executor) RegisterFunc(name string, f Func) {
 	name = strings.ToLower(name)
 	e.mu.Lock()
 	e.funcs[name] = f
 	e.mu.Unlock()
-	e.cache.invalidateFunc(name)
 }
 
 // lookupFunc resolves a registered function under the registry lock.
@@ -64,7 +63,8 @@ func (e *Executor) lookupFunc(name string) (Func, bool) {
 	return f, ok
 }
 
-// CacheStats reports the statement cache's hit/miss/eviction counters.
+// CacheStats reports the statement cache's hit and miss counters and its
+// size.
 func (e *Executor) CacheStats() CacheStats { return e.cache.stats() }
 
 // Run parses and executes one PSQL mapping, reusing the cached parse,
@@ -324,23 +324,17 @@ func (st *execState) constantAt() (bool, error) {
 	return false, nil
 }
 
-// pricedFor returns the statement's access path as price chooses it,
-// re-priced only when something it was priced from moved: the cost
-// generation of the relation it reads — binding bi's, read before price
-// takes its first figure, so a path is never kept under a generation
-// newer than what it saw — or the windows.
-func (st *execState) pricedFor(bi int, windows []geom.Rect, price func() (*pricedPath, error)) (*pricedPath, error) {
-	gen := st.bindings[bi].rel.CostGeneration()
-	if p := st.path.Load(); p != nil && p.costGen == gen && slices.Equal(p.windows, windows) {
-		return p, nil
+// pricedFor returns the statement's access path as price fills it in
+// from snap, n and windows, re-priced only when one of them differs
+// from what the kept path was priced from.
+func (st *execState) pricedFor(snap relation.CostSnapshot, n int, windows []geom.Rect, price func(*pricedPath)) *pricedPath {
+	if p := st.path.Load(); p != nil && p.snap == snap && p.n == n && slices.Equal(p.windows, windows) {
+		return p
 	}
-	p, err := price()
-	if err != nil {
-		return nil, err
-	}
-	p.costGen, p.windows = gen, windows
+	p := &pricedPath{snap: snap, n: n, windows: windows}
+	price(p)
 	st.path.Store(p)
-	return p, nil
+	return p
 }
 
 // planWindowSearch chooses the access path for a single-loc at-clause:
@@ -354,31 +348,26 @@ func (st *execState) planWindowSearch(bi int, op SpatialOp, windows []geom.Rect)
 	if b.picture == "" {
 		return nil, fmt.Errorf("psql: relation %q has no picture in the on-clause for direct search", b.name)
 	}
-	p, err := st.pricedFor(bi, windows, func() (*pricedPath, error) {
-		snap, ok := b.rel.SpatialCostSnapshot(b.picture, windows)
-		if !ok {
-			return nil, fmt.Errorf("psql: relation %q is not spatially indexed on picture %q", b.name, b.picture)
-		}
-		p := &pricedPath{}
+	snap, ok := b.rel.SpatialCostSnapshot(b.picture, windows)
+	if !ok {
+		return nil, fmt.Errorf("psql: relation %q is not spatially indexed on picture %q", b.name, b.picture)
+	}
+	p := st.pricedFor(snap, b.rel.Len(), windows, func(p *pricedPath) {
 		costDirect := directSearchCost(snap, windows, op)
 		if ic, ok := st.bestIndexedConjunct(); ok {
-			costIdx := btreeCost(b.rel.Len(), ic.sel)
+			costIdx := btreeCost(p.n, ic.sel)
 			if costIdx < btreeHysteresis*costDirect {
 				p.via = &ic
 				p.notes = []string{fmt.Sprintf("index lookup: B-tree on %s.%s (%s) drives the at-clause (est %.1f vs direct %.1f)",
 					b.name, ic.cmp.col.Column, ic.cmp.op, costIdx, costDirect)}
-				return p, nil
+				return
 			}
 			p.notes = append(p.notes, fmt.Sprintf("cost: direct spatial search (est %.1f) kept over B-tree on %s.%s (est %.1f)",
 				costDirect, b.name, ic.cmp.col.Column, costIdx))
 		}
 		p.notes = append(p.notes, fmt.Sprintf("direct spatial search: R-tree of %q on %q, %d window(s), %s",
 			b.name, b.picture, len(windows), op))
-		return p, nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	st.plan = append(st.plan, p.notes...)
 	if p.via != nil {
 		ids, err := st.lookup(bi, p.via)
@@ -461,26 +450,21 @@ func tupleMBR(t relation.Tuple, li int, pic *picture.Picture, picName string) (g
 // cheaper; the plan notes say which.
 func (st *execState) indexedCandidates() ([]storage.TupleID, bool, error) {
 	b := st.bindings[0]
-	p, err := st.pricedFor(0, nil, func() (*pricedPath, error) {
-		p := &pricedPath{}
+	p := st.pricedFor(relation.CostSnapshot{}, b.rel.Len(), nil, func(p *pricedPath) {
 		if ic, ok := st.bestIndexedConjunct(); ok {
-			costIdx := btreeCost(b.rel.Len(), ic.sel)
-			costScan := scanCost(b.rel.Len())
+			costIdx := btreeCost(p.n, ic.sel)
+			costScan := scanCost(p.n)
 			if costIdx < costScan {
 				p.via = &ic
 				p.notes = []string{fmt.Sprintf("index lookup: B-tree on %s.%s (%s) (est %.1f vs scan %.1f)",
 					b.name, ic.cmp.col.Column, ic.cmp.op, costIdx, costScan)}
-				return p, nil
+				return
 			}
 			p.notes = append(p.notes, fmt.Sprintf("cost: scan (est %.1f) kept over B-tree on %s.%s (est %.1f)",
 				costScan, b.name, ic.cmp.col.Column, costIdx))
 		}
 		p.notes = append(p.notes, fmt.Sprintf("scan: full scan of %d relation(s)", len(st.bindings)))
-		return p, nil
 	})
-	if err != nil {
-		return nil, false, err
-	}
 	st.plan = append(st.plan, p.notes...)
 	if p.via == nil {
 		return nil, false, nil

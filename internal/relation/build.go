@@ -171,13 +171,9 @@ func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (
 		r.indexes[col] = trees[c]
 	}
 	for p, pic := range pics {
-		for _, si := range sis[p] {
-			si.costGen = &r.costGen
-		}
 		r.spatial[pic.Name()] = sis[p]
 	}
 	r.gen.Add(1)
-	r.costGen.Add(1)
 	return times, nil
 }
 

@@ -80,13 +80,9 @@ type Relation struct {
 	spatial map[string][]*SpatialIndex
 
 	// gen counts the changes to what the relation is indexed by
-	// (BuildIndexes: CreateIndex, AttachPicture); costGen the changes to
-	// anything a plan is priced from — the tuple count, a spatial
-	// index's write side or packed tree (every Insert and Delete, every
-	// freeze and repack swap). A statement bound or priced at
+	// (BuildIndexes: CreateIndex, AttachPicture). A statement bound at
 	// one value is still good while the value stands.
-	gen     atomic.Uint64
-	costGen atomic.Uint64
+	gen atomic.Uint64
 }
 
 func newRelation(p *pager.Pager, name string, schema Schema, pics Pictures, stores []*store) *Relation {
@@ -168,11 +164,6 @@ func (r *Relation) Name() string { return r.name }
 // relation: what a statement resolved against it — which columns are
 // indexed, which pictures it answers on — holds while it stands.
 func (r *Relation) Generation() uint64 { return r.gen.Load() }
-
-// CostGeneration changes whenever anything SpatialCostSnapshot, Len or
-// the B-trees report may have: a price computed after reading it holds
-// while it stands.
-func (r *Relation) CostGeneration() uint64 { return r.costGen.Load() }
 
 // Sharded reports false: no relation has page files of its own. It is
 // kept only for the benchmark harness, which compiles against it.
@@ -309,7 +300,6 @@ func (r *Relation) insert(t Tuple, objs []picture.Object) (storage.TupleID, erro
 	if si != nil {
 		si.insert(mbr, id)
 	}
-	r.costGen.Add(1)
 	return tid, nil
 }
 
@@ -539,7 +529,6 @@ func (r *Relation) Delete(id storage.TupleID) error {
 	if si != nil {
 		si.delete(mbr, gid)
 	}
-	r.costGen.Add(1)
 	return nil
 }
 

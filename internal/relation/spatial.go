@@ -61,11 +61,6 @@ type SpatialIndex struct {
 	// seq orders lock acquisition when two indexes are locked together
 	// (juxtaposition): lower seq first, so no lock cycle can form.
 	seq int64
-	// costGen is bumped after every change to what CostSnapshot reports
-	// that does not come through Relation.Insert or Delete (which bump
-	// it themselves): a freeze or a repack swap. It is the
-	// owning relation's counter once the index is attached to one.
-	costGen *atomic.Uint64
 
 	mu     sync.RWMutex
 	packed *rtree.Tree
@@ -113,7 +108,6 @@ func newSpatialIndex(pic *picture.Picture, tree *rtree.Tree) *SpatialIndex {
 	return &SpatialIndex{
 		Picture:   pic,
 		seq:       spatialSeq.Add(1),
-		costGen:   new(atomic.Uint64),
 		packed:    tree,
 		stats:     tree.SearchMetrics(),
 		delta:     rtree.New(deltaParams),
@@ -353,7 +347,6 @@ func (si *SpatialIndex) freeze() bool {
 	si.frozen, si.ts0 = si.delta, si.tombs
 	si.delta = rtree.New(deltaParams)
 	si.tombs = make(map[int64]struct{})
-	si.costGen.Add(1)
 	return true
 }
 
@@ -366,7 +359,6 @@ func (si *SpatialIndex) swap(tree *rtree.Tree) {
 	si.packed, si.stats = tree, stats
 	si.frozen, si.ts0 = nil, nil
 	si.repacks++
-	si.costGen.Add(1)
 	si.mu.Unlock()
 }
 

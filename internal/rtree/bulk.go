@@ -48,7 +48,7 @@ func Bulk(params Params, items []Item, g Grouper) *Tree {
 	for gi, grp := range groups {
 		n := &level[gi]
 		for _, idx := range grp {
-			n.addEntry(entry{rect: items[idx].Rect, data: items[idx].Data})
+			n.entries = append(n.entries, entry{rect: items[idx].Rect, data: items[idx].Data})
 		}
 	}
 
@@ -64,7 +64,7 @@ func Bulk(params Params, items []Item, g Grouper) *Tree {
 		for gi, grp := range groups {
 			n := &next[gi]
 			for _, idx := range grp {
-				n.addEntry(entry{rect: rects[idx], child: &level[idx]})
+				n.entries = append(n.entries, entry{rect: rects[idx], child: &level[idx]})
 			}
 		}
 		level = next

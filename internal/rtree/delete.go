@@ -12,6 +12,7 @@ import "repro/internal/geom"
 // Delete removes one item matching (r, data) exactly. It reports
 // whether an item was found and removed.
 func (t *Tree) Delete(r geom.Rect, data int64) bool {
+	t.path = t.path[:0]
 	leaf, idx := t.findLeaf(t.root, r, data)
 	if leaf == nil {
 		return false
@@ -23,14 +24,14 @@ func (t *Tree) Delete(r geom.Rect, data int64) bool {
 	// tree.
 	for !t.root.leaf && len(t.root.entries) == 1 {
 		t.root = t.root.entries[0].child
-		t.root.parent = nil
 		t.height--
 	}
 	return true
 }
 
 // findLeaf returns the leaf containing the exact entry and its index,
-// descending only into subtrees whose rectangle contains r.
+// descending only into subtrees whose rectangle contains r. The
+// descent to that leaf is left in t.path for condenseTree.
 func (t *Tree) findLeaf(n *node, r geom.Rect, data int64) (*node, int) {
 	if n.leaf {
 		for i, e := range n.entries {
@@ -40,50 +41,43 @@ func (t *Tree) findLeaf(n *node, r geom.Rect, data int64) (*node, int) {
 		}
 		return nil, -1
 	}
-	for _, e := range n.entries {
+	for i, e := range n.entries {
 		if e.rect.Contains(r) {
-			if leaf, i := t.findLeaf(e.child, r, data); leaf != nil {
-				return leaf, i
+			t.path = append(t.path, step{n, i})
+			if leaf, j := t.findLeaf(e.child, r, data); leaf != nil {
+				return leaf, j
 			}
+			t.path = t.path[:len(t.path)-1]
 		}
 	}
 	return nil, -1
 }
 
-// condenseTree walks from leaf n to the root: underfull nodes are
-// removed from their parents and their entries queued; covering
+// condenseTree climbs t.path from leaf n to the root: underfull nodes
+// are removed from their parents and their entries queued; covering
 // rectangles are tightened. Queued leaf entries are reinserted at the
 // leaf level and queued subtrees at their original level, preserving
-// leaf depth.
+// leaf depth. The climb ends before the first reinsertion, which
+// descends a path of its own.
 func (t *Tree) condenseTree(n *node) {
 	type orphan struct {
 		e     entry
 		level int
 	}
 	var orphans []orphan
-	level := 0
-	for n != t.root {
-		p := n.parent
+	for k := len(t.path) - 1; k >= 0; k-- {
+		p, i := t.path[k].n, t.path[k].i
 		if len(n.entries) < t.params.Min {
-			if i := p.entryIndex(n); i >= 0 {
-				p.removeEntryAt(i)
-			}
+			p.removeEntryAt(i)
 			for _, e := range n.entries {
-				orphans = append(orphans, orphan{e: e, level: level})
+				orphans = append(orphans, orphan{e: e, level: len(t.path) - 1 - k})
 			}
-		} else if i := p.entryIndex(n); i >= 0 {
+		} else {
 			p.entries[i].rect = n.mbr()
 		}
 		n = p
-		level++
 	}
 	for _, o := range orphans {
-		if o.level == 0 {
-			t.insertEntry(o.e, 0)
-		} else {
-			// Reinsert a whole subtree at its original level so its
-			// leaves stay at leaf depth.
-			t.insertEntry(o.e, o.level)
-		}
+		t.insertEntry(o.e, o.level)
 	}
 }

@@ -23,7 +23,7 @@ func (t *Tree) InsertItem(it Item) { t.Insert(it.Rect, it.Data) }
 // subtrees.
 func (t *Tree) insertEntry(e entry, level int) {
 	n := t.chooseNode(e.rect, level)
-	n.addEntry(e)
+	n.entries = append(n.entries, e)
 	var split *node
 	if len(n.entries) > t.params.Max {
 		split = t.splitNode(n)
@@ -34,8 +34,9 @@ func (t *Tree) insertEntry(e entry, level int) {
 // chooseNode is Guttman's ChooseLeaf generalized to a target level:
 // descend from the root, at each step picking the entry whose
 // rectangle needs the least enlargement to include r, breaking ties by
-// smallest area.
+// smallest area. The descent is left in t.path for adjustTree.
 func (t *Tree) chooseNode(r geom.Rect, level int) *node {
+	t.path = t.path[:0]
 	n := t.root
 	depth := t.height
 	for !n.leaf && depth > level {
@@ -49,25 +50,24 @@ func (t *Tree) chooseNode(r geom.Rect, level int) *node {
 				best, bestEnl, bestArea = i, enl, area
 			}
 		}
+		t.path = append(t.path, step{n, best})
 		n = n.entries[best].child
 		depth--
 	}
 	return n
 }
 
-// adjustTree is Guttman's AdjustTree: walk from n to the root, fixing
-// covering rectangles; when a split produced a new node nn, install
-// its entry in the parent, splitting again on overflow. A root split
-// grows the tree one level.
+// adjustTree is Guttman's AdjustTree: climb t.path from n to the
+// root, fixing covering rectangles; when a split produced a new node
+// nn, install its entry in the parent, splitting again on overflow. A
+// root split grows the tree one level.
 func (t *Tree) adjustTree(n, nn *node) {
-	for n != t.root {
-		p := n.parent
+	for k := len(t.path) - 1; k >= 0; k-- {
+		p := t.path[k].n
 		// Fix the covering rectangle of n's entry in its parent.
-		if i := p.entryIndex(n); i >= 0 {
-			p.entries[i].rect = n.mbr()
-		}
+		p.entries[t.path[k].i].rect = n.mbr()
 		if nn != nil {
-			p.addEntry(entry{rect: nn.mbr(), child: nn})
+			p.entries = append(p.entries, entry{rect: nn.mbr(), child: nn})
 			nn = nil
 			if len(p.entries) > t.params.Max {
 				nn = t.splitNode(p)
@@ -78,8 +78,8 @@ func (t *Tree) adjustTree(n, nn *node) {
 	if nn != nil {
 		// Root split: create a new root pointing at both halves.
 		newRoot := newNode(false, t.params.Max+1)
-		newRoot.addEntry(entry{rect: n.mbr(), child: n})
-		newRoot.addEntry(entry{rect: nn.mbr(), child: nn})
+		newRoot.entries = append(newRoot.entries,
+			entry{rect: n.mbr(), child: n}, entry{rect: nn.mbr(), child: nn})
 		t.root = newRoot
 		t.height++
 	}

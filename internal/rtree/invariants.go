@@ -6,8 +6,8 @@ import "fmt"
 // [Guttman 1984] §2: covering rectangles are exactly the MBR of the
 // entries below them, every non-root node holds between m and M
 // entries (the root at least 2 unless it is a leaf), all leaves lie at
-// the same depth, parent links are consistent, and the recorded size
-// and height match the structure. Bulk-built (packed) trees may be
+// the same depth, and the recorded size and height match the
+// structure. Bulk-built (packed) trees may be
 // checked with requireMinFill=false at the last group of each level,
 // so packing checks use the same function. It returns nil when the
 // tree is valid.
@@ -17,9 +17,6 @@ func (t *Tree) CheckInvariants() error {
 	}
 	if !t.root.leaf && len(t.root.entries) < 2 {
 		return fmt.Errorf("rtree: internal root has %d entries, want >= 2", len(t.root.entries))
-	}
-	if t.root.parent != nil {
-		return fmt.Errorf("rtree: root has a parent")
 	}
 	items := 0
 	leafDepth := -1
@@ -50,9 +47,6 @@ func (t *Tree) CheckInvariants() error {
 		for i, e := range n.entries {
 			if e.child == nil {
 				return fmt.Errorf("rtree: internal entry %d has no child", i)
-			}
-			if e.child.parent != n {
-				return fmt.Errorf("rtree: child at depth %d has wrong parent link", depth+1)
 			}
 			if got := e.child.mbr(); !got.Eq(e.rect) {
 				return fmt.Errorf("rtree: entry rect %v != child MBR %v at depth %d", e.rect, got, depth)

@@ -40,7 +40,6 @@ func (e entry) item() Item { return Item{Rect: e.rect, Data: e.data} }
 type node struct {
 	leaf    bool
 	entries []entry
-	parent  *node
 }
 
 func newNode(leaf bool, capacity int) *node {
@@ -56,26 +55,16 @@ func (n *node) mbr() geom.Rect {
 	return out
 }
 
-func (n *node) addEntry(e entry) {
-	n.entries = append(n.entries, e)
-	if e.child != nil {
-		e.child.parent = n
-	}
-}
-
 // removeEntryAt deletes entry i, preserving order of the rest.
 func (n *node) removeEntryAt(i int) {
 	n.entries = append(n.entries[:i], n.entries[i+1:]...)
 }
 
-// entryIndex returns the index of the entry pointing at child, or -1.
-func (n *node) entryIndex(child *node) int {
-	for i, e := range n.entries {
-		if e.child == child {
-			return i
-		}
-	}
-	return -1
+// step is one step of a descent: the node passed through and the
+// index of the entry followed out of it.
+type step struct {
+	n *node
+	i int
 }
 
 // SplitKind selects Guttman's node-splitting heuristic.
@@ -136,18 +125,21 @@ func (p Params) Validate() error {
 
 // Tree is an in-memory R-tree.
 //
-// Concurrency: all read operations (Search, SearchWithin, Query,
-// ContainsPoint, NearestNeighbor, JoinPairs, Items, the metrics
-// walkers) are safe for any number of concurrent readers — they write
-// nothing shared: each counts its visits in a local and returns the
-// count. Mutations (Insert, Delete) require exclusive access: callers
-// interleaving writes with reads must serialize externally, the usual
-// R-tree contract.
+// Concurrency: all read operations (Search, Query, ContainsPoint,
+// JoinPairs, Items, the metrics walkers) are safe for any number of
+// concurrent readers — they write nothing shared: each counts its
+// visits in a local and returns the count. Mutations (Insert, Delete)
+// require exclusive access: callers interleaving writes with reads must
+// serialize externally, the usual R-tree contract.
 type Tree struct {
 	params Params
 	root   *node
 	height int // depth: edges from root to leaves; 0 when root is a leaf
 	size   int // number of stored items
+	// path is the descent of the running Insert or Delete, root first:
+	// AdjustTree and CondenseTree climb it, so no node keeps a link to
+	// its parent. Mutations have exclusive access, so one slice serves.
+	path []step
 }
 
 // New returns an empty R-tree with the given parameters. It panics if

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -139,27 +140,6 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestSearchWithin(t *testing.T) {
-	tr := New(DefaultParams())
-	tr.Insert(geom.R(10, 10, 20, 20), 1) // wholly inside window
-	tr.Insert(geom.R(40, 40, 60, 60), 2) // straddles window edge
-	tr.Insert(geom.R(80, 80, 90, 90), 3) // outside
-	w := geom.R(0, 0, 50, 50)
-	var within []int64
-	tr.SearchWithin(w, func(it Item) bool {
-		within = append(within, it.Data)
-		return true
-	})
-	if len(within) != 1 || within[0] != 1 {
-		t.Fatalf("SearchWithin = %v, want [1]", within)
-	}
-	// Search (intersects) should see items 1 and 2.
-	got, _ := tr.Query(w)
-	if len(got) != 2 {
-		t.Fatalf("Query = %v, want 2 items", got)
 	}
 }
 
@@ -392,55 +372,78 @@ func TestLevelRects(t *testing.T) {
 	}
 }
 
-func TestNearestNeighbor(t *testing.T) {
-	tr := New(DefaultParams())
-	items := uniformItems(300, 13)
-	insertAll(tr, items)
-	rng := rand.New(rand.NewSource(14))
-	for q := 0; q < 30; q++ {
-		p := geom.Pt(rng.Float64()*1000, rng.Float64()*1000)
-		got, ok, _ := tr.NearestNeighbor(p)
-		if !ok {
-			t.Fatal("NN on non-empty tree returned !ok")
-		}
-		// Oracle: brute-force minimum distance.
-		best := -1.0
-		for _, it := range items {
-			d := it.Rect.Min.Dist(p)
-			if best < 0 || d < best {
-				best = d
-			}
-		}
-		if gotD := got.Rect.Min.Dist(p); gotD > best+1e-9 {
-			t.Fatalf("NN(%v) = dist %g, oracle %g", p, gotD, best)
-		}
-	}
-	empty := New(DefaultParams())
-	if _, ok, _ := empty.NearestNeighbor(geom.Pt(0, 0)); ok {
-		t.Fatal("NN on empty tree returned ok")
-	}
-}
-
+// TestQuickInsertDeleteInvariants fills a tree, deletes every item in
+// random order and fills it again, checking the structure and the
+// stored items against a model after every delete. Emptying the tree
+// makes CondenseTree reinsert orphaned subtrees above the leaf level,
+// so the path climbs of AdjustTree and CondenseTree are exercised under
+// every split kind and at the delta tree's wide nodes.
 func TestQuickInsertDeleteInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	f := func() bool {
-		tr := New(DefaultParams())
-		n := 1 + rng.Intn(60)
-		items := uniformItems(n, rng.Int63())
-		insertAll(tr, items)
-		if tr.CheckInvariants() != nil {
-			return false
-		}
-		// Delete a random half.
-		for _, idx := range rng.Perm(n)[:n/2] {
-			if !tr.Delete(items[idx].Rect, items[idx].Data) {
-				return false
-			}
-		}
-		return tr.CheckInvariants() == nil && tr.Len() == n-n/2
+	cases := []struct {
+		params Params
+		maxN   int // items per trial: 1..maxN
+		trials int
+	}{
+		{Params{Max: 4, Min: 2, Split: SplitLinear}, 120, 40},
+		{Params{Max: 4, Min: 2, Split: SplitQuadratic}, 120, 40},
+		{Params{Max: 4, Min: 2, Split: SplitExhaustive}, 120, 40},
+		{Params{Max: 32, Min: 8, Split: SplitLinear}, 1500, 6},
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+	for ci, c := range cases {
+		t.Run(fmt.Sprintf("%v/%d-%d", c.params.Split, c.params.Max, c.params.Min), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(15 + int64(ci)))
+			// matches reports whether tr holds exactly the items of model.
+			matches := func(tr *Tree, model map[int64]Item) bool {
+				got := tr.Items()
+				if len(got) != len(model) || tr.Len() != len(model) {
+					return false
+				}
+				for _, it := range got {
+					if want, ok := model[it.Data]; !ok || !want.Rect.Eq(it.Rect) {
+						return false
+					}
+				}
+				return true
+			}
+			f := func() bool {
+				tr := New(c.params)
+				n := 1 + rng.Intn(c.maxN)
+				items := uniformRectItems(n, rng.Int63())
+				model := make(map[int64]Item, n)
+				for _, it := range items {
+					tr.InsertItem(it)
+					model[it.Data] = it
+				}
+				if err := tr.CheckInvariants(); err != nil || !matches(tr, model) {
+					t.Logf("after %d inserts: %v", n, err)
+					return false
+				}
+				for k, idx := range rng.Perm(n) {
+					it := items[idx]
+					if !tr.Delete(it.Rect, it.Data) {
+						t.Logf("delete %d of %d: item %d not found", k+1, n, it.Data)
+						return false
+					}
+					delete(model, it.Data)
+					if err := tr.CheckInvariants(); err != nil || !matches(tr, model) {
+						t.Logf("after delete %d of %d: %v", k+1, n, err)
+						return false
+					}
+				}
+				for _, it := range uniformRectItems(n, rng.Int63()) {
+					tr.InsertItem(it)
+					model[it.Data] = it
+				}
+				if err := tr.CheckInvariants(); err != nil || !matches(tr, model) {
+					t.Logf("after refilling %d: %v", n, err)
+					return false
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: c.trials}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

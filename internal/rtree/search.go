@@ -39,31 +39,6 @@ func (t *Tree) Search(window geom.Rect, fn func(Item) bool) int {
 	return visited
 }
 
-// SearchWithin visits every item whose rectangle is wholly contained
-// in window (the paper's WITHIN predicate at the leaves: "List all
-// points and regions within target window"). Internal nodes are still
-// pruned by intersection, since an object within the window may live
-// in a leaf whose MBR merely intersects it. Returns nodes visited.
-func (t *Tree) SearchWithin(window geom.Rect, fn func(Item) bool) int {
-	visited := 0
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		visited++
-		for _, e := range n.entries {
-			if n.leaf {
-				if window.Contains(e.rect) && !fn(e.item()) {
-					return false
-				}
-			} else if e.rect.Intersects(window) && !walk(e.child) {
-				return false
-			}
-		}
-		return true
-	}
-	walk(t.root)
-	return visited
-}
-
 // Query returns all items intersecting window, in tree order, along
 // with the number of nodes visited.
 func (t *Tree) Query(window geom.Rect) ([]Item, int) {
@@ -106,82 +81,6 @@ func (t *Tree) Items() []Item {
 	}
 	walk(t.root)
 	return out
-}
-
-// NearestNeighbor returns the item whose rectangle is closest to p
-// (minimal distance from p to the rectangle; an item containing p has
-// distance 0), using branch-and-bound descent ordered by rectangle
-// distance. The boolean is false when the tree is empty. The visit
-// count is returned for cost accounting. This query is not in the 1985
-// paper but became the canonical R-tree NN search (Roussopoulos,
-// Kelley & Vincent, SIGMOD 1995) and PSQL-style languages need it for
-// "nearest object" functions.
-func (t *Tree) NearestNeighbor(p geom.Point) (Item, bool, int) {
-	if t.size == 0 {
-		return Item{}, false, 0
-	}
-	best := Item{}
-	bestDist := -1.0
-	visited := 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		visited++
-		if n.leaf {
-			for _, e := range n.entries {
-				d := rectPointDist(e.rect, p)
-				if bestDist < 0 || d < bestDist {
-					best, bestDist = e.item(), d
-				}
-			}
-			return
-		}
-		// Order children by distance; prune those no closer than best.
-		type cand struct {
-			d float64
-			c *node
-		}
-		cands := make([]cand, 0, len(n.entries))
-		for _, e := range n.entries {
-			cands = append(cands, cand{rectPointDist(e.rect, p), e.child})
-		}
-		for i := 1; i < len(cands); i++ {
-			for j := i; j > 0 && cands[j].d < cands[j-1].d; j-- {
-				cands[j], cands[j-1] = cands[j-1], cands[j]
-			}
-		}
-		for _, c := range cands {
-			if bestDist >= 0 && c.d > bestDist {
-				break
-			}
-			walk(c.c)
-		}
-	}
-	walk(t.root)
-	return best, true, visited
-}
-
-// rectPointDist returns the minimal distance from p to rectangle r
-// (zero when r contains p).
-func rectPointDist(r geom.Rect, p geom.Point) float64 {
-	dx := 0.0
-	if p.X < r.Min.X {
-		dx = r.Min.X - p.X
-	} else if p.X > r.Max.X {
-		dx = p.X - r.Max.X
-	}
-	dy := 0.0
-	if p.Y < r.Min.Y {
-		dy = r.Min.Y - p.Y
-	} else if p.Y > r.Max.Y {
-		dy = p.Y - r.Max.Y
-	}
-	if dx == 0 {
-		return dy
-	}
-	if dy == 0 {
-		return dx
-	}
-	return geom.Pt(0, 0).Dist(geom.Pt(dx, dy))
 }
 
 // JoinPairs performs the paper's juxtaposition primitive: a

@@ -24,13 +24,8 @@ func (t *Tree) splitNode(n *node) *node {
 		groupA, groupB = t.splitQuadratic(n.entries)
 	}
 	sibling := newNode(n.leaf, t.params.Max+1)
-	n.entries = n.entries[:0]
-	for _, e := range groupA {
-		n.addEntry(e)
-	}
-	for _, e := range groupB {
-		sibling.addEntry(e)
-	}
+	n.entries = append(n.entries[:0], groupA...)
+	sibling.entries = append(sibling.entries, groupB...)
 	return sibling
 }
 
