@@ -103,7 +103,9 @@ deleterace:
 # with the objects their locs carry, page-0 header slots, catalog
 # records, write-ahead log records (inspection against recovery),
 # slotted heap pages, picture objects — the B-tree bulk load against
-# per-item insertion, and the B-tree run sort against a comparator sort. (-fuzz takes one target per run. Left at its
+# per-item insertion, the B-tree run sort against a comparator sort, and
+# PSQL statements the planned executor must answer as the naive one does,
+# over packed, delta and tombstoned index entries. (-fuzz takes one target per run. Left at its
 # default, minimizing one new input of a log's page-long seeds, or of a
 # long object label, can take up to a minute: the whole run.)
 fuzz:
@@ -115,6 +117,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBulkLoad -fuzztime 10s ./internal/btree/
 	$(GO) test -run '^$$' -fuzz FuzzSortEntries -fuzztime 10s ./internal/btree/
 	$(GO) test -run '^$$' -fuzz FuzzRecoverWAL -fuzztime 10s -fuzzminimizetime 20x ./internal/pager/
+	$(GO) test -run '^$$' -fuzz FuzzQueryMatchesNaive -fuzztime 10s .
 
 # Paper reproduction targets.
 table1:

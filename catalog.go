@@ -33,10 +33,9 @@ import (
 // a fresh heap, points the superblock at it and frees the old one, all
 // under the write gate, so they are durable in the same group commit as
 // the writes that need them (writeDefinitions). Open reads them and then
-// rebuilds every relation from one scan of its heaps — its page
-// table, B-trees and packed R-trees, and its pictures' objects —
-// one relation after another, in name order (loadCatalog,
-// relation.Open).
+// rebuilds every relation from one scan of its heaps — its B-trees
+// and packed R-trees, and its pictures' objects — one relation after
+// another, in name order (loadCatalog, relation.Open).
 var catMagic = [8]byte{'P', 'I', 'C', 'T', 'C', 'A', 'T', '2'}
 
 // catMagicV1 is the superblock of the format before tuples carried their

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -148,9 +149,14 @@ func TestSetPartitions(t *testing.T) {
 }
 
 func TestUpdateDrift(t *testing.T) {
-	rows := RunUpdateDrift(UpdateDriftConfig{N: 200, Steps: 3, OpsPerStep: 100, Queries: 100, Seed: 4})
+	cfg := UpdateDriftConfig{N: 200, Steps: 3, OpsPerStep: 100, Queries: 100, Seed: 4}
+	rows := RunUpdateDrift(cfg)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
+	}
+	// The seed fixes the run: the victims and the repacks repeat.
+	if again := RunUpdateDrift(cfg); !reflect.DeepEqual(again, rows) {
+		t.Errorf("the same config gave two tables:\n%v\n%v", rows, again)
 	}
 	if rows[0].Coverage != rows[0].FreshCoverage {
 		t.Errorf("at 0 ops drifted and fresh must coincide: %.0f vs %.0f",

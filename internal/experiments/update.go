@@ -64,13 +64,11 @@ func RunUpdateDrift(cfg UpdateDriftConfig) []UpdateDriftRow {
 	params := rtree.Params{Max: 4, Min: 2, Split: rtree.SplitLinear}
 
 	pts := workload.UniformPoints(cfg.N, cfg.Seed)
-	items := workload.PointItems(pts)
-	live := make(map[int64]rtree.Item, len(items))
-	nextID := int64(len(items))
-	for _, it := range items {
-		live[it.Data] = it
-	}
-	t := pack.Tree(params, items, pack.Options{Method: pack.MethodNN})
+	// live holds the live items in a seeded order, so the victim each
+	// delete picks and every fresh repack are the same on every run.
+	live := workload.PointItems(pts)
+	nextID := int64(len(live))
+	t := pack.Tree(params, live, pack.Options{Method: pack.MethodNN})
 	queries := workload.QueryPoints(cfg.Queries, cfg.Seed+13)
 
 	measure := func(ops int) UpdateDriftRow {
@@ -85,11 +83,7 @@ func RunUpdateDrift(cfg UpdateDriftConfig) []UpdateDriftRow {
 		row.AvgVisit = float64(total) / float64(len(queries))
 
 		// Fresh repack over the live set.
-		liveItems := make([]rtree.Item, 0, len(live))
-		for _, it := range live {
-			liveItems = append(liveItems, it)
-		}
-		f := pack.Tree(params, liveItems, pack.Options{Method: pack.MethodNN})
+		f := pack.Tree(params, live, pack.Options{Method: pack.MethodNN})
 		fm := f.ComputeMetrics()
 		row.FreshCoverage, row.FreshOverlap, row.FreshNodes = fm.Coverage, fm.Overlap, fm.Nodes
 		total = 0
@@ -111,14 +105,13 @@ func RunUpdateDrift(cfg UpdateDriftConfig) []UpdateDriftRow {
 				it := rtree.Item{Rect: p.Rect(), Data: nextID}
 				nextID++
 				t.InsertItem(it)
-				live[it.Data] = it
+				live = append(live, it)
 			} else {
 				// Delete a random live point.
-				for id, it := range live {
-					t.Delete(it.Rect, id)
-					delete(live, id)
-					break
-				}
+				j := rng.Intn(len(live))
+				t.Delete(live[j].Rect, live[j].Data)
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
 			}
 			ops++
 		}

@@ -13,37 +13,22 @@ import (
 // nearest-neighbor step of the paper's PACK.
 //
 // Once the bounds are known every key is a pure function of one
-// center; one sort of (key, position) words orders them.
-//
-// The curve mapping itself lives in geom (geom.HilbertKey and
-// friends) so the workload generators can derive curve keys without
-// importing pack; the identifiers below re-export it for the sharding
-// and routing layers, which historically reach it through pack.
+// center; one sort of (key, position) words orders them. The curve
+// mapping itself lives in geom (geom.HilbertKey and friends), where
+// Hilbert-range sharding and the workload generators reach it too.
 type hilbertGrouper struct{}
 
 func (hilbertGrouper) Name() string { return "hilbert" }
-
-// HilbertKeyBits is the width of the key space HilbertKey maps into:
-// keys lie in [0, 1<<HilbertKeyBits). Hilbert-range sharding divides
-// this space into contiguous per-shard ranges.
-const HilbertKeyBits = geom.HilbertKeyBits
-
-// HilbertKey quantizes p onto the Hilbert curve over bounds and
-// returns its 1-D curve distance — the routing key Hilbert-range
-// sharding assigns tuples by. See geom.HilbertKey.
-func HilbertKey(bounds geom.Rect, p geom.Point) uint64 {
-	return geom.HilbertKey(bounds, p)
-}
 
 func (hilbertGrouper) Group(rects []geom.Rect, max int) [][]int {
 	n := len(rects)
 	if n == 0 {
 		return nil
 	}
-	// One sort of key<<32 | position words: a key is HilbertKeyBits = 32
-	// bits and a position is below 2^32 (PACK takes fewer than 2^32
-	// items), so word order is (key, position) order — sortByKey's — with
-	// no comparator call.
+	// One sort of key<<32 | position words: a key is
+	// geom.HilbertKeyBits = 32 bits and a position is below 2^32 (PACK
+	// takes fewer than 2^32 items), so word order is (key, position)
+	// order — sortByKey's — with no comparator call.
 	words := hilbertKeys(rects)
 	for i := range words {
 		words[i] = words[i]<<32 | uint64(i)

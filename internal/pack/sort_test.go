@@ -174,8 +174,8 @@ func BenchmarkPackTree(b *testing.B) {
 }
 
 // A Hilbert PACK allocates per level, not per node: the grouper's key,
-// order and group slices, and Bulk's one slab of nodes and one of
-// entries. 20 000 points at the paper's branching factor make a tree of
+// order and group slices, and Bulk's one slab of entries (the nodes of
+// every level share one slab). 20 000 points at the paper's branching factor make a tree of
 // height 7, eight levels.
 func TestHilbertPackAllocsPerLevel(t *testing.T) {
 	items := workload.PointItems(workload.ClusteredPoints(20_000, 20, 30, 39))

@@ -361,7 +361,7 @@ func (r *Relation) Get(id storage.TupleID) (Tuple, error) {
 // order: out[i] is the tuple for ids[i]. See FetchWhere, which it is
 // with nothing to test. workers is ignored; it stays only because
 // cmd/pictbench compiles against it, until the benchmark reads the
-// engine's own counters (ROADMAP.md item 2).
+// engine's own counters.
 func (r *Relation) GetBatch(ids []storage.TupleID, need []bool, workers int) ([]Tuple, error) {
 	return r.FetchWhere(ids, need, nil, nil)
 }
@@ -786,7 +786,7 @@ func (r *Relation) SpatialItems(pictureName string) ([]rtree.Item, int, error) {
 // calling SearchArea per window — and the visit count is summed across
 // the batch and the merged trees. parallelism is ignored; it stays only
 // because cmd/pictbench compiles against it, until the benchmark reads
-// the engine's own counters (ROADMAP.md item 2).
+// the engine's own counters.
 func (r *Relation) SearchAreaBatch(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool, parallelism int) ([][]storage.TupleID, int, error) {
 	batches, visited, err := r.search(pictureName, windows, pred)
 	if err != nil {
@@ -859,7 +859,7 @@ type SpatialPair struct {
 // TupleID order. pred must imply rectangle intersection (the pruning
 // rule). workers is ignored; it stays only because cmd/pictbench
 // compiles against it, until the benchmark reads the engine's own
-// counters (ROADMAP.md item 2).
+// counters.
 func (r *Relation) JuxtaposeSpatial(picA string, s *Relation, picB string, pred func(a, b geom.Rect) bool, workers int) ([]SpatialPair, int, error) {
 	as := r.spatialList(picA)
 	if as == nil {

@@ -890,7 +890,7 @@ func TestFreedIDNamesNoOtherTuple(t *testing.T) {
 						continue
 					}
 					at = geom.Pt(x, y)
-					found = shardForKey(stores, pack.HilbertKey(pic.Extent(), at)) == s
+					found = shardForKey(stores, geom.HilbertKey(pic.Extent(), at)) == s
 				}
 			}
 			if !found {

@@ -46,14 +46,14 @@ func evenKeyRanges(n int) []KeyRange {
 // shardKeyLo is the smallest Hilbert key an even split routes to shard
 // s of n: the least k with k*n >> HilbertKeyBits == s.
 func shardKeyLo(s, n uint64) uint64 {
-	return (s<<pack.HilbertKeyBits + n - 1) / n
+	return (s<<geom.HilbertKeyBits + n - 1) / n
 }
 
 // shardForKey returns the shard of n whose even key range contains key
 // (shardKeyLo's inverse); a key beyond the key space (possible only for
 // degenerate extents) routes to the last.
 func shardForKey(n int, key uint64) int {
-	return int(min(key*uint64(n)>>pack.HilbertKeyBits, uint64(n-1)))
+	return int(min(key*uint64(n)>>geom.HilbertKeyBits, uint64(n-1)))
 }
 
 // ShardCount returns the number of stores.
@@ -146,7 +146,7 @@ func (r *Relation) place(t Tuple, loc LocRef, mbr geom.Rect, hasLoc bool) int {
 		sis := r.spatial[loc.Picture]
 		r.smu.RUnlock()
 		if sis != nil {
-			return shardForKey(n, pack.HilbertKey(sis[0].Picture.Extent(), mbr.Center()))
+			return shardForKey(n, geom.HilbertKey(sis[0].Picture.Extent(), mbr.Center()))
 		}
 	}
 	h := fnv.New64a()

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"repro/internal/geom"
-	"repro/internal/pack"
 	"repro/internal/pager"
 	"repro/internal/picture"
 	"repro/internal/storage"
@@ -1114,7 +1113,7 @@ func TestEvenKeyRangesAndShardForKey(t *testing.T) {
 		if len(ranges) != n {
 			t.Fatalf("n=%d: %d ranges", n, len(ranges))
 		}
-		if ranges[0].Lo != 0 || ranges[n-1].Hi != 1<<pack.HilbertKeyBits {
+		if ranges[0].Lo != 0 || ranges[n-1].Hi != 1<<geom.HilbertKeyBits {
 			t.Fatalf("n=%d: ranges do not span the key space: %v", n, ranges)
 		}
 		for s := 1; s < n; s++ {
@@ -1134,7 +1133,7 @@ func TestEvenKeyRangesAndShardForKey(t *testing.T) {
 	}
 	// An out-of-range key (degenerate extents can quantize past the
 	// top) lands on the shard owning the top of the space.
-	if got := shardForKey(3, 1<<pack.HilbertKeyBits); got != 2 {
+	if got := shardForKey(3, 1<<geom.HilbertKeyBits); got != 2 {
 		t.Fatalf("overflow key -> shard %d, want 2", got)
 	}
 }

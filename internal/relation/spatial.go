@@ -140,18 +140,12 @@ func (si *SpatialIndex) CostSnapshot() CostSnapshot {
 	defer si.mu.RUnlock()
 	snap := CostSnapshot{
 		Stats:      si.stats,
-		Bounds:     si.packed.Bounds(),
+		Bounds:     si.boundsLocked(),
 		Tombstones: len(si.tombs) + len(si.ts0),
 	}
-	if si.delta.Len() > 0 {
-		snap.DeltaItems += si.delta.Len()
-		snap.DeltaNodes += si.delta.NodeCount()
-		snap.Bounds = snap.Bounds.Union(si.delta.Bounds())
-	}
-	if si.frozen != nil && si.frozen.Len() > 0 {
-		snap.DeltaItems += si.frozen.Len()
-		snap.DeltaNodes += si.frozen.NodeCount()
-		snap.Bounds = snap.Bounds.Union(si.frozen.Bounds())
+	for _, tr := range si.tiersLocked(new([3]tier))[1:] {
+		snap.DeltaItems += tr.tree.Len()
+		snap.DeltaNodes += tr.tree.NodeCount()
 	}
 	return snap
 }
@@ -171,9 +165,9 @@ func (si *SpatialIndex) PackedTree() *rtree.Tree {
 func (si *SpatialIndex) Len() int {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
-	n := si.packed.Len() + si.delta.Len() - len(si.tombs) - len(si.ts0)
-	if si.frozen != nil {
-		n += si.frozen.Len()
+	n := -len(si.tombs) - len(si.ts0)
+	for _, tr := range si.tiersLocked(new([3]tier)) {
+		n += tr.tree.Len()
 	}
 	return n
 }
@@ -183,9 +177,9 @@ func (si *SpatialIndex) Len() int {
 func (si *SpatialIndex) DeltaLen() int {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
-	n := si.delta.Len()
-	if si.frozen != nil {
-		n += si.frozen.Len()
+	n := 0
+	for _, tr := range si.tiersLocked(new([3]tier))[1:] {
+		n += tr.tree.Len()
 	}
 	return n
 }
@@ -226,12 +220,9 @@ func (si *SpatialIndex) Bounds() geom.Rect {
 }
 
 func (si *SpatialIndex) boundsLocked() geom.Rect {
-	b := si.packed.Bounds()
-	if si.delta.Len() > 0 {
-		b = b.Union(si.delta.Bounds())
-	}
-	if si.frozen != nil && si.frozen.Len() > 0 {
-		b = b.Union(si.frozen.Bounds())
+	b := geom.EmptyRect()
+	for _, tr := range si.tiersLocked(new([3]tier)) {
+		b = b.Union(tr.tree.Bounds())
 	}
 	return b
 }
@@ -311,7 +302,7 @@ func (si *SpatialIndex) WaitRepack() {
 // out first, so on return the write side as it stood at the call is
 // fully absorbed. The parameter is ignored; it stays only because
 // cmd/pictbench compiles against it, until the benchmark reads the
-// engine's own counters (ROADMAP.md item 2), as GetBatch's workers does.
+// engine's own counters, as GetBatch's workers does.
 func (si *SpatialIndex) RepackNow(bool) {
 	// Take the repacker slot so no background repack interleaves.
 	for !si.repacking.CompareAndSwap(false, true) {
@@ -405,6 +396,35 @@ func sortJoinPairs(pairs []rtree.JoinPair) {
 	})
 }
 
+// tier is one live tree of an index. filtered says that tombstones
+// filter its entries: the index holds some, and the tree is the packed
+// or the frozen one. A delta entry is never tombstoned, since a delete
+// takes it out of the delta.
+type tier struct {
+	name     string
+	tree     *rtree.Tree
+	filtered bool
+}
+
+// tiersLocked lists the index's live trees in buf: the packed tree
+// always and first, so every read is charged its root, then the frozen
+// and the active delta trees when they hold entries, so the list's
+// [1:] is the write side. Every read of the whole index loops over this
+// list. Callers pass new([3]tier), which stays on their stack since the
+// list does not outlive the call. Caller holds mu (any mode) for as
+// long as it uses the trees.
+func (si *SpatialIndex) tiersLocked(buf *[3]tier) []tier {
+	tombs := len(si.tombs)+len(si.ts0) > 0
+	tiers := append(buf[:0], tier{"packed", si.packed, tombs})
+	if si.frozen != nil && si.frozen.Len() > 0 {
+		tiers = append(tiers, tier{"frozen delta", si.frozen, tombs})
+	}
+	if si.delta.Len() > 0 {
+		tiers = append(tiers, tier{"delta", si.delta, false})
+	}
+	return tiers
+}
+
 // search answers every window, one after another: the id of each live
 // entry — packed + frozen + delta minus tombstones — whose MBR
 // intersects windows[i] and satisfies pred against it is appended to
@@ -415,27 +435,12 @@ func sortJoinPairs(pairs []rtree.JoinPair) {
 func (si *SpatialIndex) search(windows []geom.Rect, pred func(obj, win geom.Rect) bool, out [][]int64) int {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
-	tombs := len(si.tombs)+len(si.ts0) > 0
-	frozen := si.frozen != nil && si.frozen.Len() > 0
+	tiers := si.tiersLocked(new([3]tier))
 	visited := 0
 	for i, w := range windows {
-		visited += si.packed.Search(w, func(it rtree.Item) bool {
-			if pred(it.Rect, w) && !(tombs && si.deadLocked(it.Data)) {
-				out[i] = append(out[i], it.Data)
-			}
-			return true
-		})
-		if frozen {
-			visited += si.frozen.Search(w, func(it rtree.Item) bool {
-				if pred(it.Rect, w) && !(tombs && si.deadLocked(it.Data)) {
-					out[i] = append(out[i], it.Data)
-				}
-				return true
-			})
-		}
-		if si.delta.Len() > 0 {
-			visited += si.delta.Search(w, func(it rtree.Item) bool {
-				if pred(it.Rect, w) {
+		for _, tr := range tiers {
+			visited += tr.tree.Search(w, func(it rtree.Item) bool {
+				if pred(it.Rect, w) && !(tr.filtered && si.deadLocked(it.Data)) {
 					out[i] = append(out[i], it.Data)
 				}
 				return true
@@ -451,67 +456,27 @@ func (si *SpatialIndex) search(windows []geom.Rect, pred func(obj, win geom.Rect
 func (si *SpatialIndex) items() ([]rtree.Item, int) {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
-	return si.itemsLocked()
-}
-
-func (si *SpatialIndex) itemsLocked() ([]rtree.Item, int) {
 	var out []rtree.Item
-	visited := si.packed.NodeCount()
-	for _, it := range si.packed.Items() {
-		if !si.deadLocked(it.Data) {
-			out = append(out, it)
-		}
-	}
-	if si.frozen != nil && si.frozen.Len() > 0 {
-		visited += si.frozen.NodeCount()
-		for _, it := range si.frozen.Items() {
-			if !si.deadLocked(it.Data) {
+	visited := 0
+	for _, tr := range si.tiersLocked(new([3]tier)) {
+		visited += tr.tree.NodeCount()
+		for _, it := range tr.tree.Items() {
+			if !(tr.filtered && si.deadLocked(it.Data)) {
 				out = append(out, it)
 			}
 		}
-	}
-	if si.delta.Len() > 0 {
-		visited += si.delta.NodeCount()
-		out = append(out, si.delta.Items()...)
 	}
 	sortItemsByData(out)
 	return out, visited
 }
 
-// sideTree is one live constituent tree of an index plus its
-// tombstone filter, for merged juxtaposition.
-type sideTree struct {
-	tree *rtree.Tree
-	dead func(id int64) bool
-}
-
-// liveTreesLocked returns the non-empty constituent trees. Caller holds
-// mu (any mode), and must hold it for as long as the trees are used.
-func (si *SpatialIndex) liveTreesLocked() []sideTree {
-	never := func(int64) bool { return false }
-	dead := never
-	if len(si.tombs)+len(si.ts0) > 0 {
-		dead = si.deadLocked
-	}
-	var out []sideTree
-	if si.packed.Len() > 0 {
-		out = append(out, sideTree{tree: si.packed, dead: dead})
-	}
-	if si.frozen != nil && si.frozen.Len() > 0 {
-		out = append(out, sideTree{tree: si.frozen, dead: dead})
-	}
-	if si.delta.Len() > 0 {
-		out = append(out, sideTree{tree: si.delta, dead: never})
-	}
-	return out
-}
-
 // juxtaposeMerged joins two (possibly identical) indexes: every
-// constituent-tree pair is juxtaposed (rtree.JoinPairs), tombstoned
+// pair of their trees is juxtaposed (rtree.JoinPairs), tombstoned
 // pairs dropped, and the union sorted canonically by (A.Data, B.Data) —
-// bit-identical to joining two hypothetical single trees. Both indexes
-// are read-locked in seq order so no lock cycle can form against
-// another join running the opposite direction.
+// bit-identical to joining two hypothetical single trees. An empty
+// tree joins nothing and visits nothing. Both indexes are read-locked
+// in seq order so no lock cycle can form against another join running
+// the opposite direction.
 func juxtaposeMerged(si, sj *SpatialIndex, pred func(a, b geom.Rect) bool) ([]rtree.JoinPair, int) {
 	if si == sj {
 		si.mu.RLock()
@@ -527,14 +492,12 @@ func juxtaposeMerged(si, sj *SpatialIndex, pred func(a, b geom.Rect) bool) ([]rt
 		si.mu.RLock()
 		defer si.mu.RUnlock()
 	}
-	aTrees := si.liveTreesLocked()
-	bTrees := sj.liveTreesLocked()
 	var pairs []rtree.JoinPair
 	visited := 0
-	for _, ta := range aTrees {
-		for _, tb := range bTrees {
+	for _, ta := range si.tiersLocked(new([3]tier)) {
+		for _, tb := range sj.tiersLocked(new([3]tier)) {
 			visited += rtree.JoinPairs(ta.tree, tb.tree, pred, func(a, b rtree.Item) bool {
-				if !ta.dead(a.Data) && !tb.dead(b.Data) {
+				if !(ta.filtered && si.deadLocked(a.Data)) && !(tb.filtered && sj.deadLocked(b.Data)) {
 					pairs = append(pairs, rtree.JoinPair{A: a, B: b})
 				}
 				return true
@@ -550,15 +513,9 @@ func juxtaposeMerged(si, sj *SpatialIndex, pred func(a, b geom.Rect) bool) ([]rt
 func (si *SpatialIndex) checkInvariants() error {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
-	if err := si.packed.CheckInvariants(); err != nil {
-		return fmt.Errorf("packed: %w", err)
-	}
-	if err := si.delta.CheckInvariants(); err != nil {
-		return fmt.Errorf("delta: %w", err)
-	}
-	if si.frozen != nil {
-		if err := si.frozen.CheckInvariants(); err != nil {
-			return fmt.Errorf("frozen delta: %w", err)
+	for _, tr := range si.tiersLocked(new([3]tier)) {
+		if err := tr.tree.CheckInvariants(); err != nil {
+			return fmt.Errorf("%s: %w", tr.name, err)
 		}
 	}
 	if si.ts0 != nil && si.frozen == nil {

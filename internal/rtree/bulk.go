@@ -34,61 +34,65 @@ func Bulk(params Params, items []Item, g Grouper) *Tree {
 	}
 	t := &Tree{params: params}
 	if len(items) == 0 {
-		t.root = newNode(true, params.Max+1)
+		t.root = t.newNode(true)
 		return t
 	}
 
-	// Build the leaf level.
+	// Build the leaf level. The slab takes each level after the one
+	// below it, so the leaves are one run in grouper order; it is sized
+	// for a tree of full nodes, with room to spare for rounding.
 	rects := make([]geom.Rect, len(items))
 	for i, it := range items {
 		rects[i] = it.Rect
 	}
 	groups := checkedGroups(g, rects, params)
-	level := slab(len(groups), params, true)
+	t.nodes = make([]node, 0, len(groups)+len(groups)/(params.Max-1)+64)
+	t.appendLevel(len(groups), true)
 	for gi, grp := range groups {
-		n := &level[gi]
+		n := &t.nodes[gi]
 		for _, idx := range grp {
-			n.entries = append(n.entries, entry{rect: items[idx].Rect, data: items[idx].Data})
+			n.entries = append(n.entries, entry{rect: items[idx].Rect, ref: items[idx].Data})
 		}
 	}
 
-	// Build internal levels until a single node remains.
-	height := 0
-	for len(level) > 1 {
-		rects = rects[:len(level)]
-		for i := range level {
-			rects[i] = level[i].mbr()
+	// Build internal levels until a single node remains. level is the
+	// index of the first node of the level being grouped.
+	level, height := 0, 0
+	for len(t.nodes)-level > 1 {
+		below := t.nodes[level:]
+		rects = rects[:len(below)]
+		for i := range below {
+			rects[i] = below[i].mbr()
 		}
 		groups = checkedGroups(g, rects, params)
-		next := slab(len(groups), params, false)
+		next := len(t.nodes)
+		t.appendLevel(len(groups), false)
 		for gi, grp := range groups {
-			n := &next[gi]
+			n := &t.nodes[next+gi]
 			for _, idx := range grp {
-				n.entries = append(n.entries, entry{rect: rects[idx], child: &level[idx]})
+				n.entries = append(n.entries, entry{rect: rects[idx], ref: int64(level + idx)})
 			}
 		}
 		level = next
 		height++
 	}
-	t.root = &level[0]
+	t.root = level
 	t.height = height
 	t.size = len(items)
 	return t
 }
 
-// slab cuts a level of n nodes from one slab of nodes, and their
-// entries from one slab of entries: each node's entries are an empty
-// window of capacity Max+1, as newNode gives a node, so an Insert that
-// overflows it, or the split that follows, reslices its own window and
-// never a neighbour's.
-func slab(n int, params Params, leaf bool) []node {
-	nodes := make([]node, n)
-	width := params.Max + 1
+// appendLevel appends n empty nodes to the slab, their entries cut from
+// one slab of entries: each node's entries are an empty window of
+// capacity Max+1, as newNode gives a node, so an Insert that overflows
+// it, or the split that follows, reslices its own window and never a
+// neighbour's.
+func (t *Tree) appendLevel(n int, leaf bool) {
+	width := t.params.Max + 1
 	entries := make([]entry, n*width)
-	for i := range nodes {
-		nodes[i] = node{leaf: leaf, entries: entries[i*width : i*width : (i+1)*width]}
+	for i := range n {
+		t.nodes = append(t.nodes, node{leaf: leaf, entries: entries[i*width : i*width : (i+1)*width]})
 	}
-	return nodes
 }
 
 // checkedGroups runs the grouper, validates its output, and rebalances

@@ -14,52 +14,56 @@ import "repro/internal/geom"
 func (t *Tree) Delete(r geom.Rect, data int64) bool {
 	t.path = t.path[:0]
 	leaf, idx := t.findLeaf(t.root, r, data)
-	if leaf == nil {
+	if leaf < 0 {
 		return false
 	}
-	leaf.removeEntryAt(idx)
+	t.node(leaf).removeEntryAt(idx)
 	t.size--
 	t.condenseTree(leaf)
 	// If the root is an internal node with a single child, shorten the
 	// tree.
-	for !t.root.leaf && len(t.root.entries) == 1 {
-		t.root = t.root.entries[0].child
+	for root := t.node(t.root); !root.leaf && len(root.entries) == 1; root = t.node(t.root) {
+		old := t.root
+		t.root = int(root.entries[0].ref)
+		t.freeNode(old)
 		t.height--
 	}
 	return true
 }
 
-// findLeaf returns the leaf containing the exact entry and its index,
-// descending only into subtrees whose rectangle contains r. The
-// descent to that leaf is left in t.path for condenseTree.
-func (t *Tree) findLeaf(n *node, r geom.Rect, data int64) (*node, int) {
+// findLeaf returns the index of the leaf containing the exact entry and
+// the entry's index in it (-1, -1 when there is none), descending only
+// into subtrees whose rectangle contains r. The descent to that leaf is
+// left in t.path for condenseTree.
+func (t *Tree) findLeaf(i int, r geom.Rect, data int64) (int, int) {
+	n := t.node(i)
 	if n.leaf {
-		for i, e := range n.entries {
-			if e.data == data && e.rect.Eq(r) {
-				return n, i
+		for j, e := range n.entries {
+			if e.ref == data && e.rect.Eq(r) {
+				return i, j
 			}
 		}
-		return nil, -1
+		return -1, -1
 	}
-	for i, e := range n.entries {
+	for j, e := range n.entries {
 		if e.rect.Contains(r) {
-			t.path = append(t.path, step{n, i})
-			if leaf, j := t.findLeaf(e.child, r, data); leaf != nil {
-				return leaf, j
+			t.path = append(t.path, step{i, j})
+			if leaf, k := t.findLeaf(int(e.ref), r, data); leaf >= 0 {
+				return leaf, k
 			}
 			t.path = t.path[:len(t.path)-1]
 		}
 	}
-	return nil, -1
+	return -1, -1
 }
 
 // condenseTree climbs t.path from leaf n to the root: underfull nodes
-// are removed from their parents and their entries queued; covering
-// rectangles are tightened. Queued leaf entries are reinserted at the
-// leaf level and queued subtrees at their original level, preserving
-// leaf depth. The climb ends before the first reinsertion, which
-// descends a path of its own.
-func (t *Tree) condenseTree(n *node) {
+// are removed from their parents, their entries queued and the nodes
+// released; covering rectangles are tightened. Queued leaf entries are
+// reinserted at the leaf level and queued subtrees at their original
+// level, preserving leaf depth. The climb ends before the first
+// reinsertion, which descends a path of its own.
+func (t *Tree) condenseTree(n int) {
 	type orphan struct {
 		e     entry
 		level int
@@ -67,13 +71,14 @@ func (t *Tree) condenseTree(n *node) {
 	var orphans []orphan
 	for k := len(t.path) - 1; k >= 0; k-- {
 		p, i := t.path[k].n, t.path[k].i
-		if len(n.entries) < t.params.Min {
-			p.removeEntryAt(i)
-			for _, e := range n.entries {
+		if len(t.nodes[n].entries) < t.params.Min {
+			t.node(p).removeEntryAt(i)
+			for _, e := range t.nodes[n].entries {
 				orphans = append(orphans, orphan{e: e, level: len(t.path) - 1 - k})
 			}
+			t.freeNode(n)
 		} else {
-			p.entries[i].rect = n.mbr()
+			t.nodes[p].entries[i].rect = t.node(n).mbr()
 		}
 		n = p
 	}

@@ -11,7 +11,7 @@ import "repro/internal/geom"
 
 // Insert adds an item with the given rectangle and data pointer.
 func (t *Tree) Insert(r geom.Rect, data int64) {
-	t.insertEntry(entry{rect: r, data: data}, 0)
+	t.insertEntry(entry{rect: r, ref: data}, 0)
 	t.size++
 }
 
@@ -23,9 +23,9 @@ func (t *Tree) InsertItem(it Item) { t.Insert(it.Rect, it.Data) }
 // subtrees.
 func (t *Tree) insertEntry(e entry, level int) {
 	n := t.chooseNode(e.rect, level)
-	n.entries = append(n.entries, e)
-	var split *node
-	if len(n.entries) > t.params.Max {
+	t.nodes[n].entries = append(t.nodes[n].entries, e)
+	split := -1
+	if len(t.nodes[n].entries) > t.params.Max {
 		split = t.splitNode(n)
 	}
 	t.adjustTree(n, split)
@@ -35,52 +35,52 @@ func (t *Tree) insertEntry(e entry, level int) {
 // descend from the root, at each step picking the entry whose
 // rectangle needs the least enlargement to include r, breaking ties by
 // smallest area. The descent is left in t.path for adjustTree.
-func (t *Tree) chooseNode(r geom.Rect, level int) *node {
+func (t *Tree) chooseNode(r geom.Rect, level int) int {
 	t.path = t.path[:0]
-	n := t.root
+	i := t.root
 	depth := t.height
-	for !n.leaf && depth > level {
+	for n := t.node(i); !n.leaf && depth > level; n = t.node(i) {
 		best := 0
 		bestEnl := n.entries[0].rect.Enlargement(r)
 		bestArea := n.entries[0].rect.Area()
-		for i := 1; i < len(n.entries); i++ {
-			enl := n.entries[i].rect.Enlargement(r)
-			area := n.entries[i].rect.Area()
+		for j := 1; j < len(n.entries); j++ {
+			enl := n.entries[j].rect.Enlargement(r)
+			area := n.entries[j].rect.Area()
 			if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-				best, bestEnl, bestArea = i, enl, area
+				best, bestEnl, bestArea = j, enl, area
 			}
 		}
-		t.path = append(t.path, step{n, best})
-		n = n.entries[best].child
+		t.path = append(t.path, step{i, best})
+		i = int(n.entries[best].ref)
 		depth--
 	}
-	return n
+	return i
 }
 
-// adjustTree is Guttman's AdjustTree: climb t.path from n to the
+// adjustTree is Guttman's AdjustTree: climb t.path from node n to the
 // root, fixing covering rectangles; when a split produced a new node
-// nn, install its entry in the parent, splitting again on overflow. A
-// root split grows the tree one level.
-func (t *Tree) adjustTree(n, nn *node) {
+// nn (-1 when none did), install its entry in the parent, splitting
+// again on overflow. A root split grows the tree one level.
+func (t *Tree) adjustTree(n, nn int) {
 	for k := len(t.path) - 1; k >= 0; k-- {
 		p := t.path[k].n
 		// Fix the covering rectangle of n's entry in its parent.
-		p.entries[t.path[k].i].rect = n.mbr()
-		if nn != nil {
-			p.entries = append(p.entries, entry{rect: nn.mbr(), child: nn})
-			nn = nil
-			if len(p.entries) > t.params.Max {
+		t.nodes[p].entries[t.path[k].i].rect = t.node(n).mbr()
+		if nn >= 0 {
+			t.nodes[p].entries = append(t.nodes[p].entries, entry{rect: t.node(nn).mbr(), ref: int64(nn)})
+			nn = -1
+			if len(t.nodes[p].entries) > t.params.Max {
 				nn = t.splitNode(p)
 			}
 		}
 		n = p
 	}
-	if nn != nil {
+	if nn >= 0 {
 		// Root split: create a new root pointing at both halves.
-		newRoot := newNode(false, t.params.Max+1)
-		newRoot.entries = append(newRoot.entries,
-			entry{rect: n.mbr(), child: n}, entry{rect: nn.mbr(), child: nn})
-		t.root = newRoot
+		root := t.newNode(false)
+		t.nodes[root].entries = append(t.nodes[root].entries,
+			entry{rect: t.node(n).mbr(), ref: int64(n)}, entry{rect: t.node(nn).mbr(), ref: int64(nn)})
+		t.root = root
 		t.height++
 	}
 }

@@ -7,22 +7,35 @@ import "fmt"
 // entries below them, every non-root node holds between m and M
 // entries (the root at least 2 unless it is a leaf), all leaves lie at
 // the same depth, and the recorded size and height match the
-// structure. Bulk-built (packed) trees may be
-// checked with requireMinFill=false at the last group of each level,
-// so packing checks use the same function. It returns nil when the
-// tree is valid.
+// structure. It also checks the slab: every child index lies inside
+// it, and every slab node is reached exactly once or is on the free
+// list. Bulk-built (packed) trees satisfy the same invariants, so
+// packing checks use the same function. It returns nil when the tree
+// is valid.
 func (t *Tree) CheckInvariants() error {
-	if t.root == nil {
-		return fmt.Errorf("rtree: nil root")
+	if t.root < 0 || t.root >= len(t.nodes) {
+		return fmt.Errorf("rtree: root %d outside a slab of %d nodes", t.root, len(t.nodes))
 	}
-	if !t.root.leaf && len(t.root.entries) < 2 {
-		return fmt.Errorf("rtree: internal root has %d entries, want >= 2", len(t.root.entries))
+	if root := t.node(t.root); !root.leaf && len(root.entries) < 2 {
+		return fmt.Errorf("rtree: internal root has %d entries, want >= 2", len(root.entries))
+	}
+	reached := make([]bool, len(t.nodes))
+	for _, i := range t.free {
+		if i < 0 || i >= len(t.nodes) || reached[i] {
+			return fmt.Errorf("rtree: free node %d outside a slab of %d nodes or listed twice", i, len(t.nodes))
+		}
+		reached[i] = true
 	}
 	items := 0
 	leafDepth := -1
-	var walk func(n *node, depth int) error
-	walk = func(n *node, depth int) error {
-		if n != t.root {
+	var walk func(i, depth int) error
+	walk = func(i, depth int) error {
+		if reached[i] {
+			return fmt.Errorf("rtree: node %d at depth %d is reached twice or is free", i, depth)
+		}
+		reached[i] = true
+		n := t.node(i)
+		if i != t.root {
 			if len(n.entries) < t.params.Min {
 				return fmt.Errorf("rtree: node at depth %d underfull: %d < m=%d", depth, len(n.entries), t.params.Min)
 			}
@@ -37,21 +50,16 @@ func (t *Tree) CheckInvariants() error {
 				return fmt.Errorf("rtree: leaves at differing depths %d and %d", leafDepth, depth)
 			}
 			items += len(n.entries)
-			for _, e := range n.entries {
-				if e.child != nil {
-					return fmt.Errorf("rtree: leaf entry has a child pointer")
-				}
-			}
 			return nil
 		}
-		for i, e := range n.entries {
-			if e.child == nil {
-				return fmt.Errorf("rtree: internal entry %d has no child", i)
+		for j, e := range n.entries {
+			if e.ref < 0 || e.ref >= int64(len(t.nodes)) {
+				return fmt.Errorf("rtree: internal entry %d at depth %d names node %d outside a slab of %d", j, depth, e.ref, len(t.nodes))
 			}
-			if got := e.child.mbr(); !got.Eq(e.rect) {
+			if got := t.node(int(e.ref)).mbr(); !got.Eq(e.rect) {
 				return fmt.Errorf("rtree: entry rect %v != child MBR %v at depth %d", e.rect, got, depth)
 			}
-			if err := walk(e.child, depth+1); err != nil {
+			if err := walk(int(e.ref), depth+1); err != nil {
 				return err
 			}
 		}
@@ -59,6 +67,11 @@ func (t *Tree) CheckInvariants() error {
 	}
 	if err := walk(t.root, 0); err != nil {
 		return err
+	}
+	for i, ok := range reached {
+		if !ok {
+			return fmt.Errorf("rtree: node %d is neither reached nor free", i)
+		}
 	}
 	if items != t.size {
 		return fmt.Errorf("rtree: size %d but %d items found", t.size, items)

@@ -13,7 +13,7 @@ type JoinPair struct {
 // pairs visited. The pruning rule is JoinPairs': pred must imply
 // rectangle intersection. workers is ignored; it stays only because
 // cmd/pictbench compiles against it, until the benchmark reads the
-// engine's own counters (ROADMAP.md item 2).
+// engine's own counters.
 func Juxtapose(t, u *Tree, pred func(a, b geom.Rect) bool, workers int) ([]JoinPair, int) {
 	var out []JoinPair
 	visited := JoinPairs(t, u, pred, func(a, b Item) bool {

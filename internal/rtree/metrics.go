@@ -21,54 +21,26 @@ type Metrics struct {
 // leaf has exactly one leaf rectangle (empty trees have none).
 func (t *Tree) LeafRects() []geom.Rect {
 	var out []geom.Rect
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.leaf {
-			if len(n.entries) > 0 {
-				out = append(out, n.mbr())
-			}
-			return
+	t.walk(func(n *node, _ int) {
+		if n.leaf && len(n.entries) > 0 {
+			out = append(out, n.mbr())
 		}
-		for _, e := range n.entries {
-			walk(e.child)
-		}
-	}
-	walk(t.root)
+	})
 	return out
 }
 
 // NodeCount returns the paper's N: every node in the tree including
-// the root.
-func (t *Tree) NodeCount() int {
-	count := 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		count++
-		if n.leaf {
-			return
-		}
-		for _, e := range n.entries {
-			walk(e.child)
-		}
-	}
-	walk(t.root)
-	return count
-}
+// the root — every node of the slab that Delete has not released.
+func (t *Tree) NodeCount() int { return len(t.nodes) - len(t.free) }
 
 // LeafCount returns the number of leaf nodes.
 func (t *Tree) LeafCount() int {
 	count := 0
-	var walk func(n *node)
-	walk = func(n *node) {
+	t.walk(func(n *node, _ int) {
 		if n.leaf {
 			count++
-			return
 		}
-		for _, e := range n.entries {
-			walk(e.child)
-		}
-	}
-	walk(t.root)
+	})
 	return count
 }
 
@@ -87,24 +59,14 @@ func (t *Tree) Overlap() float64 { return geom.OverlapPairwise(t.LeafRects()) }
 // measures each cost a sweep over the leaf rectangles and price
 // nothing; they are left zero. ComputeMetrics is the full row.
 func (t *Tree) SearchMetrics() Metrics {
-	m := Metrics{Depth: t.Depth(), Items: t.Len()}
-	m.walk(t.root)
-	return m
-}
-
-// walk adds n's subtree to m's node and leaf counts and coverage.
-func (m *Metrics) walk(n *node) {
-	m.Nodes++
-	if n.leaf {
-		if len(n.entries) > 0 {
+	m := Metrics{Depth: t.Depth(), Items: t.Len(), Nodes: t.NodeCount()}
+	t.walk(func(n *node, _ int) {
+		if n.leaf && len(n.entries) > 0 {
 			m.Leaves++
 			m.Coverage += n.mbr().Area()
 		}
-		return
-	}
-	for _, e := range n.entries {
-		m.walk(e.child)
-	}
+	})
+	return m
 }
 
 // ComputeMetrics gathers all structural measures of Table 1: the
@@ -127,16 +89,8 @@ func (t *Tree) LevelRects() [][]geom.Rect {
 		return nil
 	}
 	out := make([][]geom.Rect, t.height+1)
-	var walk func(n *node, level int)
-	walk = func(n *node, level int) {
+	t.walk(func(n *node, level int) {
 		out[level] = append(out[level], n.mbr())
-		if n.leaf {
-			return
-		}
-		for _, e := range n.entries {
-			walk(e.child, level+1)
-		}
-	}
-	walk(t.root, 0)
+	})
 	return out
 }

@@ -24,26 +24,23 @@ type Item struct {
 	Data int64
 }
 
-// entry is one slot of a node: a bounding rectangle plus either a child
-// node (internal entries) or a data pointer (leaf entries), mirroring
-// the paper's ENTRY record.
+// entry is one slot of a node, the paper's ENTRY record: a bounding
+// rectangle and a reference. In an internal node ref is the child's
+// index in Tree.nodes, as the paper's NODE names a child by its disk
+// address; in a leaf it is the data pointer. The node's leaf flag says
+// which. An entry holds no pointer, so the collector never traces one.
 type entry struct {
-	rect  geom.Rect
-	child *node // non-nil for internal entries
-	data  int64 // valid for leaf entries
+	rect geom.Rect
+	ref  int64
 }
 
-func (e entry) item() Item { return Item{Rect: e.rect, Data: e.data} }
+func (e entry) item() Item { return Item{Rect: e.rect, Data: e.ref} }
 
 // node is an R-tree node, the paper's NODE record: CLASS is the leaf
 // flag, DESC the entry array, VALID its length.
 type node struct {
 	leaf    bool
 	entries []entry
-}
-
-func newNode(leaf bool, capacity int) *node {
-	return &node{leaf: leaf, entries: make([]entry, 0, capacity)}
 }
 
 // mbr returns the minimal bounding rectangle of all entries of n.
@@ -60,11 +57,10 @@ func (n *node) removeEntryAt(i int) {
 	n.entries = append(n.entries[:i], n.entries[i+1:]...)
 }
 
-// step is one step of a descent: the node passed through and the
-// index of the entry followed out of it.
+// step is one step of a descent: the index of the node passed through
+// and the index of the entry followed out of it.
 type step struct {
-	n *node
-	i int
+	n, i int
 }
 
 // SplitKind selects Guttman's node-splitting heuristic.
@@ -133,7 +129,12 @@ func (p Params) Validate() error {
 // serialize externally, the usual R-tree contract.
 type Tree struct {
 	params Params
-	root   *node
+	// nodes is the slab every node of the tree lives in; root and every
+	// internal entry's ref index it. free lists the indices Delete has
+	// released, for newNode to hand out again.
+	nodes  []node
+	free   []int
+	root   int
 	height int // depth: edges from root to leaves; 0 when root is a leaf
 	size   int // number of stored items
 	// path is the descent of the running Insert or Delete, root first:
@@ -148,9 +149,48 @@ func New(params Params) *Tree {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
-	return &Tree{
-		params: params,
-		root:   newNode(true, params.Max+1),
+	t := &Tree{params: params}
+	t.root = t.newNode(true)
+	return t
+}
+
+// node returns the node at index i. The pointer stays valid only until
+// the next newNode, which may grow the slab: code that allocates holds
+// an index across the allocation, never a pointer.
+func (t *Tree) node(i int) *node { return &t.nodes[i] }
+
+// newNode returns the index of an empty node, reusing a released one
+// when there is one. Its entries have capacity Max+1, room for the
+// overflow a split then resolves.
+func (t *Tree) newNode(leaf bool) int {
+	if k := len(t.free); k > 0 {
+		i := t.free[k-1]
+		t.free = t.free[:k-1]
+		t.nodes[i].leaf = leaf
+		return i
+	}
+	t.nodes = append(t.nodes, node{leaf: leaf, entries: make([]entry, 0, t.params.Max+1)})
+	return len(t.nodes) - 1
+}
+
+// freeNode releases node i, keeping its entries' capacity for reuse.
+func (t *Tree) freeNode(i int) {
+	t.nodes[i].entries = t.nodes[i].entries[:0]
+	t.free = append(t.free, i)
+}
+
+// walk visits every node depth first, each before its children and the
+// children in entry order, with the node's depth below the root.
+func (t *Tree) walk(visit func(n *node, depth int)) { t.walkFrom(t.root, 0, visit) }
+
+func (t *Tree) walkFrom(i, depth int, visit func(n *node, depth int)) {
+	n := t.node(i)
+	visit(n, depth)
+	if n.leaf {
+		return
+	}
+	for _, e := range n.entries {
+		t.walkFrom(int(e.ref), depth+1, visit)
 	}
 }
 
@@ -166,4 +206,4 @@ func (t *Tree) Depth() int { return t.height }
 
 // Bounds returns the MBR of everything in the tree (empty when the
 // tree is empty).
-func (t *Tree) Bounds() geom.Rect { return t.root.mbr() }
+func (t *Tree) Bounds() geom.Rect { return t.node(t.root).mbr() }

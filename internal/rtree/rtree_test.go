@@ -430,6 +430,11 @@ func TestQuickInsertDeleteInvariants(t *testing.T) {
 						return false
 					}
 				}
+				// The deletes released every node but the root.
+				if free := len(tr.free); free != len(tr.nodes)-1 || tr.NodeCount() != 1 {
+					t.Logf("emptied: %d of %d slab nodes free, want all but the root", free, len(tr.nodes))
+					return false
+				}
 				for _, it := range uniformRectItems(n, rng.Int63()) {
 					tr.InsertItem(it)
 					model[it.Data] = it

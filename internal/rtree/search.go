@@ -18,10 +18,14 @@ import "repro/internal/geom"
 // rectangle intersects the target window.
 func (t *Tree) Search(window geom.Rect, fn func(Item) bool) int {
 	visited := 0
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
+	var walk func(i int) bool
+	walk = func(i int) bool {
 		visited++
-		for _, e := range n.entries {
+		n := t.node(i)
+		// Index the entries rather than copy each one out: the copy
+		// cost a window search about 5%.
+		for k := range n.entries {
+			e := &n.entries[k]
 			if !e.rect.Intersects(window) {
 				continue
 			}
@@ -29,7 +33,7 @@ func (t *Tree) Search(window geom.Rect, fn func(Item) bool) int {
 				if !fn(e.item()) {
 					return false
 				}
-			} else if !walk(e.child) {
+			} else if !walk(int(e.ref)) {
 				return false
 			}
 		}
@@ -67,19 +71,13 @@ func (t *Tree) ContainsPoint(p geom.Point) (bool, int) {
 // Items returns every stored item in leaf order.
 func (t *Tree) Items() []Item {
 	out := make([]Item, 0, t.size)
-	var walk func(n *node)
-	walk = func(n *node) {
+	t.walk(func(n *node, _ int) {
 		if n.leaf {
 			for _, e := range n.entries {
 				out = append(out, e.item())
 			}
-			return
 		}
-		for _, e := range n.entries {
-			walk(e.child)
-		}
-	}
-	walk(t.root)
+	})
 	return out
 }
 
@@ -96,9 +94,10 @@ func (t *Tree) Items() []Item {
 // exactly the ones pruned.
 func JoinPairs(t, u *Tree, pred func(a, b geom.Rect) bool, fn func(a, b Item) bool) int {
 	visited := 0
-	var walk func(n, m *node) bool
-	walk = func(n, m *node) bool {
+	var walk func(i, j int) bool
+	walk = func(i, j int) bool {
 		visited++
+		n, m := t.node(i), u.node(j)
 		switch {
 		case n.leaf && m.leaf:
 			for _, ea := range n.entries {
@@ -114,7 +113,7 @@ func JoinPairs(t, u *Tree, pred func(a, b geom.Rect) bool, fn func(a, b Item) bo
 			nm := n.mbr()
 			for _, eb := range m.entries {
 				if nm.Intersects(eb.rect) {
-					if !walk(n, eb.child) {
+					if !walk(i, int(eb.ref)) {
 						return false
 					}
 				}
@@ -123,7 +122,7 @@ func JoinPairs(t, u *Tree, pred func(a, b geom.Rect) bool, fn func(a, b Item) bo
 			mm := m.mbr()
 			for _, ea := range n.entries {
 				if ea.rect.Intersects(mm) {
-					if !walk(ea.child, m) {
+					if !walk(int(ea.ref), j) {
 						return false
 					}
 				}
@@ -132,7 +131,7 @@ func JoinPairs(t, u *Tree, pred func(a, b geom.Rect) bool, fn func(a, b Item) bo
 			for _, ea := range n.entries {
 				for _, eb := range m.entries {
 					if ea.rect.Intersects(eb.rect) {
-						if !walk(ea.child, eb.child) {
+						if !walk(int(ea.ref), int(eb.ref)) {
 							return false
 						}
 					}

@@ -11,21 +11,21 @@ import (
 // return the new sibling holding the other group, respecting the
 // minimum fill m.
 
-// splitNode splits the overflowing node n in place and returns the new
-// sibling node.
-func (t *Tree) splitNode(n *node) *node {
+// splitNode splits the overflowing node n in place and returns the
+// index of the new sibling node.
+func (t *Tree) splitNode(n int) int {
 	var groupA, groupB []entry
 	switch t.params.Split {
 	case SplitLinear:
-		groupA, groupB = t.splitLinear(n.entries)
+		groupA, groupB = t.splitLinear(t.nodes[n].entries)
 	case SplitExhaustive:
-		groupA, groupB = t.splitExhaustive(n.entries)
+		groupA, groupB = t.splitExhaustive(t.nodes[n].entries)
 	default:
-		groupA, groupB = t.splitQuadratic(n.entries)
+		groupA, groupB = t.splitQuadratic(t.nodes[n].entries)
 	}
-	sibling := newNode(n.leaf, t.params.Max+1)
-	n.entries = append(n.entries[:0], groupA...)
-	sibling.entries = append(sibling.entries, groupB...)
+	sibling := t.newNode(t.nodes[n].leaf)
+	t.nodes[n].entries = append(t.nodes[n].entries[:0], groupA...)
+	t.nodes[sibling].entries = append(t.nodes[sibling].entries, groupB...)
 	return sibling
 }
 
