@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -472,13 +473,17 @@ func windowReadRelation(tb testing.TB, db *pictdb.Database, n int) *pictdb.Relat
 
 // windowReadFile writes the 200k-point window_read database to a file
 // under b's temporary directory and returns its path.
-func windowReadFile(b testing.TB) string {
+func windowReadFile(b testing.TB) string { return windowReadFileOf(b, 200_000) }
+
+// windowReadFileOf writes a window_read database of n points to a file
+// under b's temporary directory and returns its path.
+func windowReadFileOf(b testing.TB, n int) string {
 	path := filepath.Join(b.TempDir(), "open.db")
 	db, err := pictdb.Open(path, 4096)
 	if err != nil {
 		b.Fatal(err)
 	}
-	windowReadRelation(b, db, 200_000)
+	windowReadRelation(b, db, n)
 	if err := db.Checkpoint(); err != nil {
 		b.Fatal(err)
 	}
@@ -819,7 +824,8 @@ func TestWindowReadsBypassThePool(t *testing.T) {
 // BenchmarkOpenWindowRead measures pictdb.Open of a file shaped like
 // pictbench's window_read database: 200k clustered points with a B-tree
 // on pop and a Hilbert-packed R-tree, built once. Each iteration is one
-// catalog reload; Close is outside the timer.
+// catalog reload; Close is outside the timer. live-MB is the heap one
+// open database holds, read after a collection.
 func BenchmarkOpenWindowRead(b *testing.B) {
 	path := windowReadFile(b)
 	// Phase times come from inside the reload (its own clock seam) and
@@ -844,6 +850,51 @@ func BenchmarkOpenWindowRead(b *testing.B) {
 	}
 	for j, name := range [4]string{"catalog-decode", "scan", "btree", "pack"} {
 		b.ReportMetric(float64(phases[j].Microseconds())/1e3/float64(b.N), name+"-ms")
+	}
+	b.StopTimer()
+	before := liveHeap()
+	db, err := pictdb.Open(path, 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(liveHeap()-before)/(1<<20), "live-MB")
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// liveHeap is the heap in use after a collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// openLiveBytesPerPoint bounds TestOpenLiveHeapPerPoint. On 2 cores
+// with go1.24 the open file held 129 bytes a point (209 without the
+// mmap, whose pool keeps the pages the reload read), and 334 (414) while
+// every picture kept a second copy of its objects.
+const openLiveBytesPerPoint = 250
+
+// TestOpenLiveHeapPerPoint is the known-small gate: a reopened
+// 20 000-point window_read file holds at most openLiveBytesPerPoint
+// bytes of live heap per indexed point, read after a collection with
+// the database open. Each tuple carries its object, so the heap holds
+// the indexes and no second copy of the objects.
+func TestOpenLiveHeapPerPoint(t *testing.T) {
+	const n = 20_000
+	path := windowReadFileOf(t, n)
+	before := liveHeap()
+	db, err := pictdb.Open(path, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	perPoint := float64(liveHeap()-before) / n
+	t.Logf("%.0f live bytes per point", perPoint)
+	if perPoint > openLiveBytesPerPoint {
+		t.Errorf("an open %d-point file holds %.0f live bytes per point, want at most %d", n, perPoint, openLiveBytesPerPoint)
 	}
 }
 

@@ -29,8 +29,8 @@ var ErrCorrupt = errors.New("pictdb: corrupt database")
 // checksummed files, a PICTCAT1 catalog). The file is left untouched.
 var ErrUnsupportedFormat = pager.ErrUnsupportedFormat
 
-// ErrDanglingLoc is Relation.Insert's refusal of a non-zero loc that
-// names no picture of the database, or no object of that picture.
+// ErrDanglingLoc is Relation.Insert's refusal of a loc whose object it
+// can take neither from the value nor from its picture's staged objects.
 var ErrDanglingLoc = relation.ErrDanglingLoc
 
 // CheckProblem is one verification finding, anchored to the page it
@@ -145,8 +145,33 @@ func (db *Database) Check() *CheckReport {
 				}
 			}
 		}
+		r.checkObjects(rels, names)
 	})
 	return r
+}
+
+// checkObjects files a finding for every tuple, of any relation, that
+// carries an object id of a picture encoded unlike the first tuple that
+// carries it: a reader takes a loc's object from its own tuple, so the
+// two would answer one loc two ways.
+func (r *CheckReport) checkObjects(rels map[string]*relation.Relation, names []string) {
+	seen := make(map[relation.LocRef]string) // the first encoding of each object
+	for _, name := range names {
+		// A relation whose tuples do not decode has its finding already.
+		_ = rels[name].Scan(func(id storage.TupleID, t relation.Tuple) bool {
+			for _, v := range t {
+				if v.Type != relation.TypeLoc || v.Loc.IsZero() {
+					continue
+				}
+				if enc, ok := seen[v.Loc]; !ok {
+					seen[v.Loc] = v.Str
+				} else if enc != v.Str {
+					r.add(pager.InvalidPage, "relation:"+name, fmt.Errorf("%w: tuple %v carries object %v encoded unlike another tuple", ErrCorrupt, id, v.Loc))
+				}
+			}
+			return true
+		})
+	}
 }
 
 // add files one finding.

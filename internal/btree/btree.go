@@ -25,28 +25,27 @@ type Value = int64
 const DefaultOrder = 64
 
 type leafNode struct {
-	keys   [][]byte
-	vals   []Value
-	next   *leafNode // right sibling for range scans
-	parent *innerNode
+	keys [][]byte
+	vals []Value
+	next *leafNode // right sibling for range scans
 }
 
 type innerNode struct {
 	// keys[i] is the smallest key in children[i+1]'s subtree.
 	keys     [][]byte
 	children []node
-	parent   *innerNode
 }
 
-type node interface {
-	parentNode() *innerNode
-	setParent(*innerNode)
-}
+// node is a *leafNode or an *innerNode. No node links to its parent: an
+// insert records the path it came down and its splits climb that.
+type node any
 
-func (l *leafNode) parentNode() *innerNode   { return l.parent }
-func (l *leafNode) setParent(p *innerNode)   { l.parent = p }
-func (in *innerNode) parentNode() *innerNode { return in.parent }
-func (in *innerNode) setParent(p *innerNode) { in.parent = p }
+// step is one inner node of an insert's descent and the index of the
+// child it took.
+type step struct {
+	in *innerNode
+	i  int
+}
 
 // Tree is an in-memory B+-tree.
 type Tree struct {
@@ -234,9 +233,6 @@ func BulkLoad(order int, run []Entry) *Tree {
 				hi--
 			}
 			in := &innerNode{keys: mins[lo+1 : hi : hi], children: level[lo:hi:hi]}
-			for _, c := range in.children {
-				c.setParent(in)
-			}
 			next = append(next, in)
 			nextMins = append(nextMins, mins[lo])
 			lo = hi
@@ -251,13 +247,15 @@ func BulkLoad(order int, run []Entry) *Tree {
 // Len returns the number of stored entries.
 func (t *Tree) Len() int { return t.size }
 
-// findLeaf descends to the leaf that should contain key.
-func (t *Tree) findLeaf(key []byte) *leafNode {
+// findLeaf descends to the leaf that should contain key, appending each
+// step to path unless path is nil: Insert records its descent on its
+// own stack, since readers descend beside each other.
+func (t *Tree) findLeaf(key []byte, path []step) (*leafNode, []step) {
 	n := t.root
 	for {
 		switch v := n.(type) {
 		case *leafNode:
-			return v
+			return v, path
 		case *innerNode:
 			// Descend left on equality: with duplicate keys a split
 			// separator can equal the key, and equal entries may live
@@ -266,6 +264,9 @@ func (t *Tree) findLeaf(key []byte) *leafNode {
 			i := 0
 			for i < len(v.keys) && bytes.Compare(key, v.keys[i]) > 0 {
 				i++
+			}
+			if path != nil {
+				path = append(path, step{v, i})
 			}
 			n = v.children[i]
 		}
@@ -290,7 +291,10 @@ func lowerBound(keys [][]byte, key []byte) int {
 // copied.
 func (t *Tree) Insert(key []byte, value Value) {
 	k := append([]byte(nil), key...)
-	leaf := t.findLeaf(k)
+	// Every inner node has two children or more and Delete removes no
+	// node, so 2^63 entries fit in 64 levels.
+	var buf [64]step
+	leaf, path := t.findLeaf(k, buf[:0])
 	i := lowerBound(leaf.keys, k)
 	leaf.keys = append(leaf.keys, nil)
 	copy(leaf.keys[i+1:], leaf.keys[i:])
@@ -300,11 +304,11 @@ func (t *Tree) Insert(key []byte, value Value) {
 	leaf.vals[i] = value
 	t.size++
 	if len(leaf.keys) > t.order {
-		t.splitLeaf(leaf)
+		t.splitLeaf(path, leaf)
 	}
 }
 
-func (t *Tree) splitLeaf(leaf *leafNode) {
+func (t *Tree) splitLeaf(path []step, leaf *leafNode) {
 	mid := len(leaf.keys) / 2
 	right := &leafNode{
 		keys: append([][]byte(nil), leaf.keys[mid:]...),
@@ -314,49 +318,39 @@ func (t *Tree) splitLeaf(leaf *leafNode) {
 	leaf.keys = leaf.keys[:mid]
 	leaf.vals = leaf.vals[:mid]
 	leaf.next = right
-	t.insertIntoParent(leaf, right.keys[0], right)
+	t.insertIntoParent(path, leaf, right.keys[0], right)
 }
 
-func (t *Tree) splitInner(in *innerNode) {
+func (t *Tree) splitInner(path []step, in *innerNode) {
 	mid := len(in.keys) / 2
 	upKey := in.keys[mid]
 	right := &innerNode{
 		keys:     append([][]byte(nil), in.keys[mid+1:]...),
 		children: append([]node(nil), in.children[mid+1:]...),
 	}
-	for _, c := range right.children {
-		c.setParent(right)
-	}
 	in.keys = in.keys[:mid]
 	in.children = in.children[:mid+1]
-	t.insertIntoParent(in, upKey, right)
+	t.insertIntoParent(path, in, upKey, right)
 }
 
-// insertIntoParent links right as the sibling of left with separator
-// key, creating a new root when left was the root.
-func (t *Tree) insertIntoParent(left node, key []byte, right node) {
-	p := left.parentNode()
-	if p == nil {
-		root := &innerNode{keys: [][]byte{key}, children: []node{left, right}}
-		left.setParent(root)
-		right.setParent(root)
-		t.root = root
+// insertIntoParent links right as the sibling of left, which path leads
+// to, with separator key: into the parent path ends at, left being the
+// child its last step took, or into a new root when path is empty.
+func (t *Tree) insertIntoParent(path []step, left node, key []byte, right node) {
+	if len(path) == 0 {
+		t.root = &innerNode{keys: [][]byte{key}, children: []node{left, right}}
 		return
 	}
-	// Find left's position in p.
-	pos := 0
-	for pos < len(p.children) && p.children[pos] != left {
-		pos++
-	}
+	last := path[len(path)-1]
+	p, pos := last.in, last.i
 	p.keys = append(p.keys, nil)
 	copy(p.keys[pos+1:], p.keys[pos:])
 	p.keys[pos] = key
 	p.children = append(p.children, nil)
 	copy(p.children[pos+2:], p.children[pos+1:])
 	p.children[pos+1] = right
-	right.setParent(p)
 	if len(p.keys) > t.order {
-		t.splitInner(p)
+		t.splitInner(path[:len(path)-1], p)
 	}
 }
 
@@ -378,7 +372,7 @@ func (t *Tree) Get(key []byte) []Value {
 // is not required for correctness of searches), but empty leaves are
 // unlinked lazily during scans.
 func (t *Tree) Delete(key []byte, value Value) bool {
-	leaf := t.findLeaf(key)
+	leaf, _ := t.findLeaf(key, nil)
 	for leaf != nil {
 		i := lowerBound(leaf.keys, key)
 		if i == len(leaf.keys) {
@@ -416,7 +410,7 @@ func (t *Tree) Ascend(fn func(key []byte, value Value) bool) {
 // AscendRange calls fn on entries with lo <= key < hi in ascending
 // order; returning false stops the scan.
 func (t *Tree) AscendRange(lo, hi []byte, fn func(key []byte, value Value) bool) {
-	leaf := t.findLeaf(lo)
+	leaf, _ := t.findLeaf(lo, nil)
 	for leaf != nil {
 		for i := lowerBound(leaf.keys, lo); i < len(leaf.keys); i++ {
 			if bytes.Compare(leaf.keys[i], hi) >= 0 {
@@ -433,7 +427,7 @@ func (t *Tree) AscendRange(lo, hi []byte, fn func(key []byte, value Value) bool)
 // AscendFrom calls fn on entries with key >= lo in ascending order;
 // returning false stops the scan.
 func (t *Tree) AscendFrom(lo []byte, fn func(key []byte, value Value) bool) {
-	leaf := t.findLeaf(lo)
+	leaf, _ := t.findLeaf(lo, nil)
 	for leaf != nil {
 		for i := lowerBound(leaf.keys, lo); i < len(leaf.keys); i++ {
 			if !fn(leaf.keys[i], leaf.vals[i]) {
@@ -446,8 +440,8 @@ func (t *Tree) AscendFrom(lo []byte, fn func(key []byte, value Value) bool) {
 
 // CheckInvariants verifies B+-tree ordering, linkage and shape: the
 // leaf chain is sorted and holds size entries; no node holds more than
-// order keys; every inner node has one child more than keys, at least
-// two, each linked back to it; every leaf sits at the same depth; and
+// order keys; every inner node has one child more than keys, and at
+// least two; every leaf sits at the same depth; and
 // each separator bounds the subtrees beside it (nothing left of it is
 // greater, nothing right of it smaller). It returns nil for a valid
 // tree. Leaves emptied by Delete are valid.
@@ -506,9 +500,6 @@ func (t *Tree) CheckInvariants() error {
 		}
 		var lo, hi []byte
 		for i, c := range in.children {
-			if c.parentNode() != in {
-				return nil, nil, fmt.Errorf("btree: child parent link broken")
-			}
 			clo, chi, err := walk(c, depth+1)
 			if err != nil {
 				return nil, nil, err

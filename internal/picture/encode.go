@@ -1,7 +1,6 @@
 package picture
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -19,9 +18,9 @@ import (
 //
 // Points store one vertex, segments two, regions all polygon vertices.
 
-// AppendObject appends the encoding of o to buf.
-func AppendObject(buf []byte, o Object) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(o.ID))
+// EncodeObject serializes o.
+func EncodeObject(o Object) []byte {
+	buf := binary.LittleEndian.AppendUint64(nil, uint64(o.ID))
 	buf = append(buf, byte(o.Kind))
 	buf = binary.AppendUvarint(buf, uint64(len(o.Label)))
 	buf = append(buf, o.Label...)
@@ -41,9 +40,6 @@ func AppendObject(buf []byte, o Object) []byte {
 	}
 	return buf
 }
-
-// EncodeObject serializes o.
-func EncodeObject(o Object) []byte { return AppendObject(nil, o) }
 
 // DecodeObject parses an encoding produced by EncodeObject. Bytes after
 // the encoding are ignored; ObjectLen says where it ends.
@@ -110,33 +106,22 @@ func parseObject(rec []byte, decode bool) (Object, int, error) {
 	return o, end, nil
 }
 
-// Restore inserts objects preserving their IDs — the reload rebuilding
-// a picture from the objects its relations' tuples carry — under one
-// lock, sizing an empty picture for the batch. Tuples that name one
-// object carry the same encoding, so an id already present is accepted
-// when the object encodes identically. A zero id, or one restored with a
-// different encoding, is an error; the picture is then left partly
-// restored and is not to be used.
-func (p *Picture) Restore(objs ...Object) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.objects) == 0 {
-		p.objects = make(map[ObjectID]Object, len(objs))
+// EncodedMBR returns the MBR of the object enc encodes — what
+// Object.MBR returns for the decoded object — read from the encoding
+// without decoding or allocating anything. enc must be an encoding
+// ObjectLen accepts.
+func EncodedMBR[T string | []byte](enc T) geom.Rect {
+	l, w := binary.Uvarint([]byte(enc[9:min(len(enc), 9+binary.MaxVarintLen64)]))
+	pos := 9 + w + int(l)
+	n, w := binary.Uvarint([]byte(enc[pos:min(len(enc), pos+binary.MaxVarintLen64)]))
+	out := geom.EmptyRect()
+	for pos += w; n > 0; n, pos = n-1, pos+16 {
+		p := geom.Pt(math.Float64frombits(binary.LittleEndian.Uint64([]byte(enc[pos:pos+8]))),
+			math.Float64frombits(binary.LittleEndian.Uint64([]byte(enc[pos+8:pos+16]))))
+		if Kind(enc[8]) == KindPoint {
+			return p.Rect()
+		}
+		out = out.ExtendPoint(p)
 	}
-	for _, o := range objs {
-		if o.ID == 0 {
-			return fmt.Errorf("picture: restore of object with zero id")
-		}
-		if prev, dup := p.objects[o.ID]; dup {
-			if !bytes.Equal(EncodeObject(prev), EncodeObject(o)) {
-				return fmt.Errorf("picture %s: object %d restored with two different encodings", p.name, o.ID)
-			}
-			continue
-		}
-		p.objects[o.ID] = o
-		if o.ID >= p.nextID {
-			p.nextID = o.ID + 1
-		}
-	}
-	return nil
+	return out
 }

@@ -53,36 +53,6 @@ func TestDecodeObjectCorrupt(t *testing.T) {
 	_ = p
 }
 
-func TestRestore(t *testing.T) {
-	pic := New("m", geom.R(0, 0, 100, 100))
-	obj := Object{ID: 17, Kind: KindPoint, Label: "r", Point: geom.Pt(5, 5)}
-	if err := pic.Restore(obj); err != nil {
-		t.Fatal(err)
-	}
-	// Two tuples naming one object carry one encoding: restoring it
-	// again is accepted, a different object under the id is not.
-	if err := pic.Restore(obj); err != nil {
-		t.Fatalf("identical object restored twice: %v", err)
-	}
-	moved := obj
-	moved.Point = geom.Pt(5, 6)
-	if err := pic.Restore(moved); err == nil {
-		t.Fatal("a different object under a restored id accepted")
-	}
-	if err := pic.Restore(Object{Kind: KindPoint}); err == nil {
-		t.Fatal("zero id accepted")
-	}
-	// nextID advanced past restored ids: new objects don't collide.
-	nid := pic.AddPoint("new", geom.Pt(1, 1))
-	if nid <= 17 {
-		t.Fatalf("AddPoint reused id space: %d", nid)
-	}
-	got, ok := pic.Get(17)
-	if !ok || got.Label != "r" {
-		t.Fatalf("restored object lost: %+v %v", got, ok)
-	}
-}
-
 // ObjectLen accepts what DecodeObject accepts and measures the
 // encoding it decodes, whatever follows it.
 func TestObjectLenMatchesDecode(t *testing.T) {

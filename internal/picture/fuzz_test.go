@@ -2,6 +2,7 @@ package picture
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/geom"
@@ -11,8 +12,9 @@ import (
 // own (FuzzDecodeTuple reaches it only inside a tuple's loc column).
 // Seeds are one encoding of each kind, their truncations and a bogus
 // kind. Properties: the decoder never panics, ObjectLen accepts exactly
-// what it accepts, and any input it accepts re-encodes to bytes that
-// decode and re-encode to themselves.
+// what it accepts, EncodedMBR of an accepted input is the decoded
+// object's MBR bit for bit, and any input it accepts re-encodes to bytes
+// that decode and re-encode to themselves.
 func FuzzDecodeObject(f *testing.F) {
 	for _, o := range []Object{
 		{ID: 1, Kind: KindPoint, Label: "a point", Point: geom.Pt(3.5, -7.25)},
@@ -36,6 +38,9 @@ func FuzzDecodeObject(f *testing.F) {
 		if err != nil {
 			return // rejecting is always fine; panicking is not
 		}
+		if got, want := EncodedMBR(data), o.MBR(); rectBits(got) != rectBits(want) {
+			t.Fatalf("EncodedMBR = %v, the decoded object's MBR %v (input %x)", got, want, data)
+		}
 		re := EncodeObject(o)
 		o2, err := DecodeObject(re)
 		if err != nil {
@@ -45,4 +50,9 @@ func FuzzDecodeObject(f *testing.F) {
 			t.Fatalf("decode/encode round-trip unstable for input %x", data)
 		}
 	})
+}
+
+// rectBits is r's corners as bits, so that NaN coordinates compare.
+func rectBits(r geom.Rect) [4]uint64 {
+	return [4]uint64{math.Float64bits(r.Min.X), math.Float64bits(r.Min.Y), math.Float64bits(r.Max.X), math.Float64bits(r.Max.Y)}
 }

@@ -1,11 +1,12 @@
 // Package picture models the pictorial side of the database: named
-// pictures (maps) holding spatial objects in their analog form. A
-// spatial object is a point, line segment, or polygonal region with an
-// object identifier and a display label. Relation tuples reference
-// objects through loc pointers (picture name + object id), mirroring
-// the paper's backward identifiers "which point to the area on the
-// picture", and a stored tuple carries the object it names (EncodeObject):
-// a picture's objects in memory are rebuilt from its tuples on reopen.
+// pictures (maps) and spatial objects in their analog form: a point,
+// line segment, or polygonal region with an object identifier and a
+// display label. Relation tuples reference objects through loc pointers
+// (picture name + object id), the paper's backward identifiers "which
+// point to the area on the picture", and a stored tuple carries the
+// object it names (EncodeObject): that record is the object's one home.
+// A Picture keeps its name, extent and id allocator, and only the
+// objects placed that no insert has stored yet.
 //
 // The package also provides the "analog form" output device: an ASCII
 // renderer that draws a window of a picture with the qualifying
@@ -15,7 +16,6 @@ package picture
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/geom"
@@ -103,26 +103,25 @@ func (o Object) Anchor() geom.Point {
 	}
 }
 
-// Picture is a named 2-D extent holding spatial objects: one map of
-// the paper's pictorial database. It is safe for concurrent use:
-// statements resolve loc pointers through Get while writers add and
-// remove objects.
+// Picture is a named 2-D extent of the paper's pictorial database: one
+// map. It stages each object it places until an insert stores it in a
+// tuple (Release). It is safe for concurrent use.
 type Picture struct {
 	name   string
 	extent geom.Rect
 
-	mu      sync.RWMutex // guards objects and nextID
-	objects map[ObjectID]Object
-	nextID  ObjectID
+	mu     sync.Mutex // guards staged and nextID
+	staged map[ObjectID]Object
+	nextID ObjectID
 }
 
 // New creates an empty picture covering extent.
 func New(name string, extent geom.Rect) *Picture {
 	return &Picture{
-		name:    name,
-		extent:  extent,
-		objects: make(map[ObjectID]Object),
-		nextID:  1,
+		name:   name,
+		extent: extent,
+		staged: make(map[ObjectID]Object),
+		nextID: 1,
 	}
 }
 
@@ -131,13 +130,6 @@ func (p *Picture) Name() string { return p.name }
 
 // Extent returns the picture's full coordinate frame.
 func (p *Picture) Extent() geom.Rect { return p.extent }
-
-// Len returns the number of objects on the picture.
-func (p *Picture) Len() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.objects)
-}
 
 // AddPoint places a point object and returns its id.
 func (p *Picture) AddPoint(label string, pt geom.Point) ObjectID {
@@ -159,27 +151,30 @@ func (p *Picture) add(o Object) ObjectID {
 	defer p.mu.Unlock()
 	o.ID = p.nextID
 	p.nextID++
-	p.objects[o.ID] = o
+	p.staged[o.ID] = o
 	return o.ID
 }
 
-// Get returns the object with the given id.
+// Get returns the staged object with the given id, one placed that no
+// insert has stored yet; a stored object is read from its tuple alone.
 func (p *Picture) Get(id ObjectID) (Object, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	o, ok := p.objects[id]
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	o, ok := p.staged[id]
 	return o, ok
 }
 
-// Objects returns all objects ordered by id (stable for display and
-// index building).
-func (p *Picture) Objects() []Object {
-	p.mu.RLock()
-	out := make([]Object, 0, len(p.objects))
-	for _, o := range p.objects {
-		out = append(out, o)
-	}
-	p.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+// Release drops the staged object id once a tuple has stored it.
+func (p *Picture) Release(id ObjectID) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	delete(p.staged, id)
+}
+
+// Reserve makes every later object id larger than id: the reload hands
+// it the largest id the stored tuples carry.
+func (p *Picture) Reserve(id ObjectID) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.nextID = max(p.nextID, id+1)
 }

@@ -10,7 +10,7 @@ import (
 
 func TestAddAndGet(t *testing.T) {
 	p := New("us-map", geom.R(0, 0, 1000, 1000))
-	if p.Name() != "us-map" || p.Len() != 0 {
+	if p.Name() != "us-map" {
 		t.Fatal("fresh picture wrong")
 	}
 	id1 := p.AddPoint("DC", geom.Pt(770, 380))
@@ -19,15 +19,24 @@ func TestAddAndGet(t *testing.T) {
 	if id1 == id2 || id2 == id3 {
 		t.Fatal("ids not unique")
 	}
-	if p.Len() != 3 {
-		t.Fatalf("Len = %d", p.Len())
-	}
 	o, ok := p.Get(id1)
 	if !ok || o.Kind != KindPoint || o.Label != "DC" {
 		t.Fatalf("Get point = %+v, %v", o, ok)
 	}
 	if _, ok := p.Get(999); ok {
 		t.Fatal("Get of missing id succeeded")
+	}
+	// A stored object lives in its tuple: once released, the picture
+	// no longer answers for it, and its id is not handed out again.
+	p.Release(id1)
+	if _, ok := p.Get(id1); ok {
+		t.Fatal("Get of a released object succeeded")
+	}
+	if _, ok := p.Get(id2); !ok {
+		t.Fatal("releasing one object dropped another")
+	}
+	if id4 := p.AddPoint("x", geom.Pt(1, 1)); id4 <= id3 {
+		t.Fatalf("id %d handed out after %d", id4, id3)
 	}
 }
 
@@ -65,20 +74,37 @@ func TestIntersectsWindowRefinement(t *testing.T) {
 	}
 }
 
-func TestObjectsOrdered(t *testing.T) {
+// TestReserveMovesAllocator: ids ascend, and after Reserve(n) every new
+// id is above n — how a reload keeps new objects off the stored ids.
+func TestReserveMovesAllocator(t *testing.T) {
 	p := New("m", geom.R(0, 0, 10, 10))
-	p.AddPoint("c", geom.Pt(3, 3))
-	p.AddPoint("a", geom.Pt(1, 1))
-	p.AddPoint("b", geom.Pt(2, 2))
-	objs := p.Objects()
-	if len(objs) != 3 {
-		t.Fatalf("Objects = %d", len(objs))
+	a := p.AddPoint("a", geom.Pt(1, 1))
+	b := p.AddPoint("b", geom.Pt(2, 2))
+	if a >= b {
+		t.Fatalf("ids %d then %d", a, b)
 	}
-	for i := 1; i < len(objs); i++ {
-		if objs[i-1].ID >= objs[i].ID {
-			t.Fatal("objects not ordered by id")
+	p.Reserve(41)
+	if c := p.AddPoint("c", geom.Pt(3, 3)); c != 42 {
+		t.Fatalf("after Reserve(41) the next id is %d, want 42", c)
+	}
+	p.Reserve(7) // below the allocator: no effect
+	if d := p.AddPoint("d", geom.Pt(4, 4)); d != 43 {
+		t.Fatalf("after Reserve(7) the next id is %d, want 43", d)
+	}
+}
+
+// staged returns the objects ids name on p, in order.
+func staged(t *testing.T, p *Picture, ids ...ObjectID) []Object {
+	t.Helper()
+	out := make([]Object, len(ids))
+	for i, id := range ids {
+		o, ok := p.Get(id)
+		if !ok {
+			t.Fatalf("object %d not staged", id)
 		}
+		out[i] = o
 	}
+	return out
 }
 
 func TestAnchor(t *testing.T) {
@@ -95,10 +121,11 @@ func TestAnchor(t *testing.T) {
 
 func TestRenderContainsMarksAndLabels(t *testing.T) {
 	p := New("m", geom.R(0, 0, 100, 100))
-	p.AddPoint("CITY", geom.Pt(50, 50))
-	p.AddRegion("", geom.Poly(geom.Pt(10, 10), geom.Pt(90, 10), geom.Pt(90, 90), geom.Pt(10, 90)))
+	objs := staged(t, p,
+		p.AddPoint("CITY", geom.Pt(50, 50)),
+		p.AddRegion("", geom.Poly(geom.Pt(10, 10), geom.Pt(90, 10), geom.Pt(90, 90), geom.Pt(10, 90))))
 	r := DefaultRenderer()
-	out := r.Render(geom.R(0, 0, 100, 100), p.Objects())
+	out := r.Render(geom.R(0, 0, 100, 100), objs)
 	if !strings.Contains(out, "*") {
 		t.Error("render missing point mark")
 	}
@@ -121,9 +148,9 @@ func TestRenderContainsMarksAndLabels(t *testing.T) {
 
 func TestRenderClipsToWindow(t *testing.T) {
 	p := New("m", geom.R(0, 0, 100, 100))
-	p.AddPoint("OUT", geom.Pt(90, 90))
+	objs := staged(t, p, p.AddPoint("OUT", geom.Pt(90, 90)))
 	r := Renderer{Width: 20, Height: 10, Labels: true}
-	out := r.Render(geom.R(0, 0, 50, 50), p.Objects())
+	out := r.Render(geom.R(0, 0, 50, 50), objs)
 	if strings.Contains(out, "*") || strings.Contains(out, "OUT") {
 		t.Error("object outside window was rendered")
 	}
@@ -131,19 +158,19 @@ func TestRenderClipsToWindow(t *testing.T) {
 
 func TestRenderDegenerate(t *testing.T) {
 	p := New("m", geom.R(0, 0, 10, 10))
-	p.AddPoint("x", geom.Pt(5, 5))
-	if out := (Renderer{Width: 1, Height: 1}).Render(geom.R(0, 0, 10, 10), p.Objects()); out != "" {
+	objs := staged(t, p, p.AddPoint("x", geom.Pt(5, 5)))
+	if out := (Renderer{Width: 1, Height: 1}).Render(geom.R(0, 0, 10, 10), objs); out != "" {
 		t.Error("degenerate renderer should produce empty output")
 	}
-	if out := DefaultRenderer().Render(geom.EmptyRect(), p.Objects()); out != "" {
+	if out := DefaultRenderer().Render(geom.EmptyRect(), objs); out != "" {
 		t.Error("empty window should produce empty output")
 	}
 }
 
 // TestConcurrentAddAndRead is the -race check on Picture's lock: one
-// writer places points while readers resolve ids and enumerate, the
-// access pattern of an online shard split (AddPoint beside the
-// executor's loc resolution).
+// writer places and releases points while readers resolve staged ids,
+// the access pattern of inserts beside one another (AddPoint, an
+// insert's Get, its Release once the tuple is stored).
 func TestConcurrentAddAndRead(t *testing.T) {
 	p := New("m", geom.R(0, 0, 100, 100))
 	first := p.AddPoint("seed", geom.Pt(1, 1))
@@ -166,21 +193,23 @@ func TestConcurrentAddAndRead(t *testing.T) {
 					t.Error("seed object vanished")
 					return
 				}
-				if objs := p.Objects(); len(objs) == 0 || len(objs) > n+1 || p.Len() < len(objs) {
-					t.Errorf("Objects returned %d of %d", len(objs), p.Len())
-					return
-				}
 			}
 		}()
 	}
 	<-started
 	<-started
+	var ids []ObjectID
 	for i := 0; i < n; i++ {
-		p.AddPoint("w", geom.Pt(float64(i%100), 2))
+		ids = append(ids, p.AddPoint("w", geom.Pt(float64(i%100), 2)))
+		if i%2 == 1 {
+			p.Release(ids[i-1])
+		}
 	}
 	close(done)
 	wg.Wait()
-	if p.Len() != n+1 {
-		t.Fatalf("Len = %d, want %d", p.Len(), n+1)
+	for i, id := range ids {
+		if _, ok := p.Get(id); ok != (i%2 == 1) {
+			t.Fatalf("object %d staged %v after %d adds", id, ok, n)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/geom"
-	"repro/internal/picture"
 	"repro/internal/relation"
 )
 
@@ -25,9 +24,8 @@ type binding struct {
 	name    string // alias or relation name
 	rel     *relation.Relation
 	schema  relation.Schema
-	picture string           // picture from the on-clause, "" when none
-	pic     *picture.Picture // the catalog's picture of that name
-	gen     uint64           // rel.Generation() read before anything else was asked of rel
+	picture string // picture from the on-clause, "" when none
+	gen     uint64 // rel.Generation() read before anything else was asked of rel
 }
 
 // atKind is the shape of a statement's at-clause once its loc terms are
@@ -184,18 +182,13 @@ func (e *Executor) bind(ent *stmtEntry, naive bool) (*boundStmt, error) {
 }
 
 // current reports whether the statement is still bound to what the
-// catalog holds: the same relations, indexed the same way, and the same
-// pictures under the names it uses.
+// catalog holds: the same relations, indexed the same way. A binding
+// names its picture alone, and no picture leaves the catalog.
 func (b *boundStmt) current(cat Catalog) bool {
 	for i := range b.bindings {
 		bd := &b.bindings[i]
 		if rel, ok := cat.Relation(b.q.From[i].Relation); !ok || rel != bd.rel || rel.Generation() != bd.gen {
 			return false
-		}
-		if bd.picture != "" {
-			if pic, ok := cat.Picture(bd.picture); !ok || pic != bd.pic {
-				return false
-			}
 		}
 	}
 	return true
@@ -229,7 +222,7 @@ func resolveFrom(cat Catalog, q *Query) ([]binding, error) {
 			return nil, fmt.Errorf("psql: on-clause lists %d pictures for %d relations", len(q.On), len(q.From))
 		}
 		if b.picture != "" {
-			if b.pic, ok = cat.Picture(b.picture); !ok {
+			if _, ok := cat.Picture(b.picture); !ok {
 				return nil, fmt.Errorf("psql: unknown picture %q", b.picture)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/geom"
+	"repro/internal/picture"
 	"repro/internal/relation"
 )
 
@@ -51,7 +52,8 @@ func (k DatumKind) String() string {
 	}
 }
 
-// Datum is one runtime value during query evaluation.
+// Datum is one runtime value during query evaluation. A loc datum read
+// from a tuple carries its object's encoding in Str and MBR in Rect.
 type Datum struct {
 	Kind  DatumKind
 	Bool  bool
@@ -74,7 +76,7 @@ func locD(l relation.LocRef) Datum {
 }
 
 // setFromValue writes a stored relation value to out as a runtime
-// datum.
+// datum; a loc keeps the object its tuple carries.
 func setFromValue(out *Datum, v *relation.Value) {
 	switch v.Type {
 	case relation.TypeInt:
@@ -85,9 +87,20 @@ func setFromValue(out *Datum, v *relation.Value) {
 		*out = stringD(v.Str)
 	case relation.TypeLoc:
 		*out = locD(v.Loc)
+		out.Str = v.Str
+		out.Rect, _ = v.LocMBR()
 	default:
 		*out = null()
 	}
+}
+
+// LocObject returns the object a loc datum's tuple carries, decoded
+// whole; ok is false when the datum carries none.
+func (d Datum) LocObject() (o picture.Object, ok bool) {
+	if d.Kind != KindLoc {
+		return picture.Object{}, false
+	}
+	return relation.Value{Type: relation.TypeLoc, Loc: d.Loc, Str: d.Str}.LocObject()
 }
 
 // IsNumeric reports whether the datum is an int or float.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
-	"repro/internal/picture"
 )
 
 // This file evaluates where-clause and target-list expressions over
@@ -21,36 +20,6 @@ import (
 type boundCol struct {
 	ColumnRef
 	bi, ci int
-}
-
-// pictureNamed resolves a picture name a loc value carries: one of the
-// statement's own on-clause pictures, as a rule, and the catalog's
-// otherwise.
-func (st *execState) pictureNamed(name string) (*picture.Picture, bool) {
-	for i := range st.bindings {
-		if b := &st.bindings[i]; b.pic != nil && b.picture == name {
-			return b.pic, true
-		}
-	}
-	return st.e.cat.Picture(name)
-}
-
-// resolveLoc populates a loc datum's Rect from the referenced picture
-// object and returns the object for function use.
-func (st *execState) resolveLoc(d *Datum) *picture.Object {
-	if d.Kind != KindLoc || d.Loc.IsZero() {
-		return nil
-	}
-	pic, ok := st.pictureNamed(d.Loc.Picture)
-	if !ok {
-		return nil
-	}
-	obj, ok := pic.Get(d.Loc.Object)
-	if !ok {
-		return nil
-	}
-	d.Rect = obj.MBR()
-	return &obj
 }
 
 // resolveColumn finds the binding and the column index a column
@@ -89,9 +58,6 @@ func (st *execState) column(ref ColumnRef, bi, ci int, r row, out *Datum) error 
 		return errf(ref.Pos, "internal: binding %q has no tuple", st.bindings[bi].name)
 	}
 	setFromValue(out, &r[bi][ci])
-	if out.Kind == KindLoc {
-		st.resolveLoc(out)
-	}
 	return nil
 }
 
@@ -293,14 +259,10 @@ func (st *execState) evalFunc(ex FuncCall, r row, out *Datum) error {
 	if !ok {
 		return errf(ex.Pos, "unknown function %q", ex.Name)
 	}
-	ctx := &FuncContext{Name: ex.Name, Pos: ex.Pos, Args: make([]Datum, len(ex.Args)), Objects: make([]*picture.Object, len(ex.Args))}
+	ctx := &FuncContext{Name: ex.Name, Pos: ex.Pos, Args: make([]Datum, len(ex.Args))}
 	for i, arg := range ex.Args {
-		d := &ctx.Args[i]
-		if err := st.eval(arg, r, d); err != nil {
+		if err := st.eval(arg, r, &ctx.Args[i]); err != nil {
 			return err
-		}
-		if d.Kind == KindLoc {
-			ctx.Objects[i] = st.resolveLoc(d)
 		}
 	}
 	d, err := fn(ctx)

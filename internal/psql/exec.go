@@ -413,7 +413,7 @@ func (st *execState) filterSpatial(bi int, ids []storage.TupleID, op SpatialOp, 
 		if tuples[i] == nil {
 			continue // deleted since the B-tree was read
 		}
-		mbr, ok := tupleMBR(tuples[i], li, b.pic, b.picture)
+		mbr, ok := tupleMBR(tuples[i], li, b.picture)
 		if !ok {
 			continue
 		}
@@ -427,19 +427,14 @@ func (st *execState) filterSpatial(bi int, ids []storage.TupleID, op SpatialOp, 
 	return kept, nil
 }
 
-// tupleMBR resolves the MBR of t's loc column against pic; ok is false
-// when the tuple references another picture or a missing object —
-// exactly the tuples the spatial index does not carry.
-func tupleMBR(t relation.Tuple, li int, pic *picture.Picture, picName string) (geom.Rect, bool) {
-	ref := t[li].Loc
-	if ref.Picture != picName {
+// tupleMBR returns the MBR of the object t's loc column carries; ok is
+// false when the loc names another picture or is zero — exactly the
+// tuples the spatial index on picName does not carry.
+func tupleMBR(t relation.Tuple, li int, picName string) (geom.Rect, bool) {
+	if t[li].Loc.Picture != picName {
 		return geom.Rect{}, false
 	}
-	obj, ok := pic.Get(ref.Object)
-	if !ok {
-		return geom.Rect{}, false
-	}
-	return obj.MBR(), true
+	return t[li].LocMBR()
 }
 
 // indexedCandidates answers a no-at-clause single-relation query from

@@ -10,11 +10,10 @@ import (
 
 // Func is a PSQL-callable function: the paper's pictorial domain
 // functions ("functions defined on pictorial domains ... very specific
-// to the application") plus ordinary scalar helpers. The executor
-// resolves loc arguments to pictures through its catalog before the
-// function sees them, so functions receive datums whose Rect field is
-// populated for loc/area arguments; the resolved picture object (when
-// the argument was a loc) is passed alongside.
+// to the application") plus ordinary scalar helpers. A loc argument
+// arrives with the object its tuple carries and that object's MBR in
+// Rect; a function that needs the exact geometry decodes the object
+// (Datum.LocObject).
 type Func func(call *FuncContext) (Datum, error)
 
 // FuncContext carries one invocation's arguments and resolution
@@ -22,10 +21,7 @@ type Func func(call *FuncContext) (Datum, error)
 type FuncContext struct {
 	Name string
 	Args []Datum
-	// Objects holds, for each argument that was a loc, the resolved
-	// picture object; nil entries otherwise.
-	Objects []*picture.Object
-	Pos     int
+	Pos  int
 }
 
 // arg returns argument i or an error.
@@ -48,11 +44,13 @@ func (c *FuncContext) rectArg(i int) (geom.Rect, error) {
 	return d.Rect, nil
 }
 
-// objectArg returns the resolved picture object of argument i, if the
-// argument was a loc.
+// objectArg decodes the object argument i carries, when it is a loc
+// that carries one: the exact geometry behind its MBR.
 func (c *FuncContext) objectArg(i int) *picture.Object {
-	if i < len(c.Objects) {
-		return c.Objects[i]
+	if i < len(c.Args) {
+		if o, ok := c.Args[i].LocObject(); ok {
+			return &o
+		}
 	}
 	return nil
 }

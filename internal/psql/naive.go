@@ -67,7 +67,7 @@ func (st *execState) naiveMBRs(bi int) ([]storage.TupleID, []geom.Rect, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		mbr, ok := tupleMBR(t, li, b.pic, b.picture)
+		mbr, ok := tupleMBR(t, li, b.picture)
 		if !ok {
 			continue
 		}

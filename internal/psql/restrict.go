@@ -186,19 +186,20 @@ func (st *execState) restrict(s *joinSide, via *boundTerm, vs string) error {
 // from the B-tree on via's column, through fetchKept, or from one heap
 // scan when via is nil. Either way the terms are tested on a decode of
 // their columns alone, and only a survivor has its loc materialized.
-// Tuples whose loc is not a live object of the on-clause picture are
-// dropped: the spatial index does not carry them, so they join nothing.
+// Tuples whose loc names another picture than the on-clause's, or none,
+// are dropped: the spatial index does not carry them, so they join
+// nothing.
 func (st *execState) restrictSide(bi int, terms []boundTerm, via *boundTerm) ([]rtree.Item, error) {
 	b := st.bindings[bi]
 	li := b.schema.LocColumn()
-	if li < 0 || b.pic == nil {
+	if li < 0 || b.picture == "" {
 		return nil, fmt.Errorf("psql: relation %q has no loc column on picture %q", b.name, b.picture)
 	}
 	need := make([]bool, b.schema.Arity())
 	need[li] = true
 	var out []rtree.Item
 	item := func(id storage.TupleID, t relation.Tuple) {
-		if mbr, ok := tupleMBR(t, li, b.pic, b.picture); ok {
+		if mbr, ok := tupleMBR(t, li, b.picture); ok {
 			out = append(out, rtree.Item{Rect: mbr, Data: id.Int64()})
 		}
 	}

@@ -2,9 +2,9 @@ package relation
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/btree"
@@ -19,12 +19,12 @@ import (
 // one scan of every store's heap, side by side, collects each B-tree's
 // (key, id) run and each attached picture's (MBR, id) items, the MBR
 // being that of the object the tuple's loc carries. On Open the same
-// scan also collects every object a tuple carries, and the stores' page
-// lists are checked disjoint. Then every index is its own task on up to
-// GOMAXPROCS goroutines — a run is sorted and bulk-loaded, a list
-// Hilbert-packed (packTree) — and on Open each store's objects are
-// restored into their pictures beside them. On one core the tasks run one after
-// another, B-trees first.
+// scan also notes the largest object id each picture's tuples carry, so
+// that the picture allocates above it, and the stores' page lists are
+// checked disjoint; the objects themselves stay in their tuples. Then
+// every index is its own task on up to GOMAXPROCS goroutines — a run is
+// sorted and bulk-loaded, a list Hilbert-packed (packTree). On one core
+// the tasks run one after another, B-trees first.
 
 // nowFn is the clock the build phases are timed with; tests replace it.
 var nowFn = time.Now
@@ -32,7 +32,7 @@ var nowFn = time.Now
 // BuildTimes is where an index build spent its time, summed over its
 // tasks: goroutine time, not elapsed time, once tasks overlap.
 type BuildTimes struct {
-	Scan  time.Duration // heap scan, decode, and on Open the objects' restore
+	Scan  time.Duration // heap scan and decode
 	BTree time.Duration // sorting the runs and bulk-loading them
 	Pack  time.Duration // PACK and the walk of the packed trees' search metrics
 }
@@ -47,12 +47,12 @@ func (t *BuildTimes) Add(u BuildTimes) {
 // scanPart is what the scan of one store's heap collected: runs[c]
 // holds columns[c]'s (IndexKey, id) for every tuple, items[p] the
 // (MBR, id) entries of pics[p] in ascending id order, the order PACK is
-// handed them, and, on Open, objs the objects its tuples carry by
-// picture name.
+// handed them, and, on Open, maxIDs the largest object id its tuples
+// carry per picture name.
 type scanPart struct {
-	runs  [][]btree.Entry
-	items [][]rtree.Item
-	objs  map[string]*[]picture.Object
+	runs   [][]btree.Entry
+	items  [][]rtree.Item
+	maxIDs map[string]*picture.ObjectID
 }
 
 // indexBuild is one scan of the relation for the indexes being built:
@@ -74,8 +74,9 @@ func (r *Relation) BuildIndexes(columns []string, pics []*picture.Picture) (Buil
 }
 
 // build is BuildIndexes; with open set it is Open's reload, which also
-// restores the objects the tuples carry and refuses a page two stores'
-// heaps chain (disjointHeaps).
+// moves each picture's id allocator above the ids its tuples carry
+// (reserveIDs) and refuses a page two stores' heaps chain
+// (disjointHeaps).
 func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (BuildTimes, error) {
 	var times BuildTimes
 	for i, col := range columns {
@@ -112,6 +113,9 @@ func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (
 	if err == nil && open {
 		err = r.disjointHeaps()
 	}
+	if err == nil && open {
+		err = r.reserveIDs(b.parts)
+	}
 	times.Scan = nowFn().Sub(t0)
 	if err != nil {
 		return times, err
@@ -142,17 +146,6 @@ func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (
 			})
 		}
 	}
-	// The objects a store's tuples carry go to their pictures beside the
-	// index builds: nothing else needs them.
-	for _, part := range b.parts {
-		if part.objs != nil {
-			tasks = append(tasks, func() (BuildTimes, error) {
-				t0 := nowFn()
-				err := r.restoreObjects(part.objs)
-				return BuildTimes{Scan: nowFn().Sub(t0)}, err
-			})
-		}
-	}
 	taskTimes := make([]BuildTimes, len(tasks))
 	err = par.Do(len(tasks), 0, func(i int) (err error) {
 		taskTimes[i], err = tasks[i]()
@@ -178,8 +171,8 @@ func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (
 }
 
 // scan fills parts from every store's heap, each walked under its lock
-// beside the others; with open, the records' pages are noted and the
-// objects the tuples carry collected.
+// beside the others; with open, the largest object id per picture is
+// noted.
 func (b *indexBuild) scan(open bool) error {
 	r := b.r
 	b.parts = make([]*scanPart, len(r.stores))
@@ -221,11 +214,11 @@ func (b *indexBuild) scanStore(s int, open bool) error {
 		p.items[pi] = make([]rtree.Item, 0, n/len(p.items))
 	}
 	if open {
-		p.objs = make(map[string]*[]picture.Object)
+		p.maxIDs = make(map[string]*picture.ObjectID)
 	}
 	slot := make(Tuple, 0, arity)
 	locs := make([]locBytes, arity)
-	// collect takes one live record's keys, items and objects.
+	// collect takes one live record's keys, items and object ids.
 	collect := func(id int64, body []byte) error {
 		for _, i := range locCols {
 			locs[i] = locBytes{}
@@ -245,27 +238,21 @@ func (b *indexBuild) scanStore(s int, open bool) error {
 			if lb.obj == nil {
 				continue
 			}
-			obj, err := picture.DecodeObject(lb.obj)
-			if err != nil {
-				return err
-			}
-			if p.objs != nil {
-				batch := p.objs[string(lb.pic)]
-				if batch == nil {
-					// The first picture gets room for every tuple: a
-					// relation on one picture is the usual case.
-					var objs []picture.Object
-					if len(p.objs) == 0 {
-						objs = make([]picture.Object, 0, n)
-					}
-					batch = &objs
-					p.objs[string(lb.pic)] = batch
+			if p.maxIDs != nil {
+				oid := picture.ObjectID(binary.LittleEndian.Uint64(lb.obj))
+				if oid == 0 {
+					return errTuple("loc column %d: object id 0", i)
 				}
-				*batch = append(*batch, obj)
+				m := p.maxIDs[string(lb.pic)]
+				if m == nil {
+					m = new(picture.ObjectID)
+					p.maxIDs[string(lb.pic)] = m
+				}
+				*m = max(*m, oid)
 			}
 			for pi, pic := range b.pics {
 				if i == li && string(lb.pic) == pic.Name() {
-					p.items[pi] = append(p.items[pi], rtree.Item{Rect: obj.MBR(), Data: id})
+					p.items[pi] = append(p.items[pi], rtree.Item{Rect: picture.EncodedMBR(lb.obj), Data: id})
 				}
 			}
 		}
@@ -294,22 +281,18 @@ func (b *indexBuild) scanStore(s int, open bool) error {
 	return nil
 }
 
-// restoreObjects puts the objects a store's tuples carry into their
-// pictures. A tuple naming a picture the catalog does not define, or two
-// tuples carrying one object differently, is corruption.
-func (r *Relation) restoreObjects(objs map[string]*[]picture.Object) error {
-	names := make([]string, 0, len(objs))
-	for name := range objs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		pic, ok := r.lookupPicture(name)
-		if !ok {
-			return fmt.Errorf("%w: a tuple names picture %q, which the catalog does not define", storage.ErrCorrupt, name)
-		}
-		if err := pic.Restore(*objs[name]...); err != nil {
-			return fmt.Errorf("%w: %w", storage.ErrCorrupt, err)
+// reserveIDs moves every picture the stores' tuples locate on above the
+// largest object id they carry, so that an object placed after the
+// reload takes an id no stored object has. A tuple naming a picture the
+// catalog does not define is corruption.
+func (r *Relation) reserveIDs(parts []*scanPart) error {
+	for _, part := range parts {
+		for name, id := range part.maxIDs {
+			pic, ok := r.lookupPicture(name)
+			if !ok {
+				return fmt.Errorf("%w: a tuple names picture %q, which the catalog does not define", storage.ErrCorrupt, name)
+			}
+			pic.Reserve(*id)
 		}
 	}
 	return nil

@@ -21,21 +21,22 @@ import (
 //	          8 bytes are the object id. A zero loc (no picture, object
 //	          0) has the 8-byte id alone.
 //
-// The object inside a loc column is the geometry the tuple stands for:
-// the reload rebuilds the spatial indexes and the pictures' objects from
-// it (build.go).
+// The object inside a loc column is the geometry the tuple stands for,
+// and the record is the object's one home: the reload rebuilds the
+// spatial indexes from it (build.go), and a decoded loc carries it
+// (Value.Str).
 
 // EncodeTuple serializes t's body with every loc as its picture name
 // and object id alone: the bytes a row holds of its own, and the body of
 // a stored tuple whose locs are all zero. A stored tuple's non-zero loc
 // carries the rest of its object after the id (Relation.Insert), and
 // DecodeTuple requires it.
-func EncodeTuple(t Tuple) []byte { return appendBody(nil, t, nil) }
+func EncodeTuple(t Tuple) []byte { return appendBody(nil, t, false) }
 
-// appendBody appends t's body to buf. With objs non-nil, every non-zero
-// loc is written as its picture name and the next of objs (they come in
-// column order); with objs nil, as its name and object id (EncodeTuple).
-func appendBody(buf []byte, t Tuple, objs []picture.Object) []byte {
+// appendBody appends t's body to buf. With objects set, every non-zero
+// loc is written as its picture name and the object encoding it carries
+// (resolveLocs); otherwise as its name and object id (EncodeTuple).
+func appendBody(buf []byte, t Tuple, objects bool) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(t)))
 	for _, v := range t {
 		buf = append(buf, byte(v.Type))
@@ -50,11 +51,10 @@ func appendBody(buf []byte, t Tuple, objs []picture.Object) []byte {
 		case TypeLoc:
 			buf = binary.AppendUvarint(buf, uint64(len(v.Loc.Picture)))
 			buf = append(buf, v.Loc.Picture...)
-			if objs == nil || v.Loc.IsZero() {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Loc.Object))
+			if objects && !v.Loc.IsZero() {
+				buf = append(buf, v.Str...)
 			} else {
-				buf = picture.AppendObject(buf, objs[0])
-				objs = objs[1:]
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Loc.Object))
 			}
 		}
 	}
@@ -71,14 +71,15 @@ func DecodeTuple(rec []byte) (Tuple, error) { return DecodeTupleCols(rec, nil) }
 
 // DecodeTupleCols parses a tuple body, materializing only the columns
 // whose need flag is set. Skipped columns keep their type tag but carry
-// a zero payload — in particular no string or picture-name bytes are
-// copied out of rec, which is what makes batch materialization over
+// a zero payload — in particular no string, picture-name or object bytes
+// are copied out of rec, which is what makes batch materialization over
 // pinned pages cheap when a query touches a few columns of a wide
 // tuple. A nil need (or one shorter than the tuple) decodes the
 // remaining columns, so DecodeTupleCols(rec, nil) == DecodeTuple(rec).
 // Validation is not relaxed: a corrupt body — a loc's inline object
 // included — fails the same way whether or not the broken column was
-// needed.
+// needed. A non-zero loc that is materialized carries its object's
+// encoding, copied with its picture name in one string.
 func DecodeTupleCols(rec []byte, need []bool) (Tuple, error) {
 	return decodeCols(rec, need, nil, nil)
 }
@@ -163,9 +164,10 @@ func decodeCols(rec []byte, need []bool, dst Tuple, locs []locBytes) (Tuple, err
 				if i < uint64(len(locs)) {
 					locs[i] = locBytes{pic: pic, obj: rec[pos : pos+size]}
 				}
-			}
-			if want {
-				v.Loc = LocRef{Picture: string(pic), Object: obj}
+				if want {
+					both := string(rec[pos-int(l) : pos+size])
+					v.Loc, v.Str = LocRef{Picture: both[:l], Object: obj}, both[l:]
+				}
 			}
 			pos += size
 		default:

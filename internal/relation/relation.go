@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -47,9 +48,9 @@ type Pictures interface {
 	Picture(name string) (*picture.Picture, bool)
 }
 
-// ErrDanglingLoc is Insert's refusal of a non-zero loc that names no
-// picture of the relation's catalog, or no object of that picture: a
-// stored tuple carries the object its loc names.
+// ErrDanglingLoc is Insert's refusal of a non-zero loc whose object it
+// can take neither from the value nor from its picture's staged objects
+// (locObject): a stored tuple carries the object its loc names.
 var ErrDanglingLoc = errors.New("relation: loc names no picture object")
 
 // Relation is one table of the pictorial database: tuple heaps in one
@@ -232,8 +233,9 @@ func (r *Relation) WaitRepacks() {
 }
 
 // Insert validates and stores t, updating every index. It returns the
-// tuple's id. Every non-zero loc must name an object of a picture in the
-// relation's catalog (ErrDanglingLoc): the record carries that object.
+// tuple's id. Every non-zero loc must carry its object (locObject) or
+// name one its picture has staged (ErrDanglingLoc): the record carries
+// that object, and the picture releases a staged one once it is stored.
 // Safe beside other writers and readers: the heap write is under the
 // store's lock, the B-tree updates under smu, the spatial insert under
 // its index's own lock.
@@ -241,32 +243,62 @@ func (r *Relation) Insert(t Tuple) (storage.TupleID, error) {
 	if err := r.schema.Validate(t); err != nil {
 		return storage.TupleID{}, err
 	}
-	objs, err := r.resolveLocs(t)
+	t, staged, err := r.resolveLocs(t)
 	if err != nil {
 		return storage.TupleID{}, err
 	}
-	return r.insert(t, objs)
+	return r.insert(t, staged)
 }
 
-// resolveLocs returns the objects t's non-zero locs name, in column
-// order, through the relation's catalog.
-func (r *Relation) resolveLocs(t Tuple) ([]picture.Object, error) {
-	var objs []picture.Object
+// resolveLocs returns t with every non-zero loc carrying its object
+// (locObject), and the locs whose object came from the staging area, for
+// insert to release once t is stored. t itself is not modified.
+func (r *Relation) resolveLocs(t Tuple) (_ Tuple, staged []LocRef, _ error) {
 	for i, v := range t {
 		if v.Type != TypeLoc || v.Loc.IsZero() {
 			continue
 		}
-		pic, ok := r.lookupPicture(v.Loc.Picture)
-		if !ok {
-			return nil, fmt.Errorf("relation %s: column %q: %w: no picture %q", r.name, r.schema.Columns[i].Name, ErrDanglingLoc, v.Loc.Picture)
+		enc, fromStage, err := r.locObject(v)
+		if err != nil {
+			return nil, nil, fmt.Errorf("relation %s: column %q: %w", r.name, r.schema.Columns[i].Name, err)
 		}
-		obj, ok := pic.Get(v.Loc.Object)
-		if !ok {
-			return nil, fmt.Errorf("relation %s: column %q: %w: no object %v", r.name, r.schema.Columns[i].Name, ErrDanglingLoc, v.Loc)
+		if !fromStage {
+			continue
 		}
-		objs = append(objs, obj)
+		if staged == nil {
+			t = slices.Clone(t)
+		}
+		t[i].Str = enc
+		staged = append(staged, v.Loc)
 	}
-	return objs, nil
+	return t, staged, nil
+}
+
+// locObject returns the encoding of the object non-zero loc value v
+// names: the one v carries (a tuple read back from this database), which
+// must be a whole encoding of its non-zero id and unlike the object staged
+// under it, if any, or else the one its picture has staged (fromStage).
+// A carried id keeps its picture's allocator above it; one another tuple
+// stores encoded otherwise is Database.Check's to find.
+func (r *Relation) locObject(v Value) (enc string, fromStage bool, _ error) {
+	pic, ok := r.lookupPicture(v.Loc.Picture)
+	if !ok {
+		return "", false, fmt.Errorf("%w: no picture %q", ErrDanglingLoc, v.Loc.Picture)
+	}
+	obj, isStaged := pic.Get(v.Loc.Object)
+	if v.Str == "" {
+		if !isStaged {
+			return "", false, fmt.Errorf("%w: no staged object %v", ErrDanglingLoc, v.Loc)
+		}
+		return string(picture.EncodeObject(obj)), true, nil
+	}
+	n, err := picture.ObjectLen([]byte(v.Str))
+	if err != nil || n != len(v.Str) || v.Loc.Object == 0 || picture.ObjectID(binary.LittleEndian.Uint64([]byte(v.Str))) != v.Loc.Object ||
+		isStaged && string(picture.EncodeObject(obj)) != v.Str {
+		return "", false, fmt.Errorf("%w: %v carries a malformed object, or one unlike the one staged", ErrDanglingLoc, v.Loc)
+	}
+	pic.Reserve(v.Loc.Object)
+	return v.Str, false, nil
 }
 
 // lookupPicture resolves name through the relation's catalog.
@@ -277,10 +309,11 @@ func (r *Relation) lookupPicture(name string) (*picture.Picture, bool) {
 	return r.pics.Picture(name)
 }
 
-// insert stores t, whose locs name objs (resolveLocs).
-func (r *Relation) insert(t Tuple, objs []picture.Object) (storage.TupleID, error) {
-	enc := appendBody(nil, t, objs)
-	loc, mbr, hasLoc := r.spatialLoc(t, objs)
+// insert stores t, whose non-zero locs carry their objects
+// (resolveLocs), and then releases the staged objects it stored.
+func (r *Relation) insert(t Tuple, staged []LocRef) (storage.TupleID, error) {
+	enc := appendBody(nil, t, true)
+	loc, mbr, hasLoc := r.spatialLoc(t)
 	s := r.place(t, loc, mbr, hasLoc)
 	st := r.stores[s]
 	st.mu.Lock()
@@ -288,6 +321,10 @@ func (r *Relation) insert(t Tuple, objs []picture.Object) (storage.TupleID, erro
 	st.mu.Unlock()
 	if err != nil {
 		return storage.TupleID{}, r.storeErr(s, err)
+	}
+	for _, l := range staged {
+		pic, _ := r.lookupPicture(l.Picture) // resolveLocs found it, and no picture leaves a catalog
+		pic.Release(l.Object)
 	}
 	tid := inStore(lid, s)
 	id := tid.Int64()
@@ -308,14 +345,15 @@ func (r *Relation) storeErr(s int, err error) error {
 }
 
 // spatialLoc returns t's loc — the first loc column, the one spatial
-// indexes are over — and the MBR of the object it names, the first of
-// objs; ok is false when t has no loc or a zero one.
-func (r *Relation) spatialLoc(t Tuple, objs []picture.Object) (LocRef, geom.Rect, bool) {
+// indexes are over — and the MBR of the object it carries; ok is false
+// when t has no loc or a zero one.
+func (r *Relation) spatialLoc(t Tuple) (LocRef, geom.Rect, bool) {
 	li := r.schema.LocColumn()
 	if li < 0 || t[li].Loc.IsZero() {
 		return LocRef{}, geom.Rect{}, false
 	}
-	return t[li].Loc, objs[0].MBR(), true
+	mbr, _ := t[li].LocMBR()
+	return t[li].Loc, mbr, true
 }
 
 // spatialLocked returns store s's index over the picture loc names, nil
@@ -490,28 +528,14 @@ func (r *Relation) Delete(id storage.TupleID) error {
 		return fmt.Errorf("%w: %v", storage.ErrNotFound, id)
 	}
 	var t Tuple
-	var loc LocRef
-	var mbr geom.Rect
-	li := r.schema.LocColumn()
-	hasLoc := false
 	st := r.stores[s]
 	st.mu.Lock()
 	err := st.heap.GetBatch([]storage.TupleID{id}, func(_ int, body []byte) (err error) {
 		if body == nil {
 			return fmt.Errorf("%w: %v (already deleted)", storage.ErrNotFound, id)
 		}
-		locs := make([]locBytes, r.schema.Arity())
-		if t, err = decodeCols(body, nil, nil, locs); err != nil {
-			return err
-		}
-		if hasLoc = li >= 0 && locs[li].obj != nil; hasLoc {
-			obj, err := picture.DecodeObject(locs[li].obj)
-			if err != nil {
-				return errTuple("loc column %d: %w", li, err)
-			}
-			loc, mbr = t[li].Loc, obj.MBR()
-		}
-		return nil
+		t, err = DecodeTuple(body)
+		return err
 	})
 	if err == nil {
 		err = st.heap.Delete(id)
@@ -520,6 +544,7 @@ func (r *Relation) Delete(id storage.TupleID) error {
 	if err != nil {
 		return r.storeErr(s, err)
 	}
+	loc, mbr, hasLoc := r.spatialLoc(t)
 	r.smu.Lock()
 	for col, idx := range r.indexes {
 		idx.Delete(IndexKey(t[r.schema.ColumnIndex(col)]), gid)
@@ -538,19 +563,20 @@ func (r *Relation) Delete(id storage.TupleID) error {
 // index associated with the updated relation". Records are immutable
 // in the slotted pages, so the update is a delete plus insert; the new
 // storage id is returned. A t the relation would refuse leaves the old
-// tuple in place.
+// tuple in place. A loc of t read back with the old tuple carries its
+// object, so the update keeps it.
 func (r *Relation) Update(id storage.TupleID, t Tuple) (storage.TupleID, error) {
 	if err := r.schema.Validate(t); err != nil {
 		return storage.TupleID{}, err
 	}
-	objs, err := r.resolveLocs(t)
+	t, staged, err := r.resolveLocs(t)
 	if err != nil {
 		return storage.TupleID{}, err
 	}
 	if err := r.Delete(id); err != nil {
 		return storage.TupleID{}, err
 	}
-	return r.insert(t, objs)
+	return r.insert(t, staged)
 }
 
 // Scan calls fn on every tuple in ascending id order; returning false

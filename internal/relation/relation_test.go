@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -62,7 +63,19 @@ func withObjects(t Tuple) []byte {
 			objs = append(objs, picture.Object{ID: v.Loc.Object, Kind: picture.KindPoint, Label: "o", Point: geom.Pt(1, 2)})
 		}
 	}
-	return appendBody(nil, t, objs)
+	return appendBody(nil, carrying(t, objs...), true)
+}
+
+// carrying returns a copy of t whose non-zero locs carry objs, in
+// column order, as a tuple read back carries its objects.
+func carrying(t Tuple, objs ...picture.Object) Tuple {
+	t = slices.Clone(t)
+	for i, v := range t {
+		if v.Type == TypeLoc && !v.Loc.IsZero() {
+			t[i].Str, objs = string(picture.EncodeObject(objs[0])), objs[1:]
+		}
+	}
+	return t
 }
 
 // repack folds every store's write side on the named picture into a
@@ -159,7 +172,7 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 func TestRecordLayout(t *testing.T) {
 	obj := picture.Object{ID: 7, Kind: picture.KindSegment, Label: "s", Segment: geom.Seg(geom.Pt(0, 0), geom.Pt(3, 4))}
 	tu := Tuple{S("x"), L("map", 7), I(9)}
-	body := appendBody(nil, tu, []picture.Object{obj})
+	body := appendBody(nil, carrying(tu, obj), true)
 	locs := make([]locBytes, 3)
 	got, err := decodeCols(body, nil, nil, locs)
 	if err != nil || !got[1].Eq(tu[1]) || !got[2].Eq(tu[2]) {
@@ -828,8 +841,8 @@ func TestCheckCountsSpatialEntries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				obj, _ := pic.Get(tu[3].Loc.Object)
-				rel.Spatials("us-map")[s].delete(obj.MBR(), victim.Int64())
+				mbr, _ := tu[3].LocMBR()
+				rel.Spatials("us-map")[s].delete(mbr, victim.Int64())
 				if err := rel.Check(); !errors.Is(err, storage.ErrCorrupt) {
 					t.Fatalf("tuple %v unindexed: Check = %v, want ErrCorrupt", victim, err)
 				}

@@ -47,7 +47,7 @@ func shardTwins(t *testing.T, n int, seed int64) (map[int]*Relation, map[int][]s
 	type city struct {
 		name string
 		pop  int64
-		oid  picture.ObjectID
+		obj  picture.Object
 	}
 	cities := make([]city, n)
 	for i := range cities {
@@ -71,7 +71,8 @@ func shardTwins(t *testing.T, n int, seed int64) (map[int]*Relation, map[int][]s
 			geom.Pt(x-half, y-half), geom.Pt(x+half, y-half),
 			geom.Pt(x+half, y+half), geom.Pt(x-half, y+half),
 		))
-		cities[i] = city{name: name, pop: int64(i * 37 % 9000), oid: oid}
+		obj, _ := pic.Get(oid)
+		cities[i] = city{name: name, pop: int64(i * 37 % 9000), obj: obj}
 	}
 
 	twins := make(map[int]*Relation)
@@ -87,9 +88,11 @@ func shardTwins(t *testing.T, n int, seed int64) (map[int]*Relation, map[int][]s
 	for _, k := range shardCounts {
 		twins[k] = newShardedCities(t, k, pic)
 	}
+	// Every twin stores the same objects: each tuple carries its own, as
+	// one read back from another relation does.
 	for k, rel := range twins {
 		for _, c := range cities {
-			id, err := rel.Insert(Tuple{S(c.name), S("ST"), I(c.pop), L("us-map", c.oid)})
+			id, err := rel.Insert(carrying(Tuple{S(c.name), S("ST"), I(c.pop), L("us-map", c.obj.ID)}, c.obj))
 			if err != nil {
 				t.Fatalf("twin %d: %v", k, err)
 			}
@@ -378,7 +381,7 @@ func TestShardedJuxtaposeOracle(t *testing.T) {
 // returning false stops the scan, and a record whose inline object is
 // corrupt fails it whether keep would accept or reject it.
 func TestScanColsMatchesScan(t *testing.T) {
-	twins, _, pic := shardTwins(t, 200, 5)
+	twins, _, _ := shardTwins(t, 200, 5)
 	need := []bool{false, false, true, true} // population, loc
 	test := []bool{false, false, true, false}
 	even := func(tu Tuple) bool { return tu[2].Int%2 == 0 }
@@ -432,8 +435,8 @@ func TestScanColsMatchesScan(t *testing.T) {
 		}
 
 		// A stored record whose object's kind byte is damaged.
-		obj, _ := pic.Get(full[0][3].Loc.Object)
-		body := appendBody(nil, Tuple{S("bad"), S("ST"), I(2), full[0][3]}, []picture.Object{obj})
+		obj, _ := full[0][3].LocObject()
+		body := appendBody(nil, Tuple{S("bad"), S("ST"), I(2), full[0][3]}, true)
 		body[bytes.Index(body, picture.EncodeObject(obj))+8] = 99
 		if _, err := DecodeTuple(body); !errors.Is(err, storage.ErrCorrupt) {
 			t.Fatalf("the damaged body decodes: %v", err)
@@ -666,7 +669,8 @@ func shardDef(rel *Relation, p *pager.Pager) Def {
 
 // TestShardedReopen drops the in-memory Relation and reattaches via
 // Open over the same pager: the reload's scan must reproduce ids,
-// order, and contents exactly, and the picture its objects.
+// order, and contents exactly, and move the picture's allocator above
+// every object id the tuples carry.
 func TestShardedReopen(t *testing.T) {
 	p := pager.OpenMem(512)
 	t.Cleanup(func() { p.Close() })
@@ -685,15 +689,22 @@ func TestShardedReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The objects come back from the tuples: reopen over an empty copy
-	// of the picture.
+	// The objects stay in the tuples: reopen over an empty copy of the
+	// picture, which then allocates above every id they carry.
 	fresh := usMap()
 	re, _, err := Open(shardDef(rel, p), catalogOf(fresh))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Len() != rel.Len() {
-		t.Fatalf("reopen restored %d objects for %d tuples", fresh.Len(), rel.Len())
+	var maxID picture.ObjectID
+	if err := rel.Scan(func(_ storage.TupleID, tu Tuple) bool {
+		maxID = max(maxID, tu[3].Loc.Object)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if id := fresh.AddPoint("next", geom.Pt(1, 1)); id <= maxID {
+		t.Fatalf("after the reopen AddPoint returned %d, a stored tuple carries %d", id, maxID)
 	}
 	pic = fresh
 	if re.Len() != rel.Len() {
@@ -774,6 +785,29 @@ func TestShardedDuplicatePageDetected(t *testing.T) {
 	}
 	if _, _, err := Open(shardDef(rel, p), catalogOf(usMap())); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("Open of a page in two stores: %v, want ErrCorrupt", err)
+	}
+}
+
+// TestOpenRefusesObjectIDZero: a stored loc that names a picture but
+// carries object id 0 is corruption, since no picture hands out id 0,
+// and Open refuses it.
+func TestOpenRefusesObjectIDZero(t *testing.T) {
+	p := pager.OpenMem(64)
+	t.Cleanup(func() { p.Close() })
+	pic := usMap()
+	rel, err := NewSharded(p, 1, "cities", citySchema(), catalogOf(pic))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addCity(t, rel, pic, "one", "ST", 1, 100, 100)
+	if _, _, err := Open(shardDef(rel, p), catalogOf(usMap())); err != nil {
+		t.Fatalf("Open before the forged record: %v", err)
+	}
+	zero := picture.Object{ID: 0, Kind: picture.KindPoint, Label: "zero", Point: geom.Pt(5, 5)}
+	plant(t, rel, 0, appendBody(nil, carrying(Tuple{S("zero"), S("ST"), I(2), L(pic.Name(), 0)}, zero), true))
+	_, _, err = Open(shardDef(rel, p), catalogOf(usMap()))
+	if !errors.Is(err, storage.ErrCorrupt) || !strings.Contains(err.Error(), "object id 0") {
+		t.Fatalf("Open of a tuple carrying object id 0: %v, want ErrCorrupt naming the id", err)
 	}
 }
 

@@ -56,12 +56,12 @@ func oracleSearch(t *testing.T, rel *Relation, pic *picture.Picture, window geom
 	return out
 }
 
-// locMBR resolves tu's loc on pic, the oracle's view of where it is.
+// locMBR is the MBR of the object tu's loc on pic carries, the
+// oracle's view of where it is.
 func locMBR(tu Tuple, pic *picture.Picture) (geom.Rect, bool) {
 	for _, v := range tu {
 		if v.Type == TypeLoc && v.Loc.Picture == pic.Name() {
-			o, ok := pic.Get(v.Loc.Object)
-			return o.MBR(), ok
+			return v.LocMBR()
 		}
 	}
 	return geom.Rect{}, false

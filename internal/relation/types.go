@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/geom"
 	"repro/internal/picture"
 )
 
@@ -135,7 +136,9 @@ func (l LocRef) IsZero() bool { return l.Picture == "" && l.Object == 0 }
 func (l LocRef) String() string { return fmt.Sprintf("%s#%d", l.Picture, l.Object) }
 
 // Value is one column value. Exactly the field matching Type is
-// meaningful.
+// meaningful, except that a loc read from a stored tuple carries its
+// object's encoding (picture.EncodeObject) in Str; one built with L
+// carries none.
 type Value struct {
 	Type  Type
 	Int   int64
@@ -168,8 +171,34 @@ func (v Value) String() string {
 	}
 }
 
-// Eq reports deep equality of two values.
-func (v Value) Eq(w Value) bool { return v == w }
+// Eq reports equality of two values; locs are equal when they name one
+// object, whatever they carry.
+func (v Value) Eq(w Value) bool {
+	if v.Type == TypeLoc {
+		return w.Type == TypeLoc && v.Loc == w.Loc
+	}
+	return v == w
+}
+
+// LocMBR returns the MBR of the object loc value v carries, read from
+// its encoding without decoding it; ok is false when v carries none. A
+// loc read back carries a whole encoding; a Str set by hand must too.
+func (v Value) LocMBR() (r geom.Rect, ok bool) {
+	if v.Type != TypeLoc || v.Str == "" {
+		return geom.Rect{}, false
+	}
+	return picture.EncodedMBR(v.Str), true
+}
+
+// LocObject returns the object loc value v carries, decoded whole; ok
+// is false when v carries none.
+func (v Value) LocObject() (o picture.Object, ok bool) {
+	if v.Type != TypeLoc {
+		return picture.Object{}, false
+	}
+	o, err := picture.DecodeObject([]byte(v.Str)) // an empty Str is an error
+	return o, err == nil
+}
 
 // Compare orders two values of the same type: -1, 0, or +1. Loc
 // values order by (picture, object). Comparing values of different

@@ -500,24 +500,26 @@ func (db *Database) RegisterFunc(name string, f psql.Func) {
 	db.exec.RegisterFunc(name, f)
 }
 
-// Render draws the objects referenced by the result's loc pointers on
-// their picture, clipped to window — the graphical half of the paper's
-// two output devices. All locs must reference the same picture; locs
-// referencing other pictures are skipped.
+// Render draws the objects the result's rows locate on their picture,
+// clipped to window — the graphical half of the paper's two output
+// devices. Each object is the one its row's tuple carries. All locs must
+// reference the same picture; locs referencing other pictures are
+// skipped.
 func (db *Database) Render(res *Result, pictureName string, window Rect) (string, error) {
-	pic, ok := db.catalog().pictures[pictureName]
-	if !ok {
+	if _, ok := db.catalog().pictures[pictureName]; !ok {
 		return "", fmt.Errorf("pictdb: unknown picture %q", pictureName)
 	}
 	var objs []picture.Object
 	seen := map[picture.ObjectID]bool{}
-	for _, loc := range res.Locs {
-		if loc.Picture != pictureName || seen[loc.Object] {
-			continue
-		}
-		seen[loc.Object] = true
-		if o, ok := pic.Get(loc.Object); ok {
-			objs = append(objs, o)
+	for _, row := range res.Rows {
+		for _, d := range row {
+			if d.Kind != psql.KindLoc || d.Loc.Picture != pictureName || seen[d.Loc.Object] {
+				continue
+			}
+			seen[d.Loc.Object] = true
+			if o, ok := d.LocObject(); ok {
+				objs = append(objs, o)
+			}
 		}
 	}
 	return picture.DefaultRenderer().Render(window, objs), nil

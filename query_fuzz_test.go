@@ -25,7 +25,10 @@ func FuzzQueryMatchesNaive(f *testing.F) {
 	// One input per statement shape: a direct search under each
 	// operator, with one window and under a nested mapping, with and
 	// without a where-term, an order by or a limit, and a juxtaposition
-	// with either side first and a where-term on either relation.
+	// with either side first and a where-term on either relation; then
+	// one per object read in the select list — a loc, its area, length
+	// and perimeter, and all four — over the points and segments, and
+	// over the regions a juxtaposition pairs them with.
 	// Covering returns no points, so those inputs return no rows.
 	for _, seed := range [][]byte{
 		{0, 0, 0, 100, 60, 120, 50, 0, 0},
@@ -41,6 +44,17 @@ func FuzzQueryMatchesNaive(f *testing.F) {
 		{2, 0, 0, 2, 2, 3, 2},
 		{2, 1, 1, 1, 1, 90, 3, 5},
 		{2, 0, 0, 3, 1, 200, 0},
+		{0, 0, 2, 100, 60, 120, 60, 0, 0, 1},
+		{0, 1, 2, 100, 60, 120, 60, 3, 1, 2},
+		{0, 0, 2, 100, 60, 120, 60, 2, 2, 2, 3},
+		{2, 0, 0, 2, 0, 0, 3},
+		{1, 1, 2, 60, 40, 180, 60, 0, 0, 4},
+		{1, 0, 2, 128, 90, 128, 90, 1, 20, 2, 5},
+		{2, 0, 0, 2, 0, 0, 7},
+		{2, 1, 1, 2, 0, 1, 8},
+		{2, 0, 0, 2, 2, 3, 1, 9},
+		{2, 1, 1, 2, 0, 0, 10},
+		{2, 0, 0, 2, 1, 90, 2, 11},
 	} {
 		f.Add(seed)
 	}
@@ -64,7 +78,9 @@ func FuzzQueryMatchesNaive(f *testing.F) {
 // picks the shape — direct search with one window, direct search under
 // a nested mapping, juxtaposition — and the rest the relation, the
 // operator (and a juxtaposition's side order), the windows, a
-// where-term and an order by or a limit. A short input reads as zeros.
+// where-term, an order by or a limit, and last what the select list
+// reads of the objects: a loc, area, length or perimeter of one, or all
+// four. A short input reads as zeros.
 func fuzzStatement(in []byte) string {
 	next := func() int {
 		if len(in) == 0 {
@@ -79,12 +95,17 @@ func fuzzStatement(in []byte) string {
 		cx, dx, cy, dy := next()*4, next()*2, next()*4, next()*2
 		return fmt.Sprintf("{%d±%d, %d±%d}", cx, dx, cy, dy)
 	}
+	// cols is the select list, b the rest of the statement, and located
+	// the bindings whose objects the select list may read.
+	var cols string
+	var located []string
 	var b strings.Builder
 	rel := []string{"pts", "spts"}
 	switch shape := next() % 3; shape {
 	case 0, 1:
 		r := rel[next()%2]
-		fmt.Fprintf(&b, "select name, pop, kind from %s on pmap at %s.loc %s ", r, r, ops[next()%4])
+		cols, located = "select name, pop, kind", []string{r}
+		fmt.Fprintf(&b, " from %s on pmap at %s.loc %s ", r, r, ops[next()%4])
 		if shape == 0 {
 			b.WriteString(window())
 		} else {
@@ -100,11 +121,12 @@ func fuzzStatement(in []byte) string {
 		}
 	default:
 		r := rel[next()%2]
+		cols, located = "select name, zone", []string{r, "regions"}
 		left, right := r+".loc", "regions.loc"
 		if next()%2 == 1 {
 			left, right = right, left
 		}
-		fmt.Fprintf(&b, "select name, zone from %s, regions on pmap, rmap at %s %s %s", r, left, ops[next()%4], right)
+		fmt.Fprintf(&b, " from %s, regions on pmap, rmap at %s %s %s", r, left, ops[next()%4], right)
 		switch next() % 3 {
 		case 1:
 			fmt.Fprintf(&b, " where pop > %d", next()*4000)
@@ -120,7 +142,14 @@ func fuzzStatement(in []byte) string {
 	case 3:
 		fmt.Fprintf(&b, " limit %d", next()%20)
 	}
-	return b.String()
+	// The object reads are chosen last, so that an input ending before
+	// them reads as a statement that reads none.
+	reads := []string{"", "%[1]s.loc", "area(%[1]s.loc)", "length(%[1]s.loc)", "perimeter(%[1]s.loc)",
+		"%[1]s.loc, area(%[1]s.loc), length(%[1]s.loc), perimeter(%[1]s.loc)"}
+	if x := next(); x%len(reads) > 0 {
+		cols += ", " + fmt.Sprintf(reads[x%len(reads)], located[x/len(reads)%len(located)])
+	}
+	return cols + b.String()
 }
 
 // fuzzQueryDB builds FuzzQueryMatchesNaive's database and closes it when
@@ -164,6 +193,10 @@ func fuzzQueryDB(f *testing.F) *pictdb.Database {
 			id, err := r.Insert(tu)
 			must(err)
 			ids[k] = id
+			// The first insert stored the staged object; the second
+			// stores the object the tuple read back carries.
+			tu, err = r.Get(id)
+			must(err)
 		}
 		return ids
 	}

@@ -286,7 +286,6 @@ func storeRowsRecovered(t *testing.T, i int, db *pictdb.Database, acked, inserte
 		}
 		return 0
 	}
-	pic, _ := db.Picture("map")
 	seen := make(map[int64]bool)
 	err := rel.Scan(func(_ storage.TupleID, tup pictdb.Tuple) bool {
 		v := tup[1].Int
@@ -294,7 +293,7 @@ func storeRowsRecovered(t *testing.T, i int, db *pictdb.Database, acked, inserte
 			t.Fatalf("image %d: spts row %d recovered twice or never inserted", i, v)
 		}
 		seen[v] = true
-		if _, live := pic.Get(tup[2].Loc.Object); !live {
+		if _, carried := tup[2].LocObject(); !carried {
 			t.Fatalf("image %d: spts row %d recovered without its picture object", i, v)
 		}
 		return true
@@ -391,9 +390,14 @@ func TestWALCrashPictorialWritesKeepGeometry(t *testing.T) {
 	if got := windowAnswers(t, db2, `select n from pts on plan at loc covered-by {50±50, 50±50}`); len(got) != 5 {
 		t.Fatalf("%d spatial answers, want 5", len(got))
 	}
-	pic2, _ := db2.Picture("plan")
-	if pic2.Len() != 5 {
-		t.Fatalf("picture holds %d objects, want the 5 the rows carry", pic2.Len())
+	carried := 0
+	if err := rel2.Scan(func(_ storage.TupleID, tup pictdb.Tuple) bool {
+		if _, ok := tup[2].LocObject(); ok {
+			carried++
+		}
+		return true
+	}); err != nil || carried != 5 {
+		t.Fatalf("%d rows carry their objects (scan: %v), want the 5 rows", carried, err)
 	}
 	if report := db2.Check(); !report.OK() {
 		t.Fatalf("Check: %v", report.Err())
@@ -403,7 +407,7 @@ func TestWALCrashPictorialWritesKeepGeometry(t *testing.T) {
 // TestWALCrashUnacknowledgedDeleteUndone is the mirror case: a Write
 // that deletes a pictorial tuple is undone by a crash before its commit.
 // The tuple comes back with its geometry: it answers a window over the
-// frame, its object is in the picture, and Check is clean.
+// frame, it carries its object, and Check is clean.
 func TestWALCrashUnacknowledgedDeleteUndone(t *testing.T) {
 	pair := pager.NewCrashPair()
 	db, err := openPairDB(pair.Main(), pair.WAL(), 64)
@@ -441,8 +445,12 @@ func TestWALCrashUnacknowledgedDeleteUndone(t *testing.T) {
 	if got := windowAnswers(t, db2, `select n from pts on plan at loc covered-by {50±50, 50±50}`); !got[2] || len(got) != 5 {
 		t.Fatalf("spatial answers %v, want all 5 with the undeleted row 2", got)
 	}
-	pic2, _ := db2.Picture("plan")
-	if obj, ok := pic2.Get(victim[2].Loc.Object); !ok || obj.Point != pictdb.Pt(40, 50) {
+	rel2, _ := db2.Relation("pts")
+	back, err := rel2.Get(ids[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if obj, ok := back[2].LocObject(); !ok || obj.Point != pictdb.Pt(40, 50) || !back[2].Eq(victim[2]) {
 		t.Fatalf("the undeleted row's object = %+v, %v; want the point at (40, 50)", obj, ok)
 	}
 	if report := db2.Check(); !report.OK() {
