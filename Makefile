@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test race vet lint bench benchcheck faults walfaults defrace deleterace fuzz table1 clean
+.PHONY: check build test race vet lint bench benchcheck faults walfaults defrace deleterace arenarace fuzz table1 clean
 
 # The gate: everything must vet, keep the typed-error rule (lint),
 # build, pass under the race detector (concurrent callers of one
@@ -10,7 +10,7 @@ GO ?= go
 # crash-recovery matrix. Every test binary that opens a
 # pager also fails when its tests leave a pin, a reader or a goroutine
 # behind (internal/leakcheck, DESIGN.md §14).
-check: vet lint build race faults walfaults defrace deleterace
+check: vet lint build race faults walfaults defrace deleterace arenarace
 
 build:
 	$(GO) build ./...
@@ -98,6 +98,14 @@ defrace:
 # and no statement fails.
 deleterace:
 	$(GO) test -race -timeout 300s -run 'TestConcurrentDoubleDelete|TestFetchBesideDelete' -count=20 ./internal/relation/ ./internal/psql/
+
+# Results beside reused statement arenas, under -race and repeated: a
+# planned statement decodes into a pooled arena that the next statement
+# clears and cuts again, so a held window, juxtaposition and nested
+# mapping must read the same after hundreds of statements from two
+# goroutines, and each of those must answer as the naive executor does.
+arenarace:
+	$(GO) test -race -timeout 300s -run 'TestResultOutlivesArena' -count=20 .
 
 # Short fuzz pass over the decoders of on-disk bytes — tuple records
 # with the objects their locs carry, page-0 header slots, catalog

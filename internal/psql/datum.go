@@ -9,8 +9,9 @@ import (
 	"repro/internal/relation"
 )
 
-// DatumKind classifies runtime values.
-type DatumKind int
+// DatumKind classifies runtime values. It is a byte, so that Bool
+// shares Kind's word in a Datum.
+type DatumKind uint8
 
 const (
 	// KindNull is the absence of a value.
@@ -54,6 +55,8 @@ func (k DatumKind) String() string {
 
 // Datum is one runtime value during query evaluation. A loc datum read
 // from a tuple carries its object's encoding in Str and MBR in Rect.
+// Kind is one byte and Bool sits beside it in the first word, which
+// keeps a Datum at 96 bytes (TestDatumSize).
 type Datum struct {
 	Kind  DatumKind
 	Bool  bool

@@ -3,6 +3,7 @@ package psql
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/relation"
@@ -129,6 +130,14 @@ func TestKindStrings(t *testing.T) {
 	}
 	if !strings.HasPrefix(DatumKind(99).String(), "DatumKind(") {
 		t.Error("unknown kind should fall back to numeric form")
+	}
+}
+
+// TestDatumSize holds a Datum at 96 bytes: every result row is a block
+// of them, so a byte more per Datum is a byte more per returned column.
+func TestDatumSize(t *testing.T) {
+	if n := unsafe.Sizeof(Datum{}); n != 96 {
+		t.Errorf("a Datum is %d bytes, want 96", n)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 // This file evaluates where-clause and target-list expressions over
 // one candidate row. A result is written through an out-parameter: a
-// Datum is 104 bytes, and returning one by value through every level of
+// Datum is 96 bytes, and returning one by value through every level of
 // an expression was a measurable share of a statement.
 
 // boundCol is a column reference the binder resolved once, when the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/arena"
 	"repro/internal/geom"
 	"repro/internal/picture"
 	"repro/internal/relation"
@@ -101,13 +102,48 @@ func (e *Executor) RunNaive(src string) (*Result, error) {
 // row is one candidate result row: a tuple per binding.
 type row []relation.Tuple
 
+// stmtArena is the scratch memory of one planned statement, its nested
+// mappings included: the relation arena its fetches decode into and its
+// rows. Every fetch, restriction, join side and row list of the
+// statement cuts fresh slots from it, and it is reset only when the
+// statement's exec returns (DESIGN.md §11). A Result holds Datum copies
+// whose strings decodeCols allocated apart, so nothing a Result holds
+// points into the arena.
+type stmtArena struct {
+	rel  relation.Arena
+	rows arena.Slab[row]
+}
+
+// relArena and rowSlab are a's parts; a nil arena, the naive
+// executor's, allocates afresh.
+func (a *stmtArena) relArena() *relation.Arena {
+	if a == nil {
+		return nil
+	}
+	return &a.rel
+}
+
+func (a *stmtArena) rowSlab() *arena.Slab[row] {
+	if a == nil {
+		return nil
+	}
+	return &a.rows
+}
+
+// stmtArenas holds the arenas of finished statements, reset, for the
+// next ones.
+var stmtArenas = sync.Pool{New: func() any { return new(stmtArena) }}
+
 // execOpts carries per-execution modes threaded through nested
 // mappings.
 type execOpts struct {
 	// naive selects the reference execution path: no planner, no
 	// batching, no index shortcuts beyond the spatial semantics
-	// themselves.
+	// themselves. It allocates afresh and never uses arena.
 	naive bool
+	// arena is the planned statement's scratch memory, shared with its
+	// nested mappings.
+	arena *stmtArena
 }
 
 // execState carries one execution of a bound statement.
@@ -160,8 +196,19 @@ func (e *Executor) run(ent *stmtEntry, opts execOpts) (*Result, error) {
 	return e.exec(b, opts)
 }
 
-// exec executes a bound statement.
+// exec executes a bound statement. A planned statement that is not
+// nested takes an arena from stmtArenas and hands it back, reset, when
+// it returns.
 func (e *Executor) exec(b *boundStmt, opts execOpts) (*Result, error) {
+	if !opts.naive && opts.arena == nil {
+		a := stmtArenas.Get().(*stmtArena)
+		defer func() {
+			a.rel.Reset()
+			a.rows.Reset()
+			stmtArenas.Put(a)
+		}()
+		opts.arena = a
+	}
 	st := &execState{boundStmt: b, e: e, opts: opts}
 	rows, err := st.candidateRows()
 	if err != nil {
@@ -220,7 +267,7 @@ func (st *execState) qualifies(r row) (bool, error) {
 func (st *execState) scanIDs(i int) ([]storage.TupleID, error) {
 	var out []storage.TupleID
 	none := make([]bool, st.bindings[i].schema.Arity())
-	err := st.bindings[i].rel.ScanCols(none, nil, nil, func(id storage.TupleID, _ relation.Tuple) bool {
+	err := st.bindings[i].rel.ScanCols(nil, none, nil, nil, func(id storage.TupleID, _ relation.Tuple) bool {
 		out = append(out, id)
 		return true
 	})
@@ -403,7 +450,7 @@ func (st *execState) filterSpatial(bi int, ids []storage.TupleID, op SpatialOp, 
 	need := make([]bool, b.schema.Arity())
 	need[li] = true
 	sortTupleIDs(ids) // the B-tree delivers key order
-	tuples, err := b.rel.GetBatch(ids, need, 0)
+	tuples, err := b.rel.FetchWhere(st.opts.arena.relArena(), ids, need, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -601,7 +648,7 @@ func (st *execState) directSearch(bi int, op SpatialOp, windows []geom.Rect) ([]
 		return nil, fmt.Errorf("psql: relation %q is not spatially indexed on picture %q", b.name, b.picture)
 	}
 	st.visited += visited
-	var out []storage.TupleID
+	out := make([]storage.TupleID, 0, len(items))
 	for _, it := range items { // ascending by id
 		for _, w := range windows {
 			if pred(it.Rect, w) {
@@ -666,23 +713,24 @@ func (st *execState) juxtapose(bi, bj int, op SpatialOp) ([]row, error) {
 	for i, p := range pairs {
 		xs[i], ys[i] = p.x, p.y
 	}
-	tx, err := st.fetchSide(bi, xs)
+	tx, wx, err := st.fetchSide(bi, xs)
 	if err != nil {
 		return nil, err
 	}
-	ty, err := st.fetchSide(bj, ys)
+	ty, wy, err := st.fetchSide(bj, ys)
 	if err != nil {
 		return nil, err
 	}
 	// A pair whose tuple was deleted since the pairs were found is dropped.
-	rows := make([]row, 0, len(pairs))
-	tupBuf := make([]relation.Tuple, 2*len(pairs))
+	rows := st.opts.arena.rowSlab().Cut(len(pairs))[:0]
+	tupBuf := st.opts.arena.relArena().Tuples(2 * len(pairs))
 	for i := range pairs {
-		if tx[i] == nil || ty[i] == nil {
+		x, y := tx[wx[i]], ty[wy[i]]
+		if x == nil || y == nil {
 			continue
 		}
 		r := tupBuf[2*i : 2*i+2 : 2*i+2]
-		r[bi], r[bj] = tx[i], ty[i]
+		r[bi], r[bj] = x, y
 		rows = append(rows, r)
 	}
 	return rows, nil
@@ -728,13 +776,13 @@ func (st *execState) traversalPairs(sides *[2]joinSide, op SpatialOp, nodesA, no
 }
 
 // fetchSide materializes one join side's tuples for a pair list: each
-// distinct id is fetched and decoded once, in ascending order, and the
-// result is expanded back to pair positions (join sides repeat ids
-// heavily). The positions are visited in ascending id order — their own
+// distinct id is fetched and decoded once, in ascending order (join
+// sides repeat ids heavily), and tuples[which[i]] is the tuple of
+// ids[i]. The positions are visited in ascending id order — their own
 // order when the side is the one the pairs are sorted by, a permutation
-// sorted once otherwise — so the distinct ids and each position's tuple
-// both fall out of a linear walk.
-func (st *execState) fetchSide(bi int, ids []storage.TupleID) ([]relation.Tuple, error) {
+// sorted once otherwise — so the distinct ids and each position's index
+// among them both fall out of a linear walk.
+func (st *execState) fetchSide(bi int, ids []storage.TupleID) (tuples []relation.Tuple, which []int, err error) {
 	var order []int // nil: ids are already ascending
 	if !slices.IsSortedFunc(ids, storage.TupleID.Compare) {
 		order = make([]int, len(ids))
@@ -743,9 +791,8 @@ func (st *execState) fetchSide(bi int, ids []storage.TupleID) ([]relation.Tuple,
 		}
 		slices.SortFunc(order, func(a, b int) int { return ids[a].Compare(ids[b]) })
 	}
-	// which[i] is the index of ids[i] among the distinct ids.
 	uniq := make([]storage.TupleID, 0, len(ids))
-	which := make([]int, len(ids))
+	which = make([]int, len(ids))
 	for k := range ids {
 		i := k
 		if order != nil {
@@ -756,15 +803,8 @@ func (st *execState) fetchSide(bi int, ids []storage.TupleID) ([]relation.Tuple,
 		}
 		which[i] = len(uniq) - 1
 	}
-	tuples, err := st.bindings[bi].rel.GetBatch(uniq, st.need[bi], 0)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]relation.Tuple, len(ids))
-	for i, u := range which {
-		out[i] = tuples[u]
-	}
-	return out, nil
+	tuples, err = st.bindings[bi].rel.FetchWhere(st.opts.arena.relArena(), uniq, st.need[bi], nil, nil)
+	return tuples, which, err
 }
 
 // cartesian builds the product of candidate id lists: ids, ascending,
@@ -804,7 +844,7 @@ func (st *execState) cartesian(fixed int, ids []storage.TupleID) ([]row, error) 
 		}
 		product *= len(lists[i])
 	}
-	rows := make([]row, product)
+	rows := st.opts.arena.rowSlab().Cut(product)
 	if nb == 1 {
 		// A one-relation row is the tuple's place in the fetched list.
 		for ri := range rows {
@@ -812,7 +852,7 @@ func (st *execState) cartesian(fixed int, ids []storage.TupleID) ([]row, error) 
 		}
 		return rows, nil
 	}
-	tupBuf := make([]relation.Tuple, product*nb)
+	tupBuf := st.opts.arena.relArena().Tuples(product * nb)
 	idx := make([]int, nb)
 	for ri := range rows {
 		rows[ri] = tupBuf[ri*nb : (ri+1)*nb : (ri+1)*nb]
@@ -871,7 +911,7 @@ func (st *execState) orderRows(rows []row) error {
 	if sortErr != nil {
 		return sortErr
 	}
-	sorted := make([]row, len(rows))
+	sorted := st.opts.arena.rowSlab().Cut(len(rows))
 	for i, j := range idx {
 		sorted[i] = rows[j]
 	}

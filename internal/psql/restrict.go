@@ -102,7 +102,7 @@ func (st *execState) fetchKept(bi int, ids []storage.TupleID, need []bool) ([]st
 	if len(terms) > 0 {
 		keep = holdAll(terms)
 	}
-	tuples, err := rel.FetchWhere(ids, need, st.test[bi], keep)
+	tuples, err := rel.FetchWhere(st.opts.arena.relArena(), ids, need, st.test[bi], keep)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -218,7 +218,7 @@ func (st *execState) restrictSide(bi int, terms []boundTerm, via *boundTerm) ([]
 		}
 		return out, nil
 	}
-	if err := b.rel.ScanCols(need, st.test[bi], holdAll(terms), func(id storage.TupleID, t relation.Tuple) bool {
+	if err := b.rel.ScanCols(st.opts.arena.relArena(), need, st.test[bi], holdAll(terms), func(id storage.TupleID, t relation.Tuple) bool {
 		item(id, t)
 		return true
 	}); err != nil {

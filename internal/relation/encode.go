@@ -81,7 +81,7 @@ func DecodeTuple(rec []byte) (Tuple, error) { return DecodeTupleCols(rec, nil) }
 // needed. A non-zero loc that is materialized carries its object's
 // encoding, copied with its picture name in one string.
 func DecodeTupleCols(rec []byte, need []bool) (Tuple, error) {
-	return decodeCols(rec, need, nil, nil)
+	return decodeCols(rec, need, nil, nil, nil)
 }
 
 // locBytes is where a non-zero loc column's picture name and object
@@ -90,12 +90,17 @@ type locBytes struct {
 	pic, obj []byte
 }
 
+// wants reports whether mask selects column i: a nil mask selects every
+// column, and one shorter than the tuple the columns it does not reach.
+func wants(mask []bool, i int) bool { return mask == nil || i >= len(mask) || mask[i] }
+
 // decodeCols is DecodeTupleCols writing the values into dst[:0] when
 // the tuple fits dst's capacity — a batch fetch hands each tuple its
-// slice of one arena — and into a fresh slice otherwise. locs[i] is set
+// slot of an arena — and into a fresh slice otherwise. locs[i] is set
 // for every non-zero loc column i within its length (and left alone for
-// the others).
-func decodeCols(rec []byte, need []bool, dst Tuple, locs []locBytes) (Tuple, error) {
+// the others), and starts[i] to the offset of column i's type tag for
+// every column within starts' length.
+func decodeCols(rec []byte, need []bool, dst Tuple, locs []locBytes, starts []int) (Tuple, error) {
 	n, off := binary.Uvarint(rec)
 	if off <= 0 {
 		return nil, errTuple("corrupt tuple header")
@@ -111,88 +116,124 @@ func decodeCols(rec []byte, need []bool, dst Tuple, locs []locBytes) (Tuple, err
 		out = make(Tuple, 0, n)
 	}
 	pos := off
-	for i := uint64(0); i < n; i++ {
+	for i := range int(n) {
 		if pos >= len(rec) {
 			return nil, errTuple("truncated tuple at column %d", i)
 		}
-		want := need == nil || i >= uint64(len(need)) || need[i]
-		typ := Type(rec[pos])
-		pos++
-		var v Value
-		v.Type = typ
-		switch typ {
-		case TypeInt, TypeFloat:
-			if pos+8 > len(rec) {
-				return nil, errTuple("truncated numeric column %d", i)
-			}
-			if want {
-				bits := binary.LittleEndian.Uint64(rec[pos:])
-				if typ == TypeInt {
-					v.Int = int64(bits)
-				} else {
-					v.Float = math.Float64frombits(bits)
-				}
-			}
-			pos += 8
-		case TypeString:
-			l, w := binary.Uvarint(rec[pos:])
-			// Bound l before converting: a 64-bit length can wrap int
-			// and slip past the range check as a negative slice index.
-			if w <= 0 || l > uint64(len(rec)) || pos+w+int(l) > len(rec) {
-				return nil, errTuple("truncated string column %d", i)
-			}
-			pos += w
-			if want {
-				v.Str = string(rec[pos : pos+int(l)])
-			}
-			pos += int(l)
-		case TypeLoc:
-			l, w := binary.Uvarint(rec[pos:])
-			if w <= 0 || l > uint64(len(rec)) || pos+w+int(l)+8 > len(rec) {
-				return nil, errTuple("truncated loc column %d", i)
-			}
-			pos += w
-			pic := rec[pos : pos+int(l)]
-			pos += int(l)
-			obj := picture.ObjectID(binary.LittleEndian.Uint64(rec[pos:]))
-			size := 8
-			if l > 0 || obj != 0 {
-				var err error
-				if size, err = picture.ObjectLen(rec[pos:]); err != nil {
-					return nil, errTuple("loc column %d: %w", i, err)
-				}
-				if i < uint64(len(locs)) {
-					locs[i] = locBytes{pic: pic, obj: rec[pos : pos+size]}
-				}
-				if want {
-					both := string(rec[pos-int(l) : pos+size])
-					v.Loc, v.Str = LocRef{Picture: both[:l], Object: obj}, both[l:]
-				}
-			}
-			pos += size
-		default:
-			return nil, errTuple("unknown type tag %d in column %d", typ, i)
+		if i < len(starts) {
+			starts[i] = pos
 		}
-		out = append(out, v)
+		out = append(out, Value{})
+		var err error
+		if pos, err = decodeCol(rec, pos, i, wants(need, i), &out[i], locs); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
 
+// decodeCol parses column i, whose type tag is rec[pos], into v — its
+// payload only when want is set, its type tag always — and returns the
+// offset of the next column. It validates the column whatever want is.
+func decodeCol(rec []byte, pos, i int, want bool, v *Value, locs []locBytes) (int, error) {
+	typ := Type(rec[pos])
+	pos++
+	*v = Value{Type: typ}
+	switch typ {
+	case TypeInt, TypeFloat:
+		if pos+8 > len(rec) {
+			return 0, errTuple("truncated numeric column %d", i)
+		}
+		if want {
+			bits := binary.LittleEndian.Uint64(rec[pos:])
+			if typ == TypeInt {
+				v.Int = int64(bits)
+			} else {
+				v.Float = math.Float64frombits(bits)
+			}
+		}
+		return pos + 8, nil
+	case TypeString:
+		l, w := binary.Uvarint(rec[pos:])
+		// Bound l before converting: a 64-bit length can wrap int
+		// and slip past the range check as a negative slice index.
+		if w <= 0 || l > uint64(len(rec)) || pos+w+int(l) > len(rec) {
+			return 0, errTuple("truncated string column %d", i)
+		}
+		pos += w
+		if want {
+			v.Str = string(rec[pos : pos+int(l)])
+		}
+		return pos + int(l), nil
+	case TypeLoc:
+		l, w := binary.Uvarint(rec[pos:])
+		if w <= 0 || l > uint64(len(rec)) || pos+w+int(l)+8 > len(rec) {
+			return 0, errTuple("truncated loc column %d", i)
+		}
+		pos += w
+		pic := rec[pos : pos+int(l)]
+		pos += int(l)
+		obj := picture.ObjectID(binary.LittleEndian.Uint64(rec[pos:]))
+		size := 8
+		if l > 0 || obj != 0 {
+			var err error
+			if size, err = picture.ObjectLen(rec[pos:]); err != nil {
+				return 0, errTuple("loc column %d: %w", i, err)
+			}
+			if i < len(locs) {
+				locs[i] = locBytes{pic: pic, obj: rec[pos : pos+size]}
+			}
+			if want {
+				both := string(rec[pos-int(l) : pos+size])
+				v.Loc, v.Str = LocRef{Picture: both[:l], Object: obj}, both[l:]
+			}
+		}
+		return pos + size, nil
+	default:
+		return 0, errTuple("unknown type tag %d in column %d", typ, i)
+	}
+}
+
+// startsOnStack is the widest tuple decodeKept decodes once: the column
+// offsets its first pass records live in an array of this length on its
+// stack.
+const startsOnStack = 16
+
 // decodeKept is the terms-first decode of a batch fetch: with keep
 // non-nil the body is decoded on test's columns alone and shown to
 // keep, and only a tuple keep accepts has need's columns materialized;
-// ok is false for one it rejects. Both decodes go to dst as in
-// decodeCols, and the first validates the whole body, so a corrupt one
+// ok is false for one it rejects. The decode goes to dst as in
+// decodeCols. Its first pass validates the whole body, so a corrupt one
 // fails whether or not keep would have rejected it — and exactly when
-// DecodeTupleCols(rec, nil) fails.
+// DecodeTupleCols(rec, nil) fails — and records where each column
+// starts: a kept tuple then has the columns need selects and test did
+// not parsed from there, and the columns test selected and need does
+// not zeroed, so it is decoded once. A tuple wider than startsOnStack
+// columns is decoded a second time on need instead.
 func decodeKept(rec []byte, need, test []bool, keep func(Tuple) bool, dst Tuple) (t Tuple, ok bool, err error) {
-	if keep != nil {
-		if t, err = decodeCols(rec, test, dst, nil); err != nil || !keep(t) {
-			return nil, false, err
+	if keep == nil {
+		t, err = decodeCols(rec, need, dst, nil, nil)
+		return t, err == nil, err
+	}
+	var starts [startsOnStack]int
+	if t, err = decodeCols(rec, test, dst, nil, starts[:]); err != nil || !keep(t) {
+		return nil, false, err
+	}
+	if len(t) > len(starts) {
+		t, err = decodeCols(rec, need, dst, nil, nil)
+		return t, err == nil, err
+	}
+	for i := range t {
+		switch n, s := wants(need, i), wants(test, i); {
+		case n && !s:
+			if _, err = decodeCol(rec, starts[i], i, true, &t[i], nil); err != nil {
+				return nil, false, err
+			}
+		case s && !n:
+			t[i] = Value{Type: t[i].Type}
 		}
 	}
-	t, err = decodeCols(rec, need, dst, nil)
-	return t, err == nil, err
+	return t, true, nil
 }
 
 // IndexKey returns an order-preserving byte encoding of v:

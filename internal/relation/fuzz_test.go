@@ -19,9 +19,13 @@ import (
 // batch fetch's decode — into an arena slot, the terms' columns first
 // (decodeKept) — is held to the same decoder: it fails on exactly the
 // bodies DecodeTuple fails on, with the same error, and on the others
-// agrees with it on every needed column, whatever the masks and
-// whatever the slot's capacity; with no column needed, the loc's object
-// is validated all the same.
+// agrees with it on every needed column and carries every other one
+// zeroed, whatever the masks and whatever the slot's capacity; with no
+// column needed, the loc's object is validated all the same. Two seeds
+// reach decodeKept's two shapes of a kept tuple: one wider than the
+// column offsets it keeps on its stack, decoded a second time, and one
+// whose loc column the terms test and the statement does not need,
+// which must come back without its object.
 func FuzzDecodeTuple(f *testing.F) {
 	good := appendBody(nil, Tuple{S("abc"), I(5), F(0.5)}, false)
 	f.Add(bytes.Clone(good))
@@ -46,6 +50,26 @@ func FuzzDecodeTuple(f *testing.F) {
 		f.Add(kind)
 	}
 	f.Add(appendBody(nil, Tuple{L("", 0), I(-1)}, false))
+	for k := int64(0); ; k++ {
+		wide := make(Tuple, startsOnStack+4)
+		for i := range wide {
+			wide[i] = I(k + int64(i))
+		}
+		wide[3], wide[startsOnStack+1] = S("third"), S("past the stack")
+		rec := appendBody(nil, wide, false)
+		if need, test, _ := keptMasks(rec); wants(need, startsOnStack+1) && !wants(test, startsOnStack+1) {
+			f.Add(rec)
+			break
+		}
+	}
+	pt := picture.Object{ID: 5, Kind: picture.KindPoint, Point: geom.Pt(1, 2)}
+	for k := int64(0); ; k++ {
+		rec := appendBody(nil, carrying(Tuple{I(k), S("name"), L("map", pt.ID)}, pt), true)
+		if need, test, _ := keptMasks(rec); wants(test, 2) && !wants(need, 2) {
+			f.Add(rec)
+			break
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		tup, err := DecodeTuple(body)
@@ -67,23 +91,33 @@ func FuzzDecodeTuple(f *testing.F) {
 	})
 }
 
-// checkDecodeKept runs decodeKept on data under masks and a slot
-// capacity derived from its bytes and compares it with full, err — what
-// DecodeTuple made of the same bytes.
-func checkDecodeKept(t *testing.T, data []byte, full Tuple, err error) {
-	t.Helper()
-	seed := uint32(len(data))
+// keptMasks derives from data's bytes the masks checkDecodeKept decodes
+// it under, and the seed it sizes the slot from.
+func keptMasks(data []byte) (need, test []bool, seed uint32) {
+	seed = uint32(len(data))
 	for _, b := range data {
 		seed = seed*31 + uint32(b)
 	}
 	mask := func(bits uint32) []bool {
-		m := make([]bool, 1+bits%5) // shorter than some tuples: the rest is needed
+		n := 1 + bits%5 // shorter than some tuples: the rest is needed
+		if bits%7 == 0 {
+			n = startsOnStack + 8 // reaching past the offsets decodeKept keeps on its stack
+		}
+		m := make([]bool, n)
 		for i := range m {
 			m[i] = bits>>(3+i)&1 == 1
 		}
 		return m
 	}
-	need, test := mask(seed), mask(seed/7)
+	return mask(seed), mask(seed / 7), seed
+}
+
+// checkDecodeKept runs decodeKept on data under masks and a slot
+// capacity derived from its bytes and compares it with full, err — what
+// DecodeTuple made of the same bytes.
+func checkDecodeKept(t *testing.T, data []byte, full Tuple, err error) {
+	t.Helper()
+	need, test, seed := keptMasks(data)
 	for _, accept := range []bool{true, false} {
 		slot := make(Tuple, seed%4, seed%4+seed/3%6) // stale values the decode must overwrite
 		for i := range slot {
@@ -112,8 +146,9 @@ func checkDecodeKept(t *testing.T, data []byte, full Tuple, err error) {
 				if i >= len(m) || m[i] {
 					want = full[i]
 				}
-				// Compared as encoded: a NaN equals itself there.
-				if !bytes.Equal(EncodeTuple(Tuple{v}), EncodeTuple(Tuple{want})) {
+				// Compared as encoded, where a NaN equals itself, and
+				// by Str, which carries a loc's object.
+				if !bytes.Equal(EncodeTuple(Tuple{v}), EncodeTuple(Tuple{want})) || v.Str != want.Str {
 					t.Fatalf("%s column %d = %+v, want %+v (input %x)", what, i, v, want, data)
 				}
 			}

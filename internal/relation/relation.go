@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/arena"
 	"repro/internal/btree"
 	"repro/internal/geom"
 	"repro/internal/pack"
@@ -397,11 +398,46 @@ func (r *Relation) Get(id storage.TupleID) (Tuple, error) {
 
 // GetBatch materializes the tuples stored under ids, preserving input
 // order: out[i] is the tuple for ids[i]. See FetchWhere, which it is
-// with nothing to test. workers is ignored; it stays only because
-// cmd/pictbench compiles against it, until the benchmark reads the
-// engine's own counters.
+// with nothing to test and into fresh memory. workers is ignored; it
+// stays only because cmd/pictbench compiles against it, until the
+// benchmark reads the engine's own counters.
 func (r *Relation) GetBatch(ids []storage.TupleID, need []bool, workers int) ([]Tuple, error) {
-	return r.FetchWhere(ids, need, nil, nil)
+	return r.FetchWhere(nil, ids, need, nil, nil)
+}
+
+// Arena is the memory one statement decodes its tuples into: the
+// blocks of Values its fetched tuples are cut from and its []Tuple
+// lists, each cut from a slab that only grows while the statement runs
+// (internal/arena), so two fetches of one statement never share a slot.
+// Reset, once the statement has returned, clears both for the next one.
+// A nil *Arena allocates afresh, as every read outside a statement
+// does: what FetchWhere or ScanCols hand back through one is the
+// statement's to drop, and must not be kept past its Reset.
+type Arena struct {
+	values arena.Slab[Value]
+	tuples arena.Slab[Tuple]
+}
+
+// Tuples returns n nil tuples cut from a, or freshly allocated when a is
+// nil.
+func (a *Arena) Tuples(n int) []Tuple {
+	if a == nil {
+		return make([]Tuple, n)
+	}
+	return a.tuples.Cut(n)
+}
+
+// Reset clears a for its next statement.
+func (a *Arena) Reset() {
+	a.values.Reset()
+	a.tuples.Reset()
+}
+
+func (a *Arena) valueSlab() *arena.Slab[Value] {
+	if a == nil {
+		return nil
+	}
+	return &a.values
 }
 
 // arenaTuples bounds the tuples of one tupleArena block: 128 × arity
@@ -412,7 +448,10 @@ const arenaTuples = 128
 // tuples: a kept tuple costs no allocation of its own, a rejected one
 // none at all. A block holds no more tuples than there are records left
 // to decode, and twice as many as the block before it, up to the bound.
+// The blocks come from src, a statement's Arena's value slab, or are
+// allocated when src is nil; close hands src the slots no tuple took.
 type tupleArena struct {
+	src   *arena.Slab[Value]
 	arity int
 	left  int // records still to be decoded, as far as known
 	block int // tuples in the next block, left permitting
@@ -425,7 +464,7 @@ type tupleArena struct {
 // which otherwise goes to the next record.
 func (a *tupleArena) decode(body []byte, need, test []bool, keep func(Tuple) bool) (Tuple, bool, error) {
 	if len(a.free) < a.arity {
-		a.free = make([]Value, max(1, min(a.left, a.block))*a.arity)
+		a.free = a.src.Cut(max(1, min(a.left, a.block)) * a.arity)
 		a.block = min(2*a.block, arenaTuples)
 	}
 	a.left--
@@ -436,6 +475,10 @@ func (a *tupleArena) decode(body []byte, need, test []bool, keep func(Tuple) boo
 	return t, ok, err
 }
 
+// close returns the unused end of the last block to the slab, so a
+// statement's slab grows by the tuples it kept, not by its candidates.
+func (a *tupleArena) close() { a.src.Return(a.free) }
+
 // FetchWhere materializes the tuples stored under ids that keep
 // accepts, preserving input order: out[i] is the tuple for ids[i], nil
 // when keep rejected it or the tuple was deleted after ids were read (an
@@ -444,17 +487,19 @@ func (a *tupleArena) decode(body []byte, need, test []bool, keep func(Tuple) boo
 // references once (ascending page order — ids on the statement path
 // arrive sorted, any other order is sorted per store — zero-copy view
 // when mmap is active) and decodes its tuples in place into arenas. need selects which columns to
-// materialize, as in DecodeTupleCols (nil = all).
+// materialize, as in DecodeTupleCols (nil = all). The tuples and out
+// are cut from a, a statement's Arena, or freshly allocated when a is
+// nil.
 //
 // With keep non-nil a record is first decoded on the columns test
 // selects alone and shown to keep; only a tuple keep accepts has need's
-// columns materialized, so a rejected candidate costs no string and no
-// tuple. The first decode validates the whole record, so a corrupt one
-// fails the fetch whether or not keep would have rejected it. keep must
-// not retain its argument. keep runs under the store lock, so it must
-// not call into the relation.
-func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep func(Tuple) bool) ([]Tuple, error) {
-	out := make([]Tuple, len(ids))
+// columns materialized, from the same decode, so a rejected candidate
+// costs no string and no tuple. The first decode validates the whole
+// record, so a corrupt one fails the fetch whether or not keep would
+// have rejected it. keep must not retain its argument. keep runs under
+// the store lock, so it must not call into the relation.
+func (r *Relation) FetchWhere(a *Arena, ids []storage.TupleID, need, test []bool, keep func(Tuple) bool) ([]Tuple, error) {
+	out := a.Tuples(len(ids))
 	if len(ids) == 0 {
 		return out, nil
 	}
@@ -462,7 +507,8 @@ func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep fun
 	if err != nil {
 		return nil, fmt.Errorf("relation %s: %w", r.name, err)
 	}
-	arena := tupleArena{arity: r.schema.Arity(), left: len(ids), block: arenaTuples}
+	ta := tupleArena{src: a.valueSlab(), arity: r.schema.Arity(), left: len(ids), block: arenaTuples}
+	defer ta.close()
 	for s, l := range lids {
 		if len(l) == 0 {
 			continue
@@ -477,7 +523,7 @@ func (r *Relation) FetchWhere(ids []storage.TupleID, need, test []bool, keep fun
 			if pos != nil {
 				p = pos[s][k]
 			}
-			t, _, err := arena.decode(rec, need, test, keep)
+			t, _, err := ta.decode(rec, need, test, keep)
 			if err != nil {
 				return fmt.Errorf("relation %s: tuple %v: %w", r.name, ids[p], err)
 			}
@@ -582,7 +628,7 @@ func (r *Relation) Update(id storage.TupleID, t Tuple) (storage.TupleID, error) 
 // Scan calls fn on every tuple in ascending id order; returning false
 // stops the scan.
 func (r *Relation) Scan(fn func(id storage.TupleID, t Tuple) bool) error {
-	return r.ScanCols(nil, nil, nil, fn)
+	return r.ScanCols(nil, nil, nil, nil, fn)
 }
 
 // ScanCols calls fn on every tuple keep accepts, in ascending id order;
@@ -596,10 +642,12 @@ func (r *Relation) Scan(fn func(id storage.TupleID, t Tuple) bool) error {
 // and it runs under the store lock, so it must not call into the
 // relation. fn runs with no lock held, so it may call back into the
 // relation, and a tuple deleted while the scan is under way is either
-// seen or skipped.
-func (r *Relation) ScanCols(need, test []bool, keep func(Tuple) bool, fn func(id storage.TupleID, t Tuple) bool) error {
+// seen or skipped. The tuples are cut from a, a statement's Arena, or
+// freshly allocated when a is nil.
+func (r *Relation) ScanCols(a *Arena, need, test []bool, keep func(Tuple) bool, fn func(id storage.TupleID, t Tuple) bool) error {
 	// How many tuples keep accepts is unknown: the blocks start small.
-	arena := tupleArena{arity: r.schema.Arity(), left: r.Len(), block: 8}
+	ta := tupleArena{src: a.valueSlab(), arity: r.schema.Arity(), left: r.Len(), block: 8}
+	defer ta.close()
 	// Each store's chain in store order, one page at a time, each decoded
 	// under its store's lock and its kept tuples handed to fn after the
 	// lock is dropped.
@@ -612,7 +660,7 @@ func (r *Relation) ScanCols(need, test []bool, keep func(Tuple) bool, fn func(id
 	var s int // the store being walked
 	visit := func(lid storage.TupleID, body []byte) bool {
 		id := inStore(lid, s)
-		t, kept, err := arena.decode(body, need, test, keep)
+		t, kept, err := ta.decode(body, need, test, keep)
 		if err != nil {
 			decodeErr = fmt.Errorf("relation %s: tuple %v: %w", r.name, id, err)
 			return false
@@ -686,7 +734,7 @@ func (r *Relation) LookupEqual(column string, v Value) ([]storage.TupleID, error
 	var out []storage.TupleID
 	test := make([]bool, r.schema.Arity())
 	test[ci] = true
-	err := r.ScanCols(make([]bool, len(test)), test, func(t Tuple) bool { return t[ci].Eq(v) }, func(id storage.TupleID, _ Tuple) bool {
+	err := r.ScanCols(nil, make([]bool, len(test)), test, func(t Tuple) bool { return t[ci].Eq(v) }, func(id storage.TupleID, _ Tuple) bool {
 		out = append(out, id)
 		return true
 	})

@@ -174,7 +174,7 @@ func TestRecordLayout(t *testing.T) {
 	tu := Tuple{S("x"), L("map", 7), I(9)}
 	body := appendBody(nil, carrying(tu, obj), true)
 	locs := make([]locBytes, 3)
-	got, err := decodeCols(body, nil, nil, locs)
+	got, err := decodeCols(body, nil, nil, locs, nil)
 	if err != nil || !got[1].Eq(tu[1]) || !got[2].Eq(tu[2]) {
 		t.Fatalf("decode = %v, %v", got, err)
 	}
@@ -919,7 +919,7 @@ func TestFreedIDNamesNoOtherTuple(t *testing.T) {
 			if got, err := rel.Get(victim); !errors.Is(err, storage.ErrNotFound) {
 				t.Fatalf("Get of deleted %v = %v, %v; want ErrNotFound", victim, got, err)
 			}
-			if got, err := rel.FetchWhere([]storage.TupleID{victim}, nil, nil, nil); err != nil || len(got) != 1 || got[0] != nil {
+			if got, err := rel.FetchWhere(nil, []storage.TupleID{victim}, nil, nil, nil); err != nil || len(got) != 1 || got[0] != nil {
 				t.Fatalf("FetchWhere of deleted %v = %v, %v; want [<nil>]", victim, got, err)
 			}
 			if got, err := rel.Get(nid); err != nil || got[0].Str != "newcomer" {

@@ -416,7 +416,7 @@ func TestScanColsMatchesScan(t *testing.T) {
 			}
 			stop := len(want) * 3 / 4
 			i := 0
-			err := rel.ScanCols(need, tested, keep, func(id storage.TupleID, tu Tuple) bool {
+			err := rel.ScanCols(nil, need, tested, keep, func(id storage.TupleID, tu Tuple) bool {
 				if i >= len(want) || id != wantIDs[i] {
 					t.Fatalf("shards=%d, filtered %v: ScanCols tuple %d is %v, Scan disagrees", k, filtered, i, id)
 				}
@@ -443,7 +443,7 @@ func TestScanColsMatchesScan(t *testing.T) {
 		}
 		plant(t, rel, len(rel.stores)-1, body)
 		for _, accept := range []bool{true, false} {
-			err := rel.ScanCols(need, test, func(Tuple) bool { return accept }, func(storage.TupleID, Tuple) bool { return true })
+			err := rel.ScanCols(nil, need, test, func(Tuple) bool { return accept }, func(storage.TupleID, Tuple) bool { return true })
 			if !errors.Is(err, storage.ErrCorrupt) {
 				t.Fatalf("shards=%d: a scan whose keep answers %v over a damaged object: %v", k, accept, err)
 			}
@@ -602,7 +602,7 @@ func TestIDPastStoreCountNotFound(t *testing.T) {
 				if _, err := rel.Get(bad); !errors.Is(err, storage.ErrNotFound) {
 					t.Fatalf("Get(%v) = %v, want ErrNotFound", bad, err)
 				}
-				if _, err := rel.FetchWhere([]storage.TupleID{id, bad}, nil, nil, nil); !errors.Is(err, storage.ErrNotFound) {
+				if _, err := rel.FetchWhere(nil, []storage.TupleID{id, bad}, nil, nil, nil); !errors.Is(err, storage.ErrNotFound) {
 					t.Fatalf("FetchWhere(%v) = %v, want ErrNotFound", bad, err)
 				}
 				if err := rel.Delete(bad); !errors.Is(err, storage.ErrNotFound) {
@@ -638,7 +638,7 @@ func TestFetchSkipsTupleDeletedSinceProbe(t *testing.T) {
 			if len(ids) < 10 {
 				t.Fatalf("the window holds %d ids", len(ids))
 			}
-			want, err := rel.FetchWhere(ids, nil, nil, nil)
+			want, err := rel.FetchWhere(nil, ids, nil, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -646,7 +646,7 @@ func TestFetchSkipsTupleDeletedSinceProbe(t *testing.T) {
 			if err := rel.Delete(ids[victim]); err != nil {
 				t.Fatal(err)
 			}
-			got, err := rel.FetchWhere(ids, nil, nil, nil)
+			got, err := rel.FetchWhere(nil, ids, nil, nil, nil)
 			if err != nil {
 				t.Fatalf("FetchWhere after deleting %v: %v", ids[victim], err)
 			}
@@ -1065,7 +1065,7 @@ func concurrentWritersReaders(t *testing.T, rel *Relation, pic *picture.Picture)
 					}
 					seed := func(tu Tuple) bool { return strings.HasPrefix(tu[0].Str, "seed") }
 					seeds := 0
-					err := rel.ScanCols(needCity, needCity, seed, func(_ storage.TupleID, tu Tuple) bool {
+					err := rel.ScanCols(nil, needCity, needCity, seed, func(_ storage.TupleID, tu Tuple) bool {
 						if seed(tu) {
 							seeds++
 						}
