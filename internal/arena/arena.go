@@ -10,6 +10,10 @@ import "unsafe"
 // keepBytes caps the backing array a Slab keeps across Reset, so a
 // pooled slab retains at most this much, whatever its largest statement
 // needed; a statement that needs more allocates the rest as it goes.
+// The bound is per slab: a sync.Pool keeps arenas per P, and its victim
+// cache keeps the previous generation through one collection, so the
+// pooled memory of a statement arena with three slabs is up to about
+// 3 × keepBytes per P, twice that until the second collection.
 const keepBytes = 256 << 10
 
 // minLen is the smallest backing array a Slab allocates, in elements.

@@ -648,7 +648,7 @@ func (st *execState) directSearch(bi int, op SpatialOp, windows []geom.Rect) ([]
 		return nil, fmt.Errorf("psql: relation %q is not spatially indexed on picture %q", b.name, b.picture)
 	}
 	st.visited += visited
-	out := make([]storage.TupleID, 0, len(items))
+	var out []storage.TupleID
 	for _, it := range items { // ascending by id
 		for _, w := range windows {
 			if pred(it.Rect, w) {

@@ -194,9 +194,9 @@ func decodeCol(rec []byte, pos, i int, want bool, v *Value, locs []locBytes) (in
 	}
 }
 
-// startsOnStack is the widest tuple decodeKept decodes once: the column
-// offsets its first pass records live in an array of this length on its
-// stack.
+// startsOnStack is the widest tuple whose column offsets a batch fetch
+// keeps in an array on its stack (tupleArena.decode); a wider relation's
+// fetch allocates its offsets once, at its arity.
 const startsOnStack = 16
 
 // decodeKept is the terms-first decode of a batch fetch: with keep
@@ -205,23 +205,22 @@ const startsOnStack = 16
 // ok is false for one it rejects. The decode goes to dst as in
 // decodeCols. Its first pass validates the whole body, so a corrupt one
 // fails whether or not keep would have rejected it — and exactly when
-// DecodeTupleCols(rec, nil) fails — and records where each column
-// starts: a kept tuple then has the columns need selects and test did
-// not parsed from there, and the columns test selected and need does
-// not zeroed, so it is decoded once. A tuple wider than startsOnStack
-// columns is decoded a second time on need instead.
-func decodeKept(rec []byte, need, test []bool, keep func(Tuple) bool, dst Tuple) (t Tuple, ok bool, err error) {
+// DecodeTupleCols(rec, nil) fails — and records in starts where each
+// column starts: a kept tuple then has the columns need selects and test
+// did not parsed from there, and the columns test selected and need does
+// not zeroed, so it is decoded once. starts is the caller's scratch; a
+// body with more columns than it holds, which no stored tuple of the
+// relation has, gets offsets allocated at its width.
+func decodeKept(rec []byte, need, test []bool, keep func(Tuple) bool, dst Tuple, starts []int) (t Tuple, ok bool, err error) {
 	if keep == nil {
 		t, err = decodeCols(rec, need, dst, nil, nil)
 		return t, err == nil, err
 	}
-	var starts [startsOnStack]int
-	if t, err = decodeCols(rec, test, dst, nil, starts[:]); err != nil || !keep(t) {
-		return nil, false, err
+	if n, w := binary.Uvarint(rec); w > 0 && n > uint64(len(starts)) && n <= uint64(len(rec)) {
+		starts = make([]int, n)
 	}
-	if len(t) > len(starts) {
-		t, err = decodeCols(rec, need, dst, nil, nil)
-		return t, err == nil, err
+	if t, err = decodeCols(rec, test, dst, nil, starts); err != nil || !keep(t) {
+		return nil, false, err
 	}
 	for i := range t {
 		switch n, s := wants(need, i), wants(test, i); {

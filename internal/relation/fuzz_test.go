@@ -20,12 +20,12 @@ import (
 // (decodeKept) — is held to the same decoder: it fails on exactly the
 // bodies DecodeTuple fails on, with the same error, and on the others
 // agrees with it on every needed column and carries every other one
-// zeroed, whatever the masks and whatever the slot's capacity; with no
-// column needed, the loc's object is validated all the same. Two seeds
-// reach decodeKept's two shapes of a kept tuple: one wider than the
-// column offsets it keeps on its stack, decoded a second time, and one
-// whose loc column the terms test and the statement does not need,
-// which must come back without its object.
+// zeroed, whatever the masks, the slot's capacity and the length of
+// the offsets scratch; with no column needed, the loc's object is
+// validated all the same. Two seeds reach the corners of a kept tuple:
+// one wider than the offsets a fetch keeps on its stack, and one whose
+// loc column the terms test and the statement does not need, which must
+// come back without its object.
 func FuzzDecodeTuple(f *testing.F) {
 	good := appendBody(nil, Tuple{S("abc"), I(5), F(0.5)}, false)
 	f.Add(bytes.Clone(good))
@@ -112,9 +112,9 @@ func keptMasks(data []byte) (need, test []bool, seed uint32) {
 	return mask(seed), mask(seed / 7), seed
 }
 
-// checkDecodeKept runs decodeKept on data under masks and a slot
-// capacity derived from its bytes and compares it with full, err — what
-// DecodeTuple made of the same bytes.
+// checkDecodeKept runs decodeKept on data under masks, a slot capacity
+// and an offsets scratch derived from its bytes and compares it with
+// full, err — what DecodeTuple made of the same bytes.
 func checkDecodeKept(t *testing.T, data []byte, full Tuple, err error) {
 	t.Helper()
 	need, test, seed := keptMasks(data)
@@ -123,11 +123,12 @@ func checkDecodeKept(t *testing.T, data []byte, full Tuple, err error) {
 		for i := range slot {
 			slot[i] = S("stale")
 		}
+		starts := make([]int, []int{0, 2, startsOnStack}[seed%3]) // a short one is grown
 		var shown Tuple
 		got, ok, gerr := decodeKept(data, need, test, func(tt Tuple) bool {
 			shown = append(Tuple(nil), tt...)
 			return accept
-		}, slot[:0])
+		}, slot[:0], starts)
 		if (gerr == nil) != (err == nil) || (err != nil && gerr.Error() != err.Error()) {
 			t.Fatalf("decodeKept error %v, DecodeTuple error %v (input %x)", gerr, err, data)
 		}

@@ -456,6 +456,7 @@ type tupleArena struct {
 	left  int // records still to be decoded, as far as known
 	block int // tuples in the next block, left permitting
 	free  []Value
+	wide  []int // column offsets when arity exceeds startsOnStack
 }
 
 // decode is the one step that turns a heap record's tuple body into a
@@ -468,7 +469,15 @@ func (a *tupleArena) decode(body []byte, need, test []bool, keep func(Tuple) boo
 		a.block = min(2*a.block, arenaTuples)
 	}
 	a.left--
-	t, ok, err := decodeKept(body, need, test, keep, a.free[:0:a.arity])
+	var stack [startsOnStack]int
+	starts := stack[:]
+	if a.arity > len(stack) {
+		if a.wide == nil {
+			a.wide = make([]int, a.arity)
+		}
+		starts = a.wide
+	}
+	t, ok, err := decodeKept(body, need, test, keep, a.free[:0:a.arity], starts)
 	if ok && len(t) <= a.arity { // it fit the slot
 		a.free = a.free[a.arity:]
 	}

@@ -999,3 +999,69 @@ func TestConcurrentDoubleDelete(t *testing.T) {
 		})
 	}
 }
+
+// TestFetchWhereWideTuple fetches from a relation wider than the column
+// offsets a fetch keeps on its stack, into a statement's Arena: a kept
+// tuple carries the needed columns as Get reads them and the test-only
+// ones zeroed, and keep sees the tested columns.
+func TestFetchWhereWideTuple(t *testing.T) {
+	specs := make([]string, startsOnStack+4)
+	for i := range specs {
+		specs[i] = fmt.Sprintf("c%d:int", i)
+		if i%3 == 0 {
+			specs[i] = fmt.Sprintf("c%d:string", i)
+		}
+	}
+	p := pager.OpenMem(64)
+	t.Cleanup(func() { p.Close() })
+	rel, err := NewSharded(p, 1, "wide", MustSchema(specs...), catalogOf())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []storage.TupleID
+	for k := range 40 {
+		tup := make(Tuple, len(specs))
+		for i := range tup {
+			tup[i] = I(int64(100*k + i))
+			if i%3 == 0 {
+				tup[i] = S(fmt.Sprintf("t%d.%d", k, i))
+			}
+		}
+		id, err := rel.Insert(tup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	last := len(specs) - 1 // an int column past the stack's offsets
+	need, test := make([]bool, len(specs)), make([]bool, len(specs))
+	need[0], need[startsOnStack+2], test[1], test[last] = true, true, true, true
+	keep := func(t Tuple) bool { return t[last].Int%200 == int64(last) }
+	var a Arena
+	got, err := rel.FetchWhere(&a, ids, need, test, keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, id := range ids {
+		want, err := rel.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k%2 == 1 {
+			if got[k] != nil {
+				t.Fatalf("tuple %d kept, want rejected: %v", k, got[k])
+			}
+			continue
+		}
+		for i, v := range got[k] {
+			w := Value{Type: want[i].Type}
+			if need[i] {
+				w = want[i]
+			}
+			if v != w {
+				t.Fatalf("tuple %d column %d = %+v, want %+v", k, i, v, w)
+			}
+		}
+	}
+	a.Reset()
+}
