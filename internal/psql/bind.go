@@ -64,11 +64,12 @@ type boundStmt struct {
 	// against these bindings, in conjunct order; the first head of them
 	// are conjuncts 0..head-1, the run restrictions() may evaluate ahead
 	// of everything else. sideTerms[bi] are the terms of that run on
-	// binding bi and test[bi] marks their columns.
+	// binding bi, and relTerms[bi] the same terms as the relation tests
+	// them on a record's bytes (relation.Term).
 	terms     []boundTerm
 	head      int
 	sideTerms [][]boundTerm
-	test      [][]bool
+	relTerms  [][]relation.Term
 	// items is the target list (select * expanded), columns its
 	// headings, aggregate whether it collapses the rows to one.
 	items     []SelectItem
@@ -121,7 +122,7 @@ func (e *Executor) bind(ent *stmtEntry, naive bool) (*boundStmt, error) {
 	b.at = resolveAt(b.bindings, q.At)
 
 	b.sideTerms = make([][]boundTerm, len(b.bindings))
-	b.test = make([][]bool, len(b.bindings))
+	b.relTerms = make([][]relation.Term, len(b.bindings))
 	for i := range ent.an.conjuncts {
 		t, ok := bindTerm(b.bindings, ent.an.conjuncts[i], i)
 		if !ok {
@@ -130,11 +131,8 @@ func (e *Executor) bind(ent *stmtEntry, naive bool) (*boundStmt, error) {
 		b.terms = append(b.terms, t)
 		if len(b.terms) == i+1 {
 			b.head = i + 1
-			if b.test[t.bi] == nil {
-				b.test[t.bi] = make([]bool, b.bindings[t.bi].schema.Arity())
-			}
-			b.test[t.bi][t.ci] = true
 			b.sideTerms[t.bi] = append(b.sideTerms[t.bi], t)
+			b.relTerms[t.bi] = append(b.relTerms[t.bi], t.relTerm())
 		}
 	}
 

@@ -267,7 +267,7 @@ func (st *execState) qualifies(r row) (bool, error) {
 func (st *execState) scanIDs(i int) ([]storage.TupleID, error) {
 	var out []storage.TupleID
 	none := make([]bool, st.bindings[i].schema.Arity())
-	err := st.bindings[i].rel.ScanCols(nil, none, nil, nil, func(id storage.TupleID, _ relation.Tuple) bool {
+	err := st.bindings[i].rel.ScanCols(nil, none, nil, func(id storage.TupleID, _ relation.Tuple) bool {
 		out = append(out, id)
 		return true
 	})
@@ -426,14 +426,21 @@ func (st *execState) planWindowSearch(bi int, op SpatialOp, windows []geom.Rect)
 	return st.directSearch(bi, op, windows)
 }
 
-// lookup returns the ids the B-tree on via's column holds for the range
-// via selects, in key order.
+// lookup returns the ids the B-tree on via's column holds for the
+// ranges via selects, in key order within each range.
 func (st *execState) lookup(bi int, via *boundTerm) ([]storage.TupleID, error) {
-	lo, hi := via.bounds()
-	ids, ok := st.bindings[bi].rel.LookupRange(via.cmp.col.Column, lo, hi)
-	if !ok {
-		// Indexes are never dropped, and via was bound to one.
-		return nil, fmt.Errorf("psql: internal: no B-tree on %s.%s", st.bindings[bi].name, via.cmp.col.Column)
+	var ids []storage.TupleID
+	for _, r := range via.ranges() {
+		got, ok := st.bindings[bi].rel.LookupRange(via.cmp.col.Column, r.lo, r.hi)
+		if !ok {
+			// Indexes are never dropped, and via was bound to one.
+			return nil, fmt.Errorf("psql: internal: no B-tree on %s.%s", st.bindings[bi].name, via.cmp.col.Column)
+		}
+		if ids == nil {
+			ids = got
+		} else {
+			ids = append(ids, got...)
+		}
 	}
 	return ids, nil
 }
@@ -450,7 +457,7 @@ func (st *execState) filterSpatial(bi int, ids []storage.TupleID, op SpatialOp, 
 	need := make([]bool, b.schema.Arity())
 	need[li] = true
 	sortTupleIDs(ids) // the B-tree delivers key order
-	tuples, err := b.rel.FetchWhere(st.opts.arena.relArena(), ids, need, nil, nil)
+	tuples, err := b.rel.FetchWhere(st.opts.arena.relArena(), ids, need, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -803,7 +810,7 @@ func (st *execState) fetchSide(bi int, ids []storage.TupleID) (tuples []relation
 		}
 		which[i] = len(uniq) - 1
 	}
-	tuples, err = st.bindings[bi].rel.FetchWhere(st.opts.arena.relArena(), uniq, st.need[bi], nil, nil)
+	tuples, err = st.bindings[bi].rel.FetchWhere(st.opts.arena.relArena(), uniq, st.need[bi], nil)
 	return tuples, which, err
 }
 

@@ -139,20 +139,84 @@ func bindTerm(bindings []binding, c conjunct, idx int) (boundTerm, bool) {
 	return boundTerm{idx: idx, bi: bi, ci: ci, cmp: c.cmp, val: v, sel: c.sel, indexed: indexed}, true
 }
 
-// bounds returns the B-tree range the term selects.
-func (t boundTerm) bounds() (lo, hi *relation.Bound) {
+// relTerm returns the term as the relation tests it on a record's
+// bytes. Its comparison is the executors': numbers as their float64
+// images, strings bytewise, and a stored value of another type equal to
+// nothing and satisfying what an ordering result of zero satisfies. The
+// literal is of the column's type (bindTerm), so no comparison errors.
+func (t boundTerm) relTerm() relation.Term {
+	op := relation.OpGe
 	switch t.cmp.op {
 	case "=":
-		return &relation.Bound{Value: t.val, Inclusive: true}, &relation.Bound{Value: t.val, Inclusive: true}
-	case ">":
-		return &relation.Bound{Value: t.val}, nil
-	case ">=":
-		return &relation.Bound{Value: t.val, Inclusive: true}, nil
+		op = relation.OpEq
 	case "<":
-		return nil, &relation.Bound{Value: t.val}
-	default: // "<="
-		return nil, &relation.Bound{Value: t.val, Inclusive: true}
+		op = relation.OpLt
+	case "<=":
+		op = relation.OpLe
+	case ">":
+		op = relation.OpGt
 	}
+	return relation.Term{Col: t.ci, Op: op, Val: t.val}
+}
+
+// keyRange is one B-tree range; a nil end is unbounded.
+type keyRange struct{ lo, hi *relation.Bound }
+
+// ranges returns the B-tree ranges that hold every key whose value
+// satisfies the term as the executors evaluate it, numbers as their
+// float64 images: on an int column the whole run of int64s that round
+// to the literal's image (2^53 and 2^53+1 are one float64), on a float
+// column both zeros, and the NaN keys, which satisfy <= and >= (an
+// ordering result of zero) and sort past both infinities. A range may
+// hold NaN keys the term rejects; every plan tests the term again on
+// each tuple it fetches.
+func (t boundTerm) ranges() []keyRange {
+	first, last := t.val, t.val // the least and greatest key whose image is the literal's
+	switch t.val.Type {
+	case relation.TypeInt:
+		first.Int, last.Int = sameImage(t.val.Int)
+	case relation.TypeFloat:
+		if t.val.Float == 0 {
+			first.Float, last.Float = math.Copysign(0, -1), 0
+		}
+	}
+	float := t.val.Type == relation.TypeFloat
+	incl := func(v relation.Value) *relation.Bound { return &relation.Bound{Value: v, Inclusive: true} }
+	switch t.cmp.op {
+	case "=":
+		return []keyRange{{incl(first), incl(last)}}
+	case "<":
+		return []keyRange{{nil, &relation.Bound{Value: first}}}
+	case "<=":
+		r := []keyRange{{nil, incl(last)}}
+		if float { // the NaNs above +Inf
+			r = append(r, keyRange{&relation.Bound{Value: relation.F(math.Inf(1))}, nil})
+		}
+		return r
+	case ">":
+		return []keyRange{{&relation.Bound{Value: last}, nil}}
+	default: // ">="
+		r := []keyRange{{incl(first), nil}}
+		if float { // the NaNs below -Inf
+			r = append(r, keyRange{nil, &relation.Bound{Value: relation.F(math.Inf(-1))}})
+		}
+		return r
+	}
+}
+
+// sameImage returns the least and greatest int64 whose float64 image is
+// n's: n alone below 2^53 in magnitude, a run of up to 2^11 around it
+// beyond.
+func sameImage(n int64) (lo, hi int64) {
+	f := float64(n)
+	lo, hi = n, n
+	for lo > math.MinInt64 && float64(lo-1) == f {
+		lo--
+	}
+	for hi < math.MaxInt64 && float64(hi+1) == f {
+		hi++
+	}
+	return lo, hi
 }
 
 // moreSelectiveIndexed returns t when its column has a B-tree and it is

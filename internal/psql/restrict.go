@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"repro/internal/geom"
 	"repro/internal/relation"
@@ -34,80 +33,23 @@ import (
 // (boundStmt.head); sideTerms holds it by relation.
 func (st *execState) restrictions() []boundTerm { return st.terms[:st.head] }
 
-// holds evaluates the term against the column value v with the
-// comparison semantics of evalBinary — numbers compare as float64,
-// whichever of int and float column and literal are. bindTerm admitted
-// the literal only as a value of the column's own type, so no
-// comparison can fail; a stored value of another type (a record the
-// schema would not have let in) satisfies what an ordering result of
-// zero satisfies and equals nothing.
-func (t *boundTerm) holds(v *relation.Value) bool {
-	eq, c := false, 0
-	switch {
-	case v.Type == relation.TypeString && t.val.Type == relation.TypeString:
-		c = strings.Compare(v.Str, t.val.Str)
-		eq = c == 0
-	case numeric(v) && numeric(&t.val):
-		a, b := asFloat(v), asFloat(&t.val)
-		eq = a == b
-		switch {
-		case a < b:
-			c = -1
-		case a > b:
-			c = 1
-		}
-	}
-	if t.cmp.op == "=" {
-		return eq
-	}
-	return orderHolds(t.cmp.op, c)
-}
-
-func numeric(v *relation.Value) bool {
-	return v.Type == relation.TypeInt || v.Type == relation.TypeFloat
-}
-
-func asFloat(v *relation.Value) float64 {
-	if v.Type == relation.TypeInt {
-		return float64(v.Int)
-	}
-	return v.Float
-}
-
-// holdAll is the test a fetch applies to a tuple decoded on the terms'
-// columns: every term holds.
-func holdAll(terms []boundTerm) func(relation.Tuple) bool {
-	return func(t relation.Tuple) bool {
-		for i := range terms {
-			if !terms[i].holds(&t[terms[i].ci]) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // fetchKept materializes, on the columns need selects, the tuples of
 // binding bi that ids name (ascending) and that the binding's terms of
 // the restrictions keep — the one fetch-and-restrict of the planned
 // executor, for a window's candidates, a product's operands and a
-// juxtaposition side alike. The terms' columns are decoded and tested
-// first (relation.FetchWhere), so a rejected candidate never becomes a
-// tuple, let alone a row; the terms are marked pushed and qualifies
-// skips them. A tuple deleted since ids were read is dropped too. It
-// returns the survivors' ids, compacted in place, and their tuples.
+// juxtaposition side alike. The terms are tested on each record's bytes
+// (relation.FetchWhere), so a rejected candidate is never decoded, let
+// alone made a row; the terms are marked pushed and qualifies skips
+// them. A tuple deleted since ids were read is dropped too. It returns
+// the survivors' ids, compacted in place, and their tuples.
 func (st *execState) fetchKept(bi int, ids []storage.TupleID, need []bool) ([]storage.TupleID, []relation.Tuple, error) {
-	rel, terms := st.bindings[bi].rel, st.sideTerms[bi]
-	var keep func(relation.Tuple) bool
-	if len(terms) > 0 {
-		keep = holdAll(terms)
-	}
-	tuples, err := rel.FetchWhere(st.opts.arena.relArena(), ids, need, st.test[bi], keep)
+	terms := st.relTerms[bi]
+	tuples, err := st.bindings[bi].rel.FetchWhere(st.opts.arena.relArena(), ids, need, terms)
 	if err != nil {
 		return nil, nil, err
 	}
-	if keep != nil {
-		st.markPushed(terms)
+	if len(terms) > 0 {
+		st.markPushed(st.sideTerms[bi])
 	}
 	n := 0
 	for i, t := range tuples {
@@ -164,7 +106,7 @@ type joinSide struct {
 // via's column or, when via is nil, one heap scan, and notes the
 // outcome with the estimates in vs.
 func (st *execState) restrict(s *joinSide, via *boundTerm, vs string) error {
-	items, err := st.restrictSide(s.bi, s.terms, via)
+	items, err := st.restrictSide(s.bi, via)
 	if err != nil {
 		return err
 	}
@@ -180,16 +122,16 @@ func (st *execState) restrict(s *joinSide, via *boundTerm, vs string) error {
 	return nil
 }
 
-// restrictSide reduces binding bi to the tuples every term keeps and
-// returns them as (MBR, id) items in ascending id order — the shape
-// SpatialItems enumerates, so either can feed a join. Candidates come
-// from the B-tree on via's column, through fetchKept, or from one heap
-// scan when via is nil. Either way the terms are tested on a decode of
-// their columns alone, and only a survivor has its loc materialized.
+// restrictSide reduces binding bi to the tuples every term of its
+// restrictions keeps and returns them as (MBR, id) items in ascending id
+// order — the shape SpatialItems enumerates, so either can feed a join.
+// Candidates come from the B-tree on via's column, through fetchKept, or
+// from one heap scan when via is nil. Either way the terms are tested on
+// each record's bytes, and only a survivor is decoded, its loc alone.
 // Tuples whose loc names another picture than the on-clause's, or none,
 // are dropped: the spatial index does not carry them, so they join
 // nothing.
-func (st *execState) restrictSide(bi int, terms []boundTerm, via *boundTerm) ([]rtree.Item, error) {
+func (st *execState) restrictSide(bi int, via *boundTerm) ([]rtree.Item, error) {
 	b := st.bindings[bi]
 	li := b.schema.LocColumn()
 	if li < 0 || b.picture == "" {
@@ -218,7 +160,7 @@ func (st *execState) restrictSide(bi int, terms []boundTerm, via *boundTerm) ([]
 		}
 		return out, nil
 	}
-	if err := b.rel.ScanCols(st.opts.arena.relArena(), need, st.test[bi], holdAll(terms), func(id storage.TupleID, t relation.Tuple) bool {
+	if err := b.rel.ScanCols(st.opts.arena.relArena(), need, st.relTerms[bi], func(id storage.TupleID, t relation.Tuple) bool {
 		item(id, t)
 		return true
 	}); err != nil {

@@ -223,7 +223,7 @@ func (b *indexBuild) scanStore(s int, open bool) error {
 		for _, i := range locCols {
 			locs[i] = locBytes{}
 		}
-		t, err := decodeCols(body, need, slot, locs, nil)
+		t, err := decodeCols(body, need, slot, locs)
 		if err != nil {
 			return err
 		}

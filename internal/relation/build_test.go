@@ -152,7 +152,7 @@ func TestBuildIndexesShardItemOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		locs := make([]locBytes, 4)
-		if _, err := decodeCols(body, nil, nil, locs, nil); err != nil {
+		if _, err := decodeCols(body, nil, nil, locs); err != nil {
 			t.Fatal(err)
 		}
 		obj, err := picture.DecodeObject(locs[3].obj)

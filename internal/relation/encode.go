@@ -81,7 +81,7 @@ func DecodeTuple(rec []byte) (Tuple, error) { return DecodeTupleCols(rec, nil) }
 // needed. A non-zero loc that is materialized carries its object's
 // encoding, copied with its picture name in one string.
 func DecodeTupleCols(rec []byte, need []bool) (Tuple, error) {
-	return decodeCols(rec, need, nil, nil, nil)
+	return decodeCols(rec, need, nil, nil)
 }
 
 // locBytes is where a non-zero loc column's picture name and object
@@ -94,37 +94,40 @@ type locBytes struct {
 // column, and one shorter than the tuple the columns it does not reach.
 func wants(mask []bool, i int) bool { return mask == nil || i >= len(mask) || mask[i] }
 
-// decodeCols is DecodeTupleCols writing the values into dst[:0] when
-// the tuple fits dst's capacity — a batch fetch hands each tuple its
-// slot of an arena — and into a fresh slice otherwise. locs[i] is set
-// for every non-zero loc column i within its length (and left alone for
-// the others), and starts[i] to the offset of column i's type tag for
-// every column within starts' length.
-func decodeCols(rec []byte, need []bool, dst Tuple, locs []locBytes, starts []int) (Tuple, error) {
-	n, off := binary.Uvarint(rec)
-	if off <= 0 {
-		return nil, errTuple("corrupt tuple header")
+// header returns a body's column count and the offset of its first
+// column.
+func header(rec []byte) (n, pos int, err error) {
+	c, w := binary.Uvarint(rec)
+	if w <= 0 {
+		return 0, 0, errTuple("corrupt tuple header")
 	}
 	// Every column takes at least one byte, so a count exceeding the
 	// remaining bytes is corrupt — and must be rejected before it sizes
 	// an allocation.
-	if n > uint64(len(rec)-off) {
-		return nil, errTuple("corrupt tuple header: %d columns in %d bytes", n, len(rec))
+	if c > uint64(len(rec)-w) {
+		return 0, 0, errTuple("corrupt tuple header: %d columns in %d bytes", c, len(rec))
+	}
+	return int(c), w, nil
+}
+
+// decodeCols is DecodeTupleCols writing the values into dst[:0] when
+// the tuple fits dst's capacity, and into a fresh slice otherwise.
+// locs[i] is set for every non-zero loc column i within its length (and
+// left alone for the others).
+func decodeCols(rec []byte, need []bool, dst Tuple, locs []locBytes) (Tuple, error) {
+	n, pos, err := header(rec)
+	if err != nil {
+		return nil, err
 	}
 	out := dst[:0]
-	if uint64(cap(out)) < n {
+	if cap(out) < n {
 		out = make(Tuple, 0, n)
 	}
-	pos := off
-	for i := range int(n) {
+	for i := range n {
 		if pos >= len(rec) {
 			return nil, errTuple("truncated tuple at column %d", i)
 		}
-		if i < len(starts) {
-			starts[i] = pos
-		}
 		out = append(out, Value{})
-		var err error
 		if pos, err = decodeCol(rec, pos, i, wants(need, i), &out[i], locs); err != nil {
 			return nil, err
 		}
@@ -132,66 +135,202 @@ func decodeCols(rec []byte, need []bool, dst Tuple, locs []locBytes, starts []in
 	return out, nil
 }
 
-// decodeCol parses column i, whose type tag is rec[pos], into v — its
-// payload only when want is set, its type tag always — and returns the
-// offset of the next column. It validates the column whatever want is.
-func decodeCol(rec []byte, pos, i int, want bool, v *Value, locs []locBytes) (int, error) {
+// span is where one column of a body lies, as checkCol found it: the
+// variable part — a string's bytes, a loc's picture name — at
+// rec[lo:mid], and the fixed part — a number's 8 bytes, a loc's object
+// encoding, or its bare id for a zero loc — at rec[mid:end].
+type span struct {
+	typ          Type
+	lo, mid, end int
+}
+
+// checkCol is the one column validator, behind every decode and every
+// term: it finds column i, whose type tag is rec[pos], and checks that
+// its type tag is known and its parts lie inside rec, a non-zero loc's
+// whole object encoding included.
+func checkCol(rec []byte, pos, i int) (span, error) {
 	typ := Type(rec[pos])
 	pos++
-	*v = Value{Type: typ}
 	switch typ {
 	case TypeInt, TypeFloat:
 		if pos+8 > len(rec) {
-			return 0, errTuple("truncated numeric column %d", i)
+			return span{}, errTuple("truncated numeric column %d", i)
 		}
-		if want {
-			bits := binary.LittleEndian.Uint64(rec[pos:])
-			if typ == TypeInt {
-				v.Int = int64(bits)
-			} else {
-				v.Float = math.Float64frombits(bits)
-			}
-		}
-		return pos + 8, nil
+		return span{typ, pos, pos, pos + 8}, nil
 	case TypeString:
 		l, w := binary.Uvarint(rec[pos:])
 		// Bound l before converting: a 64-bit length can wrap int
 		// and slip past the range check as a negative slice index.
 		if w <= 0 || l > uint64(len(rec)) || pos+w+int(l) > len(rec) {
-			return 0, errTuple("truncated string column %d", i)
+			return span{}, errTuple("truncated string column %d", i)
 		}
-		pos += w
-		if want {
-			v.Str = string(rec[pos : pos+int(l)])
-		}
-		return pos + int(l), nil
+		end := pos + w + int(l)
+		return span{typ, pos + w, end, end}, nil
 	case TypeLoc:
 		l, w := binary.Uvarint(rec[pos:])
 		if w <= 0 || l > uint64(len(rec)) || pos+w+int(l)+8 > len(rec) {
-			return 0, errTuple("truncated loc column %d", i)
+			return span{}, errTuple("truncated loc column %d", i)
 		}
-		pos += w
-		pic := rec[pos : pos+int(l)]
-		pos += int(l)
-		obj := picture.ObjectID(binary.LittleEndian.Uint64(rec[pos:]))
+		c := span{typ: typ, lo: pos + w, mid: pos + w + int(l)}
 		size := 8
-		if l > 0 || obj != 0 {
+		if l > 0 || binary.LittleEndian.Uint64(rec[c.mid:]) != 0 {
 			var err error
-			if size, err = picture.ObjectLen(rec[pos:]); err != nil {
-				return 0, errTuple("loc column %d: %w", i, err)
-			}
-			if i < len(locs) {
-				locs[i] = locBytes{pic: pic, obj: rec[pos : pos+size]}
-			}
-			if want {
-				both := string(rec[pos-int(l) : pos+size])
-				v.Loc, v.Str = LocRef{Picture: both[:l], Object: obj}, both[l:]
+			if size, err = picture.ObjectLen(rec[c.mid:]); err != nil {
+				return span{}, errTuple("loc column %d: %w", i, err)
 			}
 		}
-		return pos + size, nil
+		c.end = c.mid + size
+		return c, nil
 	default:
-		return 0, errTuple("unknown type tag %d in column %d", typ, i)
+		return span{}, errTuple("unknown type tag %d in column %d", typ, i)
 	}
+}
+
+// decodeCol parses column i, whose type tag is rec[pos], into v — its
+// payload only when want is set, its type tag always — and returns the
+// offset of the next column. It validates the column whatever want is.
+func decodeCol(rec []byte, pos, i int, want bool, v *Value, locs []locBytes) (int, error) {
+	c, err := checkCol(rec, pos, i)
+	if err != nil {
+		return 0, err
+	}
+	*v = Value{Type: c.typ}
+	switch c.typ {
+	case TypeInt:
+		if want {
+			v.Int = int64(binary.LittleEndian.Uint64(rec[c.mid:]))
+		}
+	case TypeFloat:
+		if want {
+			v.Float = math.Float64frombits(binary.LittleEndian.Uint64(rec[c.mid:]))
+		}
+	case TypeString:
+		if want {
+			v.Str = string(rec[c.lo:c.mid])
+		}
+	case TypeLoc:
+		obj := picture.ObjectID(binary.LittleEndian.Uint64(rec[c.mid:]))
+		if c.mid == c.lo && obj == 0 {
+			break // a zero loc
+		}
+		if i < len(locs) {
+			locs[i] = locBytes{pic: rec[c.lo:c.mid], obj: rec[c.mid:c.end]}
+		}
+		if want {
+			both := string(rec[c.lo:c.end])
+			l := c.mid - c.lo
+			v.Loc, v.Str = LocRef{Picture: both[:l], Object: obj}, both[l:]
+		}
+	}
+	return c.end, nil
+}
+
+// Op is how a Term compares a stored column with its value.
+type Op uint8
+
+const (
+	// OpEq, OpLt, OpLe, OpGt and OpGe compare as PSQL's where-clause
+	// does: numbers as their float64 images, whether int or float;
+	// strings bytewise. A stored value that does not compare with the
+	// term's (a string against a number, a loc, a NaN) equals nothing
+	// and satisfies what an ordering result of zero satisfies: OpLe and
+	// OpGe.
+	OpEq Op = iota
+	OpLt
+	OpLe
+	OpGt
+	OpGe
+	// OpSame holds when the stored value is Val as Value.Eq decides: the
+	// same type and value, a loc naming the same object.
+	OpSame
+)
+
+// Term is one where-term a fetch or scan tests on each record, on the
+// bytes of column Col alone: its value compared with Val by Op. A record
+// is kept when every term of a list holds.
+type Term struct {
+	Col int
+	Op  Op
+	Val Value
+}
+
+// holds reports whether the term holds of column c of rec.
+func (t *Term) holds(rec []byte, c span) bool {
+	if t.Op == OpSame {
+		return t.same(rec, c)
+	}
+	eq, cmp := false, 0
+	switch {
+	case c.typ == TypeString && t.Val.Type == TypeString:
+		switch s := rec[c.lo:c.mid]; {
+		case string(s) == t.Val.Str:
+			eq = true
+		case string(s) < t.Val.Str:
+			cmp = -1
+		default:
+			cmp = 1
+		}
+	case isNumber(c.typ) && isNumber(t.Val.Type):
+		a, b := numberAt(rec, c), t.Val.Float
+		if t.Val.Type == TypeInt {
+			b = float64(t.Val.Int)
+		}
+		eq = a == b
+		switch {
+		case a < b:
+			cmp = -1
+		case a > b:
+			cmp = 1
+		}
+	}
+	switch t.Op {
+	case OpEq:
+		return eq
+	case OpLt:
+		return cmp < 0
+	case OpLe:
+		return cmp <= 0
+	case OpGt:
+		return cmp > 0
+	case OpGe:
+		return cmp >= 0
+	}
+	return false
+}
+
+// same is OpSame: Value.Eq of the stored value and Val.
+func (t *Term) same(rec []byte, c span) bool {
+	v := &t.Val
+	if c.typ != v.Type {
+		return false
+	}
+	w := Value{Type: c.typ}
+	switch c.typ {
+	case TypeLoc:
+		return string(rec[c.lo:c.mid]) == v.Loc.Picture &&
+			picture.ObjectID(binary.LittleEndian.Uint64(rec[c.mid:])) == v.Loc.Object
+	case TypeString:
+		if string(rec[c.lo:c.mid]) != v.Str {
+			return false
+		}
+		w.Str = v.Str
+	case TypeInt:
+		w.Int = int64(binary.LittleEndian.Uint64(rec[c.mid:]))
+	case TypeFloat:
+		w.Float = math.Float64frombits(binary.LittleEndian.Uint64(rec[c.mid:]))
+	}
+	return *v == w
+}
+
+func isNumber(t Type) bool { return t == TypeInt || t == TypeFloat }
+
+// numberAt returns the float64 image of number column c of rec.
+func numberAt(rec []byte, c span) float64 {
+	bits := binary.LittleEndian.Uint64(rec[c.mid:])
+	if c.typ == TypeInt {
+		return float64(int64(bits))
+	}
+	return math.Float64frombits(bits)
 }
 
 // startsOnStack is the widest tuple whose column offsets a batch fetch
@@ -199,40 +338,68 @@ func decodeCol(rec []byte, pos, i int, want bool, v *Value, locs []locBytes) (in
 // fetch allocates its offsets once, at its arity.
 const startsOnStack = 16
 
-// decodeKept is the terms-first decode of a batch fetch: with keep
-// non-nil the body is decoded on test's columns alone and shown to
-// keep, and only a tuple keep accepts has need's columns materialized;
-// ok is false for one it rejects. The decode goes to dst as in
-// decodeCols. Its first pass validates the whole body, so a corrupt one
-// fails whether or not keep would have rejected it — and exactly when
-// DecodeTupleCols(rec, nil) fails — and records in starts where each
-// column starts: a kept tuple then has the columns need selects and test
-// did not parsed from there, and the columns test selected and need does
-// not zeroed, so it is decoded once. starts is the caller's scratch; a
-// body with more columns than it holds, which no stored tuple of the
-// relation has, gets offsets allocated at its width.
-func decodeKept(rec []byte, need, test []bool, keep func(Tuple) bool, dst Tuple, starts []int) (t Tuple, ok bool, err error) {
-	if keep == nil {
-		t, err = decodeCols(rec, need, dst, nil, nil)
-		return t, err == nil, err
-	}
-	if n, w := binary.Uvarint(rec); w > 0 && n > uint64(len(starts)) && n <= uint64(len(rec)) {
-		starts = make([]int, n)
-	}
-	if t, err = decodeCols(rec, test, dst, nil, starts); err != nil || !keep(t) {
+// match is the first step of the terms-first decode: one walk over the
+// body that validates every column with checkCol — so a corrupt body
+// fails, with DecodeTuple's error, whether or not a term would have
+// rejected it — and records where each column starts, then the terms,
+// each tested on its column's bytes. ok is false when a term rejects the
+// record. A term on a column past the body's last is corruption, whether
+// or not another term rejects the record. It returns the offsets, in starts when the body's columns fit it and in
+// a slice allocated at their count otherwise.
+func match(rec []byte, terms []Term, starts []int) (_ []int, ok bool, err error) {
+	n, pos, err := header(rec)
+	if err != nil {
 		return nil, false, err
 	}
-	for i := range t {
-		switch n, s := wants(need, i), wants(test, i); {
-		case n && !s:
-			if _, err = decodeCol(rec, starts[i], i, true, &t[i], nil); err != nil {
-				return nil, false, err
-			}
-		case s && !n:
-			t[i] = Value{Type: t[i].Type}
+	if n > len(starts) {
+		starts = make([]int, n)
+	}
+	starts = starts[:n]
+	for i := range starts {
+		if pos >= len(rec) {
+			return nil, false, errTuple("truncated tuple at column %d", i)
+		}
+		starts[i] = pos
+		c, err := checkCol(rec, pos, i)
+		if err != nil {
+			return nil, false, err
+		}
+		pos = c.end
+	}
+	for k := range terms {
+		if col := terms[k].Col; col < 0 || col >= n {
+			return nil, false, errTuple("a term on column %d of a %d-column tuple", col, n)
 		}
 	}
-	return t, true, nil
+	for k := range terms {
+		t := &terms[k]
+		c, _ := checkCol(rec, starts[t.Col], t.Col) // the walk validated it
+		if !t.holds(rec, c) {
+			return nil, false, nil
+		}
+	}
+	return starts, true, nil
+}
+
+// decodeAt decodes the body whose columns match found at starts into
+// dst[:0] when it fits dst's capacity and into a fresh slice otherwise:
+// the columns need selects in full, the others as their type tag.
+func decodeAt(rec []byte, need []bool, starts []int, dst Tuple) (Tuple, error) {
+	t := dst[:0]
+	if cap(t) < len(starts) {
+		t = make(Tuple, 0, len(starts))
+	}
+	t = t[:len(starts)]
+	for i, pos := range starts {
+		if !wants(need, i) {
+			t[i] = Value{Type: Type(rec[pos])}
+			continue
+		}
+		if _, err := decodeCol(rec, pos, i, true, &t[i], nil); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
 }
 
 // IndexKey returns an order-preserving byte encoding of v:

@@ -398,11 +398,11 @@ func (r *Relation) Get(id storage.TupleID) (Tuple, error) {
 
 // GetBatch materializes the tuples stored under ids, preserving input
 // order: out[i] is the tuple for ids[i]. See FetchWhere, which it is
-// with nothing to test and into fresh memory. workers is ignored; it
-// stays only because cmd/pictbench compiles against it, until the
-// benchmark reads the engine's own counters.
+// with no term and into fresh memory. workers is ignored; it stays only
+// because cmd/pictbench compiles against it, until the benchmark reads
+// the engine's own counters.
 func (r *Relation) GetBatch(ids []storage.TupleID, need []bool, workers int) ([]Tuple, error) {
-	return r.FetchWhere(nil, ids, need, nil, nil)
+	return r.FetchWhere(nil, ids, need, nil)
 }
 
 // Arena is the memory one statement decodes its tuples into: the
@@ -460,54 +460,69 @@ type tupleArena struct {
 }
 
 // decode is the one step that turns a heap record's tuple body into a
-// Tuple, for the batch fetch and both scan walks: decodeKept into the
-// arena's next slot, which the tuple keeps when keep accepts it and
-// which otherwise goes to the next record.
-func (a *tupleArena) decode(body []byte, need, test []bool, keep func(Tuple) bool) (Tuple, bool, error) {
+// Tuple, for the batch fetch and both scan walks. With terms, the body
+// is validated and the terms tested on its bytes first (match): a
+// record a term rejects writes nothing and takes no slot, and ok is
+// false for it. A kept record is decoded into the arena's next slot —
+// with terms, from the offsets match recorded, without walking the body
+// again.
+func (a *tupleArena) decode(body []byte, need []bool, terms []Term) (t Tuple, ok bool, err error) {
+	a.left--
+	var starts []int
+	if len(terms) > 0 {
+		var stack [startsOnStack]int
+		starts = stack[:]
+		if a.arity > len(stack) {
+			if a.wide == nil {
+				a.wide = make([]int, a.arity)
+			}
+			starts = a.wide
+		}
+		if starts, ok, err = match(body, terms, starts); !ok {
+			return nil, false, err
+		}
+	}
 	if len(a.free) < a.arity {
-		a.free = a.src.Cut(max(1, min(a.left, a.block)) * a.arity)
+		a.free = a.src.Cut(max(1, min(a.left+1, a.block)) * a.arity) // this record and those left
 		a.block = min(2*a.block, arenaTuples)
 	}
-	a.left--
-	var stack [startsOnStack]int
-	starts := stack[:]
-	if a.arity > len(stack) {
-		if a.wide == nil {
-			a.wide = make([]int, a.arity)
-		}
-		starts = a.wide
+	slot := a.free[:0:a.arity]
+	if starts != nil {
+		t, err = decodeAt(body, need, starts, slot)
+	} else {
+		t, err = decodeCols(body, need, slot, nil)
 	}
-	t, ok, err := decodeKept(body, need, test, keep, a.free[:0:a.arity], starts)
-	if ok && len(t) <= a.arity { // it fit the slot
+	if err != nil {
+		return nil, false, err
+	}
+	if len(t) <= a.arity { // it fit the slot
 		a.free = a.free[a.arity:]
 	}
-	return t, ok, err
+	return t, true, nil
 }
 
 // close returns the unused end of the last block to the slab, so a
 // statement's slab grows by the tuples it kept, not by its candidates.
 func (a *tupleArena) close() { a.src.Return(a.free) }
 
-// FetchWhere materializes the tuples stored under ids that keep
-// accepts, preserving input order: out[i] is the tuple for ids[i], nil
-// when keep rejected it or the tuple was deleted after ids were read (an
-// id never handed out fails the fetch with ErrNotFound). Ids are grouped
-// by store and the stores read in order; a store pins each page it
-// references once (ascending page order — ids on the statement path
+// FetchWhere materializes the tuples stored under ids that every term
+// keeps, preserving input order: out[i] is the tuple for ids[i], nil
+// when a term rejected it or the tuple was deleted after ids were read
+// (an id never handed out fails the fetch with ErrNotFound). Ids are
+// grouped by store and the stores read in order; a store pins each page
+// it references once (ascending page order — ids on the statement path
 // arrive sorted, any other order is sorted per store — zero-copy view
-// when mmap is active) and decodes its tuples in place into arenas. need selects which columns to
-// materialize, as in DecodeTupleCols (nil = all). The tuples and out
-// are cut from a, a statement's Arena, or freshly allocated when a is
-// nil.
+// when mmap is active) and decodes its tuples in place into arenas. need
+// selects which columns to materialize, as in DecodeTupleCols (nil =
+// all). The tuples and out are cut from a, a statement's Arena, or
+// freshly allocated when a is nil.
 //
-// With keep non-nil a record is first decoded on the columns test
-// selects alone and shown to keep; only a tuple keep accepts has need's
-// columns materialized, from the same decode, so a rejected candidate
-// costs no string and no tuple. The first decode validates the whole
-// record, so a corrupt one fails the fetch whether or not keep would
-// have rejected it. keep must not retain its argument. keep runs under
-// the store lock, so it must not call into the relation.
-func (r *Relation) FetchWhere(a *Arena, ids []storage.TupleID, need, test []bool, keep func(Tuple) bool) ([]Tuple, error) {
+// The terms are tested on each record's bytes, after one walk that
+// validates the whole record, so a corrupt one fails the fetch whether
+// or not a term would have rejected it; a rejected candidate is never
+// decoded and costs no slot, no string and no allocation. A term on a
+// column past a record's last fails the fetch as corrupt.
+func (r *Relation) FetchWhere(a *Arena, ids []storage.TupleID, need []bool, terms []Term) ([]Tuple, error) {
 	out := a.Tuples(len(ids))
 	if len(ids) == 0 {
 		return out, nil
@@ -532,11 +547,11 @@ func (r *Relation) FetchWhere(a *Arena, ids []storage.TupleID, need, test []bool
 			if pos != nil {
 				p = pos[s][k]
 			}
-			t, _, err := ta.decode(rec, need, test, keep)
+			t, _, err := ta.decode(rec, need, terms)
 			if err != nil {
 				return fmt.Errorf("relation %s: tuple %v: %w", r.name, ids[p], err)
 			}
-			out[p] = t // nil when keep rejected it
+			out[p] = t // nil when a term rejected it
 			return nil
 		})
 		st.mu.RUnlock()
@@ -637,24 +652,21 @@ func (r *Relation) Update(id storage.TupleID, t Tuple) (storage.TupleID, error) 
 // Scan calls fn on every tuple in ascending id order; returning false
 // stops the scan.
 func (r *Relation) Scan(fn func(id storage.TupleID, t Tuple) bool) error {
-	return r.ScanCols(nil, nil, nil, nil, fn)
+	return r.ScanCols(nil, nil, nil, fn)
 }
 
-// ScanCols calls fn on every tuple keep accepts, in ascending id order;
-// returning false stops the scan. It is FetchWhere over the whole
-// relation: with keep non-nil a record is first decoded on the columns
-// test selects alone and shown to keep, and only a tuple keep accepts
-// has need's columns materialized (as in DecodeTupleCols, nil = all) —
-// a rejected record costs no tuple and no string. The first decode
-// validates the whole record, so a corrupt one fails the scan whether or
-// not keep would have rejected it. keep must not retain its argument,
-// and it runs under the store lock, so it must not call into the
-// relation. fn runs with no lock held, so it may call back into the
-// relation, and a tuple deleted while the scan is under way is either
-// seen or skipped. The tuples are cut from a, a statement's Arena, or
-// freshly allocated when a is nil.
-func (r *Relation) ScanCols(a *Arena, need, test []bool, keep func(Tuple) bool, fn func(id storage.TupleID, t Tuple) bool) error {
-	// How many tuples keep accepts is unknown: the blocks start small.
+// ScanCols calls fn on every tuple that every term keeps, in ascending
+// id order; returning false stops the scan. It is FetchWhere over the
+// whole relation: the terms are tested on each record's bytes, and only
+// a kept record has need's columns materialized (as in DecodeTupleCols,
+// nil = all) — a rejected record costs no slot, no string and no
+// allocation. Every record is validated whole, so a corrupt one fails
+// the scan whether or not a term would have rejected it. fn runs with no
+// lock held, so it may call back into the relation, and a tuple deleted
+// while the scan is under way is either seen or skipped. The tuples are
+// cut from a, a statement's Arena, or freshly allocated when a is nil.
+func (r *Relation) ScanCols(a *Arena, need []bool, terms []Term, fn func(id storage.TupleID, t Tuple) bool) error {
+	// How many tuples the terms keep is unknown: the blocks start small.
 	ta := tupleArena{src: a.valueSlab(), arity: r.schema.Arity(), left: r.Len(), block: 8}
 	defer ta.close()
 	// Each store's chain in store order, one page at a time, each decoded
@@ -669,7 +681,7 @@ func (r *Relation) ScanCols(a *Arena, need, test []bool, keep func(Tuple) bool, 
 	var s int // the store being walked
 	visit := func(lid storage.TupleID, body []byte) bool {
 		id := inStore(lid, s)
-		t, kept, err := ta.decode(body, need, test, keep)
+		t, kept, err := ta.decode(body, need, terms)
 		if err != nil {
 			decodeErr = fmt.Errorf("relation %s: tuple %v: %w", r.name, id, err)
 			return false
@@ -741,9 +753,7 @@ func (r *Relation) LookupEqual(column string, v Value) ([]storage.TupleID, error
 		return out, nil
 	}
 	var out []storage.TupleID
-	test := make([]bool, r.schema.Arity())
-	test[ci] = true
-	err := r.ScanCols(nil, make([]bool, len(test)), test, func(t Tuple) bool { return t[ci].Eq(v) }, func(id storage.TupleID, _ Tuple) bool {
+	err := r.ScanCols(nil, make([]bool, r.schema.Arity()), []Term{{Col: ci, Op: OpSame, Val: v}}, func(id storage.TupleID, _ Tuple) bool {
 		out = append(out, id)
 		return true
 	})
@@ -871,14 +881,22 @@ func (r *Relation) SpatialItems(pictureName string) ([]rtree.Item, int, error) {
 // because cmd/pictbench compiles against it, until the benchmark reads
 // the engine's own counters.
 func (r *Relation) SearchAreaBatch(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool, parallelism int) ([][]storage.TupleID, int, error) {
-	batches, visited, err := r.search(pictureName, windows, pred)
+	ends := make([]int, len(windows))
+	buf, visited, err := r.search(pictureName, windows, pred, ends)
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make([][]storage.TupleID, len(batches))
-	for i, ids := range batches {
-		slices.Sort(ids)
-		out[i] = tupleIDs(ids) // nil when empty
+	defer putIDScratch(buf)
+	all := make([]storage.TupleID, len(*buf))
+	out := make([][]storage.TupleID, len(windows))
+	start := 0
+	for i, end := range ends {
+		if end > start { // nil when empty
+			ids := (*buf)[start:end]
+			slices.Sort(ids)
+			out[i] = tupleIDs(all[start:end:end], ids)
+		}
+		start = end
 	}
 	return out, visited, nil
 }
@@ -889,42 +907,55 @@ func (r *Relation) SearchAreaBatch(pictureName string, windows []geom.Rect, pred
 // SearchAreaBatch's lists, sorted once and de-duplicated — with the
 // visit count summed across the batch and the merged trees.
 func (r *Relation) SearchWindows(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool) ([]storage.TupleID, int, error) {
-	batches, visited, err := r.search(pictureName, windows, pred)
+	buf, visited, err := r.search(pictureName, windows, pred, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	var ids []int64
-	if len(batches) == 1 {
-		ids = batches[0]
-	} else {
-		ids = slices.Concat(batches...)
+	defer putIDScratch(buf)
+	slices.Sort(*buf)
+	ids := slices.Compact(*buf)
+	if len(ids) == 0 {
+		return nil, visited, nil
 	}
-	slices.Sort(ids)
-	return tupleIDs(slices.Compact(ids)), visited, nil
+	return tupleIDs(make([]storage.TupleID, len(ids)), ids), visited, nil
 }
 
-// search answers windows against the named picture's indexes: per
-// window, the ids of the qualifying tuples in no order (scatterSearch).
-func (r *Relation) search(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool) ([][]int64, int, error) {
+// search answers windows against the named picture's indexes
+// (scatterSearch), collecting the ids, in no order within a window, in a
+// list taken from idScratch, which the caller hands back with
+// putIDScratch once it has converted them: a search allocates only the
+// list it returns.
+func (r *Relation) search(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool, ends []int) (*[]int64, int, error) {
 	sis := r.spatialList(pictureName)
 	if sis == nil {
 		return nil, 0, fmt.Errorf("relation %s: no spatial index for picture %q", r.name, pictureName)
 	}
-	batches, visited := scatterSearch(sis, windows, pred)
-	return batches, visited, nil
+	buf := idScratch.Get().(*[]int64)
+	var visited int
+	*buf, visited = scatterSearch(sis, windows, pred, (*buf)[:0], ends)
+	return buf, visited, nil
 }
 
-// tupleIDs converts index data pointers to the tuple ids they encode;
-// nil when there are none.
-func tupleIDs(data []int64) []storage.TupleID {
-	if len(data) == 0 {
-		return nil
+// idScratch holds the lists searches collect their ids in.
+var idScratch = sync.Pool{New: func() any { return new([]int64) }}
+
+// maxScratchIDs caps the list idScratch keeps, as arena caps a slab: a
+// search that collected more leaves its list to the collector.
+const maxScratchIDs = 32 << 10
+
+func putIDScratch(buf *[]int64) {
+	if cap(*buf) <= maxScratchIDs {
+		idScratch.Put(buf)
 	}
-	out := make([]storage.TupleID, len(data))
+}
+
+// tupleIDs writes to dst the tuple ids that the index data pointers in
+// data encode, and returns it.
+func tupleIDs(dst []storage.TupleID, data []int64) []storage.TupleID {
 	for i, v := range data {
-		out[i] = storage.TupleIDFromInt64(v)
+		dst[i] = storage.TupleIDFromInt64(v)
 	}
-	return out
+	return dst
 }
 
 // SpatialPair is one juxtaposition result: the storage ids of the

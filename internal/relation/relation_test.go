@@ -174,7 +174,7 @@ func TestRecordLayout(t *testing.T) {
 	tu := Tuple{S("x"), L("map", 7), I(9)}
 	body := appendBody(nil, carrying(tu, obj), true)
 	locs := make([]locBytes, 3)
-	got, err := decodeCols(body, nil, nil, locs, nil)
+	got, err := decodeCols(body, nil, nil, locs)
 	if err != nil || !got[1].Eq(tu[1]) || !got[2].Eq(tu[2]) {
 		t.Fatalf("decode = %v, %v", got, err)
 	}
@@ -919,7 +919,7 @@ func TestFreedIDNamesNoOtherTuple(t *testing.T) {
 			if got, err := rel.Get(victim); !errors.Is(err, storage.ErrNotFound) {
 				t.Fatalf("Get of deleted %v = %v, %v; want ErrNotFound", victim, got, err)
 			}
-			if got, err := rel.FetchWhere(nil, []storage.TupleID{victim}, nil, nil, nil); err != nil || len(got) != 1 || got[0] != nil {
+			if got, err := rel.FetchWhere(nil, []storage.TupleID{victim}, nil, nil); err != nil || len(got) != 1 || got[0] != nil {
 				t.Fatalf("FetchWhere of deleted %v = %v, %v; want [<nil>]", victim, got, err)
 			}
 			if got, err := rel.Get(nid); err != nil || got[0].Str != "newcomer" {
@@ -1001,9 +1001,10 @@ func TestConcurrentDoubleDelete(t *testing.T) {
 }
 
 // TestFetchWhereWideTuple fetches from a relation wider than the column
-// offsets a fetch keeps on its stack, into a statement's Arena: a kept
-// tuple carries the needed columns as Get reads them and the test-only
-// ones zeroed, and keep sees the tested columns.
+// offsets a fetch keeps on its stack, into a statement's Arena, with
+// terms on a column inside those offsets and one past them: a kept tuple
+// carries the needed columns as Get reads them and the others zeroed,
+// and a rejected one is nil.
 func TestFetchWhereWideTuple(t *testing.T) {
 	specs := make([]string, startsOnStack+4)
 	for i := range specs {
@@ -1034,11 +1035,12 @@ func TestFetchWhereWideTuple(t *testing.T) {
 		ids = append(ids, id)
 	}
 	last := len(specs) - 1 // an int column past the stack's offsets
-	need, test := make([]bool, len(specs)), make([]bool, len(specs))
-	need[0], need[startsOnStack+2], test[1], test[last] = true, true, true, true
-	keep := func(t Tuple) bool { return t[last].Int%200 == int64(last) }
+	need := make([]bool, len(specs))
+	need[0], need[startsOnStack+2] = true, true
+	// The terms keep tuples 5 to 34.
+	terms := []Term{{Col: 1, Op: OpGe, Val: I(501)}, {Col: last, Op: OpLt, Val: I(int64(3500 + last))}}
 	var a Arena
-	got, err := rel.FetchWhere(&a, ids, need, test, keep)
+	got, err := rel.FetchWhere(&a, ids, need, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1047,7 +1049,7 @@ func TestFetchWhereWideTuple(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if k%2 == 1 {
+		if k < 5 || k >= 35 {
 			if got[k] != nil {
 				t.Fatalf("tuple %d kept, want rejected: %v", k, got[k])
 			}

@@ -232,41 +232,36 @@ func (r *Relation) SpatialCostSnapshot(pictureName string, windows []geom.Rect) 
 	return merged, true
 }
 
-// scatterSearch answers every window against the indexes in sis whose
-// bounds it overlaps and returns, per window, the ids every admitted
-// index reported (SpatialIndex.search) — unordered; stores partition the
-// id space, so no id appears twice in one window's list. Pruning by
-// bounds is only applied when there is more than one index, so a
-// one-store relation keeps its exact visit counts.
-func scatterSearch(sis []*SpatialIndex, windows []geom.Rect, pred func(obj, win geom.Rect) bool) ([][]int64, int) {
-	out := make([][]int64, len(windows))
+// scatterSearch is SpatialIndex.search over the indexes in sis: per
+// window, the ids of every index whose bounds it overlaps — stores
+// partition the id space, so no id is appended twice for one window.
+// Pruning by bounds is only applied when there is more than one index,
+// so a one-store relation keeps its exact visit counts.
+func scatterSearch(sis []*SpatialIndex, windows []geom.Rect, pred func(obj, win geom.Rect) bool, ids []int64, ends []int) ([]int64, int) {
 	if len(sis) == 1 {
-		return out, sis[0].search(windows, pred, out)
+		return sis[0].search(windows, pred, ids, ends)
+	}
+	bounds := make([]geom.Rect, len(sis))
+	for s, si := range sis {
+		if bounds[s] = geom.EmptyRect(); si.Len() > 0 {
+			bounds[s] = si.Bounds()
+		}
 	}
 	visited := 0
-	for _, si := range sis {
-		if si.Len() == 0 {
-			continue
-		}
-		b := si.Bounds()
-		var wi []int
-		var sub []geom.Rect
-		for i, w := range windows {
-			if b.Intersects(w) {
-				wi = append(wi, i)
-				sub = append(sub, w)
+	for i := range windows {
+		for s, si := range sis {
+			if !bounds[s].Intersects(windows[i]) {
+				continue
 			}
+			var v int
+			ids, v = si.search(windows[i:i+1], pred, ids, nil)
+			visited += v
 		}
-		if len(sub) == 0 {
-			continue
-		}
-		res := make([][]int64, len(sub))
-		visited += si.search(sub, pred, res)
-		for j, i := range wi {
-			out[i] = append(out[i], res[j]...)
+		if ends != nil {
+			ends[i] = len(ids)
 		}
 	}
-	return out, visited
+	return ids, visited
 }
 
 // scatterItems gathers every live entry across sis in canonical order.

@@ -375,16 +375,14 @@ func TestShardedJuxtaposeOracle(t *testing.T) {
 
 // TestScanColsMatchesScan: the column-lazy scan visits the tuples Scan
 // visits, in the same order, with the needed columns materialized and
-// the rest left at their zero payload; with a keep, it visits exactly
-// the tuples Scan followed by the same filter visits, and keep sees the
-// tested columns alone — unsharded and at every shard count. Either way
-// returning false stops the scan, and a record whose inline object is
-// corrupt fails it whether keep would accept or reject it.
+// the rest left at their zero payload; with terms, it visits exactly the
+// tuples Scan followed by the same filter visits — unsharded and at
+// every shard count. Either way returning false stops the scan, and a
+// record whose inline object is corrupt fails it whether the terms
+// would keep or reject it.
 func TestScanColsMatchesScan(t *testing.T) {
 	twins, _, _ := shardTwins(t, 200, 5)
 	need := []bool{false, false, true, true} // population, loc
-	test := []bool{false, false, true, false}
-	even := func(tu Tuple) bool { return tu[2].Int%2 == 0 }
 	for _, k := range append([]int{0}, shardCounts...) {
 		rel := twins[k]
 		var ids []storage.TupleID
@@ -395,28 +393,27 @@ func TestScanColsMatchesScan(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+		pops := make([]int64, len(full))
+		for i, tu := range full {
+			pops[i] = tu[2].Int
+		}
+		slices.Sort(pops)
+		median := pops[len(pops)/2]
 		for _, filtered := range []bool{false, true} {
-			var tested []bool
-			var keep func(Tuple) bool
+			var terms []Term
 			if filtered {
-				tested = test
-				keep = func(tu Tuple) bool {
-					if tu[0].Str != "" || tu[1].Str != "" || tu[3].Loc.Picture != "" || tu[3].Type != TypeLoc {
-						t.Fatalf("shards=%d: keep was shown untested columns: %v", k, tu)
-					}
-					return even(tu)
-				}
+				terms = []Term{{Col: 2, Op: OpLt, Val: I(median)}}
 			}
 			var wantIDs []storage.TupleID
 			var want []Tuple
 			for i, tu := range full {
-				if !filtered || even(tu) {
+				if !filtered || tu[2].Int < median {
 					wantIDs, want = append(wantIDs, ids[i]), append(want, tu)
 				}
 			}
 			stop := len(want) * 3 / 4
 			i := 0
-			err := rel.ScanCols(nil, need, tested, keep, func(id storage.TupleID, tu Tuple) bool {
+			err := rel.ScanCols(nil, need, terms, func(id storage.TupleID, tu Tuple) bool {
 				if i >= len(want) || id != wantIDs[i] {
 					t.Fatalf("shards=%d, filtered %v: ScanCols tuple %d is %v, Scan disagrees", k, filtered, i, id)
 				}
@@ -442,10 +439,51 @@ func TestScanColsMatchesScan(t *testing.T) {
 			t.Fatalf("the damaged body decodes: %v", err)
 		}
 		plant(t, rel, len(rel.stores)-1, body)
-		for _, accept := range []bool{true, false} {
-			err := rel.ScanCols(nil, need, test, func(Tuple) bool { return accept }, func(storage.TupleID, Tuple) bool { return true })
+		for _, pop := range []int64{2, 3} { // one keeps the damaged record, one rejects it
+			err := rel.ScanCols(nil, need, []Term{{Col: 2, Op: OpEq, Val: I(pop)}}, func(storage.TupleID, Tuple) bool { return true })
 			if !errors.Is(err, storage.ErrCorrupt) {
-				t.Fatalf("shards=%d: a scan whose keep answers %v over a damaged object: %v", k, accept, err)
+				t.Fatalf("shards=%d: a scan for population %d over a damaged object: %v", k, pop, err)
+			}
+		}
+	}
+}
+
+// TestRejectingScanAllocatesNothing: a scan whose terms reject every
+// one of 2 000 tuples decodes none of them — it cuts no Value from the
+// statement's arena and allocates nothing, into an arena or into fresh
+// memory — at one store and at four. Every record is still validated
+// whole (TestScanColsMatchesScan).
+func TestRejectingScanAllocatesNothing(t *testing.T) {
+	pic := usMap()
+	for _, stores := range []int{1, 4} {
+		rel := newShardedCities(t, stores, pic)
+		for i := range 2000 {
+			addCity(t, rel, pic, fmt.Sprintf("c%04d", i), "ST", int64(i), float64(i%1000), float64(i/2))
+		}
+		need := []bool{true, false, false, true}
+		none := []Term{{Col: 0, Op: OpGe, Val: S("c")}, {Col: 2, Op: OpLt, Val: I(0)}}
+		const runs = 10
+		arenas := make([]Arena, runs+1) // AllocsPerRun runs once more to warm up
+		next := 0
+		for _, a := range []func() *Arena{
+			func() *Arena { return nil },
+			func() *Arena { next++; return &arenas[next-1] }, // fresh: any cut allocates
+		} {
+			allocs := testing.AllocsPerRun(runs, func() {
+				if err := rel.ScanCols(a(), need, none, func(storage.TupleID, Tuple) bool {
+					t.Fatal("a tuple no term keeps was handed on")
+					return false
+				}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%d stores: a scan rejecting every tuple allocates %.1f times, want 0", stores, allocs)
+			}
+		}
+		for i := range arenas {
+			if got := arenas[i].Tuples(1); got[0] != nil {
+				t.Fatal("a fresh arena cut a non-nil tuple")
 			}
 		}
 	}
@@ -602,7 +640,7 @@ func TestIDPastStoreCountNotFound(t *testing.T) {
 				if _, err := rel.Get(bad); !errors.Is(err, storage.ErrNotFound) {
 					t.Fatalf("Get(%v) = %v, want ErrNotFound", bad, err)
 				}
-				if _, err := rel.FetchWhere(nil, []storage.TupleID{id, bad}, nil, nil, nil); !errors.Is(err, storage.ErrNotFound) {
+				if _, err := rel.FetchWhere(nil, []storage.TupleID{id, bad}, nil, nil); !errors.Is(err, storage.ErrNotFound) {
 					t.Fatalf("FetchWhere(%v) = %v, want ErrNotFound", bad, err)
 				}
 				if err := rel.Delete(bad); !errors.Is(err, storage.ErrNotFound) {
@@ -638,7 +676,7 @@ func TestFetchSkipsTupleDeletedSinceProbe(t *testing.T) {
 			if len(ids) < 10 {
 				t.Fatalf("the window holds %d ids", len(ids))
 			}
-			want, err := rel.FetchWhere(nil, ids, nil, nil, nil)
+			want, err := rel.FetchWhere(nil, ids, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -646,7 +684,7 @@ func TestFetchSkipsTupleDeletedSinceProbe(t *testing.T) {
 			if err := rel.Delete(ids[victim]); err != nil {
 				t.Fatal(err)
 			}
-			got, err := rel.FetchWhere(nil, ids, nil, nil, nil)
+			got, err := rel.FetchWhere(nil, ids, nil, nil)
 			if err != nil {
 				t.Fatalf("FetchWhere after deleting %v: %v", ids[victim], err)
 			}
@@ -860,7 +898,7 @@ func TestScatterFanoutPruning(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, si := range sis {
-			v := si.search([]geom.Rect{window}, geom.Overlapping, make([][]int64, 1))
+			_, v := si.search([]geom.Rect{window}, geom.Overlapping, nil, nil)
 			all += v
 			if si.Bounds().Intersects(window) {
 				admitted += v
@@ -1063,10 +1101,11 @@ func concurrentWritersReaders(t *testing.T, rel *Relation, pic *picture.Picture)
 						errCh <- fmt.Errorf("reader %d: get %v: %v, %w", r, id, tu, err)
 						return
 					}
-					seed := func(tu Tuple) bool { return strings.HasPrefix(tu[0].Str, "seed") }
+					// The cities that start with "seed".
+					seed := []Term{{Col: 0, Op: OpGe, Val: S("seed")}, {Col: 0, Op: OpLt, Val: S("seee")}}
 					seeds := 0
-					err := rel.ScanCols(nil, needCity, needCity, seed, func(_ storage.TupleID, tu Tuple) bool {
-						if seed(tu) {
+					err := rel.ScanCols(nil, needCity, seed, func(_ storage.TupleID, tu Tuple) bool {
+						if strings.HasPrefix(tu[0].Str, "seed") {
 							seeds++
 						}
 						return true

@@ -270,10 +270,9 @@ func TestFrozenTombstoneFiltering(t *testing.T) {
 	)
 	si.SetDeltaThreshold(math.MaxInt)
 	liveIDs := func() []int64 {
-		out := make([][]int64, 1)
-		si.search([]geom.Rect{geom.R(0, 0, 10, 10)}, geom.Overlapping, out)
-		slices.Sort(out[0])
-		return out[0]
+		ids, _ := si.search([]geom.Rect{geom.R(0, 0, 10, 10)}, geom.Overlapping, nil, nil)
+		slices.Sort(ids)
+		return ids
 	}
 	// Pre-freeze: ids 1 and 6 deleted (tombstones), ids 3,4 inserted.
 	si.delete(geom.R(1, 1, 2, 2), 1)
