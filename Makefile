@@ -110,14 +110,16 @@ arenarace:
 # Short fuzz pass over the decoders of on-disk bytes — tuple records
 # with the objects their locs carry, page-0 header slots, catalog
 # records, write-ahead log records (inspection against recovery),
-# slotted heap pages, picture objects — the B-tree bulk load against
-# per-item insertion, the B-tree run sort against a comparator sort, and
+# slotted heap pages, picture objects — a where-term's B-tree lookup
+# against the scan and a decode-then-test reference, the B-tree bulk
+# load against per-item insertion, the B-tree run sort against a comparator sort, and
 # PSQL statements the planned executor must answer as the naive one does,
 # over packed, delta and tombstoned index entries. (-fuzz takes one target per run. Left at its
 # default, minimizing one new input of a log's page-long seeds, or of a
 # long object label, can take up to a minute: the whole run.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTuple -fuzztime 10s -fuzzminimizetime 20x ./internal/relation/
+	$(GO) test -run '^$$' -fuzz FuzzLookupMatchesScan -fuzztime 10s -fuzzminimizetime 20x ./internal/relation/
 	$(GO) test -run '^$$' -fuzz FuzzScanPage -fuzztime 10s -fuzzminimizetime 20x ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeObject -fuzztime 10s -fuzzminimizetime 20x ./internal/picture/
 	$(GO) test -run '^$$' -fuzz FuzzParseHeaderSlots -fuzztime 10s ./internal/pager/

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	pictdb "repro"
+	"repro/internal/relation"
+	"repro/internal/storage"
 )
 
 // buildSmallDB populates a file-backed database with a picture, a
@@ -325,6 +327,19 @@ func TestSoakMixedOperations(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// idsOf returns the ids of the tuples keyed k, by one scan: k has no
+	// B-tree.
+	idsOf := func(k int64) []storage.TupleID {
+		var ids []storage.TupleID
+		eq := []relation.Term{{Col: 0, Op: relation.OpEq, Val: pictdb.I(k)}}
+		if err := rel.ScanCols(nil, []bool{false, false}, eq, func(id storage.TupleID, _ pictdb.Tuple) bool {
+			ids = append(ids, id)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return ids
+	}
 	shadow := map[int64]pictdb.Point{}
 	rng := rand.New(rand.NewSource(2026))
 	nextK := int64(0)
@@ -369,9 +384,9 @@ func TestSoakMixedOperations(t *testing.T) {
 				nextK++
 			case r < 8: // delete a random live key
 				for k := range shadow {
-					ids, err := rel.LookupEqual("k", pictdb.I(k))
-					if err != nil || len(ids) != 1 {
-						t.Fatalf("lookup %d: %v ids=%d", k, err, len(ids))
+					ids := idsOf(k)
+					if len(ids) != 1 {
+						t.Fatalf("lookup %d: ids=%d", k, len(ids))
 					}
 					if err := rel.Delete(ids[0]); err != nil {
 						t.Fatal(err)
@@ -381,7 +396,7 @@ func TestSoakMixedOperations(t *testing.T) {
 				}
 			default: // move: update a tuple to a new location
 				for k := range shadow {
-					ids, _ := rel.LookupEqual("k", pictdb.I(k))
+					ids := idsOf(k)
 					p := pictdb.Pt(rng.Float64()*1000, rng.Float64()*1000)
 					oid := pic.AddPoint("", p)
 					if _, err := rel.Update(ids[0], pictdb.Tuple{pictdb.I(k), pictdb.L("m", oid)}); err != nil {

@@ -338,12 +338,7 @@ func (st *execState) candidateRows() ([]row, error) {
 		}
 		return st.cartesian(-1, nil)
 	}
-	ids, ok, err := st.indexedCandidates()
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		sortTupleIDs(ids) // the B-tree delivers key order
+	if ids, ok := st.indexedCandidates(); ok {
 		return st.cartesian(0, ids)
 	}
 	return st.cartesian(-1, nil)
@@ -387,9 +382,9 @@ func (st *execState) pricedFor(snap relation.CostSnapshot, n int, windows []geom
 // planWindowSearch chooses the access path for a single-loc at-clause:
 // direct spatial search through the R-tree, or — when the cost model
 // prices it at under half the direct estimate — a B-tree lookup on the
-// most selective indexable where-conjunct with the spatial predicate
-// re-checked per candidate tuple. It returns the candidates in
-// ascending id order.
+// most selective indexable where-conjunct, its candidates restricted as
+// a juxtaposition side is (restrictSide) and each survivor's MBR tested
+// against the windows. It returns the candidates in ascending id order.
 func (st *execState) planWindowSearch(bi int, op SpatialOp, windows []geom.Rect) ([]storage.TupleID, error) {
 	b := st.bindings[bi]
 	if b.picture == "" {
@@ -417,68 +412,23 @@ func (st *execState) planWindowSearch(bi int, op SpatialOp, windows []geom.Rect)
 	})
 	st.plan = append(st.plan, p.notes...)
 	if p.via != nil {
-		ids, err := st.lookup(bi, p.via)
+		items, err := st.restrictSide(bi, p.via)
 		if err != nil {
 			return nil, err
 		}
-		return st.filterSpatial(bi, ids, op, windows)
-	}
-	return st.directSearch(bi, op, windows)
-}
-
-// lookup returns the ids the B-tree on via's column holds for the
-// ranges via selects, in key order within each range.
-func (st *execState) lookup(bi int, via *boundTerm) ([]storage.TupleID, error) {
-	var ids []storage.TupleID
-	for _, r := range via.ranges() {
-		got, ok := st.bindings[bi].rel.LookupRange(via.cmp.col.Column, r.lo, r.hi)
-		if !ok {
-			// Indexes are never dropped, and via was bound to one.
-			return nil, fmt.Errorf("psql: internal: no B-tree on %s.%s", st.bindings[bi].name, via.cmp.col.Column)
-		}
-		if ids == nil {
-			ids = got
-		} else {
-			ids = append(ids, got...)
-		}
-	}
-	return ids, nil
-}
-
-// filterSpatial keeps the candidate ids whose loc object satisfies op
-// against any window, checked per materialized tuple (the non-R-tree
-// half of an index-driven at-clause plan), and returns them ascending.
-func (st *execState) filterSpatial(bi int, ids []storage.TupleID, op SpatialOp, windows []geom.Rect) ([]storage.TupleID, error) {
-	b := st.bindings[bi]
-	li := b.schema.LocColumn()
-	if li < 0 {
-		return nil, fmt.Errorf("psql: relation %q has no loc column", b.name)
-	}
-	need := make([]bool, b.schema.Arity())
-	need[li] = true
-	sortTupleIDs(ids) // the B-tree delivers key order
-	tuples, err := b.rel.FetchWhere(st.opts.arena.relArena(), ids, need, nil)
-	if err != nil {
-		return nil, err
-	}
-	pred := spatialPred(op)
-	kept := ids[:0]
-	for i, id := range ids {
-		if tuples[i] == nil {
-			continue // deleted since the B-tree was read
-		}
-		mbr, ok := tupleMBR(tuples[i], li, b.picture)
-		if !ok {
-			continue
-		}
-		for _, w := range windows {
-			if pred(mbr, w) {
-				kept = append(kept, id)
-				break
+		pred := spatialPred(op)
+		var ids []storage.TupleID
+		for _, it := range items {
+			for _, w := range windows {
+				if pred(it.Rect, w) {
+					ids = append(ids, storage.TupleIDFromInt64(it.Data))
+					break
+				}
 			}
 		}
+		return ids, nil
 	}
-	return kept, nil
+	return st.directSearch(bi, op, windows)
 }
 
 // tupleMBR returns the MBR of the object t's loc column carries; ok is
@@ -497,7 +447,7 @@ func tupleMBR(t relation.Tuple, li int, picName string) (geom.Rect, bool) {
 // still evaluated afterwards, so using the index only narrows the
 // candidates. ok is false when no conjunct is indexable or the scan is
 // cheaper; the plan notes say which.
-func (st *execState) indexedCandidates() ([]storage.TupleID, bool, error) {
+func (st *execState) indexedCandidates() ([]storage.TupleID, bool) {
 	b := st.bindings[0]
 	p := st.pricedFor(relation.CostSnapshot{}, b.rel.Len(), nil, func(p *pricedPath) {
 		if ic, ok := st.bestIndexedConjunct(); ok {
@@ -516,10 +466,9 @@ func (st *execState) indexedCandidates() ([]storage.TupleID, bool, error) {
 	})
 	st.plan = append(st.plan, p.notes...)
 	if p.via == nil {
-		return nil, false, nil
+		return nil, false
 	}
-	ids, err := st.lookup(0, p.via)
-	return ids, err == nil, err
+	return b.rel.Lookup(p.via.relTerm())
 }
 
 // columnVsLiteral matches "col op literal" or its mirror, normalizing

@@ -193,7 +193,7 @@ func randomizedJoinTrial(t *testing.T, rng *rand.Rand, trial int, ops []string, 
 		np, nr, kinds = 500+rng.Intn(200), 50+rng.Intn(30), 12
 	}
 	// With a B-tree on the restricted column the survivors come from
-	// LookupRange instead of a heap scan.
+	// Relation.Lookup instead of a heap scan.
 	db, pmbr, rmbr, kind := ptsAndRects(t, rng, np, nr, kinds, trial%3 == 0)
 
 	holds := func(op string, a, b pictdb.Rect) bool {

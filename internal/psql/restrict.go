@@ -146,19 +146,20 @@ func (st *execState) restrictSide(bi int, via *boundTerm) ([]rtree.Item, error) 
 		}
 	}
 	if via != nil {
-		ids, err := st.lookup(bi, via)
-		if err != nil {
-			return nil, err
+		// The lookup answers: via's column had a B-tree when the
+		// statement was bound, a B-tree is never dropped, and via's
+		// literal is of its column's type. The scan below would answer
+		// alike.
+		if ids, ok := b.rel.Lookup(via.relTerm()); ok {
+			ids, tuples, err := st.fetchKept(bi, ids, need)
+			if err != nil {
+				return nil, err
+			}
+			for i, id := range ids {
+				item(id, tuples[i])
+			}
+			return out, nil
 		}
-		sortTupleIDs(ids) // the B-tree delivers key order
-		ids, tuples, err := st.fetchKept(bi, ids, need)
-		if err != nil {
-			return nil, err
-		}
-		for i, id := range ids {
-			item(id, tuples[i])
-		}
-		return out, nil
 	}
 	if err := b.rel.ScanCols(st.opts.arena.relArena(), need, st.relTerms[bi], func(id storage.TupleID, t relation.Tuple) bool {
 		item(id, t)

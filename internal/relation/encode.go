@@ -240,9 +240,6 @@ const (
 	OpLe
 	OpGt
 	OpGe
-	// OpSame holds when the stored value is Val as Value.Eq decides: the
-	// same type and value, a loc naming the same object.
-	OpSame
 )
 
 // Term is one where-term a fetch or scan tests on each record, on the
@@ -256,9 +253,6 @@ type Term struct {
 
 // holds reports whether the term holds of column c of rec.
 func (t *Term) holds(rec []byte, c span) bool {
-	if t.Op == OpSame {
-		return t.same(rec, c)
-	}
 	eq, cmp := false, 0
 	switch {
 	case c.typ == TypeString && t.Val.Type == TypeString:
@@ -298,28 +292,71 @@ func (t *Term) holds(rec []byte, c span) bool {
 	return false
 }
 
-// same is OpSame: Value.Eq of the stored value and Val.
-func (t *Term) same(rec []byte, c span) bool {
-	v := &t.Val
-	if c.typ != v.Type {
-		return false
-	}
-	w := Value{Type: c.typ}
-	switch c.typ {
-	case TypeLoc:
-		return string(rec[c.lo:c.mid]) == v.Loc.Picture &&
-			picture.ObjectID(binary.LittleEndian.Uint64(rec[c.mid:])) == v.Loc.Object
-	case TypeString:
-		if string(rec[c.lo:c.mid]) != v.Str {
-			return false
+// keyInterval is one interval of B-tree keys, lo inclusive and hi
+// exclusive; a nil lo is unbounded below and a nil hi above.
+type keyInterval struct{ lo, hi []byte }
+
+// ranges returns the B-tree key intervals that hold every key of Val's
+// type whose value the term holds of, numbers as their float64 images:
+// on an int column the whole run of int64s that round to Val's image
+// (2^53 and 2^53+1 are one float64), on a float column both zeros, and
+// the NaN keys, which satisfy <= and >= (an ordering result of zero) and
+// sort past both infinities. A NaN Val orders against nothing, so <= and
+// >= take every key and the other operators none. An interval may hold
+// NaN keys the term rejects; Lookup's callers test the term on the
+// record.
+func (t *Term) ranges() []keyInterval {
+	v := t.Val
+	float := v.Type == TypeFloat
+	if float && math.IsNaN(v.Float) {
+		if t.Op == OpLe || t.Op == OpGe {
+			return []keyInterval{{}}
 		}
-		w.Str = v.Str
-	case TypeInt:
-		w.Int = int64(binary.LittleEndian.Uint64(rec[c.mid:]))
-	case TypeFloat:
-		w.Float = math.Float64frombits(binary.LittleEndian.Uint64(rec[c.mid:]))
+		return nil
 	}
-	return *v == w
+	first, last := v, v // the least and greatest key whose image is Val's
+	switch {
+	case v.Type == TypeInt:
+		first.Int, last.Int = imageRun(v.Int)
+	case float && v.Float == 0:
+		first.Float, last.Float = math.Copysign(0, -1), 0
+	}
+	from, past := IndexKey(first), IndexKeySuccessor(IndexKey(last))
+	switch t.Op {
+	case OpEq:
+		return []keyInterval{{from, past}}
+	case OpLt:
+		return []keyInterval{{nil, from}}
+	case OpLe:
+		r := []keyInterval{{nil, past}}
+		if float { // the NaNs above +Inf
+			r = append(r, keyInterval{IndexKeySuccessor(IndexKey(F(math.Inf(1)))), nil})
+		}
+		return r
+	case OpGt:
+		return []keyInterval{{past, nil}}
+	default: // OpGe
+		r := []keyInterval{{from, nil}}
+		if float { // the NaNs below -Inf
+			r = append(r, keyInterval{nil, IndexKey(F(math.Inf(-1)))})
+		}
+		return r
+	}
+}
+
+// imageRun returns the least and greatest int64 whose float64 image is
+// n's: n alone below 2^53 in magnitude, a run of up to 2^11 around it
+// beyond.
+func imageRun(n int64) (lo, hi int64) {
+	f := float64(n)
+	lo, hi = n, n
+	for lo > math.MinInt64 && float64(lo-1) == f {
+		lo--
+	}
+	for hi < math.MaxInt64 && float64(hi+1) == f {
+		hi++
+	}
+	return lo, hi
 }
 
 func isNumber(t Type) bool { return t == TypeInt || t == TypeFloat }
@@ -344,8 +381,9 @@ const startsOnStack = 16
 // rejected it — and records where each column starts, then the terms,
 // each tested on its column's bytes. ok is false when a term rejects the
 // record. A term on a column past the body's last is corruption, whether
-// or not another term rejects the record. It returns the offsets, in starts when the body's columns fit it and in
-// a slice allocated at their count otherwise.
+// or not another term rejects the record. It returns the offsets, in
+// starts when the body's columns fit it and in a slice allocated at
+// their count otherwise.
 func match(rec []byte, terms []Term, starts []int) (_ []int, ok bool, err error) {
 	n, pos, err := header(rec)
 	if err != nil {

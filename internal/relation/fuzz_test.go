@@ -2,12 +2,15 @@ package relation
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/pager"
 	"repro/internal/picture"
 	"repro/internal/storage"
 )
@@ -156,7 +159,7 @@ func fuzzTerms(data []byte, full Tuple) (terms []Term, need []bool, arity int) {
 	h := seed
 	for range seed / 11 % 4 {
 		h = h*1664525 + 1013904223
-		tm := Term{Col: int(h % cols), Op: Op(h >> 8 % 6), Val: fuzzValues[h>>12%uint32(len(fuzzValues))]}
+		tm := Term{Col: int(h % cols), Op: Op(h >> 8 % 5), Val: fuzzValues[h>>12%uint32(len(fuzzValues))]}
 		if tm.Col < len(full) && h>>24%3 == 0 {
 			tm.Val = full[tm.Col]
 		}
@@ -167,13 +170,9 @@ func fuzzTerms(data []byte, full Tuple) (terms []Term, need []bool, arity int) {
 
 // holdsRef is the decision a term is held to: the test a where-term made
 // of a whole decoded tuple before terms were tested on a record's bytes
-// — psql's boundTerm.holds, numbers as their float64 images, strings
-// bytewise, any other pair comparing as equal-ordered and unequal — and
-// Value.Eq for OpSame, as LookupEqual's scan applied it.
+// — numbers as their float64 images, strings bytewise, any other pair
+// comparing as equal-ordered and unequal.
 func holdsRef(t Term, v Value) bool {
-	if t.Op == OpSame {
-		return v.Eq(t.Val)
-	}
 	number := func(v Value) (float64, bool) {
 		switch v.Type {
 		case TypeInt:
@@ -285,7 +284,7 @@ func checkEachTerm(t *testing.T, data []byte, full Tuple) {
 	t.Helper()
 	var starts [startsOnStack]int
 	for col := range min(len(full), 6) {
-		for op := OpEq; op <= OpSame; op++ {
+		for op := OpEq; op <= OpGe; op++ {
 			for _, val := range append(fuzzValues[:len(fuzzValues):len(fuzzValues)], full[col]) {
 				tm := Term{Col: col, Op: op, Val: val}
 				_, ok, err := match(data, []Term{tm}, starts[:])
@@ -298,4 +297,198 @@ func checkEachTerm(t *testing.T, data []byte, full Tuple) {
 	if _, _, err := match(data, []Term{{Col: len(full), Op: OpLe}}, starts[:]); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("a term past the last of %d columns: %v, want ErrCorrupt (input %x)", len(full), err, data)
 	}
+}
+
+// lookupFuzzValues caps the values FuzzLookupMatchesScan stores, and
+// lookupFuzzString the bytes of each stored string.
+const lookupFuzzValues, lookupFuzzString = 64, 64
+
+// FuzzLookupMatchesScan holds the B-tree's answer to a term to the
+// scan's and to the reference's. The input picks the column's type
+// (typ%3: int, float, string), the type of the term's value (typ>>2%5:
+// the column's, int, float, string or loc), the operator (op%5), the
+// value (term: a little-endian word for a number or a loc's object, the
+// bytes for a string) and the stored values (vals: words for a number
+// column, 0xff-separated strings for a string one). The relation is built
+// twice from them: without a B-tree, and with one bulk-loaded over the
+// first half of the values and kept up by Insert for the rest. The ids
+// Lookup returns and FetchWhere keeps under the term, the ids ScanCols
+// keeps under it, and the values holdsRef keeps must be the same
+// records. Lookup's ids ascend, every one of them FetchWhere drops holds
+// a NaN, and Lookup answers exactly when the column has a B-tree and the
+// value is of the column's type. Seeds: the corners of the comparison —
+// -0, +0 and NaN beside 1 (the float column on which an equality lookup
+// once answered by its access path), both infinities and NaNs of both
+// signs, the run of int64s around 2^53, strings sharing a prefix and the
+// empty string, and values of another type than the column's — under
+// every operator.
+func FuzzLookupMatchesScan(f *testing.F) {
+	words := func(ws ...uint64) []byte {
+		var out []byte
+		for _, w := range ws {
+			out = binary.LittleEndian.AppendUint64(out, w)
+		}
+		return out
+	}
+	floats := func(fs ...float64) []byte {
+		var ws []uint64
+		for _, x := range fs {
+			ws = append(ws, math.Float64bits(x))
+		}
+		return words(ws...)
+	}
+	ints := func(ns ...int64) []byte {
+		var ws []uint64
+		for _, n := range ns {
+			ws = append(ws, uint64(n))
+		}
+		return words(ws...)
+	}
+	const intCol, floatCol, stringCol = 0, 1, 2
+	const asInt, asFloat, asString, asLoc = 1 << 2, 2 << 2, 3 << 2, 4 << 2
+	zeros := floats(math.Copysign(0, -1), 0, math.NaN(), 1)
+	infs := floats(math.Inf(-1), -math.NaN(), math.Inf(1), math.NaN(), 5, math.Copysign(0, -1))
+	run := ints(1<<53-2, 1<<53-1, 1<<53, 1<<53+1, 1<<53+2, 1<<53+3, -1<<53-1, -1<<53, math.MinInt64, math.MaxInt64)
+	strs := []byte("\xffa\xffab\xffab\xffabc\xffabd\xffb")
+	for op := range uint8(5) {
+		for _, v := range []float64{0, math.Copysign(0, -1), math.NaN(), 1} {
+			f.Add(uint8(floatCol), op, floats(v), zeros)
+		}
+		for _, v := range []float64{math.Inf(1), math.Inf(-1), -math.NaN(), 5} {
+			f.Add(uint8(floatCol), op, floats(v), infs)
+		}
+		for _, v := range []int64{1 << 53, 1<<53 + 1, 1<<53 - 1, -1 << 53, math.MinInt64} {
+			f.Add(uint8(intCol), op, ints(v), run)
+		}
+		for _, v := range []string{"ab", "", "abc", "a\xff"} {
+			f.Add(uint8(stringCol), op, []byte(v), strs)
+		}
+		f.Add(uint8(intCol|asFloat), op, floats(1<<53), run)
+		f.Add(uint8(floatCol|asInt), op, ints(0), zeros)
+		f.Add(uint8(stringCol|asInt), op, ints(5), strs)
+		f.Add(uint8(intCol|asString), op, []byte("5"), run)
+		f.Add(uint8(floatCol|asLoc), op, ints(7), infs)
+		f.Add(uint8(floatCol), op, floats(0), []byte{}) // no values at all
+	}
+
+	f.Fuzz(func(t *testing.T, typ, op uint8, term, vals []byte) {
+		word := func(b []byte) uint64 {
+			var w [8]byte
+			copy(w[:], b)
+			return binary.LittleEndian.Uint64(w[:])
+		}
+		valueOf := func(ty Type, b []byte) Value {
+			switch ty {
+			case TypeInt:
+				return I(int64(word(b)))
+			case TypeFloat:
+				return F(math.Float64frombits(word(b)))
+			case TypeString:
+				return S(string(b))
+			}
+			return L("map", picture.ObjectID(word(b)))
+		}
+		colType := []Type{TypeInt, TypeFloat, TypeString}[typ%3]
+		valType := colType
+		if k := typ >> 2 % 5; k > 0 {
+			valType = []Type{TypeInt, TypeFloat, TypeString, TypeLoc}[k-1]
+		}
+		tm := Term{Col: 0, Op: Op(op % 5), Val: valueOf(valType, term)}
+		terms := []Term{tm}
+		var values []Value
+		if colType == TypeString {
+			for _, s := range bytes.Split(vals, []byte{0xff}) {
+				values = append(values, S(string(s[:min(len(s), lookupFuzzString)])))
+			}
+		} else {
+			for b := vals; len(b) > 0; b = b[min(len(b), 8):] {
+				values = append(values, valueOf(colType, b))
+			}
+		}
+		values = values[:min(len(values), lookupFuzzValues)]
+		var want []int
+		for i, v := range values {
+			if holdsRef(tm, v) {
+				want = append(want, i)
+			}
+		}
+
+		// build stores the values in a fresh relation and returns it with
+		// the position of the value each id names.
+		build := func(indexed bool) (*Relation, map[storage.TupleID]int) {
+			p := pager.OpenMem(64)
+			t.Cleanup(func() { p.Close() })
+			rel, err := NewSharded(p, 1, "r", MustSchema("v:"+colType.String()), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pos := map[storage.TupleID]int{}
+			for i, v := range values {
+				if indexed && i == len(values)/2 {
+					if err := rel.CreateIndex("v"); err != nil {
+						t.Fatal(err)
+					}
+				}
+				id, err := rel.Insert(Tuple{v})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pos[id] = i
+			}
+			if indexed && len(values) == 0 {
+				if err := rel.CreateIndex("v"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return rel, pos
+		}
+		check := func(how string, got []int) {
+			t.Helper()
+			slices.Sort(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s keeps %v, the reference %v (term %+v, values %v)", how, got, want, tm, values)
+			}
+		}
+
+		plain, pos := build(false)
+		if _, ok := plain.Lookup(tm); ok {
+			t.Fatalf("Lookup answered without a B-tree (term %+v)", tm)
+		}
+		var scanned []int
+		if err := plain.ScanCols(nil, nil, terms, func(id storage.TupleID, _ Tuple) bool {
+			scanned = append(scanned, pos[id])
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		check("ScanCols", scanned)
+
+		indexed, pos := build(true)
+		ids, ok := indexed.Lookup(tm)
+		if ok != (valType == colType) {
+			t.Fatalf("Lookup ok=%v for a %v value on a %v column", ok, valType, colType)
+		}
+		if !ok {
+			return
+		}
+		if !slices.IsSortedFunc(ids, storage.TupleID.Compare) {
+			t.Fatalf("Lookup ids %v not ascending", ids)
+		}
+		tuples, err := indexed.FetchWhere(nil, ids, nil, terms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fetched []int
+		for i, tu := range tuples {
+			v := values[pos[ids[i]]]
+			if tu == nil {
+				if v.Type != TypeFloat || !math.IsNaN(v.Float) {
+					t.Fatalf("Lookup returned %v, which the term %+v rejects and is not a NaN", v, tm)
+				}
+				continue
+			}
+			fetched = append(fetched, pos[ids[i]])
+		}
+		check("Lookup then FetchWhere", fetched)
+	})
 }

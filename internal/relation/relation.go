@@ -731,75 +731,40 @@ func (r *Relation) Index(column string) *btree.Tree {
 	return r.indexes[column]
 }
 
-// LookupEqual returns the storage ids of tuples whose column equals v,
-// using the index when one exists and a scan otherwise.
-func (r *Relation) LookupEqual(column string, v Value) ([]storage.TupleID, error) {
-	ci := r.schema.ColumnIndex(column)
-	if ci < 0 {
-		return nil, fmt.Errorf("relation %s: no column %q", r.name, column)
+// Lookup returns, in ascending id order, the ids the B-tree on column
+// t.Col holds under t's key ranges (Term.ranges): a superset of the
+// records t keeps, whose only extras are NaN-keyed records that a
+// FetchWhere or ScanCols with t drops. ok is false when the column has
+// no B-tree or t.Val is not of the column's type; the caller then scans.
+func (r *Relation) Lookup(t Term) (ids []storage.TupleID, ok bool) {
+	if t.Col < 0 || t.Col >= r.schema.Arity() {
+		return nil, false
 	}
-	r.smu.RLock()
-	idx := r.indexes[column]
-	var packed []btree.Value
-	if idx != nil {
-		packed = idx.Get(IndexKey(v))
+	col := r.schema.Columns[t.Col]
+	if t.Val.Type != col.Type {
+		return nil, false
 	}
-	r.smu.RUnlock()
-	if idx != nil {
-		var out []storage.TupleID
-		for _, p := range packed {
-			out = append(out, storage.TupleIDFromInt64(p))
-		}
-		return out, nil
-	}
-	var out []storage.TupleID
-	err := r.ScanCols(nil, make([]bool, r.schema.Arity()), []Term{{Col: ci, Op: OpSame, Val: v}}, func(id storage.TupleID, _ Tuple) bool {
-		out = append(out, id)
-		return true
-	})
-	return out, err
-}
-
-// Bound is one end of a range lookup.
-type Bound struct {
-	Value Value
-	// Inclusive reports whether the bound itself qualifies.
-	Inclusive bool
-}
-
-// LookupRange returns the storage ids of tuples whose column value v
-// satisfies the given bounds (nil = unbounded) using the B-tree index.
-// It reports ok=false when the column has no index, leaving the caller
-// to scan.
-func (r *Relation) LookupRange(column string, lo, hi *Bound) ([]storage.TupleID, bool) {
 	r.smu.RLock()
 	defer r.smu.RUnlock()
-	idx := r.indexes[column]
+	idx := r.indexes[col.Name]
 	if idx == nil {
 		return nil, false
 	}
-	var loKey []byte
-	if lo != nil {
-		loKey = IndexKey(lo.Value)
-		if !lo.Inclusive {
-			loKey = IndexKeySuccessor(loKey)
-		}
-	}
-	var out []storage.TupleID
-	collect := func(k []byte, v btree.Value) bool {
-		out = append(out, storage.TupleIDFromInt64(v))
+	collect := func(_ []byte, v btree.Value) bool {
+		ids = append(ids, storage.TupleIDFromInt64(v))
 		return true
 	}
-	if hi == nil {
-		idx.AscendFrom(loKey, collect)
-		return out, true
+	for _, kr := range t.ranges() {
+		if kr.hi == nil {
+			idx.AscendFrom(kr.lo, collect)
+		} else {
+			idx.AscendRange(kr.lo, kr.hi, collect)
+		}
 	}
-	hiKey := IndexKey(hi.Value)
-	if hi.Inclusive {
-		hiKey = IndexKeySuccessor(hiKey)
+	if !slices.IsSortedFunc(ids, storage.TupleID.Compare) { // the B-tree delivers key order
+		slices.SortFunc(ids, storage.TupleID.Compare)
 	}
-	idx.AscendRange(loKey, hiKey, collect)
-	return out, true
+	return ids, true
 }
 
 // AttachPicture associates the relation with pic and builds a

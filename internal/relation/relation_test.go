@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -300,10 +301,7 @@ func TestCreateIndexAndLookup(t *testing.T) {
 	// Index must cover pre-existing and future tuples.
 	addCity(t, rel, pic, "C", "MD", 300, 3, 3)
 
-	ids, err := rel.LookupEqual("state", S("MD"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ids := lookupKept(t, rel, Term{Col: 1, Op: OpEq, Val: S("MD")})
 	if len(ids) != 2 {
 		t.Fatalf("MD lookup = %d ids", len(ids))
 	}
@@ -315,10 +313,13 @@ func TestCreateIndexAndLookup(t *testing.T) {
 	if !names["A"] || !names["C"] {
 		t.Fatalf("MD cities = %v", names)
 	}
-	// Unindexed column falls back to scan.
-	ids, err = rel.LookupEqual("population", I(200))
-	if err != nil || len(ids) != 1 {
-		t.Fatalf("scan lookup = %v, %v", ids, err)
+	// An unindexed column is answered by a scan.
+	pop := Term{Col: 2, Op: OpEq, Val: I(200)}
+	if _, ok := rel.Lookup(pop); ok {
+		t.Fatal("Lookup on an unindexed column claimed success")
+	}
+	if ids := scanKept(t, rel, pop); len(ids) != 1 {
+		t.Fatalf("scan lookup = %v", ids)
 	}
 	// Index errors.
 	if err := rel.CreateIndex("state"); err == nil {
@@ -342,7 +343,8 @@ func TestDeleteMaintainsIndexes(t *testing.T) {
 	if err := rel.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	ids, _ := rel.LookupEqual("state", S("MD"))
+	// The B-tree's own ids, unfiltered: a stale entry would show.
+	ids, _ := rel.Lookup(Term{Col: 1, Op: OpEq, Val: S("MD")})
 	if len(ids) != 1 {
 		t.Fatalf("after delete, MD lookup = %d ids", len(ids))
 	}
@@ -486,39 +488,98 @@ func TestScanDecodesAll(t *testing.T) {
 	}
 }
 
-func TestLookupRange(t *testing.T) {
+// lookupKept returns the ids of the tuples tm keeps, through the B-tree
+// on its column and FetchWhere under tm, failing the test when the
+// column has no B-tree.
+func lookupKept(t *testing.T, rel *Relation, tm Term) []storage.TupleID {
+	t.Helper()
+	ids, ok := rel.Lookup(tm)
+	if !ok {
+		t.Fatalf("Lookup(%+v): no B-tree answered", tm)
+	}
+	tuples, err := rel.FetchWhere(nil, ids, nil, []Term{tm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := ids[:0]
+	for i, tu := range tuples {
+		if tu != nil {
+			kept = append(kept, ids[i])
+		}
+	}
+	return kept
+}
+
+// scanKept returns the ids of the tuples tm keeps, by one scan.
+func scanKept(t *testing.T, rel *Relation, tm Term) []storage.TupleID {
+	t.Helper()
+	var ids []storage.TupleID
+	if err := rel.ScanCols(nil, make([]bool, rel.Schema().Arity()), []Term{tm}, func(id storage.TupleID, _ Tuple) bool {
+		ids = append(ids, id)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return ids
+}
+
+func TestLookupByOperator(t *testing.T) {
 	rel, pic := newCities(t)
 	pops := []int64{100, 250, 250, 400, 900, 1200}
 	for i, p := range pops {
 		addCity(t, rel, pic, string(rune('a'+i)), "ST", p, float64(i), float64(i))
 	}
 	// Unindexed column: not usable.
-	if _, ok := rel.LookupRange("population", nil, nil); ok {
-		t.Fatal("LookupRange on unindexed column claimed success")
+	if _, ok := rel.Lookup(Term{Col: 2, Op: OpGe, Val: I(0)}); ok {
+		t.Fatal("Lookup on unindexed column claimed success")
 	}
 	if err := rel.CreateIndex("population"); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
-		lo, hi *Bound
-		want   int
-	}{
-		{nil, nil, 6},
-		{&Bound{Value: I(250), Inclusive: true}, nil, 5},
-		{&Bound{Value: I(250)}, nil, 3}, // exclusive
-		{nil, &Bound{Value: I(250)}, 1},
-		{nil, &Bound{Value: I(250), Inclusive: true}, 3},
-		{&Bound{Value: I(250), Inclusive: true}, &Bound{Value: I(900), Inclusive: true}, 4},
-		{&Bound{Value: I(5000), Inclusive: true}, nil, 0},
+	// A value of another type than the column's is not looked up.
+	if _, ok := rel.Lookup(Term{Col: 2, Op: OpGe, Val: F(250)}); ok {
+		t.Fatal("Lookup of a float on an int column claimed success")
 	}
-	for i, tt := range cases {
-		ids, ok := rel.LookupRange("population", tt.lo, tt.hi)
+	cases := []struct {
+		op   Op
+		val  int64
+		want int
+	}{
+		{OpGe, math.MinInt64, 6},
+		{OpGe, 250, 5},
+		{OpGt, 250, 3},
+		{OpLt, 250, 1},
+		{OpLe, 250, 3},
+		{OpEq, 250, 2},
+		{OpGe, 5000, 0},
+	}
+	for _, tt := range cases {
+		tm := Term{Col: 2, Op: tt.op, Val: I(tt.val)}
+		ids, ok := rel.Lookup(tm)
 		if !ok {
-			t.Fatalf("case %d: index not used", i)
+			t.Fatalf("%+v: index not used", tm)
 		}
 		if len(ids) != tt.want {
-			t.Errorf("case %d: %d ids, want %d", i, len(ids), tt.want)
+			t.Errorf("%+v: %d ids, want %d", tm, len(ids), tt.want)
 		}
+		if got := scanKept(t, rel, tm); !slices.Equal(got, ids) {
+			t.Errorf("%+v: Lookup %v, the scan %v", tm, ids, got)
+		}
+	}
+	// Two bounds: the B-tree's lower one, the upper tested on the records.
+	ids, _ := rel.Lookup(Term{Col: 2, Op: OpGe, Val: I(250)})
+	tuples, err := rel.FetchWhere(nil, ids, nil, []Term{{Col: 2, Op: OpLe, Val: I(900)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, tu := range tuples {
+		if tu != nil {
+			n++
+		}
+	}
+	if n != 4 {
+		t.Errorf("250 <= population <= 900: %d tuples, want 4", n)
 	}
 }
 
@@ -546,7 +607,7 @@ func TestRelationOpen(t *testing.T) {
 	if err := re.CreateIndex("v"); err != nil {
 		t.Fatal(err)
 	}
-	ids, ok := re.LookupRange("v", &Bound{Value: I(15), Inclusive: true}, nil)
+	ids, ok := re.Lookup(Term{Col: 1, Op: OpGe, Val: I(15)})
 	if !ok || len(ids) != 5 {
 		t.Fatalf("range after reopen: %d ids, ok=%v", len(ids), ok)
 	}
@@ -716,10 +777,10 @@ func TestUpdate(t *testing.T) {
 		t.Fatalf("updated tuple = %v, %v", got, err)
 	}
 	// B-tree index follows the update.
-	if ids, _ := rel.LookupEqual("state", S("AA")); len(ids) != 0 {
+	if ids, _ := rel.Lookup(Term{Col: 1, Op: OpEq, Val: S("AA")}); len(ids) != 0 {
 		t.Fatalf("old index entry survives: %v", ids)
 	}
-	if ids, _ := rel.LookupEqual("state", S("BB")); len(ids) != 1 {
+	if ids, _ := rel.Lookup(Term{Col: 1, Op: OpEq, Val: S("BB")}); len(ids) != 1 {
 		t.Fatalf("new index entry missing")
 	}
 	// Spatial index follows the update.

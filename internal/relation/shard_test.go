@@ -551,18 +551,16 @@ func TestShardedScanAndBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found, err := rel.LookupEqual("city", want[0])
-	if err != nil {
-		t.Fatal(err)
-	}
+	found := lookupKept(t, rel, Term{Col: 0, Op: OpEq, Val: want[0]})
 	if len(found) != 1 || found[0] != ids[4][17] {
-		t.Fatalf("LookupEqual(%q) = %v, want [%v]", want[0].Str, found, ids[4][17])
+		t.Fatalf("Lookup(%q) = %v, want [%v]", want[0].Str, found, ids[4][17])
 	}
 }
 
 // TestIDsNameTheirStore: at four stores, every id Insert, Scan,
-// SearchArea and LookupEqual (through a B-tree and through a scan)
-// return carries the store whose heap holds its page.
+// SearchArea and an equality term (through Lookup on a B-tree and
+// through a scan) return carries the store whose heap holds its page,
+// and the two paths return the same ids.
 func TestIDsNameTheirStore(t *testing.T) {
 	pic := usMap()
 	rel := newShardedCities(t, 4, pic)
@@ -608,19 +606,17 @@ func TestIDsNameTheirStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("SearchArea", found)
-	byScan, err := rel.LookupEqual("population", I(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("LookupEqual by scan", byScan)
+	three := Term{Col: 2, Op: OpEq, Val: I(3)}
+	byScan := scanKept(t, rel, three)
+	check("equality by scan", byScan)
 	if err := rel.CreateIndex("population"); err != nil {
 		t.Fatal(err)
 	}
-	byIndex, err := rel.LookupEqual("population", I(3))
-	if err != nil {
-		t.Fatal(err)
+	byIndex := lookupKept(t, rel, three)
+	check("equality by index", byIndex)
+	if !slices.Equal(byScan, byIndex) {
+		t.Fatalf("by scan %v, by index %v", byScan, byIndex)
 	}
-	check("LookupEqual by index", byIndex)
 	if len(stores) != 4 {
 		t.Fatalf("the ids name %d stores, want all 4", len(stores))
 	}
@@ -1120,12 +1116,12 @@ func concurrentWritersReaders(t *testing.T, rel *Relation, pic *picture.Picture)
 				default:
 					// The seeds, never deleted, hold populations 0..199;
 					// writers add more in 0..149.
-					ids, ok := rel.LookupRange("population", &Bound{Value: I(150), Inclusive: true}, nil)
+					ids, ok := rel.Lookup(Term{Col: 2, Op: OpGe, Val: I(150)})
 					if !ok || len(ids) != 50 {
 						errCh <- fmt.Errorf("reader %d: range lookup: %d ids, ok=%v", r, len(ids), ok)
 						return
 					}
-					rel.LookupRange("city", nil, nil)
+					rel.Lookup(Term{Col: 0, Op: OpGe, Val: S("")})
 					rel.IndexedColumns()
 					rel.Pictures()
 				}
