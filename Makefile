@@ -112,7 +112,8 @@ arenarace:
 # records, write-ahead log records (inspection against recovery),
 # slotted heap pages, picture objects — a where-term's B-tree lookup
 # against the scan and a decode-then-test reference, the B-tree bulk
-# load against per-item insertion, the B-tree run sort against a comparator sort, and
+# load against per-item insertion, the B-tree run sort against a comparator sort, the
+# R-tree's batched search against per-window searches, and
 # PSQL statements the planned executor must answer as the naive one does,
 # over packed, delta and tombstoned index entries. (-fuzz takes one target per run. Left at its
 # default, minimizing one new input of a log's page-long seeds, or of a
@@ -126,6 +127,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCatalogRecord -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzBulkLoad -fuzztime 10s ./internal/btree/
 	$(GO) test -run '^$$' -fuzz FuzzSortEntries -fuzztime 10s ./internal/btree/
+	$(GO) test -run '^$$' -fuzz FuzzSearchBatch -fuzztime 10s -fuzzminimizetime 20x ./internal/rtree/
 	$(GO) test -run '^$$' -fuzz FuzzRecoverWAL -fuzztime 10s -fuzzminimizetime 20x ./internal/pager/
 	$(GO) test -run '^$$' -fuzz FuzzQueryMatchesNaive -fuzztime 10s .
 

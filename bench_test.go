@@ -743,26 +743,35 @@ func joinStatement(k, minPop int64) string {
 
 // BenchmarkJuxtapositionStatement measures one cached juxtaposition
 // statement — the served path of pictbench's join_nested — at a tenth of
-// that workload's size: 5 000 clustered sites, 200 regions of 64 kinds,
-// each statement restricting regions to one kind by a heap scan (about 3
-// survivors of 200) and probing sites from the survivors' MBRs. The 64
-// texts cycle through the statement cache. It reports ns and
-// allocations per statement.
+// that workload's size (5 000 clustered sites, 200 regions) and at its
+// size (50 000 sites, 2 000 regions). The regions are of 64 kinds, and
+// each statement restricts them to one kind by a heap scan (about 3
+// survivors of 200, 31 of 2 000) and probes sites from the survivors'
+// MBRs in one batched descent. The 64 texts cycle through the statement
+// cache. It reports ns, allocations and nodes visited per statement.
 func BenchmarkJuxtapositionStatement(b *testing.B) {
-	db := joinDatabase(b, 5_000, 200, func(i int) int64 { return int64(i % 64) })
-	texts := make([]string, 64)
-	for k := range texts {
-		texts[k] = joinStatement(int64(k), 1000*int64(k%4))
-		if _, err := db.Query(texts[k]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := db.Query(texts[i%len(texts)]); err != nil {
-			b.Fatal(err)
-		}
+	for _, size := range []struct{ sites, regions int }{{5_000, 200}, {50_000, 2_000}} {
+		b.Run(fmt.Sprintf("sites=%d", size.sites), func(b *testing.B) {
+			db := joinDatabase(b, size.sites, size.regions, func(i int) int64 { return int64(i % 64) })
+			texts := make([]string, 64)
+			for k := range texts {
+				texts[k] = joinStatement(int64(k), 1000*int64(k%4))
+				if _, err := db.Query(texts[k]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			nodes := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := db.Query(texts[i%len(texts)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				nodes += res.NodesVisited
+			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/stmt")
+		})
 	}
 }
 

@@ -323,11 +323,11 @@ func (st *execState) candidateRows() ([]row, error) {
 		if err != nil {
 			return nil, err
 		}
-		ids, err := st.planWindowSearch(at.bi, at.op, windows)
+		ids, tuples, err := st.planWindowSearch(at.bi, at.op, windows)
 		if err != nil {
 			return nil, err
 		}
-		return st.cartesian(at.bi, ids)
+		return st.cartesian(at.bi, ids, tuples)
 	case atJuxtapose:
 		return st.juxtapose(at.bi, at.bj, at.op)
 	case atConstant:
@@ -336,12 +336,12 @@ func (st *execState) candidateRows() ([]row, error) {
 		if err != nil || !holds {
 			return nil, err
 		}
-		return st.cartesian(-1, nil)
+		return st.cartesian(-1, nil, nil)
 	}
 	if ids, ok := st.indexedCandidates(); ok {
-		return st.cartesian(0, ids)
+		return st.cartesian(0, ids, nil)
 	}
-	return st.cartesian(-1, nil)
+	return st.cartesian(-1, nil, nil)
 }
 
 // constantAt evaluates an at-clause with no loc side: it holds when any
@@ -384,15 +384,16 @@ func (st *execState) pricedFor(snap relation.CostSnapshot, n int, windows []geom
 // prices it at under half the direct estimate — a B-tree lookup on the
 // most selective indexable where-conjunct, its candidates restricted as
 // a juxtaposition side is (restrictSide) and each survivor's MBR tested
-// against the windows. It returns the candidates in ascending id order.
-func (st *execState) planWindowSearch(bi int, op SpatialOp, windows []geom.Rect) ([]storage.TupleID, error) {
+// against the windows. It returns the candidates in ascending id order
+// and, from the B-tree path, their tuples, read by restrictSide.
+func (st *execState) planWindowSearch(bi int, op SpatialOp, windows []geom.Rect) ([]storage.TupleID, []relation.Tuple, error) {
 	b := st.bindings[bi]
 	if b.picture == "" {
-		return nil, fmt.Errorf("psql: relation %q has no picture in the on-clause for direct search", b.name)
+		return nil, nil, fmt.Errorf("psql: relation %q has no picture in the on-clause for direct search", b.name)
 	}
 	snap, ok := b.rel.SpatialCostSnapshot(b.picture, windows)
 	if !ok {
-		return nil, fmt.Errorf("psql: relation %q is not spatially indexed on picture %q", b.name, b.picture)
+		return nil, nil, fmt.Errorf("psql: relation %q is not spatially indexed on picture %q", b.name, b.picture)
 	}
 	p := st.pricedFor(snap, b.rel.Len(), windows, func(p *pricedPath) {
 		costDirect := directSearchCost(snap, windows, op)
@@ -412,23 +413,23 @@ func (st *execState) planWindowSearch(bi int, op SpatialOp, windows []geom.Rect)
 	})
 	st.plan = append(st.plan, p.notes...)
 	if p.via != nil {
-		items, err := st.restrictSide(bi, p.via)
+		items, tuples, err := st.restrictSide(bi, p.via)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		pred := spatialPred(op)
 		var ids []storage.TupleID
-		for _, it := range items {
-			for _, w := range windows {
-				if pred(it.Rect, w) {
-					ids = append(ids, storage.TupleIDFromInt64(it.Data))
-					break
-				}
+		kept := tuples[:0]
+		for i, it := range items {
+			if slices.ContainsFunc(windows, func(w geom.Rect) bool { return pred(it.Rect, w) }) {
+				ids = append(ids, storage.TupleIDFromInt64(it.Data))
+				kept = append(kept, tuples[i])
 			}
 		}
-		return ids, nil
+		return ids, kept, nil
 	}
-	return st.directSearch(bi, op, windows)
+	ids, err := st.directSearch(bi, op, windows)
+	return ids, nil, err
 }
 
 // tupleMBR returns the MBR of the object t's loc column carries; ok is
@@ -617,8 +618,21 @@ func (st *execState) directSearch(bi int, op SpatialOp, windows []geom.Rect) ([]
 }
 
 // pair is one juxtaposition result: x from the at-clause's left
-// binding, y from its right.
-type pair struct{ x, y storage.TupleID }
+// binding, y from its right. at[s] is, when side s was restricted, the
+// position of the pair's side-s id among that side's survivors, whose
+// tuples are already decoded.
+type pair struct {
+	x, y storage.TupleID
+	at   [2]int32
+}
+
+// id returns the pair's id on side s: x for 0, y for 1.
+func (p pair) id(s int) storage.TupleID {
+	if s == 0 {
+		return p.x
+	}
+	return p.y
+}
 
 // juxtapose performs the paper's geographic join between bindings bi
 // and bj, producing joined rows in canonical (binding 0 id, binding 1
@@ -650,43 +664,57 @@ func (st *execState) juxtapose(bi, bj int, op SpatialOp) ([]row, error) {
 		return nil, err
 	}
 	// Canonical row order: ascending by binding 0's id, then binding
-	// 1's — independent of the join algorithm and driving side.
+	// 1's — independent of the join algorithm and driving side. A probe
+	// returns its pairs in this order; the traversal and the nested loop
+	// are sorted here.
 	first := bi == 0
-	slices.SortFunc(pairs, func(p, q pair) int {
+	canonical := func(p, q pair) int {
 		if !first {
-			p, q = pair{p.y, p.x}, pair{q.y, q.x}
+			p, q = pair{x: p.y, y: p.x}, pair{x: q.y, y: q.x}
 		}
 		if c := p.x.Compare(q.x); c != 0 {
 			return c
 		}
 		return p.y.Compare(q.y)
-	})
+	}
+	if !slices.IsSortedFunc(pairs, canonical) {
+		slices.SortFunc(pairs, canonical)
+	}
 
-	// Batch-materialize each side once over the deduplicated ids; rows
-	// then share the decoded tuples (read-only from here on).
-	xs := make([]storage.TupleID, len(pairs))
-	ys := make([]storage.TupleID, len(pairs))
-	for i, p := range pairs {
-		xs[i], ys[i] = p.x, p.y
-	}
-	tx, wx, err := st.fetchSide(bi, xs)
-	if err != nil {
-		return nil, err
-	}
-	ty, wy, err := st.fetchSide(bj, ys)
-	if err != nil {
-		return nil, err
+	// A restricted side's survivors were decoded when it was restricted,
+	// and a pair names its survivor by position. Any other side is
+	// batch-materialized once over its distinct ids; rows then share the
+	// decoded tuples (read-only from here on).
+	var tuples [2][]relation.Tuple
+	var which [2][]int
+	for s := range sides {
+		if sides[s].restricted {
+			tuples[s] = sides[s].tuples
+			continue
+		}
+		ids := make([]storage.TupleID, len(pairs))
+		for i, p := range pairs {
+			ids[i] = p.id(s)
+		}
+		if tuples[s], which[s], err = st.fetchSide(sides[s].bi, ids); err != nil {
+			return nil, err
+		}
 	}
 	// A pair whose tuple was deleted since the pairs were found is dropped.
 	rows := st.opts.arena.rowSlab().Cut(len(pairs))[:0]
 	tupBuf := st.opts.arena.relArena().Tuples(2 * len(pairs))
-	for i := range pairs {
-		x, y := tx[wx[i]], ty[wy[i]]
-		if x == nil || y == nil {
+	for i, p := range pairs {
+		r := tupBuf[2*i : 2*i+2 : 2*i+2]
+		for s := range sides {
+			k := int(p.at[s])
+			if which[s] != nil {
+				k = which[s][i]
+			}
+			r[sides[s].bi] = tuples[s][k]
+		}
+		if r[0] == nil || r[1] == nil {
 			continue
 		}
-		r := tupBuf[2*i : 2*i+2 : 2*i+2]
-		r[bi], r[bj] = x, y
 		rows = append(rows, r)
 	}
 	return rows, nil
@@ -712,7 +740,7 @@ func (st *execState) traversalPairs(sides *[2]joinSide, op SpatialOp, nodesA, no
 		st.visited += visited
 		pairs = make([]pair, len(jp))
 		for i, p := range jp {
-			pairs[i] = pair{p.B, p.A}
+			pairs[i] = pair{x: p.B, y: p.A}
 		}
 	} else {
 		jp, visited, err := a.rel.JuxtaposeSpatial(a.picture, b.rel, b.picture,
@@ -723,7 +751,7 @@ func (st *execState) traversalPairs(sides *[2]joinSide, op SpatialOp, nodesA, no
 		st.visited += visited
 		pairs = make([]pair, len(jp))
 		for i, p := range jp {
-			pairs[i] = pair{p.A, p.B}
+			pairs[i] = pair{x: p.A, y: p.B}
 		}
 	}
 	st.note("juxtaposition: simultaneous R-tree traversal of %q and %q (%s), driving %q (%d vs %d nodes)",
@@ -768,10 +796,11 @@ func (st *execState) fetchSide(bi int, ids []storage.TupleID) (tuples []relation
 // Each binding's candidates are materialized once, through fetchKept —
 // so the where-terms that filter one relation alone have been applied
 // before the product is formed — and product rows share the decoded
-// tuples rather than re-fetching per row. The cap on the product counts
-// the candidates as they stood before those terms, as the naive
-// executor's does.
-func (st *execState) cartesian(fixed int, ids []storage.TupleID) ([]row, error) {
+// tuples rather than re-fetching per row. When kept is not nil it holds
+// ids' tuples, already fetched and restricted, and fixed is not fetched
+// again. The cap on the product counts the candidates as they stood
+// before those terms, as the naive executor's does.
+func (st *execState) cartesian(fixed int, ids []storage.TupleID, kept []relation.Tuple) ([]row, error) {
 	nb := len(st.bindings)
 	lists := make([][]storage.TupleID, nb)
 	product := 1
@@ -794,9 +823,13 @@ func (st *execState) cartesian(fixed int, ids []storage.TupleID) ([]row, error) 
 	tuples := make([][]relation.Tuple, nb)
 	product = 1
 	for i := range lists {
-		var err error
-		if lists[i], tuples[i], err = st.fetchKept(i, lists[i], st.need[i]); err != nil {
-			return nil, err
+		if i == fixed && kept != nil {
+			tuples[i] = kept
+		} else {
+			var err error
+			if lists[i], tuples[i], err = st.fetchKept(i, lists[i], st.need[i]); err != nil {
+				return nil, err
+			}
 		}
 		product *= len(lists[i])
 	}

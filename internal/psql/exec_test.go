@@ -1,6 +1,7 @@
 package psql_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -764,5 +765,55 @@ func TestTextRefusalsTouchNoPage(t *testing.T) {
 	}
 	if p.Stats() == before {
 		t.Error("a statement that ran left the pager's counters where they were")
+	}
+}
+
+// TestBTreeWindowReadsEachCandidateOnce: a window statement that a
+// B-tree drives reads each of the B-tree's candidates once — the read
+// that tests its where-terms and decodes its loc also decodes the
+// columns the statement selects — and answers as the naive executor
+// does.
+func TestBTreeWindowReadsEachCandidateOnce(t *testing.T) {
+	p := pager.OpenMem(4096)
+	defer p.Close()
+	pic := picture.New("m", geom.R(0, 0, 1000, 1000))
+	rel, err := relation.NewSharded(p, 1, "pts", relation.MustSchema("n:int", "k:int", "loc:loc"), oneRelation{pic: pic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10_000; i++ {
+		oid := pic.AddPoint("", geom.Pt(float64(i%100)*10, float64(i/100)*10))
+		if _, err := rel.Insert(relation.Tuple{relation.I(int64(i)), relation.I(int64(i % 500)), relation.L("m", oid)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rel.CreateIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.AttachPicture(pic, pack.Options{Method: pack.MethodHilbert}); err != nil {
+		t.Fatal(err)
+	}
+	e := psql.NewExecutor(oneRelation{rel, pic})
+	q := `select n from pts on m at loc covered-by {250±250, 500±500} where k = 7 and n >= 1000`
+	candidates, _ := rel.Lookup(relation.Term{Col: 1, Op: relation.OpEq, Val: relation.I(7)})
+	reads := 0
+	rel.SetReadHook(func(n int) { reads += n })
+	got, err := e.Run(q)
+	rel.SetReadHook(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := strings.Join(got.Plan, "\n"); !strings.Contains(plan, "index lookup: B-tree on pts.k") {
+		t.Fatalf("not a B-tree-driven window:\n%s", plan)
+	}
+	if reads != len(candidates) {
+		t.Errorf("the statement read %d records for the B-tree's %d candidates", reads, len(candidates))
+	}
+	want, err := e.RunNaive(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) == 0 || !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("planned %v, naive %v", got.Rows, want.Rows)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/relation"
@@ -95,23 +96,23 @@ type joinSide struct {
 	bi    int         // the binding
 	terms []boundTerm // the where-terms that filter this binding alone
 	// restricted reports that terms were evaluated ahead of the join:
-	// items then holds the survivors, ascending by id, and qualifies
-	// skips the terms.
+	// items then holds the survivors, ascending by id, with their
+	// tuples, and qualifies skips the terms.
 	restricted bool
 	items      []rtree.Item
-	costProbe  float64 // estimate of a direct search driven from items
+	tuples     []relation.Tuple // items[i]'s tuple, on the columns the statement needs
+	costProbe  float64          // estimate of a direct search driven from items
 }
 
 // restrict evaluates s.terms ahead of the join, through the B-tree on
 // via's column or, when via is nil, one heap scan, and notes the
 // outcome with the estimates in vs.
 func (st *execState) restrict(s *joinSide, via *boundTerm, vs string) error {
-	items, err := st.restrictSide(s.bi, via)
+	items, tuples, err := st.restrictSide(s.bi, via)
 	if err != nil {
 		return err
 	}
-	s.restricted, s.items = true, items
-	st.markPushed(s.terms)
+	s.restricted, s.items, s.tuples = true, items, tuples
 	b := st.bindings[s.bi]
 	how := "heap scan"
 	if via != nil {
@@ -124,25 +125,29 @@ func (st *execState) restrict(s *joinSide, via *boundTerm, vs string) error {
 
 // restrictSide reduces binding bi to the tuples every term of its
 // restrictions keeps and returns them as (MBR, id) items in ascending id
-// order — the shape SpatialItems enumerates, so either can feed a join.
-// Candidates come from the B-tree on via's column, through fetchKept, or
-// from one heap scan when via is nil. Either way the terms are tested on
-// each record's bytes, and only a survivor is decoded, its loc alone.
+// order — the shape SpatialItems enumerates, so either can feed a join —
+// beside the tuples themselves, decoded on the columns the statement
+// needs and the loc, so a survivor is read once. Candidates come from
+// the B-tree on via's column, through fetchKept, or from one heap scan
+// when via is nil. Either way the terms are tested on each record's
+// bytes, and only a survivor is decoded; the terms are marked pushed.
 // Tuples whose loc names another picture than the on-clause's, or none,
 // are dropped: the spatial index does not carry them, so they join
 // nothing.
-func (st *execState) restrictSide(bi int, via *boundTerm) ([]rtree.Item, error) {
+func (st *execState) restrictSide(bi int, via *boundTerm) ([]rtree.Item, []relation.Tuple, error) {
 	b := st.bindings[bi]
 	li := b.schema.LocColumn()
 	if li < 0 || b.picture == "" {
-		return nil, fmt.Errorf("psql: relation %q has no loc column on picture %q", b.name, b.picture)
+		return nil, nil, fmt.Errorf("psql: relation %q has no loc column on picture %q", b.name, b.picture)
 	}
-	need := make([]bool, b.schema.Arity())
+	need := slices.Clone(st.need[bi])
 	need[li] = true
-	var out []rtree.Item
-	item := func(id storage.TupleID, t relation.Tuple) {
+	var items []rtree.Item
+	var tuples []relation.Tuple
+	keep := func(id storage.TupleID, t relation.Tuple) {
 		if mbr, ok := tupleMBR(t, li, b.picture); ok {
-			out = append(out, rtree.Item{Rect: mbr, Data: id.Int64()})
+			items = append(items, rtree.Item{Rect: mbr, Data: id.Int64()})
+			tuples = append(tuples, t)
 		}
 	}
 	if via != nil {
@@ -151,35 +156,54 @@ func (st *execState) restrictSide(bi int, via *boundTerm) ([]rtree.Item, error) 
 		// literal is of its column's type. The scan below would answer
 		// alike.
 		if ids, ok := b.rel.Lookup(via.relTerm()); ok {
-			ids, tuples, err := st.fetchKept(bi, ids, need)
+			ids, kept, err := st.fetchKept(bi, ids, need)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
+			// The survivors are compacted in place: tuples reuses the
+			// fetched list's room.
+			tuples = kept[:0]
 			for i, id := range ids {
-				item(id, tuples[i])
+				keep(id, kept[i])
 			}
-			return out, nil
+			return items, tuples, nil
 		}
 	}
 	if err := b.rel.ScanCols(st.opts.arena.relArena(), need, st.relTerms[bi], func(id storage.TupleID, t relation.Tuple) bool {
-		item(id, t)
+		keep(id, t)
 		return true
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if len(st.sideTerms[bi]) > 0 {
+		st.markPushed(st.sideTerms[bi])
 	}
 	// A heap scan follows the page chain, which ascends only until a
 	// freed page is reused.
-	byData := func(a, b rtree.Item) int { return cmp.Compare(a.Data, b.Data) }
-	if !slices.IsSortedFunc(out, byData) {
-		slices.SortFunc(out, byData)
+	if byID := (survivorsByID{items, tuples}); !sort.IsSorted(byID) {
+		sort.Sort(byID)
 	}
-	return out, nil
+	return items, tuples, nil
 }
 
-// survives reports whether id is among the ascending survivor items.
-func survives(items []rtree.Item, id storage.TupleID) bool {
-	_, ok := slices.BinarySearchFunc(items, id.Int64(), func(it rtree.Item, v int64) int { return cmp.Compare(it.Data, v) })
-	return ok
+// survivorsByID sorts a side's survivor items, and their tuples with
+// them, by id.
+type survivorsByID struct {
+	items  []rtree.Item
+	tuples []relation.Tuple
+}
+
+func (s survivorsByID) Len() int           { return len(s.items) }
+func (s survivorsByID) Less(i, j int) bool { return s.items[i].Data < s.items[j].Data }
+func (s survivorsByID) Swap(i, j int) {
+	s.items[i], s.items[j] = s.items[j], s.items[i]
+	s.tuples[i], s.tuples[j] = s.tuples[j], s.tuples[i]
+}
+
+// survivor returns the position of id among the ascending survivor
+// items, and whether it is there.
+func survivor(items []rtree.Item, id storage.TupleID) (int, bool) {
+	return slices.BinarySearchFunc(items, id.Int64(), func(it rtree.Item, v int64) int { return cmp.Compare(it.Data, v) })
 }
 
 // itemRects returns the items' rectangles, the windows of a batched
@@ -222,13 +246,13 @@ func (st *execState) nestedLoopPairs(sides *[2]joinSide) ([]pair, error) {
 		st.bindings[sides[0].bi].name, st.bindings[sides[1].bi].name, OpDisjoined)
 	limit := maxProductRows
 	var pairs []pair
-	for _, ia := range items[0] {
-		for _, ib := range items[1] {
+	for i, ia := range items[0] {
+		for j, ib := range items[1] {
 			if geom.Disjoined(ia.Rect, ib.Rect) {
 				if len(pairs) == limit {
 					return nil, errDisjoinedLimit(limit)
 				}
-				pairs = append(pairs, pair{storage.TupleIDFromInt64(ia.Data), storage.TupleIDFromInt64(ib.Data)})
+				pairs = append(pairs, pair{storage.TupleIDFromInt64(ia.Data), storage.TupleIDFromInt64(ib.Data), [2]int32{int32(i), int32(j)}})
 			}
 		}
 	}
@@ -307,11 +331,8 @@ func (st *execState) intersectingPairs(sides *[2]joinSide, op SpatialOp) ([]pair
 		}
 		kept := pairs[:0]
 		for _, p := range pairs {
-			id := p.x
-			if s == 1 {
-				id = p.y
-			}
-			if survives(sides[s].items, id) {
+			if i, ok := survivor(sides[s].items, p.id(s)); ok {
+				p.at[s] = int32(i)
 				kept = append(kept, p)
 			}
 		}
@@ -323,7 +344,8 @@ func (st *execState) intersectingPairs(sides *[2]joinSide, op SpatialOp) ([]pair
 // probePairs answers the join by one batched direct search of the
 // other side's R-tree with windows, the driving side's surviving MBRs —
 // what a nested mapping's rows would be, bound here by the planner
-// rather than written by the user.
+// rather than written by the user. The pairs come out in the join's
+// canonical order, each naming its survivor by window number.
 func (st *execState) probePairs(sides *[2]joinSide, drive int, windows []geom.Rect, op SpatialOp) ([]pair, error) {
 	// The operator reads (sides[0] MBR, sides[1] MBR); SearchAreaBatch
 	// calls (object, window), so it is turned around when sides[0]'s
@@ -339,16 +361,33 @@ func (st *execState) probePairs(sides *[2]joinSide, drive int, windows []geom.Re
 		return nil, err
 	}
 	st.visited += visited
-	var pairs []pair
-	for i, ids := range batches {
-		fid := storage.TupleIDFromInt64(from[i].Data)
+	n := 0
+	for _, ids := range batches {
+		n += len(ids)
+	}
+	pairs := make([]pair, 0, n)
+	for w, ids := range batches {
+		fid := storage.TupleIDFromInt64(from[w].Data)
 		for _, id := range ids {
+			p := pair{x: id, y: fid}
 			if drive == 0 {
-				pairs = append(pairs, pair{fid, id})
-			} else {
-				pairs = append(pairs, pair{id, fid})
+				p = pair{x: fid, y: id}
 			}
+			p.at[drive] = int32(w)
+			pairs = append(pairs, p)
 		}
+	}
+	// The pairs run by window, the driving side's ascending ids, then
+	// by probed id: the canonical order when the driving side is binding
+	// 0. Otherwise the probed side's id leads, and one sort on (probed
+	// id, window number) puts it first.
+	if sides[drive].bi != 0 {
+		slices.SortFunc(pairs, func(p, q pair) int {
+			if c := p.id(1 - drive).Compare(q.id(1 - drive)); c != 0 {
+				return c
+			}
+			return cmp.Compare(p.at[drive], q.at[drive])
+		})
 	}
 	return pairs, nil
 }

@@ -85,7 +85,16 @@ type Relation struct {
 	// (BuildIndexes: CreateIndex, AttachPicture). A statement bound at
 	// one value is still good while the value stands.
 	gen atomic.Uint64
+
+	// readHook, when set, is told how many records each FetchWhere and
+	// ScanCols read (SetReadHook).
+	readHook func(records int)
 }
+
+// SetReadHook makes every later FetchWhere and ScanCols of r report to
+// fn how many records it read, so a test can count the reads a
+// statement makes; nil removes it. Set it before r is shared.
+func (r *Relation) SetReadHook(fn func(records int)) { r.readHook = fn }
 
 func newRelation(p *pager.Pager, name string, schema Schema, pics Pictures, stores []*store) *Relation {
 	return &Relation{
@@ -533,6 +542,10 @@ func (r *Relation) FetchWhere(a *Arena, ids []storage.TupleID, need []bool, term
 	}
 	ta := tupleArena{src: a.valueSlab(), arity: r.schema.Arity(), left: len(ids), block: arenaTuples}
 	defer ta.close()
+	reads := 0
+	if r.readHook != nil {
+		defer func() { r.readHook(reads) }()
+	}
 	for s, l := range lids {
 		if len(l) == 0 {
 			continue
@@ -543,6 +556,7 @@ func (r *Relation) FetchWhere(a *Arena, ids []storage.TupleID, need []bool, term
 			if rec == nil {
 				return nil // deleted since ids were read
 			}
+			reads++
 			p := k
 			if pos != nil {
 				p = pos[s][k]
@@ -679,7 +693,12 @@ func (r *Relation) ScanCols(a *Arena, need []bool, terms []Term, fn func(id stor
 	var run []scanned
 	var decodeErr error
 	var s int // the store being walked
+	reads := 0
+	if r.readHook != nil {
+		defer func() { r.readHook(reads) }()
+	}
 	visit := func(lid storage.TupleID, body []byte) bool {
+		reads++
 		id := inStore(lid, s)
 		t, kept, err := ta.decode(body, need, terms)
 		if err != nil {
@@ -838,26 +857,43 @@ func (r *Relation) SpatialItems(pictureName string) ([]rtree.Item, int, error) {
 	return items, visited, nil
 }
 
-// SearchAreaBatch answers many windows against one spatial index, one
-// after another. results[i] holds the qualifying storage ids for
-// windows[i] in canonical ascending-TupleID order — identical to
-// calling SearchArea per window — and the visit count is summed across
-// the batch and the merged trees. parallelism is ignored; it stays only
-// because cmd/pictbench compiles against it, until the benchmark reads
-// the engine's own counters.
+// SearchAreaBatch answers many windows against one spatial index in one
+// batched descent of each of its trees (SpatialIndex.search).
+// results[i] holds the qualifying storage ids for windows[i] in
+// canonical ascending-TupleID order — identical to calling SearchArea
+// per window — and the visit count is that of the batch: each node
+// loaded once however many windows reach it. parallelism is ignored; it
+// stays only because cmd/pictbench compiles against it, until the
+// benchmark reads the engine's own counters.
 func (r *Relation) SearchAreaBatch(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool, parallelism int) ([][]storage.TupleID, int, error) {
-	ends := make([]int, len(windows))
-	buf, visited, err := r.search(pictureName, windows, pred, ends)
+	h, visited, err := r.search(pictureName, windows, pred)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer putIDScratch(buf)
-	all := make([]storage.TupleID, len(*buf))
-	out := make([][]storage.TupleID, len(windows))
+	defer putHits(h)
+	// Group the hits by window in one counting pass: ends[w] counts
+	// window w's hits, then holds where they start in grouped, and once
+	// they are placed where they end.
+	ends := make([]int, len(windows))
+	for _, w := range h.wins {
+		ends[w]++
+	}
 	start := 0
+	for w, n := range ends {
+		ends[w] = start
+		start += n
+	}
+	h.grouped = slices.Grow(h.grouped[:0], len(h.ids))[:len(h.ids)]
+	for k, w := range h.wins {
+		h.grouped[ends[w]] = h.ids[k]
+		ends[w]++
+	}
+	all := make([]storage.TupleID, len(h.ids))
+	out := make([][]storage.TupleID, len(windows))
+	start = 0
 	for i, end := range ends {
 		if end > start { // nil when empty
-			ids := (*buf)[start:end]
+			ids := h.grouped[start:end]
 			slices.Sort(ids)
 			out[i] = tupleIDs(all[start:end:end], ids)
 		}
@@ -869,16 +905,16 @@ func (r *Relation) SearchAreaBatch(pictureName string, windows []geom.Rect, pred
 // SearchWindows is the direct spatial search of one statement: the
 // tuples whose loc object MBR satisfies pred against any of the windows,
 // each id once, in canonical ascending TupleID order — the union of
-// SearchAreaBatch's lists, sorted once and de-duplicated — with the
-// visit count summed across the batch and the merged trees.
+// SearchAreaBatch's lists, sorted once and de-duplicated — with
+// SearchAreaBatch's visit count.
 func (r *Relation) SearchWindows(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool) ([]storage.TupleID, int, error) {
-	buf, visited, err := r.search(pictureName, windows, pred, nil)
+	h, visited, err := r.search(pictureName, windows, pred)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer putIDScratch(buf)
-	slices.Sort(*buf)
-	ids := slices.Compact(*buf)
+	defer putHits(h)
+	slices.Sort(h.ids)
+	ids := slices.Compact(h.ids)
 	if len(ids) == 0 {
 		return nil, visited, nil
 	}
@@ -886,31 +922,41 @@ func (r *Relation) SearchWindows(pictureName string, windows []geom.Rect, pred f
 }
 
 // search answers windows against the named picture's indexes
-// (scatterSearch), collecting the ids, in no order within a window, in a
-// list taken from idScratch, which the caller hands back with
-// putIDScratch once it has converted them: a search allocates only the
-// list it returns.
-func (r *Relation) search(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool, ends []int) (*[]int64, int, error) {
+// (scatterSearch), collecting the hits, in no order, in a list taken
+// from hitScratch, which the caller hands back with putHits once it has
+// converted them: a search allocates only the lists it returns.
+func (r *Relation) search(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool) (*hits, int, error) {
 	sis := r.spatialList(pictureName)
 	if sis == nil {
 		return nil, 0, fmt.Errorf("relation %s: no spatial index for picture %q", r.name, pictureName)
 	}
-	buf := idScratch.Get().(*[]int64)
-	var visited int
-	*buf, visited = scatterSearch(sis, windows, pred, (*buf)[:0], ends)
-	return buf, visited, nil
+	h := hitScratch.Get().(*hits)
+	h.ids, h.wins = h.ids[:0], h.wins[:0]
+	return h, scatterSearch(sis, windows, pred, h), nil
 }
 
-// idScratch holds the lists searches collect their ids in.
-var idScratch = sync.Pool{New: func() any { return new([]int64) }}
+// hits is what a search collects: ids[k] satisfied the window numbered
+// wins[k]. grouped is SearchAreaBatch's room to group the ids by window.
+type hits struct {
+	ids, grouped []int64
+	wins         []int32
+}
 
-// maxScratchIDs caps the list idScratch keeps, as arena caps a slab: a
-// search that collected more leaves its list to the collector.
+func (h *hits) add(w int, id int64) {
+	h.ids = append(h.ids, id)
+	h.wins = append(h.wins, int32(w))
+}
+
+// hitScratch holds the lists searches collect their hits in.
+var hitScratch = sync.Pool{New: func() any { return new(hits) }}
+
+// maxScratchIDs caps the lists hitScratch keeps, as arena caps a slab:
+// a search that collected more leaves them to the collector.
 const maxScratchIDs = 32 << 10
 
-func putIDScratch(buf *[]int64) {
-	if cap(*buf) <= maxScratchIDs {
-		idScratch.Put(buf)
+func putHits(h *hits) {
+	if max(cap(h.ids), cap(h.grouped), cap(h.wins)) <= maxScratchIDs {
+		hitScratch.Put(h)
 	}
 }
 

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"hash/fnv"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/pack"
@@ -232,36 +233,24 @@ func (r *Relation) SpatialCostSnapshot(pictureName string, windows []geom.Rect) 
 	return merged, true
 }
 
-// scatterSearch is SpatialIndex.search over the indexes in sis: per
-// window, the ids of every index whose bounds it overlaps — stores
-// partition the id space, so no id is appended twice for one window.
-// Pruning by bounds is only applied when there is more than one index,
-// so a one-store relation keeps its exact visit counts.
-func scatterSearch(sis []*SpatialIndex, windows []geom.Rect, pred func(obj, win geom.Rect) bool, ids []int64, ends []int) ([]int64, int) {
+// scatterSearch is SpatialIndex.search over the indexes in sis: one
+// batched descent of each index that some window's rectangle meets the
+// bounds of — stores partition the id space, so no id is a hit twice
+// for one window. A window outside an index's bounds meets none of its
+// entries, so it drops out of that descent at the roots' entries. Bounds
+// prune only when there is more than one index, so a one-store relation
+// keeps its exact visit counts.
+func scatterSearch(sis []*SpatialIndex, windows []geom.Rect, pred func(obj, win geom.Rect) bool, h *hits) int {
 	if len(sis) == 1 {
-		return sis[0].search(windows, pred, ids, ends)
-	}
-	bounds := make([]geom.Rect, len(sis))
-	for s, si := range sis {
-		if bounds[s] = geom.EmptyRect(); si.Len() > 0 {
-			bounds[s] = si.Bounds()
-		}
+		return sis[0].search(windows, pred, h)
 	}
 	visited := 0
-	for i := range windows {
-		for s, si := range sis {
-			if !bounds[s].Intersects(windows[i]) {
-				continue
-			}
-			var v int
-			ids, v = si.search(windows[i:i+1], pred, ids, nil)
-			visited += v
-		}
-		if ends != nil {
-			ends[i] = len(ids)
+	for _, si := range sis {
+		if si.Len() > 0 && slices.ContainsFunc(windows, si.Bounds().Intersects) {
+			visited += si.search(windows, pred, h)
 		}
 	}
-	return ids, visited
+	return visited
 }
 
 // scatterItems gathers every live entry across sis in canonical order.

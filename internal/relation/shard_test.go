@@ -188,17 +188,25 @@ func verifyShardOracle(t *testing.T, twins map[int]*Relation, stage string) {
 		}
 	}
 
-	// The batched path must match the serial calls, id for id.
+	// The batched path must match the serial calls, id for id, and load
+	// no more nodes than they add up to: one descent per tree serves
+	// every window.
 	for k, rel := range twins {
-		batches, _, err := rel.SearchAreaBatch("us-map", oracleWindows, geom.Overlapping, 0)
+		batches, visited, err := rel.SearchAreaBatch("us-map", oracleWindows, geom.Overlapping, 0)
 		if err != nil {
 			t.Fatalf("%s shards=%d: %v", stage, k, err)
 		}
+		sum, most := 0, 0
 		for wi, w := range oracleWindows {
-			ids, _, _ := rel.SearchArea("us-map", w, geom.Overlapping)
+			ids, v, _ := rel.SearchArea("us-map", w, geom.Overlapping)
 			if !idsEqual(batches[wi], ids) {
 				t.Fatalf("%s shards=%d window %d: batch diverges from SearchArea", stage, k, wi)
 			}
+			sum += v
+			most = max(most, v)
+		}
+		if visited > sum || visited < most {
+			t.Fatalf("%s shards=%d: batch visited %d nodes, the windows' searches %d in all and %d at most", stage, k, visited, sum, most)
 		}
 	}
 
@@ -230,9 +238,10 @@ func verifyShardOracle(t *testing.T, twins map[int]*Relation, stage string) {
 
 // TestShardedSearchOracle is the oracle matrix: identical content at
 // store counts 1/2/4/8 vs the unsharded relation, checked fresh, after
-// deletes, and after a repack.
+// deletes, with frozen, delta and tombstoned entries mid-repack, and
+// after a repack.
 func TestShardedSearchOracle(t *testing.T) {
-	twins, ids, _ := shardTwins(t, 600, 42)
+	twins, ids, pic := shardTwins(t, 600, 42)
 	verifyShardOracle(t, twins, "fresh")
 
 	// Delete every 7th tuple — positionally, so every twin loses the
@@ -246,11 +255,60 @@ func TestShardedSearchOracle(t *testing.T) {
 	}
 	verifyShardOracle(t, twins, "deleted")
 
+	// Insert, then freeze every index as a repack does first, then
+	// write again: reads merge packed, frozen and delta entries, with
+	// tombstones over the packed and frozen ones.
+	late := func(from, to int) {
+		for i := from; i < to; i++ {
+			x, y := float64(100+i*20), float64(150+i*15)
+			oid := pic.AddRegion(fmt.Sprintf("late%02d", i), geom.RectPoly(geom.R(x-6, y-6, x+6, y+6)))
+			obj, _ := pic.Get(oid)
+			for k, rel := range twins {
+				if _, err := rel.Insert(carrying(Tuple{S(fmt.Sprintf("late%02d", i)), S("ST"), I(int64(i)), L("us-map", oid)}, obj)); err != nil {
+					t.Fatalf("twin %d: %v", k, err)
+				}
+			}
+		}
+	}
+	late(0, 20)
+	for _, rel := range twins {
+		for _, si := range rel.Spatials("us-map") {
+			si.freeze()
+		}
+	}
+	late(20, 40)
+	for k, rel := range twins {
+		for i := 3; i < 600; i += 11 {
+			if i%7 == 0 {
+				continue // deleted above
+			}
+			if err := rel.Delete(ids[k][i]); err != nil {
+				t.Fatalf("twin %d: delete %d: %v", k, i, err)
+			}
+		}
+	}
+	frozen, delta, tombs := 0, 0, 0
+	for _, si := range twins[4].Spatials("us-map") {
+		frozen += si.frozen.Len()
+		delta += si.delta.Len()
+		tombs += len(si.tombs) + len(si.ts0)
+	}
+	if frozen == 0 || delta == 0 || tombs == 0 {
+		t.Fatalf("frozen stage at 4 stores: %d frozen entries, %d delta entries, %d tombstones", frozen, delta, tombs)
+	}
+	verifyShardOracle(t, twins, "frozen")
+	// Finish the repacks the freeze began.
+	for _, rel := range twins {
+		for _, si := range rel.Spatials("us-map") {
+			si.swap(si.packMerged())
+		}
+	}
+
 	// Repack every twin (per-shard repacks for the sharded ones) and
 	// re-verify from the swapped roots.
 	for k, rel := range twins {
 		repack(rel, "us-map")
-		if got := rel.Len(); got != 600-86 {
+		if got := rel.Len(); got != 600-86+40-47 {
 			t.Fatalf("twin %d: Len=%d after deletes", k, got)
 		}
 	}
@@ -894,7 +952,7 @@ func TestScatterFanoutPruning(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, si := range sis {
-			_, v := si.search([]geom.Rect{window}, geom.Overlapping, nil, nil)
+			v := si.search([]geom.Rect{window}, geom.Overlapping, new(hits))
 			all += v
 			if si.Bounds().Intersects(window) {
 				admitted += v

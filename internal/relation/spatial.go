@@ -425,33 +425,27 @@ func (si *SpatialIndex) tiersLocked(buf *[3]tier) []tier {
 	return tiers
 }
 
-// search answers every window, one after another, under one read lock:
-// the id of each live entry — packed + frozen + delta minus tombstones —
-// whose MBR intersects windows[i] and satisfies pred against it is
-// appended to ids, and ends[i], when ends is not nil, set to the list's
-// length after window i. It returns the list and the nodes visited
-// (summed over the searched trees). The predicate runs as the leaves are
-// reached, so only ids leave the index, in no particular order within a
-// window; callers sort what they keep.
-func (si *SpatialIndex) search(windows []geom.Rect, pred func(obj, win geom.Rect) bool, ids []int64, ends []int) ([]int64, int) {
+// search answers every window in one batched descent of each live tree
+// (rtree.Tree.SearchBatch), under one read lock: each node is loaded
+// once however many windows reach it. Every live entry — packed +
+// frozen + delta minus tombstones — whose MBR intersects windows[w] and
+// satisfies pred against it is a hit, added to h. It returns the nodes
+// visited, summed over the searched trees. The predicate runs as the
+// leaves are reached, so only ids leave the index, in no particular
+// order; callers sort what they keep.
+func (si *SpatialIndex) search(windows []geom.Rect, pred func(obj, win geom.Rect) bool, h *hits) int {
 	si.mu.RLock()
 	defer si.mu.RUnlock()
-	tiers := si.tiersLocked(new([3]tier))
 	visited := 0
-	for i, w := range windows {
-		for _, tr := range tiers {
-			visited += tr.tree.Search(w, func(it rtree.Item) bool {
-				if pred(it.Rect, w) && !(tr.filtered && si.deadLocked(it.Data)) {
-					ids = append(ids, it.Data)
-				}
-				return true
-			})
-		}
-		if ends != nil {
-			ends[i] = len(ids)
-		}
+	for _, tr := range si.tiersLocked(new([3]tier)) {
+		visited += tr.tree.SearchBatch(windows, func(w int, it rtree.Item) bool {
+			if pred(it.Rect, windows[w]) && !(tr.filtered && si.deadLocked(it.Data)) {
+				h.add(w, it.Data)
+			}
+			return true
+		})
 	}
-	return ids, visited
+	return visited
 }
 
 // items enumerates every live entry in canonical ascending-TupleID

@@ -270,9 +270,10 @@ func TestFrozenTombstoneFiltering(t *testing.T) {
 	)
 	si.SetDeltaThreshold(math.MaxInt)
 	liveIDs := func() []int64 {
-		ids, _ := si.search([]geom.Rect{geom.R(0, 0, 10, 10)}, geom.Overlapping, nil, nil)
-		slices.Sort(ids)
-		return ids
+		var h hits
+		si.search([]geom.Rect{geom.R(0, 0, 10, 10)}, geom.Overlapping, &h)
+		slices.Sort(h.ids)
+		return h.ids
 	}
 	// Pre-freeze: ids 1 and 6 deleted (tombstones), ids 3,4 inserted.
 	si.delete(geom.R(1, 1, 2, 2), 1)

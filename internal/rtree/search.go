@@ -1,6 +1,11 @@
 package rtree
 
-import "repro/internal/geom"
+import (
+	"slices"
+	"sync"
+
+	"repro/internal/geom"
+)
 
 // This file implements the paper's Section 3.1 SEARCH procedure and its
 // variants. Every search returns the number of R-tree nodes visited —
@@ -15,7 +20,9 @@ import "repro/internal/geom"
 // fn on it; returning false from fn stops the search early. It returns
 // the number of nodes visited. This is the INTERSECTS/visit form of
 // the paper's SEARCH: a subtree is descended only when its bounding
-// rectangle intersects the target window.
+// rectangle intersects the target window. It keeps a walk of its own
+// beside SearchBatch's: routed through SearchBatch's one-window call,
+// the Table 1 point queries ran 10–37% slower (EXPERIMENTS.md "PR 48").
 func (t *Tree) Search(window geom.Rect, fn func(Item) bool) int {
 	visited := 0
 	var walk func(i int) bool
@@ -41,6 +48,112 @@ func (t *Tree) Search(window geom.Rect, fn func(Item) bool) int {
 	}
 	walk(t.root)
 	return visited
+}
+
+// SearchBatch is SEARCH for many windows in one descent. Each node is
+// visited once however many windows reach it: the walk carries down to
+// a child the windows that intersect the child's entry rectangle — the
+// windows whose own Search would visit that child — and calls
+// fn(w, item) for every item whose rectangle intersects windows[w],
+// each item's windows in ascending order. Returning false from fn stops
+// the search. It returns the number of nodes visited, which is the size
+// of the union of the node sets the windows' single searches visit: the
+// root once for any window, nothing for none. A subtree that one window
+// alone reaches is walked as Search walks it, and a one-window batch is
+// that walk from the root: the same hits, in the same order, and the
+// same count as Search.
+func (t *Tree) SearchBatch(windows []geom.Rect, fn func(w int, it Item) bool) int {
+	b := batchWalk{t: t, windows: windows, fn: fn}
+	switch len(windows) {
+	case 0:
+		return 0
+	case 1:
+		b.walkOne(t.root, 0, windows[0])
+		return b.visited
+	}
+	// The stack holds one set per node of the current path and the set
+	// of the leaf entry being tested, none larger than the windows: need
+	// bounds it.
+	need := len(windows) * (t.height + 2)
+	p := setStacks.Get().(*[]int32)
+	*p = slices.Grow((*p)[:0], need)[:need]
+	b.sets = *p
+	for w := range windows {
+		b.sets[w] = int32(w)
+	}
+	b.walk(t.root, 0, len(windows))
+	setStacks.Put(p)
+	return b.visited
+}
+
+// setStacks holds the window-set stacks of batched searches.
+var setStacks = sync.Pool{New: func() any { return new([]int32) }}
+
+// batchWalk is one SearchBatch descent. sets is a stack of window
+// numbers: the set each node of the current path was entered with, a
+// child's set written above its parent's.
+type batchWalk struct {
+	t       *Tree
+	windows []geom.Rect
+	fn      func(w int, it Item) bool
+	sets    []int32
+	visited int
+}
+
+// walk visits node i with the windows sets[lo:hi], the top of the
+// stack, and reports false when fn stopped the search. A child that
+// one window alone reaches is walked by walkOne.
+func (b *batchWalk) walk(i, lo, hi int) bool {
+	b.visited++
+	n := b.t.node(i)
+	for k := range n.entries {
+		e := &n.entries[k]
+		top := hi
+		for _, w := range b.sets[lo:hi] {
+			if e.rect.Intersects(b.windows[w]) {
+				b.sets[top] = w
+				top++
+			}
+		}
+		switch {
+		case top == hi:
+		case n.leaf:
+			for _, w := range b.sets[hi:top] {
+				if !b.fn(int(w), e.item()) {
+					return false
+				}
+			}
+		case top == hi+1:
+			if w := b.sets[hi]; !b.walkOne(int(e.ref), w, b.windows[w]) {
+				return false
+			}
+		default:
+			if !b.walk(int(e.ref), hi, top) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// walkOne is Search's walk for win, windows[w], alone, from node i.
+func (b *batchWalk) walkOne(i int, w int32, win geom.Rect) bool {
+	b.visited++
+	n := b.t.node(i)
+	for k := range n.entries {
+		e := &n.entries[k]
+		if !e.rect.Intersects(win) {
+			continue
+		}
+		if n.leaf {
+			if !b.fn(int(w), e.item()) {
+				return false
+			}
+		} else if !b.walkOne(int(e.ref), w, win) {
+			return false
+		}
+	}
+	return true
 }
 
 // Query returns all items intersecting window, in tree order, along

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	pictdb "repro"
+	"repro/internal/geom"
 	"repro/internal/storage"
 )
 
@@ -152,6 +153,69 @@ func assertSameResult(t *testing.T, label string, got, want *pictdb.Result) {
 	}
 }
 
+// batchWindows are the windows the multi-window checks search with:
+// tiles over the frame that overlap their neighbours, a tile inside
+// another, a point, a segment, an empty rectangle and one outside the
+// frame.
+func batchWindows() []pictdb.Rect {
+	var ws []pictdb.Rect
+	for x := 0.0; x < 1000; x += 250 {
+		for y := 0.0; y < 1000; y += 250 {
+			ws = append(ws, pictdb.R(x-20, y-20, x+270, y+270))
+		}
+	}
+	return append(ws, pictdb.R(600, 400, 700, 450), pictdb.R(500, 500, 500, 500),
+		pictdb.R(100, 300, 900, 300), geom.EmptyRect(), pictdb.R(2000, 2000, 2100, 2100))
+}
+
+// assertBatchMatchesSingles holds a relation's batched direct search to
+// one search per window: SearchAreaBatch's list for each window is what
+// SearchArea returns for it, SearchWindows returns their sorted union,
+// and the batch, which loads a node once however many windows reach it,
+// visits no more nodes than the windows' searches add up to and no
+// fewer than the most any one of them visits.
+func assertBatchMatchesSingles(t *testing.T, label string, rel *pictdb.Relation, pic string) {
+	t.Helper()
+	windows := batchWindows()
+	found := 0
+	for _, pred := range []func(obj, win pictdb.Rect) bool{geom.Overlapping, geom.CoveredBy} {
+		batches, visited, err := rel.SearchAreaBatch(pic, windows, pred, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		var union []storage.TupleID
+		sum, most := 0, 0
+		for i, w := range windows {
+			ids, v, err := rel.SearchArea(pic, w, pred)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !slices.Equal(batches[i], ids) {
+				t.Fatalf("%s: window %v: batch found %v, its own search %v", label, w, batches[i], ids)
+			}
+			union = append(union, ids...)
+			sum += v
+			most = max(most, v)
+		}
+		if visited > sum || visited < most {
+			t.Fatalf("%s: batch of %d windows visited %d nodes, its windows' searches %d in all and %d at most", label, len(windows), visited, sum, most)
+		}
+		slices.SortFunc(union, storage.TupleID.Compare)
+		union = slices.Compact(union)
+		all, v, err := rel.SearchWindows(pic, windows, pred)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !slices.Equal(all, union) || v != visited {
+			t.Fatalf("%s: SearchWindows found %d ids in %d visits, the batch %d in %d", label, len(all), v, len(union), visited)
+		}
+		found += len(union)
+	}
+	if found == 0 {
+		t.Fatalf("%s: vacuous — no window found anything", label)
+	}
+}
+
 func runLSMQueries(t *testing.T, db *pictdb.Database, stage string) {
 	t.Helper()
 	for name, q := range lsmQueries {
@@ -190,6 +254,7 @@ func TestLSMQueryMatchesNaive(t *testing.T) {
 			si.DeltaLen(), si.TombstoneCount())
 	}
 	runLSMQueries(t, db, "delta-live")
+	assertBatchMatchesSingles(t, "delta-live", cities, "us-map")
 
 	// Collapse the deltas and re-verify against the repacked roots.
 	zones, _ := db.Relation("time-zones")
@@ -203,4 +268,5 @@ func TestLSMQueryMatchesNaive(t *testing.T) {
 		t.Fatal("RepackNow recorded no repack")
 	}
 	runLSMQueries(t, db, "repacked")
+	assertBatchMatchesSingles(t, "repacked", cities, "us-map")
 }

@@ -68,7 +68,9 @@ func assertSameRows(t *testing.T, label string, got, want *pictdb.Result) {
 // verifyShardedAgainstUnsharded runs every planner access path on both
 // databases, requiring (a) each database's planned answer == its naive
 // one, row for row, and (b) sharded planned == unsharded planned, as
-// multisets, and row for row under shardOrderedQueries' order by.
+// multisets, and row for row under shardOrderedQueries' order by; and
+// (c) on each database, a batch of windows finds what the windows find
+// one at a time (assertBatchMatchesSingles).
 func verifyShardedAgainstUnsharded(t *testing.T, sdb, udb *pictdb.Database, stage string) {
 	t.Helper()
 	queries := maps.Clone(lsmQueries)
@@ -96,6 +98,12 @@ func verifyShardedAgainstUnsharded(t *testing.T, sdb, udb *pictdb.Database, stag
 		}
 		if name != "direct-disjoined" && got.Len() == 0 {
 			t.Fatalf("%s: vacuous — zero rows everywhere", label)
+		}
+	}
+	for i, db := range []*pictdb.Database{sdb, udb} {
+		for _, reln := range []struct{ rel, pic string }{{"cities", "us-map"}, {"time-zones", "time-zone-map"}} {
+			rel, _ := db.Relation(reln.rel)
+			assertBatchMatchesSingles(t, fmt.Sprintf("%s/batch %s [db %d]", stage, reln.rel, i), rel, reln.pic)
 		}
 	}
 }
