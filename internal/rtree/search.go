@@ -20,9 +20,10 @@ import (
 // fn on it; returning false from fn stops the search early. It returns
 // the number of nodes visited. This is the INTERSECTS/visit form of
 // the paper's SEARCH: a subtree is descended only when its bounding
-// rectangle intersects the target window. It keeps a walk of its own
-// beside SearchBatch's: routed through SearchBatch's one-window call,
-// the Table 1 point queries ran 10–37% slower (EXPERIMENTS.md "PR 48").
+// rectangle intersects the target window. SearchBatch's walk answers
+// many windows; a single window keeps this one, which the Table 1
+// point queries ran 10–37% faster than a one-window batched walk
+// (EXPERIMENTS.md "PR 48").
 func (t *Tree) Search(window geom.Rect, fn func(Item) bool) int {
 	visited := 0
 	var walk func(i int) bool
@@ -58,18 +59,14 @@ func (t *Tree) Search(window geom.Rect, fn func(Item) bool) int {
 // each item's windows in ascending order. Returning false from fn stops
 // the search. It returns the number of nodes visited, which is the size
 // of the union of the node sets the windows' single searches visit: the
-// root once for any window, nothing for none. A subtree that one window
-// alone reaches is walked as Search walks it, and a one-window batch is
-// that walk from the root: the same hits, in the same order, and the
-// same count as Search.
+// root once for any window, nothing for none. A one-window batch is
+// Search itself: the same hits, in the same order, and the same count.
 func (t *Tree) SearchBatch(windows []geom.Rect, fn func(w int, it Item) bool) int {
-	b := batchWalk{t: t, windows: windows, fn: fn}
 	switch len(windows) {
 	case 0:
 		return 0
 	case 1:
-		b.walkOne(t.root, 0, windows[0])
-		return b.visited
+		return t.Search(windows[0], func(it Item) bool { return fn(0, it) })
 	}
 	// The stack holds one set per node of the current path and the set
 	// of the leaf entry being tested, none larger than the windows: need
@@ -77,17 +74,23 @@ func (t *Tree) SearchBatch(windows []geom.Rect, fn func(w int, it Item) bool) in
 	need := len(windows) * (t.height + 2)
 	p := setStacks.Get().(*[]int32)
 	*p = slices.Grow((*p)[:0], need)[:need]
-	b.sets = *p
+	b := batchWalk{t: t, windows: windows, fn: fn, sets: *p}
 	for w := range windows {
 		b.sets[w] = int32(w)
 	}
 	b.walk(t.root, 0, len(windows))
-	setStacks.Put(p)
+	if cap(*p) <= maxPooledSets {
+		setStacks.Put(p)
+	}
 	return b.visited
 }
 
 // setStacks holds the window-set stacks of batched searches.
 var setStacks = sync.Pool{New: func() any { return new([]int32) }}
+
+// maxPooledSets caps the stacks setStacks keeps: a batch of many
+// windows over a tall tree leaves its stack to the collector.
+const maxPooledSets = 32 << 10
 
 // batchWalk is one SearchBatch descent. sets is a stack of window
 // numbers: the set each node of the current path was entered with, a
@@ -101,8 +104,7 @@ type batchWalk struct {
 }
 
 // walk visits node i with the windows sets[lo:hi], the top of the
-// stack, and reports false when fn stopped the search. A child that
-// one window alone reaches is walked by walkOne.
+// stack, and reports false when fn stopped the search.
 func (b *batchWalk) walk(i, lo, hi int) bool {
 	b.visited++
 	n := b.t.node(i)
@@ -123,34 +125,10 @@ func (b *batchWalk) walk(i, lo, hi int) bool {
 					return false
 				}
 			}
-		case top == hi+1:
-			if w := b.sets[hi]; !b.walkOne(int(e.ref), w, b.windows[w]) {
-				return false
-			}
 		default:
 			if !b.walk(int(e.ref), hi, top) {
 				return false
 			}
-		}
-	}
-	return true
-}
-
-// walkOne is Search's walk for win, windows[w], alone, from node i.
-func (b *batchWalk) walkOne(i int, w int32, win geom.Rect) bool {
-	b.visited++
-	n := b.t.node(i)
-	for k := range n.entries {
-		e := &n.entries[k]
-		if !e.rect.Intersects(win) {
-			continue
-		}
-		if n.leaf {
-			if !b.fn(int(w), e.item()) {
-				return false
-			}
-		} else if !b.walkOne(int(e.ref), w, win) {
-			return false
 		}
 	}
 	return true
