@@ -601,11 +601,13 @@ func TestWindowStatementAllocs(t *testing.T) {
 // Datums, its row header and its name string — its candidate ids, once,
 // and a small constant besides. The tuples it decodes, its []Tuple lists
 // and its rows come from the statement's pooled arena, and the index
-// search collects its ids in a pooled list. Measured on 2 cores: 536 B
+// search collects its ids in a pooled list. Measured on 2 cores: 496 B
 // with every one of 30 candidates rejected, 5 904 B more for 720 more
 // rejected candidates (8 B each, the id), and 229 B a returned row;
-// before the pooled id list, 1 056 B, 20 368 B more and 229 B; before
-// the arena, 7 968 B, 59 152 B more and 450 B.
+// with a per-statement mask of the where-terms already tested, 536 B,
+// 5 904 B more and 229 B; before the pooled id list, 1 056 B, 20 368 B
+// more and 229 B; before the arena, 7 968 B, 59 152 B more and 450 B.
+// Each figure is the least of 51 statements (bytesPerRun).
 func TestWindowStatementBytes(t *testing.T) {
 	db := pictdb.New()
 	defer db.Close()
@@ -643,23 +645,24 @@ func TestWindowStatementBytes(t *testing.T) {
 // bytesPerRun is testing.AllocsPerRun's twin in bytes: the bytes one
 // call of f allocates, read from runtime.MemStats.TotalAlloc at
 // GOMAXPROCS 1 around each of runs calls after one warm-up call. It is
-// the median, not the mean: a statement whose pooled arena a collection
-// took, or that sync.Pool dropped (at random, under -race), allocates
-// its arena again, once.
+// the least of them, not the mean or the median: a statement whose
+// pooled arena or id list a collection took, or sync.Pool dropped,
+// allocates it again, and under -race sync.Pool drops one Put in four
+// at random, so with two pools on the path nearly half the calls do;
+// nothing makes a call allocate less than its steady state.
 func bytesPerRun(runs int, f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
 	var ms runtime.MemStats
-	per := make([]float64, runs)
-	for i := range per {
+	least := uint64(math.MaxUint64)
+	for range runs {
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 		f()
 		runtime.ReadMemStats(&ms)
-		per[i] = float64(ms.TotalAlloc - before)
+		least = min(least, ms.TotalAlloc-before)
 	}
-	slices.Sort(per)
-	return per[runs/2]
+	return float64(least)
 }
 
 // joinDatabase builds in memory a database shaped like pictbench's
@@ -778,7 +781,11 @@ func BenchmarkJuxtapositionStatement(b *testing.B) {
 // TestRestrictionScanAllocs holds the allocations of a cached
 // scan-restricted juxtaposition to what its survivors need: the same 20
 // regions survive among 200 and among 2 000, and the statement must not
-// allocate more for the 1 800 more tuples its where-clause rejects.
+// allocate more for the 1 800 more tuples its where-clause rejects. Nor
+// must a pair the probed side's term rejects allocate: the sites of the
+// 160 pairs are tested as they are fetched, before a name is decoded,
+// so rejecting every pair takes at least half an allocation a pair
+// fewer than returning each with its site's name.
 func TestRestrictionScanAllocs(t *testing.T) {
 	kind := func(i int) int64 {
 		if i < 20 {
@@ -787,16 +794,15 @@ func TestRestrictionScanAllocs(t *testing.T) {
 		return 1 + int64(i%63)
 	}
 	q := joinStatement(0, 0)
-	allocs := func(regions int) (float64, *pictdb.Result) {
-		db := joinDatabase(t, 5_000, regions, kind)
+	allocs := func(db *pictdb.Database, q string) (float64, *pictdb.Result) {
 		res, err := db.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		plan := strings.Join(res.Plan, "\n")
-		if !strings.Contains(plan, fmt.Sprintf(`"regions" reduced to 20 of %d tuple(s)`, regions)) ||
+		if !strings.Contains(plan, `"regions" reduced to 20 of`) ||
 			!strings.Contains(plan, "heap scan") || !strings.Contains(plan, "batched direct search") {
-			t.Fatalf("%d regions: not a scan-restricted probe:\n%s", regions, plan)
+			t.Fatalf("%s: not a scan-restricted probe:\n%s", q, plan)
 		}
 		return testing.AllocsPerRun(20, func() {
 			if _, err := db.Query(q); err != nil {
@@ -804,12 +810,21 @@ func TestRestrictionScanAllocs(t *testing.T) {
 			}
 		}), res
 	}
-	few, small := allocs(200)
-	many, large := allocs(2_000)
+	db := joinDatabase(t, 5_000, 200, kind)
+	few, small := allocs(db, q)
+	many, large := allocs(joinDatabase(t, 5_000, 2_000, kind), q)
 	assertSameResult(t, q, large, small)
 	t.Logf("%d rows: %.0f allocations over 200 regions, %.0f over 2000", len(small.Rows), few, many)
 	if many > few+12 {
 		t.Errorf("rejecting 1980 regions takes %.0f allocations, rejecting 180 takes %.0f: they grow with the tuples rejected", many, few)
+	}
+	none, res := allocs(db, joinStatement(0, 2_000_000))
+	t.Logf("every one of the %d pairs rejected: %.0f allocations", len(small.Rows), none)
+	if len(res.Rows) != 0 || len(small.Rows) < 100 {
+		t.Fatalf("pop > 0 keeps %d pairs, pop > 2000000 %d: want over 100 and none", len(small.Rows), len(res.Rows))
+	}
+	if none > few-float64(len(small.Rows))/2 {
+		t.Errorf("rejecting the %d pairs takes %.0f allocations, returning them %.0f: a rejected pair allocates", len(small.Rows), none, few)
 	}
 }
 

@@ -315,6 +315,27 @@ func writeWALHeader(b Backend) error {
 	return nil
 }
 
+// readWALHeader reads and checks the header at the start of r. empty
+// reports a log shorter than its header, through which nothing was ever
+// committed: the header is written and synced before the first record.
+func readWALHeader(r io.ReaderAt) (empty bool, err error) {
+	var hdr [walHeaderSize]byte
+	n, err := r.ReadAt(hdr[:], 0)
+	switch {
+	case (err == io.EOF || err == io.ErrUnexpectedEOF) && n < walHeaderSize:
+		return true, nil
+	case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
+		return false, fmt.Errorf("read header: %w", err)
+	}
+	if [8]byte(hdr[0:8]) != walMagic {
+		return false, fmt.Errorf("%w: got %q", ErrBadMagic, hdr[0:8])
+	}
+	if crc32.Checksum(hdr[:12], castagnoli) != binary.LittleEndian.Uint32(hdr[12:16]) {
+		return false, fmt.Errorf("header: %w", ErrChecksum)
+	}
+	return false, nil
+}
+
 // --- group commit -----------------------------------------------------
 
 // commitWAL is Commit past its checks: enqueue, and either wait for a
@@ -623,22 +644,12 @@ func (p *Pager) recoverWAL(w *walState) error {
 	defer w.commitMu.Unlock()
 	w.size = walHeaderSize
 
-	var hdr [walHeaderSize]byte
-	n, err := w.backend.ReadAt(hdr[:], 0)
-	switch {
-	case (err == io.EOF || err == io.ErrUnexpectedEOF) && n < walHeaderSize:
-		// Empty or header-torn WAL: nothing was ever durably committed
-		// through it (the header is written and synced before the first
-		// record); initialize it fresh.
+	empty, err := readWALHeader(w.backend)
+	if err != nil {
+		return fmt.Errorf("pager: wal %s: %w", w.path, err)
+	}
+	if empty {
 		return w.reset()
-	case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
-		return fmt.Errorf("pager: read wal header: %w", err)
-	}
-	if [8]byte(hdr[0:8]) != walMagic {
-		return fmt.Errorf("pager: wal %s: %w: got %q", w.path, ErrBadMagic, hdr[0:8])
-	}
-	if crc32.Checksum(hdr[:12], castagnoli) != binary.LittleEndian.Uint32(hdr[12:16]) {
-		return fmt.Errorf("pager: wal %s: header: %w", w.path, ErrChecksum)
 	}
 
 	// Scan records, applying page frames only when their batch reaches a
@@ -725,21 +736,13 @@ func (r *WALReport) OK() bool { return !r.CorruptBefore }
 // reported as CorruptBefore: recovery would silently truncate data
 // that a writer was told is durable.
 func InspectWAL(r io.ReaderAt) (*WALReport, error) {
-	rep := &WALReport{}
-	var hdr [walHeaderSize]byte
-	n, err := r.ReadAt(hdr[:], 0)
-	switch {
-	case (err == io.EOF || err == io.ErrUnexpectedEOF) && n < walHeaderSize:
-		rep.Empty = true
+	empty, err := readWALHeader(r)
+	if err != nil {
+		return nil, fmt.Errorf("pager: wal: %w", err)
+	}
+	rep := &WALReport{Empty: empty}
+	if empty {
 		return rep, nil
-	case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
-		return nil, err
-	}
-	if [8]byte(hdr[0:8]) != walMagic {
-		return nil, fmt.Errorf("pager: wal: %w: got %q", ErrBadMagic, hdr[0:8])
-	}
-	if crc32.Checksum(hdr[:12], castagnoli) != binary.LittleEndian.Uint32(hdr[12:16]) {
-		return nil, fmt.Errorf("pager: wal header: %w", ErrChecksum)
 	}
 
 	off := int64(walHeaderSize)

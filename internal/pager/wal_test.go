@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -263,14 +264,30 @@ func TestWALRecoveryTruncatesTornTail(t *testing.T) {
 	}
 }
 
+// TestWALRecoveryRejectsBadMagic: recovery and InspectWAL refuse a log
+// whose header lacks the magic, or whose header CRC is wrong, with the
+// same sentinel, and recovery names the log.
 func TestWALRecoveryRejectsBadMagic(t *testing.T) {
-	mainP, err := OpenBackend(NewMemBackend(nil), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := NewMemBackend([]byte("NOTAWAL0randomgarbagebytes"))
-	if err := mainP.EnableWALBackend(bad); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("EnableWALBackend over garbage = %v, want ErrBadMagic", err)
+	badCRC := append([]byte(nil), walMagic[:]...)
+	badCRC = append(badCRC, 1, 0, 0, 0, 0, 0, 0, 0)
+	for _, c := range []struct {
+		log  []byte
+		want error
+	}{
+		{[]byte("NOTAWAL0randomgarbagebytes"), ErrBadMagic},
+		{badCRC, ErrChecksum},
+	} {
+		mainP, err := OpenBackend(NewMemBackend(nil), 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = mainP.EnableWALBackend(NewMemBackend(c.log))
+		if !errors.Is(err, c.want) || !strings.Contains(err.Error(), "(wal backend)") {
+			t.Errorf("EnableWALBackend over %q = %v, want %v naming the log", c.log, err, c.want)
+		}
+		if _, err := InspectWAL(NewMemBackend(c.log)); !errors.Is(err, c.want) {
+			t.Errorf("InspectWAL over %q = %v, want %v", c.log, err, c.want)
+		}
 	}
 }
 

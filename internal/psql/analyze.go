@@ -2,15 +2,13 @@ package psql
 
 // This file derives the cacheable, purely syntactic half of a query
 // plan from a parsed AST: the where-clause split into ranked AND
-// conjuncts, the set of functions the statement calls (for cache
-// invalidation when RegisterFunc replaces one), and the analyses of
-// nested mappings. Everything here depends only on the query text, so
-// one analysis is shared by every execution of a cached statement. What
-// depends on the catalog as well is resolved when the statement is
-// bound (bind.go); the cost-based choices that need statistics (scan
-// vs. index vs. direct search, juxtaposition restriction and driving
-// side) are made in planner.go and exec.go, and kept while the
-// statistics stand.
+// conjuncts, and the analyses of nested mappings. Everything here
+// depends only on the query text, so one analysis is shared by every
+// execution of a cached statement. What depends on the catalog as well
+// is resolved when the statement is bound (bind.go); the cost-based
+// choices that need statistics (scan vs. index vs. direct search,
+// juxtaposition restriction and driving side) are made in planner.go
+// and exec.go, and kept while the statistics stand.
 
 // conjunct is one top-level AND term of the qualification, with its
 // static cost rank.
@@ -50,9 +48,6 @@ type analysis struct {
 	// qualification; a single entry when the qualification has no
 	// top-level AND.
 	conjuncts []conjunct
-	// reordered reports whether planner order differs from source
-	// order (worth a plan note).
-	reordered bool
 	// sub maps each nested mapping's Query to its own analysis.
 	sub map[*Query]*analysis
 }
@@ -85,7 +80,7 @@ func analyze(q *Query) *analysis {
 			an.conjuncts = append(an.conjuncts, rankConjunct(e))
 		}
 		split(q.Where)
-		an.reordered = sortConjuncts(an.conjuncts)
+		sortConjuncts(an.conjuncts)
 	}
 
 	if q.At != nil {
@@ -121,18 +116,14 @@ func rankConjunct(e Expr) conjunct {
 
 // sortConjuncts orders conjuncts cheapest first, breaking cost ties by
 // selectivity (most selective first). The sort is stable over source
-// order, so planner order is deterministic for a given query text. It
-// reports whether any term moved.
-func sortConjuncts(cs []conjunct) bool {
-	moved := false
+// order, so planner order is deterministic for a given query text.
+func sortConjuncts(cs []conjunct) {
 	// Insertion sort: conjunct lists are short and stability matters.
 	for i := 1; i < len(cs); i++ {
 		for j := i; j > 0 && conjunctLess(cs[j], cs[j-1]); j-- {
 			cs[j], cs[j-1] = cs[j-1], cs[j]
-			moved = true
 		}
 	}
-	return moved
 }
 
 func conjunctLess(a, b conjunct) bool {

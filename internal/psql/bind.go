@@ -62,10 +62,10 @@ type boundStmt struct {
 	at       atPlan
 	// terms are the where-conjuncts that resolved to `column op literal`
 	// against these bindings, in conjunct order; the first head of them
-	// are conjuncts 0..head-1, the run restrictions() may evaluate ahead
-	// of everything else. sideTerms[bi] are the terms of that run on
-	// binding bi, and relTerms[bi] the same terms as the relation tests
-	// them on a record's bytes (relation.Term).
+	// are conjuncts 0..head-1, the run every planned read of a binding
+	// tests ahead of everything else (restrict.go). sideTerms[bi] are the
+	// terms of that run on binding bi, and relTerms[bi] the same terms as
+	// the relation tests them on a record's bytes (relation.Term).
 	terms     []boundTerm
 	head      int
 	sideTerms [][]boundTerm
@@ -81,7 +81,7 @@ type boundStmt struct {
 	// column. In conjuncts, orderBy and items every column reference the
 	// binder could resolve is a boundCol.
 	need      [][]bool
-	conjuncts []Expr // an.conjuncts' expressions, in planner order
+	conjuncts []Expr // the expressions of an.conjuncts[head:], in planner order
 	orderBy   []Expr
 	path      atomic.Pointer[pricedPath]
 }
@@ -124,7 +124,7 @@ func (e *Executor) bind(ent *stmtEntry, naive bool) (*boundStmt, error) {
 	b.sideTerms = make([][]boundTerm, len(b.bindings))
 	b.relTerms = make([][]relation.Term, len(b.bindings))
 	for i := range ent.an.conjuncts {
-		t, ok := bindTerm(b.bindings, ent.an.conjuncts[i], i)
+		t, ok := bindTerm(b.bindings, ent.an.conjuncts[i])
 		if !ok {
 			continue
 		}
@@ -169,8 +169,8 @@ func (e *Executor) bind(ent *stmtEntry, naive bool) (*boundStmt, error) {
 		items[i] = SelectItem{Expr: bindExpr(b.bindings, it.Expr), Alias: it.Alias}
 	}
 	b.items = items
-	b.conjuncts = make([]Expr, len(ent.an.conjuncts))
-	for i, c := range ent.an.conjuncts {
+	b.conjuncts = make([]Expr, len(ent.an.conjuncts)-b.head)
+	for i, c := range ent.an.conjuncts[b.head:] {
 		b.conjuncts[i] = bindExpr(b.bindings, c.expr)
 	}
 	for i, e := range b.orderBy {

@@ -17,8 +17,7 @@ import (
 // implementation: a call looks its function up when it runs, so a
 // cached statement calls whatever RegisterFunc last installed.
 
-// DefaultStatementCacheSize is the executor's statement-cache capacity
-// when none is configured.
+// DefaultStatementCacheSize is the executor's statement-cache capacity.
 const DefaultStatementCacheSize = 128
 
 // CacheStats reports statement-cache effectiveness counters.
@@ -57,18 +56,14 @@ func newStmtEntry(src string, q *Query, an *analysis) *stmtEntry {
 // operation is O(1).
 type stmtCache struct {
 	mu     sync.Mutex
-	cap    int
 	ll     *list.List // front = most recently used; values are *stmtEntry
 	m      map[string]*list.Element
 	hits   uint64
 	misses uint64
 }
 
-func newStmtCache(capacity int) *stmtCache {
-	if capacity <= 0 {
-		capacity = DefaultStatementCacheSize
-	}
-	return &stmtCache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element)}
+func newStmtCache() *stmtCache {
+	return &stmtCache{ll: list.New(), m: make(map[string]*list.Element)}
 }
 
 // get returns the cached parse of src, promoting it to most recent.
@@ -97,7 +92,7 @@ func (c *stmtCache) put(ent *stmtEntry) {
 		return
 	}
 	c.m[ent.src] = c.ll.PushFront(ent)
-	for c.ll.Len() > c.cap {
+	for c.ll.Len() > DefaultStatementCacheSize {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.m, oldest.Value.(*stmtEntry).src)

@@ -42,7 +42,7 @@ var maxProductRows = 1_000_000
 // NewExecutor returns an executor with the builtin function registry
 // and a statement cache of DefaultStatementCacheSize entries.
 func NewExecutor(cat Catalog) *Executor {
-	return &Executor{cat: cat, funcs: builtinFuncs(), cache: newStmtCache(0)}
+	return &Executor{cat: cat, funcs: builtinFuncs(), cache: newStmtCache()}
 }
 
 // RegisterFunc installs (or replaces) a PSQL-callable function — the
@@ -149,13 +149,9 @@ type execOpts struct {
 // execState carries one execution of a bound statement.
 type execState struct {
 	*boundStmt
-	e       *Executor
-	opts    execOpts
-	visited int
-	// pushed[i] marks where-conjunct i as already evaluated by a plan
-	// step ahead of the joined row (fetchKept); qualifies skips it. nil
-	// when nothing was pushed.
-	pushed   []bool
+	e        *Executor
+	opts     execOpts
+	visited  int
 	plan     []string
 	subnotes []string // plan notes of nested mappings, reported after the outer plan
 }
@@ -243,35 +239,21 @@ func (e *Executor) exec(b *boundStmt, opts execOpts) (*Result, error) {
 }
 
 // qualifies applies the where-clause to one row. The planned path
-// evaluates the analysis's cost-ordered conjuncts with short-circuit
-// AND — cheap, selective terms reject rows before expensive function
-// calls run — and skips the terms a fetch already evaluated; the naive
-// path evaluates the qualification exactly as written.
+// evaluates the residual conjuncts — those past the head run, which
+// every read of a binding has already tested — in the analysis's cost
+// order with short-circuit AND, so cheap, selective terms reject rows
+// before expensive function calls run; the naive path evaluates the
+// qualification exactly as written.
 func (st *execState) qualifies(r row) (bool, error) {
 	if st.opts.naive {
 		return st.truth(st.q.Where, r)
 	}
-	for i, c := range st.conjuncts {
-		if st.pushed != nil && st.pushed[i] {
-			continue
-		}
+	for _, c := range st.conjuncts {
 		if ok, err := st.truth(c, r); err != nil || !ok {
 			return false, err
 		}
 	}
 	return true, nil
-}
-
-// scanIDs returns every tuple id of binding i. No column is
-// materialized, but every record is still validated in full.
-func (st *execState) scanIDs(i int) ([]storage.TupleID, error) {
-	var out []storage.TupleID
-	none := make([]bool, st.bindings[i].schema.Arity())
-	err := st.bindings[i].rel.ScanCols(nil, none, nil, func(id storage.TupleID, _ relation.Tuple) bool {
-		out = append(out, id)
-		return true
-	})
-	return out, err
 }
 
 // spatialPred returns the geometry predicate for op with the object
@@ -618,9 +600,9 @@ func (st *execState) directSearch(bi int, op SpatialOp, windows []geom.Rect) ([]
 }
 
 // pair is one juxtaposition result: x from the at-clause's left
-// binding, y from its right. at[s] is, when side s was restricted, the
-// position of the pair's side-s id among that side's survivors, whose
-// tuples are already decoded.
+// binding, y from its right. at[s] is the position of the pair's tuple
+// on side s among that side's decoded tuples: its survivors when side s
+// was restricted, what fetchSide read otherwise.
 type pair struct {
 	x, y storage.TupleID
 	at   [2]int32
@@ -681,36 +663,27 @@ func (st *execState) juxtapose(bi, bj int, op SpatialOp) ([]row, error) {
 		slices.SortFunc(pairs, canonical)
 	}
 
-	// A restricted side's survivors were decoded when it was restricted,
-	// and a pair names its survivor by position. Any other side is
-	// batch-materialized once over its distinct ids; rows then share the
-	// decoded tuples (read-only from here on).
+	// A restricted side's survivors were decoded when it was restricted.
+	// Any other side is batch-materialized once over its distinct ids,
+	// its where-terms tested on each record. Either way a pair names its
+	// side's tuple by position, and rows share the decoded tuples
+	// (read-only from here on).
 	var tuples [2][]relation.Tuple
-	var which [2][]int
 	for s := range sides {
 		if sides[s].restricted {
 			tuples[s] = sides[s].tuples
-			continue
-		}
-		ids := make([]storage.TupleID, len(pairs))
-		for i, p := range pairs {
-			ids[i] = p.id(s)
-		}
-		if tuples[s], which[s], err = st.fetchSide(sides[s].bi, ids); err != nil {
+		} else if tuples[s], err = st.fetchSide(sides[s].bi, s, pairs); err != nil {
 			return nil, err
 		}
 	}
-	// A pair whose tuple was deleted since the pairs were found is dropped.
+	// A pair whose tuple a where-term rejected, or that was deleted since
+	// the pairs were found, is dropped.
 	rows := st.opts.arena.rowSlab().Cut(len(pairs))[:0]
 	tupBuf := st.opts.arena.relArena().Tuples(2 * len(pairs))
 	for i, p := range pairs {
 		r := tupBuf[2*i : 2*i+2 : 2*i+2]
 		for s := range sides {
-			k := int(p.at[s])
-			if which[s] != nil {
-				k = which[s][i]
-			}
-			r[sides[s].bi] = tuples[s][k]
+			r[sides[s].bi] = tuples[s][p.at[s]]
 		}
 		if r[0] == nil || r[1] == nil {
 			continue
@@ -759,60 +732,59 @@ func (st *execState) traversalPairs(sides *[2]joinSide, op SpatialOp, nodesA, no
 	return pairs, nil
 }
 
-// fetchSide materializes one join side's tuples for a pair list: each
-// distinct id is fetched and decoded once, in ascending order (join
-// sides repeat ids heavily), and tuples[which[i]] is the tuple of
-// ids[i]. The positions are visited in ascending id order — their own
-// order when the side is the one the pairs are sorted by, a permutation
-// sorted once otherwise — so the distinct ids and each position's index
-// among them both fall out of a linear walk.
-func (st *execState) fetchSide(bi int, ids []storage.TupleID) (tuples []relation.Tuple, which []int, err error) {
-	var order []int // nil: ids are already ascending
-	if !slices.IsSortedFunc(ids, storage.TupleID.Compare) {
-		order = make([]int, len(ids))
+// fetchSide materializes binding bi's tuples for side s of the pairs,
+// testing the binding's where-terms on each record's bytes: each
+// distinct id is fetched once, in ascending order (join sides repeat
+// ids heavily), and pairs[i].at[s] is set to its tuple's position. The
+// tuple there is nil when a term rejected it or it was deleted since
+// the pairs were found. The pairs are visited
+// in ascending side-s order — their own order when the side is the one
+// they are sorted by, a permutation sorted once otherwise — so the
+// distinct ids and each pair's position among them both fall out of a
+// linear walk.
+func (st *execState) fetchSide(bi, s int, pairs []pair) ([]relation.Tuple, error) {
+	bySide := func(p, q pair) int { return p.id(s).Compare(q.id(s)) }
+	var order []int // nil: the pairs are already ascending on side s
+	if !slices.IsSortedFunc(pairs, bySide) {
+		order = make([]int, len(pairs))
 		for i := range order {
 			order[i] = i
 		}
-		slices.SortFunc(order, func(a, b int) int { return ids[a].Compare(ids[b]) })
+		slices.SortFunc(order, func(a, b int) int { return bySide(pairs[a], pairs[b]) })
 	}
-	uniq := make([]storage.TupleID, 0, len(ids))
-	which = make([]int, len(ids))
-	for k := range ids {
+	uniq := make([]storage.TupleID, 0, len(pairs))
+	for k := range pairs {
 		i := k
 		if order != nil {
 			i = order[k]
 		}
-		if len(uniq) == 0 || uniq[len(uniq)-1] != ids[i] {
-			uniq = append(uniq, ids[i])
+		if id := pairs[i].id(s); len(uniq) == 0 || uniq[len(uniq)-1] != id {
+			uniq = append(uniq, id)
 		}
-		which[i] = len(uniq) - 1
+		pairs[i].at[s] = int32(len(uniq) - 1)
 	}
-	tuples, err = st.bindings[bi].rel.FetchWhere(st.opts.arena.relArena(), uniq, st.need[bi], nil)
-	return tuples, which, err
+	return st.bindings[bi].rel.FetchWhere(st.opts.arena.relArena(), uniq, st.need[bi], st.relTerms[bi])
 }
 
-// cartesian builds the product of candidate id lists: ids, ascending,
-// for binding fixed (none when negative), a full scan for the others.
-// Each binding's candidates are materialized once, through fetchKept —
-// so the where-terms that filter one relation alone have been applied
-// before the product is formed — and product rows share the decoded
-// tuples rather than re-fetching per row. When kept is not nil it holds
-// ids' tuples, already fetched and restricted, and fixed is not fetched
-// again. The cap on the product counts the candidates as they stood
-// before those terms, as the naive executor's does.
+// cartesian builds the product of binding fixed's candidates, ids
+// (ascending; none when fixed is negative), with every tuple of the
+// other bindings. Each binding is read once, its where-terms tested on
+// each record's bytes so that only its survivors enter the product:
+// fixed through fetchKept, or not at all when kept holds ids' tuples,
+// already fetched and restricted, and every other binding by one scan.
+// Product rows share the decoded tuples. The cap on the product counts
+// the candidates as they stand before the terms, as the naive
+// executor's does, and is checked before anything is read.
 func (st *execState) cartesian(fixed int, ids []storage.TupleID, kept []relation.Tuple) ([]row, error) {
 	nb := len(st.bindings)
-	lists := make([][]storage.TupleID, nb)
 	product := 1
 	limit := maxProductRows
-	for i := range st.bindings {
-		if lists[i] = ids; i != fixed {
-			var err error
-			if lists[i], err = st.scanIDs(i); err != nil {
-				return nil, err
-			}
+	for i, b := range st.bindings {
+		if i == fixed {
+			product *= len(ids)
+		} else {
+			product *= b.rel.Len()
 		}
-		product *= len(lists[i])
 		if product > limit {
 			return nil, fmt.Errorf("psql: cartesian product exceeds %d rows; add an at-clause", limit)
 		}
@@ -820,18 +792,27 @@ func (st *execState) cartesian(fixed int, ids []storage.TupleID, kept []relation
 	if product == 0 {
 		return nil, nil
 	}
+	a := st.opts.arena.relArena()
 	tuples := make([][]relation.Tuple, nb)
 	product = 1
-	for i := range lists {
-		if i == fixed && kept != nil {
+	for i, b := range st.bindings {
+		var err error
+		switch {
+		case i == fixed && kept != nil:
 			tuples[i] = kept
-		} else {
-			var err error
-			if lists[i], tuples[i], err = st.fetchKept(i, lists[i], st.need[i]); err != nil {
-				return nil, err
-			}
+		case i == fixed:
+			_, tuples[i], err = st.fetchKept(i, ids, st.need[i])
+		default:
+			tuples[i] = a.Tuples(b.rel.Len())[:0]
+			err = b.rel.ScanCols(a, st.need[i], st.relTerms[i], func(_ storage.TupleID, t relation.Tuple) bool {
+				tuples[i] = append(tuples[i], t)
+				return true
+			})
 		}
-		product *= len(lists[i])
+		if err != nil {
+			return nil, err
+		}
+		product *= len(tuples[i])
 	}
 	rows := st.opts.arena.rowSlab().Cut(product)
 	if nb == 1 {
@@ -845,13 +826,13 @@ func (st *execState) cartesian(fixed int, ids []storage.TupleID, kept []relation
 	idx := make([]int, nb)
 	for ri := range rows {
 		rows[ri] = tupBuf[ri*nb : (ri+1)*nb : (ri+1)*nb]
-		for i := range lists {
+		for i := range tuples {
 			rows[ri][i] = tuples[i][idx[i]]
 		}
 		// Odometer increment.
 		for k := nb - 1; k >= 0; k-- {
 			idx[k]++
-			if idx[k] < len(lists[k]) {
+			if idx[k] < len(tuples[k]) {
 				break
 			}
 			idx[k] = 0

@@ -817,3 +817,45 @@ func TestBTreeWindowReadsEachCandidateOnce(t *testing.T) {
 		t.Fatalf("planned %v, naive %v", got.Rows, want.Rows)
 	}
 }
+
+// TestScanReadsEachRecordOnce: a statement with no at-clause and no
+// B-tree to drive it reads each record of its relation once — the scan
+// that tests its where-terms also decodes the columns it selects — and
+// answers as the naive executor does.
+func TestScanReadsEachRecordOnce(t *testing.T) {
+	p := pager.OpenMem(4096)
+	defer p.Close()
+	pic := picture.New("m", geom.R(0, 0, 1000, 1000))
+	rel, err := relation.NewSharded(p, 1, "pts", relation.MustSchema("n:int", "k:int"), oneRelation{pic: pic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2_000
+	for i := 0; i < n; i++ {
+		if _, err := rel.Insert(relation.Tuple{relation.I(int64(i)), relation.I(int64(i % 500))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := psql.NewExecutor(oneRelation{rel, pic})
+	q := `select n from pts where k = 7`
+	reads := 0
+	rel.SetReadHook(func(n int) { reads += n })
+	got, err := e.Run(q)
+	rel.SetReadHook(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := strings.Join(got.Plan, "\n"); !strings.Contains(plan, "scan: full scan") {
+		t.Fatalf("not a scan:\n%s", plan)
+	}
+	if reads != n {
+		t.Errorf("the statement read %d records of a %d-tuple relation", reads, n)
+	}
+	want, err := e.RunNaive(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 4 || !reflect.DeepEqual(got.Rows, want.Rows) {
+		t.Fatalf("planned %v, naive %v", got.Rows, want.Rows)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/geom"
+	"repro/internal/relation"
 	"repro/internal/storage"
 )
 
@@ -41,6 +42,18 @@ func (st *execState) naiveRows() ([]row, error) {
 		}
 	}
 	return st.naiveCartesian(nil)
+}
+
+// scanIDs returns every tuple id of binding i. No column is
+// materialized, but every record is still validated in full.
+func (st *execState) scanIDs(i int) ([]storage.TupleID, error) {
+	var out []storage.TupleID
+	none := make([]bool, st.bindings[i].schema.Arity())
+	err := st.bindings[i].rel.ScanCols(nil, none, nil, func(id storage.TupleID, _ relation.Tuple) bool {
+		out = append(out, id)
+		return true
+	})
+	return out, err
 }
 
 // naiveMBRs scans binding bi and resolves each tuple's loc MBR against
@@ -114,13 +127,13 @@ func (st *execState) naiveJoin(bi, bj int, op SpatialOp) ([]row, error) {
 	}
 	// A disjoined juxtaposition is an unindexed product, capped like
 	// one. The cap counts the pairs that pass the where-terms filtering
-	// one relation alone (restrictions — the same terms the planned
-	// path evaluates ahead of its nested loop, evaluated here per joined
-	// row by the generic evaluator), so both executors refuse the same
-	// statements.
-	var capped []boundTerm
+	// one relation alone (the head run of bound conjuncts — the terms the
+	// planned path tests ahead of its nested loop, evaluated here per
+	// joined row by the generic evaluator), so both executors refuse the
+	// same statements.
+	var capped []conjunct
 	if op == OpDisjoined {
-		capped = st.restrictions()
+		capped = st.an.conjuncts[:st.head]
 	}
 	limit := maxProductRows
 	pred := spatialPred(op)
@@ -161,11 +174,10 @@ func (st *execState) naiveJoin(bi, bj int, op SpatialOp) ([]row, error) {
 	return rows, nil
 }
 
-// holdsAll evaluates the terms' conjuncts over r with the generic
-// evaluator.
-func (st *execState) holdsAll(terms []boundTerm, r row) (bool, error) {
-	for _, t := range terms {
-		if ok, err := st.truth(st.an.conjuncts[t.idx].expr, r); err != nil || !ok {
+// holdsAll evaluates the conjuncts over r with the generic evaluator.
+func (st *execState) holdsAll(conjuncts []conjunct, r row) (bool, error) {
+	for _, c := range conjuncts {
+		if ok, err := st.truth(c.expr, r); err != nil || !ok {
 			return false, err
 		}
 	}

@@ -106,7 +106,6 @@ func scanCost(n int) float64 { return float64(n) }
 // cannot error, which is what lets a plan evaluate it away from the
 // joined row (B-tree lookup, restriction of the tuples a fetch returns).
 type boundTerm struct {
-	idx     int // position in analysis.conjuncts
 	bi      int // the binding the column belongs to
 	ci      int // the column's index in that binding's schema
 	cmp     *colCompare
@@ -115,13 +114,12 @@ type boundTerm struct {
 	indexed bool // the column had a B-tree when the statement was bound
 }
 
-// bindTerm resolves conjunct c, the idx-th, to a boundTerm. ok is false
-// for every term whose evaluation could error or whose B-tree key would
-// not order correctly: any other shape, a column the evaluator's own
-// resolution (resolveColumn) rejects, and a literal that is not of the
-// column's type (a string against an int, a fractional bound on an int
-// column).
-func bindTerm(bindings []binding, c conjunct, idx int) (boundTerm, bool) {
+// bindTerm resolves conjunct c to a boundTerm. ok is false for every
+// term whose evaluation could error or whose B-tree key would not order
+// correctly: any other shape, a column the evaluator's own resolution
+// (resolveColumn) rejects, and a literal that is not of the column's
+// type (a string against an int, a fractional bound on an int column).
+func bindTerm(bindings []binding, c conjunct) (boundTerm, bool) {
 	if c.cmp == nil {
 		return boundTerm{}, false
 	}
@@ -134,7 +132,7 @@ func bindTerm(bindings []binding, c conjunct, idx int) (boundTerm, bool) {
 		return boundTerm{}, false
 	}
 	indexed := bindings[bi].rel.Index(c.cmp.col.Column) != nil
-	return boundTerm{idx: idx, bi: bi, ci: ci, cmp: c.cmp, val: v, sel: c.sel, indexed: indexed}, true
+	return boundTerm{bi: bi, ci: ci, cmp: c.cmp, val: v, sel: c.sel, indexed: indexed}, true
 }
 
 // relTerm returns the term as the relation tests it on a record's

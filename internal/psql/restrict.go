@@ -15,42 +15,37 @@ import (
 
 // Restrict before you materialise. A where-clause often filters one
 // relation alone (`pop > 400000`, `regions.kind = 7`). Such terms are
-// evaluated on that relation's tuples as they are fetched, before a
-// candidate becomes a row (fetchKept). For a juxtaposition that is
-// before the join, and the survivors' MBRs then either drive one batched
-// direct search on the other side — the nested mapping's access path,
-// with the inner result bound by the planner instead of written by the
-// user — or filter the pairs of the simultaneous traversal before any
-// tuple is fetched. See DESIGN.md §11.
-
-// restrictions returns the where-terms a plan may evaluate per relation
-// ahead of the joined row: the longest run of bound terms at the head of
-// the planner-ordered conjuncts. Only a head run is taken because
-// qualifies evaluates conjuncts in that order with short-circuit AND: a
-// row an error-free head term rejects never reaches the terms behind
-// it, so evaluating the head run first, per relation, rejects the same
-// rows and surfaces the same errors. A bound term behind a term that can
-// error stays where it is. The run is fixed when the statement is bound
-// (boundStmt.head); sideTerms holds it by relation.
-func (st *execState) restrictions() []boundTerm { return st.terms[:st.head] }
+// tested on that relation's records as they are read, before a
+// candidate becomes a row. For a juxtaposition that is before the join,
+// and the survivors' MBRs then either drive one batched direct search
+// on the other side — the nested mapping's access path, with the inner
+// result bound by the planner instead of written by the user — or
+// filter the pairs of the simultaneous traversal before any tuple is
+// fetched. See DESIGN.md §11.
+//
+// Which terms these are is fixed when the statement is bound: the
+// longest run of bound terms at the head of the planner-ordered
+// conjuncts (boundStmt.head), held by relation in relTerms. Only a head
+// run is taken because qualifies evaluates conjuncts in that order with
+// short-circuit AND: a row an error-free head term rejects never
+// reaches the terms behind it, so testing the head run first, per
+// relation, rejects the same rows and surfaces the same errors. A bound
+// term behind a term that can error stays where it is. Every planned
+// read of a binding tests its run — a window's or a B-tree's
+// candidates and a product's operand (fetchKept, cartesian's scan), a
+// restricted join side (restrictSide) and an unrestricted one
+// (fetchSide) — so qualifies evaluates only the conjuncts behind it.
 
 // fetchKept materializes, on the columns need selects, the tuples of
-// binding bi that ids name (ascending) and that the binding's terms of
-// the restrictions keep — the one fetch-and-restrict of the planned
-// executor, for a window's candidates, a product's operands and a
-// juxtaposition side alike. The terms are tested on each record's bytes
-// (relation.FetchWhere), so a rejected candidate is never decoded, let
-// alone made a row; the terms are marked pushed and qualifies skips
-// them. A tuple deleted since ids were read is dropped too. It returns
-// the survivors' ids, compacted in place, and their tuples.
+// binding bi that ids name (ascending) and that the binding's head-run
+// terms keep, tested on each record's bytes (relation.FetchWhere), so a
+// rejected candidate is never decoded, let alone made a row. A tuple
+// deleted since ids were read is dropped too. It returns the survivors'
+// ids, compacted in place, and their tuples.
 func (st *execState) fetchKept(bi int, ids []storage.TupleID, need []bool) ([]storage.TupleID, []relation.Tuple, error) {
-	terms := st.relTerms[bi]
-	tuples, err := st.bindings[bi].rel.FetchWhere(st.opts.arena.relArena(), ids, need, terms)
+	tuples, err := st.bindings[bi].rel.FetchWhere(st.opts.arena.relArena(), ids, need, st.relTerms[bi])
 	if err != nil {
 		return nil, nil, err
-	}
-	if len(terms) > 0 {
-		st.markPushed(st.sideTerms[bi])
 	}
 	n := 0
 	for i, t := range tuples {
@@ -60,16 +55,6 @@ func (st *execState) fetchKept(bi int, ids []storage.TupleID, need []bool) ([]st
 		}
 	}
 	return ids[:n], tuples[:n], nil
-}
-
-// markPushed records that terms were evaluated ahead of the joined row.
-func (st *execState) markPushed(terms []boundTerm) {
-	if st.pushed == nil {
-		st.pushed = make([]bool, len(st.conjuncts))
-	}
-	for _, t := range terms {
-		st.pushed[t.idx] = true
-	}
 }
 
 // restrictionCost prices reducing binding bi to the tuples its terms
@@ -97,7 +82,7 @@ type joinSide struct {
 	terms []boundTerm // the where-terms that filter this binding alone
 	// restricted reports that terms were evaluated ahead of the join:
 	// items then holds the survivors, ascending by id, with their
-	// tuples, and qualifies skips the terms.
+	// tuples.
 	restricted bool
 	items      []rtree.Item
 	tuples     []relation.Tuple // items[i]'s tuple, on the columns the statement needs
@@ -123,17 +108,16 @@ func (st *execState) restrict(s *joinSide, via *boundTerm, vs string) error {
 	return nil
 }
 
-// restrictSide reduces binding bi to the tuples every term of its
-// restrictions keeps and returns them as (MBR, id) items in ascending id
-// order — the shape SpatialItems enumerates, so either can feed a join —
-// beside the tuples themselves, decoded on the columns the statement
-// needs and the loc, so a survivor is read once. Candidates come from
-// the B-tree on via's column, through fetchKept, or from one heap scan
-// when via is nil. Either way the terms are tested on each record's
-// bytes, and only a survivor is decoded; the terms are marked pushed.
-// Tuples whose loc names another picture than the on-clause's, or none,
-// are dropped: the spatial index does not carry them, so they join
-// nothing.
+// restrictSide reduces binding bi to the tuples its head-run terms keep
+// and returns them as (MBR, id) items in ascending id order — the shape
+// SpatialItems enumerates, so either can feed a join — beside the tuples
+// themselves, decoded on the columns the statement needs and the loc, so
+// a survivor is read once. Candidates come from the B-tree on via's
+// column, through fetchKept, or from one heap scan when via is nil.
+// Either way the terms are tested on each record's bytes, and only a
+// survivor is decoded. Tuples whose loc names another picture than the
+// on-clause's, or none, are dropped: the spatial index does not carry
+// them, so they join nothing.
 func (st *execState) restrictSide(bi int, via *boundTerm) ([]rtree.Item, []relation.Tuple, error) {
 	b := st.bindings[bi]
 	li := b.schema.LocColumn()
@@ -174,9 +158,6 @@ func (st *execState) restrictSide(bi int, via *boundTerm) ([]rtree.Item, []relat
 		return true
 	}); err != nil {
 		return nil, nil, err
-	}
-	if len(st.sideTerms[bi]) > 0 {
-		st.markPushed(st.sideTerms[bi])
 	}
 	// A heap scan follows the page chain, which ascends only until a
 	// freed page is reused.

@@ -61,7 +61,8 @@ func TestJuxtapositionErrorParity(t *testing.T) {
 // TestDisjoinedJuxtapositionHonorsMaxProductRows: a disjoined
 // juxtaposition is an unindexed product, and both executors refuse one
 // whose qualifying pairs — counted after the one-relation where-terms —
-// pass the cap on unindexed products, with the same error.
+// pass the cap on unindexed products, with the same error; and a
+// product of two relations, counted before the where-terms, alike.
 func TestDisjoinedJuxtapositionHonorsMaxProductRows(t *testing.T) {
 	db := usdb(t)
 	e := psql.NewExecutor(db)
@@ -106,6 +107,17 @@ func TestDisjoinedJuxtapositionHonorsMaxProductRows(t *testing.T) {
 	_, nerr = e.RunNaive(over)
 	if perr == nil || nerr == nil || perr.Error() != nerr.Error() {
 		t.Fatalf("pairs over, rows under the limit:\nplanned %v\n  naive %v", perr, nerr)
+	}
+
+	// A product of the two relations is capped too, its candidates
+	// counted before the where-terms: 48 × 4 rows, and one city is left.
+	product := `select city, zone from cities, time-zones `
+	for _, q := range []string{product, product + `where city = 'Boston'`} {
+		_, perr = e.Run(q)
+		_, nerr = e.RunNaive(q)
+		if perr == nil || nerr == nil || perr.Error() != nerr.Error() || !strings.Contains(perr.Error(), "cartesian product exceeds 20 rows") {
+			t.Fatalf("%s:\nplanned %v\n  naive %v", q, perr, nerr)
+		}
 	}
 
 	// The default limit leaves the same statement alone.
