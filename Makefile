@@ -36,13 +36,16 @@ bench:
 # Short benchmark smoke pass (no -race: the detector's overhead makes
 # timings meaningless). Catches perf-path regressions that fail to
 # run — wrong flags, broken benchmarks, alloc-assertion drift — not
-# timing changes; CI runs it as a non-blocking job. The one StoreIngest
+# timing changes; CI runs it as a non-blocking job. The pager's parallel
+# pins run a second time without the file mapping, through the buffer
+# pool's one lock. The one StoreIngest
 # cell keeps the n-store write path running; SplitKinds and UpdateDrift
 # show an allocation added to the dynamic Insert and Delete.
 benchcheck:
 	$(GO) test -run xxx -bench 'Juxtapos' -benchtime 10x -benchmem .
 	$(GO) test -run xxx -bench 'PSQL' -benchtime 10x -benchmem .
 	$(GO) test -run xxx -bench 'Pin|Fetch|ReadBatch' -benchtime 100x -benchmem ./internal/pager/
+	$(GO) test -tags pictdb_nommap -run xxx -bench 'Parallel' -benchtime 100x -benchmem ./internal/pager/
 	$(GO) test -run xxx -bench 'GetBatch' -benchtime 100x -benchmem ./internal/storage/
 	$(GO) test -run xxx -bench 'DeltaMergedSearch|PackedOnlySearch' -benchtime 20x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'ShardedSearch|UnshardedSearch' -benchtime 20x -benchmem ./internal/relation/

@@ -666,15 +666,23 @@ func bytesPerRun(runs int, f func()) float64 {
 }
 
 // joinDatabase builds in memory a database shaped like pictbench's
+// join_nested (joinRelations).
+func joinDatabase(tb testing.TB, n, m int, kind func(i int) int64) *pictdb.Database {
+	tb.Helper()
+	db := pictdb.New()
+	tb.Cleanup(func() { db.Close() })
+	joinRelations(tb, db, n, m, kind)
+	return db
+}
+
+// joinRelations fills db with relations shaped like pictbench's
 // join_nested: n clustered sites(name, pop, loc) on sitemap with a
 // B-tree on pop, and m regions(tag, kind, loc) on regionmap, each a
 // square on a site holding the 8 sites nearest its centre (by the larger
 // axis distance), region i of kind kind(i). Regions are drawn one after
 // another from one seed, so at one n the first k are the same at any m.
-func joinDatabase(tb testing.TB, n, m int, kind func(i int) int64) *pictdb.Database {
+func joinRelations(tb testing.TB, db *pictdb.Database, n, m int, kind func(i int) int64) {
 	tb.Helper()
-	db := pictdb.New()
-	tb.Cleanup(func() { db.Close() })
 	frame := pictdb.R(0, 0, 1000, 1000)
 	sitemap, err := db.CreatePicture("sitemap", frame)
 	if err != nil {
@@ -734,7 +742,6 @@ func joinDatabase(tb testing.TB, n, m int, kind func(i int) int64) *pictdb.Datab
 	if err := regions.AttachPicture(regionmap, hilbert); err != nil {
 		tb.Fatal(err)
 	}
-	return db
 }
 
 // joinStatement is join_nested's juxtaposition: the regions of kind k
@@ -908,6 +915,74 @@ func TestWindowReadsBypassThePool(t *testing.T) {
 		if !found {
 			t.Fatalf("%s: the row written into the window is missing", q)
 		}
+	}
+}
+
+// TestJoinReadsBypassThePool is TestWindowReadsBypassThePool for
+// join_nested's shapes: on a reopened file of two relations,
+// juxtapositions whose restricted side probes the other's R-tree and
+// nested mappings, run from two goroutines, read through the file
+// mapping — no pool lookup, and residency unchanged.
+func TestJoinReadsBypassThePool(t *testing.T) {
+	const sites = 20_000
+	path := filepath.Join(t.TempDir(), "join.db")
+	db, err := pictdb.Open(path, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	joinRelations(t, db, sites, 800, func(i int) int64 { return int64(i % 64) })
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db, err = pictdb.Open(path, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if !db.MmapActive() {
+		t.Skip("no file mapping in this build: every read takes the pool path")
+	}
+	var texts []string
+	for k := int64(0); k < 4; k++ {
+		texts = append(texts, joinStatement(k, 100_000*k))
+	}
+	pts := workload.ClusteredPoints(sites, 50, 30, 1985)
+	for _, c := range pts[:4] {
+		texts = append(texts, fmt.Sprintf("select name from sites on sitemap at loc covered-by "+
+			"(select loc from regions on regionmap at loc overlapping {%g±30, %g±30} where kind < 48)", c.X, c.Y))
+	}
+	for _, q := range texts { // into the statement cache
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatalf("%s: no rows", q)
+		}
+	}
+	before, resident := db.PoolStats(), db.PoolResident()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if _, err := db.Query(texts[(g+i)%len(texts)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	after := db.PoolStats()
+	t.Logf("200 join statements: %d mapped page reads, %d page(s) resident", after.MmapPins-before.MmapPins, resident)
+	if after.MmapPins <= before.MmapPins {
+		t.Fatalf("200 join statements read no page through the mapping (mmap pins %d -> %d)", before.MmapPins, after.MmapPins)
+	}
+	if got := after.Hits + after.Misses - before.Hits - before.Misses; got != 0 || db.PoolResident() != resident {
+		t.Fatalf("200 join statements made %d pool lookups and moved residency %d -> %d, want none",
+			got, resident, db.PoolResident())
 	}
 }
 

@@ -1,6 +1,7 @@
 package pager
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -58,11 +59,12 @@ func BenchmarkFetchChecksum(b *testing.B) {
 }
 
 // warmPinPager writes benchPages pages to a real file and reopens it
-// with a one-page pool, so the pool cannot serve a Pin; only the
-// mapping (or, without it, backend reads) can. With wal the write-ahead
-// log is attached, holding no frame — how every pictdb.Open serves a
-// read-only workload.
-func warmPinPager(b *testing.B, wal bool) *Pager {
+// with a pool of pool pages, far fewer than benchPages, so the pool
+// cannot serve a Pin; only the mapping (or, without it, backend reads)
+// can. A parallel benchmark passes one page per goroutine, as each holds
+// one pin at a time. With wal the write-ahead log is attached, holding
+// no frame — how every pictdb.Open serves a read-only workload.
+func warmPinPager(b *testing.B, wal bool, pool int) *Pager {
 	b.Helper()
 	path := b.TempDir() + "/bench.db"
 	p := openLogged(b, path, benchPages+1)
@@ -77,7 +79,7 @@ func warmPinPager(b *testing.B, wal bool) *Pager {
 	if err := p.Close(); err != nil {
 		b.Fatal(err)
 	}
-	p, err := Open(path, 1)
+	p, err := Open(path, pool)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -102,7 +104,7 @@ func BenchmarkPinWarm(b *testing.B) { benchPinWarm(b, false) }
 func BenchmarkPinWarmWAL(b *testing.B) { benchPinWarm(b, true) }
 
 func benchPinWarm(b *testing.B, wal bool) {
-	p := warmPinPager(b, wal)
+	p := warmPinPager(b, wal, 1)
 	defer p.Close()
 	b.ReportAllocs()
 	b.SetBytes(PageSize)
@@ -119,12 +121,12 @@ func benchPinWarm(b *testing.B, wal bool) {
 // BenchmarkPinWarmParallel and BenchmarkPinWarmWALParallel pin the same
 // file from every core at once: what a pin costs when the words it
 // writes (the mapping's reference count, the mmap-pin counter — and, on
-// the pool path, a stripe's lock and LRU links) are shared.
+// the pool path, the pool's lock and LRU links) are shared.
 func BenchmarkPinWarmParallel(b *testing.B)    { benchPinWarmParallel(b, false) }
 func BenchmarkPinWarmWALParallel(b *testing.B) { benchPinWarmParallel(b, true) }
 
 func benchPinWarmParallel(b *testing.B, wal bool) {
-	p := warmPinPager(b, wal)
+	p := warmPinPager(b, wal, runtime.GOMAXPROCS(0))
 	defer p.Close()
 	b.ReportAllocs()
 	b.SetBytes(PageSize)
@@ -147,7 +149,7 @@ func benchPinWarmParallel(b *testing.B, wal bool) {
 // 100 pages, as Heap.GetBatch reads a window's candidates: one mapping
 // reference and one counter update per batch instead of per page.
 func BenchmarkReadBatchParallel(b *testing.B) {
-	p := warmPinPager(b, true)
+	p := warmPinPager(b, true, runtime.GOMAXPROCS(0))
 	defer p.Close()
 	b.ReportAllocs()
 	var next atomic.Uint32

@@ -1,5 +1,5 @@
 // Package pager provides the disk substrate for the pictorial database:
-// a file of fixed-size pages plus a sharded LRU buffer pool. The
+// a file of fixed-size pages plus an LRU buffer pool. The
 // relation heaps and the catalog store their records in pager pages.
 //
 // Durability (page format magic "PICTDB02"): every page reserves
@@ -18,13 +18,11 @@
 // therefore only partially checksummed, is refused with
 // ErrUnsupportedFormat and left untouched.
 //
-// Concurrency: the pool is striped into power-of-two mutex-guarded
-// shards keyed by PageID, each with its own LRU list, so concurrent
-// R-tree searches fetch pages without serializing on a single lock.
-// Fetch/Unpin touch only one shard; Allocate and Free additionally
-// serialize on the file-header lock. Eviction is LRU *per shard*
-// rather than globally — the classic trade of exactness for
-// scalability.
+// Concurrency: the pool is one page map and one LRU list under one
+// mutex. Reads go through the file mapping (view.go) and writes through
+// the write gate, so the pool serves the write side and is not split to
+// spread readers' traffic. Allocate and Free also serialize on the
+// file-header lock, taken before the pool's.
 package pager
 
 import (
@@ -34,7 +32,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -94,8 +91,8 @@ var ErrBadMagic = errors.New("pager: bad magic")
 // modified.
 var ErrUnsupportedFormat = errors.New("pager: unsupported format")
 
-// ErrPoolExhausted is returned when a page must be brought into the
-// buffer pool while as many pages as the pool holds are pinned.
+// ErrPoolExhausted is returned when a page must be brought into a full
+// buffer pool every page of which is pinned.
 var ErrPoolExhausted = errors.New("pager: buffer pool exhausted")
 
 // Page is an in-memory image of one disk page.
@@ -104,7 +101,7 @@ type Page struct {
 	Data  [PageSize]byte
 	dirty bool
 	pins  int
-	// prev/next link the page into its shard's LRU list when unpinned.
+	// prev/next link the page into the pool's LRU list when unpinned.
 	prev, next *Page
 }
 
@@ -255,37 +252,28 @@ type Stats struct {
 	MmapPins  uint64 // pages read straight from the mmap, no frame and no lock
 }
 
-// shard is one stripe of the buffer pool: a page map plus an LRU list
-// of its unpinned pages, most recent first, under its own mutex.
-type shard struct {
-	mu       sync.Mutex
-	capacity int
-	// pinned counts this stripe's pages with pins > 0. Every pin and
-	// unpin updates it, so it is a plain field under mu beside the
-	// fields they already write, not an atomic (which cost window_read
-	// 5% of its ops/s); poolPins reads it under each stripe's lock.
-	pinned  int
-	pages   map[PageID]*Page
-	lruHead *Page
-	lruTail *Page
-	stats   Stats // Hits/Misses/Evictions only
-}
-
-// Pager manages a page file through a sharded fixed-capacity LRU
-// buffer pool. It is safe for concurrent use; reads of distinct pages
-// proceed on distinct shards without contention.
+// Pager manages a page file through a fixed-capacity LRU buffer pool.
+// It is safe for concurrent use.
 type Pager struct {
 	backend  Backend
 	path     string // for error messages
-	shards   []shard
-	mask     uint32 // len(shards)-1; shard count is a power of two
 	closed   atomic.Bool
 	readOnly atomic.Bool
 
+	// pmu guards the buffer pool: its page map, the LRU list of its
+	// unpinned pages (most recent first), the pages' pin counts and the
+	// pool's counters.
+	pmu      sync.Mutex
+	capacity int
+	pages    map[PageID]*Page
+	lruHead  *Page
+	lruTail  *Page
+	stats    Stats // Hits/Misses/Evictions only
+
 	// hmu guards the file header state (page count, free list,
 	// generation) and serializes Allocate/Free. Lock order: hmu before
-	// any shard.mu. numPages is atomic so Fetch can range-check without
-	// touching hmu; it is only written under hmu.
+	// pmu. numPages is atomic so Fetch can range-check without touching
+	// hmu; it is only written under hmu.
 	hmu      sync.Mutex
 	numPages atomic.Uint32 // pages in file including header
 	freeHead PageID
@@ -301,7 +289,7 @@ type Pager struct {
 	mapping  atomic.Pointer[mapping]
 	retired  []*mapping
 	verified pageBits // on-disk image passed its CRC this generation
-	resident pageBits // page has a frame in the pool; written under its stripe's lock
+	resident pageBits // page has a frame in the pool; written under pmu
 	mmapPins atomic.Uint64
 
 	// Write-ahead log (wal.go): non-nil once EnableWAL/EnableWALBackend
@@ -354,26 +342,6 @@ func OpenBackend(b Backend, poolPages int) (*Pager, error) {
 	return newPager(b, poolPages, "(backend)")
 }
 
-// minStripePages is the fewest pages a stripe may hold: a small pool
-// is striped less, so a handful of pins cannot fill a stripe whatever
-// the core count.
-const minStripePages = 8
-
-// shardCount picks a power-of-two stripe count: enough to spread the
-// cores' fetch traffic, never so many that a shard would hold fewer
-// than minStripePages pages.
-func shardCount(capacity int) int {
-	target := runtime.GOMAXPROCS(0) * 2
-	if target > 16 {
-		target = 16
-	}
-	n := 1
-	for n < target && capacity/(n*2) >= minStripePages {
-		n *= 2
-	}
-	return n
-}
-
 // parseHeaderSlot validates one 32-byte header slot, returning its
 // fields when the magic and CRC check out.
 func parseHeaderSlot(slot []byte) (numPages uint32, freeHead PageID, flags byte, gen uint64, ok bool) {
@@ -410,20 +378,11 @@ func newPager(b Backend, poolPages int, path string) (*Pager, error) {
 	if poolPages < 1 {
 		return nil, fmt.Errorf("pager: pool must hold at least 1 page, got %d", poolPages)
 	}
-	ns := shardCount(poolPages)
 	p := &Pager{
-		backend: b,
-		path:    path,
-		shards:  make([]shard, ns),
-		mask:    uint32(ns - 1),
-	}
-	for i := range p.shards {
-		cap := poolPages / ns
-		if i < poolPages%ns {
-			cap++
-		}
-		p.shards[i].capacity = cap
-		p.shards[i].pages = make(map[PageID]*Page, cap)
+		backend:  b,
+		path:     path,
+		capacity: poolPages,
+		pages:    make(map[PageID]*Page, poolPages),
 	}
 	var hdr [PageSize]byte
 	n, err := b.ReadAt(hdr[:], 0)
@@ -482,10 +441,6 @@ func newPager(b Backend, poolPages int, path string) (*Pager, error) {
 	return p, nil
 }
 
-func (p *Pager) shardFor(id PageID) *shard {
-	return &p.shards[uint32(id)&p.mask]
-}
-
 // writeHeader serializes a header with the given page count and free
 // head into the inactive slot, flipping the active slot only when the
 // write succeeds. Write-back passes the *committed* values, not whatever
@@ -527,21 +482,21 @@ func (p *Pager) Closed() bool { return p.closed.Load() }
 // views holding a file mapping, and the pool pages pinned by Fetch,
 // Allocate or a reader. Both are zero once every pin is released.
 func (p *Pager) Outstanding() (readers int64, pins int) {
-	pins, _ = p.poolPins()
+	p.pmu.Lock()
+	for _, pg := range p.pages {
+		if pg.pins > 0 {
+			pins++
+		}
+	}
+	p.pmu.Unlock()
 	return heldReaders(p.mappings()), pins
 }
 
-// Stats returns a snapshot of the pool counters, summed over shards.
+// Stats returns a snapshot of the pool counters.
 func (p *Pager) Stats() Stats {
-	var s Stats
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		s.Hits += sh.stats.Hits
-		s.Misses += sh.stats.Misses
-		s.Evictions += sh.stats.Evictions
-		sh.mu.Unlock()
-	}
+	p.pmu.Lock()
+	s := p.stats
+	p.pmu.Unlock()
 	p.hmu.Lock()
 	s.Allocs = p.allocs
 	s.Frees = p.frees
@@ -554,24 +509,16 @@ func (p *Pager) Stats() Stats {
 // mapping that is the write side's working set (view.go), not the pages
 // read.
 func (p *Pager) Resident() int {
-	n := 0
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		n += len(sh.pages)
-		sh.mu.Unlock()
-	}
-	return n
+	p.pmu.Lock()
+	defer p.pmu.Unlock()
+	return len(p.pages)
 }
 
 // ResetStats zeroes the pool counters (between experiment phases).
 func (p *Pager) ResetStats() {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		sh.stats = Stats{}
-		sh.mu.Unlock()
-	}
+	p.pmu.Lock()
+	p.stats = Stats{}
+	p.pmu.Unlock()
 	p.hmu.Lock()
 	p.allocs, p.frees = 0, 0
 	p.hmu.Unlock()
@@ -602,7 +549,7 @@ func (p *Pager) Allocate() (*Page, error) {
 	defer p.hmu.Unlock()
 	if p.freeHead != InvalidPage {
 		// Pop the free list; its next pointer lives in the page bytes.
-		pg, err := p.fetchShard(p.freeHead)
+		pg, err := p.fetch(p.freeHead)
 		if err != nil {
 			return nil, err
 		}
@@ -620,7 +567,9 @@ func (p *Pager) Allocate() (*Page, error) {
 	}
 	id := PageID(p.numPages.Load())
 	p.numPages.Add(1)
+	p.pmu.Lock()
 	pg, err := p.install(id, false)
+	p.pmu.Unlock()
 	if err != nil {
 		// Roll the reservation back so a failed allocation (pool
 		// exhausted) doesn't leak a file page.
@@ -643,14 +592,13 @@ func (p *Pager) Free(id PageID) error {
 	if id == InvalidPage || uint32(id) >= p.numPages.Load() {
 		return fmt.Errorf("%w: %d", ErrPageRange, id)
 	}
-	pg, err := p.fetchShard(id)
+	pg, err := p.fetch(id)
 	if err != nil {
 		return err
 	}
-	sh := p.shardFor(id)
-	sh.mu.Lock()
+	p.pmu.Lock()
 	pinned := pg.pins > 1
-	sh.mu.Unlock()
+	p.pmu.Unlock()
 	if pinned {
 		p.Unpin(pg)
 		return fmt.Errorf("pager: freeing pinned page %d", id)
@@ -704,64 +652,38 @@ func (p *Pager) Fetch(id PageID) (*Page, error) {
 	if id == InvalidPage || uint32(id) >= p.numPages.Load() {
 		return nil, fmt.Errorf("%w: %d", ErrPageRange, id)
 	}
-	return p.fetchShard(id)
+	return p.fetch(id)
 }
 
-// fetchShard returns page id pinned, touching only its shard.
-func (p *Pager) fetchShard(id PageID) (*Page, error) {
-	sh := p.shardFor(id)
-	sh.mu.Lock()
-	if pg, ok := sh.pages[id]; ok {
-		sh.pinResident(pg)
-		sh.mu.Unlock()
+// fetch returns page id pinned, from the pool or read into it.
+func (p *Pager) fetch(id PageID) (*Page, error) {
+	p.pmu.Lock()
+	defer p.pmu.Unlock()
+	if pg, ok := p.pages[id]; ok {
+		p.pinResident(pg)
 		return pg, nil
 	}
-	sh.stats.Misses++
-	pg, err := p.installShard(sh, id, true)
-	sh.mu.Unlock()
-	return pg, err
+	p.stats.Misses++
+	return p.install(id, true)
 }
 
-// install makes room for page id in its shard and installs it.
-func (p *Pager) install(id PageID, read bool) (*Page, error) {
-	sh := p.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return p.installShard(sh, id, read)
-}
-
-// installShard evicts as needed and installs page id, reading its
-// contents from the newest WAL frame or the backend (verifying frame
-// CRC or page trailer respectively) when read is true. Caller holds
-// sh.mu.
+// install evicts as needed and installs page id, reading its contents
+// from the newest WAL frame or the backend (verifying frame CRC or page
+// trailer respectively) when read is true. Caller holds pmu.
 //
 // Eviction never steals: a dirty page reaches the page file only through
 // its log and a checkpoint, so eviction skips dirty victims and drops a
 // clean one without a write (its newest image is a WAL frame or the page
-// file). A stripe whose unpinned pages are all dirty overcommits until
-// the next commit logs them; one whose pages are all pinned overcommits
-// for as long as the pool as a whole has an unpinned page's worth of
-// room, and then refuses with ErrPoolExhausted. An overcommitted stripe
-// shrinks back as later installs find victims.
-func (p *Pager) installShard(sh *shard, id PageID, read bool) (*Page, error) {
+// file). A full pool whose unpinned pages are all dirty overcommits until
+// the next commit logs them, and shrinks back as later installs find
+// clean victims. A full pool every page of which is pinned refuses with
+// ErrPoolExhausted.
+func (p *Pager) install(id PageID, read bool) (*Page, error) {
 	w := p.wal.Load()
-	for len(sh.pages) >= sh.capacity {
-		victim := sh.lruTail
+	for len(p.pages) >= p.capacity {
+		victim := p.lruTail
 		if victim == nil {
-			// Counting the pool's pins takes each stripe's lock in turn, so
-			// ours is dropped meanwhile, and a racing fetch may install the
-			// page.
-			sh.mu.Unlock()
-			pinned, capacity := p.poolPins()
-			sh.mu.Lock()
-			if pg, ok := sh.pages[id]; ok {
-				sh.pinResident(pg)
-				return pg, nil
-			}
-			if pinned >= capacity {
-				return nil, fmt.Errorf("pager: page %d: %w: all %d pages pinned", id, ErrPoolExhausted, capacity)
-			}
-			break
+			return nil, fmt.Errorf("pager: page %d: %w: all %d pages pinned", id, ErrPoolExhausted, len(p.pages))
 		}
 		for victim != nil && victim.dirty {
 			victim = victim.prev
@@ -769,7 +691,7 @@ func (p *Pager) installShard(sh *shard, id PageID, read bool) (*Page, error) {
 		if victim == nil {
 			break
 		}
-		p.evict(sh, victim)
+		p.evict(victim)
 	}
 	pg := &Page{ID: id, pins: 1}
 	if read {
@@ -783,7 +705,7 @@ func (p *Pager) installShard(sh *shard, id PageID, read bool) (*Page, error) {
 			// page-file images, so leave it untouched.
 			err := w.readFrameImage(f, id, pg.Data[:])
 			if err == nil {
-				p.admit(sh, pg)
+				p.admit(pg)
 				return pg, nil
 			}
 			// A checkpoint may have retired the index and truncated the
@@ -810,50 +732,33 @@ func (p *Pager) installShard(sh *shard, id PageID, read bool) (*Page, error) {
 			return nil, err
 		}
 	}
-	p.admit(sh, pg)
+	p.admit(pg)
 	return pg, nil
 }
 
-// admit enters a freshly built, pinned page into its stripe. The
-// residency bit goes up here, under the stripe's lock and before the
-// page is handed to anyone who could dirty it, so a reader that finds
-// the bit clear knows the pool holds nothing newer than the file.
-// Caller holds sh.mu.
-func (p *Pager) admit(sh *shard, pg *Page) {
-	sh.pages[pg.ID] = pg
-	sh.pinned++
+// admit enters a freshly built, pinned page into the pool. The
+// residency bit goes up here, under pmu and before the page is handed
+// to anyone who could dirty it, so a reader that finds the bit clear
+// knows the pool holds nothing newer than the file. Caller holds pmu.
+func (p *Pager) admit(pg *Page) {
+	p.pages[pg.ID] = pg
 	p.resident.set(pg.ID)
 }
 
-// evict drops an unpinned, clean page from its stripe. Caller holds
-// sh.mu.
-func (p *Pager) evict(sh *shard, victim *Page) {
-	sh.lruRemove(victim)
-	delete(sh.pages, victim.ID)
+// evict drops an unpinned, clean page from the pool. Caller holds pmu.
+func (p *Pager) evict(victim *Page) {
+	p.lruRemove(victim)
+	delete(p.pages, victim.ID)
 	p.resident.clear(victim.ID)
-	sh.stats.Evictions++
+	p.stats.Evictions++
 }
 
-// poolPins returns how many pages are pinned pool-wide and how many the
-// pool holds. Caller holds no stripe lock.
-func (p *Pager) poolPins() (pinned, capacity int) {
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		pinned += sh.pinned
-		sh.mu.Unlock()
-		capacity += sh.capacity
-	}
-	return pinned, capacity
-}
-
-// pinResident takes a pin on a page already in the stripe, counting it
-// as a pool hit. Caller holds sh.mu.
-func (sh *shard) pinResident(pg *Page) {
-	sh.stats.Hits++
+// pinResident takes a pin on a page already in the pool, counting it as
+// a pool hit. Caller holds pmu.
+func (p *Pager) pinResident(pg *Page) {
+	p.stats.Hits++
 	if pg.pins == 0 {
-		sh.lruRemove(pg)
-		sh.pinned++
+		p.lruRemove(pg)
 	}
 	pg.pins++
 }
@@ -861,42 +766,41 @@ func (sh *shard) pinResident(pg *Page) {
 // Unpin releases a pin taken by Fetch or Allocate. Unpinned pages
 // become eligible for eviction.
 func (p *Pager) Unpin(pg *Page) {
-	sh := p.shardFor(pg.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	p.pmu.Lock()
+	defer p.pmu.Unlock()
 	if pg.pins <= 0 {
 		panic(fmt.Sprintf("pager: unpin of unpinned page %d", pg.ID))
 	}
 	pg.pins--
 	if pg.pins == 0 {
-		sh.lruPush(pg)
-		sh.pinned--
+		p.lruPush(pg)
 	}
 }
 
-// lruPush inserts pg at the head (most recently used).
-func (sh *shard) lruPush(pg *Page) {
+// lruPush inserts pg at the head (most recently used). Caller holds pmu.
+func (p *Pager) lruPush(pg *Page) {
 	pg.prev = nil
-	pg.next = sh.lruHead
-	if sh.lruHead != nil {
-		sh.lruHead.prev = pg
+	pg.next = p.lruHead
+	if p.lruHead != nil {
+		p.lruHead.prev = pg
 	}
-	sh.lruHead = pg
-	if sh.lruTail == nil {
-		sh.lruTail = pg
+	p.lruHead = pg
+	if p.lruTail == nil {
+		p.lruTail = pg
 	}
 }
 
-func (sh *shard) lruRemove(pg *Page) {
+// lruRemove unlinks pg from the LRU list. Caller holds pmu.
+func (p *Pager) lruRemove(pg *Page) {
 	if pg.prev != nil {
 		pg.prev.next = pg.next
-	} else if sh.lruHead == pg {
-		sh.lruHead = pg.next
+	} else if p.lruHead == pg {
+		p.lruHead = pg.next
 	}
 	if pg.next != nil {
 		pg.next.prev = pg.prev
-	} else if sh.lruTail == pg {
-		sh.lruTail = pg.prev
+	} else if p.lruTail == pg {
+		p.lruTail = pg.prev
 	}
 	pg.prev, pg.next = nil, nil
 }
@@ -923,26 +827,17 @@ func (p *Pager) Commit() error {
 	return p.commitWAL(p.wal.Load())
 }
 
-// dirtyPage is a dirty pool page and the stripe that holds it.
-type dirtyPage struct {
-	pg *Page
-	sh *shard
-}
-
 // dirtyPages returns every dirty pool page, in page order.
-func (p *Pager) dirtyPages() []dirtyPage {
-	var out []dirtyPage
-	for i := range p.shards {
-		sh := &p.shards[i]
-		sh.mu.Lock()
-		for _, pg := range sh.pages {
-			if pg.dirty {
-				out = append(out, dirtyPage{pg, sh})
-			}
+func (p *Pager) dirtyPages() []*Page {
+	var out []*Page
+	p.pmu.Lock()
+	for _, pg := range p.pages {
+		if pg.dirty {
+			out = append(out, pg)
 		}
-		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pg.ID < out[j].pg.ID })
+	p.pmu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

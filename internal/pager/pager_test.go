@@ -73,7 +73,7 @@ func TestPoolExhaustion(t *testing.T) {
 }
 
 // atGOMAXPROCS runs fn as a subtest at 1, 2 and 8 procs: the pool's
-// stripe count is derived from GOMAXPROCS, its behaviour must not be.
+// behaviour must not depend on the core count.
 func atGOMAXPROCS(t *testing.T, fn func(t *testing.T)) {
 	for _, n := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("procs=%d", n), func(t *testing.T) {
@@ -83,9 +83,10 @@ func atGOMAXPROCS(t *testing.T, fn func(t *testing.T)) {
 	}
 }
 
-// TestPoolExhaustedOnlyWhenFullyPinned: pins crowded into one stripe
-// overcommit it rather than fail; the typed error arrives only once as
-// many pages as the pool holds are pinned, at any core count.
+// TestPoolExhaustedOnlyWhenFullyPinned: pins of pages whose ids share
+// their low bits fill the pool like any others; the typed error arrives
+// exactly when as many pages as the pool holds are pinned, at any core
+// count.
 func TestPoolExhaustedOnlyWhenFullyPinned(t *testing.T) {
 	atGOMAXPROCS(t, func(t *testing.T) {
 		const pool = 32
@@ -102,7 +103,6 @@ func TestPoolExhaustedOnlyWhenFullyPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Ids congruent mod 16 share a stripe at every stripe count.
 		var held []*Page
 		for i := 1; i <= pool; i++ {
 			pg, err := p.Fetch(PageID(16 * i))
@@ -125,6 +125,81 @@ func TestPoolExhaustedOnlyWhenFullyPinned(t *testing.T) {
 			p.Unpin(h)
 		}
 	})
+}
+
+// TestEvictionIsPoolWideLRU: the victim is the least recently used
+// clean page of the whole pool, whatever its id, at any core count.
+func TestEvictionIsPoolWideLRU(t *testing.T) {
+	atGOMAXPROCS(t, func(t *testing.T) {
+		const pool = 32
+		p := OpenMem(pool)
+		defer p.Close()
+		var ids []PageID
+		for i := 0; i < pool+1; i++ {
+			pg, err := p.Allocate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, pg.ID)
+			p.Unpin(pg)
+			// Committed pages are clean: the last allocation evicts ids[0].
+			if err := p.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Use the pool's pages but ids[1], from the last to the first, so
+		// ids[1] is the least recently used and ids[2] the next.
+		for i := pool; i >= 2; i-- {
+			pg, err := p.Fetch(ids[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Unpin(pg)
+		}
+		pg, err := p.Fetch(ids[0]) // evicts exactly ids[1]
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Unpin(pg)
+		for i, id := range ids {
+			if got, want := p.resident.get(id), i != 1; got != want {
+				t.Fatalf("page %d (ids[%d]): resident %v, want %v", id, i, got, want)
+			}
+		}
+		if s := p.Stats(); s.Evictions != 2 {
+			t.Fatalf("evictions %d, want 2 (the allocation's and the fetch's)", s.Evictions)
+		}
+	})
+}
+
+// TestDirtyPoolOvercommitsUntilCommit: a full pool whose unpinned pages
+// are all dirty grows past its capacity rather than fail, and shrinks
+// back to it once a commit has made its pages clean.
+func TestDirtyPoolOvercommitsUntilCommit(t *testing.T) {
+	const pool = 8
+	p := OpenMem(pool)
+	defer p.Close()
+	for i := 0; i < 2*pool; i++ {
+		pg, err := p.Allocate()
+		if err != nil {
+			t.Fatalf("allocation %d into a dirty pool: %v", i, err)
+		}
+		p.Unpin(pg)
+	}
+	if n := p.Resident(); n != 2*pool {
+		t.Fatalf("resident %d before the commit, want %d", n, 2*pool)
+	}
+	if err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	pg, err := p.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(pg)
+	if n := p.Resident(); n != pool {
+		t.Fatalf("resident %d after the commit, want %d", n, pool)
+	}
 }
 
 func TestFreeAndReuse(t *testing.T) {
@@ -333,10 +408,10 @@ func TestLRUOrder(t *testing.T) {
 	}
 }
 
-// TestShardedPoolConcurrentMixed hammers the sharded pool with
-// concurrent allocates, fetches, and frees, then checks every
-// surviving page round-trips its stamp. Run under -race (make check)
-// this exercises the shard striping and the header lock.
+// TestShardedPoolConcurrentMixed hammers the pool with concurrent
+// allocates, fetches, and frees, then checks every surviving page
+// round-trips its stamp. Run under -race (make check) this exercises
+// the pool's lock and the header lock taken before it.
 func TestShardedPoolConcurrentMixed(t *testing.T) {
 	atGOMAXPROCS(t, testShardedPoolConcurrentMixed)
 }

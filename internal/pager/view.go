@@ -15,7 +15,7 @@ package pager
 //     disk) is always served from its frame, and a page with a WAL frame
 //     through the pool's WAL-aware read, so readers never observe stale
 //     bytes. Residency is one bit per page (Pager.resident), so the
-//     common "not resident" answer costs one atomic load and no stripe
+//     common "not resident" answer costs one atomic load and no pool
 //     lock.
 //   - Without a mapping (other platforms, the pictdb_nommap build,
 //     memory, fault-injecting and crash-capture backends) every read takes
@@ -95,15 +95,14 @@ func (r *Reader) Page(id PageID) ([]byte, error) {
 		// excluded by the callers' own locks (a relation's heap lock),
 		// as it must be for the bytes to stay put while they are read.
 		if uint32(id) >= trackedPages || p.resident.get(id) {
-			sh := p.shardFor(id)
-			sh.mu.Lock()
-			if pg, ok := sh.pages[id]; ok {
-				sh.pinResident(pg)
-				sh.mu.Unlock()
+			p.pmu.Lock()
+			if pg, ok := p.pages[id]; ok {
+				p.pinResident(pg)
+				p.pmu.Unlock()
 				r.pg = pg
 				return pg.Data[:], nil
 			}
-			sh.mu.Unlock()
+			p.pmu.Unlock()
 		}
 		// A page whose newest image lives in a WAL frame is stale under
 		// the mapping: it goes through the pool, whose read path resolves
@@ -117,7 +116,7 @@ func (r *Reader) Page(id PageID) ([]byte, error) {
 			return b, nil
 		}
 	}
-	pg, err := p.fetchShard(id)
+	pg, err := p.fetch(id)
 	if err != nil {
 		return nil, err
 	}

@@ -119,8 +119,8 @@ var readers = []struct {
 	}},
 }
 
-// evictAll pushes every unpinned page out of a one-stripe pool of
-// capacity pages by fetching that many others.
+// evictAll pushes every unpinned page out of a pool of capacity pages
+// by fetching that many others.
 func evictAll(t *testing.T, p *Pager, others []PageID) {
 	t.Helper()
 	for _, id := range others {
@@ -143,7 +143,7 @@ func TestPinPrefersDirtyPoolPage(t *testing.T) {
 		t.Run(rd.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "dirty.db")
 			ids := buildFile(t, path, 5)
-			p := openLogged(t, path, 2) // one stripe of two frames
+			p := openLogged(t, path, 2) // a pool of two frames
 			defer p.Close()
 			if err := p.EnableMmap(); err != nil && mmapSupported {
 				t.Fatal(err)
@@ -322,10 +322,14 @@ func TestPageBitsLoseNoBitToGrowth(t *testing.T) {
 
 // TestResidencyMatchesPoolUnderChurn: eight goroutines fetch, dirty and
 // release pages of a pool too small to hold them (installs and
-// evictions on every stripe) while another allocates (the file grows);
-// afterwards a page's residency bit is set exactly when a stripe holds
-// its frame.
+// evictions throughout) while another allocates (the file grows);
+// afterwards a page's residency bit is set exactly when the pool holds
+// its frame, at any core count.
 func TestResidencyMatchesPoolUnderChurn(t *testing.T) {
+	atGOMAXPROCS(t, testResidencyMatchesPoolUnderChurn)
+}
+
+func testResidencyMatchesPoolUnderChurn(t *testing.T) {
 	p := OpenMem(32)
 	defer p.Close()
 	const pages = 256
@@ -369,10 +373,9 @@ func TestResidencyMatchesPoolUnderChurn(t *testing.T) {
 	}
 	wg.Wait()
 	for id := PageID(1); int(id) < p.NumPages(); id++ {
-		sh := p.shardFor(id)
-		sh.mu.Lock()
-		_, inPool := sh.pages[id]
-		sh.mu.Unlock()
+		p.pmu.Lock()
+		_, inPool := p.pages[id]
+		p.pmu.Unlock()
 		if got := p.resident.get(id); got != inPool {
 			t.Fatalf("page %d: residency bit %v, frame in pool %v", id, got, inPool)
 		}

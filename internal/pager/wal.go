@@ -395,8 +395,7 @@ func (p *Pager) walCommitBatch(w *walState, writers int) error {
 	w.imu.RLock()
 	base := w.size
 	w.imu.RUnlock()
-	for i, c := range caps {
-		pg := c.pg
+	for i, pg := range caps {
 		stampTrailer(pg.Data[:])
 		offs[i] = base + int64(len(buf))
 		buf = appendFrame(buf, frameKindPage, gen, uint32(pg.ID), pg.Data[:])
@@ -415,19 +414,19 @@ func (p *Pager) walCommitBatch(w *walState, writers int) error {
 	// the captured pages clean — nothing re-dirties them while the gate
 	// is held.
 	w.imu.Lock()
-	for i, c := range caps {
-		id := c.pg.ID
+	for i, pg := range caps {
+		id := pg.ID
 		w.index[id] = append(w.index[id], walFrame{gen: gen, off: offs[i]})
 	}
 	w.frames.Add(int64(len(caps)))
 	w.size = base + int64(len(buf))
 	w.stats.Frames += uint64(len(caps))
 	w.imu.Unlock()
-	for _, c := range caps {
-		c.sh.mu.Lock()
-		c.pg.dirty = false
-		c.sh.mu.Unlock()
+	p.pmu.Lock()
+	for _, pg := range caps {
+		pg.dirty = false
 	}
+	p.pmu.Unlock()
 	p.writeGate.Unlock()
 
 	if err := w.backend.Sync(); err != nil {

@@ -34,9 +34,10 @@ type Executor struct {
 	cache *stmtCache
 }
 
-// maxProductRows caps unindexed products — a cartesian product, the
-// qualifying pairs of a disjoined juxtaposition — as a safety net;
-// tests lower it.
+// maxProductRows caps unindexed products — a cartesian product of two
+// or more relations, the qualifying pairs of a disjoined juxtaposition —
+// as a safety net; tests lower it. One relation's candidates are no
+// product and are not capped.
 var maxProductRows = 1_000_000
 
 // NewExecutor returns an executor with the builtin function registry
@@ -694,41 +695,21 @@ func (st *execState) juxtapose(bi, bj int, op SpatialOp) ([]row, error) {
 }
 
 // traversalPairs joins the two sides by simultaneous R-tree traversal.
-// juxtapose sorts the pairs canonically, so the result rows stay
-// deterministic across driving-side choices. The driving side is the
-// bigger index by live node count (packed plus delta, summed over
-// shards): the larger tree goes first.
-func (st *execState) traversalPairs(sides *[2]joinSide, op SpatialOp, nodesA, nodesB int) ([]pair, error) {
+// The traversal visits the same node pairs whichever tree goes first,
+// and juxtapose sorts the pairs canonically, so the sides go in their
+// own order.
+func (st *execState) traversalPairs(sides *[2]joinSide, op SpatialOp) ([]pair, error) {
 	a, b := st.bindings[sides[0].bi], st.bindings[sides[1].bi]
-	pred := spatialPred(op)
-	var pairs []pair
-	drive := a.name
-	if nodesB > nodesA {
-		drive = b.name
-		jp, visited, err := b.rel.JuxtaposeSpatial(b.picture, a.rel, a.picture,
-			func(y, x geom.Rect) bool { return pred(x, y) }, 0)
-		if err != nil {
-			return nil, err
-		}
-		st.visited += visited
-		pairs = make([]pair, len(jp))
-		for i, p := range jp {
-			pairs[i] = pair{x: p.B, y: p.A}
-		}
-	} else {
-		jp, visited, err := a.rel.JuxtaposeSpatial(a.picture, b.rel, b.picture,
-			func(x, y geom.Rect) bool { return pred(x, y) }, 0)
-		if err != nil {
-			return nil, err
-		}
-		st.visited += visited
-		pairs = make([]pair, len(jp))
-		for i, p := range jp {
-			pairs[i] = pair{x: p.A, y: p.B}
-		}
+	jp, visited, err := a.rel.JuxtaposeSpatial(a.picture, b.rel, b.picture, spatialPred(op), 0)
+	if err != nil {
+		return nil, err
 	}
-	st.note("juxtaposition: simultaneous R-tree traversal of %q and %q (%s), driving %q (%d vs %d nodes)",
-		a.name, b.name, op, drive, nodesA, nodesB)
+	st.visited += visited
+	pairs := make([]pair, len(jp))
+	for i, p := range jp {
+		pairs[i] = pair{x: p.A, y: p.B}
+	}
+	st.note("juxtaposition: simultaneous R-tree traversal of %q and %q (%s)", a.name, b.name, op)
 	return pairs, nil
 }
 
@@ -772,9 +753,9 @@ func (st *execState) fetchSide(bi, s int, pairs []pair) ([]relation.Tuple, error
 // each record's bytes so that only its survivors enter the product:
 // fixed through fetchKept, or not at all when kept holds ids' tuples,
 // already fetched and restricted, and every other binding by one scan.
-// Product rows share the decoded tuples. The cap on the product counts
-// the candidates as they stand before the terms, as the naive
-// executor's does, and is checked before anything is read.
+// Product rows share the decoded tuples. The cap on a product of two or
+// more bindings counts the candidates as they stand before the terms,
+// as the naive executor's does, and is checked before anything is read.
 func (st *execState) cartesian(fixed int, ids []storage.TupleID, kept []relation.Tuple) ([]row, error) {
 	nb := len(st.bindings)
 	product := 1
@@ -785,7 +766,7 @@ func (st *execState) cartesian(fixed int, ids []storage.TupleID, kept []relation
 		} else {
 			product *= b.rel.Len()
 		}
-		if product > limit {
+		if nb > 1 && product > limit {
 			return nil, fmt.Errorf("psql: cartesian product exceeds %d rows; add an at-clause", limit)
 		}
 	}

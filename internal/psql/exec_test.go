@@ -774,26 +774,7 @@ func TestTextRefusalsTouchNoPage(t *testing.T) {
 // columns the statement selects — and answers as the naive executor
 // does.
 func TestBTreeWindowReadsEachCandidateOnce(t *testing.T) {
-	p := pager.OpenMem(4096)
-	defer p.Close()
-	pic := picture.New("m", geom.R(0, 0, 1000, 1000))
-	rel, err := relation.NewSharded(p, 1, "pts", relation.MustSchema("n:int", "k:int", "loc:loc"), oneRelation{pic: pic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10_000; i++ {
-		oid := pic.AddPoint("", geom.Pt(float64(i%100)*10, float64(i/100)*10))
-		if _, err := rel.Insert(relation.Tuple{relation.I(int64(i)), relation.I(int64(i % 500)), relation.L("m", oid)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rel.CreateIndex("k"); err != nil {
-		t.Fatal(err)
-	}
-	if err := rel.AttachPicture(pic, pack.Options{Method: pack.MethodHilbert}); err != nil {
-		t.Fatal(err)
-	}
-	e := psql.NewExecutor(oneRelation{rel, pic})
+	rel, e := btreePoints(t)
 	q := `select n from pts on m at loc covered-by {250±250, 500±500} where k = 7 and n >= 1000`
 	candidates, _ := rel.Lookup(relation.Term{Col: 1, Op: relation.OpEq, Val: relation.I(7)})
 	reads := 0
@@ -816,6 +797,33 @@ func TestBTreeWindowReadsEachCandidateOnce(t *testing.T) {
 	if len(got.Rows) == 0 || !reflect.DeepEqual(got.Rows, want.Rows) {
 		t.Fatalf("planned %v, naive %v", got.Rows, want.Rows)
 	}
+}
+
+// btreePoints builds pts(n, k, loc): 10 000 points n on a 100 × 100
+// grid of picture m, n%100 along x and n/100 along y, 10 apart, with k =
+// n%500 under a B-tree and loc Hilbert-packed; and an executor over it.
+func btreePoints(t *testing.T) (*relation.Relation, *psql.Executor) {
+	t.Helper()
+	p := pager.OpenMem(4096)
+	t.Cleanup(func() { p.Close() })
+	pic := picture.New("m", geom.R(0, 0, 1000, 1000))
+	rel, err := relation.NewSharded(p, 1, "pts", relation.MustSchema("n:int", "k:int", "loc:loc"), oneRelation{pic: pic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10_000; i++ {
+		oid := pic.AddPoint("", geom.Pt(float64(i%100)*10, float64(i/100)*10))
+		if _, err := rel.Insert(relation.Tuple{relation.I(int64(i)), relation.I(int64(i % 500)), relation.L("m", oid)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rel.CreateIndex("k"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rel.AttachPicture(pic, pack.Options{Method: pack.MethodHilbert}); err != nil {
+		t.Fatal(err)
+	}
+	return rel, psql.NewExecutor(oneRelation{rel, pic})
 }
 
 // TestScanReadsEachRecordOnce: a statement with no at-clause and no

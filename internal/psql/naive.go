@@ -201,7 +201,7 @@ func (st *execState) naiveCartesian(fixed map[int][]storage.TupleID) ([]row, err
 			lists[i] = ids
 		}
 		product *= len(lists[i])
-		if product > limit {
+		if len(lists) > 1 && product > limit {
 			return nil, fmt.Errorf("psql: cartesian product exceeds %d rows; add an at-clause", limit)
 		}
 	}

@@ -100,8 +100,8 @@ var packedPlans = []string{
 	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), overlapping`,
 	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), disjoined`,
 	`index lookup: B-tree on cities.city (=) drives the at-clause (est 10.4 vs direct 27.4)`,
-	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (16 vs 1 nodes)`,
-	`juxtaposition: simultaneous R-tree traversal of "time-zones" and "cities" (covering), driving "cities" (1 vs 16 nodes)`,
+	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by)`,
+	`juxtaposition: simultaneous R-tree traversal of "time-zones" and "cities" (covering)`,
 	`direct spatial search: R-tree of "lakes" on "lake-map", 15 window(s), covered-by | nested: direct spatial search: R-tree of "states" on "state-map", 1 window(s), overlapping`,
 	`index lookup: B-tree on cities.population (>) (est 37.3 vs scan 48.0)`,
 	`index lookup: B-tree on cities.population (>) (est 37.3 vs scan 48.0)`,
@@ -109,16 +109,16 @@ var packedPlans = []string{
 	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
 	`cost: direct spatial search (est 27.4) kept over B-tree on cities.population (est 37.3) | direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
 	// Juxtapositions with a where-clause, pinned when restrict.go landed.
-	`juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 18.0) | cost: traversal (est 18.0) kept over batched direct search from the 1 surviving "time-zones" MBR(s) (est 21.1) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (16 vs 1 nodes)`,
+	`juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 18.0) | cost: traversal (est 18.0) kept over batched direct search from the 1 surviving "time-zones" MBR(s) (est 21.1) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by)`,
 	`juxtaposition restriction: "cities" reduced to 1 of 48 tuple(s) by 1 where-term(s), B-tree on cities.city (=) (est 10.4 vs traversal 18.0) | juxtaposition: batched direct search of "time-zones" from the 1 surviving "cities" MBR(s) (covered-by) (est 5.0 vs traversal 18.0)`,
-	`cost: traversal (est 18.0) kept over restricting "cities" (est 48.0) | juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 18.0) | cost: traversal (est 18.0) kept over batched direct search from the 1 surviving "time-zones" MBR(s) (est 24.8) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (16 vs 1 nodes)`,
+	`cost: traversal (est 18.0) kept over restricting "cities" (est 48.0) | juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 18.0) | cost: traversal (est 18.0) kept over batched direct search from the 1 surviving "time-zones" MBR(s) (est 24.8) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by)`,
 	`juxtaposition restriction: "cities" reduced to 1 of 48 tuple(s) by 1 where-term(s), B-tree on cities.city (=) (est 10.4 vs traversal 18.0) | juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 18.0) | juxtaposition: batched direct search of "time-zones" from the 1 surviving "cities" MBR(s) (covered-by) (est 5.0 vs traversal 18.0)`,
-	`cost: traversal (est 18.0) kept over restricting "cities" (est 37.3) | juxtaposition restriction: "time-zones" reduced to 4 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 18.0) | cost: traversal (est 18.0) kept over batched direct search from the 4 surviving "time-zones" MBR(s) (est 79.3) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (16 vs 1 nodes)`,
-	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (16 vs 1 nodes)`,
-	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (16 vs 1 nodes)`,
+	`cost: traversal (est 18.0) kept over restricting "cities" (est 37.3) | juxtaposition restriction: "time-zones" reduced to 4 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 18.0) | cost: traversal (est 18.0) kept over batched direct search from the 4 surviving "time-zones" MBR(s) (est 79.3) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by)`,
+	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by)`,
+	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by)`,
 	`juxtaposition restriction: "cities" reduced to 6 of 48 tuple(s) by 1 where-term(s), B-tree on cities.population (>) (est 37.3) | juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0) | juxtaposition: nested loop of "cities" and "time-zones" (disjoined admits no pruning)`,
 	`juxtaposition restriction: "cities" reduced to 1 of 48 tuple(s) by 1 where-term(s), B-tree on cities.city (=) (est 10.4 vs traversal 18.0) | juxtaposition: batched direct search of "time-zones" from the 1 surviving "cities" MBR(s) (covering) (est 5.0 vs traversal 18.0)`,
-	`juxtaposition restriction: "time-zones" reduced to 2 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 18.0) | cost: traversal (est 18.0) kept over batched direct search from the 2 surviving "time-zones" MBR(s) (est 33.4) | juxtaposition: simultaneous R-tree traversal of "time-zones" and "cities" (covering), driving "cities" (1 vs 16 nodes)`,
+	`juxtaposition restriction: "time-zones" reduced to 2 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 18.0) | cost: traversal (est 18.0) kept over batched direct search from the 2 surviving "time-zones" MBR(s) (est 33.4) | juxtaposition: simultaneous R-tree traversal of "time-zones" and "cities" (covering)`,
 }
 
 var warmPlans = []string{
@@ -127,8 +127,8 @@ var warmPlans = []string{
 	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), overlapping`,
 	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), disjoined`,
 	`index lookup: B-tree on cities.city (=) drives the at-clause (est 14.5 vs direct 48.9)`,
-	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (19 vs 1 nodes)`,
-	`juxtaposition: simultaneous R-tree traversal of "time-zones" and "cities" (covering), driving "cities" (1 vs 19 nodes)`,
+	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by)`,
+	`juxtaposition: simultaneous R-tree traversal of "time-zones" and "cities" (covering)`,
 	`direct spatial search: R-tree of "lakes" on "lake-map", 15 window(s), covered-by | nested: direct spatial search: R-tree of "states" on "state-map", 1 window(s), overlapping`,
 	`index lookup: B-tree on cities.population (>) (est 59.8 vs scan 81.0)`,
 	`index lookup: B-tree on cities.population (>) (est 59.8 vs scan 81.0)`,
@@ -136,14 +136,14 @@ var warmPlans = []string{
 	`direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
 	`cost: direct spatial search (est 48.9) kept over B-tree on cities.population (est 59.8) | direct spatial search: R-tree of "cities" on "us-map", 1 window(s), covered-by`,
 	// Juxtapositions with a where-clause, pinned when restrict.go landed.
-	`juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 21.0) | cost: traversal (est 21.0) kept over batched direct search from the 1 surviving "time-zones" MBR(s) (est 39.4) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (19 vs 1 nodes)`,
+	`juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 21.0) | cost: traversal (est 21.0) kept over batched direct search from the 1 surviving "time-zones" MBR(s) (est 39.4) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by)`,
 	`juxtaposition restriction: "cities" reduced to 1 of 81 tuple(s) by 1 where-term(s), B-tree on cities.city (=) (est 14.5 vs traversal 21.0) | juxtaposition: batched direct search of "time-zones" from the 1 surviving "cities" MBR(s) (covered-by) (est 5.0 vs traversal 21.0)`,
-	`cost: traversal (est 21.0) kept over restricting "cities" (est 81.0) | juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 21.0) | cost: traversal (est 21.0) kept over batched direct search from the 1 surviving "time-zones" MBR(s) (est 39.3) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (19 vs 1 nodes)`,
+	`cost: traversal (est 21.0) kept over restricting "cities" (est 81.0) | juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 21.0) | cost: traversal (est 21.0) kept over batched direct search from the 1 surviving "time-zones" MBR(s) (est 39.3) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by)`,
 	`juxtaposition restriction: "cities" reduced to 1 of 81 tuple(s) by 1 where-term(s), B-tree on cities.city (=) (est 14.5 vs traversal 21.0) | juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 21.0) | juxtaposition: batched direct search of "time-zones" from the 1 surviving "cities" MBR(s) (covered-by) (est 5.0 vs traversal 21.0)`,
-	`cost: traversal (est 21.0) kept over restricting "cities" (est 59.8) | juxtaposition restriction: "time-zones" reduced to 4 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 21.0) | cost: traversal (est 21.0) kept over batched direct search from the 4 surviving "time-zones" MBR(s) (est 135.9) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (19 vs 1 nodes)`,
-	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (19 vs 1 nodes)`,
-	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by), driving "cities" (19 vs 1 nodes)`,
+	`cost: traversal (est 21.0) kept over restricting "cities" (est 59.8) | juxtaposition restriction: "time-zones" reduced to 4 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 21.0) | cost: traversal (est 21.0) kept over batched direct search from the 4 surviving "time-zones" MBR(s) (est 135.9) | juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by)`,
+	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by)`,
+	`juxtaposition: simultaneous R-tree traversal of "cities" and "time-zones" (covered-by)`,
 	`juxtaposition restriction: "cities" reduced to 5 of 81 tuple(s) by 1 where-term(s), B-tree on cities.population (>) (est 59.8) | juxtaposition restriction: "time-zones" reduced to 1 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0) | juxtaposition: nested loop of "cities" and "time-zones" (disjoined admits no pruning)`,
 	`juxtaposition restriction: "cities" reduced to 1 of 81 tuple(s) by 1 where-term(s), B-tree on cities.city (=) (est 14.5 vs traversal 21.0) | juxtaposition: batched direct search of "time-zones" from the 1 surviving "cities" MBR(s) (covering) (est 5.0 vs traversal 21.0)`,
-	`juxtaposition restriction: "time-zones" reduced to 2 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 21.0) | cost: traversal (est 21.0) kept over batched direct search from the 2 surviving "time-zones" MBR(s) (est 57.3) | juxtaposition: simultaneous R-tree traversal of "time-zones" and "cities" (covering), driving "cities" (1 vs 19 nodes)`,
+	`juxtaposition restriction: "time-zones" reduced to 2 of 4 tuple(s) by 1 where-term(s), heap scan (est 4.0 vs traversal 21.0) | cost: traversal (est 21.0) kept over batched direct search from the 2 surviving "time-zones" MBR(s) (est 57.3) | juxtaposition: simultaneous R-tree traversal of "time-zones" and "cities" (covering)`,
 }

@@ -281,11 +281,11 @@ func TestPlannerAccessPathChoice(t *testing.T) {
 	if !strings.Contains(p, "direct spatial search") {
 		t.Errorf("range conjunct should keep direct spatial search; plan: %s", p)
 	}
-	// Juxtaposition reports its driving side.
+	// Juxtaposition reports its join.
 	p = plan(`select city, zone from cities, time-zones on us-map, time-zone-map
 	          at cities.loc covered-by time-zones.loc`)
-	if !strings.Contains(p, "juxtaposition") || !strings.Contains(p, "driving") {
-		t.Errorf("juxtaposition plan should name the driving side; plan: %s", p)
+	if !strings.Contains(p, "juxtaposition: simultaneous R-tree traversal") {
+		t.Errorf("juxtaposition plan should name the traversal; plan: %s", p)
 	}
 	// Nested mappings report their own plan, prefixed.
 	res, err := db.Query(`select lake from lakes on lake-map

@@ -301,7 +301,7 @@ func (st *execState) intersectingPairs(sides *[2]joinSide, op SpatialOp) ([]pair
 					costJoin, len(sides[s].items), st.bindings[sides[s].bi].name, sides[s].costProbe)
 			}
 		}
-		pairs, err = st.traversalPairs(sides, op, nodesA, nodesB)
+		pairs, err = st.traversalPairs(sides, op)
 	}
 	if err != nil {
 		return nil, err

@@ -62,7 +62,9 @@ func TestJuxtapositionErrorParity(t *testing.T) {
 // juxtaposition is an unindexed product, and both executors refuse one
 // whose qualifying pairs — counted after the one-relation where-terms —
 // pass the cap on unindexed products, with the same error; and a
-// product of two relations, counted before the where-terms, alike.
+// product of two relations, counted before the where-terms, alike. One
+// relation's window candidates are no product, and neither executor
+// caps them.
 func TestDisjoinedJuxtapositionHonorsMaxProductRows(t *testing.T) {
 	db := usdb(t)
 	e := psql.NewExecutor(db)
@@ -119,6 +121,27 @@ func TestDisjoinedJuxtapositionHonorsMaxProductRows(t *testing.T) {
 			t.Fatalf("%s:\nplanned %v\n  naive %v", q, perr, nerr)
 		}
 	}
+
+	// A B-tree-driven window keeps 20 of its thousands of candidates;
+	// under a cap of 100 both executors answer it, with the same rows.
+	_, pts := btreePoints(t)
+	restore100 := psql.SetMaxProductRows(100)
+	window := `select n from pts on m at loc covered-by {250±250, 500±500} where k = 7`
+	planned, err := pts.Run(window)
+	if err != nil {
+		t.Fatalf("one-relation window under the cap: %v", err)
+	}
+	if plan := strings.Join(planned.Plan, "\n"); !strings.Contains(plan, "index lookup: B-tree on pts.k") {
+		t.Fatalf("not a B-tree-driven window:\n%s", plan)
+	}
+	naive, err := pts.RunNaive(window)
+	if err != nil {
+		t.Fatalf("one-relation window under the cap, naive: %v", err)
+	}
+	if planned.Len() != 20 || !reflect.DeepEqual(planned.Rows, naive.Rows) {
+		t.Fatalf("one-relation window: planned %d rows %v, naive %d rows %v", planned.Len(), planned.Rows, naive.Len(), naive.Rows)
+	}
+	restore100()
 
 	// The default limit leaves the same statement alone.
 	restore()

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -495,7 +496,7 @@ func TestJoinPairsMatchesNestedLoop(t *testing.T) {
 		}
 	}
 	got := make(map[[2]int64]bool)
-	JoinPairs(a, b, pred, func(x, y Item) bool {
+	visited := JoinPairs(a, b, pred, func(x, y Item) bool {
 		got[[2]int64{x.Data, y.Data}] = true
 		return true
 	})
@@ -506,6 +507,16 @@ func TestJoinPairsMatchesNestedLoop(t *testing.T) {
 		if !got[k] {
 			t.Fatalf("join missed pair %v", k)
 		}
+	}
+	// The traversal has no driving side: handed the trees the other way
+	// round, it visits as many node pairs and finds the mirrored pairs.
+	mirrored := make(map[[2]int64]bool)
+	swappedVisited := JoinPairs(b, a, func(y, x geom.Rect) bool { return pred(x, y) }, func(y, x Item) bool {
+		mirrored[[2]int64{x.Data, y.Data}] = true
+		return true
+	})
+	if swappedVisited != visited || !maps.Equal(mirrored, got) {
+		t.Fatalf("swapped join: %d pairs in %d visits, want %d in %d", len(mirrored), swappedVisited, len(got), visited)
 	}
 }
 
