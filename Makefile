@@ -38,7 +38,10 @@ bench:
 # run — wrong flags, broken benchmarks, alloc-assertion drift — not
 # timing changes; CI runs it as a non-blocking job. The pager's parallel
 # pins run a second time without the file mapping, through the buffer
-# pool's one lock. The one StoreIngest
+# pool's one lock, and its warm pin too, each one a pool miss whose B/op
+# shows whether the evicted frame is reused. DecodeRecord times one
+# record read (the validating walk, the terms, the decode) on
+# window_read's record, kept, rejected and with no term. The one StoreIngest
 # cell keeps the n-store write path running; SplitKinds and UpdateDrift
 # show an allocation added to the dynamic Insert and Delete.
 benchcheck:
@@ -46,7 +49,9 @@ benchcheck:
 	$(GO) test -run xxx -bench 'PSQL' -benchtime 10x -benchmem .
 	$(GO) test -run xxx -bench 'Pin|Fetch|ReadBatch' -benchtime 100x -benchmem ./internal/pager/
 	$(GO) test -tags pictdb_nommap -run xxx -bench 'Parallel' -benchtime 100x -benchmem ./internal/pager/
+	$(GO) test -tags pictdb_nommap -run xxx -bench 'PinWarm$$' -benchtime 100x -benchmem ./internal/pager/
 	$(GO) test -run xxx -bench 'GetBatch' -benchtime 100x -benchmem ./internal/storage/
+	$(GO) test -run xxx -bench 'DecodeRecord' -benchtime 10000x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'DeltaMergedSearch|PackedOnlySearch' -benchtime 20x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'ShardedSearch|UnshardedSearch' -benchtime 20x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'Repack$$' -benchtime 3x -benchmem ./internal/relation/

@@ -674,12 +674,14 @@ func (p *Pager) fetch(id PageID) (*Page, error) {
 // Eviction never steals: a dirty page reaches the page file only through
 // its log and a checkpoint, so eviction skips dirty victims and drops a
 // clean one without a write (its newest image is a WAL frame or the page
-// file). A full pool whose unpinned pages are all dirty overcommits until
-// the next commit logs them, and shrinks back as later installs find
-// clean victims. A full pool every page of which is pinned refuses with
-// ErrPoolExhausted.
+// file), and the last frame it drops holds the new page, zeroed when read
+// is false. A full pool whose unpinned pages are all dirty overcommits
+// until the next commit logs them, and shrinks back as later installs
+// find clean victims. A full pool every page of which is pinned refuses
+// with ErrPoolExhausted.
 func (p *Pager) install(id PageID, read bool) (*Page, error) {
 	w := p.wal.Load()
+	var pg *Page
 	for len(p.pages) >= p.capacity {
 		victim := p.lruTail
 		if victim == nil {
@@ -692,8 +694,15 @@ func (p *Pager) install(id PageID, read bool) (*Page, error) {
 			break
 		}
 		p.evict(victim)
+		pg = victim
 	}
-	pg := &Page{ID: id, pins: 1}
+	switch {
+	case pg == nil:
+		pg = new(Page)
+	case !read:
+		pg.Data = [PageSize]byte{}
+	}
+	pg.ID, pg.pins = id, 1
 	if read {
 		for w != nil {
 			f, ok := w.latestFrame(id)

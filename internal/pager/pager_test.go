@@ -172,6 +172,61 @@ func TestEvictionIsPoolWideLRU(t *testing.T) {
 	})
 }
 
+// TestPoolMissReusesEvictedFrame: a miss on a full pool of clean pages
+// reads the page into the frame it evicts, so it allocates no Page — a
+// fetch's or an allocation's — and an allocated page that takes a frame
+// still holding another page's bytes comes back zeroed.
+func TestPoolMissReusesEvictedFrame(t *testing.T) {
+	const pool = 8
+	p := OpenMem(pool)
+	defer p.Close()
+	var ids []PageID
+	for i := 0; i < 2*pool; i++ {
+		pg, err := p.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg.Data[0] = byte(i + 1)
+		ids = append(ids, pg.ID)
+		p.Unpin(pg)
+		// Committed pages are clean: the pool never grows past pool.
+		if err := p.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.CheckpointWAL(); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	fetch := func() {
+		pg, err := p.Fetch(ids[i%len(ids)]) // a page the pool evicted a lap ago
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pg.Data[0] != byte(i%len(ids)+1) {
+			t.Fatalf("page %d reads %d, want %d", pg.ID, pg.Data[0], i%len(ids)+1)
+		}
+		p.Unpin(pg)
+		i++
+	}
+	fetch() // the first lap's map growth is not a miss's
+	before := p.Stats().Misses
+	if allocs := testing.AllocsPerRun(4*len(ids), fetch); allocs != 0 {
+		t.Fatalf("a pool miss allocates %.1f times, want 0", allocs)
+	}
+	if misses := p.Stats().Misses - before; misses < uint64(4*len(ids)) {
+		t.Fatalf("%d misses in %d fetches: the pool served what the test meant to miss", misses, 4*len(ids))
+	}
+	pg, err := p.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Unpin(pg)
+	if pg.Data != [PageSize]byte{} {
+		t.Fatalf("an allocated page reuses a frame's bytes: % x", pg.Data[:8])
+	}
+}
+
 // TestDirtyPoolOvercommitsUntilCommit: a full pool whose unpinned pages
 // are all dirty grows past its capacity rather than fail, and shrinks
 // back to it once a commit has made its pages clean.

@@ -108,8 +108,8 @@ type row []relation.Tuple
 // rows. Every fetch, restriction, join side and row list of the
 // statement cuts fresh slots from it, and it is reset only when the
 // statement's exec returns (DESIGN.md §11). A Result holds Datum copies
-// whose strings decodeCols allocated apart, so nothing a Result holds
-// points into the arena.
+// whose strings the relation's decode allocated apart, so nothing a
+// Result holds points into the arena.
 type stmtArena struct {
 	rel  relation.Arena
 	rows arena.Slab[row]

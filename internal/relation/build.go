@@ -217,42 +217,40 @@ func (b *indexBuild) scanStore(s int, open bool) error {
 		p.maxIDs = make(map[string]*picture.ObjectID)
 	}
 	slot := make(Tuple, 0, arity)
-	locs := make([]locBytes, arity)
+	cols := make([]span, 0, arity)
 	// collect takes one live record's keys, items and object ids.
 	collect := func(id int64, body []byte) error {
-		for _, i := range locCols {
-			locs[i] = locBytes{}
-		}
-		t, err := decodeCols(body, need, slot, locs)
-		if err != nil {
+		var err error
+		if cols, err = walk(body, cols); err != nil {
 			return err
 		}
-		if len(t) != arity {
-			return errTuple("%d columns, the schema has %d", len(t), arity)
+		if len(cols) != arity {
+			return errTuple("%d columns, the schema has %d", len(cols), arity)
 		}
+		t := decodeSpans(body, cols, need, slot)
 		for c, ci := range cis {
 			p.runs[c] = append(p.runs[c], btree.Entry{Key: IndexKey(t[ci]), Value: id})
 		}
 		for _, i := range locCols {
-			lb := locs[i]
-			if lb.obj == nil {
+			name, obj, ok := cols[i].loc(body)
+			if !ok {
 				continue
 			}
 			if p.maxIDs != nil {
-				oid := picture.ObjectID(binary.LittleEndian.Uint64(lb.obj))
+				oid := picture.ObjectID(binary.LittleEndian.Uint64(obj))
 				if oid == 0 {
 					return errTuple("loc column %d: object id 0", i)
 				}
-				m := p.maxIDs[string(lb.pic)]
+				m := p.maxIDs[string(name)]
 				if m == nil {
 					m = new(picture.ObjectID)
-					p.maxIDs[string(lb.pic)] = m
+					p.maxIDs[string(name)] = m
 				}
 				*m = max(*m, oid)
 			}
 			for pi, pic := range b.pics {
-				if i == li && string(lb.pic) == pic.Name() {
-					p.items[pi] = append(p.items[pi], rtree.Item{Rect: picture.EncodedMBR(lb.obj), Data: id})
+				if i == li && string(name) == pic.Name() {
+					p.items[pi] = append(p.items[pi], rtree.Item{Rect: picture.EncodedMBR(obj), Data: id})
 				}
 			}
 		}

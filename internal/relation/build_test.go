@@ -151,11 +151,15 @@ func TestBuildIndexesShardItemOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		locs := make([]locBytes, 4)
-		if _, err := decodeCols(body, nil, nil, locs); err != nil {
+		cols, err := walk(body, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		obj, err := picture.DecodeObject(locs[3].obj)
+		_, enc, ok := cols[3].loc(body)
+		if !ok {
+			t.Fatalf("tuple %v: its loc carries no object", id)
+		}
+		obj, err := picture.DecodeObject(enc)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -81,13 +81,12 @@ func DecodeTuple(rec []byte) (Tuple, error) { return DecodeTupleCols(rec, nil) }
 // needed. A non-zero loc that is materialized carries its object's
 // encoding, copied with its picture name in one string.
 func DecodeTupleCols(rec []byte, need []bool) (Tuple, error) {
-	return decodeCols(rec, need, nil, nil)
-}
-
-// locBytes is where a non-zero loc column's picture name and object
-// encoding lie inside a body.
-type locBytes struct {
-	pic, obj []byte
+	var stack [spansOnStack]span
+	cols, err := walk(rec, stack[:0])
+	if err != nil {
+		return nil, err
+	}
+	return decodeSpans(rec, cols, need, nil), nil
 }
 
 // wants reports whether mask selects column i: a nil mask selects every
@@ -110,31 +109,6 @@ func header(rec []byte) (n, pos int, err error) {
 	return int(c), w, nil
 }
 
-// decodeCols is DecodeTupleCols writing the values into dst[:0] when
-// the tuple fits dst's capacity, and into a fresh slice otherwise.
-// locs[i] is set for every non-zero loc column i within its length (and
-// left alone for the others).
-func decodeCols(rec []byte, need []bool, dst Tuple, locs []locBytes) (Tuple, error) {
-	n, pos, err := header(rec)
-	if err != nil {
-		return nil, err
-	}
-	out := dst[:0]
-	if cap(out) < n {
-		out = make(Tuple, 0, n)
-	}
-	for i := range n {
-		if pos >= len(rec) {
-			return nil, errTuple("truncated tuple at column %d", i)
-		}
-		out = append(out, Value{})
-		if pos, err = decodeCol(rec, pos, i, wants(need, i), &out[i], locs); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // span is where one column of a body lies, as checkCol found it: the
 // variable part — a string's bytes, a loc's picture name — at
 // rec[lo:mid], and the fixed part — a number's 8 bytes, a loc's object
@@ -144,10 +118,39 @@ type span struct {
 	lo, mid, end int
 }
 
-// checkCol is the one column validator, behind every decode and every
-// term: it finds column i, whose type tag is rec[pos], and checks that
-// its type tag is known and its parts lie inside rec, a non-zero loc's
-// whole object encoding included.
+// spansOnStack is the widest tuple whose column spans a decode keeps in
+// an array of its own — on DecodeTupleCols' stack, in a fetch's or scan's
+// tupleArena; a wider one's are allocated (once per fetch or scan).
+const spansOnStack = 16
+
+// walk is the one walk over a body: it validates every column once, with
+// checkCol, and returns where each lies — cols[:0] with one span per
+// column appended, so cols is reused when the body's columns fit it.
+// Everything that reads a record reads it from these spans.
+func walk(rec []byte, cols []span) ([]span, error) {
+	n, pos, err := header(rec)
+	if err != nil {
+		return nil, err
+	}
+	cols = cols[:0]
+	for i := range n {
+		if pos >= len(rec) {
+			return nil, errTuple("truncated tuple at column %d", i)
+		}
+		c, err := checkCol(rec, pos, i)
+		if err != nil {
+			return nil, err
+		}
+		cols = append(cols, c)
+		pos = c.end
+	}
+	return cols, nil
+}
+
+// checkCol is the one column validator, called by walk alone: it finds
+// column i, whose type tag is rec[pos], and checks that its type tag is
+// known and its parts lie inside rec, a non-zero loc's whole object
+// encoding included.
 func checkCol(rec []byte, pos, i int) (span, error) {
 	typ := Type(rec[pos])
 	pos++
@@ -186,43 +189,48 @@ func checkCol(rec []byte, pos, i int) (span, error) {
 	}
 }
 
-// decodeCol parses column i, whose type tag is rec[pos], into v — its
-// payload only when want is set, its type tag always — and returns the
-// offset of the next column. It validates the column whatever want is.
-func decodeCol(rec []byte, pos, i int, want bool, v *Value, locs []locBytes) (int, error) {
-	c, err := checkCol(rec, pos, i)
-	if err != nil {
-		return 0, err
+// loc returns where loc column c of rec keeps its picture name and its
+// object's encoding, and ok false for a zero loc (no picture, object 0),
+// which carries no object, and for a column that is not a loc.
+func (c span) loc(rec []byte) (pic, obj []byte, ok bool) {
+	if c.typ != TypeLoc || c.mid == c.lo && binary.LittleEndian.Uint64(rec[c.mid:]) == 0 {
+		return nil, nil, false
 	}
-	*v = Value{Type: c.typ}
-	switch c.typ {
-	case TypeInt:
-		if want {
+	return rec[c.lo:c.mid], rec[c.mid:c.end], true
+}
+
+// decodeSpans builds the tuple whose columns walk found at cols in rec,
+// into dst[:0] when it fits dst's capacity and into a fresh slice
+// otherwise: the columns need selects in full, the others as their type
+// tag alone. walk validated every span, so it cannot fail.
+func decodeSpans(rec []byte, cols []span, need []bool, dst Tuple) Tuple {
+	t := dst[:0]
+	if cap(t) < len(cols) {
+		t = make(Tuple, 0, len(cols))
+	}
+	t = t[:len(cols)]
+	for i, c := range cols {
+		v := &t[i]
+		*v = Value{Type: c.typ}
+		if !wants(need, i) {
+			continue
+		}
+		switch c.typ {
+		case TypeInt:
 			v.Int = int64(binary.LittleEndian.Uint64(rec[c.mid:]))
-		}
-	case TypeFloat:
-		if want {
+		case TypeFloat:
 			v.Float = math.Float64frombits(binary.LittleEndian.Uint64(rec[c.mid:]))
-		}
-	case TypeString:
-		if want {
+		case TypeString:
 			v.Str = string(rec[c.lo:c.mid])
-		}
-	case TypeLoc:
-		obj := picture.ObjectID(binary.LittleEndian.Uint64(rec[c.mid:]))
-		if c.mid == c.lo && obj == 0 {
-			break // a zero loc
-		}
-		if i < len(locs) {
-			locs[i] = locBytes{pic: rec[c.lo:c.mid], obj: rec[c.mid:c.end]}
-		}
-		if want {
-			both := string(rec[c.lo:c.end])
-			l := c.mid - c.lo
-			v.Loc, v.Str = LocRef{Picture: both[:l], Object: obj}, both[l:]
+		case TypeLoc:
+			if pic, obj, ok := c.loc(rec); ok {
+				both := string(rec[c.lo:c.end])
+				v.Loc = LocRef{Picture: both[:len(pic)], Object: picture.ObjectID(binary.LittleEndian.Uint64(obj))}
+				v.Str = both[len(pic):]
+			}
 		}
 	}
-	return c.end, nil
+	return t
 }
 
 // Op is how a Term compares a stored column with its value.
@@ -370,74 +378,26 @@ func numberAt(rec []byte, c span) float64 {
 	return math.Float64frombits(bits)
 }
 
-// startsOnStack is the widest tuple whose column offsets a batch fetch
-// keeps in an array on its stack (tupleArena.decode); a wider relation's
-// fetch allocates its offsets once, at its arity.
-const startsOnStack = 16
-
-// match is the first step of the terms-first decode: one walk over the
-// body that validates every column with checkCol — so a corrupt body
-// fails, with DecodeTuple's error, whether or not a term would have
-// rejected it — and records where each column starts, then the terms,
-// each tested on its column's bytes. ok is false when a term rejects the
-// record. A term on a column past the body's last is corruption, whether
-// or not another term rejects the record. It returns the offsets, in
-// starts when the body's columns fit it and in a slice allocated at
-// their count otherwise.
-func match(rec []byte, terms []Term, starts []int) (_ []int, ok bool, err error) {
-	n, pos, err := header(rec)
-	if err != nil {
+// match is walk, then the terms, each tested on its column's bytes: a
+// corrupt body fails, with DecodeTuple's error, whether or not a term
+// would have rejected it. ok is false when a term rejects the record. A
+// term on a column past the body's last is corruption, whether or not
+// another term rejects the record. It returns walk's spans.
+func match(rec []byte, terms []Term, cols []span) (_ []span, ok bool, err error) {
+	if cols, err = walk(rec, cols); err != nil {
 		return nil, false, err
 	}
-	if n > len(starts) {
-		starts = make([]int, n)
-	}
-	starts = starts[:n]
-	for i := range starts {
-		if pos >= len(rec) {
-			return nil, false, errTuple("truncated tuple at column %d", i)
-		}
-		starts[i] = pos
-		c, err := checkCol(rec, pos, i)
-		if err != nil {
-			return nil, false, err
-		}
-		pos = c.end
-	}
 	for k := range terms {
-		if col := terms[k].Col; col < 0 || col >= n {
-			return nil, false, errTuple("a term on column %d of a %d-column tuple", col, n)
+		if col := terms[k].Col; col < 0 || col >= len(cols) {
+			return nil, false, errTuple("a term on column %d of a %d-column tuple", col, len(cols))
 		}
 	}
 	for k := range terms {
-		t := &terms[k]
-		c, _ := checkCol(rec, starts[t.Col], t.Col) // the walk validated it
-		if !t.holds(rec, c) {
+		if t := &terms[k]; !t.holds(rec, cols[t.Col]) {
 			return nil, false, nil
 		}
 	}
-	return starts, true, nil
-}
-
-// decodeAt decodes the body whose columns match found at starts into
-// dst[:0] when it fits dst's capacity and into a fresh slice otherwise:
-// the columns need selects in full, the others as their type tag.
-func decodeAt(rec []byte, need []bool, starts []int, dst Tuple) (Tuple, error) {
-	t := dst[:0]
-	if cap(t) < len(starts) {
-		t = make(Tuple, 0, len(starts))
-	}
-	t = t[:len(starts)]
-	for i, pos := range starts {
-		if !wants(need, i) {
-			t[i] = Value{Type: Type(rec[pos])}
-			continue
-		}
-		if _, err := decodeCol(rec, pos, i, true, &t[i], nil); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return cols, true, nil
 }
 
 // IndexKey returns an order-preserving byte encoding of v:

@@ -36,7 +36,10 @@ import (
 // every other one zeroed. Terms, the needed columns and the slot are
 // derived from the input (fuzzTerms); on top of them every single term
 // over the tuple's first columns, one column past its last, every
-// operator and a set of corner values is held to the reference too.
+// operator and a set of corner values is held to the reference too. The
+// reload's reading of an accepted body — a loc's picture name and object
+// bytes straight from its column's span — names the picture, object id
+// and MBR DecodeTuple's value carries (checkLocSpans).
 func FuzzDecodeTuple(f *testing.F) {
 	good := appendBody(nil, Tuple{S("abc"), I(5), F(0.5)}, false)
 	f.Add(bytes.Clone(good))
@@ -70,17 +73,17 @@ func FuzzDecodeTuple(f *testing.F) {
 	} {
 		f.Add(appendBody(nil, tu, false))
 	}
-	// A record wider than the offsets a fetch keeps on its stack, kept,
+	// A record wider than the spans a decode keeps on its stack, kept,
 	// with a column past the stack needed.
 	for k := int64(0); ; k++ {
-		wide := make(Tuple, startsOnStack+4)
+		wide := make(Tuple, spansOnStack+4)
 		for i := range wide {
 			wide[i] = I(k + int64(i))
 		}
-		wide[3], wide[startsOnStack+1] = S("third"), S("past the stack")
+		wide[3], wide[spansOnStack+1] = S("third"), S("past the stack")
 		rec := appendBody(nil, wide, false)
 		terms, need, _ := fuzzTerms(rec, wide)
-		if len(terms) > 0 && wants(need, startsOnStack+1) && keptRef(terms, wide) {
+		if len(terms) > 0 && wants(need, spansOnStack+1) && keptRef(terms, wide) {
 			f.Add(rec)
 			break
 		}
@@ -108,6 +111,7 @@ func FuzzDecodeTuple(f *testing.F) {
 			return // rejecting is always fine; panicking is not
 		}
 		checkEachTerm(t, body, tup)
+		checkLocSpans(t, body, tup)
 		re := appendBody(nil, tup, true)
 		tup2, err := DecodeTuple(re)
 		if err != nil {
@@ -141,16 +145,16 @@ func fuzzTerms(data []byte, full Tuple) (terms []Term, need []bool, arity int) {
 	}
 	n := 1 + seed%5 // shorter than some tuples: the rest is needed
 	if seed%7 == 0 {
-		n = startsOnStack + 8 // reaching past the offsets a fetch keeps on its stack
+		n = spansOnStack + 8 // reaching past the spans a decode keeps on its stack
 	}
 	need = make([]bool, n)
 	for i := range need {
 		need[i] = seed>>(3+i)&1 == 1
 	}
 	// An arity under the tuple's width decodes into a fresh slice; one
-	// past startsOnStack keeps the offsets off the stack.
+	// past spansOnStack keeps the spans off the stack.
 	if arity = int(seed / 3 % 6); arity == 5 {
-		arity = startsOnStack + 2
+		arity = spansOnStack + 2
 	}
 	cols := uint32(6)
 	if full != nil {
@@ -282,20 +286,52 @@ func checkDecode(t *testing.T, data []byte, full Tuple, err error) {
 // and a term one column past the last fails as corrupt.
 func checkEachTerm(t *testing.T, data []byte, full Tuple) {
 	t.Helper()
-	var starts [startsOnStack]int
+	var stack [spansOnStack]span
+	cols := stack[:]
 	for col := range min(len(full), 6) {
 		for op := OpEq; op <= OpGe; op++ {
 			for _, val := range append(fuzzValues[:len(fuzzValues):len(fuzzValues)], full[col]) {
 				tm := Term{Col: col, Op: op, Val: val}
-				_, ok, err := match(data, []Term{tm}, starts[:])
+				_, ok, err := match(data, []Term{tm}, cols)
 				if want := holdsRef(tm, full[col]); err != nil || ok != want {
 					t.Fatalf("term %+v on %+v: kept=%v, err %v; the reference keeps %v (input %x)", tm, full[col], ok, err, want, data)
 				}
 			}
 		}
 	}
-	if _, _, err := match(data, []Term{{Col: len(full), Op: OpLe}}, starts[:]); !errors.Is(err, storage.ErrCorrupt) {
+	if _, _, err := match(data, []Term{{Col: len(full), Op: OpLe}}, cols); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("a term past the last of %d columns: %v, want ErrCorrupt (input %x)", len(full), err, data)
+	}
+}
+
+// checkLocSpans holds the reload's reading of full's record data — each
+// column's span, a loc's picture name and object bytes read straight
+// from it (span.loc) — to DecodeTuple's values: a loc carrying an object
+// names the same picture, object id and MBR, and a zero loc or a column
+// of another type carries none.
+func checkLocSpans(t *testing.T, data []byte, full Tuple) {
+	t.Helper()
+	cols, err := walk(data, nil)
+	if err != nil || len(cols) != len(full) {
+		t.Fatalf("walk: %d spans, %v; DecodeTuple: %d columns (input %x)", len(cols), err, len(full), data)
+	}
+	for i, c := range cols {
+		v := full[i]
+		pic, obj, ok := c.loc(data)
+		if carries := v.Type == TypeLoc && v.Str != ""; ok != carries {
+			t.Fatalf("column %d (%+v): span.loc ok=%v (input %x)", i, v, ok, data)
+		}
+		if !ok {
+			continue
+		}
+		want, _ := v.LocMBR()
+		got := picture.EncodedMBR(obj)
+		same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+		if string(pic) != v.Loc.Picture || picture.ObjectID(binary.LittleEndian.Uint64(obj)) != v.Loc.Object ||
+			!same(got.Min.X, want.Min.X) || !same(got.Min.Y, want.Min.Y) || !same(got.Max.X, want.Max.X) || !same(got.Max.Y, want.Max.Y) {
+			t.Fatalf("column %d: span reads %q, object %d, MBR %v; DecodeTuple %+v, MBR %v (input %x)",
+				i, pic, binary.LittleEndian.Uint64(obj), got, v, want, data)
+		}
 	}
 }
 

@@ -465,45 +465,35 @@ type tupleArena struct {
 	left  int // records still to be decoded, as far as known
 	block int // tuples in the next block, left permitting
 	free  []Value
-	wide  []int // column offsets when arity exceeds startsOnStack
+	// A record's column spans: in spans, cleared once for the whole fetch
+	// or scan, or in wide, allocated once, when the arity exceeds it.
+	spans [spansOnStack]span
+	wide  []span
 }
 
 // decode is the one step that turns a heap record's tuple body into a
-// Tuple, for the batch fetch and both scan walks. With terms, the body
-// is validated and the terms tested on its bytes first (match): a
-// record a term rejects writes nothing and takes no slot, and ok is
-// false for it. A kept record is decoded into the arena's next slot —
-// with terms, from the offsets match recorded, without walking the body
-// again.
+// Tuple, for the batch fetch and both scan walks: one walk validates the
+// body and finds its columns' spans, and the terms are tested on their
+// columns' bytes (match). A record a term rejects writes nothing and
+// takes no slot, and ok is false for it. A kept record is decoded from
+// the spans into the arena's next slot, without walking the body again.
 func (a *tupleArena) decode(body []byte, need []bool, terms []Term) (t Tuple, ok bool, err error) {
 	a.left--
-	var starts []int
-	if len(terms) > 0 {
-		var stack [startsOnStack]int
-		starts = stack[:]
-		if a.arity > len(stack) {
-			if a.wide == nil {
-				a.wide = make([]int, a.arity)
-			}
-			starts = a.wide
+	cols := a.spans[:]
+	if a.arity > len(a.spans) {
+		if a.wide == nil {
+			a.wide = make([]span, a.arity)
 		}
-		if starts, ok, err = match(body, terms, starts); !ok {
-			return nil, false, err
-		}
+		cols = a.wide
+	}
+	if cols, ok, err = match(body, terms, cols); !ok {
+		return nil, false, err
 	}
 	if len(a.free) < a.arity {
 		a.free = a.src.Cut(max(1, min(a.left+1, a.block)) * a.arity) // this record and those left
 		a.block = min(2*a.block, arenaTuples)
 	}
-	slot := a.free[:0:a.arity]
-	if starts != nil {
-		t, err = decodeAt(body, need, starts, slot)
-	} else {
-		t, err = decodeCols(body, need, slot, nil)
-	}
-	if err != nil {
-		return nil, false, err
-	}
+	t = decodeSpans(body, cols, need, a.free[:0:a.arity])
 	if len(t) <= a.arity { // it fit the slot
 		a.free = a.free[a.arity:]
 	}

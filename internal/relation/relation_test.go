@@ -169,18 +169,28 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 }
 
 // A stored body carries the object its loc names after the object id;
-// decodeCols reports where it lies.
+// the loc column's span reports where it lies, and a zero loc's and a
+// column of another type's report none.
 func TestRecordLayout(t *testing.T) {
 	obj := picture.Object{ID: 7, Kind: picture.KindSegment, Label: "s", Segment: geom.Seg(geom.Pt(0, 0), geom.Pt(3, 4))}
-	tu := Tuple{S("x"), L("map", 7), I(9)}
+	tu := Tuple{S("x"), L("map", 7), I(9), L("", 0)}
 	body := appendBody(nil, carrying(tu, obj), true)
-	locs := make([]locBytes, 3)
-	got, err := decodeCols(body, nil, nil, locs)
-	if err != nil || !got[1].Eq(tu[1]) || !got[2].Eq(tu[2]) {
-		t.Fatalf("decode = %v, %v", got, err)
+	cols, err := walk(body, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if string(locs[1].pic) != "map" || !bytes.Equal(locs[1].obj, picture.EncodeObject(obj)) || locs[0].obj != nil {
-		t.Fatalf("loc bytes %q %x", locs[1].pic, locs[1].obj)
+	got := decodeSpans(body, cols, nil, nil)
+	if !got[1].Eq(tu[1]) || !got[2].Eq(tu[2]) || !got[3].Eq(tu[3]) {
+		t.Fatalf("decode = %v", got)
+	}
+	pic, enc, ok := cols[1].loc(body)
+	if !ok || string(pic) != "map" || !bytes.Equal(enc, picture.EncodeObject(obj)) {
+		t.Fatalf("loc bytes %q %x, %v", pic, enc, ok)
+	}
+	for _, i := range []int{0, 2, 3} {
+		if _, _, ok := cols[i].loc(body); ok {
+			t.Fatalf("column %d (%v) read as a loc carrying an object", i, tu[i])
+		}
 	}
 }
 
@@ -1062,12 +1072,12 @@ func TestConcurrentDoubleDelete(t *testing.T) {
 }
 
 // TestFetchWhereWideTuple fetches from a relation wider than the column
-// offsets a fetch keeps on its stack, into a statement's Arena, with
+// spans a decode keeps on its stack, into a statement's Arena, with
 // terms on a column inside those offsets and one past them: a kept tuple
 // carries the needed columns as Get reads them and the others zeroed,
 // and a rejected one is nil.
 func TestFetchWhereWideTuple(t *testing.T) {
-	specs := make([]string, startsOnStack+4)
+	specs := make([]string, spansOnStack+4)
 	for i := range specs {
 		specs[i] = fmt.Sprintf("c%d:int", i)
 		if i%3 == 0 {
@@ -1095,9 +1105,9 @@ func TestFetchWhereWideTuple(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	last := len(specs) - 1 // an int column past the stack's offsets
+	last := len(specs) - 1 // an int column past the stack's spans
 	need := make([]bool, len(specs))
-	need[0], need[startsOnStack+2] = true, true
+	need[0], need[spansOnStack+2] = true, true
 	// The terms keep tuples 5 to 34.
 	terms := []Term{{Col: 1, Op: OpGe, Val: I(501)}, {Col: last, Op: OpLt, Val: I(int64(3500 + last))}}
 	var a Arena

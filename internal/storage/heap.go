@@ -225,24 +225,25 @@ func Create(p *pager.Pager) (*Heap, pager.PageID, error) {
 }
 
 // Open reattaches to a heap whose first page is first (InvalidPage: an
-// empty heap). The record count is recomputed by walking the chain.
+// empty heap). The record count is recomputed by walking the chain, every
+// page's slotted structure checked first: a corrupt page, a cycle or an
+// out-of-range link fails with an error wrapping ErrCorrupt.
 func Open(p *pager.Pager, first pager.PageID) (*Heap, error) {
 	h := &Heap{p: p, first: first, last: first}
-	r := p.BeginRead()
-	defer r.End()
-	for id := first; id != pager.InvalidPage; {
-		b, err := r.Page(id)
-		if err != nil {
-			return nil, err
+	err := h.chain(func(id pager.PageID, s slotted) error {
+		if err := s.check(); err != nil {
+			return fmt.Errorf("heap page %d: %w", id, err)
 		}
-		s := slotted(b)
 		for i := 0; i < s.slotCount(); i++ {
 			if off, _ := s.slot(i); off != deadOffset {
 				h.count++
 			}
 		}
 		h.last = id
-		id = s.nextPage()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return h, nil
 }
@@ -454,52 +455,55 @@ func scanPage(r *pager.Reader, id pager.PageID, fn func(id TupleID, rec []byte) 
 	return s.nextPage(), nil
 }
 
-// Pages returns the page ids of the heap chain in order, guarding
-// against cycles and out-of-range links with errors wrapping
-// ErrCorrupt.
-func (h *Heap) Pages() ([]pager.PageID, error) {
+// chain calls fn on each page of the heap chain in order, guarding
+// against cycles and out-of-range links with errors wrapping ErrCorrupt.
+// Each page passes through the pager's read path and is therefore
+// checksum-verified. An error from fn stops the walk.
+func (h *Heap) chain(fn func(id pager.PageID, s slotted) error) error {
 	seen := make(map[pager.PageID]bool)
-	var out []pager.PageID
 	r := h.p.BeginRead()
 	defer r.End()
 	for id := h.first; id != pager.InvalidPage; {
 		if seen[id] {
-			return out, fmt.Errorf("%w: chain cycle at page %d", ErrCorrupt, id)
+			return fmt.Errorf("%w: chain cycle at page %d", ErrCorrupt, id)
 		}
 		seen[id] = true
 		b, err := r.Page(id)
 		if err != nil {
-			return out, err
+			return err
 		}
-		out = append(out, id)
-		next := slotted(b).nextPage()
+		s := slotted(b)
+		if err := fn(id, s); err != nil {
+			return err
+		}
+		next := s.nextPage()
 		if next != pager.InvalidPage && int(next) >= h.p.NumPages() {
-			return out, fmt.Errorf("%w: page %d links to out-of-range page %d", ErrCorrupt, id, next)
+			return fmt.Errorf("%w: page %d links to out-of-range page %d", ErrCorrupt, id, next)
 		}
 		id = next
 	}
-	return out, nil
+	return nil
+}
+
+// Pages returns the page ids of the heap chain in order, guarding
+// against cycles and out-of-range links with errors wrapping
+// ErrCorrupt.
+func (h *Heap) Pages() ([]pager.PageID, error) {
+	var out []pager.PageID
+	err := h.chain(func(id pager.PageID, _ slotted) error {
+		out = append(out, id)
+		return nil
+	})
+	return out, err
 }
 
 // Check walks the heap chain and validates every page's slotted
-// structure. Each visited page passes through the pager's read path and
-// is therefore checksum-verified; structural faults return errors
-// wrapping ErrCorrupt.
+// structure; structural faults return errors wrapping ErrCorrupt.
 func (h *Heap) Check() error {
-	pages, err := h.Pages()
-	if err != nil {
-		return err
-	}
-	r := h.p.BeginRead()
-	defer r.End()
-	for _, id := range pages {
-		b, err := r.Page(id)
-		if err != nil {
-			return err
-		}
-		if err := slotted(b).check(); err != nil {
+	return h.chain(func(id pager.PageID, s slotted) error {
+		if err := s.check(); err != nil {
 			return fmt.Errorf("heap page %d: %w", id, err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
