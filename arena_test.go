@@ -113,7 +113,7 @@ func cloneResult(res *pictdb.Result) *pictdb.Result {
 		Rows:         make([][]psql.Datum, len(res.Rows)),
 		Locs:         slices.Clone(res.Locs),
 		NodesVisited: res.NodesVisited,
-		Plan:         cloneStrings(res.Plan),
+		Plan:         slices.Clone(res.Plan),
 	}
 	for i, row := range res.Rows {
 		c.Rows[i] = slices.Clone(row)
@@ -121,6 +121,10 @@ func cloneResult(res *pictdb.Result) *pictdb.Result {
 			d := &c.Rows[i][j]
 			d.Str, d.Loc.Picture = strings.Clone(d.Str), strings.Clone(d.Loc.Picture)
 		}
+	}
+	for i := range c.Plan {
+		st := &c.Plan[i]
+		st.Rel, st.Other, st.Column = strings.Clone(st.Rel), strings.Clone(st.Other), strings.Clone(st.Column)
 	}
 	for i := range c.Locs {
 		c.Locs[i].Picture = strings.Clone(c.Locs[i].Picture)

@@ -478,17 +478,24 @@ func windowReadFile(b testing.TB) string { return windowReadFileOf(b, 200_000) }
 // windowReadFileOf writes a window_read database of n points to a file
 // under b's temporary directory and returns its path.
 func windowReadFileOf(b testing.TB, n int) string {
-	path := filepath.Join(b.TempDir(), "open.db")
+	return dbFile(b, func(db *pictdb.Database) { windowReadRelation(b, db, n) })
+}
+
+// dbFile writes the database fill builds to a file under tb's temporary
+// directory, checkpointed and closed, and returns its path. Opened
+// again, the file is read through the mapping, as a served database is.
+func dbFile(tb testing.TB, fill func(db *pictdb.Database)) string {
+	path := filepath.Join(tb.TempDir(), "open.db")
 	db, err := pictdb.Open(path, 4096)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	windowReadRelation(b, db, n)
+	fill(db)
 	if err := db.Checkpoint(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return path
 }
@@ -601,10 +608,11 @@ func TestWindowStatementAllocs(t *testing.T) {
 // Datums, its row header and its name string — its candidate ids, once,
 // and a small constant besides. The tuples it decodes, its []Tuple lists
 // and its rows come from the statement's pooled arena, and the index
-// search collects its ids in a pooled list. Measured on 2 cores: 496 B
-// with every one of 30 candidates rejected, 5 904 B more for 720 more
-// rejected candidates (8 B each, the id), and 229 B a returned row;
-// with a per-statement mask of the where-terms already tested, 536 B,
+// search collects its ids in a pooled list. Measured on 2 cores: 640 B
+// with every one of 30 candidates rejected (176 B of it the two-step
+// plan), 5 904 B more for 720 more rejected candidates (8 B each, the
+// id), and 229 B a returned row; with the plan's lines cached as
+// strings, 496 B, 5 904 B more and 229 B; with a per-statement mask of the where-terms already tested, 536 B,
 // 5 904 B more and 229 B; before the pooled id list, 1 056 B, 20 368 B
 // more and 229 B; before the arena, 7 968 B, 59 152 B more and 450 B.
 // Each figure is the least of 51 statements (bytesPerRun).
@@ -757,12 +765,21 @@ func joinStatement(k, minPop int64) string {
 // size (50 000 sites, 2 000 regions). The regions are of 64 kinds, and
 // each statement restricts them to one kind by a heap scan (about 3
 // survivors of 200, 31 of 2 000) and probes sites from the survivors'
-// MBRs in one batched descent. The 64 texts cycle through the statement
-// cache. It reports ns, allocations and nodes visited per statement.
+// MBRs in one batched descent. The database is written to a file and
+// reopened, so its reads go through the mapping, as join_nested's do,
+// not the buffer pool. The 64 texts cycle through the statement cache.
+// It reports ns, allocations and nodes visited per statement.
 func BenchmarkJuxtapositionStatement(b *testing.B) {
 	for _, size := range []struct{ sites, regions int }{{5_000, 200}, {50_000, 2_000}} {
 		b.Run(fmt.Sprintf("sites=%d", size.sites), func(b *testing.B) {
-			db := joinDatabase(b, size.sites, size.regions, func(i int) int64 { return int64(i % 64) })
+			path := dbFile(b, func(db *pictdb.Database) {
+				joinRelations(b, db, size.sites, size.regions, func(i int) int64 { return int64(i % 64) })
+			})
+			db, err := pictdb.Open(path, 4096)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
 			texts := make([]string, 64)
 			for k := range texts {
 				texts[k] = joinStatement(int64(k), 1000*int64(k%4))
@@ -806,7 +823,7 @@ func TestRestrictionScanAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := strings.Join(res.Plan, "\n")
+		plan := strings.Join(res.Plan.Lines(), "\n")
 		if !strings.Contains(plan, `"regions" reduced to 20 of`) ||
 			!strings.Contains(plan, "heap scan") || !strings.Contains(plan, "batched direct search") {
 			t.Fatalf("%s: not a scan-restricted probe:\n%s", q, plan)

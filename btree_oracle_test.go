@@ -77,7 +77,7 @@ func TestBTreePlanMatchesNaive(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", q, err)
 				}
-				if !strings.Contains(strings.Join(got.Plan, "\n"), "B-tree on t."+col) {
+				if !strings.Contains(strings.Join(got.Plan.Lines(), "\n"), "B-tree on t."+col) {
 					t.Fatalf("%s: not a B-tree plan: %q", q, got.Plan)
 				}
 				want, err := db.QueryNaive(q)

@@ -3,7 +3,6 @@ package geom
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Polygon is a simple polygonal region given by its vertices in order
@@ -146,42 +145,4 @@ func (p Polygon) IntersectsRect(r Rect) bool {
 // String formats the polygon as its vertex list.
 func (p Polygon) String() string {
 	return fmt.Sprintf("poly%v", p.Vertices)
-}
-
-// ConvexHull returns the convex hull of pts in counter-clockwise order
-// using the monotone-chain algorithm. The hull is useful when deriving
-// compact region outlines from digitized point clouds.
-func ConvexHull(pts []Point) []Point {
-	n := len(pts)
-	if n < 3 {
-		out := make([]Point, n)
-		copy(out, pts)
-		return out
-	}
-	sorted := make([]Point, n)
-	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].X != sorted[j].X {
-			return sorted[i].X < sorted[j].X
-		}
-		return sorted[i].Y < sorted[j].Y
-	})
-	hull := make([]Point, 0, 2*n)
-	// Lower hull.
-	for _, p := range sorted {
-		for len(hull) >= 2 && Cross(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	// Upper hull.
-	lower := len(hull) + 1
-	for i := n - 2; i >= 0; i-- {
-		p := sorted[i]
-		for len(hull) >= lower && Cross(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	return hull[:len(hull)-1]
 }

@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -91,46 +92,36 @@ func TestPolygonRect(t *testing.T) {
 	}
 }
 
-func TestConvexHull(t *testing.T) {
-	pts := []Point{
-		{0, 0}, {4, 0}, {4, 4}, {0, 4}, // square corners
-		{2, 2}, {1, 1}, {3, 2}, // interior
-		{2, 0}, {4, 2}, // on edges
+// convexPolygon returns a random convex polygon of n vertices: points
+// of a circle at sorted random angles.
+func convexPolygon(rng *rand.Rand, n int) Polygon {
+	c, r := Pt(rng.Float64()*100, rng.Float64()*100), 1+rng.Float64()*50
+	angles := make([]float64, n)
+	for i := range angles {
+		angles[i] = rng.Float64() * 2 * math.Pi
 	}
-	hull := ConvexHull(pts)
-	if len(hull) != 4 {
-		t.Fatalf("hull has %d vertices, want 4: %v", len(hull), hull)
+	slices.Sort(angles)
+	vs := make([]Point, n)
+	for i, a := range angles {
+		vs[i] = Pt(c.X+r*math.Cos(a), c.Y+r*math.Sin(a))
 	}
-	hp := Polygon{Vertices: hull}
-	if got := hp.Area(); math.Abs(got-16) > 1e-12 {
-		t.Fatalf("hull area = %g, want 16", got)
-	}
+	return Polygon{Vertices: vs}
 }
 
-func TestConvexHullSmall(t *testing.T) {
-	if got := ConvexHull(nil); len(got) != 0 {
-		t.Errorf("hull of nothing = %v", got)
-	}
-	two := []Point{{1, 1}, {2, 2}}
-	if got := ConvexHull(two); len(got) != 2 {
-		t.Errorf("hull of two points = %v", got)
-	}
-}
-
+// TestQuickHullContainsAllPoints: a convex polygon is the hull of its
+// vertices, so it contains each of them and every point between one of
+// them and their mean.
 func TestQuickHullContainsAllPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
 	f := func() bool {
-		n := 3 + rng.Intn(30)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Pt(rng.Float64()*100, rng.Float64()*100)
+		p := convexPolygon(rng, 3+rng.Intn(30))
+		var m Point
+		for _, v := range p.Vertices {
+			m = m.Add(v)
 		}
-		hull := Polygon{Vertices: ConvexHull(pts)}
-		if len(hull.Vertices) < 3 {
-			return true // degenerate input
-		}
-		for _, p := range pts {
-			if !hull.ContainsPoint(p) {
+		m = m.Scale(1 / float64(len(p.Vertices)))
+		for _, v := range p.Vertices {
+			if !p.ContainsPoint(v) || !p.ContainsPoint(m.Add(v.Sub(m).Scale(0.99*rng.Float64()))) {
 				return false
 			}
 		}
@@ -144,13 +135,8 @@ func TestQuickHullContainsAllPoints(t *testing.T) {
 func TestQuickPolygonAreaInsideMBR(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	f := func() bool {
-		n := 3 + rng.Intn(8)
-		pts := make([]Point, n)
-		for i := range pts {
-			pts[i] = Pt(rng.Float64()*100, rng.Float64()*100)
-		}
-		hull := Polygon{Vertices: ConvexHull(pts)}
-		return hull.Area() <= hull.Rect().Area()+1e-9
+		p := convexPolygon(rng, 3+rng.Intn(8))
+		return p.Area() <= p.Rect().Area()+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -193,51 +179,5 @@ func TestSegmentIntersects(t *testing.T) {
 				t.Errorf("Intersects not symmetric")
 			}
 		})
-	}
-}
-
-func TestSegmentIntersectsRect(t *testing.T) {
-	r := R(0, 0, 10, 10)
-	tests := []struct {
-		name string
-		s    Segment
-		want bool
-	}{
-		{"inside", Seg(Pt(1, 1), Pt(2, 2)), true},
-		{"crossingThrough", Seg(Pt(-5, 5), Pt(15, 5)), true},
-		{"endpointInside", Seg(Pt(5, 5), Pt(20, 20)), true},
-		{"outside", Seg(Pt(20, 20), Pt(30, 30)), false},
-		{"grazingCorner", Seg(Pt(10, 10), Pt(20, 20)), true},
-		{"diagonalMiss", Seg(Pt(11, 0), Pt(20, 9)), false},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.s.IntersectsRect(r); got != tt.want {
-				t.Errorf("IntersectsRect = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestSegmentDistToPoint(t *testing.T) {
-	s := Seg(Pt(0, 0), Pt(10, 0))
-	tests := []struct {
-		p    Point
-		want float64
-	}{
-		{Pt(5, 3), 3},
-		{Pt(-4, 3), 5},
-		{Pt(13, 4), 5},
-		{Pt(5, 0), 0},
-	}
-	for _, tt := range tests {
-		if got := s.DistToPoint(tt.p); math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("DistToPoint(%v) = %g, want %g", tt.p, got, tt.want)
-		}
-	}
-	// Degenerate segment is a point.
-	d := Seg(Pt(1, 1), Pt(1, 1))
-	if got := d.DistToPoint(Pt(4, 5)); got != 5 {
-		t.Errorf("degenerate DistToPoint = %g, want 5", got)
 	}
 }

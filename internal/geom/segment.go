@@ -60,39 +60,3 @@ func (s Segment) Intersects(t Segment) bool {
 	}
 	return false
 }
-
-// IntersectsRect reports whether segment s shares at least one point
-// with rectangle r. Window queries over segment objects refine the MBR
-// test with this exact test.
-func (s Segment) IntersectsRect(r Rect) bool {
-	if r.IsEmpty() {
-		return false
-	}
-	if r.ContainsPoint(s.A) || r.ContainsPoint(s.B) {
-		return true
-	}
-	c := r.Corners()
-	edges := [4]Segment{
-		{c[0], c[1]}, {c[1], c[2]}, {c[2], c[3]}, {c[3], c[0]},
-	}
-	for _, e := range edges {
-		if s.Intersects(e) {
-			return true
-		}
-	}
-	return false
-}
-
-// DistToPoint returns the minimal distance from p to any point of s.
-func (s Segment) DistToPoint(p Point) float64 {
-	ab := s.B.Sub(s.A)
-	ap := p.Sub(s.A)
-	den := ab.X*ab.X + ab.Y*ab.Y
-	if den == 0 {
-		return p.Dist(s.A)
-	}
-	t := (ap.X*ab.X + ap.Y*ab.Y) / den
-	t = math.Max(0, math.Min(1, t))
-	proj := s.A.Add(ab.Scale(t))
-	return p.Dist(proj)
-}

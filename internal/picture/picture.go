@@ -76,20 +76,6 @@ func (o Object) MBR() geom.Rect {
 	}
 }
 
-// IntersectsWindow reports whether the object's exact geometry (not
-// just its MBR) intersects the window — the refinement step after the
-// R-tree filter.
-func (o Object) IntersectsWindow(w geom.Rect) bool {
-	switch o.Kind {
-	case KindPoint:
-		return w.ContainsPoint(o.Point)
-	case KindSegment:
-		return o.Segment.IntersectsRect(w)
-	default:
-		return o.Region.IntersectsRect(w)
-	}
-}
-
 // Anchor returns a representative point used to place the object's
 // label when rendering.
 func (o Object) Anchor() geom.Point {

@@ -56,24 +56,6 @@ func TestObjectMBR(t *testing.T) {
 	}
 }
 
-func TestIntersectsWindowRefinement(t *testing.T) {
-	p := New("m", geom.R(0, 0, 100, 100))
-	// A diagonal segment whose MBR intersects the window but whose
-	// geometry does not.
-	id := p.AddSegment("diag", geom.Seg(geom.Pt(0, 0), geom.Pt(100, 100)))
-	o, _ := p.Get(id)
-	w := geom.R(60, 0, 100, 40) // below the diagonal
-	if !o.MBR().Intersects(w) {
-		t.Fatal("test setup wrong: MBR should intersect")
-	}
-	if o.IntersectsWindow(w) {
-		t.Fatal("exact geometry should not intersect")
-	}
-	if !o.IntersectsWindow(geom.R(40, 40, 60, 60)) {
-		t.Fatal("segment should intersect a window on the diagonal")
-	}
-}
-
 // TestReserveMovesAllocator: ids ascend, and after Reserve(n) every new
 // id is above n — how a reload keeps new objects off the stored ids.
 func TestReserveMovesAllocator(t *testing.T) {

@@ -1,9 +1,6 @@
 package psql
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Aggregate functions over the qualifying row set. The paper motivates
 // them directly: "An aggregate function on a set of highway segments
@@ -125,7 +122,7 @@ func (st *execState) evalAggregate(f FuncCall, rows []row) (Datum, error) {
 // projectAggregates evaluates an all-aggregate target list into a
 // single result row.
 func (st *execState) projectAggregates(rows []row) (*Result, error) {
-	res := &Result{NodesVisited: st.visited, Plan: st.planNotes(), Columns: slices.Clone(st.columns)}
+	res := st.newResult()
 	out := make([]Datum, 0, len(st.items))
 	for _, it := range st.items {
 		f, ok := it.Expr.(FuncCall)

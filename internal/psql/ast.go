@@ -52,7 +52,7 @@ func (t TableRef) Binding() string {
 }
 
 // SpatialOp is one of the paper's spatial comparison operators.
-type SpatialOp int
+type SpatialOp uint8
 
 const (
 	// OpCoveredBy: left is wholly within right.

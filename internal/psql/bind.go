@@ -2,9 +2,7 @@ package psql
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"repro/internal/geom"
 	"repro/internal/relation"
 )
 
@@ -52,8 +50,9 @@ type atPlan struct {
 }
 
 // boundStmt is a statement bound to the catalog. It is read-only once
-// published — goroutines executing one cached text share it — except
-// for path, which is replaced whole.
+// published: goroutines executing one cached text share it. Its access
+// path is priced afresh by every execution, from the relations as they
+// stand then.
 type boundStmt struct {
 	ent      *stmtEntry
 	q        *Query
@@ -83,19 +82,6 @@ type boundStmt struct {
 	need      [][]bool
 	conjuncts []Expr // the expressions of an.conjuncts[head:], in planner order
 	orderBy   []Expr
-	path      atomic.Pointer[pricedPath]
-}
-
-// pricedPath is an access-path choice with the notes that report it,
-// keyed on what it was priced from: the spatial index's cost snapshot
-// (zero without an at-clause), the relation's tuple count and the
-// windows.
-type pricedPath struct {
-	snap    relation.CostSnapshot
-	n       int
-	windows []geom.Rect
-	via     *boundTerm // the B-tree term that drives the statement; nil for the R-tree or a scan
-	notes   []string
 }
 
 // bind resolves ent's statement against the catalog.

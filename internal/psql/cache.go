@@ -9,13 +9,14 @@ import (
 // The statement cache maps exact query text to its parsed AST, its
 // syntactic analysis and, from the first execution on, the statement
 // bound to the catalog (bind.go), so repeated queries skip lexing,
-// parsing, conjunct ranking, name resolution and — while nothing a
-// price reads has changed — pricing. Everything an entry holds is
-// read-only once published: execution never mutates a Query or a
-// boundStmt, which is what makes one entry safe to share across
-// concurrent Run calls. Nothing in an entry names a function
-// implementation: a call looks its function up when it runs, so a
-// cached statement calls whatever RegisterFunc last installed.
+// parsing, conjunct ranking and name resolution. Pricing is not cached:
+// every execution prices its access path from the relations as they
+// stand. Everything an entry holds is read-only once published:
+// execution never mutates a Query or a boundStmt, which is what makes
+// one entry safe to share across concurrent Run calls. Nothing in an
+// entry names a function implementation: a call looks its function up
+// when it runs, so a cached statement calls whatever RegisterFunc last
+// installed.
 
 // DefaultStatementCacheSize is the executor's statement-cache capacity.
 const DefaultStatementCacheSize = 128

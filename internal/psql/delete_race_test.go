@@ -69,7 +69,7 @@ func TestFetchBesideDelete(t *testing.T) {
 				if len(res.Rows) == 0 {
 					t.Fatalf("%s: no rows: the statement tests nothing", statement(i, 0))
 				}
-				if want := []string{"", "", "index lookup", "juxtaposition"}[i]; !strings.Contains(strings.Join(res.Plan, "; "), want) {
+				if want := []string{"", "", "index lookup", "juxtaposition"}[i]; !strings.Contains(strings.Join(res.Plan.Lines(), "; "), want) {
 					t.Fatalf("%s: plan %q does not take the %s path", statement(i, 0), res.Plan, want)
 				}
 				initial[i] = map[string]bool{}

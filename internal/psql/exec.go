@@ -1,6 +1,7 @@
 package psql
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -150,25 +151,27 @@ type execOpts struct {
 // execState carries one execution of a bound statement.
 type execState struct {
 	*boundStmt
-	e        *Executor
-	opts     execOpts
-	visited  int
-	plan     []string
-	subnotes []string // plan notes of nested mappings, reported after the outer plan
+	e       *Executor
+	opts    execOpts
+	visited int
+	plan    Plan
 }
 
-// note records one access-path decision for Result.Plan.
-func (st *execState) note(format string, args ...any) {
-	st.plan = append(st.plan, fmt.Sprintf(format, args...))
-}
-
-// planNotes assembles Result.Plan: the outer query's decisions first,
-// then nested mappings'.
-func (st *execState) planNotes() []string {
-	if len(st.subnotes) == 0 {
-		return st.plan
+// note records one access-path decision for Result.Plan. A statement
+// makes one or two, so its plan starts with room for two.
+func (st *execState) note(s Step) {
+	if st.plan == nil {
+		st.plan = make(Plan, 0, 2)
 	}
-	return append(append([]string(nil), st.plan...), st.subnotes...)
+	st.plan = append(st.plan, s)
+}
+
+// newResult starts the statement's Result with its node count, its
+// column headings and its plan: the outer query's steps first, then its
+// nested mappings', which ran before the outer query chose its path.
+func (st *execState) newResult() *Result {
+	slices.SortStableFunc(st.plan, func(a, b Step) int { return cmp.Compare(min(a.Depth, 1), min(b.Depth, 1)) })
+	return &Result{NodesVisited: st.visited, Plan: st.plan, Columns: slices.Clone(st.columns)}
 }
 
 // run executes ent's statement: the naive executor binds it afresh, the
@@ -349,19 +352,6 @@ func (st *execState) constantAt() (bool, error) {
 	return false, nil
 }
 
-// pricedFor returns the statement's access path as price fills it in
-// from snap, n and windows, re-priced only when one of them differs
-// from what the kept path was priced from.
-func (st *execState) pricedFor(snap relation.CostSnapshot, n int, windows []geom.Rect, price func(*pricedPath)) *pricedPath {
-	if p := st.path.Load(); p != nil && p.snap == snap && p.n == n && slices.Equal(p.windows, windows) {
-		return p
-	}
-	p := &pricedPath{snap: snap, n: n, windows: windows}
-	price(p)
-	st.path.Store(p)
-	return p
-}
-
 // planWindowSearch chooses the access path for a single-loc at-clause:
 // direct spatial search through the R-tree, or — when the cost model
 // prices it at under half the direct estimate — a B-tree lookup on the
@@ -378,39 +368,29 @@ func (st *execState) planWindowSearch(bi int, op SpatialOp, windows []geom.Rect)
 	if !ok {
 		return nil, nil, fmt.Errorf("psql: relation %q is not spatially indexed on picture %q", b.name, b.picture)
 	}
-	p := st.pricedFor(snap, b.rel.Len(), windows, func(p *pricedPath) {
-		costDirect := directSearchCost(snap, windows, op)
-		if ic, ok := st.bestIndexedConjunct(); ok {
-			costIdx := btreeCost(p.n, ic.sel)
-			if costIdx < btreeHysteresis*costDirect {
-				p.via = &ic
-				p.notes = []string{fmt.Sprintf("index lookup: B-tree on %s.%s (%s) drives the at-clause (est %.1f vs direct %.1f)",
-					b.name, ic.cmp.col.Column, ic.cmp.op, costIdx, costDirect)}
-				return
+	costDirect := directSearchCost(snap, windows, op)
+	if ic, ok := st.bestIndexedConjunct(); ok {
+		costIdx := btreeCost(b.rel.Len(), ic.sel)
+		if costIdx < btreeHysteresis*costDirect {
+			st.note(Step{Kind: StepIndexAt, Rel: b.name, Column: ic.cmp.col.Column, Cmp: ic.op(), Est: costIdx, Alt: costDirect})
+			items, tuples, err := st.restrictSide(bi, &ic)
+			if err != nil {
+				return nil, nil, err
 			}
-			p.notes = append(p.notes, fmt.Sprintf("cost: direct spatial search (est %.1f) kept over B-tree on %s.%s (est %.1f)",
-				costDirect, b.name, ic.cmp.col.Column, costIdx))
-		}
-		p.notes = append(p.notes, fmt.Sprintf("direct spatial search: R-tree of %q on %q, %d window(s), %s",
-			b.name, b.picture, len(windows), op))
-	})
-	st.plan = append(st.plan, p.notes...)
-	if p.via != nil {
-		items, tuples, err := st.restrictSide(bi, p.via)
-		if err != nil {
-			return nil, nil, err
-		}
-		pred := spatialPred(op)
-		var ids []storage.TupleID
-		kept := tuples[:0]
-		for i, it := range items {
-			if slices.ContainsFunc(windows, func(w geom.Rect) bool { return pred(it.Rect, w) }) {
-				ids = append(ids, storage.TupleIDFromInt64(it.Data))
-				kept = append(kept, tuples[i])
+			pred := spatialPred(op)
+			var ids []storage.TupleID
+			kept := tuples[:0]
+			for i, it := range items {
+				if slices.ContainsFunc(windows, func(w geom.Rect) bool { return pred(it.Rect, w) }) {
+					ids = append(ids, storage.TupleIDFromInt64(it.Data))
+					kept = append(kept, tuples[i])
+				}
 			}
+			return ids, kept, nil
 		}
-		return ids, kept, nil
+		st.note(Step{Kind: StepDirectOverBTree, Rel: b.name, Column: ic.cmp.col.Column, Est: costDirect, Alt: costIdx})
 	}
+	st.note(Step{Kind: StepDirectSearch, Rel: b.name, Other: b.picture, N: int32(len(windows)), Op: op})
 	ids, err := st.directSearch(bi, op, windows)
 	return ids, nil, err
 }
@@ -430,29 +410,20 @@ func tupleMBR(t relation.Tuple, li int, picName string) (geom.Rect, bool) {
 // cost model prices that below a full scan. The full qualification is
 // still evaluated afterwards, so using the index only narrows the
 // candidates. ok is false when no conjunct is indexable or the scan is
-// cheaper; the plan notes say which.
+// cheaper; the plan says which.
 func (st *execState) indexedCandidates() ([]storage.TupleID, bool) {
 	b := st.bindings[0]
-	p := st.pricedFor(relation.CostSnapshot{}, b.rel.Len(), nil, func(p *pricedPath) {
-		if ic, ok := st.bestIndexedConjunct(); ok {
-			costIdx := btreeCost(p.n, ic.sel)
-			costScan := scanCost(p.n)
-			if costIdx < costScan {
-				p.via = &ic
-				p.notes = []string{fmt.Sprintf("index lookup: B-tree on %s.%s (%s) (est %.1f vs scan %.1f)",
-					b.name, ic.cmp.col.Column, ic.cmp.op, costIdx, costScan)}
-				return
-			}
-			p.notes = append(p.notes, fmt.Sprintf("cost: scan (est %.1f) kept over B-tree on %s.%s (est %.1f)",
-				costScan, b.name, ic.cmp.col.Column, costIdx))
+	if ic, ok := st.bestIndexedConjunct(); ok {
+		n := b.rel.Len()
+		costIdx, costScan := btreeCost(n, ic.sel), scanCost(n)
+		if costIdx < costScan {
+			st.note(Step{Kind: StepIndexLookup, Rel: b.name, Column: ic.cmp.col.Column, Cmp: ic.op(), Est: costIdx, Alt: costScan})
+			return b.rel.Lookup(ic.relTerm())
 		}
-		p.notes = append(p.notes, fmt.Sprintf("scan: full scan of %d relation(s)", len(st.bindings)))
-	})
-	st.plan = append(st.plan, p.notes...)
-	if p.via == nil {
-		return nil, false
+		st.note(Step{Kind: StepScanOverBTree, Rel: b.name, Column: ic.cmp.col.Column, Est: costScan, Alt: costIdx})
 	}
-	return b.rel.Lookup(p.via.relTerm())
+	st.note(Step{Kind: StepScan, N: int32(len(st.bindings))})
+	return nil, false
 }
 
 // columnVsLiteral matches "col op literal" or its mirror, normalizing
@@ -542,8 +513,9 @@ func (st *execState) termWindows(t SpatialTerm) ([]geom.Rect, error) {
 			return nil, err
 		}
 		st.visited += res.NodesVisited
-		for _, note := range res.Plan {
-			st.subnotes = append(st.subnotes, "nested: "+note)
+		for _, s := range res.Plan {
+			s.Depth++
+			st.note(s)
 		}
 		var out []geom.Rect
 		for _, r := range res.Rows {
@@ -709,7 +681,7 @@ func (st *execState) traversalPairs(sides *[2]joinSide, op SpatialOp) ([]pair, e
 	for i, p := range jp {
 		pairs[i] = pair{x: p.A, y: p.B}
 	}
-	st.note("juxtaposition: simultaneous R-tree traversal of %q and %q (%s)", a.name, b.name, op)
+	st.note(Step{Kind: StepTraversal, Rel: a.name, Other: b.name, Op: op})
 	return pairs, nil
 }
 
@@ -873,7 +845,7 @@ func (st *execState) orderRows(rows []row) error {
 // project evaluates the target list over the qualifying rows, into one
 // block of datums the result's rows are cut from.
 func (st *execState) project(rows []row) (*Result, error) {
-	res := &Result{NodesVisited: st.visited, Plan: st.planNotes(), Columns: slices.Clone(st.columns)}
+	res := st.newResult()
 	if len(rows) == 0 {
 		return res, nil
 	}

@@ -578,7 +578,7 @@ func TestQueryPlanNotes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		joined := strings.Join(res.Plan, "; ")
+		joined := strings.Join(res.Plan.Lines(), "; ")
 		if !strings.Contains(joined, wantSubstring) {
 			t.Errorf("%s\n plan %q missing %q", q, joined, wantSubstring)
 		}
@@ -784,7 +784,7 @@ func TestBTreeWindowReadsEachCandidateOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan := strings.Join(got.Plan, "\n"); !strings.Contains(plan, "index lookup: B-tree on pts.k") {
+	if plan := strings.Join(got.Plan.Lines(), "\n"); !strings.Contains(plan, "index lookup: B-tree on pts.k") {
 		t.Fatalf("not a B-tree-driven window:\n%s", plan)
 	}
 	if reads != len(candidates) {
@@ -853,7 +853,7 @@ func TestScanReadsEachRecordOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan := strings.Join(got.Plan, "\n"); !strings.Contains(plan, "scan: full scan") {
+	if plan := strings.Join(got.Plan.Lines(), "\n"); !strings.Contains(plan, "scan: full scan") {
 		t.Fatalf("not a scan:\n%s", plan)
 	}
 	if reads != n {

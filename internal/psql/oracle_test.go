@@ -253,7 +253,7 @@ func randomizedJoinTrial(t *testing.T, rng *rand.Rand, trial int, ops []string, 
 			t.Fatalf("trial %d naive: %s: %v", trial, query, err)
 		}
 		sameRows(t, query, res, naive)
-		plan := strings.Join(res.Plan, " | ")
+		plan := strings.Join(res.Plan.Lines(), " | ")
 		if strings.Contains(plan, "juxtaposition restriction:") {
 			for _, alg := range []string{"batched direct search", "simultaneous R-tree traversal", "nested loop"} {
 				if strings.Contains(plan, "juxtaposition: "+alg) {

@@ -19,7 +19,7 @@ func corpusPlans(t *testing.T, db *pictdb.Database) []string {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		out[i] = strings.Join(res.Plan, " | ")
+		out[i] = strings.Join(res.Plan.Lines(), " | ")
 	}
 	return out
 }

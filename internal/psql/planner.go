@@ -141,39 +141,41 @@ func bindTerm(bindings []binding, c conjunct) (boundTerm, bool) {
 // nothing and satisfying what an ordering result of zero satisfies. The
 // literal is of the column's type (bindTerm), so no comparison errors.
 func (t boundTerm) relTerm() relation.Term {
-	op := relation.OpGe
+	return relation.Term{Col: t.ci, Op: t.op(), Val: t.val}
+}
+
+// op returns the term's comparison as the relation spells it.
+func (t boundTerm) op() relation.Op {
 	switch t.cmp.op {
 	case "=":
-		op = relation.OpEq
+		return relation.OpEq
 	case "<":
-		op = relation.OpLt
+		return relation.OpLt
 	case "<=":
-		op = relation.OpLe
+		return relation.OpLe
 	case ">":
-		op = relation.OpGt
+		return relation.OpGt
 	}
-	return relation.Term{Col: t.ci, Op: op, Val: t.val}
+	return relation.OpGe
 }
 
-// moreSelectiveIndexed returns t when its column has a B-tree and it is
-// more selective than best, and best otherwise.
-func moreSelectiveIndexed(best, t boundTerm) boundTerm {
-	if t.sel < best.sel && t.indexed {
-		return t
+// bestIndexed returns the most selective of terms whose column has a
+// B-tree; ok is false when none has.
+func bestIndexed(terms []boundTerm) (best boundTerm, ok bool) {
+	best.sel = math.Inf(1)
+	for _, t := range terms {
+		if t.indexed && t.sel < best.sel {
+			best = t
+		}
 	}
-	return best
+	return best, best.cmp != nil
 }
 
-// bestIndexedConjunct scans the bound terms of a single-relation query
-// for B-tree-answerable ones and returns the most selective. ok is
-// false when none is indexable.
+// bestIndexedConjunct returns the most selective B-tree-answerable term
+// of a single-relation query. ok is false when none is indexable.
 func (st *execState) bestIndexedConjunct() (boundTerm, bool) {
-	best := boundTerm{sel: math.Inf(1)}
 	if len(st.bindings) != 1 {
-		return best, false
+		return boundTerm{}, false
 	}
-	for _, t := range st.terms {
-		best = moreSelectiveIndexed(best, t)
-	}
-	return best, !math.IsInf(best.sel, 1)
+	return bestIndexed(st.terms)
 }

@@ -265,7 +265,7 @@ func TestPlannerAccessPathChoice(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		return strings.Join(res.Plan, "; ")
+		return strings.Join(res.Plan.Lines(), "; ")
 	}
 	// city = 'Boston' is indexed and estimated at 5% selectivity: the
 	// B-tree should drive the at-clause.
@@ -295,7 +295,7 @@ func TestPlannerAccessPathChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joined := strings.Join(res.Plan, "; ")
+	joined := strings.Join(res.Plan.Lines(), "; ")
 	if !strings.Contains(joined, "nested: ") {
 		t.Errorf("nested mapping plan notes missing; plan: %s", joined)
 	}
@@ -442,7 +442,7 @@ func TestBoundStatementRevalidation(t *testing.T) {
 					t.Fatalf("%s:\ncached plan %q (%d nodes)\n fresh plan %q (%d nodes)", label, got.Plan, got.NodesVisited, want.Plan, want.NodesVisited)
 				}
 			}
-			plans[q] = strings.Join(want.Plan, " | ")
+			plans[q] = strings.Join(want.Plan.Lines(), " | ")
 		}
 	}
 	// moved demands that the step just taken changed what text i reports:

@@ -3,7 +3,6 @@ package psql
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 
@@ -64,11 +63,7 @@ func (st *execState) fetchKept(bi int, ids []storage.TupleID, need []bool) ([]st
 func (st *execState) restrictionCost(bi int, terms []boundTerm) (cost float64, via *boundTerm) {
 	rel := st.bindings[bi].rel
 	cost = scanCost(rel.Len())
-	best := boundTerm{sel: math.Inf(1)}
-	for _, t := range terms {
-		best = moreSelectiveIndexed(best, t)
-	}
-	if best.cmp != nil {
+	if best, ok := bestIndexed(terms); ok {
 		if c := btreeCost(rel.Len(), best.sel); c < cost {
 			return c, &best
 		}
@@ -91,20 +86,20 @@ type joinSide struct {
 
 // restrict evaluates s.terms ahead of the join, through the B-tree on
 // via's column or, when via is nil, one heap scan, and notes the
-// outcome with the estimates in vs.
-func (st *execState) restrict(s *joinSide, via *boundTerm, vs string) error {
+// outcome with its estimate, est, and the traversal's, costJoin (0 when
+// the restriction was not priced against a traversal).
+func (st *execState) restrict(s *joinSide, via *boundTerm, est, costJoin float64) error {
 	items, tuples, err := st.restrictSide(s.bi, via)
 	if err != nil {
 		return err
 	}
 	s.restricted, s.items, s.tuples = true, items, tuples
 	b := st.bindings[s.bi]
-	how := "heap scan"
+	step := Step{Kind: StepRestrict, Rel: b.name, N: int32(len(items)), Of: int32(b.rel.Len()), Terms: int32(len(s.terms)), Est: est, Alt: costJoin}
 	if via != nil {
-		how = fmt.Sprintf("B-tree on %s.%s (%s)", b.name, via.cmp.col.Column, via.cmp.op)
+		step.Column, step.Cmp = via.cmp.col.Column, via.op()
 	}
-	st.note("juxtaposition restriction: %q reduced to %d of %d tuple(s) by %d where-term(s), %s (%s)",
-		b.name, len(items), b.rel.Len(), len(s.terms), how, vs)
+	st.note(step)
 	return nil
 }
 
@@ -209,7 +204,7 @@ func (st *execState) nestedLoopPairs(sides *[2]joinSide) ([]pair, error) {
 		b := st.bindings[side.bi]
 		if len(side.terms) > 0 {
 			cost, via := st.restrictionCost(side.bi, side.terms)
-			if err := st.restrict(side, via, fmt.Sprintf("est %.1f", cost)); err != nil {
+			if err := st.restrict(side, via, cost, 0); err != nil {
 				return nil, err
 			}
 			items[s] = side.items
@@ -223,8 +218,7 @@ func (st *execState) nestedLoopPairs(sides *[2]joinSide) ([]pair, error) {
 		items[s] = all
 		st.visited += visited
 	}
-	st.note("juxtaposition: nested loop of %q and %q (%s admits no pruning)",
-		st.bindings[sides[0].bi].name, st.bindings[sides[1].bi].name, OpDisjoined)
+	st.note(Step{Kind: StepNestedLoop, Rel: st.bindings[sides[0].bi].name, Other: st.bindings[sides[1].bi].name, Op: OpDisjoined})
 	limit := maxProductRows
 	var pairs []pair
 	for i, ia := range items[0] {
@@ -272,11 +266,10 @@ func (st *execState) intersectingPairs(sides *[2]joinSide, op SpatialOp) ([]pair
 		}
 		cost, via := st.restrictionCost(side.bi, side.terms)
 		if cost >= costJoin {
-			st.note("cost: traversal (est %.1f) kept over restricting %q (est %.1f)",
-				costJoin, st.bindings[side.bi].name, cost)
+			st.note(Step{Kind: StepTraversalOverRestriction, Rel: st.bindings[side.bi].name, Est: costJoin, Alt: cost})
 			continue
 		}
-		if err := st.restrict(side, via, fmt.Sprintf("est %.1f vs traversal %.1f", cost, costJoin)); err != nil {
+		if err := st.restrict(side, via, cost, costJoin); err != nil {
 			return nil, err
 		}
 		other := st.bindings[sides[1-s].bi]
@@ -292,13 +285,13 @@ func (st *execState) intersectingPairs(sides *[2]joinSide, op SpatialOp) ([]pair
 	var err error
 	if drive >= 0 {
 		pairs, err = st.probePairs(sides, drive, probeWindows, op)
-		st.note("juxtaposition: batched direct search of %q from the %d surviving %q MBR(s) (%s) (est %.1f vs traversal %.1f)",
-			st.bindings[sides[1-drive].bi].name, len(sides[drive].items), st.bindings[sides[drive].bi].name, op, costBest, costJoin)
+		st.note(Step{Kind: StepProbe, Rel: st.bindings[sides[1-drive].bi].name, Other: st.bindings[sides[drive].bi].name,
+			N: int32(len(sides[drive].items)), Op: op, Est: costBest, Alt: costJoin})
 	} else {
 		for s := range sides {
 			if sides[s].restricted {
-				st.note("cost: traversal (est %.1f) kept over batched direct search from the %d surviving %q MBR(s) (est %.1f)",
-					costJoin, len(sides[s].items), st.bindings[sides[s].bi].name, sides[s].costProbe)
+				st.note(Step{Kind: StepTraversalOverProbe, Rel: st.bindings[sides[s].bi].name, N: int32(len(sides[s].items)),
+					Est: costJoin, Alt: sides[s].costProbe})
 			}
 		}
 		pairs, err = st.traversalPairs(sides, op)

@@ -131,7 +131,7 @@ func TestDisjoinedJuxtapositionHonorsMaxProductRows(t *testing.T) {
 	if err != nil {
 		t.Fatalf("one-relation window under the cap: %v", err)
 	}
-	if plan := strings.Join(planned.Plan, "\n"); !strings.Contains(plan, "index lookup: B-tree on pts.k") {
+	if plan := strings.Join(planned.Plan.Lines(), "\n"); !strings.Contains(plan, "index lookup: B-tree on pts.k") {
 		t.Fatalf("not a B-tree-driven window:\n%s", plan)
 	}
 	naive, err := pts.RunNaive(window)
@@ -175,7 +175,7 @@ func TestRestrictedJuxtapositionEqualsNestedMapping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plan := strings.Join(joined.Plan, " | "); !strings.Contains(plan, "juxtaposition: batched direct search") {
+		if plan := strings.Join(joined.Plan.Lines(), " | "); !strings.Contains(plan, "juxtaposition: batched direct search") {
 			t.Fatalf("kind %d: the juxtaposition did not probe from its survivors: %s", k, plan)
 		}
 		nested, err := db.Query(fmt.Sprintf(`select n from pts on pmap

@@ -19,9 +19,10 @@ type Result struct {
 	// the paper's search-cost measure A, per query.
 	NodesVisited int
 	// Plan lists the access-path decisions the executor made (direct
-	// spatial search, juxtaposition, index lookup, or scan), outermost
-	// query first.
-	Plan []string
+	// spatial search, juxtaposition, index lookup, or scan) and the
+	// estimates each was chosen by, outermost query first. A step is a
+	// value; its String renders the line a reader sees.
+	Plan Plan
 }
 
 // Len returns the number of result rows.

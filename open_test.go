@@ -165,7 +165,7 @@ func captureOpenState(t *testing.T, db *Database) openState {
 		}
 		st.Rows = append(st.Rows, rows)
 		st.Nodes = append(st.Nodes, res.NodesVisited)
-		st.Plans = append(st.Plans, res.Plan)
+		st.Plans = append(st.Plans, res.Plan.Lines())
 	}
 	return st
 }

@@ -6,10 +6,12 @@
 // A Database holds relations (tables over alphanumeric and pictorial
 // domains), pictures (named maps of point/segment/region objects), and
 // named locations. Relations associate with pictures through loc
-// columns; each association is indexed by a packed R-tree built with
-// the paper's PACK algorithm (or any of its descendants: lowx, STR,
-// Hilbert, rotation packing). Queries are written in PSQL, the paper's
-// pictorial query language:
+// columns; each association is indexed by an R-tree packed bottom-up
+// as the paper's PACK algorithm does, in Hilbert order (AttachPicture
+// refuses any other method; PackIndex builds a stand-alone index with
+// any of them: nearest-neighbour, lowx, STR, Hilbert, rotation
+// packing). Queries are written in PSQL, the paper's pictorial query
+// language:
 //
 //	db := pictdb.New()
 //	... define pictures and relations ...
