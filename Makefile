@@ -42,7 +42,7 @@ bench:
 # shows whether the evicted frame is reused. DecodeRecord times one
 # record read (the validating walk, the terms, the decode) on
 # window_read's record, kept, rejected and with no term. The one StoreIngest
-# cell keeps the n-store write path running; SplitKinds and UpdateDrift
+# cell keeps a writer beside a reader running; SplitKinds and UpdateDrift
 # show an allocation added to the dynamic Insert and Delete.
 benchcheck:
 	$(GO) test -run xxx -bench 'Juxtapos' -benchtime 10x -benchmem .
@@ -53,28 +53,28 @@ benchcheck:
 	$(GO) test -run xxx -bench 'GetBatch' -benchtime 100x -benchmem ./internal/storage/
 	$(GO) test -run xxx -bench 'DecodeRecord' -benchtime 10000x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'DeltaMergedSearch|PackedOnlySearch' -benchtime 20x -benchmem ./internal/relation/
-	$(GO) test -run xxx -bench 'ShardedSearch|UnshardedSearch' -benchtime 20x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'Repack$$' -benchtime 3x -benchmem ./internal/relation/
 	$(GO) test -run xxx -bench 'OpenWindowRead' -benchtime 3x -benchmem .
 	$(GO) test -run xxx -bench 'PackTree' -benchtime 3x -benchmem ./internal/pack/
 	$(GO) test -run xxx -bench 'WindowStatement' -benchtime 200x -benchmem .
 	$(GO) test -run xxx -bench 'SplitKinds' -benchtime 3x -benchmem .
 	$(GO) test -run xxx -bench 'UpdateDrift' -benchtime 2000x -benchmem .
-	$(GO) test -run xxx -bench 'StoreIngest/mem/uniform/stores=4$$' -benchtime 1x .
+	$(GO) test -run xxx -bench 'StoreIngest/mem/uniform$$' -benchtime 1x .
 	$(GO) run ./cmd/pictbench -quick > /dev/null
 
 # Durability suite: injected I/O faults, torn writes, crash points
 # captured over a page file and its log (a background repack's
 # included), checksum and corruption detection, across the pager, the
 # relations' own Check (an index entry naming no tuple, a located tuple
-# its index lost, a heap page chained into two stores) and the full
-# database stack,
-# reopen of a relation of several stores, and the typed refusal of old
+# its index lost, a heap page chained into two of a heap's chains) and
+# the full database stack, the reopen of a heap of several chains (a
+# relation of testdata/stores_pr52, written as four stores, among
+# them), and the typed refusal of old
 # formats (v1 pages, a PICTCAT1 catalog, a relation whose stores were
 # page files of their own, one whose records carried sequence ids — the
 # testdata/ file sets included — left byte-identical).
 faults:
-	$(GO) test -race -run 'Fault|Crash|Torn|Checksum|Corrupt|Truncated|Degrad|UnsupportedFormat|Check|DuplicatePage|ShardedReopen' ./internal/pager/ ./internal/relation/ ./cmd/pictdbcheck/ .
+	$(GO) test -race -run 'Fault|Crash|Torn|Checksum|Corrupt|Truncated|Degrad|UnsupportedFormat|Check|DuplicatePage|ShardedReopen|StoresFixture' ./internal/pager/ ./internal/relation/ ./cmd/pictdbcheck/ .
 
 # Write-ahead-log durability matrix: group-commit batching, live reads
 # beside concurrent group-committing writers, append-region fault

@@ -1112,33 +1112,32 @@ func BenchmarkDefineThenWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreIngest loads storeIngestRows points into a relation of
-// 1, 2, 4 and 8 stores (CreateShardedRelation) in 32-row Writes while
-// one reader answers small window statements beside it, and reports the
+// BenchmarkStoreIngest loads storeIngestRows points into a relation in
+// 32-row Writes while one reader answers small window statements beside
+// it, and reports the
 // writer's rows/s and the reader's median statement latency. durable
 // runs over a page file (one fsync per acknowledged Write), mem over
 // pictdb.New(); uniform spreads the points over the frame, hot puts 9 in
 // 10 in one sixteenth of it. One iteration is one whole load: run with
 // -benchtime 1x. It is the measurement behind DESIGN.md §15's
-// write-bandwidth paragraph.
+// write-bandwidth paragraph: the writer waits on the reader only for the
+// page the reader is reading (Heap.GetBatch).
 func BenchmarkStoreIngest(b *testing.B) {
 	for _, durable := range []bool{false, true} {
 		for _, hot := range []bool{false, true} {
-			for _, stores := range []int{1, 2, 4, 8} {
-				name := fmt.Sprintf("%s/%s/stores=%d", map[bool]string{false: "mem", true: "durable"}[durable], map[bool]string{false: "uniform", true: "hot"}[hot], stores)
-				b.Run(name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						storeIngest(b, durable, hot, stores)
-					}
-				})
-			}
+			name := fmt.Sprintf("%s/%s", map[bool]string{false: "mem", true: "durable"}[durable], map[bool]string{false: "uniform", true: "hot"}[hot])
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					storeIngest(b, durable, hot)
+				}
+			})
 		}
 	}
 }
 
 const storeIngestRows = 200_000
 
-func storeIngest(b *testing.B, durable, hot bool, stores int) {
+func storeIngest(b *testing.B, durable, hot bool) {
 	db := pictdb.New()
 	if durable {
 		var err error
@@ -1151,14 +1150,14 @@ func storeIngest(b *testing.B, durable, hot bool, stores int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rel, err := db.CreateShardedRelation("cities", pictdb.MustSchema("name:string", "pop:int", "loc:loc"), stores)
+	rel, err := db.CreateRelation("cities", pictdb.MustSchema("name:string", "pop:int", "loc:loc"))
 	if err != nil {
 		b.Fatal(err)
 	}
 	if err := rel.AttachPicture(pic, pictdb.PackOptions{Method: pictdb.PackHilbert}); err != nil {
 		b.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(int64(stores)))
+	rng := rand.New(rand.NewSource(1))
 	point := func(i int) pictdb.Point {
 		if hot && i%10 != 0 {
 			return pictdb.Pt(rng.Float64()*250, rng.Float64()*250)

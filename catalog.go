@@ -24,8 +24,8 @@ import (
 //	bytes 8..11 PageID of the definitions heap (0 = none)
 //
 // The definitions are a handful of records: named locations, pictures
-// (name and extent), and relations (schema, one heap handle per store,
-// indexed columns, and attached pictures).
+// (name and extent), and relations (schema, the first page of each of
+// the heap's chains, indexed columns, and attached pictures).
 // They are all the catalog holds:
 // a tuple carries the object its loc names, so a picture's objects are
 // data in its relations' heaps. Commit re-encodes the definitions and,
@@ -33,7 +33,7 @@ import (
 // a fresh heap, points the superblock at it and frees the old one, all
 // under the write gate, so they are durable in the same group commit as
 // the writes that need them (writeDefinitions). Open reads them and then
-// rebuilds every relation from one scan of its heaps — its B-trees,
+// rebuilds every relation from one scan of its heap — its B-trees,
 // its packed R-trees and its pictures' next object ids — one relation
 // after another, in name order (loadCatalog, relation.Open).
 var catMagic = [8]byte{'P', 'I', 'C', 'T', 'C', 'A', 'T', '2'}
@@ -47,16 +47,18 @@ var catMagicV1 = [8]byte{'P', 'I', 'C', 'T', 'C', 'A', 'T', '1'}
 // page ever allocated in a database file.
 const superblockID pager.PageID = 1
 
-// Catalog record type tags. A relation record holds the name, the store
-// count and each store's heap page, the schema, the indexed columns, the
-// attached pictures. Each attached picture's name is followed by two
+// Catalog record type tags. A relation record holds the name, the count
+// of the heap's chains and each one's first page, the schema, the
+// indexed columns, the attached pictures. A relation this engine creates
+// has one chain; a file written when a relation could have several
+// stores holds one chain per store, and is read as one heap of them. Each attached picture's name is followed by two
 // bytes that once chose its packing: every index is Hilbert-packed now,
 // so they are written as (pack.MethodHilbert, 0) and read past whatever
 // they hold. Every heap page is a page of the main file.
 const (
 	catLocation = 'L'
 	catPicture  = 'P'
-	catRelation = 'R' // one or more stores, ids heap addresses and their store
+	catRelation = 'R' // a heap of one or more chains, ids heap addresses
 	// catSeqPrefix and catShardFiles are relation records of earlier
 	// formats: stores in the main file whose records carried an 8-byte
 	// sequence id, and stores in page files of their own beside the main
@@ -65,6 +67,10 @@ const (
 	catSeqPrefix  = 'M'
 	catShardFiles = 'T'
 )
+
+// maxHeapChains bounds a relation record's chain count: the most stores
+// a relation could have when each tuple id held its store in a byte.
+const maxHeapChains = 255
 
 // ensureSuperblock creates or validates the superblock page.
 func (db *Database) ensureSuperblock() error {
@@ -83,29 +89,26 @@ func (db *Database) ensureSuperblock() error {
 		db.pager.Unpin(pg)
 		return nil
 	}
-	pg, err := db.pager.Fetch(superblockID)
-	if err != nil {
-		return err
-	}
-	defer db.pager.Unpin(pg)
-	switch [8]byte(pg.Data[:8]) {
-	case catMagic:
-		return nil
-	case catMagicV1:
-		return fmt.Errorf("pictdb: %w: catalog format PICTCAT1 (picture objects apart from their tuples)", ErrUnsupportedFormat)
-	}
-	return fmt.Errorf("%w: page %d is not a catalog superblock", ErrCorrupt, superblockID)
+	_, err := db.definitionsPage()
+	return err
 }
 
-// definitionsPage returns the first page of the definitions heap the
-// superblock names, InvalidPage when there is none yet.
+// definitionsPage validates the superblock — the one reader of its bytes,
+// for Open and Check alike — and returns the first page of the
+// definitions heap it names, InvalidPage when there is none yet.
 func (db *Database) definitionsPage() (pager.PageID, error) {
 	pg, err := db.pager.Fetch(superblockID)
 	if err != nil {
 		return pager.InvalidPage, err
 	}
 	defer db.pager.Unpin(pg)
-	return pager.PageID(binary.LittleEndian.Uint32(pg.Data[8:12])), nil
+	switch [8]byte(pg.Data[:8]) {
+	case catMagic:
+		return pager.PageID(binary.LittleEndian.Uint32(pg.Data[8:12])), nil
+	case catMagicV1:
+		return pager.InvalidPage, fmt.Errorf("pictdb: %w: catalog format PICTCAT1 (picture objects apart from their tuples)", ErrUnsupportedFormat)
+	}
+	return pager.InvalidPage, fmt.Errorf("%w: page %d is not a catalog superblock", ErrCorrupt, superblockID)
 }
 
 // setDefinitionsPage points the superblock at the definitions heap
@@ -186,7 +189,7 @@ func (db *Database) encodeDefinitions() [][]byte {
 // encodeRelDef encodes one relation's definition.
 func encodeRelDef(name string, rel *Relation) []byte {
 	rec := appendString([]byte{catRelation}, name)
-	heaps := rel.ShardHeapFirstPages()
+	heaps := rel.HeapChains()
 	rec = binary.AppendUvarint(rec, uint64(len(heaps)))
 	for _, h := range heaps {
 		rec = binary.LittleEndian.AppendUint32(rec, uint32(h))
@@ -281,8 +284,7 @@ func scanRecords(defs *storage.Heap, fn func(raw []byte) error) error {
 // loadCatalog reads the definitions, if any, then rebuilds every
 // relation (loadRelation) one after another, in name order — the order
 // the definitions are written in — and stops at the first failure. The
-// parallelism is inside a relation: its stores' scans and its index
-// builds (relation.Open).
+// parallelism is inside a relation: its index builds (relation.Open).
 func (db *Database) loadCatalog() error {
 	defsID, err := db.definitionsPage()
 	if err != nil {
@@ -330,7 +332,7 @@ func (db *Database) loadCatalog() error {
 }
 
 // loadRelation reopens one persisted relation into cat: relation.Open's
-// one scan of its heaps.
+// one scan of its heap.
 func (db *Database) loadRelation(cat *catalog, def decodedRel) error {
 	rd := relation.Def{
 		Name:    def.name,
@@ -392,8 +394,8 @@ func decodeCatalogRecord(raw []byte) (catalogRecord, error) {
 	return rec, err
 }
 
-// decodedRel mirrors the persisted relation definition: heaps holds one
-// heap page per store.
+// decodedRel mirrors the persisted relation definition: heaps holds the
+// first page of each of the heap's chains.
 type decodedRel struct {
 	name    string
 	heaps   []pager.PageID
@@ -407,8 +409,8 @@ type decodedRel struct {
 func decodeRelDef(rec []byte, name string, pos int) (decodedRel, error) {
 	def := decodedRel{name: name}
 	n, w := binary.Uvarint(rec[pos:])
-	if w <= 0 || n == 0 || n > relation.MaxShards {
-		return def, errCatalog("bad store count")
+	if w <= 0 || n == 0 || n > maxHeapChains {
+		return def, errCatalog("bad heap chain count")
 	}
 	pos += w
 	if pos+4*int(n) > len(rec) {

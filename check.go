@@ -1,7 +1,6 @@
 package pictdb
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -90,44 +89,36 @@ func IsCorruption(err error) bool {
 // Check verifies the whole database and returns a report with
 // per-page diagnostics. It never mutates the file. One file pass
 // (checkFile) covers the database; the structures the file holds, every
-// store of every relation among them, claim their pages inside it.
+// relation's heap among them, claim their pages inside it.
 func (db *Database) Check() *CheckReport {
 	r := &CheckReport{}
 	r.checkFile(db.pager, func(claim func(pager.PageID, string)) {
 		// The catalog superblock and definitions heap.
 		claim(superblockID, "superblock")
-		sb, err := db.pager.Fetch(superblockID)
-		if err != nil {
+		if defsID, err := db.definitionsPage(); err != nil {
 			r.add(superblockID, "superblock", err)
-		} else {
-			if [8]byte(sb.Data[:8]) != catMagic {
-				r.add(superblockID, "superblock", fmt.Errorf("%w: bad catalog magic %q", ErrCorrupt, sb.Data[:8]))
-			}
-			defsID := pager.PageID(binary.LittleEndian.Uint32(sb.Data[8:12]))
-			db.pager.Unpin(sb)
-			if defsID != pager.InvalidPage {
-				if int(defsID) >= db.pager.NumPages() {
-					r.add(superblockID, "catalog", fmt.Errorf("%w: definitions page %d out of range", ErrCorrupt, defsID))
-				} else if defs, err := storage.Open(db.pager, defsID); err != nil {
+		} else if defsID != pager.InvalidPage {
+			if int(defsID) >= db.pager.NumPages() {
+				r.add(superblockID, "catalog", fmt.Errorf("%w: definitions page %d out of range", ErrCorrupt, defsID))
+			} else if defs, err := storage.Open(db.pager, defsID); err != nil {
+				r.add(defsID, "catalog", err)
+			} else {
+				if err := defs.Check(); err != nil {
+					r.add(defsID, "catalog", err)
+				}
+				if pages, err := defs.Pages(); err != nil {
 					r.add(defsID, "catalog", err)
 				} else {
-					if err := defs.Check(); err != nil {
-						r.add(defsID, "catalog", err)
-					}
-					if pages, err := defs.Pages(); err != nil {
-						r.add(defsID, "catalog", err)
-					} else {
-						for _, id := range pages {
-							claim(id, "catalog")
-						}
+					for _, id := range pages {
+						claim(id, "catalog")
 					}
 				}
 			}
 		}
 
 		// Relations: heap structure, tuple decodability, index
-		// invariants, index→tuple resolution (Relation.Check); then every
-		// store's heap pages are claimed.
+		// invariants, index→tuple resolution (Relation.Check); then each
+		// heap's pages are claimed.
 		rels := db.catalog().relations
 		names := sortedNames(rels)
 		r.Relations = len(names)

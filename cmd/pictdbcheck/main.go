@@ -7,10 +7,8 @@
 //	us.db: 412 pages, 3 free, 5 relations, 0 leaked: OK
 //
 // A database is one page file and its write-ahead log (file.db.wal),
-// which the checker inspects before opening; every store of every
-// relation is a heap in the page file. Each relation of more than one
-// store gets a balance line (store count and imbalance factor, with
-// per-store tuple counts and Hilbert key ranges under -v).
+// which the checker inspects before opening; every relation is one heap
+// in the page file.
 //
 // Exit status is 0 for a healthy file, 1 when verification finds
 // problems or the file cannot be opened (a file in a retired format is
@@ -92,8 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer db.Close()
 
-	shardReport(db, path, *verbose, stdout)
-
 	summary := fmt.Sprintf("%s: %d pages, %d free, %d relations, %d leaked",
 		path, report.Pages, report.FreePages, report.Relations, report.Leaked)
 	if report.OK() {
@@ -109,26 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stderr, "pictdbcheck: database is corrupt; it was opened in read-only degraded mode")
 	return 1
-}
-
-// shardReport prints one balance line per relation of more than one
-// store — store count and imbalance factor (largest store over the
-// mean), with the per-store tuple counts and Hilbert key ranges under -v.
-func shardReport(db *pictdb.Database, path string, verbose bool, stdout io.Writer) {
-	for _, name := range db.RelationNames() {
-		rel, ok := db.Relation(name)
-		if !ok || rel.ShardCount() == 1 {
-			continue
-		}
-		infos, imbalance := rel.ShardBalance()
-		fmt.Fprintf(stdout, "%s: %s: %d shard(s), imbalance %.2f\n", path, name, len(infos), imbalance)
-		if verbose {
-			for _, in := range infos {
-				fmt.Fprintf(stdout, "  s%d: %d tuple(s), hilbert keys [%d, %d)\n",
-					in.Shard, in.Items, in.KeyLo, in.KeyHi)
-			}
-		}
-	}
 }
 
 // describeWAL renders one operator-facing line about the sidecar log's

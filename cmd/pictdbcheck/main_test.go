@@ -266,8 +266,9 @@ func TestCheckRejectsCorruptWALRecord(t *testing.T) {
 	}
 }
 
-// buildShardedDB persists a database whose relation has three stores
-// and returns its path.
+// buildShardedDB persists a database whose relation was created with
+// three stores, as the benchmark harness creates one — one heap — and
+// returns its path.
 func buildShardedDB(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "check.db")
@@ -293,10 +294,9 @@ func buildShardedDB(t *testing.T) string {
 	return path
 }
 
-// runAtProcs runs the checker on path at GOMAXPROCS 1 and 4 — a
-// relation's stores are checked side by side when there are cores for
-// it — and returns stdout, which must be byte-identical at both, and
-// the combined output of the last run.
+// runAtProcs runs the checker on path at GOMAXPROCS 1 and 4 and
+// returns stdout, which must be byte-identical at both, and the combined
+// output of the last run.
 func runAtProcs(t *testing.T, path string, wantCode int) (stdout, combined string) {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -314,11 +314,15 @@ func runAtProcs(t *testing.T, path string, wantCode int) (stdout, combined strin
 	return stdout, combined
 }
 
-// TestCheckShardedParallel verifies a healthy database with a relation
-// of three stores checks clean, with the same report whether the stores
-// are checked one after another or side by side, and that the database
-// is its page file and its log, nothing beside them.
+// TestCheckShardedParallel verifies a healthy database checks clean with
+// the same report at any core count, and that the database is its page
+// file and its log, nothing beside them; and that testdata/stores_pr52,
+// a file whose relation was written as four stores and reopens as a
+// heap of four chains, checks clean too.
 func TestCheckShardedParallel(t *testing.T) {
+	if out, _ := runAtProcs(t, copyFixture(t, "stores_pr52/stores.pictdb"), 0); !strings.Contains(out, "OK") {
+		t.Fatalf("stores_pr52: expected OK summary, got %q", out)
+	}
 	path := buildShardedDB(t)
 	files, err := filepath.Glob(filepath.Join(filepath.Dir(path), "*"))
 	if err != nil {
@@ -332,40 +336,25 @@ func TestCheckShardedParallel(t *testing.T) {
 	}
 }
 
-// TestCheckShardBalanceReport: a sharded database gets one balance
-// line per sharded relation, with per-shard tuple counts and key
-// ranges under -v.
+// TestCheckShardBalanceReport: a relation created with three stores is
+// one heap, so the checker prints no balance line for it, with or
+// without -v.
 func TestCheckShardBalanceReport(t *testing.T) {
 	path := buildShardedDB(t)
-	var out, errb bytes.Buffer
-	if code := run([]string{path}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d; stdout=%q stderr=%q", code, out.String(), errb.String())
-	}
-	if !strings.Contains(out.String(), "cities: 3 shard(s), imbalance") {
-		t.Fatalf("expected shard balance line, got %q", out.String())
-	}
-	if strings.Contains(out.String(), "hilbert keys") {
-		t.Fatalf("per-shard detail should need -v, got %q", out.String())
-	}
-
-	out.Reset()
-	errb.Reset()
-	if code := run([]string{"-v", path}, &out, &errb); code != 0 {
-		t.Fatalf("-v: exit %d; stdout=%q stderr=%q", code, out.String(), errb.String())
-	}
-	for s := 0; s < 3; s++ {
-		if !strings.Contains(out.String(), fmt.Sprintf("s%d:", s)) {
-			t.Fatalf("-v: expected shard %d detail, got %q", s, out.String())
+	for _, args := range [][]string{{path}, {"-v", path}} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d; stdout=%q stderr=%q", args, code, out.String(), errb.String())
 		}
-	}
-	if !strings.Contains(out.String(), "hilbert keys") {
-		t.Fatalf("-v: expected key ranges, got %q", out.String())
+		if strings.Contains(out.String(), "shard") || strings.Contains(out.String(), "hilbert keys") {
+			t.Fatalf("%v: a balance line: %q", args, out.String())
+		}
 	}
 }
 
-// TestCheckShardedCorruptShard flips a byte in a heap page of one store
-// of a three-store relation: the checker must exit non-zero and name a
-// checksum failure, with the same report at any core count.
+// TestCheckShardedCorruptShard flips a byte in a heap page of a
+// relation: the checker must exit non-zero and name a checksum failure,
+// with the same report at any core count.
 func TestCheckShardedCorruptShard(t *testing.T) {
 	path := buildShardedDB(t)
 	db, err := pictdb.Open(path, 64)
@@ -373,9 +362,9 @@ func TestCheckShardedCorruptShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel, _ := db.Relation("cities")
-	pages, err := rel.ShardHeapPages(1)
+	pages, err := rel.HeapPages()
 	if err != nil || len(pages) == 0 {
-		t.Fatalf("store 1 heap pages %v: %v", pages, err)
+		t.Fatalf("heap pages %v: %v", pages, err)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

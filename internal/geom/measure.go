@@ -13,8 +13,8 @@ import "sort"
 // (counting multiplicity, which is what reproduces the paper's Table 1
 // — its INSERT overlap exceeds the total domain area at J >= 800, which
 // a set measure cannot do), and OverlapMeasure computes the exact area
-// of the region covered by at least two rectangles via coordinate
-// compression.
+// of the region covered by at least two rectangles with an incremental
+// plane sweep over x (measureAtLeast).
 
 // CoverageArea returns the sum of the areas of rects — the paper's C.
 func CoverageArea(rects []Rect) float64 {
@@ -57,7 +57,7 @@ func OverlapPairwise(rects []Rect) float64 {
 }
 
 // UnionArea returns the exact area of the union of rects — the
-// coordinate-compression reading used as the reference in tests
+// x-sweep reading of measureAtLeast, used as the reference in tests
 // (UnionAreaSweep is the production path via DeadSpace).
 func UnionArea(rects []Rect) float64 {
 	return measureAtLeast(rects, 1)

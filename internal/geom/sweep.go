@@ -4,11 +4,11 @@ import "sort"
 
 // UnionAreaSweep computes the exact union area of rects with the
 // classic plane sweep: x-sorted edge events over a segment tree on
-// compressed y-coordinates, O(n log n) versus the O(n²)-cell
-// coordinate-compression grid of UnionArea. Both are kept: the grid
-// version also answers ≥k coverage (OverlapMeasure); the sweep is the
-// scalable union for large leaf sets, and each property-tests the
-// other.
+// compressed y-coordinates, O(n log n). UnionArea reads the same area
+// off measureAtLeast's incremental x-sweep, O(n × active). Both are
+// kept: measureAtLeast also answers ≥k coverage (OverlapMeasure); the
+// segment tree is the union for large leaf sets, and each
+// property-tests the other.
 func UnionAreaSweep(rects []Rect) float64 {
 	type event struct {
 		x      float64

@@ -651,40 +651,27 @@ func (p *Pager) recoverWAL(w *walState) error {
 		return w.reset()
 	}
 
-	// Scan records, applying page frames only when their batch reaches a
-	// valid commit record.
+	// Apply page frames only when their batch reaches a valid commit
+	// record. The torn tail where the walk stops is discarded.
 	latest := make(map[PageID]walFrame)
 	pending := make(map[PageID]walFrame)
-	var pendingCount uint32 // page records, which may name a page twice
 	var lastGen uint64
 	var lastNumPages uint32
 	var lastFreeHead PageID
 	committed := false
-	off := int64(walHeaderSize)
-	for {
-		kind, gen, ref, payload, err := readFrameAt(w.backend, off)
-		if err == nil {
-			err = checkRecord(kind, ref, payload, pendingCount)
-		}
-		if err != nil {
-			// Torn tail: everything from off on is discarded.
-			break
-		}
+	walkRecords(w.backend, walHeaderSize, true, func(off int64, kind byte, gen uint64, ref uint32, payload []byte) {
 		if kind == frameKindPage {
 			pending[PageID(ref)] = walFrame{gen: gen, off: off}
-			pendingCount++
-		} else {
-			for id, f := range pending {
-				latest[id] = f
-			}
-			clear(pending)
-			pendingCount = 0
-			lastGen = gen
-			lastNumPages, lastFreeHead = commitState(payload)
-			committed = true
+			return
 		}
-		off += frameSize(len(payload))
-	}
+		for id, f := range pending {
+			latest[id] = f
+		}
+		clear(pending)
+		lastGen = gen
+		lastNumPages, lastFreeHead = commitState(payload)
+		committed = true
+	})
 
 	if committed {
 		for id := range latest {
@@ -707,6 +694,31 @@ func (p *Pager) recoverWAL(w *walState) error {
 	}
 	// Drop the replayed (and any torn) records.
 	return w.reset()
+}
+
+// walkRecords reads the log at r from off on, one record after another,
+// and hands fn each record that reads whole with a valid CRC and — with
+// batches set, when off starts a batch — makes sense as the next record
+// of its batch (checkRecord). It returns the offset of the first record
+// that does not, and why: recovery stops there, and InspectWAL
+// resynchronizes past it.
+func walkRecords(r io.ReaderAt, off int64, batches bool, fn func(off int64, kind byte, gen uint64, ref uint32, payload []byte)) (int64, error) {
+	var pending uint32 // page records since the last commit record
+	for {
+		kind, gen, ref, payload, err := readFrameAt(r, off)
+		if err == nil && batches {
+			err = checkRecord(kind, ref, payload, pending)
+		}
+		if err != nil {
+			return off, err
+		}
+		fn(off, kind, gen, ref, payload)
+		pending++
+		if kind == frameKindCommit {
+			pending = 0
+		}
+		off += frameSize(len(payload))
+	}
 }
 
 // --- inspection -------------------------------------------------------
@@ -747,46 +759,34 @@ func InspectWAL(r io.ReaderAt) (*WALReport, error) {
 	off := int64(walHeaderSize)
 	sawAny := false
 	torn := int64(-1)
-	var pending uint32 // page records since the last commit record
 	for {
-		kind, gen, ref, payload, err := readFrameAt(r, off)
-		if err == nil && torn < 0 {
-			// Past a tear the batch a record belongs to is unknown, and
-			// recovery has stopped anyway: any commit there counts.
-			err = checkRecord(kind, ref, payload, pending)
-		}
-		if err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				if torn < 0 && !frameStartsAt(r, off) {
-					// Clean end of log (no partial record bytes).
-					break
+		// Past a tear the batch a record belongs to is unknown, and
+		// recovery has stopped anyway: any commit there counts.
+		end, err := walkRecords(r, off, torn < 0, func(off int64, kind byte, gen uint64, _ uint32, payload []byte) {
+			sawAny = true
+			rep.Records++
+			if kind == frameKindCommit {
+				rep.Commits++
+				rep.LastGen = gen
+				rep.LastCommit = off + frameSize(len(payload))
+				if torn >= 0 && torn < off {
+					rep.CorruptBefore = true
 				}
 			}
-			if torn < 0 {
-				torn = off
-				rep.Problems = append(rep.Problems, fmt.Sprintf("invalid record at byte %d: %v", off, err))
-			}
-			// Resynchronize: hunt for the next frame magic.
-			next, ok := nextFrameMagic(r, off+1)
-			if !ok {
-				break
-			}
-			off = next
-			continue
+		})
+		if (err == io.EOF || err == io.ErrUnexpectedEOF) && torn < 0 && !frameStartsAt(r, end) {
+			break // a clean end of log: no partial record bytes
 		}
-		sawAny = true
-		rep.Records++
-		pending++
-		if kind == frameKindCommit {
-			pending = 0
-			rep.Commits++
-			rep.LastGen = gen
-			rep.LastCommit = off + frameSize(len(payload))
-			if torn >= 0 && torn < off {
-				rep.CorruptBefore = true
-			}
+		if torn < 0 {
+			torn = end
+			rep.Problems = append(rep.Problems, fmt.Sprintf("invalid record at byte %d: %v", end, err))
 		}
-		off += frameSize(len(payload))
+		// Resynchronize: hunt for the next frame magic.
+		next, ok := nextFrameMagic(r, end+1)
+		if !ok {
+			break
+		}
+		off = next
 	}
 	if torn >= 0 {
 		rep.TornAt = torn

@@ -13,7 +13,9 @@ import (
 )
 
 // TestFetchBesideDelete deletes rows one at a time beside window
-// readers, at one store and at four: no statement fails, and every
+// readers, on a relation created by CreateRelation and by
+// CreateShardedRelation with four stores, the benchmark harness's call:
+// no statement fails, and every
 // answer is a subset of the rows live when its statement started. A
 // window's candidates, a B-tree's and a juxtaposition's pairs are each
 // read before their tuples are fetched, so every fetch path meets

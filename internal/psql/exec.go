@@ -364,7 +364,7 @@ func (st *execState) planWindowSearch(bi int, op SpatialOp, windows []geom.Rect)
 	if b.picture == "" {
 		return nil, nil, fmt.Errorf("psql: relation %q has no picture in the on-clause for direct search", b.name)
 	}
-	snap, ok := b.rel.SpatialCostSnapshot(b.picture, windows)
+	snap, ok := b.rel.SpatialCostSnapshot(b.picture)
 	if !ok {
 		return nil, nil, fmt.Errorf("psql: relation %q is not spatially indexed on picture %q", b.name, b.picture)
 	}

@@ -727,10 +727,7 @@ func TestTextRefusalsTouchNoPage(t *testing.T) {
 	p := pager.OpenMem(4096)
 	defer p.Close()
 	pic := picture.New("m", geom.R(0, 0, 1000, 1000))
-	rel, err := relation.NewSharded(p, 1, "pts", relation.MustSchema("n:int", "loc:loc"), oneRelation{pic: pic})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := relation.New(p, "pts", relation.MustSchema("n:int", "loc:loc"), oneRelation{pic: pic})
 	for i := 0; i < 10_000; i++ {
 		oid := pic.AddPoint("", geom.Pt(float64(i%100)*10, float64(i/100)*10))
 		if _, err := rel.Insert(relation.Tuple{relation.I(int64(i)), relation.L("m", oid)}); err != nil {
@@ -807,10 +804,7 @@ func btreePoints(t *testing.T) (*relation.Relation, *psql.Executor) {
 	p := pager.OpenMem(4096)
 	t.Cleanup(func() { p.Close() })
 	pic := picture.New("m", geom.R(0, 0, 1000, 1000))
-	rel, err := relation.NewSharded(p, 1, "pts", relation.MustSchema("n:int", "k:int", "loc:loc"), oneRelation{pic: pic})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := relation.New(p, "pts", relation.MustSchema("n:int", "k:int", "loc:loc"), oneRelation{pic: pic})
 	for i := 0; i < 10_000; i++ {
 		oid := pic.AddPoint("", geom.Pt(float64(i%100)*10, float64(i/100)*10))
 		if _, err := rel.Insert(relation.Tuple{relation.I(int64(i)), relation.I(int64(i % 500)), relation.L("m", oid)}); err != nil {
@@ -834,10 +828,7 @@ func TestScanReadsEachRecordOnce(t *testing.T) {
 	p := pager.OpenMem(4096)
 	defer p.Close()
 	pic := picture.New("m", geom.R(0, 0, 1000, 1000))
-	rel, err := relation.NewSharded(p, 1, "pts", relation.MustSchema("n:int", "k:int"), oneRelation{pic: pic})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := relation.New(p, "pts", relation.MustSchema("n:int", "k:int"), oneRelation{pic: pic})
 	const n = 2_000
 	for i := 0; i < n; i++ {
 		if _, err := rel.Insert(relation.Tuple{relation.I(int64(i)), relation.I(int64(i % 500))}); err != nil {

@@ -308,8 +308,10 @@ var evaluationOrderCorpus = []string{
 }
 
 // evaluationOrderDB builds pts(n, name, v, loc) on m — 600 scattered
-// points, in one store or four — beside zones(z, loc) on zm, a dozen
-// rectangles that overlap one another, and registers height(loc).
+// points, created by CreateRelation (stores 1) or by CreateShardedRelation,
+// the call the benchmark harness makes, which makes the same one-heap
+// relation — beside zones(z, loc) on zm, a dozen rectangles that overlap
+// one another, and registers height(loc).
 func evaluationOrderDB(t *testing.T, stores int) *pictdb.Database {
 	t.Helper()
 	rng := rand.New(rand.NewSource(22))
@@ -376,31 +378,28 @@ func evaluationOrderDB(t *testing.T, stores int) *pictdb.Database {
 
 // TestEvaluationOrderOracle runs evaluationOrderCorpus — each statement
 // twice, the second from its cached bound statement — against the naive
-// executor, with pts in one store and in four.
+// executor.
 func TestEvaluationOrderOracle(t *testing.T) {
-	for _, stores := range []int{1, 4} {
-		db := evaluationOrderDB(t, stores)
-		errored := 0
-		for _, q := range evaluationOrderCorpus {
-			label := fmt.Sprintf("stores=%d %s", stores, q)
-			naive, nerr := db.QueryNaive(q)
-			for run := 0; run < 2; run++ {
-				planned, perr := db.Query(q)
-				if (perr == nil) != (nerr == nil) || (perr != nil && perr.Error() != nerr.Error()) {
-					t.Fatalf("%s (run %d):\nplanned error %v\n  naive error %v", label, run, perr, nerr)
-				}
-				if perr == nil {
-					sameRows(t, label, planned, naive)
-				}
+	db := evaluationOrderDB(t, 1)
+	errored := 0
+	for _, q := range evaluationOrderCorpus {
+		naive, nerr := db.QueryNaive(q)
+		for run := 0; run < 2; run++ {
+			planned, perr := db.Query(q)
+			if (perr == nil) != (nerr == nil) || (perr != nil && perr.Error() != nerr.Error()) {
+				t.Fatalf("%s (run %d):\nplanned error %v\n  naive error %v", q, run, perr, nerr)
 			}
-			if nerr != nil {
-				errored++
-			} else if len(naive.Rows) == 0 && !strings.Contains(q, "100000") && !strings.Contains(q, "v < 0") && !strings.Contains(q, "5000±1") {
-				t.Errorf("%s: no rows: the statement tests nothing", label)
+			if perr == nil {
+				sameRows(t, q, planned, naive)
 			}
 		}
-		if errored != 4 {
-			t.Errorf("stores=%d: %d statements errored, the corpus has 4 that must", stores, errored)
+		if nerr != nil {
+			errored++
+		} else if len(naive.Rows) == 0 && !strings.Contains(q, "100000") && !strings.Contains(q, "v < 0") && !strings.Contains(q, "5000±1") {
+			t.Errorf("%s: no rows: the statement tests nothing", q)
 		}
+	}
+	if errored != 4 {
+		t.Errorf("%d statements errored, the corpus has 4 that must", errored)
 	}
 }

@@ -249,8 +249,8 @@ func errDisjoinedLimit(limit int) error {
 // dropped here, before either side is fetched.
 func (st *execState) intersectingPairs(sides *[2]joinSide, op SpatialOp) ([]pair, error) {
 	a, b := st.bindings[sides[0].bi], st.bindings[sides[1].bi]
-	na, _ := a.rel.SpatialCostSnapshot(a.picture, nil)
-	nb, _ := b.rel.SpatialCostSnapshot(b.picture, nil)
+	na, _ := a.rel.SpatialCostSnapshot(a.picture)
+	nb, _ := b.rel.SpatialCostSnapshot(b.picture)
 	nodesA := na.Stats.Nodes + na.DeltaNodes
 	nodesB := nb.Stats.Nodes + nb.DeltaNodes
 	costJoin := juxtaposeCost(nodesA, nodesB)
@@ -274,7 +274,7 @@ func (st *execState) intersectingPairs(sides *[2]joinSide, op SpatialOp) ([]pair
 		}
 		other := st.bindings[sides[1-s].bi]
 		windows := itemRects(side.items)
-		snap, _ := other.rel.SpatialCostSnapshot(other.picture, windows)
+		snap, _ := other.rel.SpatialCostSnapshot(other.picture)
 		side.costProbe = directSearchCost(snap, windows, op)
 		if side.costProbe < costBest {
 			drive, costBest, probeWindows = s, side.costProbe, windows

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -15,16 +14,15 @@ import (
 )
 
 // This file is the one routine that derives a relation's in-memory
-// state from its heaps. Open, CreateIndex and AttachPicture all run it:
-// one scan of every store's heap, side by side, collects each B-tree's
-// (key, id) run and each attached picture's (MBR, id) items, the MBR
-// being that of the object the tuple's loc carries. On Open the same
-// scan also notes the largest object id each picture's tuples carry, so
-// that the picture allocates above it, and the stores' page lists are
-// checked disjoint; the objects themselves stay in their tuples. Then
-// every index is its own task on up to GOMAXPROCS goroutines — a run is
-// sorted and bulk-loaded, a list Hilbert-packed (packTree). On one core
-// the tasks run one after another, B-trees first.
+// state from its heap. Open, CreateIndex and AttachPicture all run it:
+// one scan of the heap collects each B-tree's (key, id) run and each
+// attached picture's (MBR, id) items, the MBR being that of the object
+// the tuple's loc carries. On Open the same scan also notes the largest
+// object id each picture's tuples carry, so that the picture allocates
+// above it; the objects themselves stay in their tuples. Then every
+// index is its own task on up to GOMAXPROCS goroutines — a run is sorted
+// and bulk-loaded, a list Hilbert-packed (packTree). On one core the
+// tasks run one after another, B-trees first.
 
 // nowFn is the clock the build phases are timed with; tests replace it.
 var nowFn = time.Now
@@ -44,24 +42,18 @@ func (t *BuildTimes) Add(u BuildTimes) {
 	t.Pack += u.Pack
 }
 
-// scanPart is what the scan of one store's heap collected: runs[c]
-// holds columns[c]'s (IndexKey, id) for every tuple, items[p] the
-// (MBR, id) entries of pics[p] in ascending id order, the order PACK is
-// handed them, and, on Open, maxIDs the largest object id its tuples
-// carry per picture name.
-type scanPart struct {
-	runs   [][]btree.Entry
-	items  [][]rtree.Item
-	maxIDs map[string]*picture.ObjectID
-}
-
 // indexBuild is one scan of the relation for the indexes being built:
-// a part per store.
+// runs[c] holds columns[c]'s (IndexKey, id) for every tuple, items[p]
+// the (MBR, id) entries of pics[p] in ascending id order — the scan's
+// order, and the order PACK is handed them — and, on Open, maxIDs the
+// largest object id its tuples carry per picture name.
 type indexBuild struct {
 	r       *Relation
 	columns []string
 	pics    []*picture.Picture
-	parts   []*scanPart
+	runs    [][]btree.Entry
+	items   [][]rtree.Item
+	maxIDs  map[string]*picture.ObjectID
 }
 
 // BuildIndexes builds B-trees over columns and attaches pics, all from
@@ -75,8 +67,7 @@ func (r *Relation) BuildIndexes(columns []string, pics []*picture.Picture) (Buil
 
 // build is BuildIndexes; with open set it is Open's reload, which also
 // moves each picture's id allocator above the ids its tuples carry
-// (reserveIDs) and refuses a page two stores' heaps chain
-// (disjointHeaps).
+// (reserveIDs).
 func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (BuildTimes, error) {
 	var times BuildTimes
 	for i, col := range columns {
@@ -111,10 +102,7 @@ func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (
 	t0 := nowFn()
 	err := b.scan(open)
 	if err == nil && open {
-		err = r.disjointHeaps()
-	}
-	if err == nil && open {
-		err = r.reserveIDs(b.parts)
+		err = r.reserveIDs(b.maxIDs)
 	}
 	times.Scan = nowFn().Sub(t0)
 	if err != nil {
@@ -122,29 +110,22 @@ func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (
 	}
 
 	trees := make([]*btree.Tree, len(columns))
-	sis := make([][]*SpatialIndex, len(pics))
+	sis := make([]*SpatialIndex, len(pics))
 	var tasks []func() (BuildTimes, error)
 	for c := range columns {
 		tasks = append(tasks, func() (BuildTimes, error) {
 			t0 := nowFn()
-			run := b.parts[0].runs[c]
-			for _, part := range b.parts[1:] {
-				run = append(run, part.runs[c]...)
-			}
-			btree.SortEntries(run)
-			trees[c] = btree.BulkLoad(btree.DefaultOrder, run)
+			btree.SortEntries(b.runs[c])
+			trees[c] = btree.BulkLoad(btree.DefaultOrder, b.runs[c])
 			return BuildTimes{BTree: nowFn().Sub(t0)}, nil
 		})
 	}
 	for p, pic := range pics {
-		sis[p] = make([]*SpatialIndex, len(b.parts))
-		for s := range sis[p] {
-			tasks = append(tasks, func() (BuildTimes, error) {
-				t0 := nowFn()
-				sis[p][s] = newSpatialIndex(pic, packTree(b.parts[s].items[p]))
-				return BuildTimes{Pack: nowFn().Sub(t0)}, nil
-			})
-		}
+		tasks = append(tasks, func() (BuildTimes, error) {
+			t0 := nowFn()
+			sis[p] = newSpatialIndex(pic, packTree(b.items[p]))
+			return BuildTimes{Pack: nowFn().Sub(t0)}, nil
+		})
 	}
 	taskTimes := make([]BuildTimes, len(tasks))
 	err = par.Do(len(tasks), 0, func(i int) (err error) {
@@ -170,22 +151,9 @@ func (r *Relation) build(columns []string, pics []*picture.Picture, open bool) (
 	return times, nil
 }
 
-// scan fills parts from every store's heap, each walked under its lock
-// beside the others; with open, the largest object id per picture is
-// noted.
+// scan fills b from one walk of the heap under its latch; with open,
+// the largest object id per picture is noted.
 func (b *indexBuild) scan(open bool) error {
-	r := b.r
-	b.parts = make([]*scanPart, len(r.stores))
-	return par.Do(len(r.stores), 0, func(s int) error {
-		if err := b.scanStore(s, open); err != nil {
-			return r.storeErr(s, err)
-		}
-		return nil
-	})
-}
-
-// scanStore fills parts[s] from store s's heap under the store's lock.
-func (b *indexBuild) scanStore(s int, open bool) error {
 	r := b.r
 	arity := r.schema.Arity()
 	need := make([]bool, arity)
@@ -201,20 +169,17 @@ func (b *indexBuild) scanStore(s int, open bool) error {
 			locCols = append(locCols, i)
 		}
 	}
-	st := r.stores[s]
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	n := st.heap.Len()
-	p := &scanPart{runs: make([][]btree.Entry, len(b.columns)), items: make([][]rtree.Item, len(b.pics))}
-	b.parts[s] = p
-	for c := range p.runs {
-		p.runs[c] = make([]btree.Entry, 0, n)
+	n := r.heap.Len()
+	b.runs = make([][]btree.Entry, len(b.columns))
+	for c := range b.runs {
+		b.runs[c] = make([]btree.Entry, 0, n)
 	}
-	for pi := range p.items {
-		p.items[pi] = make([]rtree.Item, 0, n/len(p.items))
+	b.items = make([][]rtree.Item, len(b.pics))
+	for pi := range b.items {
+		b.items[pi] = make([]rtree.Item, 0, n/len(b.items))
 	}
 	if open {
-		p.maxIDs = make(map[string]*picture.ObjectID)
+		b.maxIDs = make(map[string]*picture.ObjectID)
 	}
 	slot := make(Tuple, 0, arity)
 	cols := make([]span, 0, arity)
@@ -229,36 +194,35 @@ func (b *indexBuild) scanStore(s int, open bool) error {
 		}
 		t := decodeSpans(body, cols, need, slot)
 		for c, ci := range cis {
-			p.runs[c] = append(p.runs[c], btree.Entry{Key: IndexKey(t[ci]), Value: id})
+			b.runs[c] = append(b.runs[c], btree.Entry{Key: IndexKey(t[ci]), Value: id})
 		}
 		for _, i := range locCols {
 			name, obj, ok := cols[i].loc(body)
 			if !ok {
 				continue
 			}
-			if p.maxIDs != nil {
+			if b.maxIDs != nil {
 				oid := picture.ObjectID(binary.LittleEndian.Uint64(obj))
 				if oid == 0 {
 					return errTuple("loc column %d: object id 0", i)
 				}
-				m := p.maxIDs[string(name)]
+				m := b.maxIDs[string(name)]
 				if m == nil {
 					m = new(picture.ObjectID)
-					p.maxIDs[string(name)] = m
+					b.maxIDs[string(name)] = m
 				}
 				*m = max(*m, oid)
 			}
 			for pi, pic := range b.pics {
 				if i == li && string(name) == pic.Name() {
-					p.items[pi] = append(p.items[pi], rtree.Item{Rect: picture.EncodedMBR(obj), Data: id})
+					b.items[pi] = append(b.items[pi], rtree.Item{Rect: picture.EncodedMBR(obj), Data: id})
 				}
 			}
 		}
 		return nil
 	}
 	var scanErr error
-	err := st.heap.Scan(func(lid storage.TupleID, body []byte) bool {
-		id := inStore(lid, s)
+	err := r.heap.Scan(func(id storage.TupleID, body []byte) bool {
 		if err := collect(id.Int64(), body); err != nil {
 			scanErr = fmt.Errorf("tuple %v: %w", id, err)
 			return false
@@ -269,29 +233,22 @@ func (b *indexBuild) scanStore(s int, open bool) error {
 		err = scanErr
 	}
 	if err != nil {
-		return err
-	}
-	// Heap order is id order only while the chain's pages ascend; a page
-	// the pager hands back from its free list may not.
-	for _, items := range p.items {
-		slices.SortFunc(items, func(x, y rtree.Item) int { return cmp.Compare(x.Data, y.Data) })
+		return fmt.Errorf("relation %s: %w", r.name, err)
 	}
 	return nil
 }
 
-// reserveIDs moves every picture the stores' tuples locate on above the
-// largest object id they carry, so that an object placed after the
+// reserveIDs moves every picture the tuples locate on above the largest
+// object id they carry, maxIDs, so that an object placed after the
 // reload takes an id no stored object has. A tuple naming a picture the
 // catalog does not define is corruption.
-func (r *Relation) reserveIDs(parts []*scanPart) error {
-	for _, part := range parts {
-		for name, id := range part.maxIDs {
-			pic, ok := r.lookupPicture(name)
-			if !ok {
-				return fmt.Errorf("%w: a tuple names picture %q, which the catalog does not define", storage.ErrCorrupt, name)
-			}
-			pic.Reserve(*id)
+func (r *Relation) reserveIDs(maxIDs map[string]*picture.ObjectID) error {
+	for name, id := range maxIDs {
+		pic, ok := r.lookupPicture(name)
+		if !ok {
+			return fmt.Errorf("%w: a tuple names picture %q, which the catalog does not define", storage.ErrCorrupt, name)
 		}
+		pic.Reserve(*id)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,28 +17,21 @@ import (
 	"repro/internal/storage"
 )
 
-// buildFixture fills an unsharded (shards == 0) or sharded relation
-// with n cities spread over two pictures, then deletes every seventh so
-// that the heaps hold dead slots, which later inserts never take, and
-// adds one tuple at (1, 1) after them.
-func buildFixture(t *testing.T, shards, n int) (*Relation, [2]*picture.Picture) {
+// buildFixture fills a relation with n cities spread over two pictures,
+// over a heap of one chain (chains == 0) or reopened over a heap of that
+// many chains (reopenChained), then deletes every seventh so that the
+// heap holds dead slots, which later inserts never take, and adds n/5
+// more and one tuple at (1, 1) after them.
+func buildFixture(t *testing.T, chains, n int) (*Relation, [2]*picture.Picture) {
 	t.Helper()
 	pics := [2]*picture.Picture{
 		usMap(),
 		picture.New("rail-map", geom.R(0, 0, 1000, 1000)),
 	}
-	var rel *Relation
-	if shards == 0 {
-		p := pager.OpenMem(512)
-		t.Cleanup(func() { p.Close() })
-		var err error
-		if rel, err = NewSharded(p, 1, "cities", citySchema(), catalogOf(pics[:]...)); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		rel = newShardedCities(t, shards, pics[:]...)
-	}
-	rng := rand.New(rand.NewSource(int64(31 + shards)))
+	p := pager.OpenMem(512)
+	t.Cleanup(func() { p.Close() })
+	rel := New(p, "cities", citySchema(), catalogOf(pics[:]...))
+	rng := rand.New(rand.NewSource(int64(31 + chains)))
 	var ids []storage.TupleID
 	add := func(i int) {
 		pic := pics[i%2]
@@ -45,6 +39,13 @@ func buildFixture(t *testing.T, shards, n int) (*Relation, [2]*picture.Picture) 
 	}
 	for i := 0; i < n; i++ {
 		add(i)
+	}
+	if chains > 0 {
+		var moved map[storage.TupleID]storage.TupleID
+		rel, moved = reopenChained(t, rel, chains)
+		for i, id := range ids {
+			ids[i] = moved[id]
+		}
 	}
 	for i := 0; i < n; i += 7 {
 		if err := rel.Delete(ids[i]); err != nil {
@@ -71,8 +72,9 @@ func indexStream(rel *Relation, col string) []btree.Entry {
 }
 
 // One BuildIndexes call over two columns and two pictures builds what
-// the four separate calls build, unsharded and sharded, and each B-tree
-// comes out in (key, id) order.
+// the four separate calls build, over a heap of one chain and reopened
+// over heaps of one and of four (the subtests' shard count is the chain
+// count), and each B-tree comes out in (key, id) order.
 func TestBuildIndexesMatchesSeparateCalls(t *testing.T) {
 	for _, shards := range []int{0, 1, 4} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
@@ -111,18 +113,13 @@ func TestBuildIndexesMatchesSeparateCalls(t *testing.T) {
 				}
 			}
 			for _, name := range []string{"us-map", "rail-map"} {
-				a, b := one.Spatials(name), sep.Spatials(name)
-				if len(a) != len(b) || len(a) != max(shards, 1) {
-					t.Fatalf("%s: %d and %d spatial indexes", name, len(a), len(b))
+				a, b := one.Spatial(name), sep.Spatial(name)
+				if !reflect.DeepEqual(a.PackedTree().Items(), b.PackedTree().Items()) {
+					t.Fatalf("%s: packed items differ", name)
 				}
-				for s := range a {
-					if !reflect.DeepEqual(a[s].PackedTree().Items(), b[s].PackedTree().Items()) {
-						t.Fatalf("%s shard %d: packed items differ", name, s)
-					}
-					sa, sb := a[s].CostSnapshot().Stats, b[s].CostSnapshot().Stats
-					if sa != sb || sa != a[s].PackedTree().SearchMetrics() {
-						t.Fatalf("%s shard %d: stats %+v / %+v", name, s, sa, sb)
-					}
+				sa, sb := a.CostSnapshot().Stats, b.CostSnapshot().Stats
+				if sa != sb || sa != a.PackedTree().SearchMetrics() {
+					t.Fatalf("%s: stats %+v / %+v", name, sa, sb)
 				}
 			}
 			if err := one.Check(); err != nil {
@@ -132,22 +129,22 @@ func TestBuildIndexesMatchesSeparateCalls(t *testing.T) {
 	}
 }
 
-// A store's tree is packed from its items in ascending id order — the
-// order of a scan only while the store's heap chain ascends in page
-// order. The reference walks the relation in id order and
-// packs each store's share of the objects the tuples carry.
+// The tree is packed from its items in ascending id order, the order
+// of a scan, also over a heap of four chains whose pages interleave. The
+// reference walks the relation and packs the objects the tuples carry.
 func TestBuildIndexesShardItemOrder(t *testing.T) {
 	rel, pics := buildFixture(t, 4, 900)
 	if err := rel.AttachPicture(pics[0], hilbertPack); err != nil {
 		t.Fatal(err)
 	}
-	want := make([][]rtree.Item, 4)
+	var want []rtree.Item
+	var scanned []storage.TupleID
 	err := rel.Scan(func(id storage.TupleID, tu Tuple) bool {
+		scanned = append(scanned, id)
 		if tu[3].Loc.Picture != pics[0].Name() {
 			return true
 		}
-		s, _ := rel.storeOf(id)
-		body, err := rel.stores[s].heap.Get(id)
+		body, err := rel.heap.Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,17 +160,20 @@ func TestBuildIndexesShardItemOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[s] = append(want[s], rtree.Item{Rect: obj.MBR(), Data: id.Int64()})
+		want = append(want, rtree.Item{Rect: obj.MBR(), Data: id.Int64()})
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s, si := range rel.Spatials("us-map") {
-		ref := packTree(want[s])
-		if !reflect.DeepEqual(si.PackedTree().Items(), ref.Items()) {
-			t.Fatalf("shard %d: tree differs from one packed in id order", s)
-		}
+	if pages, err := rel.HeapPages(); err != nil || slices.IsSorted(pages) {
+		t.Fatalf("the chains' pages %v do not interleave: %v", pages, err)
+	}
+	if !slices.IsSortedFunc(scanned, storage.TupleID.Compare) {
+		t.Fatal("the scan does not deliver id order")
+	}
+	if !reflect.DeepEqual(rel.Spatial("us-map").PackedTree().Items(), packTree(want).Items()) {
+		t.Fatal("the tree differs from one packed in id order")
 	}
 }
 
@@ -206,10 +206,7 @@ func TestBuildIndexesRejects(t *testing.T) {
 	}
 	p := pager.OpenMem(16)
 	defer p.Close()
-	flat, err := NewSharded(p, 1, "flat", MustSchema("k:int"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flat := New(p, "flat", MustSchema("k:int"), nil)
 	if err := flat.AttachPicture(pics[0], hilbertPack); err == nil {
 		t.Fatal("picture attached to a schema without a loc column")
 	}

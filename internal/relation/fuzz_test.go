@@ -454,10 +454,7 @@ func FuzzLookupMatchesScan(f *testing.F) {
 		build := func(indexed bool) (*Relation, map[storage.TupleID]int) {
 			p := pager.OpenMem(64)
 			t.Cleanup(func() { p.Close() })
-			rel, err := NewSharded(p, 1, "r", MustSchema("v:"+colType.String()), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rel := New(p, "r", MustSchema("v:"+colType.String()), nil)
 			pos := map[storage.TupleID]int{}
 			for i, v := range values {
 				if indexed && i == len(values)/2 {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -14,34 +13,10 @@ import (
 	"repro/internal/geom"
 	"repro/internal/pack"
 	"repro/internal/pager"
-	"repro/internal/par"
 	"repro/internal/picture"
 	"repro/internal/rtree"
 	"repro/internal/storage"
 )
-
-// store is one heap of a relation. mu serializes heap access — writers
-// exclusively, readers shared — so writers and readers of one store
-// never race on page bytes.
-type store struct {
-	mu   sync.RWMutex
-	heap *storage.Heap
-}
-
-// firstPage returns the heap's first page under mu: the store's first
-// tuple writes it.
-func (st *store) firstPage() pager.PageID {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.heap.FirstPage()
-}
-
-// len returns the heap's live record count under mu.
-func (st *store) len() int {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	return st.heap.Len()
-}
 
 // Pictures resolves the picture names a loc column holds: the catalog a
 // relation was created in.
@@ -54,32 +29,25 @@ type Pictures interface {
 // (locObject): a stored tuple carries the object its loc names.
 var ErrDanglingLoc = errors.New("relation: loc names no picture object")
 
-// Relation is one table of the pictorial database: tuple heaps in one
-// or more stores, secondary B-tree indexes on alphanumeric columns, and
-// R-tree spatial indexes on the loc column — one per associated picture
-// per store. Every store is a heap in the database's one page file.
-// NewSharded makes a relation of n ≥ 1 stores, tuples placed by Hilbert
-// key range (shard.go); Open reopens it. A tuple's id is its heap
-// address and its store whatever the store count (ids.go); every
-// operation here is written once, for any store count.
+// Relation is one table of the pictorial database: a tuple heap in the
+// database's one page file, secondary B-tree indexes on alphanumeric
+// columns, and an R-tree spatial index on the loc column per associated
+// picture (§2.1, §3). A tuple's id is its heap address (storage.TupleID).
 //
-// Two kinds of lock, never nested (DESIGN.md §15): smu guards the index
-// and spatial directories and the B-trees; each store's mu guards its
-// heap and with it the store's live count, the heap's.
+// Two kinds of lock, never nested (DESIGN.md §14, §15): smu guards the
+// index and spatial directories and the B-trees; the heap's own latch
+// guards its pages and its live count.
 type Relation struct {
 	name   string
 	schema Schema
 	// pics resolves the pictures the loc column names.
 	pics Pictures
-	// pgr is the page file every store's heap lives in. stores is fixed
-	// at construction: a tuple never moves between stores and the layout
-	// never changes.
-	pgr    *pager.Pager
-	stores []*store
+	pgr  *pager.Pager
+	heap *storage.Heap
 
 	smu     sync.RWMutex
 	indexes map[string]*btree.Tree
-	spatial map[string][]*SpatialIndex
+	spatial map[string]*SpatialIndex
 
 	// gen counts the changes to what the relation is indexed by
 	// (BuildIndexes: CreateIndex, AttachPicture). A statement bound at
@@ -96,35 +64,24 @@ type Relation struct {
 // statement makes; nil removes it. Set it before r is shared.
 func (r *Relation) SetReadHook(fn func(records int)) { r.readHook = fn }
 
-func newRelation(p *pager.Pager, name string, schema Schema, pics Pictures, stores []*store) *Relation {
+func newRelation(p *pager.Pager, name string, schema Schema, pics Pictures, heap *storage.Heap) *Relation {
 	return &Relation{
 		name:    name,
 		schema:  schema,
 		pics:    pics,
 		pgr:     p,
-		stores:  stores,
+		heap:    heap,
 		indexes: make(map[string]*btree.Tree),
-		spatial: make(map[string][]*SpatialIndex),
+		spatial: make(map[string]*SpatialIndex),
 	}
 }
 
-// NewSharded creates an empty relation of stores heaps in p, each with
-// a spatial index per attached picture, resolving loc columns through
-// pics. It touches no page: each heap takes its first page with its
-// first tuple.
-func NewSharded(p *pager.Pager, stores int, name string, schema Schema, pics Pictures) (*Relation, error) {
-	if stores < 1 || stores > MaxShards {
-		return nil, fmt.Errorf("relation %s: shard count %d out of range [1, %d]", name, stores, MaxShards)
-	}
-	sts := make([]*store, stores)
-	for i := range sts {
-		h, _, err := storage.Create(p)
-		if err != nil {
-			return nil, fmt.Errorf("relation %s: store %d: %w", name, i, err)
-		}
-		sts[i] = &store{heap: h}
-	}
-	return newRelation(p, name, schema, pics, sts), nil
+// New creates an empty relation in p, resolving loc columns through
+// pics. It touches no page: the heap takes its first page with its first
+// tuple.
+func New(p *pager.Pager, name string, schema Schema, pics Pictures) *Relation {
+	h, _, _ := storage.Create(p) // Create touches no page and cannot fail
+	return newRelation(p, name, schema, pics, h)
 }
 
 // Def is a relation as its catalog records it: where its tuples are and
@@ -132,8 +89,10 @@ func NewSharded(p *pager.Pager, stores int, name string, schema Schema, pics Pic
 type Def struct {
 	Name   string
 	Schema Schema
-	// Pager is the page file the stores live in, and Heaps names each
-	// store's heap by its first page (InvalidPage: no tuple yet).
+	// Pager is the page file the heap lives in, and Heaps names the first
+	// page of each of the heap's chains (InvalidPage: no page yet). A
+	// relation this engine creates has one chain; a file written when a
+	// relation had several stores holds one per store.
 	Pager *pager.Pager
 	Heaps []pager.PageID
 	// Columns are the B-tree indexed columns, Attach the pictures with
@@ -143,24 +102,15 @@ type Def struct {
 }
 
 // Open reattaches to the relation def describes — the catalog's reopen
-// path — and rebuilds everything it keeps in memory from one scan of
-// each store's heap (build.go): the B-trees, a packed R-tree per
-// attached picture per store, and, in the pictures pics resolves, every
-// object a tuple names.
+// path — and rebuilds everything it keeps in memory from one scan of its
+// heap (build.go): the B-trees, a packed R-tree per attached picture,
+// and, in the pictures pics resolves, every object a tuple names.
 func Open(def Def, pics Pictures) (*Relation, BuildTimes, error) {
-	n := len(def.Heaps)
-	if n == 0 || n > MaxShards {
-		return nil, BuildTimes{}, fmt.Errorf("relation %s: %d stores", def.Name, n)
+	h, err := storage.OpenChains(def.Pager, def.Heaps)
+	if err != nil {
+		return nil, BuildTimes{}, fmt.Errorf("relation %s: %w", def.Name, err)
 	}
-	stores := make([]*store, n)
-	for i, first := range def.Heaps {
-		h, err := storage.Open(def.Pager, first)
-		if err != nil {
-			return nil, BuildTimes{}, fmt.Errorf("relation %s: store %d: %w", def.Name, i, err)
-		}
-		stores[i] = &store{heap: h}
-	}
-	r := newRelation(def.Pager, def.Name, def.Schema, pics, stores)
+	r := newRelation(def.Pager, def.Name, def.Schema, pics, h)
 	times, err := r.build(def.Columns, def.Attach, true)
 	if err != nil {
 		return nil, times, err
@@ -176,33 +126,13 @@ func (r *Relation) Name() string { return r.name }
 // indexed, which pictures it answers on — holds while it stands.
 func (r *Relation) Generation() uint64 { return r.gen.Load() }
 
-// Sharded reports false: no relation has page files of its own. It is
-// kept only for the benchmark harness, which compiles against it.
-func (r *Relation) Sharded() bool { return false }
+// HeapChains returns the first page of each of the heap's chains, the
+// handles the catalog persists to reopen the relation.
+func (r *Relation) HeapChains() []pager.PageID { return r.heap.Chains() }
 
-// HeapFirstPage returns the first page of the tuple heap of a
-// one-store relation (InvalidPage before its first tuple); a relation
-// of several heaps reports InvalidPage (see ShardHeapFirstPages).
-func (r *Relation) HeapFirstPage() pager.PageID {
-	if len(r.stores) > 1 {
-		return pager.InvalidPage
-	}
-	return r.stores[0].firstPage()
-}
-
-// HeapPages returns the page ids of every store's heap, for
-// page-ownership accounting during verification.
-func (r *Relation) HeapPages() ([]pager.PageID, error) {
-	var out []pager.PageID
-	for s := range r.stores {
-		pages, err := r.ShardHeapPages(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pages...)
-	}
-	return out, nil
-}
+// HeapPages returns the page ids of the heap, for page-ownership
+// accounting during verification.
+func (r *Relation) HeapPages() ([]pager.PageID, error) { return r.heap.Pages() }
 
 // IndexedColumns returns the names of columns with B-tree indexes, in
 // unspecified order.
@@ -220,21 +150,15 @@ func (r *Relation) IndexedColumns() []string {
 func (r *Relation) Schema() Schema { return r.schema }
 
 // Len returns the number of stored tuples.
-func (r *Relation) Len() int {
-	n := 0
-	for _, st := range r.stores {
-		n += st.len()
-	}
-	return n
-}
+func (r *Relation) Len() int { return r.heap.Len() }
 
 // WaitRepacks blocks until no spatial index has a background repack in
 // flight.
 func (r *Relation) WaitRepacks() {
 	r.smu.RLock()
-	var all []*SpatialIndex
-	for _, sis := range r.spatial {
-		all = append(all, sis...)
+	all := make([]*SpatialIndex, 0, len(r.spatial))
+	for _, si := range r.spatial {
+		all = append(all, si)
 	}
 	r.smu.RUnlock()
 	for _, si := range all {
@@ -247,7 +171,7 @@ func (r *Relation) WaitRepacks() {
 // name one its picture has staged (ErrDanglingLoc): the record carries
 // that object, and the picture releases a staged one once it is stored.
 // Safe beside other writers and readers: the heap write is under the
-// store's lock, the B-tree updates under smu, the spatial insert under
+// heap's latch, the B-tree updates under smu, the spatial insert under
 // its index's own lock.
 func (r *Relation) Insert(t Tuple) (storage.TupleID, error) {
 	if err := r.schema.Validate(t); err != nil {
@@ -323,35 +247,26 @@ func (r *Relation) lookupPicture(name string) (*picture.Picture, bool) {
 // (resolveLocs), and then releases the staged objects it stored.
 func (r *Relation) insert(t Tuple, staged []LocRef) (storage.TupleID, error) {
 	enc := appendBody(nil, t, true)
-	loc, mbr, hasLoc := r.spatialLoc(t)
-	s := r.place(t, loc, mbr, hasLoc)
-	st := r.stores[s]
-	st.mu.Lock()
-	lid, err := st.heap.Insert(enc)
-	st.mu.Unlock()
+	tid, err := r.heap.Insert(enc)
 	if err != nil {
-		return storage.TupleID{}, r.storeErr(s, err)
+		return storage.TupleID{}, fmt.Errorf("relation %s: %w", r.name, err)
 	}
 	for _, l := range staged {
 		pic, _ := r.lookupPicture(l.Picture) // resolveLocs found it, and no picture leaves a catalog
 		pic.Release(l.Object)
 	}
-	tid := inStore(lid, s)
 	id := tid.Int64()
+	loc, mbr, hasLoc := r.spatialLoc(t)
 	r.smu.Lock()
 	for col, idx := range r.indexes {
 		idx.Insert(IndexKey(t[r.schema.ColumnIndex(col)]), id)
 	}
-	si := r.spatialLocked(loc, hasLoc, s)
+	si := r.spatialLocked(loc, hasLoc)
 	r.smu.Unlock()
 	if si != nil {
 		si.insert(mbr, id)
 	}
 	return tid, nil
-}
-
-func (r *Relation) storeErr(s int, err error) error {
-	return fmt.Errorf("relation %s: store %d: %w", r.name, s, err)
 }
 
 // spatialLoc returns t's loc — the first loc column, the one spatial
@@ -366,41 +281,27 @@ func (r *Relation) spatialLoc(t Tuple) (LocRef, geom.Rect, bool) {
 	return t[li].Loc, mbr, true
 }
 
-// spatialLocked returns store s's index over the picture loc names, nil
-// when there is no loc or that picture is not attached. Caller holds
-// smu.
-func (r *Relation) spatialLocked(loc LocRef, hasLoc bool, s int) *SpatialIndex {
-	if sis := r.spatial[loc.Picture]; hasLoc && sis != nil {
-		return sis[s]
+// spatialLocked returns the index over the picture loc names, nil when
+// there is no loc or that picture is not attached. Caller holds smu.
+func (r *Relation) spatialLocked(loc LocRef, hasLoc bool) *SpatialIndex {
+	if !hasLoc {
+		return nil
 	}
-	return nil
-}
-
-// storeOf returns the store id names, ok false when the relation has no
-// such store.
-func (r *Relation) storeOf(id storage.TupleID) (int, bool) {
-	return int(id.Store), int(id.Store) < len(r.stores)
+	return r.spatial[loc.Picture]
 }
 
 // Get returns the tuple stored under id.
 func (r *Relation) Get(id storage.TupleID) (Tuple, error) {
-	s, ok := r.storeOf(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %v", storage.ErrNotFound, id)
-	}
 	var t Tuple
-	st := r.stores[s]
-	st.mu.RLock()
-	err := st.heap.GetBatch([]storage.TupleID{id}, func(_ int, body []byte) (err error) {
+	err := r.heap.GetBatch([]storage.TupleID{id}, func(_ int, body []byte) (err error) {
 		if body == nil {
 			return fmt.Errorf("%w: %v (deleted)", storage.ErrNotFound, id)
 		}
 		t, err = DecodeTuple(body)
 		return err
 	})
-	st.mu.RUnlock()
 	if err != nil {
-		return nil, r.storeErr(s, err)
+		return nil, fmt.Errorf("relation %s: %w", r.name, err)
 	}
 	return t, nil
 }
@@ -507,11 +408,11 @@ func (a *tupleArena) close() { a.src.Return(a.free) }
 // FetchWhere materializes the tuples stored under ids that every term
 // keeps, preserving input order: out[i] is the tuple for ids[i], nil
 // when a term rejected it or the tuple was deleted after ids were read
-// (an id never handed out fails the fetch with ErrNotFound). Ids are
-// grouped by store and the stores read in order; a store pins each page
-// it references once (ascending page order — ids on the statement path
-// arrive sorted, any other order is sorted per store — zero-copy view
-// when mmap is active) and decodes its tuples in place into arenas. need
+// (an id never handed out fails the fetch with ErrNotFound). The heap
+// pins each page the ids reference once (ascending page order — ids on
+// the statement path arrive sorted, any other order is sorted — zero-copy
+// view when mmap is active; Heap.GetBatch, which lets a waiting writer in
+// between two pages) and decodes its tuples in place into arenas. need
 // selects which columns to materialize, as in DecodeTupleCols (nil =
 // all). The tuples and out are cut from a, a statement's Arena, or
 // freshly allocated when a is nil.
@@ -526,104 +427,53 @@ func (r *Relation) FetchWhere(a *Arena, ids []storage.TupleID, need []bool, term
 	if len(ids) == 0 {
 		return out, nil
 	}
-	lids, pos, err := r.group(ids)
-	if err != nil {
-		return nil, fmt.Errorf("relation %s: %w", r.name, err)
-	}
 	ta := tupleArena{src: a.valueSlab(), arity: r.schema.Arity(), left: len(ids), block: arenaTuples}
 	defer ta.close()
 	reads := 0
 	if r.readHook != nil {
 		defer func() { r.readHook(reads) }()
 	}
-	for s, l := range lids {
-		if len(l) == 0 {
-			continue
+	err := r.heap.GetBatch(ids, func(i int, rec []byte) error {
+		if rec == nil {
+			return nil // deleted since ids were read
 		}
-		st := r.stores[s]
-		st.mu.RLock()
-		err := st.heap.GetBatch(l, func(k int, rec []byte) error {
-			if rec == nil {
-				return nil // deleted since ids were read
-			}
-			reads++
-			p := k
-			if pos != nil {
-				p = pos[s][k]
-			}
-			t, _, err := ta.decode(rec, need, terms)
-			if err != nil {
-				return fmt.Errorf("relation %s: tuple %v: %w", r.name, ids[p], err)
-			}
-			out[p] = t // nil when a term rejected it
-			return nil
-		})
-		st.mu.RUnlock()
+		reads++
+		t, _, err := ta.decode(rec, need, terms)
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("relation %s: tuple %v: %w", r.name, ids[i], err)
 		}
+		out[i] = t // nil when a term rejected it
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// group sorts a batch of ids by store: lids[s][k] is ids[pos[s][k]], and
-// a nil pos stands for the identity. An id naming no store of the
-// relation fails the batch.
-func (r *Relation) group(ids []storage.TupleID) (lids [][]storage.TupleID, pos [][]int, err error) {
-	for _, id := range ids {
-		if _, ok := r.storeOf(id); !ok {
-			return nil, nil, fmt.Errorf("%w: %v", storage.ErrNotFound, id)
-		}
-	}
-	if len(r.stores) == 1 {
-		return [][]storage.TupleID{ids}, nil, nil
-	}
-	lids = make([][]storage.TupleID, len(r.stores))
-	pos = make([][]int, len(r.stores))
-	for i, id := range ids {
-		lids[id.Store] = append(lids[id.Store], id)
-		pos[id.Store] = append(pos[id.Store], i)
-	}
-	return lids, pos, nil
-}
-
 // Delete removes the tuple stored under id from the heap and then from
-// every index. Under the store's lock, in one section, it reads the
-// record and frees its slot: the heap's own dead-slot check decides
-// which of two Deletes of one id wins, and the other reports not-found.
-// A freed slot is never handed out again, so until the index entries go
-// they name a dead slot, which resolves to no tuple. The spatial entry
-// is found by the object the record carries, whatever its picture holds
-// now.
+// every index. It reads the record and then frees its slot: a record's
+// bytes never change while its slot is live, and the heap's own
+// dead-slot check decides which of two Deletes of one id wins, the other
+// reporting not-found. A freed slot is never handed out again, so until
+// the index entries go they name a dead slot, which resolves to no
+// tuple. The spatial entry is found by the object the record carries,
+// whatever its picture holds now.
 func (r *Relation) Delete(id storage.TupleID) error {
-	gid := id.Int64()
-	s, ok := r.storeOf(id)
-	if !ok {
-		return fmt.Errorf("%w: %v", storage.ErrNotFound, id)
-	}
-	var t Tuple
-	st := r.stores[s]
-	st.mu.Lock()
-	err := st.heap.GetBatch([]storage.TupleID{id}, func(_ int, body []byte) (err error) {
-		if body == nil {
-			return fmt.Errorf("%w: %v (already deleted)", storage.ErrNotFound, id)
-		}
-		t, err = DecodeTuple(body)
-		return err
-	})
-	if err == nil {
-		err = st.heap.Delete(id)
-	}
-	st.mu.Unlock()
+	t, err := r.Get(id)
 	if err != nil {
-		return r.storeErr(s, err)
+		return err
 	}
+	if err := r.heap.Delete(id); err != nil {
+		return fmt.Errorf("relation %s: %w", r.name, err)
+	}
+	gid := id.Int64()
 	loc, mbr, hasLoc := r.spatialLoc(t)
 	r.smu.Lock()
 	for col, idx := range r.indexes {
 		idx.Delete(IndexKey(t[r.schema.ColumnIndex(col)]), gid)
 	}
-	si := r.spatialLocked(loc, hasLoc, s)
+	si := r.spatialLocked(loc, hasLoc)
 	r.smu.Unlock()
 	if si != nil {
 		si.delete(mbr, gid)
@@ -673,23 +523,21 @@ func (r *Relation) ScanCols(a *Arena, need []bool, terms []Term, fn func(id stor
 	// How many tuples the terms keep is unknown: the blocks start small.
 	ta := tupleArena{src: a.valueSlab(), arity: r.schema.Arity(), left: r.Len(), block: 8}
 	defer ta.close()
-	// Each store's chain in store order, one page at a time, each decoded
-	// under its store's lock and its kept tuples handed to fn after the
-	// lock is dropped.
+	// The heap's pages in ascending order, one at a time, each decoded
+	// under one hold of the heap's latch and its kept tuples handed to fn
+	// after the latch is dropped.
 	type scanned struct {
 		id storage.TupleID
 		t  Tuple
 	}
 	var run []scanned
 	var decodeErr error
-	var s int // the store being walked
 	reads := 0
 	if r.readHook != nil {
 		defer func() { r.readHook(reads) }()
 	}
-	visit := func(lid storage.TupleID, body []byte) bool {
+	visit := func(id storage.TupleID, body []byte) bool {
 		reads++
-		id := inStore(lid, s)
 		t, kept, err := ta.decode(body, need, terms)
 		if err != nil {
 			decodeErr = fmt.Errorf("relation %s: tuple %v: %w", r.name, id, err)
@@ -700,26 +548,21 @@ func (r *Relation) ScanCols(a *Arena, need []bool, terms []Term, fn func(id stor
 		}
 		return true
 	}
-	for s = range r.stores {
-		st := r.stores[s]
-		for page := st.firstPage(); page != pager.InvalidPage; {
-			run = run[:0]
-			st.mu.RLock()
-			next, err := st.heap.ScanPage(page, visit)
-			st.mu.RUnlock()
-			if err != nil {
-				return err
-			}
-			for _, sc := range run {
-				if !fn(sc.id, sc.t) {
-					return nil
-				}
-			}
-			if decodeErr != nil {
-				return decodeErr
-			}
-			page = next
+	for page := r.heap.NextPage(pager.InvalidPage); page != pager.InvalidPage; {
+		run = run[:0]
+		next, err := r.heap.ScanPage(page, visit)
+		if err != nil {
+			return err
 		}
+		for _, sc := range run {
+			if !fn(sc.id, sc.t) {
+				return nil
+			}
+		}
+		if decodeErr != nil {
+			return decodeErr
+		}
+		page = next
 	}
 	return nil
 }
@@ -777,7 +620,7 @@ func (r *Relation) Lookup(t Term) (ids []storage.TupleID, ok bool) {
 }
 
 // AttachPicture associates the relation with pic and builds a
-// Hilbert-packed R-tree over the loc column (one tree per store). This
+// Hilbert-packed R-tree over the loc column. This
 // is the paper's initial PACK of a static database; subsequent Insert
 // and Delete calls maintain the index dynamically (§3.4), and every
 // reload and repack packs it the same way. opts must be
@@ -792,15 +635,34 @@ func (r *Relation) AttachPicture(pic *picture.Picture, opts pack.Options) error 
 	return err
 }
 
-// Spatial returns the spatial index for the named picture when the
-// relation has one store, nil when the picture is not attached or there
-// is an index per store — use Spatials, HasSpatial, or
-// SpatialCostSnapshot there.
+// Spatial returns the spatial index for the named picture, nil when the
+// picture is not attached.
 func (r *Relation) Spatial(pictureName string) *SpatialIndex {
-	if sis := r.spatialList(pictureName); len(sis) == 1 {
-		return sis[0]
+	r.smu.RLock()
+	defer r.smu.RUnlock()
+	return r.spatial[pictureName]
+}
+
+// HasSpatial reports whether pic has a spatial index.
+func (r *Relation) HasSpatial(pictureName string) bool { return r.Spatial(pictureName) != nil }
+
+// SpatialCostSnapshot returns the planner's cost view of pic's index
+// (SpatialIndex.CostSnapshot), ok false when pic is not attached.
+func (r *Relation) SpatialCostSnapshot(pictureName string) (CostSnapshot, bool) {
+	si := r.Spatial(pictureName)
+	if si == nil {
+		return CostSnapshot{}, false
 	}
-	return nil
+	return si.CostSnapshot(), true
+}
+
+// spatialFor is Spatial, or an error naming the relation and the
+// picture when the picture is not attached.
+func (r *Relation) spatialFor(pictureName string) (*SpatialIndex, error) {
+	if si := r.Spatial(pictureName); si != nil {
+		return si, nil
+	}
+	return nil, fmt.Errorf("relation %s: no spatial index for picture %q", r.name, pictureName)
 }
 
 // Pictures returns the names of all attached pictures.
@@ -822,9 +684,7 @@ func (r *Relation) Pictures() []string {
 // visit count is the number of R-tree nodes touched (summed across the
 // packed and delta trees). Ids are returned in canonical ascending
 // TupleID order, merged across packed + delta minus tombstones — the
-// answer a single freshly packed tree would give. With several stores
-// the query scatters to only those whose bounds overlap the window and
-// the gathered ids are sorted into the same canonical order.
+// answer a single freshly packed tree would give.
 func (r *Relation) SearchArea(pictureName string, window geom.Rect, pred func(obj, win geom.Rect) bool) ([]storage.TupleID, int, error) {
 	batches, visited, err := r.SearchAreaBatch(pictureName, []geom.Rect{window}, pred, 0)
 	if err != nil {
@@ -839,11 +699,11 @@ func (r *Relation) SearchArea(pictureName string, window geom.Rect, pred func(ob
 // the merged trees. It is the executor's access path for predicates the
 // R-tree cannot prune (the paper's "disjoined").
 func (r *Relation) SpatialItems(pictureName string) ([]rtree.Item, int, error) {
-	sis := r.spatialList(pictureName)
-	if sis == nil {
-		return nil, 0, fmt.Errorf("relation %s: no spatial index for picture %q", r.name, pictureName)
+	si, err := r.spatialFor(pictureName)
+	if err != nil {
+		return nil, 0, err
 	}
-	items, visited := scatterItems(sis)
+	items, visited := si.items()
 	return items, visited, nil
 }
 
@@ -911,18 +771,18 @@ func (r *Relation) SearchWindows(pictureName string, windows []geom.Rect, pred f
 	return tupleIDs(make([]storage.TupleID, len(ids)), ids), visited, nil
 }
 
-// search answers windows against the named picture's indexes
-// (scatterSearch), collecting the hits, in no order, in a list taken
+// search answers windows against the named picture's index
+// (SpatialIndex.search), collecting the hits, in no order, in a list taken
 // from hitScratch, which the caller hands back with putHits once it has
 // converted them: a search allocates only the lists it returns.
 func (r *Relation) search(pictureName string, windows []geom.Rect, pred func(obj, win geom.Rect) bool) (*hits, int, error) {
-	sis := r.spatialList(pictureName)
-	if sis == nil {
-		return nil, 0, fmt.Errorf("relation %s: no spatial index for picture %q", r.name, pictureName)
+	si, err := r.spatialFor(pictureName)
+	if err != nil {
+		return nil, 0, err
 	}
 	h := hitScratch.Get().(*hits)
 	h.ids, h.wins = h.ids[:0], h.wins[:0]
-	return h, scatterSearch(sis, windows, pred, h), nil
+	return h, si.search(windows, pred, h), nil
 }
 
 // hits is what a search collects: ids[k] satisfied the window numbered
@@ -967,7 +827,7 @@ type SpatialPair struct {
 
 // JuxtaposeSpatial performs the paper's geographic join (§4) between
 // this relation's spatial index on picA and s's index on picB: a
-// simultaneous traversal of the two merged indexes (each constituent
+// simultaneous traversal of the two indexes (each constituent
 // packed/delta tree pair juxtaposed, tombstoned entries dropped)
 // reporting every tuple pair whose object MBRs satisfy pred, with the
 // node pairs visited. Pairs are returned in canonical ascending (A, B)
@@ -976,15 +836,15 @@ type SpatialPair struct {
 // compiles against it, until the benchmark reads the engine's own
 // counters.
 func (r *Relation) JuxtaposeSpatial(picA string, s *Relation, picB string, pred func(a, b geom.Rect) bool, workers int) ([]SpatialPair, int, error) {
-	as := r.spatialList(picA)
-	if as == nil {
-		return nil, 0, fmt.Errorf("relation %s: no spatial index for picture %q", r.name, picA)
+	a, err := r.spatialFor(picA)
+	if err != nil {
+		return nil, 0, err
 	}
-	bs := s.spatialList(picB)
-	if bs == nil {
-		return nil, 0, fmt.Errorf("relation %s: no spatial index for picture %q", s.name, picB)
+	b, err := s.spatialFor(picB)
+	if err != nil {
+		return nil, 0, err
 	}
-	pairs, visited := scatterJuxtapose(as, bs, pred)
+	pairs, visited := juxtaposeMerged(a, b, pred)
 	out := make([]SpatialPair, len(pairs))
 	for i, p := range pairs {
 		out[i] = SpatialPair{
@@ -995,45 +855,65 @@ func (r *Relation) JuxtaposeSpatial(picA string, s *Relation, picB string, pred 
 	return out, visited, nil
 }
 
-// Check validates the relation end to end: every heap's slotted-page
-// structure (every page checksum-verified through the pager), no page in
-// two stores' heaps, every store's live count against its records,
-// every tuple's decodability and schema conformance, the structural
-// invariants of each B-tree and spatial index, and that every index entry — B-tree or spatial —
-// resolves to a live tuple, a spatial one to a tuple of its own store,
-// and that a store's index on a picture holds as many entries as the
-// store has tuples located on it. The stores are verified side by side
-// on up to GOMAXPROCS goroutines, the budget of the reload's scans. It
-// returns the first problem found, in store order.
+// Check validates the relation end to end: the heap's slotted-page
+// structure (every page checksum-verified through the pager, no page in
+// two chains) and its live count, every tuple's decodability and schema
+// conformance, the structural invariants of each B-tree and spatial
+// index, that every index entry — B-tree or spatial — resolves to a live
+// tuple, and that the index on a picture holds as many entries as there
+// are tuples located on it. It returns the first problem found.
 func (r *Relation) Check() error {
-	if err := r.disjointHeaps(); err != nil {
-		return err
+	if err := r.heap.Check(); err != nil {
+		return fmt.Errorf("relation %s: %w", r.name, err)
 	}
-	r.smu.RLock()
-	spatial := maps.Clone(r.spatial)
-	r.smu.RUnlock()
-	live := make([][]int64, len(r.stores))
-	err := par.Do(len(r.stores), 0, func(s int) (err error) {
-		if live[s], err = r.checkStore(s, spatial); err != nil {
-			return r.storeErr(s, err)
+	var ids []int64
+	li := r.schema.LocColumn()
+	located := make(map[string]int) // live tuples per picture their loc names
+	var scanErr error
+	err := r.heap.Scan(func(id storage.TupleID, rec []byte) bool {
+		t, err := DecodeTuple(rec)
+		if err == nil {
+			err = r.schema.Validate(t)
 		}
-		return nil
+		if err != nil {
+			scanErr = fmt.Errorf("tuple %v: %w", id, err)
+			return false
+		}
+		ids = append(ids, id.Int64())
+		if li >= 0 && t[li].Loc.Object != 0 {
+			located[t[li].Loc.Picture]++
+		}
+		return true
 	})
-	if err != nil {
-		return err
+	if err == nil {
+		err = scanErr
 	}
-	// An id's store is its top bits: the stores' ascending lists, in store
-	// order, are one ascending list.
-	all := slices.Concat(live...)
+	if err != nil {
+		return fmt.Errorf("relation %s: %w", r.name, err)
+	}
 	r.smu.RLock()
 	defer r.smu.RUnlock()
+	for pic, si := range r.spatial {
+		if err := si.checkInvariants(); err != nil {
+			return fmt.Errorf("relation %s: spatial index %q: %w", r.name, pic, err)
+		}
+		items, _ := si.items()
+		for _, it := range items {
+			if _, ok := slices.BinarySearch(ids, it.Data); !ok {
+				return fmt.Errorf("relation %s: spatial index %q: entry %v: %w", r.name, pic, storage.TupleIDFromInt64(it.Data), storage.ErrNotFound)
+			}
+		}
+		if len(items) != located[pic] {
+			return fmt.Errorf("relation %s: spatial index %q: %w: %d entries, %d live tuples located on the picture", r.name, pic, storage.ErrCorrupt, len(items), located[pic])
+		}
+	}
 	for col, idx := range r.indexes {
 		if err := idx.CheckInvariants(); err != nil {
 			return fmt.Errorf("relation %s: index %q: %w", r.name, col, err)
 		}
 		var resolveErr error
 		idx.Ascend(func(_ []byte, v int64) bool {
-			if _, ok := slices.BinarySearch(all, v); !ok {
+			if _, ok := slices.BinarySearch(ids, v); !ok {
 				resolveErr = fmt.Errorf("relation %s: index %q: entry %v: %w", r.name, col, storage.TupleIDFromInt64(v), storage.ErrNotFound)
 			}
 			return resolveErr == nil
@@ -1043,65 +923,4 @@ func (r *Relation) Check() error {
 		}
 	}
 	return nil
-}
-
-// checkStore validates store s — heap structure, tuple decodability and
-// schema conformance, the heap's live count against the records its scan
-// finds in the same lock section, and the store's spatial indexes
-// (structure, every entry naming a live tuple of this store, and one
-// entry per tuple whose loc names the index's picture). It returns the
-// store's live ids in ascending order.
-func (r *Relation) checkStore(s int, spatial map[string][]*SpatialIndex) ([]int64, error) {
-	st := r.stores[s]
-	var ids []int64
-	li := r.schema.LocColumn()
-	located := make(map[string]int) // live tuples per picture their loc names
-	var scanErr error
-	st.mu.RLock()
-	want := st.heap.Len()
-	err := st.heap.Check()
-	if err == nil {
-		err = st.heap.Scan(func(lid storage.TupleID, rec []byte) bool {
-			id := inStore(lid, s)
-			t, err := DecodeTuple(rec)
-			if err == nil {
-				err = r.schema.Validate(t)
-			}
-			if err != nil {
-				scanErr = fmt.Errorf("tuple %v: %w", id, err)
-				return false
-			}
-			ids = append(ids, id.Int64())
-			if li >= 0 && t[li].Loc.Object != 0 {
-				located[t[li].Loc.Picture]++
-			}
-			return true
-		})
-	}
-	st.mu.RUnlock()
-	if err == nil {
-		err = scanErr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if len(ids) != want {
-		return nil, fmt.Errorf("%w: the heap counts %d live records and holds %d", storage.ErrCorrupt, want, len(ids))
-	}
-	slices.Sort(ids)
-	for pic, sis := range spatial {
-		if err := sis[s].checkInvariants(); err != nil {
-			return nil, fmt.Errorf("spatial index %q: %w", pic, err)
-		}
-		items, _ := sis[s].items()
-		for _, it := range items {
-			if _, ok := slices.BinarySearch(ids, it.Data); !ok {
-				return nil, fmt.Errorf("spatial index %q: entry %v: %w", pic, storage.TupleIDFromInt64(it.Data), storage.ErrNotFound)
-			}
-		}
-		if len(items) != located[pic] {
-			return nil, fmt.Errorf("spatial index %q: %w: %d entries, %d live tuples located on the picture", pic, storage.ErrCorrupt, len(items), located[pic])
-		}
-	}
-	return ids, nil
 }

@@ -48,10 +48,7 @@ func newCities(t *testing.T) (*Relation, *picture.Picture) {
 	p := pager.OpenMem(64)
 	t.Cleanup(func() { p.Close() })
 	pic := usMap()
-	rel, err := NewSharded(p, 1, "cities", citySchema(), catalogOf(pic))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := New(p, "cities", citySchema(), catalogOf(pic))
 	return rel, pic
 }
 
@@ -422,10 +419,7 @@ func TestMultiPictureAssociation(t *testing.T) {
 	defer p.Close()
 	picA := picture.New("map-a", geom.R(0, 0, 100, 100))
 	picB := picture.New("map-b", geom.R(0, 0, 100, 100))
-	rel, err := NewSharded(p, 1, "landmarks", MustSchema("name:string", "loc:loc"), catalogOf(picA, picB))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := New(p, "landmarks", MustSchema("name:string", "loc:loc"), catalogOf(picA, picB))
 	oa := picA.AddPoint("x", geom.Pt(10, 10))
 	ob := picB.AddPoint("y", geom.Pt(90, 90))
 	rel.Insert(Tuple{S("onA"), L("map-a", oa)})
@@ -596,10 +590,7 @@ func TestLookupByOperator(t *testing.T) {
 func TestRelationOpen(t *testing.T) {
 	p := pager.OpenMem(64)
 	defer p.Close()
-	rel, err := NewSharded(p, 1, "r", MustSchema("name:string", "v:int"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := New(p, "r", MustSchema("name:string", "v:int"), nil)
 	for i := int64(0); i < 20; i++ {
 		if _, err := rel.Insert(Tuple{S("x"), I(i)}); err != nil {
 			t.Fatal(err)
@@ -812,21 +803,21 @@ func TestUpdate(t *testing.T) {
 
 // TestCheckResolvesIndexEntries: Check's promise that every index entry
 // names a live tuple holds for spatial entries and B-tree entries alike,
-// on a one-store relation as on one of several stores. Each case
+// over a heap of one chain as of three (the "sharded3" case). Each case
 // deletes a tuple and plants an entry for it behind the relation's back.
 func TestCheckResolvesIndexEntries(t *testing.T) {
 	kinds := map[string]func(t *testing.T) (*Relation, *picture.Picture){
 		"unsharded": newCities,
 		"sharded3": func(t *testing.T) (*Relation, *picture.Picture) {
 			pic := usMap()
-			return newShardedCities(t, 3, pic), pic
+			return newChainedCities(t, 3, pic), pic
 		},
 	}
-	plants := map[string]func(rel *Relation, s int, rect geom.Rect, id int64){
-		"spatial": func(rel *Relation, s int, rect geom.Rect, id int64) {
-			rel.Spatials("us-map")[s].insert(rect, id)
+	plants := map[string]func(rel *Relation, rect geom.Rect, id int64){
+		"spatial": func(rel *Relation, rect geom.Rect, id int64) {
+			rel.Spatial("us-map").insert(rect, id)
 		},
-		"btree": func(rel *Relation, _ int, _ geom.Rect, id int64) {
+		"btree": func(rel *Relation, _ geom.Rect, id int64) {
 			rel.Index("population").Insert(IndexKey(I(7)), id)
 		},
 	}
@@ -845,23 +836,21 @@ func TestCheckResolvesIndexEntries(t *testing.T) {
 					t.Fatal(err)
 				}
 				victim := ids[7]
-				s, _ := rel.storeOf(victim)
 				if err := rel.Delete(victim); err != nil {
 					t.Fatal(err)
 				}
 				if err := rel.Check(); err != nil {
 					t.Fatalf("clean relation: %v", err)
 				}
-				plant(rel, s, geom.R(175, 825, 175, 825), victim.Int64())
+				plant(rel, geom.R(175, 825, 175, 825), victim.Int64())
 				if err := rel.Check(); !errors.Is(err, storage.ErrNotFound) {
 					t.Fatalf("entry for deleted tuple %v: Check = %v, want ErrNotFound", victim, err)
 				}
-				// A tuple placed where the victim was lands in its store,
-				// and takes a new address: the planted entry still names
-				// no tuple.
+				// A tuple placed where the victim was takes a new address:
+				// the planted entry still names no tuple.
 				nid := addCity(t, rel, pic, "newcomer", "ST", 7, 175, 825)
-				if ns, _ := rel.storeOf(nid); ns != s {
-					t.Fatalf("newcomer %v went to store %d, want the victim's store %d", nid, ns, s)
+				if nid == victim {
+					t.Fatalf("newcomer took the deleted id %v", victim)
 				}
 				if err := rel.Check(); !errors.Is(err, storage.ErrNotFound) {
 					t.Fatalf("entry for deleted tuple %v after insert %v: Check = %v, want ErrNotFound", victim, nid, err)
@@ -871,10 +860,11 @@ func TestCheckResolvesIndexEntries(t *testing.T) {
 	}
 }
 
-// TestCheckCountsSpatialEntries: a located tuple missing from its
-// store's spatial index is found by Check, not only an entry that names
-// no tuple. Each case removes one entry behind the relation's back — a
-// packed one (it becomes a tombstone) and one still in the write side.
+// TestCheckCountsSpatialEntries: a located tuple missing from the
+// spatial index is found by Check, not only an entry that names no
+// tuple, over a heap of one chain and of three (shards3). Each case
+// removes one entry behind the relation's back — a packed one (it
+// becomes a tombstone) and one still in the write side.
 func TestCheckCountsSpatialEntries(t *testing.T) {
 	for _, shards := range []int{0, 3} {
 		for _, where := range []string{"packed", "delta"} {
@@ -885,7 +875,7 @@ func TestCheckCountsSpatialEntries(t *testing.T) {
 					rel, pic = newCities(t)
 				} else {
 					pic = usMap()
-					rel = newShardedCities(t, shards, pic)
+					rel = newChainedCities(t, shards, pic)
 				}
 				var ids []storage.TupleID
 				add := func(i int) {
@@ -907,13 +897,12 @@ func TestCheckCountsSpatialEntries(t *testing.T) {
 				if where == "delta" {
 					victim = ids[37]
 				}
-				s, _ := rel.storeOf(victim)
 				tu, err := rel.Get(victim)
 				if err != nil {
 					t.Fatal(err)
 				}
 				mbr, _ := tu[3].LocMBR()
-				rel.Spatials("us-map")[s].delete(mbr, victim.Int64())
+				rel.Spatial("us-map").delete(mbr, victim.Int64())
 				if err := rel.Check(); !errors.Is(err, storage.ErrCorrupt) {
 					t.Fatalf("tuple %v unindexed: Check = %v, want ErrCorrupt", victim, err)
 				}
@@ -923,16 +912,16 @@ func TestCheckCountsSpatialEntries(t *testing.T) {
 }
 
 // TestFreedIDNamesNoOtherTuple: a tuple id names one tuple. An id a
-// window search returned, deleted from the last page of its store —
-// where that store's next insert lands — stays dead after an insert far
-// outside the window into the same store: the insert takes a new id,
-// Get of the old one reports ErrNotFound and FetchWhere leaves its entry
-// nil, rather than return the newcomer.
+// window search returned, deleted from the last page of the heap —
+// where the next insert lands — stays dead after an insert far outside
+// the window: the insert takes a new id, Get of the old one reports
+// ErrNotFound and FetchWhere leaves its entry nil, rather than return the
+// newcomer. Over a heap of one chain and of four (newChainedCities).
 func TestFreedIDNamesNoOtherTuple(t *testing.T) {
 	for _, stores := range []int{1, 4} {
 		t.Run(fmt.Sprintf("stores=%d", stores), func(t *testing.T) {
 			pic := usMap()
-			rel := newShardedCities(t, stores, pic)
+			rel := newChainedCities(t, stores, pic)
 			if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 				t.Fatal(err)
 			}
@@ -945,44 +934,21 @@ func TestFreedIDNamesNoOtherTuple(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			victim, s := storage.TupleID{}, -1
-			for _, id := range ids {
-				vs, _ := rel.storeOf(id)
-				pages, err := rel.ShardHeapPages(vs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if id.Page == pages[len(pages)-1] {
-					victim, s = id, vs
-					break
-				}
+			pages, err := rel.HeapPages()
+			if err != nil {
+				t.Fatal(err)
 			}
-			if s < 0 {
-				t.Fatalf("none of the window's %d ids is on its store's last page", len(ids))
+			i := slices.IndexFunc(ids, func(id storage.TupleID) bool { return id.Page == pages[len(pages)-1] })
+			if i < 0 {
+				t.Fatalf("none of the window's %d ids is on the heap's last page", len(ids))
 			}
+			victim := ids[i]
 			if err := rel.Delete(victim); err != nil {
 				t.Fatal(err)
 			}
-			// The first point of a coarse grid, at least 150 from the
-			// window on one axis, that the relation places in the victim's
-			// store.
-			var at geom.Point
-			found := false
-			for y := 995.0; y > 0 && !found; y -= 10 {
-				for x := 995.0; x > 0 && !found; x -= 10 {
-					if x < window.Max.X+150 && y < window.Max.Y+150 {
-						continue
-					}
-					at = geom.Pt(x, y)
-					found = shardForKey(stores, geom.HilbertKey(pic.Extent(), at)) == s
-				}
-			}
-			if !found {
-				t.Fatalf("no point far from the window is placed in store %d", s)
-			}
-			nid := addCity(t, rel, pic, "newcomer", "ST", 1, at.X, at.Y)
-			if ns, _ := rel.storeOf(nid); ns != s {
-				t.Fatalf("newcomer %v went to store %d, want %d", nid, ns, s)
+			nid := addCity(t, rel, pic, "newcomer", "ST", 1, 995, 995)
+			if nid.Page != victim.Page {
+				t.Fatalf("newcomer %v is not on the victim's page %d", nid, victim.Page)
 			}
 			if nid == victim {
 				t.Fatalf("the insert after the delete took the deleted id %v", victim)
@@ -1005,8 +971,8 @@ func TestFreedIDNamesNoOtherTuple(t *testing.T) {
 
 // TestConcurrentDoubleDelete races two Deletes of every id of a batch:
 // of each pair exactly one succeeds and the other reports ErrNotFound,
-// and Len and Check agree after every round — at one store and at
-// several.
+// and Len and Check agree after every round — over a heap of one chain
+// and of four.
 func TestConcurrentDoubleDelete(t *testing.T) {
 	for _, stores := range []int{1, 4} {
 		t.Run(fmt.Sprintf("stores=%d", stores), func(t *testing.T) {
@@ -1016,7 +982,7 @@ func TestConcurrentDoubleDelete(t *testing.T) {
 				rel, pic = newCities(t)
 			} else {
 				pic = usMap()
-				rel = newShardedCities(t, stores, pic)
+				rel = newChainedCities(t, stores, pic)
 			}
 			if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 				t.Fatal(err)
@@ -1086,10 +1052,7 @@ func TestFetchWhereWideTuple(t *testing.T) {
 	}
 	p := pager.OpenMem(64)
 	t.Cleanup(func() { p.Close() })
-	rel, err := NewSharded(p, 1, "wide", MustSchema(specs...), catalogOf())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := New(p, "wide", MustSchema(specs...), catalogOf())
 	var ids []storage.TupleID
 	for k := range 40 {
 		tup := make(Tuple, len(specs))

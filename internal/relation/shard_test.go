@@ -18,28 +18,89 @@ import (
 	"repro/internal/storage"
 )
 
-// shardCounts is the oracle matrix: at each of these store counts a
-// search returns the unsharded relation's rows, each relation in its own
-// ascending id order.
-var shardCounts = []int{1, 2, 4, 8}
+// This file holds the relation to one answer whatever its heap's
+// layout. A relation this engine creates is one heap of one chain; a
+// file written when a relation could have several stores reopens as one
+// heap of a chain per store (Def.Heaps). Tests named for shards and
+// stores predate that: their store count is now a chain count.
 
-// newShardedCities builds a cities relation of shards stores in a fresh
-// in-memory pager, its locs resolved among pics.
-func newShardedCities(t *testing.T, shards int, pics ...*picture.Picture) *Relation {
+// chainCounts is the oracle matrix: over a heap of each of these chain
+// counts a search returns the one-chain relation's rows.
+var chainCounts = []int{1, 2, 4, 8}
+
+// newChainedCities returns an empty cities relation in a fresh in-memory
+// pager, its locs resolved among pics, over a heap of n chains: the
+// first n-1 each hold a page whose one record was deleted, and the last
+// has no page yet, so inserts start it.
+func newChainedCities(t *testing.T, n int, pics ...*picture.Picture) *Relation {
 	t.Helper()
 	p := pager.OpenMem(512)
 	t.Cleanup(func() { p.Close() })
-	rel, err := NewSharded(p, shards, "cities", citySchema(), catalogOf(pics...))
+	chains := make([]pager.PageID, n)
+	for c := range chains[:n-1] {
+		h, _, _ := storage.Create(p)
+		id, err := h.Insert([]byte("deleted"))
+		if err == nil {
+			err = h.Delete(id)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		chains[c] = h.FirstPage()
+	}
+	rel, _, err := Open(Def{Name: "cities", Schema: citySchema(), Pager: p, Heaps: chains}, catalogOf(pics...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rel
 }
 
-// shardTwins builds one unsharded relation plus sharded twins at every
-// shard count, all holding identical tuples over one shared picture.
-// Returns the twins and the per-twin insertion-order TupleIDs (index
-// aligned across twins: ids[k][i] is the i-th inserted tuple).
+// reopenChained returns a relation holding rel's tuples, indexed and
+// attached as rel is, over a heap of n chains in a fresh in-memory
+// pager: the k-th tuple of rel's scan is written into chain k mod n, so
+// the chains' pages interleave as the stores' pages of a file did, and
+// the relation is reopened over the chains (Open). moved maps each of
+// rel's ids to the id of its tuple in the new relation.
+func reopenChained(t *testing.T, rel *Relation, n int) (re *Relation, moved map[storage.TupleID]storage.TupleID) {
+	t.Helper()
+	p := pager.OpenMem(512)
+	t.Cleanup(func() { p.Close() })
+	heaps := make([]*storage.Heap, n)
+	for c := range heaps {
+		heaps[c], _, _ = storage.Create(p)
+	}
+	moved = make(map[storage.TupleID]storage.TupleID)
+	var writeErr error
+	k := 0
+	err := rel.Scan(func(id storage.TupleID, tu Tuple) bool {
+		moved[id], writeErr = heaps[k%n].Insert(appendBody(nil, tu, true))
+		k++
+		return writeErr == nil
+	})
+	if err == nil {
+		err = writeErr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := Def{Name: rel.Name(), Schema: rel.Schema(), Pager: p, Columns: rel.IndexedColumns()}
+	for _, h := range heaps {
+		def.Heaps = append(def.Heaps, h.FirstPage())
+	}
+	for _, name := range rel.Pictures() {
+		def.Attach = append(def.Attach, rel.Spatial(name).Picture)
+	}
+	re, _, err = Open(def, rel.pics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return re, moved
+}
+
+// shardTwins builds one relation plus twins over heaps of every chain
+// count, all holding identical tuples over one shared picture. Returns
+// the twins and the per-twin insertion-order TupleIDs (index aligned
+// across twins: ids[k][i] is the i-th inserted tuple).
 func shardTwins(t *testing.T, n int, seed int64) (map[int]*Relation, map[int][]storage.TupleID, *picture.Picture) {
 	t.Helper()
 	pic := usMap()
@@ -51,8 +112,7 @@ func shardTwins(t *testing.T, n int, seed int64) (map[int]*Relation, map[int][]s
 	}
 	cities := make([]city, n)
 	for i := range cities {
-		// Clustered placement: most points land in Gaussian blobs so
-		// Hilbert routing produces uneven, realistic shard extents.
+		// Clustered placement: most points land in Gaussian blobs.
 		var x, y float64
 		switch i % 3 {
 		case 0:
@@ -75,31 +135,28 @@ func shardTwins(t *testing.T, n int, seed int64) (map[int]*Relation, map[int][]s
 		cities[i] = city{name: name, pop: int64(i * 37 % 9000), obj: obj}
 	}
 
-	twins := make(map[int]*Relation)
-	ids := make(map[int][]storage.TupleID)
-	// Key 0 is the unsharded oracle.
+	// Key 0 is the relation the twins are reopened from. Each tuple
+	// carries its own object, as one read back from another relation does.
 	p := pager.OpenMem(512)
 	t.Cleanup(func() { p.Close() })
-	un, err := NewSharded(p, 1, "cities", citySchema(), catalogOf(pic))
-	if err != nil {
+	un := New(p, "cities", citySchema(), catalogOf(pic))
+	twins := map[int]*Relation{0: un}
+	ids := make(map[int][]storage.TupleID)
+	for _, c := range cities {
+		id, err := un.Insert(carrying(Tuple{S(c.name), S("ST"), I(c.pop), L("us-map", c.obj.ID)}, c.obj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[0] = append(ids[0], id)
+	}
+	if err := un.AttachPicture(pic, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
-	twins[0] = un
-	for _, k := range shardCounts {
-		twins[k] = newShardedCities(t, k, pic)
-	}
-	// Every twin stores the same objects: each tuple carries its own, as
-	// one read back from another relation does.
-	for k, rel := range twins {
-		for _, c := range cities {
-			id, err := rel.Insert(carrying(Tuple{S(c.name), S("ST"), I(c.pop), L("us-map", c.obj.ID)}, c.obj))
-			if err != nil {
-				t.Fatalf("twin %d: %v", k, err)
-			}
-			ids[k] = append(ids[k], id)
-		}
-		if err := rel.AttachPicture(pic, hilbertPack); err != nil {
-			t.Fatalf("twin %d: %v", k, err)
+	for _, k := range chainCounts {
+		re, moved := reopenChained(t, un, k)
+		twins[k] = re
+		for _, id := range ids[0] {
+			ids[k] = append(ids[k], moved[id])
 		}
 	}
 	return twins, ids, pic
@@ -128,9 +185,8 @@ var oracleWindows = []geom.Rect{
 }
 
 // resolveNames materializes result ids into tuple names — the
-// cross-twin comparison key: every twin's ids are heap addresses of its
-// own layout, so the twins agree on the rows, not on the ids or their
-// order.
+// cross-twin comparison key: every twin's ids are addresses in its own
+// heap, so the twins agree on the rows, not on the ids or their order.
 func resolveNames(t *testing.T, rel *Relation, ids []storage.TupleID) []string {
 	t.Helper()
 	out := make([]string, len(ids))
@@ -162,9 +218,8 @@ func ascending(t *testing.T, what string, ids []storage.TupleID) {
 	}
 }
 
-// verifyShardOracle checks every window against the unsharded oracle:
-// the same rows at every store count, each twin's ids in ascending
-// order.
+// verifyShardOracle checks every window against twin 0: the same rows
+// at every chain count, each twin's ids in ascending order.
 func verifyShardOracle(t *testing.T, twins map[int]*Relation, stage string) {
 	t.Helper()
 	for wi, w := range oracleWindows {
@@ -174,15 +229,15 @@ func verifyShardOracle(t *testing.T, twins map[int]*Relation, stage string) {
 		}
 		ascending(t, stage, oracleIDs)
 		want := resolveNames(t, twins[0], oracleIDs)
-		for _, k := range shardCounts {
+		for _, k := range chainCounts {
 			ids, _, err := twins[k].SearchArea("us-map", w, geom.Overlapping)
 			if err != nil {
-				t.Fatalf("%s window %d shards=%d: %v", stage, wi, k, err)
+				t.Fatalf("%s window %d chains=%d: %v", stage, wi, k, err)
 			}
-			ascending(t, fmt.Sprintf("%s window %d shards=%d", stage, wi, k), ids)
+			ascending(t, fmt.Sprintf("%s window %d chains=%d", stage, wi, k), ids)
 			got := resolveNames(t, twins[k], ids)
 			if !sameRows(got, want) {
-				t.Fatalf("%s window %d shards=%d: rows diverge from unsharded\n got %v\nwant %v",
+				t.Fatalf("%s window %d chains=%d: rows diverge from one chain\n got %v\nwant %v",
 					stage, wi, k, got, want)
 			}
 		}
@@ -194,19 +249,19 @@ func verifyShardOracle(t *testing.T, twins map[int]*Relation, stage string) {
 	for k, rel := range twins {
 		batches, visited, err := rel.SearchAreaBatch("us-map", oracleWindows, geom.Overlapping, 0)
 		if err != nil {
-			t.Fatalf("%s shards=%d: %v", stage, k, err)
+			t.Fatalf("%s chains=%d: %v", stage, k, err)
 		}
 		sum, most := 0, 0
 		for wi, w := range oracleWindows {
 			ids, v, _ := rel.SearchArea("us-map", w, geom.Overlapping)
 			if !idsEqual(batches[wi], ids) {
-				t.Fatalf("%s shards=%d window %d: batch diverges from SearchArea", stage, k, wi)
+				t.Fatalf("%s chains=%d window %d: batch diverges from SearchArea", stage, k, wi)
 			}
 			sum += v
 			most = max(most, v)
 		}
 		if visited > sum || visited < most {
-			t.Fatalf("%s shards=%d: batch visited %d nodes, the windows' searches %d in all and %d at most", stage, k, visited, sum, most)
+			t.Fatalf("%s chains=%d: batch visited %d nodes, the windows' searches %d in all and %d at most", stage, k, visited, sum, most)
 		}
 	}
 
@@ -215,13 +270,13 @@ func verifyShardOracle(t *testing.T, twins map[int]*Relation, stage string) {
 	if err != nil {
 		t.Fatalf("%s: oracle items: %v", stage, err)
 	}
-	for _, k := range shardCounts {
+	for _, k := range chainCounts {
 		items, _, err := twins[k].SpatialItems("us-map")
 		if err != nil {
-			t.Fatalf("%s shards=%d: items: %v", stage, k, err)
+			t.Fatalf("%s chains=%d: items: %v", stage, k, err)
 		}
 		if len(items) != len(oracleItems) {
-			t.Fatalf("%s shards=%d: %d items, unsharded %d", stage, k, len(items), len(oracleItems))
+			t.Fatalf("%s chains=%d: %d items, one chain %d", stage, k, len(items), len(oracleItems))
 		}
 		ids := make([]storage.TupleID, len(items))
 		got, want := make([]string, len(items)), make([]string, len(items))
@@ -229,17 +284,17 @@ func verifyShardOracle(t *testing.T, twins map[int]*Relation, stage string) {
 			ids[i] = storage.TupleIDFromInt64(items[i].Data)
 			got[i], want[i] = fmt.Sprint(items[i].Rect), fmt.Sprint(oracleItems[i].Rect)
 		}
-		ascending(t, fmt.Sprintf("%s shards=%d: items", stage, k), ids)
+		ascending(t, fmt.Sprintf("%s chains=%d: items", stage, k), ids)
 		if !sameRows(got, want) {
-			t.Fatalf("%s shards=%d: item rects diverge from unsharded", stage, k)
+			t.Fatalf("%s chains=%d: item rects diverge from one chain", stage, k)
 		}
 	}
 }
 
-// TestShardedSearchOracle is the oracle matrix: identical content at
-// store counts 1/2/4/8 vs the unsharded relation, checked fresh, after
-// deletes, with frozen, delta and tombstoned entries mid-repack, and
-// after a repack.
+// TestShardedSearchOracle is the oracle matrix: identical content over
+// heaps of 1/2/4/8 chains and the relation they were reopened from,
+// checked fresh, after deletes, with frozen, delta and tombstoned
+// entries mid-repack, and after a repack.
 func TestShardedSearchOracle(t *testing.T) {
 	twins, ids, pic := shardTwins(t, 600, 42)
 	verifyShardOracle(t, twins, "fresh")
@@ -294,7 +349,7 @@ func TestShardedSearchOracle(t *testing.T) {
 		tombs += len(si.tombs) + len(si.ts0)
 	}
 	if frozen == 0 || delta == 0 || tombs == 0 {
-		t.Fatalf("frozen stage at 4 stores: %d frozen entries, %d delta entries, %d tombstones", frozen, delta, tombs)
+		t.Fatalf("frozen stage at 4 chains: %d frozen entries, %d delta entries, %d tombstones", frozen, delta, tombs)
 	}
 	verifyShardOracle(t, twins, "frozen")
 	// Finish the repacks the freeze began.
@@ -304,8 +359,7 @@ func TestShardedSearchOracle(t *testing.T) {
 		}
 	}
 
-	// Repack every twin (per-shard repacks for the sharded ones) and
-	// re-verify from the swapped roots.
+	// Repack every twin and re-verify from the swapped roots.
 	for k, rel := range twins {
 		repack(rel, "us-map")
 		if got := rel.Len(); got != 600-86+40-47 {
@@ -315,10 +369,10 @@ func TestShardedSearchOracle(t *testing.T) {
 	verifyShardOracle(t, twins, "repacked")
 }
 
-// verifyJuxtaposeOracle joins a's and b's twins at every shard count
-// (key 0 is the unsharded pair) and requires the pair stream to resolve
-// to the same logical pairs as the unsharded join, each in its own
-// canonical ascending (A, B) order.
+// verifyJuxtaposeOracle joins a's and b's twins at every chain count
+// and requires the pair stream to resolve to the same logical pairs as
+// the join of the twins keyed 0, each in its own canonical ascending
+// (A, B) order.
 func verifyJuxtaposeOracle(t *testing.T, stage string, a, b map[int]*Relation) {
 	t.Helper()
 	split := func(pairs []SpatialPair) (as, bs []storage.TupleID) {
@@ -340,7 +394,7 @@ func verifyJuxtaposeOracle(t *testing.T, stage string, a, b map[int]*Relation) {
 		if !slices.IsSortedFunc(pairs, func(x, y SpatialPair) int {
 			return cmp.Or(x.A.Compare(y.A), x.B.Compare(y.B))
 		}) {
-			t.Fatalf("%s shards=%d: pairs not in ascending (A, B) order", stage, k)
+			t.Fatalf("%s chains=%d: pairs not in ascending (A, B) order", stage, k)
 		}
 		as, bs := split(pairs)
 		an, bn := resolveNames(t, a[k], as), resolveNames(t, b[k], bs)
@@ -351,38 +405,29 @@ func verifyJuxtaposeOracle(t *testing.T, stage string, a, b map[int]*Relation) {
 		return out
 	}
 	want := names(0, oracle)
-	for _, k := range shardCounts {
+	for _, k := range chainCounts {
 		pairs, _, err := a[k].JuxtaposeSpatial("us-map", b[k], "us-map", geom.Overlapping, 0)
 		if err != nil {
-			t.Fatalf("%s shards=%d: %v", stage, k, err)
+			t.Fatalf("%s chains=%d: %v", stage, k, err)
 		}
 		if len(pairs) != len(oracle) {
-			t.Fatalf("%s shards=%d: %d pairs, unsharded %d", stage, k, len(pairs), len(oracle))
+			t.Fatalf("%s chains=%d: %d pairs, one chain %d", stage, k, len(pairs), len(oracle))
 		}
 		if !sameRows(names(k, pairs), want) {
-			t.Fatalf("%s shards=%d: join pairs diverge from unsharded", stage, k)
+			t.Fatalf("%s chains=%d: join pairs diverge from one chain", stage, k)
 		}
 	}
 }
 
 // buildClusteredJoinRel makes a relation of small square regions drawn
-// around Gaussian clusters (picture attached before inserts, so every
-// tuple is routed by Hilbert key and sits in a delta tree): sharded, or
-// with shards == 0 the unsharded reference holding the same tuples in
-// the same order.
-func buildClusteredJoinRel(t *testing.T, pic *picture.Picture, shards int, centers [][2]float64, seed int64, n int) *Relation {
+// around Gaussian clusters, the picture attached before the inserts so
+// every entry sits in the write side; with chains > 0 it is reopened
+// over a heap of that many chains, its entries packed.
+func buildClusteredJoinRel(t *testing.T, pic *picture.Picture, chains int, centers [][2]float64, seed int64, n int) *Relation {
 	t.Helper()
-	var rel *Relation
-	if shards == 0 {
-		p := pager.OpenMem(64)
-		t.Cleanup(func() { p.Close() })
-		var err error
-		if rel, err = NewSharded(p, 1, "r", citySchema(), catalogOf(pic)); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		rel = newShardedCities(t, shards, pic)
-	}
+	p := pager.OpenMem(64)
+	t.Cleanup(func() { p.Close() })
+	rel := New(p, "r", citySchema(), catalogOf(pic))
 	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
@@ -398,17 +443,17 @@ func buildClusteredJoinRel(t *testing.T, pic *picture.Picture, shards int, cente
 			t.Fatal(err)
 		}
 	}
+	if chains > 0 {
+		rel, _ = reopenChained(t, rel, chains)
+	}
 	return rel
 }
 
-// TestShardedJuxtaposeOracle holds the sharded join to the unsharded
-// one on two inputs. The blob twins are packed (attached after the
-// load). The clustered pair shares two of five cluster sites and
-// differs in the rest, so even Hilbert ranges give L-shaped shard
-// regions whose bounds overlap through space neither side occupies —
-// shard pairs the scatter admits and the traversal finds empty at the
-// roots; it is checked with the write side warm and again after a
-// repack.
+// TestShardedJuxtaposeOracle holds the join over heaps of every chain
+// count to the join of the relations they were reopened from, on two
+// inputs: the blob twins, and a clustered pair that shares two of five
+// cluster sites and differs in the rest, checked with the write side of
+// the one-chain pair warm and again after a repack.
 func TestShardedJuxtaposeOracle(t *testing.T) {
 	aTwins, _, _ := shardTwins(t, 180, 7)
 	bTwins, _, _ := shardTwins(t, 130, 11)
@@ -418,7 +463,7 @@ func TestShardedJuxtaposeOracle(t *testing.T) {
 	ca := [][2]float64{{120, 150}, {850, 200}, {480, 520}, {200, 840}, {880, 870}}
 	cb := [][2]float64{{120, 150}, {850, 200}, {700, 650}, {350, 300}, {150, 500}}
 	ac, bc := map[int]*Relation{}, map[int]*Relation{}
-	for _, k := range append([]int{0}, shardCounts...) {
+	for _, k := range append([]int{0}, chainCounts...) {
 		ac[k] = buildClusteredJoinRel(t, pic, k, ca, 31, 300)
 		bc[k] = buildClusteredJoinRel(t, pic, k, cb, 77, 300)
 	}
@@ -434,14 +479,14 @@ func TestShardedJuxtaposeOracle(t *testing.T) {
 // TestScanColsMatchesScan: the column-lazy scan visits the tuples Scan
 // visits, in the same order, with the needed columns materialized and
 // the rest left at their zero payload; with terms, it visits exactly the
-// tuples Scan followed by the same filter visits — unsharded and at
-// every shard count. Either way returning false stops the scan, and a
+// tuples Scan followed by the same filter visits — over a heap of every
+// chain count. Either way returning false stops the scan, and a
 // record whose inline object is corrupt fails it whether the terms
 // would keep or reject it.
 func TestScanColsMatchesScan(t *testing.T) {
 	twins, _, _ := shardTwins(t, 200, 5)
 	need := []bool{false, false, true, true} // population, loc
-	for _, k := range append([]int{0}, shardCounts...) {
+	for _, k := range append([]int{0}, chainCounts...) {
 		rel := twins[k]
 		var ids []storage.TupleID
 		var full []Tuple
@@ -473,19 +518,19 @@ func TestScanColsMatchesScan(t *testing.T) {
 			i := 0
 			err := rel.ScanCols(nil, need, terms, func(id storage.TupleID, tu Tuple) bool {
 				if i >= len(want) || id != wantIDs[i] {
-					t.Fatalf("shards=%d, filtered %v: ScanCols tuple %d is %v, Scan disagrees", k, filtered, i, id)
+					t.Fatalf("chains=%d, filtered %v: ScanCols tuple %d is %v, Scan disagrees", k, filtered, i, id)
 				}
 				if tu[2] != want[i][2] || tu[3] != want[i][3] {
-					t.Fatalf("shards=%d: needed columns of %v = %v, %v; Scan read %v, %v", k, id, tu[2], tu[3], want[i][2], want[i][3])
+					t.Fatalf("chains=%d: needed columns of %v = %v, %v; Scan read %v, %v", k, id, tu[2], tu[3], want[i][2], want[i][3])
 				}
 				if tu[0].Str != "" || tu[1].Str != "" || tu[0].Type != TypeString {
-					t.Fatalf("shards=%d: skipped columns of %v materialized: %v", k, id, tu)
+					t.Fatalf("chains=%d: skipped columns of %v materialized: %v", k, id, tu)
 				}
 				i++
 				return i < stop // returning false stops the scan
 			})
 			if err != nil || i != stop {
-				t.Fatalf("shards=%d, filtered %v: ScanCols visited %d tuples, err %v; want to stop at %d", k, filtered, i, err, stop)
+				t.Fatalf("chains=%d, filtered %v: ScanCols visited %d tuples, err %v; want to stop at %d", k, filtered, i, err, stop)
 			}
 		}
 
@@ -496,11 +541,11 @@ func TestScanColsMatchesScan(t *testing.T) {
 		if _, err := DecodeTuple(body); !errors.Is(err, storage.ErrCorrupt) {
 			t.Fatalf("the damaged body decodes: %v", err)
 		}
-		plant(t, rel, len(rel.stores)-1, body)
+		plant(t, rel, body)
 		for _, pop := range []int64{2, 3} { // one keeps the damaged record, one rejects it
 			err := rel.ScanCols(nil, need, []Term{{Col: 2, Op: OpEq, Val: I(pop)}}, func(storage.TupleID, Tuple) bool { return true })
 			if !errors.Is(err, storage.ErrCorrupt) {
-				t.Fatalf("shards=%d: a scan for population %d over a damaged object: %v", k, pop, err)
+				t.Fatalf("chains=%d: a scan for population %d over a damaged object: %v", k, pop, err)
 			}
 		}
 	}
@@ -509,12 +554,12 @@ func TestScanColsMatchesScan(t *testing.T) {
 // TestRejectingScanAllocatesNothing: a scan whose terms reject every
 // one of 2 000 tuples decodes none of them — it cuts no Value from the
 // statement's arena and allocates nothing, into an arena or into fresh
-// memory — at one store and at four. Every record is still validated
-// whole (TestScanColsMatchesScan).
+// memory — over a heap of one chain and of four. Every record is still
+// validated whole (TestScanColsMatchesScan).
 func TestRejectingScanAllocatesNothing(t *testing.T) {
 	pic := usMap()
-	for _, stores := range []int{1, 4} {
-		rel := newShardedCities(t, stores, pic)
+	for _, chains := range []int{1, 4} {
+		rel := newChainedCities(t, chains, pic)
 		for i := range 2000 {
 			addCity(t, rel, pic, fmt.Sprintf("c%04d", i), "ST", int64(i), float64(i%1000), float64(i/2))
 		}
@@ -536,7 +581,7 @@ func TestRejectingScanAllocatesNothing(t *testing.T) {
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("%d stores: a scan rejecting every tuple allocates %.1f times, want 0", stores, allocs)
+				t.Errorf("%d chains: a scan rejecting every tuple allocates %.1f times, want 0", chains, allocs)
 			}
 		}
 		for i := range arenas {
@@ -547,28 +592,24 @@ func TestRejectingScanAllocatesNothing(t *testing.T) {
 	}
 }
 
-// plant stores body, unvalidated, as a record of store s: what a
+// plant stores body, unvalidated, as a record of rel's heap: what a
 // damaged page would hold.
-func plant(t *testing.T, rel *Relation, s int, body []byte) {
+func plant(t *testing.T, rel *Relation, body []byte) {
 	t.Helper()
-	st := rel.stores[s]
-	st.mu.Lock()
-	_, err := st.heap.Insert(body)
-	st.mu.Unlock()
-	if err != nil {
+	if _, err := rel.heap.Insert(body); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestShardedScanAndBatch verifies the non-spatial read paths: Scan
-// order, Get/GetBatch resolution, Len, and B-tree lookups over ids that
-// name their store.
+// TestShardedScanAndBatch verifies the non-spatial read paths over a
+// heap of several chains: Scan's ids, Get/GetBatch resolution, Len, and
+// B-tree lookups.
 func TestShardedScanAndBatch(t *testing.T) {
 	twins, ids, _ := shardTwins(t, 200, 3)
-	for _, k := range shardCounts {
+	for _, k := range chainCounts {
 		rel := twins[k]
 		if rel.Len() != 200 {
-			t.Fatalf("shards=%d: Len=%d", k, rel.Len())
+			t.Fatalf("chains=%d: Len=%d", k, rel.Len())
 		}
 		// Scan must yield every id once, in ascending order.
 		var scanned []storage.TupleID
@@ -578,11 +619,11 @@ func TestShardedScanAndBatch(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		ascending(t, fmt.Sprintf("shards=%d: scan", k), scanned)
+		ascending(t, fmt.Sprintf("chains=%d: scan", k), scanned)
 		inserted := slices.Clone(ids[k])
 		slices.SortFunc(inserted, storage.TupleID.Compare)
 		if !idsEqual(scanned, inserted) {
-			t.Fatalf("shards=%d: scan yields other ids than were inserted", k)
+			t.Fatalf("chains=%d: scan yields other ids than were inserted", k)
 		}
 		// GetBatch against Get.
 		tuples, err := rel.GetBatch(ids[k], nil, 0)
@@ -595,12 +636,11 @@ func TestShardedScanAndBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tuples[i][0].Str != want[0].Str {
-				t.Fatalf("shards=%d: batch[%d] = %q, Get %q", k, i, tuples[i][0].Str, want[0].Str)
+				t.Fatalf("chains=%d: batch[%d] = %q, Get %q", k, i, tuples[i][0].Str, want[0].Str)
 			}
 		}
 	}
-	// B-tree index over a sharded relation resolves through the store its
-	// ids name.
+	// A B-tree index over a heap of several chains.
 	rel := twins[4]
 	if err := rel.CreateIndex("city"); err != nil {
 		t.Fatal(err)
@@ -615,107 +655,15 @@ func TestShardedScanAndBatch(t *testing.T) {
 	}
 }
 
-// TestIDsNameTheirStore: at four stores, every id Insert, Scan,
-// SearchArea and an equality term (through Lookup on a B-tree and
-// through a scan) return carries the store whose heap holds its page,
-// and the two paths return the same ids.
-func TestIDsNameTheirStore(t *testing.T) {
-	pic := usMap()
-	rel := newShardedCities(t, 4, pic)
-	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(38))
-	var inserted []storage.TupleID
-	for i := 0; i < 300; i++ {
-		inserted = append(inserted, addCity(t, rel, pic, fmt.Sprintf("c%03d", i), "ST", int64(i%7), rng.Float64()*1000, rng.Float64()*1000))
-	}
-	pages := make([][]pager.PageID, rel.ShardCount())
-	for s := range pages {
-		var err error
-		if pages[s], err = rel.ShardHeapPages(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stores := map[uint8]bool{}
-	check := func(how string, ids []storage.TupleID) {
-		t.Helper()
-		if len(ids) == 0 {
-			t.Fatalf("%s returned no ids", how)
-		}
-		for _, id := range ids {
-			if int(id.Store) >= len(pages) || !slices.Contains(pages[id.Store], id.Page) {
-				t.Fatalf("%s: id %v names store %d, whose heap does not hold page %d", how, id, id.Store, id.Page)
-			}
-			stores[id.Store] = true
-		}
-	}
-	check("Insert", inserted)
-	var scanned []storage.TupleID
-	if err := rel.Scan(func(id storage.TupleID, _ Tuple) bool {
-		scanned = append(scanned, id)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	check("Scan", scanned)
-	found, _, err := rel.SearchArea("us-map", geom.R(0, 0, 1000, 1000), geom.CoveredBy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("SearchArea", found)
-	three := Term{Col: 2, Op: OpEq, Val: I(3)}
-	byScan := scanKept(t, rel, three)
-	check("equality by scan", byScan)
-	if err := rel.CreateIndex("population"); err != nil {
-		t.Fatal(err)
-	}
-	byIndex := lookupKept(t, rel, three)
-	check("equality by index", byIndex)
-	if !slices.Equal(byScan, byIndex) {
-		t.Fatalf("by scan %v, by index %v", byScan, byIndex)
-	}
-	if len(stores) != 4 {
-		t.Fatalf("the ids name %d stores, want all 4", len(stores))
-	}
-}
-
-// TestIDPastStoreCountNotFound: an id naming a store the relation does
-// not have resolves to no tuple in Get, FetchWhere and Delete.
-func TestIDPastStoreCountNotFound(t *testing.T) {
-	for _, stores := range []int{1, 4} {
-		t.Run(fmt.Sprintf("stores=%d", stores), func(t *testing.T) {
-			pic := usMap()
-			rel := newShardedCities(t, stores, pic)
-			id := addCity(t, rel, pic, "one", "ST", 1, 500, 500)
-			for _, s := range []int{stores, MaxShards} {
-				bad := id
-				bad.Store = uint8(s)
-				if _, err := rel.Get(bad); !errors.Is(err, storage.ErrNotFound) {
-					t.Fatalf("Get(%v) = %v, want ErrNotFound", bad, err)
-				}
-				if _, err := rel.FetchWhere(nil, []storage.TupleID{id, bad}, nil, nil); !errors.Is(err, storage.ErrNotFound) {
-					t.Fatalf("FetchWhere(%v) = %v, want ErrNotFound", bad, err)
-				}
-				if err := rel.Delete(bad); !errors.Is(err, storage.ErrNotFound) {
-					t.Fatalf("Delete(%v) = %v, want ErrNotFound", bad, err)
-				}
-			}
-			if tu, err := rel.Get(id); err != nil || tu[0].Str != "one" || rel.Len() != 1 {
-				t.Fatalf("Get(%v) = %v, %v with Len %d; want the one tuple", id, tu, err, rel.Len())
-			}
-		})
-	}
-}
-
 // TestFetchSkipsTupleDeletedSinceProbe: a window search's ids, one of
 // them deleted before the fetch, are fetched whole but for that entry,
-// which FetchWhere leaves nil.
+// which FetchWhere leaves nil — over a heap of one chain and of four
+// (newChainedCities).
 func TestFetchSkipsTupleDeletedSinceProbe(t *testing.T) {
 	for _, stores := range []int{1, 4} {
 		t.Run(fmt.Sprintf("stores=%d", stores), func(t *testing.T) {
 			pic := usMap()
-			rel := newShardedCities(t, stores, pic)
+			rel := newChainedCities(t, stores, pic)
 			if err := rel.AttachPicture(pic, hilbertPack); err != nil {
 				t.Fatal(err)
 			}
@@ -754,28 +702,30 @@ func TestFetchSkipsTupleDeletedSinceProbe(t *testing.T) {
 	}
 }
 
-// shardDef is what a catalog records of rel, whose stores live in p.
+// shardDef is what a catalog records of rel, whose heap lives in p.
 func shardDef(rel *Relation, p *pager.Pager) Def {
-	return Def{Name: rel.Name(), Schema: rel.Schema(), Pager: p, Heaps: rel.ShardHeapFirstPages()}
+	return Def{Name: rel.Name(), Schema: rel.Schema(), Pager: p, Heaps: rel.HeapChains()}
 }
 
-// TestShardedReopen drops the in-memory Relation and reattaches via
-// Open over the same pager: the reload's scan must reproduce ids,
-// order, and contents exactly, and move the picture's allocator above
-// every object id the tuples carry.
+// TestShardedReopen drops the in-memory Relation over a heap of four
+// chains and reattaches via Open over the same pager: the reload's scan
+// must reproduce ids, order, and contents exactly, and move the
+// picture's allocator above every object id the tuples carry.
 func TestShardedReopen(t *testing.T) {
-	p := pager.OpenMem(512)
-	t.Cleanup(func() { p.Close() })
 	pic := usMap()
-	rel, err := NewSharded(p, 4, "cities", citySchema(), catalogOf(pic))
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := New(pager.OpenMem(512), "cities", citySchema(), catalogOf(pic))
 	rng := rand.New(rand.NewSource(9))
-	var ids []storage.TupleID
 	for i := 0; i < 150; i++ {
-		ids = append(ids, addCity(t, rel, pic, fmt.Sprintf("c%03d", i), "ST", int64(i), rng.Float64()*1000, rng.Float64()*1000))
+		addCity(t, one, pic, fmt.Sprintf("c%03d", i), "ST", int64(i), rng.Float64()*1000, rng.Float64()*1000)
 	}
+	rel, moved := reopenChained(t, one, 4)
+	one.pgr.Close()
+	p := rel.pgr
+	var ids []storage.TupleID
+	for _, id := range moved {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, storage.TupleID.Compare)
 	for i := 0; i < 150; i += 5 {
 		if err := rel.Delete(ids[i]); err != nil {
 			t.Fatal(err)
@@ -838,45 +788,42 @@ func TestShardedReopen(t *testing.T) {
 	}
 }
 
-// TestShardedDuplicatePageDetected forges the one corruption ids that
-// name their store cannot show: a heap page chained into two stores'
-// heaps. Open and Check both find the page in the heaps' own page lists
-// and refuse it.
+// TestShardedDuplicatePageDetected forges a heap page chained into two
+// of a heap's chains. Open and Check both find the page in the chains'
+// own page lists and refuse it.
 func TestShardedDuplicatePageDetected(t *testing.T) {
-	p := pager.OpenMem(64)
-	t.Cleanup(func() { p.Close() })
 	pic := usMap()
-	rel, err := NewSharded(p, 2, "cities", citySchema(), catalogOf(pic))
-	if err != nil {
+	one := New(pager.OpenMem(64), "cities", citySchema(), catalogOf(pic))
+	addCity(t, one, pic, "one", "ST", 1, 100, 100)
+	addCity(t, one, pic, "two", "ST", 2, 900, 100)
+	if err := one.AttachPicture(pic, hilbertPack); err != nil {
 		t.Fatal(err)
 	}
-	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
-		t.Fatal(err)
-	}
-	// Two cities in opposite halves: one in each store.
-	addCity(t, rel, pic, "one", "ST", 1, 100, 100)
-	addCity(t, rel, pic, "two", "ST", 2, 900, 100)
-	if n0, n1 := rel.stores[0].heap.Len(), rel.stores[1].heap.Len(); n0 != 1 || n1 != 1 {
-		t.Fatalf("stores hold %d and %d tuples, want one each", n0, n1)
+	rel, _ := reopenChained(t, one, 2)
+	one.pgr.Close()
+	p := rel.pgr
+	chains := rel.HeapChains()
+	if len(chains) != 2 || chains[0] == pager.InvalidPage || chains[1] == pager.InvalidPage {
+		t.Fatalf("chains %v, want two with a page each", chains)
 	}
 	if err := rel.Check(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Chain store 0's page behind store 1's: the page is now in both heaps.
-	pg, err := p.Fetch(rel.stores[1].heap.FirstPage())
+	// Link chain 0's page behind chain 1's: the page is now in both.
+	pg, err := p.Fetch(chains[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(pg.Data[6:10], uint32(rel.stores[0].heap.FirstPage()))
+	binary.LittleEndian.PutUint32(pg.Data[6:10], uint32(chains[0]))
 	pg.MarkDirty()
 	p.Unpin(pg)
 
 	if err := rel.Check(); !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("Check of a page in two stores: %v, want ErrCorrupt", err)
+		t.Fatalf("Check of a page in two chains: %v, want ErrCorrupt", err)
 	}
 	if _, _, err := Open(shardDef(rel, p), catalogOf(usMap())); !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("Open of a page in two stores: %v, want ErrCorrupt", err)
+		t.Fatalf("Open of a page in two chains: %v, want ErrCorrupt", err)
 	}
 }
 
@@ -887,99 +834,22 @@ func TestOpenRefusesObjectIDZero(t *testing.T) {
 	p := pager.OpenMem(64)
 	t.Cleanup(func() { p.Close() })
 	pic := usMap()
-	rel, err := NewSharded(p, 1, "cities", citySchema(), catalogOf(pic))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := New(p, "cities", citySchema(), catalogOf(pic))
 	addCity(t, rel, pic, "one", "ST", 1, 100, 100)
 	if _, _, err := Open(shardDef(rel, p), catalogOf(usMap())); err != nil {
 		t.Fatalf("Open before the forged record: %v", err)
 	}
 	zero := picture.Object{ID: 0, Kind: picture.KindPoint, Label: "zero", Point: geom.Pt(5, 5)}
-	plant(t, rel, 0, appendBody(nil, carrying(Tuple{S("zero"), S("ST"), I(2), L(pic.Name(), 0)}, zero), true))
-	_, _, err = Open(shardDef(rel, p), catalogOf(usMap()))
+	plant(t, rel, appendBody(nil, carrying(Tuple{S("zero"), S("ST"), I(2), L(pic.Name(), 0)}, zero), true))
+	_, _, err := Open(shardDef(rel, p), catalogOf(usMap()))
 	if !errors.Is(err, storage.ErrCorrupt) || !strings.Contains(err.Error(), "object id 0") {
 		t.Fatalf("Open of a tuple carrying object id 0: %v, want ErrCorrupt naming the id", err)
 	}
 }
 
-// TestScatterFanoutPruning: a clustered window must scatter to fewer
-// shards than the relation holds, while the full extent reaches every
-// shard — the sub-linear fan-out the Hilbert routing buys. Asserted on
-// what the real scatter did: SearchArea's visit count equals the
-// per-shard visits summed over only the shards whose bounds meet the
-// window, strictly below the all-shards sum (a skipped shard saves at
-// least its root visit).
-func TestScatterFanoutPruning(t *testing.T) {
-	pic := usMap()
-	rel := newShardedCities(t, 8, pic)
-	// Attach before inserting so routing resolves locations through the
-	// picture (Hilbert placement) instead of the hash fallback — tight
-	// per-shard MBRs are what make pruning possible.
-	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
-		t.Fatal(err)
-	}
-	// A dense uniform grid: every shard's key range is populated and
-	// shard MBRs stay tight around their Hilbert runs.
-	for gy := 0; gy < 40; gy++ {
-		for gx := 0; gx < 40; gx++ {
-			x, y := float64(gx)*25+12, float64(gy)*25+12
-			addCity(t, rel, pic, fmt.Sprintf("g%02d-%02d", gx, gy), "ST", 1, x, y)
-		}
-	}
-	rel.WaitRepacks()
-	sis := rel.Spatials("us-map")
-	if len(sis) != 8 {
-		t.Fatalf("relation has %d shard indexes", len(sis))
-	}
-	total := 0
-	for s, si := range sis {
-		if si.Len() == 0 {
-			t.Fatalf("shard %d empty under a uniform grid", s)
-		}
-		total += si.Len()
-	}
-	if total != 1600 {
-		t.Fatalf("shard items sum to %d, want 1600", total)
-	}
-
-	// visits returns what the scatter reported for window beside the
-	// per-shard visit sums over the admitted shards and over all shards.
-	visits := func(window geom.Rect) (got, admitted, all, hit int) {
-		t.Helper()
-		_, got, err := rel.SearchArea("us-map", window, geom.Overlapping)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, si := range sis {
-			v := si.search([]geom.Rect{window}, geom.Overlapping, new(hits))
-			all += v
-			if si.Bounds().Intersects(window) {
-				admitted += v
-				hit++
-			}
-		}
-		return got, admitted, all, hit
-	}
-	got, admitted, all, hit := visits(geom.R(10, 10, 80, 80))
-	if got != admitted {
-		t.Fatalf("clustered window visited %d nodes, admitted shards sum to %d", got, admitted)
-	}
-	if got >= all {
-		t.Fatalf("clustered window visited %d nodes, all-shards sum %d — no pruning", got, all)
-	}
-	if hit == 0 || hit >= len(sis) {
-		t.Fatalf("clustered window admitted %d/%d shards", hit, len(sis))
-	}
-	got, admitted, all, hit = visits(geom.R(0, 0, 1000, 1000))
-	if hit != len(sis) || got != admitted || got != all {
-		t.Fatalf("full-extent window: %d/%d shards, visited %d, admitted %d, all %d", hit, len(sis), got, admitted, all)
-	}
-}
-
-// TestShardedConcurrentWritersReaders is the -race stress, over a
-// four-store relation and a one-store one:
-// writers drive concurrent inserts (placed across stores) and deletes
+// TestShardedConcurrentWritersReaders is the -race stress, over a heap
+// of four chains (newChainedCities) and one of one:
+// writers drive concurrent inserts and deletes
 // while readers run window queries (single and batched), scans, point
 // and batched gets and B-tree range lookups, and a CreateIndex lands
 // beside the first writer's inserts. Invariants: no torn reads (every
@@ -988,16 +858,13 @@ func TestScatterFanoutPruning(t *testing.T) {
 func TestShardedConcurrentWritersReaders(t *testing.T) {
 	t.Run("sharded4", func(t *testing.T) {
 		pic := usMap()
-		concurrentWritersReaders(t, newShardedCities(t, 4, pic), pic)
+		concurrentWritersReaders(t, newChainedCities(t, 4, pic), pic)
 	})
 	t.Run("unsharded", func(t *testing.T) {
 		p := pager.OpenMem(512)
 		t.Cleanup(func() { p.Close() })
 		pic := usMap()
-		rel, err := NewSharded(p, 1, "cities", citySchema(), catalogOf(pic))
-		if err != nil {
-			t.Fatal(err)
-		}
+		rel := New(p, "cities", citySchema(), catalogOf(pic))
 		concurrentWritersReaders(t, rel, pic)
 	})
 }
@@ -1202,102 +1069,13 @@ func concurrentWritersReaders(t *testing.T, rel *Relation, pic *picture.Picture)
 	}
 }
 
-// TestShardedCostSnapshotPrunes: the planner's merged snapshot over a
-// clustered window must be cheaper than the full merge — only
-// overlapping shards contribute.
-func TestShardedCostSnapshotPrunes(t *testing.T) {
-	pic := usMap()
-	rel := newShardedCities(t, 8, pic)
-	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
-		t.Fatal(err)
-	}
-	for gy := 0; gy < 30; gy++ {
-		for gx := 0; gx < 30; gx++ {
-			addCity(t, rel, pic, fmt.Sprintf("g%d-%d", gx, gy), "ST", 1, float64(gx)*33+5, float64(gy)*33+5)
-		}
-	}
-	// Pack the LSM deltas so per-shard Items reflects the packed trees.
-	repack(rel, "us-map")
-	all, ok := rel.SpatialCostSnapshot("us-map", nil)
-	if !ok {
-		t.Fatal("no snapshot")
-	}
-	if all.Stats.Items != 900 {
-		t.Fatalf("full snapshot items = %d", all.Stats.Items)
-	}
-	clustered, ok := rel.SpatialCostSnapshot("us-map", []geom.Rect{geom.R(5, 5, 60, 60)})
-	if !ok {
-		t.Fatal("no clustered snapshot")
-	}
-	if clustered.Stats.Items >= all.Stats.Items {
-		t.Fatalf("clustered snapshot items %d not pruned below %d", clustered.Stats.Items, all.Stats.Items)
-	}
-}
-
-func TestEvenKeyRangesAndShardForKey(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 8} {
-		ranges := evenKeyRanges(n)
-		if len(ranges) != n {
-			t.Fatalf("n=%d: %d ranges", n, len(ranges))
-		}
-		if ranges[0].Lo != 0 || ranges[n-1].Hi != 1<<geom.HilbertKeyBits {
-			t.Fatalf("n=%d: ranges do not span the key space: %v", n, ranges)
-		}
-		for s := 1; s < n; s++ {
-			if ranges[s].Lo != ranges[s-1].Hi {
-				t.Fatalf("n=%d: gap between shard %d and %d: %v", n, s-1, s, ranges)
-			}
-		}
-		// Every key routes to the shard whose range holds it.
-		for s, kr := range ranges {
-			if got := shardForKey(n, kr.Lo); got != s {
-				t.Fatalf("n=%d: key %d -> shard %d, want %d", n, kr.Lo, got, s)
-			}
-			if got := shardForKey(n, kr.Hi-1); got != s {
-				t.Fatalf("n=%d: key %d -> shard %d, want %d", n, kr.Hi-1, got, s)
-			}
-		}
-	}
-	// An out-of-range key (degenerate extents can quantize past the
-	// top) lands on the shard owning the top of the space.
-	if got := shardForKey(3, 1<<geom.HilbertKeyBits); got != 2 {
-		t.Fatalf("overflow key -> shard %d, want 2", got)
-	}
-}
-
+// TestShardBalance: a relation is one heap, so it reports no balance,
+// over a heap of one chain as of four.
 func TestShardBalance(t *testing.T) {
-	pic := usMap()
-	rel := newShardedCities(t, 4, pic)
-	// Attach first so routing uses Hilbert keys.
-	if err := rel.AttachPicture(pic, hilbertPack); err != nil {
-		t.Fatal(err)
-	}
-	// Clustered corner: everything near the origin shares a narrow
-	// Hilbert prefix and lands on one shard.
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 120; i++ {
-		addCity(t, rel, pic, fmt.Sprintf("c%03d", i), "ST", int64(i), rng.Float64()*80, rng.Float64()*80)
-	}
-	infos, imbalance := rel.ShardBalance()
-	if len(infos) != 4 {
-		t.Fatalf("%d balance entries", len(infos))
-	}
-	total := int64(0)
-	for s, in := range infos {
-		total += in.Items
-		if kr := rel.ShardKeyRanges()[s]; in.Shard != s || in.KeyLo != kr.Lo || in.KeyHi != kr.Hi {
-			t.Fatalf("balance entry %d = %+v, key range %v", s, in, kr)
+	for _, chains := range []int{1, 4} {
+		rel := newChainedCities(t, chains, usMap())
+		if infos, f := rel.ShardBalance(); infos != nil || f != 0 || rel.ShardCount() != 1 {
+			t.Fatalf("%d chains: ShardBalance = %v, %v and ShardCount %d; want nil, 0 and 1", chains, infos, f, rel.ShardCount())
 		}
-	}
-	if total != 120 {
-		t.Fatalf("balance counts %d tuples, want 120", total)
-	}
-	if imbalance < 3.0 {
-		t.Fatalf("corner cluster imbalance %.2f, want >= 3 (all on one shard)", imbalance)
-	}
-	// Unsharded relations report nothing.
-	u, _ := newCities(t)
-	if infos, f := u.ShardBalance(); infos != nil || f != 0 {
-		t.Fatal("unsharded ShardBalance not empty")
 	}
 }

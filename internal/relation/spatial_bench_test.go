@@ -22,10 +22,7 @@ func benchFixture(b *testing.B, nPacked, nDelta int) (*Relation, *SpatialIndex) 
 	p := pager.OpenMem(4096)
 	b.Cleanup(func() { p.Close() })
 	pic := usMap()
-	rel, err := NewSharded(p, 1, "cities", citySchema(), catalogOf(pic))
-	if err != nil {
-		b.Fatal(err)
-	}
+	rel := New(p, "cities", citySchema(), catalogOf(pic))
 	rng := rand.New(rand.NewSource(1985))
 	for i := 0; i < nPacked; i++ {
 		addBenchCity(b, rel, pic, fmt.Sprintf("p%d", i), rng.Float64()*1000, rng.Float64()*1000)

@@ -24,10 +24,7 @@ func newSpatialFixture(t *testing.T, n int, seed int64) (*Relation, *picture.Pic
 	p := pager.OpenMem(512)
 	t.Cleanup(func() { p.Close() })
 	pic := usMap()
-	rel, err := NewSharded(p, 1, "cities", citySchema(), catalogOf(pic))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := New(p, "cities", citySchema(), catalogOf(pic))
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < n; i++ {
 		addCity(t, rel, pic, randWord(rng), "ST", int64(i), rng.Float64()*1000, rng.Float64()*1000)
@@ -331,10 +328,7 @@ func TestJuxtaposeMergedMatchesOracle(t *testing.T) {
 	t.Cleanup(func() { p.Close() })
 	mk := func(name string, n int, seed int64) (*Relation, *picture.Picture) {
 		pic := usMap()
-		rel, err := NewSharded(p, 1, name, citySchema(), catalogOf(pic))
-		if err != nil {
-			t.Fatal(err)
-		}
+		rel := New(p, name, citySchema(), catalogOf(pic))
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < n; i++ {
 			addRegion(t, rel, pic, randWord(rng), rng.Float64()*1000, rng.Float64()*1000, 20+rng.Float64()*40)

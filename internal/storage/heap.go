@@ -10,47 +10,41 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/pager"
 )
 
-// TupleID locates one tuple: the page that holds it, its slot within
-// the page, and the store of its relation whose heap the page is in. A
-// heap hands out ids with Store 0 and never reads it; a relation of
-// several stores sets it. The zero TupleID is invalid.
+// TupleID locates one tuple: the page that holds it and its slot within
+// the page. The zero TupleID is invalid.
 type TupleID struct {
-	Page  pager.PageID
-	Slot  uint16
-	Store uint8
+	Page pager.PageID
+	Slot uint16
 }
 
 // IsValid reports whether the id could refer to a stored tuple.
 func (id TupleID) IsValid() bool { return id.Page != pager.InvalidPage }
 
 // Int64 packs the TupleID into an int64 so it can ride in an R-tree
-// leaf entry's data pointer: store<<48 | page<<16 | slot, which is
-// page<<16 | slot for Store 0.
+// leaf entry's data pointer: page<<16 | slot.
 func (id TupleID) Int64() int64 {
-	return int64(uint64(id.Store)<<48 | uint64(id.Page)<<16 | uint64(id.Slot))
+	return int64(uint64(id.Page)<<16 | uint64(id.Slot))
 }
 
 // TupleIDFromInt64 unpacks an id created by Int64.
 func TupleIDFromInt64(v int64) TupleID {
-	return TupleID{Page: pager.PageID(uint32(v >> 16)), Slot: uint16(v), Store: uint8(v >> 48)}
+	return TupleID{Page: pager.PageID(uint32(v >> 16)), Slot: uint16(v)}
 }
 
-// Compare orders ids by (store, page, slot) — the order of their Int64
-// encodings, and within a store the order a heap scan delivers.
+// Compare orders ids by (page, slot), the order of their Int64
+// encodings.
 func (id TupleID) Compare(o TupleID) int {
 	return cmp.Compare(id.Int64(), o.Int64())
 }
 
-// String formats the id as "page:slot", or "store/page:slot" for a
-// store other than 0.
+// String formats the id as "page:slot".
 func (id TupleID) String() string {
-	if id.Store != 0 {
-		return fmt.Sprintf("%d/%d:%d", id.Store, id.Page, id.Slot)
-	}
 	return fmt.Sprintf("%d:%d", id.Page, id.Slot)
 }
 
@@ -209,28 +203,53 @@ func (v pageView) insert(rec []byte) int {
 	return slot
 }
 
-// Heap is a chain of slotted pages storing variable-length records.
+// Heap stores variable-length records in slotted pages: one or more
+// chains of pages, each named by its first page. A heap this engine
+// creates is one chain; a heap of several is what a file written when a
+// relation had several stores reopens to, one chain per store. Inserts
+// go to the last chain. A scan reads the pages of every chain in
+// ascending page order (pages), so it delivers records in ascending
+// TupleID order whatever the chains' layout.
+//
+// mu is the heap's latch, so a Heap is safe for concurrent use: Insert,
+// Delete and Free take it exclusively, every read shared. A read of
+// many pages (GetBatch) gives it up between two pages while a writer is
+// waiting for it (writers), so a long batch does not hold inserts
+// back; Scan, Pages and Check hold it for their whole walk.
 type Heap struct {
-	p     *pager.Pager
-	first pager.PageID
-	last  pager.PageID
-	count int
+	p       *pager.Pager
+	mu      sync.RWMutex
+	writers atomic.Int32 // writers waiting for mu or holding it
+	chains  []pager.PageID
+	pages   []pager.PageID // every chain's pages, ascending
+	last    pager.PageID   // the last page of the last chain
+	count   int
 }
 
 // Create returns a new empty heap in p. It touches no page: the heap
 // takes its first page with its first record, so the PageID it returns
 // is InvalidPage. Store FirstPage to reopen the heap.
 func Create(p *pager.Pager) (*Heap, pager.PageID, error) {
-	return &Heap{p: p}, pager.InvalidPage, nil
+	return &Heap{p: p, chains: []pager.PageID{pager.InvalidPage}}, pager.InvalidPage, nil
 }
 
-// Open reattaches to a heap whose first page is first (InvalidPage: an
-// empty heap). The record count is recomputed by walking the chain, every
-// page's slotted structure checked first: a corrupt page, a cycle or an
-// out-of-range link fails with an error wrapping ErrCorrupt.
+// Open reattaches to a heap of one chain whose first page is first
+// (InvalidPage: an empty heap). See OpenChains.
 func Open(p *pager.Pager, first pager.PageID) (*Heap, error) {
-	h := &Heap{p: p, first: first, last: first}
-	err := h.chain(func(id pager.PageID, s slotted) error {
+	return OpenChains(p, []pager.PageID{first})
+}
+
+// OpenChains reattaches to a heap of the chains whose first pages are
+// firsts (InvalidPage: a chain with no page yet). The record count is
+// recomputed by walking every chain, every page's slotted structure
+// checked first: a corrupt page, a cycle, an out-of-range link or a page
+// in two chains fails with an error wrapping ErrCorrupt.
+func OpenChains(p *pager.Pager, firsts []pager.PageID) (*Heap, error) {
+	if len(firsts) == 0 {
+		return nil, fmt.Errorf("%w: a heap of no chain", ErrCorrupt)
+	}
+	h := &Heap{p: p, chains: slices.Clone(firsts)}
+	err := h.walk(func(c int, id pager.PageID, s slotted) error {
 		if err := s.check(); err != nil {
 			return fmt.Errorf("heap page %d: %w", id, err)
 		}
@@ -239,29 +258,83 @@ func Open(p *pager.Pager, first pager.PageID) (*Heap, error) {
 				h.count++
 			}
 		}
-		h.last = id
+		if c == len(h.chains)-1 {
+			h.last = id
+		}
+		h.pages = append(h.pages, id)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	slices.Sort(h.pages)
 	return h, nil
 }
 
-// FirstPage returns the PageID of the heap's first page, InvalidPage
-// until its first Insert.
-func (h *Heap) FirstPage() pager.PageID { return h.first }
+// lock takes the latch exclusively, counted in writers while it waits
+// and holds it.
+func (h *Heap) lock() {
+	h.writers.Add(1)
+	h.mu.Lock()
+}
+
+func (h *Heap) unlock() {
+	h.mu.Unlock()
+	h.writers.Add(-1)
+}
+
+// FirstPage returns the first page of the heap's first chain,
+// InvalidPage until a record is stored there.
+func (h *Heap) FirstPage() pager.PageID {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.chains[0]
+}
+
+// Chains returns the first page of each chain, the handles OpenChains
+// reopens the heap from.
+func (h *Heap) Chains() []pager.PageID {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return slices.Clone(h.chains)
+}
+
+// NextPage returns the heap's first page above after in ascending page
+// order — its lowest page for InvalidPage — and InvalidPage past the
+// last: where a walk of ScanPage calls starts.
+func (h *Heap) NextPage(after pager.PageID) pager.PageID {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.nextPage(after)
+}
+
+func (h *Heap) nextPage(after pager.PageID) pager.PageID {
+	i, found := slices.BinarySearch(h.pages, after)
+	if found {
+		i++
+	}
+	if i == len(h.pages) {
+		return pager.InvalidPage
+	}
+	return h.pages[i]
+}
 
 // Len returns the number of live records.
-func (h *Heap) Len() int { return h.count }
+func (h *Heap) Len() int {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	return h.count
+}
 
-// Insert appends a record and returns its TupleID. A full last page
-// gets a fresh page chained after it, and a heap with no page yet takes
-// its first one here.
+// Insert appends a record to the last chain and returns its TupleID. A
+// full last page gets a fresh page chained after it, and a chain with no
+// page yet takes its first one here.
 func (h *Heap) Insert(rec []byte) (TupleID, error) {
 	if len(rec) > MaxRecordSize {
 		return TupleID{}, fmt.Errorf("%w: %d > %d", ErrTooLarge, len(rec), MaxRecordSize)
 	}
+	h.lock()
+	defer h.unlock()
 	var pg *pager.Page
 	if h.last != pager.InvalidPage {
 		var err error
@@ -279,13 +352,15 @@ func (h *Heap) Insert(rec []byte) (TupleID, error) {
 		}
 		pageView{npg}.init()
 		if pg == nil {
-			h.first = npg.ID
+			h.chains[len(h.chains)-1] = npg.ID
 		} else {
 			pageView{pg}.setNextPage(npg.ID)
 			pg.MarkDirty()
 			h.p.Unpin(pg)
 		}
 		h.last = npg.ID
+		i, _ := slices.BinarySearch(h.pages, npg.ID)
+		h.pages = slices.Insert(h.pages, i, npg.ID)
 		pg = npg
 	}
 	slot := pageView{pg}.insert(rec)
@@ -297,6 +372,8 @@ func (h *Heap) Insert(rec []byte) (TupleID, error) {
 
 // Get returns a copy of the record at id.
 func (h *Heap) Get(id TupleID) ([]byte, error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
 	r := h.p.BeginRead()
 	defer r.End()
 	b, err := r.Page(id.Page)
@@ -315,6 +392,10 @@ func (h *Heap) Get(id TupleID) ([]byte, error) {
 	return out, nil
 }
 
+// pageHook, when set, is called by GetBatch before each page after the
+// first, the latch held: a test seam.
+var pageHook func()
+
 // GetBatch reads the records of many ids through one pager.Reader held
 // for the whole batch (the zero-copy read path: bytes come straight from
 // the mmap when one is active and the page is not in the pool, from the
@@ -327,6 +408,10 @@ func (h *Heap) Get(id TupleID) ([]byte, error) {
 // call and must not be retained or written through. A deleted id's rec
 // is nil. Any fn error, id never handed out, or corrupt slot aborts the
 // batch.
+//
+// The latch is held shared, and given up before the next page is read
+// only while a writer waits for it: a page's records are read under one
+// hold, and a tuple deleted between two pages reads as deleted.
 func (h *Heap) GetBatch(ids []TupleID, fn func(i int, rec []byte) error) error {
 	if !slices.IsSortedFunc(ids, TupleID.Compare) {
 		order := make([]int, len(ids))
@@ -340,9 +425,20 @@ func (h *Heap) GetBatch(ids []TupleID, fn func(i int, rec []byte) error) error {
 		}
 		return h.GetBatch(sorted, func(k int, rec []byte) error { return fn(order[k], rec) })
 	}
+	h.mu.RLock()
+	defer h.mu.RUnlock()
 	r := h.p.BeginRead()
 	defer r.End()
 	for i := 0; i < len(ids); {
+		if i > 0 {
+			if pageHook != nil {
+				pageHook()
+			}
+			if h.writers.Load() > 0 {
+				h.mu.RUnlock()
+				h.mu.RLock()
+			}
+		}
 		page := ids[i].Page
 		b, err := r.Page(page)
 		if err != nil {
@@ -368,6 +464,8 @@ func (h *Heap) GetBatch(ids []TupleID, fn func(i int, rec []byte) error) error {
 // so id resolves to ErrNotFound from now on. Of two Deletes of one id
 // the second reports ErrNotFound.
 func (h *Heap) Delete(id TupleID) error {
+	h.lock()
+	defer h.unlock()
 	pg, err := h.p.Fetch(id.Page)
 	if err != nil {
 		return err
@@ -390,58 +488,70 @@ func (h *Heap) Delete(id TupleID) error {
 // heap must not be used afterwards. Used when a heap is replaced
 // wholesale (e.g. a superseded heap of catalog definitions).
 func (h *Heap) Free() error {
-	id := h.first
-	for id != pager.InvalidPage {
-		pg, err := h.p.Fetch(id)
-		if err != nil {
-			return err
+	h.lock()
+	defer h.unlock()
+	for _, id := range h.chains {
+		for id != pager.InvalidPage {
+			pg, err := h.p.Fetch(id)
+			if err != nil {
+				return err
+			}
+			next := pageView{pg}.nextPage()
+			h.p.Unpin(pg)
+			if err := h.p.Free(id); err != nil {
+				return err
+			}
+			id = next
 		}
-		next := pageView{pg}.nextPage()
-		h.p.Unpin(pg)
-		if err := h.p.Free(id); err != nil {
-			return err
-		}
-		id = next
 	}
-	h.count = 0
+	h.count, h.pages = 0, nil
 	return nil
 }
 
-// Scan calls fn for every live record in storage order; returning
-// false stops the scan. The record slice is only valid during the
-// call. A structurally invalid page stops the scan with an error
-// wrapping ErrCorrupt.
+// Scan calls fn for every live record in ascending TupleID order;
+// returning false stops the scan. The record slice is only valid during
+// the call. A structurally invalid page stops the scan with an error
+// wrapping ErrCorrupt. The latch is held for the whole walk, so fn must
+// not write to the heap.
 func (h *Heap) Scan(fn func(id TupleID, rec []byte) bool) error {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
 	r := h.p.BeginRead()
 	defer r.End()
-	for id := h.first; id != pager.InvalidPage; {
-		next, err := scanPage(&r, id, fn)
-		if err != nil {
+	for _, id := range h.pages {
+		if more, err := scanPage(&r, id, fn); !more || err != nil {
 			return err
 		}
-		id = next
 	}
 	return nil
 }
 
-// ScanPage is Scan over one page of the chain, id. It returns the page
-// that follows, InvalidPage at the end of the chain or once fn has
-// stopped the scan. Pages never leave a chain, so a caller that guards
-// the heap with a lock may drop it between pages.
+// ScanPage is Scan over one page, id, under one hold of the latch. It
+// returns the next page in ascending page order (NextPage), InvalidPage
+// after the last page or once fn has stopped the scan. Pages never leave
+// the heap, so it may change between two calls: a page added above id
+// is seen, one added below it is not.
 func (h *Heap) ScanPage(id pager.PageID, fn func(id TupleID, rec []byte) bool) (pager.PageID, error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
 	r := h.p.BeginRead()
 	defer r.End()
-	return scanPage(&r, id, fn)
+	if more, err := scanPage(&r, id, fn); !more || err != nil {
+		return pager.InvalidPage, err
+	}
+	return h.nextPage(id), nil
 }
 
-func scanPage(r *pager.Reader, id pager.PageID, fn func(id TupleID, rec []byte) bool) (pager.PageID, error) {
+// scanPage hands fn the live records of page id; more is false once fn
+// has returned false.
+func scanPage(r *pager.Reader, id pager.PageID, fn func(id TupleID, rec []byte) bool) (more bool, err error) {
 	b, err := r.Page(id)
 	if err != nil {
-		return pager.InvalidPage, err
+		return false, err
 	}
 	s := slotted(b)
 	if err := s.check(); err != nil {
-		return pager.InvalidPage, fmt.Errorf("heap page %d: %w", id, err)
+		return false, fmt.Errorf("heap page %d: %w", id, err)
 	}
 	for i := 0; i < s.slotCount(); i++ {
 		off, length := s.slot(i)
@@ -449,61 +559,83 @@ func scanPage(r *pager.Reader, id pager.PageID, fn func(id TupleID, rec []byte) 
 			continue
 		}
 		if !fn(TupleID{Page: id, Slot: uint16(i)}, s[off:off+length]) {
-			return pager.InvalidPage, nil
+			return false, nil
 		}
 	}
-	return s.nextPage(), nil
+	return true, nil
 }
 
-// chain calls fn on each page of the heap chain in order, guarding
-// against cycles and out-of-range links with errors wrapping ErrCorrupt.
-// Each page passes through the pager's read path and is therefore
-// checksum-verified. An error from fn stops the walk.
-func (h *Heap) chain(fn func(id pager.PageID, s slotted) error) error {
-	seen := make(map[pager.PageID]bool)
+// walk calls fn on each page of every chain in order, c the chain's
+// index, guarding against cycles, out-of-range links and a page chained
+// twice with errors wrapping ErrCorrupt. Each page passes through the
+// pager's read path and is therefore checksum-verified. An error from fn
+// stops the walk. The caller holds the latch, or owns the heap alone.
+func (h *Heap) walk(fn func(c int, id pager.PageID, s slotted) error) error {
+	owner := make(map[pager.PageID]int)
 	r := h.p.BeginRead()
 	defer r.End()
-	for id := h.first; id != pager.InvalidPage; {
-		if seen[id] {
-			return fmt.Errorf("%w: chain cycle at page %d", ErrCorrupt, id)
+	for c, id := range h.chains {
+		for id != pager.InvalidPage {
+			if o, ok := owner[id]; ok {
+				if o == c {
+					return fmt.Errorf("%w: chain cycle at page %d", ErrCorrupt, id)
+				}
+				return fmt.Errorf("%w: heap page %d is in chain %d and chain %d", ErrCorrupt, id, o, c)
+			}
+			owner[id] = c
+			b, err := r.Page(id)
+			if err != nil {
+				return err
+			}
+			s := slotted(b)
+			if err := fn(c, id, s); err != nil {
+				return err
+			}
+			next := s.nextPage()
+			if next != pager.InvalidPage && int(next) >= h.p.NumPages() {
+				return fmt.Errorf("%w: page %d links to out-of-range page %d", ErrCorrupt, id, next)
+			}
+			id = next
 		}
-		seen[id] = true
-		b, err := r.Page(id)
-		if err != nil {
-			return err
-		}
-		s := slotted(b)
-		if err := fn(id, s); err != nil {
-			return err
-		}
-		next := s.nextPage()
-		if next != pager.InvalidPage && int(next) >= h.p.NumPages() {
-			return fmt.Errorf("%w: page %d links to out-of-range page %d", ErrCorrupt, id, next)
-		}
-		id = next
 	}
 	return nil
 }
 
-// Pages returns the page ids of the heap chain in order, guarding
-// against cycles and out-of-range links with errors wrapping
-// ErrCorrupt.
+// Pages returns the page ids of every chain in order, guarding against
+// cycles, out-of-range links and a page chained twice with errors
+// wrapping ErrCorrupt.
 func (h *Heap) Pages() ([]pager.PageID, error) {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
 	var out []pager.PageID
-	err := h.chain(func(id pager.PageID, _ slotted) error {
+	err := h.walk(func(_ int, id pager.PageID, _ slotted) error {
 		out = append(out, id)
 		return nil
 	})
 	return out, err
 }
 
-// Check walks the heap chain and validates every page's slotted
-// structure; structural faults return errors wrapping ErrCorrupt.
+// Check walks every chain and validates every page's slotted structure
+// and, under the same hold of the latch, the heap's live count against
+// the live slots the walk finds; a fault returns an error wrapping
+// ErrCorrupt.
 func (h *Heap) Check() error {
-	return h.chain(func(id pager.PageID, s slotted) error {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	live := 0
+	err := h.walk(func(_ int, id pager.PageID, s slotted) error {
 		if err := s.check(); err != nil {
 			return fmt.Errorf("heap page %d: %w", id, err)
 		}
+		for i := 0; i < s.slotCount(); i++ {
+			if off, _ := s.slot(i); off != deadOffset {
+				live++
+			}
+		}
 		return nil
 	})
+	if err == nil && live != h.count {
+		err = fmt.Errorf("%w: the heap counts %d live records and holds %d", ErrCorrupt, h.count, live)
+	}
+	return err
 }

@@ -217,8 +217,8 @@ func New() *Database {
 	return db
 }
 
-// Open creates a database whose tuple heaps — every store of every
-// relation — persist in one page file at path, with one buffer pool of
+// Open creates a database whose tuple heaps — one per relation — persist
+// in one page file at path, with one buffer pool of
 // poolPages pages for the whole database. A write-ahead log at
 // path+".wal" is enabled (and recovered, if a previous process crashed
 // mid-commit) before any other access: commits group into single
@@ -247,7 +247,7 @@ func Open(path string, poolPages int) (*Database, error) {
 // if the catalog cannot be loaded. A pager without a log serves reads
 // only: every write through it fails with pager.ErrNoWAL, and so does
 // the open of an empty store, whose superblock it cannot write. The
-// pager holds the whole database: every store of every relation.
+// pager holds the whole database: every relation's heap.
 func OpenWithPager(p *pager.Pager) (*Database, error) {
 	db := newDatabase(p)
 	err := db.ensureSuperblock()
@@ -266,7 +266,7 @@ func OpenWithPager(p *pager.Pager) (*Database, error) {
 }
 
 // OpenWithPagerShards is OpenWithPager; factory is never asked for a
-// pager, because every store lives in p. It is kept only for the
+// pager, because every relation lives in p. It is kept only for the
 // benchmark harness, which compiles against it.
 func OpenWithPagerShards(p *pager.Pager, factory func(rel string, shard int, mustExist bool) (*pager.Pager, error)) (*Database, error) {
 	return OpenWithPager(p)
@@ -400,32 +400,30 @@ func (db *Database) ReadOnly() bool { return db.pager.ReadOnly() }
 // NumPages reports the size of the underlying page file in pages.
 func (db *Database) NumPages() int { return db.pager.NumPages() }
 
-// CreateRelation defines a new relation of one store.
+// CreateRelation defines a new relation: a heap in the database's page
+// file and, once pictures are attached, a spatial index per picture
+// (DESIGN.md §15).
 func (db *Database) CreateRelation(name string, schema Schema) (*Relation, error) {
-	return db.CreateShardedRelation(name, schema, 1)
-}
-
-// CreateShardedRelation defines a relation of `shards` stores, each a
-// heap in the database's page file with its own lock and its own LSM
-// spatial index per attached picture, tuples routed by Hilbert key
-// range. The relation behaves as one logical table: queries scatter to
-// the stores whose indexes overlap and gather the rows a one-store
-// relation gives, in its order under an order by (DESIGN.md §15).
-func (db *Database) CreateShardedRelation(name string, schema Schema, shards int) (*Relation, error) {
-	if shards < 1 || shards > relation.MaxShards {
-		return nil, fmt.Errorf("pictdb: create relation %q: shard count %d out of range [1, %d]", name, shards, relation.MaxShards)
-	}
 	var rel *Relation
-	err := db.define(fmt.Sprintf("create relation %q", name), func(c *catalog) (err error) {
+	err := db.define(fmt.Sprintf("create relation %q", name), func(c *catalog) error {
 		if _, dup := c.relations[name]; dup {
 			return fmt.Errorf("pictdb: relation %q already exists", name)
 		}
-		if rel, err = relation.NewSharded(db.pager, shards, name, schema, db); err == nil {
-			c.relations = defined(c.relations, name, rel)
-		}
-		return err
+		rel = relation.New(db.pager, name, schema, db)
+		c.relations = defined(c.relations, name, rel)
+		return nil
 	})
 	return rel, err
+}
+
+// CreateShardedRelation is CreateRelation once shards is checked to be
+// in [1, 255]: a relation is one heap whatever the count. It is kept
+// only for the benchmark harness, which compiles against it.
+func (db *Database) CreateShardedRelation(name string, schema Schema, shards int) (*Relation, error) {
+	if shards < 1 || shards > maxHeapChains {
+		return nil, fmt.Errorf("pictdb: create relation %q: shard count %d out of range [1, %d]", name, shards, maxHeapChains)
+	}
+	return db.CreateRelation(name, schema)
 }
 
 // CreatePicture defines a new picture covering extent.

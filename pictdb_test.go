@@ -207,11 +207,11 @@ func TestRenderSkipsForeignLocs(t *testing.T) {
 	}
 }
 
-// TestStoresLiveInTheMainFile: a relation of four stores keeps every
-// store in the database's one page file. After Checkpoint and Close its
-// directory holds exactly that file and its log, and one durable 32-row
-// Write, its rows spread over several stores, costs one fsync of the one
-// log.
+// TestStoresLiveInTheMainFile: a relation created with four stores, as
+// the benchmark harness creates one, is one heap in the database's one
+// page file. After Checkpoint and Close its directory holds exactly that
+// file and its log, and one durable 32-row Write costs one fsync of the
+// one log.
 func TestStoresLiveInTheMainFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "stores.db")
@@ -249,16 +249,6 @@ func TestStoresLiveInTheMainFile(t *testing.T) {
 	if got := db.WALStats().Syncs - before; got != 1 {
 		t.Fatalf("one durable Write issued %d log fsyncs, want 1", got)
 	}
-	infos, _ := rel.ShardBalance()
-	used := 0
-	for _, in := range infos {
-		if in.Items > 0 {
-			used++
-		}
-	}
-	if used < 2 {
-		t.Fatalf("the Write's rows landed in %d of 4 stores, want several: %+v", used, infos)
-	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +274,8 @@ func TestStoresLiveInTheMainFile(t *testing.T) {
 	}
 	defer db.Close()
 	rel, _ = db.Relation("pts")
-	if rel.Len() != 32 || rel.ShardCount() != 4 {
-		t.Fatalf("reopened relation: %d rows in %d stores, want 32 in 4", rel.Len(), rel.ShardCount())
+	if rel.Len() != 32 || len(rel.HeapChains()) != 1 {
+		t.Fatalf("reopened relation: %d rows in %d chains, want 32 in 1", rel.Len(), len(rel.HeapChains()))
 	}
 	if report := db.Check(); !report.OK() {
 		t.Fatal(report.Err())
@@ -408,25 +398,16 @@ func TestDefinitionsTouchNoPage(t *testing.T) {
 	}
 
 	for _, rel := range []*pictdb.Relation{one, eight} {
-		heldPage := func() int {
-			n := 0
-			for _, first := range rel.ShardHeapFirstPages() {
-				if first != pager.InvalidPage {
-					n++
-				}
-			}
-			return n
-		}
-		if n := heldPage(); n != 0 {
-			t.Fatalf("relation %q: %d stores hold a page before any tuple", rel.Name(), n)
+		if first := rel.HeapFirstPage(); first != pager.InvalidPage {
+			t.Fatalf("relation %q: its heap holds page %d before any tuple", rel.Name(), first)
 		}
 		before := db.PoolStats().Allocs
 		insert(rel, 100)
 		if got := db.PoolStats().Allocs - before; got != 1 {
 			t.Fatalf("relation %q: the first tuple allocated %d pages, want 1", rel.Name(), got)
 		}
-		if n := heldPage(); n != 1 {
-			t.Fatalf("relation %q: %d stores hold a page after one tuple, want 1", rel.Name(), n)
+		if rel.HeapFirstPage() == pager.InvalidPage {
+			t.Fatalf("relation %q: its heap holds no page after one tuple", rel.Name())
 		}
 	}
 }
@@ -512,10 +493,11 @@ func TestDefineInsideWrite(t *testing.T) {
 	}
 }
 
-// TestEmptyStoresSurviveReopen: relations of one store and of eight,
-// defined and committed with no row, reopen empty and Check-clean —
-// their catalog record names no page for a store that never held a
-// row — and take rows that survive the next reopen.
+// TestEmptyStoresSurviveReopen: relations over a heap of one chain and
+// of eight (a file written when a relation had eight stores), defined
+// and committed with no row, reopen empty and Check-clean — their
+// catalog record names no page for a chain that never held a row — and
+// take rows that survive the next reopen.
 func TestEmptyStoresSurviveReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.db")
 	schema := pictdb.MustSchema("n:int")
@@ -541,17 +523,22 @@ func TestEmptyStoresSurviveReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := []int{1, 8}
+	counts := []int{8, 1}
 	for _, n := range counts {
-		if _, err := db.CreateShardedRelation(fmt.Sprintf("s%d", n), schema, n); err != nil {
+		if _, err := db.CreateRelation(fmt.Sprintf("s%d", n), schema); err != nil {
 			t.Fatal(err)
+		}
+		if n == 8 { // s8 is the only relation yet
+			if err := db.Rechain(n); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	db = reopen(db)
 	for _, n := range counts {
 		rel, ok := db.Relation(fmt.Sprintf("s%d", n))
-		if !ok || rel.Len() != 0 || rel.ShardCount() != n {
-			t.Fatalf("relation s%d after reopen: present %v, want it empty in %d stores", n, ok, n)
+		if !ok || rel.Len() != 0 || len(rel.HeapChains()) != n {
+			t.Fatalf("relation s%d after reopen: present %v, want it empty in %d chains", n, ok, n)
 		}
 		if _, err := rel.Insert(pictdb.Tuple{pictdb.I(int64(n))}); err != nil {
 			t.Fatal(err)

@@ -14,8 +14,9 @@ import (
 // FuzzQueryMatchesNaive derives one PSQL statement from its input and
 // requires the planned executor to return what the naive full-scan
 // executor returns, row for row, or both to fail. The database is built
-// once per process: the same ~300 points and segments in a one-store
-// relation (pts) and a three-store one (spts), a B-tree on pop, and 40
+// once per process: the same ~300 points and segments in two relations,
+// pts and spts (created as the benchmark harness creates one, through
+// CreateShardedRelation, which makes one heap), a B-tree on pop, and 40
 // regions on a second picture, with a warm write side — background
 // repacks off, inserts left in the delta trees and deletes left as
 // tombstones — so every statement reads packed, delta and tombstoned

@@ -10,15 +10,17 @@ import (
 	pictdb "repro"
 )
 
-// The sharded oracle: a PSQL query over a database whose relations
-// have n stores must return the rows the same query returns over the
-// one-store database, at every store count. A tuple's id is its heap
-// address, so an answer's default order (ascending id) follows each
-// database's own layout: across store counts rows are compared as
-// multisets, and row for row only under an order by that is total on
-// them. Each database is also held row for row against its own naive
-// full-scan executor, so a sharded-specific planner bug cannot hide
-// behind a matching naive divergence.
+// The chained-heap oracle: a PSQL query over a database whose relations
+// are reopened over heaps of n chains — the layout a file written when
+// they had n stores reopens to (Database.Rechain) — must return the rows
+// the same query returns over the database they were built as, at every
+// chain count. A tuple's id is its heap address, so an answer's default
+// order (ascending id) follows each database's own layout: across chain
+// counts rows are compared as multisets, and row for row only under an
+// order by that is total on them. Each database is also held row for
+// row against its own naive full-scan executor, so a planner bug on one
+// layout cannot hide behind a matching naive divergence. The tests are
+// named for the store counts the chains stand for.
 
 // shardOrderedQueries end in an order by that is a total order on their
 // rows.
@@ -65,13 +67,13 @@ func assertSameRows(t *testing.T, label string, got, want *pictdb.Result) {
 	}
 }
 
-// verifyShardedAgainstUnsharded runs every planner access path on both
+// verifyChainedAgainstBuilt runs every planner access path on both
 // databases, requiring (a) each database's planned answer == its naive
-// one, row for row, and (b) sharded planned == unsharded planned, as
+// one, row for row, and (b) chained planned == built planned, as
 // multisets, and row for row under shardOrderedQueries' order by; and
 // (c) on each database, a batch of windows finds what the windows find
 // one at a time (assertBatchMatchesSingles).
-func verifyShardedAgainstUnsharded(t *testing.T, sdb, udb *pictdb.Database, stage string) {
+func verifyChainedAgainstBuilt(t *testing.T, sdb, udb *pictdb.Database, stage string) {
 	t.Helper()
 	queries := maps.Clone(lsmQueries)
 	maps.Copy(queries, shardOrderedQueries)
@@ -92,9 +94,9 @@ func verifyShardedAgainstUnsharded(t *testing.T, sdb, udb *pictdb.Database, stag
 		}
 		got, want := results[0], results[1]
 		if _, ordered := shardOrderedQueries[name]; ordered {
-			assertSameResult(t, label+" [vs unsharded]", got, want)
+			assertSameResult(t, label+" [vs built]", got, want)
 		} else {
-			assertSameRows(t, label+" [vs unsharded]", got, want)
+			assertSameRows(t, label+" [vs built]", got, want)
 		}
 		if name != "direct-disjoined" && got.Len() == 0 {
 			t.Fatalf("%s: vacuous — zero rows everywhere", label)
@@ -108,19 +110,22 @@ func verifyShardedAgainstUnsharded(t *testing.T, sdb, udb *pictdb.Database, stag
 	}
 }
 
-// TestShardedQueryOracle holds BuildUSDatabaseSharded(k) against
-// BuildUSDatabase for k in {1,2,4,8}: pristine packed build, then with
-// live per-shard deltas and tombstones, then after repacking every
-// shard tree.
+// TestShardedQueryOracle holds BuildUSDatabase reopened over heaps of
+// k chains against BuildUSDatabase for k in {1,2,4,8}: pristine packed
+// build, then with live deltas and tombstones, then after repacking
+// every tree.
 func TestShardedQueryOracle(t *testing.T) {
 	for _, k := range []int{1, 2, 4, 8} {
 		k := k
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
-			sdb, err := pictdb.BuildUSDatabaseSharded(k)
+			sdb, err := pictdb.BuildUSDatabase()
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer sdb.Close()
+			if err := sdb.Rechain(k); err != nil {
+				t.Fatal(err)
+			}
 			udb, err := pictdb.BuildUSDatabase()
 			if err != nil {
 				t.Fatal(err)
@@ -128,10 +133,10 @@ func TestShardedQueryOracle(t *testing.T) {
 			defer udb.Close()
 
 			cities, _ := sdb.Relation("cities")
-			if cities.ShardCount() != k {
-				t.Fatalf("cities has %d stores, want %d", cities.ShardCount(), k)
+			if n := len(cities.HeapChains()); n != k {
+				t.Fatalf("cities has %d chains, want %d", n, k)
 			}
-			verifyShardedAgainstUnsharded(t, sdb, udb, "pristine")
+			verifyChainedAgainstBuilt(t, sdb, udb, "pristine")
 
 			mutateUS(t, sdb)
 			mutateUS(t, udb)
@@ -144,10 +149,10 @@ func TestShardedQueryOracle(t *testing.T) {
 			if deltas == 0 || tombs == 0 {
 				t.Fatalf("mutation left no delta state: delta=%d tombstones=%d", deltas, tombs)
 			}
-			verifyShardedAgainstUnsharded(t, sdb, udb, "delta-live")
+			verifyChainedAgainstBuilt(t, sdb, udb, "delta-live")
 
-			// Collapse every shard's write side and re-verify from the
-			// swapped roots.
+			// Collapse every write side and re-verify from the swapped
+			// roots.
 			for _, db := range []*pictdb.Database{sdb, udb} {
 				for _, reln := range []struct{ rel, pic string }{
 					{"cities", "us-map"}, {"time-zones", "time-zone-map"},
@@ -160,10 +165,10 @@ func TestShardedQueryOracle(t *testing.T) {
 			}
 			for _, si := range cities.Spatials("us-map") {
 				if si.DeltaLen() != 0 || si.TombstoneCount() != 0 {
-					t.Fatalf("repack left delta state on a shard")
+					t.Fatalf("repack left delta state")
 				}
 			}
-			verifyShardedAgainstUnsharded(t, sdb, udb, "repacked")
+			verifyChainedAgainstBuilt(t, sdb, udb, "repacked")
 		})
 	}
 }

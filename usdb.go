@@ -40,32 +40,8 @@ func BuildUSDatabaseFile(path string, poolPages int) (*Database, error) {
 	return db, nil
 }
 
-// BuildUSDatabaseSharded builds the same in-memory database with every
-// relation split into shards stores by Hilbert key range, each store a
-// heap of the one pager with spatial indexes of its own. Query results
-// are identical to BuildUSDatabase row for row — the shard_oracle tests
-// hold the two configurations against each other.
-func BuildUSDatabaseSharded(shards int) (*Database, error) {
-	db := New()
-	create := func(name string, schema Schema) (*Relation, error) {
-		return db.CreateShardedRelation(name, schema, shards)
-	}
-	if err := populateUSWith(db, create); err != nil {
-		db.Close()
-		return nil, err
-	}
-	return db, nil
-}
-
 // populateUS fills db with the §2.1 relations and pictures.
 func populateUS(db *Database) error {
-	return populateUSWith(db, db.CreateRelation)
-}
-
-// populateUSWith is populateUS with the relation constructor abstracted
-// so the sharded builder can route every table through
-// CreateShardedRelation.
-func populateUSWith(db *Database, createRelation func(name string, schema Schema) (*Relation, error)) error {
 	frame := workload.Frame
 
 	for _, name := range []string{"us-map", "state-map", "time-zone-map", "lake-map", "highway-map"} {
@@ -80,7 +56,7 @@ func populateUSWith(db *Database, createRelation func(name string, schema Schema
 	hwyMap, _ := db.Picture("highway-map")
 
 	// cities(city, state, population, loc) on us-map.
-	cities, err := createRelation("cities", MustSchema(
+	cities, err := db.CreateRelation("cities", MustSchema(
 		"city:string", "state:string", "population:int", "loc:loc"))
 	if err != nil {
 		return err
@@ -99,7 +75,7 @@ func populateUSWith(db *Database, createRelation func(name string, schema Schema
 	}
 
 	// states(state, population-density, loc) on state-map.
-	states, err := createRelation("states", MustSchema(
+	states, err := db.CreateRelation("states", MustSchema(
 		"state:string", "population-density:float", "loc:loc"))
 	if err != nil {
 		return err
@@ -115,7 +91,7 @@ func populateUSWith(db *Database, createRelation func(name string, schema Schema
 	}
 
 	// time-zones(zone, hour-diff, loc) on time-zone-map.
-	zones, err := createRelation("time-zones", MustSchema(
+	zones, err := db.CreateRelation("time-zones", MustSchema(
 		"zone:string", "hour-diff:float", "loc:loc"))
 	if err != nil {
 		return err
@@ -128,7 +104,7 @@ func populateUSWith(db *Database, createRelation func(name string, schema Schema
 	}
 
 	// lakes(lake, area, loc) on lake-map.
-	lakes, err := createRelation("lakes", MustSchema(
+	lakes, err := db.CreateRelation("lakes", MustSchema(
 		"lake:string", "area:float", "loc:loc"))
 	if err != nil {
 		return err
@@ -141,7 +117,7 @@ func populateUSWith(db *Database, createRelation func(name string, schema Schema
 	}
 
 	// highways(hwy-name, hwy-section, loc) on highway-map.
-	highways, err := createRelation("highways", MustSchema(
+	highways, err := db.CreateRelation("highways", MustSchema(
 		"hwy-name:string", "hwy-section:string", "loc:loc"))
 	if err != nil {
 		return err
