@@ -51,8 +51,9 @@ const superblockID pager.PageID = 1
 // of the heap's chains and each one's first page, the schema, the
 // indexed columns, the attached pictures. A relation this engine creates
 // has one chain; a file written when a relation could have several
-// stores holds one chain per store, and is read as one heap of them. Each attached picture's name is followed by two
-// bytes that once chose its packing: every index is Hilbert-packed now,
+// stores holds one chain per store, and is read as one heap of them.
+// Each attached picture's name is followed by two bytes that once chose
+// its packing: every index is Hilbert-packed now,
 // so they are written as (pack.MethodHilbert, 0) and read past whatever
 // they hold. Every heap page is a page of the main file.
 const (
