@@ -1,16 +1,16 @@
 GO ?= go
 
-.PHONY: check build test race vet lint bench benchcheck faults walfaults defrace deleterace arenarace fuzz table1 clean
+.PHONY: check build test race vet lint nommap bench benchcheck faults walfaults defrace deleterace arenarace fuzz table1 clean
 
 # The gate: everything must vet, keep the typed-error rule (lint),
 # build, pass under the race detector (concurrent callers of one
 # executor, relation and tree, writers beside readers, and PACKs side
 # by side are exercised by dedicated -race stress tests), and
 # survive the fault-injection and crash-point suites, including the WAL
-# crash-recovery matrix. Every test binary that opens a
-# pager also fails when its tests leave a pin, a reader or a goroutine
-# behind (internal/leakcheck, DESIGN.md §14).
-check: vet lint build race faults walfaults defrace deleterace arenarace
+# crash-recovery matrix, and pass again without the file mapping. Every
+# test binary that opens a pager also fails when its tests leave a pin,
+# a reader or a goroutine behind (internal/leakcheck, DESIGN.md §14).
+check: vet lint build race nommap faults walfaults defrace deleterace arenarace
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The packages that read pages, built without the file mapping: the pool
+# serves every read, as it does wherever EnableMmap fails (another
+# platform, a non-file backend, an address space that cannot hold the
+# reservation). Without a mapping every read holds a pool pin, so this
+# is where TestMain's pool-pin check sees the readers.
+nommap:
+	$(GO) test -tags pictdb_nommap ./internal/pager/ ./internal/rtree/ ./internal/storage/ ./internal/relation/ ./internal/psql/ .
 
 bench:
 	$(GO) test -run xxx -bench . -benchmem .

@@ -20,6 +20,11 @@ func (db *Database) PoolStats() pager.Stats { return db.pager.Stats() }
 func (db *Database) PoolResident() int      { return db.pager.Resident() }
 func (db *Database) MmapActive() bool       { return db.pager.MmapActive() }
 
+// DefinitionsPage returns the first page of the definitions heap the
+// superblock names: the heap the next commit that changes a definition
+// frees.
+func (db *Database) DefinitionsPage() (pager.PageID, error) { return db.definitionsPage() }
+
 // CommitPages commits the page file alone, without rewriting the
 // definitions: the page frames it logs are the pages dirtied since the
 // last commit.

@@ -1,25 +1,23 @@
 package geom
 
-// The Hilbert curve mapping lives in geom — below pack and workload —
-// so both the packing strategies and the skewed-workload generators
-// can derive curve keys without importing each other.
+// The Hilbert curve mapping lives in geom, below pack, so Hilbert PACK
+// and the callers that key points on the curve outside it share one
+// mapping.
 
 // HilbertOrder is the resolution of the discrete grid points are
 // quantized onto: the curve has 2^HilbertOrder cells per side.
 const HilbertOrder = 16
 
 // HilbertKeyBits is the width of the key space HilbertKey maps into:
-// keys lie in [0, 1<<HilbertKeyBits). Hilbert-range sharding divides
-// this space into contiguous per-shard ranges.
+// keys lie in [0, 1<<HilbertKeyBits).
 const HilbertKeyBits = 2 * HilbertOrder
 
 // HilbertKey quantizes p onto the Hilbert curve over bounds and
-// returns its 1-D curve distance — the routing key Hilbert-range
-// sharding assigns tuples by. Points outside bounds are clamped, so
+// returns its 1-D curve distance. Points outside bounds are clamped, so
 // every point gets a key and contiguous key ranges stay spatially
 // local (Bos & Haverkort's locality bound). The key is a pure function
-// of (bounds, p): routing is deterministic across processes and
-// reopens as long as the picture extent is stable.
+// of (bounds, p): the same across processes and reopens as long as the
+// picture extent is stable.
 func HilbertKey(bounds Rect, p Point) uint64 {
 	side := uint32(1) << HilbertOrder
 	x, y := uint32(0), uint32(0)

@@ -14,8 +14,8 @@ import (
 //
 // Once the bounds are known every key is a pure function of one
 // center; one sort of (key, position) words orders them. The curve
-// mapping itself lives in geom (geom.HilbertKey and friends), where
-// Hilbert-range sharding and the workload generators reach it too.
+// mapping itself lives in geom (geom.HilbertD and friends), where
+// callers outside pack reach it too.
 type hilbertGrouper struct{}
 
 func (hilbertGrouper) Name() string { return "hilbert" }

@@ -282,12 +282,10 @@ type Pager struct {
 	allocs   uint64
 	frees    uint64
 
-	// Zero-copy read path (view.go): the active file mapping, replaced
-	// mappings still held by readers that began before a remap (guarded
-	// by hmu), the verified- and residency bitmaps, and the count of
-	// pages served from a mapping.
+	// Zero-copy read path (view.go): the file mapping, stored only by
+	// EnableMmap and Close, the verified- and residency bitmaps, and the
+	// count of pages served from the mapping.
 	mapping  atomic.Pointer[mapping]
-	retired  []*mapping
 	verified pageBits // on-disk image passed its CRC this generation
 	resident pageBits // page has a frame in the pool; written under pmu
 	mmapPins atomic.Uint64
@@ -489,7 +487,7 @@ func (p *Pager) Outstanding() (readers int64, pins int) {
 		}
 	}
 	p.pmu.Unlock()
-	return heldReaders(p.mappings()), pins
+	return p.mappedReaders(), pins
 }
 
 // Stats returns a snapshot of the pool counters.

@@ -10,7 +10,7 @@ package pager
 //     therefore installs nothing: the pool holds the frames of pages
 //     being written (fetched, allocated, dirty or not yet evicted), of
 //     pages whose newest image is a WAL frame, and of the pages past the
-//     mapped region until the next remap.
+//     mapping's bound, which a checkpoint raises after its write-back.
 //   - A page resident in the pool (possibly dirty, i.e. newer than
 //     disk) is always served from its frame, and a page with a WAL frame
 //     through the pool's WAL-aware read, so readers never observe stale
@@ -18,8 +18,9 @@ package pager
 //     common "not resident" answer costs one atomic load and no pool
 //     lock.
 //   - Without a mapping (other platforms, the pictdb_nommap build,
-//     memory, fault-injecting and crash-capture backends) every read takes
-//     the pool path: the bytes alias the pooled frame and hold its pin.
+//     memory, fault-injecting and crash-capture backends, an address
+//     space that cannot hold the reservation) every read takes the pool
+//     path: the bytes alias the pooled frame and hold its pin.
 //
 // Checksums are verified once per page generation: a verified-bitmap
 // records pages whose on-disk image already passed CRC-32C, so
@@ -46,7 +47,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"slices"
 	"sync/atomic"
 )
 
@@ -86,7 +86,7 @@ func (r *Reader) Page(id PageID) ([]byte, error) {
 	if id == InvalidPage || uint32(id) >= p.numPages.Load() {
 		return nil, fmt.Errorf("%w: %d", ErrPageRange, id)
 	}
-	if m := r.m; m != nil && uint32(id) < m.pages {
+	if m := r.m; m != nil && uint32(id) < m.pages.Load() {
 		// Pool first: a resident page may be dirty, i.e. newer than the
 		// bytes under the mapping. The bit is set before an installed page
 		// is handed to anyone who could dirty it, so "clear" means the
@@ -94,7 +94,7 @@ func (r *Reader) Page(id PageID) ([]byte, error) {
 		// writer installing the page between this test and the read is
 		// excluded by the callers' own locks (a relation's heap lock),
 		// as it must be for the bytes to stay put while they are read.
-		if uint32(id) >= trackedPages || p.resident.get(id) {
+		if p.resident.get(id) {
 			p.pmu.Lock()
 			if pg, ok := p.pages[id]; ok {
 				p.pinResident(pg)
@@ -183,99 +183,55 @@ func (v *View) Unpin() {
 	v.data = nil
 }
 
-// mapping is one read-only mmap of the backing file. Pages [0, pages)
-// are served from data; anything beyond (allocated after the map was
-// made) falls back to the pool until a checkpoint remaps.
+// mapping is the one read-only mmap of the backing file, made over a
+// fixed reservation of mapReserve bytes when EnableMmap is called and
+// unmapped by Close; a file that grows never outgrows it, so it is never
+// replaced. Pages [0, pages) are whole on disk and counted by the header
+// and are served from data; anything beyond (allocated after the last
+// checkpoint, or past the reservation) falls back to the pool. Only a
+// checkpoint's fold raises pages, after its write-back, so touching the
+// reservation past the file's end (a SIGBUS) is never reachable.
 //
-// refs counts the readers holding the mapping. A mapping that has been
-// replaced (or is being closed) is retired, and a retired mapping is
-// unmapped by whoever finds its count at zero: the sweep claims it by
-// swapping 0 for mappingDead, so exactly one party unmaps and only when
-// nobody holds it. A reader takes its reference first and checks
-// afterwards: a count that comes back negative means the claim won, the
-// reader backs out without having touched data and retries on the
-// current mapping; a positive count blocks every later claim until the
-// release. Unmapped memory is therefore never reachable.
+// refs counts the readers holding the mapping. Close claims it by
+// swapping 0 for mappingDead, so it unmaps only when nobody holds it. A
+// reader takes its reference first and checks afterwards: a count that
+// comes back negative means the claim won, and the reader backs out
+// without having touched data and reads through the pool; a positive
+// count makes Close refuse until the release. Unmapped memory is
+// therefore never reachable.
 type mapping struct {
-	data    []byte
-	pages   uint32
-	refs    atomic.Int64
-	retired atomic.Bool
+	data  []byte
+	pages atomic.Uint32
+	refs  atomic.Int64
 }
+
+// mapReserve is the size of the mapping: the pages the residency bits
+// track, so every mapped page has a residency bit.
+const mapReserve = trackedPages * PageSize
 
 // mappingDead is the refs value of an unmapped mapping: far enough
 // below zero that no run of failed acquires brings it back up.
 const mappingDead = math.MinInt64 / 2
 
-// acquireMapping takes a reference on the current mapping, nil when
-// there is none.
+// acquireMapping takes a reference on the mapping, nil when there is
+// none or Close has claimed it.
 func (p *Pager) acquireMapping() *mapping {
-	for {
-		m := p.mapping.Load()
-		if m == nil {
-			return nil
-		}
-		if m.refs.Add(1) > 0 {
-			if !m.retired.Load() {
-				return m
-			}
-			// Replaced since it was loaded: usable, but a reader that
-			// moves on lets the old mapping go as soon as those already
-			// inside have left.
-			m.release()
-			continue
-		}
-		m.refs.Add(-1) // claimed by the sweep; p.mapping has moved on
-	}
-}
-
-// release drops one reference, unmapping a retired mapping it leaves
-// unheld.
-func (m *mapping) release() {
-	n := m.refs.Add(-1)
-	if n < 0 {
-		panic("pager: mmap reference released twice")
-	}
-	if n == 0 && m.retired.Load() {
-		// Best-effort, like the remap that retired it: a failed munmap
-		// leaks address space, nothing else.
-		_ = m.sweep()
-	}
-}
-
-// retire marks m replaced and unmaps it if no reader holds it; otherwise
-// the last release does. The retired flag is set before the count is
-// examined and release examines them in the opposite order, so one of
-// the two always sees the mapping both retired and unheld.
-func (m *mapping) retire() error {
-	m.retired.Store(true)
-	return m.sweep()
-}
-
-// sweep unmaps m if it can claim it (see mapping).
-func (m *mapping) sweep() error {
-	if !m.refs.CompareAndSwap(0, mappingDead) {
+	m := p.mapping.Load()
+	if m == nil {
 		return nil
 	}
-	data := m.data
-	m.data = nil
-	if err := munmapFile(data); err != nil {
-		return fmt.Errorf("pager: munmap: %w", err)
+	if m.refs.Add(1) > 0 {
+		return m
 	}
+	m.refs.Add(-1) // claimed by Close
 	return nil
 }
 
-// dead reports whether m has been unmapped (a failed acquire may sit
-// on top of mappingDead for a moment, hence the inequality).
-func (m *mapping) dead() bool { return m.refs.Load() < 0 }
-
-// heldReaders counts the readers and views holding any of maps.
-func heldReaders(maps []*mapping) int64 {
-	var n int64
-	for _, m := range maps {
-		n += max(m.refs.Load(), 0)
+// release drops one reference.
+func (m *mapping) release() {
+	if m.refs.Add(-1) < 0 {
+		panic("pager: mmap reference released twice")
 	}
-	return n
 }
 
 func (m *mapping) page(id PageID) []byte {
@@ -283,118 +239,84 @@ func (m *mapping) page(id PageID) []byte {
 	return m.data[off : off+PageSize : off+PageSize]
 }
 
-// EnableMmap maps the backing file read-only and routes Pin through
-// it. It fails with ErrMmapUnsupported when the build lacks mmap or
-// the backend is not a plain file (memory, fault-injecting and
-// crash-capture backends keep the pool path, which preserves their
-// interception of every read). Safe to call once, before concurrent
-// use.
+// raise lifts the bound to the whole pages of f on disk, at most
+// counted (the header's page count) and the reservation. Caller is
+// EnableMmap before concurrent use, or a checkpoint under commitMu.
+func (m *mapping) raise(f *os.File, counted uint32) error {
+	fi, err := f.Stat()
+	if err != nil {
+		return fmt.Errorf("pager: mmap stat: %w", err)
+	}
+	if n := uint32(min(fi.Size()/PageSize, int64(counted), trackedPages)); n > m.pages.Load() {
+		m.pages.Store(n)
+	}
+	return nil
+}
+
+// EnableMmap maps the backing file read-only over the reservation and
+// routes Pin through it. It fails with ErrMmapUnsupported when the
+// build lacks mmap, the backend is not a plain file (memory,
+// fault-injecting and crash-capture backends keep the pool path, which
+// preserves their interception of every read) or the address space
+// cannot hold the reservation. Safe to call once, before concurrent use.
 func (p *Pager) EnableMmap() error {
 	if p.closed.Load() {
 		return ErrClosed
 	}
-	if !mmapSupported {
+	if !mmapSupported || math.MaxInt < mapReserve {
 		return ErrMmapUnsupported
 	}
 	f, ok := p.backend.(*os.File)
 	if !ok {
 		return fmt.Errorf("%w: backend %T is not a file", ErrMmapUnsupported, p.backend)
 	}
-	p.hmu.Lock()
-	defer p.hmu.Unlock()
-	return p.remapLocked(f)
+	b, err := mmapFile(f, mapReserve)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrMmapUnsupported, err)
+	}
+	m := &mapping{data: b}
+	if err := m.raise(f, p.numPages.Load()); err != nil {
+		_ = munmapFile(b)
+		return err
+	}
+	p.mapping.Store(m)
+	return nil
 }
 
 // MmapActive reports whether Pin currently serves pages from a file
 // mapping.
 func (p *Pager) MmapActive() bool { return p.mapping.Load() != nil }
 
-// remapLocked (re)maps the file over whole pages present on disk. The
-// previous mapping, if any, is retired: readers inside it keep their
-// bytes, and it is unmapped when the last of them leaves (at once when
-// there is none), so a file that grows holds one mapping plus those
-// still being read, not one per growth. Caller holds hmu.
-func (p *Pager) remapLocked(f *os.File) error {
-	fi, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("pager: mmap stat: %w", err)
+// mappedReaders counts the readers and views holding the mapping.
+func (p *Pager) mappedReaders() int64 {
+	if m := p.mapping.Load(); m != nil {
+		return max(m.refs.Load(), 0)
 	}
-	pages := uint32(fi.Size() / PageSize)
-	if n := p.numPages.Load(); pages > n {
-		pages = n
-	}
-	if pages == 0 {
-		return fmt.Errorf("%w: file has no full pages", ErrMmapUnsupported)
-	}
-	b, err := mmapFile(f, int64(pages)*PageSize)
-	if err != nil {
-		return fmt.Errorf("pager: mmap: %w", err)
-	}
-	// Forget the retired mappings that have been unmapped since.
-	p.retired = slices.DeleteFunc(p.retired, (*mapping).dead)
-	if old := p.mapping.Swap(&mapping{data: b, pages: pages}); old != nil {
-		// A failed munmap leaks address space; the new mapping serves.
-		_ = old.retire()
-		if !old.dead() {
-			p.retired = append(p.retired, old)
-		}
-	}
-	return nil
+	return 0
 }
 
-// tryRemap extends the mapping after the file has grown (called at the
-// end of a successful checkpoint). Best-effort: failures leave the old
-// mapping serving its pages and the pool serving the rest.
-func (p *Pager) tryRemap() {
+// closeMapping claims the mapping and unmaps it. It refuses while any
+// reader or view holds it — unmapping would turn its bytes into
+// dangling pointers — naming the leak instead, and the pager stays
+// usable.
+func (p *Pager) closeMapping() error {
 	m := p.mapping.Load()
 	if m == nil {
-		return
+		return nil
 	}
-	f, ok := p.backend.(*os.File)
-	if !ok {
-		return
-	}
-	p.hmu.Lock()
-	defer p.hmu.Unlock()
-	if p.numPages.Load() > m.pages {
-		_ = p.remapLocked(f)
-	}
-}
-
-// mappings returns the current mapping and the retired ones not yet
-// known to be unmapped.
-func (p *Pager) mappings() []*mapping {
-	p.hmu.Lock()
-	defer p.hmu.Unlock()
-	maps := slices.Clone(p.retired)
-	if m := p.mapping.Load(); m != nil {
-		maps = append(maps, m)
-	}
-	return maps
-}
-
-// closeMapping unmaps the current and retired mappings. It refuses
-// while any reader or view is outstanding — unmapping would turn its
-// bytes into dangling pointers — naming the leak instead, and the pager
-// stays usable.
-func (p *Pager) closeMapping() error {
-	maps := p.mappings()
-	if n := heldReaders(maps); n > 0 {
-		return fmt.Errorf("pager: close with %d pinned mmap view(s) or reader(s) outstanding", n)
+	if !m.refs.CompareAndSwap(0, mappingDead) {
+		n := m.refs.Load()
+		if n < 0 {
+			return nil // a concurrent Close claimed it
+		}
+		// At least one reader held it at the claim, even if it has left.
+		return fmt.Errorf("pager: close with %d pinned mmap view(s) or reader(s) outstanding", max(n, 1))
 	}
 	p.mapping.Store(nil)
-	p.hmu.Lock()
-	p.retired = nil
-	p.hmu.Unlock()
-	var first error
-	for _, m := range maps {
-		// A reader that slipped in since the count keeps its mapping
-		// until it leaves (retire only unmaps an unheld one).
-		if err := m.retire(); err != nil && first == nil {
-			first = err
-		}
+	if err := munmapFile(m.data); err != nil {
+		return fmt.Errorf("pager: munmap: %w", err)
 	}
-	return first
+	return nil
 }
 
 // pageBits is a lock-free bitmap over page ids. It is built of

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -385,7 +386,8 @@ func testResidencyMatchesPoolUnderChurn(t *testing.T) {
 // TestPinSeesPagesAllocatedAfterMmap allocates and commits new pages
 // after the mapping was made: pins of the new pages return the committed
 // bytes, from the pool's log frames until a checkpoint writes the pages
-// back and remaps, and from the grown mapping after it.
+// back and raises the mapping's bound over them, and from the mapping
+// after it.
 func TestPinSeesPagesAllocatedAfterMmap(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "grow.db")
 	buildFile(t, path, 2)
@@ -430,10 +432,10 @@ func TestPinSeesPagesAllocatedAfterMmap(t *testing.T) {
 	if err := p.CheckpointWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if m := p.mapping.Load(); uint32(newIDs[len(newIDs)-1]) >= m.pages {
-		t.Fatalf("checkpoint left a mapping of %d pages, short of page %d", m.pages, newIDs[len(newIDs)-1])
+	if m := p.mapping.Load(); uint32(newIDs[len(newIDs)-1]) >= m.pages.Load() {
+		t.Fatalf("checkpoint left the mapping's bound at %d pages, short of page %d", m.pages.Load(), newIDs[len(newIDs)-1])
 	}
-	pinAll("after the checkpoint's remap")
+	pinAll("after the checkpoint")
 }
 
 // TestPinDetectsCorruption flips a committed byte directly in the file
@@ -589,22 +591,11 @@ func TestUnpinTwicePanics(t *testing.T) {
 	}
 }
 
-// liveMappings counts the mappings of p not yet unmapped.
-func liveMappings(p *Pager) int {
-	n := 0
-	for _, m := range p.mappings() {
-		if !m.dead() {
-			n++
-		}
-	}
-	return n
-}
-
 // growAndCommit allocates one patterned page, commits it, and folds the
-// log into the page file, which remaps. It takes the checkpoint past its
-// check for readers: a reader that begins just after that check holds
-// its mapping across the remap, the window the mapping's reference count
-// exists for, and these tests hold readers there on purpose.
+// log into the page file, which raises the mapping's bound. It takes the
+// checkpoint past its check for readers: a reader that begins just after
+// that check holds the mapping across the write-back, and these tests
+// hold readers there on purpose.
 func growAndCommit(t *testing.T, p *Pager) PageID {
 	t.Helper()
 	pg, err := p.Allocate()
@@ -636,14 +627,12 @@ func checkBytes(t *testing.T, id PageID, b []byte) {
 	}
 }
 
-// TestRetiredMappingsAreUnmapped: every commit that grew the file
-// replaces the mapping, and a replaced mapping is unmapped as soon as no
-// reader holds it — 200 growths leave the current mapping and the one a
-// reader begun before the first of them still holds, not 201. That
-// reader keeps reading correct bytes throughout, of old pages (its
-// mapping) and of new ones (the pool).
-func TestRetiredMappingsAreUnmapped(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "retire.db")
+// TestGrowthKeepsOneMapping: a file that grows keeps the mapping
+// EnableMmap made. After each of 200 grow-and-checkpoint cycles the new
+// page is below the mapping's bound, and a reader begun before the first
+// cycle reads correct bytes of old pages and new ones throughout.
+func TestGrowthKeepsOneMapping(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "grow.db")
 	ids := buildFile(t, path, 4)
 	p := openLogged(t, path, 64)
 	defer p.Close()
@@ -654,40 +643,31 @@ func TestRetiredMappingsAreUnmapped(t *testing.T) {
 		t.Skip("mmap not supported in this build")
 	}
 	old := p.BeginRead()
+	defer old.End()
 	first := p.mapping.Load()
 	for i := 0; i < 200; i++ {
 		id := growAndCommit(t, p)
-		if cur := p.mapping.Load(); cur == first || uint32(id) >= cur.pages {
-			t.Fatalf("growth %d: page %d not inside a new mapping", i, id)
+		if cur := p.mapping.Load(); cur != first {
+			t.Fatalf("growth %d: the mapping was replaced", i)
 		}
-		if n := liveMappings(p); n > 2 {
-			t.Fatalf("growth %d: %d mappings alive, want at most 2", i, n)
+		if bound := first.pages.Load(); uint32(id) >= bound {
+			t.Fatalf("growth %d: page %d not below the bound %d", i, id, bound)
 		}
 		for _, id := range []PageID{ids[i%len(ids)], id} {
 			b, err := old.Page(id)
 			if err != nil {
-				t.Fatalf("growth %d: reader begun before the remap: page %d: %v", i, id, err)
+				t.Fatalf("growth %d: reader begun before the growth: page %d: %v", i, id, err)
 			}
 			checkBytes(t, id, b)
 		}
 	}
-	if first.dead() {
-		t.Fatal("a mapping was unmapped under its reader")
-	}
-	old.End()
-	if !first.dead() {
-		t.Fatal("the retired mapping outlived its last reader")
-	}
-	if n := liveMappings(p); n != 1 {
-		t.Fatalf("%d mappings alive after the last reader left, want 1", n)
-	}
 }
 
-// TestRemapUnderReaders races batches of reads against 200 remaps: every
-// batch reads correct bytes whichever mapping it began on (the race
-// detector and a fault on unmapped memory are the other two judges), and
-// when the readers have left only the current mapping is alive.
-func TestRemapUnderReaders(t *testing.T) {
+// TestReadersAcrossGrowth races batches of reads against 200 growths of
+// the file: every batch reads correct bytes whenever it began (the race
+// detector and a fault on memory past the file's end are the other two
+// judges).
+func TestReadersAcrossGrowth(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "race.db")
 	ids := buildFile(t, path, 8)
 	p := openLogged(t, path, 64)
@@ -725,8 +705,77 @@ func TestRemapUnderReaders(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	if n := liveMappings(p); n != 1 {
-		t.Fatalf("%d mappings alive after the readers left, want 1", n)
+}
+
+// TestCloseBesideReaders races Close against goroutines reading in a
+// loop: Close refuses, naming the outstanding readers, until it finds
+// none inside the mapping, and succeeds then. No read faults or returns
+// wrong bytes: a batch begun after Close claimed the mapping reads
+// through the pool, and one that reads after the close finds the pager
+// (or, mid-close, its file) closed. Once Close has returned, a Page
+// returns ErrClosed.
+func TestCloseBesideReaders(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "close.db")
+	ids := buildFile(t, path, 8)
+	p, err := Open(path, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnableMmap(); err != nil {
+		p.Close()
+		if mmapSupported {
+			t.Fatal(err)
+		}
+		t.Skip("mmap not supported in this build")
+	}
+	var stop atomic.Bool
+	var reads atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; !stop.Load(); i++ {
+				reads.Add(1)
+				r := p.BeginRead()
+				id := ids[i%len(ids)]
+				b, err := r.Page(id)
+				if err != nil {
+					r.End()
+					if !errors.Is(err, ErrClosed) && !errors.Is(err, os.ErrClosed) {
+						t.Errorf("page %d: %v", id, err)
+					}
+					return
+				}
+				checkBytes(t, id, b)
+				r.End()
+				runtime.Gosched()
+			}
+		}(g)
+	}
+	for reads.Load() < 100 {
+		runtime.Gosched()
+	}
+	refused := 0
+	for {
+		err := p.Close()
+		if err == nil {
+			break
+		}
+		if refused++; !strings.Contains(err.Error(), "pinned mmap view") || refused == 1e6 {
+			stop.Store(true)
+			wg.Wait()
+			p.Close()
+			t.Fatalf("Close beside readers, try %d: %v, want the outstanding-readers error and, within 1e6 tries, success", refused, err)
+		}
+		runtime.Gosched()
+	}
+	wg.Wait()
+	t.Logf("Close refused %d time(s) before it succeeded", refused)
+	r := p.BeginRead()
+	defer r.End()
+	if _, err := r.Page(ids[0]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Page after Close: %v, want ErrClosed", err)
 	}
 }
 

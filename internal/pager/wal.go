@@ -520,7 +520,7 @@ func (p *Pager) checkpointWALLocked(w *walState, must bool) error {
 	}
 	// A backfill rewrites page-file bytes that pinned mmap views may be
 	// reading; defer until they release.
-	if pins := heldReaders(p.mappings()); pins > 0 {
+	if pins := p.mappedReaders(); pins > 0 {
 		if must {
 			return fmt.Errorf("pager: checkpoint with %d pinned mmap view(s)", pins)
 		}
@@ -530,8 +530,8 @@ func (p *Pager) checkpointWALLocked(w *walState, must bool) error {
 }
 
 // fold is a checkpoint past its checks: it writes the newest committed
-// image of every logged page back, empties the log and remaps the grown
-// file. Caller holds commitMu.
+// image of every logged page back, empties the log and raises the
+// mapping's bound over the grown file. Caller holds commitMu.
 func (p *Pager) fold(w *walState) error {
 	// Latest committed frame per page: a frame past gen belongs to a
 	// batch whose fsync failed and was never acknowledged. No leader runs
@@ -570,7 +570,10 @@ func (p *Pager) fold(w *walState) error {
 	if err := w.reset(); err != nil {
 		return err
 	}
-	p.tryRemap()
+	if m := p.mapping.Load(); m != nil {
+		// Best-effort: a failed stat leaves the new pages to the pool.
+		_ = m.raise(p.backend.(*os.File), numPages)
+	}
 	return nil
 }
 

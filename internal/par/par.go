@@ -1,7 +1,7 @@
 // Package par runs a fixed list of independent tasks on a bounded
-// number of goroutines. It is the one fan-out of the build side and of
-// Check: a relation's heap scans and index builds, and per-store
-// checks.
+// number of goroutines. It is the one fan-out of the build side: after
+// a relation's one heap scan, its B-tree loads and PACKs run on it
+// (internal/relation/build.go).
 package par
 
 import (

@@ -80,8 +80,7 @@ func directSearchCost(snap relation.CostSnapshot, windows []geom.Rect, op Spatia
 }
 
 // juxtaposeCost estimates the page touches of the paper's geographic
-// join: a synchronized two-tree descent over both sides' nodes (summed
-// over shards when a side is sharded).
+// join: a synchronized two-tree descent over both sides' nodes.
 func juxtaposeCost(nodesA, nodesB int) float64 {
 	return 1 + float64(nodesA+nodesB)
 }

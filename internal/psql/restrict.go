@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/relation"
@@ -148,32 +147,15 @@ func (st *execState) restrictSide(bi int, via *boundTerm) ([]rtree.Item, []relat
 			return items, tuples, nil
 		}
 	}
+	// A heap scan walks its pages in ascending order, so its survivors
+	// ascend.
 	if err := b.rel.ScanCols(st.opts.arena.relArena(), need, st.relTerms[bi], func(id storage.TupleID, t relation.Tuple) bool {
 		keep(id, t)
 		return true
 	}); err != nil {
 		return nil, nil, err
 	}
-	// A heap scan follows the page chain, which ascends only until a
-	// freed page is reused.
-	if byID := (survivorsByID{items, tuples}); !sort.IsSorted(byID) {
-		sort.Sort(byID)
-	}
 	return items, tuples, nil
-}
-
-// survivorsByID sorts a side's survivor items, and their tuples with
-// them, by id.
-type survivorsByID struct {
-	items  []rtree.Item
-	tuples []relation.Tuple
-}
-
-func (s survivorsByID) Len() int           { return len(s.items) }
-func (s survivorsByID) Less(i, j int) bool { return s.items[i].Data < s.items[j].Data }
-func (s survivorsByID) Swap(i, j int) {
-	s.items[i], s.items[j] = s.items[j], s.items[i]
-	s.tuples[i], s.tuples[j] = s.tuples[j], s.tuples[i]
 }
 
 // survivor returns the position of id among the ascending survivor

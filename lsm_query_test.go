@@ -7,6 +7,7 @@ import (
 
 	pictdb "repro"
 	"repro/internal/geom"
+	"repro/internal/pager"
 	"repro/internal/storage"
 )
 
@@ -269,4 +270,61 @@ func TestLSMQueryMatchesNaive(t *testing.T) {
 	}
 	runLSMQueries(t, db, "repacked")
 	assertBatchMatchesSingles(t, "repacked", cities, "us-map")
+
+	// A heap that took a freed page below its own: the restriction scans
+	// of the restricted juxtapositions must still hand the join their
+	// survivors in ascending id order.
+	takeFreedDefinitionsPage(t, db)
+	runLSMQueries(t, db, "freed-definitions-page")
+}
+
+// takeFreedDefinitionsPage makes the cities heap of db take the page of
+// a definitions heap a commit replaced, after a page of its own above
+// it: the heap's chain then leaves ascending page order.
+func takeFreedDefinitionsPage(t *testing.T, db *pictdb.Database) {
+	t.Helper()
+	cities, _ := db.Relation("cities")
+	usMap, _ := db.Picture("us-map")
+	n := 0
+	insertUntil := func(done func(pages []pager.PageID) bool) {
+		for {
+			pages, err := cities.HeapPages()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done(pages) {
+				return
+			}
+			if n == 2000 {
+				t.Fatalf("%d inserts and the cities heap holds pages %v", n, pages)
+			}
+			x, y := float64((n*173+29)%1000), float64((n*97+61)%1000)
+			name := fmt.Sprintf("reused-%04d", n)
+			oid := usMap.AddPoint(name, pictdb.Pt(x, y))
+			if _, err := cities.Insert(pictdb.Tuple{
+				pictdb.S(name), pictdb.S("RU"), pictdb.I(int64(200_000 + (n%6)*100_000)), pictdb.L("us-map", oid),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	freed, err := db.DefinitionsPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	insertUntil(func(pages []pager.PageID) bool { return slices.Max(pages) > freed })
+	if _, err := db.CreateRelation("scratch", pictdb.MustSchema("v:int")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if now, err := db.DefinitionsPage(); err != nil || now == freed {
+		t.Fatalf("definitions still on page %d after a new definition (%v)", now, err)
+	}
+	insertUntil(func(pages []pager.PageID) bool { return slices.Contains(pages, freed) })
 }

@@ -2,7 +2,6 @@ package pictdb_test
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -173,15 +172,14 @@ func verifySpatialRecovery(t *testing.T, img pager.CrashImage, allowed map[int]b
 	}); err != nil {
 		t.Fatalf("%s: scan: %v", label, err)
 	}
-	// Heap chain order can deviate from (page, slot) order once freed
-	// catalog pages are reused; the index contract is canonical id
-	// order, so sort the oracle the same way.
-	sort.Slice(wantIDs, func(i, j int) bool {
-		if wantIDs[i].Page != wantIDs[j].Page {
-			return wantIDs[i].Page < wantIDs[j].Page
+	// A heap scan walks its pages in ascending order, freed catalog
+	// pages reused by the heap included, so it delivers the index's
+	// canonical id order.
+	for i := 1; i < len(wantIDs); i++ {
+		if wantIDs[i-1].Compare(wantIDs[i]) >= 0 {
+			t.Fatalf("%s: scan delivers %v after %v, not in ascending id order", label, wantIDs[i], wantIDs[i-1])
 		}
-		return wantIDs[i].Slot < wantIDs[j].Slot
-	})
+	}
 	if len(gotIDs) != len(wantIDs) {
 		t.Fatalf("%s: recovered index has %d entries, heap %d", label, len(gotIDs), len(wantIDs))
 	}
